@@ -25,9 +25,11 @@ vet:
 ci:
 	./scripts/ci.sh
 
-# Full evaluation sweep (writes BENCH_P1.json alongside the tables).
+# scrubbench, the repository's one benchmark: all five workloads, untraced,
+# printing the gated end-to-end metrics (bench/README.md). The paper
+# reproductions and the P1/PS/G1 sweeps stay under cmd/benchrunner.
 bench:
-	$(GO) run ./cmd/benchrunner
+	bash bench/run.sh --seed 1
 
 # Host-overhead sweep only: the hot-path perf gate tracked across PRs.
 bench-p1:
@@ -38,13 +40,11 @@ bench-p1:
 bench-ps:
 	$(GO) run ./cmd/benchrunner -only PS -p1json ''
 
-# Tiny PS sweep asserting the BENCH_P2.json pipeline works end to end;
-# writes to a scratch file so the committed full-scale sweep is never
-# clobbered by a smoke pass.
+# The benchmark's own tests — generator determinism and a 1/50-scale run
+# of every workload with its conservation checks. bench/ is a nested
+# module, so `go test ./...` at the root does not reach them.
 bench-smoke:
-	@tmp=$$(mktemp) && \
-	$(GO) run ./cmd/benchrunner -only PS -quick -p1json '' -p2json "$$tmp" >/dev/null && \
-	test -s "$$tmp" && rm -f "$$tmp" && echo "bench-smoke: BENCH_P2 pipeline OK"
+	(cd bench && $(GO) test -short ./...)
 
 # Governor comparison: the same expensive query unbounded vs budgeted
 # (writes BENCH_G1.json).

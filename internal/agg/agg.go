@@ -339,16 +339,20 @@ func (a *extremeAgg) Count() uint64 { return a.n }
 // --- TOP_K ---
 
 type topKAgg struct {
-	k  int
-	n  uint64
-	ss *sketch.SpaceSaving
+	k   int
+	n   uint64
+	ss  *sketch.SpaceSaving
+	buf []byte // reused item buffer: the value's string form
 }
 
+// Add counts the value's string form. The form is built in the reused
+// buffer, so a tuple whose item is already tracked allocates nothing.
 func (a *topKAgg) Add(v event.Value) {
 	if !v.IsValid() {
 		return
 	}
-	a.ss.Add(v.String())
+	a.buf = v.AppendString(a.buf[:0])
+	a.ss.AddBytes(a.buf)
 	a.n++
 }
 

@@ -54,6 +54,20 @@ func DecodeState(s Spec, b []byte) (Aggregator, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	return decodeInto(a, b)
+}
+
+// DecodeState is DecodeState with scalar states carved from the slab.
+func (sl *Slab) DecodeState(s Spec, b []byte) (Aggregator, int, error) {
+	a, err := sl.New(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeInto(a, b)
+}
+
+// decodeInto loads serialized state into a freshly constructed aggregator.
+func decodeInto(a Aggregator, b []byte) (Aggregator, int, error) {
 	n64, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("agg: decode state: bad count")

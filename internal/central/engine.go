@@ -14,7 +14,6 @@ import (
 	"scrub/internal/liveness"
 	"scrub/internal/obs"
 	"scrub/internal/sampling"
-	"scrub/internal/stats"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 )
@@ -45,15 +44,35 @@ type Options struct {
 // *centralMetrics (no registry configured) costs one pointer check per
 // batch.
 type centralMetrics struct {
-	reg         *obs.Registry
-	batches     *obs.Counter
-	tuples      *obs.Counter
-	windows     *obs.Counter
-	degraded    *obs.Counter
-	shed        *obs.Counter
-	closeNs     *obs.Histogram
-	wmLag       *obs.Gauge
+	reg      *obs.Registry
+	batches  *obs.Counter
+	tuples   *obs.Counter
+	windows  *obs.Counter
+	degraded *obs.Counter
+	shed     *obs.Counter
+	closeNs  *obs.Histogram
+	wmLag    *obs.Gauge
+}
+
+// stateGauges are the two series that say what the open windows hold.
+// They are kept apart from centralMetrics because a ShardedEngine's
+// shards, which register nothing else (the merger counts ingest), charge
+// their windows to the merger's pair. Only a central registry carries
+// them: on the agent path even a few always-live series are a measurable
+// share of the agent's footprint.
+type stateGauges struct {
 	joinPending *obs.Gauge
+	bytes       *obs.Gauge
+}
+
+func newStateGauges(reg *obs.Registry) *stateGauges {
+	if reg == nil {
+		return nil
+	}
+	return &stateGauges{
+		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
+		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' slabs (value arena, join-pending, aggregators, raw rows)"),
+	}
 }
 
 func newCentralMetrics(reg *obs.Registry) *centralMetrics {
@@ -61,15 +80,14 @@ func newCentralMetrics(reg *obs.Registry) *centralMetrics {
 		return nil
 	}
 	return &centralMetrics{
-		reg:         reg,
-		batches:     reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
-		tuples:      reg.Counter("scrub_central_tuples_total", "tuples ingested"),
-		windows:     reg.Counter("scrub_central_windows_total", "result windows emitted"),
-		degraded:    reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
-		shed:        reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
-		closeNs:     reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
-		wmLag:       reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
-		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
+		reg:      reg,
+		batches:  reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
+		tuples:   reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
+		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
+		shed:     reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
+		closeNs:  reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
+		wmLag:    reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
 	}
 }
 
@@ -105,6 +123,7 @@ func (o *Options) fillDefaults() {
 type Engine struct {
 	opt     Options
 	met     *centralMetrics // nil when no registry configured
+	state   *stateGauges    // nil when no registry configured
 	mu      sync.Mutex
 	queries map[uint64]*queryState
 }
@@ -115,7 +134,10 @@ func NewEngine() *Engine { return NewEngineWith(Options{}) }
 // NewEngineWith returns an empty engine with the given Options.
 func NewEngineWith(opt Options) *Engine {
 	opt.fillDefaults()
-	return &Engine{opt: opt, met: newCentralMetrics(opt.Metrics), queries: make(map[uint64]*queryState)}
+	return &Engine{
+		opt: opt, met: newCentralMetrics(opt.Metrics), state: newStateGauges(opt.Metrics),
+		queries: make(map[uint64]*queryState),
+	}
 }
 
 type queryState struct {
@@ -145,32 +167,14 @@ type queryState struct {
 	// done marker or of a query no recording host serves.
 	replayHold     bool
 	replayDeadline int64
-	// scratchKey is the reused group-key buffer for accumulate (engine
-	// lock held throughout a batch, so one buffer per query suffices);
-	// only a tuple that opens a new group copies it.
+	// Per-query scratch for the apply path (the engine lock is held
+	// throughout a batch, so one set per query suffices): the rows handed
+	// to the evaluators, the group key's values and its encoded form. Only
+	// a tuple that opens a new group copies the key out of them.
+	side       sideRow
+	join       joinRow
 	scratchKey []event.Value
-}
-
-type group struct {
-	keyVals []event.Value
-	aggs    []agg.Aggregator
-}
-
-type joinCell struct {
-	sides [2][]transport.Tuple
-}
-
-type winState struct {
-	tuples       uint64
-	hosts        map[string]struct{}
-	groups       map[string]*group
-	rawRows      [][]event.Value
-	pending      map[uint64]*joinCell
-	pendingCount int
-	// perHost tracks per-host reading moments per aggregate for the
-	// Eq. 1–3 error bounds; only maintained for ungrouped scalable
-	// aggregates under sampling.
-	perHost map[string][]stats.Running
+	keyBuf     []byte
 }
 
 // StartQuery installs a central query object.
@@ -185,18 +189,20 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if err != nil {
 		return fmt.Errorf("central: compile plan: %w", err)
 	}
-	// Validate aggregator specs up front so a bad plan fails at start,
-	// not at the first tuple.
-	if _, err := p.newAggSet(); err != nil {
+	if err := p.checkAggs(); err != nil {
 		return err
 	}
-	win, err := window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
-		return &winState{
-			hosts:   make(map[string]struct{}),
-			groups:  make(map[string]*group),
-			pending: make(map[uint64]*joinCell),
-			perHost: make(map[string][]stats.Running),
-		}
+	qs := &queryState{
+		plan:       p,
+		comp:       comp,
+		emit:       emit,
+		streams:    liveness.NewTable(e.opt.LeaseTTL),
+		side:       sideRow{c: comp, types: p.Types},
+		join:       joinRow{c: comp, types: p.Types},
+		scratchKey: make([]event.Value, len(comp.groupEvals)),
+	}
+	qs.win, err = window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
+		return newWinState(&qs.plan)
 	})
 	if err != nil {
 		return err
@@ -206,14 +212,7 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if _, dup := e.queries[p.QueryID]; dup {
 		return fmt.Errorf("central: query %d already active", p.QueryID)
 	}
-	qs := &queryState{
-		plan:    p,
-		comp:    comp,
-		win:     win,
-		emit:    emit,
-		streams: liveness.NewTable(e.opt.LeaseTTL),
-		tuplesC: e.met.queryTuples(p.QueryID),
-	}
+	qs.tuplesC = e.met.queryTuples(p.QueryID)
 	if p.Replay > 0 {
 		qs.replayHold = true
 		qs.replayDeadline = e.opt.Clock().UnixNano() + 2*int64(e.opt.LeaseTTL)
@@ -281,9 +280,35 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 	}
 
 	lateBefore := qs.win.LateDrops()
+	maxTs, hasTs := e.applyTuples(qs, &b)
+	st.LateDrops += qs.win.LateDrops() - lateBefore
+	if hasTs {
+		st.ObserveTs(maxTs)
+	}
+	// A batch that releases the replay hold (its ReplayDone marker
+	// settled the last replaying stream) closes windows even when it
+	// carried no tuples of its own.
+	wasHolding := qs.replayHold
+	holding := replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, nowN)
+	released := wasHolding && !holding
+	if !holding && (hasTs || released) {
+		if wm, ok := qs.streams.Watermark(); ok {
+			if e.met != nil {
+				e.met.wmLag.Set(nowN - wm)
+			}
+			for _, closed := range e.closed(qs.win.Observe(wm)) {
+				e.emitWindow(qs, closed)
+			}
+		}
+	}
+}
+
+// applyTuples folds a batch's in-span tuples into every window covering
+// them and reports the batch's max in-span event time. It is the apply
+// path proper, shared by HandleBatch and ApplyDriven; over windows and
+// groups that are already open it allocates nothing.
+func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int64, hasTs bool) {
 	dataStart := qs.plan.DataStartNanos()
-	var maxTs int64
-	hasTs := false
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		if dataStart != 0 && t.TsNanos < dataStart {
@@ -300,25 +325,34 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 			hasTs = true
 		}
 	}
-	st.LateDrops += qs.win.LateDrops() - lateBefore
-	if hasTs {
-		st.ObserveTs(maxTs)
-	}
-	// A batch that releases the replay hold (its ReplayDone marker
-	// settled the last replaying stream) closes windows even when it
-	// carried no tuples of its own.
-	wasHolding := qs.replayHold
-	holding := replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, nowN)
-	released := wasHolding && !holding
-	if !holding && (hasTs || released) {
-		if wm, ok := qs.streams.Watermark(); ok {
-			if e.met != nil {
-				e.met.wmLag.Set(nowN - wm)
-			}
-			for _, closed := range qs.win.Observe(wm) {
-				e.emitWindow(qs, closed)
-			}
+	// The scratch rows must not keep pointing into the batch's pooled
+	// memory once the call returns (host.Sink contract).
+	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
+	return maxTs, hasTs
+}
+
+// closed takes windows that have just left a query's manager off the
+// state gauges and passes them on. Every close path goes through it —
+// emitting or driven — so neither gauge can leak upward.
+func (e *Engine) closed(cs []window.Closed[*winState]) []window.Closed[*winState] {
+	if e.state != nil {
+		for _, c := range cs {
+			e.state.joinPending.Add(-int64(c.State.pendN))
+			e.state.bytes.Add(-c.State.charged)
 		}
+	}
+	return cs
+}
+
+// charge brings the state-bytes gauge up to date after ws's slabs may
+// have grown: one comparison per appended item, one atomic per growth.
+func (e *Engine) charge(ws *winState) {
+	if e.state == nil {
+		return
+	}
+	if n := ws.slabBytes(); n != ws.charged {
+		e.state.bytes.Add(n - ws.charged)
+		ws.charged = n
 	}
 }
 
@@ -327,10 +361,11 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
 	ws.tuples++
 	qs.stats.TuplesIn++
-	ws.hosts[host] = struct{}{}
+	ws.touch(host)
 
 	if !qs.plan.IsJoin() {
-		row := sideRow{c: qs.comp, types: qs.plan.Types, typeIdx: int(typeIdx), tuple: t}
+		row := &qs.side
+		row.typeIdx, row.t = int(typeIdx), viewOf(t)
 		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
 			return
 		}
@@ -338,82 +373,117 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 		return
 	}
 
-	// Equi-join on the request identifier, within the window.
-	cell := ws.pending[t.RequestID]
-	if cell == nil {
-		cell = &joinCell{}
-		ws.pending[t.RequestID] = cell
-	}
-	other := 1 - int(typeIdx)
-	for i := range cell.sides[other] {
-		var row joinRow
-		if typeIdx == 0 {
-			row = joinRow{c: qs.comp, types: qs.plan.Types, left: t, right: &cell.sides[other][i]}
-		} else {
-			row = joinRow{c: qs.comp, types: qs.plan.Types, left: &cell.sides[other][i], right: t}
+	// Equi-join on the request identifier, within the window: pair the
+	// tuple with everything the other side has buffered under its id, in
+	// arrival order, then buffer it for the other side's later arrivals.
+	side, other := int(typeIdx), 1-int(typeIdx)
+	ci, known := ws.pending[t.RequestID]
+	if known {
+		row := &qs.join
+		row.sides[side] = viewOf(t)
+		w := len(qs.plan.Columns[other])
+		for link := ws.cells.At(ci).head[other]; link != 0; {
+			pt := ws.pend.At(link - 1)
+			link = pt.next
+			row.sides[other] = tupleView{req: t.RequestID, ts: pt.ts, vals: ws.arena.Run(pt.valOff, w)}
+			if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
+				continue
+			}
+			e.accumulate(qs, ws, row, host)
 		}
-		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
-			continue
-		}
-		e.accumulate(qs, ws, row, host)
 	}
-	if ws.pendingCount >= qs.plan.MaxJoinPending {
+	if !e.buffer(qs, ws, ci, known, side, t) {
 		qs.overflow++
-		return
+	}
+}
+
+// buffer keeps a join tuple for the other side's later arrivals: its
+// event time in the pend slab, its columns in the arena, linked at the
+// tail of its request id's chain for its side. It reports false when the
+// window is at MaxJoinPending (or a slab at the end of its index space).
+func (e *Engine) buffer(qs *queryState, ws *winState, ci uint32, known bool, side int, t *transport.Tuple) bool {
+	if ws.pendN >= qs.plan.MaxJoinPending {
+		return false
+	}
+	valOff, cols, ok := ws.arena.Alloc(len(qs.plan.Columns[side]))
+	if !ok {
+		return false
+	}
+	at, ok := ws.pend.Push(pendTuple{ts: t.TsNanos, valOff: valOff})
+	if !ok {
+		return false
+	}
+	if !known {
+		if ci, ok = ws.cells.Push(pendCell{}); !ok {
+			return false
+		}
+		ws.pending[t.RequestID] = ci
 	}
 	// The batch's Values arrays live in host-agent chunk memory that is
-	// recycled once SendBatch returns (see host.Sink); a tuple retained
-	// past this call must own its values.
-	kept := *t
-	if len(t.Values) > 0 {
-		kept.Values = append([]event.Value(nil), t.Values...)
+	// recycled once SendBatch returns (see host.Sink); what the window
+	// keeps of a tuple is copied into its arena. A tuple shorter than its
+	// plan's column list leaves the rest of the run Invalid, which is what
+	// a lookup past its end evaluates to anyway.
+	copy(cols, t.Values)
+	cell, link := ws.cells.At(ci), at+1
+	if tail := cell.tail[side]; tail != 0 {
+		ws.pend.At(tail - 1).next = link
+	} else {
+		cell.head[side] = link
 	}
-	cell.sides[typeIdx] = append(cell.sides[typeIdx], kept)
-	ws.pendingCount++
-	if e.met != nil {
-		e.met.joinPending.Add(1)
+	cell.tail[side] = link
+	ws.pendN++
+	if e.state != nil {
+		e.state.joinPending.Add(1)
+		e.charge(ws)
 	}
+	return true
 }
 
 // accumulate folds a (possibly joined) row into the window's groups, or
 // collects it as a raw result row for non-aggregate queries.
 func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host string) {
-	p := &qs.plan
+	p, c := &qs.plan, qs.comp
 	if !p.HasAgg() && !p.Grouped() {
-		if len(ws.rawRows) >= p.MaxRawRows {
+		if ws.rawN >= p.MaxRawRows {
 			qs.overflow++
 			return
 		}
-		out := make([]event.Value, len(qs.comp.selectEvals))
-		for i, ev := range qs.comp.selectEvals {
+		_, out, ok := ws.raw.Alloc(len(c.selectEvals))
+		if !ok {
+			qs.overflow++
+			return
+		}
+		for i, ev := range c.selectEvals {
 			out[i] = ev(row)
 		}
-		ws.rawRows = append(ws.rawRows, out)
+		ws.rawN++
+		e.charge(ws)
 		return
 	}
 
-	if cap(qs.scratchKey) < len(qs.comp.groupEvals) {
-		qs.scratchKey = make([]event.Value, len(qs.comp.groupEvals))
-	}
-	keyVals := qs.scratchKey[:len(qs.comp.groupEvals)]
-	for i, ev := range qs.comp.groupEvals {
+	// The key is encoded into the query's buffer and looked up with the
+	// conversion the compiler elides; a string is made only for a key the
+	// window has not seen.
+	keyVals, buf := qs.scratchKey, qs.keyBuf[:0]
+	for i, ev := range c.groupEvals {
 		keyVals[i] = ev(row)
+		buf = event.AppendValue(buf, keyVals[i])
 	}
-	key := encodeKey(keyVals)
-	g := ws.groups[key]
-	if g == nil {
-		aggs, err := p.newAggSet()
-		if err != nil {
-			return // validated at StartQuery; unreachable
+	qs.keyBuf = buf
+	g, ok := ws.groups[string(buf)]
+	if !ok {
+		if g, ok = ws.openGroup(p, string(buf), keyVals); !ok {
+			qs.overflow++
+			return
 		}
-		g = &group{keyVals: append([]event.Value(nil), keyVals...), aggs: aggs}
-		ws.groups[key] = g
+		e.charge(ws)
 	}
-	for i, ag := range g.aggs {
-		if qs.comp.aggArgEvals[i] == nil {
+	for i, ag := range ws.aggsOf(g, len(p.Aggs)) {
+		if c.aggArgEvals[i] == nil {
 			ag.Add(event.Bool(true)) // COUNT(*): any valid value
 		} else {
-			ag.Add(qs.comp.aggArgEvals[i](row))
+			ag.Add(c.aggArgEvals[i](row))
 		}
 	}
 
@@ -425,22 +495,17 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 	// per-column, not per-group); their degradation is surfaced via
 	// per-stream EffRate instead.
 	if !p.Grouped() && len(p.Aggs) > 0 {
-		moments := ws.perHost[host]
-		if moments == nil {
-			moments = make([]stats.Running, len(p.Aggs))
-			ws.perHost[host] = moments
-		}
+		moments := ws.momentsOf(host, len(p.Aggs))
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
 				continue
 			}
-			if qs.comp.aggArgEvals[i] == nil {
+			if c.aggArgEvals[i] == nil {
 				moments[i].Add(1) // COUNT(*): reading of 1
-			} else if f, ok := qs.comp.aggArgEvals[i](row).AsFloat(); ok {
+			} else if f, ok := c.aggArgEvals[i](row).AsFloat(); ok {
 				moments[i].Add(f)
 			}
 		}
-		ws.perHost[host] = moments
 	}
 }
 
@@ -468,7 +533,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 
 	switch {
 	case !p.HasAgg() && !p.Grouped():
-		rw.Rows = ws.rawRows
+		rw.Rows = ws.rawRows(len(comp.selectEvals))
 
 	default:
 		// Deterministic group order: sort by encoded key.
@@ -480,8 +545,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		// An ungrouped aggregate query emits one row even for an empty
 		// window (COUNT(*) = 0), matching SQL semantics.
 		if len(keys) == 0 && p.HasAgg() && !p.Grouped() {
-			if aggs, err := p.newAggSet(); err == nil {
-				ws.groups[""] = &group{aggs: aggs}
+			if _, ok := ws.openGroup(p, "", nil); ok {
 				keys = append(keys, "")
 			}
 		}
@@ -490,10 +554,16 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		if rw.Approx && !p.Grouped() {
 			bounds, sums = computeBounds(p, comp, ws, rates)
 		}
+		// One evaluation context and one backing array serve every group:
+		// the evaluators copy what they read, and a row that fails HAVING
+		// gives its slot back.
+		width := len(comp.selectEvals)
+		row := &resultRow{groupBy: p.GroupBy, aggVals: make([]event.Value, len(p.Aggs))}
+		out := make([]event.Value, 0, len(keys)*width)
 		for _, k := range keys {
 			g := ws.groups[k]
-			aggVals := make([]event.Value, len(g.aggs))
-			for i, ag := range g.aggs {
+			row.keyVals = ws.keyVals(g, len(p.GroupBy))
+			for i, ag := range ws.aggsOf(g, len(p.Aggs)) {
 				v := ag.Result()
 				if p.Aggs[i].Spec.Scalable() {
 					if est, ok := sums[i]; ok {
@@ -502,17 +572,16 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 						v = agg.ScaleResult(v, factor)
 					}
 				}
-				aggVals[i] = v
+				row.aggVals[i] = v
 			}
-			row := resultRow{groupBy: p.GroupBy, keyVals: g.keyVals, aggVals: aggVals}
 			if comp.havingPred != nil && !comp.havingPred(row) {
 				continue
 			}
-			out := make([]event.Value, len(comp.selectEvals))
-			for i, ev := range comp.selectEvals {
-				out[i] = ev(row)
+			n := len(out)
+			for _, ev := range comp.selectEvals {
+				out = append(out, ev(row))
 			}
-			rw.Rows = append(rw.Rows, out)
+			rw.Rows = append(rw.Rows, out[n:n+width:n+width])
 		}
 		rw.ErrBounds = bounds
 	}
@@ -559,7 +628,6 @@ func (e *Engine) emitWindow(qs *queryState, closed window.Closed[*winState]) {
 		if rw.BudgetShed {
 			e.met.shed.Inc()
 		}
-		e.met.joinPending.Add(-int64(closed.State.pendingCount))
 		e.met.closeNs.Observe(float64(time.Since(t0)))
 	}
 }
@@ -673,12 +741,12 @@ func (e *Engine) Tick(nowNanos int64) {
 		released := wasHolding && !qs.replayHold
 		if len(evicted) > 0 || released {
 			if wm, ok := qs.streams.Watermark(); ok {
-				for _, closed := range qs.win.Observe(wm) {
+				for _, closed := range e.closed(qs.win.Observe(wm)) {
 					e.emitWindow(qs, closed)
 				}
 			}
 		}
-		for _, closed := range qs.win.ForceBefore(nowNanos - int64(qs.plan.Lateness)) {
+		for _, closed := range e.closed(qs.win.ForceBefore(nowNanos - int64(qs.plan.Lateness))) {
 			e.emitWindow(qs, closed)
 		}
 	}
@@ -692,7 +760,7 @@ func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
 	if !ok {
 		return transport.QueryStats{}, false
 	}
-	for _, closed := range qs.win.Flush() {
+	for _, closed := range e.closed(qs.win.Flush()) {
 		e.emitWindow(qs, closed)
 	}
 	qs.stats.HostDrops = qs.streams.HostDrops()
@@ -788,7 +856,7 @@ func (e *Engine) forceCloseQuery(id uint64, bound int64) []window.Closed[*winSta
 	if !ok {
 		return nil
 	}
-	return qs.win.ForceBefore(bound)
+	return e.closed(qs.win.ForceBefore(bound))
 }
 
 // stopQueryDriven removes a driven query, returning its still-open
@@ -800,7 +868,7 @@ func (e *Engine) stopQueryDriven(id uint64) (partials []window.Closed[*winState]
 	if !exists {
 		return nil, 0, false
 	}
-	partials = qs.win.Flush()
+	partials = e.closed(qs.win.Flush())
 	lateDrops = qs.win.LateDrops() + qs.overflow
 	delete(e.queries, id)
 	return partials, lateDrops, true
@@ -824,35 +892,51 @@ func (e *Engine) dropsOf(id uint64) (late, overflow uint64, ok bool) {
 // aggregators, raw rows concatenate (bounded), per-host moments combine,
 // and counters add. Join pending state is irrelevant post-close — shards
 // route by request id, so both sides of a request land on one shard and
-// were joined there. The return value counts raw rows dropped because
-// the merged window hit MaxRawRows; callers fold it into their overflow
-// accounting so bounded-memory truncation is never silent.
+// were joined there. The return value counts what the merged window could
+// not hold — raw rows past MaxRawRows — and callers fold it into their
+// overflow accounting so bounded-memory truncation is never silent. src
+// must not be used afterwards: the aggregators of a group only src has
+// move to dst as they are, still living in src's slabs.
 func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	dst.tuples += src.tuples
 	for h := range src.hosts {
 		dst.hosts[h] = struct{}{}
 	}
 	for key, sg := range src.groups {
-		dg, ok := dst.groups[key]
-		if !ok {
-			dst.groups[key] = sg
+		saggs := src.aggsOf(sg, len(p.Aggs))
+		if dg, ok := dst.groups[key]; ok {
+			for i, ag := range dst.aggsOf(dg, len(p.Aggs)) {
+				// Same plan, same spec order; Merge errors only on kind
+				// mismatch, impossible here.
+				_ = ag.Merge(saggs[i])
+			}
 			continue
 		}
-		for i := range dg.aggs {
-			// Same plan, same spec order; Merge errors only on kind
-			// mismatch, impossible here.
-			_ = dg.aggs[i].Merge(sg.aggs[i])
+		// A group only src has is adopted: its key is copied, its
+		// aggregators move over as they are.
+		g, keys, aggs, ok := dst.groupRuns(len(p.GroupBy), len(p.Aggs))
+		if !ok {
+			dropped++
+			continue
 		}
+		copy(keys, src.keyVals(sg, len(p.GroupBy)))
+		copy(aggs, saggs)
+		dst.groups[key] = g
 	}
-	room := p.MaxRawRows - len(dst.rawRows)
-	if room < 0 {
-		room = 0
+	rows := src.rawRows(len(p.Select))
+	if room := max(p.MaxRawRows-dst.rawN, 0); len(rows) > room {
+		dropped += uint64(len(rows) - room)
+		rows = rows[:room]
 	}
-	if len(src.rawRows) > room {
-		dropped = uint64(len(src.rawRows) - room)
-		src.rawRows = src.rawRows[:room]
+	for _, row := range rows {
+		_, out, ok := dst.raw.Alloc(len(row))
+		if !ok {
+			dropped++
+			continue
+		}
+		copy(out, row)
+		dst.rawN++
 	}
-	dst.rawRows = append(dst.rawRows, src.rawRows...)
 	for host, sm := range src.perHost {
 		dm, ok := dst.perHost[host]
 		if !ok {
@@ -862,7 +946,6 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 		for i := range dm {
 			dm[i].Merge(sm[i])
 		}
-		dst.perHost[host] = dm
 	}
 	return dropped
 }

@@ -68,25 +68,8 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (DrivenAck, bool) {
 		qs.tuplesC.Add(uint64(len(b.Tuples)))
 	}
 	lateBefore := qs.win.LateDrops()
-	dataStart := qs.plan.DataStartNanos()
 	var ack DrivenAck
-	for i := range b.Tuples {
-		t := &b.Tuples[i]
-		if dataStart != 0 && t.TsNanos < dataStart {
-			continue
-		}
-		if qs.plan.EndNanos != 0 && t.TsNanos >= qs.plan.EndNanos {
-			continue
-		}
-		for _, ws := range qs.win.GetAll(t.TsNanos) {
-			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t)
-		}
-		if !ack.HasTs || t.TsNanos > ack.MaxTs {
-			//scrub:allowretain(scalar int64 copy; no pooled memory escapes)
-			ack.MaxTs = t.TsNanos
-			ack.HasTs = true
-		}
-	}
+	ack.MaxTs, ack.HasTs = e.applyTuples(qs, &b)
 	ack.LateDelta = qs.win.LateDrops() - lateBefore
 	ack.Late = qs.win.LateDrops()
 	ack.Overflow = qs.overflow
@@ -103,7 +86,7 @@ func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartia
 	if !exists {
 		return nil, 0, 0, false
 	}
-	for _, closed := range qs.win.ForceBefore(bound) {
+	for _, closed := range e.closed(qs.win.ForceBefore(bound)) {
 		partials = append(partials, EncodedPartial{
 			Start: closed.Start, End: closed.End,
 			Data: encodePartial(&qs.plan, closed.State),
@@ -121,7 +104,7 @@ func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops ui
 	if !exists {
 		return nil, 0, false
 	}
-	for _, closed := range qs.win.Flush() {
+	for _, closed := range e.closed(qs.win.Flush()) {
 		partials = append(partials, EncodedPartial{
 			Start: closed.Start, End: closed.End,
 			Data: encodePartial(&qs.plan, closed.State),
@@ -158,7 +141,7 @@ func CompileQuery(p Plan) (*QueryRuntime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("central: compile plan: %w", err)
 	}
-	if _, err := p.newAggSet(); err != nil {
+	if err := p.checkAggs(); err != nil {
 		return nil, err
 	}
 	return &QueryRuntime{plan: p, comp: comp}, nil
@@ -215,14 +198,15 @@ func encodePartial(p *Plan, ws *winState) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		g := ws.groups[k]
-		dst = binary.AppendUvarint(dst, uint64(len(g.keyVals)))
-		for _, v := range g.keyVals {
+		keyVals := ws.keyVals(g, len(p.GroupBy))
+		dst = binary.AppendUvarint(dst, uint64(len(keyVals)))
+		for _, v := range keyVals {
 			dst = event.AppendValue(dst, v)
 		}
-		for _, ag := range g.aggs {
+		for _, ag := range ws.aggsOf(g, len(p.Aggs)) {
 			enc, err := agg.AppendState(dst, ag)
 			if err != nil {
-				// Unreachable: every aggregator newAggSet builds is
+				// Unreachable: every aggregator a window holds is
 				// encodable. A placeholder count keeps the failure loud at
 				// decode rather than silently truncating the partial.
 				dst = binary.AppendUvarint(dst, 0)
@@ -232,8 +216,8 @@ func encodePartial(p *Plan, ws *winState) []byte {
 		}
 	}
 
-	dst = binary.AppendUvarint(dst, uint64(len(ws.rawRows)))
-	for _, row := range ws.rawRows {
+	dst = binary.AppendUvarint(dst, uint64(ws.rawN))
+	for _, row := range ws.rawRows(len(p.Select)) {
 		dst = binary.AppendUvarint(dst, uint64(len(row)))
 		for _, v := range row {
 			dst = event.AppendValue(dst, v)
@@ -261,12 +245,7 @@ func encodePartial(p *Plan, ws *winState) []byte {
 // DrainDriven under the same plan.
 func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 	p := &qr.plan
-	ws := &winState{
-		hosts:   make(map[string]struct{}),
-		groups:  make(map[string]*group),
-		pending: make(map[uint64]*joinCell),
-		perHost: make(map[string][]stats.Running),
-	}
+	ws := newWinState(p)
 	tuples, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("central: decode partial: bad tuple count")
@@ -298,25 +277,37 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 			return nil, fmt.Errorf("central: decode partial: bad key count")
 		}
 		n += sz
-		var keyVals []event.Value
-		for j := uint64(0); j < kvCnt; j++ {
+		if kvCnt != uint64(len(p.GroupBy)) {
+			return nil, fmt.Errorf("central: decode partial: %d key values for %d group-by columns", kvCnt, len(p.GroupBy))
+		}
+		g, keys, aggs, ok := ws.groupRuns(len(p.GroupBy), len(p.Aggs))
+		if !ok {
+			return nil, fmt.Errorf("central: decode partial: group state too large")
+		}
+		keyStart := n
+		for j := range keys {
 			v, used, err := event.DecodeValue(b[n:])
 			if err != nil {
 				return nil, fmt.Errorf("central: decode partial: key value: %w", err)
 			}
-			keyVals = append(keyVals, v)
+			keys[j] = v
 			n += used
 		}
-		aggs := make([]agg.Aggregator, len(p.Aggs))
-		for j := range p.Aggs {
-			a, used, err := agg.DecodeState(p.Aggs[j].Spec, b[n:])
+		// The group's map key is the encoding of its key values — the very
+		// bytes just decoded.
+		key := string(b[keyStart:n])
+		for j := range aggs {
+			a, used, err := ws.aggSlab.DecodeState(p.Aggs[j].Spec, b[n:])
 			if err != nil {
 				return nil, fmt.Errorf("central: decode partial: agg %d: %w", j, err)
 			}
 			aggs[j] = a
 			n += used
 		}
-		ws.groups[encodeKey(keyVals)] = &group{keyVals: keyVals, aggs: aggs}
+		if _, dup := ws.groups[key]; dup {
+			return nil, fmt.Errorf("central: decode partial: duplicate group key")
+		}
+		ws.groups[key] = g
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])
@@ -330,7 +321,13 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 			return nil, fmt.Errorf("central: decode partial: bad row width")
 		}
 		n += sz
-		row := make([]event.Value, valCnt)
+		if valCnt != uint64(len(p.Select)) {
+			return nil, fmt.Errorf("central: decode partial: row of %d values for %d select columns", valCnt, len(p.Select))
+		}
+		_, row, ok := ws.raw.Alloc(len(p.Select))
+		if !ok {
+			return nil, fmt.Errorf("central: decode partial: row state too large")
+		}
 		for j := range row {
 			v, used, err := event.DecodeValue(b[n:])
 			if err != nil {
@@ -339,7 +336,7 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 			row[j] = v
 			n += used
 		}
-		ws.rawRows = append(ws.rawRows, row)
+		ws.rawN++
 	}
 
 	mhostCnt, sz := binary.Uvarint(b[n:])

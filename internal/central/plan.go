@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"scrub/internal/agg"
-	"scrub/internal/event"
 	"scrub/internal/expr"
 	"scrub/internal/ql"
 )
@@ -269,24 +268,13 @@ func compile(p *Plan) (*compiled, error) {
 	return c, nil
 }
 
-// newAggSet instantiates the plan's aggregators for one group.
-func (p *Plan) newAggSet() ([]agg.Aggregator, error) {
-	out := make([]agg.Aggregator, len(p.Aggs))
-	for i, a := range p.Aggs {
-		ag, err := agg.New(a.Spec)
-		if err != nil {
-			return nil, err
+// checkAggs constructs each of the plan's aggregators once, so a bad spec
+// fails the query at start, not at the first tuple.
+func (p *Plan) checkAggs() error {
+	for _, a := range p.Aggs {
+		if _, err := agg.New(a.Spec); err != nil {
+			return err
 		}
-		out[i] = ag
 	}
-	return out, nil
-}
-
-// encodeKey builds a map key from group-by values.
-func encodeKey(vals []event.Value) string {
-	buf := make([]byte, 0, 32)
-	for _, v := range vals {
-		buf = event.AppendValue(buf, v)
-	}
-	return string(buf)
+	return nil
 }

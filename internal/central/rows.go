@@ -6,66 +6,85 @@ import (
 	"scrub/internal/transport"
 )
 
-// sideRow adapts a single shipped tuple as an expr.Row. Field lookups use
-// the per-type column index built at plan compile time.
-type sideRow struct {
-	c       *compiled
-	types   []string
-	typeIdx int
-	tuple   *transport.Tuple
+// tupleView is one tuple as the evaluators see it: a shipped tuple of the
+// batch being applied, or a buffered join tuple read back from the
+// window's slabs.
+type tupleView struct {
+	req  uint64
+	ts   int64
+	vals []event.Value
 }
 
-// Field implements expr.Row.
-func (r sideRow) Field(typ, name string) event.Value {
-	if typ != "" && typ != r.types[r.typeIdx] {
+func viewOf(t *transport.Tuple) tupleView {
+	return tupleView{req: t.RequestID, ts: t.TsNanos, vals: t.Values}
+}
+
+// field resolves a (qualified) field reference against one side's tuple.
+// Lookups use the per-type column index built at plan compile time.
+func (c *compiled) field(types []string, typeIdx int, t *tupleView, typ, name string) event.Value {
+	if typ != "" && typ != types[typeIdx] {
 		return event.Invalid
 	}
 	switch name {
 	case event.FieldRequestID:
-		return event.Int(int64(r.tuple.RequestID))
+		return event.Int(int64(t.req))
 	case event.FieldTimestamp:
-		return event.TimeNanos(r.tuple.TsNanos)
+		return event.TimeNanos(t.ts)
 	}
-	idx, ok := r.c.colIdx[r.typeIdx][name]
-	if !ok || idx >= len(r.tuple.Values) {
+	idx, ok := c.colIdx[typeIdx][name]
+	if !ok || idx >= len(t.vals) {
 		return event.Invalid
 	}
-	return r.tuple.Values[idx]
+	return t.vals[idx]
 }
 
-// Agg implements expr.Row; tuples carry no aggregates.
-func (sideRow) Agg(int) event.Value { return event.Invalid }
-
-// joinRow adapts a joined tuple pair. Qualified lookups pick the side by
-// type; unqualified lookups resolve against side 0 first (matching the
-// resolver's determinism for system fields — user fields were qualified
-// during validation).
-type joinRow struct {
-	c     *compiled
-	types []string
-	left  *transport.Tuple // side 0
-	right *transport.Tuple // side 1
+// sideRow adapts a single shipped tuple as an expr.Row. Each query owns
+// one, refilled per tuple and handed to the evaluators by pointer, so the
+// apply path boxes no row.
+type sideRow struct {
+	c       *compiled
+	types   []string
+	typeIdx int
+	t       tupleView
 }
 
 // Field implements expr.Row.
-func (r joinRow) Field(typ, name string) event.Value {
+func (r *sideRow) Field(typ, name string) event.Value {
+	return r.c.field(r.types, r.typeIdx, &r.t, typ, name)
+}
+
+// Agg implements expr.Row; tuples carry no aggregates.
+func (*sideRow) Agg(int) event.Value { return event.Invalid }
+
+// joinRow adapts a joined tuple pair, likewise one per query. Qualified
+// lookups pick the side by type; unqualified lookups resolve against side
+// 0 first (matching the resolver's determinism for system fields — user
+// fields were qualified during validation).
+type joinRow struct {
+	c     *compiled
+	types []string
+	sides [2]tupleView
+}
+
+// Field implements expr.Row.
+func (r *joinRow) Field(typ, name string) event.Value {
 	switch typ {
 	case r.types[0]:
-		return sideRow{c: r.c, types: r.types, typeIdx: 0, tuple: r.left}.Field(typ, name)
+		return r.c.field(r.types, 0, &r.sides[0], typ, name)
 	case r.types[1]:
-		return sideRow{c: r.c, types: r.types, typeIdx: 1, tuple: r.right}.Field(typ, name)
+		return r.c.field(r.types, 1, &r.sides[1], typ, name)
 	case "":
-		if v := (sideRow{c: r.c, types: r.types, typeIdx: 0, tuple: r.left}).Field("", name); v.IsValid() {
+		if v := r.c.field(r.types, 0, &r.sides[0], "", name); v.IsValid() {
 			return v
 		}
-		return sideRow{c: r.c, types: r.types, typeIdx: 1, tuple: r.right}.Field("", name)
+		return r.c.field(r.types, 1, &r.sides[1], "", name)
 	default:
 		return event.Invalid
 	}
 }
 
 // Agg implements expr.Row.
-func (joinRow) Agg(int) event.Value { return event.Invalid }
+func (*joinRow) Agg(int) event.Value { return event.Invalid }
 
 // resultRow is the evaluation context when a window closes: group-by key
 // values for field references, scaled aggregate results for AggRefs.
@@ -77,7 +96,7 @@ type resultRow struct {
 
 // Field implements expr.Row: only group-by keys are addressable in result
 // expressions (enforced at validation).
-func (r resultRow) Field(typ, name string) event.Value {
+func (r *resultRow) Field(typ, name string) event.Value {
 	for i, g := range r.groupBy {
 		if g.Name == name && (typ == "" || typ == g.Type) {
 			return r.keyVals[i]
@@ -87,7 +106,7 @@ func (r resultRow) Field(typ, name string) event.Value {
 }
 
 // Agg implements expr.Row.
-func (r resultRow) Agg(i int) event.Value {
+func (r *resultRow) Agg(i int) event.Value {
 	if i < 0 || i >= len(r.aggVals) {
 		return event.Invalid
 	}

@@ -91,11 +91,15 @@ func NewShardedEngineWith(n int, opt Options) (*ShardedEngine, error) {
 	se := &ShardedEngine{opt: opt, met: newCentralMetrics(opt.Metrics), queries: make(map[uint64]*shardedQuery)}
 	// Shards must not register series of their own — whole-batch ingest
 	// accounting lives at the merger, and shard-level registration would
-	// double-count it under the same names.
+	// double-count it under the same names. The open windows live in the
+	// shards, though, so all of them charge the registry's state gauges.
 	shardOpt := opt
 	shardOpt.Metrics = nil
+	state := newStateGauges(opt.Metrics)
 	for i := 0; i < n; i++ {
-		se.shards = append(se.shards, NewEngineWith(shardOpt))
+		sh := NewEngineWith(shardOpt)
+		sh.state = state
+		se.shards = append(se.shards, sh)
 	}
 	return se, nil
 }
@@ -115,7 +119,7 @@ func (se *ShardedEngine) StartQuery(p Plan, emit EmitFunc) error {
 	if err != nil {
 		return fmt.Errorf("central: compile plan: %w", err)
 	}
-	if _, err := p.newAggSet(); err != nil {
+	if err := p.checkAggs(); err != nil {
 		return err
 	}
 

@@ -1,0 +1,372 @@
+package central
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"scrub/internal/event"
+	"scrub/internal/obs"
+	"scrub/internal/transport"
+)
+
+// Applying a batch to windows and groups that are already open must not
+// allocate: no per-tuple window list, key string, boxed row or copy.
+func TestApplyOpenGroupsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	p := buildPlan(t, `select bid.user_id, count(*), avg(bid.bid_price) from bid group by bid.user_id window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	var tuples []transport.Tuple
+	for i := 0; i < 256; i++ {
+		tuples = append(tuples, tup(uint64(i), sec(1)+int64(i), event.Int(int64(i%16)), event.Float(float64(i)/3)))
+	}
+	b := bidBatch(1, "h1", tuples...)
+	e.HandleBatch(b) // opens the window and its 16 groups
+	if n := testing.AllocsPerRun(50, func() { e.HandleBatch(b) }); n != 0 {
+		t.Errorf("HandleBatch over open groups allocates %v times per 256-tuple batch, want 0", n)
+	}
+	st, _ := e.StopQuery(1)
+	if st.TuplesIn != 52*256 {
+		t.Errorf("TuplesIn = %d", st.TuplesIn)
+	}
+}
+
+// A join buffers every tuple, so it must allocate — but only as its slabs
+// and its request-id map grow, a few times per thousand tuples, never per
+// tuple.
+func TestApplyJoinAllocsAmortised(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	p := buildPlan(t, `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 512
+	bids := transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 0}
+	excl := transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 1}
+	for i := 0; i < n; i++ {
+		bids.Tuples = append(bids.Tuples, tup(uint64(i), sec(1)))
+		excl.Tuples = append(excl.Tuples, tup(uint64(i), sec(1), event.Str("budget")))
+	}
+	next := uint64(0)
+	round := func() {
+		for i := range bids.Tuples {
+			bids.Tuples[i].RequestID, excl.Tuples[i].RequestID = next, next
+			next++
+		}
+		e.HandleBatch(bids)
+		e.HandleBatch(excl)
+	}
+	round()
+	perRound := testing.AllocsPerRun(40, round)
+	if perTuple := perRound / (2 * n); perTuple > 0.02 {
+		t.Errorf("join apply allocates %.3f times per tuple (%v per round of %d), want slab growth only", perTuple, perRound, 2*n)
+	}
+	st, _ := e.StopQuery(1)
+	if st.TuplesIn != 42*2*n || st.LateDrops != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// refJoin is the reference the slab join is checked against: per window a
+// plain list of everything buffered, scanned in full for every arrival.
+type refJoin struct {
+	buffered []refTuple
+	count    map[string]int64
+	sum      map[string]float64
+	tuples   uint64
+}
+
+type refTuple struct {
+	side   int
+	req    uint64
+	price  float64
+	reason string
+}
+
+// TestSlabJoinMatchesNestedLoop feeds seeded bid/exclusion streams —
+// request ids drawn from a small range so ids repeat M×N, the two sides
+// interleaved at random so either may arrive first, sliding windows so a
+// tuple lands in two, and on some seeds a MaxJoinPending small enough to
+// overflow — and requires every window's groups, counts, float sums (bit
+// for bit: the fold order is the arrival order) and drop count to equal
+// the nested-loop reference.
+func TestSlabJoinMatchesNestedLoop(t *testing.T) {
+	const window, slide = 10, 5
+	reasons := []string{"budget", "geo", "cap"}
+	for seed := int64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			p := buildPlan(t, `select exclusion.reason, count(*), sum(bid.bid_price) from bid, exclusion group by exclusion.reason window 10s`, 1, 1, 1)
+			p.Slide = slide * time.Second
+			p.Lateness = time.Hour
+			maxPending := 1 << 20
+			if seed%3 == 0 {
+				maxPending = 20 + rng.Intn(40)
+			}
+			p.MaxJoinPending = maxPending
+			e := NewEngine()
+			c := &collector{}
+			if err := e.StartQuery(p, c.emit); err != nil {
+				t.Fatal(err)
+			}
+
+			ref := make(map[int64]*refJoin)
+			var refOverflow uint64
+			apply := func(start int64, rt refTuple) {
+				w := ref[start]
+				if w == nil {
+					w = &refJoin{count: map[string]int64{}, sum: map[string]float64{}}
+					ref[start] = w
+				}
+				w.tuples++
+				for _, o := range w.buffered {
+					if o.side == rt.side || o.req != rt.req {
+						continue
+					}
+					bid, ex := rt, o
+					if rt.side == 1 {
+						bid, ex = o, rt
+					}
+					w.count[ex.reason]++
+					w.sum[ex.reason] += bid.price
+				}
+				if len(w.buffered) >= maxPending {
+					refOverflow++
+					return
+				}
+				w.buffered = append(w.buffered, rt)
+			}
+
+			reqRange := 4 + rng.Intn(30)
+			for batch := 0; batch < 40; batch++ {
+				side := rng.Intn(2)
+				b := transport.TupleBatch{QueryID: 1, HostID: fmt.Sprintf("h%d", rng.Intn(3)), TypeIdx: uint8(side)}
+				for k := rng.Intn(12); k >= 0; k-- {
+					rt := refTuple{side: side, req: uint64(rng.Intn(reqRange))}
+					ts := sec(int64(rng.Intn(30)))
+					if side == 0 {
+						rt.price = float64(rng.Intn(10000)) / 7
+						b.Tuples = append(b.Tuples, tup(rt.req, ts, event.Float(rt.price)))
+					} else {
+						rt.reason = reasons[rng.Intn(len(reasons))]
+						b.Tuples = append(b.Tuples, tup(rt.req, ts, event.Str(rt.reason)))
+					}
+					// Covering windows in ascending start order, as the
+					// engine visits them.
+					latest := ts - ts%sec(slide)
+					for start := latest - sec(window-slide); start <= latest; start += sec(slide) {
+						apply(start, rt)
+					}
+				}
+				e.HandleBatch(b)
+			}
+			st, _ := e.StopQuery(1)
+			if st.LateDrops != refOverflow {
+				t.Errorf("overflow drops = %d, reference %d", st.LateDrops, refOverflow)
+			}
+			if seed%3 == 0 && refOverflow == 0 {
+				t.Error("seed meant to overflow MaxJoinPending did not")
+			}
+
+			wins := c.all()
+			if len(wins) != len(ref) {
+				t.Fatalf("%d windows emitted, reference has %d", len(wins), len(ref))
+			}
+			for _, rw := range wins {
+				w := ref[rw.WindowStart]
+				if w == nil {
+					t.Fatalf("window %d not in the reference", rw.WindowStart)
+				}
+				if rw.Stats.TuplesIn != w.tuples {
+					t.Errorf("window %d: TuplesIn %d, reference %d", rw.WindowStart, rw.Stats.TuplesIn, w.tuples)
+				}
+				var keys []string
+				for k := range w.count {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				if len(rw.Rows) != len(keys) {
+					t.Fatalf("window %d: %d groups, reference %d", rw.WindowStart, len(rw.Rows), len(keys))
+				}
+				got := make(map[string][]event.Value)
+				for _, row := range rw.Rows {
+					s, _ := row[0].AsStr()
+					got[s] = row
+				}
+				for _, k := range keys {
+					row := got[k]
+					if row == nil {
+						t.Fatalf("window %d: group %q missing", rw.WindowStart, k)
+					}
+					n, _ := row[1].AsInt()
+					f, _ := row[2].AsFloat()
+					if n != w.count[k] || math.Float64bits(f) != math.Float64bits(w.sum[k]) {
+						t.Errorf("window %d group %q: count %d sum %v, reference %d %v", rw.WindowStart, k, n, f, w.count[k], w.sum[k])
+					}
+				}
+			}
+		})
+	}
+}
+
+func gaugeValue(reg *obs.Registry, name string) int64 { return reg.Gauge(name, "").Value() }
+
+// Every way a window leaves its manager must take what it held off the
+// state gauges: the emitting paths and each of the driven ones. Before the
+// decrement moved to where the window leaves, the driven paths leaked
+// join_pending upward forever.
+func TestStateGaugesReturnToZero(t *testing.T) {
+	joinQ := `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 10s`
+	feed := func(apply func(transport.TupleBatch)) {
+		for i := 0; i < 3; i++ {
+			var bids, excl []transport.Tuple
+			for k := 0; k < 40; k++ {
+				req := uint64(i*100 + k)
+				bids = append(bids, tup(req, sec(int64(5+10*i))))
+				excl = append(excl, tup(req, sec(int64(5+10*i)), event.Str("geo")))
+			}
+			apply(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 0, Tuples: bids})
+			apply(transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: excl})
+		}
+	}
+	check := func(t *testing.T, reg *obs.Registry, when string, wantPending int64) {
+		t.Helper()
+		if got := gaugeValue(reg, "scrub_central_join_pending"); got != wantPending {
+			t.Errorf("%s: scrub_central_join_pending = %d, want %d", when, got, wantPending)
+		}
+		bytes := gaugeValue(reg, "scrub_central_state_bytes")
+		if (wantPending == 0) != (bytes == 0) || bytes < 0 {
+			t.Errorf("%s: scrub_central_state_bytes = %d with %d tuples pending", when, bytes, wantPending)
+		}
+	}
+
+	t.Run("driven", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		e := NewEngineWith(Options{Metrics: reg})
+		p := buildPlan(t, joinQ, 1, 2, 2)
+		if err := e.StartDriven(p); err != nil {
+			t.Fatal(err)
+		}
+		feed(func(b transport.TupleBatch) {
+			if _, ok := e.ApplyDriven(b); !ok {
+				t.Fatal("ApplyDriven: unknown query")
+			}
+		})
+		check(t, reg, "after apply", 240)
+		if partials, _, _, ok := e.CollectDriven(1, sec(10)); !ok || len(partials) != 1 {
+			t.Fatalf("CollectDriven: %d partials, ok=%v", len(partials), ok)
+		}
+		check(t, reg, "after collecting one window", 160)
+		if partials, _, ok := e.DrainDriven(1); !ok || len(partials) != 2 {
+			t.Fatalf("DrainDriven: %d partials, ok=%v", len(partials), ok)
+		}
+		check(t, reg, "after drain", 0)
+	})
+
+	t.Run("engine-tick", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		e := NewEngineWith(Options{Metrics: reg})
+		p := buildPlan(t, joinQ, 1, 2, 2)
+		p.Lateness = time.Hour
+		if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+			t.Fatal(err)
+		}
+		feed(e.HandleBatch)
+		check(t, reg, "after apply", 240)
+		e.Tick(sec(20) + int64(p.Lateness))
+		check(t, reg, "after tick closed two windows", 80)
+		e.StopQuery(1)
+		check(t, reg, "after stop", 0)
+	})
+
+	t.Run("engine-watermark", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		e := NewEngineWith(Options{Metrics: reg})
+		p := buildPlan(t, joinQ, 1, 2, 2) // default 2 s lateness
+		if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+			t.Fatal(err)
+		}
+		// Both streams reach 25 s, so the watermark closes [0,10) and
+		// [10,20) inside HandleBatch.
+		feed(e.HandleBatch)
+		check(t, reg, "after the watermark closed two windows", 80)
+		e.StopQuery(1)
+		check(t, reg, "after stop", 0)
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		se, err := NewShardedEngineWith(3, Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := buildPlan(t, joinQ, 1, 2, 2)
+		p.Lateness = time.Hour
+		if err := se.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+			t.Fatal(err)
+		}
+		feed(se.HandleBatch)
+		check(t, reg, "after apply", 240) // the shards charge the merger's registry
+		se.Tick(sec(10) + int64(p.Lateness))
+		check(t, reg, "after tick closed one window", 160)
+		se.StopQuery(1)
+		check(t, reg, "after stop", 0)
+	})
+}
+
+// The gauge moves only when a slab grows: it must equal the capacity the
+// open windows' slabs actually hold.
+func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := NewEngineWith(Options{Metrics: reg})
+	p := buildPlan(t, `select bid.user_id, count(*), max(bid.bid_price) from bid group by bid.user_id window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buildPlan(t, `select bid.user_id from bid window 10s`, 2, 1, 1)
+	raw.Lateness = time.Hour
+	if err := e.StartQuery(raw, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		ts := sec(int64(i % 25))
+		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), ts, event.Int(int64(i%700)), event.Float(1))))
+		e.HandleBatch(bidBatch(2, "h1", tup(uint64(i), ts, event.Int(int64(i)))))
+	}
+	var want int64
+	e.mu.Lock()
+	for _, qs := range e.queries {
+		for _, ws := range qs.win.GetAll(sec(5)) {
+			want += ws.slabBytes()
+		}
+		for _, ws := range qs.win.GetAll(sec(15)) {
+			want += ws.slabBytes()
+		}
+		for _, ws := range qs.win.GetAll(sec(22)) {
+			want += ws.slabBytes()
+		}
+	}
+	e.mu.Unlock()
+	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
+		t.Errorf("scrub_central_state_bytes = %d, open windows' slabs hold %d", got, want)
+	}
+	e.StopQuery(1)
+	e.StopQuery(2)
+	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != 0 {
+		t.Errorf("scrub_central_state_bytes = %d after every query stopped", got)
+	}
+}

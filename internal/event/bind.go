@@ -112,7 +112,7 @@ func valueOfGo(rv reflect.Value) (Value, error) {
 			}
 			vs[i] = ev
 		}
-		return Value{kind: KindList, list: vs, elem: ek}, nil
+		return listOf(ek, vs), nil
 	default:
 		return Invalid, fmt.Errorf("event: unsupported Go value kind %s", rv.Kind())
 	}

@@ -43,9 +43,9 @@ func AppendValue(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
 		dst = append(dst, v.str...)
 	case KindList:
-		dst = append(dst, byte(v.elem))
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
+		dst = append(dst, byte(v.Elem()))
+		dst = binary.AppendUvarint(dst, uint64(len(v.elems())))
+		for _, e := range v.elems() {
 			dst = AppendValue(dst, e)
 		}
 	}
@@ -110,7 +110,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 			vs = append(vs, v)
 			n += used
 		}
-		return Value{kind: KindList, list: vs, elem: elem}, n, nil
+		return listOf(elem, vs), n, nil
 	default:
 		return Invalid, 0, fmt.Errorf("event: decode: unknown kind tag %d", b[0])
 	}
@@ -190,8 +190,8 @@ func EncodedSize(v Value) int {
 	case KindString:
 		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
 	case KindList:
-		n := 2 + uvarintLen(uint64(len(v.list)))
-		for _, e := range v.list {
+		n := 2 + uvarintLen(uint64(len(v.elems())))
+		for _, e := range v.elems() {
 			n += EncodedSize(e)
 		}
 		return n

@@ -10,7 +10,6 @@ package event
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -81,12 +80,34 @@ func ParseKind(s string) (Kind, error) {
 // Value is a dynamically typed field value. The zero Value is the invalid
 // value; it compares unequal to everything, including itself, and evaluates
 // as "missing" in predicates. Values are immutable once constructed.
+//
+// The cell is 40 bytes: ScrubCentral's window state is built from Values
+// (join-pending columns, group keys, raw rows), and nearly all of them are
+// scalars, so the list payload sits behind one pointer instead of widening
+// every cell by a slice header and an element kind.
 type Value struct {
 	kind Kind
 	num  uint64 // bool (0/1), int64 bits, float64 bits, or unix-nano time
 	str  string
-	list []Value
-	elem Kind // element kind when kind == KindList
+	list *listVal // non-nil exactly when kind == KindList
+}
+
+// listVal is a list value's payload.
+type listVal struct {
+	elem Kind
+	vals []Value
+}
+
+func listOf(elem Kind, vs []Value) Value {
+	return Value{kind: KindList, list: &listVal{elem: elem, vals: vs}}
+}
+
+// elems returns a list value's elements, nil for every other kind.
+func (v Value) elems() []Value {
+	if v.list == nil {
+		return nil
+	}
+	return v.list.vals
 }
 
 // Invalid is the missing/invalid value.
@@ -127,7 +148,7 @@ func List(elem Kind, vs ...Value) Value {
 	}
 	cp := make([]Value, len(vs))
 	copy(cp, vs)
-	return Value{kind: KindList, list: cp, elem: elem}
+	return listOf(elem, cp)
 }
 
 // IntList is a convenience constructor for a list of integers.
@@ -136,7 +157,7 @@ func IntList(xs ...int64) Value {
 	for i, x := range xs {
 		vs[i] = Int(x)
 	}
-	return Value{kind: KindList, list: vs, elem: KindInt}
+	return listOf(KindInt, vs)
 }
 
 // StrList is a convenience constructor for a list of strings.
@@ -145,7 +166,7 @@ func StrList(xs ...string) Value {
 	for i, x := range xs {
 		vs[i] = Str(x)
 	}
-	return Value{kind: KindList, list: vs, elem: KindString}
+	return listOf(KindString, vs)
 }
 
 // FloatList is a convenience constructor for a list of floats.
@@ -154,7 +175,7 @@ func FloatList(xs ...float64) Value {
 	for i, x := range xs {
 		vs[i] = Float(x)
 	}
-	return Value{kind: KindList, list: vs, elem: KindFloat}
+	return listOf(KindFloat, vs)
 }
 
 // Kind reports the value's kind.
@@ -162,10 +183,10 @@ func (v Value) Kind() Kind { return v.kind }
 
 // Elem reports the element kind of a list value, KindInvalid otherwise.
 func (v Value) Elem() Kind {
-	if v.kind != KindList {
+	if v.list == nil {
 		return KindInvalid
 	}
-	return v.elem
+	return v.list.elem
 }
 
 // IsValid reports whether the value carries data.
@@ -230,7 +251,7 @@ func (v Value) AsList() ([]Value, bool) {
 	if v.kind != KindList {
 		return nil, false
 	}
-	return v.list, true
+	return v.elems(), true
 }
 
 // IsNumeric reports whether the value is int or float.
@@ -260,11 +281,12 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.str == o.str
 	case KindList:
-		if v.elem != o.elem || len(v.list) != len(o.list) {
+		a, b := v.elems(), o.elems()
+		if v.Elem() != o.Elem() || len(a) != len(b) {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		for i := range a {
+			if !a[i].Equal(b[i]) {
 				return false
 			}
 		}
@@ -331,19 +353,17 @@ func (v Value) Compare(o Value) (int, bool) {
 
 // Hash folds the value into a 64-bit hash suitable for group-by keys and
 // COUNT_DISTINCT. Numerically equal int/float values hash identically.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	v.hashInto(h)
-	return h.Sum64()
-}
+// It is FNV-1a over the kind tag and payload, computed in place so that
+// hashing a tuple's value (once per tuple under COUNT_DISTINCT) allocates
+// nothing.
+func (v Value) Hash() uint64 { return v.hashInto(fnvOffset64) }
 
-type hash64 interface {
-	Write(p []byte) (int, error)
-	Sum64() uint64
-}
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-func (v Value) hashInto(h hash64) {
-	var tag [1]byte
+func (v Value) hashInto(h uint64) uint64 {
 	kind := v.kind
 	num := v.num
 	// Canonicalize int-valued floats to the int representation so that
@@ -355,63 +375,59 @@ func (v Value) hashInto(h hash64) {
 			num = uint64(int64(f))
 		}
 	}
-	tag[0] = byte(kind)
-	h.Write(tag[:])
+	h = (h ^ uint64(kind)) * fnvPrime64
 	switch kind {
 	case KindBool, KindInt, KindFloat, KindTime:
-		var buf [8]byte
-		putUint64(buf[:], num)
-		h.Write(buf[:])
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ uint64(byte(num>>i))) * fnvPrime64
+		}
 	case KindString:
-		h.Write([]byte(v.str))
+		for i := 0; i < len(v.str); i++ {
+			h = (h ^ uint64(v.str[i])) * fnvPrime64
+		}
 	case KindList:
-		for _, e := range v.list {
-			e.hashInto(h)
+		for _, e := range v.elems() {
+			h = e.hashInto(h)
 		}
 	}
-}
-
-func putUint64(b []byte, x uint64) {
-	_ = b[7]
-	b[0] = byte(x)
-	b[1] = byte(x >> 8)
-	b[2] = byte(x >> 16)
-	b[3] = byte(x >> 24)
-	b[4] = byte(x >> 32)
-	b[5] = byte(x >> 40)
-	b[6] = byte(x >> 48)
-	b[7] = byte(x >> 56)
+	return h
 }
 
 // String renders the value for result rows and diagnostics.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return v.str
+	}
+	var buf [40]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends exactly what String returns to dst. TOP_K keys its
+// counters by this form; appending into a reused buffer lets it look an
+// item up without allocating a string per tuple.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.kind {
 	case KindBool:
-		if v.num != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.num != 0)
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.AppendInt(dst, int64(v.num), 10)
 	case KindFloat:
-		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
+		return strconv.AppendFloat(dst, math.Float64frombits(v.num), 'g', -1, 64)
 	case KindString:
-		return v.str
+		return append(dst, v.str...)
 	case KindTime:
-		return time.Unix(0, int64(v.num)).UTC().Format(time.RFC3339Nano)
+		return time.Unix(0, int64(v.num)).UTC().AppendFormat(dst, time.RFC3339Nano)
 	case KindList:
-		var sb strings.Builder
-		sb.WriteByte('[')
-		for i, e := range v.list {
+		dst = append(dst, '[')
+		for i, e := range v.elems() {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			sb.WriteString(e.String())
+			dst = e.AppendString(dst)
 		}
-		sb.WriteByte(']')
-		return sb.String()
+		return append(dst, ']')
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -225,5 +226,89 @@ func TestFloatSpecials(t *testing.T) {
 	inf := Float(math.Inf(1))
 	if c, ok := Float(1e300).Compare(inf); !ok || c != -1 {
 		t.Error("1e300 < +Inf expected")
+	}
+}
+
+// ScrubCentral's window slabs are arrays of Value; the cell's size is what
+// a buffered join column, a group key or a raw-row field costs.
+func TestValueCellSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Value{}); sz > 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 40", sz)
+	}
+}
+
+// The list payload lives behind a pointer; every operation that reaches
+// it must behave as it did when the elements sat in the cell.
+func TestListValueRoundTrips(t *testing.T) {
+	cases := []struct {
+		v    Value
+		elem Kind
+		str  string
+		hash uint64 // FNV-1a of tag+payload, fixed by encoded HLL state
+	}{
+		{IntList(1, 2, 3), KindInt, "[1, 2, 3]", 0x3e6ebfdc30e4d4f1},
+		{StrList("a", "bc"), KindString, "[a, bc]", 0xd5aa9515abd84c99},
+		{List(KindFloat), KindFloat, "[]", 0xaf63bb4c8601b479},
+		{FloatList(0.5, -2), KindFloat, "[0.5, -2]", 0},
+	}
+	for _, c := range cases {
+		if c.v.Kind() != KindList || c.v.Elem() != c.elem {
+			t.Errorf("%v: kind %v elem %v", c.v, c.v.Kind(), c.v.Elem())
+		}
+		if got := c.v.String(); got != c.str {
+			t.Errorf("String() = %q, want %q", got, c.str)
+		}
+		if c.hash != 0 && c.v.Hash() != c.hash {
+			t.Errorf("%v: Hash() = %#x, want %#x", c.v, c.v.Hash(), c.hash)
+		}
+		enc := AppendValue(nil, c.v)
+		if len(enc) != EncodedSize(c.v) {
+			t.Errorf("%v: EncodedSize %d, encoded %d bytes", c.v, EncodedSize(c.v), len(enc))
+		}
+		dec, n, err := DecodeValue(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("%v: decode: n=%d err=%v", c.v, n, err)
+		}
+		if !dec.Equal(c.v) || !c.v.Equal(dec) || dec.Hash() != c.v.Hash() || dec.Elem() != c.elem {
+			t.Errorf("%v: decoded to %v", c.v, dec)
+		}
+		if _, ok := c.v.Compare(dec); ok {
+			t.Errorf("%v: lists must stay incomparable", c.v)
+		}
+		vs, ok := dec.AsList()
+		want, _ := c.v.AsList()
+		if !ok || len(vs) != len(want) {
+			t.Errorf("%v: AsList = %v, %v", c.v, vs, ok)
+		}
+	}
+	if IntList(1, 2).Equal(IntList(1, 3)) || IntList(1).Equal(FloatList(1)) || IntList().Equal(Int(0)) {
+		t.Error("unequal lists compared equal")
+	}
+	if _, ok := Int(1).AsList(); ok || Int(1).Elem() != KindInvalid {
+		t.Error("scalar exposes a list payload")
+	}
+}
+
+// Scalar hashes are pinned too: COUNT_DISTINCT partials carry HLL
+// registers derived from them across the shard wire.
+func TestHashGolden(t *testing.T) {
+	cases := map[uint64]Value{
+		0x21fdd47119083f4f: Int(42),
+		0x797caf97b9371936: Float(2.5),
+		0x89b9e3b7a5caf216: Str("héllo"),
+		0x7194f3e59ae47dcd: Bool(true),
+		0xdb38265e5fd023f3: TimeNanos(1234567890123),
+		0xaf63bd4c8601b7df: Invalid,
+	}
+	for want, v := range cases {
+		if got := v.Hash(); got != want {
+			t.Errorf("%v: Hash() = %#x, want %#x", v, got, want)
+		}
+	}
+	if Float(42).Hash() != Int(42).Hash() {
+		t.Error("numerically equal int/float must hash equally")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Str("user-17").Hash(); _ = Int(7).Hash() }); n != 0 {
+		t.Errorf("Hash allocates %v times per run", n)
 	}
 }

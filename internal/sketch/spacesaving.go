@@ -61,6 +61,18 @@ func (s *SpaceSaving) Len() int { return len(s.counters) }
 // Add increments item by one.
 func (s *SpaceSaving) Add(item string) { s.AddN(item, 1) }
 
+// AddBytes is Add for an item held in a caller-owned buffer, which may be
+// reused after the call returns: an item already tracked is looked up
+// without allocating, and a string is made only when a counter is created
+// or taken over.
+func (s *SpaceSaving) AddBytes(item []byte) {
+	if c, ok := s.counters[string(item)]; ok {
+		s.bump(c, 1)
+		return
+	}
+	s.AddN(string(item), 1)
+}
+
 // AddN increments item by n.
 func (s *SpaceSaving) AddN(item string, n uint64) {
 	if n == 0 {

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -235,5 +236,29 @@ func BenchmarkSpaceSavingAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Add(items[i&4095])
+	}
+}
+
+// AddBytes must behave exactly like Add of the same bytes as a string —
+// same counters, same eviction victims — and must not keep the caller's
+// buffer, which is reused for the next item.
+func TestSpaceSavingAddBytesMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b := MustSpaceSaving(8), MustSpaceSaving(8)
+	buf := make([]byte, 0, 16)
+	for i := 0; i < 2000; i++ {
+		item := fmt.Sprintf("item-%d", rng.Intn(5)*rng.Intn(5)+rng.Intn(3))
+		a.Add(item)
+		buf = append(buf[:0], item...)
+		b.AddBytes(buf)
+		for j := range buf {
+			buf[j] = 'x' // the sketch must own its item by now
+		}
+	}
+	if got, want := fmt.Sprint(b.Top(8)), fmt.Sprint(a.Top(8)); got != want {
+		t.Fatalf("AddBytes summary %v, Add summary %v", got, want)
+	}
+	if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+		t.Fatal("serialized summaries differ")
 	}
 }

@@ -69,6 +69,7 @@ type SlidingManager[S any] struct {
 	hasMark   bool
 	lateDrops uint64
 	scratch   []int64
+	states    []S // GetAll's result buffer, reused across calls
 }
 
 // NewSlidingManager builds a manager; see NewManager for the lateness and
@@ -94,10 +95,12 @@ func NewSlidingManager[S any](size, slide, lateness time.Duration, newState func
 
 // GetAll returns the states of every window covering ts, creating them as
 // needed. Windows already closed by the watermark are skipped and counted
-// once per event in LateDrops when every covering window is gone.
+// once per event in LateDrops when every covering window is gone. The
+// returned slice is the manager's own buffer — ScrubCentral calls GetAll
+// once per tuple — and is overwritten by the next call.
 func (m *SlidingManager[S]) GetAll(ts int64) []S {
 	m.scratch = m.assigner.Starts(ts, m.scratch[:0])
-	out := make([]S, 0, len(m.scratch))
+	out := m.states[:0]
 	for _, start := range m.scratch {
 		if s, ok := m.open[start]; ok {
 			out = append(out, s)
@@ -113,6 +116,7 @@ func (m *SlidingManager[S]) GetAll(ts int64) []S {
 	if len(out) == 0 {
 		m.lateDrops++
 	}
+	m.states = out
 	return out
 }
 
@@ -144,6 +148,11 @@ func (m *SlidingManager[S]) closeBefore(bound int64) []Closed[S] {
 			out = append(out, Closed[S]{Start: start, End: end, State: s})
 			delete(m.open, start)
 		}
+	}
+	if len(out) > 0 {
+		// Do not let the result buffer pin a closed window's state.
+		clear(m.states)
+		m.states = m.states[:0]
 	}
 	sortClosed(out)
 	return out

@@ -166,3 +166,26 @@ func TestSlidingManagerForceBefore(t *testing.T) {
 		t.Errorf("open = %d", m.Open())
 	}
 }
+
+// GetAll runs once per tuple at ScrubCentral: its result buffer is the
+// manager's, so the steady state allocates nothing.
+func TestSlidingGetAllReusesBuffer(t *testing.T) {
+	m, err := NewSlidingManager(10*time.Second, 5*time.Second, 0, func(start, end int64) *int { return new(int) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := int64(time.Second)
+	m.GetAll(7 * sec)
+	if n := testing.AllocsPerRun(100, func() {
+		if got := m.GetAll(8 * sec); len(got) != 2 {
+			t.Fatalf("GetAll returned %d states", len(got))
+		}
+	}); n != 0 {
+		t.Fatalf("GetAll over open windows allocates %v times per call", n)
+	}
+	// Closing must not leave the buffer pinning the closed states.
+	m.ForceBefore(100 * sec)
+	if stale := m.states[:2]; len(m.states) != 0 || stale[0] != nil || stale[1] != nil {
+		t.Fatalf("result buffer still references closed windows: %v", stale)
+	}
+}

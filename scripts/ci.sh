@@ -32,7 +32,7 @@ go run ./scripts/metricssmoke
 echo "== chaos soak (fixed seed, quick, -race) =="
 go run -race ./cmd/benchrunner -only C1 -quick -p1json ''
 
-echo "== bench smoke (tiny PS sweep, BENCH_P2 emission) =="
+echo "== bench smoke (scrubbench generator determinism + 1/50-scale workloads) =="
 make bench-smoke
 
 echo "== differential oracle sweep (200 seeded sims, -race) =="

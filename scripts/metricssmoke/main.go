@@ -34,6 +34,7 @@ var requiredCentral = []string{
 	"scrub_central_window_close_ns_count",
 	"scrub_central_watermark_lag_ns",
 	"scrub_central_join_pending",
+	"scrub_central_state_bytes",
 	"scrub_transport_frames_recv_total",
 }
 
