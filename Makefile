@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci bench bench-p1 bench-ps bench-smoke bench-g1 fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
+.PHONY: build test race vet ci bench bench-smoke fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
 
 build:
 	$(GO) build ./...
@@ -27,29 +27,16 @@ ci:
 
 # scrubbench, the repository's one benchmark: all five workloads, untraced,
 # printing the gated end-to-end metrics (bench/README.md). The paper
-# reproductions and the P1/PS/G1 sweeps stay under cmd/benchrunner.
+# reproductions and the P1/PS/G1 sweeps stay under cmd/benchrunner
+# (`go run ./cmd/benchrunner -only P1`), which prints tables only.
 bench:
 	bash bench/run.sh --seed 1
-
-# Host-overhead sweep only: the hot-path perf gate tracked across PRs.
-bench-p1:
-	$(GO) run ./cmd/benchrunner -only P1
-
-# Query-scale sweep only: shared-index dispatch at up to 256 concurrent
-# queries, overlap vs distinct predicate mixes (writes BENCH_P2.json).
-bench-ps:
-	$(GO) run ./cmd/benchrunner -only PS -p1json ''
 
 # The benchmark's own tests — generator determinism and a 1/50-scale run
 # of every workload with its conservation checks. bench/ is a nested
 # module, so `go test ./...` at the root does not reach them.
 bench-smoke:
 	(cd bench && $(GO) test -short ./...)
-
-# Governor comparison: the same expensive query unbounded vs budgeted
-# (writes BENCH_G1.json).
-bench-g1:
-	$(GO) run ./cmd/benchrunner -only G1
 
 # Boot scrubcentral + scrubd with -metrics, scrape both /metrics
 # endpoints, and fail on missing or duplicate series (plus a pprof probe).
@@ -67,7 +54,7 @@ fuzz-smoke:
 
 # Fixed-seed chaos soak (quick mode) under the race detector.
 chaos-soak:
-	$(GO) run -race ./cmd/benchrunner -only C1 -quick -p1json ''
+	$(GO) run -race ./cmd/benchrunner -only C1 -quick
 
 # Differential-oracle sweep: 200 seeded cluster simulations (two full
 # family × shards × mode coverage cycles) cross-checking Engine,

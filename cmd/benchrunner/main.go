@@ -8,16 +8,13 @@
 //
 // Usage:
 //
-//	benchrunner [-only E1,P3,...] [-quick] [-seed N] [-p1json FILE]
+//	benchrunner [-only E1,P3,...] [-quick] [-seed N]
 //
-// When P1 runs, its sweep is also written as machine-readable JSON
-// (default BENCH_P1.json) so the host-overhead trajectory is trackable
-// across PRs; PS likewise writes its query-scale sweep (overlap vs
-// distinct predicate mixes, default BENCH_P2.json).
+// Numbers tracked across PRs come from scrubbench (bench/, BENCHMARK.json),
+// not from here: this command prints tables and writes no files.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,22 +29,10 @@ type runner struct {
 	run func(quick bool, seed int64) (*experiments.Table, error)
 }
 
-// p1JSONPath receives the P1 sweep as JSON; empty disables.
-var p1JSONPath string
-
-// p2JSONPath receives the PS query-scale sweep as JSON; empty disables.
-var p2JSONPath string
-
-// g1JSONPath receives the G1 governor comparison as JSON; empty disables.
-var g1JSONPath string
-
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,P3); empty runs all")
 	quick := flag.Bool("quick", false, "smaller configurations for a fast pass")
 	seed := flag.Int64("seed", 0, "override experiment seeds (0 keeps per-experiment defaults)")
-	flag.StringVar(&p1JSONPath, "p1json", "BENCH_P1.json", "file for the machine-readable P1 sweep (ns/request per query count); empty disables")
-	flag.StringVar(&p2JSONPath, "p2json", "BENCH_P2.json", "file for the machine-readable PS query-scale sweep (overlap vs distinct predicate mixes); empty disables")
-	flag.StringVar(&g1JSONPath, "g1json", "BENCH_G1.json", "file for the machine-readable G1 governor comparison (added ns and bytes shipped, unbounded vs budgeted); empty disables")
 	flag.Parse()
 
 	runners := []runner{
@@ -181,11 +166,6 @@ func runP1(quick bool, seed int64) (*experiments.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p1JSONPath != "" {
-		if err := writeP1JSON(p1JSONPath, res); err != nil {
-			return nil, err
-		}
-	}
 	return res.Table(), nil
 }
 
@@ -200,24 +180,7 @@ func runPS(quick bool, seed int64) (*experiments.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p2JSONPath != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(p2JSONPath, append(b, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res.Table(), nil
-}
-
-func writeP1JSON(path string, res *experiments.P1Result) error {
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func runP2(quick bool, seed int64) (*experiments.Table, error) {
@@ -322,15 +285,6 @@ func runG1(quick bool, seed int64) (*experiments.Table, error) {
 	res, err := experiments.G1Governor(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if g1JSONPath != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(g1JSONPath, append(b, '\n'), 0o644); err != nil {
-			return nil, err
-		}
 	}
 	return res.Table(), nil
 }

@@ -40,26 +40,30 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// centralMetrics bundles the engine's registered series; a nil
+// centralMetrics bundles an executor's ingest series; a nil
 // *centralMetrics (no registry configured) costs one pointer check per
 // batch.
 type centralMetrics struct {
-	reg      *obs.Registry
-	batches  *obs.Counter
-	tuples   *obs.Counter
+	batches *obs.Counter
+	tuples  *obs.Counter
+	wmLag   *obs.Gauge
+}
+
+// windowMetrics are the series every emitted window feeds, whichever
+// executor closed it (queryCore.emitWindow).
+type windowMetrics struct {
 	windows  *obs.Counter
 	degraded *obs.Counter
 	shed     *obs.Counter
 	closeNs  *obs.Histogram
-	wmLag    *obs.Gauge
 }
 
 // stateGauges are the two series that say what the open windows hold.
 // They are kept apart from centralMetrics because a ShardedEngine's
-// shards, which register nothing else (the merger counts ingest), charge
-// their windows to the merger's pair. Only a central registry carries
-// them: on the agent path even a few always-live series are a measurable
-// share of the agent's footprint.
+// shards, which register nothing else (ingest is counted where whole
+// batches arrive), charge their windows to the cluster's pair. Only a
+// central registry carries them: on the agent path even a few always-live
+// series are a measurable share of the agent's footprint.
 type stateGauges struct {
 	joinPending *obs.Gauge
 	bytes       *obs.Gauge
@@ -80,32 +84,47 @@ func newCentralMetrics(reg *obs.Registry) *centralMetrics {
 		return nil
 	}
 	return &centralMetrics{
-		reg:      reg,
-		batches:  reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
-		tuples:   reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		batches: reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
+		tuples:  reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		wmLag:   reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
+	}
+}
+
+func newWindowMetrics(reg *obs.Registry) *windowMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &windowMetrics{
 		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
 		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
 		shed:     reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
 		closeNs:  reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
-		wmLag:    reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
+	}
+}
+
+// count books one ingested batch of n tuples.
+func (m *centralMetrics) count(n int) {
+	if m != nil {
+		m.batches.Inc()
+		m.tuples.Add(uint64(n))
 	}
 }
 
 const queryLabel = "query"
 
-func (m *centralMetrics) queryTuples(id uint64) *obs.Counter {
-	if m == nil {
+// queryTuples registers a query's ingest counter; nil without a registry.
+func queryTuples(reg *obs.Registry, id uint64) *obs.Counter {
+	if reg == nil {
 		return nil
 	}
-	return m.reg.Counter("scrub_central_query_tuples_total",
+	return reg.Counter("scrub_central_query_tuples_total",
 		"tuples ingested per query", obs.L(queryLabel, strconv.FormatUint(id, 10)))
 }
 
-func (m *centralMetrics) dropQuery(id uint64) {
-	if m == nil {
-		return
+func dropQueryTuples(reg *obs.Registry, id uint64) {
+	if reg != nil {
+		reg.Unregister("scrub_central_query_tuples_total", obs.L(queryLabel, strconv.FormatUint(id, 10)))
 	}
-	m.reg.Unregister("scrub_central_query_tuples_total", obs.L(queryLabel, strconv.FormatUint(id, 10)))
 }
 
 func (o *Options) fillDefaults() {
@@ -123,6 +142,7 @@ func (o *Options) fillDefaults() {
 type Engine struct {
 	opt     Options
 	met     *centralMetrics // nil when no registry configured
+	win     *windowMetrics  // nil when no registry configured
 	state   *stateGauges    // nil when no registry configured
 	mu      sync.Mutex
 	queries map[uint64]*queryState
@@ -135,38 +155,15 @@ func NewEngine() *Engine { return NewEngineWith(Options{}) }
 func NewEngineWith(opt Options) *Engine {
 	opt.fillDefaults()
 	return &Engine{
-		opt: opt, met: newCentralMetrics(opt.Metrics), state: newStateGauges(opt.Metrics),
+		opt: opt, met: newCentralMetrics(opt.Metrics), win: newWindowMetrics(opt.Metrics), state: newStateGauges(opt.Metrics),
 		queries: make(map[uint64]*queryState),
 	}
 }
 
 type queryState struct {
-	plan Plan
-	comp *compiled
-	win  *window.SlidingManager[*winState]
-	emit EmitFunc
-
-	// streams holds per-(host, type) stream leases, last-known counters,
-	// and max event times. The query watermark is the minimum across
-	// *live* streams: hosts whose shipping (or simulated clock) lags
-	// never see their tuples declared late by a faster peer, while a
-	// crashed or partitioned host is evicted on lease expiry instead of
-	// freezing window emission forever.
-	streams  *liveness.Table
-	stats    transport.QueryStats
-	tuplesC  *obs.Counter // per-query ingest counter; nil without a registry
-	overflow uint64       // raw-row + join-pending drops
-	// Replay hold (Plan.Replay > 0): while open, no window closes at all —
-	// neither watermark-driven nor wall-clock-forced — because replayed
-	// history with old event times may still be in flight, and a window
-	// that closes early would count that history as late instead of
-	// folding it in. The hold releases when every stream that announced
-	// replay has sent its ReplayDone marker (liveness.ReplaySettled) or at
-	// replayDeadline — lease-clock, 2× the lease TTL past query start —
-	// whichever comes first; the deadline bounds the damage of a dropped
-	// done marker or of a query no recording host serves.
-	replayHold     bool
-	replayDeadline int64
+	queryCore
+	win      *window.SlidingManager[*winState]
+	overflow uint64 // raw-row + join-pending drops
 	// Per-query scratch for the apply path (the engine lock is held
 	// throughout a batch, so one set per query suffices): the rows handed
 	// to the evaluators, the group key's values and its encoded form. Only
@@ -182,26 +179,15 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if emit == nil {
 		return fmt.Errorf("central: nil emit")
 	}
-	if err := p.fillDefaults(); err != nil {
-		return err
-	}
-	comp, err := compile(&p)
+	qr, err := CompileQuery(p)
 	if err != nil {
-		return fmt.Errorf("central: compile plan: %w", err)
-	}
-	if err := p.checkAggs(); err != nil {
 		return err
 	}
-	qs := &queryState{
-		plan:       p,
-		comp:       comp,
-		emit:       emit,
-		streams:    liveness.NewTable(e.opt.LeaseTTL),
-		side:       sideRow{c: comp, types: p.Types},
-		join:       joinRow{c: comp, types: p.Types},
-		scratchKey: make([]event.Value, len(comp.groupEvals)),
-	}
-	qs.win, err = window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
+	qs := &queryState{queryCore: newQueryCore(qr, emit, &e.opt)}
+	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
+	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
+	qs.scratchKey = make([]event.Value, len(qs.comp.groupEvals))
+	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, qs.plan.Lateness, func(start, end int64) *winState {
 		return newWinState(&qs.plan)
 	})
 	if err != nil {
@@ -209,27 +195,12 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.queries[p.QueryID]; dup {
-		return fmt.Errorf("central: query %d already active", p.QueryID)
+	if _, dup := e.queries[qs.plan.QueryID]; dup {
+		return fmt.Errorf("central: query %d already active", qs.plan.QueryID)
 	}
-	qs.tuplesC = e.met.queryTuples(p.QueryID)
-	if p.Replay > 0 {
-		qs.replayHold = true
-		qs.replayDeadline = e.opt.Clock().UnixNano() + 2*int64(e.opt.LeaseTTL)
-	}
-	e.queries[p.QueryID] = qs
+	qs.tuplesC = queryTuples(e.opt.Metrics, qs.plan.QueryID)
+	e.queries[qs.plan.QueryID] = qs
 	return nil
-}
-
-// replayHolding reports whether a query's replay hold is still open at
-// leaseNow, releasing it when replay has settled or the deadline passed.
-// One function shared by both executors so their close decisions stay
-// bit-identical.
-func replayHolding(hold *bool, deadline int64, streams *liveness.Table, leaseNow int64) bool {
-	if *hold && (streams.ReplaySettled() || leaseNow >= deadline) {
-		*hold = false
-	}
-	return *hold
 }
 
 // ActiveQueries returns the installed query ids.
@@ -246,11 +217,9 @@ func (e *Engine) ActiveQueries() []uint64 {
 
 // HandleBatch folds a host's tuple batch into the query's window state.
 // Batches for unknown queries are dropped silently (they race with query
-// teardown by design). Every batch — counter-only heartbeats included —
-// renews the stream's liveness lease; a batch from an evicted stream
-// re-admits it, and any of its tuples whose windows closed in the
-// meantime are counted as late against that stream, never applied to
-// closed results.
+// teardown by design). Tuples of a re-admitted stream whose windows closed
+// in the meantime are counted as late against that stream, never applied
+// to closed results.
 func (e *Engine) HandleBatch(b transport.TupleBatch) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -261,52 +230,35 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 	if int(b.TypeIdx) >= len(qs.plan.Types) {
 		return
 	}
-	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
 	nowN := e.opt.Clock().UnixNano()
-	st, _ := qs.streams.Touch(key, nowN)
-	// Counters are cumulative; max() keeps a delayed or duplicated batch
-	// (chaos, retransmits) from regressing them.
-	st.Matched = max(st.Matched, b.MatchedTotal)
-	st.Sampled = max(st.Sampled, b.SampledTotal)
-	st.Drops = max(st.Drops, b.QueueDrops)
-	st.FoldGovernor(b.EffRate, b.BudgetShed, b.CPUNs, b.ShipBytes)
-	qs.streams.FoldReplay(st, b.ReplayEpoch, b.ReplayDone)
-	if e.met != nil {
-		e.met.batches.Inc()
-		e.met.tuples.Add(uint64(len(b.Tuples)))
-	}
-	if qs.tuplesC != nil {
-		qs.tuplesC.Add(uint64(len(b.Tuples)))
-	}
+	hdr := manifestOf(&b)
+	st := qs.fold(&hdr, nowN)
+	e.met.count(len(b.Tuples))
 
-	lateBefore := qs.win.LateDrops()
-	maxTs, hasTs := e.applyTuples(qs, &b)
-	st.LateDrops += qs.win.LateDrops() - lateBefore
-	if hasTs {
-		st.ObserveTs(maxTs)
-	}
-	// A batch that releases the replay hold (its ReplayDone marker
-	// settled the last replaying stream) closes windows even when it
-	// carried no tuples of its own.
-	wasHolding := qs.replayHold
-	holding := replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, nowN)
-	released := wasHolding && !holding
-	if !holding && (hasTs || released) {
-		if wm, ok := qs.streams.Watermark(); ok {
-			if e.met != nil {
-				e.met.wmLag.Set(nowN - wm)
-			}
-			for _, closed := range e.closed(qs.win.Observe(wm)) {
-				e.emitWindow(qs, closed)
-			}
+	ack := e.apply(qs, &b)
+	if wm, ok := qs.advance(st, ack.LateDelta, ack.HasTs, ack.MaxTs, nowN); ok {
+		if e.met != nil {
+			e.met.wmLag.Set(nowN - wm)
 		}
+		e.emitClosed(qs, qs.win.Observe(wm))
 	}
+}
+
+// apply runs a batch through applyTuples and reports what it did to the
+// query's windows and drop counters.
+func (e *Engine) apply(qs *queryState, b *transport.TupleBatch) (ack DrivenAck) {
+	lateBefore := qs.win.LateDrops()
+	ack.MaxTs, ack.HasTs = e.applyTuples(qs, b)
+	ack.Late = qs.win.LateDrops()
+	ack.LateDelta = ack.Late - lateBefore
+	ack.Overflow = qs.overflow
+	return ack
 }
 
 // applyTuples folds a batch's in-span tuples into every window covering
 // them and reports the batch's max in-span event time. It is the apply
-// path proper, shared by HandleBatch and ApplyDriven; over windows and
-// groups that are already open it allocates nothing.
+// path proper; over windows and groups that are already open it allocates
+// nothing.
 func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int64, hasTs bool) {
 	dataStart := qs.plan.DataStartNanos()
 	for i := range b.Tuples {
@@ -329,6 +281,14 @@ func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int
 	// memory once the call returns (host.Sink contract).
 	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
 	return maxTs, hasTs
+}
+
+// emitClosed renders and emits windows that have just left the query's
+// manager.
+func (e *Engine) emitClosed(qs *queryState, cs []window.Closed[*winState]) {
+	for _, c := range e.closed(cs) {
+		qs.emitWindow(e.win, c.Start, c.End, c.State, qs.win.LateDrops()+qs.overflow, false)
+	}
 }
 
 // closed takes windows that have just left a query's manager off the
@@ -591,47 +551,6 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 	return rw
 }
 
-// emitWindow renders a closed window into a ResultWindow and hands it to
-// the query's emit callback. A window emitted while any stream's lease
-// is expired carries the degraded marker and the full per-stream
-// accounting, so the consumer knows exactly whose data is missing.
-func (e *Engine) emitWindow(qs *queryState, closed window.Closed[*winState]) {
-	var t0 time.Time
-	if e.met != nil {
-		t0 = time.Now()
-	}
-	rw := renderWindow(&qs.plan, qs.comp, closed.Start, closed.End, closed.State,
-		qs.streams.RatesByHost(qs.plan.SampleEvents))
-
-	hostDrops := qs.streams.HostDrops()
-	rw.Stats.HostDrops = hostDrops
-	rw.Stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	rw.Degraded = qs.streams.AnyEvicted()
-	rw.BudgetShed = qs.streams.AnyShed()
-	rw.Streams = qs.streams.Snapshot()
-	qs.stats.Windows++
-	qs.stats.Rows += uint64(len(rw.Rows))
-	qs.stats.HostDrops = hostDrops
-	qs.stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	if rw.Degraded {
-		qs.stats.DegradedWindows++
-	}
-	if rw.BudgetShed {
-		qs.stats.ShedWindows++
-	}
-	qs.emit(rw)
-	if e.met != nil {
-		e.met.windows.Inc()
-		if rw.Degraded {
-			e.met.degraded.Inc()
-		}
-		if rw.BudgetShed {
-			e.met.shed.Inc()
-		}
-		e.met.closeNs.Observe(float64(time.Since(t0)))
-	}
-}
-
 // computeBounds applies the paper's Eq. 1–3 per select column. Only
 // columns that are directly a scalable aggregate get a bound; others are
 // NaN. Per-host cluster sizes Mᵢ are estimated as mᵢ/qᵢ when event
@@ -729,26 +648,14 @@ func (e *Engine) Tick(nowNanos int64) {
 	defer e.mu.Unlock()
 	leaseNow := e.opt.Clock().UnixNano()
 	for _, qs := range e.queries {
-		// Expire before the hold check: evicting a replaying stream can
-		// settle the replay (a dead host will never send its done marker).
-		evicted := qs.streams.Expire(leaseNow)
-		wasHolding := qs.replayHold
-		if replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, leaseNow) {
-			// Replayed history may still be in flight: closing a window
-			// now — by watermark or by wall clock — would count it late.
+		held, wm, moved := qs.sweep(leaseNow)
+		if held {
 			continue
 		}
-		released := wasHolding && !qs.replayHold
-		if len(evicted) > 0 || released {
-			if wm, ok := qs.streams.Watermark(); ok {
-				for _, closed := range e.closed(qs.win.Observe(wm)) {
-					e.emitWindow(qs, closed)
-				}
-			}
+		if moved {
+			e.emitClosed(qs, qs.win.Observe(wm))
 		}
-		for _, closed := range e.closed(qs.win.ForceBefore(nowNanos - int64(qs.plan.Lateness))) {
-			e.emitWindow(qs, closed)
-		}
+		e.emitClosed(qs, qs.win.ForceBefore(nowNanos-int64(qs.plan.Lateness)))
 	}
 }
 
@@ -760,13 +667,11 @@ func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
 	if !ok {
 		return transport.QueryStats{}, false
 	}
-	for _, closed := range e.closed(qs.win.Flush()) {
-		e.emitWindow(qs, closed)
-	}
+	e.emitClosed(qs, qs.win.Flush())
 	qs.stats.HostDrops = qs.streams.HostDrops()
 	qs.stats.LateDrops = qs.win.LateDrops() + qs.overflow
 	delete(e.queries, id)
-	e.met.dropQuery(id)
+	dropQueryTuples(e.opt.Metrics, id)
 	return qs.stats, true
 }
 
@@ -831,61 +736,6 @@ func compareStrings(a, b string) int {
 	default:
 		return 0
 	}
-}
-
-// --- internal surface for the sharded engine (same package) ---
-
-// startQueryDriven installs a query whose window lifecycle is driven
-// externally: the caller pulls closed windows with forceCloseQuery and
-// stopQueryDriven instead of receiving rendered emissions. Shards of a
-// ShardedEngine run in this mode with effectively unbounded lateness, so
-// no internal path ever closes a window on its own.
-func (e *Engine) startQueryDriven(p Plan) error {
-	return e.StartQuery(p, func(transport.ResultWindow) {
-		// Unreachable by construction (driven queries close only via the
-		// pull methods); tolerate rather than panic if it ever fires.
-	})
-}
-
-// forceCloseQuery closes and returns the query's windows ending at or
-// before bound, without rendering them.
-func (e *Engine) forceCloseQuery(id uint64, bound int64) []window.Closed[*winState] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return nil
-	}
-	return e.closed(qs.win.ForceBefore(bound))
-}
-
-// stopQueryDriven removes a driven query, returning its still-open
-// windows and drop counters.
-func (e *Engine) stopQueryDriven(id uint64) (partials []window.Closed[*winState], lateDrops uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, false
-	}
-	partials = e.closed(qs.win.Flush())
-	lateDrops = qs.win.LateDrops() + qs.overflow
-	delete(e.queries, id)
-	return partials, lateDrops, true
-}
-
-// dropsOf reports a query's current window-late and overflow drop
-// counts separately: the sharded merger attributes window-late deltas to
-// the stream that shipped the late tuples (mirroring Engine.HandleBatch)
-// but folds overflow only into the query-level totals.
-func (e *Engine) dropsOf(id uint64) (late, overflow uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return 0, 0, false
-	}
-	return qs.win.LateDrops(), qs.overflow, true
 }
 
 // mergeWinStates folds src into dst: groups merge through the mergeable

@@ -1,0 +1,662 @@
+package central
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"scrub/internal/liveness"
+	"scrub/internal/obs"
+	"scrub/internal/transport"
+	"scrub/internal/window"
+)
+
+// This file is the merge core of a ScrubCentral cluster — the paper's
+// "small ScrubCentral cluster" (§8.1). Tuples route to shards by request
+// id, so the request-identifier equi-join stays shard-local; the Merger
+// is the only component that sees whole batches (as manifests), so
+// stream liveness, the watermark, the replay hold and every window close
+// live here. It reaches its shards only through ShardClient, which has
+// two implementations: ShardedEngine's direct call into an in-process
+// Engine, and internal/coord's RPC client to a shard process.
+
+// ShardClient is one shard of a cluster as its merger sees it. The
+// contract the merger builds on:
+//
+//   - Apply returns only after the shard absorbed the sub-batch, so a
+//     manifest folded from Apply acks is observed after the state it
+//     reports exists (applies happen-before their manifest).
+//   - Collect and Stop report the shard's cumulative drop counters as of
+//     the call; the merger refreshes its cache from every shard before it
+//     flushes anything, so an emitted window's drop totals are the
+//     barrier's, not a stale manifest's.
+//   - A non-nil error means part of the query's state is unreachable —
+//     the shard died, rejected the caller (fencing), or sent a partial
+//     that does not decode. The merger latches the query Degraded and
+//     keeps closing windows from what it has; whatever the call returned
+//     alongside the error is still intact and still merges.
+//   - Down reports a latched failure: the shard is skipped without being
+//     called. It never clears.
+type ShardClient interface {
+	// Start installs the query in driven mode (idempotent per query id).
+	Start(qr *QueryRuntime) error
+	// Apply folds one sub-batch into the shard. known is false when the
+	// shard does not run the query (a batch racing its teardown).
+	Apply(b transport.TupleBatch) (ack DrivenAck, known bool, err error)
+	// Collect closes and returns the windows ending at or before bound.
+	Collect(qr *QueryRuntime, bound int64) (ShardWindows, error)
+	// Stop removes the query and returns its remaining windows.
+	Stop(qr *QueryRuntime) (ShardWindows, error)
+	// TuplesIn reports how many tuples the shard has absorbed for a query.
+	TuplesIn(id uint64) (uint64, bool)
+	Down() bool
+}
+
+// ShardWindows is what one shard hands over at a collect or a stop.
+type ShardWindows struct {
+	Found   bool // the shard runs (ran) the query
+	Windows []window.Closed[PartialWindow]
+	// Cumulative window-late and overflow drops as of the call.
+	Late     uint64
+	Overflow uint64
+}
+
+// RouteToShards fans one batch out across the shards by request-id modulo
+// shard count and folds the acks into a manifest. It is the one split
+// function of the fabric: host-side routers, the coordinator's legacy
+// whole-batch path and ShardedEngine all go through it.
+//
+// No span filter runs here: the shard applies the filter itself
+// (Engine.ApplyDriven) and its acks report HasTs/MaxTs over in-span
+// tuples only, so the router stays plan-free. cumDrops accumulates tuples
+// that could not reach a live shard; the manifest's QueueDrops carries
+// the sum of the host's own drops and the routing failures — same wire
+// contract as host-side queue drops, so no extra failure channel exists.
+func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64) transport.BatchManifest {
+	m := manifestOf(&b)
+	n := uint64(len(shards))
+	counters := make([]uint64, 2*n)
+	m.ShardLate, m.ShardOverflow = counters[:n:n], counters[n:]
+	sub := make([][]transport.Tuple, len(shards))
+	for _, t := range b.Tuples {
+		i := int(t.RequestID % n)
+		// Sub-batches alias the caller's pooled tuple memory only within
+		// this call: every Apply below is synchronous, and a shard copies
+		// (direct) or encodes (RPC) what it keeps before returning.
+		//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples before RouteToShards returns)
+		sub[i] = append(sub[i], t)
+	}
+	for i, tuples := range sub {
+		if len(tuples) == 0 {
+			continue
+		}
+		if shards[i].Down() {
+			*cumDrops += uint64(len(tuples))
+			continue
+		}
+		ack, known, err := shards[i].Apply(transport.TupleBatch{
+			QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx,
+			Tuples: tuples,
+		})
+		if err != nil {
+			*cumDrops += uint64(len(tuples))
+			continue
+		}
+		if !known {
+			continue
+		}
+		if ack.HasTs && (!m.HasTs || ack.MaxTs > m.MaxTs) {
+			m.MaxTs = ack.MaxTs
+		}
+		m.HasTs = m.HasTs || ack.HasTs
+		m.LateDelta += ack.LateDelta
+		m.ShardLate[i] = ack.Late
+		m.ShardOverflow[i] = ack.Overflow
+	}
+	m.QueueDrops = b.QueueDrops + *cumDrops
+	return m
+}
+
+// manifestOf copies a batch's stream header — identity and the host's
+// cumulative counters — into a manifest with nothing observed yet.
+func manifestOf(b *transport.TupleBatch) transport.BatchManifest {
+	return transport.BatchManifest{
+		QueryID:      b.QueryID,
+		HostID:       b.HostID,
+		TypeIdx:      b.TypeIdx,
+		RawTuples:    uint64(len(b.Tuples)),
+		MatchedTotal: b.MatchedTotal,
+		SampledTotal: b.SampledTotal,
+		QueueDrops:   b.QueueDrops,
+		EffRate:      b.EffRate,
+		BudgetShed:   b.BudgetShed,
+		CPUNs:        b.CPUNs,
+		ShipBytes:    b.ShipBytes,
+		ReplayEpoch:  b.ReplayEpoch,
+		ReplayDone:   b.ReplayDone,
+	}
+}
+
+// queryCore is what every executor keeps per query, whoever accumulates
+// its windows: the compiled plan, the emit hook, the stream table, the
+// running stats and the replay hold. Engine and Merger both embed it, so
+// the stream fold, the close decisions and the emit stamping exist once.
+type queryCore struct {
+	QueryRuntime
+	emit EmitFunc
+
+	// streams holds per-(host, type) stream leases, last-known counters,
+	// and max event times. The query watermark is the minimum across
+	// *live* streams: hosts whose shipping (or simulated clock) lags
+	// never see their tuples declared late by a faster peer, while a
+	// crashed or partitioned host is evicted on lease expiry instead of
+	// freezing window emission forever.
+	streams *liveness.Table
+	stats   transport.QueryStats
+	tuplesC *obs.Counter // per-query ingest counter; nil without a registry
+
+	// Replay hold (Plan.Replay > 0): while open, no window closes at all —
+	// neither watermark-driven nor wall-clock-forced — because replayed
+	// history with old event times may still be in flight, and a window
+	// that closes early would count that history as late instead of
+	// folding it in. The hold releases when every stream that announced
+	// replay has sent its ReplayDone marker (liveness.ReplaySettled) or at
+	// replayDeadline — lease-clock, 2× the lease TTL past query start —
+	// whichever comes first; the deadline bounds the damage of a dropped
+	// done marker or of a query no recording host serves.
+	replayHold     bool
+	replayDeadline int64
+}
+
+func newQueryCore(qr *QueryRuntime, emit EmitFunc, opt *Options) queryCore {
+	q := queryCore{QueryRuntime: *qr, emit: emit, streams: liveness.NewTable(opt.LeaseTTL)}
+	if qr.plan.Replay > 0 {
+		q.replayHold = true
+		q.replayDeadline = opt.Clock().UnixNano() + 2*int64(opt.LeaseTTL)
+	}
+	return q
+}
+
+// fold renews the stream's lease and folds the batch's cumulative host
+// counters into it. Every batch — counter-only heartbeats included —
+// renews the lease; a batch from an evicted stream re-admits it.
+func (q *queryCore) fold(m *transport.BatchManifest, nowN int64) *liveness.Stream {
+	st, _ := q.streams.Touch(liveness.Key{Host: m.HostID, TypeIdx: m.TypeIdx}, nowN)
+	// Counters are cumulative; max() keeps a delayed or duplicated batch
+	// (chaos, retransmits) from regressing them.
+	st.Matched = max(st.Matched, m.MatchedTotal)
+	st.Sampled = max(st.Sampled, m.SampledTotal)
+	st.Drops = max(st.Drops, m.QueueDrops)
+	st.FoldGovernor(m.EffRate, m.BudgetShed, m.CPUNs, m.ShipBytes)
+	q.streams.FoldReplay(st, m.ReplayEpoch, m.ReplayDone)
+	if q.tuplesC != nil {
+		q.tuplesC.Add(m.RawTuples)
+	}
+	return st
+}
+
+// holding reports whether the replay hold is still open at leaseNow,
+// releasing it when replay has settled or the deadline passed.
+func (q *queryCore) holding(leaseNow int64) bool {
+	if q.replayHold && (q.streams.ReplaySettled() || leaseNow >= q.replayDeadline) {
+		q.replayHold = false
+	}
+	return q.replayHold
+}
+
+// advance folds what a batch's tuples did — late drops, max in-span event
+// time — into their stream and reports the watermark to close at, if the
+// batch calls for a close decision. The fold is unconditional: a batch
+// whose tuples were all filtered or late-dropped still advances its
+// stream's clock, or it would stall the watermark (and window closure for
+// every stream) until the host's lease expired. A batch that releases the
+// replay hold (its ReplayDone marker settled the last replaying stream)
+// closes windows even when it carried no tuples of its own.
+func (q *queryCore) advance(st *liveness.Stream, lateDelta uint64, hasTs bool, maxTs, nowN int64) (wm int64, ok bool) {
+	st.LateDrops += lateDelta
+	if hasTs {
+		st.ObserveTs(maxTs)
+	}
+	wasHolding := q.replayHold
+	if q.holding(nowN) || !(hasTs || wasHolding) {
+		return 0, false
+	}
+	return q.streams.Watermark()
+}
+
+// sweep is the per-tick half of the close decision: expire leases, then
+// check the hold. held means no window may close this tick — replayed
+// history may still be in flight. Otherwise, when lease expiry evicted a
+// stream or this tick released the hold, the watermark recomputed over
+// the survivors is returned so windows a dead host was holding open close
+// now instead of waiting out the force bound.
+func (q *queryCore) sweep(leaseNow int64) (held bool, wm int64, moved bool) {
+	// Expire before the hold check: evicting a replaying stream can
+	// settle the replay (a dead host will never send its done marker).
+	evicted := q.streams.Expire(leaseNow)
+	wasHolding := q.replayHold
+	if q.holding(leaseNow) {
+		return true, 0, false
+	}
+	if len(evicted) == 0 && !wasHolding {
+		return false, 0, false
+	}
+	wm, moved = q.streams.Watermark()
+	return false, wm, moved
+}
+
+// emitWindow renders a closed window, stamps the deployment-level fields
+// and hands it to the query's emit callback. A window emitted while any
+// stream's lease is expired — or after part of the cluster was lost —
+// carries the degraded marker and the full per-stream accounting, so the
+// consumer knows exactly whose data is missing.
+func (q *queryCore) emitWindow(met *windowMetrics, start, end int64, ws *winState, lateDrops uint64, lostShard bool) {
+	var t0 time.Time
+	if met != nil {
+		t0 = time.Now()
+	}
+	rw := renderWindow(&q.plan, q.comp, start, end, ws, q.streams.RatesByHost(q.plan.SampleEvents))
+	rw.Stats.HostDrops = q.streams.HostDrops()
+	rw.Stats.LateDrops = lateDrops
+	rw.Degraded = lostShard || q.streams.AnyEvicted()
+	rw.BudgetShed = q.streams.AnyShed()
+	rw.Streams = q.streams.Snapshot()
+	q.stats.Windows++
+	q.stats.Rows += uint64(len(rw.Rows))
+	q.stats.HostDrops = rw.Stats.HostDrops
+	q.stats.LateDrops = lateDrops
+	if rw.Degraded {
+		q.stats.DegradedWindows++
+	}
+	if rw.BudgetShed {
+		q.stats.ShedWindows++
+	}
+	q.emit(rw)
+	if met != nil {
+		met.windows.Inc()
+		if rw.Degraded {
+			met.degraded.Inc()
+		}
+		if rw.BudgetShed {
+			met.shed.Inc()
+		}
+		met.closeNs.Observe(float64(time.Since(t0)))
+	}
+}
+
+// Merger closes, merges and emits the windows of queries whose state is
+// spread over shards. Whole batches enter through Ingest (the merger
+// routes them), already-routed ones through Observe (a host-side router
+// did); both end in the same fold and the same close decision as the
+// single-node Engine, batch for batch, so the executors agree not just at
+// wall-clock ticks.
+type Merger struct {
+	opt Options
+	met *windowMetrics // nil when no registry configured
+
+	mu      sync.Mutex
+	queries map[uint64]*mergeQuery
+	merges  atomic.Uint64 // partial-window merges folded
+}
+
+type mergeQuery struct {
+	queryCore
+
+	// installed flips true once every shard accepted the start. Until
+	// then the entry only reserves the query id: batches and manifests
+	// are dropped (their tuples never reached a started shard query) and
+	// Stop reports the query unknown, so a rolled-back start never races
+	// concurrent traffic folding state into it.
+	installed bool
+
+	// The query's shards, fixed at Start; shard i owns request ids ≡ i.
+	shards []ShardClient
+	// Cumulative window-late and overflow drops by shard index: max-folded
+	// from manifests (order-insensitive, so late or duplicated manifests
+	// cannot regress them) and refreshed by every collect.
+	shardLate     []uint64
+	shardOverflow []uint64
+	// lostShard latches when a shard dies, fences the caller out or sends
+	// a partial that does not decode: part of the query's state is
+	// unreachable, so every window from then on is flagged Degraded
+	// rather than silently incomplete.
+	lostShard bool
+
+	// pending holds merged-but-unflushed windows by start time.
+	pending map[int64]*winState
+	// mergeDrops counts raw rows truncated when shard partials merged past
+	// MaxRawRows; folded into the query's late/overflow totals.
+	mergeDrops uint64
+	// routeDrops tracks cumulative routing failures per stream for Ingest.
+	// Allocated on the first failure: direct shards never fail.
+	routeDrops map[liveness.Key]uint64
+}
+
+// NewMerger returns a merger with no queries.
+func NewMerger(opt Options) *Merger {
+	opt.fillDefaults()
+	return &Merger{opt: opt, met: newWindowMetrics(opt.Metrics), queries: make(map[uint64]*mergeQuery)}
+}
+
+// Install selects how Start treats its shards and lets the caller tie its
+// own bookkeeping to the instant a query goes live.
+type Install struct {
+	// Resume re-adopts a query its shards may already run (a promoted
+	// standby's takeover). It never rolls back: a shard that refuses or
+	// died contributes degraded windows, exactly as if it had died
+	// mid-query — at takeover, availability wins over atomicity. The
+	// query starts with the Degraded latch set: the manifest gap during
+	// failover lost stream and watermark accounting the new merger cannot
+	// recover, so every window it emits is honestly flagged. The replay
+	// hold runs to ReplayDeadline, the deadline the original start chose.
+	Resume         bool
+	ReplayDeadline int64
+	// Installed, when set, runs under the merger's lock as the query
+	// starts absorbing traffic, with the replay-hold deadline in force.
+	Installed func(replayDeadline int64)
+}
+
+// Start installs a query over shards in two phases: the entry is
+// published pending (reserving the id against duplicate submissions) but
+// absorbs no traffic until every shard accepted the start — a batch
+// racing the install would otherwise land on the shards already started
+// and vanish on the rest, and a manifest would fold stream state into a
+// query the rollback then deletes.
+func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in Install) error {
+	if emit == nil {
+		return fmt.Errorf("central: nil emit")
+	}
+	id := qr.plan.QueryID
+	q := &mergeQuery{
+		queryCore:     newQueryCore(qr, emit, &m.opt),
+		shards:        shards,
+		shardLate:     make([]uint64, len(shards)),
+		shardOverflow: make([]uint64, len(shards)),
+		lostShard:     in.Resume,
+		pending:       make(map[int64]*winState),
+	}
+	if in.Resume {
+		q.replayDeadline = in.ReplayDeadline
+		q.replayHold = qr.plan.Replay > 0 && in.ReplayDeadline > m.opt.Clock().UnixNano()
+	}
+	m.mu.Lock()
+	if _, dup := m.queries[id]; dup {
+		m.mu.Unlock()
+		return fmt.Errorf("central: query %d already active", id)
+	}
+	m.queries[id] = q
+	m.mu.Unlock()
+
+	for i, sc := range shards {
+		if in.Resume {
+			if !sc.Down() {
+				// A refusal latches the client down; collects degrade.
+				_ = sc.Start(&q.QueryRuntime)
+			}
+			continue
+		}
+		if err := sc.Start(&q.QueryRuntime); err != nil {
+			for _, started := range shards[:i] {
+				// Best effort: a shard that cannot be reached keeps the
+				// query until its own teardown.
+				_, _ = started.Stop(&q.QueryRuntime)
+			}
+			m.mu.Lock()
+			delete(m.queries, id)
+			m.mu.Unlock()
+			return err
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q.installed = true
+	q.tuplesC = queryTuples(m.opt.Metrics, id)
+	if in.Installed != nil {
+		in.Installed(q.replayDeadline)
+	}
+	return nil
+}
+
+// live returns an installed query that has a stream type typeIdx.
+func (m *Merger) live(id uint64, typeIdx uint8) *mergeQuery {
+	q, ok := m.queries[id]
+	if !ok || !q.installed || int(typeIdx) >= len(q.plan.Types) {
+		return nil
+	}
+	return q
+}
+
+// Ingest routes a whole batch across the query's shards and observes the
+// resulting manifest. It reports whether a running query absorbed it;
+// batches for unknown queries are dropped silently (they race with query
+// teardown by design).
+func (m *Merger) Ingest(b transport.TupleBatch) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.live(b.QueryID, b.TypeIdx)
+	if q == nil {
+		return false
+	}
+	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
+	before := q.routeDrops[key]
+	cum := before
+	man := RouteToShards(b, q.shards, &cum)
+	if cum != before {
+		if q.routeDrops == nil {
+			q.routeDrops = make(map[liveness.Key]uint64)
+		}
+		q.routeDrops[key] = cum
+	}
+	m.observe(q, &man)
+	return true
+}
+
+// Observe folds the manifest of a batch a router already applied to the
+// shards, and reports whether a running query absorbed it.
+func (m *Merger) Observe(man transport.BatchManifest) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.live(man.QueryID, man.TypeIdx)
+	if q == nil {
+		return false
+	}
+	m.observe(q, &man)
+	return true
+}
+
+func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
+	nowN := m.opt.Clock().UnixNano()
+	st := q.fold(man, nowN)
+	for i := 0; i < len(q.shards) && i < len(man.ShardLate); i++ {
+		q.shardLate[i] = max(q.shardLate[i], man.ShardLate[i])
+	}
+	for i := 0; i < len(q.shards) && i < len(man.ShardOverflow); i++ {
+		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
+	}
+	if wm, ok := q.advance(st, man.LateDelta, man.HasTs, man.MaxTs, nowN); ok {
+		m.closeBefore(q, wm-int64(q.plan.Lateness))
+	}
+}
+
+// Tick closes windows by wall clock so idle streams still emit, and
+// expires stream leases on the merger's own clock (see Engine.Tick).
+func (m *Merger) Tick(nowNanos int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	leaseNow := m.opt.Clock().UnixNano()
+	for _, q := range m.queries {
+		if !q.installed {
+			continue
+		}
+		held, wm, moved := q.sweep(leaseNow)
+		if held {
+			continue
+		}
+		if moved {
+			m.closeBefore(q, wm-int64(q.plan.Lateness))
+		}
+		m.closeBefore(q, nowNanos-int64(q.plan.Lateness))
+	}
+}
+
+// closeBefore is a barrier across every shard: all windows ending at or
+// before bound are pulled from all shards in ascending shard order (merge
+// order must be deterministic for bit-identical results), merged, then
+// rendered and emitted in start order. Because the same bound reaches
+// every shard before any flush, a flushed window can never receive more
+// tuples from a shard (they would be late there too), and the drop
+// counters the flush reports are the ones the barrier just refreshed.
+func (m *Merger) closeBefore(q *mergeQuery, bound int64) {
+	for i, sc := range q.shards {
+		if sc.Down() {
+			q.lostShard = true
+			continue
+		}
+		sw, err := sc.Collect(&q.QueryRuntime, bound)
+		if err != nil {
+			q.lostShard = true
+		}
+		if !sw.Found {
+			continue
+		}
+		q.shardLate[i] = max(q.shardLate[i], sw.Late)
+		q.shardOverflow[i] = max(q.shardOverflow[i], sw.Overflow)
+		m.merge(q, sw.Windows)
+	}
+	m.flush(q, bound)
+}
+
+func (m *Merger) merge(q *mergeQuery, windows []window.Closed[PartialWindow]) {
+	for _, w := range windows {
+		if dst, ok := q.pending[w.Start]; ok {
+			q.mergeDrops += mergeWinStates(&q.plan, dst, w.State.ws)
+			m.merges.Add(1)
+		} else {
+			q.pending[w.Start] = w.State.ws
+		}
+	}
+}
+
+// flush renders and emits pending windows ending at or before bound, in
+// start order.
+func (m *Merger) flush(q *mergeQuery, bound int64) {
+	var starts []int64
+	winSize := int64(q.plan.Window)
+	for start := range q.pending {
+		if start+winSize <= bound {
+			starts = append(starts, start)
+		}
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	for _, start := range starts {
+		ws := q.pending[start]
+		delete(q.pending, start)
+		q.stats.TuplesIn += ws.tuples
+		q.emitWindow(m.met, start, start+winSize, ws, q.lateDrops(), q.lostShard)
+	}
+}
+
+// lateDrops is the query's late/overflow total as last reported by the
+// shards, plus what merging truncated.
+func (q *mergeQuery) lateDrops() uint64 {
+	n := q.mergeDrops
+	for i := range q.shards {
+		n += q.shardLate[i] + q.shardOverflow[i]
+	}
+	return n
+}
+
+// Stop drains every shard, merges and emits the remainder, and returns
+// the final stats. A dead shard contributes its last-known drop totals —
+// its window state is gone, which the Degraded flag reports. stopped,
+// when set, runs under the merger's lock once the query is gone.
+func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q, ok := m.queries[id]
+	if !ok || !q.installed {
+		return transport.QueryStats{}, false
+	}
+	for i, sc := range q.shards {
+		if sc.Down() {
+			q.lostShard = true
+			continue
+		}
+		sw, err := sc.Stop(&q.QueryRuntime)
+		if err != nil {
+			q.lostShard = true
+			if !sw.Found {
+				continue
+			}
+		}
+		// The shard query is gone: its final totals replace the cache, so
+		// the windows flushed below neither forget nor double-count them.
+		q.shardLate[i], q.shardOverflow[i] = sw.Late, sw.Overflow
+		m.merge(q, sw.Windows)
+	}
+	m.flush(q, int64(1)<<62-1)
+	q.stats.LateDrops = q.lateDrops()
+	q.stats.HostDrops = q.streams.HostDrops()
+	delete(m.queries, id)
+	dropQueryTuples(m.opt.Metrics, id)
+	if stopped != nil {
+		stopped()
+	}
+	return q.stats, true
+}
+
+// Stats returns a query's running stats. TuplesIn so far is what the
+// shards have absorbed.
+func (m *Merger) Stats(id uint64) (transport.QueryStats, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q, ok := m.queries[id]
+	if !ok || !q.installed {
+		return transport.QueryStats{}, false
+	}
+	st := q.stats
+	var tuples uint64
+	for _, sc := range q.shards {
+		if sc.Down() {
+			continue
+		}
+		if n, ok := sc.TuplesIn(id); ok {
+			tuples += n
+		}
+	}
+	st.TuplesIn = max(st.TuplesIn, tuples)
+	return st, true
+}
+
+// ActiveQueries returns the installed query ids.
+func (m *Merger) ActiveQueries() []uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]uint64, 0, len(m.queries))
+	for id, q := range m.queries {
+		if q.installed {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Merges reports how many partial-window merges the merger has folded.
+func (m *Merger) Merges() uint64 { return m.merges.Load() }
+
+// EvictedStreams counts the streams currently evicted across all queries.
+func (m *Merger) EvictedStreams() (n uint32) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, q := range m.queries {
+		for _, s := range q.streams.Snapshot() {
+			if s.Evicted {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -1,0 +1,337 @@
+package central
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"scrub/internal/transport"
+)
+
+// fakeShard is a ShardClient over a real driven Engine with the failures
+// of a remote shard injected, so the merger's degrade paths run without
+// sockets. It logs the order shards are collected in.
+type fakeShard struct {
+	directShard
+	idx   int
+	order *[]int
+
+	down bool
+	// fail makes Collect and Stop return this error and nothing else: an
+	// RPC that died, or a shard that rejected a deposed caller as stale.
+	fail error
+	// lose makes Collect and Stop deliver their windows minus the first,
+	// with an error alongside: one partial did not decode.
+	lose bool
+	// late/overflow, when nonzero, replace the engine's own counters in
+	// what Collect reports.
+	late, overflow uint64
+	// startGate, when set, parks Start until the test answers it.
+	startGate chan error
+	starting  chan struct{}
+}
+
+func (f *fakeShard) Down() bool { return f.down }
+
+func (f *fakeShard) Start(qr *QueryRuntime) error {
+	if f.startGate != nil {
+		close(f.starting)
+		if err := <-f.startGate; err != nil {
+			return err
+		}
+	}
+	return f.directShard.Start(qr)
+}
+
+func (f *fakeShard) Collect(qr *QueryRuntime, bound int64) (ShardWindows, error) {
+	*f.order = append(*f.order, f.idx)
+	sw, _ := f.directShard.Collect(qr, bound)
+	if f.late != 0 || f.overflow != 0 {
+		sw.Late, sw.Overflow = f.late, f.overflow
+	}
+	return f.inject(sw)
+}
+
+func (f *fakeShard) Stop(qr *QueryRuntime) (ShardWindows, error) {
+	sw, _ := f.directShard.Stop(qr)
+	return f.inject(sw)
+}
+
+func (f *fakeShard) inject(sw ShardWindows) (ShardWindows, error) {
+	if f.fail != nil {
+		return ShardWindows{}, f.fail
+	}
+	if f.lose && len(sw.Windows) > 0 {
+		// Closed windows arrive in no particular order; lose the earliest.
+		first := 0
+		for i, w := range sw.Windows {
+			if w.Start < sw.Windows[first].Start {
+				first = i
+			}
+		}
+		sw.Windows = append(sw.Windows[:first], sw.Windows[first+1:]...)
+		return sw, errors.New("partial does not decode")
+	}
+	return sw, nil
+}
+
+// mergerRig is a Merger over n fake shards running one count(*) query
+// with 10s windows and 1s lateness on a virtual lease clock.
+type mergerRig struct {
+	m      *Merger
+	shards []*fakeShard
+	order  []int
+	col    *collector
+	vc     *virtualClock
+}
+
+func newMergerRig(t *testing.T, n int, p Plan) *mergerRig {
+	t.Helper()
+	r := &mergerRig{col: &collector{}, vc: &virtualClock{}}
+	r.vc.set(1000 * time.Second)
+	r.m = NewMerger(Options{LeaseTTL: 2 * time.Second, Clock: r.vc.now})
+	for i := 0; i < n; i++ {
+		r.shards = append(r.shards, &fakeShard{directShard: directShard{NewEngine()}, idx: i, order: &r.order})
+	}
+	qr, err := CompileQuery(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.Start(qr, r.col.emit, r.clients(), Install{}); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func (r *mergerRig) clients() []ShardClient {
+	out := make([]ShardClient, len(r.shards))
+	for i, s := range r.shards {
+		out[i] = s
+	}
+	return out
+}
+
+func countPlan(t *testing.T) Plan {
+	t.Helper()
+	p := buildPlan(t, `select count(*) from bid window 10s`, 1, 1, 1)
+	p.Lateness = time.Second
+	return p
+}
+
+// ingest sends one tuple per (rid, ts-in-seconds) pair from host h1.
+func (r *mergerRig) ingest(pairs ...int64) {
+	var tuples []transport.Tuple
+	for i := 0; i < len(pairs); i += 2 {
+		tuples = append(tuples, tup(uint64(pairs[i]), sec(pairs[i+1])))
+	}
+	r.m.Ingest(bidBatch(1, "h1", tuples...))
+}
+
+func counts(wins []transport.ResultWindow) []string {
+	var out []string
+	for _, w := range wins {
+		out = append(out, w.Rows[0][0].String())
+	}
+	return out
+}
+
+// TestMergerShardFailuresDegrade: whatever way a shard is lost, the query
+// latches Degraded and its windows keep closing from what is left.
+func TestMergerShardFailuresDegrade(t *testing.T) {
+	cases := []struct {
+		name  string
+		fault func(*fakeShard)
+		want  []string // counts of [0,10s), [10s,20s), [30s,40s)
+	}{
+		{"collect error", func(f *fakeShard) { f.fail = errors.New("connection reset") }, []string{"3", "3", "1"}},
+		{"stale", func(f *fakeShard) { f.fail = errors.New("stale fencing epoch (deposed)") }, []string{"3", "3", "1"}},
+		// The lost partial is [0,10s); shard 1's [10s,20s) still merges.
+		{"undecodable partial", func(f *fakeShard) { f.lose = true }, []string{"3", "6", "1"}},
+		{"down", func(f *fakeShard) { f.down = true }, []string{"3", "3", "1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := countPlan(t)
+			p.Lateness = 10 * time.Second // one barrier closes two windows
+			r := newMergerRig(t, 2, p)
+			// Three tuples per shard in each of [0,10s) and [10s,20s).
+			r.ingest(0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)
+			r.ingest(10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16)
+			if got := r.col.all(); len(got) != 0 {
+				t.Fatalf("%d windows closed before the watermark passed them", len(got))
+			}
+			tc.fault(r.shards[1])
+			r.ingest(20, 32) // shard 0; watermark 32s closes both windows
+			r.shards[1].lose = false
+			r.ingest(22, 52) // closes [30s,40s): the latch must hold
+			wins := r.col.all()
+			if got := counts(wins); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("window counts = %v, want %v", got, tc.want)
+			}
+			for _, w := range wins {
+				if !w.Degraded {
+					t.Errorf("window [%d,%d) not flagged Degraded", w.WindowStart, w.WindowEnd)
+				}
+			}
+			stats, ok := r.m.Stop(1, nil)
+			if !ok || stats.DegradedWindows != stats.Windows || stats.Windows != uint64(len(r.col.all())) {
+				t.Errorf("final stats = %+v over %d emitted windows", stats, len(r.col.all()))
+			}
+		})
+	}
+}
+
+// TestMergerStopFoldsDeadShardDropsOnce: a shard that died before the
+// stop contributes the drop totals it last reported — once, in the final
+// stats and on the windows the stop flushes alike.
+func TestMergerStopFoldsDeadShardDropsOnce(t *testing.T) {
+	r := newMergerRig(t, 2, countPlan(t))
+	r.ingest(0, 1, 1, 2)
+	r.ingest(2, 12) // closes [0,10s) on both shards
+	r.ingest(4, 3)  // late on shard 0
+	r.ingest(5, 4)  // late on shard 1
+	r.shards[1].down = true
+	stats, ok := r.m.Stop(1, nil)
+	if !ok {
+		t.Fatal("Stop missed")
+	}
+	if stats.LateDrops != 2 {
+		t.Errorf("final LateDrops = %d, want 2 (one per shard, the dead one's from its last report)", stats.LateDrops)
+	}
+	wins := r.col.all()
+	last := wins[len(wins)-1]
+	if last.WindowStart != sec(10) || last.Stats.LateDrops != 2 || !last.Degraded {
+		t.Errorf("window flushed by the stop: start %ds, LateDrops %d, degraded %v; want 10s, 2, true",
+			last.WindowStart/sec(1), last.Stats.LateDrops, last.Degraded)
+	}
+	if got := streamFor(t, last, "h1").LateDrops; got != 2 {
+		t.Errorf("stream late drops = %d, want 2", got)
+	}
+}
+
+// TestMergerBarrierOrderAndDropTotals: every close collects the shards in
+// ascending index (merge order decides float rounding, so it must be
+// fixed), and an emitted window's drop totals are what the shards
+// reported at that barrier — not what the last manifest happened to
+// carry.
+func TestMergerBarrierOrderAndDropTotals(t *testing.T) {
+	r := newMergerRig(t, 3, countPlan(t))
+	r.ingest(0, 1, 1, 2, 2, 3)
+	// Shard 2 has counted drops no manifest told this merger about (they
+	// came through another host's router, say).
+	r.shards[2].late, r.shards[2].overflow = 7, 2
+	r.order = nil
+	r.ingest(3, 12)
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(r.order, want) {
+		t.Errorf("collect order = %v, want %v", r.order, want)
+	}
+	wins := r.col.all()
+	if len(wins) != 1 || wins[0].Stats.LateDrops != 9 {
+		t.Fatalf("emitted %d windows, LateDrops %d; want 1 window carrying the barrier's 9", len(wins), wins[0].Stats.LateDrops)
+	}
+	if st, _ := r.m.Stats(1); st.LateDrops != 9 {
+		t.Errorf("running stats LateDrops = %d, want 9", st.LateDrops)
+	}
+}
+
+// TestReplayHoldMerger: the merger holds and releases like the engine,
+// fed the way a host-side router feeds it — sub-batches applied to the
+// shards first, then the manifest.
+func TestReplayHoldMerger(t *testing.T) {
+	route := func(r *mergerRig, b transport.TupleBatch) {
+		var cum uint64
+		r.m.Observe(RouteToShards(b, r.clients(), &cum))
+	}
+	start := func(t *testing.T) *mergerRig {
+		r := newMergerRig(t, 2, replayPlan(t))
+		// Live tuples far past the start: watermark 125s would normally
+		// close every window ending ≤ 123s.
+		route(r, bidBatch(1, "h1", tup(1, sec(105)), tup(2, sec(125))))
+		r.m.Tick(sec(1001))
+		if got := r.col.all(); len(got) != 0 {
+			t.Fatalf("hold violated: %d windows closed early", len(got))
+		}
+		return r
+	}
+	t.Run("settling manifest", func(t *testing.T) {
+		r := start(t)
+		route(r, epochBatch("h1", false, tup(3, sec(80)), tup(4, sec(95))))
+		if got := r.col.all(); len(got) != 0 {
+			t.Fatalf("epoch batch closed %d windows before the done marker", len(got))
+		}
+		// The tuple-free done marker must itself trigger the deferred close.
+		route(r, epochBatch("h1", true))
+		byStart := winStarts(r.col.all())
+		for _, s := range []int64{sec(80), sec(90), sec(100)} {
+			if w, ok := byStart[s]; !ok || w.Rows[0][0].String() != "1" {
+				t.Errorf("window @%ds = %+v (emitted %v), want count 1", s/sec(1), w.Rows, ok)
+			}
+		}
+	})
+	t.Run("deadline", func(t *testing.T) {
+		r := start(t)
+		// Deadline is start + 2×TTL = 1004s on the lease clock.
+		r.vc.set(1005 * time.Second)
+		r.m.Tick(sec(1005))
+		if got := r.col.all(); len(got) == 0 {
+			t.Fatal("deadline passed but the hold never released")
+		}
+	})
+}
+
+// TestMergerTwoPhaseInstall plays a shard by hand: while Start is parked
+// on shard 1's answer — shard 0 already runs the query — the entry must
+// be invisible. A batch racing the install may not land on shard 0 and
+// vanish on shard 1, a manifest may not fold stream state the rollback
+// then deletes, and Stop/Stats must not see the query.
+func TestMergerTwoPhaseInstall(t *testing.T) {
+	m := NewMerger(Options{})
+	var order []int
+	s0 := &fakeShard{directShard: directShard{NewEngine()}, idx: 0, order: &order}
+	s1 := &fakeShard{directShard: directShard{NewEngine()}, idx: 1, order: &order,
+		startGate: make(chan error), starting: make(chan struct{})}
+	qr, err := CompileQuery(countPlan(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &collector{}
+	startErr := make(chan error, 1)
+	go func() { startErr <- m.Start(qr, col.emit, []ShardClient{s0, s1}, Install{}) }()
+	<-s1.starting
+
+	if m.Ingest(bidBatch(1, "h1", tup(0, sec(1)), tup(1, sec(2)))) {
+		t.Error("Ingest absorbed a batch for a query whose install has not finished")
+	}
+	if n, _ := s0.TuplesIn(1); n != 0 {
+		t.Errorf("shard 0 absorbed %d tuples of a half-installed query", n)
+	}
+	if m.Observe(transport.BatchManifest{QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: sec(50)}) {
+		t.Error("Observe folded a manifest into a query whose install has not finished")
+	}
+	if _, ok := m.Stats(1); ok {
+		t.Error("Stats sees a query whose install has not finished")
+	}
+	if _, ok := m.Stop(1, nil); ok {
+		t.Error("Stop stopped a query whose install has not finished")
+	}
+	if ids := m.ActiveQueries(); len(ids) != 0 {
+		t.Errorf("ActiveQueries during install = %v, want none", ids)
+	}
+
+	s1.startGate <- errors.New("no capacity")
+	if err := <-startErr; err == nil {
+		t.Fatal("Start succeeded despite shard refusal")
+	}
+	if qs := s0.eng.ActiveQueries(); len(qs) != 0 {
+		t.Errorf("shard 0 still runs %v after rollback", qs)
+	}
+	// The id is free again.
+	s1.startGate = nil
+	if err := m.Start(qr, col.emit, []ShardClient{s0, s1}, Install{}); err != nil {
+		t.Fatalf("restart after rollback: %v", err)
+	}
+	if !m.Ingest(bidBatch(1, "h1", tup(0, sec(1)))) {
+		t.Error("installed query did not absorb a batch")
+	}
+}

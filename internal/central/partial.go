@@ -4,20 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 
 	"scrub/internal/agg"
 	"scrub/internal/event"
-	"scrub/internal/liveness"
 	"scrub/internal/stats"
 	"scrub/internal/transport"
+	"scrub/internal/window"
 )
 
-// This file is the exported surface a distributed ScrubCentral builds on
-// (internal/coord): shard processes run an Engine in driven mode — windows
-// close only when the coordinator says so — and ship their accumulated
-// window state as serialized partials; the coordinator decodes, merges and
-// renders them with the exact logic ShardedEngine uses in-process, so the
-// three executors stay bit-identical under the differential oracle.
+// This file is the driven surface of an Engine — the shard kernel of a
+// ScrubCentral cluster. A driven query's windows close only when its
+// merger says so (merge.go); the closed state is handed over as it is to
+// an in-process merger, or serialized as a partial for one in another
+// process (internal/coord), which decodes it back into the same shape.
 
 // EncodedPartial is one driven window's serialized accumulated state.
 type EncodedPartial struct {
@@ -28,8 +28,8 @@ type EncodedPartial struct {
 
 // DrivenAck reports how a driven engine absorbed one sub-batch. The
 // router folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
-// to recover exactly what ShardedEngine.HandleBatch would have observed
-// around its synchronous fan-out.
+// into the manifest the merger observes, recovering exactly what a
+// single engine would have seen around the whole batch.
 type DrivenAck struct {
 	HasTs     bool
 	MaxTs     int64  // max in-span event time in the sub-batch
@@ -38,18 +38,27 @@ type DrivenAck struct {
 	Overflow  uint64 // cumulative raw-row/join-pending overflow drops
 }
 
+// shardLateness effectively disables event-time closing inside shards:
+// the merger is the only component that closes windows, at barriers that
+// cover every shard, so a window it flushes is complete by construction.
+const shardLateness = 365 * 24 * time.Hour
+
 // StartDriven installs a query in driven mode: effectively unbounded
-// lateness, so the engine never closes a window on its own. The shard
-// node of a distributed ScrubCentral runs every query this way.
+// lateness, so the engine never closes a window on its own. Every shard
+// of a cluster runs every query this way.
 func (e *Engine) StartDriven(p Plan) error {
 	p.Lateness = shardLateness
-	return e.startQueryDriven(p)
+	return e.StartQuery(p, func(transport.ResultWindow) {
+		// Unreachable by construction (driven queries close only via
+		// CollectDriven and DrainDriven); tolerate rather than panic if it
+		// ever fires.
+	})
 }
 
 // ApplyDriven folds a sub-batch into a driven query: the same span
 // filter, window routing and late accounting as HandleBatch, but with the
 // stream-lease and watermark bookkeeping left out — those live at the
-// coordinator, which is the only component that sees whole batches.
+// merger, which is the only component that sees whole batches.
 func (e *Engine) ApplyDriven(b transport.TupleBatch) (DrivenAck, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -60,73 +69,61 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (DrivenAck, bool) {
 	if int(b.TypeIdx) >= len(qs.plan.Types) {
 		return DrivenAck{}, false
 	}
-	if e.met != nil {
-		e.met.batches.Inc()
-		e.met.tuples.Add(uint64(len(b.Tuples)))
-	}
+	e.met.count(len(b.Tuples))
 	if qs.tuplesC != nil {
 		qs.tuplesC.Add(uint64(len(b.Tuples)))
 	}
-	lateBefore := qs.win.LateDrops()
-	var ack DrivenAck
-	ack.MaxTs, ack.HasTs = e.applyTuples(qs, &b)
-	ack.LateDelta = qs.win.LateDrops() - lateBefore
-	ack.Late = qs.win.LateDrops()
-	ack.Overflow = qs.overflow
-	return ack, true
+	return e.apply(qs, &b), true
+}
+
+// collectDriven closes every driven window ending at or before bound and
+// returns them as they are, plus the query's cumulative drop counters as
+// of the collect. drain removes the query as well, returning everything
+// still open.
+func (e *Engine) collectDriven(id uint64, bound int64, drain bool) (closed []window.Closed[*winState], plan *Plan, late, overflow uint64, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	qs, exists := e.queries[id]
+	if !exists {
+		return nil, nil, 0, 0, false
+	}
+	if drain {
+		closed = e.closed(qs.win.Flush())
+		delete(e.queries, id)
+		dropQueryTuples(e.opt.Metrics, id)
+	} else {
+		closed = e.closed(qs.win.ForceBefore(bound))
+	}
+	return closed, &qs.plan, qs.win.LateDrops(), qs.overflow, true
 }
 
 // CollectDriven closes every driven window ending at or before bound and
 // returns the serialized partials, plus the query's cumulative drop
 // counters as of the collect.
 func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartial, late, overflow uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, 0, false
-	}
-	for _, closed := range e.closed(qs.win.ForceBefore(bound)) {
-		partials = append(partials, EncodedPartial{
-			Start: closed.Start, End: closed.End,
-			Data: encodePartial(&qs.plan, closed.State),
-		})
-	}
-	return partials, qs.win.LateDrops(), qs.overflow, true
+	closed, plan, late, overflow, ok := e.collectDriven(id, bound, false)
+	return encodePartials(plan, closed), late, overflow, ok
 }
 
 // DrainDriven removes a driven query, returning its remaining windows as
 // serialized partials and its final late+overflow drop total.
 func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, false
-	}
-	for _, closed := range e.closed(qs.win.Flush()) {
-		partials = append(partials, EncodedPartial{
-			Start: closed.Start, End: closed.End,
-			Data: encodePartial(&qs.plan, closed.State),
-		})
-	}
-	lateDrops = qs.win.LateDrops() + qs.overflow
-	delete(e.queries, id)
-	e.met.dropQuery(id)
-	return partials, lateDrops, true
+	closed, plan, late, overflow, ok := e.collectDriven(id, 0, true)
+	return encodePartials(plan, closed), late + overflow, ok
 }
 
-// ReplayHolding exposes the engines' shared replay-hold release decision
-// to the distributed coordinator (internal/coord), which mirrors the
-// in-process mergers' close logic and must release holds bit-identically.
-func ReplayHolding(hold *bool, deadline int64, streams *liveness.Table, leaseNow int64) bool {
-	return replayHolding(hold, deadline, streams, leaseNow)
+func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial {
+	var out []EncodedPartial
+	for _, c := range closed {
+		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: encodePartial(p, c.State)})
+	}
+	return out
 }
 
-// QueryRuntime is the coordinator-side merge/render handle for one query:
-// the compiled plan without any engine state. It decodes shard partials,
-// merges them (mergeable aggregators, bounded raw rows, moment folding),
-// and renders result windows exactly like the in-process executors.
+// QueryRuntime is the compiled plan without any engine state: what every
+// executor keeps per query, and the handle through which a client of a
+// remote shard decodes that shard's partials. Merge and Render expose the
+// merger's own steps over decoded partials.
 type QueryRuntime struct {
 	plan Plan
 	comp *compiled

@@ -159,37 +159,3 @@ func TestReplayEvictionSettlesHold(t *testing.T) {
 		t.Errorf("window @100s not closed after eviction; got %v", byStart)
 	}
 }
-
-func TestReplayHoldSharded(t *testing.T) {
-	// The sharded engine must hold and release identically.
-	vc := &virtualClock{}
-	vc.set(1000 * time.Second)
-	se, err := NewShardedEngineWith(2, Options{LeaseTTL: 2 * time.Second, Clock: vc.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &collector{}
-	if err := se.StartQuery(replayPlan(t), c.emit); err != nil {
-		t.Fatal(err)
-	}
-	se.HandleBatch(bidBatch(1, "h1", tup(1, sec(105)), tup(2, sec(125))))
-	se.Tick(sec(1001))
-	if got := c.all(); len(got) != 0 {
-		t.Fatalf("sharded hold violated: %d windows closed early", len(got))
-	}
-	se.HandleBatch(epochBatch("h1", false, tup(3, sec(80)), tup(4, sec(95))))
-	if got := c.all(); len(got) != 0 {
-		t.Fatalf("epoch batch closed %d windows before the done marker", len(got))
-	}
-	se.HandleBatch(epochBatch("h1", true))
-	byStart := winStarts(c.all())
-	for _, start := range []int64{sec(80), sec(90), sec(100)} {
-		w, ok := byStart[start]
-		if !ok {
-			t.Fatalf("window starting at %ds not emitted; got %v", start/sec(1), byStart)
-		}
-		if w.Rows[0][0].String() != "1" {
-			t.Errorf("window @%ds count = %v, want 1", start/sec(1), w.Rows[0])
-		}
-	}
-}

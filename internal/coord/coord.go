@@ -6,15 +6,15 @@
 // hash(request-id) mod shards, so the request-identifier equi-join stays
 // shard-local exactly as in the in-process ShardedEngine.
 //
-// The design transplants ShardedEngine's merge semantics across process
-// boundaries without changing them: shards absorb sub-batches and report
-// what they observed (max in-span event time, late-drop deltas) in
-// synchronous acks; the router folds the acks into a BatchManifest that
-// reaches the coordinator only after every shard has applied its slice;
-// and the coordinator processes manifests with the same stream-lease,
-// watermark, replay-hold and window-close decisions the in-process merger
-// makes per batch. Window state crosses the wire as serialized partials
-// (central.EncodedPartial) merged in ascending shard order, so the
+// The merge layer is central.Merger — the same one ShardedEngine runs
+// in-process — reached here through an RPC central.ShardClient: shards
+// absorb sub-batches and report what they observed (max in-span event
+// time, late-drop deltas) in synchronous acks; the router folds the acks
+// into a BatchManifest that reaches the coordinator only after every
+// shard has applied its slice; and the merger makes its stream-lease,
+// watermark, replay-hold and window-close decisions per manifest. Window
+// state crosses the wire as serialized partials (central.EncodedPartial)
+// that the client decodes before the merger sees them, so the
 // differential oracle can hold a 1-process Engine and an N-process
 // topology to bit-identical windows, rows, bounds and stats.
 //
@@ -35,7 +35,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scrub/internal/central"
 	"scrub/internal/transport"
+	"scrub/internal/window"
 )
 
 // rpcTimeout bounds every synchronous shard RPC so a hung (but not yet
@@ -43,12 +45,18 @@ import (
 // expiry needs failures to surface in bounded time.
 const rpcTimeout = 5 * time.Second
 
-// shardClient is one synchronous RPC channel to a shard process. Requests
-// are serialized per client and matched to responses by sequence number;
-// any transport error or sequence mismatch marks the client down and
-// closes the connection — callers degrade, they never block forever.
+// shardClient is one synchronous RPC channel to a shard process, and the
+// central.ShardClient a coordinator's merger and a host's router reach
+// that shard through. Requests are serialized per client and matched to
+// responses by sequence number; any transport error or sequence mismatch
+// marks the client down and closes the connection — callers degrade,
+// they never block forever.
 type shardClient struct {
 	addr string
+	// fence is the owning coordinator's fencing term, stamped into every
+	// start/collect/stop so the merger never handles it. Nil (term 0) on
+	// router and replication channels, which make no fenced call.
+	fence *atomic.Uint64
 
 	mu   sync.Mutex
 	conn *transport.Conn
@@ -58,23 +66,35 @@ type shardClient struct {
 	lastOK atomic.Int64 // wall nanos of the last successful round-trip
 }
 
-// newShardClient wraps an established connection (tests, pipes).
-func newShardClient(conn *transport.Conn, addr string) *shardClient {
-	c := &shardClient{addr: addr, conn: conn}
+var _ central.ShardClient = (*shardClient)(nil)
+
+// newShardClient wraps an established connection (tests, pipes). A nil
+// connection yields a client latched down from the start.
+func newShardClient(conn *transport.Conn, addr string, fence *atomic.Uint64) *shardClient {
+	c := &shardClient{addr: addr, conn: conn, fence: fence}
+	c.down.Store(conn == nil)
 	c.lastOK.Store(time.Now().UnixNano())
 	return c
 }
 
 // dialShard connects to a shard's data address.
-func dialShard(addr string) (*shardClient, error) {
+func dialShard(addr string, fence *atomic.Uint64) (*shardClient, error) {
 	conn, err := transport.Dial(addr, rpcTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return newShardClient(conn, addr), nil
+	return newShardClient(conn, addr, fence), nil
 }
 
-func (c *shardClient) isDown() bool { return c.down.Load() }
+// Down implements central.ShardClient.
+func (c *shardClient) Down() bool { return c.down.Load() }
+
+func (c *shardClient) term() uint64 {
+	if c.fence == nil {
+		return 0
+	}
+	return c.fence.Load()
+}
 
 // lagNanos reports how long ago the last successful RPC completed.
 func (c *shardClient) lagNanos() int64 { return time.Now().UnixNano() - c.lastOK.Load() }
@@ -125,7 +145,11 @@ func (c *shardClient) seqErr(got transport.Message) error {
 	return fmt.Errorf("coord: shard %s: unexpected response %s", c.addr, transport.Name(got))
 }
 
-func (c *shardClient) start(msg transport.ShardStart) error {
+// Start implements central.ShardClient. The shard re-analyzes the plan's
+// source text against its own catalog, so the plan must carry it.
+func (c *shardClient) Start(qr *central.QueryRuntime) error {
+	msg := ShardStartFromPlan(qr.Plan())
+	msg.Fence = c.term()
 	resp, seq, err := c.do(func(s uint64) transport.Message { msg.Seq = s; return msg })
 	if err != nil {
 		return err
@@ -140,68 +164,96 @@ func (c *shardClient) start(msg transport.ShardStart) error {
 	return nil
 }
 
-func (c *shardClient) apply(msg transport.ShardSubBatch) (transport.ShardBatchAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message { msg.Seq = s; return msg })
+// Apply implements central.ShardClient.
+func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, error) {
+	resp, seq, err := c.do(func(s uint64) transport.Message {
+		return transport.ShardSubBatch{Seq: s, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: b.Tuples}
+	})
 	if err != nil {
-		return transport.ShardBatchAck{}, err
+		return central.DrivenAck{}, false, err
 	}
 	ack, ok := resp.(transport.ShardBatchAck)
 	if !ok || ack.Seq != seq {
-		return transport.ShardBatchAck{}, c.seqErr(resp)
+		return central.DrivenAck{}, false, c.seqErr(resp)
 	}
-	return ack, nil
+	return central.DrivenAck{
+		HasTs: ack.HasTs, MaxTs: ack.MaxTs,
+		LateDelta: ack.LateDelta, Late: ack.Late, Overflow: ack.Overflow,
+	}, ack.Known, nil
 }
 
-// staleErr latches the client down after a shard rejected the caller's
-// fencing epoch: the coordinator holding this client was deposed, and
-// every further RPC from it would be rejected the same way. Latching
-// down sends its queries into the ordinary degrade path — a deposed
-// leader stops emitting instead of emitting windows that conflict with
-// its successor's.
+// Collect implements central.ShardClient.
+func (c *shardClient) Collect(qr *central.QueryRuntime, bound int64) (central.ShardWindows, error) {
+	sp, err := c.partials(func(s uint64) transport.Message {
+		return transport.ShardCollectReq{Seq: s, Fence: c.term(), QueryID: qr.Plan().QueryID, Bound: bound}
+	})
+	return decodeWindows(qr, sp, err)
+}
+
+// Stop implements central.ShardClient.
+func (c *shardClient) Stop(qr *central.QueryRuntime) (central.ShardWindows, error) {
+	sp, err := c.drain(qr.Plan().QueryID)
+	return decodeWindows(qr, sp, err)
+}
+
+// drain stops a query on the shard and returns its remaining partials
+// undecoded — all a takeover needs to clear an orphan it has no plan for.
+func (c *shardClient) drain(queryID uint64) (transport.ShardPartials, error) {
+	return c.partials(func(s uint64) transport.Message {
+		return transport.ShardStopReq{Seq: s, Fence: c.term(), QueryID: queryID}
+	})
+}
+
+// partials runs one collect or stop round-trip. A shard that rejected the
+// caller's fencing term latches the client down: the coordinator holding
+// it was deposed, and every further RPC from it would be rejected the
+// same way. Latching down sends its queries into the ordinary degrade
+// path — a deposed leader stops emitting instead of emitting windows that
+// conflict with its successor's.
+func (c *shardClient) partials(build func(seq uint64) transport.Message) (transport.ShardPartials, error) {
+	resp, seq, err := c.do(build)
+	if err != nil {
+		return transport.ShardPartials{}, err
+	}
+	sp, ok := resp.(transport.ShardPartials)
+	if !ok || sp.Seq != seq {
+		return transport.ShardPartials{}, c.seqErr(resp)
+	}
+	if sp.Stale {
+		return transport.ShardPartials{}, c.staleErr()
+	}
+	return sp, nil
+}
+
 func (c *shardClient) staleErr() error {
 	c.close()
 	return fmt.Errorf("coord: shard %s: stale fencing epoch (deposed)", c.addr)
 }
 
-func (c *shardClient) collect(queryID uint64, bound int64, fence uint64) (transport.ShardPartials, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardCollectReq{Seq: s, Fence: fence, QueryID: queryID, Bound: bound}
-	})
+// decodeWindows turns a shard's serialized partials into merger-ready
+// windows. Undecodable state is lost state: the error reports it, and the
+// partials that did decode are returned alongside.
+func decodeWindows(qr *central.QueryRuntime, sp transport.ShardPartials, err error) (central.ShardWindows, error) {
 	if err != nil {
-		return transport.ShardPartials{}, err
+		return central.ShardWindows{}, err
 	}
-	sp, ok := resp.(transport.ShardPartials)
-	if !ok || sp.Seq != seq {
-		return transport.ShardPartials{}, c.seqErr(resp)
+	sw := central.ShardWindows{Found: sp.Found, Late: sp.Late, Overflow: sp.Overflow}
+	for _, wp := range sp.Partials {
+		pw, derr := qr.DecodePartial(wp.Data)
+		if derr != nil {
+			err = fmt.Errorf("coord: query %d window [%d,%d): %w", qr.Plan().QueryID, wp.Start, wp.End, derr)
+			continue
+		}
+		sw.Windows = append(sw.Windows, window.Closed[central.PartialWindow]{Start: wp.Start, End: wp.End, State: *pw})
 	}
-	if sp.Stale {
-		return transport.ShardPartials{}, c.staleErr()
-	}
-	return sp, nil
+	return sw, err
 }
 
-func (c *shardClient) stop(queryID uint64, fence uint64) (transport.ShardPartials, error) {
+// installFence installs the caller's fencing epoch on the shard and
+// returns the shard's active query ids for takeover reconciliation.
+func (c *shardClient) installFence() (transport.ShardFenceAck, error) {
 	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardStopReq{Seq: s, Fence: fence, QueryID: queryID}
-	})
-	if err != nil {
-		return transport.ShardPartials{}, err
-	}
-	sp, ok := resp.(transport.ShardPartials)
-	if !ok || sp.Seq != seq {
-		return transport.ShardPartials{}, c.seqErr(resp)
-	}
-	if sp.Stale {
-		return transport.ShardPartials{}, c.staleErr()
-	}
-	return sp, nil
-}
-
-// fence installs the caller's fencing epoch on the shard and returns the
-// shard's active query ids for takeover reconciliation.
-func (c *shardClient) fence(f uint64) (transport.ShardFenceAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardFence{Seq: s, Fence: f}
+		return transport.ShardFence{Seq: s, Fence: c.term()}
 	})
 	if err != nil {
 		return transport.ShardFenceAck{}, err
@@ -214,6 +266,12 @@ func (c *shardClient) fence(f uint64) (transport.ShardFenceAck, error) {
 		return ack, c.staleErr()
 	}
 	return ack, nil
+}
+
+// TuplesIn implements central.ShardClient.
+func (c *shardClient) TuplesIn(id uint64) (uint64, bool) {
+	sr, err := c.stats(id)
+	return sr.TuplesIn, err == nil && sr.Found
 }
 
 func (c *shardClient) stats(queryID uint64) (transport.ShardStatsResp, error) {
@@ -245,15 +303,4 @@ func (c *shardClient) repAppend(term, index uint64, entries []transport.RepEntry
 		return transport.RepAck{}, c.seqErr(resp)
 	}
 	return ack, nil
-}
-
-func (c *shardClient) ping(nonce uint64) error {
-	resp, _, err := c.do(func(s uint64) transport.Message { return transport.Ping{Nonce: nonce} })
-	if err != nil {
-		return err
-	}
-	if p, ok := resp.(transport.Pong); !ok || p.Nonce != nonce {
-		return c.seqErr(resp)
-	}
-	return nil
 }

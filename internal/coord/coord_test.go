@@ -381,8 +381,8 @@ func TestMetricsMembershipSeries(t *testing.T) {
 	}
 	a1.Close()
 	// Force the down flag, then sweep.
-	if err := c.members[0].ping(1); err == nil {
-		t.Fatal("ping over closed conn should fail")
+	if _, err := c.members[0].stats(0); err == nil {
+		t.Fatal("an RPC over a closed conn should fail")
 	}
 	c.Tick(0)
 	if found("scrub_coord_shard_lag_ns") {
@@ -390,12 +390,138 @@ func TestMetricsMembershipSeries(t *testing.T) {
 	}
 }
 
+// TestCoordWindowMetrics: windows a multi-process ScrubCentral emits
+// show up in the scrub_central_* window series, like any executor's.
+// (Bugfix: the coordinator's own emit path used to record none of them.)
+func TestCoordWindowMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	vc := &vclock{}
+	tt := newTestTopo(t, 2, Options{Clock: vc.now, LeaseTTL: time.Hour, Metrics: reg})
+	defer tt.close()
+	col := &collector{}
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, col)
+	tt.send(t, 1, 0, sec)
+	tt.send(t, 1, 1, 2*sec)
+	tt.send(t, 1, 2, 12*sec) // closes [0,10s)
+	if len(col.wins) != 1 {
+		t.Fatalf("want 1 closed window, got %d", len(col.wins))
+	}
+	got := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		got[s.Name] = s.Value
+	}
+	for name, want := range map[string]float64{
+		"scrub_central_windows_total":          1,
+		"scrub_central_degraded_windows_total": 0,
+		"scrub_central_shed_windows_total":     0,
+		"scrub_central_window_close_ns_count":  1,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %v (registered: %v), want %v", name, v, ok, want)
+		}
+	}
+}
+
+// TestCollectStaleOrGarbageDegrades plays shard 1 by hand through the two
+// replies only a wire client can get: a partial whose bytes do not decode
+// (that window's shard-1 state is lost; shard 0's still renders), and a
+// Stale rejection (this coordinator was deposed; the client latches
+// down). Either way the query latches Degraded and keeps closing windows.
+func TestCollectStaleOrGarbageDegrades(t *testing.T) {
+	vc := &vclock{}
+	c := NewCoordinator(Options{Clock: vc.now, LeaseTTL: time.Hour})
+	defer c.Close()
+	node := NewShardNode(testCatalog())
+	cc0, cs0 := transport.Pipe()
+	go node.ServeConn(cs0)
+	c.AddShardConn(cc0, "shard-0")
+	cc1, cs1 := transport.Pipe()
+	c.AddShardConn(cc1, "shard-1")
+
+	// answer serves shard 1's side of one round-trip.
+	answer := func(reply func(transport.Message) transport.Message) {
+		t.Helper()
+		m, err := cs1.Recv()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cs1.Send(reply(m)); err != nil {
+			t.Error(err)
+		}
+	}
+	q, err := ql.Parse(`select count(*) from ev window 10s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := ql.Analyze(q, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	plan.Text = `select count(*) from ev window 10s`
+	plan.Lateness = time.Second
+	col := &collector{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		answer(func(m transport.Message) transport.Message {
+			return transport.ShardAck{Seq: m.(transport.ShardStart).Seq}
+		})
+	}()
+	if err := c.StartQuery(plan, col.emit); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+
+	// Shard 0 holds two tuples of [0,10s); the manifest closes the window.
+	for rid := uint64(0); rid < 4; rid += 2 {
+		node.Engine().ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
+			Tuples: []transport.Tuple{{RequestID: rid, TsNanos: sec, Values: []event.Value{event.Float(1)}}}})
+	}
+	closeAt := func(ts int64, reply func(transport.ShardCollectReq) transport.ShardPartials) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			answer(func(m transport.Message) transport.Message { return reply(m.(transport.ShardCollectReq)) })
+		}()
+		c.HandleManifest(transport.BatchManifest{QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: ts})
+		<-done
+	}
+	closeAt(12*sec, func(r transport.ShardCollectReq) transport.ShardPartials {
+		return transport.ShardPartials{Seq: r.Seq, Found: true, Late: 4,
+			Partials: []transport.WindowPartial{{Start: 0, End: 10 * sec, Data: []byte{0xff}}}}
+	})
+	if len(col.wins) != 1 || !col.wins[0].Degraded || countOf(t, col.wins[0]) != 2 {
+		t.Fatalf("after a garbage partial: %+v, want one Degraded window counting shard 0's 2", col.wins)
+	}
+	if col.wins[0].Stats.LateDrops != 4 {
+		t.Errorf("LateDrops = %d, want the 4 the reply carried beside the garbage", col.wins[0].Stats.LateDrops)
+	}
+
+	node.Engine().ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
+		Tuples: []transport.Tuple{{RequestID: 4, TsNanos: 13 * sec, Values: []event.Value{event.Float(1)}}}})
+	closeAt(22*sec, func(r transport.ShardCollectReq) transport.ShardPartials {
+		return transport.ShardPartials{Seq: r.Seq, Stale: true}
+	})
+	if len(col.wins) != 2 || !col.wins[1].Degraded || countOf(t, col.wins[1]) != 1 {
+		t.Fatalf("after a stale rejection: %+v, want a second Degraded window counting 1", col.wins)
+	}
+	if !c.members[1].Down() {
+		t.Error("a stale rejection must latch the client down")
+	}
+}
+
 // TestStartQueryTwoPhase drives the install interleaving by hand: the
 // test plays shard 1 and, while the coordinator's StartQuery is blocked
 // on its ShardStart RPC, probes the half-installed query. The entry must
-// be invisible — manifests dropped, StopQuery/Stats unknown — so the
-// rollback after shard 1's refusal never races state someone else folded
-// in. (PR 10 bugfix: the query used to be published before install.)
+// be invisible — manifests and whole batches dropped, StopQuery/Stats
+// unknown — so the rollback after shard 1's refusal never races state
+// someone else folded in. (PR 10 bugfix: the query used to be published
+// before install; the whole-batch path kept absorbing until the merge
+// core gave both entries one check. central.TestMergerTwoPhaseInstall is
+// the same probe over direct clients.)
 func TestStartQueryTwoPhase(t *testing.T) {
 	vc := &vclock{}
 	c := NewCoordinator(Options{Clock: vc.now, LeaseTTL: time.Hour})
@@ -441,6 +567,15 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	c.HandleManifest(transport.BatchManifest{
 		QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: 50 * sec,
 	})
+	// A legacy whole batch racing the install must not reach shard 0,
+	// which already runs the query: its tuples would vanish on shard 1.
+	c.HandleBatch(transport.TupleBatch{
+		QueryID: 1, HostID: "h1",
+		Tuples: []transport.Tuple{{RequestID: 0, TsNanos: sec}, {RequestID: 2, TsNanos: 2 * sec}},
+	})
+	if st, ok := node.Engine().Stats(1); !ok || st.TuplesIn != 0 {
+		t.Errorf("shard 0 absorbed %d tuples of a half-installed query (running there: %v)", st.TuplesIn, ok)
+	}
 	if _, ok := c.Stats(1); ok {
 		t.Error("Stats sees a query whose install has not finished")
 	}
@@ -472,8 +607,8 @@ func TestStartQueryTwoPhase(t *testing.T) {
 
 	// The same id must be startable again once the bad shard is gone.
 	cs1.Close()
-	if err := c.members[1].ping(1); err == nil {
-		t.Fatal("ping over closed conn should succeed... failing")
+	if _, err := c.members[1].stats(0); err == nil {
+		t.Fatal("an RPC over a closed conn should fail")
 	}
 	c.Tick(0) // sweep shard 1 out
 	if err := c.StartQuery(plan, col.emit); err != nil {

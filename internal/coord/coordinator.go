@@ -2,13 +2,10 @@ package coord
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"scrub/internal/central"
-	"scrub/internal/liveness"
-	"scrub/internal/obs"
 	"scrub/internal/transport"
 )
 
@@ -17,106 +14,57 @@ import (
 // lease TTLs and clocks agree across executors.
 type Options = central.Options
 
-// Coordinator is the control plane and merge layer of a distributed
-// ScrubCentral. It owns query registration and shard membership, folds
-// batch manifests into per-stream liveness and watermark state exactly
-// like ShardedEngine.HandleBatch, and pulls serialized window partials
-// from the shards at close barriers to merge, render and emit them.
+// Coordinator is the control plane of a distributed ScrubCentral. It owns
+// shard membership and its epochs, pins every query to the shard list
+// current at its start, replicates registrations to standbys, and hands
+// the merging itself to a central.Merger that reaches the pinned shards
+// by RPC.
 //
 // It implements central.Executor, so the query server can drive a
 // coordinator wherever it would drive an in-process engine.
 type Coordinator struct {
-	opt central.Options
-	met *coordMetrics
+	met  *coordMetrics
+	core *central.Merger
 
-	// fence is this coordinator's fencing epoch, stamped into every
-	// start/collect/stop RPC and shard-map push. Standalone deployments
-	// run at 0; a leader with standbys runs at its replication term, and
-	// a promoted standby takes over at a strictly higher term, so shards
-	// reject the deposed leader's RPCs. Immutable after construction.
-	fence uint64
+	// fence is this coordinator's fencing epoch, stamped by its shard
+	// clients into every start/collect/stop RPC and carried on shard-map
+	// pushes. Standalone deployments run at 0; a leader with standbys runs
+	// at its replication term, and a promoted standby takes over at a
+	// strictly higher term, so shards reject the deposed leader's RPCs.
+	fence atomic.Uint64
 
+	// Lock order: the merger's lock may be held when mu is taken (the
+	// install/stop hooks run under it); never the reverse.
 	mu         sync.Mutex
 	members    []*shardClient
 	epoch      uint32
-	merges     uint64
 	rebalances uint64
-	queries    map[uint64]*coordQuery
+	// regs holds every running query's replicated registration — its
+	// pinned epoch included — kept in step with the merger by the hooks.
+	regs map[uint64]transport.RepEntry
+	// mergesSeen is how much of the merger's merge count has been added
+	// to scrub_coord_merges_total.
+	mergesSeen uint64
 	onMap      func(transport.ShardMap)
 	rep        *replicator // nil unless StartReplication was called
 }
 
 var _ central.Executor = (*Coordinator)(nil)
 
-// coordQuery mirrors shardedQuery (internal/central/sharded.go) across
-// process boundaries. The one structural difference: emitted drop totals
-// come from cached cumulative per-shard counters — max-folded from
-// manifests and refreshed by every collect response — instead of polling
-// the shards in-process at emit time. Collect barriers refresh the cache
-// on every live shard before any flush, so at emit the cache equals what
-// dropsOf would have returned.
-type coordQuery struct {
-	qr   *central.QueryRuntime
-	emit central.EmitFunc
-
-	// installed flips true once every pinned shard accepted the start.
-	// Until then the entry only reserves the query id: manifests and
-	// batches are dropped (their tuples never reached a registered shard
-	// query) and StopQuery reports the query unknown, so a rolled-back
-	// start never races concurrent traffic folding state into it.
-	installed bool
-
-	// Topology pinned at StartQuery: the shard list of the then-current
-	// epoch. Membership changes never touch a running query.
-	epoch         uint32
-	shards        []*shardClient
-	shardLate     []uint64 // cumulative window-late drops, by shard index
-	shardOverflow []uint64 // cumulative overflow drops, by shard index
-	// topoDegraded latches when a pinned shard dies or a partial fails to
-	// decode: part of the query's state is unreachable, so every window
-	// from then on is flagged Degraded rather than silently incomplete.
-	topoDegraded bool
-
-	streams    *liveness.Table
-	pending    map[int64]*central.PartialWindow
-	stats      transport.QueryStats
-	mergeDrops uint64
-	// stoppedShardDrops carries the shards' final drop totals once
-	// StopQuery has torn the shard queries down (see shardedQuery).
-	stoppedShardDrops uint64
-	// routeDrops tracks cumulative router send failures per stream for the
-	// legacy whole-batch path (HandleBatch), where the coordinator routes
-	// on behalf of hosts that predate shard maps.
-	routeDrops map[liveness.Key]uint64
-
-	replayHold     bool
-	replayDeadline int64
-}
-
 // NewCoordinator creates a coordinator with no shards. Register shards
 // with AddShard/AddShardConn/HandleHello before starting queries.
 func NewCoordinator(opt Options) *Coordinator {
-	if opt.LeaseTTL <= 0 {
-		opt.LeaseTTL = liveness.DefaultTTL
-	}
-	if opt.Clock == nil {
-		opt.Clock = time.Now
-	}
 	return &Coordinator{
-		opt:     opt,
-		met:     newCoordMetrics(opt.Metrics),
-		queries: make(map[uint64]*coordQuery),
+		met:  newCoordMetrics(opt.Metrics),
+		core: central.NewMerger(opt),
+		regs: make(map[uint64]transport.RepEntry),
 	}
 }
-
-// MetricsRegistry returns the registry the coordinator was configured
-// with (nil if none).
-func (c *Coordinator) MetricsRegistry() *obs.Registry { return c.opt.Metrics }
 
 // AddShard dials a shard's data address and adds it to the membership,
 // bumping the shard-map epoch.
 func (c *Coordinator) AddShard(addr string) error {
-	sc, err := dialShard(addr)
+	sc, err := dialShard(addr, &c.fence)
 	if err != nil {
 		return err
 	}
@@ -127,7 +75,7 @@ func (c *Coordinator) AddShard(addr string) error {
 // AddShardConn adds a shard over an established connection (pipes,
 // tests), bumping the shard-map epoch.
 func (c *Coordinator) AddShardConn(conn *transport.Conn, addr string) {
-	c.addClient(newShardClient(conn, addr))
+	c.addClient(newShardClient(conn, addr, &c.fence))
 }
 
 // HandleHello admits a shard that announced itself on the data plane.
@@ -166,7 +114,7 @@ func (c *Coordinator) bumpEpochLocked() {
 }
 
 func (c *Coordinator) shardMapLocked() transport.ShardMap {
-	m := transport.ShardMap{Epoch: c.epoch, Fence: c.fence}
+	m := transport.ShardMap{Epoch: c.epoch, Fence: c.fence.Load()}
 	for _, sc := range c.members {
 		m.Addrs = append(m.Addrs, sc.addr)
 	}
@@ -197,11 +145,8 @@ func (c *Coordinator) OnShardMap(fn func(transport.ShardMap)) {
 func (c *Coordinator) QueryEpoch(id uint64) (uint32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cq, ok := c.queries[id]
-	if !ok {
-		return 0, false
-	}
-	return cq.epoch, true
+	e, ok := c.regs[id]
+	return e.PinEpoch, ok
 }
 
 // removeDownLocked drops dead shards from the membership (their pinned
@@ -210,15 +155,15 @@ func (c *Coordinator) QueryEpoch(id uint64) (uint32, bool) {
 //
 // The dead client is NOT closed here: it is already latched down (down
 // latches exactly when failLocked closed the connection, and the latch is
-// never cleared), and queries pinned to it still hold it in cq.shards.
-// Their collect/stop calls keep failing fast on the latch and take the
-// degrade path — drop caches folded, Degraded flagged — rather than
+// never cleared), and queries pinned to it still hold it. Their
+// collect/stop calls keep skipping it on the latch and take the degrade
+// path — drop caches folded, Degraded flagged — rather than
 // dereferencing a client whose contract was torn up underneath them.
 func (c *Coordinator) removeDownLocked() {
 	kept := c.members[:0]
 	changed := false
 	for _, sc := range c.members {
-		if sc.isDown() {
+		if sc.Down() {
 			changed = true
 			c.met.dropShard(sc.addr)
 			continue
@@ -236,446 +181,137 @@ func (c *Coordinator) removeDownLocked() {
 // back on failure). The plan must carry its source text — shards
 // re-analyze it against their own catalogs.
 func (c *Coordinator) StartQuery(p central.Plan, emit central.EmitFunc) error {
-	if emit == nil {
-		return fmt.Errorf("coord: nil emit")
+	if p.Text == "" {
+		return fmt.Errorf("coord: plan for query %d has no source text (required to distribute to shards)", p.QueryID)
 	}
+	return c.install(p, emit, nil)
+}
+
+// install starts a query over the current members, pinned to the current
+// epoch — or, when a promoted standby re-adopts a replicated registration
+// (central.Install.Resume), resumes it under the epoch and replay
+// deadline that registration carries. Membership changes never touch a
+// running query: it keeps the shard list it started with.
+//
+// The registration is recorded and replicated under the merger's lock, at
+// the instant the query goes live, so the replicated log orders a start
+// before the stop that can only follow it.
+func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *transport.RepEntry) error {
 	qr, err := central.CompileQuery(p)
 	if err != nil {
 		return err
 	}
-	plan := qr.Plan()
-	if plan.Text == "" {
-		return fmt.Errorf("coord: plan for query %d has no source text (required to distribute to shards)", plan.QueryID)
-	}
-
+	var in central.Install
 	c.mu.Lock()
-	if len(c.members) == 0 {
-		c.mu.Unlock()
+	pinEpoch := c.epoch
+	if resume != nil {
+		pinEpoch = resume.PinEpoch
+		in = central.Install{Resume: true, ReplayDeadline: resume.ReplayDeadline}
+	}
+	shards := make([]central.ShardClient, len(c.members))
+	for i, sc := range c.members {
+		shards[i] = sc
+	}
+	c.mu.Unlock()
+	if len(shards) == 0 {
 		return fmt.Errorf("coord: no shards joined")
 	}
-	if _, dup := c.queries[plan.QueryID]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("central: query %d already active", plan.QueryID)
-	}
-	cq := &coordQuery{
-		qr: qr, emit: emit,
-		epoch:      c.epoch,
-		shards:     append([]*shardClient(nil), c.members...),
-		streams:    liveness.NewTable(c.opt.LeaseTTL),
-		pending:    make(map[int64]*central.PartialWindow),
-		routeDrops: make(map[liveness.Key]uint64),
-	}
-	cq.shardLate = make([]uint64, len(cq.shards))
-	cq.shardOverflow = make([]uint64, len(cq.shards))
-	if plan.Replay > 0 {
-		cq.replayHold = true
-		cq.replayDeadline = c.opt.Clock().UnixNano() + 2*int64(c.opt.LeaseTTL)
-	}
-	// Two-phase install: the entry is published pending (reserving the id
-	// against duplicate submissions) but absorbs no traffic until every
-	// shard accepted the start — a manifest racing the install would
-	// otherwise fold stream state into a query the rollback then deletes.
-	c.queries[plan.QueryID] = cq
-	c.mu.Unlock()
-
-	msg := ShardStartFromPlan(plan)
-	msg.Fence = c.fence
-	for i, sc := range cq.shards {
-		if err := sc.start(msg); err != nil {
-			for j := 0; j < i; j++ {
-				cq.shards[j].stop(plan.QueryID, c.fence)
-			}
-			c.mu.Lock()
-			delete(c.queries, plan.QueryID)
-			c.mu.Unlock()
-			return err
+	in.Installed = func(replayDeadline int64) {
+		e := transport.RepEntry{
+			Kind:           transport.RepQueryStart,
+			Start:          ShardStartFromPlan(qr.Plan()),
+			PinEpoch:       pinEpoch,
+			ReplayDeadline: replayDeadline,
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.regs[e.Start.QueryID] = e
+		if c.rep != nil {
+			c.rep.append(e)
 		}
 	}
-	c.mu.Lock()
-	cq.installed = true
-	if c.rep != nil {
-		c.rep.append(startEntry(plan, cq))
-	}
-	c.mu.Unlock()
-	return nil
+	return c.core.Start(qr, emit, shards, in)
 }
 
-// resumeQuery installs a replicated registration on a promoted
-// coordinator. Unlike StartQuery it never rolls back: a shard that
-// refuses or died contributes degraded windows, exactly as if it had
-// died mid-query — at takeover, availability wins over atomicity. The
-// query resumes with topoDegraded latched: the manifest-gap during
-// failover lost stream/watermark accounting the new leader cannot
-// recover, so every window it emits is honestly flagged.
-func (c *Coordinator) resumeQuery(plan *central.Plan, pinEpoch uint32, replayDeadline int64, emit central.EmitFunc) error {
-	if emit == nil {
-		return fmt.Errorf("coord: nil emit")
-	}
-	qr, err := central.CompileQuery(*plan)
-	if err != nil {
-		return err
-	}
-	plan = qr.Plan()
-
-	c.mu.Lock()
-	if _, dup := c.queries[plan.QueryID]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("central: query %d already active", plan.QueryID)
-	}
-	cq := &coordQuery{
-		qr: qr, emit: emit,
-		epoch:        pinEpoch,
-		shards:       append([]*shardClient(nil), c.members...),
-		streams:      liveness.NewTable(c.opt.LeaseTTL),
-		pending:      make(map[int64]*central.PartialWindow),
-		routeDrops:   make(map[liveness.Key]uint64),
-		topoDegraded: true,
-	}
-	cq.shardLate = make([]uint64, len(cq.shards))
-	cq.shardOverflow = make([]uint64, len(cq.shards))
-	if plan.Replay > 0 && replayDeadline > c.opt.Clock().UnixNano() {
-		cq.replayHold = true
-		cq.replayDeadline = replayDeadline
-	}
-	c.queries[plan.QueryID] = cq
-	c.mu.Unlock()
-
-	msg := ShardStartFromPlan(plan)
-	msg.Fence = c.fence
-	for _, sc := range cq.shards {
-		if sc.isDown() {
-			continue
-		}
-		sc.start(msg) // idempotent; failure latches the client down
-	}
-	c.mu.Lock()
-	cq.installed = true
-	if c.rep != nil {
-		c.rep.append(startEntry(plan, cq))
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// HandleManifest folds one routed batch's manifest into the query's
-// stream, watermark and window state — the distributed twin of
-// ShardedEngine.HandleBatch, minus the fan-out the router already did.
+// HandleManifest folds the manifest of a batch a host-side router already
+// applied to the shards.
 func (c *Coordinator) HandleManifest(m transport.BatchManifest) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cq, ok := c.queries[m.QueryID]
-	if !ok || !cq.installed {
-		return
-	}
-	if int(m.TypeIdx) >= len(cq.qr.Plan().Types) {
-		return
-	}
-	c.manifestLocked(cq, m)
-}
-
-func (c *Coordinator) manifestLocked(cq *coordQuery, m transport.BatchManifest) {
-	nowN := c.opt.Clock().UnixNano()
-	st, _ := cq.streams.Touch(
-		liveness.Key{Host: m.HostID, TypeIdx: m.TypeIdx},
-		nowN,
-	)
-	st.Matched = max(st.Matched, m.MatchedTotal)
-	st.Sampled = max(st.Sampled, m.SampledTotal)
-	st.Drops = max(st.Drops, m.QueueDrops)
-	st.FoldGovernor(m.EffRate, m.BudgetShed, m.CPUNs, m.ShipBytes)
-	cq.streams.FoldReplay(st, m.ReplayEpoch, m.ReplayDone)
-	if c.met != nil {
-		c.met.manifests.Inc()
-		c.met.tuples.Add(m.RawTuples)
-	}
-	wasHolding := cq.replayHold
-	holding := central.ReplayHolding(&cq.replayHold, cq.replayDeadline, cq.streams, nowN)
-	released := wasHolding && !holding
-	// The manifest's drop counters are cumulative, so the max-fold is
-	// order-insensitive — late or duplicated manifests cannot regress them.
-	for i := 0; i < len(cq.shards) && i < len(m.ShardLate); i++ {
-		cq.shardLate[i] = max(cq.shardLate[i], m.ShardLate[i])
-	}
-	for i := 0; i < len(cq.shards) && i < len(m.ShardOverflow); i++ {
-		cq.shardOverflow[i] = max(cq.shardOverflow[i], m.ShardOverflow[i])
-	}
-	// Fold timestamp and late-drop state unconditionally, mirroring
-	// Engine.HandleBatch: a manifest whose tuples were all shard-side
-	// filtered or late-dropped still advances this stream's clock — an
-	// early return here would stall the watermark (and so window closure
-	// for every stream) until the host's lease expired.
-	st.LateDrops += m.LateDelta
-	if m.HasTs {
-		st.ObserveTs(m.MaxTs)
-	}
-	// Mirror the engines: with nothing observed and no replay release,
-	// there is no close decision to make.
-	if m.RawTuples == 0 && !m.HasTs && m.LateDelta == 0 && !released {
-		return
-	}
-	if !holding && (m.HasTs || released) {
-		if wm, wok := cq.streams.Watermark(); wok {
-			bound := wm - int64(cq.qr.Plan().Lateness)
-			c.collectLocked(m.QueryID, cq, bound)
-			c.flushLocked(cq, bound)
-		}
-	}
+	c.observed(c.core.Observe(m), m.RawTuples)
 }
 
 // HandleBatch implements central.Executor for hosts that predate shard
 // maps: the coordinator routes the whole batch itself, then processes the
 // resulting manifest as if a host-side router had sent it.
 func (c *Coordinator) HandleBatch(b transport.TupleBatch) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cq, ok := c.queries[b.QueryID]
-	if !ok {
-		return
+	c.observed(c.core.Ingest(b), uint64(len(b.Tuples)))
+}
+
+// observed books one manifest a running query absorbed.
+func (c *Coordinator) observed(absorbed bool, tuples uint64) {
+	if absorbed && c.met != nil {
+		c.met.manifests.Inc()
+		c.met.tuples.Add(tuples)
 	}
-	if int(b.TypeIdx) >= len(cq.qr.Plan().Types) {
-		return
-	}
-	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
-	cum := cq.routeDrops[key]
-	m := routeToShards(b, cq.shards, &cum)
-	cq.routeDrops[key] = cum
-	c.manifestLocked(cq, m)
 }
 
 // Tick implements central.Executor: sweep dead shards out of the
-// membership, then run the same per-query expiry/hold/close sequence as
-// ShardedEngine.Tick, with collect barriers over the pinned shards.
+// membership, then let the merger expire leases and close windows.
 func (c *Coordinator) Tick(nowNanos int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.removeDownLocked()
-	leaseNow := c.opt.Clock().UnixNano()
-	for id, cq := range c.queries {
-		if !cq.installed {
-			continue
-		}
-		evicted := cq.streams.Expire(leaseNow)
-		wasHolding := cq.replayHold
-		if central.ReplayHolding(&cq.replayHold, cq.replayDeadline, cq.streams, leaseNow) {
-			continue
-		}
-		released := wasHolding && !cq.replayHold
-		if len(evicted) > 0 || released {
-			if wm, ok := cq.streams.Watermark(); ok {
-				b := wm - int64(cq.qr.Plan().Lateness)
-				c.collectLocked(id, cq, b)
-				c.flushLocked(cq, b)
-			}
-		}
-		bound := nowNanos - int64(cq.qr.Plan().Lateness)
-		c.collectLocked(id, cq, bound)
-		c.flushLocked(cq, bound)
+	c.mu.Unlock()
+	c.core.Tick(nowNanos)
+	if c.met == nil {
+		return
 	}
-	if c.met != nil {
-		for _, sc := range c.members {
-			if g := c.met.shardLag(sc.addr); g != nil {
-				g.Set(sc.lagNanos())
-			}
+	merges := c.core.Merges()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.met.merges.Add(merges - c.mergesSeen)
+	c.mergesSeen = merges
+	for _, sc := range c.members {
+		if g := c.met.shardLag(sc.addr); g != nil {
+			g.Set(sc.lagNanos())
 		}
 	}
 }
 
-// collectLocked is the close barrier: every live pinned shard is asked
-// for windows ending at or before bound, in ascending shard order, and
-// the partials are merged into the pending set. The responses also carry
-// the shards' cumulative drop counters, refreshing the cache emits read.
-func (c *Coordinator) collectLocked(id uint64, cq *coordQuery, bound int64) {
-	for i, sc := range cq.shards {
-		if sc.isDown() {
-			cq.topoDegraded = true
-			continue
-		}
-		sp, err := sc.collect(id, bound, c.fence)
-		if err != nil {
-			cq.topoDegraded = true
-			continue
-		}
-		if !sp.Found {
-			continue
-		}
-		cq.shardLate[i] = max(cq.shardLate[i], sp.Late)
-		cq.shardOverflow[i] = max(cq.shardOverflow[i], sp.Overflow)
-		c.mergePartialsLocked(cq, sp.Partials)
-	}
-}
-
-func (c *Coordinator) mergePartialsLocked(cq *coordQuery, partials []transport.WindowPartial) {
-	for _, wp := range partials {
-		pw, err := cq.qr.DecodePartial(wp.Data)
-		if err != nil {
-			// Undecodable state is lost state: flag the query rather than
-			// emit a silently incomplete window.
-			cq.topoDegraded = true
-			continue
-		}
-		if dst, ok := cq.pending[wp.Start]; ok {
-			cq.mergeDrops += cq.qr.Merge(dst, pw)
-			c.merges++
-			if c.met != nil {
-				c.met.merges.Inc()
-			}
-		} else {
-			cq.pending[wp.Start] = pw
-		}
-	}
-}
-
-// flushLocked renders and emits pending windows ending at or before
-// bound, in start order (same as ShardedEngine.flushLocked).
-func (c *Coordinator) flushLocked(cq *coordQuery, bound int64) {
-	var starts []int64
-	winSize := int64(cq.qr.Plan().Window)
-	for start := range cq.pending {
-		if start+winSize <= bound {
-			starts = append(starts, start)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, start := range starts {
-		c.emitLocked(cq, start, cq.pending[start])
-		delete(cq.pending, start)
-	}
-}
-
-func (c *Coordinator) emitLocked(cq *coordQuery, start int64, pw *central.PartialWindow) {
-	plan := cq.qr.Plan()
-	rw := cq.qr.Render(start, pw, cq.streams.RatesByHost(plan.SampleEvents))
-	hostDrops := cq.streams.HostDrops()
-	lateDrops := cq.mergeDrops + cq.stoppedShardDrops
-	for i := range cq.shards {
-		lateDrops += cq.shardLate[i] + cq.shardOverflow[i]
-	}
-	rw.Stats.HostDrops = hostDrops
-	rw.Stats.LateDrops = lateDrops
-	rw.Degraded = cq.streams.AnyEvicted() || cq.topoDegraded
-	rw.BudgetShed = cq.streams.AnyShed()
-	rw.Streams = cq.streams.Snapshot()
-	if rw.Degraded {
-		cq.stats.DegradedWindows++
-	}
-	if rw.BudgetShed {
-		cq.stats.ShedWindows++
-	}
-	cq.stats.Windows++
-	cq.stats.Rows += uint64(len(rw.Rows))
-	cq.stats.TuplesIn += pw.Tuples()
-	cq.stats.HostDrops = hostDrops
-	cq.stats.LateDrops = lateDrops
-	cq.emit(rw)
-}
-
-// StopQuery implements central.Executor: drain every pinned shard, merge
-// and emit the remainder, return the final stats. Dead shards contribute
-// their last-known drop totals — their window state is gone, which the
-// Degraded flag on earlier windows already reported.
+// StopQuery implements central.Executor. The stop is replicated under the
+// merger's lock, like the start it undoes.
 func (c *Coordinator) StopQuery(id uint64) (transport.QueryStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cq, ok := c.queries[id]
-	if !ok || !cq.installed {
-		return transport.QueryStats{}, false
-	}
-	var lateDrops uint64
-	for i, sc := range cq.shards {
-		if sc.isDown() {
-			cq.topoDegraded = true
-			lateDrops += cq.shardLate[i] + cq.shardOverflow[i]
-			continue
+	return c.core.Stop(id, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		delete(c.regs, id)
+		if c.rep != nil {
+			c.rep.append(transport.RepEntry{Kind: transport.RepQueryStop, QueryID: id})
 		}
-		sp, err := sc.stop(id, c.fence)
-		if err != nil {
-			cq.topoDegraded = true
-			lateDrops += cq.shardLate[i] + cq.shardOverflow[i]
-			continue
-		}
-		if !sp.Found {
-			continue
-		}
-		lateDrops += sp.Late + sp.Overflow
-		c.mergePartialsLocked(cq, sp.Partials)
-	}
-	cq.stoppedShardDrops = lateDrops
-	// Cached counters must not double-count on top of the drained totals.
-	for i := range cq.shards {
-		cq.shardLate[i], cq.shardOverflow[i] = 0, 0
-	}
-	c.flushLocked(cq, int64(1)<<62-1)
-	cq.stats.LateDrops = lateDrops + cq.mergeDrops
-	cq.stats.HostDrops = cq.streams.HostDrops()
-	delete(c.queries, id)
-	if c.rep != nil {
-		c.rep.append(transport.RepEntry{Kind: transport.RepQueryStop, QueryID: id})
-	}
-	return cq.stats, true
+	})
 }
 
-// Stats implements central.Executor: like ShardedEngine.Stats, TuplesIn
-// so far is what the shards have absorbed, polled over RPC.
-func (c *Coordinator) Stats(id uint64) (transport.QueryStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cq, ok := c.queries[id]
-	if !ok || !cq.installed {
-		return transport.QueryStats{}, false
-	}
-	st := cq.stats
-	var tuples uint64
-	for _, sc := range cq.shards {
-		if sc.isDown() {
-			continue
-		}
-		if sr, err := sc.stats(id); err == nil && sr.Found {
-			tuples += sr.TuplesIn
-		}
-	}
-	if tuples > st.TuplesIn {
-		st.TuplesIn = tuples
-	}
-	return st, true
-}
+// Stats implements central.Executor.
+func (c *Coordinator) Stats(id uint64) (transport.QueryStats, bool) { return c.core.Stats(id) }
 
 // ActiveQueries implements central.Executor.
-func (c *Coordinator) ActiveQueries() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, 0, len(c.queries))
-	for id, cq := range c.queries {
-		if !cq.installed {
-			continue
-		}
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (c *Coordinator) ActiveQueries() []uint64 { return c.core.ActiveQueries() }
 
 // Status reports the fabric's operational view for scrubql -stats: the
 // epoch, merge and rebalance totals, and one row per member shard.
 func (c *Coordinator) Status() transport.ShardStatusList {
+	evicted := c.core.EvictedStreams()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sl := transport.ShardStatusList{
-		Epoch:      c.epoch,
-		Merges:     c.merges,
-		Rebalances: c.rebalances,
-	}
-	for _, cq := range c.queries {
-		for _, s := range cq.streams.Snapshot() {
-			if s.Evicted {
-				sl.EvictedStreams++
-			}
-		}
+		Epoch:          c.epoch,
+		Merges:         c.core.Merges(),
+		Rebalances:     c.rebalances,
+		EvictedStreams: evicted,
 	}
 	for i, sc := range c.members {
 		row := transport.ShardStatus{
 			Index:    uint32(i),
 			Addr:     sc.addr,
-			Down:     sc.isDown(),
+			Down:     sc.Down(),
 			LagNanos: sc.lagNanos(),
 		}
 		if !row.Down {
@@ -727,18 +363,15 @@ func (c *Coordinator) ServeConn(conn *transport.Conn) {
 }
 
 // Close tears down every shard connection and stops replication to
-// standbys. Queries are not drained.
+// standbys. Queries are not drained. Closing the members covers the
+// clients running queries are pinned to: a client leaves the membership
+// only once it is down, which is when its connection was closed.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	rep := c.rep
 	c.rep = nil
 	for _, sc := range c.members {
 		sc.close()
-	}
-	for _, cq := range c.queries {
-		for _, sc := range cq.shards {
-			sc.close()
-		}
 	}
 	c.mu.Unlock()
 	if rep != nil {

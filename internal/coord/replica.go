@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"scrub/internal/central"
 	"scrub/internal/transport"
 )
 
@@ -44,8 +43,9 @@ type repPeer struct {
 // standby can always be caught up from index 0.
 //
 // Lock order: Coordinator.mu may be held when replicator.mu is taken
-// (appends fire under the coordinator lock); replicator.mu may be held
-// when a peer shardClient.mu is taken. Never the reverse.
+// (appends fire under the coordinator lock, itself possibly under the
+// merger's); replicator.mu may be held when a peer shardClient.mu is
+// taken. Never the reverse.
 type replicator struct {
 	term uint64
 	hb   time.Duration
@@ -102,7 +102,7 @@ func (r *replicator) syncPeersLocked() {
 }
 
 func (r *replicator) syncPeerLocked(p *repPeer) {
-	if p.sc.isDown() {
+	if p.sc.Down() {
 		return
 	}
 	// Up to two rounds: one send, one retransmission if the standby's
@@ -170,7 +170,7 @@ type ReplicationConfig struct {
 }
 
 // Fence reports the coordinator's fencing epoch (0 when standalone).
-func (c *Coordinator) Fence() uint64 { return c.fence }
+func (c *Coordinator) Fence() uint64 { return c.fence.Load() }
 
 // StartReplication turns this coordinator into a replicating leader:
 // its fencing epoch becomes cfg.Term and every subsequent registration,
@@ -187,21 +187,18 @@ func (c *Coordinator) StartReplication(cfg ReplicationConfig) {
 	if c.rep != nil {
 		return
 	}
-	if c.fence < term {
-		c.fence = term
+	if c.fence.Load() < term {
+		c.fence.Store(term)
 	}
-	c.rep = newReplicator(c.fence, cfg.Heartbeat)
+	c.rep = newReplicator(c.fence.Load(), cfg.Heartbeat)
 	// Snapshot current state so replication can start at any point in
 	// the coordinator's life, not only on an empty one.
 	m := c.shardMapLocked()
 	c.rep.append(transport.RepEntry{
 		Kind: transport.RepMembership, MapEpoch: m.Epoch, Addrs: m.Addrs,
 	})
-	for _, cq := range c.queries {
-		if !cq.installed {
-			continue
-		}
-		c.rep.append(startEntry(cq.qr.Plan(), cq))
+	for _, e := range c.regs {
+		c.rep.append(e)
 	}
 }
 
@@ -225,15 +222,5 @@ func (c *Coordinator) AddStandbyConn(conn *transport.Conn, addr string) {
 		conn.Close()
 		return
 	}
-	rep.addPeer(newShardClient(conn, addr))
-}
-
-// startEntry builds the replicated registration for an installed query.
-func startEntry(plan *central.Plan, cq *coordQuery) transport.RepEntry {
-	return transport.RepEntry{
-		Kind:           transport.RepQueryStart,
-		Start:          ShardStartFromPlan(plan),
-		PinEpoch:       cq.epoch,
-		ReplayDeadline: cq.replayDeadline,
-	}
+	rep.addPeer(newShardClient(conn, addr, nil))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"scrub/internal/central"
 	"scrub/internal/transport"
 )
 
@@ -17,7 +18,7 @@ type ManifestFunc func(transport.BatchManifest) error
 // into a ManifestFunc doing synchronous BatchManifest → ManifestAck
 // round-trips. Safe for concurrent use.
 func NewManifestClient(conn *transport.Conn) ManifestFunc {
-	mc := newShardClient(conn, "coordinator")
+	mc := newShardClient(conn, "coordinator", nil)
 	return func(m transport.BatchManifest) error {
 		resp, seq, err := mc.do(func(s uint64) transport.Message { m.Seq = s; return m })
 		if err != nil {
@@ -134,7 +135,7 @@ func (r *Router) UnpinQuery(id uint64) {
 func (r *Router) AddShardConn(addr string, conn *transport.Conn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.clients[addr] = newShardClient(conn, addr)
+	r.clients[addr] = newShardClient(conn, addr, nil)
 }
 
 // clientFor returns (dialing if needed) the client for a shard address.
@@ -148,10 +149,9 @@ func (r *Router) clientFor(addr string) *shardClient {
 	if ok {
 		return sc
 	}
-	sc, err := dialShard(addr)
+	sc, err := dialShard(addr, nil)
 	if err != nil {
-		sc = &shardClient{addr: addr}
-		sc.down.Store(true)
+		sc = newShardClient(nil, addr, nil)
 	}
 	r.mu.Lock()
 	if cur, ok := r.clients[addr]; ok {
@@ -174,9 +174,8 @@ func (r *Router) Close() {
 }
 
 // SendBatch implements host.Sink: split by request id over the pinned
-// epoch's shards, apply synchronously, fold the acks, report the
-// manifest. The sub-batches alias the caller's pooled tuple memory, but
-// every send completes (encoding copies the bytes) before return.
+// epoch's shards, apply synchronously, fold the acks
+// (central.RouteToShards), report the manifest.
 func (r *Router) SendBatch(b transport.TupleBatch) error {
 	r.mu.Lock()
 	epoch, pinned := r.pins[b.QueryID]
@@ -191,7 +190,7 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("coord: no shard map for epoch %d", epoch)
 	}
-	clients := make([]*shardClient, len(addrs))
+	clients := make([]central.ShardClient, len(addrs))
 	for i, addr := range addrs {
 		clients[i] = r.clientFor(addr)
 	}
@@ -199,77 +198,9 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	r.mu.Lock()
 	cum := r.drops[key]
 	r.mu.Unlock()
-	m := routeToShards(b, clients, &cum)
+	m := central.RouteToShards(b, clients, &cum)
 	r.mu.Lock()
 	r.drops[key] = cum
 	r.mu.Unlock()
 	return r.manifest(m)
-}
-
-// routeToShards fans one batch out across the shard clients by
-// request-id modulo shard count and folds the acks into a manifest.
-//
-// Unlike ShardedEngine.HandleBatch, no span filter runs here: the shard
-// applies the identical filter itself (Engine.ApplyDriven), and its acks
-// report HasTs/MaxTs over in-span tuples only — so the folded manifest
-// carries exactly what the in-process merger would have observed, while
-// the router stays plan-free. cumDrops accumulates tuples that could not
-// reach a live shard; the manifest's QueueDrops carries the sum of the
-// host's own drops and the routing failures.
-func routeToShards(b transport.TupleBatch, clients []*shardClient, cumDrops *uint64) transport.BatchManifest {
-	m := transport.BatchManifest{
-		QueryID:       b.QueryID,
-		HostID:        b.HostID,
-		TypeIdx:       b.TypeIdx,
-		RawTuples:     uint64(len(b.Tuples)),
-		ShardLate:     make([]uint64, len(clients)),
-		ShardOverflow: make([]uint64, len(clients)),
-		MatchedTotal:  b.MatchedTotal,
-		SampledTotal:  b.SampledTotal,
-		EffRate:       b.EffRate,
-		BudgetShed:    b.BudgetShed,
-		CPUNs:         b.CPUNs,
-		ShipBytes:     b.ShipBytes,
-		ReplayEpoch:   b.ReplayEpoch,
-		ReplayDone:    b.ReplayDone,
-	}
-	n := uint64(len(clients))
-	sub := make([][]transport.Tuple, len(clients))
-	for _, t := range b.Tuples {
-		i := int(t.RequestID % n)
-		// Sub-batches alias the caller's pooled tuple memory only within
-		// this call: each send below encodes synchronously before return.
-		//scrub:allowretain(synchronous fan-out; sends encode before routeToShards returns)
-		sub[i] = append(sub[i], t)
-	}
-	for i, tuples := range sub {
-		if len(tuples) == 0 {
-			continue
-		}
-		sc := clients[i]
-		if sc == nil || sc.isDown() {
-			*cumDrops += uint64(len(tuples))
-			continue
-		}
-		ack, err := sc.apply(transport.ShardSubBatch{
-			QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx,
-			Tuples: tuples,
-		})
-		if err != nil {
-			*cumDrops += uint64(len(tuples))
-			continue
-		}
-		if !ack.Known {
-			continue
-		}
-		if ack.HasTs && (!m.HasTs || ack.MaxTs > m.MaxTs) {
-			m.MaxTs = ack.MaxTs
-		}
-		m.HasTs = m.HasTs || ack.HasTs
-		m.LateDelta += ack.LateDelta
-		m.ShardLate[i] = ack.Late
-		m.ShardOverflow[i] = ack.Overflow
-	}
-	m.QueueDrops = b.QueueDrops + *cumDrops
-	return m
 }

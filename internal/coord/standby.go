@@ -234,7 +234,7 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 	}
 
 	c := NewCoordinator(s.opt.Central)
-	c.fence = term
+	c.fence.Store(term)
 	c.mu.Lock()
 	c.epoch = membership.Epoch
 	for _, addr := range membership.Addrs {
@@ -242,12 +242,9 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 		if err != nil {
 			// The shard is unreachable right now: keep its slot (routing
 			// order must not shift) but latched down, like a dead shard.
-			sc := newShardClient(nil, addr)
-			sc.down.Store(true)
-			c.members = append(c.members, sc)
-			continue
+			conn = nil
 		}
-		c.members = append(c.members, newShardClient(conn, addr))
+		c.members = append(c.members, newShardClient(conn, addr, &c.fence))
 	}
 	c.met.setMembership(len(c.members), c.epoch)
 	members := append([]*shardClient(nil), c.members...)
@@ -263,16 +260,16 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 		replicated[e.Start.QueryID] = true
 	}
 	for _, sc := range members {
-		if sc.isDown() {
+		if sc.Down() {
 			continue
 		}
-		ack, err := sc.fence(term)
+		ack, err := sc.installFence()
 		if err != nil {
 			continue // latched down; queries pinned to it degrade
 		}
 		for _, id := range ack.Queries {
 			if !replicated[id] {
-				sc.stop(id, term)
+				sc.drain(id) // best effort: a failure latches the client down
 			}
 		}
 	}
@@ -295,7 +292,7 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 		if emit == nil {
 			continue
 		}
-		if err := c.resumeQuery(&plan, e.PinEpoch, e.ReplayDeadline, emit); err != nil {
+		if err := c.install(plan, emit, &e); err != nil {
 			continue
 		}
 		resumed = append(resumed, rq)

@@ -83,8 +83,9 @@ func runSeed(t *testing.T, seed int64) *Outcome {
 //     (chaos-mode stream stats diverged);
 //   - windows flushed during ShardedEngine.StopQuery forgot the shards'
 //     cumulative late/overflow drops (the shard queries were already torn
-//     down when the final windows rendered, so dropsOf returned nothing
-//     and their stats reverted to zero while the Engine's kept counting);
+//     down when the final windows rendered, so polling them returned
+//     nothing and their stats reverted to zero while the Engine's kept
+//     counting);
 //   - Eq. 1 confidence intervals were far too tight under event sampling:
 //     the within-host variance term assumed the per-window cluster size
 //     Mᵢ was known, so for COUNT (every sampled value 1, s²ᵢ = 0) the

@@ -59,7 +59,7 @@ type G1Side struct {
 	Shed     bool    `json:"shed"` // did the governor shed the query?
 }
 
-// G1Result carries the comparison; the JSON form goes to BENCH_G1.json.
+// G1Result carries the comparison.
 type G1Result struct {
 	Config     G1Config `json:"config"`
 	BaselineNs float64  `json:"baseline_ns_per_request"`

@@ -24,8 +24,8 @@ type P1Config struct {
 	QuerySweep []int `json:"query_sweep"` // concurrent query counts; default {0,1,2,4,8,16,32}
 	// Reps is how many times each sweep point is measured; the reported
 	// ns/request is the median. Single-shot timing of a ~10µs request is
-	// noisy enough to invert adjacent sweep points (a historical
-	// BENCH_P1.json had 8 queries measuring cheaper than 4); the median of
+	// noisy enough to invert adjacent sweep points (a historical sweep
+	// had 8 queries measuring cheaper than 4); the median of
 	// ≥3 reps makes the trajectory trustworthy. Default 3.
 	Reps int   `json:"reps"`
 	Seed int64 `json:"seed"`
@@ -70,9 +70,7 @@ type P1Point struct {
 	SLOPct float64 `json:"slo_pct"`
 }
 
-// P1Result carries the sweep. The JSON form is what cmd/benchrunner
-// writes to BENCH_P1.json so the perf trajectory is machine-trackable
-// across PRs.
+// P1Result carries the sweep.
 type P1Result struct {
 	Config P1Config  `json:"config"`
 	Points []P1Point `json:"points"`

@@ -19,9 +19,7 @@ import (
 //     two predicates share a node. This is the adversarial no-sharing
 //     bound — and the regression guard showing the shared-index
 //     machinery costs no more than the old per-query loop when sharing
-//     gives nothing (compare with BENCH_P1 at the same query count).
-//
-// The sweep is written to BENCH_P2.json by cmd/benchrunner.
+//     gives nothing (compare with P1 at the same query count).
 
 // PSConfig parametrizes the query-scale sweep.
 type PSConfig struct {
@@ -69,7 +67,7 @@ type PSMix struct {
 	Points []P1Point `json:"points"`
 }
 
-// PSResult carries both mixes; its JSON form is BENCH_P2.json.
+// PSResult carries both mixes.
 type PSResult struct {
 	Config PSConfig `json:"config"`
 	Mixes  []PSMix  `json:"mixes"`
@@ -164,6 +162,6 @@ func (r *PSResult) Table() *Table {
 	t.Notes = append(t.Notes,
 		"overlap mix: queries cycle a small set of distinct predicates; canonicalization interns duplicates onto one shared DAG node, so added-ns should grow sublinearly with query count",
 		"distinct mix: every predicate constant is unique (no node sharing); this bounds the adversarial case and guards against the shared index regressing the no-sharing workload",
-		fmt.Sprintf("median of %d reps per point; sweep written to BENCH_P2.json by cmd/benchrunner", r.Config.Reps))
+		fmt.Sprintf("median of %d reps per point", r.Config.Reps))
 	return t
 }

@@ -165,10 +165,10 @@ type ShardStatsResp struct {
 }
 
 // BatchManifest reports one whole host batch's counters to the
-// coordinator after its tuples were routed to shards. The coordinator
-// folds it into stream liveness and watermark state exactly like
-// ShardedEngine.HandleBatch folds a batch — minus the fan-out, which the
-// router already performed.
+// coordinator after its tuples were routed to shards. The coordinator's
+// merge core (central.Merger.Observe) folds it into stream liveness and
+// watermark state; an in-process cluster builds the same manifest from
+// the same fan-out (central.RouteToShards) and folds it the same way.
 type BatchManifest struct {
 	Seq       uint64
 	QueryID   uint64
@@ -179,8 +179,8 @@ type BatchManifest struct {
 	MaxTs     int64  // max in-span event time
 	LateDelta uint64 // window-late drops this batch caused, attributed to this stream
 	// Per-shard cumulative drop counters as of this batch, indexed by the
-	// query's shard order. The coordinator caches them so emitted windows
-	// report the same totals ShardedEngine reads via dropsOf at emit.
+	// query's shard order. The merger max-folds them into a cache that
+	// every collect refreshes, so emitted windows report current totals.
 	ShardLate     []uint64
 	ShardOverflow []uint64
 	// The host batch's own cumulative counters (TupleBatch fields).

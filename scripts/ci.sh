@@ -23,6 +23,9 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== bench smoke (the benchmark's compile gate: bench/ is a nested module built against internal/*; plus generator determinism and 1/50-scale workloads) =="
+make bench-smoke
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -30,10 +33,7 @@ echo "== metrics smoke (boot daemons, scrape /metrics) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="
-go run -race ./cmd/benchrunner -only C1 -quick -p1json ''
-
-echo "== bench smoke (scrubbench generator determinism + 1/50-scale workloads) =="
-make bench-smoke
+go run -race ./cmd/benchrunner -only C1 -quick
 
 echo "== differential oracle sweep (200 seeded sims, -race) =="
 go test -race ./internal/difftest -run 'TestDifferentialSweep|TestRegressionSeeds' -difftest.seeds=200
