@@ -43,12 +43,15 @@ bench-smoke:
 metrics-smoke:
 	$(GO) run ./scripts/metricssmoke
 
-# Short coverage-guided fuzz pass over the two surfaces that parse
-# untrusted input: the transport frame decoder (arbitrary network bytes)
-# and the query-language parser (arbitrary operator-typed text).
+# Short coverage-guided fuzz pass over the surfaces that parse untrusted
+# input: the transport frame decoder (arbitrary network bytes, with and
+# without a receive scratch), the packed runs a partial's bytes become
+# window state as, the query-language parser (arbitrary operator-typed
+# text) and the replay chunk decoder.
 fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=5s
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=5s
+	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=5s
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=5s
 	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=5s
 

@@ -283,8 +283,14 @@ func (a *avgAgg) Count() uint64 { return a.n }
 // --- MIN / MAX ---
 
 type extremeAgg struct {
-	min  bool
-	n    uint64
+	min bool
+	n   uint64
+	// best is the one Value ScrubCentral's window state keeps past the
+	// apply of the tuple it came from (DESIGN.md §17). It is a copy of the
+	// cell, so recycling the tuple's cells cannot reach it; and its string,
+	// if it has one, is either an ordinary heap string or aliases a window
+	// arena chunk, which is never rewritten and which the reference keeps
+	// alive.
 	best event.Value
 }
 

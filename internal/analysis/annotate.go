@@ -12,7 +12,8 @@ import (
 // //scrub:name(args):
 //
 //   - //scrub:hotpath            (func doc) alloc-freedom seed
-//   - //scrub:pooled             (type or struct-field doc/line comment)
+//   - //scrub:pooled             (type or struct-field doc/line comment;
+//     func doc: the results borrow memory the callee recycles)
 //   - //scrub:guardedby(mu)      (struct-field doc/line comment)
 //   - //scrub:locked(mu)         (func doc) caller holds mu; the *Locked
 //     name suffix convention implies the same
@@ -36,6 +37,10 @@ type AnnIndex struct {
 	PooledTypes map[string]bool
 	// PooledFields: "pkgpath.TypeName.field" of //scrub:pooled fields.
 	PooledFields map[string]bool
+	// BorrowFuncs: FullName()s of functions annotated //scrub:pooled —
+	// what they return aliases memory they recycle on the next call, so
+	// poolsafe treats a result like a parameter.
+	BorrowFuncs map[string]bool
 	// GuardedFields: "pkgpath.TypeName.field" -> guarding mutex field name.
 	GuardedFields map[string]string
 	// LongLivedPkgs: import paths whose package doc carries
@@ -91,6 +96,7 @@ func indexAnnotations(prog *Program) *AnnIndex {
 		LockedFuncs:     make(map[string]bool),
 		PooledTypes:     make(map[string]bool),
 		PooledFields:    make(map[string]bool),
+		BorrowFuncs:     make(map[string]bool),
 		GuardedFields:   make(map[string]string),
 		LongLivedPkgs:   make(map[string]bool),
 		allow:           make(map[string]map[int]map[string]bool),
@@ -162,6 +168,8 @@ func (idx *AnnIndex) indexFile(prog *Program, u *Package, f *ast.File) {
 					idx.AllowAllocFuncs[fn.FullName()] = true
 				case "locked":
 					idx.LockedFuncs[fn.FullName()] = true
+				case "pooled":
+					idx.BorrowFuncs[fn.FullName()] = true
 				}
 			}
 		case *ast.GenDecl:

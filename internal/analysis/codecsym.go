@@ -273,7 +273,9 @@ func (cs *codecState) collectEncodeArms(fd *ast.FuncDecl) map[*types.TypeName][]
 }
 
 // collectDecodeArms maps each tag constant to its decode-arm shape,
-// following the default clause into same-package helpers (decodeCoord).
+// following the default clause into same-package helpers (decodeCoord),
+// and a Decode that holds no tag switch itself into the function it
+// delegates to.
 func (cs *codecState) collectDecodeArms(fd *ast.FuncDecl) map[types.Object][]shapeItem {
 	arms := make(map[types.Object][]shapeItem)
 	seen := make(map[*ast.FuncDecl]bool)
@@ -286,6 +288,11 @@ func (cs *codecState) collectDecodeArms(fd *ast.FuncDecl) map[types.Object][]sha
 		cs.excluded[fd] = true
 		sw := firstTagSwitch(fd.Body)
 		if sw == nil {
+			// An entry point that only picks the allocation strategy
+			// (Decode → decode(b, nil)): the switch is one call down.
+			for _, helper := range cs.samePkgCallees(fd.Body.List) {
+				walk(helper)
+			}
 			return
 		}
 		for _, stmt := range sw.Body.List {

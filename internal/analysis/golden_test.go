@@ -88,6 +88,7 @@ func runGolden(t *testing.T, name string, analyzers []*Analyzer) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
+		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(name, fset, files, info)

@@ -252,6 +252,7 @@ func checkUnit(fset *token.FileSet, imp types.Importer, path, name, dir string, 
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
+		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, u.Files, u.Info)

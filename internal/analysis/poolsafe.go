@@ -17,11 +17,13 @@ import (
 //
 //   - sources: values of a //scrub:pooled type anywhere, and selections
 //     of a //scrub:pooled field on values that flowed in through a
-//     parameter (your own copies are clean; what a caller hands you is
-//     not);
+//     parameter or came back from a //scrub:pooled function — a receive
+//     into caller-lent scratch (your own copies are clean; what a caller
+//     hands you, or a callee lends you, is not);
 //   - propagation: selector/index/slice/deref chains, local
-//     assignments, range, shallow copies (append/copy keep the taint
-//     whenever the element type still carries pooled fields);
+//     assignments, range, type switches, shallow copies (append/copy
+//     keep the taint whenever the element type still carries pooled
+//     fields);
 //   - sinks: stores into struct fields, globals, or map entries whose
 //     root is not itself pooled memory, and channel sends;
 //   - sanitizers: calls to functions whose name contains Copy/Clone/Dup
@@ -94,6 +96,8 @@ func (ps *poolState) walk(body *ast.BlockStmt) {
 			if ps.retainsPooled(s.Value) {
 				ps.reportf(s.Arrow, "pooled memory sent on a channel leaves the owning scope")
 			}
+		case *ast.TypeSwitchStmt:
+			ps.typeSwitch(s)
 		case *ast.RangeStmt:
 			if ps.pooledExpr(s.X) {
 				if id, ok := s.Value.(*ast.Ident); ok && id.Name != "_" {
@@ -132,14 +136,56 @@ func (ps *poolState) walk(body *ast.BlockStmt) {
 	})
 }
 
+// typeSwitch carries the taint of `switch t := m.(type)`'s operand to
+// the t of every clause (each clause declares its own).
+func (ps *poolState) typeSwitch(s *ast.TypeSwitchStmt) {
+	as, ok := s.Assign.(*ast.AssignStmt)
+	if !ok || len(as.Rhs) != 1 {
+		return
+	}
+	ta, ok := ast.Unparen(as.Rhs[0]).(*ast.TypeAssertExpr)
+	if !ok {
+		return
+	}
+	pooled, foreign := ps.pooledExpr(ta.X), ps.foreignExpr(ta.X)
+	for _, clause := range s.Body.List {
+		if obj := ps.u.Info.Implicits[clause]; obj != nil {
+			if pooled {
+				ps.pooled[obj] = true
+			}
+			if foreign {
+				ps.foreign[obj] = true
+			}
+		}
+	}
+}
+
+// borrows reports whether e is a call to a //scrub:pooled function.
+func (ps *poolState) borrows(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := funcFor(ps.u, call.Fun)
+	return fn != nil && ps.pass.Prog.Ann.BorrowFuncs[fn.FullName()]
+}
+
 func (ps *poolState) assign(s *ast.AssignStmt) {
-	// Multi-value RHS (x, err := f()): taint by result type only.
+	// Multi-value RHS (x, err := f()): taint by result type, and by the
+	// callee lending its results.
 	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
+		borrowed := ps.borrows(s.Rhs[0])
 		for _, lhs := range s.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
 				obj := objOf(ps.u, id)
-				if obj != nil && ps.typePooled(obj.Type()) {
+				if obj == nil {
+					continue
+				}
+				if ps.typePooled(obj.Type()) {
 					ps.pooled[obj] = true
+				}
+				if borrowed {
+					ps.foreign[obj] = true
 				}
 			}
 		}
@@ -207,7 +253,7 @@ func (ps *poolState) bindIdent(id *ast.Ident, rhs ast.Expr) {
 	} else {
 		delete(ps.pooled, obj)
 	}
-	if ps.foreignExpr(rhs) {
+	if ps.foreignExpr(rhs) || ps.borrows(rhs) {
 		ps.foreign[obj] = true
 	}
 }

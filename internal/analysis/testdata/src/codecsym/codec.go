@@ -153,10 +153,14 @@ func appendEncodeExtra(w *writer, m Message) {
 	}
 }
 
-// Decode mirrors transport.Decode: tag dispatch with a helper hook in
-// the default clause.
-func Decode(b []byte) (Message, bool) {
+// Decode mirrors transport.Decode: the entry point picks the allocation
+// strategy and delegates to the function that holds the tag dispatch.
+func Decode(b []byte) (Message, bool) { return decode(b, nil) }
+
+// decode is the tag dispatch, with a helper hook in the default clause.
+func decode(b []byte, scratch []uint64) (Message, bool) {
 	r := &reader{buf: b}
+	_ = scratch
 	tag := r.u8()
 	var m Message
 	switch tag {

@@ -141,3 +141,77 @@ func SealOwned(s *recordStore, sc *scratch) {
 func SealAppendOwned(s *recordStore, sc *scratch) {
 	s.data = append([]byte(nil), sc.b...) // ok: detached from the scratch
 }
+
+// The receive loop over caller-lent scratch (a shard's ServeConn shape):
+// Recv decodes into cells the connection owns and reuses on the next
+// call, so what it returns is borrowed exactly like a parameter — a
+// handler may read it and pass it down, and must copy what it keeps.
+
+type msg interface{ tag() int }
+
+// SubBatch mirrors transport.ShardSubBatch, delivered by pointer into
+// the scratch.
+type SubBatch struct {
+	Seq int
+	//scrub:pooled
+	Tuples []Tuple
+}
+
+func (*SubBatch) tag() int { return 1 }
+
+type ack struct{ Seq int }
+
+func (ack) tag() int { return 2 }
+
+type conn struct{ sub SubBatch }
+
+// Recv hands out messages that alias the connection's scratch.
+//
+//scrub:pooled
+func (c *conn) Recv() (msg, error) { return &c.sub, nil }
+
+type node struct {
+	last   []int
+	batch  []Tuple
+	byReq  map[int][]int
+	seen   int
+	copies [][]int
+}
+
+func apply(ts []Tuple) int { return len(ts) }
+
+// ServeRetains is the bug shape: each arm keeps a borrowed cell past the
+// next Recv.
+func ServeRetains(n *node, c *conn) {
+	for {
+		m, err := c.Recv()
+		if err != nil {
+			return
+		}
+		switch t := m.(type) {
+		case *SubBatch:
+			n.last = t.Tuples[0].Values                  // want `pooled memory stored into n.last`
+			n.batch = t.Tuples                           // want `pooled memory stored into n.batch`
+			n.byReq[t.Tuples[0].ID] = t.Tuples[0].Values // want `pooled memory stored into n.byReq`
+		case ack:
+			n.seen = t.Seq // ok: a scalar
+		}
+	}
+}
+
+// ServeClean is the real loop's shape: borrowed tuples are read, passed
+// down a synchronous call, and copied when kept.
+func ServeClean(n *node, c *conn) {
+	for {
+		m, err := c.Recv()
+		if err != nil {
+			return
+		}
+		switch t := m.(type) {
+		case *SubBatch:
+			n.seen += apply(t.Tuples)                                              // ok: synchronous use
+			n.seen = t.Seq                                                         // ok: a scalar
+			n.copies = append(n.copies, append([]int(nil), t.Tuples[0].Values...)) // ok: detached
+		}
+	}
+}

@@ -166,12 +166,14 @@ type queryState struct {
 	overflow uint64 // raw-row + join-pending drops
 	// Per-query scratch for the apply path (the engine lock is held
 	// throughout a batch, so one set per query suffices): the rows handed
-	// to the evaluators, the group key's values and its encoded form. Only
-	// a tuple that opens a new group copies the key out of them.
-	side       sideRow
-	join       joinRow
-	scratchKey []event.Value
-	keyBuf     []byte
+	// to the evaluators, the cells a buffered join tuple's columns are
+	// unpacked into for a probe, and the buffer group keys, join columns
+	// and raw rows are packed in before the window keeps them. Only a
+	// tuple that opens a new group makes a string of its key.
+	side    sideRow
+	join    joinRow
+	probe   []event.Value
+	packBuf []byte
 }
 
 // StartQuery installs a central query object.
@@ -186,7 +188,9 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	qs := &queryState{queryCore: newQueryCore(qr, emit, &e.opt)}
 	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
 	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
-	qs.scratchKey = make([]event.Value, len(qs.comp.groupEvals))
+	if qs.plan.IsJoin() {
+		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
+	}
 	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, qs.plan.Lateness, func(start, end int64) *winState {
 		return newWinState(&qs.plan)
 	})
@@ -278,8 +282,11 @@ func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int
 		}
 	}
 	// The scratch rows must not keep pointing into the batch's pooled
-	// memory once the call returns (host.Sink contract).
+	// memory once the call returns (host.Sink contract), nor the probe
+	// cells into the chunks of a window that may close before the next
+	// batch.
 	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
+	clear(qs.probe)
 	return maxTs, hasTs
 }
 
@@ -341,11 +348,16 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	if known {
 		row := &qs.join
 		row.sides[side] = viewOf(t)
-		w := len(qs.plan.Columns[other])
+		vals := qs.probe[:len(qs.plan.Columns[other])]
 		for link := ws.cells.At(ci).head[other]; link != 0; {
 			pt := ws.pend.At(link - 1)
 			link = pt.next
-			row.sides[other] = tupleView{req: t.RequestID, ts: pt.ts, vals: ws.arena.Run(pt.valOff, w)}
+			if len(vals) > 0 {
+				// Strings alias the arena chunk: they are read while this
+				// tuple is applied and the chunk is never rewritten.
+				unpackValues(vals, ws.arena.Tail(pt.valOff), true)
+			}
+			row.sides[other] = tupleView{req: t.RequestID, ts: pt.ts, vals: vals}
 			if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
 				continue
 			}
@@ -358,14 +370,20 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 }
 
 // buffer keeps a join tuple for the other side's later arrivals: its
-// event time in the pend slab, its columns in the arena, linked at the
-// tail of its request id's chain for its side. It reports false when the
-// window is at MaxJoinPending (or a slab at the end of its index space).
+// event time in the pend slab, its columns packed in the arena, linked at
+// the tail of its request id's chain for its side. It reports false when
+// the window is at MaxJoinPending (or a slab at the end of its index
+// space).
 func (e *Engine) buffer(qs *queryState, ws *winState, ci uint32, known bool, side int, t *transport.Tuple) bool {
 	if ws.pendN >= qs.plan.MaxJoinPending {
 		return false
 	}
-	valOff, cols, ok := ws.arena.Alloc(len(qs.plan.Columns[side]))
+	// The batch's Values arrays live in memory that is recycled once the
+	// batch has been applied (host.Sink; a shard's receive scratch): what
+	// the window keeps of a tuple is its columns' wire form, copied into
+	// the arena. A side the plan projects no column of keeps no run.
+	qs.packBuf = packValues(qs.packBuf[:0], t.Values, len(qs.plan.Columns[side]))
+	valOff, ok := ws.arena.Append(qs.packBuf)
 	if !ok {
 		return false
 	}
@@ -379,12 +397,6 @@ func (e *Engine) buffer(qs *queryState, ws *winState, ci uint32, known bool, sid
 		}
 		ws.pending[t.RequestID] = ci
 	}
-	// The batch's Values arrays live in host-agent chunk memory that is
-	// recycled once SendBatch returns (see host.Sink); what the window
-	// keeps of a tuple is copied into its arena. A tuple shorter than its
-	// plan's column list leaves the rest of the run Invalid, which is what
-	// a lookup past its end evaluates to anyway.
-	copy(cols, t.Values)
 	cell, link := ws.cells.At(ci), at+1
 	if tail := cell.tail[side]; tail != 0 {
 		ws.pend.At(tail - 1).next = link
@@ -409,13 +421,14 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 			qs.overflow++
 			return
 		}
-		_, out, ok := ws.raw.Alloc(len(c.selectEvals))
-		if !ok {
+		buf := qs.packBuf[:0]
+		for _, ev := range c.selectEvals {
+			buf = event.AppendValue(buf, ev(row))
+		}
+		qs.packBuf = buf
+		if _, ok := ws.raw.Append(buf); !ok {
 			qs.overflow++
 			return
-		}
-		for i, ev := range c.selectEvals {
-			out[i] = ev(row)
 		}
 		ws.rawN++
 		e.charge(ws)
@@ -425,21 +438,21 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 	// The key is encoded into the query's buffer and looked up with the
 	// conversion the compiler elides; a string is made only for a key the
 	// window has not seen.
-	keyVals, buf := qs.scratchKey, qs.keyBuf[:0]
-	for i, ev := range c.groupEvals {
-		keyVals[i] = ev(row)
-		buf = event.AppendValue(buf, keyVals[i])
+	buf := qs.packBuf[:0]
+	for _, ev := range c.groupEvals {
+		buf = event.AppendValue(buf, ev(row))
 	}
-	qs.keyBuf = buf
-	g, ok := ws.groups[string(buf)]
-	if !ok {
-		if g, ok = ws.openGroup(p, string(buf), keyVals); !ok {
-			qs.overflow++
-			return
-		}
+	qs.packBuf = buf
+	var aggs []agg.Aggregator
+	if off, ok := ws.groups[string(buf)]; ok {
+		aggs = ws.aggsAt(off, len(p.Aggs))
+	} else if aggs, ok = ws.openGroup(p, string(buf)); ok {
 		e.charge(ws)
+	} else {
+		qs.overflow++
+		return
 	}
-	for i, ag := range ws.aggsOf(g, len(p.Aggs)) {
+	for i, ag := range aggs {
 		if c.aggArgEvals[i] == nil {
 			ag.Add(event.Bool(true)) // COUNT(*): any valid value
 		} else {
@@ -505,7 +518,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		// An ungrouped aggregate query emits one row even for an empty
 		// window (COUNT(*) = 0), matching SQL semantics.
 		if len(keys) == 0 && p.HasAgg() && !p.Grouped() {
-			if _, ok := ws.openGroup(p, "", nil); ok {
+			if _, ok := ws.openGroup(p, ""); ok {
 				keys = append(keys, "")
 			}
 		}
@@ -518,12 +531,15 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		// the evaluators copy what they read, and a row that fails HAVING
 		// gives its slot back.
 		width := len(comp.selectEvals)
-		row := &resultRow{groupBy: p.GroupBy, aggVals: make([]event.Value, len(p.Aggs))}
+		row := &resultRow{groupBy: p.GroupBy, keyVals: make([]event.Value, len(p.GroupBy)), aggVals: make([]event.Value, len(p.Aggs))}
 		out := make([]event.Value, 0, len(keys)*width)
+		var keyBuf []byte
 		for _, k := range keys {
-			g := ws.groups[k]
-			row.keyVals = ws.keyVals(g, len(p.GroupBy))
-			for i, ag := range ws.aggsOf(g, len(p.Aggs)) {
+			// The map key is the key values' wire form; what a result row
+			// takes from it is decoded into memory of its own.
+			keyBuf = append(keyBuf[:0], k...)
+			unpackValues(row.keyVals, keyBuf, false)
+			for i, ag := range ws.aggsAt(ws.groups[k], len(p.Aggs)) {
 				v := ag.Result()
 				if p.Aggs[i].Spec.Scalable() {
 					if est, ok := sums[i]; ok {
@@ -753,38 +769,32 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 		dst.hosts[h] = struct{}{}
 	}
 	for key, sg := range src.groups {
-		saggs := src.aggsOf(sg, len(p.Aggs))
+		saggs := src.aggsAt(sg, len(p.Aggs))
 		if dg, ok := dst.groups[key]; ok {
-			for i, ag := range dst.aggsOf(dg, len(p.Aggs)) {
+			for i, ag := range dst.aggsAt(dg, len(p.Aggs)) {
 				// Same plan, same spec order; Merge errors only on kind
 				// mismatch, impossible here.
 				_ = ag.Merge(saggs[i])
 			}
 			continue
 		}
-		// A group only src has is adopted: its key is copied, its
+		// A group only src has is adopted under the same key: its
 		// aggregators move over as they are.
-		g, keys, aggs, ok := dst.groupRuns(len(p.GroupBy), len(p.Aggs))
+		off, aggs, ok := dst.aggs.Alloc(len(p.Aggs))
 		if !ok {
 			dropped++
 			continue
 		}
-		copy(keys, src.keyVals(sg, len(p.GroupBy)))
 		copy(aggs, saggs)
-		dst.groups[key] = g
+		dst.groups[key] = off
 	}
-	rows := src.rawRows(len(p.Select))
-	if room := max(p.MaxRawRows-dst.rawN, 0); len(rows) > room {
-		dropped += uint64(len(rows) - room)
-		rows = rows[:room]
-	}
-	for _, row := range rows {
-		_, out, ok := dst.raw.Alloc(len(row))
-		if !ok {
+	take := min(src.rawN, max(p.MaxRawRows-dst.rawN, 0))
+	dropped += uint64(src.rawN - take)
+	for rows := rowsOf(&src.raw, len(p.Select)); take > 0; take-- {
+		if _, ok := dst.raw.Append(rows.next()); !ok {
 			dropped++
 			continue
 		}
-		copy(out, row)
 		dst.rawN++
 	}
 	for host, sm := range src.perHost {

@@ -63,10 +63,36 @@ type ShardWindows struct {
 	Overflow uint64
 }
 
+// RouteScratch is the memory RouteToShards splits a batch in: the
+// per-shard sub-batches and the manifest's per-shard counters. It belongs
+// to the caller, who keeps it from batch to batch — it is reset, not
+// reallocated — and never shares it between concurrent calls. The zero
+// value is ready to use.
+type RouteScratch struct {
+	sub      [][]transport.Tuple
+	counters []uint64
+}
+
+// reset sizes the scratch for n shards and empties it.
+func (sc *RouteScratch) reset(n int) {
+	if cap(sc.sub) < n {
+		sc.sub = make([][]transport.Tuple, n)
+		sc.counters = make([]uint64, 2*n)
+	}
+	sc.sub, sc.counters = sc.sub[:n], sc.counters[:2*n]
+	clear(sc.counters)
+}
+
 // RouteToShards fans one batch out across the shards by request-id modulo
 // shard count and folds the acks into a manifest. It is the one split
 // function of the fabric: host-side routers, the coordinator's legacy
 // whole-batch path and ShardedEngine all go through it.
+//
+// The manifest's ShardLate and ShardOverflow are slices of sc: they are
+// good until sc's next use, which is enough for both consumers — the
+// merger max-folds them into its own cache (Merger.observe) and a
+// router's manifest send encodes them — because both are done with the
+// manifest before the caller touches sc again.
 //
 // No span filter runs here: the shard applies the filter itself
 // (Engine.ApplyDriven) and its acks report HasTs/MaxTs over in-span
@@ -74,18 +100,19 @@ type ShardWindows struct {
 // that could not reach a live shard; the manifest's QueueDrops carries
 // the sum of the host's own drops and the routing failures — same wire
 // contract as host-side queue drops, so no extra failure channel exists.
-func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64) transport.BatchManifest {
+func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64, sc *RouteScratch) transport.BatchManifest {
 	m := manifestOf(&b)
 	n := uint64(len(shards))
-	counters := make([]uint64, 2*n)
-	m.ShardLate, m.ShardOverflow = counters[:n:n], counters[n:]
-	sub := make([][]transport.Tuple, len(shards))
+	sc.reset(len(shards))
+	m.ShardLate, m.ShardOverflow = sc.counters[:n:n], sc.counters[n:]
+	sub := sc.sub
 	for _, t := range b.Tuples {
 		i := int(t.RequestID % n)
 		// Sub-batches alias the caller's pooled tuple memory only within
-		// this call: every Apply below is synchronous, and a shard copies
-		// (direct) or encodes (RPC) what it keeps before returning.
-		//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples before RouteToShards returns)
+		// this call: every Apply below is synchronous, a shard copies
+		// (direct) or encodes (RPC) what it keeps before returning, and the
+		// scratch's tuple cells are wiped once the last shard has.
+		//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples, and the scratch is wiped, before RouteToShards returns)
 		sub[i] = append(sub[i], t)
 	}
 	for i, tuples := range sub {
@@ -114,6 +141,13 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 		m.LateDelta += ack.LateDelta
 		m.ShardLate[i] = ack.Late
 		m.ShardOverflow[i] = ack.Overflow
+	}
+	// Wiped, not just truncated, for the next batch: a stale cell would
+	// keep pointing into the caller's recycled memory.
+	for i, tuples := range sub {
+		clear(tuples)
+		//scrub:allowretain(the scratch's own array, truncated: its cells were just wiped and hold nothing of the batch)
+		sub[i] = tuples[:0]
 	}
 	m.QueueDrops = b.QueueDrops + *cumDrops
 	return m
@@ -298,6 +332,7 @@ type Merger struct {
 
 	mu      sync.Mutex
 	queries map[uint64]*mergeQuery
+	route   RouteScratch  // Ingest's split buffers, under mu
 	merges  atomic.Uint64 // partial-window merges folded
 }
 
@@ -442,7 +477,7 @@ func (m *Merger) Ingest(b transport.TupleBatch) bool {
 	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
 	before := q.routeDrops[key]
 	cum := before
-	man := RouteToShards(b, q.shards, &cum)
+	man := RouteToShards(b, q.shards, &cum, &m.route)
 	if cum != before {
 		if q.routeDrops == nil {
 			q.routeDrops = make(map[liveness.Key]uint64)

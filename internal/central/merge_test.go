@@ -241,7 +241,7 @@ func TestMergerBarrierOrderAndDropTotals(t *testing.T) {
 func TestReplayHoldMerger(t *testing.T) {
 	route := func(r *mergerRig, b transport.TupleBatch) {
 		var cum uint64
-		r.m.Observe(RouteToShards(b, r.clients(), &cum))
+		r.m.Observe(RouteToShards(b, r.clients(), &cum, new(RouteScratch)))
 	}
 	start := func(t *testing.T) *mergerRig {
 		r := newMergerRig(t, 2, replayPlan(t))

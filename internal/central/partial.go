@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scrub/internal/agg"
-	"scrub/internal/event"
 	"scrub/internal/stats"
 	"scrub/internal/transport"
 	"scrub/internal/window"
@@ -194,13 +193,10 @@ func encodePartial(p *Plan, ws *winState) []byte {
 	sort.Strings(keys)
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		g := ws.groups[k]
-		keyVals := ws.keyVals(g, len(p.GroupBy))
-		dst = binary.AppendUvarint(dst, uint64(len(keyVals)))
-		for _, v := range keyVals {
-			dst = event.AppendValue(dst, v)
-		}
-		for _, ag := range ws.aggsOf(g, len(p.Aggs)) {
+		// The map key is the encoding of the group's key values.
+		dst = binary.AppendUvarint(dst, uint64(len(p.GroupBy)))
+		dst = append(dst, k...)
+		for _, ag := range ws.aggsAt(ws.groups[k], len(p.Aggs)) {
 			enc, err := agg.AppendState(dst, ag)
 			if err != nil {
 				// Unreachable: every aggregator a window holds is
@@ -214,11 +210,9 @@ func encodePartial(p *Plan, ws *winState) []byte {
 	}
 
 	dst = binary.AppendUvarint(dst, uint64(ws.rawN))
-	for _, row := range ws.rawRows(len(p.Select)) {
-		dst = binary.AppendUvarint(dst, uint64(len(row)))
-		for _, v := range row {
-			dst = event.AppendValue(dst, v)
-		}
+	for rows, i := rowsOf(&ws.raw, len(p.Select)), 0; i < ws.rawN; i++ {
+		dst = binary.AppendUvarint(dst, uint64(len(p.Select)))
+		dst = append(dst, rows.next()...)
 	}
 
 	mhosts := make([]string, 0, len(ws.perHost))
@@ -277,22 +271,18 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		if kvCnt != uint64(len(p.GroupBy)) {
 			return nil, fmt.Errorf("central: decode partial: %d key values for %d group-by columns", kvCnt, len(p.GroupBy))
 		}
-		g, keys, aggs, ok := ws.groupRuns(len(p.GroupBy), len(p.Aggs))
+		off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
 		if !ok {
 			return nil, fmt.Errorf("central: decode partial: group state too large")
 		}
-		keyStart := n
-		for j := range keys {
-			v, used, err := event.DecodeValue(b[n:])
-			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: key value: %w", err)
-			}
-			keys[j] = v
-			n += used
+		// The group's map key is the encoding of its key values — these
+		// very bytes, once they are known to decode.
+		used, err := packedLen(b[n:], len(p.GroupBy))
+		if err != nil {
+			return nil, fmt.Errorf("central: decode partial: key value: %w", err)
 		}
-		// The group's map key is the encoding of its key values — the very
-		// bytes just decoded.
-		key := string(b[keyStart:n])
+		key := string(b[n : n+used])
+		n += used
 		for j := range aggs {
 			a, used, err := ws.aggSlab.DecodeState(p.Aggs[j].Spec, b[n:])
 			if err != nil {
@@ -304,7 +294,7 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		if _, dup := ws.groups[key]; dup {
 			return nil, fmt.Errorf("central: decode partial: duplicate group key")
 		}
-		ws.groups[key] = g
+		ws.groups[key] = off
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])
@@ -321,18 +311,15 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		if valCnt != uint64(len(p.Select)) {
 			return nil, fmt.Errorf("central: decode partial: row of %d values for %d select columns", valCnt, len(p.Select))
 		}
-		_, row, ok := ws.raw.Alloc(len(p.Select))
-		if !ok {
+		// A row is kept as it arrived, once it is known to decode.
+		used, err := packedLen(b[n:], len(p.Select))
+		if err != nil {
+			return nil, fmt.Errorf("central: decode partial: row value: %w", err)
+		}
+		if _, ok := ws.raw.Append(b[n : n+used]); !ok {
 			return nil, fmt.Errorf("central: decode partial: row state too large")
 		}
-		for j := range row {
-			v, used, err := event.DecodeValue(b[n:])
-			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: row value: %w", err)
-			}
-			row[j] = v
-			n += used
-		}
+		n += used
 		ws.rawN++
 	}
 

@@ -11,7 +11,11 @@ import (
 // instead of one heap object per buffered tuple, group and row: chunked
 // slabs (internal/slab) whose entries refer to each other by uint32 index, so a
 // window costs a few allocations per thousand items, growing it copies
-// nothing, and the collector has few pointers to trace in it. The set is
+// nothing, and the collector has few pointers to trace in it. Column
+// values are kept in their wire form (packed.go), not as event.Value
+// cells: no Value outlives the apply of the tuple it came from (a string
+// MIN/MAX's running best is the one exception — agg.extremeAgg), and the
+// only pointers in the slabs are the aggregator interfaces. The set is
 // owned by the window and dropped whole once its result has been emitted
 // (or its partial serialized); nothing is pooled across windows.
 // DESIGN.md §17.
@@ -28,10 +32,9 @@ type winState struct {
 	lastHost    string
 	lastMoments []stats.Running
 
-	// arena holds every retained column value of the window — buffered
-	// join tuples' columns and group keys — as runs addressed by the index
-	// of their first value.
-	arena slab.Slab[event.Value]
+	// arena holds the buffered join tuples' retained columns: per tuple a
+	// packed run of as many values as the plan projects for its side.
+	arena slab.Arena
 
 	// Join-pending state: request id → cell → per-side chain of buffered
 	// tuples in arrival order. Arrival order is what the per-side slices
@@ -42,16 +45,17 @@ type winState struct {
 	pend    slab.Slab[pendTuple]
 	pendN   int // buffered tuples: the MaxJoinPending bound and the gauge
 
-	// Group state: encoded key → group: key values in the arena and
-	// len(Plan.Aggs) consecutive aggregators in aggs. Scalar aggregator
-	// states are carved from aggSlab; sketches are allocated one by one.
-	groups  map[string]group
+	// Group state: encoded key → the group's run of len(Plan.Aggs)
+	// consecutive aggregators in aggs. The map key is the key values' wire
+	// form, which is all that is kept of them. Scalar aggregator states are
+	// carved from aggSlab; sketches are allocated one by one.
+	groups  map[string]uint32
 	aggs    slab.Slab[agg.Aggregator]
 	aggSlab agg.Slab
 
-	// raw holds the rows of a non-aggregate query, each a run of
+	// raw holds the rows of a non-aggregate query, each a packed run of
 	// len(Plan.Select) values; rawN counts them.
-	raw  slab.Slab[event.Value]
+	raw  slab.Arena
 	rawN int
 
 	// charged is what the window currently contributes to the
@@ -65,18 +69,13 @@ type pendCell struct {
 	head, tail [2]uint32
 }
 
-// pendTuple is one buffered join tuple: its event time, the arena index
-// of its retained columns (as many as the plan projects for its side) and
-// the link to the next tuple of the same request id and side.
+// pendTuple is one buffered join tuple: its event time, the arena address
+// of its retained columns (unused when the plan projects none for its
+// side) and the link to the next tuple of the same request id and side.
 type pendTuple struct {
 	ts     int64
 	valOff uint32
 	next   uint32
-}
-
-type group struct {
-	keyOff uint32 // the key values' run in arena
-	aggOff uint32 // the aggregators' run in aggs
 }
 
 func newWinState(p *Plan) *winState {
@@ -88,7 +87,7 @@ func newWinState(p *Plan) *winState {
 		ws.pending = make(map[uint64]uint32)
 	}
 	if p.HasAgg() || p.Grouped() {
-		ws.groups = make(map[string]group)
+		ws.groups = make(map[string]uint32)
 	}
 	return ws
 }
@@ -117,49 +116,41 @@ func (ws *winState) momentsOf(host string, aggs int) []stats.Running {
 	return ws.lastMoments
 }
 
-// groupRuns hands out the arena and aggregator runs of a group about to
-// be added; the caller fills them and stores the group under its key. It
-// fails only when a slab has outgrown its uint32 indices (the runs handed
-// out by then stay unused).
-func (ws *winState) groupRuns(nk, na int) (g group, keys []event.Value, aggs []agg.Aggregator, ok bool) {
-	var okAggs bool
-	g.keyOff, keys, ok = ws.arena.Alloc(nk)
-	g.aggOff, aggs, okAggs = ws.aggs.Alloc(na)
-	return g, keys, aggs, ok && okAggs
-}
-
-// openGroup starts a group with fresh aggregators.
-func (ws *winState) openGroup(p *Plan, key string, keyVals []event.Value) (group, bool) {
-	g, keys, aggs, ok := ws.groupRuns(len(keyVals), len(p.Aggs))
+// openGroup starts a group with fresh aggregators and returns them. It
+// fails only when the aggregator slab has outgrown its uint32 indices.
+func (ws *winState) openGroup(p *Plan, key string) ([]agg.Aggregator, bool) {
+	off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
 	if !ok {
-		return g, false
+		return nil, false
 	}
-	copy(keys, keyVals)
 	for i, a := range p.Aggs {
 		ag, err := ws.aggSlab.New(a.Spec)
 		if err != nil {
 			// Specs are validated at StartQuery; if one fails anyway the
 			// group is refused, not left an aggregator short.
-			return g, false
+			return nil, false
 		}
 		aggs[i] = ag
 	}
-	ws.groups[key] = g
-	return g, true
+	ws.groups[key] = off
+	return aggs, true
 }
 
-// keyVals returns a group's key values (nk of them).
-func (ws *winState) keyVals(g group, nk int) []event.Value { return ws.arena.Run(g.keyOff, nk) }
+// aggsAt returns the na aggregators of the group whose run starts at off.
+func (ws *winState) aggsAt(off uint32, na int) []agg.Aggregator { return ws.aggs.Run(off, na) }
 
-// aggsOf returns a group's aggregators (na of them).
-func (ws *winState) aggsOf(g group, na int) []agg.Aggregator { return ws.aggs.Run(g.aggOff, na) }
-
-// rawRows returns the window's raw rows, each a slice of the raw slab.
+// rawRows materialises the window's raw rows as values that own their
+// memory, all rows in one backing array.
 func (ws *winState) rawRows(width int) [][]event.Value {
 	if ws.rawN == 0 {
 		return nil
 	}
-	return ws.raw.Runs(width, ws.rawN)
+	vals := make([]event.Value, ws.rawN*width)
+	out := make([][]event.Value, 0, ws.rawN)
+	for rows := rowsOf(&ws.raw, width); len(vals) > 0 && rows.unpack(vals[:width]); vals = vals[width:] {
+		out = append(out, vals[:width:width])
+	}
+	return out
 }
 
 // slabBytes is the capacity of the window's slabs in bytes — what the

@@ -40,9 +40,10 @@ import (
 	"scrub/internal/window"
 )
 
-// rpcTimeout bounds every synchronous shard RPC so a hung (but not yet
-// closed) shard process cannot wedge the coordinator or a router; lease
-// expiry needs failures to surface in bounded time.
+// rpcTimeout bounds every synchronous shard RPC — the write as well as
+// the read — so a hung (but not yet closed) shard process cannot wedge
+// the coordinator or a router; lease expiry needs failures to surface in
+// bounded time.
 const rpcTimeout = 5 * time.Second
 
 // shardClient is one synchronous RPC channel to a shard process, and the
@@ -57,6 +58,8 @@ type shardClient struct {
 	// start/collect/stop so the merger never handles it. Nil (term 0) on
 	// router and replication channels, which make no fenced call.
 	fence *atomic.Uint64
+	// timeout bounds one round-trip (rpcTimeout; tests shorten it).
+	timeout time.Duration
 
 	mu   sync.Mutex
 	conn *transport.Conn
@@ -71,7 +74,7 @@ var _ central.ShardClient = (*shardClient)(nil)
 // newShardClient wraps an established connection (tests, pipes). A nil
 // connection yields a client latched down from the start.
 func newShardClient(conn *transport.Conn, addr string, fence *atomic.Uint64) *shardClient {
-	c := &shardClient{addr: addr, conn: conn, fence: fence}
+	c := &shardClient{addr: addr, conn: conn, fence: fence, timeout: rpcTimeout}
 	c.down.Store(conn == nil)
 	c.lastOK.Store(time.Now().UnixNano())
 	return c
@@ -114,8 +117,10 @@ func (c *shardClient) failLocked() {
 }
 
 // do sends one request built with the next sequence number and returns
-// the response. The read deadline keeps a silent peer from blocking the
-// caller past rpcTimeout.
+// the response. The deadline covers the whole round-trip: a peer that has
+// gone silent fails the read, and one that has stopped reading while its
+// socket buffer is full fails the write instead of blocking Flush for
+// ever.
 func (c *shardClient) do(build func(seq uint64) transport.Message) (transport.Message, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -124,7 +129,7 @@ func (c *shardClient) do(build func(seq uint64) transport.Message) (transport.Me
 	}
 	c.seq++
 	seq := c.seq
-	c.conn.SetReadDeadline(time.Now().Add(rpcTimeout))
+	c.conn.SetDeadline(time.Now().Add(c.timeout))
 	if err := c.conn.Send(build(seq)); err != nil {
 		c.failLocked()
 		return nil, 0, err

@@ -12,6 +12,8 @@ import (
 // It must be synchronous: the router only calls it after every shard ack
 // for the batch arrived, and the coordinator relies on that ordering
 // (shard state for a batch is applied before its manifest is processed).
+// The manifest's ShardLate and ShardOverflow slices are the router's to
+// reuse once the call returns: encode or copy them, do not keep them.
 type ManifestFunc func(transport.BatchManifest) error
 
 // NewManifestClient wraps a connection to the coordinator's data plane
@@ -64,6 +66,17 @@ type Router struct {
 	// fence is the highest coordinator fencing epoch seen on a ShardMap
 	// push; pushes below it come from a deposed leader and are ignored.
 	fence uint64
+
+	// scratch holds *routeScratch: SendBatch may run concurrently (one
+	// shipper per query), so each call takes one for its duration.
+	scratch sync.Pool
+}
+
+// routeScratch is what one SendBatch splits a batch in, reused from batch
+// to batch instead of reallocated.
+type routeScratch struct {
+	central.RouteScratch
+	clients []central.ShardClient
 }
 
 // NewRouter creates a router reporting manifests through manifest.
@@ -76,6 +89,7 @@ func NewRouter(manifest ManifestFunc, fallback func(transport.TupleBatch) error)
 		pins:     make(map[uint64]uint32),
 		clients:  make(map[string]*shardClient),
 		drops:    make(map[routeKey]uint64),
+		scratch:  sync.Pool{New: func() any { return new(routeScratch) }},
 	}
 }
 
@@ -190,17 +204,21 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("coord: no shard map for epoch %d", epoch)
 	}
-	clients := make([]central.ShardClient, len(addrs))
-	for i, addr := range addrs {
-		clients[i] = r.clientFor(addr)
+	sc := r.scratch.Get().(*routeScratch)
+	defer r.scratch.Put(sc)
+	sc.clients = sc.clients[:0]
+	for _, addr := range addrs {
+		sc.clients = append(sc.clients, r.clientFor(addr))
 	}
 	key := routeKey{query: b.QueryID, host: b.HostID, typeIdx: b.TypeIdx}
 	r.mu.Lock()
 	cum := r.drops[key]
 	r.mu.Unlock()
-	m := central.RouteToShards(b, clients, &cum)
+	m := central.RouteToShards(b, sc.clients, &cum, &sc.RouteScratch)
 	r.mu.Lock()
 	r.drops[key] = cum
 	r.mu.Unlock()
+	// The manifest's per-shard counters are slices of sc; the send is
+	// synchronous, so they are encoded before sc goes back.
 	return r.manifest(m)
 }

@@ -25,6 +25,9 @@ type ShardNode struct {
 	eng   *central.Engine
 	cat   *event.Catalog
 	fence atomic.Uint64
+	// poison (tests) makes every serve loop scribble over its receive
+	// scratch after each applied sub-batch.
+	poison atomic.Bool
 }
 
 // NewShardNode creates a shard node over cat. The engine never registers
@@ -36,6 +39,13 @@ func NewShardNode(cat *event.Catalog) *ShardNode {
 
 // Engine exposes the underlying driven engine (tests).
 func (n *ShardNode) Engine() *central.Engine { return n.eng }
+
+// PoisonBorrowed is a test hook: from now on every serve loop overwrites
+// the tuple and value cells it borrowed for a sub-batch with garbage once
+// the engine has applied it, so state that kept a borrowed cell — instead
+// of a copy — diverges from a reference at once rather than when the
+// cell happens to be reused.
+func (n *ShardNode) PoisonBorrowed() { n.poison.Store(true) }
 
 // Fence reports the highest fencing epoch the node has latched.
 func (n *ShardNode) Fence() uint64 { return n.fence.Load() }
@@ -68,10 +78,19 @@ func (n *ShardNode) Serve(l *transport.Listener) {
 }
 
 // ServeConn answers RPCs on one connection until it fails or closes.
+//
+// The loop receives through one scratch of its own, so a sub-batch's
+// tuples and values are borrowed: they are good until the next receive
+// and no longer. Nothing here or below keeps them — ApplyDriven copies
+// what a window retains into its own arenas before it returns, the
+// //scrub:pooled contract it already honours for batches that alias a
+// host agent's chunk memory — and the ack is built from scalars. Every
+// other message owns its memory.
 func (n *ShardNode) ServeConn(c *transport.Conn) {
 	defer c.Close()
+	var sc transport.RecvScratch
 	for {
-		m, err := c.Recv()
+		m, err := c.RecvBorrowed(&sc)
 		if err != nil {
 			return
 		}
@@ -79,11 +98,14 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 		switch t := m.(type) {
 		case transport.ShardStart:
 			resp = n.handleStart(t)
-		case transport.ShardSubBatch:
+		case *transport.ShardSubBatch:
 			ack, known := n.eng.ApplyDriven(transport.TupleBatch{
 				QueryID: t.QueryID, HostID: t.HostID, TypeIdx: t.TypeIdx,
 				Tuples: t.Tuples,
 			})
+			if n.poison.Load() {
+				sc.Poison()
+			}
 			resp = transport.ShardBatchAck{
 				Seq: t.Seq, Known: known,
 				HasTs: ack.HasTs, MaxTs: ack.MaxTs,

@@ -37,6 +37,10 @@ func newPipeTopology(shards int, opts central.Options, cat func() *event.Catalog
 	t.router = coord.NewRouter(coord.NewManifestClient(mc), nil)
 	for i := 0; i < shards; i++ {
 		node := coord.NewShardNode(cat())
+		// Every sub-batch's borrowed cells turn to garbage once applied:
+		// shard state that kept one instead of a copy is a divergence with
+		// a seed, not a latent bug.
+		node.PoisonBorrowed()
 		addr := fmt.Sprintf("shard-%d", i)
 		cc, cs := transport.Pipe()
 		go node.ServeConn(cs)
@@ -127,6 +131,7 @@ func newFailoverTopology(shards int, opts central.Options, cat func() *event.Cat
 	}, nil)
 	for i := 0; i < shards; i++ {
 		node := coord.NewShardNode(cat())
+		node.PoisonBorrowed()
 		t.nodes = append(t.nodes, node)
 		addr := fmt.Sprintf("shard-%d", i)
 		cc, cs := transport.Pipe()

@@ -53,8 +53,17 @@ func AppendValue(dst []byte, v Value) []byte {
 }
 
 // DecodeValue decodes one value from b, returning the value and the number
-// of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+// of bytes consumed. The value owns its memory: string payloads are
+// copied out of b.
+func DecodeValue(b []byte) (Value, int, error) { return DecodeValueAlias(b, nil) }
+
+// DecodeValueAlias is DecodeValue with the caller choosing how a string
+// payload's bytes become a string: str is handed the payload's slice of b
+// and may return a string that shares its memory, for a caller that knows
+// b is never modified while the value lives. A nil str copies.
+//
+//scrub:allowalloc(a string or list payload is built on the heap by design, scalars allocate nothing; errors are cold)
+func DecodeValueAlias(b []byte, str func([]byte) string) (Value, int, error) {
 	if len(b) == 0 {
 		return Invalid, 0, fmt.Errorf("event: decode: empty buffer")
 	}
@@ -83,6 +92,9 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if uint64(len(b)-n) < ln {
 			return Invalid, 0, fmt.Errorf("event: decode: short string")
 		}
+		if str != nil {
+			return Str(str(b[n : n+int(ln)])), n + int(ln), nil
+		}
 		return Str(string(b[n : n+int(ln)])), n + int(ln), nil
 	case KindList:
 		if len(b) < n+1 {
@@ -100,7 +112,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		vs := make([]Value, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
-			v, used, err := DecodeValue(b[n:])
+			v, used, err := DecodeValueAlias(b[n:], str)
 			if err != nil {
 				return Invalid, 0, err
 			}

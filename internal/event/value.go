@@ -81,10 +81,10 @@ func ParseKind(s string) (Kind, error) {
 // value; it compares unequal to everything, including itself, and evaluates
 // as "missing" in predicates. Values are immutable once constructed.
 //
-// The cell is 40 bytes: ScrubCentral's window state is built from Values
-// (join-pending columns, group keys, raw rows), and nearly all of them are
-// scalars, so the list payload sits behind one pointer instead of widening
-// every cell by a slice header and an element kind.
+// The cell is 40 bytes: tuple batches, decode scratch and result rows are
+// arrays of Values, and nearly all of them are scalars, so the list
+// payload sits behind one pointer instead of widening every cell by a
+// slice header and an element kind.
 type Value struct {
 	kind Kind
 	num  uint64 // bool (0/1), int64 bits, float64 bits, or unix-nano time

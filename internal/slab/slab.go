@@ -1,5 +1,6 @@
-// Package slab provides the chunked, append-only array ScrubCentral's
-// window state is built from (DESIGN.md §17).
+// Package slab provides the chunked, append-only stores ScrubCentral's
+// window state is built from (DESIGN.md §17): Slab for fixed-size
+// entries, Arena for packed bytes.
 package slab
 
 import (
@@ -119,21 +120,4 @@ func (s *Slab[T]) Run(i uint32, w int) []T {
 func (s *Slab[T]) Bytes() int64 {
 	var zero T
 	return int64(s.allocated) * int64(unsafe.Sizeof(zero))
-}
-
-// Runs returns, in allocation order, the n runs of a slab that has only
-// ever been filled by Alloc(w) with this one w > 0.
-func (s *Slab[T]) Runs(w, n int) [][]T {
-	out := make([][]T, 0, n)
-	last, used := locate(s.n)
-	for k, chunk := range s.chunks {
-		end := len(chunk)
-		if k == last {
-			end = used
-		}
-		for off := 0; off+w <= end; off += w {
-			out = append(out, chunk[off:off+w:off+w])
-		}
-	}
-	return out
 }

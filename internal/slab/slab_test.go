@@ -72,35 +72,8 @@ func TestSlabRunsKeepContents(t *testing.T) {
 	}
 }
 
-// A slab filled with runs of one width enumerates them in order, padding
-// skipped.
-func TestSlabUniformRuns(t *testing.T) {
-	for _, w := range []int{1, 3, 7, MinChunk + 1} {
-		var s Slab[int]
-		const n = 1500
-		for i := 0; i < n; i++ {
-			_, run, ok := s.Alloc(w)
-			if !ok {
-				t.Fatal("alloc failed")
-			}
-			for j := range run {
-				run[j] = i
-			}
-		}
-		runs := s.Runs(w, n)
-		if len(runs) != n {
-			t.Fatalf("w=%d: %d runs, want %d", w, len(runs), n)
-		}
-		for i, run := range runs {
-			if len(run) != w || run[0] != i || run[w-1] != i {
-				t.Fatalf("w=%d: run %d = %v", w, i, run)
-			}
-		}
-	}
+func TestSlabPushOnZeroValue(t *testing.T) {
 	var empty Slab[int]
-	if got := empty.Runs(2, 0); len(got) != 0 {
-		t.Fatalf("empty slab has runs: %v", got)
-	}
 	if i, ok := empty.Push(9); !ok || i != 0 || *empty.At(0) != 9 {
 		t.Fatal("push on the zero slab")
 	}

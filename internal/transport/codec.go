@@ -34,6 +34,17 @@ func (w *writer) strs(ss []string) {
 	}
 }
 func (w *writer) value(v event.Value) { w.buf = event.AppendValue(w.buf, v) }
+func (w *writer) tuples(ts []Tuple) {
+	w.uvarint(uint64(len(ts)))
+	for _, tp := range ts {
+		w.u64(tp.RequestID)
+		w.i64(tp.TsNanos)
+		w.uvarint(uint64(len(tp.Values)))
+		for _, v := range tp.Values {
+			w.value(v)
+		}
+	}
+}
 func (w *writer) node(n expr.Node) {
 	if w.err != nil {
 		return
@@ -87,8 +98,12 @@ type reader struct {
 	buf []byte
 	pos int
 	err error
+	// sc, when set, lends the memory tuple-carrying messages are decoded
+	// into (RecvScratch); nil allocates.
+	sc *RecvScratch
 }
 
+//scrub:allowalloc(cold error path)
 func (r *reader) fail(msg string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("transport: decode: %s", msg)
@@ -160,9 +175,14 @@ func (r *reader) str() string {
 		r.fail("short string")
 		return ""
 	}
-	s := string(r.buf[r.pos : r.pos+int(ln)])
+	b := r.buf[r.pos : r.pos+int(ln)]
 	r.pos += int(ln)
-	return s
+	// A receive loop's frames come from one stream: a string equal to the
+	// previous sub-batch's host id is that string, not a fresh copy.
+	if r.sc != nil && string(b) == r.sc.sub.HostID {
+		return r.sc.sub.HostID
+	}
+	return string(b)
 }
 
 func (r *reader) strs() []string {
@@ -192,6 +212,67 @@ func (r *reader) value() event.Value {
 	}
 	r.pos += n
 	return v
+}
+
+// minTupleBytes is the least a tuple takes on the wire: request id, event
+// time and a zero value count.
+const minTupleBytes = 17
+
+// tuples decodes a tuple list: the cells into r.sc's arrays when a scratch
+// is set — valid until the scratch's next decode, the //scrub:pooled
+// contract of Tuple.Values and the Tuples fields — and into fresh arrays
+// otherwise. Either way all the tuples' Values share one flat backing
+// array, each capped at its own length. String payloads are ordinary
+// immutable strings that never alias the payload, so a value copied out
+// of a borrowed cell is good for ever.
+//
+//scrub:hotpath
+func (r *reader) tuples() []Tuple {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)-r.pos)/minTupleBytes {
+		r.fail("implausible tuple count")
+	}
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	var ts []Tuple
+	var vals []event.Value
+	if r.sc != nil {
+		ts, vals = r.sc.tuples[:0], r.sc.vals[:0]
+	}
+	if uint64(cap(ts)) < n {
+		//scrub:allowalloc(one array per message without a scratch; growth only with one)
+		ts = make([]Tuple, 0, n)
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
+		nv := r.uvarint()
+		// Every value takes at least its tag byte.
+		if r.err != nil || nv > uint64(len(r.buf)-r.pos) {
+			r.fail("implausible value count")
+			break
+		}
+		if uint64(cap(vals)-len(vals)) < nv {
+			// Sized for the rest of the batch at this tuple's width, which
+			// the bytes left bound too. Tuples already decoded keep the
+			// array they were cut from.
+			need := min((n-i)*nv, uint64(len(r.buf)-r.pos))
+			//scrub:allowalloc(one array per message without a scratch; growth only with one)
+			vals = make([]event.Value, 0, max(need, 2*uint64(cap(vals))))
+		}
+		start := len(vals)
+		for j := uint64(0); j < nv; j++ {
+			vals = append(vals, r.value())
+		}
+		if nv > 0 {
+			tp.Values = vals[start:len(vals):len(vals)]
+		}
+		ts = append(ts, tp)
+	}
+	if r.sc != nil {
+		r.sc.tuples, r.sc.vals = ts, vals
+	}
+	return ts
 }
 
 func (r *reader) node() expr.Node {
@@ -324,15 +405,7 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 		w.u64(t.QueryID)
 		w.str(t.HostID)
 		w.u8(t.TypeIdx)
-		w.uvarint(uint64(len(t.Tuples)))
-		for _, tp := range t.Tuples {
-			w.u64(tp.RequestID)
-			w.i64(tp.TsNanos)
-			w.uvarint(uint64(len(tp.Values)))
-			for _, v := range tp.Values {
-				w.value(v)
-			}
-		}
+		w.tuples(t.Tuples)
 		w.u64(t.MatchedTotal)
 		w.u64(t.SampledTotal)
 		w.u64(t.QueueDrops)
@@ -370,12 +443,17 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return w.buf, nil
 }
 
-// Decode parses a tagged payload produced by Encode.
-func Decode(b []byte) (Message, error) {
+// Decode parses a tagged payload produced by Encode. The message owns its
+// memory.
+func Decode(b []byte) (Message, error) { return decode(b, nil) }
+
+// decode is the one decoder: with a scratch, tuple-carrying messages
+// borrow its memory (RecvScratch); without, everything is allocated.
+func decode(b []byte, sc *RecvScratch) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("transport: decode: empty payload")
 	}
-	r := &reader{buf: b, pos: 1}
+	r := &reader{buf: b, pos: 1, sc: sc}
 	var m Message
 	switch b[0] {
 	case tagSubmitQuery:
@@ -458,27 +536,7 @@ func Decode(b []byte) (Message, error) {
 	case tagDataHello:
 		m = DataHello{HostID: r.str()}
 	case tagTupleBatch:
-		tb := TupleBatch{QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8()}
-		n := r.uvarint()
-		if n > uint64(len(b)) {
-			r.fail("implausible tuple count")
-		}
-		if r.err == nil {
-			tb.Tuples = make([]Tuple, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
-				nv := r.uvarint()
-				if nv > uint64(len(b)) {
-					r.fail("implausible value count")
-					break
-				}
-				tp.Values = make([]event.Value, 0, nv)
-				for j := uint64(0); j < nv; j++ {
-					tp.Values = append(tp.Values, r.value())
-				}
-				tb.Tuples = append(tb.Tuples, tp)
-			}
-		}
+		tb := TupleBatch{QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(), Tuples: r.tuples()}
 		tb.MatchedTotal = r.u64()
 		tb.SampledTotal = r.u64()
 		tb.QueueDrops = r.u64()

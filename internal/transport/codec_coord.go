@@ -1,7 +1,5 @@
 package transport
 
-import "scrub/internal/event"
-
 // Codec for the coordination messages (msg_coord.go). AppendEncode and
 // Decode dispatch here from their default branches so the base-protocol
 // hot path stays untouched.
@@ -170,15 +168,7 @@ func appendEncodeCoord(w *writer, m Message) bool {
 		w.u64(t.QueryID)
 		w.str(t.HostID)
 		w.u8(t.TypeIdx)
-		w.uvarint(uint64(len(t.Tuples)))
-		for _, tp := range t.Tuples {
-			w.u64(tp.RequestID)
-			w.i64(tp.TsNanos)
-			w.uvarint(uint64(len(tp.Values)))
-			for _, v := range tp.Values {
-				w.value(v)
-			}
-		}
+		w.tuples(t.Tuples)
 	case ShardBatchAck:
 		w.u64(t.Seq)
 		w.bool(t.Known)
@@ -291,28 +281,13 @@ func decodeCoord(tag byte, r *reader) (Message, bool) {
 	case tagShardSubBatch:
 		sb := ShardSubBatch{
 			Seq: r.u64(), QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(),
+			Tuples: r.tuples(),
 		}
-		n := r.uvarint()
-		if n > uint64(len(r.buf)) {
-			r.fail("implausible tuple count")
-		}
-		if r.err == nil && n > 0 {
-			sb.Tuples = make([]Tuple, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
-				nv := r.uvarint()
-				if nv > uint64(len(r.buf)) {
-					r.fail("implausible value count")
-					break
-				}
-				if nv > 0 {
-					tp.Values = make([]event.Value, 0, nv)
-					for j := uint64(0); j < nv; j++ {
-						tp.Values = append(tp.Values, r.value())
-					}
-				}
-				sb.Tuples = append(sb.Tuples, tp)
-			}
+		if r.sc != nil {
+			// Handed out by pointer into the scratch: boxing the struct
+			// would be the one allocation left per frame.
+			r.sc.sub = sb
+			return &r.sc.sub, true
 		}
 		return sb, true
 	case tagShardBatchAck:

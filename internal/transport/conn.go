@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"scrub/internal/event"
 	"scrub/internal/obs"
 )
 
@@ -48,11 +50,16 @@ func NewConnMetrics(reg *obs.Registry, labels ...obs.Label) *ConnMetrics {
 // Conn is a framed, message-oriented connection. Send is safe for
 // concurrent use; Recv must be driven from one goroutine.
 type Conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	enc  []byte // reusable encode buffer, guarded by wmu
+	nc  net.Conn
+	br  *bufio.Reader
+	wmu sync.Mutex
+	bw  *bufio.Writer
+	enc []byte // reusable encode buffer, guarded by wmu
+	// Frame-header buffers (shdr guarded by wmu, rhdr the receiving
+	// goroutine's): a local array would escape through the io.Reader /
+	// io.Writer call and cost an allocation per frame.
+	shdr [4]byte
+	rhdr [4]byte
 	met  atomic.Pointer[ConnMetrics]
 	once sync.Once
 }
@@ -120,9 +127,8 @@ func (c *Conn) Send(m Message) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("transport: frame too large: %d bytes (%s)", len(payload), Name(m))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.shdr[:], uint32(len(payload)))
+	if _, err := c.bw.Write(c.shdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.bw.Write(payload); err != nil {
@@ -131,36 +137,83 @@ func (c *Conn) Send(m Message) error {
 	return c.bw.Flush()
 }
 
-// Recv blocks for the next message.
-func (c *Conn) Recv() (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+// RecvScratch is the memory a receive loop lends to the messages it
+// receives (Conn.RecvBorrowed): the frame payload buffer, and the Tuple
+// and Value cells of a tuple-carrying message, all reused from frame to
+// frame. The zero value is ready to use; one scratch serves one loop.
+type RecvScratch struct {
+	payload []byte
+	tuples  []Tuple
+	vals    []event.Value
+	// sub is the sub-batch last handed out; its HostID is what the next
+	// frame's strings are interned against.
+	sub ShardSubBatch
+}
+
+// Poison overwrites every cell the scratch has lent out with garbage. A
+// receive loop under test calls it once it is done with a message, so
+// anything that kept a borrowed cell reads garbage and diverges.
+func (sc *RecvScratch) Poison() {
+	vals := sc.vals[:cap(sc.vals)]
+	for i := range vals {
+		vals[i] = event.Str("\x00poisoned borrowed value")
+	}
+	tuples := sc.tuples[:cap(sc.tuples)]
+	for i := range tuples {
+		tuples[i] = Tuple{RequestID: ^uint64(0) - uint64(i), TsNanos: -1 << 62, Values: vals}
+	}
+}
+
+// Recv blocks for the next message. The message owns its memory.
+func (c *Conn) Recv() (Message, error) { return c.RecvBorrowed(nil) }
+
+// RecvBorrowed is Recv into memory the caller lends: the payload is read
+// into sc's buffer, and a tuple-carrying message's Tuples and their
+// Values are cells of sc — valid until the next RecvBorrowed with the
+// same scratch, which is the //scrub:pooled contract those fields carry
+// anyway (copy what you keep; a Value copied out of a cell stays good,
+// its string is an ordinary immutable string). A ShardSubBatch frame
+// arrives as a *ShardSubBatch pointing into sc, so that receiving it
+// allocates nothing; every other message arrives by value and owns what
+// is not a tuple. A nil sc allocates everything, as Recv does.
+//
+//scrub:pooled
+func (c *Conn) RecvBorrowed(sc *RecvScratch) (Message, error) {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(c.rhdr[:]))
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	// Read incrementally rather than trusting the length prefix with one
-	// up-front allocation: a corrupt or hostile header claiming MaxFrame
-	// costs at most 64KiB before the short read surfaces.
-	payload := make([]byte, min(int(n), 64<<10))
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, err
+	var payload []byte
+	if sc != nil {
+		payload = sc.payload[:0]
 	}
-	for len(payload) < int(n) {
-		step := min(int(n)-len(payload), 1<<20)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(c.br, payload[len(payload)-step:]); err != nil {
+	// Grow incrementally rather than trusting the length prefix with one
+	// up-front allocation: a corrupt or hostile header claiming MaxFrame
+	// costs at most 64KiB before the short read surfaces. A buffer that is
+	// already large enough costs nothing.
+	for len(payload) < n {
+		step := min(n-len(payload), 1<<20)
+		if len(payload) == 0 {
+			step = min(step, 64<<10)
+		}
+		at := len(payload)
+		payload = slices.Grow(payload, step)[:at+step]
+		if _, err := io.ReadFull(c.br, payload[at:]); err != nil {
 			return nil, err
 		}
 	}
+	if sc != nil {
+		sc.payload = payload
+	}
 	met := c.met.Load()
 	if met == nil {
-		return Decode(payload)
+		return decode(payload, sc)
 	}
 	t0 := time.Now()
-	m, err := Decode(payload)
+	m, err := decode(payload, sc)
 	if met.DecodeNs != nil {
 		met.DecodeNs.Add(uint64(time.Since(t0)))
 	}
@@ -177,6 +230,11 @@ func (c *Conn) Recv() (Message, error) {
 
 // SetReadDeadline forwards to the underlying connection.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
+
+// SetDeadline bounds the reads and the writes of the underlying
+// connection: a Send to a peer that has stopped reading fails at t rather
+// than blocking in Flush for ever.
+func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
 
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }

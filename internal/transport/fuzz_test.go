@@ -44,7 +44,8 @@ func newMessageForTag(t *testing.T, tag byte) Message {
 // contract under fuzz: Decode must return a message or an error — never
 // panic, never hang, never allocate proportionally to a lying length
 // field — and anything it accepts must survive a re-encode/re-decode
-// round trip (no "valid" message the encoder cannot represent).
+// round trip (no "valid" message the encoder cannot represent). The same
+// holds through a receive scratch, which must decode to the same message.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		buf, err := Encode(m)
@@ -78,17 +79,34 @@ func FuzzDecode(f *testing.F) {
 		if reflect.TypeOf(m) != reflect.TypeOf(m2) {
 			t.Fatalf("round trip changed type: %T -> %T", m, m2)
 		}
+		var sc RecvScratch
+		sc.sub.HostID = "h"      // something for strings to be interned against
+		for i := 0; i < 2; i++ { // the second pass reuses what the first sized
+			mb, err := decode(data, &sc)
+			if err != nil {
+				t.Fatalf("%s decodes without a scratch but not with one: %v", Name(m), err)
+			}
+			if bb, err := Encode(owned(mb)); err != nil || !bytes.Equal(bb, buf) {
+				t.Fatalf("%s decodes differently through a scratch (%v)", Name(m), err)
+			}
+		}
 	})
 }
 
-// byteConn adapts a byte buffer to net.Conn so Conn.Recv can be driven
-// over arbitrary frame bytes without goroutines.
+// byteConn adapts byte buffers to net.Conn so Conn.Recv can be driven over
+// arbitrary frame bytes, and Conn.Send captured, without goroutines.
 type byteConn struct {
 	r *bytes.Reader
+	w *bytes.Buffer // nil discards
 }
 
-func (c byteConn) Read(p []byte) (int, error)         { return c.r.Read(p) }
-func (c byteConn) Write(p []byte) (int, error)        { return len(p), nil }
+func (c byteConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c byteConn) Write(p []byte) (int, error) {
+	if c.w != nil {
+		return c.w.Write(p)
+	}
+	return len(p), nil
+}
 func (c byteConn) Close() error                       { return nil }
 func (c byteConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
 func (c byteConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
@@ -118,6 +136,13 @@ func FuzzRecvFrame(f *testing.F) {
 		c := NewConn(byteConn{r: bytes.NewReader(data)})
 		for i := 0; i < 4; i++ { // drain a few frames, then EOF or error
 			if _, err := c.Recv(); err != nil {
+				break
+			}
+		}
+		c = NewConn(byteConn{r: bytes.NewReader(data)})
+		var sc RecvScratch
+		for i := 0; i < 4; i++ {
+			if _, err := c.RecvBorrowed(&sc); err != nil {
 				return
 			}
 		}

@@ -1,0 +1,179 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"scrub/internal/event"
+)
+
+// owned returns m by value: a borrowed sub-batch arrives by pointer.
+func owned(m Message) Message {
+	if p, ok := m.(*ShardSubBatch); ok {
+		return *p
+	}
+	return m
+}
+
+// frames builds a stream of tuple-carrying and plain messages whose tuple
+// counts and widths go up and down, so a scratch is grown, reused below
+// its capacity and grown again.
+func scratchFrames(rng *rand.Rand) []Message {
+	val := func() event.Value {
+		switch rng.Intn(7) {
+		case 0:
+			return event.Str(fmt.Sprintf("reason-%d", rng.Intn(5)))
+		case 1:
+			return event.Float(math.Float64frombits(rng.Uint64()))
+		case 2:
+			return event.Invalid
+		case 3:
+			return event.StrList("a", fmt.Sprint(rng.Intn(9)))
+		case 4:
+			return event.Bool(rng.Intn(2) == 0)
+		case 5:
+			return event.TimeNanos(rng.Int63())
+		}
+		return event.Int(rng.Int63())
+	}
+	tuples := func() []Tuple {
+		var ts []Tuple
+		for n := rng.Intn(40) * rng.Intn(4); n > 0; n-- {
+			tp := Tuple{RequestID: rng.Uint64(), TsNanos: rng.Int63()}
+			for w := rng.Intn(5); w > 0; w-- {
+				tp.Values = append(tp.Values, val())
+			}
+			ts = append(ts, tp)
+		}
+		return ts
+	}
+	var out []Message
+	for i := 0; i < 60; i++ {
+		host := fmt.Sprintf("host-%d", i/7) // runs of one host id, as one connection sees
+		switch rng.Intn(5) {
+		case 0:
+			out = append(out, ShardCollectReq{Seq: uint64(i), QueryID: 3, Bound: rng.Int63()})
+		case 1:
+			out = append(out, TupleBatch{QueryID: 3, HostID: host, Tuples: tuples(), MatchedTotal: uint64(i)})
+		default:
+			out = append(out, ShardSubBatch{Seq: uint64(i), QueryID: 3, HostID: host, TypeIdx: uint8(i % 2), Tuples: tuples()})
+		}
+	}
+	return out
+}
+
+// A message received through a scratch is the message received without
+// one, frame after frame; what it borrowed is overwritten by the next
+// receive — and a Value copied out of a borrowed cell is not.
+func TestRecvBorrowedMatchesRecv(t *testing.T) {
+	sent := scratchFrames(rand.New(rand.NewSource(5)))
+	var wire bytes.Buffer
+	w := NewConn(byteConn{w: &wire})
+	for _, m := range sent {
+		if err := w.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := NewConn(byteConn{r: bytes.NewReader(wire.Bytes())})
+	borrowed := NewConn(byteConn{r: bytes.NewReader(wire.Bytes())})
+	var sc RecvScratch
+	var keptVal, keptWant []event.Value
+	for i, m := range sent {
+		want, err := plain.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: Recv: %v", i, err)
+		}
+		got, err := borrowed.RecvBorrowed(&sc)
+		if err != nil {
+			t.Fatalf("frame %d: RecvBorrowed: %v", i, err)
+		}
+		if sb, isSub := m.(ShardSubBatch); isSub {
+			p, ok := got.(*ShardSubBatch)
+			if !ok {
+				t.Fatalf("frame %d: a borrowed sub-batch arrived as %T", i, got)
+			}
+			if len(sb.Tuples) > 0 && len(sc.tuples) > 0 && &p.Tuples[0] != &sc.tuples[0] {
+				t.Fatalf("frame %d: the sub-batch's tuples are not the scratch's cells", i)
+			}
+		}
+		wantEnc, _ := Encode(want)
+		gotEnc, err := Encode(owned(got))
+		if err != nil || !bytes.Equal(gotEnc, wantEnc) {
+			t.Fatalf("frame %d (%s): borrowed decode differs from the allocating one (%v)", i, Name(want), err)
+		}
+		// Copy values out of the borrowed cells, then let the scratch go:
+		// the copies must still read the same after the cells are garbage.
+		if p, ok := got.(*ShardSubBatch); ok {
+			for _, tp := range p.Tuples {
+				keptVal = append(keptVal, tp.Values...)
+			}
+			for _, tp := range want.(ShardSubBatch).Tuples {
+				keptWant = append(keptWant, tp.Values...)
+			}
+			sc.Poison()
+		}
+	}
+	if len(keptVal) == 0 {
+		t.Fatal("no values were kept")
+	}
+	var a, b []byte
+	for i := range keptVal {
+		a = event.AppendValue(a, keptVal[i])
+		b = event.AppendValue(b, keptWant[i])
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("values copied out of borrowed cells changed when the scratch was reused")
+	}
+}
+
+// Receiving a 128-tuple int/float sub-batch through the scratch allocates
+// nothing once the first frame has sized it.
+func TestRecvBorrowedZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sb := ShardSubBatch{Seq: 1, QueryID: 7, HostID: "bid-sj-1"}
+	for i := 0; i < 128; i++ {
+		sb.Tuples = append(sb.Tuples, Tuple{RequestID: uint64(i), TsNanos: int64(i), Values: []event.Value{event.Int(int64(i)), event.Float(float64(i) / 3)}})
+	}
+	var wire bytes.Buffer
+	w := NewConn(byteConn{w: &wire})
+	const frames = 64
+	for i := 0; i < frames; i++ {
+		if err := w.Send(sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewConn(byteConn{r: bytes.NewReader(wire.Bytes())})
+	var sc RecvScratch
+	recv := func() {
+		m, err := c.RecvBorrowed(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := m.(*ShardSubBatch); len(p.Tuples) != 128 || p.HostID != "bid-sj-1" {
+			t.Fatalf("received %d tuples from %q", len(p.Tuples), p.HostID)
+		}
+	}
+	recv() // sizes the scratch
+	if n := testing.AllocsPerRun(frames-2, recv); n != 0 {
+		t.Errorf("RecvBorrowed allocates %v times per 128-tuple frame, want 0", n)
+	}
+}
+
+// A hostile length prefix costs a receive loop no more through a scratch
+// than without one: at most 64 KiB before the short read surfaces.
+func TestRecvBorrowedHostilePrefix(t *testing.T) {
+	data := []byte{0xff, 0xff, 0xff, 0x00, 1, 2, 3} // claims 16 MiB - 1, holds 3 bytes
+	c := NewConn(byteConn{r: bytes.NewReader(data)})
+	var sc RecvScratch
+	if _, err := c.RecvBorrowed(&sc); err == nil {
+		t.Fatal("a truncated frame was accepted")
+	}
+	if cap(sc.payload) > 64<<10 {
+		t.Fatalf("the scratch grew to %d bytes on a lying length prefix", cap(sc.payload))
+	}
+}
