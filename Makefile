@@ -44,16 +44,20 @@ metrics-smoke:
 	$(GO) run ./scripts/metricssmoke
 
 # Short coverage-guided fuzz pass over the surfaces that parse untrusted
-# input: the transport frame decoder (arbitrary network bytes, with and
+# input — the transport frame decoder (arbitrary network bytes, with and
 # without a receive scratch), the packed runs a partial's bytes become
 # window state as, the query-language parser (arbitrary operator-typed
-# text) and the replay chunk decoder.
+# text), the replay chunk decoder — and over the window-state hash index
+# against its map model. This is the one list of fuzz targets: ci.sh runs
+# it with FUZZTIME=3s.
+FUZZTIME ?= 5s
 fuzz-smoke:
-	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=5s
-	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=5s
-	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=5s
-	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=5s
-	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=5s
+	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME)
 
 # Fixed-seed chaos soak (quick mode) under the race detector.
 chaos-soak:

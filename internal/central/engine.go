@@ -1,6 +1,7 @@
 package central
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"scrub/internal/liveness"
 	"scrub/internal/obs"
 	"scrub/internal/sampling"
+	"scrub/internal/slab"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 )
@@ -75,7 +77,7 @@ func newStateGauges(reg *obs.Registry) *stateGauges {
 	}
 	return &stateGauges{
 		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
-		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' slabs (value arena, join-pending, aggregators, raw rows)"),
+		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state, indexes included (join-pending and group runs and their bucket heads, aggregators, raw rows); only sketches and the per-host maps are not counted"),
 	}
 }
 
@@ -167,13 +169,17 @@ type queryState struct {
 	// Per-query scratch for the apply path (the engine lock is held
 	// throughout a batch, so one set per query suffices): the rows handed
 	// to the evaluators, the cells a buffered join tuple's columns are
-	// unpacked into for a probe, and the buffer group keys, join columns
-	// and raw rows are packed in before the window keeps them. Only a
-	// tuple that opens a new group makes a string of its key.
+	// unpacked into for a probe, the links a probe found under its request
+	// id, and the buffer join, group and raw runs are packed in before the
+	// window keeps them.
 	side    sideRow
 	join    joinRow
 	probe   []event.Value
+	found   []uint32
 	packBuf []byte
+	// chainSteps counts the runs join probes have visited; tests assert on
+	// it that a probe never walks its own side's chain.
+	chainSteps uint64
 }
 
 // StartQuery installs a central query object.
@@ -192,7 +198,7 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
 	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, qs.plan.Lateness, func(start, end int64) *winState {
-		return newWinState(&qs.plan)
+		return newWinState(&qs.plan, start)
 	})
 	if err != nil {
 		return err
@@ -341,69 +347,85 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	}
 
 	// Equi-join on the request identifier, within the window: pair the
-	// tuple with everything the other side has buffered under its id, in
-	// arrival order, then buffer it for the other side's later arrivals.
-	side, other := int(typeIdx), 1-int(typeIdx)
-	ci, known := ws.pending[t.RequestID]
-	if known {
-		row := &qs.join
-		row.sides[side] = viewOf(t)
-		vals := qs.probe[:len(qs.plan.Columns[other])]
-		for link := ws.cells.At(ci).head[other]; link != 0; {
-			pt := ws.pend.At(link - 1)
-			link = pt.next
-			if len(vals) > 0 {
-				// Strings alias the arena chunk: they are read while this
-				// tuple is applied and the chunk is never rewritten.
-				unpackValues(vals, ws.arena.Tail(pt.valOff), true)
-			}
-			row.sides[other] = tupleView{req: t.RequestID, ts: pt.ts, vals: vals}
-			if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
-				continue
-			}
-			e.accumulate(qs, ws, row, host)
-		}
-	}
-	if !e.buffer(qs, ws, ci, known, side, t) {
+	// tuple with everything the other side has buffered under its id, then
+	// buffer it for the other side's later arrivals.
+	side, hash := uint64(typeIdx), hashID(t.RequestID)<<1
+	e.probeJoin(qs, ws, host, side, hash, t)
+	if !e.buffer(qs, ws, side, hash, t) {
 		qs.overflow++
 	}
 }
 
-// buffer keeps a join tuple for the other side's later arrivals: its
-// event time in the pend slab, its columns packed in the arena, linked at
-// the tail of its request id's chain for its side. It reports false when
-// the window is at MaxJoinPending (or a slab at the end of its index
-// space).
-func (e *Engine) buffer(qs *queryState, ws *winState, ci uint32, known bool, side int, t *transport.Tuple) bool {
+// probeJoin folds the joined rows a tuple forms with the other side's
+// buffered tuples of its request id, in their arrival order — the order
+// float sums are folded in must not change. Only the other side's chain
+// (hash is hashID(id)<<1, the side its low bit) is walked, so a flood of
+// one id from one side costs its own side nothing. A chain runs newest
+// first: the matching links are collected, then replayed backwards.
+//
+//scrub:hotpath
+func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash uint64, t *transport.Tuple) {
+	other := 1 - side
+	found := qs.found[:0]
+	for link := ws.join.Head(hash | other); link != 0; {
+		run, next := ws.arena.Linked(link)
+		if binary.LittleEndian.Uint64(run) == t.RequestID {
+			found = append(found, link)
+		}
+		link = next
+		qs.chainSteps++
+	}
+	qs.found = found
+	if len(found) == 0 {
+		return
+	}
+	row := &qs.join
+	row.sides[side] = viewOf(t)
+	vals := qs.probe[:len(qs.plan.Columns[other])]
+	for i := len(found) - 1; i >= 0; i-- {
+		run, _ := ws.arena.Linked(found[i])
+		tag, n := binary.Uvarint(run[8:])
+		if len(vals) > 0 {
+			// Strings alias the arena chunk: they are read while this
+			// tuple is applied and a run's payload is never rewritten.
+			unpackValues(vals, run[8+n:], true)
+		}
+		row.sides[other] = tupleView{req: t.RequestID, ts: ws.start + int64(tag>>1), vals: vals}
+		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
+			continue
+		}
+		e.accumulate(qs, ws, row, host)
+	}
+}
+
+// buffer keeps a join tuple for the other side's later arrivals as one
+// arena run, threaded on its side's chain (winState.arena has the
+// layout). It reports false when the window is at MaxJoinPending (or the
+// arena at the end of its address space).
+//
+//scrub:hotpath
+func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple) bool {
 	if ws.pendN >= qs.plan.MaxJoinPending {
 		return false
 	}
 	// The batch's Values arrays live in memory that is recycled once the
 	// batch has been applied (host.Sink; a shard's receive scratch): what
 	// the window keeps of a tuple is its columns' wire form, copied into
-	// the arena. A side the plan projects no column of keeps no run.
-	qs.packBuf = packValues(qs.packBuf[:0], t.Values, len(qs.plan.Columns[side]))
-	valOff, ok := ws.arena.Append(qs.packBuf)
+	// the arena.
+	buf := appendHeader(qs.packBuf[:0], slab.LinkSize) // the index writes the link
+	buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
+	buf = binary.AppendUvarint(buf, uint64(t.TsNanos-ws.start)<<1|side)
+	buf = packValues(buf, t.Values, len(qs.plan.Columns[side]))
+	qs.packBuf = buf
+	at, ok := ws.arena.Append(buf)
 	if !ok {
 		return false
 	}
-	at, ok := ws.pend.Push(pendTuple{ts: t.TsNanos, valOff: valOff})
-	if !ok {
-		return false
-	}
-	if !known {
-		if ci, ok = ws.cells.Push(pendCell{}); !ok {
-			return false
-		}
-		ws.pending[t.RequestID] = ci
-	}
-	cell, link := ws.cells.At(ci), at+1
-	if tail := cell.tail[side]; tail != 0 {
-		ws.pend.At(tail - 1).next = link
+	if ws.join.Full() {
+		ws.rethreadJoin(&qs.plan) // threads the new run too
 	} else {
-		cell.head[side] = link
+		ws.join.Insert(&ws.arena, at, hash|side)
 	}
-	cell.tail[side] = link
 	ws.pendN++
 	if e.state != nil {
 		e.state.joinPending.Add(1)
@@ -435,18 +457,20 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 		return
 	}
 
-	// The key is encoded into the query's buffer and looked up with the
-	// conversion the compiler elides; a string is made only for a key the
-	// window has not seen.
-	buf := qs.packBuf[:0]
+	// The key is encoded into the query's buffer behind room for a group
+	// run's header, so that a key the window has not seen is kept by
+	// appending the buffer as it is.
+	buf := appendHeader(qs.packBuf[:0], groupHdr)
 	for _, ev := range c.groupEvals {
 		buf = event.AppendValue(buf, ev(row))
 	}
 	qs.packBuf = buf
 	var aggs []agg.Aggregator
-	if off, ok := ws.groups[string(buf)]; ok {
+	key := buf[groupHdr:]
+	hash := hashKey(key)
+	if off, ok := ws.findGroup(hash, key); ok {
 		aggs = ws.aggsAt(off, len(p.Aggs))
-	} else if aggs, ok = ws.openGroup(p, string(buf)); ok {
+	} else if aggs, ok = ws.openGroup(p, hash, buf); ok {
 		e.charge(ws)
 	} else {
 		qs.overflow++
@@ -509,19 +533,13 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		rw.Rows = ws.rawRows(len(comp.selectEvals))
 
 	default:
-		// Deterministic group order: sort by encoded key.
-		keys := make([]string, 0, len(ws.groups))
-		for k := range ws.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		// An ungrouped aggregate query emits one row even for an empty
 		// window (COUNT(*) = 0), matching SQL semantics.
-		if len(keys) == 0 && p.HasAgg() && !p.Grouped() {
-			if _, ok := ws.openGroup(p, ""); ok {
-				keys = append(keys, "")
-			}
+		if ws.groups.Len() == 0 && p.HasAgg() && !p.Grouped() {
+			ws.openGroup(p, hashKey(nil), make([]byte, groupHdr))
 		}
+		// Deterministic group order: sort by encoded key.
+		groups := ws.sortedGroups()
 		var bounds []float64
 		var sums map[int]float64
 		if rw.Approx && !p.Grouped() {
@@ -532,14 +550,12 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		// gives its slot back.
 		width := len(comp.selectEvals)
 		row := &resultRow{groupBy: p.GroupBy, keyVals: make([]event.Value, len(p.GroupBy)), aggVals: make([]event.Value, len(p.Aggs))}
-		out := make([]event.Value, 0, len(keys)*width)
-		var keyBuf []byte
-		for _, k := range keys {
-			// The map key is the key values' wire form; what a result row
-			// takes from it is decoded into memory of its own.
-			keyBuf = append(keyBuf[:0], k...)
-			unpackValues(row.keyVals, keyBuf, false)
-			for i, ag := range ws.aggsAt(ws.groups[k], len(p.Aggs)) {
+		out := make([]event.Value, 0, len(groups)*width)
+		for _, g := range groups {
+			// What a result row takes from the key's wire form is decoded
+			// into memory of its own.
+			unpackValues(row.keyVals, g.key(), false)
+			for i, ag := range ws.aggsAt(g.aggs(), len(p.Aggs)) {
 				v := ag.Result()
 				if p.Aggs[i].Spec.Scalable() {
 					if est, ok := sums[i]; ok {
@@ -768,9 +784,15 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	for h := range src.hosts {
 		dst.hosts[h] = struct{}{}
 	}
-	for key, sg := range src.groups {
-		saggs := src.aggsAt(sg, len(p.Aggs))
-		if dg, ok := dst.groups[key]; ok {
+	var adopted []byte
+	for runs := src.groupsInOrder(); ; {
+		g := groupRun(runs.next())
+		if g == nil {
+			break
+		}
+		hash := hashKey(g.key())
+		saggs := src.aggsAt(g.aggs(), len(p.Aggs))
+		if dg, ok := dst.findGroup(hash, g.key()); ok {
 			for i, ag := range dst.aggsAt(dg, len(p.Aggs)) {
 				// Same plan, same spec order; Merge errors only on kind
 				// mismatch, impossible here.
@@ -781,12 +803,15 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 		// A group only src has is adopted under the same key: its
 		// aggregators move over as they are.
 		off, aggs, ok := dst.aggs.Alloc(len(p.Aggs))
+		if ok {
+			adopted = append(adopted[:0], g...)
+			ok = dst.addGroup(hash, adopted, off)
+		}
 		if !ok {
 			dropped++
 			continue
 		}
 		copy(aggs, saggs)
-		dst.groups[key] = off
 	}
 	take := min(src.rawN, max(p.MaxRawRows-dst.rawN, 0))
 	dropped += uint64(src.rawN - take)

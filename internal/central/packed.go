@@ -25,6 +25,13 @@ func packValues(dst []byte, vals []event.Value, w int) []byte {
 	return dst
 }
 
+// appendHeader appends n ≤ 8 zero bytes: the room a run's fixed-size header
+// is filled into.
+func appendHeader(dst []byte, n int) []byte {
+	var zero [8]byte
+	return append(dst, zero[:n]...)
+}
+
 // packedLen returns the length in bytes of the run of w values at the
 // head of b. It accepts exactly what unpackValues decodes: it is the
 // decoder, run for the lengths. (String payloads are aliased, not copied,
@@ -60,6 +67,7 @@ func unpackValues(out []event.Value, b []byte, alias bool) int {
 	for i := range out {
 		v, used, err := event.DecodeValueAlias(b[n:], str)
 		if err != nil {
+			//scrub:allowalloc(cold: only a bug produces a corrupt run)
 			panic(corruptRun + err.Error())
 		}
 		out[i] = v
@@ -68,25 +76,23 @@ func unpackValues(out []event.Value, b []byte, alias bool) int {
 	return n
 }
 
-// packedRows walks an arena filled with runs of one width w > 0, in
-// append order.
+// packedRows walks an arena filled with runs of one shape — hdr bytes,
+// then w packed values, not both zero — in append order.
 type packedRows struct {
-	chunks [][]byte // not yet started
-	cur    []byte   // the rest of the chunk being walked
-	w      int
+	chunks [][]byte
+	k, off int // the next run starts at byte off of chunks[k]
+	hdr, w int
+	at     uint32 // the address of the run that next returned last
 }
 
 func rowsOf(a *slab.Arena, w int) packedRows { return packedRows{chunks: a.Chunks(), w: w} }
 
 // more moves to the chunk holding the next run; false after the last run.
 func (r *packedRows) more() bool {
-	for len(r.cur) == 0 {
-		if len(r.chunks) == 0 {
-			return false
-		}
-		r.cur, r.chunks = r.chunks[0], r.chunks[1:]
+	for r.k < len(r.chunks) && r.off == len(r.chunks[r.k]) {
+		r.k, r.off = r.k+1, 0
 	}
-	return true
+	return r.k < len(r.chunks)
 }
 
 // next returns the next run's bytes, nil after the last.
@@ -94,21 +100,23 @@ func (r *packedRows) next() []byte {
 	if !r.more() {
 		return nil
 	}
-	n, err := packedLen(r.cur, r.w)
+	cur := r.chunks[r.k][r.off:]
+	n, err := packedLen(cur[r.hdr:], r.w)
 	if err != nil {
 		panic(corruptRun + err.Error())
 	}
-	row := r.cur[:n:n]
-	r.cur = r.cur[n:]
-	return row
+	n += r.hdr
+	r.at = slab.Addr(r.k, r.off)
+	r.off += n
+	return cur[:n:n]
 }
 
-// unpack decodes the next run into out (r.w values that own their
-// memory); false after the last.
+// unpack decodes the next run of a headerless arena into out (r.w values
+// that own their memory); false after the last.
 func (r *packedRows) unpack(out []event.Value) bool {
 	if !r.more() {
 		return false
 	}
-	r.cur = r.cur[unpackValues(out, r.cur, false):]
+	r.off += unpackValues(out, r.chunks[r.k][r.off:], false)
 	return true
 }

@@ -186,17 +186,13 @@ func encodePartial(p *Plan, ws *winState) []byte {
 		dst = appendString(dst, h)
 	}
 
-	keys := make([]string, 0, len(ws.groups))
-	for k := range ws.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		// The map key is the encoding of the group's key values.
+	groups := ws.sortedGroups()
+	dst = binary.AppendUvarint(dst, uint64(len(groups)))
+	for _, g := range groups {
+		// The stored key is the encoding of the group's key values.
 		dst = binary.AppendUvarint(dst, uint64(len(p.GroupBy)))
-		dst = append(dst, k...)
-		for _, ag := range ws.aggsAt(ws.groups[k], len(p.Aggs)) {
+		dst = append(dst, g.key()...)
+		for _, ag := range ws.aggsAt(g.aggs(), len(p.Aggs)) {
 			enc, err := agg.AppendState(dst, ag)
 			if err != nil {
 				// Unreachable: every aggregator a window holds is
@@ -236,7 +232,8 @@ func encodePartial(p *Plan, ws *winState) []byte {
 // DrainDriven under the same plan.
 func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 	p := &qr.plan
-	ws := newWinState(p)
+	ws := newWinState(p, 0)
+	var run []byte // a group's run, built before the window keeps it
 	tuples, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("central: decode partial: bad tuple count")
@@ -275,13 +272,13 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		if !ok {
 			return nil, fmt.Errorf("central: decode partial: group state too large")
 		}
-		// The group's map key is the encoding of its key values — these
-		// very bytes, once they are known to decode.
+		// The group's stored key is the encoding of its key values —
+		// these very bytes, once they are known to decode.
 		used, err := packedLen(b[n:], len(p.GroupBy))
 		if err != nil {
 			return nil, fmt.Errorf("central: decode partial: key value: %w", err)
 		}
-		key := string(b[n : n+used])
+		run = append(appendHeader(run[:0], groupHdr), b[n:n+used]...)
 		n += used
 		for j := range aggs {
 			a, used, err := ws.aggSlab.DecodeState(p.Aggs[j].Spec, b[n:])
@@ -291,10 +288,13 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 			aggs[j] = a
 			n += used
 		}
-		if _, dup := ws.groups[key]; dup {
+		hash := hashKey(run[groupHdr:])
+		if _, dup := ws.findGroup(hash, run[groupHdr:]); dup {
 			return nil, fmt.Errorf("central: decode partial: duplicate group key")
 		}
-		ws.groups[key] = off
+		if !ws.addGroup(hash, run, off) {
+			return nil, fmt.Errorf("central: decode partial: group state too large")
+		}
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])

@@ -1,6 +1,12 @@
 package central
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+
 	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/slab"
@@ -15,7 +21,10 @@ import (
 // values are kept in their wire form (packed.go), not as event.Value
 // cells: no Value outlives the apply of the tuple it came from (a string
 // MIN/MAX's running best is the one exception — agg.extremeAgg), and the
-// only pointers in the slabs are the aggregator interfaces. The set is
+// only pointers in the slabs are the aggregator interfaces. What is looked
+// up — a request id's buffered tuples, a key's group — is found through
+// bucket heads whose collision chains run through the stored runs
+// themselves (slab.Index): no map, cell or record indexes them. The set is
 // owned by the window and dropped whole once its result has been emitted
 // (or its partial serialized); nothing is pooled across windows.
 // DESIGN.md §17.
@@ -32,26 +41,30 @@ type winState struct {
 	lastHost    string
 	lastMoments []stats.Running
 
-	// arena holds the buffered join tuples' retained columns: per tuple a
-	// packed run of as many values as the plan projects for its side.
+	// Join-pending state: arena holds one run per buffered tuple —
+	// [link] [request id, 8 bytes] [(event time − start)<<1 | side,
+	// uvarint] [the side's projected columns, packed] — threaded by join
+	// on hashID(id)<<1 | side: a request's two sides have neighbouring
+	// buckets, in one cache line, and a chain holds one side's runs only.
+	// The run is the whole hash-table entry: a probe walks the other
+	// side's chain and keeps the runs whose id is its own. start is the
+	// window's start.
 	arena slab.Arena
+	join  slab.Index
+	start int64
+	pendN int // buffered tuples: the MaxJoinPending bound and the gauge
 
-	// Join-pending state: request id → cell → per-side chain of buffered
-	// tuples in arrival order. Arrival order is what the per-side slices
-	// of the earlier layout gave, and the order in which joined rows are
-	// folded into float sums must not change.
-	pending map[uint64]uint32 // request id → index into cells
-	cells   slab.Slab[pendCell]
-	pend    slab.Slab[pendTuple]
-	pendN   int // buffered tuples: the MaxJoinPending bound and the gauge
-
-	// Group state: encoded key → the group's run of len(Plan.Aggs)
-	// consecutive aggregators in aggs. The map key is the key values' wire
-	// form, which is all that is kept of them. Scalar aggregator states are
-	// carved from aggSlab; sketches are allocated one by one.
-	groups  map[string]uint32
-	aggs    slab.Slab[agg.Aggregator]
-	aggSlab agg.Slab
+	// Group state: groupRuns holds one run per group — [link] [index of
+	// the group's len(Plan.Aggs) consecutive aggregators in aggs, 4 bytes]
+	// [the key values' wire form, keyW of them] — threaded by groups on
+	// the key bytes, which are all that is kept of the key. Scalar
+	// aggregator states are carved from aggSlab; sketches are allocated
+	// one by one.
+	groupRuns slab.Arena
+	groups    slab.Index
+	keyW      int
+	aggs      slab.Slab[agg.Aggregator]
+	aggSlab   agg.Slab
 
 	// raw holds the rows of a non-aggregate query, each a packed run of
 	// len(Plan.Select) values; rawN counts them.
@@ -63,33 +76,69 @@ type winState struct {
 	charged int64
 }
 
-// pendCell heads the two per-side chains of one request id. Links are
-// pend indices plus one; 0 means none.
-type pendCell struct {
-	head, tail [2]uint32
+// groupHdr is what precedes the key in a group's run: the link and the
+// index of the group's aggregators.
+const groupHdr = slab.LinkSize + 4
+
+// hashSeed is drawn once per process, so no input can be built to land in
+// one bucket. Nothing's order depends on a hash: a chain is searched by
+// key, and what is rendered or serialized is sorted by key bytes first.
+var hashSeed = rand.Uint64()
+
+// mix folds the 128-bit product of x and a constant: every bit of the
+// result depends on every bit of x.
+func mix(x uint64) uint64 {
+	hi, lo := bits.Mul64(x, 0x9e3779b97f4a7c15)
+	return hi ^ lo
 }
 
-// pendTuple is one buffered join tuple: its event time, the arena address
-// of its retained columns (unused when the plan projects none for its
-// side) and the link to the next tuple of the same request id and side.
-type pendTuple struct {
-	ts     int64
-	valOff uint32
-	next   uint32
+// hashID hashes a request id for the join indexes.
+func hashID(id uint64) uint64 { return mix(id ^ hashSeed) }
+
+// hashKey hashes an encoded group key for the group index, a word at a
+// time: a key is a few bytes, and a general-purpose byte hash costs more
+// in setting up than in hashing them. The words are taken from the end: a
+// key has just been written and usually ends in a numeric value's 8
+// bytes, and a load that straddles two stores waits for both to retire.
+func hashKey(key []byte) uint64 {
+	h := hashSeed ^ uint64(len(key))
+	for ; len(key) >= 8; key = key[:len(key)-8] {
+		h = mix(h ^ binary.LittleEndian.Uint64(key[len(key)-8:]))
+	}
+	var head uint64
+	for i, b := range key {
+		head |= uint64(b) << (8 * i)
+	}
+	return mix(h ^ head)
 }
 
-func newWinState(p *Plan) *winState {
-	ws := &winState{
+// rethreadJoin doubles the join index and threads every buffered tuple
+// again, in arrival order — the arena's.
+//
+//scrub:allowalloc(the heads array doubles: amortised over the tuples buffered since the last doubling)
+func (ws *winState) rethreadJoin(p *Plan) {
+	ws.join.Grow()
+	for k, chunk := range ws.arena.Chunks() {
+		for off := 0; off < len(chunk); {
+			run := chunk[off+slab.LinkSize:]
+			tag, n := binary.Uvarint(run[8:])
+			w, err := packedLen(run[8+n:], len(p.Columns[tag&1]))
+			if err != nil {
+				panic(corruptRun + err.Error())
+			}
+			ws.join.Insert(&ws.arena, slab.Addr(k, off), hashID(binary.LittleEndian.Uint64(run))<<1|tag&1)
+			off += slab.LinkSize + 8 + n + w
+		}
+	}
+}
+
+func newWinState(p *Plan, start int64) *winState {
+	return &winState{
 		hosts:   make(map[string]struct{}),
 		perHost: make(map[string][]stats.Running),
+		start:   start,
+		keyW:    len(p.GroupBy),
 	}
-	if p.IsJoin() {
-		ws.pending = make(map[uint64]uint32)
-	}
-	if p.HasAgg() || p.Grouped() {
-		ws.groups = make(map[string]uint32)
-	}
-	return ws
 }
 
 // touch records that host contributed to the window. (The length test
@@ -108,6 +157,7 @@ func (ws *winState) momentsOf(host string, aggs int) []stats.Running {
 	if ws.lastMoments == nil {
 		m := ws.perHost[host]
 		if m == nil {
+			//scrub:allowalloc(once per host and window)
 			m = make([]stats.Running, aggs)
 			ws.perHost[host] = m
 		}
@@ -116,9 +166,59 @@ func (ws *winState) momentsOf(host string, aggs int) []stats.Running {
 	return ws.lastMoments
 }
 
-// openGroup starts a group with fresh aggregators and returns them. It
-// fails only when the aggregator slab has outgrown its uint32 indices.
-func (ws *winState) openGroup(p *Plan, key string) ([]agg.Aggregator, bool) {
+// findGroup returns the aggregator index of the group whose encoded key
+// is key (hashKey(key) == hash). The stored key is compared in place: an
+// encoding of keyW values is self-delimiting, so none is a proper prefix
+// of another and a prefix match is equality.
+//
+//scrub:hotpath
+func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
+	for link := ws.groups.Head(hash); link != 0; {
+		run, next := ws.groupRuns.Linked(link)
+		if bytes.HasPrefix(run[groupHdr-slab.LinkSize:], key) {
+			return binary.LittleEndian.Uint32(run), true
+		}
+		link = next
+	}
+	return 0, false
+}
+
+// addGroup records a group whose aggregators start at off. run is the
+// group's run with the groupHdr bytes reserved and the encoded key behind
+// them; it is copied. It fails only when the arena is out of addresses.
+func (ws *winState) addGroup(hash uint64, run []byte, off uint32) bool {
+	binary.LittleEndian.PutUint32(run[slab.LinkSize:], off)
+	at, ok := ws.groupRuns.Append(run)
+	if !ok {
+		return false
+	}
+	if ws.groups.Full() {
+		ws.rethreadGroups() // threads the new run too
+	} else {
+		ws.groups.Insert(&ws.groupRuns, at, hash)
+	}
+	return true
+}
+
+// rethreadGroups doubles the group index and threads every group again,
+// in the order the groups were opened.
+func (ws *winState) rethreadGroups() {
+	ws.groups.Grow()
+	for runs := ws.groupsInOrder(); ; {
+		g := groupRun(runs.next())
+		if g == nil {
+			return
+		}
+		ws.groups.Insert(&ws.groupRuns, runs.at, hashKey(g.key()))
+	}
+}
+
+// openGroup starts a group (run as for addGroup) with fresh aggregators
+// and returns them. It fails only when a slab has outgrown its uint32
+// addresses.
+//
+//scrub:allowalloc(a new group's aggregator states: carved from slabs whose chunk growth is amortised; sketches are allocated one by one)
+func (ws *winState) openGroup(p *Plan, hash uint64, run []byte) ([]agg.Aggregator, bool) {
 	off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
 	if !ok {
 		return nil, false
@@ -132,12 +232,42 @@ func (ws *winState) openGroup(p *Plan, key string) ([]agg.Aggregator, bool) {
 		}
 		aggs[i] = ag
 	}
-	ws.groups[key] = off
-	return aggs, true
+	return aggs, ws.addGroup(hash, run, off)
 }
 
 // aggsAt returns the na aggregators of the group whose run starts at off.
 func (ws *winState) aggsAt(off uint32, na int) []agg.Aggregator { return ws.aggs.Run(off, na) }
+
+// groupRun is one group's run as render, encodePartial and merge read it,
+// in place.
+type groupRun []byte
+
+// key is the group's encoded key.
+func (g groupRun) key() []byte { return g[groupHdr:] }
+
+// aggs is the index of the group's aggregators.
+func (g groupRun) aggs() uint32 { return binary.LittleEndian.Uint32(g[slab.LinkSize:]) }
+
+// groupsInOrder walks the window's group runs in the order the groups
+// were opened.
+func (ws *winState) groupsInOrder() packedRows {
+	return packedRows{chunks: ws.groupRuns.Chunks(), hdr: groupHdr, w: ws.keyW}
+}
+
+// sortedGroups lists the window's groups ordered by encoded key — the one
+// deterministic order results and partials are built in.
+func (ws *winState) sortedGroups() []groupRun {
+	out := make([]groupRun, 0, ws.groups.Len())
+	for runs := ws.groupsInOrder(); ; {
+		run := runs.next()
+		if run == nil {
+			break
+		}
+		out = append(out, run)
+	}
+	slices.SortFunc(out, func(a, b groupRun) int { return bytes.Compare(a.key(), b.key()) })
+	return out
+}
 
 // rawRows materialises the window's raw rows as values that own their
 // memory, all rows in one backing array.
@@ -153,10 +283,11 @@ func (ws *winState) rawRows(width int) [][]event.Value {
 	return out
 }
 
-// slabBytes is the capacity of the window's slabs in bytes — what the
-// scrub_central_state_bytes gauge counts. The maps and the sketches are
-// not slabs and are not counted.
+// slabBytes is the capacity of the window's slabs, arenas and index heads
+// in bytes — what the scrub_central_state_bytes gauge counts: all of the
+// window's state but the sketches and the per-host maps.
 func (ws *winState) slabBytes() int64 {
-	return ws.arena.Bytes() + ws.raw.Bytes() + ws.cells.Bytes() + ws.pend.Bytes() +
-		ws.aggs.Bytes() + ws.aggSlab.Bytes()
+	return ws.arena.Bytes() + ws.join.Bytes() +
+		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() + ws.aggSlab.Bytes() +
+		ws.raw.Bytes()
 }

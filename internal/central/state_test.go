@@ -40,8 +40,8 @@ func TestApplyOpenGroupsZeroAllocs(t *testing.T) {
 	}
 }
 
-// A join buffers every tuple, so it must allocate — but only as its slabs
-// and its request-id map grow, a few times per thousand tuples, never per
+// A join buffers every tuple, so it must allocate — but only as its arena
+// and its bucket heads grow, a few times per thousand tuples, never per
 // tuple.
 func TestApplyJoinAllocsAmortised(t *testing.T) {
 	if raceEnabled {
@@ -76,6 +76,89 @@ func TestApplyJoinAllocsAmortised(t *testing.T) {
 	}
 	st, _ := e.StopQuery(1)
 	if st.TuplesIn != 42*2*n || st.LateDrops != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// Opening a group allocates its share of chunk and heads growth and
+// nothing of its own: no key string, no map cell.
+func TestApplyNewGroupAllocsAmortised(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	p := buildPlan(t, `select bid.user_id, count(*), sum(bid.bid_price) from bid group by bid.user_id window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	b := bidBatch(1, "h1")
+	for i := 0; i < n; i++ {
+		b.Tuples = append(b.Tuples, tup(uint64(i), sec(1), event.Int(int64(i)), event.Float(1)))
+	}
+	window := int64(0)
+	round := func() { // a fresh window each time: every tuple opens a group
+		for i := range b.Tuples {
+			b.Tuples[i].TsNanos = sec(1 + 10*window)
+		}
+		window++
+		e.HandleBatch(b)
+	}
+	round()
+	perRound := testing.AllocsPerRun(5, round)
+	if perGroup := perRound / n; perGroup > 0.02 {
+		t.Errorf("opening a group allocates %.3f times (%v per window of %d groups), want chunk and heads growth only", perGroup, perRound, n)
+	}
+	st, _ := e.StopQuery(1)
+	if st.TuplesIn != 7*n || st.LateDrops != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// A flood of one request id from one side — events logged outside a
+// request carry id 0 — must cost each of its tuples O(1): a probe walks
+// the other side's chain only. Counted in chain records visited, not in
+// time. The rows the flood then joins into arrive in its arrival order.
+func TestJoinOneSidedFloodIsLinear(t *testing.T) {
+	const flood, others = 50000, 500
+	e := NewEngine()
+	p := buildPlan(t, `select bid.bid_price, exclusion.reason from bid, exclusion window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	p.MaxRawRows = 2 * flood
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	bids := bidBatch(1, "h1")
+	for i := 0; i < flood; i++ {
+		bids.Tuples = append(bids.Tuples, tup(0, sec(1)+int64(i), event.Float(float64(i))))
+	}
+	for i := 1; i <= others; i++ { // bystanders, some in the flood's bucket
+		bids.Tuples = append(bids.Tuples, tup(uint64(i), sec(2), event.Float(-1)))
+	}
+	e.HandleBatch(bids)
+	e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: []transport.Tuple{tup(0, sec(3), event.Str("geo"))}})
+
+	e.mu.Lock()
+	qs := e.queries[1]
+	steps := qs.chainSteps
+	var rows [][]event.Value
+	for _, ws := range qs.win.GetAll(sec(1)) {
+		rows = ws.rawRows(2)
+	}
+	e.mu.Unlock()
+	if limit := uint64(flood + others + 1 + flood); steps > limit {
+		t.Errorf("probes visited %d chain records for %d tuples, want at most %d", steps, flood+others+1, limit)
+	}
+	if len(rows) != flood {
+		t.Fatalf("%d joined rows, want %d", len(rows), flood)
+	}
+	for i, row := range rows {
+		if f, _ := row[0].AsFloat(); f != float64(i) {
+			t.Fatalf("joined row %d carries bid %v: not arrival order", i, f)
+		}
+	}
+	if st, _ := e.StopQuery(1); st.LateDrops != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -347,22 +430,24 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), ts, event.Int(int64(i%700)), event.Float(1))))
 		e.HandleBatch(bidBatch(2, "h1", tup(uint64(i), ts, event.Int(int64(i)))))
 	}
-	var want int64
+	var want, heads, groups int64
 	e.mu.Lock()
 	for _, qs := range e.queries {
-		for _, ws := range qs.win.GetAll(sec(5)) {
-			want += ws.slabBytes()
-		}
-		for _, ws := range qs.win.GetAll(sec(15)) {
-			want += ws.slabBytes()
-		}
-		for _, ws := range qs.win.GetAll(sec(22)) {
-			want += ws.slabBytes()
+		for _, at := range []int64{sec(5), sec(15), sec(22)} {
+			for _, ws := range qs.win.GetAll(at) {
+				want += ws.slabBytes()
+				heads += ws.groups.Bytes()
+				groups += int64(ws.groups.Len())
+			}
 		}
 	}
 	e.mu.Unlock()
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
 		t.Errorf("scrub_central_state_bytes = %d, open windows' slabs hold %d", got, want)
+	}
+	// The figure includes the indexes: a bucket head per group at least.
+	if groups == 0 || heads < 4*groups {
+		t.Errorf("group index heads hold %d bytes for %d groups", heads, groups)
 	}
 	e.StopQuery(1)
 	e.StopQuery(2)

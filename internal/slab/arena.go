@@ -8,10 +8,11 @@ import "unsafe"
 // to ArenaMaxChunk bytes and stay there; a run never straddles a chunk
 // (what is left of the current one is skipped), and a run longer than
 // ArenaMaxChunk gets a chunk of exactly its own size, so no length is
-// refused. Because written bytes never change and a chunk lives as long
-// as anything points into it, a slice — or a String — taken from a run
-// stays valid for as long as its holder keeps it, whatever happens to the
-// arena. The chunks hold no pointers: the collector never scans them.
+// refused. Because written bytes never change (but for the link words an
+// Index threads through its runs, index.go) and a chunk lives as long as
+// anything points into it, a slice — or a String — taken from a run's
+// payload stays valid for as long as its holder keeps it, whatever happens
+// to the arena. The chunks hold no pointers: the collector never scans them.
 // The zero Arena is empty and ready to use; it is not safe for concurrent
 // use.
 type Arena struct {
@@ -55,6 +56,8 @@ func (a *Arena) Append(b []byte) (uint32, bool) {
 // no regular chunk is. A chunk of the second kind is full from the start,
 // so the run after it starts a regular chunk again and runs stay in
 // append order across chunks.
+//
+//scrub:allowalloc(a new chunk: amortised over the runs that fill it)
 func (a *Arena) grow(n int) bool {
 	if len(a.chunks) >= arenaMaxChunks {
 		return false
@@ -86,6 +89,9 @@ func (a *Arena) Tail(at uint32) []byte {
 // arena's runs back to back, without the skipped remainders. The caller
 // must not modify them.
 func (a *Arena) Chunks() [][]byte { return a.chunks }
+
+// Addr is the address of the run that starts at byte off of Chunks()[k].
+func Addr(k, off int) uint32 { return uint32(k)<<arenaMaxShift | uint32(off) }
 
 // Bytes is the capacity allocated so far, in bytes.
 func (a *Arena) Bytes() int64 { return a.allocated }

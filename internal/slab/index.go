@@ -1,0 +1,75 @@
+package slab
+
+import "encoding/binary"
+
+// Index is a hash index over runs of an Arena that keeps no entry of its
+// own: a power-of-two array of bucket heads, each a link to the newest run
+// of its bucket, with the collision chain continuing through the runs
+// themselves — an indexed run begins with a LinkSize-byte link to the run
+// threaded before it in the same bucket. A link is a run's address plus
+// one; 0 ends a chain (address 0 is a real run, the arena's first). The
+// runs' keys and hashes are their owner's business: the owner hashes,
+// walks a chain from Head with Arena.Linked and compares keys in place.
+// Several indexes may thread disjoint sets of runs of one arena. The link
+// words are the one part of an arena that is rewritten — when the heads
+// have doubled and the owner threads every run again — and no slice or
+// String an owner keeps covers one. The zero Index is empty (and Full); it
+// is not safe for concurrent use.
+type Index struct {
+	heads []uint32
+	n     int // runs threaded
+}
+
+const (
+	// LinkSize is how many bytes at the head of an indexed run belong to
+	// the index; Insert writes them.
+	LinkSize = 4
+	// indexMinBuckets is the size of the first heads array.
+	indexMinBuckets = 16
+)
+
+// Head returns the link to the newest run in hash's bucket, 0 when the
+// bucket is empty.
+func (ix *Index) Head(hash uint64) uint32 {
+	if len(ix.heads) == 0 {
+		return 0
+	}
+	return ix.heads[hash&uint64(len(ix.heads)-1)]
+}
+
+// Len is the number of runs threaded.
+func (ix *Index) Len() int { return ix.n }
+
+// Bytes is the capacity of the heads array in bytes.
+func (ix *Index) Bytes() int64 { return int64(len(ix.heads)) * 4 }
+
+// Full reports that the index holds a run per bucket: before the next
+// Insert its owner must Grow it, so chains stay about one run long.
+func (ix *Index) Full() bool { return ix.n == len(ix.heads) }
+
+// Grow doubles the heads and forgets every run. The owner then Inserts
+// all its runs again in the order they were appended — it alone knows
+// where each ends and what it hashes to — so every chain still runs
+// newest first, and growing reads the arena front to back: only the new
+// heads, a sixteenth of a cache line a run, are written at random.
+func (ix *Index) Grow() {
+	ix.heads = make([]uint32, max(indexMinBuckets, 2*len(ix.heads)))
+	ix.n = 0
+}
+
+// Insert threads the run at address at — whose first LinkSize bytes the
+// owner reserved — at the head of hash's chain. The index must not be
+// Full.
+func (ix *Index) Insert(a *Arena, at uint32, hash uint64) {
+	head := &ix.heads[hash&uint64(len(ix.heads)-1)]
+	binary.LittleEndian.PutUint32(a.Tail(at), *head)
+	*head = at + 1
+	ix.n++
+}
+
+// Linked returns the run a link points at — what follows its link word,
+// to the end of its chunk — and the next link of its chain.
+func (a *Arena) Linked(link uint32) (run []byte, next uint32) {
+	b := a.Tail(link - 1)
+	return b[LinkSize:], binary.LittleEndian.Uint32(b)
+}

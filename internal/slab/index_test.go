@@ -1,0 +1,164 @@
+package slab
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// testHash is the hash the index tests thread by: a run's key is the 8
+// bytes after its link. clump sends every key to one bucket, whatever the
+// size of the heads; otherwise keys spread.
+type testHash struct{ clump bool }
+
+func (h testHash) of(key uint64) uint64 {
+	if h.clump {
+		return 7
+	}
+	key *= 0x9e3779b97f4a7c15
+	return key ^ key>>29
+}
+
+// indexModel drives two indexes over disjoint runs of one arena next to a
+// Go map that remembers, per index and key, the addresses inserted, in
+// order. It grows an index the way an owner does: by walking the arena
+// front to back and inserting the index's runs again.
+type indexModel struct {
+	t    *testing.T
+	h    testHash
+	a    Arena
+	ix   [2]Index
+	want [2]map[uint64][]uint32
+	body map[uint32][]byte // what followed the key in the run at an address
+	side map[uint32]int    // which index threads the run at an address
+}
+
+func newIndexModel(t *testing.T, h testHash) *indexModel {
+	return &indexModel{t: t, h: h, want: [2]map[uint64][]uint32{{}, {}}, body: map[uint32][]byte{}, side: map[uint32]int{}}
+}
+
+func (m *indexModel) insert(side int, key uint64, body []byte) {
+	run := make([]byte, LinkSize, LinkSize+8+len(body))
+	run = binary.LittleEndian.AppendUint64(run, key)
+	run = append(run, body...)
+	at, ok := m.a.Append(run)
+	if !ok {
+		m.t.Fatal("append refused")
+	}
+	m.want[side][key] = append(m.want[side][key], at)
+	m.body[at], m.side[at] = body, side
+	if !m.ix[side].Full() {
+		m.ix[side].Insert(&m.a, at, m.h.of(key))
+		return
+	}
+	m.ix[side].Grow()
+	for k, chunk := range m.a.Chunks() {
+		for off := 0; off < len(chunk); {
+			at := Addr(k, off)
+			if m.side[at] == side {
+				m.ix[side].Insert(&m.a, at, m.h.of(binary.LittleEndian.Uint64(chunk[off+LinkSize:])))
+			}
+			off += LinkSize + 8 + len(m.body[at])
+		}
+	}
+	m.check() // every entry is still found once the heads have doubled
+}
+
+// find walks key's chain the way an owner does and returns the matching
+// addresses, newest first.
+func (m *indexModel) find(side int, key uint64) []uint32 {
+	var got []uint32
+	for link, steps := m.ix[side].Head(m.h.of(key)), 0; link != 0; steps++ {
+		if steps > m.ix[side].Len() {
+			m.t.Fatalf("side %d key %d: chain longer than the index", side, key)
+		}
+		run, next := m.a.Linked(link)
+		if binary.LittleEndian.Uint64(run) == key {
+			if !bytes.HasPrefix(run[8:], m.body[link-1]) {
+				m.t.Fatalf("side %d key %d: run at %d lost its bytes", side, key, link-1)
+			}
+			got = append(got, link-1)
+		}
+		link = next
+	}
+	return got
+}
+
+// check requires every key of the model to be found with exactly its
+// addresses — none missing, none twice, none of the other side's — in
+// reverse insertion order, and a key never inserted to be absent.
+func (m *indexModel) check() {
+	m.t.Helper()
+	for side := range m.ix {
+		n := 0
+		for key, ats := range m.want[side] {
+			want := slices.Clone(ats)
+			slices.Reverse(want)
+			if got := m.find(side, key); !slices.Equal(got, want) {
+				m.t.Fatalf("side %d key %d: found %v, want %v (%d buckets)", side, key, got, want, m.ix[side].Bytes()/4)
+			}
+			n += len(ats)
+		}
+		if m.ix[side].Len() != n {
+			m.t.Fatalf("side %d: Len %d, model holds %d", side, m.ix[side].Len(), n)
+		}
+		if got := m.find(side, 1<<63); got != nil {
+			m.t.Fatalf("side %d: a key never inserted was found at %v", side, got)
+		}
+	}
+}
+
+// Through eight doublings, with repeated keys, bodies of mixed lengths
+// and both sides interleaved in one arena, the chains agree with the map
+// — whether the hash spreads the keys or sends them all to one bucket.
+func TestIndexMatchesMap(t *testing.T) {
+	for _, h := range []testHash{{clump: false}, {clump: true}} {
+		rng := rand.New(rand.NewSource(5))
+		m := newIndexModel(t, h)
+		n := 5000
+		if h.clump {
+			n = 600 // every lookup walks every run
+		}
+		for i := 0; i < n; i++ {
+			body := make([]byte, rng.Intn(24))
+			rng.Read(body)
+			m.insert(rng.Intn(2), uint64(rng.Intn(n/3)), body)
+		}
+		m.check()
+		if b := m.ix[0].Bytes(); b < 4*indexMinBuckets<<4 {
+			t.Fatalf("clump=%v: heads hold %d bytes: the index did not double often enough to test", h.clump, b)
+		}
+	}
+}
+
+// The empty index answers lookups and costs nothing.
+func TestIndexZeroValue(t *testing.T) {
+	var ix Index
+	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
+		t.Fatal("the zero Index is not empty")
+	}
+}
+
+// FuzzIndex: the first byte picks the hash, every further byte inserts
+// one run — side from the top bit, key from the rest, so keys repeat.
+func FuzzIndex(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 40, 300, 1500} {
+		ops := make([]byte, n)
+		rng.Read(ops)
+		f.Add(ops)
+	}
+	f.Add(bytes.Repeat([]byte{1, 0x85}, 200)) // clumped, one key a side
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 || len(ops) > 4096 { // a clumped lookup walks every run
+			return
+		}
+		m := newIndexModel(t, testHash{clump: ops[0]&1 == 1})
+		for i, op := range ops[1:] {
+			m.insert(int(op>>7), uint64(op&0x7f)%uint64(1+len(ops)/4), ops[i:min(len(ops), i+1+int(op&3))])
+		}
+		m.check()
+	})
+}

@@ -92,21 +92,6 @@ func (s *Slab[T]) grow(w int) bool {
 	return true
 }
 
-// Push appends one element and returns its index.
-func (s *Slab[T]) Push(v T) (uint32, bool) {
-	i, run, ok := s.Alloc(1)
-	if ok {
-		run[0] = v
-	}
-	return i, ok
-}
-
-// At returns the element at index i.
-func (s *Slab[T]) At(i uint32) *T {
-	k, off := locate(int(i))
-	return &s.chunks[k][off]
-}
-
 // Run returns the w-element run that Alloc handed out at index i.
 func (s *Slab[T]) Run(i uint32, w int) []T {
 	if w == 0 {

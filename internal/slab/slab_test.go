@@ -54,7 +54,7 @@ func TestSlabRunsKeepContents(t *testing.T) {
 	for _, r := range recs {
 		run := s.Run(r.at, r.w)
 		for j := range run {
-			if run[j] != want || *s.At(r.at + uint32(j)) != want {
+			if run[j] != want || s.Run(r.at+uint32(j), 1)[0] != want {
 				t.Fatalf("run at %d[%d] = %d, want %d", r.at, j, run[j], want)
 			}
 			want++
@@ -69,12 +69,5 @@ func TestSlabRunsKeepContents(t *testing.T) {
 	}
 	if s.allocated != total || s.Bytes() != int64(total)*8 {
 		t.Fatalf("allocated %d, bytes %d, chunks hold %d", s.allocated, s.Bytes(), total)
-	}
-}
-
-func TestSlabPushOnZeroValue(t *testing.T) {
-	var empty Slab[int]
-	if i, ok := empty.Push(9); !ok || i != 0 || *empty.At(0) != 9 {
-		t.Fatal("push on the zero slab")
 	}
 }

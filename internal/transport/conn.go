@@ -53,12 +53,10 @@ type Conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
 	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc []byte // reusable encode buffer, guarded by wmu
-	// Frame-header buffers (shdr guarded by wmu, rhdr the receiving
-	// goroutine's): a local array would escape through the io.Reader /
-	// io.Writer call and cost an allocation per frame.
-	shdr [4]byte
+	enc []byte // reusable frame buffer (header and payload), guarded by wmu
+	// rhdr is the receiving goroutine's frame-header buffer: a local array
+	// would escape through the io.Reader call and cost an allocation per
+	// frame.
 	rhdr [4]byte
 	met  atomic.Pointer[ConnMetrics]
 	once sync.Once
@@ -70,11 +68,7 @@ func (c *Conn) SetMetrics(m *ConnMetrics) { c.met.Store(m) }
 
 // NewConn wraps a net.Conn (TCP in production, net.Pipe in tests).
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
-	}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
 // Dial connects to a Scrub endpoint.
@@ -97,9 +91,10 @@ func DialWith(addr string, timeout time.Duration, wrap func(net.Conn) net.Conn) 
 	return NewConn(nc), nil
 }
 
-// Send encodes, frames, and flushes one message. The encode buffer is
-// owned by the connection and reused across calls, so a busy sender
-// (e.g. the host shipper) allocates nothing per message in steady state.
+// Send encodes and frames one message and writes it in one call. The frame
+// buffer is owned by the connection and reused across calls, so a busy
+// sender (e.g. the host shipper) allocates nothing per message in steady
+// state. A message is charged to the metrics once it has been written.
 func (c *Conn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -108,33 +103,35 @@ func (c *Conn) Send(m Message) error {
 	if met != nil {
 		t0 = time.Now()
 	}
-	payload, err := AppendEncode(c.enc[:0], m)
+	// The payload is encoded behind room for its length.
+	frame, err := AppendEncode(append(c.enc[:0], 0, 0, 0, 0), m)
 	if err != nil {
 		return err
 	}
-	c.enc = payload[:0]
+	c.enc = frame[:0]
+	var encNs time.Duration
+	if met != nil {
+		encNs = time.Since(t0)
+	}
+	if len(frame)-4 > MaxFrame {
+		return fmt.Errorf("transport: frame too large: %d bytes (%s)", len(frame)-4, Name(m))
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := c.nc.Write(frame); err != nil {
+		return err
+	}
 	if met != nil {
 		if met.EncodeNs != nil {
-			met.EncodeNs.Add(uint64(time.Since(t0)))
+			met.EncodeNs.Add(uint64(encNs))
 		}
 		if met.FramesSent != nil {
 			met.FramesSent.Inc()
 		}
 		if met.BytesSent != nil {
-			met.BytesSent.Add(uint64(len(payload) + 4))
+			met.BytesSent.Add(uint64(len(frame)))
 		}
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame too large: %d bytes (%s)", len(payload), Name(m))
-	}
-	binary.LittleEndian.PutUint32(c.shdr[:], uint32(len(payload)))
-	if _, err := c.bw.Write(c.shdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return nil
 }
 
 // RecvScratch is the memory a receive loop lends to the messages it
@@ -233,7 +230,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(
 
 // SetDeadline bounds the reads and the writes of the underlying
 // connection: a Send to a peer that has stopped reading fails at t rather
-// than blocking in Flush for ever.
+// than blocking in Write for ever.
 func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
 
 // RemoteAddr returns the peer address.

@@ -10,6 +10,7 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/obs"
 )
 
 func sampleMessages() []Message {
@@ -410,13 +411,40 @@ func TestConcurrentSend(t *testing.T) {
 	wg.Wait()
 }
 
+// An oversize message is refused before anything reaches the wire — or the
+// metrics — and leaves the connection usable: the next Send is counted,
+// once, as its payload plus the frame header.
 func TestOversizeFrameRejected(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
+	met := NewConnMetrics(obs.NewRegistry())
+	a.SetMetrics(met)
 	big := TupleBatch{QueryID: 1, HostID: string(make([]byte, MaxFrame+1))}
 	if err := a.Send(big); err == nil {
 		t.Error("oversize frame should be rejected at send")
+	}
+	if f, n := met.FramesSent.Value(), met.BytesSent.Value(); f != 0 || n != 0 {
+		t.Errorf("a refused frame was charged: %d frames, %d bytes", f, n)
+	}
+	small := TupleBatch{QueryID: 1, HostID: "h1", Tuples: []Tuple{{RequestID: 9, TsNanos: 5, Values: []event.Value{event.Int(3)}}}}
+	recvd := make(chan error, 1)
+	go func() {
+		_, err := b.Recv()
+		recvd <- err
+	}()
+	if err := a.Send(small); err != nil {
+		t.Fatalf("Send after a refused frame: %v", err)
+	}
+	if err := <-recvd; err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	payload, err := Encode(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, n := met.FramesSent.Value(), met.BytesSent.Value(); f != 1 || n != uint64(len(payload)+4) {
+		t.Errorf("after one %d-byte payload: %d frames, %d bytes sent", len(payload), f, n)
 	}
 }
 

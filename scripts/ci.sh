@@ -47,11 +47,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, packed window runs, ql parser, replay chunks) =="
-go test ./internal/transport -run='^$' -fuzz=FuzzDecode -fuzztime=3s
-go test ./internal/transport -run='^$' -fuzz=FuzzRecvFrame -fuzztime=3s
-go test ./internal/central -run='^$' -fuzz=FuzzPackedRun -fuzztime=3s
-go test ./internal/ql -run='^$' -fuzz=FuzzParse -fuzztime=3s
-go test ./internal/replay -run='^$' -fuzz=FuzzDecodeChunk -fuzztime=3s
+echo "== fuzz smoke (transport frame decoding, packed window runs, window-state index, ql parser, replay chunks) =="
+make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"
