@@ -47,14 +47,16 @@ metrics-smoke:
 # input — the transport frame decoder (arbitrary network bytes, with and
 # without a receive scratch), the packed runs a partial's bytes become
 # window state as, the query-language parser (arbitrary operator-typed
-# text), the replay chunk decoder — and over the window-state hash index
-# against its map model. This is the one list of fuzz targets: ci.sh runs
-# it with FUZZTIME=3s.
+# text), the replay chunk decoder — and over the two window-state
+# mechanisms checked against a model: the hash index against its map, and
+# freeze/thaw against an engine that thrashes and a plain reference. This
+# is the one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzFreezeThaw -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME)

@@ -96,7 +96,7 @@ func main() {
 	}
 
 	if *shardListen != "" {
-		runShard(catalog, *shardListen, *joinAddr, *advertise)
+		runShard(catalog, *shardListen, *joinAddr, *advertise, *metricsAddr)
 		return
 	}
 	if *standbyListen != "" {
@@ -114,10 +114,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("scrubcentral: %v", err)
 	}
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-	}
+	reg := newRegistry(*metricsAddr)
 	copt := central.Options{Metrics: reg}
 	var engine central.Executor = central.NewEngineWith(copt)
 	var coordEng *coord.Coordinator
@@ -169,14 +166,7 @@ func main() {
 	}
 	hub.Serve()
 
-	if reg != nil {
-		bound, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("scrubcentral: metrics listener: %v", err)
-		}
-		// Parseable line: scripts/metricssmoke scrapes the bound address.
-		fmt.Printf("scrubcentral metrics: http://%s/metrics\n", bound)
-	}
+	serveMetrics(*metricsAddr, reg)
 	fmt.Printf("scrubcentral up\n  client:  %s\n  control: %s\n  data:    %s\n  event types: %v\n",
 		hub.ClientAddr(), hub.ControlAddr(), hub.DataAddr(), catalog.Names())
 
@@ -191,9 +181,12 @@ func main() {
 // runShard serves one shard process: an Engine in driven mode behind the
 // shard RPC listener. With -join it announces itself on the coordinator's
 // data plane; the coordinator dials the advertised address back and pushes
-// a new shard-map epoch to the host fleet.
-func runShard(catalog *event.Catalog, listen, join, advertise string) {
-	node := coord.NewShardNode(catalog)
+// a new shard-map epoch to the host fleet. With -metrics it serves the
+// state gauges of the windows it holds (ingest is counted at the
+// coordinator).
+func runShard(catalog *event.Catalog, listen, join, advertise, metricsAddr string) {
+	reg := newRegistry(metricsAddr)
+	node := coord.NewShardNodeWith(catalog, reg)
 	l, err := transport.Listen(listen)
 	if err != nil {
 		log.Fatalf("scrubcentral: shard listener: %v", err)
@@ -202,6 +195,7 @@ func runShard(catalog *event.Catalog, listen, join, advertise string) {
 	if advertise == "" {
 		advertise = l.Addr()
 	}
+	serveMetrics(metricsAddr, reg)
 	fmt.Printf("scrubcentral shard up\n  shard rpc: %s\n  event types: %v\n", l.Addr(), catalog.Names())
 
 	var joinConn *transport.Conn
@@ -239,6 +233,29 @@ func runShard(catalog *event.Catalog, listen, join, advertise string) {
 	}
 }
 
+// newRegistry returns the process's metrics registry, nil when -metrics
+// is not set: every mode of scrubcentral builds its engine over it.
+func newRegistry(metricsAddr string) *obs.Registry {
+	if metricsAddr == "" {
+		return nil
+	}
+	return obs.NewRegistry()
+}
+
+// serveMetrics serves reg's /metrics and /debug/pprof on metricsAddr, if
+// there is a registry to serve.
+func serveMetrics(metricsAddr string, reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	bound, err := obs.Serve(metricsAddr, reg)
+	if err != nil {
+		log.Fatalf("scrubcentral: metrics listener: %v", err)
+	}
+	// Parseable line: scripts/metricssmoke scrapes the bound address.
+	fmt.Printf("scrubcentral metrics: http://%s/metrics\n", bound)
+}
+
 func splitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {
@@ -269,10 +286,7 @@ func runStandby(cfg standbyConfig) {
 	if err != nil {
 		log.Fatalf("scrubcentral: standby listener: %v", err)
 	}
-	var reg *obs.Registry
-	if cfg.metricsAddr != "" {
-		reg = obs.NewRegistry()
-	}
+	reg := newRegistry(cfg.metricsAddr)
 	sb := coord.NewStandby(coord.StandbyOptions{
 		Central:         central.Options{Metrics: reg},
 		Catalog:         cfg.catalog,
@@ -351,13 +365,7 @@ func runStandby(cfg standbyConfig) {
 	}
 	hub.Serve()
 
-	if reg != nil {
-		bound, err := obs.Serve(cfg.metricsAddr, reg)
-		if err != nil {
-			log.Fatalf("scrubcentral: metrics listener: %v", err)
-		}
-		fmt.Printf("scrubcentral metrics: http://%s/metrics\n", bound)
-	}
+	serveMetrics(cfg.metricsAddr, reg)
 	fmt.Printf("scrubcentral up (promoted leader, fence %d)\n  client:  %s\n  control: %s\n  data:    %s\n  resumed queries: %d\n",
 		coordEng.Fence(), hub.ClientAddr(), hub.ControlAddr(), hub.DataAddr(), len(resumed))
 

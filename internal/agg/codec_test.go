@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -132,5 +133,71 @@ func TestStateCodecTruncation(t *testing.T) {
 				t.Fatalf("%v: truncation at %d decoded without error", spec.Kind, cut)
 			}
 		}
+	}
+}
+
+// TestStateCodecContinuationExact is what lets an open window be kept as
+// its encoded partial while no tuple touches it (central's cold windows):
+// for every kind, Add(xs); decode(encode); Add(ys) must leave byte for
+// byte the state Add(xs); Add(ys) leaves, wherever the stream is cut and
+// however often. The value streams are shaped to reach each kind's state:
+// ints turning into floats under SUM, strings under MIN/MAX, and for
+// TOP_K more distinct items than the summary has counters, drawn from a
+// narrow range so that many counters tie at the minimum count when an
+// eviction has to pick its victim.
+func TestStateCodecContinuationExact(t *testing.T) {
+	ints := func(rng *rand.Rand) event.Value { return event.Int(int64(rng.Intn(2000) - 1000)) }
+	floats := func(rng *rand.Rand) event.Value { return event.Float(rng.NormFloat64() * 1e3) }
+	strs := func(rng *rand.Rand) event.Value { return event.Str(fmt.Sprintf("s%03d", rng.Intn(300))) }
+	cases := []struct {
+		name string
+		spec Spec
+		gen  func(*rand.Rand) event.Value
+	}{
+		{"count(*)", Spec{Kind: KindCountStar}, randValue},
+		{"count", Spec{Kind: KindCount}, randValue},
+		{"sum-int", Spec{Kind: KindSum}, ints},
+		{"sum-float", Spec{Kind: KindSum}, floats},
+		{"sum-mixed", Spec{Kind: KindSum}, randValue},
+		{"avg", Spec{Kind: KindAvg}, floats},
+		{"min-float", Spec{Kind: KindMin}, floats},
+		{"max-int", Spec{Kind: KindMax}, ints},
+		{"min-string", Spec{Kind: KindMin}, strs},
+		{"max-string", Spec{Kind: KindMax}, strs},
+		{"max-mixed", Spec{Kind: KindMax}, randValue},
+		{"top_k-tied", Spec{Kind: KindTopK, K: 3}, strs}, // 64 counters, 300 items
+		{"top_k-mixed", Spec{Kind: KindTopK, K: 10}, randValue},
+		{"count_distinct", Spec{Kind: KindCountDistinct}, ints},
+		{"count_distinct-p6", Spec{Kind: KindCountDistinct, Prec: 6}, strs},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				straight, thawed := MustNew(c.spec), MustNew(c.spec)
+				for cut := 0; cut < 4; cut++ {
+					for i := rng.Intn(400); i > 0; i-- {
+						v := c.gen(rng)
+						straight.Add(v)
+						thawed.Add(v)
+					}
+					enc, err := AppendState(nil, thawed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if thawed, _, err = DecodeState(c.spec, enc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, _ := AppendState(nil, straight)
+				got, _ := AppendState(nil, thawed)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d: state after four encode/decode cuts differs from the uninterrupted one:\n got %x\nwant %x", seed, got, want)
+				}
+				if !sameResult(thawed.Result(), straight.Result()) {
+					t.Fatalf("seed %d: result %v, uninterrupted %v", seed, thawed.Result(), straight.Result())
+				}
+			}
+		})
 	}
 }

@@ -60,15 +60,18 @@ type windowMetrics struct {
 	closeNs  *obs.Histogram
 }
 
-// stateGauges are the two series that say what the open windows hold.
-// They are kept apart from centralMetrics because a ShardedEngine's
-// shards, which register nothing else (ingest is counted where whole
-// batches arrive), charge their windows to the cluster's pair. Only a
-// central registry carries them: on the agent path even a few always-live
-// series are a measurable share of the agent's footprint.
+// stateGauges are the series that say what the open windows hold. They
+// are kept apart from centralMetrics because the shards of a cluster
+// register nothing else (ingest is counted where whole batches arrive): a
+// ShardedEngine's charge their windows to the cluster's set, a shard
+// process serves its own (NewShardEngine). Only a central registry carries
+// them: on the agent path even a few always-live series are a measurable
+// share of the agent's footprint.
 type stateGauges struct {
 	joinPending *obs.Gauge
 	bytes       *obs.Gauge
+	frozen      *obs.Gauge
+	thaws       *obs.Counter
 }
 
 func newStateGauges(reg *obs.Registry) *stateGauges {
@@ -77,7 +80,9 @@ func newStateGauges(reg *obs.Registry) *stateGauges {
 	}
 	return &stateGauges{
 		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
-		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state, indexes included (join-pending and group runs and their bucket heads, aggregators, raw rows); only sketches and the per-host maps are not counted"),
+		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state, indexes included (join-pending and group runs and their bucket heads, aggregators, raw rows); only sketches and the per-host maps are not counted; a cold window counts as its encoded partial plus its join runs"),
+		frozen:      reg.Gauge("scrub_central_windows_frozen", "open windows kept in their cold form: no tuple has touched them for two window-opens"),
+		thaws:       reg.Counter("scrub_central_window_thaws_total", "cold windows a straggler tuple made live again"),
 	}
 }
 
@@ -162,6 +167,17 @@ func NewEngineWith(opt Options) *Engine {
 	}
 }
 
+// NewShardEngine returns the engine of one shard of a cluster. It
+// registers no series of its own — whole-batch ingest is counted at the
+// merger, and a shard would count it again under the same names — but the
+// open windows live in the shards: it charges them to reg's state gauges.
+func NewShardEngine(opt Options, reg *obs.Registry) *Engine {
+	opt.Metrics = nil
+	e := NewEngineWith(opt)
+	e.state = newStateGauges(reg)
+	return e
+}
+
 type queryState struct {
 	queryCore
 	win      *window.SlidingManager[*winState]
@@ -177,6 +193,9 @@ type queryState struct {
 	probe   []event.Value
 	found   []uint32
 	packBuf []byte
+	// partial is the buffer a window going cold is encoded in before it
+	// keeps an exact copy.
+	partial []byte
 	// chainSteps counts the runs join probes have visited; tests assert on
 	// it that a probe never walks its own side's chain.
 	chainSteps uint64
@@ -271,6 +290,7 @@ func (e *Engine) apply(qs *queryState, b *transport.TupleBatch) (ack DrivenAck) 
 // nothing.
 func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int64, hasTs bool) {
 	dataStart := qs.plan.DataStartNanos()
+	opened := qs.win.Opened()
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		if dataStart != 0 && t.TsNanos < dataStart {
@@ -293,13 +313,56 @@ func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int
 	// batch.
 	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
 	clear(qs.probe)
+	if qs.win.Opened() != opened {
+		e.sweep(qs)
+	}
 	return maxTs, hasTs
+}
+
+// sweep ends a batch that opened a window: every open window of the query
+// that no tuple has touched since the previous sweep goes cold. The clock
+// is event-time progress itself, one sweep a slide: a window a slower host
+// or a half-filled chunk still feeds was touched and stays live, nothing
+// here knows Plan.Lateness or a merger's watermark, and a thawed window
+// has moved, so a window pays at most one encode per sweep (DESIGN.md §17).
+//
+//scrub:allowalloc(once per window opened: a cold window's partial and its sorted group list)
+func (e *Engine) sweep(qs *queryState) {
+	qs.win.Each(func(ws *winState) {
+		if ws.frozen == nil && ws.tuples == ws.swept {
+			e.freeze(qs, ws)
+		}
+		ws.swept = ws.tuples
+	})
+}
+
+// freeze puts a live window into its cold form and takes what it gave up
+// off the state gauges.
+func (e *Engine) freeze(qs *queryState, ws *winState) {
+	qs.partial = encodePartial(qs.partial[:0], &qs.plan, ws)
+	ws.freeze(qs.partial)
+	if e.state != nil {
+		e.state.frozen.Add(1)
+		e.charge(ws)
+	}
+}
+
+// thaw makes a cold window live again for the straggler about to be
+// applied to it.
+func (e *Engine) thaw(qs *queryState, ws *winState) {
+	ws.thaw(&qs.plan)
+	if e.state != nil {
+		e.state.frozen.Add(-1)
+		e.state.thaws.Inc()
+		e.charge(ws)
+	}
 }
 
 // emitClosed renders and emits windows that have just left the query's
 // manager.
 func (e *Engine) emitClosed(qs *queryState, cs []window.Closed[*winState]) {
 	for _, c := range e.closed(cs) {
+		c.State.thaw(&qs.plan)
 		qs.emitWindow(e.win, c.Start, c.End, c.State, qs.win.LateDrops()+qs.overflow, false)
 	}
 }
@@ -312,13 +375,17 @@ func (e *Engine) closed(cs []window.Closed[*winState]) []window.Closed[*winState
 		for _, c := range cs {
 			e.state.joinPending.Add(-int64(c.State.pendN))
 			e.state.bytes.Add(-c.State.charged)
+			if c.State.frozen != nil {
+				e.state.frozen.Add(-1)
+			}
 		}
 	}
 	return cs
 }
 
 // charge brings the state-bytes gauge up to date after ws's slabs may
-// have grown: one comparison per appended item, one atomic per growth.
+// have grown (or the window changed form): one comparison per appended
+// item, one atomic per growth.
 func (e *Engine) charge(ws *winState) {
 	if e.state == nil {
 		return
@@ -330,8 +397,14 @@ func (e *Engine) charge(ws *winState) {
 }
 
 // processTuple routes one in-window tuple through join (if any), the
-// residual predicate, and accumulation.
+// residual predicate, and accumulation. A cold window is thawed first:
+// one predictable branch per tuple and window.
+//
+//scrub:hotpath
 func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
+	if ws.frozen != nil {
+		e.thaw(qs, ws)
+	}
 	ws.tuples++
 	qs.stats.TuplesIn++
 	ws.touch(host)
@@ -757,17 +830,6 @@ func compareOrdered(p *Plan, a, b []event.Value) int {
 		return c
 	}
 	return compareRows(a, b)
-}
-
-func compareStrings(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // mergeWinStates folds src into dst: groups merge through the mergeable

@@ -143,7 +143,7 @@ func TestPartialGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("DecodePartial: %v", err)
 					}
-					if again := encodePartial(qr.Plan(), pw.ws); !bytes.Equal(again, ep.Data) {
+					if again := encodePartial(nil, qr.Plan(), pw.ws); !bytes.Equal(again, ep.Data) {
 						t.Fatalf("window %d: decode→encode changed the partial (%d → %d bytes)", ep.Start, len(ep.Data), len(again))
 					}
 					if dst, ok := merged[ep.Start]; ok {

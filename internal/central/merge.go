@@ -2,6 +2,7 @@ package central
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -361,6 +362,9 @@ type mergeQuery struct {
 
 	// pending holds merged-but-unflushed windows by start time.
 	pending map[int64]*winState
+	// barrier is the highest slide index, floor(bound/slide), a collect
+	// barrier has covered (closeBefore).
+	barrier int64
 	// mergeDrops counts raw rows truncated when shard partials merged past
 	// MaxRawRows; folded into the query's late/overflow totals.
 	mergeDrops uint64
@@ -411,6 +415,7 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 		shardOverflow: make([]uint64, len(shards)),
 		lostShard:     in.Resume,
 		pending:       make(map[int64]*winState),
+		barrier:       math.MinInt64,
 	}
 	if in.Resume {
 		q.replayDeadline = in.ReplayDeadline
@@ -543,7 +548,25 @@ func (m *Merger) Tick(nowNanos int64) {
 // every shard before any flush, a flushed window can never receive more
 // tuples from a shard (they would be late there too), and the drop
 // counters the flush reports are the ones the barrier just refreshed.
+//
+// A barrier is a round trip to every shard under the merger's lock, inside
+// the manifest round trip a host's shipper is blocked on, so it runs once
+// per slide boundary, not once per manifest and tick: windows end on
+// multiples of the slide, and after a barrier at bound B no shard holds or
+// can still open a window ending at or before B and pending holds none, so
+// a bound whose floor(bound/slide) is no higher closes nothing. What the
+// skipped call would have refreshed — drop caches, a dead shard's latch —
+// the barrier before the next flush does (DESIGN.md §16.2).
 func (m *Merger) closeBefore(q *mergeQuery, bound int64) {
+	slide := int64(q.plan.Slide)
+	idx := bound / slide
+	if bound%slide < 0 {
+		idx-- // floor, for bounds before the epoch
+	}
+	if idx <= q.barrier {
+		return
+	}
+	q.barrier = idx
 	for i, sc := range q.shards {
 		if sc.Down() {
 			q.lostShard = true

@@ -235,6 +235,58 @@ func TestMergerBarrierOrderAndDropTotals(t *testing.T) {
 	}
 }
 
+// TestMergerBarrierOncePerSlide: a collect barrier is a round trip to
+// every shard under the merger's lock, so it runs when the close bound
+// crosses a slide boundary — only then can a window have become closable —
+// and not once per manifest and tick.
+func TestMergerBarrierOncePerSlide(t *testing.T) {
+	r := newMergerRig(t, 3, countPlan(t)) // 10s windows, 1s lateness
+	r.ingest(0, 1, 1, 2, 2, 3)            // bound 2s: the first barrier
+	r.order = nil
+	// Manifests whose bound stays inside the slide the last barrier
+	// covered: no shard is asked.
+	for ts := int64(4); ts <= 10; ts++ {
+		r.ingest(ts, ts)
+	}
+	if len(r.order) != 0 {
+		t.Fatalf("%d collects for manifests inside one slide, want 0", len(r.order))
+	}
+	if got := r.col.all(); len(got) != 0 {
+		t.Fatalf("%d windows closed before the bound reached their end", len(got))
+	}
+	// The one that takes the bound across 10s: exactly one collect a shard,
+	// in shard order, and the window closes with every tuple.
+	r.ingest(20, 11)
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(r.order, want) {
+		t.Fatalf("collects at the crossing = %v, want %v", r.order, want)
+	}
+	if got := counts(r.col.all()); !reflect.DeepEqual(got, []string{"9"}) {
+		t.Fatalf("window counts = %v, want [9]", got)
+	}
+	// A tick whose wall-clock bound lies below the last barrier asks nobody.
+	r.order = nil
+	r.m.Tick(sec(9))
+	r.m.Tick(sec(11) + sec(1)/2) // bound 10.5s: the slide already covered
+	if len(r.order) != 0 {
+		t.Fatalf("%d collects for ticks at or below the last barrier, want 0", len(r.order))
+	}
+	// A shard that fenced this merger out in the meantime is found out at
+	// the next crossing, and the window that closes there says so.
+	r.shards[1].fail = errors.New("stale fencing epoch (deposed)")
+	r.ingest(21, 15)
+	if len(r.order) != 0 {
+		t.Fatalf("%d collects inside the slide, want 0", len(r.order))
+	}
+	r.ingest(23, 21) // bound 20s
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(r.order, want) {
+		t.Fatalf("collects at the second crossing = %v, want %v", r.order, want)
+	}
+	wins := r.col.all()
+	if len(wins) != 2 || !wins[1].Degraded || wins[0].Degraded {
+		t.Fatalf("windows = %d, degraded flags %v; want the second one Degraded", len(wins), []bool{wins[0].Degraded, wins[len(wins)-1].Degraded})
+	}
+}
+
 // TestReplayHoldMerger: the merger holds and releases like the engine,
 // fed the way a host-side router feeds it — sub-batches applied to the
 // shards first, then the manifest.

@@ -18,12 +18,9 @@ import (
 // an in-process merger, or serialized as a partial for one in another
 // process (internal/coord), which decodes it back into the same shape.
 
-// EncodedPartial is one driven window's serialized accumulated state.
-type EncodedPartial struct {
-	Start int64
-	End   int64
-	Data  []byte
-}
+// EncodedPartial is one driven window's serialized accumulated state, as
+// it crosses the wire.
+type EncodedPartial = transport.WindowPartial
 
 // DrivenAck reports how a driven engine absorbed one sub-batch. The
 // router folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
@@ -111,10 +108,17 @@ func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops ui
 	return encodePartials(plan, closed), late + overflow, ok
 }
 
+// encodePartials serializes closed windows. A cold window's partial
+// exists already and is handed over as it is: at steady state the closing
+// window is the oldest and long cold, so a collect's reply is a copy.
 func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial {
 	var out []EncodedPartial
 	for _, c := range closed {
-		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: encodePartial(p, c.State)})
+		data := c.State.frozen
+		if data == nil {
+			data = encodePartial(nil, p, c.State)
+		}
+		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: data})
 	}
 	return out
 }
@@ -169,12 +173,16 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 //
 // Deterministic layout (sorted hosts, sorted group keys) with float state
 // as raw IEEE-754 bits, so decode(encode(ws)) merges and renders
-// bit-identically to ws. Join-pending state is never encoded: shards
-// route by request id, so both sides of a request joined on one shard,
-// and pending tuples are irrelevant once the window closed.
+// bit-identically to ws — and goes on absorbing tuples bit-identically
+// too (every aggregate's state is continued, not approximated; raw rows
+// keep their order), which is what lets an open window be kept as its
+// partial while it is cold (winState.freeze). Join-pending state is never
+// encoded: shards route by request id, so both sides of a request joined
+// on one shard, and pending tuples are irrelevant once the window closed.
 
-func encodePartial(p *Plan, ws *winState) []byte {
-	dst := binary.AppendUvarint(nil, ws.tuples)
+// encodePartial appends ws's partial to dst.
+func encodePartial(dst []byte, p *Plan, ws *winState) []byte {
+	dst = binary.AppendUvarint(dst, ws.tuples)
 
 	hosts := make([]string, 0, len(ws.hosts))
 	for h := range ws.hosts {
@@ -231,24 +239,32 @@ func encodePartial(p *Plan, ws *winState) []byte {
 // DecodePartial parses a partial serialized by a shard's CollectDriven /
 // DrainDriven under the same plan.
 func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
-	p := &qr.plan
-	ws := newWinState(p, 0)
+	ws := newWinState(&qr.plan, 0)
+	if err := ws.decodePartial(&qr.plan, b); err != nil {
+		return nil, fmt.Errorf("central: decode partial: %w", err)
+	}
+	return &PartialWindow{ws: ws}, nil
+}
+
+// decodePartial loads a partial into ws, which holds no groups, rows or
+// hosts yet: a new window (DecodePartial) or one being thawed.
+func (ws *winState) decodePartial(p *Plan, b []byte) error {
 	var run []byte // a group's run, built before the window keeps it
 	tuples, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("central: decode partial: bad tuple count")
+		return fmt.Errorf("bad tuple count")
 	}
 	ws.tuples = tuples
 
 	hostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || hostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad host count")
+		return fmt.Errorf("bad host count")
 	}
 	n += sz
 	for i := uint64(0); i < hostCnt; i++ {
 		s, used, err := decodeString(b[n:])
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: host: %w", err)
+			return fmt.Errorf("host: %w", err)
 		}
 		ws.hosts[s] = struct{}{}
 		n += used
@@ -256,68 +272,71 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 
 	groupCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || groupCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad group count")
+		return fmt.Errorf("bad group count")
 	}
 	n += sz
+	if groupCnt > 0 {
+		ws.groups.Grow(int(groupCnt)) // once, not by doubling up to it
+	}
 	for i := uint64(0); i < groupCnt; i++ {
 		kvCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || kvCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad key count")
+			return fmt.Errorf("bad key count")
 		}
 		n += sz
 		if kvCnt != uint64(len(p.GroupBy)) {
-			return nil, fmt.Errorf("central: decode partial: %d key values for %d group-by columns", kvCnt, len(p.GroupBy))
+			return fmt.Errorf("%d key values for %d group-by columns", kvCnt, len(p.GroupBy))
 		}
 		off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
 		if !ok {
-			return nil, fmt.Errorf("central: decode partial: group state too large")
+			return fmt.Errorf("group state too large")
 		}
 		// The group's stored key is the encoding of its key values —
 		// these very bytes, once they are known to decode.
 		used, err := packedLen(b[n:], len(p.GroupBy))
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: key value: %w", err)
+			return fmt.Errorf("key value: %w", err)
 		}
 		run = append(appendHeader(run[:0], groupHdr), b[n:n+used]...)
 		n += used
 		for j := range aggs {
 			a, used, err := ws.aggSlab.DecodeState(p.Aggs[j].Spec, b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: agg %d: %w", j, err)
+				return fmt.Errorf("agg %d: %w", j, err)
 			}
 			aggs[j] = a
 			n += used
 		}
 		hash := hashKey(run[groupHdr:])
 		if _, dup := ws.findGroup(hash, run[groupHdr:]); dup {
-			return nil, fmt.Errorf("central: decode partial: duplicate group key")
+			return fmt.Errorf("duplicate group key")
 		}
 		if !ws.addGroup(hash, run, off) {
-			return nil, fmt.Errorf("central: decode partial: group state too large")
+			return fmt.Errorf("group state too large")
 		}
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || rowCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad row count")
+		return fmt.Errorf("bad row count")
 	}
 	n += sz
 	for i := uint64(0); i < rowCnt; i++ {
 		valCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || valCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad row width")
+			return fmt.Errorf("bad row width")
 		}
 		n += sz
 		if valCnt != uint64(len(p.Select)) {
-			return nil, fmt.Errorf("central: decode partial: row of %d values for %d select columns", valCnt, len(p.Select))
+			return fmt.Errorf("row of %d values for %d select columns", valCnt, len(p.Select))
 		}
 		// A row is kept as it arrived, once it is known to decode.
 		used, err := packedLen(b[n:], len(p.Select))
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: row value: %w", err)
+			return fmt.Errorf("row value: %w", err)
 		}
 		if _, ok := ws.raw.Append(b[n : n+used]); !ok {
-			return nil, fmt.Errorf("central: decode partial: row state too large")
+			return fmt.Errorf("row state too large")
 		}
 		n += used
 		ws.rawN++
@@ -325,25 +344,25 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 
 	mhostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || mhostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad moment host count")
+		return fmt.Errorf("bad moment host count")
 	}
 	n += sz
 	for i := uint64(0); i < mhostCnt; i++ {
 		host, used, err := decodeString(b[n:])
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: moment host: %w", err)
+			return fmt.Errorf("moment host: %w", err)
 		}
 		n += used
 		mCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || mCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad moment count")
+			return fmt.Errorf("bad moment count")
 		}
 		n += sz
 		moments := make([]stats.Running, mCnt)
 		for j := range moments {
 			r, used, err := stats.DecodeRunning(b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: moment: %w", err)
+				return fmt.Errorf("moment: %w", err)
 			}
 			moments[j] = r
 			n += used
@@ -351,9 +370,9 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		ws.perHost[host] = moments
 	}
 	if n != len(b) {
-		return nil, fmt.Errorf("central: decode partial: %d trailing bytes", len(b)-n)
+		return fmt.Errorf("%d trailing bytes", len(b)-n)
 	}
-	return &PartialWindow{ws: ws}, nil
+	return nil
 }
 
 func appendString(dst []byte, s string) []byte {

@@ -1,6 +1,8 @@
 package central
 
 import (
+	"strings"
+
 	"scrub/internal/event"
 	"scrub/internal/expr"
 	"scrub/internal/transport"
@@ -122,7 +124,7 @@ func compareValues(a, b event.Value) int {
 	if c, ok := a.Compare(b); ok {
 		return c
 	}
-	return compareStrings(a.String(), b.String())
+	return strings.Compare(a.String(), b.String())
 }
 
 // compareRows totally orders two result rows column by column. Shorter

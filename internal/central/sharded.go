@@ -47,23 +47,13 @@ func NewShardedEngineWith(n int, opt Options) (*ShardedEngine, error) {
 		return nil, fmt.Errorf("central: shard count must be >= 1, got %d", n)
 	}
 	se := &ShardedEngine{Merger: NewMerger(opt), met: newCentralMetrics(opt.Metrics)}
-	// Shards must not register series of their own — whole-batch ingest
-	// accounting lives at the merger, and shard-level registration would
-	// double-count it under the same names. The open windows live in the
-	// shards, though, so all of them charge the registry's state gauges.
-	shardOpt := se.opt
-	shardOpt.Metrics = nil
-	state := newStateGauges(opt.Metrics)
 	for i := 0; i < n; i++ {
-		sh := NewEngineWith(shardOpt)
-		sh.state = state
-		se.shards = append(se.shards, directShard{sh})
+		// All the shards charge their open windows to the one set of state
+		// gauges the registry has.
+		se.shards = append(se.shards, directShard{NewShardEngine(se.opt, opt.Metrics)})
 	}
 	return se, nil
 }
-
-// NumShards returns the shard count.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
 // StartQuery implements Executor.
 func (se *ShardedEngine) StartQuery(p Plan, emit EmitFunc) error {
@@ -110,6 +100,7 @@ func (d directShard) windows(qr *QueryRuntime, bound int64, drain bool) ShardWin
 	closed, _, late, overflow, ok := d.eng.collectDriven(qr.plan.QueryID, bound, drain)
 	sw := ShardWindows{Found: ok, Late: late, Overflow: overflow}
 	for _, c := range closed {
+		c.State.thaw(&qr.plan) // the merger merges and renders live state
 		sw.Windows = append(sw.Windows, window.Closed[PartialWindow]{Start: c.Start, End: c.End, State: PartialWindow{ws: c.State}})
 	}
 	return sw

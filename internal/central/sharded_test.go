@@ -14,7 +14,7 @@ func TestNewShardedEngineValidation(t *testing.T) {
 		t.Error("0 shards should fail")
 	}
 	se, err := NewShardedEngine(4)
-	if err != nil || se.NumShards() != 4 {
+	if err != nil || len(se.shards) != 4 {
 		t.Fatalf("NewShardedEngine: %v", err)
 	}
 	p := buildPlan(t, `select count(*) from bid`, 1, 1, 1)

@@ -325,10 +325,17 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			apply(transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: excl})
 		}
 	}
-	check := func(t *testing.T, reg *obs.Registry, when string, wantPending int64) {
+	// The feed opens three windows in order, so the third one's sweep finds
+	// the first idle and freezes it (per engine): every close path below
+	// takes a cold window with it, and the straggler thaws one first.
+	straggler := transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: []transport.Tuple{tup(7, sec(5), event.Str("cap"))}}
+	check := func(t *testing.T, reg *obs.Registry, when string, wantPending, wantFrozen int64) {
 		t.Helper()
 		if got := gaugeValue(reg, "scrub_central_join_pending"); got != wantPending {
 			t.Errorf("%s: scrub_central_join_pending = %d, want %d", when, got, wantPending)
+		}
+		if got := gaugeValue(reg, "scrub_central_windows_frozen"); got != wantFrozen {
+			t.Errorf("%s: scrub_central_windows_frozen = %d, want %d", when, got, wantFrozen)
 		}
 		bytes := gaugeValue(reg, "scrub_central_state_bytes")
 		if (wantPending == 0) != (bytes == 0) || bytes < 0 {
@@ -348,15 +355,18 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 				t.Fatal("ApplyDriven: unknown query")
 			}
 		})
-		check(t, reg, "after apply", 240)
+		check(t, reg, "after apply", 240, 1)
 		if partials, _, _, ok := e.CollectDriven(1, sec(10)); !ok || len(partials) != 1 {
 			t.Fatalf("CollectDriven: %d partials, ok=%v", len(partials), ok)
 		}
-		check(t, reg, "after collecting one window", 160)
+		check(t, reg, "after collecting the cold window", 160, 0)
 		if partials, _, ok := e.DrainDriven(1); !ok || len(partials) != 2 {
 			t.Fatalf("DrainDriven: %d partials, ok=%v", len(partials), ok)
 		}
-		check(t, reg, "after drain", 0)
+		check(t, reg, "after drain", 0, 0)
+		if got := thawsOf(reg); got != 0 {
+			t.Errorf("handing partials over thawed %d windows", got)
+		}
 	})
 
 	t.Run("engine-tick", func(t *testing.T) {
@@ -368,11 +378,16 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(e.HandleBatch)
-		check(t, reg, "after apply", 240)
+		check(t, reg, "after apply", 240, 1)
+		e.HandleBatch(straggler)
+		check(t, reg, "after a straggler thawed the cold window", 241, 0)
+		if got := thawsOf(reg); got != 1 {
+			t.Errorf("scrub_central_window_thaws_total = %d after one straggler", got)
+		}
 		e.Tick(sec(20) + int64(p.Lateness))
-		check(t, reg, "after tick closed two windows", 80)
+		check(t, reg, "after tick closed two windows", 80, 0)
 		e.StopQuery(1)
-		check(t, reg, "after stop", 0)
+		check(t, reg, "after stop", 0, 0)
 	})
 
 	t.Run("engine-watermark", func(t *testing.T) {
@@ -384,10 +399,14 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 		}
 		// Both streams reach 25 s, so the watermark closes [0,10) and
 		// [10,20) inside HandleBatch.
+		// [0,10) is cold by then.
 		feed(e.HandleBatch)
-		check(t, reg, "after the watermark closed two windows", 80)
+		check(t, reg, "after the watermark closed two windows", 80, 0)
 		e.StopQuery(1)
-		check(t, reg, "after stop", 0)
+		check(t, reg, "after stop", 0, 0)
+		if got := thawsOf(reg); got != 0 {
+			t.Errorf("closing a cold window counted as %d straggler thaws", got)
+		}
 	})
 
 	t.Run("sharded", func(t *testing.T) {
@@ -402,11 +421,13 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(se.HandleBatch)
-		check(t, reg, "after apply", 240) // the shards charge the merger's registry
+		check(t, reg, "after apply", 240, 3) // the shards charge the merger's registry
+		se.HandleBatch(straggler)            // request 7 lives on shard 1
+		check(t, reg, "after a straggler thawed one shard's cold window", 241, 2)
 		se.Tick(sec(10) + int64(p.Lateness))
-		check(t, reg, "after tick closed one window", 160)
+		check(t, reg, "after tick closed one window", 160, 0)
 		se.StopQuery(1)
-		check(t, reg, "after stop", 0)
+		check(t, reg, "after stop", 0, 0)
 	})
 }
 
@@ -430,24 +451,64 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), ts, event.Int(int64(i%700)), event.Float(1))))
 		e.HandleBatch(bidBatch(2, "h1", tup(uint64(i), ts, event.Int(int64(i)))))
 	}
-	var want, heads, groups int64
+	// audit holds the gauge to what the open windows hold now, whatever
+	// form each is in, and returns how many are cold.
+	audit := func(when string) (frozen int) {
+		t.Helper()
+		var want int64
+		e.mu.Lock()
+		for _, qs := range e.queries {
+			qs.win.Each(func(ws *winState) {
+				want += ws.slabBytes()
+				if ws.frozen != nil {
+					frozen++
+					if got := int64(len(ws.frozen)) + ws.arena.Bytes(); ws.slabBytes() != got {
+						t.Errorf("%s: a cold window is charged %d bytes, its partial and join arena are %d", when, ws.slabBytes(), got)
+					}
+				}
+			})
+		}
+		e.mu.Unlock()
+		if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
+			t.Errorf("%s: scrub_central_state_bytes = %d, open windows hold %d", when, got, want)
+		}
+		return frozen
+	}
+	var heads, groups int64
 	e.mu.Lock()
 	for _, qs := range e.queries {
-		for _, at := range []int64{sec(5), sec(15), sec(22)} {
-			for _, ws := range qs.win.GetAll(at) {
-				want += ws.slabBytes()
-				heads += ws.groups.Bytes()
-				groups += int64(ws.groups.Len())
-			}
-		}
+		qs.win.Each(func(ws *winState) {
+			heads += ws.groups.Bytes()
+			groups += int64(ws.groups.Len())
+		})
 	}
 	e.mu.Unlock()
-	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
-		t.Errorf("scrub_central_state_bytes = %d, open windows' slabs hold %d", got, want)
+	if frozen := audit("every window live"); frozen != 0 {
+		t.Errorf("%d windows cold while tuples still reach all of them", frozen)
 	}
+	live := gaugeValue(reg, "scrub_central_state_bytes")
 	// The figure includes the indexes: a bucket head per group at least.
 	if groups == 0 || heads < 4*groups {
 		t.Errorf("group index heads hold %d bytes for %d groups", heads, groups)
+	}
+	// Two more windows open and nothing else arrives: the second one's
+	// sweep freezes the three idle windows of each query, and the gauge
+	// comes down to their partials.
+	for _, at := range []int64{35, 45} {
+		e.HandleBatch(bidBatch(1, "h1", tup(1, sec(at), event.Int(1), event.Float(1))))
+		e.HandleBatch(bidBatch(2, "h1", tup(1, sec(at), event.Int(1))))
+	}
+	if frozen := audit("after two idle sweeps"); frozen != 8 {
+		t.Errorf("%d windows cold, want the 4 idle ones of each query", frozen)
+	}
+	if cold := gaugeValue(reg, "scrub_central_state_bytes"); cold > live/2 {
+		t.Errorf("scrub_central_state_bytes = %d with every window but two cold, %d when live", cold, live)
+	}
+	// A straggler thaws one window of each query: the gauge follows it back.
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(5), event.Int(3), event.Float(1))))
+	e.HandleBatch(bidBatch(2, "h1", tup(1, sec(5), event.Int(3))))
+	if frozen := audit("after a straggler"); frozen != 6 {
+		t.Errorf("%d windows cold after a straggler into one of each query, want 6", frozen)
 	}
 	e.StopQuery(1)
 	e.StopQuery(2)

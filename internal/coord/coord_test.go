@@ -979,3 +979,70 @@ func TestStandbyAwaitFailover(t *testing.T) {
 		t.Fatal("failover did not fire after leader silence")
 	}
 }
+
+// TestShardNodeServesStateGauges: in the multi-process topology the open
+// windows live in the shard processes, so that is where their gauges are
+// served from — and nothing else is: ingest is counted at the coordinator.
+// (Bugfix: a shard process used to build its engine with no registry at
+// all, so -metrics on it exported nothing.)
+func TestShardNodeServesStateGauges(t *testing.T) {
+	shardReg, coordReg := obs.NewRegistry(), obs.NewRegistry()
+	vc := &vclock{}
+	c := NewCoordinator(Options{Clock: vc.now, LeaseTTL: time.Hour, Metrics: coordReg})
+	defer c.Close()
+	cc, cs := transport.Pipe()
+	defer cs.Close()
+	go NewShardNodeWith(testCatalog(), shardReg).ServeConn(cs)
+	c.AddShardConn(cc, "s0")
+
+	src := `select count(*), sum(v) from ev window 10s`
+	q, err := ql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := ql.Analyze(q, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	plan.Text, plan.Lateness = src, time.Hour
+	if err := c.StartQuery(plan, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	// Four windows opened in order, a tuple each: every sweep finds the
+	// windows before the newest unmoved and freezes them.
+	for w := int64(0); w < 4; w++ {
+		c.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", Tuples: []transport.Tuple{
+			{RequestID: uint64(w), TsNanos: w*10*sec + 1, Values: []event.Value{event.Float(1)}},
+		}})
+	}
+	series := func(reg *obs.Registry) map[string]float64 {
+		got := map[string]float64{}
+		for _, s := range reg.Snapshot() {
+			got[s.Name] = s.Value
+		}
+		return got
+	}
+	shard, coord := series(shardReg), series(coordReg)
+	if shard["scrub_central_state_bytes"] <= 0 || shard["scrub_central_windows_frozen"] != 3 {
+		t.Errorf("shard registry: state_bytes %v, windows_frozen %v; want the open windows' bytes and 3",
+			shard["scrub_central_state_bytes"], shard["scrub_central_windows_frozen"])
+	}
+	for _, name := range []string{"scrub_central_join_pending", "scrub_central_window_thaws_total"} {
+		if _, ok := shard[name]; !ok {
+			t.Errorf("shard registry lacks %s", name)
+		}
+	}
+	if _, ok := shard["scrub_central_batches_total"]; ok || len(shard) != 4 {
+		t.Errorf("shard registry serves more than the state series: %v", shard)
+	}
+	if coord["scrub_coord_manifests_total"] != 4 {
+		t.Errorf("coordinator counted %v manifests, want 4", coord["scrub_coord_manifests_total"])
+	}
+	if _, ok := c.StopQuery(1); !ok {
+		t.Fatal("StopQuery: unknown query")
+	}
+	if after := series(shardReg); after["scrub_central_state_bytes"] != 0 || after["scrub_central_windows_frozen"] != 0 {
+		t.Errorf("shard gauges after the query stopped: %v", after)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"scrub/internal/central"
 	"scrub/internal/event"
+	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/transport"
 )
@@ -30,11 +31,15 @@ type ShardNode struct {
 	poison atomic.Bool
 }
 
-// NewShardNode creates a shard node over cat. The engine never registers
-// metrics of its own: ingest accounting lives at the coordinator, which
-// is the only component that sees whole batches.
-func NewShardNode(cat *event.Catalog) *ShardNode {
-	return &ShardNode{eng: central.NewEngine(), cat: cat}
+// NewShardNode creates a shard node over cat that exports no metrics.
+func NewShardNode(cat *event.Catalog) *ShardNode { return NewShardNodeWith(cat, nil) }
+
+// NewShardNodeWith creates a shard node over cat whose engine charges its
+// open windows to reg's state gauges — the shard is where that state
+// lives. It registers nothing else: ingest accounting lives at the
+// coordinator, which is the only component that sees whole batches.
+func NewShardNodeWith(cat *event.Catalog, reg *obs.Registry) *ShardNode {
+	return &ShardNode{eng: central.NewShardEngine(central.Options{}, reg), cat: cat}
 }
 
 // Engine exposes the underlying driven engine (tests).
@@ -118,7 +123,7 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			}
 			partials, late, overflow, found := n.eng.CollectDriven(t.QueryID, t.Bound)
 			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: toWirePartials(partials),
+				Seq: t.Seq, Found: found, Partials: partials,
 				Late: late, Overflow: overflow,
 			}
 		case transport.ShardStopReq:
@@ -128,7 +133,7 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			}
 			partials, drops, found := n.eng.DrainDriven(t.QueryID)
 			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: toWirePartials(partials),
+				Seq: t.Seq, Found: found, Partials: partials,
 				Late: drops,
 			}
 		case transport.ShardFence:
@@ -247,15 +252,4 @@ func ShardStartFromPlan(p *central.Plan) transport.ShardStart {
 		BudgetCPUPct:      p.BudgetCPUPct,
 		BudgetBytesPerSec: p.BudgetBytesPerSec,
 	}
-}
-
-func toWirePartials(ps []central.EncodedPartial) []transport.WindowPartial {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]transport.WindowPartial, len(ps))
-	for i, p := range ps {
-		out[i] = transport.WindowPartial{Start: p.Start, End: p.End, Data: p.Data}
-	}
-	return out
 }

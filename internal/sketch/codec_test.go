@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -84,6 +85,52 @@ func TestSpaceSavingDecodeErrors(t *testing.T) {
 	for cut := 0; cut < len(enc); cut++ {
 		if _, _, err := DecodeSpaceSaving(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
+		}
+	}
+}
+
+// TestCodecContinuationExact cuts a stream at random points, replaces the
+// sketch by decode(encode(sketch)) at every cut, and requires the final
+// encoding to equal the uninterrupted sketch's byte for byte. For
+// SpaceSaving the summary is small against the alphabet and every
+// addition is 1, so it sits at capacity with several counters tied at the
+// minimum count whenever an eviction picks its victim — the one place a
+// rebuilt bucket list could behave differently from the original.
+func TestCodecContinuationExact(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 2 + rng.Intn(8)
+		ss, ssCut := MustSpaceSaving(capacity), MustSpaceSaving(capacity)
+		hll, hllCut := MustHLL(DefaultHLLPrecision), MustHLL(DefaultHLLPrecision)
+		evictions := 0
+		for i := 0; i < 600; i++ {
+			item := fmt.Sprintf("i%02d", rng.Intn(3*capacity))
+			if _, tracked := ss.Count(item); !tracked && ss.Len() == capacity {
+				evictions++
+			}
+			ss.Add(item)
+			ssCut.AddBytes([]byte(item))
+			x := rng.Uint64()
+			hll.AddHash(x)
+			hllCut.AddHash(x)
+			if rng.Intn(40) == 0 {
+				var err error
+				if ssCut, _, err = DecodeSpaceSaving(ssCut.AppendBinary(nil)); err != nil {
+					t.Fatal(err)
+				}
+				if hllCut, _, err = DecodeHLL(hllCut.AppendBinary(nil)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if evictions == 0 {
+			t.Fatalf("seed %d: the stream never evicted a counter", seed)
+		}
+		if got, want := ssCut.AppendBinary(nil), ss.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: SpaceSaving(%d) diverged after %d evictions:\n got %x\nwant %x", seed, capacity, evictions, got, want)
+		}
+		if got, want := hllCut.AppendBinary(nil), hll.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: HLL registers diverged", seed)
 		}
 	}
 }

@@ -47,13 +47,20 @@ func (ix *Index) Bytes() int64 { return int64(len(ix.heads)) * 4 }
 // Insert its owner must Grow it, so chains stay about one run long.
 func (ix *Index) Full() bool { return ix.n == len(ix.heads) }
 
-// Grow doubles the heads and forgets every run. The owner then Inserts
-// all its runs again in the order they were appended — it alone knows
-// where each ends and what it hashes to — so every chain still runs
-// newest first, and growing reads the arena front to back: only the new
-// heads, a sixteenth of a cache line a run, are written at random.
-func (ix *Index) Grow() {
-	ix.heads = make([]uint32, max(indexMinBuckets, 2*len(ix.heads)))
+// Grow replaces the heads with at least twice as many — and at least n,
+// the number of runs the owner is about to thread: an owner that knows how
+// many it holds grows to that once, not by doubling up to it — and forgets
+// every run. The owner then Inserts all its runs again in the order they
+// were appended — it alone knows where each ends and what it hashes to —
+// so every chain still runs newest first, and growing reads the arena
+// front to back: only the new heads, a sixteenth of a cache line a run,
+// are written at random.
+func (ix *Index) Grow(n int) {
+	size := max(indexMinBuckets, 2*len(ix.heads))
+	for size < n {
+		size *= 2
+	}
+	ix.heads = make([]uint32, size)
 	ix.n = 0
 }
 

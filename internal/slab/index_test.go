@@ -53,7 +53,7 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 		m.ix[side].Insert(&m.a, at, m.h.of(key))
 		return
 	}
-	m.ix[side].Grow()
+	m.ix[side].Grow(0)
 	for k, chunk := range m.a.Chunks() {
 		for off := 0; off < len(chunk); {
 			at := Addr(k, off)
@@ -138,6 +138,30 @@ func TestIndexZeroValue(t *testing.T) {
 	var ix Index
 	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
 		t.Fatal("the zero Index is not empty")
+	}
+}
+
+// An owner that knows how many runs it holds grows to that in one step:
+// the heads are what doubling from the minimum would have reached, and
+// every run threads without another growth.
+func TestIndexGrowToCount(t *testing.T) {
+	for _, n := range []int{0, 1, indexMinBuckets, indexMinBuckets + 1, 1000, 4096} {
+		var fitted, doubled Index
+		fitted.Grow(n)
+		for doubled.Bytes() < int64(4*n) || doubled.Bytes() == 0 {
+			doubled.Grow(0)
+		}
+		if fitted.Bytes() != doubled.Bytes() {
+			t.Errorf("Grow(%d): %d bytes of heads, doubling reaches %d", n, fitted.Bytes(), doubled.Bytes())
+		}
+		var a Arena
+		for i := 0; i < n; i++ {
+			if fitted.Full() {
+				t.Fatalf("Grow(%d): full after %d runs", n, i)
+			}
+			at, _ := a.Append(make([]byte, LinkSize+1))
+			fitted.Insert(&a, at, uint64(i))
+		}
 	}
 }
 

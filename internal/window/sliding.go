@@ -1,15 +1,23 @@
+// Package window implements the event-time windows Scrub queries
+// aggregate over. The paper's windows tumble (§3.2: "currently, only
+// tumbling windows are supported, but Scrub can easily be extended to
+// allow sliding windows"); this is that extension, and the one manager
+// there is: a sliding window of size S and slide s assigns each event to
+// the S/s windows whose span covers it, and tumbling is the special case
+// s == S.
+//
+// Windows close on a watermark: the maximum event time seen, minus an
+// allowed lateness. Events arriving after their window closed are counted
+// and dropped — accuracy traded for bounded state, the paper's standing
+// rule.
 package window
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
-
-// Sliding windows — the extension the paper explicitly leaves open
-// (§3.2: "currently, only tumbling windows are supported, but Scrub can
-// easily be extended to allow sliding windows"). A sliding window of
-// size S and slide s assigns each event to the ⌈S/s⌉ windows whose span
-// covers it; tumbling is the special case s == S.
 
 // SlidingAssigner maps event times to the set of covering window starts.
 type SlidingAssigner struct {
@@ -33,15 +41,6 @@ func NewSlidingAssigner(size, slide time.Duration) (SlidingAssigner, error) {
 	return SlidingAssigner{size: int64(size), slide: int64(slide)}, nil
 }
 
-// Size returns the window length.
-func (a SlidingAssigner) Size() time.Duration { return time.Duration(a.size) }
-
-// Slide returns the slide interval.
-func (a SlidingAssigner) Slide() time.Duration { return time.Duration(a.slide) }
-
-// Count returns how many windows cover each event.
-func (a SlidingAssigner) Count() int { return int(a.size / a.slide) }
-
 // Starts appends the start times of every window containing ts, in
 // ascending order.
 func (a SlidingAssigner) Starts(ts int64, dst []int64) []int64 {
@@ -57,23 +56,34 @@ func (a SlidingAssigner) Starts(ts int64, dst []int64) []int64 {
 	return dst
 }
 
-// SlidingManager tracks open sliding windows of per-window state S,
-// closing them as the watermark advances. Semantics mirror Manager; each
-// event contributes to every covering window.
+// Closed is a window the watermark has passed, carrying its accumulated
+// state.
+type Closed[S any] struct {
+	Start int64 // unix nanos, inclusive
+	End   int64 // unix nanos, exclusive
+	State S
+}
+
+// SlidingManager tracks open windows of per-window state S, closing them
+// as the watermark advances; each event contributes to every covering
+// window. It is not safe for concurrent use; ScrubCentral drives one per
+// query under the engine's lock.
 type SlidingManager[S any] struct {
 	assigner  SlidingAssigner
 	lateness  int64
 	newState  func(start, end int64) S
 	open      map[int64]S
-	watermark int64
+	watermark int64 // max event time observed
 	hasMark   bool
 	lateDrops uint64
+	opened    uint64
 	scratch   []int64
 	states    []S // GetAll's result buffer, reused across calls
 }
 
-// NewSlidingManager builds a manager; see NewManager for the lateness and
-// constructor semantics.
+// NewSlidingManager builds a manager. newState allocates the accumulator
+// for a window when its first event arrives; lateness is how far behind
+// the max observed event time an event may be and still be accepted.
 func NewSlidingManager[S any](size, slide, lateness time.Duration, newState func(start, end int64) S) (*SlidingManager[S], error) {
 	a, err := NewSlidingAssigner(size, slide)
 	if err != nil {
@@ -111,6 +121,7 @@ func (m *SlidingManager[S]) GetAll(ts int64) []S {
 		}
 		s := m.newState(start, start+m.assigner.size)
 		m.open[start] = s
+		m.opened++
 		out = append(out, s)
 	}
 	if len(out) == 0 {
@@ -130,8 +141,13 @@ func (m *SlidingManager[S]) Observe(ts int64) []Closed[S] {
 	return m.closeBefore(m.watermark - m.lateness)
 }
 
-// ForceBefore closes every window ending at or before bound (wall-clock
-// tick path; see Manager.ForceBefore).
+// ForceBefore closes every window ending at or before bound, regardless
+// of the event-time watermark. ScrubCentral drives this from a wall-clock
+// tick so that idle event streams still emit their windows — the tuples
+// are near-real-time, so processing time bounds event time closely — and
+// a cluster's merger drives its shards' windows with nothing else. The
+// forced bound also acts as a watermark: events older than it are late by
+// definition.
 func (m *SlidingManager[S]) ForceBefore(bound int64) []Closed[S] {
 	if !m.hasMark || bound > m.watermark-m.lateness {
 		m.watermark = bound + m.lateness
@@ -154,7 +170,7 @@ func (m *SlidingManager[S]) closeBefore(bound int64) []Closed[S] {
 		clear(m.states)
 		m.states = m.states[:0]
 	}
-	sortClosed(out)
+	slices.SortFunc(out, func(a, b Closed[S]) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
 
@@ -169,10 +185,14 @@ func (m *SlidingManager[S]) Open() int { return len(m.open) }
 // LateDrops counts events whose every covering window had closed.
 func (m *SlidingManager[S]) LateDrops() uint64 { return m.lateDrops }
 
-func sortClosed[S any](cs []Closed[S]) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].Start < cs[j-1].Start; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
+// Opened counts the windows GetAll has created so far: event-time
+// progress, one step a slide.
+func (m *SlidingManager[S]) Opened() uint64 { return m.opened }
+
+// Each calls f with the state of every open window, in no particular
+// order.
+func (m *SlidingManager[S]) Each(f func(S)) {
+	for _, s := range m.open {
+		f(s)
 	}
 }

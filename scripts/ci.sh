@@ -29,7 +29,7 @@ make bench-smoke
 echo "== go test -race =="
 go test -race ./...
 
-echo "== metrics smoke (boot daemons, scrape /metrics) =="
+echo "== metrics smoke (boot daemons and a shard process, scrape /metrics) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="
@@ -47,7 +47,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, packed window runs, window-state index, ql parser, replay chunks) =="
+echo "== fuzz smoke (transport frame decoding, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"

@@ -1,8 +1,11 @@
 // Command metricssmoke is the CI gate for the observability surface: it
 // builds scrubcentral and scrubd, boots them against each other on
-// ephemeral ports with -metrics enabled, scrapes both /metrics endpoints,
-// and fails if a required series family is missing, any series is
-// duplicated, the exposition is malformed, or /debug/pprof is absent.
+// ephemeral ports with -metrics enabled — plus a scrubcentral in shard
+// mode, the tier that holds the window state in a distributed deployment
+// — scrapes every /metrics endpoint, and fails if a required series
+// family is missing, any series is duplicated, the exposition is
+// malformed, a shard exports an ingest series (those are the
+// coordinator's), or /debug/pprof is absent.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -25,7 +28,7 @@ import (
 // (histograms appear as their _count series). Everything here is
 // registered at construction time, so a fresh daemon with no queries
 // still exposes all of it at value zero.
-var requiredCentral = []string{
+var requiredCentral = append([]string{
 	"scrub_central_batches_total",
 	"scrub_central_tuples_total",
 	"scrub_central_windows_total",
@@ -33,9 +36,22 @@ var requiredCentral = []string{
 	"scrub_central_shed_windows_total",
 	"scrub_central_window_close_ns_count",
 	"scrub_central_watermark_lag_ns",
+	"scrub_transport_frames_recv_total",
+}, requiredShard...)
+
+// requiredShard is what a shard process exposes: the gauges of the window
+// state it holds, and nothing of ingest.
+var requiredShard = []string{
 	"scrub_central_join_pending",
 	"scrub_central_state_bytes",
-	"scrub_transport_frames_recv_total",
+	"scrub_central_windows_frozen",
+	"scrub_central_window_thaws_total",
+}
+
+var forbiddenShard = []string{
+	"scrub_central_batches_total",
+	"scrub_central_tuples_total",
+	"scrub_central_windows_total",
 }
 
 var requiredHost = []string{
@@ -118,16 +134,30 @@ func run() error {
 		return err
 	}
 
+	shard := newDaemon(filepath.Join(tmp, "scrubcentral"),
+		"-adplatform", "-shard", "127.0.0.1:0", "-metrics", "127.0.0.1:0")
+	if err := shard.start(); err != nil {
+		return err
+	}
+	defer shard.stop()
+	shardMetrics, err := shard.await("scrubcentral metrics: ")
+	if err != nil {
+		return err
+	}
+
 	// Let the agent connect and ship a heartbeat or two.
 	time.Sleep(300 * time.Millisecond)
 
-	if err := checkMetrics("scrubcentral", centralMetrics, requiredCentral); err != nil {
+	if err := checkMetrics("scrubcentral", centralMetrics, requiredCentral, nil); err != nil {
 		return err
 	}
-	if err := checkMetrics("scrubd", hostMetrics, requiredHost); err != nil {
+	if err := checkMetrics("scrubd", hostMetrics, requiredHost, nil); err != nil {
 		return err
 	}
-	for _, u := range []string{centralMetrics, hostMetrics} {
+	if err := checkMetrics("scrubcentral -shard", shardMetrics, requiredShard, forbiddenShard); err != nil {
+		return err
+	}
+	for _, u := range []string{centralMetrics, hostMetrics, shardMetrics} {
 		if err := checkPprof(u); err != nil {
 			return err
 		}
@@ -194,8 +224,9 @@ func (d *daemon) stop() {
 }
 
 // checkMetrics scrapes url and validates the exposition: every required
-// family present, no duplicate series, every sample line well-formed.
-func checkMetrics(who, url string, required []string) error {
+// family present, no forbidden one, no duplicate series, every sample
+// line well-formed.
+func checkMetrics(who, url string, required, forbidden []string) error {
 	body, err := get(url)
 	if err != nil {
 		return fmt.Errorf("%s: scrape %s: %w", who, url, err)
@@ -234,6 +265,11 @@ func checkMetrics(who, url string, required []string) error {
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("%s: missing metric families %v (got %d series)", who, missing, len(series))
+	}
+	for _, name := range forbidden {
+		if families[name] {
+			return fmt.Errorf("%s: exposes %s, which belongs to another tier", who, name)
+		}
 	}
 	fmt.Printf("metrics-smoke: %s exposes %d series, all %d required families present\n",
 		who, len(series), len(required))
