@@ -45,9 +45,10 @@ metrics-smoke:
 
 # Short coverage-guided fuzz pass over the surfaces that parse untrusted
 # input — the transport frame decoder (arbitrary network bytes, with and
-# without a receive scratch), the packed runs a partial's bytes become
-# window state as, the query-language parser (arbitrary operator-typed
-# text), the replay chunk decoder — and over the two window-state
+# without a receive scratch, whole and in fuzz-chosen read sizes), the
+# packed runs a partial's bytes become window state as, the
+# query-language parser (arbitrary operator-typed text), the replay chunk
+# decoder — and over the two window-state
 # mechanisms checked against a model: the hash index against its map, and
 # freeze/thaw against an engine that thrashes and a plain reference. This
 # is the one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.

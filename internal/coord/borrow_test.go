@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,21 @@ func TestShardClientBoundsTheWrite(t *testing.T) {
 	}
 	if _, _, err := c.Apply(transport.TupleBatch{QueryID: 1}); err == nil {
 		t.Error("a latched-down client accepted another RPC")
+	}
+}
+
+// A manifest for a coordinator that has gone is refused in the
+// coordinator's name, not a shard's.
+func TestManifestClientNamesTheCoordinator(t *testing.T) {
+	ours, theirs := transport.Pipe()
+	theirs.Close()
+	send := NewManifestClient(ours)
+	if err := send(transport.BatchManifest{QueryID: 1}); err == nil {
+		t.Fatal("a manifest to a closed coordinator succeeded")
+	}
+	err := send(transport.BatchManifest{QueryID: 1})
+	if err == nil || !strings.Contains(err.Error(), "coordinator is down") || strings.Contains(err.Error(), "shard") {
+		t.Errorf("the latched-down manifest client reports %v", err)
 	}
 }
 

@@ -54,6 +54,8 @@ const rpcTimeout = 5 * time.Second
 // they never block forever.
 type shardClient struct {
 	addr string
+	// peer names the other end in errors: "shard <addr>", "coordinator".
+	peer string
 	// fence is the owning coordinator's fencing term, stamped into every
 	// start/collect/stop so the merger never handles it. Nil (term 0) on
 	// router and replication channels, which make no fenced call.
@@ -64,6 +66,9 @@ type shardClient struct {
 	mu   sync.Mutex
 	conn *transport.Conn
 	seq  uint64
+	// sub is the sub-batch Apply is sending: encoded by pointer from here,
+	// a sub-batch costs neither a closure nor a boxed message.
+	sub transport.ShardSubBatch
 
 	down   atomic.Bool
 	lastOK atomic.Int64 // wall nanos of the last successful round-trip
@@ -74,7 +79,7 @@ var _ central.ShardClient = (*shardClient)(nil)
 // newShardClient wraps an established connection (tests, pipes). A nil
 // connection yields a client latched down from the start.
 func newShardClient(conn *transport.Conn, addr string, fence *atomic.Uint64) *shardClient {
-	c := &shardClient{addr: addr, conn: conn, fence: fence, timeout: rpcTimeout}
+	c := &shardClient{addr: addr, peer: "shard " + addr, conn: conn, fence: fence, timeout: rpcTimeout}
 	c.down.Store(conn == nil)
 	c.lastOK.Store(time.Now().UnixNano())
 	return c
@@ -117,37 +122,42 @@ func (c *shardClient) failLocked() {
 }
 
 // do sends one request built with the next sequence number and returns
-// the response. The deadline covers the whole round-trip: a peer that has
-// gone silent fails the read, and one that has stopped reading while its
-// socket buffer is full fails the write instead of blocking Flush for
-// ever.
+// the response.
 func (c *shardClient) do(build func(seq uint64) transport.Message) (transport.Message, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, 0, fmt.Errorf("coord: shard %s is down", c.addr)
-	}
 	c.seq++
-	seq := c.seq
+	resp, err := c.roundTripLocked(build(c.seq))
+	return resp, c.seq, err
+}
+
+// roundTripLocked sends one request, which carries c.seq, and returns the
+// response. The deadline covers the whole round-trip: a peer that has
+// gone silent fails the read, and one that has stopped reading while its
+// socket buffer is full fails the write instead of blocking it for ever.
+func (c *shardClient) roundTripLocked(req transport.Message) (transport.Message, error) {
+	if c.conn == nil {
+		return nil, fmt.Errorf("coord: %s is down", c.peer)
+	}
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
-	if err := c.conn.Send(build(seq)); err != nil {
+	if err := c.conn.Send(req); err != nil {
 		c.failLocked()
-		return nil, 0, err
+		return nil, err
 	}
 	resp, err := c.conn.Recv()
 	if err != nil {
 		c.failLocked()
-		return nil, 0, err
+		return nil, err
 	}
 	c.lastOK.Store(time.Now().UnixNano())
-	return resp, seq, nil
+	return resp, nil
 }
 
 func (c *shardClient) seqErr(got transport.Message) error {
 	c.mu.Lock()
 	c.failLocked()
 	c.mu.Unlock()
-	return fmt.Errorf("coord: shard %s: unexpected response %s", c.addr, transport.Name(got))
+	return fmt.Errorf("coord: %s: unexpected response %s", c.peer, transport.Name(got))
 }
 
 // Start implements central.ShardClient. The shard re-analyzes the plan's
@@ -164,16 +174,21 @@ func (c *shardClient) Start(qr *central.QueryRuntime) error {
 		return c.seqErr(resp)
 	}
 	if ack.Err != "" {
-		return fmt.Errorf("coord: shard %s: %s", c.addr, ack.Err)
+		return fmt.Errorf("coord: %s: %s", c.peer, ack.Err)
 	}
 	return nil
 }
 
 // Apply implements central.ShardClient.
 func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardSubBatch{Seq: s, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: b.Tuples}
-	})
+	c.mu.Lock()
+	c.seq++
+	seq := c.seq
+	//scrub:allowretain(held under mu for the one round trip that encodes it, and cleared before Apply returns)
+	c.sub = transport.ShardSubBatch{Seq: seq, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: b.Tuples}
+	resp, err := c.roundTripLocked(&c.sub)
+	c.sub = transport.ShardSubBatch{}
+	c.mu.Unlock()
 	if err != nil {
 		return central.DrivenAck{}, false, err
 	}
@@ -232,7 +247,7 @@ func (c *shardClient) partials(build func(seq uint64) transport.Message) (transp
 
 func (c *shardClient) staleErr() error {
 	c.close()
-	return fmt.Errorf("coord: shard %s: stale fencing epoch (deposed)", c.addr)
+	return fmt.Errorf("coord: %s: stale fencing epoch (deposed)", c.peer)
 }
 
 // decodeWindows turns a shard's serialized partials into merger-ready

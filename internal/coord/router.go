@@ -20,7 +20,8 @@ type ManifestFunc func(transport.BatchManifest) error
 // into a ManifestFunc doing synchronous BatchManifest → ManifestAck
 // round-trips. Safe for concurrent use.
 func NewManifestClient(conn *transport.Conn) ManifestFunc {
-	mc := newShardClient(conn, "coordinator", nil)
+	mc := newShardClient(conn, "", nil)
+	mc.peer = "coordinator"
 	return func(m transport.BatchManifest) error {
 		resp, seq, err := mc.do(func(s uint64) transport.Message { m.Seq = s; return m })
 		if err != nil {
@@ -152,29 +153,23 @@ func (r *Router) AddShardConn(addr string, conn *transport.Conn) {
 	r.clients[addr] = newShardClient(conn, addr, nil)
 }
 
-// clientFor returns (dialing if needed) the client for a shard address.
-// A down client stays down — re-dial policy belongs to membership
-// changes (a recovered shard rejoins under a new epoch), not the data
-// path.
-func (r *Router) clientFor(addr string) *shardClient {
-	r.mu.Lock()
-	sc, ok := r.clients[addr]
-	r.mu.Unlock()
-	if ok {
-		return sc
-	}
+// dial connects to a shard no batch has been routed to yet and installs
+// the client, unless a concurrent SendBatch got there first. A shard that
+// cannot be reached gets a client latched down, and a down client stays
+// down — re-dial policy belongs to membership changes (a recovered shard
+// rejoins under a new epoch), not the data path.
+func (r *Router) dial(addr string) *shardClient {
 	sc, err := dialShard(addr, nil)
 	if err != nil {
 		sc = newShardClient(nil, addr, nil)
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if cur, ok := r.clients[addr]; ok {
-		r.mu.Unlock()
 		sc.close()
 		return cur
 	}
 	r.clients[addr] = sc
-	r.mu.Unlock()
 	return sc
 }
 
@@ -191,9 +186,24 @@ func (r *Router) Close() {
 // epoch's shards, apply synchronously, fold the acks
 // (central.RouteToShards), report the manifest.
 func (r *Router) SendBatch(b transport.TupleBatch) error {
+	sc := r.scratch.Get().(*routeScratch)
+	defer r.scratch.Put(sc)
+	sc.clients = sc.clients[:0]
+	key := routeKey{query: b.QueryID, host: b.HostID, typeIdx: b.TypeIdx}
+	undialed := false
+	// One critical section resolves everything the fan-out needs.
 	r.mu.Lock()
 	epoch, pinned := r.pins[b.QueryID]
 	addrs := r.maps[epoch]
+	for _, addr := range addrs {
+		if c, ok := r.clients[addr]; ok {
+			sc.clients = append(sc.clients, c)
+		} else {
+			sc.clients = append(sc.clients, nil)
+			undialed = true
+		}
+	}
+	cum := r.drops[key]
 	r.mu.Unlock()
 	if !pinned {
 		if r.fallback != nil {
@@ -204,20 +214,20 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("coord: no shard map for epoch %d", epoch)
 	}
-	sc := r.scratch.Get().(*routeScratch)
-	defer r.scratch.Put(sc)
-	sc.clients = sc.clients[:0]
-	for _, addr := range addrs {
-		sc.clients = append(sc.clients, r.clientFor(addr))
+	if undialed { // an address's first batch
+		for i, addr := range addrs {
+			if sc.clients[i] == nil {
+				sc.clients[i] = r.dial(addr)
+			}
+		}
 	}
-	key := routeKey{query: b.QueryID, host: b.HostID, typeIdx: b.TypeIdx}
-	r.mu.Lock()
-	cum := r.drops[key]
-	r.mu.Unlock()
+	before := cum
 	m := central.RouteToShards(b, sc.clients, &cum, &sc.RouteScratch)
-	r.mu.Lock()
-	r.drops[key] = cum
-	r.mu.Unlock()
+	if cum != before {
+		r.mu.Lock()
+		r.drops[key] = cum
+		r.mu.Unlock()
+	}
 	// The manifest's per-shard counters are slices of sc; the send is
 	// synchronous, so they are encoded before sc goes back.
 	return r.manifest(m)

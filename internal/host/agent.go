@@ -375,6 +375,10 @@ type Stats struct {
 	Shipped    uint64 // tuples handed to the sink
 	QueueDrops uint64 // tuples dropped because the queue was full
 	SinkErrors uint64 // batches the sink rejected
+	// SinkErrorTuples counts the tuples in those batches: a sink that
+	// does not spill (coord.Router) loses them, so they close the identity
+	// matched = sampled out + Shipped + QueueDrops + SinkErrorTuples.
+	SinkErrorTuples uint64
 	// Governor ladder actions across all queries this agent ran.
 	GovernorDownsamples uint64
 	GovernorRecovers    uint64
@@ -417,6 +421,7 @@ type Agent struct {
 	shipped        obs.Counter
 	queueDrops     obs.Counter
 	sinkErrors     obs.Counter
+	sinkErrTuples  obs.Counter
 	chunkFills     obs.Counter
 	shipBytes      obs.Counter
 	govDownsamples obs.Counter
@@ -460,6 +465,7 @@ func New(cfg Config) (*Agent, error) {
 		reg.RegisterCounter("scrub_host_shipped_total", "tuples handed to the sink", &a.shipped, hl)
 		reg.RegisterCounter("scrub_host_queue_drops_total", "tuples dropped because the shipping queue was full", &a.queueDrops, hl)
 		reg.RegisterCounter("scrub_host_sink_errors_total", "batches the sink rejected", &a.sinkErrors, hl)
+		reg.RegisterCounter("scrub_host_sink_error_tuples_total", "tuples in the batches the sink rejected", &a.sinkErrTuples, hl)
 		reg.RegisterCounter("scrub_host_chunk_fills_total", "chunks filled to BatchSize and submitted", &a.chunkFills, hl)
 		reg.RegisterCounter("scrub_host_ship_bytes_total", "encoded bytes of batches handed to the sink", &a.shipBytes, hl)
 		reg.RegisterCounter("scrub_host_governor_downsamples_total", "budget governor rate halvings", &a.govDownsamples, hl)
@@ -1233,6 +1239,7 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 	}
 	if err := a.cfg.Sink.SendBatch(batch); err != nil {
 		a.sinkErrors.Add(1)
+		a.sinkErrTuples.Add(uint64(len(tuples)))
 		return
 	}
 	// Snapshot the raw counters (not the rate-1 substituted mᵢ, which
@@ -1373,6 +1380,7 @@ func (a *Agent) Stats() Stats {
 		Shipped:             a.shipped.Value(),
 		QueueDrops:          a.queueDrops.Value(),
 		SinkErrors:          a.sinkErrors.Value(),
+		SinkErrorTuples:     a.sinkErrTuples.Value(),
 		GovernorDownsamples: a.govDownsamples.Value(),
 		GovernorRecovers:    a.govRecovers.Value(),
 		GovernorSheds:       a.govSheds.Value(),

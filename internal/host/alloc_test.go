@@ -230,6 +230,48 @@ func TestAccountingParity(t *testing.T) {
 	}
 }
 
+func TestAccountingIdentityWithFailingSink(t *testing.T) {
+	// A sink that rejects batches and does not spill them (coord.Router)
+	// loses their tuples; they must still be counted somewhere, or
+	// matched = sampled out + shipped + counted drops stops closing the
+	// moment a sink fails.
+	sink := &collectSink{}
+	a := newAgent(t, sink)
+	if err := a.Start(transport.HostQuery{
+		QueryID: 1, EventType: "bid", SampleEvents: 0.3,
+		Columns: []string{"user_id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixNano()
+	const n = 6000
+	for i := 0; i < n; i++ {
+		if i%1000 == 0 { // down for every other thousand events
+			a.Flush()
+			sink.fail.Store(i/1000%2 == 1)
+		}
+		a.Log(bidEvent(uint64(i), 1, "x", 1, now))
+	}
+	a.Flush()
+	sink.fail.Store(false)
+	a.Flush() // the last counters go out
+	matched, sampled, drops := sink.lastCounters()
+	st := a.Stats()
+	if st.SinkErrors == 0 || st.SinkErrorTuples == 0 {
+		t.Fatalf("the sink never failed with tuples in hand: %+v", st)
+	}
+	if got := uint64(len(sink.tuples())); got != st.Shipped {
+		t.Errorf("the sink holds %d tuples, the agent shipped %d", got, st.Shipped)
+	}
+	if matched != n || drops != st.QueueDrops {
+		t.Errorf("matched %d (want %d), drops: batch %d, agent %d", matched, n, drops, st.QueueDrops)
+	}
+	if sum := st.Shipped + st.QueueDrops + st.SinkErrorTuples; sum != sampled {
+		t.Errorf("shipped %d + queue drops %d + sink-error tuples %d = %d, want the %d sampled of %d matched",
+			st.Shipped, st.QueueDrops, st.SinkErrorTuples, sum, sampled, matched)
+	}
+}
+
 func TestConcurrentLogStartStopPruneFlush(t *testing.T) {
 	sink := &collectSink{}
 	a := newAgent(t, sink)

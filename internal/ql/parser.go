@@ -2,6 +2,7 @@ package ql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -368,7 +369,7 @@ func (p *parser) parseDuration() (time.Duration, error) {
 	case tokInt:
 		// Bare integer means seconds.
 		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
+		if err != nil || n > math.MaxInt64/int64(time.Second) {
 			return 0, p.errf(t, "bad duration %q", t.Text)
 		}
 		p.pos++

@@ -177,10 +177,8 @@ func (r *reader) str() string {
 	}
 	b := r.buf[r.pos : r.pos+int(ln)]
 	r.pos += int(ln)
-	// A receive loop's frames come from one stream: a string equal to the
-	// previous sub-batch's host id is that string, not a fresh copy.
-	if r.sc != nil && string(b) == r.sc.sub.HostID {
-		return r.sc.sub.HostID
+	if r.sc != nil { // a receive loop's frames keep repeating their strings
+		return r.sc.intern(b)
 	}
 	return string(b)
 }
@@ -205,7 +203,11 @@ func (r *reader) value() event.Value {
 	if r.err != nil {
 		return event.Invalid
 	}
-	v, n, err := event.DecodeValue(r.buf[r.pos:])
+	var str func([]byte) string // nil copies
+	if r.sc != nil {
+		str = r.sc.intern
+	}
+	v, n, err := event.DecodeValueAlias(r.buf[r.pos:], str)
 	if err != nil {
 		r.err = err
 		return event.Invalid

@@ -154,6 +154,21 @@ func (r *reader) repEntries() []RepEntry {
 	return out
 }
 
+func (w *writer) subBatch(t *ShardSubBatch) {
+	w.u64(t.Seq)
+	w.u64(t.QueryID)
+	w.str(t.HostID)
+	w.u8(t.TypeIdx)
+	w.tuples(t.Tuples)
+}
+
+func (r *reader) subBatch() ShardSubBatch {
+	return ShardSubBatch{
+		Seq: r.u64(), QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(),
+		Tuples: r.tuples(),
+	}
+}
+
 // appendEncodeCoord encodes the coordination messages; it reports false
 // for messages it does not know (the caller errors).
 func appendEncodeCoord(w *writer, m Message) bool {
@@ -164,11 +179,9 @@ func appendEncodeCoord(w *writer, m Message) bool {
 		w.u64(t.Seq)
 		w.str(t.Err)
 	case ShardSubBatch:
-		w.u64(t.Seq)
-		w.u64(t.QueryID)
-		w.str(t.HostID)
-		w.u8(t.TypeIdx)
-		w.tuples(t.Tuples)
+		w.subBatch(&t)
+	case *ShardSubBatch:
+		w.subBatch(t) // by pointer, a sender's sub-batch is not boxed per frame
 	case ShardBatchAck:
 		w.u64(t.Seq)
 		w.bool(t.Known)
@@ -279,10 +292,7 @@ func decodeCoord(tag byte, r *reader) (Message, bool) {
 	case tagShardAck:
 		return ShardAck{Seq: r.u64(), Err: r.str()}, true
 	case tagShardSubBatch:
-		sb := ShardSubBatch{
-			Seq: r.u64(), QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(),
-			Tuples: r.tuples(),
-		}
+		sb := r.subBatch()
 		if r.sc != nil {
 			// Handed out by pointer into the scratch: boxing the struct
 			// would be the one allocation left per frame.

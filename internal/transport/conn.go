@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,17 +45,22 @@ func NewConnMetrics(reg *obs.Registry, labels ...obs.Label) *ConnMetrics {
 	}
 }
 
+const (
+	minReadBuf = 512      // what a read buffer starts at
+	maxReadBuf = 64 << 10 // the most one keeps from frame to frame (DESIGN.md §9)
+)
+
 // Conn is a framed, message-oriented connection. Send is safe for
 // concurrent use; Recv must be driven from one goroutine.
 type Conn struct {
 	nc  net.Conn
-	br  *bufio.Reader
 	wmu sync.Mutex
 	enc []byte // reusable frame buffer (header and payload), guarded by wmu
-	// rhdr is the receiving goroutine's frame-header buffer: a local array
-	// would escape through the io.Reader call and cost an allocation per
-	// frame.
-	rhdr [4]byte
+	// rbuf is the receiving goroutine's read buffer, always at its full
+	// length; rbuf[r:w] has been read and not yet decoded. Frames are
+	// decoded where they land, so one Read serves all it brought in.
+	rbuf []byte
+	r, w int
 	met  atomic.Pointer[ConnMetrics]
 	once sync.Once
 }
@@ -68,7 +71,7 @@ func (c *Conn) SetMetrics(m *ConnMetrics) { c.met.Store(m) }
 
 // NewConn wraps a net.Conn (TCP in production, net.Pipe in tests).
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	return &Conn{nc: nc}
 }
 
 // Dial connects to a Scrub endpoint.
@@ -135,16 +138,36 @@ func (c *Conn) Send(m Message) error {
 }
 
 // RecvScratch is the memory a receive loop lends to the messages it
-// receives (Conn.RecvBorrowed): the frame payload buffer, and the Tuple
-// and Value cells of a tuple-carrying message, all reused from frame to
-// frame. The zero value is ready to use; one scratch serves one loop.
+// receives (Conn.RecvBorrowed): the Tuple and Value cells of a
+// tuple-carrying message, reused from frame to frame, and the strings the
+// loop's frames keep repeating. The zero value is ready to use; one
+// scratch serves one loop.
 type RecvScratch struct {
-	payload []byte
-	tuples  []Tuple
-	vals    []event.Value
-	// sub is the sub-batch last handed out; its HostID is what the next
-	// frame's strings are interned against.
+	tuples []Tuple
+	vals   []event.Value
+	// sub is the sub-batch last handed out.
 	sub ShardSubBatch
+	// strs holds the strings last decoded, by a hash of their bytes: a host
+	// id or a low-cardinality column value is allocated once, then found.
+	strs [internSlots]string
+}
+
+const internSlots = 64
+
+// intern returns b as an ordinary immutable string: the table's copy when
+// the slot b hashes to holds these bytes, else a fresh one that takes the
+// slot. Two strings sharing a slot evict each other and cost what they
+// did without the table, an allocation each.
+func (sc *RecvScratch) intern(b []byte) string {
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	p := &sc.strs[h%internSlots]
+	if *p != string(b) {
+		*p = string(b)
+	}
+	return *p
 }
 
 // Poison overwrites every cell the scratch has lent out with garbage. A
@@ -164,47 +187,43 @@ func (sc *RecvScratch) Poison() {
 // Recv blocks for the next message. The message owns its memory.
 func (c *Conn) Recv() (Message, error) { return c.RecvBorrowed(nil) }
 
-// RecvBorrowed is Recv into memory the caller lends: the payload is read
-// into sc's buffer, and a tuple-carrying message's Tuples and their
-// Values are cells of sc — valid until the next RecvBorrowed with the
-// same scratch, which is the //scrub:pooled contract those fields carry
-// anyway (copy what you keep; a Value copied out of a cell stays good,
-// its string is an ordinary immutable string). A ShardSubBatch frame
-// arrives as a *ShardSubBatch pointing into sc, so that receiving it
-// allocates nothing; every other message arrives by value and owns what
-// is not a tuple. A nil sc allocates everything, as Recv does.
+// RecvBorrowed is Recv into memory the caller lends: a tuple-carrying
+// message's Tuples and their Values are cells of sc — valid until the
+// next RecvBorrowed with the same scratch, which is the //scrub:pooled
+// contract those fields carry anyway (copy what you keep; a Value copied
+// out of a cell stays good, its string is an ordinary immutable string).
+// A ShardSubBatch frame arrives as a *ShardSubBatch pointing into sc, so
+// that receiving it allocates nothing; every other message arrives by
+// value and owns what is not a tuple. A nil sc allocates everything, as
+// Recv does. Either way the frame is decoded where it lies in the read
+// buffer and no message aliases it: its bytes are dead on return.
 //
 //scrub:pooled
 func (c *Conn) RecvBorrowed(sc *RecvScratch) (Message, error) {
-	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
+	if err := c.fill(4); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(c.rhdr[:]))
+	n := int(binary.LittleEndian.Uint32(c.rbuf[c.r:]))
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	var payload []byte
-	if sc != nil {
-		payload = sc.payload[:0]
+	if err := c.fill(4 + n); err != nil {
+		return nil, err
 	}
-	// Grow incrementally rather than trusting the length prefix with one
-	// up-front allocation: a corrupt or hostile header claiming MaxFrame
-	// costs at most 64KiB before the short read surfaces. A buffer that is
-	// already large enough costs nothing.
-	for len(payload) < n {
-		step := min(n-len(payload), 1<<20)
-		if len(payload) == 0 {
-			step = min(step, 64<<10)
-		}
-		at := len(payload)
-		payload = slices.Grow(payload, step)[:at+step]
-		if _, err := io.ReadFull(c.br, payload[at:]); err != nil {
-			return nil, err
-		}
+	payload := c.rbuf[c.r+4 : c.r+4+n]
+	c.r += 4 + n
+	m, err := c.decodeMetered(payload, sc)
+	// A buffer that grew past maxReadBuf for this one frame goes, unless
+	// what was read behind the frame is the start of another such.
+	if have := c.w - c.r; len(c.rbuf) > maxReadBuf && have <= maxReadBuf {
+		c.rebuffer(max(have, minReadBuf))
 	}
-	if sc != nil {
-		sc.payload = payload
-	}
+	return m, err
+}
+
+// decodeMetered is decode, charged to the connection's metrics if it has
+// any.
+func (c *Conn) decodeMetered(payload []byte, sc *RecvScratch) (Message, error) {
 	met := c.met.Load()
 	if met == nil {
 		return decode(payload, sc)
@@ -223,6 +242,59 @@ func (c *Conn) RecvBorrowed(sc *RecvScratch) (Message, error) {
 		}
 	}
 	return m, err
+}
+
+// fill reads until need bytes — a frame header, or a whole frame — are
+// buffered at c.r; the frames queued behind come in with the same Reads.
+func (c *Conn) fill(need int) error {
+	if c.r == c.w {
+		c.r, c.w = 0, 0
+	}
+	for empty := 0; c.w-c.r < need; {
+		// No room for the frame where it starts: move it to the front when
+		// that frees space, grow to it when the buffer is full. A length
+		// prefix is believed only up to maxReadBuf or twice what has really
+		// arrived: a hostile header claiming MaxFrame costs at most 64 KiB.
+		if c.r+need > len(c.rbuf) && (c.r > 0 || c.w == len(c.rbuf)) {
+			size := len(c.rbuf)
+			if size < need {
+				size = max(size, min(max(need, minReadBuf), max(maxReadBuf, 2*(c.w-c.r))))
+			}
+			c.rebuffer(size)
+		}
+		n, err := c.nc.Read(c.rbuf[c.w:])
+		c.w += n
+		if err != nil && c.w-c.r < need {
+			if err == io.EOF && c.w > c.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		// A net.Conn that keeps reading nothing without an error gets the
+		// hundred tries bufio gave it, not a spin.
+		if n > 0 {
+			empty = 0
+		} else if empty++; empty == 100 {
+			return io.ErrNoProgress
+		}
+		// A Read that took all the room there was may have left more
+		// waiting: the next gets twice the room and serves more frames.
+		if c.w == len(c.rbuf) && len(c.rbuf) < maxReadBuf {
+			c.rebuffer(min(2*len(c.rbuf), maxReadBuf))
+		}
+	}
+	return nil
+}
+
+// rebuffer moves what is buffered to the front of a read buffer of size
+// bytes, the present one if that is its size.
+func (c *Conn) rebuffer(size int) {
+	buf := c.rbuf
+	if size != len(buf) {
+		buf = make([]byte, size)
+	}
+	have := copy(buf, c.rbuf[c.r:c.w])
+	c.rbuf, c.r, c.w = buf, 0, have
 }
 
 // SetReadDeadline forwards to the underlying connection.

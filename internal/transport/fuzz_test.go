@@ -2,10 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"testing"
 	"time"
+
+	"scrub/internal/event"
 )
 
 // TestFuzzSeedsCoverAllTags pins the fuzz corpus to the wire protocol:
@@ -80,8 +83,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed type: %T -> %T", m, m2)
 		}
 		var sc RecvScratch
-		sc.sub.HostID = "h"      // something for strings to be interned against
-		for i := 0; i < 2; i++ { // the second pass reuses what the first sized
+		for i := 0; i < 2; i++ { // the second pass reuses what the first sized and interned
 			mb, err := decode(data, &sc)
 			if err != nil {
 				t.Fatalf("%s decodes without a scratch but not with one: %v", Name(m), err)
@@ -114,36 +116,98 @@ func (c byteConn) SetDeadline(t time.Time) error      { return nil }
 func (c byteConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c byteConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// FuzzRecvFrame feeds raw bytes — corrupt length prefixes included —
-// through the framing layer. Recv must error on zero or oversized
-// lengths and on truncated payloads, never panic.
-func FuzzRecvFrame(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		var hdr [4]byte
-		hdr[0] = byte(len(payload))
-		hdr[1] = byte(len(payload) >> 8)
-		hdr[2] = byte(len(payload) >> 16)
-		hdr[3] = byte(len(payload) >> 24)
-		return append(hdr[:], payload...)
-	}
-	valid, _ := Encode(Ping{Nonce: 1})
-	f.Add(frame(valid))
-	f.Add(frame(nil))                              // zero length
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}) // length > MaxFrame
-	f.Add(frame(valid)[:3])                        // truncated header
-	f.Add(append(frame(valid), frame(valid)...))   // two frames back to back
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewConn(byteConn{r: bytes.NewReader(data)})
-		for i := 0; i < 4; i++ { // drain a few frames, then EOF or error
-			if _, err := c.Recv(); err != nil {
-				break
-			}
+// chunkConn is a byteConn whose Reads return the stream in pieces of the
+// sizes given, cycled: 1 byte up to 255, or — for size 0 — all that the
+// caller has room for, so a read may end mid-header, mid-payload or
+// several frames on.
+type chunkConn struct {
+	byteConn
+	sizes []byte
+	reads int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.sizes) > 0 {
+		if n := int(c.sizes[c.reads%len(c.sizes)]); n > 0 && n < len(p) {
+			p = p[:n]
 		}
-		c = NewConn(byteConn{r: bytes.NewReader(data)})
-		var sc RecvScratch
-		for i := 0; i < 4; i++ {
-			if _, err := c.RecvBorrowed(&sc); err != nil {
-				return
+		c.reads++
+	}
+	return c.r.Read(p)
+}
+
+// drainFrames receives until the stream errors out or maxFrames have
+// arrived, and returns every message re-encoded. An error must come with
+// no message: a frame cut short is never handed out half decoded.
+func drainFrames(t *testing.T, nc net.Conn, sc *RecvScratch) [][]byte {
+	t.Helper()
+	const maxFrames = 16
+	c := NewConn(nc)
+	var out [][]byte
+	for len(out) < maxFrames {
+		m, err := c.RecvBorrowed(sc)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("frame %d: an error (%v) came with a %s", len(out), err, Name(m))
+			}
+			break
+		}
+		enc, err := Encode(owned(m))
+		if err != nil {
+			t.Fatalf("frame %d: received %s does not re-encode: %v", len(out), Name(m), err)
+		}
+		out = append(out, enc)
+		if len(c.rbuf) > maxReadBuf {
+			t.Fatalf("frame %d: the connection keeps a %d-byte read buffer", len(out), len(c.rbuf))
+		}
+	}
+	return out
+}
+
+// FuzzRecvFrame feeds raw bytes — corrupt length prefixes included —
+// through the framing layer, whole and in fuzz-chosen read sizes. Recv
+// must error on zero or oversized lengths and on truncated headers and
+// payloads, never panic; and how the bytes were cut into reads must not
+// show: the same messages arrive, with a scratch and without.
+func FuzzRecvFrame(f *testing.F) {
+	frame := func(m Message) []byte {
+		payload, err := Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	ping := frame(Ping{Nonce: 1})
+	sub := frame(ShardSubBatch{Seq: 2, QueryID: 3, HostID: "h", Tuples: []Tuple{
+		{RequestID: 1, TsNanos: 2, Values: []event.Value{event.Int(4), event.Str("geo")}},
+		{RequestID: 5, TsNanos: 6, Values: []event.Value{event.Int(7), event.Str("geo")}},
+	}})
+	stream := append(append(append([]byte(nil), sub...), ping...), sub...)
+	f.Add(ping, []byte{0})
+	f.Add([]byte{0, 0, 0, 0}, []byte{0})                      // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, []byte{0}) // length > MaxFrame
+	f.Add(ping[:3], []byte{1})                                // cut mid-header
+	f.Add(stream, []byte{0})                                  // several frames in one read
+	f.Add(stream, []byte{1})                                  // a byte at a time
+	f.Add(stream, []byte{3, 0, 17, 1})                        // a bit of everything
+	f.Add(stream[:len(stream)-5], []byte{9})                  // a borrowed sub-batch cut mid-payload
+	f.Add(stream[:len(sub)+len(ping)+2], []byte{0})           // ... and mid-header, behind whole frames
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		whole := func() net.Conn { return byteConn{r: bytes.NewReader(data)} }
+		pieces := func() net.Conn { return &chunkConn{byteConn: byteConn{r: bytes.NewReader(data)}, sizes: sizes} }
+		want := drainFrames(t, whole(), nil)
+		for name, got := range map[string][][]byte{
+			"in pieces":                    drainFrames(t, pieces(), nil),
+			"through a scratch":            drainFrames(t, whole(), new(RecvScratch)),
+			"in pieces, through a scratch": drainFrames(t, pieces(), new(RecvScratch)),
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d frames arrived, %d when delivered whole", name, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s: frame %d differs from whole delivery", name, i)
+				}
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,21 +130,25 @@ func TestRecvBorrowedMatchesRecv(t *testing.T) {
 	}
 }
 
-// Receiving a 128-tuple int/float sub-batch through the scratch allocates
-// nothing once the first frame has sized it.
+// Receiving a 128-tuple sub-batch — an int, a float and a low-cardinality
+// string column — through the scratch allocates nothing once the first
+// frame has sized it and its strings have been seen.
 func TestRecvBorrowedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	reasons := []string{"budget", "geo", "frequency_cap", ""} // no two share a table slot, nor one the host id's
 	sb := ShardSubBatch{Seq: 1, QueryID: 7, HostID: "bid-sj-1"}
 	for i := 0; i < 128; i++ {
-		sb.Tuples = append(sb.Tuples, Tuple{RequestID: uint64(i), TsNanos: int64(i), Values: []event.Value{event.Int(int64(i)), event.Float(float64(i) / 3)}})
+		sb.Tuples = append(sb.Tuples, Tuple{RequestID: uint64(i), TsNanos: int64(i), Values: []event.Value{
+			event.Int(int64(i)), event.Float(float64(i) / 3), event.Str(reasons[i%len(reasons)]),
+		}})
 	}
 	var wire bytes.Buffer
 	w := NewConn(byteConn{w: &wire})
 	const frames = 64
 	for i := 0; i < frames; i++ {
-		if err := w.Send(sb); err != nil {
+		if err := w.Send(&sb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,26 +159,107 @@ func TestRecvBorrowedZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := m.(*ShardSubBatch); len(p.Tuples) != 128 || p.HostID != "bid-sj-1" {
+		p := m.(*ShardSubBatch)
+		if len(p.Tuples) != 128 || p.HostID != "bid-sj-1" {
 			t.Fatalf("received %d tuples from %q", len(p.Tuples), p.HostID)
 		}
+		if got, _ := p.Tuples[6].Values[2].AsStr(); got != reasons[6%len(reasons)] {
+			t.Fatalf("tuple 6 carries reason %q", got)
+		}
 	}
-	recv() // sizes the scratch
-	if n := testing.AllocsPerRun(frames-2, recv); n != 0 {
+	for i := 0; i < 4; i++ {
+		recv() // sizes the scratch, fills the string table; the read buffer doubles up to what it keeps
+	}
+	if n := testing.AllocsPerRun(frames-5, recv); n != 0 {
 		t.Errorf("RecvBorrowed allocates %v times per 128-tuple frame, want 0", n)
 	}
 }
 
-// A hostile length prefix costs a receive loop no more through a scratch
-// than without one: at most 64 KiB before the short read surfaces.
-func TestRecvBorrowedHostilePrefix(t *testing.T) {
+// A hostile length prefix costs a receive loop at most 64 KiB before the
+// short read surfaces, with a scratch or without.
+func TestRecvHostilePrefix(t *testing.T) {
 	data := []byte{0xff, 0xff, 0xff, 0x00, 1, 2, 3} // claims 16 MiB - 1, holds 3 bytes
 	c := NewConn(byteConn{r: bytes.NewReader(data)})
-	var sc RecvScratch
-	if _, err := c.RecvBorrowed(&sc); err == nil {
-		t.Fatal("a truncated frame was accepted")
+	if m, err := c.RecvBorrowed(new(RecvScratch)); err == nil || m != nil {
+		t.Fatalf("a truncated frame was accepted: %v, %v", m, err)
 	}
-	if cap(sc.payload) > 64<<10 {
-		t.Fatalf("the scratch grew to %d bytes on a lying length prefix", cap(sc.payload))
+	if len(c.rbuf) > maxReadBuf {
+		t.Fatalf("the read buffer grew to %d bytes on a lying length prefix", len(c.rbuf))
+	}
+}
+
+// stalledConn reads nothing and reports no error, for ever.
+type stalledConn struct{ byteConn }
+
+func (stalledConn) Read([]byte) (int, error) { return 0, nil }
+
+// A net.Conn that makes no progress fails the receive instead of spinning
+// it.
+func TestRecvNoProgress(t *testing.T) {
+	if _, err := NewConn(stalledConn{}).Recv(); err != io.ErrNoProgress {
+		t.Fatalf("Recv on a stalled connection: %v, want io.ErrNoProgress", err)
+	}
+}
+
+// The read buffer is sized by the traffic. A connection that carries acks
+// one round trip at a time keeps a small one; one whose frames arrive
+// faster than they are read gets room for a read's worth, up to 64 KiB;
+// and one oversized frame is read into a buffer that goes once it is
+// decoded — without losing the frame read in behind it.
+func TestReadBufferPolicy(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewConn(byteConn{w: &wire})
+	send := func(m Message) {
+		t.Helper()
+		if err := w.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const acks = 1000
+	send(ShardBatchAck{})
+	ackLen := wire.Len() // an ack's fields are all fixed-width
+	for i := 1; i < acks; i++ {
+		send(ShardBatchAck{Seq: uint64(i), Known: true, HasTs: true, MaxTs: int64(i)})
+	}
+	big := ShardPartials{Seq: acks, Found: true, Partials: []WindowPartial{{Start: 1, End: 2, Data: bytes.Repeat([]byte{7}, 1<<20)}}}
+	send(big)
+	send(ShardBatchAck{Seq: acks + 1})
+	recvAck := func(c *Conn, seq uint64) {
+		t.Helper()
+		m, err := c.Recv()
+		if ack, ok := m.(ShardBatchAck); err != nil || !ok || ack.Seq != seq {
+			t.Fatalf("ack %d: got %v, %v", seq, m, err)
+		}
+	}
+
+	// As the caller of an RPC sees them: one ack a read.
+	nc := &chunkConn{byteConn: byteConn{r: bytes.NewReader(wire.Bytes())}, sizes: []byte{byte(ackLen)}}
+	c := NewConn(nc)
+	for i := 0; i < acks; i++ {
+		recvAck(c, uint64(i))
+	}
+	if len(c.rbuf) > 4<<10 {
+		t.Errorf("after %d acks the read buffer holds %d bytes, want at most 4 KiB", acks, len(c.rbuf))
+	}
+	nc.sizes = nil // the rest arrives as fast as it is read
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := m.(ShardPartials); len(sp.Partials) != 1 || !bytes.Equal(sp.Partials[0].Data, big.Partials[0].Data) {
+		t.Fatal("the 1 MiB frame did not survive the trip")
+	}
+	if len(c.rbuf) > maxReadBuf {
+		t.Errorf("after a 1 MiB frame the connection keeps a %d-byte read buffer, want at most 64 KiB", len(c.rbuf))
+	}
+	recvAck(c, acks+1)
+
+	// As a receiver that has fallen behind a stream sees them.
+	c = NewConn(byteConn{r: bytes.NewReader(wire.Bytes())})
+	for i := 0; i < acks; i++ {
+		recvAck(c, uint64(i))
+	}
+	if len(c.rbuf) != maxReadBuf {
+		t.Errorf("behind a stream of frames the read buffer holds %d bytes, want the %d it may keep", len(c.rbuf), maxReadBuf)
 	}
 }

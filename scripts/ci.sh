@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+echo "== internal/transport frames in place (imports no bufio) =="
+if go list -f '{{join .Imports " "}} {{join .TestImports " "}}' ./internal/transport | grep -qw bufio; then echo "internal/transport imports bufio" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 

@@ -60,6 +60,7 @@ var requiredHost = []string{
 	"scrub_host_shipped_total",
 	"scrub_host_queue_drops_total",
 	"scrub_host_sink_errors_total",
+	"scrub_host_sink_error_tuples_total",
 	"scrub_host_chunk_fills_total",
 	"scrub_host_ship_bytes_total",
 	"scrub_host_governor_downsamples_total",
