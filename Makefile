@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci bench bench-smoke fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
+.PHONY: build test race vet ci size bench bench-smoke fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,12 @@ vet:
 ci:
 	./scripts/ci.sh
 
+# Non-test Go lines per internal/* package and cmd/*: the table an
+# EXPERIMENTS.md entry's Size paragraph quotes for parent and change
+# (`scripts/size.sh <dir>` sizes another checkout).
+size:
+	./scripts/size.sh
+
 # scrubbench, the repository's one benchmark: all five workloads, untraced,
 # printing the gated end-to-end metrics (bench/README.md). The paper
 # reproductions and the P1/PS/G1 sweeps stay under cmd/benchrunner
@@ -38,8 +44,11 @@ bench:
 bench-smoke:
 	(cd bench && $(GO) test -short ./...)
 
-# Boot scrubcentral + scrubd with -metrics, scrape both /metrics
-# endpoints, and fail on missing or duplicate series (plus a pprof probe).
+# Boot a shard process, a coordinator over it and a -shards 2 cluster,
+# each executor with a scrubd, all with -metrics: scrape every endpoint,
+# fail on missing, misplaced or duplicate series (plus a pprof probe),
+# then run a query through both executors and fail if an ingest series
+# did not move.
 metrics-smoke:
 	$(GO) run ./scripts/metricssmoke
 

@@ -116,7 +116,7 @@ func main() {
 	}
 	reg := newRegistry(*metricsAddr)
 	copt := central.Options{Metrics: reg}
-	var engine central.Executor = central.NewEngineWith(copt)
+	var engine central.Executor
 	var coordEng *coord.Coordinator
 	switch {
 	case *coordMode:
@@ -141,12 +141,11 @@ func main() {
 			}
 		}
 		engine = coordEng
-	case *shards > 1:
-		se, err := central.NewShardedEngineWith(*shards, copt)
+	default:
+		engine, err = central.NewShardedEngineWith(max(*shards, 1), copt)
 		if err != nil {
 			log.Fatalf("scrubcentral: %v", err)
 		}
-		engine = se
 	}
 	srv, err := server.New(server.Config{
 		Catalog:    catalog,
@@ -178,7 +177,7 @@ func main() {
 	hub.Close()
 }
 
-// runShard serves one shard process: an Engine in driven mode behind the
+// runShard serves one shard process: a central.Engine kernel behind the
 // shard RPC listener. With -join it announces itself on the coordinator's
 // data plane; the coordinator dials the advertised address back and pushes
 // a new shard-map epoch to the host fleet. With -metrics it serves the

@@ -4,15 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
-	"time"
 
 	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/expr"
-	"scrub/internal/liveness"
 	"scrub/internal/obs"
 	"scrub/internal/sampling"
 	"scrub/internal/slab"
@@ -20,53 +18,11 @@ import (
 	"scrub/internal/window"
 )
 
-// EmitFunc receives each closed window's results. It is called with the
-// engine lock held; implementations must be fast (enqueue and return).
-type EmitFunc func(transport.ResultWindow)
-
-// Options tunes an engine's failure-domain behavior. The zero value is
-// production-ready.
-type Options struct {
-	// LeaseTTL is the per-stream liveness lease timeout: a (host, type)
-	// stream that neither ships a batch nor heartbeats for this long is
-	// evicted from the query watermark so windows keep closing without
-	// it. <= 0 selects liveness.DefaultTTL.
-	LeaseTTL time.Duration
-	// Clock substitutes time.Now for lease bookkeeping (tests). Lease
-	// time is deliberately wall-clock, independent of event time, so
-	// virtual-time simulations cannot spuriously evict healthy streams.
-	Clock func() time.Time
-	// Metrics, when non-nil, registers the engine's scrub_central_*
-	// series, including a per-query tuple counter added at StartQuery and
-	// removed at StopQuery.
-	Metrics *obs.Registry
-}
-
-// centralMetrics bundles an executor's ingest series; a nil
-// *centralMetrics (no registry configured) costs one pointer check per
-// batch.
-type centralMetrics struct {
-	batches *obs.Counter
-	tuples  *obs.Counter
-	wmLag   *obs.Gauge
-}
-
-// windowMetrics are the series every emitted window feeds, whichever
-// executor closed it (queryCore.emitWindow).
-type windowMetrics struct {
-	windows  *obs.Counter
-	degraded *obs.Counter
-	shed     *obs.Counter
-	closeNs  *obs.Histogram
-}
-
-// stateGauges are the series that say what the open windows hold. They
-// are kept apart from centralMetrics because the shards of a cluster
-// register nothing else (ingest is counted where whole batches arrive): a
-// ShardedEngine's charge their windows to the cluster's set, a shard
-// process serves its own (NewShardEngine). Only a central registry carries
-// them: on the agent path even a few always-live series are a measurable
-// share of the agent's footprint.
+// stateGauges are the series that say what the open windows hold, and all
+// a kernel registers (ingest and closes are the merger's): the kernels of
+// an in-process cluster charge the cluster's one set, a shard process
+// serves its own. Only a central registry carries them: on the agent path
+// even a few always-live series are a measurable share of the footprint.
 type stateGauges struct {
 	joinPending *obs.Gauge
 	bytes       *obs.Gauge
@@ -86,101 +42,31 @@ func newStateGauges(reg *obs.Registry) *stateGauges {
 	}
 }
 
-func newCentralMetrics(reg *obs.Registry) *centralMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &centralMetrics{
-		batches: reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
-		tuples:  reg.Counter("scrub_central_tuples_total", "tuples ingested"),
-		wmLag:   reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
-	}
-}
-
-func newWindowMetrics(reg *obs.Registry) *windowMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &windowMetrics{
-		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
-		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
-		shed:     reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
-		closeNs:  reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
-	}
-}
-
-// count books one ingested batch of n tuples.
-func (m *centralMetrics) count(n int) {
-	if m != nil {
-		m.batches.Inc()
-		m.tuples.Add(uint64(n))
-	}
-}
-
-const queryLabel = "query"
-
-// queryTuples registers a query's ingest counter; nil without a registry.
-func queryTuples(reg *obs.Registry, id uint64) *obs.Counter {
-	if reg == nil {
-		return nil
-	}
-	return reg.Counter("scrub_central_query_tuples_total",
-		"tuples ingested per query", obs.L(queryLabel, strconv.FormatUint(id, 10)))
-}
-
-func dropQueryTuples(reg *obs.Registry, id uint64) {
-	if reg != nil {
-		reg.Unregister("scrub_central_query_tuples_total", obs.L(queryLabel, strconv.FormatUint(id, 10)))
-	}
-}
-
-func (o *Options) fillDefaults() {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = liveness.DefaultTTL
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-}
-
-// Engine executes the central half of Scrub queries: windowing, the
-// request-id equi-join, grouping, aggregation, sampling scale-up, and
-// error bounds.
+// Engine is the shard kernel of ScrubCentral: per query it keeps the open
+// windows and folds sub-batches into them — span filter, window routing,
+// the request-id equi-join, grouping, aggregation — and gives windows up
+// when its merger names a bound (partial.go). It knows no stream, no
+// watermark and no lateness and never closes a window on its own: that is
+// the Merger's (merge.go). The Executor methods (sharded.go) work only on
+// an Engine NewEngine built, which has a one-shard cluster to forward to.
 type Engine struct {
-	opt     Options
-	met     *centralMetrics // nil when no registry configured
-	win     *windowMetrics  // nil when no registry configured
-	state   *stateGauges    // nil when no registry configured
+	state   *stateGauges   // nil when no registry configured
+	cluster *ShardedEngine // the n = 1 cluster over this kernel; nil in a shard of anything else
 	mu      sync.Mutex
 	queries map[uint64]*queryState
 }
 
-// NewEngine returns an empty engine with default Options.
-func NewEngine() *Engine { return NewEngineWith(Options{}) }
-
-// NewEngineWith returns an empty engine with the given Options.
-func NewEngineWith(opt Options) *Engine {
-	opt.fillDefaults()
-	return &Engine{
-		opt: opt, met: newCentralMetrics(opt.Metrics), win: newWindowMetrics(opt.Metrics), state: newStateGauges(opt.Metrics),
-		queries: make(map[uint64]*queryState),
-	}
-}
-
-// NewShardEngine returns the engine of one shard of a cluster. It
-// registers no series of its own — whole-batch ingest is counted at the
-// merger, and a shard would count it again under the same names — but the
-// open windows live in the shards: it charges them to reg's state gauges.
-func NewShardEngine(opt Options, reg *obs.Registry) *Engine {
-	opt.Metrics = nil
-	e := NewEngineWith(opt)
-	e.state = newStateGauges(reg)
-	return e
+// NewShardEngine returns the kernel of one shard of a cluster. The open
+// windows live in the shards: it charges them to reg's state gauges, and
+// registers nothing else.
+func NewShardEngine(reg *obs.Registry) *Engine {
+	return &Engine{state: newStateGauges(reg), queries: make(map[uint64]*queryState)}
 }
 
 type queryState struct {
-	queryCore
+	QueryRuntime
 	win      *window.SlidingManager[*winState]
+	tuplesIn uint64 // tuples applied, one per tuple and covering window
 	overflow uint64 // raw-row + join-pending drops
 	// Per-query scratch for the apply path (the engine lock is held
 	// throughout a batch, so one set per query suffices): the rows handed
@@ -201,22 +87,26 @@ type queryState struct {
 	chainSteps uint64
 }
 
-// StartQuery installs a central query object.
-func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
-	if emit == nil {
-		return fmt.Errorf("central: nil emit")
-	}
+// StartDriven installs a query; its windows close only through
+// CollectDriven and DrainDriven. Every shard of a cluster runs every query.
+func (e *Engine) StartDriven(p Plan) error {
 	qr, err := CompileQuery(p)
 	if err != nil {
 		return err
 	}
-	qs := &queryState{queryCore: newQueryCore(qr, emit, &e.opt)}
+	return e.start(qr)
+}
+
+// start installs a compiled query. A direct client hands over its merger's:
+// evaluators are pure closures, so one process compiles a query once.
+func (e *Engine) start(qr *QueryRuntime) (err error) {
+	qs := &queryState{QueryRuntime: *qr}
 	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
 	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
 	if qs.plan.IsJoin() {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
-	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, qs.plan.Lateness, func(start, end int64) *winState {
+	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, func(start, end int64) *winState {
 		return newWinState(&qs.plan, start)
 	})
 	if err != nil {
@@ -227,70 +117,50 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if _, dup := e.queries[qs.plan.QueryID]; dup {
 		return fmt.Errorf("central: query %d already active", qs.plan.QueryID)
 	}
-	qs.tuplesC = queryTuples(e.opt.Metrics, qs.plan.QueryID)
 	e.queries[qs.plan.QueryID] = qs
 	return nil
 }
 
-// ActiveQueries returns the installed query ids.
-func (e *Engine) ActiveQueries() []uint64 {
+// DrivenQueries returns the ids of the queries the kernel runs.
+func (e *Engine) DrivenQueries() []uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]uint64, 0, len(e.queries))
 	for id := range e.queries {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// HandleBatch folds a host's tuple batch into the query's window state.
-// Batches for unknown queries are dropped silently (they race with query
-// teardown by design). Tuples of a re-admitted stream whose windows closed
-// in the meantime are counted as late against that stream, never applied
-// to closed results.
-func (e *Engine) HandleBatch(b transport.TupleBatch) {
+// TuplesIn reports how many tuples the kernel has applied for a query
+// (one per tuple and covering window), and whether it runs the query.
+func (e *Engine) TuplesIn(id uint64) (uint64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	qs, ok := e.queries[id]
+	if !ok {
+		return 0, false
+	}
+	return qs.tuplesIn, true
+}
+
+// ApplyDriven folds a sub-batch's in-span tuples into every window
+// covering them and reports what that did to the windows and the drop
+// counters. known is false for a query the kernel does not run: batches
+// race query teardown by design. Over windows and groups that are already
+// open it allocates nothing.
+func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	qs, ok := e.queries[b.QueryID]
-	if !ok {
-		return
+	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
+		return DrivenAck{}, false
 	}
-	if int(b.TypeIdx) >= len(qs.plan.Types) {
-		return
-	}
-	nowN := e.opt.Clock().UnixNano()
-	hdr := manifestOf(&b)
-	st := qs.fold(&hdr, nowN)
-	e.met.count(len(b.Tuples))
-
-	ack := e.apply(qs, &b)
-	if wm, ok := qs.advance(st, ack.LateDelta, ack.HasTs, ack.MaxTs, nowN); ok {
-		if e.met != nil {
-			e.met.wmLag.Set(nowN - wm)
-		}
-		e.emitClosed(qs, qs.win.Observe(wm))
-	}
-}
-
-// apply runs a batch through applyTuples and reports what it did to the
-// query's windows and drop counters.
-func (e *Engine) apply(qs *queryState, b *transport.TupleBatch) (ack DrivenAck) {
-	lateBefore := qs.win.LateDrops()
-	ack.MaxTs, ack.HasTs = e.applyTuples(qs, b)
-	ack.Late = qs.win.LateDrops()
-	ack.LateDelta = ack.Late - lateBefore
-	ack.Overflow = qs.overflow
-	return ack
-}
-
-// applyTuples folds a batch's in-span tuples into every window covering
-// them and reports the batch's max in-span event time. It is the apply
-// path proper; over windows and groups that are already open it allocates
-// nothing.
-func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int64, hasTs bool) {
+	lateBefore, opened := qs.win.LateDrops(), qs.win.Opened()
 	dataStart := qs.plan.DataStartNanos()
-	opened := qs.win.Opened()
+	var maxTs int64
+	var hasTs bool
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		if dataStart != 0 && t.TsNanos < dataStart {
@@ -303,8 +173,7 @@ func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int
 			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t)
 		}
 		if !hasTs || t.TsNanos > maxTs {
-			maxTs = t.TsNanos
-			hasTs = true
+			maxTs, hasTs = t.TsNanos, true
 		}
 	}
 	// The scratch rows must not keep pointing into the batch's pooled
@@ -316,7 +185,8 @@ func (e *Engine) applyTuples(qs *queryState, b *transport.TupleBatch) (maxTs int
 	if qs.win.Opened() != opened {
 		e.sweep(qs)
 	}
-	return maxTs, hasTs
+	late := qs.win.LateDrops()
+	return DrivenAck{HasTs: hasTs, MaxTs: maxTs, LateDelta: late - lateBefore, Late: late, Overflow: qs.overflow}, true
 }
 
 // sweep ends a batch that opened a window: every open window of the query
@@ -358,18 +228,9 @@ func (e *Engine) thaw(qs *queryState, ws *winState) {
 	}
 }
 
-// emitClosed renders and emits windows that have just left the query's
-// manager.
-func (e *Engine) emitClosed(qs *queryState, cs []window.Closed[*winState]) {
-	for _, c := range e.closed(cs) {
-		c.State.thaw(&qs.plan)
-		qs.emitWindow(e.win, c.Start, c.End, c.State, qs.win.LateDrops()+qs.overflow, false)
-	}
-}
-
 // closed takes windows that have just left a query's manager off the
-// state gauges and passes them on. Every close path goes through it —
-// emitting or driven — so neither gauge can leak upward.
+// state gauges and passes them on. Both ways out — collect and drain — go
+// through it, so no gauge can leak upward.
 func (e *Engine) closed(cs []window.Closed[*winState]) []window.Closed[*winState] {
 	if e.state != nil {
 		for _, c := range cs {
@@ -406,7 +267,7 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 		e.thaw(qs, ws)
 	}
 	ws.tuples++
-	qs.stats.TuplesIn++
+	qs.tuplesIn++
 	ws.touch(host)
 
 	if !qs.plan.IsJoin() {
@@ -581,8 +442,8 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 
 // renderWindow turns a closed window's accumulated state into result
 // rows: group ordering, aggregate rendering with Horvitz-Thompson
-// scale-up, HAVING, error bounds, ORDER BY and LIMIT. Shared by the
-// single-node engine and the sharded merger.
+// scale-up, HAVING, error bounds, ORDER BY and LIMIT. It runs at the
+// merger, on a window's merged state, whatever the shard count.
 //
 // rates, when non-nil, maps hosts to governor-degraded effective
 // event-sampling rates (liveness.Table.RatesByHost): the window is then
@@ -676,7 +537,7 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 	var sums map[int]float64
 	// Host order must be fixed before the float sums inside the estimator:
 	// map iteration order would otherwise make ε differ between runs (and
-	// between Engine and ShardedEngine) by float-addition rounding.
+	// between shard counts) by float-addition rounding.
 	hostIDs := make([]string, 0, len(ws.perHost))
 	for host := range ws.perHost {
 		hostIDs = append(hostIDs, host)
@@ -740,63 +601,12 @@ func substituteEstimate(orig event.Value, est float64) event.Value {
 	return event.Float(est)
 }
 
-// Tick closes windows by wall clock so idle streams still emit: every
-// window ending at or before now−lateness is emitted. It also expires
-// stream liveness leases (on the engine's own clock, which may differ
-// from nowNanos in virtual-time setups): when a stream is evicted, the
-// watermark recomputed over the surviving streams is observed
-// immediately, so windows a dead host was holding open close now instead
-// of waiting out the force bound. Call it periodically (the query server
-// runs a ticker).
-func (e *Engine) Tick(nowNanos int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	leaseNow := e.opt.Clock().UnixNano()
-	for _, qs := range e.queries {
-		held, wm, moved := qs.sweep(leaseNow)
-		if held {
-			continue
-		}
-		if moved {
-			e.emitClosed(qs, qs.win.Observe(wm))
-		}
-		e.emitClosed(qs, qs.win.ForceBefore(nowNanos-int64(qs.plan.Lateness)))
-	}
-}
-
-// StopQuery flushes and removes a query, returning its final stats.
-func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return transport.QueryStats{}, false
-	}
-	e.emitClosed(qs, qs.win.Flush())
-	qs.stats.HostDrops = qs.streams.HostDrops()
-	qs.stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	delete(e.queries, id)
-	dropQueryTuples(e.opt.Metrics, id)
-	return qs.stats, true
-}
-
-// Stats returns a query's running stats.
-func (e *Engine) Stats(id uint64) (transport.QueryStats, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return transport.QueryStats{}, false
-	}
-	return qs.stats, true
-}
-
 // orderAndLimit applies the plan's ORDER BY keys and LIMIT to an emitted
 // window's rows. The order is total and deterministic: incomparable
 // values fall back to their string forms, equal ORDER BY keys tie-break
 // on the full row, and raw rows without ORDER BY sort canonically —
-// arrival order differs between the single-node engine and a sharded
-// merge, so a LIMIT cut must never depend on it.
+// arrival order differs with the shard count, so a LIMIT cut must never
+// depend on it.
 func orderAndLimit(p *Plan, rw *transport.ResultWindow) {
 	if len(p.OrderBy) > 0 {
 		sort.Slice(rw.Rows, func(i, j int) bool {
@@ -814,7 +624,7 @@ func orderAndLimit(p *Plan, rw *transport.ResultWindow) {
 
 // compareOrdered orders two result rows by the plan's ORDER BY keys,
 // falling back to the full row on ties so equal sort keys cannot order
-// differently between runs (or between Engine and ShardedEngine).
+// differently between runs (or between shard counts).
 func compareOrdered(p *Plan, a, b []event.Value) int {
 	for _, key := range p.OrderBy {
 		if key.Col >= len(a) || key.Col >= len(b) {

@@ -362,6 +362,39 @@ func TestLateTuplesCounted(t *testing.T) {
 	}
 }
 
+// TestLatenessGraceAtCentral pins watermark − lateness where it is
+// computed, at the merger: a window stays open, and takes stragglers,
+// until the watermark is a full Plan.Lateness past its end. (The window
+// manager only ever sees the resulting bound.)
+func TestLatenessGraceAtCentral(t *testing.T) {
+	e := NewEngine()
+	c := &collector{}
+	p := buildPlan(t, `select count(*) from bid window 10s`, 1, 1, 1)
+	p.Lateness = 5 * time.Second
+	if err := e.StartQuery(p, c.emit); err != nil {
+		t.Fatal(err)
+	}
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(5))))
+	// Watermark 12s: [0,10) needs 10s+5s.
+	e.HandleBatch(bidBatch(1, "h1", tup(2, sec(12))))
+	if wins := c.all(); len(wins) != 0 {
+		t.Fatalf("closed too early: %+v", wins)
+	}
+	// A straggler within the grace is folded in, not dropped.
+	e.HandleBatch(bidBatch(1, "h1", tup(3, sec(8))))
+	// Watermark 15s closes [0,10) with both its tuples.
+	e.HandleBatch(bidBatch(1, "h1", tup(4, sec(15))))
+	wins := c.all()
+	if len(wins) != 1 || wins[0].WindowStart != 0 || wins[0].Rows[0][0].String() != "2" || wins[0].Stats.LateDrops != 0 {
+		t.Fatalf("at watermark 15s: %+v", wins)
+	}
+	// From then on a tuple for it is late.
+	e.HandleBatch(bidBatch(1, "h1", tup(5, sec(7))))
+	if stats, _ := e.StopQuery(1); stats.LateDrops != 1 || stats.Windows != 2 {
+		t.Errorf("final stats = %+v, want 1 late drop over 2 windows", stats)
+	}
+}
+
 func TestSpanGatingAtCentral(t *testing.T) {
 	e := NewEngine()
 	c := &collector{}

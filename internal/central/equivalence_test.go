@@ -14,12 +14,15 @@ import (
 	"scrub/internal/transport"
 )
 
-// The equivalence table: identical batches through a single-node Engine
-// and through a cluster of each client kind — ShardedEngine (direct
-// calls, window state handed over as it is) and a coordinator over
-// transport.Pipe shard nodes (RPC, window state serialized) — must render
-// the same windows. One merge core serves both clusters, so a difference
-// between them is a difference between the two ShardClients.
+// The equivalence table: identical batches through the cluster of one
+// shard (central.Engine) and through clusters of 2, 4 and 8 of each client
+// kind — ShardedEngine (direct calls, window state handed over as it is)
+// and a coordinator over transport.Pipe shard nodes (RPC, window state
+// serialized) — must render the same windows. One executor serves them
+// all, so what the table proves is shard-count invariance (split, route,
+// merge) and that the two ShardClients are interchangeable; absolute
+// close and late-drop behaviour is pinned by engine_test.go,
+// liveness_test.go and replay_test.go, and by the differential oracle.
 
 func secs(n int64) int64 { return n * int64(time.Second) }
 
@@ -70,44 +73,58 @@ func pipeCluster(n int) *coord.Coordinator {
 	return c
 }
 
-// runAll feeds identical batches into a single-node Engine and into a
-// cluster of each client kind, flushed the same way, checks the clusters
-// against the engine and returns the engine's windows.
-func runAll(t *testing.T, src string, shards int, batches []transport.TupleBatch, tickAt int64) []transport.ResultWindow {
+// scenario is one row of the table.
+type scenario struct {
+	src     string
+	batches []transport.TupleBatch
+	tickAt  int64
+}
+
+// run feeds the scenario into ex and returns what it emitted.
+func (sc scenario) run(t *testing.T, ex central.Executor, eachBatch func(fed, orig transport.TupleBatch)) []transport.ResultWindow {
 	t.Helper()
-
-	run := func(ex central.Executor) []transport.ResultWindow {
-		c := &windows{}
-		p := plan(t, src)
-		// Ample lateness: the equivalence subject is the cross-shard merge,
-		// not watermark behavior, and the synthetic feeding order (hosts
-		// appearing one after another with full time ranges) would trip
-		// event-driven closing on the single node — real agents heartbeat
-		// from the start, so their streams anchor the min-watermark early.
-		p.Lateness = time.Hour
-		if err := ex.StartQuery(p, c.emit); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches {
-			// Deep-copy: engines share nothing.
-			ex.HandleBatch(transport.CloneBatch(b))
-		}
-		if tickAt != 0 {
-			ex.Tick(tickAt)
-		}
-		ex.StopQuery(1)
-		return c.wins
-	}
-
-	se, err := central.NewShardedEngine(shards)
-	if err != nil {
+	c := &windows{}
+	p := plan(t, sc.src)
+	// Ample lateness: the equivalence subject is the cross-shard merge,
+	// not watermark behavior, and the synthetic feeding order (hosts
+	// appearing one after another with full time ranges) would trip
+	// event-driven closing — real agents heartbeat from the start, so
+	// their streams anchor the min-watermark early.
+	p.Lateness = time.Hour
+	if err := ex.StartQuery(p, c.emit); err != nil {
 		t.Fatal(err)
 	}
-	pc := pipeCluster(shards)
-	defer pc.Close()
-	single := run(central.NewEngine())
-	windowsEqual(t, "direct", single, run(se))
-	windowsEqual(t, "rpc", single, run(pc))
+	for _, b := range sc.batches {
+		// Deep-copy: engines share nothing.
+		fed := transport.CloneBatch(b)
+		ex.HandleBatch(fed)
+		if eachBatch != nil {
+			eachBatch(fed, b)
+		}
+	}
+	if sc.tickAt != 0 {
+		ex.Tick(sc.tickAt)
+	}
+	ex.StopQuery(1)
+	return c.wins
+}
+
+// runAll feeds identical batches into the cluster of one and into a
+// cluster of each client kind at every shard count, flushed the same way,
+// checks the clusters against the one and returns its windows.
+func runAll(t *testing.T, sc scenario) []transport.ResultWindow {
+	t.Helper()
+	single := sc.run(t, central.NewEngine(), nil)
+	for _, shards := range []int{2, 4, 8} {
+		se, err := central.NewShardedEngine(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := pipeCluster(shards)
+		windowsEqual(t, fmt.Sprintf("direct/%d", shards), single, sc.run(t, se, nil))
+		windowsEqual(t, fmt.Sprintf("rpc/%d", shards), single, sc.run(t, pc, nil))
+		pc.Close()
+	}
 	return single
 }
 
@@ -171,9 +188,8 @@ func rowsAlmostEqual(a, b [][]event.Value) bool {
 	return true
 }
 
-func TestShardedEquivalenceGrouped(t *testing.T) {
-	// Random grouped workload: single-node and sharded must render
-	// identical windows (mergeable aggregates make this exact).
+func groupedScenario() scenario {
+	// Random grouped workload (mergeable aggregates make the merge exact).
 	rng := rand.New(rand.NewSource(42))
 	var batches []transport.TupleBatch
 	req := uint64(0)
@@ -194,17 +210,13 @@ func TestShardedEquivalenceGrouped(t *testing.T) {
 			QueryID: 1, HostID: fmt.Sprintf("h%d", b%4), TypeIdx: 0, Tuples: tuples,
 		})
 	}
-	src := `select bid.user_id, count(*), sum(bid.bid_price), avg(bid.bid_price), min(bid.bid_price), max(bid.bid_price)
-		from bid group by bid.user_id window 10s`
-	single := runAll(t, src, 4, batches, secs(200))
-	if len(single) == 0 {
-		t.Fatal("no windows emitted")
-	}
+	return scenario{`select bid.user_id, count(*), sum(bid.bid_price), avg(bid.bid_price), min(bid.bid_price), max(bid.bid_price)
+		from bid group by bid.user_id window 10s`, batches, secs(200)}
 }
 
-func TestShardedEquivalenceJoin(t *testing.T) {
+func joinScenario() scenario {
 	// Join routing: both sides of a request land on one shard, so join
-	// results match the single node exactly.
+	// results do not depend on the shard count.
 	rng := rand.New(rand.NewSource(7))
 	var batches []transport.TupleBatch
 	for b := 0; b < 10; b++ {
@@ -223,11 +235,10 @@ func TestShardedEquivalenceJoin(t *testing.T) {
 			transport.TupleBatch{QueryID: 1, HostID: "ad-h", TypeIdx: 1, Tuples: excls},
 		)
 	}
-	src := `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 10s`
-	runAll(t, src, 3, batches, secs(100))
+	return scenario{`select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 10s`, batches, secs(100)}
 }
 
-func TestShardedEquivalenceRawOrderLimit(t *testing.T) {
+func rawScenario() scenario {
 	var tuples []transport.Tuple
 	for i := 0; i < 50; i++ {
 		tuples = append(tuples, transport.Tuple{
@@ -236,9 +247,83 @@ func TestShardedEquivalenceRawOrderLimit(t *testing.T) {
 		})
 	}
 	batches := []transport.TupleBatch{{QueryID: 1, HostID: "h", TypeIdx: 0, Tuples: tuples}}
-	src := `select bid.user_id, bid.bid_price from bid order by 2 desc, 1 limit 5 window 10s`
-	single := runAll(t, src, 4, batches, secs(100))
+	return scenario{`select bid.user_id, bid.bid_price from bid order by 2 desc, 1 limit 5 window 10s`, batches, secs(100)}
+}
+
+func TestShardedEquivalenceGrouped(t *testing.T) {
+	if single := runAll(t, groupedScenario()); len(single) == 0 {
+		t.Fatal("no windows emitted")
+	}
+}
+
+func TestShardedEquivalenceJoin(t *testing.T) { runAll(t, joinScenario()) }
+
+func TestShardedEquivalenceRawOrderLimit(t *testing.T) {
+	single := runAll(t, rawScenario())
 	if len(single) != 1 || len(single[0].Rows) != 5 {
 		t.Fatalf("rows = %+v", single)
+	}
+}
+
+// handThrough is a ShardClient that shows what Apply was handed.
+type handThrough struct {
+	central.ShardClient // Down and Apply are all RouteToShards calls
+	applied             func(first *transport.Tuple)
+}
+
+func (h handThrough) Down() bool { return false }
+
+func (h handThrough) Apply(b transport.TupleBatch) (central.DrivenAck, bool, error) {
+	h.applied(&b.Tuples[0])
+	return central.DrivenAck{}, true, nil
+}
+
+// TestEngineIsOneShardCluster pins what "Engine is the n = 1 cluster"
+// costs and means: no window is ever merged, the route step hands the
+// shard the caller's own tuples — no copy, no allocation, nothing wiped
+// behind the caller's back — and the executor's running tuple count is
+// the kernel's.
+func TestEngineIsOneShardCluster(t *testing.T) {
+	heartbeat := transport.TupleBatch{QueryID: 1, HostID: "h0", TypeIdx: 0, MatchedTotal: 7, SampledTotal: 7}
+	for name, sc := range map[string]scenario{"grouped": groupedScenario(), "join": joinScenario(), "raw": rawScenario()} {
+		mid := len(sc.batches) / 2
+		sc.batches = append(append(append([]transport.TupleBatch{}, sc.batches[:mid]...), heartbeat), sc.batches[mid:]...)
+
+		e := central.NewEngine()
+		wins := sc.run(t, e, func(fed, orig transport.TupleBatch) {
+			if !reflect.DeepEqual(fed.Tuples, transport.CloneBatch(orig).Tuples) {
+				t.Fatalf("%s: HandleBatch changed the caller's tuples", name)
+			}
+			st, ok := e.Stats(1)
+			kernel, running := e.TuplesIn(1)
+			if !ok || !running || st.TuplesIn != kernel {
+				t.Fatalf("%s: Stats().TuplesIn = %d (ok=%v), the kernel has applied %d (running=%v)", name, st.TuplesIn, ok, kernel, running)
+			}
+		})
+		if len(wins) == 0 || e.Merges() != 0 {
+			t.Errorf("%s: %d windows, %d merges; want windows and no merge", name, len(wins), e.Merges())
+		}
+
+		var drops uint64
+		var scratch central.RouteScratch
+		var fed transport.TupleBatch
+		shards := []central.ShardClient{handThrough{applied: func(first *transport.Tuple) {
+			if first != &fed.Tuples[0] {
+				t.Errorf("%s: the shard was handed a copy of the batch's tuples", name)
+			}
+		}}}
+		for _, b := range sc.batches {
+			fed = transport.CloneBatch(b)
+			var man transport.BatchManifest
+			if n := testing.AllocsPerRun(10, func() { man = central.RouteToShards(fed, shards, &drops, &scratch) }); n != 0 {
+				t.Errorf("%s: one-shard RouteToShards allocates %v times per batch", name, n)
+			}
+			if man.RawTuples != uint64(len(b.Tuples)) || len(man.ShardLate) != 1 {
+				t.Errorf("%s: manifest %+v for a batch of %d", name, man, len(b.Tuples))
+			}
+			if !reflect.DeepEqual(fed.Tuples, transport.CloneBatch(b).Tuples) {
+				t.Errorf("%s: RouteToShards changed the caller's tuples", name)
+			}
+		}
 	}
 }

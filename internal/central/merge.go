@@ -3,7 +3,8 @@ package central
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +20,10 @@ import (
 // id, so the request-identifier equi-join stays shard-local; the Merger
 // is the only component that sees whole batches (as manifests), so
 // stream liveness, the watermark, the replay hold and every window close
-// live here. It reaches its shards only through ShardClient, which has
-// two implementations: ShardedEngine's direct call into an in-process
-// Engine, and internal/coord's RPC client to a shard process.
+// live here, once for every deployment shape — a single node is a Merger
+// over one shard. It reaches its shards only through ShardClient, which
+// has two implementations: ShardedEngine's direct call into an in-process
+// kernel, and internal/coord's RPC client to a shard process.
 
 // ShardClient is one shard of a cluster as its merger sees it. The
 // contract the merger builds on:
@@ -87,7 +89,8 @@ func (sc *RouteScratch) reset(n int) {
 // RouteToShards fans one batch out across the shards by request-id modulo
 // shard count and folds the acks into a manifest. It is the one split
 // function of the fabric: host-side routers, the coordinator's legacy
-// whole-batch path and ShardedEngine all go through it.
+// whole-batch path and ShardedEngine all go through it. One shard is
+// handed the batch's own tuple slice: nothing is copied, nothing wiped.
 //
 // The manifest's ShardLate and ShardOverflow are slices of sc: they are
 // good until sc's next use, which is enough for both consumers — the
@@ -107,14 +110,19 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 	sc.reset(len(shards))
 	m.ShardLate, m.ShardOverflow = sc.counters[:n:n], sc.counters[n:]
 	sub := sc.sub
-	for _, t := range b.Tuples {
-		i := int(t.RequestID % n)
-		// Sub-batches alias the caller's pooled tuple memory only within
-		// this call: every Apply below is synchronous, a shard copies
-		// (direct) or encodes (RPC) what it keeps before returning, and the
-		// scratch's tuple cells are wiped once the last shard has.
-		//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples, and the scratch is wiped, before RouteToShards returns)
-		sub[i] = append(sub[i], t)
+	// Sub-batches alias the caller's pooled tuple memory only within this
+	// call: every Apply below is synchronous, a shard copies (direct) or
+	// encodes (RPC) what it keeps before returning, and the scratch then
+	// lets go of the batch (cells wiped, a borrowed slice dropped).
+	if n == 1 {
+		//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples, and the scratch lets go of them, before RouteToShards returns)
+		sub[0] = b.Tuples
+	} else {
+		for _, t := range b.Tuples {
+			i := int(t.RequestID % n)
+			//scrub:allowretain(synchronous fan-out; shards copy or encode kept tuples, and the scratch lets go of them, before RouteToShards returns)
+			sub[i] = append(sub[i], t)
+		}
 	}
 	for i, tuples := range sub {
 		if len(tuples) == 0 {
@@ -143,12 +151,16 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 		m.ShardLate[i] = ack.Late
 		m.ShardOverflow[i] = ack.Overflow
 	}
-	// Wiped, not just truncated, for the next batch: a stale cell would
-	// keep pointing into the caller's recycled memory.
-	for i, tuples := range sub {
-		clear(tuples)
-		//scrub:allowretain(the scratch's own array, truncated: its cells were just wiped and hold nothing of the batch)
-		sub[i] = tuples[:0]
+	if n == 1 {
+		sub[0] = nil // the caller's array, not the scratch's: dropped, never wiped
+	} else {
+		// Wiped, not just truncated, for the next batch: a stale cell would
+		// keep pointing into the caller's recycled memory.
+		for i, tuples := range sub {
+			clear(tuples)
+			//scrub:allowretain(the scratch's own array, truncated: its cells were just wiped and hold nothing of the batch)
+			sub[i] = tuples[:0]
+		}
 	}
 	m.QueueDrops = b.QueueDrops + *cumDrops
 	return m
@@ -174,10 +186,10 @@ func manifestOf(b *transport.TupleBatch) transport.BatchManifest {
 	}
 }
 
-// queryCore is what every executor keeps per query, whoever accumulates
-// its windows: the compiled plan, the emit hook, the stream table, the
-// running stats and the replay hold. Engine and Merger both embed it, so
-// the stream fold, the close decisions and the emit stamping exist once.
+// queryCore is what the merger keeps per query, whoever accumulates its
+// windows: the compiled plan, the emit hook, the stream table, the running
+// stats and the replay hold. The stream fold, the close decisions and the
+// emit stamping exist here and nowhere else.
 type queryCore struct {
 	QueryRuntime
 	emit EmitFunc
@@ -203,15 +215,6 @@ type queryCore struct {
 	// done marker or of a query no recording host serves.
 	replayHold     bool
 	replayDeadline int64
-}
-
-func newQueryCore(qr *QueryRuntime, emit EmitFunc, opt *Options) queryCore {
-	q := queryCore{QueryRuntime: *qr, emit: emit, streams: liveness.NewTable(opt.LeaseTTL)}
-	if qr.plan.Replay > 0 {
-		q.replayHold = true
-		q.replayDeadline = opt.Clock().UnixNano() + 2*int64(opt.LeaseTTL)
-	}
-	return q
 }
 
 // fold renews the stream's lease and folds the batch's cumulative host
@@ -287,7 +290,7 @@ func (q *queryCore) sweep(leaseNow int64) (held bool, wm int64, moved bool) {
 // stream's lease is expired — or after part of the cluster was lost —
 // carries the degraded marker and the full per-stream accounting, so the
 // consumer knows exactly whose data is missing.
-func (q *queryCore) emitWindow(met *windowMetrics, start, end int64, ws *winState, lateDrops uint64, lostShard bool) {
+func (q *queryCore) emitWindow(met *centralMetrics, start, end int64, ws *winState, lateDrops uint64, lostShard bool) {
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
@@ -321,15 +324,59 @@ func (q *queryCore) emitWindow(met *windowMetrics, start, end int64, ws *winStat
 	}
 }
 
-// Merger closes, merges and emits the windows of queries whose state is
-// spread over shards. Whole batches enter through Ingest (the merger
+// centralMetrics are the merger's series — ingest counted where whole
+// batches or their manifests arrive, closes where windows are emitted, in
+// every deployment shape. Nil without a registry: one pointer check.
+type centralMetrics struct {
+	batches  *obs.Counter
+	tuples   *obs.Counter
+	wmLag    *obs.Gauge
+	windows  *obs.Counter
+	degraded *obs.Counter
+	shed     *obs.Counter
+	closeNs  *obs.Histogram
+}
+
+func newCentralMetrics(reg *obs.Registry) *centralMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &centralMetrics{
+		batches:  reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
+		tuples:   reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		wmLag:    reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
+		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
+		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
+		shed:     reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
+		closeNs:  reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
+	}
+}
+
+const queryLabel = "query"
+
+// queryTuples registers a query's ingest counter; nil without a registry.
+func queryTuples(reg *obs.Registry, id uint64) *obs.Counter {
+	if reg == nil {
+		return nil
+	}
+	return reg.Counter("scrub_central_query_tuples_total",
+		"tuples ingested per query", obs.L(queryLabel, strconv.FormatUint(id, 10)))
+}
+
+func dropQueryTuples(reg *obs.Registry, id uint64) {
+	if reg != nil {
+		reg.Unregister("scrub_central_query_tuples_total", obs.L(queryLabel, strconv.FormatUint(id, 10)))
+	}
+}
+
+// Merger closes, merges and emits the windows of queries whose state lives
+// in shards — one or many. Whole batches enter through Ingest (the merger
 // routes them), already-routed ones through Observe (a host-side router
-// did); both end in the same fold and the same close decision as the
-// single-node Engine, batch for batch, so the executors agree not just at
-// wall-clock ticks.
+// did); both end in the same fold and the same close decision, batch for
+// batch, so a result does not depend on how the deployment is cut.
 type Merger struct {
 	opt Options
-	met *windowMetrics // nil when no registry configured
+	met *centralMetrics // nil when no registry configured
 
 	mu      sync.Mutex
 	queries map[uint64]*mergeQuery
@@ -376,7 +423,7 @@ type mergeQuery struct {
 // NewMerger returns a merger with no queries.
 func NewMerger(opt Options) *Merger {
 	opt.fillDefaults()
-	return &Merger{opt: opt, met: newWindowMetrics(opt.Metrics), queries: make(map[uint64]*mergeQuery)}
+	return &Merger{opt: opt, met: newCentralMetrics(opt.Metrics), queries: make(map[uint64]*mergeQuery)}
 }
 
 // Install selects how Start treats its shards and lets the caller tie its
@@ -409,7 +456,7 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 	}
 	id := qr.plan.QueryID
 	q := &mergeQuery{
-		queryCore:     newQueryCore(qr, emit, &m.opt),
+		queryCore:     queryCore{QueryRuntime: *qr, emit: emit, streams: liveness.NewTable(m.opt.LeaseTTL)},
 		shards:        shards,
 		shardLate:     make([]uint64, len(shards)),
 		shardOverflow: make([]uint64, len(shards)),
@@ -417,10 +464,13 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 		pending:       make(map[int64]*winState),
 		barrier:       math.MinInt64,
 	}
+	now := m.opt.Clock().UnixNano()
 	if in.Resume {
 		q.replayDeadline = in.ReplayDeadline
-		q.replayHold = qr.plan.Replay > 0 && in.ReplayDeadline > m.opt.Clock().UnixNano()
+	} else if qr.plan.Replay > 0 {
+		q.replayDeadline = now + 2*int64(m.opt.LeaseTTL)
 	}
+	q.replayHold = qr.plan.Replay > 0 && q.replayDeadline > now
 	m.mu.Lock()
 	if _, dup := m.queries[id]; dup {
 		m.mu.Unlock()
@@ -509,6 +559,10 @@ func (m *Merger) Observe(man transport.BatchManifest) bool {
 func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 	nowN := m.opt.Clock().UnixNano()
 	st := q.fold(man, nowN)
+	if m.met != nil {
+		m.met.batches.Inc()
+		m.met.tuples.Add(man.RawTuples)
+	}
 	for i := 0; i < len(q.shards) && i < len(man.ShardLate); i++ {
 		q.shardLate[i] = max(q.shardLate[i], man.ShardLate[i])
 	}
@@ -516,12 +570,18 @@ func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
 	}
 	if wm, ok := q.advance(st, man.LateDelta, man.HasTs, man.MaxTs, nowN); ok {
+		if m.met != nil {
+			m.met.wmLag.Set(nowN - wm)
+		}
 		m.closeBefore(q, wm-int64(q.plan.Lateness))
 	}
 }
 
-// Tick closes windows by wall clock so idle streams still emit, and
-// expires stream leases on the merger's own clock (see Engine.Tick).
+// Tick closes windows by wall clock so idle streams still emit: every
+// window ending at or before now−lateness. It also expires stream leases,
+// on the merger's own clock (nowNanos may be virtual time), and closes at
+// once whatever an evicted stream was holding open (queryCore.sweep). The
+// query server calls it from a ticker.
 func (m *Merger) Tick(nowNanos int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -607,7 +667,7 @@ func (m *Merger) flush(q *mergeQuery, bound int64) {
 			starts = append(starts, start)
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 	for _, start := range starts {
 		ws := q.pending[start]
 		delete(q.pending, start)
@@ -698,7 +758,7 @@ func (m *Merger) ActiveQueries() []uint64 {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"scrub/internal/agg"
 	"scrub/internal/stats"
@@ -12,20 +11,20 @@ import (
 	"scrub/internal/window"
 )
 
-// This file is the driven surface of an Engine — the shard kernel of a
-// ScrubCentral cluster. A driven query's windows close only when its
-// merger says so (merge.go); the closed state is handed over as it is to
-// an in-process merger, or serialized as a partial for one in another
-// process (internal/coord), which decodes it back into the same shape.
+// This file is how windows leave a kernel. They close only when the
+// query's merger says so (merge.go); the closed state is handed over as it
+// is to an in-process merger, or serialized as a partial for one in
+// another process (internal/coord), which decodes it back into the same
+// shape.
 
-// EncodedPartial is one driven window's serialized accumulated state, as
+// EncodedPartial is one window's serialized accumulated state, as
 // it crosses the wire.
 type EncodedPartial = transport.WindowPartial
 
-// DrivenAck reports how a driven engine absorbed one sub-batch. The
+// DrivenAck reports how a kernel absorbed one sub-batch. The
 // router folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
-// into the manifest the merger observes, recovering exactly what a
-// single engine would have seen around the whole batch.
+// into the manifest the merger observes, recovering exactly what one
+// shard would have reported for the whole batch.
 type DrivenAck struct {
 	HasTs     bool
 	MaxTs     int64  // max in-span event time in the sub-batch
@@ -34,45 +33,7 @@ type DrivenAck struct {
 	Overflow  uint64 // cumulative raw-row/join-pending overflow drops
 }
 
-// shardLateness effectively disables event-time closing inside shards:
-// the merger is the only component that closes windows, at barriers that
-// cover every shard, so a window it flushes is complete by construction.
-const shardLateness = 365 * 24 * time.Hour
-
-// StartDriven installs a query in driven mode: effectively unbounded
-// lateness, so the engine never closes a window on its own. Every shard
-// of a cluster runs every query this way.
-func (e *Engine) StartDriven(p Plan) error {
-	p.Lateness = shardLateness
-	return e.StartQuery(p, func(transport.ResultWindow) {
-		// Unreachable by construction (driven queries close only via
-		// CollectDriven and DrainDriven); tolerate rather than panic if it
-		// ever fires.
-	})
-}
-
-// ApplyDriven folds a sub-batch into a driven query: the same span
-// filter, window routing and late accounting as HandleBatch, but with the
-// stream-lease and watermark bookkeeping left out — those live at the
-// merger, which is the only component that sees whole batches.
-func (e *Engine) ApplyDriven(b transport.TupleBatch) (DrivenAck, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[b.QueryID]
-	if !ok {
-		return DrivenAck{}, false
-	}
-	if int(b.TypeIdx) >= len(qs.plan.Types) {
-		return DrivenAck{}, false
-	}
-	e.met.count(len(b.Tuples))
-	if qs.tuplesC != nil {
-		qs.tuplesC.Add(uint64(len(b.Tuples)))
-	}
-	return e.apply(qs, &b), true
-}
-
-// collectDriven closes every driven window ending at or before bound and
+// collectDriven closes every window ending at or before bound and
 // returns them as they are, plus the query's cumulative drop counters as
 // of the collect. drain removes the query as well, returning everything
 // still open.
@@ -86,14 +47,13 @@ func (e *Engine) collectDriven(id uint64, bound int64, drain bool) (closed []win
 	if drain {
 		closed = e.closed(qs.win.Flush())
 		delete(e.queries, id)
-		dropQueryTuples(e.opt.Metrics, id)
 	} else {
 		closed = e.closed(qs.win.ForceBefore(bound))
 	}
 	return closed, &qs.plan, qs.win.LateDrops(), qs.overflow, true
 }
 
-// CollectDriven closes every driven window ending at or before bound and
+// CollectDriven closes every window ending at or before bound and
 // returns the serialized partials, plus the query's cumulative drop
 // counters as of the collect.
 func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartial, late, overflow uint64, ok bool) {
@@ -101,7 +61,7 @@ func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartia
 	return encodePartials(plan, closed), late, overflow, ok
 }
 
-// DrainDriven removes a driven query, returning its remaining windows as
+// DrainDriven removes a query, returning its remaining windows as
 // serialized partials and its final late+overflow drop total.
 func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops uint64, ok bool) {
 	closed, plan, late, overflow, ok := e.collectDriven(id, 0, true)
@@ -123,9 +83,9 @@ func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial
 	return out
 }
 
-// QueryRuntime is the compiled plan without any engine state: what every
-// executor keeps per query, and the handle through which a client of a
-// remote shard decodes that shard's partials. Merge and Render expose the
+// QueryRuntime is the compiled plan without any window state: what kernel
+// and merger both keep per query, and the handle through which a client of
+// a remote shard decodes that shard's partials. Merge and Render expose the
 // merger's own steps over decoded partials.
 type QueryRuntime struct {
 	plan Plan

@@ -2,14 +2,48 @@ package central
 
 import (
 	"fmt"
+	"time"
 
+	"scrub/internal/liveness"
+	"scrub/internal/obs"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 )
 
+// EmitFunc receives each closed window's results. It is called with the
+// merger's lock held; implementations must be fast (enqueue and return).
+type EmitFunc func(transport.ResultWindow)
+
+// Options tunes an executor's failure-domain behavior. The zero value is
+// production-ready.
+type Options struct {
+	// LeaseTTL is the per-stream liveness lease timeout: a (host, type)
+	// stream that neither ships a batch nor heartbeats for this long is
+	// evicted from the query watermark so windows keep closing without
+	// it. <= 0 selects liveness.DefaultTTL.
+	LeaseTTL time.Duration
+	// Clock substitutes time.Now for lease bookkeeping (tests). Lease
+	// time is deliberately wall-clock, independent of event time, so
+	// virtual-time simulations cannot spuriously evict healthy streams.
+	Clock func() time.Time
+	// Metrics, when non-nil, registers the executor's scrub_central_*
+	// series, including a per-query tuple counter added at StartQuery and
+	// removed at StopQuery.
+	Metrics *obs.Registry
+}
+
+func (o *Options) fillDefaults() {
+	if o.LeaseTTL <= 0 {
+		o.LeaseTTL = liveness.DefaultTTL
+	}
+	if o.Clock == nil {
+		o.Clock = time.Now
+	}
+}
+
 // Executor is the central-execution surface the query server drives: the
-// single-node Engine, the in-process ShardedEngine and the multi-process
-// coordinator (internal/coord) all satisfy it.
+// in-process cluster (ShardedEngine, or NewEngine's Engine for one shard)
+// and the multi-process coordinator (internal/coord) satisfy it.
 type Executor interface {
 	StartQuery(p Plan, emit EmitFunc) error
 	HandleBatch(b transport.TupleBatch)
@@ -24,19 +58,16 @@ var (
 	_ Executor = (*ShardedEngine)(nil)
 )
 
-// ShardedEngine is a ScrubCentral cluster in one process: a Merger over
-// direct clients to n driven Engines. Window state is merged across
-// shards at window close through the mergeable aggregators, then rendered
-// exactly like the single-node engine (scale-up, bounds, HAVING, ORDER BY,
-// LIMIT).
+// ShardedEngine is a ScrubCentral cluster in one process, and the one
+// in-process executor: a Merger over direct clients to n kernels. Window
+// state is merged across shards at window close through the mergeable
+// aggregators, then rendered; the result does not depend on n.
 type ShardedEngine struct {
 	*Merger
-	met    *centralMetrics // whole-batch ingest; shards keep private nil metrics
 	shards []ShardClient
 }
 
-// NewShardedEngine creates an engine with n shards (n >= 1) and default
-// Options.
+// NewShardedEngine creates an engine with n shards and default Options.
 func NewShardedEngine(n int) (*ShardedEngine, error) {
 	return NewShardedEngineWith(n, Options{})
 }
@@ -46,14 +77,37 @@ func NewShardedEngineWith(n int, opt Options) (*ShardedEngine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("central: shard count must be >= 1, got %d", n)
 	}
-	se := &ShardedEngine{Merger: NewMerger(opt), met: newCentralMetrics(opt.Metrics)}
+	se := &ShardedEngine{Merger: NewMerger(opt)}
 	for i := 0; i < n; i++ {
 		// All the shards charge their open windows to the one set of state
 		// gauges the registry has.
-		se.shards = append(se.shards, directShard{NewShardEngine(se.opt, opt.Metrics)})
+		se.shards = append(se.shards, directShard{NewShardEngine(opt.Metrics)})
 	}
 	return se, nil
 }
+
+// NewEngine returns a single-node executor with default Options.
+func NewEngine() *Engine { return NewEngineWith(Options{}) }
+
+// NewEngineWith returns a single-node executor: the n = 1 cluster, handed
+// out as its one kernel so that callers can reach the driven surface too.
+func NewEngineWith(opt Options) *Engine {
+	e := NewShardEngine(opt.Metrics)
+	e.cluster = &ShardedEngine{Merger: NewMerger(opt), shards: []ShardClient{directShard{e}}}
+	return e
+}
+
+// The Executor surface of a single-node Engine is its one-shard cluster's,
+// method for method; Merges is there to say that one never merges.
+func (e *Engine) StartQuery(p Plan, emit EmitFunc) error { return e.cluster.StartQuery(p, emit) }
+func (e *Engine) HandleBatch(b transport.TupleBatch)     { e.cluster.HandleBatch(b) }
+func (e *Engine) Tick(nowNanos int64)                    { e.cluster.Tick(nowNanos) }
+func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
+	return e.cluster.StopQuery(id)
+}
+func (e *Engine) Stats(id uint64) (transport.QueryStats, bool) { return e.cluster.Stats(id) }
+func (e *Engine) ActiveQueries() []uint64                      { return e.cluster.ActiveQueries() }
+func (e *Engine) Merges() uint64                               { return e.cluster.Merges() }
 
 // StartQuery implements Executor.
 func (se *ShardedEngine) StartQuery(p Plan, emit EmitFunc) error {
@@ -65,23 +119,19 @@ func (se *ShardedEngine) StartQuery(p Plan, emit EmitFunc) error {
 }
 
 // HandleBatch implements Executor.
-func (se *ShardedEngine) HandleBatch(b transport.TupleBatch) {
-	if se.Ingest(b) {
-		se.met.count(len(b.Tuples))
-	}
-}
+func (se *ShardedEngine) HandleBatch(b transport.TupleBatch) { se.Ingest(b) }
 
 // StopQuery implements Executor.
 func (se *ShardedEngine) StopQuery(id uint64) (transport.QueryStats, bool) {
 	return se.Stop(id, nil)
 }
 
-// directShard is the ShardClient over an in-process driven Engine. Closed
+// directShard is the ShardClient over an in-process kernel. Closed
 // window state changes hands as it is — nothing is serialized — and no
 // call can fail, so the shard is never down.
 type directShard struct{ eng *Engine }
 
-func (d directShard) Start(qr *QueryRuntime) error { return d.eng.StartDriven(qr.plan) }
+func (d directShard) Start(qr *QueryRuntime) error { return d.eng.start(qr) }
 
 func (d directShard) Apply(b transport.TupleBatch) (DrivenAck, bool, error) {
 	ack, known := d.eng.ApplyDriven(b)
@@ -106,9 +156,6 @@ func (d directShard) windows(qr *QueryRuntime, bound int64, drain bool) ShardWin
 	return sw
 }
 
-func (d directShard) TuplesIn(id uint64) (uint64, bool) {
-	st, ok := d.eng.Stats(id)
-	return st.TuplesIn, ok
-}
+func (d directShard) TuplesIn(id uint64) (uint64, bool) { return d.eng.TuplesIn(id) }
 
 func (d directShard) Down() bool { return false }

@@ -573,8 +573,8 @@ func TestStartQueryTwoPhase(t *testing.T) {
 		QueryID: 1, HostID: "h1",
 		Tuples: []transport.Tuple{{RequestID: 0, TsNanos: sec}, {RequestID: 2, TsNanos: 2 * sec}},
 	})
-	if st, ok := node.Engine().Stats(1); !ok || st.TuplesIn != 0 {
-		t.Errorf("shard 0 absorbed %d tuples of a half-installed query (running there: %v)", st.TuplesIn, ok)
+	if tuples, ok := node.Engine().TuplesIn(1); !ok || tuples != 0 {
+		t.Errorf("shard 0 absorbed %d tuples of a half-installed query (running there: %v)", tuples, ok)
 	}
 	if _, ok := c.Stats(1); ok {
 		t.Error("Stats sees a query whose install has not finished")
@@ -601,7 +601,7 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	}
 	// The dropped manifest must not have left stream state behind: shard
 	// 0 no longer runs the query either (rollback stopped it).
-	if qs := node.Engine().ActiveQueries(); len(qs) != 0 {
+	if qs := node.Engine().DrivenQueries(); len(qs) != 0 {
 		t.Errorf("shard 0 still runs %v after rollback", qs)
 	}
 
@@ -682,7 +682,7 @@ func TestStartQueryRollbackManifestRace(t *testing.T) {
 	if ids := c.ActiveQueries(); len(ids) != 0 {
 		t.Errorf("queries leaked through rollback: %v", ids)
 	}
-	if qs := good.Engine().ActiveQueries(); len(qs) != 0 {
+	if qs := good.Engine().DrivenQueries(); len(qs) != 0 {
 		t.Errorf("good shard still runs %v after rollbacks", qs)
 	}
 }
@@ -887,7 +887,7 @@ func TestLeaderFailover(t *testing.T) {
 			t.Errorf("shard %d fence = %d, want 2", i, f)
 		}
 	}
-	if qs := tt.shards[0].node.Engine().ActiveQueries(); len(qs) != 1 || qs[0] != 1 {
+	if qs := tt.shards[0].node.Engine().DrivenQueries(); len(qs) != 1 || qs[0] != 1 {
 		t.Errorf("shard 0 active queries after takeover = %v, want [1] (orphan stopped)", qs)
 	}
 	if _, _, err := sb.Promote(nil); err == nil {

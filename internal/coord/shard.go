@@ -12,7 +12,7 @@ import (
 	"scrub/internal/transport"
 )
 
-// ShardNode is one shard process's serving side: a driven central.Engine
+// ShardNode is one shard process's serving side: a central.Engine kernel
 // behind a per-connection RPC loop. Windows never close here — the
 // coordinator's collect barriers are the only close authority — so a
 // shard holds state, absorbs sub-batches, and answers collect/stop/stats.
@@ -39,10 +39,10 @@ func NewShardNode(cat *event.Catalog) *ShardNode { return NewShardNodeWith(cat, 
 // lives. It registers nothing else: ingest accounting lives at the
 // coordinator, which is the only component that sees whole batches.
 func NewShardNodeWith(cat *event.Catalog, reg *obs.Registry) *ShardNode {
-	return &ShardNode{eng: central.NewShardEngine(central.Options{}, reg), cat: cat}
+	return &ShardNode{eng: central.NewShardEngine(reg), cat: cat}
 }
 
-// Engine exposes the underlying driven engine (tests).
+// Engine exposes the underlying kernel (tests).
 func (n *ShardNode) Engine() *central.Engine { return n.eng }
 
 // PoisonBorrowed is a test hook: from now on every serve loop overwrites
@@ -140,7 +140,7 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			ack := transport.ShardFenceAck{Seq: t.Seq, Ok: n.admitFence(t.Fence)}
 			ack.Fence = n.fence.Load()
 			if ack.Ok {
-				ack.Queries = n.eng.ActiveQueries()
+				ack.Queries = n.eng.DrivenQueries()
 			}
 			resp = ack
 		case transport.ShardStatsReq:
@@ -171,10 +171,8 @@ func (n *ShardNode) handleStart(t transport.ShardStart) transport.ShardAck {
 	if !n.admitFence(t.Fence) {
 		return transport.ShardAck{Seq: t.Seq, Err: "stale fencing epoch"}
 	}
-	for _, id := range n.eng.ActiveQueries() {
-		if id == t.QueryID {
-			return transport.ShardAck{Seq: t.Seq}
-		}
+	if _, running := n.eng.TuplesIn(t.QueryID); running {
+		return transport.ShardAck{Seq: t.Seq}
 	}
 	cp, err := PlanFromShardStart(t, n.cat)
 	if err != nil {
@@ -189,19 +187,17 @@ func (n *ShardNode) handleStart(t transport.ShardStart) transport.ShardAck {
 func (n *ShardNode) handleStats(t transport.ShardStatsReq) transport.ShardStatsResp {
 	resp := transport.ShardStatsResp{
 		Seq:           t.Seq,
-		ActiveQueries: uint32(len(n.eng.ActiveQueries())),
+		ActiveQueries: uint32(len(n.eng.DrivenQueries())),
 	}
 	if t.QueryID != 0 {
-		st, found := n.eng.Stats(t.QueryID)
-		resp.Found = found
-		resp.TuplesIn = st.TuplesIn
+		resp.TuplesIn, resp.Found = n.eng.TuplesIn(t.QueryID)
 	} else {
 		// QueryID 0 asks for the node view (coordinator Status rows):
 		// tuples across every active query.
 		resp.Found = true
-		for _, id := range n.eng.ActiveQueries() {
-			if st, ok := n.eng.Stats(id); ok {
-				resp.TuplesIn += st.TuplesIn
+		for _, id := range n.eng.DrivenQueries() {
+			if tuples, ok := n.eng.TuplesIn(id); ok {
+				resp.TuplesIn += tuples
 			}
 		}
 	}

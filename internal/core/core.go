@@ -74,13 +74,9 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
 	}
-	var engine central.Executor = central.NewEngineWith(cfg.Central)
-	if cfg.CentralShards > 1 {
-		se, err := central.NewShardedEngineWith(cfg.CentralShards, cfg.Central)
-		if err != nil {
-			return nil, err
-		}
-		engine = se
+	engine, err := central.NewShardedEngineWith(max(cfg.CentralShards, 1), cfg.Central)
+	if err != nil {
+		return nil, err
 	}
 	lc := &LocalCluster{
 		Catalog:  cfg.Catalog,

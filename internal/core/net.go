@@ -87,14 +87,10 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 	} else {
 		hub.SetLogf(func(string, ...any) {})
 	}
-	var engine central.Executor = central.NewEngineWith(cfg.Central)
-	if cfg.CentralShards > 1 {
-		se, err := central.NewShardedEngineWith(cfg.CentralShards, cfg.Central)
-		if err != nil {
-			hub.Close()
-			return nil, err
-		}
-		engine = se
+	engine, err := central.NewShardedEngineWith(max(cfg.CentralShards, 1), cfg.Central)
+	if err != nil {
+		hub.Close()
+		return nil, err
 	}
 	srv, err := server.New(server.Config{
 		Catalog:    cfg.Catalog,

@@ -1,7 +1,7 @@
 // Package difftest is the seeded differential-simulation harness that
-// cross-checks the single-node Engine, the ShardedEngine at several
-// shard counts, and the exact oracle (internal/oracle) over randomly
-// generated queries and event streams.
+// cross-checks the in-process cluster at one shard (central.Engine) and at
+// several, the multi-process fabric, and the exact oracle
+// (internal/oracle) over randomly generated queries and event streams.
 //
 // Everything is derived deterministically from one int64 seed: the query
 // text (drawn from the ql grammar), the event streams (hosts, request-id

@@ -13,8 +13,8 @@ import (
 // pipeTopology stands up a real multi-process ScrubCentral in miniature:
 // a coordinator, n shard nodes and a host-side router, every hop over the
 // in-memory pipe transport through the full wire codec. The differential
-// sweep drives it as a third executor next to Engine and ShardedEngine —
-// the distributed fabric must be bit-identical to both.
+// sweep drives it next to the in-process cluster: same merger, RPC clients
+// for direct ones, and the results must be bit-identical.
 //
 // net.Pipe is fully synchronous, so every RPC round-trip is a
 // happens-before edge: the single-threaded harness observes the same

@@ -139,7 +139,7 @@ func RunScenario(lc *core.LocalCluster, queries []string, traffic func()) ([][]t
 
 // virtualStart picks the virtual epoch for simulated traffic: slightly in
 // the future of the wall clock so the central wall-clock tick never
-// declares simulated windows late (see window.SlidingManager.ForceBefore).
+// declares simulated windows late (see central.Merger.Tick).
 func virtualStart() time.Time {
 	return time.Now().Add(5 * time.Second)
 }

@@ -69,7 +69,7 @@ func p4Catalog() *event.Catalog {
 
 // runCentral feeds tuples through one query with `feeders` concurrent
 // producers (hosts ship batches concurrently in production) and returns
-// tuples/second. shards == 0 uses the single-node engine.
+// tuples/second. shards <= 1 is the single-node case.
 func runCentral(cfg P4Config, queryText string, makeBatch func(i int) transport.TupleBatch, nBatches, shards, feeders int) (float64, error) {
 	cat := p4Catalog()
 	q, err := ql.Parse(queryText)
@@ -80,13 +80,9 @@ func runCentral(cfg P4Config, queryText string, makeBatch func(i int) transport.
 	if err != nil {
 		return 0, err
 	}
-	var engine central.Executor = central.NewEngine()
-	if shards > 1 {
-		se, err := central.NewShardedEngine(shards)
-		if err != nil {
-			return 0, err
-		}
-		engine = se
+	engine, err := central.NewShardedEngine(max(shards, 1))
+	if err != nil {
+		return 0, err
 	}
 	cp := central.FromPlan(plan, 1, 0, 0, 1, 1)
 	cp.MaxRawRows = 1 << 30 // throughput measurement, not memory bounding

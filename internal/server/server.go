@@ -67,8 +67,8 @@ type QueryInfo struct {
 type Config struct {
 	Catalog  *event.Catalog
 	Registry *cluster.Registry
-	// Engine is the central execution backend: a single-node
-	// central.Engine or a central.ShardedEngine.
+	// Engine is the central execution backend: an in-process cluster
+	// (central.Engine is the one-shard case) or a coordinator (internal/coord).
 	Engine     central.Executor
 	Dispatcher Dispatcher
 	// TickInterval drives window closing by wall clock. Default 200ms.

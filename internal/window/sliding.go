@@ -6,15 +6,18 @@
 // the S/s windows whose span covers it, and tumbling is the special case
 // s == S.
 //
-// Windows close on a watermark: the maximum event time seen, minus an
-// allowed lateness. Events arriving after their window closed are counted
-// and dropped — accuracy traded for bounded state, the paper's standing
-// rule.
+// The manager keeps no watermark of its own: its owner tells it the bound
+// to close before (ScrubCentral's merger computes it, in one place, from
+// the query watermark and the grace the plan allows stragglers) and the
+// manager remembers the highest bound it was given. Events whose every
+// covering window ends at or before that bound are counted and dropped —
+// accuracy traded for bounded state, the paper's standing rule.
 package window
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 )
@@ -56,8 +59,7 @@ func (a SlidingAssigner) Starts(ts int64, dst []int64) []int64 {
 	return dst
 }
 
-// Closed is a window the watermark has passed, carrying its accumulated
-// state.
+// Closed is a window a close bound has passed, with its accumulated state.
 type Closed[S any] struct {
 	Start int64 // unix nanos, inclusive
 	End   int64 // unix nanos, exclusive
@@ -65,16 +67,14 @@ type Closed[S any] struct {
 }
 
 // SlidingManager tracks open windows of per-window state S, closing them
-// as the watermark advances; each event contributes to every covering
+// when its owner says so; each event contributes to every covering
 // window. It is not safe for concurrent use; ScrubCentral drives one per
-// query under the engine's lock.
+// query under the shard kernel's lock.
 type SlidingManager[S any] struct {
 	assigner  SlidingAssigner
-	lateness  int64
 	newState  func(start, end int64) S
 	open      map[int64]S
-	watermark int64 // max event time observed
-	hasMark   bool
+	closed    int64 // highest bound closed before; windows ending at or before it are gone
 	lateDrops uint64
 	opened    uint64
 	scratch   []int64
@@ -82,32 +82,28 @@ type SlidingManager[S any] struct {
 }
 
 // NewSlidingManager builds a manager. newState allocates the accumulator
-// for a window when its first event arrives; lateness is how far behind
-// the max observed event time an event may be and still be accepted.
-func NewSlidingManager[S any](size, slide, lateness time.Duration, newState func(start, end int64) S) (*SlidingManager[S], error) {
+// for a window when its first event arrives.
+func NewSlidingManager[S any](size, slide time.Duration, newState func(start, end int64) S) (*SlidingManager[S], error) {
 	a, err := NewSlidingAssigner(size, slide)
 	if err != nil {
 		return nil, err
-	}
-	if lateness < 0 {
-		return nil, fmt.Errorf("window: lateness must be non-negative, got %v", lateness)
 	}
 	if newState == nil {
 		return nil, fmt.Errorf("window: nil state constructor")
 	}
 	return &SlidingManager[S]{
 		assigner: a,
-		lateness: int64(lateness),
 		newState: newState,
 		open:     make(map[int64]S),
+		closed:   math.MinInt64,
 	}, nil
 }
 
 // GetAll returns the states of every window covering ts, creating them as
-// needed. Windows already closed by the watermark are skipped and counted
-// once per event in LateDrops when every covering window is gone. The
-// returned slice is the manager's own buffer — ScrubCentral calls GetAll
-// once per tuple — and is overwritten by the next call.
+// needed. Windows ending at or before the closed bound are skipped, and
+// the event is counted once in LateDrops when every covering window is
+// gone. The returned slice is the manager's own buffer — ScrubCentral
+// calls GetAll once per tuple — and is overwritten by the next call.
 func (m *SlidingManager[S]) GetAll(ts int64) []S {
 	m.scratch = m.assigner.Starts(ts, m.scratch[:0])
 	out := m.states[:0]
@@ -116,7 +112,7 @@ func (m *SlidingManager[S]) GetAll(ts int64) []S {
 			out = append(out, s)
 			continue
 		}
-		if m.hasMark && start+m.assigner.size+m.lateness <= m.watermark {
+		if start+m.assigner.size <= m.closed {
 			continue // this window already closed
 		}
 		s := m.newState(start, start+m.assigner.size)
@@ -131,32 +127,12 @@ func (m *SlidingManager[S]) GetAll(ts int64) []S {
 	return out
 }
 
-// Observe advances the watermark and returns closed windows in start
-// order.
-func (m *SlidingManager[S]) Observe(ts int64) []Closed[S] {
-	if !m.hasMark || ts > m.watermark {
-		m.watermark = ts
-		m.hasMark = true
-	}
-	return m.closeBefore(m.watermark - m.lateness)
-}
-
-// ForceBefore closes every window ending at or before bound, regardless
-// of the event-time watermark. ScrubCentral drives this from a wall-clock
-// tick so that idle event streams still emit their windows — the tuples
-// are near-real-time, so processing time bounds event time closely — and
-// a cluster's merger drives its shards' windows with nothing else. The
-// forced bound also acts as a watermark: events older than it are late by
-// definition.
+// ForceBefore closes every window ending at or before bound and returns
+// them in start order. The bound is remembered when it is the highest so
+// far: events older than it are late from then on, so a closed window is
+// never re-opened and a lower bound afterwards closes nothing twice.
 func (m *SlidingManager[S]) ForceBefore(bound int64) []Closed[S] {
-	if !m.hasMark || bound > m.watermark-m.lateness {
-		m.watermark = bound + m.lateness
-		m.hasMark = true
-	}
-	return m.closeBefore(bound)
-}
-
-func (m *SlidingManager[S]) closeBefore(bound int64) []Closed[S] {
+	m.closed = max(m.closed, bound)
 	var out []Closed[S]
 	for start, s := range m.open {
 		end := start + m.assigner.size
@@ -174,13 +150,10 @@ func (m *SlidingManager[S]) closeBefore(bound int64) []Closed[S] {
 	return out
 }
 
-// Flush closes every open window.
+// Flush closes every open window; whatever arrives afterwards is late.
 func (m *SlidingManager[S]) Flush() []Closed[S] {
-	return m.closeBefore(int64(1)<<62 - 1)
+	return m.ForceBefore(int64(1)<<62 - 1)
 }
-
-// Open returns the number of open windows.
-func (m *SlidingManager[S]) Open() int { return len(m.open) }
 
 // LateDrops counts events whose every covering window had closed.
 func (m *SlidingManager[S]) LateDrops() uint64 { return m.lateDrops }

@@ -89,7 +89,7 @@ func TestSlidingAssignerCoverageInvariant(t *testing.T) {
 }
 
 func TestSlidingManagerBasicFlow(t *testing.T) {
-	m, err := NewSlidingManager(10*time.Second, 5*time.Second, 0,
+	m, err := NewSlidingManager(10*time.Second, 5*time.Second,
 		func(start, end int64) *counter { return &counter{} })
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestSlidingManagerBasicFlow(t *testing.T) {
 	for _, s := range states {
 		s.n++
 	}
-	if m.Open() != 2 {
-		t.Errorf("open = %d", m.Open())
+	if len(m.open) != 2 {
+		t.Errorf("open = %d", len(m.open))
 	}
 	// Event at 12s: windows [5,15) and [10,20); [5,15) is shared.
 	states = m.GetAll(12 * sec)
@@ -114,7 +114,7 @@ func TestSlidingManagerBasicFlow(t *testing.T) {
 	for _, s := range states {
 		s.n++
 	}
-	closed := m.Observe(12 * sec)
+	closed := m.ForceBefore(12 * sec)
 	if len(closed) != 1 || closed[0].Start != 0 {
 		t.Fatalf("closed = %v", closed)
 	}
@@ -135,18 +135,18 @@ func TestSlidingManagerBasicFlow(t *testing.T) {
 }
 
 func TestSlidingManagerLateDrops(t *testing.T) {
-	m, _ := NewSlidingManager(10*time.Second, 5*time.Second, 0,
+	m, _ := NewSlidingManager(10*time.Second, 5*time.Second,
 		func(start, end int64) *counter { return &counter{} })
 	sec := int64(time.Second)
 	m.GetAll(7 * sec)
-	m.Observe(40 * sec) // closes everything through [30,40)
+	m.ForceBefore(40 * sec) // closes everything through [30,40)
 	if got := m.GetAll(2 * sec); len(got) != 0 {
 		t.Errorf("late event opened %d windows", len(got))
 	}
 	if m.LateDrops() != 1 {
 		t.Errorf("late drops = %d", m.LateDrops())
 	}
-	// Partially late: at watermark 40s with lateness 0, an event at 36s
+	// Partially late: with everything before 40s closed, an event at 36s
 	// fits [35,45) but not [30,40).
 	if got := m.GetAll(36 * sec); len(got) != 1 {
 		t.Errorf("partially-late event got %d windows, want 1", len(got))
@@ -154,7 +154,7 @@ func TestSlidingManagerLateDrops(t *testing.T) {
 }
 
 func TestSlidingManagerForceBefore(t *testing.T) {
-	m, _ := NewSlidingManager(10*time.Second, 5*time.Second, 0,
+	m, _ := NewSlidingManager(10*time.Second, 5*time.Second,
 		func(start, end int64) *counter { return &counter{} })
 	sec := int64(time.Second)
 	m.GetAll(7 * sec) // opens [0,10) and [5,15)
@@ -162,15 +162,15 @@ func TestSlidingManagerForceBefore(t *testing.T) {
 	if len(closed) != 1 || closed[0].Start != 0 {
 		t.Errorf("forced = %v", closed)
 	}
-	if m.Open() != 1 {
-		t.Errorf("open = %d", m.Open())
+	if len(m.open) != 1 {
+		t.Errorf("open = %d", len(m.open))
 	}
 }
 
 // GetAll runs once per tuple at ScrubCentral: its result buffer is the
 // manager's, so the steady state allocates nothing.
 func TestSlidingGetAllReusesBuffer(t *testing.T) {
-	m, err := NewSlidingManager(10*time.Second, 5*time.Second, 0, func(start, end int64) *int { return new(int) })
+	m, err := NewSlidingManager(10*time.Second, 5*time.Second, func(start, end int64) *int { return new(int) })
 	if err != nil {
 		t.Fatal(err)
 	}

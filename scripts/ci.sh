@@ -11,6 +11,10 @@ go vet ./...
 echo "== internal/transport frames in place (imports no bufio) =="
 if go list -f '{{join .Imports " "}} {{join .TestImports " "}}' ./internal/transport | grep -qw bufio; then echo "internal/transport imports bufio" >&2; exit 1; fi
 
+echo "== one executor (internal/window keeps no watermark of its own, no shard runs on a 365-day lateness) =="
+if grep -nE '\blateness\b|Observe\(' internal/window/*.go; then echo "internal/window knows lateness or has an Observe again" >&2; exit 1; fi
+if grep -n 'shardLateness' internal/central/*.go; then echo "internal/central has shardLateness again" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
@@ -32,7 +36,7 @@ make bench-smoke
 echo "== go test -race =="
 go test -race ./...
 
-echo "== metrics smoke (boot daemons and a shard process, scrape /metrics) =="
+echo "== metrics smoke (boot a shard process, a coordinator and a -shards 2 cluster with agents, scrape /metrics, run a query through both executors) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="

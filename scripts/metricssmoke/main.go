@@ -1,11 +1,14 @@
 // Command metricssmoke is the CI gate for the observability surface: it
-// builds scrubcentral and scrubd, boots them against each other on
-// ephemeral ports with -metrics enabled — plus a scrubcentral in shard
-// mode, the tier that holds the window state in a distributed deployment
-// — scrapes every /metrics endpoint, and fails if a required series
-// family is missing, any series is duplicated, the exposition is
-// malformed, a shard exports an ingest series (those are the
-// coordinator's), or /debug/pprof is absent.
+// builds scrubcentral, scrubd and scrubql and boots, on ephemeral ports
+// with -metrics enabled, a scrubcentral in shard mode (the tier that holds
+// the window state in a distributed deployment), a coordinator over it and
+// an in-process cluster (-shards 2), each of the two with a demo agent. It
+// scrapes every /metrics endpoint and fails if a required series family is
+// missing, any series is duplicated, the exposition is malformed, a tier
+// exports another tier's series (ingest is the merger's, window state the
+// shard's), or /debug/pprof is absent. Then it runs one query through
+// each executor and fails if an ingest series did not move: the merger
+// counts batches in every deployment shape.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -20,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -28,16 +32,25 @@ import (
 // (histograms appear as their _count series). Everything here is
 // registered at construction time, so a fresh daemon with no queries
 // still exposes all of it at value zero.
-var requiredCentral = append([]string{
-	"scrub_central_batches_total",
-	"scrub_central_tuples_total",
+var requiredCentral = append(requiredCoord, requiredShard...)
+
+// requiredCoord is what a merger exposes, and all a coordinator does: it
+// holds no window state.
+var requiredCoord = append(moving,
 	"scrub_central_windows_total",
 	"scrub_central_degraded_windows_total",
 	"scrub_central_shed_windows_total",
 	"scrub_central_window_close_ns_count",
-	"scrub_central_watermark_lag_ns",
 	"scrub_transport_frames_recv_total",
-}, requiredShard...)
+)
+
+// moving are the ingest series: non-zero on every executor's endpoint
+// once a query has shipped tuples.
+var moving = []string{
+	"scrub_central_batches_total",
+	"scrub_central_tuples_total",
+	"scrub_central_watermark_lag_ns",
+}
 
 // requiredShard is what a shard process exposes: the gauges of the window
 // state it holds, and nothing of ingest.
@@ -89,67 +102,78 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	for _, cmd := range []string{"scrubcentral", "scrubd"} {
+	for _, cmd := range []string{"scrubcentral", "scrubd", "scrubql"} {
 		build := exec.Command("go", "build", "-o", filepath.Join(tmp, cmd), "./cmd/"+cmd)
 		build.Stderr = os.Stderr
 		if err := build.Run(); err != nil {
 			return fmt.Errorf("build %s: %w", cmd, err)
 		}
 	}
-
-	central := newDaemon(filepath.Join(tmp, "scrubcentral"),
-		"-adplatform",
-		"-client", "127.0.0.1:0", "-control", "127.0.0.1:0", "-data", "127.0.0.1:0",
-		"-metrics", "127.0.0.1:0")
-	if err := central.start(); err != nil {
-		return err
-	}
-	defer central.stop()
-	centralMetrics, err := central.await("scrubcentral metrics: ")
-	if err != nil {
-		return err
-	}
-	controlAddr, err := central.await("  control: ")
-	if err != nil {
-		return err
-	}
-	dataAddr, err := central.await("  data:    ")
-	if err != nil {
-		return err
-	}
-
-	scrubd := newDaemon(filepath.Join(tmp, "scrubd"),
-		"-host", "smoke-1", "-service", "BidServers", "-adplatform",
-		"-control", controlAddr, "-data", dataAddr,
-		"-demo", "bid=200",
-		"-metrics", "127.0.0.1:0")
-	if err := scrubd.start(); err != nil {
-		return err
-	}
-	defer scrubd.stop()
-	hostMetrics, err := scrubd.await("scrubd metrics: ")
-	if err != nil {
-		return err
-	}
-	if _, err := scrubd.await("scrubd up:"); err != nil {
-		return err
+	var daemons []*daemon
+	defer func() {
+		for _, d := range daemons {
+			d.stop()
+		}
+	}()
+	// boot starts a daemon and returns what it printed after each prefix,
+	// in the order the daemon prints them.
+	boot := func(bin string, args []string, prefixes ...string) ([]string, error) {
+		d := newDaemon(filepath.Join(tmp, bin), args...)
+		if err := d.start(); err != nil {
+			return nil, err
+		}
+		daemons = append(daemons, d)
+		var out []string
+		for _, prefix := range prefixes {
+			v, err := d.await(prefix)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		return out, nil
 	}
 
-	shard := newDaemon(filepath.Join(tmp, "scrubcentral"),
-		"-adplatform", "-shard", "127.0.0.1:0", "-metrics", "127.0.0.1:0")
-	if err := shard.start(); err != nil {
+	shard, err := boot("scrubcentral", []string{"-adplatform", "-shard", "127.0.0.1:0", "-metrics", "127.0.0.1:0"},
+		"scrubcentral metrics: ", "  shard rpc: ")
+	if err != nil {
 		return err
 	}
-	defer shard.stop()
-	shardMetrics, err := shard.await("scrubcentral metrics: ")
+	shardMetrics := shard[0]
+
+	// An executor of each kind with a demo agent shipping to it: central is
+	// {metrics URL, client addr}, hostMetrics the agent's URL.
+	stack := func(host string, mode ...string) (central []string, hostMetrics string, err error) {
+		central, err = boot("scrubcentral", append([]string{"-adplatform",
+			"-client", "127.0.0.1:0", "-control", "127.0.0.1:0", "-data", "127.0.0.1:0", "-metrics", "127.0.0.1:0"}, mode...),
+			"scrubcentral metrics: ", "  client:  ", "  control: ", "  data:    ")
+		if err != nil {
+			return nil, "", err
+		}
+		agent, err := boot("scrubd", []string{"-host", host, "-service", "BidServers", "-adplatform",
+			"-control", central[2], "-data", central[3], "-demo", "bid=200", "-metrics", "127.0.0.1:0"},
+			"scrubd metrics: ", "scrubd up:")
+		if err != nil {
+			return nil, "", err
+		}
+		return central, agent[0], nil
+	}
+	sharded, hostMetrics, err := stack("smoke-1", "-shards", "2")
+	if err != nil {
+		return err
+	}
+	coordinator, _, err := stack("smoke-2", "-coord", "-shard-addrs", shard[1])
 	if err != nil {
 		return err
 	}
 
-	// Let the agent connect and ship a heartbeat or two.
+	// Let the agents connect and ship a heartbeat or two.
 	time.Sleep(300 * time.Millisecond)
 
-	if err := checkMetrics("scrubcentral", centralMetrics, requiredCentral, nil); err != nil {
+	if err := checkMetrics("scrubcentral -shards", sharded[0], requiredCentral, nil); err != nil {
+		return err
+	}
+	if err := checkMetrics("scrubcentral -coord", coordinator[0], requiredCoord, requiredShard); err != nil {
 		return err
 	}
 	if err := checkMetrics("scrubd", hostMetrics, requiredHost, nil); err != nil {
@@ -158,10 +182,33 @@ func run() error {
 	if err := checkMetrics("scrubcentral -shard", shardMetrics, requiredShard, forbiddenShard); err != nil {
 		return err
 	}
-	for _, u := range []string{centralMetrics, hostMetrics, shardMetrics} {
+	for _, u := range []string{sharded[0], coordinator[0], hostMetrics, shardMetrics} {
 		if err := checkPprof(u); err != nil {
 			return err
 		}
+	}
+
+	// One query through each executor, to its first window.
+	for _, ex := range []struct{ who, metrics, client string }{
+		{"scrubcentral -shards", sharded[0], sharded[1]},
+		{"scrubcentral -coord", coordinator[0], coordinator[1]},
+	} {
+		ql := exec.Command(filepath.Join(tmp, "scrubql"), "-server", ex.client, "-windows", "1", "-quiet",
+			"select count(*) from bid window 1s duration 10s")
+		if out, err := ql.CombinedOutput(); err != nil {
+			return fmt.Errorf("%s: query: %w\n%s", ex.who, err, out)
+		}
+		values, _, err := scrape(ex.who, ex.metrics)
+		if err != nil {
+			return err
+		}
+		for _, name := range moving {
+			if values[name] == 0 {
+				return fmt.Errorf("%s: %s is still 0 after a query shipped tuples", ex.who, name)
+			}
+		}
+		fmt.Printf("metrics-smoke: %s ingest series moved (%v tuples in %v batches)\n",
+			ex.who, values["scrub_central_tuples_total"], values["scrub_central_batches_total"])
 	}
 	return nil
 }
@@ -224,16 +271,16 @@ func (d *daemon) stop() {
 	}
 }
 
-// checkMetrics scrapes url and validates the exposition: every required
-// family present, no forbidden one, no duplicate series, every sample
-// line well-formed.
-func checkMetrics(who, url string, required, forbidden []string) error {
+// scrape fetches url and validates the exposition — no duplicate series,
+// every sample line well-formed — returning each family's summed value and
+// the series count.
+func scrape(who, url string) (map[string]float64, int, error) {
 	body, err := get(url)
 	if err != nil {
-		return fmt.Errorf("%s: scrape %s: %w", who, url, err)
+		return nil, 0, fmt.Errorf("%s: scrape %s: %w", who, url, err)
 	}
 	series := make(map[string]bool) // full series key: name{labels}
-	families := make(map[string]bool)
+	families := make(map[string]float64)
 	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -242,38 +289,49 @@ func checkMetrics(who, url string, required, forbidden []string) error {
 		// name{labels} value  |  name value
 		sp := strings.LastIndexByte(line, ' ')
 		if sp < 0 {
-			return fmt.Errorf("%s: malformed exposition line %q", who, line)
+			return nil, 0, fmt.Errorf("%s: malformed exposition line %q", who, line)
 		}
 		key := line[:sp]
 		name := key
 		if i := strings.IndexByte(name, '{'); i >= 0 {
 			name = name[:i]
 		}
-		if name == "" {
-			return fmt.Errorf("%s: malformed exposition line %q", who, line)
+		value, err := strconv.ParseFloat(line[sp+1:], 64)
+		if name == "" || err != nil {
+			return nil, 0, fmt.Errorf("%s: malformed exposition line %q", who, line)
 		}
 		if series[key] {
-			return fmt.Errorf("%s: duplicate series %q", who, key)
+			return nil, 0, fmt.Errorf("%s: duplicate series %q", who, key)
 		}
 		series[key] = true
-		families[name] = true
+		families[name] += value
+	}
+	return families, len(series), nil
+}
+
+// checkMetrics scrapes url and requires every family in required and none
+// in forbidden.
+func checkMetrics(who, url string, required, forbidden []string) error {
+	families, series, err := scrape(who, url)
+	if err != nil {
+		return err
 	}
 	var missing []string
 	for _, name := range required {
-		if !families[name] {
+		if _, ok := families[name]; !ok {
 			missing = append(missing, name)
 		}
 	}
 	if len(missing) > 0 {
-		return fmt.Errorf("%s: missing metric families %v (got %d series)", who, missing, len(series))
+		return fmt.Errorf("%s: missing metric families %v (got %d series)", who, missing, series)
 	}
 	for _, name := range forbidden {
-		if families[name] {
+		if _, ok := families[name]; ok {
 			return fmt.Errorf("%s: exposes %s, which belongs to another tier", who, name)
 		}
 	}
 	fmt.Printf("metrics-smoke: %s exposes %d series, all %d required families present\n",
-		who, len(series), len(required))
+		who, series, len(required))
 	return nil
 }
 
