@@ -57,9 +57,10 @@ metrics-smoke:
 # without a receive scratch, whole and in fuzz-chosen read sizes), the
 # packed runs a partial's bytes become window state as, the
 # query-language parser (arbitrary operator-typed text), the replay chunk
-# decoder — and over the two window-state
-# mechanisms checked against a model: the hash index against its map, and
-# freeze/thaw against an engine that thrashes and a plain reference. This
+# decoder — and over the mechanisms checked against a model: the
+# window-state hash index against its map, freeze/thaw against an engine
+# that thrashes and a plain reference, and the host's register program
+# against the closure compiler on every node of generated predicates. This
 # is the one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/expr -run='^$$' -fuzz=FuzzProgramMatchesCompile -fuzztime=$(FUZZTIME)
 
 # Fixed-seed chaos soak (quick mode) under the race detector.
 chaos-soak:

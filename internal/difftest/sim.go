@@ -162,7 +162,13 @@ func Run(cfg Config) (*Outcome, error) {
 
 	// --- host pipeline: selection, sampling, projection, batching ---
 
+	// Every host predicate runs through both evaluators — the closure the
+	// pipeline below filters with and the register program the agent
+	// dispatches through (by name here: hostRow is not an EventRow) — and a
+	// disagreement fails the seed.
 	hostPreds := make([]func(expr.Row) bool, len(plan.Types))
+	progIDs := make([]int32, len(plan.Types))
+	pb := expr.NewProgramBuilder()
 	for i, typ := range plan.Types {
 		if n := qp.HostPred[typ]; n != nil {
 			ev, cerr := expr.Compile(n)
@@ -170,8 +176,12 @@ func Run(cfg Config) (*Outcome, error) {
 				return out, fmt.Errorf("host predicate compile: %v", cerr)
 			}
 			hostPreds[i] = expr.Predicate(ev)
+			if progIDs[i], cerr = pb.Intern(n); cerr != nil {
+				return out, fmt.Errorf("host predicate intern: %v", cerr)
+			}
 		}
 	}
+	progCtx := pb.Build().NewCtx()
 
 	shipping := make(map[string]bool, hosts)
 	hostNames := make([]string, hosts)
@@ -223,8 +233,18 @@ func Run(cfg Config) (*Outcome, error) {
 		if e.typeIdx >= len(plan.Types) {
 			continue // exclusion events under a single-type plan never ship
 		}
-		if pred := hostPreds[e.typeIdx]; pred != nil && !pred(hostRow{typ: plan.Types[e.typeIdx], e: e}) {
-			continue
+		if pred := hostPreds[e.typeIdx]; pred != nil {
+			row := hostRow{typ: plan.Types[e.typeIdx], e: e}
+			match := pred(row)
+			progCtx.Begin(row)
+			got := progCtx.Bool(progIDs[e.typeIdx])
+			progCtx.Finish()
+			if got != match {
+				return out, fmt.Errorf("host predicate %s: program says %v, closure %v (request %d)", qp.HostPred[plan.Types[e.typeIdx]], got, match, e.req)
+			}
+			if !match {
+				continue
+			}
 		}
 		cols := plan.Columns[e.typeIdx]
 		vals := make([]event.Value, len(cols))

@@ -254,6 +254,26 @@ func (v Value) AsList() ([]Value, bool) {
 	return v.elems(), true
 }
 
+// Raw returns the kind and the 64-bit scalar payload — bool as 0/1, int64
+// bits, float64 bits, unix-nano time; 0 for strings, lists and the
+// invalid value — reading the cell in place instead of copying it. With
+// Scalar it is how expr.Program keeps values unboxed in registers.
+func (v *Value) Raw() (Kind, uint64) { return v.kind, v.num }
+
+// RawStr returns the string payload in place; "" unless the kind is
+// KindString.
+func (v *Value) RawStr() string { return v.str }
+
+// Scalar rebuilds a bool, int, float or time value from its Raw form. Any
+// other kind has no scalar form and yields Invalid.
+func Scalar(k Kind, bits uint64) Value {
+	switch k {
+	case KindBool, KindInt, KindFloat, KindTime:
+		return Value{kind: k, num: bits}
+	}
+	return Invalid
+}
+
 // IsNumeric reports whether the value is int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 

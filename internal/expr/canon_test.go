@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"scrub/internal/event"
 )
@@ -14,50 +15,85 @@ import (
 // Program must evaluate every interned tree bit-identically to the
 // compiled closures, sharing canonically-equal subexpressions.
 
+// genSchema is bidSchema plus a time-kind field, so the generator can
+// reach every kind a predicate can compare.
+var genSchema = event.MustSchema("bid",
+	event.FieldDef{Name: "user_id", Kind: event.KindInt},
+	event.FieldDef{Name: "city", Kind: event.KindString},
+	event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
+	event.FieldDef{Name: "won", Kind: event.KindBool},
+	event.FieldDef{Name: "segments", Kind: event.KindList, Elem: event.KindInt},
+	event.FieldDef{Name: "seen", Kind: event.KindTime},
+)
+
+var genResolver = SchemaResolver{Schemas: []*event.Schema{genSchema}}
+
+func pick[T any](rng *rand.Rand, xs ...T) T { return xs[rng.Intn(len(xs))] }
+
 // genExpr builds a random unchecked tree of the requested kind over
-// bidSchema. Depth-bounded; leaves are field references and literals
-// (including occasional NaN, zero divisors, and type-mismatched specials
-// that survive Check).
+// genSchema. Depth-bounded; leaves are field references (the two system
+// fields among them) and literals (including occasional NaN, zero
+// divisors, and type-mismatched specials that survive Check). The shapes
+// the register program specialises — a field or a computed number
+// against a literal on either side, int-vs-float mixes, IN over ints,
+// floats and strings, LIKE, time compares — are all reachable.
 func genExpr(rng *rand.Rand, kind event.Kind, depth int) Node {
 	if depth <= 0 || rng.Intn(4) == 0 {
 		return genLeaf(rng, kind)
 	}
 	switch kind {
 	case event.KindBool:
-		switch rng.Intn(10) {
+		switch rng.Intn(13) {
 		case 0, 1:
-			op := []Op{OpAnd, OpOr}[rng.Intn(2)]
-			return Binary{Op: op, L: genExpr(rng, event.KindBool, depth-1), R: genExpr(rng, event.KindBool, depth-1)}
+			return Binary{Op: pick(rng, OpAnd, OpOr), L: genExpr(rng, event.KindBool, depth-1), R: genExpr(rng, event.KindBool, depth-1)}
 		case 2:
 			return Unary{Op: OpNot, X: genExpr(rng, event.KindBool, depth-1)}
 		case 3, 4:
-			op := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}[rng.Intn(6)]
-			nk := []event.Kind{event.KindInt, event.KindFloat}[rng.Intn(2)]
-			return Binary{Op: op, L: genExpr(rng, nk, depth-1), R: genExpr(rng, nk, depth-1)}
+			// Either numeric kind on either side: int-vs-float mixes included.
+			op := pick(rng, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe)
+			return Binary{Op: op,
+				L: genExpr(rng, pick(rng, event.KindInt, event.KindFloat), depth-1),
+				R: genExpr(rng, pick(rng, event.KindInt, event.KindFloat), depth-1)}
 		case 5:
-			op := []Op{OpEq, OpNe}[rng.Intn(2)]
+			op := pick(rng, OpEq, OpNe, OpLt, OpGe)
 			return Binary{Op: op, L: genExpr(rng, event.KindString, depth-1), R: genExpr(rng, event.KindString, depth-1)}
 		case 6:
-			// in-list with duplicates and shuffled order
+			// in-list with duplicates and shuffled order; sometimes a float
+			// element, which takes the list off the all-int path.
 			n := 1 + rng.Intn(4)
 			list := make([]Node, n)
 			for i := range list {
 				list[i] = Lit{Val: event.Int(int64(rng.Intn(4)))}
+				if rng.Intn(6) == 0 {
+					list[i] = Lit{Val: event.Float(float64(rng.Intn(4)) + 0.5*float64(rng.Intn(2)))}
+				}
 			}
 			return In{X: genExpr(rng, event.KindInt, depth-1), List: list, Negate: rng.Intn(2) == 0}
 		case 7:
 			pats := []string{"san%", "%jose", "s_n%", "%", "san jose", "a%b%c"}
-			return Binary{Op: OpLike, L: FieldRef{Name: "city"}, R: Lit{Val: event.Str(pats[rng.Intn(len(pats))])}}
+			return Binary{Op: OpLike, L: FieldRef{Name: "city"}, R: Lit{Val: event.Str(pick(rng, pats...))}}
 		case 8:
 			if rng.Intn(2) == 0 {
 				return Binary{Op: OpContains, L: FieldRef{Name: "city"}, R: genExpr(rng, event.KindString, depth-1)}
 			}
 			return Binary{Op: OpContains, L: FieldRef{Name: "segments"}, R: genExpr(rng, event.KindInt, depth-1)}
+		case 9:
+			n := 1 + rng.Intn(3)
+			list := make([]Node, n)
+			for i := range list {
+				list[i] = Lit{Val: event.Str(pick(rng, "", "san jose", "sf", "jose"))}
+			}
+			return In{X: genLeaf(rng, event.KindString), List: list, Negate: rng.Intn(2) == 0}
+		case 10:
+			op := pick(rng, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe)
+			return Binary{Op: op, L: genLeaf(rng, event.KindTime), R: genLeaf(rng, event.KindTime)}
+		case 11:
+			return Binary{Op: pick(rng, OpEq, OpNe), L: genLeaf(rng, event.KindBool), R: genLeaf(rng, event.KindBool)}
 		default:
 			return genLeaf(rng, event.KindBool)
 		}
 	case event.KindInt:
-		op := []Op{OpAdd, OpSub, OpMul, OpMod}[rng.Intn(4)]
+		op := pick(rng, OpAdd, OpSub, OpMul, OpMod)
 		return Binary{Op: op, L: genExpr(rng, event.KindInt, depth-1), R: genExpr(rng, event.KindInt, depth-1)}
 	case event.KindFloat:
 		switch rng.Intn(4) {
@@ -66,17 +102,15 @@ func genExpr(rng *rand.Rand, kind event.Kind, depth int) Node {
 		case 1:
 			return Unary{Op: OpNeg, X: genExpr(rng, event.KindFloat, depth-1)}
 		default:
-			op := []Op{OpAdd, OpSub, OpMul}[rng.Intn(3)]
+			op := pick(rng, OpAdd, OpSub, OpMul)
 			// Mixing int operands exercises the int/float widening rules.
-			lk := []event.Kind{event.KindFloat, event.KindInt}[rng.Intn(2)]
+			lk := pick(rng, event.KindFloat, event.KindInt)
 			rk := event.KindFloat
 			if lk == event.KindFloat && rng.Intn(2) == 0 {
 				rk = event.KindInt
 			}
 			return Binary{Op: op, L: genExpr(rng, lk, depth-1), R: genExpr(rng, rk, depth-1)}
 		}
-	case event.KindString:
-		return genLeaf(rng, event.KindString)
 	}
 	return genLeaf(rng, kind)
 }
@@ -89,47 +123,82 @@ func genLeaf(rng *rand.Rand, kind event.Kind) Node {
 		}
 		return Lit{Val: event.Bool(rng.Intn(2) == 0)}
 	case event.KindInt:
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(5) {
+		case 0, 1:
 			return FieldRef{Name: "user_id"}
+		case 2:
+			return FieldRef{Name: event.FieldRequestID}
 		}
 		return Lit{Val: event.Int(int64(rng.Intn(7)) - 3)} // includes 0 divisors
 	case event.KindFloat:
 		if rng.Intn(2) == 0 {
 			return FieldRef{Name: "bid_price"}
 		}
-		vals := []float64{0, 1, -1.5, 2.25, 1e9, math.NaN(), math.Inf(1)}
-		return Lit{Val: event.Float(vals[rng.Intn(len(vals))])}
+		return Lit{Val: event.Float(pick(rng, 0, 1, -1.5, 2.25, 1e9, math.NaN(), math.Inf(1)))}
 	case event.KindString:
 		if rng.Intn(2) == 0 {
 			return FieldRef{Name: "city"}
 		}
-		strs := []string{"", "san jose", "sf", "jose"}
-		return Lit{Val: event.Str(strs[rng.Intn(len(strs))])}
+		return Lit{Val: event.Str(pick(rng, "", "san jose", "sf", "jose"))}
+	case event.KindTime:
+		switch rng.Intn(3) {
+		case 0:
+			return FieldRef{Name: "seen"}
+		case 1:
+			return FieldRef{Name: event.FieldTimestamp}
+		}
+		return Lit{Val: event.TimeNanos(int64(rng.Intn(1000)) + 1)}
 	}
 	return Lit{Val: event.Invalid}
 }
 
-// genRow builds a random bid event; some rows omit fields so predicates
-// see Invalid (missing) values.
+// byNameRow is a Row that is not an EventRow: a Ctx has no event to bind
+// slots against and falls back to Row.Field.
+type byNameRow struct{ ev EventRow }
+
+func (r byNameRow) Field(typ, name string) event.Value { return r.ev.Field(typ, name) }
+func (r byNameRow) Agg(i int) event.Value              { return r.ev.Agg(i) }
+
+// genRow builds a random bid event. Most come from the Builder with some
+// fields unset, so predicates see Invalid (missing) values; some are raw
+// event literals — what a decoder or a careless caller can produce — with
+// values of the wrong kind in a column or fewer values than the schema
+// has fields; and some are handed over as a Row that is not an EventRow.
 func genRow(rng *rand.Rand) Row {
-	b := event.NewBuilder(bidSchema).SetRequestID(uint64(rng.Intn(100))).SetTimeNanos(int64(rng.Intn(1000)) + 1)
-	if rng.Intn(8) != 0 {
-		b.Int("user_id", int64(rng.Intn(7))-3)
+	ev := &event.Event{
+		Schema:    genSchema,
+		RequestID: uint64(rng.Intn(7)),
+		TimeNanos: int64(rng.Intn(1000)) + 1,
+		Values:    make([]event.Value, genSchema.NumFields()),
 	}
-	if rng.Intn(8) != 0 {
-		b.Str("city", []string{"", "san jose", "sf", "jose city"}[rng.Intn(4)])
+	set := func(i int, v event.Value) {
+		if rng.Intn(8) != 0 {
+			ev.Values[i] = v
+		}
 	}
-	if rng.Intn(8) != 0 {
-		vals := []float64{0, 1, -1.5, 2.25, math.NaN(), math.Inf(-1)}
-		b.Float("bid_price", vals[rng.Intn(len(vals))])
+	set(0, event.Int(int64(rng.Intn(7))-3))
+	set(1, event.Str(pick(rng, "", "san jose", "sf", "jose city")))
+	set(2, event.Float(pick(rng, 0, 1, -1.5, 2.25, math.NaN(), math.Inf(-1))))
+	set(3, event.Bool(rng.Intn(2) == 0))
+	set(4, event.IntList(int64(rng.Intn(4)), int64(rng.Intn(4))))
+	set(5, event.TimeNanos(int64(rng.Intn(1000))+1))
+	if rng.Intn(4) == 0 {
+		// Kind-mismatched columns: any value in any column.
+		wrong := []event.Value{
+			event.Int(2), event.Float(2), event.Float(-1.5), event.Str("sf"), event.Bool(true),
+			event.TimeNanos(500), event.IntList(1, 2), event.StrList("sf"), event.Invalid,
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			ev.Values[rng.Intn(len(ev.Values))] = pick(rng, wrong...)
+		}
 	}
-	if rng.Intn(8) != 0 {
-		b.Bool("won", rng.Intn(2) == 0)
+	if rng.Intn(6) == 0 {
+		ev.Values = ev.Values[:rng.Intn(len(ev.Values))]
 	}
-	if rng.Intn(8) != 0 {
-		b.Set("segments", event.IntList(int64(rng.Intn(4)), int64(rng.Intn(4))))
+	if rng.Intn(5) == 0 {
+		return byNameRow{EventRow{Event: ev}}
 	}
-	return EventRow{Event: b.MustBuild()}
+	return EventRow{Event: ev}
 }
 
 // eqv is the observational equivalence the rewrites promise: same kind
@@ -150,67 +219,134 @@ func eqv(a, b event.Value) bool {
 	return a.Equal(b)
 }
 
+// checkTree draws one tree and 32 rows from rng and requires (a) Canon to
+// be idempotent and semantics-preserving and (b) the Program to agree
+// with Compile on every node of the canonical tree — each subtree is
+// interned and compiled on its own, and all of them are read through one
+// Ctx within one Begin/Finish, so a wrong memo shows as well as a wrong
+// operator. It reports false when the drawn tree does not type-check.
+func checkTree(t testing.TB, rng *rand.Rand) bool {
+	raw := genExpr(rng, event.KindBool, 4)
+	checked, kind, err := Check(raw, genResolver)
+	if err != nil {
+		return false
+	}
+	if kind != event.KindBool {
+		t.Fatalf("generator produced %s, want bool: %s", kind, raw)
+	}
+	orig, err := Compile(checked)
+	if err != nil {
+		t.Fatalf("compile original: %v", err)
+	}
+	canon := Canon(checked)
+	ce, err := Compile(canon)
+	if err != nil {
+		t.Fatalf("compile canonical form of %s: %v\ncanon: %s", checked, err, canon)
+	}
+	// Idempotence: canonicalizing twice is a fixed point.
+	k1, err1 := AppendNode(nil, canon)
+	k2, err2 := AppendNode(nil, Canon(canon))
+	if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
+		t.Fatalf("Canon not idempotent:\n  once:  %s\n  twice: %s", canon, Canon(canon))
+	}
+	// One program holding the root and, each under its own id, every
+	// subtree of the canonical tree.
+	pb := NewProgramBuilder()
+	root, err := pb.Intern(canon)
+	if err != nil {
+		t.Fatalf("intern: %v", err)
+	}
+	type sub struct {
+		n    Node
+		id   int32
+		want Evaluator
+	}
+	var subs []sub
+	Walk(canon, func(n Node) bool {
+		id, err := pb.Intern(n)
+		if err != nil {
+			t.Fatalf("intern subtree %s: %v", n, err)
+		}
+		want, err := Compile(n)
+		if err != nil {
+			t.Fatalf("compile subtree %s: %v", n, err)
+		}
+		subs = append(subs, sub{n, id, want})
+		return true
+	})
+	if subs[0].id != root {
+		t.Fatalf("root interned twice: %d then %d", root, subs[0].id)
+	}
+	ctx := pb.Build().NewCtx()
+	for i := 0; i < 32; i++ {
+		row := genRow(rng)
+		want := orig(row)
+		if got := ce(row); !eqv(want, got) {
+			t.Fatalf("row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v", i, checked, canon, want, got)
+		}
+		ctx.Begin(row)
+		wantB, okB := want.AsBool()
+		if gotB := ctx.Bool(root); gotB != (okB && wantB) {
+			t.Fatalf("row %d: predicate diverges on %s: want %v got %v", i, canon, okB && wantB, gotB)
+		}
+		// Children before parents, then again parents first: the value
+		// must not depend on what was already memoized.
+		for j := len(subs) - 1; j >= -len(subs); j-- {
+			s := subs[max(j, -j-1)]
+			if want, got := s.want(row), ctx.Value(s.id); !eqv(want, got) {
+				t.Fatalf("row %d (%T): program diverges at node %d\n  node:  %s\n  canon: %s\n  want %v got %v",
+					i, row, s.id, s.n, canon, want, got)
+			}
+		}
+		ctx.Finish()
+	}
+	return true
+}
+
 func TestCanonPreservesSemantics(t *testing.T) {
-	res := singleResolver()
-	trees, rows, skipped := 0, 0, 0
+	trees := 0
 	for seed := int64(0); seed < 400; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		raw := genExpr(rng, event.KindBool, 4)
-		checked, kind, err := Check(raw, res)
-		if err != nil {
-			skipped++
-			continue
-		}
-		if kind != event.KindBool {
-			t.Fatalf("seed %d: generator produced %s, want bool", seed, kind)
-		}
-		orig, err := Compile(checked)
-		if err != nil {
-			t.Fatalf("seed %d: compile original: %v", seed, err)
-		}
-		canon := Canon(checked)
-		ce, err := Compile(canon)
-		if err != nil {
-			t.Fatalf("seed %d: compile canonical form of %s: %v\ncanon: %s", seed, checked, err, canon)
-		}
-		// Idempotence: canonicalizing twice is a fixed point.
-		k1, err1 := AppendNode(nil, canon)
-		k2, err2 := AppendNode(nil, Canon(canon))
-		if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
-			t.Fatalf("seed %d: Canon not idempotent:\n  once:  %s\n  twice: %s", seed, canon, Canon(canon))
-		}
-		// Program built from the canonical tree.
-		pb := NewProgramBuilder()
-		id, err := pb.Intern(canon)
-		if err != nil {
-			t.Fatalf("seed %d: intern: %v", seed, err)
-		}
-		ctx := pb.Build().NewCtx()
-		trees++
-		for i := 0; i < 32; i++ {
-			row := genRow(rng)
-			want := orig(row)
-			if got := ce(row); !eqv(want, got) {
-				t.Fatalf("seed %d row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v",
-					seed, i, checked, canon, want, got)
-			}
-			ctx.Begin(row)
-			if got := ctx.Value(id); !eqv(want, got) {
-				t.Fatalf("seed %d row %d: program diverges\n  expr:  %s\n  canon: %s\n  want %v got %v",
-					seed, i, checked, canon, want, got)
-			}
-			wantB, okB := want.AsBool()
-			if gotB := ctx.Bool(id); gotB != (okB && wantB) {
-				t.Fatalf("seed %d row %d: predicate diverges: want %v got %v", seed, i, okB && wantB, gotB)
-			}
-			ctx.Finish()
-			rows++
+		if checkTree(t, rand.New(rand.NewSource(seed))) {
+			trees++
 		}
 	}
 	if trees < 200 {
-		t.Fatalf("only %d/%d generated trees type-checked (%d skipped) — generator has rotted", trees, 400, skipped)
+		t.Fatalf("only %d/400 generated trees type-checked — generator has rotted", trees)
 	}
-	t.Logf("checked %d trees × rows = %d evaluations", trees, rows)
+	t.Logf("checked %d trees × 32 rows, every node of each", trees)
+}
+
+// byteSource feeds the generator from fuzz input, so the fuzzer's
+// mutations move single decisions of genExpr/genRow rather than reseeding
+// all of them. It reads zeros once the input runs out.
+type byteSource struct {
+	b []byte
+}
+
+func (s *byteSource) Int63() int64 {
+	var x uint64
+	for i := 0; i < 8 && len(s.b) > 0; i++ {
+		x = x<<8 | uint64(s.b[0])
+		s.b = s.b[1:]
+	}
+	return int64(x >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzProgramMatchesCompile is checkTree driven by the fuzzer (`make
+// fuzz-smoke`): the register program against the closure compiler on
+// every node, over rows with missing, kind-mismatched and NaN operands.
+func FuzzProgramMatchesCompile(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]byte, 512)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkTree(t, rand.New(&byteSource{b: data}))
+	})
 }
 
 func TestCanonSharesEquivalentSpellings(t *testing.T) {
@@ -306,30 +442,103 @@ func TestProgramSharesSubexpressions(t *testing.T) {
 	if ids[0] == ids[1] {
 		t.Error("distinct predicates interned to the same id")
 	}
-	// Shared-node evaluation count: with memoization the shared conjunct's
-	// field read happens once per row even when both roots are evaluated.
+	// Shared-node evaluation count: with memoization the shared conjunct
+	// reads its field once per row even when both roots are evaluated, and
+	// so does every other node — three field reads in all (price, city,
+	// won), counted through a Row that is not an EventRow.
 	ev := event.NewBuilder(bidSchema).Int("user_id", 1).Str("city", "sf").
 		Float("bid_price", 2.0).Bool("won", true).SetTimeNanos(1).MustBuild()
 	ctx := prog.NewCtx()
-	ctx.Begin(EventRow{Event: ev})
-	if !ctx.Bool(ids[0]) || !ctx.Bool(ids[1]) {
+	row := &countingRow{ev: EventRow{Event: ev}}
+	ctx.Begin(row)
+	if !ctx.Bool(ids[0]) || !ctx.Bool(ids[1]) || !ctx.Bool(ids[0]) {
 		t.Error("both predicates should match")
 	}
-	// Every node forced at most once: touched ids must be unique.
-	seen := map[int32]bool{}
-	for _, id := range ctx.touched {
-		if seen[id] {
-			t.Errorf("node %d forced twice in one row", id)
-		}
-		seen[id] = true
+	if row.reads != 3 {
+		t.Errorf("%d field reads for two predicates over three fields, want 3", row.reads)
 	}
 	ctx.Finish()
-	if len(ctx.touched) != 0 {
-		t.Error("Finish did not reset the touched list")
+	if ctx.row != nil || ctx.ev != nil {
+		t.Error("Finish left the row in the context (pins event payloads)")
 	}
-	for i, v := range ctx.vals {
+	for i, v := range ctx.byName {
 		if v.IsValid() {
-			t.Errorf("Finish left node %d's value populated (pins event payloads)", i)
+			t.Errorf("Finish left by-name field %d populated (pins event payloads)", i)
+		}
+	}
+	ctx.Begin(EventRow{Event: ev})
+	if !ctx.Bool(ids[0]) || !ctx.Bool(ids[1]) {
+		t.Error("both predicates should match on the bound path")
+	}
+	ctx.Finish()
+	if ctx.row != nil || ctx.ev != nil {
+		t.Error("Finish left the event in the context")
+	}
+}
+
+type countingRow struct {
+	ev    EventRow
+	reads int
+}
+
+func (r *countingRow) Field(typ, name string) event.Value {
+	r.reads++
+	return r.ev.Field(typ, name)
+}
+func (r *countingRow) Agg(i int) event.Value { return r.ev.Agg(i) }
+
+// TestProgramNodeSize pins the instruction at three words (the issue's
+// ceiling is four): host-fanout's live heap is mostly these.
+func TestProgramNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(inst{}); sz > 32 {
+		t.Errorf("program node is %d bytes, want <= 32", sz)
+	}
+}
+
+// TestProgramSpecialises pins which instruction each predicate shape
+// interns to: the typed paths are a performance property no semantic test
+// would notice losing.
+func TestProgramSpecialises(t *testing.T) {
+	user, price, city := FieldRef{Name: "user_id"}, FieldRef{Name: "bid_price"}, FieldRef{Name: "city"}
+	cases := []struct {
+		n       Node
+		op      opcode
+		cmp     Op
+		k       event.Kind
+		inField bool // reads its column directly
+	}{
+		{Binary{Op: OpGe, L: user, R: Lit{Val: event.Int(3)}}, opCmpNum, OpGe, event.KindInt, true},
+		{Binary{Op: OpLt, L: Lit{Val: event.Int(3)}, R: user}, opCmpNum, OpGt, event.KindInt, true},
+		{Binary{Op: OpLe, L: price, R: Lit{Val: event.Int(3)}}, opCmpNum, OpLe, event.KindInt, true},
+		{Binary{Op: OpGt, L: price, R: Lit{Val: event.Float(2.5)}}, opCmpNum, OpGt, event.KindFloat, true},
+		{Binary{Op: OpGt, L: FieldRef{Name: event.FieldTimestamp}, R: Lit{Val: event.TimeNanos(5)}}, opCmpNum, OpGt, event.KindTime, true},
+		{Binary{Op: OpEq, L: Binary{Op: OpMod, L: user, R: Lit{Val: event.Int(64)}}, R: Lit{Val: event.Int(7)}}, opCmpNum, OpEq, event.KindInt, false},
+		{Binary{Op: OpEq, L: city, R: Lit{Val: event.Str("sf")}}, opCmpStr, OpEq, 0, true},
+		{Binary{Op: OpLike, L: city, R: Lit{Val: event.Str("s%")}}, opLike, 0, 0, true},
+		{In{X: user, List: []Node{Lit{Val: event.Int(1)}, Lit{Val: event.Int(2)}}}, opIn, 0, event.KindInt, true},
+		{In{X: city, List: []Node{Lit{Val: event.Str("sf")}}}, opIn, 0, event.KindString, true},
+		{In{X: user, List: []Node{Lit{Val: event.Int(1)}, Lit{Val: event.Float(2.5)}}}, opIn, 0, event.KindInvalid, true},
+		{Binary{Op: OpMod, L: user, R: Lit{Val: event.Int(64)}}, opArith, OpMod, 0, false},
+		{Binary{Op: OpLt, L: user, R: price}, opCmp, OpLt, 0, false},
+		{Binary{Op: OpEq, L: FieldRef{Name: "won"}, R: Lit{Val: event.Bool(true)}}, opCmp, OpEq, 0, false},
+	}
+	for i, c := range cases {
+		checked, _, err := Check(c.n, singleResolver())
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		pb := NewProgramBuilder()
+		id, err := pb.Intern(checked)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		nd := pb.p.nodes[id]
+		if nd.op != c.op || nd.cmp != c.cmp || nd.k != c.k {
+			t.Errorf("case %d (%s): interned as op %d cmp %s kind %s, want op %d cmp %s kind %s",
+				i, checked, nd.op, nd.cmp, nd.k, c.op, c.cmp, c.k)
+		}
+		if c.inField != (nd.r >= 0 && (nd.op == opCmpNum || nd.op == opCmpStr || nd.op == opIn || nd.op == opLike)) {
+			t.Errorf("case %d (%s): reads column directly = %v, want %v", i, checked, !c.inField, c.inField)
 		}
 	}
 }

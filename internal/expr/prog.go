@@ -2,62 +2,87 @@ package expr
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"scrub/internal/event"
 )
 
-// A Program is a set of expression trees compiled into one flat node
-// array with every distinct subexpression interned exactly once. Many
-// predicates over the same event type compile into one Program; per event
-// an evaluation context then computes each distinct node at most once and
-// fans the result out to every expression that contains it — the host
-// agent's shared query index (DESIGN.md §14) is built on this.
+// A Program is a set of expression trees compiled into one flat array of
+// typed instructions with every distinct subexpression interned exactly
+// once. Many predicates over the same event type compile into one
+// Program; per event an evaluation context then computes each distinct
+// node at most once and fans the result out to every expression that
+// contains it — the host agent's shared query index (DESIGN.md §14) is
+// built on this.
 //
-// The interpreter is a node-array walker rather than composed closures so
-// that (a) results are memoizable by node id and (b) the call graph is
-// static: scrubvet's hotpath analyzer chases Ctx.Bool/Value through eval
-// into the scalar helpers in eval.go, extending the zero-allocation proof
-// to the whole evaluation engine. Semantics are bit-identical to Compile
-// because both engines call those same helpers.
+// It is a register program: a node's result is a one-byte state plus a
+// 64-bit payload, never an event.Value. Field references are bound to
+// column slots once per schema and read in the event by pointer, and the
+// predicates troubleshooters actually write — `field <cmp> constant`,
+// `IN`, `LIKE`, and/or over them — are specialised by the constant's kind
+// when interned and guarded by the value's kind when run. Whatever the
+// guard turns away (a value of another kind, a missing one, a list)
+// goes, boxed, through the scalar helpers in eval.go that Compile's
+// closures call, so there is one definition of every operator and the two
+// engines cannot diverge. The call graph is static: scrubvet's hotpath
+// analyzer chases Ctx.Bool/Value through eval into those helpers.
 
-// pTag discriminates program node kinds.
-type pTag uint8
+// opcode selects what an instruction computes.
+type opcode uint8
 
 const (
-	pLit pTag = iota + 1
-	pField
-	pNot
-	pNeg
-	pArith
-	pEqNe
-	pCmp
-	pAnd
-	pOr
-	pContains
-	pLike
-	pIn
-	pAgg
+	// Leaves are read where they live and never occupy a register of
+	// their own unless something forces them by id.
+	opLit   opcode = iota + 1 // scalar in k/imm; a string or list is vals[r]
+	opField                   // fields[r]
+	opAgg                     // Row.Agg(imm)
+
+	// Boolean structure, on child states alone.
+	opNot
+	opAnd
+	opOr
+
+	// Specialised by the literal operand's kind. l is the other operand's
+	// node, r its field ordinal when it is a field reference (else -1);
+	// the literal is imm, or imm indexes a side table.
+	opCmpNum // l <cmp> int, float or time literal of kind k
+	opCmpStr // l <cmp> vals[imm], a string
+	opIn     // l [not] in lists[imm]; k is the list's kind when all int or all string
+	opLike   // l like likes[imm]
+
+	// Registers in, register out.
+	opNeg
+	opArith // int∘int inline, anything else through arithValue
+
+	// Boxed operands, computed by the helpers in eval.go.
+	opCmp
+	opContains
 )
 
-// pnode is one interned subexpression. l and r are child node ids; the
-// remaining fields are populated per tag.
-type pnode struct {
-	tag    pTag
-	op     Op
-	l, r   int32
-	lit    event.Value
-	typ    string
-	name   string
-	list   []event.Value
-	negate bool
-	like   likeMatcher
-	agg    int
+// inst is one interned subexpression. Strings, in-lists and LIKE matchers
+// sit in the Program's side tables so the instruction stays three words.
+type inst struct {
+	op     opcode
+	cmp    Op         // comparison or arithmetic operator
+	k      event.Kind // see the opcodes
+	negate bool       // opIn: NOT IN
+	l, r   int32      // child node ids, or as the opcode says
+	imm    uint64
 }
+
+// fieldName is a field reference as written; a Ctx resolves it to a
+// column slot once per schema.
+type fieldName struct{ typ, name string }
 
 // Program is an immutable shared evaluation plan. Build one with
 // ProgramBuilder; evaluate with a Ctx.
 type Program struct {
-	nodes []pnode
+	nodes  []inst
+	fields []fieldName
+	vals   []event.Value   // string and list literals
+	lists  [][]event.Value // in-lists
+	likes  []likeMatcher
 }
 
 // NumNodes reports the number of distinct interned subexpressions.
@@ -68,8 +93,8 @@ func (p *Program) NumNodes() int { return len(p.nodes) }
 // subexpressions intern to the same node; interning keys on the exact
 // binary encoding, so it is correct (just less shared) without it.
 type ProgramBuilder struct {
-	nodes []pnode
-	ids   map[string]int32
+	p   Program // nodes and side tables so far
+	ids map[string]int32
 }
 
 // NewProgramBuilder returns an empty builder.
@@ -90,12 +115,20 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 	if id, ok := b.ids[key]; ok {
 		return id, nil
 	}
-	var nd pnode
+	var nd inst
 	switch t := n.(type) {
 	case Lit:
-		nd = pnode{tag: pLit, lit: t.Val}
+		nd = inst{op: opLit, k: t.Val.Kind(), r: -1}
+		switch nd.k {
+		case event.KindString, event.KindList:
+			nd.r = int32(len(b.p.vals))
+			b.p.vals = append(b.p.vals, t.Val)
+		default:
+			_, nd.imm = t.Val.Raw()
+		}
 	case FieldRef:
-		nd = pnode{tag: pField, typ: t.Type, name: t.Name}
+		nd = inst{op: opField, r: int32(len(b.p.fields))}
+		b.p.fields = append(b.p.fields, fieldName{t.Type, t.Name})
 	case Unary:
 		x, err := b.Intern(t.X)
 		if err != nil {
@@ -103,9 +136,9 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 		}
 		switch t.Op {
 		case OpNot:
-			nd = pnode{tag: pNot, l: x}
+			nd = inst{op: opNot, l: x}
 		case OpNeg:
-			nd = pnode{tag: pNeg, l: x}
+			nd = inst{op: opNeg, l: x}
 		default:
 			return -1, fmt.Errorf("expr: intern: bad unary op %s", t.Op)
 		}
@@ -119,7 +152,8 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 			if err != nil {
 				return -1, err
 			}
-			nd = pnode{tag: pLike, l: l, like: m}
+			nd = inst{op: opLike, l: l, r: b.fieldOf(l), imm: uint64(len(b.p.likes))}
+			b.p.likes = append(b.p.likes, m)
 			break
 		}
 		r, err := b.Intern(t.R)
@@ -128,17 +162,15 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 		}
 		switch t.Op {
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-			nd = pnode{tag: pArith, op: t.Op, l: l, r: r}
-		case OpEq, OpNe:
-			nd = pnode{tag: pEqNe, op: t.Op, l: l, r: r}
-		case OpLt, OpLe, OpGt, OpGe:
-			nd = pnode{tag: pCmp, op: t.Op, l: l, r: r}
+			nd = inst{op: opArith, cmp: t.Op, l: l, r: r}
+		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+			nd = b.compare(t.Op, l, r)
 		case OpAnd:
-			nd = pnode{tag: pAnd, l: l, r: r}
+			nd = inst{op: opAnd, l: l, r: r}
 		case OpOr:
-			nd = pnode{tag: pOr, l: l, r: r}
+			nd = inst{op: opOr, l: l, r: r}
 		case OpContains:
-			nd = pnode{tag: pContains, l: l, r: r}
+			nd = inst{op: opContains, l: l, r: r}
 		default:
 			return -1, fmt.Errorf("expr: intern: bad binary op %s", t.Op)
 		}
@@ -155,52 +187,159 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 			}
 			lits[i] = le.Val
 		}
-		nd = pnode{tag: pIn, l: x, list: lits, negate: t.Negate}
+		nd = inst{op: opIn, k: listKind(lits), negate: t.Negate, l: x, r: b.fieldOf(x), imm: uint64(len(b.p.lists))}
+		b.p.lists = append(b.p.lists, lits)
 	case AggRef:
-		nd = pnode{tag: pAgg, agg: t.Index}
+		nd = inst{op: opAgg, imm: uint64(t.Index)}
 	default:
 		return -1, fmt.Errorf("expr: intern: unsupported node %T", n)
 	}
-	id := int32(len(b.nodes))
-	b.nodes = append(b.nodes, nd)
+	id := int32(len(b.p.nodes))
+	b.p.nodes = append(b.p.nodes, nd)
 	b.ids[key] = id
 	return id, nil
+}
+
+// fieldOf is node id's field ordinal when it is a field reference, -1
+// otherwise: a specialised instruction then reads the column directly
+// instead of forcing the field node.
+func (b *ProgramBuilder) fieldOf(id int32) int32 {
+	if nd := &b.p.nodes[id]; nd.op == opField {
+		return nd.r
+	}
+	return -1
+}
+
+// compare picks the instruction for l <op> r: specialised when one side
+// is an int, float, time or string literal, boxed otherwise. A literal on
+// the left moves to the right with the operator mirrored, which both
+// Value.Compare and Value.Equal are symmetric under.
+func (b *ProgramBuilder) compare(op Op, l, r int32) inst {
+	x, lit, xop := l, &b.p.nodes[r], op
+	if lit.op != opLit && b.p.nodes[l].op == opLit {
+		x, lit, xop = r, &b.p.nodes[l], mirror[op]
+	}
+	if lit.op == opLit {
+		switch lit.k {
+		case event.KindInt, event.KindFloat, event.KindTime:
+			return inst{op: opCmpNum, cmp: xop, k: lit.k, l: x, r: b.fieldOf(x), imm: lit.imm}
+		case event.KindString:
+			return inst{op: opCmpStr, cmp: xop, l: x, r: b.fieldOf(x), imm: uint64(lit.r)}
+		}
+	}
+	return inst{op: opCmp, cmp: op, l: l, r: r}
+}
+
+// mirror maps a comparison to the one that holds with its operands swapped.
+var mirror = [...]Op{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
+
+// listKind is the kind every element of an in-list has when that kind is
+// int or string — the two membership tests run unboxed — else invalid.
+func listKind(lits []event.Value) event.Kind {
+	k := event.KindInvalid
+	for i, v := range lits {
+		if i == 0 && (v.Kind() == event.KindInt || v.Kind() == event.KindString) {
+			k = v.Kind()
+		}
+		if v.Kind() != k {
+			return event.KindInvalid
+		}
+	}
+	return k
 }
 
 // Build freezes the interned nodes into a Program. The builder remains
 // usable; later Interns do not affect already-built Programs.
 func (b *ProgramBuilder) Build() *Program {
-	nodes := make([]pnode, len(b.nodes))
-	copy(nodes, b.nodes)
-	return &Program{nodes: nodes}
+	p := &b.p
+	return &Program{
+		nodes:  slices.Clone(p.nodes),
+		fields: slices.Clone(p.fields),
+		vals:   slices.Clone(p.vals),
+		lists:  slices.Clone(p.lists),
+		likes:  slices.Clone(p.likes),
+	}
 }
+
+// state is a node's register tag for the current row. Booleans carry
+// their truth in the tag, so and/or/not and Bool never touch a payload;
+// every other kind is its event.Kind shifted past them, the payload the
+// value's 64 scalar bits. A string or list leaf is only ever tagged: value
+// re-reads it where it lives.
+type state uint8
+
+const (
+	stNone    state = iota // not computed for this row
+	stInvalid              // missing, NULL-like
+	stFalse
+	stTrue
+	stInt   = state(event.KindInt) + 2
+	stFloat = state(event.KindFloat) + 2
+	stTime  = state(event.KindTime) + 2
+)
+
+// stateOf tags a raw (kind, payload) pair; kind undoes it for s >= stInt.
+func stateOf(k event.Kind, bits uint64) state {
+	switch k {
+	case event.KindInvalid:
+		return stInvalid
+	case event.KindBool:
+		return stFalse + state(bits&1)
+	}
+	return state(k) + 2
+}
+
+func (s state) kind() event.Kind { return event.Kind(s - 2) }
+
+func boolState(b bool) state {
+	if b {
+		return stTrue
+	}
+	return stFalse
+}
+
+// Column slots below zero: no such column for this schema (or the
+// reference names another event type), and the two system fields.
+const (
+	slotMissing   = -1
+	slotRequestID = -2
+	slotTimestamp = -3
+)
+
+// missing is what a reference to an absent column reads. Never written.
+var missing event.Value
 
 // Ctx evaluates one Program against one row at a time, memoizing every
 // node it computes so shared subexpressions cost one evaluation per row
 // regardless of how many expressions contain them. A Ctx is single-
-// goroutine; pool Ctxs to share across goroutines. The memo is epoch-
-// based: Begin bumps the epoch instead of clearing arrays, so starting a
-// row is O(1) and evaluation stays proportional to the nodes actually
+// goroutine; pool Ctxs to share across goroutines. Begin clears the state
+// bytes (one memclr); evaluation stays proportional to the nodes actually
 // forced (and/or short-circuits never force unreached operands).
 type Ctx struct {
-	prog    *Program
-	row     Row
-	epoch   uint64
-	vals    []event.Value
-	mark    []uint64
-	touched []int32
+	prog *Program
+	row  Row
+	// ev is the row's event when the row is an EventRow; fields are then
+	// read through slot, which is bound to schema.
+	ev     *event.Event
+	schema *event.Schema
+	slot   []int32 // per Program.fields entry
+	st     []state
+	num    []uint64
+	sys    [2]event.Value // request_id and ts, synthesized on read
+	// byName holds the fields of a row that is not an EventRow, fetched
+	// through Row.Field; allocated by the first such row.
+	byName []event.Value
 }
 
 // NewCtx allocates an evaluation context for the program.
 //
 //scrub:allowalloc(context construction is control-plane; hot paths reuse pooled Ctxs)
 func (p *Program) NewCtx() *Ctx {
-	n := len(p.nodes)
 	return &Ctx{
-		prog:    p,
-		vals:    make([]event.Value, n),
-		mark:    make([]uint64, n),
-		touched: make([]int32, 0, n),
+		prog: p,
+		slot: make([]int32, len(p.fields)),
+		st:   make([]state, len(p.nodes)),
+		num:  make([]uint64, len(p.nodes)),
 	}
 }
 
@@ -209,27 +348,47 @@ func (p *Program) NewCtx() *Ctx {
 //
 //scrub:hotpath
 func (c *Ctx) Begin(row Row) {
+	clear(c.st)
 	c.row = row
-	c.epoch++
-	if c.epoch == 0 { // wrapped: marks from the old cycle could alias
-		for i := range c.mark {
-			c.mark[i] = 0
+	if er, ok := row.(EventRow); ok {
+		c.ev = er.Event
+		if er.Event.Schema != c.schema {
+			c.bind(er.Event.Schema)
 		}
-		c.epoch = 1
+		return
+	}
+	c.ev = nil
+	if c.byName == nil {
+		//scrub:allowalloc(first row that is not an EventRow; the host agent never passes one)
+		c.byName = make([]event.Value, len(c.prog.fields))
 	}
 }
 
-// Finish releases the row and every memoized value so a pooled Ctx does
-// not pin event payloads between uses. Cost is proportional to the nodes
-// actually evaluated since Begin.
+// bind resolves every field reference against a schema, once per schema
+// a Ctx meets: what EventRow.Field decides per call by name.
+func (c *Ctx) bind(s *event.Schema) {
+	for i, f := range c.prog.fields {
+		switch {
+		case f.typ != "" && f.typ != s.Name():
+			c.slot[i] = slotMissing
+		case f.name == event.FieldRequestID:
+			c.slot[i] = slotRequestID
+		case f.name == event.FieldTimestamp:
+			c.slot[i] = slotTimestamp
+		default:
+			c.slot[i] = int32(s.FieldIndex(f.name))
+		}
+	}
+	c.schema = s
+}
+
+// Finish releases the row so a pooled Ctx does not pin event payloads
+// between uses. Registers hold no pointers; only by-name field copies do.
 //
 //scrub:hotpath
 func (c *Ctx) Finish() {
-	for _, id := range c.touched {
-		c.vals[id] = event.Value{}
-	}
-	c.touched = c.touched[:0]
-	c.row = nil
+	c.row, c.ev = nil, nil
+	clear(c.byName)
 }
 
 // Bool evaluates node id as a predicate: missing or non-boolean results
@@ -238,111 +397,300 @@ func (c *Ctx) Finish() {
 //
 //scrub:hotpath
 func (c *Ctx) Bool(id int32) bool {
-	b, ok := c.force(id).AsBool()
-	return ok && b
+	return c.force(id) == stTrue
 }
 
-// Value evaluates node id and returns its value.
+// Value evaluates node id and returns its value: a leaf read where it
+// lives, anything computed boxed out of its register.
 //
 //scrub:hotpath
 func (c *Ctx) Value(id int32) event.Value {
-	return c.force(id)
+	nd := &c.prog.nodes[id]
+	switch nd.op {
+	case opLit:
+		if nd.r >= 0 {
+			return c.prog.vals[nd.r]
+		}
+		return event.Scalar(nd.k, nd.imm)
+	case opField:
+		return *c.field(nd.r)
+	case opAgg:
+		return c.row.Agg(int(nd.imm))
+	}
+	switch s := c.force(id); {
+	case s >= stInt:
+		return event.Scalar(s.kind(), c.num[id])
+	case s >= stFalse:
+		return event.Bool(s == stTrue)
+	}
+	return event.Invalid
 }
 
-// force returns the node's value for the current row, computing and
-// memoizing it on first use. Literals skip the memo entirely — reading
-// the stored value is already cheaper than the bookkeeping.
-func (c *Ctx) force(id int32) event.Value {
-	if nd := &c.prog.nodes[id]; nd.tag == pLit {
-		return nd.lit
+// field returns the value of field reference ord for the current row, in
+// place: a column of the event, a synthesized system field, or the
+// by-name copy for a row that is not an EventRow.
+func (c *Ctx) field(ord int32) *event.Value {
+	ev := c.ev
+	if ev == nil {
+		f := &c.prog.fields[ord]
+		c.byName[ord] = c.row.Field(f.typ, f.name)
+		return &c.byName[ord]
 	}
-	if c.mark[id] == c.epoch {
-		return c.vals[id]
+	s := c.slot[ord]
+	if uint(s) < uint(len(ev.Values)) {
+		return &ev.Values[s]
 	}
-	v := c.eval(id)
-	c.mark[id] = c.epoch
-	c.vals[id] = v
-	c.touched = append(c.touched, id)
-	return v
+	switch s {
+	case slotRequestID:
+		c.sys[0] = event.Int(int64(ev.RequestID))
+		return &c.sys[0]
+	case slotTimestamp:
+		c.sys[1] = event.TimeNanos(ev.TimeNanos)
+		return &c.sys[1]
+	}
+	return &missing // unknown column, or Values shorter than the schema
 }
+
+// operand reads a specialised instruction's non-literal operand unboxed:
+// the column itself when it is a field reference, the child's register
+// otherwise. Kinds the typed paths do not take (a boolean register comes
+// back as invalid) send them to Value.
+func (c *Ctx) operand(nd *inst) (event.Kind, uint64) {
+	if nd.r >= 0 {
+		return c.field(nd.r).Raw()
+	}
+	if s := c.force(nd.l); s >= stInt {
+		return s.kind(), c.num[nd.l]
+	}
+	return event.KindInvalid, 0
+}
+
+// strOperand is operand for the string-typed instructions.
+func (c *Ctx) strOperand(nd *inst) (string, bool) {
+	if nd.r >= 0 {
+		p := c.field(nd.r)
+		k, _ := p.Raw()
+		return p.RawStr(), k == event.KindString
+	}
+	return c.Value(nd.l).AsStr()
+}
+
+// force returns the node's state for the current row, computing and
+// memoizing it on first use.
+func (c *Ctx) force(id int32) state {
+	if s := c.st[id]; s != stNone {
+		return s
+	}
+	return c.eval(id)
+}
+
+// set stores a boxed result in node id's register.
+func (c *Ctx) set(id int32, v event.Value) state {
+	k, bits := v.Raw()
+	c.num[id] = bits
+	return stateOf(k, bits)
+}
+
+// tag is set for a helper's boolean-or-invalid result: the tag is all of it.
+func tag(v event.Value) state { return stateOf(v.Raw()) }
 
 // eval computes one node. Operand forcing is lazy where the operator is
 // (and/or short-circuit exactly as the compiled closures do) and eager
 // where it is not, preserving Compile's evaluation order.
-func (c *Ctx) eval(id int32) event.Value {
+func (c *Ctx) eval(id int32) state {
 	nd := &c.prog.nodes[id]
-	switch nd.tag {
-	case pLit:
-		return nd.lit
-	case pField:
-		return c.row.Field(nd.typ, nd.name)
-	case pNot:
-		b, ok := c.force(nd.l).AsBool()
-		if !ok {
-			return event.Invalid
+	s := stInvalid
+	switch nd.op {
+	case opLit:
+		c.num[id] = nd.imm
+		s = stateOf(nd.k, nd.imm)
+	case opField:
+		k, bits := c.field(nd.r).Raw()
+		c.num[id] = bits
+		s = stateOf(k, bits)
+	case opAgg:
+		s = c.set(id, c.row.Agg(int(nd.imm)))
+	case opNot:
+		switch c.force(nd.l) {
+		case stFalse:
+			s = stTrue
+		case stTrue:
+			s = stFalse
 		}
-		return event.Bool(!b)
-	case pNeg:
-		v := c.force(nd.l)
-		if i, ok := v.AsInt(); ok {
-			return event.Int(-i)
+	case opAnd:
+		l := c.force(nd.l)
+		if l == stFalse {
+			s = stFalse
+			break
 		}
-		if f, ok := v.AsFloat(); ok {
-			return event.Float(-f)
+		if r := c.force(nd.r); r == stFalse {
+			s = stFalse
+		} else if l == stTrue && r == stTrue {
+			s = stTrue
 		}
-		return event.Invalid
-	case pArith:
-		a := c.force(nd.l)
-		b := c.force(nd.r)
-		return arithValue(nd.op, a, b)
-	case pEqNe:
-		a := c.force(nd.l)
-		b := c.force(nd.r)
-		return eqValue(nd.op, a, b)
-	case pCmp:
-		a := c.force(nd.l)
-		b := c.force(nd.r)
-		return cmpValue(nd.op, a, b)
-	case pAnd:
-		lb, lok := c.force(nd.l).AsBool()
-		if lok && !lb {
-			return event.Bool(false)
+	case opOr:
+		l := c.force(nd.l)
+		if l == stTrue {
+			s = stTrue
+			break
 		}
-		rb, rok := c.force(nd.r).AsBool()
-		if rok && !rb {
-			return event.Bool(false)
+		if r := c.force(nd.r); r == stTrue {
+			s = stTrue
+		} else if l == stFalse && r == stFalse {
+			s = stFalse
 		}
-		if !lok || !rok {
-			return event.Invalid
+	case opCmpNum:
+		s = c.cmpNum(nd)
+	case opCmpStr:
+		s = c.cmpStr(nd)
+	case opIn:
+		s = c.in(nd)
+	case opLike:
+		if str, ok := c.strOperand(nd); ok {
+			s = boolState(c.prog.likes[nd.imm].match(str))
 		}
-		return event.Bool(true)
-	case pOr:
-		lb, lok := c.force(nd.l).AsBool()
-		if lok && lb {
-			return event.Bool(true)
+	case opNeg:
+		switch c.force(nd.l) {
+		case stInt:
+			c.num[id] = -c.num[nd.l]
+			s = stInt
+		case stFloat:
+			c.num[id] = c.num[nd.l] ^ 1<<63 // the sign bit: what -f is, NaN included
+			s = stFloat
 		}
-		rb, rok := c.force(nd.r).AsBool()
-		if rok && rb {
-			return event.Bool(true)
-		}
-		if !lok || !rok {
-			return event.Invalid
-		}
-		return event.Bool(false)
-	case pContains:
-		a := c.force(nd.l)
-		b := c.force(nd.r)
-		return containsValue(a, b)
-	case pLike:
-		s, ok := c.force(nd.l).AsStr()
-		if !ok {
-			return event.Invalid
-		}
-		return event.Bool(nd.like.match(s))
-	case pIn:
-		return inValue(c.force(nd.l), nd.list, nd.negate)
-	case pAgg:
-		return c.row.Agg(nd.agg)
+	case opArith:
+		s = c.arith(id, nd)
+	case opCmp:
+		s = tag(compareValue(nd.cmp, c.Value(nd.l), c.Value(nd.r)))
+	case opContains:
+		s = tag(containsValue(c.Value(nd.l), c.Value(nd.r)))
 	}
-	return event.Invalid
+	c.st[id] = s
+	return s
+}
+
+// compareValue applies any of the six comparison operators.
+func compareValue(op Op, a, b event.Value) event.Value {
+	if op == OpEq || op == OpNe {
+		return eqValue(op, a, b)
+	}
+	return cmpValue(op, a, b)
+}
+
+// holds is eqValue/cmpValue on two ints, two floats or two strings.
+// Value.Compare orders a NaN as equal to everything (neither less nor
+// greater), so <= and >= are written as the negations of > and <, which
+// is the same thing for every other operand; Value.Equal is ==.
+func holds[T int64 | float64 | string](op Op, a, b T) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return !(a > b)
+	case OpGt:
+		return a > b
+	}
+	return !(a < b)
+}
+
+// widen is Value.AsFloat on a raw int or float.
+func widen(k event.Kind, bits uint64) float64 {
+	if k == event.KindInt {
+		return float64(int64(bits))
+	}
+	return math.Float64frombits(bits)
+}
+
+// cmpNum compares against an int, float or time literal: same-kind ints
+// and times as integers, any int/float mix widened — the cases
+// Value.Compare and Value.Equal distinguish — and every other operand
+// kind through them.
+//
+//scrub:hotpath
+func (c *Ctx) cmpNum(nd *inst) state {
+	k, bits := c.operand(nd)
+	switch {
+	case k == nd.k && k != event.KindFloat:
+		return boolState(holds(nd.cmp, int64(bits), int64(nd.imm)))
+	case (k == event.KindInt || k == event.KindFloat) && nd.k != event.KindTime:
+		return boolState(holds(nd.cmp, widen(k, bits), widen(nd.k, nd.imm)))
+	}
+	return tag(compareValue(nd.cmp, c.Value(nd.l), event.Scalar(nd.k, nd.imm)))
+}
+
+// cmpStr compares against a string literal.
+//
+//scrub:hotpath
+func (c *Ctx) cmpStr(nd *inst) state {
+	lit := &c.prog.vals[nd.imm]
+	if s, ok := c.strOperand(nd); ok {
+		return boolState(holds(nd.cmp, s, lit.RawStr()))
+	}
+	return tag(compareValue(nd.cmp, c.Value(nd.l), *lit))
+}
+
+// in tests membership in a literal list: an int among all-int elements
+// and a string among all-string elements by payload, anything else by
+// inValue.
+//
+//scrub:hotpath
+func (c *Ctx) in(nd *inst) state {
+	list := c.prog.lists[nd.imm]
+	switch nd.k {
+	case event.KindInt:
+		if k, bits := c.operand(nd); k == event.KindInt {
+			for i := range list {
+				if _, e := list[i].Raw(); e == bits {
+					return boolState(!nd.negate)
+				}
+			}
+			return boolState(nd.negate)
+		}
+	case event.KindString:
+		if s, ok := c.strOperand(nd); ok {
+			for i := range list {
+				if list[i].RawStr() == s {
+					return boolState(!nd.negate)
+				}
+			}
+			return boolState(nd.negate)
+		}
+	}
+	return tag(inValue(c.Value(nd.l), list, nd.negate))
+}
+
+// arith applies an arithmetic operator: two int registers inline (the
+// first half of arithValue), anything else through arithValue itself.
+//
+//scrub:hotpath
+func (c *Ctx) arith(id int32, nd *inst) state {
+	if c.force(nd.l) != stInt || c.force(nd.r) != stInt {
+		return c.set(id, arithValue(nd.cmp, c.Value(nd.l), c.Value(nd.r)))
+	}
+	a, b := int64(c.num[nd.l]), int64(c.num[nd.r])
+	switch nd.cmp {
+	case OpAdd:
+		a += b
+	case OpSub:
+		a -= b
+	case OpMul:
+		a *= b
+	case OpMod:
+		if b == 0 {
+			return stInvalid
+		}
+		a %= b
+	default: // OpDiv
+		if b == 0 {
+			return stInvalid
+		}
+		c.num[id] = math.Float64bits(float64(a) / float64(b))
+		return stFloat
+	}
+	c.num[id] = uint64(a)
+	return stInt
 }

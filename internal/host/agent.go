@@ -147,6 +147,8 @@ type queryKey struct {
 // activeQuery is one installed query object, pre-compiled for the hot
 // path.
 type activeQuery struct {
+	// hq is the query object as installed, less Pred and Columns: Start
+	// clears both once canon and colIdx are built from them.
 	hq transport.HostQuery
 	// canon is the query's selection predicate in canonical form
 	// (expr.Canon), nil to match everything. rebuildLocked interns it into
@@ -299,6 +301,9 @@ type Agent struct {
 	govDownsamples obs.Counter
 	govRecovers    obs.Counter
 	govSheds       obs.Counter
+	// indexRebuilds counts dispatch snapshots built (query start, stop,
+	// expiry, shed): each re-interns every live predicate of every type.
+	indexRebuilds obs.Counter
 	// Replay shipping accounting: historical tuples (and their encoded
 	// bytes) shipped from the record stream on behalf of REPLAY queries.
 	// Subsets of shipped/shipBytes, split out so replay load is visible.
@@ -343,6 +348,7 @@ func New(cfg Config) (*Agent, error) {
 		reg.RegisterCounter("scrub_host_governor_downsamples_total", "budget governor rate halvings", &a.govDownsamples, hl)
 		reg.RegisterCounter("scrub_host_governor_recovers_total", "budget governor rate recoveries", &a.govRecovers, hl)
 		reg.RegisterCounter("scrub_host_governor_sheds_total", "queries shed by the budget governor", &a.govSheds, hl)
+		reg.RegisterCounter("scrub_host_index_rebuilds_total", "shared query index snapshots built (query start, stop, expiry, shed)", &a.indexRebuilds, hl)
 		reg.RegisterCounter("scrub_host_replay_shipped_total", "historical tuples shipped from the record stream", &a.replayShipped, hl)
 		reg.RegisterCounter("scrub_host_replay_ship_bytes_total", "encoded bytes of replay batches handed to the sink", &a.replayShipBytes, hl)
 		a.logNs = obs.NewHistogram(obs.ExpBuckets(64, 4, 10))
@@ -402,6 +408,9 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		aq.colIdx[i] = idx
 	}
 	aq.width = len(aq.colIdx)
+	// canon and colIdx are what the query runs on; the wire forms would
+	// otherwise stay live as long as the query does.
+	aq.hq.Pred, aq.hq.Columns = nil, nil
 	rate := hq.SampleEvents
 	if rate <= 0 || rate > 1 {
 		rate = 1
@@ -536,7 +545,33 @@ func (a *Agent) rebuildLocked() {
 	for typ, aqs := range perType {
 		m[typ] = buildTypeProgram(aqs)
 	}
+	a.indexRebuilds.Inc()
+	if reg := a.cfg.Metrics; reg != nil {
+		a.publishIndexSize(reg, m)
+	}
 	a.byType.Store(&m)
+}
+
+// publishIndexSize sets scrub_host_program_nodes — what Log's selection
+// cost on an event type is linear in — for every type in the snapshot
+// about to be installed, and zeroes the types whose last query just left.
+func (a *Agent) publishIndexSize(reg *obs.Registry, next map[string]*typeProgram) {
+	nodes := func(typ string) *obs.Gauge {
+		return reg.Gauge("scrub_host_program_nodes", "distinct predicate subexpressions in the event type's shared query index",
+			obs.L("host", a.cfg.HostID), obs.L("type", typ))
+	}
+	for typ := range *a.byType.Load() {
+		if next[typ] == nil {
+			nodes(typ).Set(0)
+		}
+	}
+	for typ, tp := range next {
+		n := 0
+		if tp.prog != nil {
+			n = tp.prog.NumNodes()
+		}
+		nodes(typ).Set(int64(n))
+	}
 }
 
 // Log offers one event to every active query. This is the application hot
@@ -665,16 +700,20 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		to = a.cfg.Clock().UnixNano()
 	}
 	from := to - aq.hq.ReplayNanos
-	var pred func(expr.Row) bool
+	// The scan owns a one-predicate program and its context: the same
+	// evaluator Log dispatches through, private to this goroutine.
+	var ec *expr.Ctx
+	var pred int32
 	if aq.canon != nil {
-		ev, err := expr.Compile(aq.canon)
+		b := expr.NewProgramBuilder()
+		id, err := b.Intern(aq.canon)
 		if err != nil {
 			// Start validated the tree, so this is unreachable; ship
 			// nothing rather than unfiltered history.
 			a.submitReplay(nil, aq, true)
 			return
 		}
-		pred = expr.Predicate(ev)
+		pred, ec = id, b.Build().NewCtx()
 	}
 	// Replay applies the query's base event-sampling rate with a fresh
 	// sampler under the query's own seed: the sample stays reproducible
@@ -697,8 +736,13 @@ func (a *Agent) replayShip(aq *activeQuery) {
 			return false
 		default:
 		}
-		if pred != nil && !pred(expr.EventRow{Event: ev}) {
-			return true
+		if ec != nil {
+			ec.Begin(expr.EventRow{Event: ev})
+			ok := ec.Bool(pred)
+			ec.Finish()
+			if !ok {
+				return true
+			}
 		}
 		// Fold replayed accounting into the query's cumulative counters:
 		// central's estimator and stream stats then see the same Mᵢ/mᵢ a

@@ -70,16 +70,12 @@ type typeProgram struct {
 	gated    []subscriber
 	minStart int64
 	groups   []projGroup
-	// solo is the single-subscriber fast path: with exactly one query on
-	// the type there is nothing to share, so the memoizing shared-program
-	// machinery (context pool round-trip, Begin/Finish epoch bookkeeping)
-	// is pure overhead. The subscriber's predicate is compiled into the
-	// stateless closure soloPred (nil matches everything) evaluated
-	// directly on the event, and projection copies straight from the event
-	// into the chunk. Nil when the type has 2+ subscribers or the closure
-	// compile failed (the shared path then serves as fallback).
-	solo     *subscriber
-	soloPred func(expr.Row) bool
+	// solo is the one-unfiltered-query fast path: with exactly one query on
+	// the type and no predicate there is nothing to evaluate and nothing
+	// to share, so the dispatch context (pool round-trip, projection
+	// scratch) is pure overhead and projection copies straight from the
+	// event into the chunk. Nil otherwise.
+	solo *subscriber
 	// ctxs pools *dispatchCtx for this snapshot. Per-snapshot (not
 	// per-agent) because a context's arrays are sized to this program and
 	// group set; a rebuild strands the old pool's contexts along with the
@@ -186,18 +182,11 @@ func buildTypeProgram(aqs []*activeQuery) *typeProgram {
 	if prog := b.Build(); prog.NumNodes() > 0 {
 		tp.prog = prog
 	}
-	if len(tp.always)+len(tp.gated) == 1 {
-		s := &subscriber{}
+	if len(tp.always)+len(tp.gated) == 1 && tp.prog == nil {
 		if len(tp.always) == 1 {
-			*s = tp.always[0]
+			tp.solo = &tp.always[0]
 		} else {
-			*s = tp.gated[0]
-		}
-		if s.aq.canon == nil {
-			tp.solo = s
-		} else if ev, err := expr.Compile(s.aq.canon); err == nil {
-			tp.solo = s
-			tp.soloPred = expr.Predicate(ev)
+			tp.solo = &tp.gated[0]
 		}
 	}
 	projWidth := width
@@ -230,9 +219,6 @@ func (a *Agent) logEvent(ev *event.Event) {
 	ts := ev.TimeNanos
 	if s := tp.solo; s != nil {
 		if ts < s.startNs || (s.endNs != 0 && ts >= s.endNs) {
-			return
-		}
-		if tp.soloPred != nil && !tp.soloPred(expr.EventRow{Event: ev}) {
 			return
 		}
 		a.offerMatched(tp, s, nil, ev, ts)

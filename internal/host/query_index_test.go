@@ -46,6 +46,40 @@ func predSpellings() []expr.Node {
 	}
 }
 
+// decoyPreds has one predicate for every instruction the register
+// program specialises (and the boxed ones beside them), so a dispatch
+// differential that installs all of them runs every typed path next to
+// the queries it checks.
+func decoyPreds() []expr.Node {
+	f := func(name string) expr.Node { return expr.FieldRef{Type: "bid", Name: name} }
+	bin := func(op expr.Op, l, r expr.Node) expr.Node { return expr.Binary{Op: op, L: l, R: r} }
+	i := func(v int64) expr.Node { return expr.Lit{Val: event.Int(v)} }
+	s := func(v string) expr.Node { return expr.Lit{Val: event.Str(v)} }
+	fl := func(v float64) expr.Node { return expr.Lit{Val: event.Float(v)} }
+	return []expr.Node{
+		bin(expr.OpLt, i(2), f("user_id")),      // literal on the left
+		bin(expr.OpGt, f("bid_price"), i(1)),    // int literal, float column
+		bin(expr.OpLe, f("user_id"), fl(2.5)),   // float literal, int column
+		bin(expr.OpNe, f("city"), s("sf")),      // string equality
+		bin(expr.OpLt, f("city"), s("nyc")),     // string ordering
+		bin(expr.OpLike, f("city"), s("%y%")),   // LIKE
+		bin(expr.OpContains, f("city"), s("a")), // contains: boxed
+		// field % literal = literal, on a column and on a system field
+		bin(expr.OpEq, bin(expr.OpMod, f("user_id"), i(4)), i(1)),
+		bin(expr.OpEq, bin(expr.OpMod, f(event.FieldRequestID), i(2)), i(0)),
+		// IN: all ints, all strings (negated), and a mixed list (boxed)
+		expr.In{X: f("user_id"), List: []expr.Node{i(1), i(2), i(5)}},
+		expr.In{X: f("city"), List: []expr.Node{s("la"), s("")}, Negate: true},
+		expr.In{X: f("user_id"), List: []expr.Node{i(1), fl(2)}},
+		// time literal against the timestamp system field
+		bin(expr.OpGe, f(event.FieldTimestamp), expr.Lit{Val: event.TimeNanos(time.Now().UnixNano() + 700)}),
+		// negation, field against field (boxed), float arithmetic (arithValue)
+		bin(expr.OpLt, expr.Unary{Op: expr.OpNeg, X: f("bid_price")}, fl(-0.5)),
+		bin(expr.OpLt, f("user_id"), f("bid_price")),
+		bin(expr.OpOr, bin(expr.OpGt, bin(expr.OpMul, f("bid_price"), i(2)), fl(1.5)), bin(expr.OpEq, f("city"), s(""))),
+	}
+}
+
 var colSets = [][]string{
 	{"user_id", "city"},
 	{"city", "user_id"}, // same columns, different order: distinct group
@@ -192,12 +226,14 @@ func (r *refQuery) offer(ev *event.Event, ts int64) {
 }
 
 func TestSharedDispatchMatchesReference(t *testing.T) {
-	// Differential oracle for the tentpole rewrite: 24 queries (heavy
-	// predicate and projection overlap, some span-gated) dispatched through
-	// the shared index must produce, per query, exactly the tuple stream
-	// and matched count of a naive loop that compiles every original
-	// predicate independently. Rate 1 everywhere so sampling cannot hide a
-	// divergence.
+	// Differential oracle for the shared index: one query for every decoy
+	// predicate (every specialised instruction) plus 24 random ones (heavy
+	// predicate and projection overlap), a third of all of them
+	// span-gated, dispatched through the shared index must produce, per
+	// query, exactly the tuple stream and matched count of a naive loop
+	// that compiles every original predicate independently — over events
+	// that sometimes have a field unset or fewer values than the schema.
+	// Rate 1 everywhere so sampling cannot hide a divergence.
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -210,16 +246,19 @@ func TestSharedDispatchMatchesReference(t *testing.T) {
 				c.FlushInterval = time.Hour
 				c.QueueSize = 1 << 17
 			})
-			preds := predSpellings()
+			preds, decoys := predSpellings(), decoyPreds()
 			base := time.Now().UnixNano()
 			const n = 2000
 			refs := make(map[uint64]*refQuery)
-			for i := 0; i < 24; i++ {
+			for i := 0; i < len(decoys)+24; i++ {
 				qid := uint64(i + 1)
 				hq := transport.HostQuery{
 					QueryID: qid, EventType: "bid",
 					Pred:    preds[rng.Intn(len(preds))],
 					Columns: colSets[rng.Intn(len(colSets))],
+				}
+				if i < len(decoys) {
+					hq.Pred = decoys[i]
 				}
 				if rng.Intn(3) == 0 { // span-gated third
 					lo := rng.Int63n(n)
@@ -251,6 +290,12 @@ func TestSharedDispatchMatchesReference(t *testing.T) {
 			for i := 0; i < n; i++ {
 				ev := bidEvent(uint64(i), rng.Int63n(6), cities[rng.Intn(len(cities))],
 					float64(rng.Intn(200))/100-0.3, base+int64(i))
+				switch rng.Intn(12) {
+				case 0:
+					ev.Values[rng.Intn(len(ev.Values))] = event.Invalid // unset field
+				case 1:
+					ev.Values = ev.Values[:rng.Intn(len(ev.Values))] // short event
+				}
 				a.Log(ev)
 				for _, ref := range refs {
 					ref.offer(ev, ev.TimeNanos)
@@ -281,7 +326,8 @@ func TestSharedDispatchMatchesReference(t *testing.T) {
 						t.Fatalf("query %d tuple %d: got %+v, want %+v", qid, i, g, w)
 					}
 					for j := range g.Values {
-						if !g.Values[j].Equal(w.Values[j]) {
+						// An unset column ships as Invalid, which Equal never equates.
+						if gv, wv := g.Values[j], w.Values[j]; gv.Kind() != wv.Kind() || (gv.IsValid() && !gv.Equal(wv)) {
 							t.Fatalf("query %d tuple %d col %d: got %v, want %v", qid, i, j, g.Values[j], w.Values[j])
 						}
 					}

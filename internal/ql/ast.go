@@ -184,21 +184,21 @@ func (q *Query) String() string {
 		fmt.Fprintf(&sb, " limit %d", q.Limit)
 	}
 	if q.Window != 0 {
-		fmt.Fprintf(&sb, " window %s", q.Window)
+		fmt.Fprintf(&sb, " window %s", durText(q.Window))
 		if q.Slide != 0 && q.Slide != q.Window {
-			fmt.Fprintf(&sb, " slide %s", q.Slide)
+			fmt.Fprintf(&sb, " slide %s", durText(q.Slide))
 		}
 	}
 	if !q.StartAt.IsZero() {
 		fmt.Fprintf(&sb, " start %q", q.StartAt.Format(time.RFC3339))
 	} else if q.StartIn != 0 {
-		fmt.Fprintf(&sb, " start +%s", q.StartIn)
+		fmt.Fprintf(&sb, " start +%s", durText(q.StartIn))
 	}
 	if q.Span != 0 {
-		fmt.Fprintf(&sb, " duration %s", q.Span)
+		fmt.Fprintf(&sb, " duration %s", durText(q.Span))
 	}
 	if q.Replay != 0 {
-		fmt.Fprintf(&sb, " replay %s", q.Replay)
+		fmt.Fprintf(&sb, " replay %s", durText(q.Replay))
 	}
 	if !q.Target.IsZero() {
 		sb.WriteString(" ")
@@ -223,6 +223,12 @@ func (q *Query) String() string {
 		}
 	}
 	return sb.String()
+}
+
+// durText renders a duration in the lexer's vocabulary: time.Duration
+// spells microseconds "µs", the query language "us".
+func durText(d time.Duration) string {
+	return strings.Replace(d.String(), "µs", "us", 1)
 }
 
 // formatNum renders a float without exponent notation: %g emits strings

@@ -15,6 +15,13 @@ echo "== one executor (internal/window keeps no watermark of its own, no shard r
 if grep -nE '\blateness\b|Observe\(' internal/window/*.go; then echo "internal/window knows lateness or has an Observe again" >&2; exit 1; fi
 if grep -n 'shardLateness' internal/central/*.go; then echo "internal/central has shardLateness again" >&2; exit 1; fi
 
+echo "== one evaluator on the host (expr.Program keeps no Value memo; internal/host compiles no closures) =="
+if grep -nE '\bpnode\b|\btouched\b|\bmark +\[\]|\bepoch\b' internal/expr/prog.go; then echo "internal/expr/prog.go has the Value-memo interpreter's pnode/touched/mark/epoch again" >&2; exit 1; fi
+if grep -nE 'expr\.(Compile|Predicate)\(' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host compiles a predicate closure again" >&2; exit 1; fi
+for f in Begin Finish Bool Value cmpNum cmpStr in arith; do
+  if ! grep -B1 -E "^func \(c \*Ctx\) $f\(" internal/expr/prog.go | grep -q '^//scrub:hotpath$'; then echo "internal/expr/prog.go: Ctx.$f lost its //scrub:hotpath seed" >&2; exit 1; fi
+done
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
@@ -54,7 +61,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks) =="
+echo "== fuzz smoke (transport frame decoding, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"

@@ -8,7 +8,10 @@
 // exports another tier's series (ingest is the merger's, window state the
 // shard's), or /debug/pprof is absent. Then it runs one query through
 // each executor and fails if an ingest series did not move: the merger
-// counts batches in every deployment shape.
+// counts batches in every deployment shape. The query has a predicate, and
+// while it runs the agent must show its shared query index:
+// scrub_host_program_nodes above zero for the event type, and
+// scrub_host_index_rebuilds_total counting the install.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -17,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,6 +83,7 @@ var requiredHost = []string{
 	"scrub_host_governor_downsamples_total",
 	"scrub_host_governor_recovers_total",
 	"scrub_host_governor_sheds_total",
+	"scrub_host_index_rebuilds_total",
 	"scrub_host_log_ns_count",
 	"scrub_host_spill_depth",
 	"scrub_host_spill_drops_total",
@@ -162,7 +167,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	coordinator, _, err := stack("smoke-2", "-coord", "-shard-addrs", shard[1])
+	coordinator, coordHostMetrics, err := stack("smoke-2", "-coord", "-shard-addrs", shard[1])
 	if err != nil {
 		return err
 	}
@@ -189,14 +194,23 @@ func run() error {
 	}
 
 	// One query through each executor, to its first window.
-	for _, ex := range []struct{ who, metrics, client string }{
-		{"scrubcentral -shards", sharded[0], sharded[1]},
-		{"scrubcentral -coord", coordinator[0], coordinator[1]},
+	for _, ex := range []struct{ who, metrics, client, host string }{
+		{"scrubcentral -shards", sharded[0], sharded[1], hostMetrics},
+		{"scrubcentral -coord", coordinator[0], coordinator[1], coordHostMetrics},
 	} {
 		ql := exec.Command(filepath.Join(tmp, "scrubql"), "-server", ex.client, "-windows", "1", "-quiet",
-			"select count(*) from bid window 1s duration 10s")
-		if out, err := ql.CombinedOutput(); err != nil {
-			return fmt.Errorf("%s: query: %w\n%s", ex.who, err, out)
+			"select count(*) from bid where bid.user_id >= 0 window 1s duration 10s")
+		var out bytes.Buffer
+		ql.Stdout, ql.Stderr = &out, &out
+		if err := ql.Start(); err != nil {
+			return fmt.Errorf("%s: query: %w", ex.who, err)
+		}
+		indexErr := awaitIndex(ex.who+"'s scrubd", ex.host)
+		if err := ql.Wait(); err != nil {
+			return fmt.Errorf("%s: query: %w\n%s", ex.who, err, out.Bytes())
+		}
+		if indexErr != nil {
+			return indexErr
 		}
 		values, _, err := scrape(ex.who, ex.metrics)
 		if err != nil {
@@ -211,6 +225,25 @@ func run() error {
 			ex.who, values["scrub_central_tuples_total"], values["scrub_central_batches_total"])
 	}
 	return nil
+}
+
+// awaitIndex polls an agent's endpoint until the running query shows in
+// its index series: a non-empty program for some event type and at least
+// one rebuild. The query lasts a second, so two are ample.
+func awaitIndex(who, url string) error {
+	var nodes, rebuilds float64
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		values, _, err := scrape(who, url)
+		if err != nil {
+			return err
+		}
+		nodes, rebuilds = values["scrub_host_program_nodes"], values["scrub_host_index_rebuilds_total"]
+		if nodes > 0 && rebuilds > 0 {
+			fmt.Printf("metrics-smoke: %s shows its query index (%v program nodes, %v rebuilds)\n", who, nodes, rebuilds)
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: a query with a predicate is running but scrub_host_program_nodes = %v, scrub_host_index_rebuilds_total = %v", who, nodes, rebuilds)
 }
 
 // daemon wraps a child process whose stdout is scanned for marker lines.
