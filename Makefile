@@ -59,13 +59,15 @@ metrics-smoke:
 # query-language parser (arbitrary operator-typed text), the replay chunk
 # decoder — and over the mechanisms checked against a model: the
 # window-state hash index against its map, freeze/thaw against an engine
-# that thrashes and a plain reference, and the host's register program
-# against the closure compiler on every node of generated predicates. This
+# that thrashes and a plain reference, the host's register program
+# against the closure compiler on every node of generated predicates, and
+# the batch size the shipper charges against the encoder's bytes. This
 # is the one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzTupleBatchWireSize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzFreezeThaw -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)

@@ -189,9 +189,11 @@ func DecodeEvent(b []byte, cat *Catalog) (*Event, int, error) {
 	return &Event{Schema: schema, RequestID: reqID, TimeNanos: ts, Values: vs}, n, nil
 }
 
-// EncodedSize returns the exact encoded size of a value, used by the
-// logging-baseline comparison to account shipped bytes without allocating.
-func EncodedSize(v Value) int {
+// EncodedSize returns len(AppendValue(nil, *v)) without writing a byte. The
+// host shipper sizes every batch it sends with it, for the governor's byte
+// accounting (transport.TupleBatchWireSize); it takes the cell by pointer
+// because a 40-byte Value passed by value is copied first.
+func EncodedSize(v *Value) int {
 	switch v.kind {
 	case KindInvalid:
 		return 1
@@ -200,11 +202,12 @@ func EncodedSize(v Value) int {
 	case KindInt, KindTime, KindFloat:
 		return 9
 	case KindString:
-		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+		return 1 + UvarintLen(uint64(len(v.str))) + len(v.str)
 	case KindList:
-		n := 2 + uvarintLen(uint64(len(v.elems())))
-		for _, e := range v.elems() {
-			n += EncodedSize(e)
+		vals := v.list.vals
+		n := 2 + UvarintLen(uint64(len(vals)))
+		for i := range vals {
+			n += EncodedSize(&vals[i])
 		}
 		return n
 	default:
@@ -212,7 +215,9 @@ func EncodedSize(v Value) int {
 	}
 }
 
-func uvarintLen(x uint64) int {
+// UvarintLen is len(binary.AppendUvarint(nil, x)): what a length or count
+// prefix takes in this encoding and in the transport codec built on it.
+func UvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {
 		x >>= 7

@@ -21,8 +21,8 @@ func TestValueEncodeRoundTrip(t *testing.T) {
 	}
 	for _, v := range vals {
 		buf := AppendValue(nil, v)
-		if len(buf) != EncodedSize(v) {
-			t.Errorf("EncodedSize(%v) = %d, encoded %d bytes", v, EncodedSize(v), len(buf))
+		if len(buf) != EncodedSize(&v) {
+			t.Errorf("EncodedSize(%v) = %d, encoded %d bytes", v, EncodedSize(&v), len(buf))
 		}
 		got, n, err := DecodeValue(buf)
 		if err != nil {
@@ -81,7 +81,7 @@ func TestValueEncodeRoundTripQuick(t *testing.T) {
 	f := func(av anyValue) bool {
 		buf := AppendValue(nil, av.V)
 		got, n, err := DecodeValue(buf)
-		return err == nil && n == len(buf) && reflect.DeepEqual(got, av.V) && len(buf) == EncodedSize(av.V)
+		return err == nil && n == len(buf) && reflect.DeepEqual(got, av.V) && len(buf) == EncodedSize(&av.V)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -262,8 +262,8 @@ func TestListValueRoundTrips(t *testing.T) {
 			t.Errorf("%v: Hash() = %#x, want %#x", c.v, c.v.Hash(), c.hash)
 		}
 		enc := AppendValue(nil, c.v)
-		if len(enc) != EncodedSize(c.v) {
-			t.Errorf("%v: EncodedSize %d, encoded %d bytes", c.v, EncodedSize(c.v), len(enc))
+		if len(enc) != EncodedSize(&c.v) {
+			t.Errorf("%v: EncodedSize %d, encoded %d bytes", c.v, EncodedSize(&c.v), len(enc))
 		}
 		dec, n, err := DecodeValue(enc)
 		if err != nil || n != len(enc) {

@@ -9,8 +9,8 @@
 //
 //   - Log never blocks. The shipping queue is bounded; when it fills,
 //     tuples are dropped and counted. Accuracy is traded for impact.
-//   - With no active queries, Log is one atomic pointer load and a map
-//     lookup.
+//   - With no active queries, Log is one atomic pointer load and a
+//     lookup in an empty map.
 //   - Log makes no steady-state heap allocations. Projected tuples are
 //     appended into per-query chunk buffers backed by a sync.Pool whose
 //     flat value arrays are recycled after shipment, and only a full
@@ -147,9 +147,12 @@ type queryKey struct {
 // activeQuery is one installed query object, pre-compiled for the hot
 // path.
 type activeQuery struct {
-	// hq is the query object as installed, less Pred and Columns: Start
-	// clears both once canon and colIdx are built from them.
-	hq transport.HostQuery
+	// What the agent still reads of the installed transport.HostQuery once
+	// canon and colIdx are built from its Pred and Columns.
+	queryID     uint64
+	typeIdx     uint8
+	schema      *event.Schema // the catalog's schema for EventType
+	replayNanos int64
 	// canon is the query's selection predicate in canonical form
 	// (expr.Canon), nil to match everything. rebuildLocked interns it into
 	// the event type's shared program; Start pre-validates it against a
@@ -157,8 +160,7 @@ type activeQuery struct {
 	canon  expr.Node
 	colIdx []int // schema field indices to project
 	width  int   // len(colIdx), the projected tuple width
-	// Span bounds mirrored out of hq so the per-event gate reads flat
-	// fields adjacent to the rest of the hot state.
+	// The query's span, [startNs, endNs); 0 leaves that side open.
 	startNs, endNs int64
 
 	// Event sampling, amortized: skip counts down to the next kept event;
@@ -264,9 +266,9 @@ type Stats struct {
 type Agent struct {
 	cfg Config
 
-	// byType is an immutable snapshot map, swapped wholesale on query
+	// byType is an immutable snapshot, swapped wholesale on query
 	// start/stop. Log only ever loads it — no locks on the hot path.
-	byType atomic.Pointer[map[string]*typeProgram]
+	byType atomic.Pointer[typeIndex]
 
 	mu      sync.Mutex // guards mutations of the query set
 	queries map[queryKey]*activeQuery
@@ -278,11 +280,10 @@ type Agent struct {
 	closed    sync.Once
 	wg        sync.WaitGroup
 
-	// shipperScratch, govScratch, and encScratch are reused across flush
-	// cycles; shipper-only.
+	// shipperScratch and govScratch are reused across flush cycles;
+	// shipper-only.
 	shipperScratch []*activeQuery
 	govScratch     []governor.Usage
-	encScratch     []byte
 	// lastGovNanos is the previous governor evaluation time; shipper-only.
 	// Cycles where the configured clock has not advanced (real ticker
 	// firings under a virtual test clock) skip evaluation entirely.
@@ -332,8 +333,7 @@ func New(cfg Config) (*Agent, error) {
 		flushReq: make(chan chan struct{}),
 		done:     make(chan struct{}),
 	}
-	empty := make(map[string]*typeProgram)
-	a.byType.Store(&empty)
+	a.byType.Store(newTypeIndex(nil))
 	a.lastGovNanos = cfg.Clock().UnixNano()
 	if reg := cfg.Metrics; reg != nil {
 		hl := obs.L("host", cfg.HostID)
@@ -380,7 +380,8 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	if !ok {
 		return fmt.Errorf("host: unknown event type %q", hq.EventType)
 	}
-	aq := &activeQuery{hq: hq, startNs: hq.StartNanos, endNs: hq.EndNanos}
+	aq := &activeQuery{queryID: hq.QueryID, typeIdx: hq.TypeIdx, schema: schema,
+		replayNanos: hq.ReplayNanos, startNs: hq.StartNanos, endNs: hq.EndNanos}
 	if hq.Pred != nil {
 		checked, kind, err := expr.Check(hq.Pred, expr.SchemaResolver{Schemas: []*event.Schema{schema}})
 		if err != nil {
@@ -408,9 +409,6 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		aq.colIdx[i] = idx
 	}
 	aq.width = len(aq.colIdx)
-	// canon and colIdx are what the query runs on; the wire forms would
-	// otherwise stay live as long as the query does.
-	aq.hq.Pred, aq.hq.Columns = nil, nil
 	rate := hq.SampleEvents
 	if rate <= 0 || rate > 1 {
 		rate = 1
@@ -499,7 +497,7 @@ func (a *Agent) PruneExpired(now time.Time) int {
 	a.mu.Lock()
 	var removed []*activeQuery
 	for key, aq := range a.queries {
-		if aq.hq.EndNanos != 0 && nowN >= aq.hq.EndNanos {
+		if aq.endNs != 0 && nowN >= aq.endNs {
 			delete(a.queries, key)
 			removed = append(removed, aq)
 		}
@@ -536,20 +534,20 @@ func (a *Agent) rebuildLocked() {
 		}
 		return keys[i].typeIdx < keys[j].typeIdx
 	})
-	perType := make(map[string][]*activeQuery, len(keys))
+	perType := make(map[*event.Schema][]*activeQuery, len(keys))
 	for _, key := range keys {
 		aq := a.queries[key]
-		perType[aq.hq.EventType] = append(perType[aq.hq.EventType], aq)
+		perType[aq.schema] = append(perType[aq.schema], aq)
 	}
 	m := make(map[string]*typeProgram, len(perType))
-	for typ, aqs := range perType {
-		m[typ] = buildTypeProgram(aqs)
+	for schema, aqs := range perType {
+		m[schema.Name()] = buildTypeProgram(schema, aqs)
 	}
 	a.indexRebuilds.Inc()
 	if reg := a.cfg.Metrics; reg != nil {
 		a.publishIndexSize(reg, m)
 	}
-	a.byType.Store(&m)
+	a.byType.Store(newTypeIndex(m))
 }
 
 // publishIndexSize sets scrub_host_program_nodes — what Log's selection
@@ -560,7 +558,7 @@ func (a *Agent) publishIndexSize(reg *obs.Registry, next map[string]*typeProgram
 		return reg.Gauge("scrub_host_program_nodes", "distinct predicate subexpressions in the event type's shared query index",
 			obs.L("host", a.cfg.HostID), obs.L("type", typ))
 	}
-	for typ := range *a.byType.Load() {
+	for typ := range a.byType.Load().byName {
 		if next[typ] == nil {
 			nodes(typ).Set(0)
 		}
@@ -646,18 +644,9 @@ func (a *Agent) getChunk(aq *activeQuery) *chunk {
 // putChunk clears value references (so pooled chunks don't pin event
 // payloads) and recycles the chunk.
 func (a *Agent) putChunk(c *chunk) {
-	used := c.n * c.q.width
-	vals := c.vals[:cap(c.vals)]
-	for i := 0; i < used; i++ {
-		vals[i] = event.Value{}
-	}
-	for i := 0; i < c.n; i++ {
-		c.tuples[i] = transport.Tuple{}
-	}
-	c.q = nil
-	c.n = 0
-	c.epoch = 0
-	c.done = false
+	clear(c.vals[:c.n*c.q.width])
+	clear(c.tuples[:c.n])
+	*c = chunk{tuples: c.tuples, vals: c.vals}
 	a.chunkPool.Put(c)
 }
 
@@ -699,7 +688,7 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		// Immediate-start query: the live partition begins at activation.
 		to = a.cfg.Clock().UnixNano()
 	}
-	from := to - aq.hq.ReplayNanos
+	from := to - aq.replayNanos
 	// The scan owns a one-predicate program and its context: the same
 	// evaluator Log dispatches through, private to this goroutine.
 	var ec *expr.Ctx
@@ -727,7 +716,7 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		skip = sampler.NextSkip()
 	}
 	var c *chunk
-	err := a.cfg.Record.Scan(from, to, aq.hq.EventType, func(ev *event.Event) bool {
+	err := a.cfg.Record.Scan(from, to, aq.schema.Name(), func(ev *event.Event) bool {
 		if aq.stopped.Load() {
 			return false
 		}
@@ -907,9 +896,9 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 		sampled = matched // rate 1: every matched event is sampled
 	}
 	batch := transport.TupleBatch{
-		QueryID:      aq.hq.QueryID,
+		QueryID:      aq.queryID,
 		HostID:       a.cfg.HostID,
-		TypeIdx:      aq.hq.TypeIdx,
+		TypeIdx:      aq.typeIdx,
 		Tuples:       tuples,
 		MatchedTotal: matched,
 		SampledTotal: sampled,
@@ -921,15 +910,9 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 		ReplayEpoch:  epoch,
 		ReplayDone:   done,
 	}
-	// Measure the batch's wire size for budget accounting by encoding it
-	// into a shipper-owned scratch buffer — exact (it is the same codec
-	// the wire uses, plus the 4-byte frame header), allocation-free in
-	// steady state, and amortized once per batch, not per tuple.
-	size := 0
-	if enc, err := transport.AppendEncode(a.encScratch[:0], batch); err == nil {
-		size = len(enc) + 4
-		a.encScratch = enc[:0]
-	}
+	// The batch's wire size for budget accounting, frame header included:
+	// computed, not measured — the sink does the one encode a tuple gets.
+	size := transport.TupleBatchWireSize(&batch) + 4
 	if err := a.cfg.Sink.SendBatch(batch); err != nil {
 		a.sinkErrors.Add(1)
 		a.sinkErrTuples.Add(uint64(len(tuples)))

@@ -63,6 +63,7 @@ type projGroup struct {
 // may run on virtual time in simulations — classifying by time.Now would
 // drop in-span virtual-time events.
 type typeProgram struct {
+	schema *event.Schema // the catalog's schema for the type
 	// prog is the shared evaluation DAG; nil when every subscriber
 	// matches all events.
 	prog     *expr.Program
@@ -81,6 +82,41 @@ type typeProgram struct {
 	// group set; a rebuild strands the old pool's contexts along with the
 	// old snapshot.
 	ctxs sync.Pool
+}
+
+// typeIndex is the dispatch snapshot: every queried event type's program
+// by name and, while at most scanTypes types are queried, in a slice that
+// find tries first by schema identity — a process logs a type through the
+// one *event.Schema its catalog holds, so a hit never hashes the name. An
+// event of an unqueried type, or one on a second catalog's schema of a
+// queried name, falls through to byName having paid the scan for nothing:
+// ≈ 1.3 ns with one type queried and ≈ 4 with four, where a hit saves ≈ 4.5
+// (BenchmarkLogQueriedTypes, EXPERIMENTS.md M9). The bound keeps that side
+// small; past it the snapshot is the map alone.
+type typeIndex struct {
+	byName map[string]*typeProgram
+	few    []*typeProgram
+}
+
+const scanTypes = 4
+
+func newTypeIndex(byName map[string]*typeProgram) *typeIndex {
+	idx := &typeIndex{byName: byName}
+	if len(byName) <= scanTypes {
+		for _, tp := range byName {
+			idx.few = append(idx.few, tp)
+		}
+	}
+	return idx
+}
+
+func (idx *typeIndex) find(s *event.Schema) *typeProgram {
+	for _, tp := range idx.few {
+		if tp.schema == s {
+			return tp
+		}
+	}
+	return idx.byName[s.Name()]
 }
 
 // dispatchCtx is the per-event scratch for one pass over a type's
@@ -143,13 +179,13 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 // dispatch index: predicates interned into one program, identical column
 // sets merged into one projection group, subscribers split into the
 // always/gated lists.
-func buildTypeProgram(aqs []*activeQuery) *typeProgram {
-	tp := &typeProgram{}
+func buildTypeProgram(schema *event.Schema, aqs []*activeQuery) *typeProgram {
+	tp := &typeProgram{schema: schema}
 	b := expr.NewProgramBuilder()
 	groupIdx := make(map[string]int32, len(aqs))
 	width := 0
 	for _, aq := range aqs {
-		s := subscriber{aq: aq, pred: -1, group: -1, startNs: aq.hq.StartNanos, endNs: aq.hq.EndNanos}
+		s := subscriber{aq: aq, pred: -1, group: -1, startNs: aq.startNs, endNs: aq.endNs}
 		if aq.canon != nil {
 			// Start trial-interned the same canonical tree, so this cannot
 			// fail here.
@@ -212,7 +248,7 @@ func groupKey(colIdx []int) string {
 //
 //scrub:hotpath
 func (a *Agent) logEvent(ev *event.Event) {
-	tp := (*a.byType.Load())[ev.Schema.Name()]
+	tp := a.byType.Load().find(ev.Schema)
 	if tp == nil {
 		return
 	}

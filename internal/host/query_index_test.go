@@ -387,3 +387,47 @@ func TestSharedPredicateIndependentAccounting(t *testing.T) {
 		t.Errorf("rate-0.25 query shipped %d of %d tuples, want roughly a quarter", counts[2], n)
 	}
 }
+
+// TestForeignSchemaMatchesByName: the dispatch snapshot finds an event's
+// type by *Schema identity first while few types are queried, but an event
+// built on another *Schema of the same name — a second catalog in the
+// process — still reaches the type's queries, and one of another name
+// still reaches none. The same holds past scanTypes, where the snapshot
+// goes by name alone.
+func TestForeignSchemaMatchesByName(t *testing.T) {
+	for _, extra := range []int{0, scanTypes} {
+		t.Run(fmt.Sprintf("types=%d", extra+1), func(t *testing.T) {
+			cat := testCatalog()
+			sink := &collectSink{}
+			a := newAgent(t, sink, func(c *Config) { c.Catalog = cat })
+			if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"}}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < extra; i++ {
+				s := event.MustSchema(fmt.Sprintf("extra%d", i), event.FieldDef{Name: "user_id", Kind: event.KindInt})
+				cat.MustRegister(s)
+				if err := a.Start(transport.HostQuery{QueryID: uint64(i + 2), EventType: s.Name()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if scanned := len(a.byType.Load().few); (scanned != 0) != (extra == 0) {
+				t.Fatalf("%d types queried, %d scanned by identity", extra+1, scanned)
+			}
+			foreign := event.MustSchema("bid",
+				event.FieldDef{Name: "user_id", Kind: event.KindInt},
+				event.FieldDef{Name: "city", Kind: event.KindString},
+				event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
+			)
+			other := event.MustSchema("click", event.FieldDef{Name: "user_id", Kind: event.KindInt})
+			now := time.Now().UnixNano()
+			a.Log(bidEvent(1, 7, "sf", 1.0, now))
+			a.Log(event.NewBuilder(foreign).SetRequestID(2).SetTimeNanos(now).Int("user_id", 8).MustBuild())
+			a.Log(event.NewBuilder(other).SetRequestID(3).SetTimeNanos(now).Int("user_id", 9).MustBuild())
+			a.Flush()
+			got := sink.tuples()
+			if len(got) != 2 || got[0].RequestID != 1 || got[1].RequestID != 2 {
+				t.Fatalf("shipped %+v, want requests 1 (the catalog's schema) and 2 (a foreign schema of the same name)", got)
+			}
+		})
+	}
+}

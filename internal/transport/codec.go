@@ -445,6 +445,27 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return w.buf, nil
 }
 
+// TupleBatchWireSize returns len(AppendEncode(nil, *b)) without writing a
+// byte: the host shipper charges every batch it sends to the governor's
+// byte budget, and encoding one a second time just to measure it cost a
+// pass over the tuples and a buffer the size of a batch. It mirrors the
+// TupleBatch arm of AppendEncode field for field; FuzzTupleBatchWireSize
+// holds the two equal.
+func TupleBatchWireSize(b *TupleBatch) int {
+	// Everything but HostID and the tuples is fixed-width: tag, QueryID,
+	// TypeIdx, three totals, EffRate, BudgetShed, CPUNs, ShipBytes,
+	// ReplayEpoch, ReplayDone.
+	n := 64 + event.UvarintLen(uint64(len(b.HostID))) + len(b.HostID) + event.UvarintLen(uint64(len(b.Tuples)))
+	for i := range b.Tuples {
+		vals := b.Tuples[i].Values
+		n += 16 + event.UvarintLen(uint64(len(vals))) // RequestID, TsNanos, value count
+		for j := range vals {
+			n += event.EncodedSize(&vals[j])
+		}
+	}
+	return n
+}
+
 // Decode parses a tagged payload produced by Encode. The message owns its
 // memory.
 func Decode(b []byte) (Message, error) { return decode(b, nil) }

@@ -22,6 +22,10 @@ for f in Begin Finish Bool Value cmpNum cmpStr in arith; do
   if ! grep -B1 -E "^func \(c \*Ctx\) $f\(" internal/expr/prog.go | grep -q '^//scrub:hotpath$'; then echo "internal/expr/prog.go: Ctx.$f lost its //scrub:hotpath seed" >&2; exit 1; fi
 done
 
+echo "== a shipped tuple is encoded once (the shipper sizes a batch, it does not encode it) =="
+if grep -rn 'encScratch' internal/; then echo "internal/ has encScratch again" >&2; exit 1; fi
+if grep -n 'AppendEncode' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host encodes a batch itself again" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
@@ -61,7 +65,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures) =="
+echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"

@@ -11,7 +11,8 @@
 // counts batches in every deployment shape. The query has a predicate, and
 // while it runs the agent must show its shared query index:
 // scrub_host_program_nodes above zero for the event type, and
-// scrub_host_index_rebuilds_total counting the install.
+// scrub_host_index_rebuilds_total counting the install; once the query
+// has shipped, scrub_host_ship_bytes_total must have moved too.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -221,8 +222,17 @@ func run() error {
 				return fmt.Errorf("%s: %s is still 0 after a query shipped tuples", ex.who, name)
 			}
 		}
-		fmt.Printf("metrics-smoke: %s ingest series moved (%v tuples in %v batches)\n",
-			ex.who, values["scrub_central_tuples_total"], values["scrub_central_batches_total"])
+		// What the agent charged the governor for those batches: sized by
+		// arithmetic, so a size function gone wrong shows here as 0.
+		hostValues, _, err := scrape(ex.who+"'s scrubd", ex.host)
+		if err != nil {
+			return err
+		}
+		if hostValues["scrub_host_ship_bytes_total"] == 0 {
+			return fmt.Errorf("%s's scrubd: scrub_host_ship_bytes_total is still 0 after its query shipped tuples", ex.who)
+		}
+		fmt.Printf("metrics-smoke: %s ingest series moved (%v tuples in %v batches, %v bytes charged on the host)\n",
+			ex.who, values["scrub_central_tuples_total"], values["scrub_central_batches_total"], hostValues["scrub_host_ship_bytes_total"])
 	}
 	return nil
 }
