@@ -60,9 +60,10 @@ metrics-smoke:
 # decoder — and over the mechanisms checked against a model: the
 # window-state hash index against its map, freeze/thaw against an engine
 # that thrashes and a plain reference, the host's register program
-# against the closure compiler on every node of generated predicates, and
-# the batch size the shipper charges against the encoder's bytes. This
-# is the one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
+# against the closure compiler on every node of generated predicates, the
+# batch size the shipper charges against the encoder's bytes, and top_k's
+# flat stream summary against the map-based one it replaced. This is the
+# one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/expr -run='^$$' -fuzz=FuzzProgramMatchesCompile -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sketch -run='^$$' -fuzz=FuzzSpaceSavingMatchesReference -fuzztime=$(FUZZTIME)
 
 # Fixed-seed chaos soak (quick mode) under the race detector.
 chaos-soak:

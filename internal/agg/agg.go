@@ -12,6 +12,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"scrub/internal/event"
@@ -121,7 +122,7 @@ type Aggregator interface {
 func New(s Spec) (Aggregator, error) {
 	switch s.Kind {
 	case KindCountStar:
-		return &countAgg{star: true}, nil
+		return &countStarAgg{}, nil
 	case KindCount:
 		return &countAgg{}, nil
 	case KindSum:
@@ -133,19 +134,12 @@ func New(s Spec) (Aggregator, error) {
 	case KindMax:
 		return &extremeAgg{}, nil
 	case KindTopK:
-		k := s.K
-		if k <= 0 {
-			return nil, fmt.Errorf("agg: TOP_K requires k > 0, got %d", k)
+		if s.K <= 0 {
+			return nil, fmt.Errorf("agg: TOP_K requires k > 0, got %d", s.K)
 		}
-		// Track a multiple of k counters so the reported top-k is accurate
-		// even under eviction pressure (standard SpaceSaving practice).
-		return &topKAgg{k: k, ss: sketch.MustSpaceSaving(max(8*k, 64))}, nil
+		return &topKAgg{k: s.K, ss: sketch.MustSpaceSaving(topKCapacity(s.K))}, nil
 	case KindCountDistinct:
-		p := s.Prec
-		if p == 0 {
-			p = sketch.DefaultHLLPrecision
-		}
-		h, err := sketch.NewHLL(p)
+		h, err := sketch.NewHLL(hllPrecision(s))
 		if err != nil {
 			return nil, err
 		}
@@ -164,11 +158,17 @@ func MustNew(s Spec) Aggregator {
 	return a
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// topKCapacity is how many counters TOP_K tracks: a multiple of k, so the
+// reported top-k is accurate even under eviction pressure (standard
+// SpaceSaving practice).
+func topKCapacity(k int) int { return max(8*k, 64) }
+
+// hllPrecision is the spec's HLL precision, the default for 0.
+func hllPrecision(s Spec) uint8 {
+	if s.Prec == 0 {
+		return sketch.DefaultHLLPrecision
 	}
-	return b
+	return s.Prec
 }
 
 func mergeTypeError(dst, src Aggregator) error {
@@ -177,13 +177,17 @@ func mergeTypeError(dst, src Aggregator) error {
 
 // --- COUNT / COUNT(*) ---
 
-type countAgg struct {
-	star bool
-	n    uint64
-}
+// countAgg is COUNT(expr); countStarAgg is the same state counting every
+// call. Which of the two a count is is the plan's to know, not a field of
+// every group's state: a Slab keeps eight bytes a count and views them as
+// one or the other.
+type (
+	countAgg     struct{ n uint64 }
+	countStarAgg countAgg
+)
 
 func (a *countAgg) Add(v event.Value) {
-	if a.star || v.IsValid() {
+	if v.IsValid() {
 		a.n++
 	}
 }
@@ -199,6 +203,20 @@ func (a *countAgg) Merge(o Aggregator) error {
 
 func (a *countAgg) Result() event.Value { return event.Int(int64(a.n)) }
 func (a *countAgg) Count() uint64       { return a.n }
+
+func (a *countStarAgg) Add(event.Value) { a.n++ }
+
+func (a *countStarAgg) Merge(o Aggregator) error {
+	oc, ok := o.(*countStarAgg)
+	if !ok {
+		return mergeTypeError(a, o)
+	}
+	a.n += oc.n
+	return nil
+}
+
+func (a *countStarAgg) Result() event.Value { return event.Int(int64(a.n)) }
+func (a *countStarAgg) Count() uint64       { return a.n }
 
 // --- SUM ---
 
@@ -373,12 +391,20 @@ func (a *topKAgg) Merge(o Aggregator) error {
 }
 
 // Result renders the top-k as a list of "item=count" strings; use Entries
-// for structured access.
+// for structured access. The strings are cut from one buffer.
 func (a *topKAgg) Result() event.Value {
-	entries := a.ss.Top(a.k)
-	vs := make([]event.Value, len(entries))
-	for i, e := range entries {
-		vs[i] = event.Str(fmt.Sprintf("%s=%d", e.Item, e.Count))
+	var buf []byte
+	ends := make([]int, 0, min(a.k, a.ss.Len()))
+	a.ss.EachTop(a.k, func(item []byte, count, _ uint64) {
+		buf = append(append(buf, item...), '=')
+		buf = strconv.AppendUint(buf, count, 10)
+		ends = append(ends, len(buf))
+	})
+	all, start := string(buf), 0
+	vs := make([]event.Value, len(ends))
+	for i, end := range ends {
+		vs[i] = event.Str(all[start:end])
+		start = end
 	}
 	return event.List(event.KindString, vs...)
 }

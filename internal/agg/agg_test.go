@@ -167,6 +167,21 @@ func TestTopK(t *testing.T) {
 	if _, ok := TopKEntries(MustNew(Spec{Kind: KindSum})); ok {
 		t.Error("TopKEntries on SUM should be not-ok")
 	}
+	// The golden row: what fmt.Sprintf("%s=%d") rendered per entry, now
+	// cut from one buffer — item bytes as they are, counts in decimal,
+	// count order then item order, fewer than k entries when fewer exist.
+	g := MustNew(Spec{Kind: KindTopK, K: 4})
+	for i, item := range []event.Value{event.Int(-7), event.Str("a=b"), event.Str(""), event.Float(2.5), event.Str("tail")} {
+		for n := 0; n < []int{12, 12, 1000001, 3, 1}[i]; n++ {
+			g.Add(item)
+		}
+	}
+	if got, want := g.Result().String(), `[=1000001, -7=12, a=b=12, 2.5=3]`; got != want {
+		t.Errorf("Result = %s, want %s", got, want)
+	}
+	if got := MustNew(Spec{Kind: KindTopK, K: 4}).Result().String(); got != `[]` {
+		t.Errorf("empty Result = %s", got)
+	}
 }
 
 func TestCountDistinct(t *testing.T) {

@@ -21,6 +21,8 @@ func AppendState(dst []byte, a Aggregator) ([]byte, error) {
 	switch ag := a.(type) {
 	case *countAgg:
 		return binary.AppendUvarint(dst, ag.n), nil
+	case *countStarAgg:
+		return binary.AppendUvarint(dst, ag.n), nil
 	case *sumAgg:
 		dst = binary.AppendUvarint(dst, ag.n)
 		dst = appendU64(dst, uint64(ag.intSum))
@@ -57,15 +59,6 @@ func DecodeState(s Spec, b []byte) (Aggregator, int, error) {
 	return decodeInto(a, b)
 }
 
-// DecodeState is DecodeState with scalar states carved from the slab.
-func (sl *Slab) DecodeState(s Spec, b []byte) (Aggregator, int, error) {
-	a, err := sl.New(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeInto(a, b)
-}
-
 // decodeInto loads serialized state into a freshly constructed aggregator.
 func decodeInto(a Aggregator, b []byte) (Aggregator, int, error) {
 	n64, sz := binary.Uvarint(b)
@@ -75,6 +68,9 @@ func decodeInto(a Aggregator, b []byte) (Aggregator, int, error) {
 	n := sz
 	switch ag := a.(type) {
 	case *countAgg:
+		ag.n = n64
+		return ag, n, nil
+	case *countStarAgg:
 		ag.n = n64
 		return ag, n, nil
 	case *sumAgg:

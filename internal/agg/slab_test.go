@@ -10,72 +10,135 @@ import (
 	"scrub/internal/slab"
 )
 
-// Aggregators carved from a Slab must be indistinguishable from the ones
-// New allocates — same results, same serialized state, mergeable with
-// them — while costing one allocation per chunk, not one each.
-func TestSlabAggregatorsMatchNew(t *testing.T) {
-	specs := []Spec{
-		{Kind: KindCountStar}, {Kind: KindCount}, {Kind: KindSum}, {Kind: KindAvg},
-		{Kind: KindMin}, {Kind: KindMax}, {Kind: KindTopK, K: 3}, {Kind: KindCountDistinct, Prec: 6},
+// randLayout draws a plan of 1–5 aggregates: every kind can appear, a kind
+// can repeat (strides of 2 and 3 divide no chunk), and sketches are small.
+func randLayout(rng *rand.Rand) []Spec {
+	specs := make([]Spec, 1+rng.Intn(5))
+	for i := range specs {
+		switch k := KindCountStar + Kind(rng.Intn(int(KindCountDistinct))); k {
+		case KindTopK:
+			specs[i] = Spec{Kind: k, K: 1 + rng.Intn(3)}
+		case KindCountDistinct:
+			specs[i] = Spec{Kind: k, Prec: uint8(4 + rng.Intn(3))}
+		default:
+			specs[i] = Spec{Kind: k}
+		}
 	}
-	rng := rand.New(rand.NewSource(5))
-	var sl Slab
-	type pair struct{ slab, heap Aggregator }
-	var pairs []pair
-	// Enough of each kind to cross several chunk boundaries.
-	for i := 0; i < 3*slab.MaxChunk; i++ {
-		spec := specs[i%len(specs)]
-		a, err := sl.New(spec)
+	return specs
+}
+
+// Every aggregate a Slab addresses — group ordinal × stride + rank, no word
+// stored per state — must be indistinguishable from the aggregator New
+// makes for the same spec: same results, same serialized state, whatever
+// opened the group (Open, Decode of a partial, Adopt out of another slab as
+// a merge does) and wherever its states fall: the group count takes every
+// used slab across the chunk boundaries at elements 16, 48, 1008 and
+// beyond the first full-size chunk, with strides that split a group's
+// states over two chunks.
+func TestSlabAggregatorsMatchNew(t *testing.T) {
+	const groups = slab.MaxChunk + slab.MaxChunk + 40 // past element 1008 + MaxChunk at stride 1
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		specs := randLayout(rng)
+		if seed == 1 { // every kind at once, the counts at stride 3
+			specs = []Spec{{Kind: KindCountStar}, {Kind: KindCount}, {Kind: KindSum}, {Kind: KindAvg}, {Kind: KindMin},
+				{Kind: KindMax}, {Kind: KindTopK, K: 3}, {Kind: KindCountDistinct, Prec: 6}, {Kind: KindCountStar}}
+		}
+		lay, err := NewLayout(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs = append(pairs, pair{a, MustNew(spec)})
-	}
-	// Interleave the updates so a state that aliased its neighbour in a
-	// chunk would be caught.
-	for round := 0; round < 20; round++ {
-		for _, p := range pairs {
-			v := randValue(rng)
-			p.slab.Add(v)
-			p.heap.Add(v)
-		}
-	}
-	for i, p := range pairs {
-		spec := specs[i%len(specs)]
-		if !sameResult(p.slab.Result(), p.heap.Result()) || p.slab.Count() != p.heap.Count() {
-			t.Fatalf("%v #%d: slab %v (%d), heap %v (%d)", spec.Kind, i, p.slab.Result(), p.slab.Count(), p.heap.Result(), p.heap.Count())
-		}
-		se, err1 := AppendState(nil, p.slab)
-		he, err2 := AppendState(nil, p.heap)
-		if err1 != nil || err2 != nil || !bytes.Equal(se, he) {
-			t.Fatalf("%v #%d: serialized states differ", spec.Kind, i)
-		}
-		d, n, err := sl.DecodeState(spec, se)
-		if err != nil || n != len(se) {
-			t.Fatalf("%v #%d: Slab.DecodeState: n=%d err=%v", spec.Kind, i, n, err)
-		}
-		if err := d.Merge(p.heap); err != nil {
-			t.Fatalf("%v #%d: merge heap into slab state: %v", spec.Kind, i, err)
-		}
-		if d.Count() != 2*p.heap.Count() {
-			t.Fatalf("%v #%d: merged count %d, want %d", spec.Kind, i, d.Count(), 2*p.heap.Count())
-		}
-	}
-	if _, err := sl.New(Spec{Kind: KindTopK}); err == nil {
-		t.Error("Slab.New must validate specs like New")
-	}
-	if sl.Bytes() <= 0 {
-		t.Error("Bytes() must count the chunks")
-	}
-	var fresh Slab
-	if n := testing.AllocsPerRun(10, func() {
-		for i := 0; i < slab.MaxChunk; i++ {
-			if _, err := fresh.New(Spec{Kind: KindAvg}); err != nil {
-				t.Fatal(err)
+		sl, donor := NewSlab(lay), NewSlab(lay)
+		twins := make([][]Aggregator, 0, groups) // twins[g][i] shadows sl's (g, i)
+		fold := func(sl *Slab, g uint32, twins []Aggregator) {
+			for i := range specs {
+				v := randValue(rng)
+				sl.Add(g, i, v)
+				twins[i].Add(v)
 			}
 		}
-	}); n > 2 {
-		t.Errorf("%d scalar states cost %v allocations, want one per chunk", slab.MaxChunk, n)
+		for len(twins) < groups {
+			tw := make([]Aggregator, len(specs))
+			for i, spec := range specs {
+				tw[i] = MustNew(spec)
+			}
+			var g uint32
+			var ok bool
+			switch rng.Intn(3) {
+			case 0:
+				g, ok = sl.Open()
+			case 1: // as decodePartial opens it
+				var enc []byte
+				for i := range specs {
+					tw[i].Add(randValue(rng))
+					tw[i].Add(randValue(rng))
+					enc, _ = AppendState(enc, tw[i])
+				}
+				var n int
+				g, n, err = sl.Decode(enc)
+				ok = err == nil && n == len(enc)
+			case 2: // as mergeWinStates adopts a group only the source has
+				dg, _ := donor.Open()
+				fold(donor, dg, tw)
+				fold(donor, dg, tw)
+				g, ok = sl.Adopt(donor, dg)
+			}
+			if !ok || int(g) != len(twins) {
+				t.Fatalf("seed %d: group %d opened as %d (ok=%v err=%v)", seed, len(twins), g, ok, err)
+			}
+			twins = append(twins, tw)
+		}
+		// Interleave the updates so a state that aliased its neighbour —
+		// in its chunk or in the next group — would be caught.
+		for round := 0; round < 6; round++ {
+			for g, tw := range twins {
+				fold(sl, uint32(g), tw)
+			}
+		}
+		for g, tw := range twins {
+			for i, spec := range specs {
+				a := sl.At(uint32(g), i)
+				if !sameResult(a.Result(), tw[i].Result()) || a.Count() != tw[i].Count() {
+					t.Fatalf("seed %d %v: group %d aggregate %d (%v): slab %v (%d), New %v (%d)", seed, specs, g, i, spec.Kind, a.Result(), a.Count(), tw[i].Result(), tw[i].Count())
+				}
+				se, err1 := AppendState(nil, a)
+				he, err2 := AppendState(nil, tw[i])
+				if err1 != nil || err2 != nil || !bytes.Equal(se, he) {
+					t.Fatalf("seed %d: group %d aggregate %d (%v): serialized states differ", seed, g, i, spec.Kind)
+				}
+			}
+		}
+		// Merge folds a group of another slab in as Aggregator.Merge does.
+		for g := 0; g < groups; g += 97 {
+			sl.Merge(uint32(g), sl, uint32(g))
+			for i := range specs {
+				if got, want := sl.At(uint32(g), i).Count(), 2*twins[g][i].Count(); got != want {
+					t.Fatalf("seed %d: group %d aggregate %d merged with itself counts %d, want %d", seed, g, i, got, want)
+				}
+			}
+		}
+		var sketches int64
+		for g := range twins {
+			sketches += sl.sketchBytes(uint32(g))
+		}
+		if sl.Bytes() <= sketches || sl.sketches != sketches {
+			t.Errorf("seed %d: Bytes() = %d with %d accounted to sketches, which hold %d", seed, sl.Bytes(), sl.sketches, sketches)
+		}
+	}
+	if _, err := NewLayout([]Spec{{Kind: KindTopK}}); err == nil {
+		t.Error("NewLayout must validate specs like New")
+	}
+	if (*Slab)(nil).Bytes() != 0 {
+		t.Error("a nil Slab holds nothing")
+	}
+	lay, _ := NewLayout([]Spec{{Kind: KindAvg}, {Kind: KindCountStar}, {Kind: KindAvg}})
+	if n := testing.AllocsPerRun(10, func() {
+		fresh := NewSlab(lay)
+		for i := 0; i < slab.MaxChunk/2; i++ {
+			fresh.Open()
+		}
+	}); n > 1+(7+4)+(6+4) {
+		t.Errorf("%d groups of three scalar states cost %v allocations, want one per chunk and per doubling of a chunk list", slab.MaxChunk/2, n)
 	}
 }
 
@@ -96,24 +159,21 @@ func TestTopKAddTrackedItemDoesNotAllocate(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("entries %v, want %v", got, want)
 	}
-	// The sketch allocates on its own account when a counter moves to a
-	// count no bucket holds yet, so Add is measured against the path it
-	// replaces: the same sketch updates, plus one string per value.
-	ints := []event.Value{event.Int(123456789), event.Int(987654321)}
-	b, old := MustNew(Spec{Kind: KindTopK, K: 4}), MustNew(Spec{Kind: KindTopK, K: 4}).(*topKAgg)
-	for _, v := range ints {
-		b.Add(v)
-		old.ss.Add(v.String())
+	// Once every counter exists nothing allocates: not a tracked item,
+	// whose string form is built in the reused buffer and looked up as
+	// bytes, not an untracked one, not the takeover it causes.
+	b := MustNew(Spec{Kind: KindTopK, K: 4})
+	for i := 0; b.(*topKAgg).ss.Len() < b.(*topKAgg).ss.Capacity(); i++ {
+		b.Add(event.Int(int64(1000 + i)))
 	}
-	now := testing.AllocsPerRun(100, func() {
-		b.Add(ints[0])
-		b.Add(ints[1])
-	})
-	before := testing.AllocsPerRun(100, func() {
-		old.ss.Add(ints[0].String())
-		old.ss.Add(ints[1].String())
-	})
-	if now > before-2 {
-		t.Errorf("two Adds of tracked items allocate %v times, formatting first %v: want one string less per Add", now, before)
+	b.Add(event.Str("user-7"))
+	next := int64(5000)
+	if n := testing.AllocsPerRun(200, func() {
+		b.Add(event.Int(1001))     // tracked
+		b.Add(event.Str("user-7")) // tracked, a string
+		b.Add(event.Int(next))     // untracked: takes over the minimum
+		next++
+	}); n != 0 {
+		t.Errorf("Adds on a built TOP_K allocate %v times, want 0", n)
 	}
 }

@@ -399,23 +399,26 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 		buf = event.AppendValue(buf, ev(row))
 	}
 	qs.packBuf = buf
-	var aggs []agg.Aggregator
 	key := buf[groupHdr:]
 	hash := hashKey(key)
-	if off, ok := ws.findGroup(hash, key); ok {
-		aggs = ws.aggsAt(off, len(p.Aggs))
-	} else if aggs, ok = ws.openGroup(p, hash, buf); ok {
-		e.charge(ws)
-	} else {
-		qs.overflow++
-		return
-	}
-	for i, ag := range aggs {
-		if c.aggArgEvals[i] == nil {
-			ag.Add(event.Bool(true)) // COUNT(*): any valid value
-		} else {
-			ag.Add(c.aggArgEvals[i](row))
+	g, ok := ws.findGroup(hash, key)
+	if !ok {
+		if g, ok = ws.openGroup(p, hash, buf); !ok {
+			qs.overflow++
+			return
 		}
+		e.charge(ws)
+	}
+	grew := false
+	for i, ev := range c.aggArgEvals {
+		var v event.Value // COUNT(*) reads none
+		if ev != nil {
+			v = ev(row)
+		}
+		grew = ws.aggs.Add(g, i, v) || grew
+	}
+	if grew {
+		e.charge(ws)
 	}
 
 	// Error-bound moments: ungrouped scalable aggregates. Collected even
@@ -489,8 +492,8 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
 			unpackValues(row.keyVals, g.key(), false)
-			for i, ag := range ws.aggsAt(g.aggs(), len(p.Aggs)) {
-				v := ag.Result()
+			for i := range p.Aggs {
+				v := ws.aggs.At(g.ordinal(), i).Result()
 				if p.Aggs[i].Spec.Scalable() {
 					if est, ok := sums[i]; ok {
 						v = substituteEstimate(v, est)
@@ -649,8 +652,8 @@ func compareOrdered(p *Plan, a, b []event.Value) int {
 // were joined there. The return value counts what the merged window could
 // not hold — raw rows past MaxRawRows — and callers fold it into their
 // overflow accounting so bounded-memory truncation is never silent. src
-// must not be used afterwards: the aggregators of a group only src has
-// move to dst as they are, still living in src's slabs.
+// must not be used afterwards: the sketches of a group only src has move
+// to dst as they are.
 func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	dst.tuples += src.tuples
 	for h := range src.hosts {
@@ -663,27 +666,20 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 			break
 		}
 		hash := hashKey(g.key())
-		saggs := src.aggsAt(g.aggs(), len(p.Aggs))
 		if dg, ok := dst.findGroup(hash, g.key()); ok {
-			for i, ag := range dst.aggsAt(dg, len(p.Aggs)) {
-				// Same plan, same spec order; Merge errors only on kind
-				// mismatch, impossible here.
-				_ = ag.Merge(saggs[i])
-			}
+			dst.aggs.Merge(dg, src.aggs, g.ordinal())
 			continue
 		}
-		// A group only src has is adopted under the same key: its
-		// aggregators move over as they are.
-		off, aggs, ok := dst.aggs.Alloc(len(p.Aggs))
+		// A group only src has is adopted under the same key: its states
+		// are copied over, its sketches move.
+		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal())
 		if ok {
 			adopted = append(adopted[:0], g...)
-			ok = dst.addGroup(hash, adopted, off)
+			ok = dst.addGroup(hash, adopted, dg)
 		}
 		if !ok {
 			dropped++
-			continue
 		}
-		copy(aggs, saggs)
 	}
 	take := min(src.rawN, max(p.MaxRawRows-dst.rawN, 0))
 	dropped += uint64(src.rawN - take)

@@ -160,8 +160,8 @@ func encodePartial(dst []byte, p *Plan, ws *winState) []byte {
 		// The stored key is the encoding of the group's key values.
 		dst = binary.AppendUvarint(dst, uint64(len(p.GroupBy)))
 		dst = append(dst, g.key()...)
-		for _, ag := range ws.aggsAt(g.aggs(), len(p.Aggs)) {
-			enc, err := agg.AppendState(dst, ag)
+		for i := range p.Aggs {
+			enc, err := agg.AppendState(dst, ws.aggs.At(g.ordinal(), i))
 			if err != nil {
 				// Unreachable: every aggregator a window holds is
 				// encodable. A placeholder count keeps the failure loud at
@@ -247,10 +247,6 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 		if kvCnt != uint64(len(p.GroupBy)) {
 			return fmt.Errorf("%d key values for %d group-by columns", kvCnt, len(p.GroupBy))
 		}
-		off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
-		if !ok {
-			return fmt.Errorf("group state too large")
-		}
 		// The group's stored key is the encoding of its key values —
 		// these very bytes, once they are known to decode.
 		used, err := packedLen(b[n:], len(p.GroupBy))
@@ -259,19 +255,16 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 		}
 		run = append(appendHeader(run[:0], groupHdr), b[n:n+used]...)
 		n += used
-		for j := range aggs {
-			a, used, err := ws.aggSlab.DecodeState(p.Aggs[j].Spec, b[n:])
-			if err != nil {
-				return fmt.Errorf("agg %d: %w", j, err)
-			}
-			aggs[j] = a
-			n += used
+		g, used, err := ws.aggStates(p).Decode(b[n:])
+		if err != nil {
+			return err
 		}
+		n += used
 		hash := hashKey(run[groupHdr:])
 		if _, dup := ws.findGroup(hash, run[groupHdr:]); dup {
 			return fmt.Errorf("duplicate group key")
 		}
-		if !ws.addGroup(hash, run, off) {
+		if !ws.addGroup(hash, run, g) {
 			return fmt.Errorf("group state too large")
 		}
 	}

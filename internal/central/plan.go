@@ -68,6 +68,10 @@ type Plan struct {
 	// effective-rate deviations and collects estimator moments for them.
 	BudgetCPUPct      float64
 	BudgetBytesPerSec float64
+
+	// aggLayout is where Aggs' states live in a window's agg.Slab
+	// (checkAggs).
+	aggLayout *agg.Layout
 }
 
 // Budgeted reports whether the query carries a host-impact budget.
@@ -268,13 +272,13 @@ func compile(p *Plan) (*compiled, error) {
 	return c, nil
 }
 
-// checkAggs constructs each of the plan's aggregators once, so a bad spec
-// fails the query at start, not at the first tuple.
-func (p *Plan) checkAggs() error {
-	for _, a := range p.Aggs {
-		if _, err := agg.New(a.Spec); err != nil {
-			return err
-		}
+// checkAggs lays out the plan's aggregates for the windows' state slabs,
+// so a bad spec fails the query at start, not at the first tuple.
+func (p *Plan) checkAggs() (err error) {
+	specs := make([]agg.Spec, len(p.Aggs))
+	for i, a := range p.Aggs {
+		specs[i] = a.Spec
 	}
-	return nil
+	p.aggLayout, err = agg.NewLayout(specs)
+	return err
 }

@@ -21,8 +21,8 @@ import (
 // values are kept in their wire form (packed.go), not as event.Value
 // cells: no Value outlives the apply of the tuple it came from (a string
 // MIN/MAX's running best is the one exception — agg.extremeAgg), and the
-// only pointers in the slabs are the aggregator interfaces. What is looked
-// up — a request id's buffered tuples, a key's group — is found through
+// only pointers in the slabs are that string's and a sketch's. What is
+// looked up — a request id's buffered tuples, a key's group — is found through
 // bucket heads whose collision chains run through the stored runs
 // themselves (slab.Index): no map, cell or record indexes them. The set is
 // owned by the window and nothing is pooled across windows: it is dropped
@@ -63,17 +63,17 @@ type winState struct {
 	start int64
 	pendN int // buffered tuples: the MaxJoinPending bound and the gauge
 
-	// Group state: groupRuns holds one run per group — [link] [index of
-	// the group's len(Plan.Aggs) consecutive aggregators in aggs, 4 bytes]
-	// [the key values' wire form, keyW of them] — threaded by groups on
-	// the key bytes, which are all that is kept of the key. Scalar
-	// aggregator states are carved from aggSlab; sketches are allocated
-	// one by one.
+	// Group state: groupRuns holds one run per group — [link] [the
+	// group's ordinal in aggs, 4 bytes] [the key values' wire form, keyW
+	// of them] — threaded by groups on the key bytes, which are all that
+	// is kept of the key. aggs holds every group's aggregate states, found
+	// from the ordinal by arithmetic (agg.Slab); it is nil until the
+	// window's first group, so a window without groups — raw rows, a join
+	// still waiting, a cold one — pays a word for it.
 	groupRuns slab.Arena
 	groups    slab.Index
 	keyW      int
-	aggs      slab.Slab[agg.Aggregator]
-	aggSlab   agg.Slab
+	aggs      *agg.Slab
 
 	// raw holds the rows of a non-aggregate query, each a packed run of
 	// len(Plan.Select) values; rawN counts them.
@@ -86,7 +86,7 @@ type winState struct {
 }
 
 // groupHdr is what precedes the key in a group's run: the link and the
-// index of the group's aggregators.
+// group's ordinal in aggs.
 const groupHdr = slab.LinkSize + 4
 
 // hashSeed is drawn once per process, so no input can be built to land in
@@ -161,7 +161,7 @@ func (ws *winState) freeze(partial []byte) {
 	ws.hosts, ws.perHost, ws.lastMoments = nil, nil, nil
 	ws.join = slab.Index{}
 	ws.groupRuns, ws.groups = slab.Arena{}, slab.Index{}
-	ws.aggs, ws.aggSlab = slab.Slab[agg.Aggregator]{}, agg.Slab{}
+	ws.aggs = nil
 	ws.raw, ws.rawN = slab.Arena{}, 0
 }
 
@@ -212,10 +212,10 @@ func (ws *winState) momentsOf(host string, aggs int) []stats.Running {
 	return ws.lastMoments
 }
 
-// findGroup returns the aggregator index of the group whose encoded key
-// is key (hashKey(key) == hash). The stored key is compared in place: an
-// encoding of keyW values is self-delimiting, so none is a proper prefix
-// of another and a prefix match is equality.
+// findGroup returns the ordinal of the group whose encoded key is key
+// (hashKey(key) == hash). The stored key is compared in place: an encoding
+// of keyW values is self-delimiting, so none is a proper prefix of another
+// and a prefix match is equality.
 //
 //scrub:hotpath
 func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
@@ -229,11 +229,11 @@ func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
 	return 0, false
 }
 
-// addGroup records a group whose aggregators start at off. run is the
-// group's run with the groupHdr bytes reserved and the encoded key behind
-// them; it is copied. It fails only when the arena is out of addresses.
-func (ws *winState) addGroup(hash uint64, run []byte, off uint32) bool {
-	binary.LittleEndian.PutUint32(run[slab.LinkSize:], off)
+// addGroup records the group of ordinal g. run is the group's run with the
+// groupHdr bytes reserved and the encoded key behind them; it is copied. It
+// fails only when the arena is out of addresses.
+func (ws *winState) addGroup(hash uint64, run []byte, g uint32) bool {
+	binary.LittleEndian.PutUint32(run[slab.LinkSize:], g)
 	at, ok := ws.groupRuns.Append(run)
 	if !ok {
 		return false
@@ -259,30 +259,24 @@ func (ws *winState) rethreadGroups() {
 	}
 }
 
-// openGroup starts a group (run as for addGroup) with fresh aggregators
-// and returns them. It fails only when a slab has outgrown its uint32
-// addresses.
-//
-//scrub:allowalloc(a new group's aggregator states: carved from slabs whose chunk growth is amortised; sketches are allocated one by one)
-func (ws *winState) openGroup(p *Plan, hash uint64, run []byte) ([]agg.Aggregator, bool) {
-	off, aggs, ok := ws.aggs.Alloc(len(p.Aggs))
-	if !ok {
-		return nil, false
+// aggStates returns the window's aggregate states, making the slab for
+// the first group.
+func (ws *winState) aggStates(p *Plan) *agg.Slab {
+	if ws.aggs == nil {
+		ws.aggs = agg.NewSlab(p.aggLayout)
 	}
-	for i, a := range p.Aggs {
-		ag, err := ws.aggSlab.New(a.Spec)
-		if err != nil {
-			// Specs are validated at StartQuery; if one fails anyway the
-			// group is refused, not left an aggregator short.
-			return nil, false
-		}
-		aggs[i] = ag
-	}
-	return aggs, ws.addGroup(hash, run, off)
+	return ws.aggs
 }
 
-// aggsAt returns the na aggregators of the group whose run starts at off.
-func (ws *winState) aggsAt(off uint32, na int) []agg.Aggregator { return ws.aggs.Run(off, na) }
+// openGroup starts a group (run as for addGroup) with empty aggregate
+// states and returns its ordinal. It fails only when a slab has outgrown
+// its uint32 addresses.
+//
+//scrub:allowalloc(a new group's aggregate states: carved from slabs whose chunk growth is amortised; sketches are allocated one by one)
+func (ws *winState) openGroup(p *Plan, hash uint64, run []byte) (uint32, bool) {
+	g, ok := ws.aggStates(p).Open()
+	return g, ok && ws.addGroup(hash, run, g)
+}
 
 // groupRun is one group's run as render, encodePartial and merge read it,
 // in place.
@@ -291,8 +285,8 @@ type groupRun []byte
 // key is the group's encoded key.
 func (g groupRun) key() []byte { return g[groupHdr:] }
 
-// aggs is the index of the group's aggregators.
-func (g groupRun) aggs() uint32 { return binary.LittleEndian.Uint32(g[slab.LinkSize:]) }
+// ordinal is the group's ordinal in the window's aggregate states.
+func (g groupRun) ordinal() uint32 { return binary.LittleEndian.Uint32(g[slab.LinkSize:]) }
 
 // groupsInOrder walks the window's group runs in the order the groups
 // were opened.
@@ -329,12 +323,12 @@ func (ws *winState) rawRows(width int) [][]event.Value {
 	return out
 }
 
-// slabBytes is the capacity of the window's slabs, arenas and index heads
-// in bytes — what the scrub_central_state_bytes gauge counts: all of the
-// window's state but the sketches and the per-host maps. A cold window
-// comes to its partial plus its join arena.
+// slabBytes is the capacity of the window's slabs, arenas, index heads and
+// sketches in bytes — what the scrub_central_state_bytes gauge counts: all
+// of the window's state but the two per-host maps. A cold window comes to
+// its partial plus its join arena.
 func (ws *winState) slabBytes() int64 {
 	return int64(cap(ws.frozen)) + ws.arena.Bytes() + ws.join.Bytes() +
-		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() + ws.aggSlab.Bytes() +
+		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() +
 		ws.raw.Bytes()
 }

@@ -10,33 +10,53 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/obs"
+	"scrub/internal/sketch"
 	"scrub/internal/transport"
 )
 
 // Applying a batch to windows and groups that are already open must not
-// allocate: no per-tuple window list, key string, boxed row or copy.
+// allocate: no per-tuple window list, key string, boxed row or copy — and,
+// for top_k, no item string and no bucket for a counter that moves, a
+// takeover included: the zipfian users are many more than the summary's 80
+// counters, so most batches evict.
 func TestApplyOpenGroupsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	e := NewEngine()
-	p := buildPlan(t, `select bid.user_id, count(*), avg(bid.bid_price) from bid group by bid.user_id window 10s`, 1, 1, 1)
-	p.Lateness = time.Hour
-	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
-		t.Fatal(err)
-	}
-	var tuples []transport.Tuple
-	for i := 0; i < 256; i++ {
-		tuples = append(tuples, tup(uint64(i), sec(1)+int64(i), event.Int(int64(i%16)), event.Float(float64(i)/3)))
-	}
-	b := bidBatch(1, "h1", tuples...)
-	e.HandleBatch(b) // opens the window and its 16 groups
-	if n := testing.AllocsPerRun(50, func() { e.HandleBatch(b) }); n != 0 {
-		t.Errorf("HandleBatch over open groups allocates %v times per 256-tuple batch, want 0", n)
-	}
-	st, _ := e.StopQuery(1)
-	if st.TuplesIn != 52*256 {
-		t.Errorf("TuplesIn = %d", st.TuplesIn)
+	rng := rand.New(rand.NewSource(4))
+	zipf := rand.NewZipf(rng, 1.1, 1, 100000)
+	for _, tc := range []struct {
+		name, query string
+		user        func(i int) int64
+	}{
+		{"group-by", `select bid.user_id, count(*), avg(bid.bid_price) from bid group by bid.user_id window 10s`, func(i int) int64 { return int64(i % 16) }},
+		{"top_k", `select top_k(bid.user_id, 10) from bid window 10s`, func(int) int64 { return int64(zipf.Uint64()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			p := buildPlan(t, tc.query, 1, 1, 1)
+			p.Lateness = time.Hour
+			if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+				t.Fatal(err)
+			}
+			batches := make([]transport.TupleBatch, 8)
+			for k := range batches {
+				var tuples []transport.Tuple
+				for i := 0; i < 256; i++ {
+					tuples = append(tuples, tup(uint64(i), sec(1)+int64(i), event.Int(tc.user(i)), event.Float(float64(i)/3)))
+				}
+				batches[k] = bidBatch(1, "h1", tuples...)
+				e.HandleBatch(batches[k]) // opens the window and its groups, builds the summary
+			}
+			k := 0
+			if n := testing.AllocsPerRun(48, func() { e.HandleBatch(batches[k%len(batches)]); k++ }); n != 0 {
+				t.Errorf("HandleBatch over open groups allocates %v times per 256-tuple batch, want 0", n)
+			}
+			st, _ := e.StopQuery(1)
+			if st.TuplesIn != (8+49)*256 {
+				t.Errorf("TuplesIn = %d", st.TuplesIn)
+			}
+		})
 	}
 }
 
@@ -514,5 +534,65 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 	e.StopQuery(2)
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != 0 {
 		t.Errorf("scrub_central_state_bytes = %d after every query stopped", got)
+	}
+}
+
+// The gauge covers the sketches: a window's top_k summary and its
+// count_distinct registers are charged while the window is live — as the
+// summary grows, not only when a group opens — given back when it goes
+// cold, and gone when it closes.
+func TestStateBytesGaugeCountsSketches(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := NewEngineWith(Options{Metrics: reg})
+	p := buildPlan(t, `select top_k(bid.user_id, 10), count_distinct(bid.user_id) from bid window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	start := gaugeValue(reg, "scrub_central_state_bytes")
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(1), event.Int(1))))
+	one := gaugeValue(reg, "scrub_central_state_bytes")
+	hll := int64(1) << sketch.DefaultHLLPrecision
+	if one-start < hll {
+		t.Errorf("scrub_central_state_bytes rose by %d for a window with a count_distinct, whose registers alone are %d", one-start, hll)
+	}
+	for i := 0; i < 200; i++ { // fills the summary's 80 counters; no group opens
+		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), sec(2), event.Int(int64(i)))))
+	}
+	full := gaugeValue(reg, "scrub_central_state_bytes")
+	// held is what the open windows hold, and what the first of them is
+	// charged once it is cold.
+	held := func() (all, cold int64) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.queries[1].win.Each(func(ws *winState) {
+			all += ws.slabBytes()
+			if ws.frozen != nil {
+				if ws.start == 0 {
+					cold = ws.slabBytes()
+				}
+				if ws.slabBytes() != int64(len(ws.frozen)) {
+					t.Errorf("a cold window is charged %d bytes, its partial is %d", ws.slabBytes(), len(ws.frozen))
+				}
+			}
+		})
+		return all, cold
+	}
+	const counters = 80 * 48 // a built top_k(_, 10) summary: 80 counters of 48 bytes, at least
+	if all, _ := held(); full != all || full-one < counters || full-start < hll+counters {
+		t.Errorf("scrub_central_state_bytes = %d (%d after one tuple, %d idle): the window holds %d, its sketches at least %d", full, one, start, all, hll+counters)
+	}
+	// Two more windows open and the first stays idle: it goes cold, and what
+	// it is charged is its partial — the registers verbatim, the summary as
+	// its entries.
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(11), event.Int(1))))
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(21), event.Int(1))))
+	all, cold := held()
+	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != all || cold == 0 || cold > full-start-counters/2 {
+		t.Errorf("scrub_central_state_bytes = %d, the windows hold %d, the first one %d cold and %d live", got, all, cold, full-start)
+	}
+	e.StopQuery(1)
+	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != start {
+		t.Errorf("scrub_central_state_bytes = %d after the query stopped, %d before it started", got, start)
 	}
 }

@@ -137,10 +137,12 @@ func lex(src string) ([]token, error) {
 				switch unit {
 				case "ns", "us", "ms", "s", "m", "h":
 					// Allow compound durations like 1h30m: keep consuming
-					// digit+unit pairs.
+					// digit+unit pairs. A later part may carry a fraction
+					// (1m10.000001s is how a Duration renders itself); a
+					// malformed one is left to time.ParseDuration.
 					for i < len(src) && src[i] >= '0' && src[i] <= '9' {
 						j := i
-						for j < len(src) && src[j] >= '0' && src[j] <= '9' {
+						for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
 							j++
 						}
 						k := j

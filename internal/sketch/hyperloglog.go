@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // HLL is a HyperLogLog cardinality estimator with 2^precision registers.
@@ -49,6 +50,10 @@ func MustHLL(precision uint8) *HLL {
 
 // Precision returns the register-count exponent.
 func (h *HLL) Precision() uint8 { return h.precision }
+
+// Bytes is what the estimator holds, in bytes: its registers, fixed at
+// construction.
+func (h *HLL) Bytes() int64 { return int64(unsafe.Sizeof(*h)) + int64(cap(h.registers)) }
 
 // fmix64 is the MurmurHash3 finalizer. Upstream hashes (FNV-1a over short,
 // near-sequential keys) are not uniform enough in their high bits, which

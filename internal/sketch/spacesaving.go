@@ -1,9 +1,13 @@
 package sketch
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
+	"unsafe"
 )
 
 // SpaceSaving is the stream-summary structure of Metwally, Agrawal and El
@@ -13,34 +17,61 @@ import (
 // it evicts the minimum counter and inherits its count as overestimation
 // error. Guarantees: count(x) <= trueCount(x) + min; every item with true
 // count > N/capacity is present.
+//
+// The summary is four flat arrays whose entries refer to each other by
+// uint32 index (DESIGN.md §17): counters; count buckets, a doubly linked
+// list of the distinct counts in ascending order, each heading the doubly
+// linked list of the counters at that count — the layout that gives O(1)
+// increments; the bucket heads of a chained hash index over the item bytes;
+// and the item bytes themselves, a slot per counter. The arrays grow with
+// the number of tracked items up to capacity, and once every counter
+// exists an addition allocates nothing: a takeover writes the new item
+// into the victim's slot.
 type SpaceSaving struct {
 	capacity int
-	counters map[string]*ssCounter
-	// buckets is a doubly linked list of distinct counts in ascending
-	// order; each bucket holds the set of counters at that count. This is
-	// the "stream summary" layout that gives O(1) increments.
-	minBucket *ssBucket
+	ctr      []ssCounter
+	bkt      []ssBucket
+	minBkt   uint32 // bucket of the smallest count; none while empty
+	freeBkt  uint32 // unused buckets, chained through next
+	heads    []uint32
+	// items holds every counter's slot. A taken-over counter whose new
+	// item does not fit gets a new slot at the end and leaves dead bytes
+	// behind; the store is compacted when half of it is dead.
+	items []byte
+	dead  int
 }
 
+// none is the nil index.
+const none = ^uint32(0)
+
 type ssCounter struct {
-	item   string
 	count  uint64
 	errVal uint64 // overestimation inherited at takeover
-	bucket *ssBucket
+	// The item is items[off : off+len], in a slot of cap bytes.
+	off, len, cap uint32
+	hash          uint32 // the item's hash, low half: its chain is heads[hash&mask]
+	hnext         uint32 // next counter of the hash chain
+	bucket        uint32
+	prev, next    uint32 // the bucket's other members
 }
 
 type ssBucket struct {
 	count      uint64
-	members    map[*ssCounter]struct{}
-	prev, next *ssBucket
+	head       uint32 // first member
+	prev, next uint32
 }
+
+// hashSeed is drawn once per process, so no input can be built to land in
+// one chain. Nothing's order depends on a hash: a victim is chosen by item
+// bytes, and what is reported or serialized is sorted first.
+var hashSeed = maphash.MakeSeed()
 
 // NewSpaceSaving creates a summary with the given counter capacity.
 func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("sketch: SpaceSaving capacity must be positive, got %d", capacity)
+	if capacity <= 0 || int64(capacity) >= int64(none) {
+		return nil, fmt.Errorf("sketch: SpaceSaving capacity must be positive (and below 2^32), got %d", capacity)
 	}
-	return &SpaceSaving{capacity: capacity, counters: make(map[string]*ssCounter, capacity)}, nil
+	return &SpaceSaving{capacity: capacity, minBkt: none, freeBkt: none}, nil
 }
 
 // MustSpaceSaving is NewSpaceSaving that panics on error.
@@ -56,120 +87,279 @@ func MustSpaceSaving(capacity int) *SpaceSaving {
 func (s *SpaceSaving) Capacity() int { return s.capacity }
 
 // Len returns the number of currently tracked items.
-func (s *SpaceSaving) Len() int { return len(s.counters) }
+func (s *SpaceSaving) Len() int { return len(s.ctr) }
+
+// Bytes is the capacity of the summary's arrays, in bytes: at most
+// capacity × (a counter, a bucket and two index heads) plus the item
+// slots.
+func (s *SpaceSaving) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) +
+		int64(cap(s.ctr))*int64(unsafe.Sizeof(ssCounter{})) +
+		int64(cap(s.bkt))*int64(unsafe.Sizeof(ssBucket{})) +
+		int64(cap(s.heads))*4 + int64(cap(s.items))
+}
 
 // Add increments item by one.
 func (s *SpaceSaving) Add(item string) { s.AddN(item, 1) }
 
-// AddBytes is Add for an item held in a caller-owned buffer, which may be
-// reused after the call returns: an item already tracked is looked up
-// without allocating, and a string is made only when a counter is created
-// or taken over.
-func (s *SpaceSaving) AddBytes(item []byte) {
-	if c, ok := s.counters[string(item)]; ok {
-		s.bump(c, 1)
-		return
-	}
-	s.AddN(string(item), 1)
-}
-
 // AddN increments item by n.
 func (s *SpaceSaving) AddN(item string, n uint64) {
-	if n == 0 {
+	if n > 0 {
+		s.add([]byte(item), n)
+	}
+}
+
+// AddBytes is Add for an item held in a caller-owned buffer, which may be
+// reused after the call returns: the summary keeps its own copy of an item
+// it starts to track.
+//
+//scrub:hotpath
+func (s *SpaceSaving) AddBytes(item []byte) { s.add(item, 1) }
+
+func (s *SpaceSaving) add(item []byte, n uint64) {
+	h := maphash.Bytes(hashSeed, item)
+	if ci := s.find(h, item); ci != none {
+		s.bump(ci, n)
 		return
 	}
-	if c, ok := s.counters[item]; ok {
-		s.bump(c, n)
-		return
-	}
-	if len(s.counters) < s.capacity {
-		c := &ssCounter{item: item, count: 0}
-		s.counters[item] = c
-		s.attach(c) // attach at count 0 bucket semantics via bump
-		s.bump(c, n)
+	if len(s.ctr) < s.capacity {
+		s.track(h, item, n, 0)
 		return
 	}
 	// Evict the minimum counter: the new item takes it over, inheriting
 	// its count as error.
-	victim := s.anyMinCounter()
-	delete(s.counters, victim.item)
-	victim.errVal = victim.count
-	victim.item = item
-	s.counters[item] = victim
-	s.bump(victim, n)
+	ci := s.victim()
+	c := &s.ctr[ci]
+	s.unindex(ci)
+	c.errVal = c.count
+	s.store(c, item)
+	s.index(ci, uint32(h))
+	s.bump(ci, n)
 }
 
-// attach places a fresh counter into a zero-count staging bucket.
-func (s *SpaceSaving) attach(c *ssCounter) {
-	b := s.minBucket
-	if b == nil || b.count != 0 {
-		nb := &ssBucket{count: 0, members: make(map[*ssCounter]struct{})}
-		nb.next = s.minBucket
-		if s.minBucket != nil {
-			s.minBucket.prev = nb
-		}
-		s.minBucket = nb
-		b = nb
+// find returns the counter tracking item, whose hash is h.
+func (s *SpaceSaving) find(h uint64, item []byte) uint32 {
+	if len(s.heads) == 0 {
+		return none
 	}
-	b.members[c] = struct{}{}
-	c.bucket = b
+	for ci := s.heads[uint32(h)&uint32(len(s.heads)-1)]; ci != none; {
+		if s.ctr[ci].hash == uint32(h) && bytes.Equal(s.item(ci), item) {
+			return ci
+		}
+		ci = s.ctr[ci].hnext
+	}
+	return none
+}
+
+// index threads counter ci, whose item hashes to h, at the head of its
+// chain.
+func (s *SpaceSaving) index(ci, h uint32) {
+	head := &s.heads[h&uint32(len(s.heads)-1)]
+	s.ctr[ci].hash, s.ctr[ci].hnext = h, *head
+	*head = ci
+}
+
+// unindex takes counter ci out of its hash chain.
+func (s *SpaceSaving) unindex(ci uint32) {
+	c := &s.ctr[ci]
+	at := &s.heads[c.hash&uint32(len(s.heads)-1)]
+	for *at != ci {
+		at = &s.ctr[*at].hnext
+	}
+	*at = c.hnext
+}
+
+// item returns counter ci's item, aliasing the store.
+func (s *SpaceSaving) item(ci uint32) []byte {
+	c := &s.ctr[ci]
+	return s.items[c.off : c.off+c.len]
+}
+
+// store writes item into c's slot, or into a new one when it does not fit
+// (a new counter has none: no slot is shorter than eight bytes).
+func (s *SpaceSaving) store(c *ssCounter, item []byte) {
+	if len(item) > int(c.cap) || c.cap == 0 {
+		s.dead += int(c.cap)
+		if s.dead > len(s.items)/2 {
+			c.cap = 0 // this slot is not carried over
+			s.compact(len(item))
+		}
+		c.off, c.cap = uint32(len(s.items)), uint32(max(8, (len(item)+7)&^7))
+		//scrub:allowalloc(a longer item than the counter ever held: slots only grow)
+		s.items = append(s.items, make([]byte, c.cap)...)
+	}
+	c.len = uint32(copy(s.items[c.off:], item))
+	if c.len < 8 {
+		clear(s.items[c.off+c.len : c.off+8]) // prefix reads a short item zero-padded
+	}
+}
+
+// prefix is the first eight bytes of counter ci's item as a big-endian
+// number, a shorter item padded with zeros (a slot is eight bytes at
+// least): items order as their prefixes do, wherever these differ.
+func (s *SpaceSaving) prefix(ci uint32) uint64 {
+	return binary.BigEndian.Uint64(s.items[s.ctr[ci].off:])
+}
+
+// compact moves the live slots, at their capacities, into a new store with
+// room for one more slot of extra bytes.
+//
+//scrub:allowalloc(once per half a store of abandoned slots)
+func (s *SpaceSaving) compact(extra int) {
+	live := make([]byte, 0, len(s.items)-s.dead+extra+8)
+	for i := range s.ctr {
+		c := &s.ctr[i]
+		off := uint32(len(live))
+		live = append(live, s.items[c.off:c.off+c.cap]...)
+		c.off = off
+	}
+	s.items, s.dead = live, 0
+}
+
+// track starts a counter for an untracked item at count n.
+//
+//scrub:allowalloc(the arrays grow with the number of tracked items, up to capacity)
+func (s *SpaceSaving) track(h uint64, item []byte, n, errVal uint64) {
+	if len(s.ctr) == cap(s.ctr) {
+		s.grow(min(max(2*cap(s.ctr), 8), s.capacity))
+	}
+	ci := uint32(len(s.ctr))
+	s.ctr = append(s.ctr, ssCounter{count: n, errVal: errVal})
+	s.store(&s.ctr[ci], item)
+	s.index(ci, uint32(h))
+	s.insert(ci, none)
+}
+
+// grow makes room for n counters and as many buckets and one (a bucket per
+// counter, and the one a counter is moving to before its old one goes),
+// and sizes the hash index for them — a head per counter at least, a power
+// of two of them — threading the tracked items again.
+func (s *SpaceSaving) grow(n int) {
+	s.ctr = append(make([]ssCounter, 0, n), s.ctr...)
+	s.bkt = append(make([]ssBucket, 0, n+1), s.bkt...)
+	heads := 8
+	for heads < n {
+		heads *= 2
+	}
+	s.heads = make([]uint32, heads)
+	for i := range s.heads {
+		s.heads[i] = none
+	}
+	for ci := range s.ctr {
+		s.index(uint32(ci), s.ctr[ci].hash)
+	}
 }
 
 // bump moves a counter up by n, maintaining the bucket list.
-func (s *SpaceSaving) bump(c *ssCounter, n uint64) {
+//
+//scrub:hotpath
+func (s *SpaceSaving) bump(ci uint32, n uint64) {
+	c := &s.ctr[ci]
 	old := c.bucket
-	newCount := c.count + n
-	c.count = newCount
-
-	// Find or create the destination bucket after old.
-	cur := old
-	for cur.next != nil && cur.next.count < newCount {
-		cur = cur.next
+	c.count += n
+	ob := &s.bkt[old]
+	if c.prev == none && c.next == none && (ob.next == none || s.bkt[ob.next].count > c.count) {
+		// The bucket's only member, and no bucket lies between the old
+		// count and the new: the bucket moves with it.
+		ob.count = c.count
+		return
 	}
-	var dst *ssBucket
-	if cur.next != nil && cur.next.count == newCount {
-		dst = cur.next
-	} else {
-		dst = &ssBucket{count: newCount, members: make(map[*ssCounter]struct{})}
-		dst.prev = cur
-		dst.next = cur.next
-		if cur.next != nil {
-			cur.next.prev = dst
-		}
-		cur.next = dst
-	}
-	delete(old.members, c)
-	dst.members[c] = struct{}{}
-	c.bucket = dst
-	if len(old.members) == 0 {
+	s.leave(ci)
+	s.insert(ci, old)
+	if s.bkt[old].head == none {
 		s.unlink(old)
 	}
 }
 
-func (s *SpaceSaving) unlink(b *ssBucket) {
-	if b.prev != nil {
-		b.prev.next = b.next
+// leave takes counter ci off its bucket's member list; the bucket stays,
+// possibly empty.
+func (s *SpaceSaving) leave(ci uint32) {
+	c := &s.ctr[ci]
+	if c.prev != none {
+		s.ctr[c.prev].next = c.next
 	} else {
-		s.minBucket = b.next
+		s.bkt[c.bucket].head = c.next
 	}
-	if b.next != nil {
-		b.next.prev = b.prev
+	if c.next != none {
+		s.ctr[c.next].prev = c.prev
 	}
 }
 
-// anyMinCounter picks the eviction victim from the minimum bucket: the
+// insert makes counter ci a member of the bucket of its count, which lies
+// behind bucket after (none: anywhere), creating the bucket when no
+// counter is at that count yet.
+func (s *SpaceSaving) insert(ci, after uint32) {
+	count := s.ctr[ci].count
+	next := s.minBkt
+	if after != none {
+		next = s.bkt[after].next
+	}
+	for next != none && s.bkt[next].count < count {
+		after, next = next, s.bkt[next].next
+	}
+	b := next
+	if b == none || s.bkt[b].count != count {
+		b = s.newBucket(count, after, next)
+	}
+	c, head := &s.ctr[ci], s.bkt[b].head
+	c.bucket, c.prev, c.next = b, none, head
+	if head != none {
+		s.ctr[head].prev = ci
+	}
+	s.bkt[b].head = ci
+}
+
+// newBucket links an empty bucket for count between prev and next, taking
+// it from the free list or from the room grow left.
+func (s *SpaceSaving) newBucket(count uint64, prev, next uint32) uint32 {
+	b := s.freeBkt
+	if b != none {
+		s.freeBkt = s.bkt[b].next
+	} else {
+		b = uint32(len(s.bkt))
+		s.bkt = s.bkt[:b+1]
+	}
+	s.bkt[b] = ssBucket{count: count, head: none, prev: prev, next: next}
+	if prev != none {
+		s.bkt[prev].next = b
+	} else {
+		s.minBkt = b
+	}
+	if next != none {
+		s.bkt[next].prev = b
+	}
+	return b
+}
+
+// unlink takes an empty bucket out of the list and onto the free list.
+func (s *SpaceSaving) unlink(b uint32) {
+	prev, next := s.bkt[b].prev, s.bkt[b].next
+	if prev != none {
+		s.bkt[prev].next = next
+	} else {
+		s.minBkt = next
+	}
+	if next != none {
+		s.bkt[next].prev = prev
+	}
+	s.bkt[b].next, s.freeBkt = s.freeBkt, b
+}
+
+// victim picks the counter to evict from the minimum bucket: the
 // lexicographically smallest item, so identical streams always build
-// identical summaries. Map-order victim choice would make replays (and
-// Engine vs ShardedEngine comparisons) nondeterministic. The scan is
-// bounded by the summary capacity and only runs on eviction.
-func (s *SpaceSaving) anyMinCounter() *ssCounter {
-	var victim *ssCounter
-	for c := range s.minBucket.members {
-		if victim == nil || c.item < victim.item {
-			victim = c
+// identical summaries. Member-order victim choice would make replays (and
+// Engine vs ShardedEngine comparisons) depend on the order of earlier
+// additions that a serialized summary does not record. The scan is bounded
+// by the summary capacity and only runs on eviction.
+func (s *SpaceSaving) victim() uint32 {
+	v := s.bkt[s.minBkt].head
+	least := s.prefix(v)
+	for ci := s.ctr[v].next; ci != none; ci = s.ctr[ci].next {
+		if p := s.prefix(ci); p < least || p == least && bytes.Compare(s.item(ci), s.item(v)) < 0 {
+			v, least = ci, p
 		}
 	}
-	return victim // nil is unreachable when Len > 0
+	return v
 }
 
 // Entry is one reported heavy hitter. Count overestimates the true count by
@@ -180,32 +370,41 @@ type Entry struct {
 	Err   uint64
 }
 
-// Top returns the k highest-count entries, ties broken by item for
-// determinism.
-func (s *SpaceSaving) Top(k int) []Entry {
-	all := make([]Entry, 0, len(s.counters))
-	for _, c := range s.counters {
-		all = append(all, Entry{Item: c.item, Count: c.count, Err: c.errVal})
+// EachTop calls f with the k highest-count entries, ties broken by item
+// for determinism. item aliases the summary's store: it is valid until the
+// next addition.
+func (s *SpaceSaving) EachTop(k int, f func(item []byte, count, errVal uint64)) {
+	order := make([]uint32, len(s.ctr))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+	slices.SortFunc(order, func(a, b uint32) int {
+		if c := cmp.Compare(s.ctr[b].count, s.ctr[a].count); c != 0 {
+			return c
 		}
-		return all[i].Item < all[j].Item
+		return bytes.Compare(s.item(a), s.item(b))
 	})
-	if k < len(all) {
-		all = all[:k]
+	for _, ci := range order[:max(0, min(k, len(order)))] {
+		f(s.item(ci), s.ctr[ci].count, s.ctr[ci].errVal)
 	}
-	return all
+}
+
+// Top returns the k highest-count entries, in EachTop's order.
+func (s *SpaceSaving) Top(k int) []Entry {
+	out := make([]Entry, 0, max(0, min(k, len(s.ctr))))
+	s.EachTop(k, func(item []byte, count, errVal uint64) {
+		out = append(out, Entry{Item: string(item), Count: count, Err: errVal})
+	})
+	return out
 }
 
 // Count returns the (over)estimate for an item and whether it is tracked.
 func (s *SpaceSaving) Count(item string) (uint64, bool) {
-	c, ok := s.counters[item]
-	if !ok {
+	ci := s.find(maphash.String(hashSeed, item), []byte(item))
+	if ci == none {
 		return 0, false
 	}
-	return c.count, true
+	return s.ctr[ci].count, true
 }
 
 // Merge folds another summary into s using the mergeable-summaries
@@ -221,78 +420,40 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	if o == nil || o.Len() == 0 {
 		return
 	}
-	minS := s.minInheritance()
-	minO := o.minInheritance()
-	merged := make(map[string]Entry, len(s.counters)+len(o.counters))
-	for _, c := range s.counters {
-		merged[c.item] = Entry{Item: c.item, Count: c.count, Err: c.errVal}
-	}
-	for _, c := range o.counters {
-		if e, ok := merged[c.item]; ok {
-			e.Count += c.count
-			e.Err += c.errVal
-			merged[c.item] = e
+	minS, minO := s.minInheritance(), o.minInheritance()
+	u := &SpaceSaving{capacity: len(s.ctr) + len(o.ctr), minBkt: none, freeBkt: none}
+	u.grow(u.capacity)
+	for i := range s.ctr {
+		c, item := &s.ctr[i], s.item(uint32(i))
+		h := maphash.Bytes(hashSeed, item)
+		if oi := o.find(h, item); oi != none {
+			u.track(h, item, c.count+o.ctr[oi].count, c.errVal+o.ctr[oi].errVal)
 		} else {
-			merged[c.item] = Entry{Item: c.item, Count: c.count + minS, Err: c.errVal + minS}
+			u.track(h, item, c.count+minO, c.errVal+minO)
 		}
 	}
-	if minO > 0 {
-		for item, e := range merged {
-			if _, inO := o.counters[item]; !inO {
-				e.Count += minO
-				e.Err += minO
-				merged[item] = e
-			}
+	for i := range o.ctr {
+		c, item := &o.ctr[i], o.item(uint32(i))
+		if h := maphash.Bytes(hashSeed, item); s.find(h, item) == none {
+			u.track(h, item, c.count+minS, c.errVal+minS)
 		}
 	}
-	all := make([]Entry, 0, len(merged))
-	for _, e := range merged {
-		all = append(all, e)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Item < all[j].Item
+	m := MustSpaceSaving(s.capacity)
+	m.grow(min(len(u.ctr), m.capacity))
+	u.EachTop(m.capacity, func(item []byte, count, errVal uint64) {
+		m.track(maphash.Bytes(hashSeed, item), item, count, errVal)
 	})
-	if len(all) > s.capacity {
-		all = all[:s.capacity]
-	}
-	s.rebuild(all)
+	*s = *m
 }
 
 // minInheritance returns the count an untracked item could have reached
 // in this summary: the minimum tracked count when at capacity, else 0
 // (a below-capacity summary tracks everything it has ever seen).
 func (s *SpaceSaving) minInheritance() uint64 {
-	if len(s.counters) < s.capacity || s.minBucket == nil {
+	if len(s.ctr) < s.capacity {
 		return 0
 	}
-	return s.minBucket.count
-}
-
-// rebuild replaces the summary's contents with entries sorted by
-// descending count, reconstructing the ascending bucket list.
-func (s *SpaceSaving) rebuild(entries []Entry) {
-	s.counters = make(map[string]*ssCounter, s.capacity)
-	s.minBucket = nil
-	var prev *ssBucket
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		c := &ssCounter{item: e.Item, count: e.Count, errVal: e.Err}
-		s.counters[e.Item] = c
-		if prev == nil || prev.count != e.Count {
-			b := &ssBucket{count: e.Count, members: make(map[*ssCounter]struct{}), prev: prev}
-			if prev != nil {
-				prev.next = b
-			} else {
-				s.minBucket = b
-			}
-			prev = b
-		}
-		prev.members[c] = struct{}{}
-		c.bucket = prev
-	}
+	return s.bkt[s.minBkt].count
 }
 
 // AppendBinary serializes the summary: capacity, entry count, then every
@@ -302,20 +463,20 @@ func (s *SpaceSaving) rebuild(entries []Entry) {
 // this encoding is lossless even though the bucket list is not written.
 func (s *SpaceSaving) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.capacity))
-	entries := s.Top(len(s.counters))
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Item)))
-		dst = append(dst, e.Item...)
-		dst = binary.AppendUvarint(dst, e.Count)
-		dst = binary.AppendUvarint(dst, e.Err)
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(s.ctr)))
+	s.EachTop(len(s.ctr), func(item []byte, count, errVal uint64) {
+		dst = binary.AppendUvarint(dst, uint64(len(item)))
+		dst = append(dst, item...)
+		dst = binary.AppendUvarint(dst, count)
+		dst = binary.AppendUvarint(dst, errVal)
+	})
 	return dst
 }
 
 // DecodeSpaceSaving parses a summary serialized by AppendBinary, returning
 // bytes consumed. The decoded summary behaves identically to the encoded
-// one: rebuild reconstructs the canonical bucket layout from the entries.
+// one: the entries determine the bucket list. An item listed twice is
+// refused.
 func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 	capacity, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -329,11 +490,18 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 	if cnt > capacity || cnt > uint64(len(b)) {
 		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: implausible entry count %d (capacity %d)", cnt, capacity)
 	}
+	if capacity >= uint64(none) {
+		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: implausible capacity %d", capacity)
+	}
 	s, err := NewSpaceSaving(int(capacity))
 	if err != nil {
 		return nil, 0, err
 	}
-	entries := make([]Entry, 0, cnt)
+	if cnt > 0 {
+		s.grow(int(cnt))
+	}
+	// Entries come in descending count order, so each one's bucket is the
+	// list's first or goes in front of it.
 	for i := uint64(0); i < cnt; i++ {
 		ln, sz := binary.Uvarint(b[n:])
 		if sz <= 0 {
@@ -343,7 +511,7 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 		if uint64(len(b)-n) < ln {
 			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: short item")
 		}
-		item := string(b[n : n+int(ln)])
+		item := b[n : n+int(ln)]
 		n += int(ln)
 		count, sz := binary.Uvarint(b[n:])
 		if sz <= 0 {
@@ -355,10 +523,11 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad err")
 		}
 		n += sz
-		entries = append(entries, Entry{Item: item, Count: count, Err: errVal})
-	}
-	if len(entries) > 0 {
-		s.rebuild(entries)
+		h := maphash.Bytes(hashSeed, item)
+		if s.find(h, item) != none {
+			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: item %q listed twice", item)
+		}
+		s.track(h, item, count, errVal)
 	}
 	return s, n, nil
 }
@@ -367,8 +536,8 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 // additions routed to tracked items).
 func (s *SpaceSaving) TotalCount() uint64 {
 	var t uint64
-	for _, c := range s.counters {
-		t += c.count
+	for i := range s.ctr {
+		t += s.ctr[i].count
 	}
 	return t
 }

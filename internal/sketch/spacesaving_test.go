@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -224,18 +225,40 @@ func TestSpaceSavingMergeInvariantQuick(t *testing.T) {
 	}
 }
 
+// BenchmarkSpaceSavingAdd adds one item per iteration through AddBytes, at
+// the capacity top_k(_, 10) constructs (max(8k, 64) = 80) and at 1000, over
+// three streams: zipfian users (most additions find their item tracked),
+// uniform over four times the capacity (three in four are takeovers of one
+// of a few tied minima) and all-distinct (every addition is a takeover).
+// The file uses only the exported API, so it runs against the map-based
+// summary of an older checkout as it stands.
 func BenchmarkSpaceSavingAdd(b *testing.B) {
-	s := MustSpaceSaving(1000)
-	items := make([]string, 4096)
-	rng := rand.New(rand.NewSource(1))
-	zipf := rand.NewZipf(rng, 1.2, 1, 100000)
-	for i := range items {
-		items[i] = fmt.Sprintf("user-%d", zipf.Uint64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(items[i&4095])
+	for _, capacity := range []int{80, 1000} {
+		rng := rand.New(rand.NewSource(1))
+		zipf := rand.NewZipf(rng, 1.2, 1, 100000)
+		zipfian, uniform := make([][]byte, 4096), make([][]byte, 4096)
+		for i := range zipfian {
+			zipfian[i] = []byte(fmt.Sprintf("user-%d", zipf.Uint64()))
+			uniform[i] = []byte(fmt.Sprintf("user-%d", rng.Intn(4*capacity)))
+		}
+		for _, stream := range []struct {
+			name  string
+			items [][]byte
+		}{{"zipfian", zipfian}, {"uniform", uniform}, {"all-distinct", nil}} {
+			b.Run(fmt.Sprintf("cap=%d/%s", capacity, stream.name), func(b *testing.B) {
+				s := MustSpaceSaving(capacity)
+				buf := append(make([]byte, 0, 32), "user-"...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if stream.items != nil {
+						s.AddBytes(stream.items[i&4095])
+					} else {
+						s.AddBytes(strconv.AppendUint(buf[:5], uint64(i), 10))
+					}
+				}
+			})
+		}
 	}
 }
 

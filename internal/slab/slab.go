@@ -12,17 +12,17 @@ import (
 // Slab is an append-only sequence of T addressed by uint32 index and kept
 // in chunks that are never reallocated: growing it copies nothing, so its
 // owner allocates what it ends up holding (a flat slice grown by append
-// allocates about five times that on the way), an index — and a pointer or
-// slice into a chunk — stays valid while the slab grows, and the slack is
-// At most one partly filled chunk. Chunks double from MinChunk to MaxChunk
+// allocates about five times that on the way), an index — and a pointer
+// into a chunk — stays valid while the slab grows, and the slack is at
+// most one partly filled chunk. Chunks double from MinChunk to MaxChunk
 // elements and stay at that size from then on, so an owner with a handful
-// of entries pays for a handful. The zero Slab is empty and ready to use;
-// it is not safe for concurrent use.
+// of entries pays for a handful. Elements are handed out one at a time and
+// no index is ever skipped: the i-th element appended is element i. The
+// zero Slab is empty and ready to use; it is not safe for concurrent use.
 type Slab[T any] struct {
-	chunks    [][]T
-	free      []T // the unused rest of the newest chunk
-	n         int // elements handed out, padding included
-	allocated int // elements of capacity allocated
+	chunks [][]T
+	free   []T // the unused rest of the newest chunk
+	n      int // elements handed out
 }
 
 const (
@@ -49,60 +49,31 @@ func locate(i int) (chunk, off int) {
 // chunkCap is the capacity of chunk k.
 func chunkCap(k int) int { return MinChunk << min(k, steps) }
 
-// Alloc hands out a zeroed run of w consecutive elements that lies inside
-// one chunk (so it can be used as a []T) and returns its index. When the
-// current chunk's remainder is too short the run starts with the next
-// chunk that can hold it; the skipped elements are padding. It fails when
-// the run would not be addressable by a uint32, or is longer than a
-// chunk.
-func (s *Slab[T]) Alloc(w int) (uint32, []T, bool) {
-	if w > len(s.free) || uint64(s.n)+uint64(w) > math.MaxUint32 {
-		if !s.grow(w) {
-			return 0, nil, false
+// Append hands out the next element, zeroed. The owner keeps the slab
+// below 2^32 elements — an index is a uint32 — and one that does not is
+// stopped here rather than wrapped.
+func (s *Slab[T]) Append() *T {
+	if len(s.free) == 0 {
+		if s.n >= math.MaxUint32 {
+			panic("slab: out of uint32 indexes")
 		}
+		s.free = make([]T, chunkCap(len(s.chunks)))
+		s.chunks = append(s.chunks, s.free)
 	}
-	i, run := s.n, s.free[:w:w]
-	s.free = s.free[w:]
-	s.n += w
-	return uint32(i), run, true
+	e := &s.free[0]
+	s.free = s.free[1:]
+	s.n++
+	return e
 }
 
-// grow makes room for a run of w elements: it skips what is left of the
-// current chunk and starts the next chunk that can hold the run.
-func (s *Slab[T]) grow(w int) bool {
-	if w > MaxChunk {
-		return false
-	}
-	k := len(s.chunks)
-	n := s.n + len(s.free)
-	for w > chunkCap(k) {
-		n += chunkCap(k)
-		k++
-	}
-	if uint64(n)+uint64(w) > math.MaxUint32 {
-		return false
-	}
-	for len(s.chunks) < k {
-		s.chunks = append(s.chunks, nil) // too small for the run: never allocated
-	}
-	s.free = make([]T, chunkCap(k))
-	s.chunks = append(s.chunks, s.free)
-	s.allocated += len(s.free)
-	s.n = n
-	return true
-}
-
-// Run returns the w-element run that Alloc handed out at index i.
-func (s *Slab[T]) Run(i uint32, w int) []T {
-	if w == 0 {
-		return nil
-	}
+// At returns element i, which Append has handed out.
+func (s *Slab[T]) At(i uint32) *T {
 	k, off := locate(int(i))
-	return s.chunks[k][off : off+w : off+w]
+	return &s.chunks[k][off]
 }
 
 // Bytes is the capacity allocated so far, in bytes.
 func (s *Slab[T]) Bytes() int64 {
 	var zero T
-	return int64(s.allocated) * int64(unsafe.Sizeof(zero))
+	return int64(s.n+len(s.free)) * int64(unsafe.Sizeof(zero))
 }

@@ -1,9 +1,6 @@
 package slab
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // locate must be the inverse of laying the chunks end to end.
 func TestSlabLocate(t *testing.T) {
@@ -21,53 +18,29 @@ func TestSlabLocate(t *testing.T) {
 	}
 }
 
-// Runs of mixed widths never straddle a chunk, keep their contents while
-// the slab grows, and come back by index.
-func TestSlabRunsKeepContents(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// The i-th element appended is element i, zeroed when handed out, and
+// keeps its contents and its address while the slab grows.
+func TestSlabElementsKeepContents(t *testing.T) {
 	var s Slab[int]
-	type rec struct {
-		at uint32
-		w  int
+	var ptrs []*int
+	for i := 0; i < 3*MaxChunk; i++ {
+		e := s.Append()
+		if *e != 0 {
+			t.Fatalf("element %d not zeroed", i)
+		}
+		*e = i + 1
+		ptrs = append(ptrs, e)
 	}
-	var recs []rec
-	next := 0
-	for len(recs) < 5000 {
-		w := rng.Intn(6)
-		if rng.Intn(50) == 0 {
-			w = 1 + rng.Intn(MaxChunk)
+	for i, e := range ptrs {
+		if got := s.At(uint32(i)); got != e || *got != i+1 {
+			t.Fatalf("At(%d) = %p holding %d, want %p holding %d", i, got, *got, e, i+1)
 		}
-		at, run, ok := s.Alloc(w)
-		if !ok || len(run) != w || cap(run) != w {
-			t.Fatalf("alloc(%d) = %d, len %d cap %d, %v", w, at, len(run), cap(run), ok)
-		}
-		for j := range run {
-			if run[j] != 0 {
-				t.Fatalf("run at %d not zeroed", at)
-			}
-			run[j] = next
-			next++
-		}
-		recs = append(recs, rec{at, w})
-	}
-	want := 0
-	for _, r := range recs {
-		run := s.Run(r.at, r.w)
-		for j := range run {
-			if run[j] != want || s.Run(r.at+uint32(j), 1)[0] != want {
-				t.Fatalf("run at %d[%d] = %d, want %d", r.at, j, run[j], want)
-			}
-			want++
-		}
-	}
-	if _, _, ok := s.Alloc(MaxChunk + 1); ok {
-		t.Fatal("a run longer than a chunk must be refused")
 	}
 	var total int
 	for _, c := range s.chunks {
 		total += len(c)
 	}
-	if s.allocated != total || s.Bytes() != int64(total)*8 {
-		t.Fatalf("allocated %d, bytes %d, chunks hold %d", s.allocated, s.Bytes(), total)
+	if s.Bytes() != int64(total)*8 || total < 3*MaxChunk || total >= 4*MaxChunk {
+		t.Fatalf("bytes %d, chunks hold %d elements for %d appended", s.Bytes(), total, 3*MaxChunk)
 	}
 }

@@ -26,6 +26,16 @@ echo "== a shipped tuple is encoded once (the shipper sizes a batch, it does not
 if grep -rn 'encScratch' internal/; then echo "internal/ has encScratch again" >&2; exit 1; fi
 if grep -n 'AppendEncode' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host encodes a batch itself again" >&2; exit 1; fi
 
+echo "== aggregate state without boxes (no Aggregator word per group, no plan constant per count, no map in a sketch) =="
+nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go'; }
+if grep -nE '\bmap\[' $(nontest internal/sketch); then echo "internal/sketch has a map (map[string]*ssCounter, map[*ssCounter]struct{}) in a non-test file again" >&2; exit 1; fi
+if grep -nF 'slab.Slab[agg.Aggregator]' $(nontest internal/central); then echo "internal/central keeps an interface word per aggregate again" >&2; exit 1; fi
+if grep -nE '^\s*star +bool' $(nontest internal/agg); then echo "internal/agg keeps COUNT(*)'s plan constant in every count state again" >&2; exit 1; fi
+for f in 'SpaceSaving) AddBytes' 'SpaceSaving) bump'; do
+  if ! grep -B1 -F "func (s *$f(" internal/sketch/spacesaving.go | grep -q '^//scrub:hotpath$'; then echo "internal/sketch/spacesaving.go: $f lost its //scrub:hotpath seed" >&2; exit 1; fi
+done
+if ! grep -B1 -F 'func (sl *Slab) Add(' internal/agg/slab.go | grep -q '^//scrub:hotpath$'; then echo "internal/agg/slab.go: Slab.Add lost its //scrub:hotpath seed" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
@@ -47,7 +57,7 @@ make bench-smoke
 echo "== go test -race =="
 go test -race ./...
 
-echo "== metrics smoke (boot a shard process, a coordinator and a -shards 2 cluster with agents, scrape /metrics, run a query through both executors) =="
+echo "== metrics smoke (boot a shard process, a coordinator and a -shards 2 cluster with agents, scrape /metrics, run a query through both executors, then a top_k whose window state the gauge must count and give back) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="
@@ -65,7 +75,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures) =="
+echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures, stream summary vs its map-based reference) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"

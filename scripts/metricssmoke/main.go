@@ -12,7 +12,11 @@
 // while it runs the agent must show its shared query index:
 // scrub_host_program_nodes above zero for the event type, and
 // scrub_host_index_rebuilds_total counting the install; once the query
-// has shipped, scrub_host_ship_bytes_total must have moved too.
+// has shipped, scrub_host_ship_bytes_total must have moved too. A top_k
+// query follows on each executor: while it runs, the tier that holds its
+// windows must show scrub_central_state_bytes above its idle value — the
+// window's one group is a sketch, which the gauge counts — and be back at
+// it once the query has stopped.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -195,10 +199,15 @@ func run() error {
 	}
 
 	// One query through each executor, to its first window.
-	for _, ex := range []struct{ who, metrics, client, host string }{
-		{"scrubcentral -shards", sharded[0], sharded[1], hostMetrics},
-		{"scrubcentral -coord", coordinator[0], coordinator[1], coordHostMetrics},
+	// state is the endpoint of the tier that holds the executor's windows.
+	for _, ex := range []struct{ who, metrics, client, host, state string }{
+		{"scrubcentral -shards", sharded[0], sharded[1], hostMetrics, sharded[0]},
+		{"scrubcentral -coord", coordinator[0], coordinator[1], coordHostMetrics, shardMetrics},
 	} {
+		idle, _, err := scrape(ex.who, ex.state)
+		if err != nil {
+			return err
+		}
 		ql := exec.Command(filepath.Join(tmp, "scrubql"), "-server", ex.client, "-windows", "1", "-quiet",
 			"select count(*) from bid where bid.user_id >= 0 window 1s duration 10s")
 		var out bytes.Buffer
@@ -233,8 +242,44 @@ func run() error {
 		}
 		fmt.Printf("metrics-smoke: %s ingest series moved (%v tuples in %v batches, %v bytes charged on the host)\n",
 			ex.who, values["scrub_central_tuples_total"], values["scrub_central_batches_total"], hostValues["scrub_host_ship_bytes_total"])
+
+		topk := exec.Command(filepath.Join(tmp, "scrubql"), "-server", ex.client, "-windows", "1", "-quiet",
+			"select top_k(bid.user_id, 10) from bid window 1s duration 10s")
+		out.Reset()
+		topk.Stdout, topk.Stderr = &out, &out
+		if err := topk.Start(); err != nil {
+			return fmt.Errorf("%s: top_k query: %w", ex.who, err)
+		}
+		const gauge = "scrub_central_state_bytes"
+		held, stateErr := awaitGauge(ex.who, ex.state, gauge, func(v float64) bool { return v > idle[gauge] })
+		if err := topk.Wait(); err != nil {
+			return fmt.Errorf("%s: top_k query: %w\n%s", ex.who, err, out.Bytes())
+		}
+		if stateErr != nil {
+			return fmt.Errorf("%w while a top_k query ran (idle %v)", stateErr, idle[gauge])
+		}
+		if _, err := awaitGauge(ex.who, ex.state, gauge, func(v float64) bool { return v == idle[gauge] }); err != nil {
+			return fmt.Errorf("%w after the top_k query stopped (idle %v)", err, idle[gauge])
+		}
+		fmt.Printf("metrics-smoke: %s counted a top_k window's state (%v bytes) and gave it back\n", ex.who, held-idle[gauge])
 	}
 	return nil
+}
+
+// awaitGauge polls an endpoint until series name satisfies ok and returns
+// its value then. The queries last a second or two, so three are ample.
+func awaitGauge(who, url, name string, ok func(float64) bool) (float64, error) {
+	var v float64
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		values, _, err := scrape(who, url)
+		if err != nil {
+			return 0, err
+		}
+		if v = values[name]; ok(v) {
+			return v, nil
+		}
+	}
+	return v, fmt.Errorf("%s: %s = %v", who, name, v)
 }
 
 // awaitIndex polls an agent's endpoint until the running query shows in
