@@ -31,10 +31,12 @@ ci:
 size:
 	./scripts/size.sh
 
-# scrubbench, the repository's one benchmark: all five workloads, untraced,
-# printing the gated end-to-end metrics (bench/README.md). The paper
-# reproductions and the P1/PS/G1 sweeps stay under cmd/benchrunner
-# (`go run ./cmd/benchrunner -only P1`), which prints tables only.
+# scrubbench, the repository's one performance benchmark: all five
+# workloads, untraced, printing the gated end-to-end metrics
+# (bench/README.md). Host overhead, request latency and central throughput
+# are its figures; the paper's case-study and methodology tables stay
+# under cmd/benchrunner (`go run ./cmd/benchrunner -only E1`), which
+# prints tables only.
 bench:
 	bash bench/run.sh --seed 1
 

@@ -1,10 +1,11 @@
 // Package scrub's root benchmark suite: one testing.B entry point per
-// paper table/figure (see DESIGN.md §5 for the experiment index). Each
-// benchmark drives the corresponding experiment in
+// case-study and methodology table (see DESIGN.md §5 for the experiment
+// index). Each benchmark drives the corresponding experiment in
 // internal/experiments at a bench-sized configuration and reports the
-// experiment's headline metric via b.ReportMetric, so `go test -bench=.`
-// regenerates every result. cmd/benchrunner prints the full paper-style
-// tables at full scale.
+// experiment's headline metric via b.ReportMetric; cmd/benchrunner prints
+// the full paper-style tables at full scale. Host overhead, request
+// latency and central throughput are measured by scrubbench (bench/), not
+// here.
 package scrub
 
 import (
@@ -119,35 +120,6 @@ func BenchmarkE6FrequencyCap(b *testing.B) {
 	}
 }
 
-// BenchmarkP1HostOverhead — §9/abstract: host CPU overhead.
-func BenchmarkP1HostOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.P1HostOverhead(experiments.P1Config{
-			Requests: 15000, QuerySweep: []int{0, 8, 32},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.OverheadPct, "overhead-%-at-32q")
-		b.ReportMetric(last.NsPerReq, "ns/request")
-	}
-}
-
-// BenchmarkP2RequestLatency — §9/abstract: request latency delta.
-func BenchmarkP2RequestLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.P2RequestLatency(experiments.P2Config{
-			Requests: 10000, Queries: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanDeltaPct, "latency-delta-%")
-		b.ReportMetric(res.On.P99, "p99-on-µs")
-	}
-}
-
 // BenchmarkP3SamplingAccuracy — §3.2, Eqs. 1–3.
 func BenchmarkP3SamplingAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -162,26 +134,6 @@ func BenchmarkP3SamplingAccuracy(b *testing.B) {
 			if p.HostRate == 0.1 && p.EventRate == 0.1 {
 				b.ReportMetric(p.Coverage, "coverage-10/10")
 				b.ReportMetric(p.MeanRelErr, "rel-err-10/10")
-			}
-		}
-	}
-}
-
-// BenchmarkP4CentralThroughput — §9 (reconstructed).
-func BenchmarkP4CentralThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.P4CentralThroughput(experiments.P4Config{
-			Tuples: 200000, Cardinalities: []int{1000},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range res.Points {
-			switch p.Shape {
-			case "select-only":
-				b.ReportMetric(p.TuplesPerS, "select-tuples/s")
-			case "join (bid ⋈ exclusion)":
-				b.ReportMetric(p.TuplesPerS, "join-tuples/s")
 			}
 		}
 	}

@@ -1,23 +1,25 @@
-// Command benchrunner regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §5 and EXPERIMENTS.md). It runs the twelve
-// experiments at full (or quick) scale and prints each as an aligned
-// text table with the paper's qualitative claim attached. Beyond the
-// paper's tables it also runs C1, a chaos soak over real TCP that pins
-// the reproduction's failure-domain contract (degraded windows, lease
-// eviction, spill redelivery).
+// Command benchrunner regenerates the paper's case-study and methodology
+// tables (see DESIGN.md §5 and EXPERIMENTS.md): E1–E6, P3, P5, P6, A1 and
+// A2, at full (or quick) scale, each printed as an aligned text table with
+// the paper's qualitative claim attached. Beyond the paper's tables it
+// also runs C1, a chaos soak over real TCP that pins the reproduction's
+// failure-domain contract (degraded windows, lease eviction, spill
+// redelivery), and G1, the overhead governor under an expensive query.
 //
 // Usage:
 //
 //	benchrunner [-only E1,P3,...] [-quick] [-seed N]
 //
-// Numbers tracked across PRs come from scrubbench (bench/, BENCHMARK.json),
-// not from here: this command prints tables and writes no files.
+// The host-overhead, request-latency and central-throughput claims are
+// measured by scrubbench (bench/, BENCHMARK.json), not here: this command
+// prints tables and writes no files.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -29,33 +31,65 @@ type runner struct {
 	run func(quick bool, seed int64) (*experiments.Table, error)
 }
 
+var runners = []runner{
+	{"E1", runE1}, {"E2", runE2}, {"E3", runE3},
+	{"E4", runE4}, {"E5", runE5}, {"E6", runE6},
+	{"P3", runP3}, {"P5", runP5}, {"P6", runP6},
+	{"A1", runA1}, {"A2", runA2},
+	{"C1", runC1},
+	{"G1", runG1},
+}
+
+// selectRunners returns the runners only names (comma-separated ids, any
+// case, spaces ignored) in table order; an empty list selects them all. An
+// id that names no runner is an error, so a typo cannot pass by running
+// nothing.
+func selectRunners(only string) ([]runner, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = true
+		}
+	}
+	if len(want) == 0 {
+		return runners, nil
+	}
+	var sel []runner
+	for _, r := range runners {
+		if want[r.id] {
+			sel = append(sel, r)
+			delete(want, r.id)
+		}
+	}
+	if len(want) == 0 {
+		return sel, nil
+	}
+	unknown := make([]string, 0, len(want))
+	for id := range want {
+		unknown = append(unknown, id)
+	}
+	sort.Strings(unknown)
+	valid := make([]string, len(runners))
+	for i, r := range runners {
+		valid[i] = r.id
+	}
+	return nil, fmt.Errorf("unknown experiment id(s) %s; valid ids: %s",
+		strings.Join(unknown, ","), strings.Join(valid, ","))
+}
+
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,P3); empty runs all")
 	quick := flag.Bool("quick", false, "smaller configurations for a fast pass")
 	seed := flag.Int64("seed", 0, "override experiment seeds (0 keeps per-experiment defaults)")
 	flag.Parse()
 
-	runners := []runner{
-		{"E1", runE1}, {"E2", runE2}, {"E3", runE3},
-		{"E4", runE4}, {"E5", runE5}, {"E6", runE6},
-		{"P1", runP1}, {"PS", runPS}, {"P2", runP2}, {"P3", runP3},
-		{"P4", runP4}, {"P5", runP5}, {"P6", runP6},
-		{"A1", runA1}, {"A2", runA2},
-		{"C1", runC1},
-		{"G1", runG1},
+	selected, err := selectRunners(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
+		os.Exit(2)
 	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
 	failures := 0
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
-			continue
-		}
+	for _, r := range selected {
 		start := time.Now()
 		tab, err := r.run(*quick, *seed)
 		if err != nil {
@@ -155,66 +189,12 @@ func runE6(quick bool, seed int64) (*experiments.Table, error) {
 	return res.Table(), nil
 }
 
-func runP1(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.P1Config{Seed: seed}
-	if quick {
-		cfg.Requests, cfg.QuerySweep = 10000, []int{0, 4, 16}
-	} else {
-		cfg.Requests = 60000
-	}
-	res, err := experiments.P1HostOverhead(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
-func runPS(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.PSConfig{Seed: seed}
-	if quick {
-		cfg.Requests, cfg.QuerySweep, cfg.Reps = 6000, []int{0, 8, 32}, 3
-	} else {
-		cfg.Requests = 30000
-	}
-	res, err := experiments.PSQueryScale(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
-func runP2(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.P2Config{Seed: seed}
-	if quick {
-		cfg.Requests = 8000
-	} else {
-		cfg.Requests = 40000
-	}
-	res, err := experiments.P2RequestLatency(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
 func runP3(quick bool, seed int64) (*experiments.Table, error) {
 	cfg := experiments.P3Config{Seed: seed}
 	if quick {
 		cfg.Hosts, cfg.PerHost, cfg.Trials = 30, 200, 120
 	}
 	res, err := experiments.P3SamplingAccuracy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
-func runP4(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.P4Config{Seed: seed}
-	if quick {
-		cfg.Tuples, cfg.Cardinalities = 100000, []int{10, 1000}
-	}
-	res, err := experiments.P4CentralThroughput(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrUnknownType marks a decoded event whose type is not in the catalog.
@@ -225,7 +224,3 @@ func UvarintLen(x uint64) int {
 	}
 	return n
 }
-
-// Float64FromBits is a helper exposed for tests that need to construct
-// specific float payloads.
-func Float64FromBits(bits uint64) float64 { return math.Float64frombits(bits) }

@@ -11,7 +11,6 @@ package event
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -449,20 +448,4 @@ func (v Value) AppendString(dst []byte) []byte {
 	default:
 		return append(dst, "<invalid>"...)
 	}
-}
-
-// SortValues orders a slice of values using Compare, with an arbitrary but
-// deterministic ordering across kinds. Used to stabilize result rows.
-func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.kind != b.kind && !(a.IsNumeric() && b.IsNumeric()) {
-			return a.kind < b.kind
-		}
-		c, ok := a.Compare(b)
-		if !ok {
-			return a.String() < b.String()
-		}
-		return c < 0
-	})
 }

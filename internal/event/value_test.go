@@ -2,8 +2,6 @@ package event
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,25 +194,6 @@ func TestHashEqualConsistencyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortValuesDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	vals := []Value{Str("b"), Int(3), Float(1.5), Str("a"), Int(-1), Bool(true), Bool(false)}
-	want := make([]Value, len(vals))
-	copy(want, vals)
-	SortValues(want)
-	for trial := 0; trial < 10; trial++ {
-		shuffled := make([]Value, len(vals))
-		copy(shuffled, vals)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		SortValues(shuffled)
-		for i := range want {
-			if !reflect.DeepEqual(want[i], shuffled[i]) {
-				t.Fatalf("trial %d: SortValues not deterministic at %d: %v vs %v", trial, i, want[i], shuffled[i])
-			}
-		}
 	}
 }
 

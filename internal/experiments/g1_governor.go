@@ -9,6 +9,7 @@ import (
 	"scrub/internal/adplatform"
 	"scrub/internal/host"
 	"scrub/internal/transport"
+	"scrub/internal/workload"
 )
 
 // G1Config parametrizes the governor experiment: one deliberately
@@ -27,7 +28,11 @@ type G1Config struct {
 	// Default 4096 — far below what the wide query ships unbounded, so
 	// the ladder bottoms out and the query sheds within the run.
 	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
-	// ReferenceRequestNs: see P1Config. Default 10ms.
+	// ReferenceRequestNs is the production request budget the added cost
+	// is set against: the paper's bid transaction completes "in under 20
+	// milliseconds" (§7), while the simulator's request costs ~10µs (no
+	// ML scoring, no real network), so only the absolute added ns/request
+	// transfers. Default 10ms.
 	ReferenceRequestNs float64 `json:"reference_request_ns"`
 }
 
@@ -72,8 +77,9 @@ type G1Result struct {
 // almost one-for-one.
 const g1Query = `select bid.user_id, bid.line_item_id, bid.exchange_id, bid.bid_price, bid.country, bid.city, bid.model from bid window 10s duration 1h`
 
-// g1Platform builds the overhead platform with a sink that serializes
-// (keeping the wire cost on the host, as in P1) and counts encoded bytes.
+// g1Platform builds the ad platform with a sink that serializes every
+// batch (keeping the wire cost on the host; ScrubCentral is a remote
+// facility whose CPU is not charged to it) and counts encoded bytes.
 func g1Platform(cfg G1Config, bytes *atomic.Uint64) (*adplatform.Platform, error) {
 	encPool := sync.Pool{New: func() any { return new([]byte) }}
 	countAndDiscard := host.SinkFunc(func(b transport.TupleBatch) error {
@@ -92,6 +98,35 @@ func g1Platform(cfg G1Config, bytes *atomic.Uint64) (*adplatform.Platform, error
 	})
 }
 
+// overheadTraffic returns a bidding-traffic generator and enough virtual
+// time for it to produce about requests bid requests.
+func overheadTraffic(requests int, seed int64) (*workload.Generator, time.Duration, error) {
+	gen, err := workload.NewGenerator(workload.Spec{
+		Seed: seed, NumUsers: 1000, MeanPageViewsPerMin: 6,
+	}, virtualStart())
+	if err != nil {
+		return nil, 0, err
+	}
+	// ~1000 users × 6 views/min × 2 slots = 12000 req/min virtual.
+	mins := float64(requests) / 12000
+	return gen, time.Duration(mins * float64(time.Minute)), nil
+}
+
+// measureWorkload runs the traffic once and returns ns/request.
+func measureWorkload(platform *adplatform.Platform, gen *workload.Generator, duration time.Duration) float64 {
+	n := 0
+	start := time.Now()
+	gen.Run(duration, func(r adplatform.BidRequest) {
+		platform.Process(r)
+		n++
+	})
+	elapsed := time.Since(start)
+	if n == 0 {
+		return 0
+	}
+	return float64(elapsed.Nanoseconds()) / float64(n)
+}
+
 // g1Measure runs the workload with the given query (empty = baseline) and
 // returns ns/request, bytes shipped, and whether any agent shed.
 func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed bool, err error) {
@@ -102,7 +137,7 @@ func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed
 		return 0, 0, false, err
 	}
 	defer platform.Close()
-	gen, dur, err := overheadTraffic(P1Config{Requests: cfg.Requests, Seed: cfg.Seed}, virtualStart())
+	gen, dur, err := overheadTraffic(cfg.Requests, cfg.Seed)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -120,9 +155,9 @@ func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed
 			}
 		}()
 	}
-	// Warm-up, then the measured pass (same protocol as P1 so the added-ns
-	// numbers are comparable across the two experiments).
-	warm, warmDur, err := overheadTraffic(P1Config{Requests: cfg.Requests / 4, Seed: cfg.Seed + 1}, virtualStart())
+	// Warm-up (fills caches, steadies the allocator), then the measured
+	// pass over fresh traffic.
+	warm, warmDur, err := overheadTraffic(cfg.Requests/4, cfg.Seed+1)
 	if err != nil {
 		return 0, 0, false, err
 	}

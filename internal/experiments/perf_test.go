@@ -6,91 +6,6 @@ import (
 	"time"
 )
 
-func TestP1HostOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	res, err := P1HostOverhead(P1Config{Requests: 8000, QuerySweep: []int{0, 4, 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	if res.Points[0].Queries != 0 || res.Points[0].OverheadPct != 0 {
-		t.Errorf("baseline point = %+v", res.Points[0])
-	}
-	for _, p := range res.Points {
-		if p.NsPerReq <= 0 {
-			t.Errorf("ns/req = %v", p.NsPerReq)
-		}
-		// Pathology check only — short timing runs are noisy under test
-		// parallelism; the paper's quantitative claim (≤2.5%) is verified
-		// with the full-size run in cmd/benchrunner (see EXPERIMENTS.md).
-		if p.OverheadPct > 150 {
-			t.Errorf("%d queries: overhead %.1f%% is pathological", p.Queries, p.OverheadPct)
-		}
-	}
-	if tab := res.Table(); len(tab.Rows) != 3 {
-		t.Error("table rows")
-	}
-}
-
-func TestPSQueryScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	res, err := PSQueryScale(PSConfig{Requests: 6000, QuerySweep: []int{0, 8, 32}, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mixes) != 2 || res.Mixes[0].Name != "overlap" || res.Mixes[1].Name != "distinct" {
-		t.Fatalf("mixes = %+v", res.Mixes)
-	}
-	for _, m := range res.Mixes {
-		if len(m.Points) != 3 {
-			t.Fatalf("%s: points = %d", m.Name, len(m.Points))
-		}
-		for _, p := range m.Points {
-			if p.NsPerReq <= 0 {
-				t.Errorf("%s @%d queries: ns/req = %v", m.Name, p.Queries, p.NsPerReq)
-			}
-		}
-	}
-	// Distinct constants must actually be distinct (and parse): spot-check
-	// the generator.
-	if psDistinctQuery(3, 16) == psDistinctQuery(19, 16) {
-		t.Error("distinct mix repeats a predicate constant")
-	}
-	if tab := res.Table(); len(tab.Rows) != 6 {
-		t.Error("table rows")
-	}
-}
-
-func TestP2RequestLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	res, err := P2RequestLatency(P2Config{Requests: 6000, Queries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Off.Mean <= 0 || res.On.Mean <= 0 {
-		t.Fatalf("means = %+v", res)
-	}
-	if res.Off.P99 < res.Off.P50 || res.On.P99 < res.On.P50 {
-		t.Error("percentiles inverted")
-	}
-	// Pathology check only — see P1's comment about short-run noise; the
-	// quantitative claim is verified at full scale in cmd/benchrunner.
-	if res.MeanDeltaPct > 200 {
-		t.Errorf("latency delta %.1f%% pathological", res.MeanDeltaPct)
-	}
-	if tab := res.Table(); len(tab.Rows) != 2 {
-		t.Error("table rows")
-	}
-}
-
 func TestP3SamplingAccuracy(t *testing.T) {
 	res, err := P3SamplingAccuracy(P3Config{Hosts: 30, PerHost: 200, Trials: 120})
 	if err != nil {
@@ -114,27 +29,6 @@ func TestP3SamplingAccuracy(t *testing.T) {
 		t.Errorf("error did not grow with sparser sampling: %.4f vs %.4f", first.MeanRelErr, last.MeanRelErr)
 	}
 	if tab := res.Table(); len(tab.Rows) != len(res.Points) {
-		t.Error("table rows")
-	}
-}
-
-func TestP4CentralThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	res, err := P4CentralThroughput(P4Config{Tuples: 60000, Cardinalities: []int{10, 1000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 5 { // select + 2 cardinalities + join + sharded
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.TuplesPerS < 10000 {
-			t.Errorf("%s: %.0f tuples/s implausibly low", p.Shape, p.TuplesPerS)
-		}
-	}
-	if tab := res.Table(); len(tab.Rows) != 5 {
 		t.Error("table rows")
 	}
 }

@@ -1,0 +1,89 @@
+package host
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"scrub/internal/event"
+	"scrub/internal/expr"
+	"scrub/internal/transport"
+)
+
+// BenchmarkLogQueryScale times Log with 1 to 256 queries installed on the
+// one event type, the number scrubbench's host workloads hold fixed at 64.
+// The paper's hosts run "hundreds of queries"; this is what the shared
+// query index (DESIGN.md §14) is for. Every query is
+// `select bid.user_id ... where bid.bid_price > c group by bid.user_id`:
+//
+//	overlap:  c cycles through 16 thresholds in [6, 9), so duplicated
+//	          predicates share one node of the index
+//	distinct: c also differs per query in the sixth decimal, so no two
+//	          predicates share a node (the adversarial bound)
+//
+// Prices follow the simulator's shape (log-uniform in [0.5, 8], ±15%
+// model adjustment), so most events match no query. Matched tuples are
+// shipped to a sink that encodes each batch and discards it: the wire
+// cost stays on the host, central's does not.
+func BenchmarkLogQueryScale(b *testing.B) {
+	const overlapPreds = 16
+	mixes := []struct {
+		name      string
+		threshold func(i int) float64
+	}{
+		{"overlap", func(i int) float64 { return 6 + 3*float64(i%overlapPreds)/overlapPreds }},
+		{"distinct", func(i int) float64 { return 6 + 3*float64(i%overlapPreds)/overlapPreds + float64(i)*1e-6 }},
+	}
+	rng := rand.New(rand.NewSource(9303))
+	now := time.Now().UnixNano()
+	evs := make([]*event.Event, 1024)
+	for i := range evs {
+		price := 0.5 * math.Pow(16, rng.Float64()) * (0.85 + 0.3*rng.Float64())
+		evs[i] = bidEvent(uint64(i+1), rng.Int63n(1000), "sf", price, now)
+	}
+	var mu sync.Mutex
+	var buf []byte
+	encodeAndDiscard := SinkFunc(func(tb transport.TupleBatch) (err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		buf, err = transport.AppendEncode(buf[:0], tb)
+		return err
+	})
+	for _, mix := range mixes {
+		for _, n := range []int{1, 8, 32, 64, 256} {
+			b.Run(fmt.Sprintf("mix=%s/queries=%d", mix.name, n), func(b *testing.B) {
+				a, err := New(Config{HostID: "h", Service: "s", Catalog: testCatalog(),
+					Sink: encodeAndDiscard, FlushInterval: 20 * time.Millisecond, QueueSize: 1 << 16})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer a.Close()
+				for i := 0; i < n; i++ {
+					if err := a.Start(transport.HostQuery{
+						QueryID: uint64(i + 1), EventType: "bid",
+						Pred: expr.Binary{Op: expr.OpGt,
+							L: expr.FieldRef{Type: "bid", Name: "bid_price"},
+							R: expr.Lit{Val: event.Float(mix.threshold(i))}},
+						Columns: []string{"user_id"},
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				mask := len(evs) - 1
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.Log(evs[i&mask])
+				}
+				b.StopTimer()
+				a.Close()
+				st := a.Stats()
+				b.ReportMetric(float64(st.Shipped+st.QueueDrops)/float64(b.N), "tuples/op")
+				b.ReportMetric(float64(st.QueueDrops)/float64(b.N), "drops/op")
+			})
+		}
+	}
+}

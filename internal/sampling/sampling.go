@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // Rate is a sampling fraction in [0, 1]; 1 means keep everything.
@@ -30,31 +29,6 @@ type Rate float64
 
 // Valid reports whether the rate is a usable fraction.
 func (r Rate) Valid() bool { return r > 0 && r <= 1 }
-
-// EventSampler makes per-event keep/drop decisions at a given rate. It is
-// deterministic for a (seed, sequence) pair — two runs over the same stream
-// sample identically — and safe for concurrent use from application
-// threads, which is required because log() is called on the hot path.
-type EventSampler struct {
-	thresh uint64 // keep when mixed counter < thresh
-	seed   uint64
-	seq    atomic.Uint64
-}
-
-// NewEventSampler creates a sampler keeping approximately rate of events.
-// rate outside (0,1] is clamped: <=0 keeps nothing, >=1 keeps everything.
-func NewEventSampler(rate float64, seed uint64) *EventSampler {
-	var thresh uint64
-	switch {
-	case rate >= 1:
-		thresh = math.MaxUint64
-	case rate <= 0:
-		thresh = 0
-	default:
-		thresh = uint64(rate * float64(math.MaxUint64))
-	}
-	return &EventSampler{thresh: thresh, seed: seed}
-}
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
@@ -64,22 +38,6 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	return x
 }
-
-// Keep decides whether the next event is sampled.
-func (s *EventSampler) Keep() bool {
-	if s.thresh == math.MaxUint64 {
-		return true
-	}
-	if s.thresh == 0 {
-		return false
-	}
-	i := s.seq.Add(1)
-	return mix64(s.seed^i) < s.thresh
-}
-
-// Seen returns how many events have been offered (excluding rate 0/1 fast
-// paths).
-func (s *EventSampler) Seen() uint64 { return s.seq.Load() }
 
 // GeometricSampler amortizes Bernoulli(rate) sampling into skip counts:
 // instead of drawing per event, it draws the gap until the next kept event

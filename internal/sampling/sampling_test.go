@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -16,97 +15,6 @@ func TestRateValid(t *testing.T) {
 	}
 	if Rate(0).Valid() || Rate(-0.1).Valid() || Rate(1.1).Valid() {
 		t.Error("invalid rates misclassified")
-	}
-}
-
-func TestEventSamplerExtremes(t *testing.T) {
-	all := NewEventSampler(1, 1)
-	none := NewEventSampler(0, 1)
-	for i := 0; i < 100; i++ {
-		if !all.Keep() {
-			t.Fatal("rate 1 dropped an event")
-		}
-		if none.Keep() {
-			t.Fatal("rate 0 kept an event")
-		}
-	}
-	over := NewEventSampler(2, 1)
-	if !over.Keep() {
-		t.Error("rate > 1 should clamp to keep-all")
-	}
-	under := NewEventSampler(-1, 1)
-	if under.Keep() {
-		t.Error("rate < 0 should clamp to keep-none")
-	}
-}
-
-func TestEventSamplerRateAccuracy(t *testing.T) {
-	for _, rate := range []float64{0.01, 0.1, 0.5, 0.9} {
-		s := NewEventSampler(rate, 42)
-		const n = 200000
-		kept := 0
-		for i := 0; i < n; i++ {
-			if s.Keep() {
-				kept++
-			}
-		}
-		got := float64(kept) / n
-		// Binomial std dev ≈ sqrt(p(1-p)/n); allow 6 sigma.
-		tol := 6 * math.Sqrt(rate*(1-rate)/n)
-		if math.Abs(got-rate) > tol {
-			t.Errorf("rate %g: kept %g (tolerance %g)", rate, got, tol)
-		}
-		if s.Seen() != n {
-			t.Errorf("Seen = %d, want %d", s.Seen(), n)
-		}
-	}
-}
-
-func TestEventSamplerDeterministic(t *testing.T) {
-	a := NewEventSampler(0.3, 7)
-	b := NewEventSampler(0.3, 7)
-	for i := 0; i < 1000; i++ {
-		if a.Keep() != b.Keep() {
-			t.Fatal("same seed should sample identically")
-		}
-	}
-	c := NewEventSampler(0.3, 8)
-	diff := 0
-	a2 := NewEventSampler(0.3, 7)
-	for i := 0; i < 1000; i++ {
-		if a2.Keep() != c.Keep() {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("different seeds should sample differently")
-	}
-}
-
-func TestEventSamplerConcurrent(t *testing.T) {
-	s := NewEventSampler(0.5, 3)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	kept := 0
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := 0
-			for i := 0; i < 10000; i++ {
-				if s.Keep() {
-					local++
-				}
-			}
-			mu.Lock()
-			kept += local
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	got := float64(kept) / 80000
-	if math.Abs(got-0.5) > 0.02 {
-		t.Errorf("concurrent keep rate %g, want ~0.5", got)
 	}
 }
 
@@ -331,14 +239,6 @@ func TestEstimateCount(t *testing.T) {
 	// within-host variance.
 	if est.Err != 0 {
 		t.Errorf("count error = %g, want 0", est.Err)
-	}
-}
-
-func BenchmarkEventSamplerKeep(b *testing.B) {
-	s := NewEventSampler(0.1, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Keep()
 	}
 }
 

@@ -142,33 +142,3 @@ func TQuantile(p float64, df float64) (float64, error) {
 	}
 	return (lo + hi) / 2, nil
 }
-
-// NormQuantile returns the p-quantile of the standard normal distribution
-// (Acklam's rational approximation, |ε| < 1.15e-9). Used as the t limit for
-// very large df and by the benchmark harness.
-func NormQuantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 {
-		return 0, fmt.Errorf("stats: normal quantile requires p in (0,1), got %g", p)
-	}
-	a := [6]float64{-39.69683028665376, 220.9460984245205, -275.9285104469687, 138.3577518672690, -30.66479806614716, 2.506628277459239}
-	b := [5]float64{-54.47609879822406, 161.5858368580409, -155.6989798598866, 66.80131188771972, -13.28068155288572}
-	c := [6]float64{-0.007784894002430293, -0.3223964580411365, -2.400758277161838, -2.549732539343734, 4.374664141464968, 2.938163982698783}
-	d := [4]float64{0.007784695709041462, 0.3224671290700398, 2.445134137142996, 3.754408661907416}
-	const plow = 0.02425
-	const phigh = 1 - plow
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1), nil
-	case p > phigh:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1), nil
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1), nil
-	}
-}

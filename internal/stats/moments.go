@@ -90,15 +90,6 @@ func DecodeRunning(b []byte) (Running, int, error) {
 	return r, sz + 16, nil
 }
 
-// MeanVar returns the sample mean and unbiased variance of xs.
-func MeanVar(xs []float64) (mean, variance float64) {
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	return r.Mean(), r.Var()
-}
-
 // Percentile returns the p'th percentile (0..100) of xs using linear
 // interpolation between closest ranks. xs is not modified. Returns 0 for an
 // empty slice.

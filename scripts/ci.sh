@@ -36,6 +36,10 @@ for f in 'SpaceSaving) AddBytes' 'SpaceSaving) bump'; do
 done
 if ! grep -B1 -F 'func (sl *Slab) Add(' internal/agg/slab.go | grep -q '^//scrub:hotpath$'; then echo "internal/agg/slab.go: Slab.Add lost its //scrub:hotpath seed" >&2; exit 1; fi
 
+echo "== one performance benchmark (scrubbench measures host overhead, latency and central throughput; benchrunner has no P1/P2/PS/P4) =="
+if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
+if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
