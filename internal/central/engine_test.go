@@ -105,12 +105,13 @@ func TestGroupedCountOverWindows(t *testing.T) {
 		tup(3, sec(3), event.Int(7)),
 		tup(4, sec(9), event.Int(42)),
 	))
-	// Crossing into [10,20) and then beyond closes earlier windows
-	// (lateness defaults to 2s: event at 22s closes [0,10)).
+	// Crossing into [10,20) and then beyond closes earlier windows (a
+	// default plan's slack is one slide, at most 2s: event at 22s closes
+	// [0,10)).
 	e.HandleBatch(bidBatch(1, "h1", tup(5, sec(15), event.Int(42))))
 	e.HandleBatch(bidBatch(1, "h1", tup(6, sec(25), event.Int(1))))
 
-	// Watermark 25s − 2s lateness = 23s closes both [0,10) and [10,20).
+	// Watermark 25s − 2s slack = 23s closes both [0,10) and [10,20).
 	wins := c.all()
 	if len(wins) != 2 {
 		t.Fatalf("emitted %d windows, want 2", len(wins))

@@ -203,6 +203,7 @@ type queryCore struct {
 	streams *liveness.Table
 	stats   transport.QueryStats
 	tuplesC *obs.Counter // per-query ingest counter; nil without a registry
+	lateC   *obs.Counter // per-query window-late drops; nil without a registry
 
 	// Replay hold (Plan.Replay > 0): while open, no window closes at all —
 	// neither watermark-driven nor wall-clock-forced — because replayed
@@ -354,18 +355,22 @@ func newCentralMetrics(reg *obs.Registry) *centralMetrics {
 
 const queryLabel = "query"
 
-// queryTuples registers a query's ingest counter; nil without a registry.
-func queryTuples(reg *obs.Registry, id uint64) *obs.Counter {
+// querySeries registers a query's ingest and window-late drop counters;
+// nil without a registry.
+func querySeries(reg *obs.Registry, id uint64) (tuples, late *obs.Counter) {
 	if reg == nil {
-		return nil
+		return nil, nil
 	}
-	return reg.Counter("scrub_central_query_tuples_total",
-		"tuples ingested per query", obs.L(queryLabel, strconv.FormatUint(id, 10)))
+	l := obs.L(queryLabel, strconv.FormatUint(id, 10))
+	return reg.Counter("scrub_central_query_tuples_total", "tuples ingested per query", l),
+		reg.Counter("scrub_central_query_late_drops_total", "tuples dropped as late for their window, per query", l)
 }
 
-func dropQueryTuples(reg *obs.Registry, id uint64) {
+func dropQuerySeries(reg *obs.Registry, id uint64) {
 	if reg != nil {
-		reg.Unregister("scrub_central_query_tuples_total", obs.L(queryLabel, strconv.FormatUint(id, 10)))
+		l := obs.L(queryLabel, strconv.FormatUint(id, 10))
+		reg.Unregister("scrub_central_query_tuples_total", l)
+		reg.Unregister("scrub_central_query_late_drops_total", l)
 	}
 }
 
@@ -502,7 +507,7 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q.installed = true
-	q.tuplesC = queryTuples(m.opt.Metrics, id)
+	q.tuplesC, q.lateC = querySeries(m.opt.Metrics, id)
 	if in.Installed != nil {
 		in.Installed(q.replayDeadline)
 	}
@@ -564,7 +569,7 @@ func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 		m.met.tuples.Add(man.RawTuples)
 	}
 	for i := 0; i < len(q.shards) && i < len(man.ShardLate); i++ {
-		q.shardLate[i] = max(q.shardLate[i], man.ShardLate[i])
+		q.foldLate(i, man.ShardLate[i])
 	}
 	for i := 0; i < len(q.shards) && i < len(man.ShardOverflow); i++ {
 		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
@@ -573,15 +578,17 @@ func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 		if m.met != nil {
 			m.met.wmLag.Set(nowN - wm)
 		}
-		m.closeBefore(q, wm-int64(q.plan.Lateness))
+		slack, _ := q.plan.closeBounds()
+		m.closeBefore(q, wm-int64(slack))
 	}
 }
 
 // Tick closes windows by wall clock so idle streams still emit: every
-// window ending at or before now−lateness. It also expires stream leases,
-// on the merger's own clock (nowNanos may be virtual time), and closes at
-// once whatever an evicted stream was holding open (queryCore.sweep). The
-// query server calls it from a ticker.
+// window ending at or before now − hold (Plan.closeBounds). It also
+// expires stream leases, on the merger's own clock (nowNanos may be
+// virtual time), and closes at once, at watermark − slack, whatever an
+// evicted stream was holding open (queryCore.sweep). The query server
+// calls it from a ticker.
 func (m *Merger) Tick(nowNanos int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -594,10 +601,11 @@ func (m *Merger) Tick(nowNanos int64) {
 		if held {
 			continue
 		}
+		slack, hold := q.plan.closeBounds()
 		if moved {
-			m.closeBefore(q, wm-int64(q.plan.Lateness))
+			m.closeBefore(q, wm-int64(slack))
 		}
-		m.closeBefore(q, nowNanos-int64(q.plan.Lateness))
+		m.closeBefore(q, nowNanos-int64(hold))
 	}
 }
 
@@ -639,11 +647,23 @@ func (m *Merger) closeBefore(q *mergeQuery, bound int64) {
 		if !sw.Found {
 			continue
 		}
-		q.shardLate[i] = max(q.shardLate[i], sw.Late)
+		q.foldLate(i, sw.Late)
 		q.shardOverflow[i] = max(q.shardOverflow[i], sw.Overflow)
 		m.merge(q, sw.Windows)
 	}
 	m.flush(q, bound)
+}
+
+// foldLate max-folds shard i's cumulative window-late drops into the
+// cache and adds what is new to the query's late-drop series.
+func (q *mergeQuery) foldLate(i int, late uint64) {
+	if late <= q.shardLate[i] {
+		return
+	}
+	if q.lateC != nil {
+		q.lateC.Add(late - q.shardLate[i])
+	}
+	q.shardLate[i] = late
 }
 
 func (m *Merger) merge(q *mergeQuery, windows []window.Closed[PartialWindow]) {
@@ -711,6 +731,7 @@ func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 		}
 		// The shard query is gone: its final totals replace the cache, so
 		// the windows flushed below neither forget nor double-count them.
+		q.foldLate(i, sw.Late)
 		q.shardLate[i], q.shardOverflow[i] = sw.Late, sw.Overflow
 		m.merge(q, sw.Windows)
 	}
@@ -718,7 +739,7 @@ func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 	q.stats.LateDrops = q.lateDrops()
 	q.stats.HostDrops = q.streams.HostDrops()
 	delete(m.queries, id)
-	dropQueryTuples(m.opt.Metrics, id)
+	dropQuerySeries(m.opt.Metrics, id)
 	if stopped != nil {
 		stopped()
 	}

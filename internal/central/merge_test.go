@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scrub/internal/obs"
 	"scrub/internal/transport"
 )
 
@@ -385,5 +386,45 @@ func TestMergerTwoPhaseInstall(t *testing.T) {
 	}
 	if !m.Ingest(bidBatch(1, "h1", tup(0, sec(1)))) {
 		t.Error("installed query did not absorb a batch")
+	}
+}
+
+// TestQueryLateDropsSeries: scrub_central_query_late_drops_total{query} is
+// the sum of the shards' window-late drops — each shard's cumulative count
+// max-folded once, so a manifest that repeats a count adds nothing — and
+// goes away with the query.
+func TestQueryLateDropsSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	se, err := NewShardedEngineWith(2, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := se.StartQuery(countPlan(t), (&collector{}).emit); err != nil {
+		t.Fatal(err)
+	}
+	late := func() float64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == "scrub_central_query_late_drops_total" && s.Labels == `query="1"` {
+				return s.Value
+			}
+		}
+		return -1
+	}
+	if got := late(); got != 0 {
+		t.Fatalf("series at start = %v, want 0", got)
+	}
+	se.HandleBatch(bidBatch(1, "h1", tup(0, sec(1)), tup(1, sec(2))))
+	se.HandleBatch(bidBatch(1, "h1", tup(2, sec(12)))) // closes [0,10s)
+	// Late on shard 0 once and on shard 1 twice.
+	se.HandleBatch(bidBatch(1, "h1", tup(4, sec(3)), tup(5, sec(4)), tup(7, sec(5))))
+	se.HandleBatch(bidBatch(1, "h2", tup(9, sec(13)))) // on-time: repeats both counts
+	if got := late(); got != 3 {
+		t.Fatalf("series = %v, want 3", got)
+	}
+	if stats, _ := se.StopQuery(1); stats.LateDrops != 3 {
+		t.Errorf("final LateDrops = %d, want 3", stats.LateDrops)
+	}
+	if got := late(); got != -1 {
+		t.Errorf("series still registered after Stop (value %v)", got)
 	}
 }

@@ -69,8 +69,9 @@ func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops ui
 }
 
 // encodePartials serializes closed windows. A cold window's partial
-// exists already and is handed over as it is: at steady state the closing
-// window is the oldest and long cold, so a collect's reply is a copy.
+// exists already and is handed over as it is — the usual case when a plan
+// declares a lateness of many slides; a plan that closes one slide behind
+// its slowest stream mostly closes live windows, encoded here.
 func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial {
 	var out []EncodedPartial
 	for _, c := range closed {

@@ -35,9 +35,12 @@ type Plan struct {
 	OrderBy     []ql.OrderKey
 	Limit       int
 
-	Window   time.Duration
-	Slide    time.Duration // sliding interval; == Window for tumbling
-	Lateness time.Duration // extra event-time slack before closing a window
+	Window time.Duration
+	Slide  time.Duration // sliding interval; == Window for tumbling
+	// Lateness, when set, is how far past a window's end both the slowest
+	// live stream's event time and the wall clock must be before it closes.
+	// Unset (0): one slide, at most 2 s, and 2 s (closeBounds).
+	Lateness time.Duration
 
 	StartNanos int64
 	EndNanos   int64
@@ -130,14 +133,11 @@ func (p *Plan) fillDefaults() error {
 	if p.Slide < 0 || p.Slide > p.Window || p.Window%p.Slide != 0 {
 		return fmt.Errorf("central: slide %v must divide the window %v", p.Slide, p.Window)
 	}
-	if p.Lateness < 0 {
+	if slack, _ := p.closeBounds(); slack < 0 {
 		return fmt.Errorf("central: negative lateness")
 	}
 	if p.Replay < 0 {
 		return fmt.Errorf("central: negative replay")
-	}
-	if p.Lateness == 0 {
-		p.Lateness = 2 * time.Second
 	}
 	if p.SampleEvents <= 0 || p.SampleEvents > 1 {
 		p.SampleEvents = 1
@@ -158,6 +158,23 @@ func (p *Plan) fillDefaults() error {
 		p.MaxJoinPending = 1 << 20
 	}
 	return nil
+}
+
+// defaultHold is the wall-clock wait of a plan without a declared
+// Lateness: only the wall clock closes a window a live but quiet stream
+// is in, and its partial chunk may sit on its host for a flush interval.
+const defaultHold = 2 * time.Second
+
+// closeBounds is the one reader of Lateness: a window closes once the
+// slowest live stream's event time is slack past its end, or the wall
+// clock hold past it. A declared lateness is both; unset, slack is one
+// slide — for disorder within a stream and streams that started apart —
+// capped at the hold. fillDefaults rejects a negative slack.
+func (p *Plan) closeBounds() (slack, hold time.Duration) {
+	if p.Lateness != 0 {
+		return p.Lateness, p.Lateness
+	}
+	return min(p.Slide, defaultHold), defaultHold
 }
 
 // DataStartNanos returns the earliest event time the query accepts:

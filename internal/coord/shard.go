@@ -227,6 +227,7 @@ func PlanFromShardStart(t transport.ShardStart, cat *event.Catalog) (central.Pla
 	cp.MaxJoinPending = int(t.MaxJoinPending)
 	cp.BudgetCPUPct = t.BudgetCPUPct
 	cp.BudgetBytesPerSec = t.BudgetBytesPerSec
+	cp.Lateness = time.Duration(t.LatenessNanos)
 	return cp, nil
 }
 
@@ -247,5 +248,6 @@ func ShardStartFromPlan(p *central.Plan) transport.ShardStart {
 		MaxJoinPending:    uint32(p.MaxJoinPending),
 		BudgetCPUPct:      p.BudgetCPUPct,
 		BudgetBytesPerSec: p.BudgetBytesPerSec,
+		LatenessNanos:     int64(p.Lateness),
 	}
 }

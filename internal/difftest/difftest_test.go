@@ -54,10 +54,14 @@ func TestDifferentialSweep(t *testing.T) {
 
 func runSeed(t *testing.T, seed int64) *Outcome {
 	t.Helper()
-	cfg := deriveConfig(seed)
+	return runConfig(t, deriveConfig(seed))
+}
+
+func runConfig(t *testing.T, cfg Config) *Outcome {
+	t.Helper()
 	out, err := Run(cfg)
 	if err != nil {
-		t.Errorf("[%s] %v\n  replay: %s", cfg, err, ReplayCommand(seed))
+		t.Errorf("[%s] %v\n  replay: %s", cfg, err, cfg.ReplayCommand())
 		return out
 	}
 	if testing.Verbose() {
@@ -65,6 +69,41 @@ func runSeed(t *testing.T, seed int64) *Outcome {
 			cfg, out.Windows, out.CovHit, out.CovChecked, out.Query)
 	}
 	return out
+}
+
+// deriveDefaultConfig maps a seed onto the default-lateness sweep's grid:
+// every family in every mode each 24 seeds, the shard count moving every
+// 24, so 64 seeds run each family exact at 1, 2 and 4 shards.
+func deriveDefaultConfig(seed int64) Config {
+	s := max(seed, -seed)
+	return Config{
+		Seed:            seed,
+		Family:          int(s % numFamilies),
+		Mode:            int((s / numFamilies) % numModes),
+		Shards:          shardCounts[(s/(numFamilies*numModes))%int64(len(shardCounts))],
+		DefaultLateness: true,
+	}
+}
+
+// TestDefaultLatenessSweep runs the default close rule through the same
+// four arms and the oracle: sub-2 s windows, no declared lateness, each
+// stream's disorder under half a slide. Exact seeds must match the oracle
+// with no late drop — one slide of slack is all a stream that ships in
+// near-order needs.
+//
+//	go test ./internal/difftest -run TestDefaultLatenessSweep -difftest.seed=N -v
+func TestDefaultLatenessSweep(t *testing.T) {
+	if *flagSeed >= 0 {
+		runConfig(t, deriveDefaultConfig(*flagSeed))
+		return
+	}
+	n := int64(64)
+	if testing.Short() {
+		n = 16
+	}
+	for seed := int64(0); seed < n; seed++ {
+		runConfig(t, deriveDefaultConfig(seed))
+	}
 }
 
 // TestRegressionSeeds pins seeds whose configurations exercise the

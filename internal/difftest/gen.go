@@ -59,12 +59,16 @@ func famName(f int) string {
 
 func pick(rng *rand.Rand, opts ...string) string { return opts[rng.Intn(len(opts))] }
 
-// windowClause picks tumbling and sliding window shapes.
-func windowClause(rng *rand.Rand) string {
-	return pick(rng,
-		"window 5s", "window 10s", "window 8s",
-		"window 4s slide 2s", "window 6s slide 3s", "window 10s slide 5s",
-	)
+// windowShapes are the main sweep's windows, every slide 2 s or more;
+// shortWindowShapes the default-lateness sweep's, all shorter than 2 s.
+var windowShapes = []string{
+	"window 5s", "window 10s", "window 8s",
+	"window 4s slide 2s", "window 6s slide 3s", "window 10s slide 5s",
+}
+
+var shortWindowShapes = []string{
+	"window 250ms", "window 500ms", "window 1s",
+	"window 1s slide 250ms", "window 1500ms slide 500ms", "window 600ms slide 200ms",
 }
 
 // bidPred picks a WHERE clause over the bid stream (the analyzer decides
@@ -80,8 +84,9 @@ func bidPred(rng *rand.Rand) string {
 	)
 }
 
-// genQuery draws one query of the given family from the ql grammar.
-func genQuery(rng *rand.Rand, fam int) string {
+// genQuery draws one query of the given family from the ql grammar, its
+// window from shapes.
+func genQuery(rng *rand.Rand, fam int, shapes []string) string {
 	switch fam {
 	case famRaw:
 		all := []string{"user_id", "exchange_id", "bid_price", "country"}
@@ -105,7 +110,7 @@ func genQuery(rng *rand.Rand, fam int) string {
 		if rng.Intn(2) == 0 {
 			q += fmt.Sprintf(" limit %d", []int{3, 5, 10}[rng.Intn(3)])
 		}
-		return q + " " + windowClause(rng)
+		return q + " " + pick(rng, shapes...)
 
 	case famGrouped:
 		key := pick(rng, "exchange_id", "country", "user_id")
@@ -129,7 +134,7 @@ func genQuery(rng *rand.Rand, fam int) string {
 				q += fmt.Sprintf(" limit %d", 2+rng.Intn(5))
 			}
 		}
-		return q + " " + windowClause(rng)
+		return q + " " + pick(rng, shapes...)
 
 	case famUngrouped:
 		aggPool := []string{
@@ -145,7 +150,7 @@ func genQuery(rng *rand.Rand, fam int) string {
 			}
 			sel += a
 		}
-		return "select " + sel + " from bid" + bidPred(rng) + " " + windowClause(rng)
+		return "select " + sel + " from bid" + bidPred(rng) + " " + pick(rng, shapes...)
 
 	case famTopK:
 		k := []int{2, 3, 5}[rng.Intn(3)]
@@ -153,16 +158,16 @@ func genQuery(rng *rand.Rand, fam int) string {
 		// capacity (max(8k, 64)), so counts are exact and the rendered
 		// list must match the oracle's exact top-k row-for-row.
 		if rng.Intn(2) == 0 {
-			return fmt.Sprintf("select top_k(country, %d) from bid%s %s", k, bidPred(rng), windowClause(rng))
+			return fmt.Sprintf("select top_k(country, %d) from bid%s %s", k, bidPred(rng), pick(rng, shapes...))
 		}
 		return fmt.Sprintf("select exchange_id, top_k(country, %d) from bid%s group by exchange_id %s",
-			k, bidPred(rng), windowClause(rng))
+			k, bidPred(rng), pick(rng, shapes...))
 
 	case famDistinct:
 		if rng.Intn(2) == 0 {
-			return "select count_distinct(user_id) from bid" + bidPred(rng) + " " + windowClause(rng)
+			return "select count_distinct(user_id) from bid" + bidPred(rng) + " " + pick(rng, shapes...)
 		}
-		return "select count_distinct(user_id), count(*) from bid" + bidPred(rng) + " " + windowClause(rng)
+		return "select count_distinct(user_id), count(*) from bid" + bidPred(rng) + " " + pick(rng, shapes...)
 
 	case famJoin:
 		pred := pick(rng,
@@ -173,13 +178,13 @@ func genQuery(rng *rand.Rand, fam int) string {
 		)
 		switch rng.Intn(3) {
 		case 0:
-			return "select bid.user_id, exclusion.reason from bid, exclusion" + pred + " " + windowClause(rng)
+			return "select bid.user_id, exclusion.reason from bid, exclusion" + pred + " " + pick(rng, shapes...)
 		case 1:
 			return "select exclusion.reason, count(*) from bid, exclusion" + pred +
-				" group by exclusion.reason " + windowClause(rng)
+				" group by exclusion.reason " + pick(rng, shapes...)
 		default:
 			return "select bid.exchange_id, sum(bid.bid_price), count(*) from bid, exclusion" + pred +
-				" group by bid.exchange_id " + windowClause(rng)
+				" group by bid.exchange_id " + pick(rng, shapes...)
 		}
 	}
 	panic("unknown family")
@@ -196,18 +201,21 @@ type genEvent struct {
 }
 
 // genEvents builds per-host event timelines. Within each (host, type)
-// stream, timestamps never move backwards by more than lateness/2, so in
+// stream, timestamps never move backwards by more than slack/2, so in
 // non-chaos runs nothing can be dropped as late: the watermark is the
-// minimum stream position, windows stay open for `lateness` past it, and
+// minimum stream position, windows stay open for `slack` behind it, and
 // the simulator registers every stream with the engines before real
 // volume flows (see the registration pass in Run).
 // Join families also emit exclusion events sharing recent bid request
 // ids — sometimes on a different host, the cross-machine join the paper
-// targets.
-func genEvents(rng *rand.Rand, fam int, hosts int, lateness time.Duration) []genEvent {
+// targets. The whole timeline scales with the slack — gaps, offsets and
+// disorder alike are those of a 2 s slack times slack/2s — so a short
+// window sees as many events and as much disorder per slide as a long one.
+func genEvents(rng *rand.Rand, fam int, hosts int, slack time.Duration) []genEvent {
 	var out []genEvent
 	nextReq := uint64(1)
-	jitter := int64(lateness) / 2
+	jitter := int64(slack) / 2
+	ms := int64(slack) / 2000 // one millisecond at a 2 s slack
 
 	type hostState struct{ name string }
 	var hs []hostState
@@ -218,10 +226,10 @@ func genEvents(rng *rand.Rand, fam int, hosts int, lateness time.Duration) []gen
 	var recentReqs []uint64
 	for h := range hs {
 		n := 60 + rng.Intn(120)
-		ts := int64(rng.Intn(3)) * int64(time.Second)
+		ts := int64(rng.Intn(3)) * 1000 * ms
 		var evs []genEvent
 		for i := 0; i < n; i++ {
-			ts += int64(rng.Intn(800)+1) * int64(time.Millisecond)
+			ts += int64(rng.Intn(800)+1) * ms
 			req := nextReq
 			nextReq++
 			recentReqs = append(recentReqs, req)
@@ -256,7 +264,7 @@ func genEvents(rng *rand.Rand, fam int, hosts int, lateness time.Duration) []gen
 			host := hs[rng.Intn(len(hs))].name
 			out = append(out, genEvent{
 				host: host, typeIdx: 1, req: req,
-				ts: bidTs + int64(rng.Intn(1500)-400)*int64(time.Millisecond),
+				ts: bidTs + int64(rng.Intn(1500)-400)*ms,
 				fields: map[string]event.Value{
 					"line_item_id": event.Int(int64(rng.Intn(300))),
 					"reason":       event.Str(reasons[rng.Intn(len(reasons))]),
@@ -267,7 +275,7 @@ func genEvents(rng *rand.Rand, fam int, hosts int, lateness time.Duration) []gen
 		for i := 0; i < 5+rng.Intn(10); i++ {
 			out = append(out, genEvent{
 				host: hs[rng.Intn(len(hs))].name, typeIdx: 1, req: nextReq,
-				ts: int64(rng.Intn(30000)) * int64(time.Millisecond),
+				ts: int64(rng.Intn(30000)) * ms,
 				fields: map[string]event.Value{
 					"line_item_id": event.Int(int64(rng.Intn(300))),
 					"reason":       event.Str(reasons[rng.Intn(len(reasons))]),
@@ -278,7 +286,7 @@ func genEvents(rng *rand.Rand, fam int, hosts int, lateness time.Duration) []gen
 	}
 
 	// Per-(host,type) bounded disorder: sort each stream by time, then
-	// swap adjacent events whose gap is under lateness/2. Ordering across
+	// swap adjacent events whose gap is under slack/2. Ordering across
 	// streams is the interleaver's business.
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

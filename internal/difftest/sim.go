@@ -43,6 +43,9 @@ type Config struct {
 	Family int
 	Shards int
 	Mode   int
+	// DefaultLateness draws a window shorter than 2 s and leaves Lateness
+	// unset; otherwise every slide is 2 s or more and Lateness is 2 s.
+	DefaultLateness bool
 }
 
 var shardCounts = []int{1, 2, 4, 8}
@@ -62,8 +65,12 @@ func deriveConfig(seed int64) Config {
 
 // ReplayCommand is printed with every failure: running it reproduces the
 // exact simulation (query, streams, interleaving, chaos) from the seed.
-func ReplayCommand(seed int64) string {
-	return fmt.Sprintf("go test ./internal/difftest -run 'TestDifferentialSweep' -difftest.seed=%d -v", seed)
+func (c Config) ReplayCommand() string {
+	test := "TestDifferentialSweep"
+	if c.DefaultLateness {
+		test = "TestDefaultLatenessSweep"
+	}
+	return fmt.Sprintf("go test ./internal/difftest -run '%s' -difftest.seed=%d -v", test, c.Seed)
 }
 
 func (c Config) String() string {
@@ -133,7 +140,11 @@ var debugTrace = os.Getenv("DIFFTEST_DEBUG") != ""
 // the caller attaches the replay command.
 func Run(cfg Config) (*Outcome, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	src := genQuery(rng, cfg.Family)
+	shapes := windowShapes
+	if cfg.DefaultLateness {
+		shapes = shortWindowShapes
+	}
+	src := genQuery(rng, cfg.Family, shapes)
 	out := &Outcome{Query: src}
 
 	q, err := ql.Parse(src)
@@ -151,14 +162,21 @@ func Run(cfg Config) (*Outcome, error) {
 		sampledHosts = 1 + rng.Intn(hosts-1)
 	}
 	plan := central.FromPlan(qp, 1, 0, 0, totalHosts, sampledHosts)
-	plan.Lateness = 2 * time.Second
+	// slack is how far behind the slowest stream a window closes; the
+	// generator keeps each stream's disorder under half of it.
+	slack := 2 * time.Second
+	if cfg.DefaultLateness {
+		slack = min(plan.Slide, slack)
+	} else {
+		plan.Lateness = slack
+	}
 	rate := 1.0
 	if cfg.Mode == modeSampled {
 		rate = []float64{0.5, 0.25}[rng.Intn(2)]
 		plan.SampleEvents = rate
 	}
 
-	events := genEvents(rng, cfg.Family, hosts, plan.Lateness)
+	events := genEvents(rng, cfg.Family, hosts, slack)
 
 	// --- host pipeline: selection, sampling, projection, batching ---
 

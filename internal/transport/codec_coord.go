@@ -97,6 +97,7 @@ func (w *writer) shardStartBody(t ShardStart) {
 	w.u32(t.MaxJoinPending)
 	w.f64(t.BudgetCPUPct)
 	w.f64(t.BudgetBytesPerSec)
+	w.i64(t.LatenessNanos)
 }
 
 func (r *reader) shardStartBody() ShardStart {
@@ -107,6 +108,7 @@ func (r *reader) shardStartBody() ShardStart {
 		SampleEvents: r.f64(), Confidence: r.f64(),
 		MaxRawRows: r.u32(), MaxJoinPending: r.u32(),
 		BudgetCPUPct: r.f64(), BudgetBytesPerSec: r.f64(),
+		LatenessNanos: r.i64(),
 	}
 }
 

@@ -76,6 +76,10 @@ type ShardStart struct {
 	// Host-impact budget, forwarded for plan parity.
 	BudgetCPUPct      float64
 	BudgetBytesPerSec float64
+	// LatenessNanos is the plan's declared lateness, 0 when unset: whether
+	// one was declared selects how windows close, so a standby that
+	// resumes the query must close them by the same rule as its leader.
+	LatenessNanos int64
 }
 
 // ShardAck answers ShardStart (and ShardStopReq teardown races): an empty

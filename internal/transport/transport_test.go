@@ -82,7 +82,7 @@ func sampleMessages() []Message {
 			StartNanos: 100, EndNanos: 200, ReplayNanos: 30,
 			TotalHosts: 100, SampledHosts: 10, SampleEvents: 0.5,
 			Confidence: 0.99, MaxRawRows: 1000, MaxJoinPending: 4096,
-			BudgetCPUPct: 1.5, BudgetBytesPerSec: 1 << 20,
+			BudgetCPUPct: 1.5, BudgetBytesPerSec: 1 << 20, LatenessNanos: 5e9,
 		},
 		ShardAck{Seq: 1},
 		ShardAck{Seq: 2, Err: "no such query"},

@@ -36,6 +36,12 @@ for f in 'SpaceSaving) AddBytes' 'SpaceSaving) bump'; do
 done
 if ! grep -B1 -F 'func (sl *Slab) Add(' internal/agg/slab.go | grep -q '^//scrub:hotpath$'; then echo "internal/agg/slab.go: Slab.Add lost its //scrub:hotpath seed" >&2; exit 1; fi
 
+echo "== watermark − lateness in one place (non-test internal/central reads Plan.Lateness only in closeBounds) =="
+if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /\.Lateness([^A-Za-z0-9_]|$)/ && fn !~ /\) closeBounds\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' $(nontest internal/central); then
+  echo "internal/central reads Lateness outside Plan.closeBounds" >&2; exit 1
+fi
+
 echo "== one performance benchmark (scrubbench measures host overhead, latency and central throughput; benchrunner has no P1/P2/PS/P4) =="
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
@@ -67,8 +73,8 @@ go run ./scripts/metricssmoke
 echo "== chaos soak (fixed seed, quick, -race) =="
 go run -race ./cmd/benchrunner -only C1 -quick
 
-echo "== differential oracle sweep (200 seeded sims, -race) =="
-go test -race ./internal/difftest -run 'TestDifferentialSweep|TestRegressionSeeds' -difftest.seeds=200
+echo "== differential oracle sweep (200 seeded sims, the pinned seeds and 64 default-lateness sims, -race) =="
+go test -race ./internal/difftest -run 'TestDifferentialSweep|TestRegressionSeeds|TestDefaultLatenessSweep' -difftest.seeds=200
 
 echo "== multinode smoke (coordinator + 2 shards + 3 hosts, -race) =="
 go test -race -run TestMultinodeSmoke ./internal/server

@@ -16,7 +16,9 @@
 // query follows on each executor: while it runs, the tier that holds its
 // windows must show scrub_central_state_bytes above its idle value — the
 // window's one group is a sketch, which the gauge counts — and be back at
-// it once the query has stopped.
+// it once the query has stopped. While each query runs, its executor must
+// serve the query's scrub_central_query_late_drops_total series, and must
+// have dropped it once the last query stopped.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -216,11 +218,15 @@ func run() error {
 			return fmt.Errorf("%s: query: %w", ex.who, err)
 		}
 		indexErr := awaitIndex(ex.who+"'s scrubd", ex.host)
+		seriesErr := awaitSeries(ex.who, ex.metrics, perQuery, true)
 		if err := ql.Wait(); err != nil {
 			return fmt.Errorf("%s: query: %w\n%s", ex.who, err, out.Bytes())
 		}
 		if indexErr != nil {
 			return indexErr
+		}
+		if seriesErr != nil {
+			return seriesErr
 		}
 		values, _, err := scrape(ex.who, ex.metrics)
 		if err != nil {
@@ -252,18 +258,44 @@ func run() error {
 		}
 		const gauge = "scrub_central_state_bytes"
 		held, stateErr := awaitGauge(ex.who, ex.state, gauge, func(v float64) bool { return v > idle[gauge] })
+		seriesErr = awaitSeries(ex.who, ex.metrics, perQuery, true)
 		if err := topk.Wait(); err != nil {
 			return fmt.Errorf("%s: top_k query: %w\n%s", ex.who, err, out.Bytes())
 		}
 		if stateErr != nil {
 			return fmt.Errorf("%w while a top_k query ran (idle %v)", stateErr, idle[gauge])
 		}
+		if seriesErr != nil {
+			return seriesErr
+		}
 		if _, err := awaitGauge(ex.who, ex.state, gauge, func(v float64) bool { return v == idle[gauge] }); err != nil {
 			return fmt.Errorf("%w after the top_k query stopped (idle %v)", err, idle[gauge])
+		}
+		if err := awaitSeries(ex.who, ex.metrics, perQuery, false); err != nil {
+			return fmt.Errorf("%w after the last query stopped", err)
 		}
 		fmt.Printf("metrics-smoke: %s counted a top_k window's state (%v bytes) and gave it back\n", ex.who, held-idle[gauge])
 	}
 	return nil
+}
+
+// perQuery is a series the merger serves for each running query, in every
+// executor shape, and unregisters when the query stops.
+const perQuery = "scrub_central_query_late_drops_total"
+
+// awaitSeries polls an endpoint until series name is served (want) or is
+// not (!want). The queries last a second or two, so three are ample.
+func awaitSeries(who, url, name string, want bool) error {
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		values, _, err := scrape(who, url)
+		if err != nil {
+			return err
+		}
+		if _, ok := values[name]; ok == want {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: %s served = %v, want %v", who, name, !want, want)
 }
 
 // awaitGauge polls an endpoint until series name satisfies ok and returns
