@@ -46,7 +46,7 @@ bench:
 bench-smoke:
 	(cd bench && $(GO) test -short ./...)
 
-# Boot a shard process, a coordinator over it and a -shards 2 cluster,
+# Boot a plain scrubcentral, a shard process and a coordinator over it,
 # each executor with a scrubd, all with -metrics: scrape every endpoint,
 # fail on missing, misplaced or duplicate series (plus a pprof probe),
 # then run a query through both executors and fail if an ingest series

@@ -38,7 +38,6 @@ func main() {
 	exclusions := flag.Bool("exclusions", false, "emit exclusion events (high volume)")
 	auctions := flag.Bool("auctions", false, "emit auction events")
 	explain := flag.Bool("explain", false, "print the query plan (host/central split) before running")
-	shards := flag.Int("shards", 1, "ScrubCentral shards (>1 runs the sharded cluster)")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	flag.Parse()
 
@@ -50,7 +49,6 @@ func main() {
 		EmitExclusions:         *exclusions,
 		EmitAuctions:           *auctions,
 		Agent:                  host.Config{FlushInterval: 20 * time.Millisecond, QueueSize: 1 << 16},
-		CentralShards:          *shards,
 	})
 	if err != nil {
 		log.Fatalf("bidsim: %v", err)

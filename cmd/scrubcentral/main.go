@@ -1,12 +1,13 @@
 // Command scrubcentral runs the central half of a Scrub deployment in one
 // process: the query server and ScrubCentral, fronted by three TCP
 // listeners — client (troubleshooters), control (host agents register and
-// receive query objects), and data (tuple batches).
+// receive query objects), and data (tuple batches). Without a mode flag
+// the process is a single node: one ScrubCentral kernel behind the merger.
 //
 // The event catalog comes from a schema file (see internal/event schema-
 // file syntax) or, with -adplatform, the simulated ad platform's types.
 //
-// A distributed deployment splits ScrubCentral across processes:
+// A cluster splits ScrubCentral across processes, one kernel each:
 //
 //	scrubcentral -shard :7710 -join 127.0.0.1:7702   # one per shard
 //	scrubcentral -coord -schema events.schema \
@@ -49,7 +50,6 @@ func main() {
 	clientAddr := flag.String("client", "127.0.0.1:7700", "client (troubleshooter) listen address")
 	controlAddr := flag.String("control", "127.0.0.1:7701", "agent control listen address")
 	dataAddr := flag.String("data", "127.0.0.1:7702", "agent data listen address")
-	shards := flag.Int("shards", 1, "ScrubCentral shards (>1 runs the sharded cluster)")
 	metricsAddr := flag.String("metrics", "", "observability listen address for /metrics and /debug/pprof (e.g. 127.0.0.1:0); empty disables")
 	coordMode := flag.Bool("coord", false, "run ScrubCentral as a multi-process shard-fabric coordinator")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard data addresses to enroll at startup (with -coord)")
@@ -142,10 +142,8 @@ func main() {
 		}
 		engine = coordEng
 	default:
-		engine, err = central.NewShardedEngineWith(max(*shards, 1), copt)
-		if err != nil {
-			log.Fatalf("scrubcentral: %v", err)
-		}
+		// One process runs one kernel; n = 1 cannot fail.
+		engine, _ = central.NewShardedEngineWith(1, copt)
 	}
 	srv, err := server.New(server.Config{
 		Catalog:    catalog,

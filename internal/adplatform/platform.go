@@ -41,8 +41,6 @@ type Config struct {
 	Agent host.Config
 	// AgentSink forwards core.LocalConfig.AgentSink (see there).
 	AgentSink host.Sink
-	// CentralShards forwards core.LocalConfig.CentralShards.
-	CentralShards int
 }
 
 // Platform is a running simulated deployment: the Scrub cluster plus the
@@ -94,11 +92,10 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	cluster, err := core.NewLocalCluster(core.LocalConfig{
-		Catalog:       catalog,
-		Hosts:         hosts,
-		Agent:         cfg.Agent,
-		AgentSink:     cfg.AgentSink,
-		CentralShards: cfg.CentralShards,
+		Catalog:   catalog,
+		Hosts:     hosts,
+		Agent:     cfg.Agent,
+		AgentSink: cfg.AgentSink,
 	})
 	if err != nil {
 		return nil, err

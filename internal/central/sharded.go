@@ -58,10 +58,10 @@ var (
 	_ Executor = (*ShardedEngine)(nil)
 )
 
-// ShardedEngine is a ScrubCentral cluster in one process, and the one
-// in-process executor: a Merger over direct clients to n kernels. Window
-// state is merged across shards at window close through the mergeable
-// aggregators, then rendered; the result does not depend on n.
+// ShardedEngine is the one in-process executor: a Merger over direct clients
+// to n kernels, window state merged across shards at close; the result does
+// not depend on n. Deployments run n = 1; n ≥ 2 is the coordinator's test
+// double (the differential oracle, scrubbench's central-sharded, tests).
 type ShardedEngine struct {
 	*Merger
 	shards []ShardClient

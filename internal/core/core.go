@@ -43,10 +43,6 @@ type LocalConfig struct {
 	// to model the paper's deployment, where ScrubCentral is a dedicated
 	// remote facility whose work never lands on application hosts.
 	AgentSink host.Sink
-	// CentralShards runs ScrubCentral as a sharded cluster with this many
-	// shards (the paper's "small ScrubCentral cluster"). 0 or 1 uses the
-	// single-node engine.
-	CentralShards int
 	// Central tunes the engine's failure-domain behavior (stream lease
 	// TTL, lease clock). Zero value is production defaults.
 	Central central.Options
@@ -74,10 +70,8 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
 	}
-	engine, err := central.NewShardedEngineWith(max(cfg.CentralShards, 1), cfg.Central)
-	if err != nil {
-		return nil, err
-	}
+	// One process runs one kernel; n = 1 cannot fail.
+	engine, _ := central.NewShardedEngineWith(1, cfg.Central)
 	lc := &LocalCluster{
 		Catalog:  cfg.Catalog,
 		Registry: cluster.NewRegistry(),

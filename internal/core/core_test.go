@@ -413,109 +413,3 @@ func TestNetClusterCancel(t *testing.T) {
 		t.Fatal("cancel did not end the stream")
 	}
 }
-
-func TestLocalClusterShardedCentral(t *testing.T) {
-	lc, err := NewLocalCluster(LocalConfig{
-		Catalog:       testCatalog(),
-		Hosts:         hostSpecs(3, "BidServers"),
-		Agent:         fastAgent(),
-		CentralShards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	st, err := lc.Query(`select bid.user_id, count(*) from bid group by bid.user_id window 1s duration 2s`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for i, a := range lc.Agents() {
-		for j := 0; j < 20; j++ {
-			logBid(t, a, uint64(i*100+j), int64(j%4), 1.0, now)
-		}
-	}
-	counts := map[string]int64{}
-	for rw := range st.Windows {
-		for _, row := range rw.Rows {
-			n, _ := row[1].AsInt()
-			counts[row[0].String()] += n
-		}
-	}
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total != 60 {
-		t.Errorf("sharded total = %d, want 60 (counts %v)", total, counts)
-	}
-	if len(counts) != 4 {
-		t.Errorf("groups = %v", counts)
-	}
-	stats := st.Final()
-	if stats.TuplesIn != 60 {
-		t.Errorf("final stats = %+v", stats)
-	}
-}
-
-func TestNetClusterShardedCentral(t *testing.T) {
-	nc, err := NewNetCluster(NetConfig{
-		Catalog:       testCatalog(),
-		Hosts:         hostSpecs(2, "BidServers"),
-		Agent:         fastAgent(),
-		CentralShards: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	client, err := nc.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	qs, err := client.Query(`select count(*) from bid window 1s duration 2s`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for activation (async over TCP), then log.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		active := 0
-		for i := 0; i < nc.NumAgents(); i++ {
-			if len(nc.Agent(i).ActiveQueries()) > 0 {
-				active++
-			}
-		}
-		if active == nc.NumAgents() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("activation timeout")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	schema, _ := nc.Catalog.Lookup("bid")
-	now := time.Now()
-	for i := 0; i < nc.NumAgents(); i++ {
-		for j := 0; j < 10; j++ {
-			nc.Agent(i).Log(event.NewBuilder(schema).
-				SetRequestID(uint64(i*100+j+1)).SetTime(now).
-				Int("user_id", 1).Int("exchange_id", 1).Float("bid_price", 1).
-				MustBuild())
-		}
-	}
-	var total int64
-	for rw := range qs.Windows {
-		for _, row := range rw.Rows {
-			n, _ := row[0].AsInt()
-			total += n
-		}
-	}
-	if total != 20 {
-		t.Errorf("sharded TCP total = %d, want 20", total)
-	}
-	if _, err := qs.Final(); err != nil {
-		t.Fatal(err)
-	}
-}

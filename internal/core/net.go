@@ -26,8 +26,6 @@ type NetConfig struct {
 	Agent host.Config
 	// Logf for hub diagnostics; nil silences them.
 	Logf func(string, ...any)
-	// CentralShards: see LocalConfig.CentralShards.
-	CentralShards int
 	// Central: see LocalConfig.Central.
 	Central central.Options
 	// Sink is the base option set for every host's data sink (dial
@@ -87,11 +85,8 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 	} else {
 		hub.SetLogf(func(string, ...any) {})
 	}
-	engine, err := central.NewShardedEngineWith(max(cfg.CentralShards, 1), cfg.Central)
-	if err != nil {
-		hub.Close()
-		return nil, err
-	}
+	// One process runs one kernel; n = 1 cannot fail.
+	engine, _ := central.NewShardedEngineWith(1, cfg.Central)
 	srv, err := server.New(server.Config{
 		Catalog:    cfg.Catalog,
 		Registry:   registry,

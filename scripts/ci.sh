@@ -46,6 +46,10 @@ echo "== one performance benchmark (scrubbench measures host overhead, latency a
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
 
+echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
+if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
+if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(internal/central|internal/difftest|bench)/|_test\.go:' | grep -vE 'NewShardedEngine(With)?\(1[,)]'; then echo "non-test code outside internal/central, internal/difftest and bench/ builds a ShardedEngine with n other than a literal 1" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
@@ -67,7 +71,7 @@ make bench-smoke
 echo "== go test -race =="
 go test -race ./...
 
-echo "== metrics smoke (boot a shard process, a coordinator and a -shards 2 cluster with agents, scrape /metrics, run a query through both executors, then a top_k whose window state the gauge must count and give back) =="
+echo "== metrics smoke (boot a plain scrubcentral, a shard process and a coordinator over it, the two executors with agents, scrape /metrics, run a query through both executors, then a top_k whose window state the gauge must count and give back) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="

@@ -1,8 +1,9 @@
 // Command metricssmoke is the CI gate for the observability surface: it
 // builds scrubcentral, scrubd and scrubql and boots, on ephemeral ports
-// with -metrics enabled, a scrubcentral in shard mode (the tier that holds
-// the window state in a distributed deployment), a coordinator over it and
-// an in-process cluster (-shards 2), each of the two with a demo agent. It
+// with -metrics enabled, a plain scrubcentral (the single node: one kernel
+// behind the merger), a scrubcentral in shard mode (the tier that holds
+// the window state in a distributed deployment) and a coordinator over it,
+// the two executors each with a demo agent. It
 // scrapes every /metrics endpoint and fails if a required series family is
 // missing, any series is duplicated, the exposition is malformed, a tier
 // exports another tier's series (ingest is the merger's, window state the
@@ -170,7 +171,7 @@ func run() error {
 		}
 		return central, agent[0], nil
 	}
-	sharded, hostMetrics, err := stack("smoke-1", "-shards", "2")
+	single, hostMetrics, err := stack("smoke-1")
 	if err != nil {
 		return err
 	}
@@ -182,7 +183,7 @@ func run() error {
 	// Let the agents connect and ship a heartbeat or two.
 	time.Sleep(300 * time.Millisecond)
 
-	if err := checkMetrics("scrubcentral -shards", sharded[0], requiredCentral, nil); err != nil {
+	if err := checkMetrics("scrubcentral", single[0], requiredCentral, nil); err != nil {
 		return err
 	}
 	if err := checkMetrics("scrubcentral -coord", coordinator[0], requiredCoord, requiredShard); err != nil {
@@ -194,7 +195,7 @@ func run() error {
 	if err := checkMetrics("scrubcentral -shard", shardMetrics, requiredShard, forbiddenShard); err != nil {
 		return err
 	}
-	for _, u := range []string{sharded[0], coordinator[0], hostMetrics, shardMetrics} {
+	for _, u := range []string{single[0], coordinator[0], hostMetrics, shardMetrics} {
 		if err := checkPprof(u); err != nil {
 			return err
 		}
@@ -203,7 +204,7 @@ func run() error {
 	// One query through each executor, to its first window.
 	// state is the endpoint of the tier that holds the executor's windows.
 	for _, ex := range []struct{ who, metrics, client, host, state string }{
-		{"scrubcentral -shards", sharded[0], sharded[1], hostMetrics, sharded[0]},
+		{"scrubcentral", single[0], single[1], hostMetrics, single[0]},
 		{"scrubcentral -coord", coordinator[0], coordinator[1], coordHostMetrics, shardMetrics},
 	} {
 		idle, _, err := scrape(ex.who, ex.state)
