@@ -84,7 +84,8 @@ chaos-soak:
 	$(GO) run -race ./cmd/benchrunner -only C1 -quick
 
 # Differential-oracle sweep: 200 seeded cluster simulations (two full
-# family × shards × mode coverage cycles) cross-checking Engine,
+# family × shards × mode coverage cycles), every host a real host.Agent
+# running the query under test beside 0–4 decoys, cross-checking Engine,
 # ShardedEngine at 1–8 shards, the coordinator + 2/4-shard multiprocess
 # topology over the pipe transport, and the exact oracle, under the
 # race detector. Every failure prints its exact replay command

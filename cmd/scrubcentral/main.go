@@ -77,18 +77,8 @@ func main() {
 		adplatform.RegisterEventTypes(catalog)
 	}
 	if *schemaPath != "" {
-		text, err := os.ReadFile(*schemaPath)
-		if err != nil {
-			log.Fatalf("scrubcentral: read schema: %v", err)
-		}
-		schemas, err := event.ParseSchemas(string(text))
-		if err != nil {
+		if err := event.LoadSchemaFile(catalog, *schemaPath); err != nil {
 			log.Fatalf("scrubcentral: %v", err)
-		}
-		for _, s := range schemas {
-			if err := catalog.Register(s); err != nil {
-				log.Fatalf("scrubcentral: %v", err)
-			}
 		}
 	}
 	if catalog.Len() == 0 {

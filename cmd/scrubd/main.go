@@ -65,18 +65,8 @@ func main() {
 		adplatform.RegisterEventTypes(catalog)
 	}
 	if *schemaPath != "" {
-		text, err := os.ReadFile(*schemaPath)
-		if err != nil {
+		if err := event.LoadSchemaFile(catalog, *schemaPath); err != nil {
 			log.Fatalf("scrubd: %v", err)
-		}
-		schemas, err := event.ParseSchemas(string(text))
-		if err != nil {
-			log.Fatalf("scrubd: %v", err)
-		}
-		for _, s := range schemas {
-			if err := catalog.Register(s); err != nil {
-				log.Fatalf("scrubd: %v", err)
-			}
 		}
 	}
 	if catalog.Len() == 0 {

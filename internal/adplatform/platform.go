@@ -54,8 +54,6 @@ type Platform struct {
 	AdServers   []*AdServer
 	PresServers []*PresentationServer
 	LineItems   []*LineItem
-
-	models map[string]TargetingModel
 }
 
 // New builds and starts a platform.
@@ -106,7 +104,6 @@ func New(cfg Config) (*Platform, error) {
 		Catalog:   catalog,
 		Store:     NewProfileStore(),
 		LineItems: cfg.LineItems,
-		models:    make(map[string]TargetingModel),
 	}
 	for i := 0; i < cfg.NumBidServers; i++ {
 		agent, _ := cluster.Agent(bidHost(i))
@@ -119,7 +116,6 @@ func New(cfg Config) (*Platform, error) {
 		as.EmitExclusions = cfg.EmitExclusions
 		as.EmitAuctions = cfg.EmitAuctions
 		p.AdServers = append(p.AdServers, as)
-		p.models[model.Name()] = model
 	}
 	for i := 0; i < cfg.NumPresentationServers; i++ {
 		agent, _ := cluster.Agent(presHost(i))
@@ -130,22 +126,6 @@ func New(cfg Config) (*Platform, error) {
 		p.PresServers = append(p.PresServers, ps)
 	}
 	return p, nil
-}
-
-// Model returns a registered model by name.
-func (p *Platform) Model(name string) (TargetingModel, bool) {
-	m, ok := p.models[name]
-	return m, ok
-}
-
-// LineItem returns a line item by id.
-func (p *Platform) LineItem(id int64) (*LineItem, bool) {
-	for _, li := range p.LineItems {
-		if li.ID == id {
-			return li, true
-		}
-	}
-	return nil, false
 }
 
 // route maps a request to its servers: bid servers by request hash; ad
@@ -171,18 +151,6 @@ func (p *Platform) Process(req BidRequest) (BidResponse, Outcome, bool) {
 	}
 	out := ps.HandleBid(req, resp, auction.Winner.LineItem, as.model)
 	return resp, out, true
-}
-
-// AdServerHostsForModel returns the host names running the named model —
-// what a troubleshooter plugs into `@[Servers in (...)]` for A/B queries.
-func (p *Platform) AdServerHostsForModel(name string) []string {
-	var out []string
-	for _, as := range p.AdServers {
-		if as.model.Name() == name {
-			out = append(out, as.agent.ID())
-		}
-	}
-	return out
 }
 
 // PresentationHostsForModel returns the presentation hosts whose traffic

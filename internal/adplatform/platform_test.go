@@ -202,8 +202,8 @@ func TestBudgetExhaustionStopsBidding(t *testing.T) {
 	if bids < 2 {
 		t.Errorf("bids = %d, budget should cover a few", bids)
 	}
-	if tiny.BudgetRemaining() > 0.0 {
-		t.Errorf("remaining budget = %v", tiny.BudgetRemaining())
+	if left := tiny.budgetMicros.Load(); left > 0 {
+		t.Errorf("remaining budget = %d micros", left)
 	}
 }
 
@@ -220,9 +220,6 @@ func TestABModelsDiffer(t *testing.T) {
 		}
 		c.ExternalWinRate = 1.0
 	})
-	if hosts := p.AdServerHostsForModel("A"); len(hosts) != 1 {
-		t.Errorf("model A hosts = %v", hosts)
-	}
 	if hosts := p.PresentationHostsForModel("B"); len(hosts) != 1 {
 		t.Errorf("model B pres hosts = %v", hosts)
 	}
@@ -263,7 +260,7 @@ func TestGenerateLineItems(t *testing.T) {
 		if li.AdvisoryPrice < 0.5 || li.AdvisoryPrice > 8.01 {
 			t.Errorf("price %v out of range", li.AdvisoryPrice)
 		}
-		if li.BudgetRemaining() <= 0 {
+		if li.budgetMicros.Load() <= 0 {
 			t.Error("generated item without budget")
 		}
 		if li.FrequencyCap > 0 {
@@ -316,12 +313,5 @@ func TestProfileStore(t *testing.T) {
 	p.ServeCounts[9] = 99
 	if n := s.ServeCount(1, 9, now.Add(25*time.Hour)); n != 1 {
 		t.Error("Get returned shared state")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	s.Put(UserProfile{UserID: 2, ServeCounts: map[int64]int{5: 1}})
-	if s.Len() != 2 {
-		t.Errorf("Len after Put = %d", s.Len())
 	}
 }

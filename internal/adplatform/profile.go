@@ -68,14 +68,6 @@ func (s *ProfileStore) Get(user int64) UserProfile {
 	return UserProfile{UserID: user, ServeCounts: map[int64]int{}}
 }
 
-// Put replaces a user's profile.
-func (s *ProfileStore) Put(p UserProfile) {
-	sh := s.shard(p.UserID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.profiles[p.UserID] = p.clone()
-}
-
 // SetSegments assigns a user's audience segments.
 func (s *ProfileStore) SetSegments(user int64, segs []int64) {
 	sh := s.shard(user)
@@ -146,15 +138,4 @@ func (s *ProfileStore) CorruptServeCounts(user int64, counts map[int64]int, dayS
 		p.ServeCounts[k] = v
 	}
 	sh.profiles[user] = p
-}
-
-// Len returns the number of stored profiles.
-func (s *ProfileStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].profiles)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
 }

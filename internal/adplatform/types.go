@@ -15,10 +15,7 @@
 // cannibalization, corrupt profile data).
 package adplatform
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ExclusionReason labels why the filtering phase removed a line item from
 // a bid request's auction.
@@ -79,11 +76,6 @@ type LineItem struct {
 // SetBudget initializes the remaining budget in whole dollars.
 func (li *LineItem) SetBudget(dollars float64) {
 	li.budgetMicros.Store(int64(dollars * 1e6))
-}
-
-// BudgetRemaining returns the remaining budget in dollars.
-func (li *LineItem) BudgetRemaining() float64 {
-	return float64(li.budgetMicros.Load()) / 1e6
 }
 
 // spend decrements the budget by cost dollars; it reports false when the
@@ -164,8 +156,4 @@ type BidResponse struct {
 	CampaignID int64
 	BidPrice   float64
 	ModelName  string
-}
-
-func (b BidResponse) String() string {
-	return fmt.Sprintf("bid{req=%d li=%d price=%.4f}", b.RequestID, b.LineItemID, b.BidPrice)
 }

@@ -3,12 +3,16 @@
 // several, the multi-process fabric, and the exact oracle
 // (internal/oracle) over randomly generated queries and event streams.
 //
+// Every simulated host runs a real host.Agent; the batches the agents ship
+// are what the executors see.
+//
 // Everything is derived deterministically from one int64 seed: the query
-// text (drawn from the ql grammar), the event streams (hosts, request-id
-// join structure, bounded out-of-order arrival), the batch interleaving,
-// the tick schedule, and any chaos (host death, duplicated batches, late
-// redelivery). A failure therefore reproduces from its seed alone; every
-// contract violation prints the exact `go test` replay command.
+// text (drawn from the ql grammar) and its decoys, the event streams
+// (hosts, request-id join structure, bounded out-of-order arrival), where
+// each agent is flushed, the batch interleaving, the tick schedule, and
+// any chaos (host death, duplicated batches, late redelivery). A failure
+// therefore reproduces from its seed alone; every contract violation
+// prints the exact `go test` replay command.
 package difftest
 
 import (
@@ -190,14 +194,11 @@ func genQuery(rng *rand.Rand, fam int, shapes []string) string {
 	panic("unknown family")
 }
 
-// genEvent is one simulated event with its full field set (the host
-// pipeline projects it down to the plan's columns).
+// genEvent is one simulated event and the host that logs it.
 type genEvent struct {
 	host    string
 	typeIdx int // 0 = bid, 1 = exclusion
-	req     uint64
-	ts      int64
-	fields  map[string]event.Value
+	*event.Event
 }
 
 // genEvents builds per-host event timelines. Within each (host, type)
@@ -211,76 +212,50 @@ type genEvent struct {
 // targets. The whole timeline scales with the slack — gaps, offsets and
 // disorder alike are those of a 2 s slack times slack/2s — so a short
 // window sees as many events and as much disorder per slide as a long one.
-func genEvents(rng *rand.Rand, fam int, hosts int, slack time.Duration) []genEvent {
+func genEvents(rng *rand.Rand, cat *event.Catalog, fam int, hosts []string, slack time.Duration) []genEvent {
+	bid, _ := cat.Lookup("bid")
+	exclusion, _ := cat.Lookup("exclusion")
+	// Events are built directly, not through event.Builder, which reads a
+	// zero time as "now": a simulated event may sit at (or before) t = 0.
+	newExclusion := func(host string, req uint64, ts int64) genEvent {
+		return genEvent{host: host, typeIdx: 1, Event: &event.Event{Schema: exclusion, RequestID: req, TimeNanos: ts,
+			Values: []event.Value{event.Int(int64(rng.Intn(300))), event.Str(reasons[rng.Intn(len(reasons))])}}}
+	}
 	var out []genEvent
 	nextReq := uint64(1)
 	jitter := int64(slack) / 2
 	ms := int64(slack) / 2000 // one millisecond at a 2 s slack
 
-	type hostState struct{ name string }
-	var hs []hostState
-	for h := 0; h < hosts; h++ {
-		hs = append(hs, hostState{name: fmt.Sprintf("host-%d", h)})
-	}
-
-	var recentReqs []uint64
-	for h := range hs {
+	for _, h := range hosts {
 		n := 60 + rng.Intn(120)
 		ts := int64(rng.Intn(3)) * 1000 * ms
-		var evs []genEvent
 		for i := 0; i < n; i++ {
 			ts += int64(rng.Intn(800)+1) * ms
-			req := nextReq
+			out = append(out, genEvent{host: h, typeIdx: 0, Event: &event.Event{Schema: bid, RequestID: nextReq, TimeNanos: ts,
+				Values: []event.Value{
+					event.Int(int64(rng.Intn(200))),                // user_id
+					event.Int(int64(1 + rng.Intn(5))),              // exchange_id
+					event.Float(float64(rng.Intn(1000)) / 100),     // bid_price
+					event.Str(countries[rng.Intn(len(countries))]), // country
+				}}})
 			nextReq++
-			recentReqs = append(recentReqs, req)
-			evs = append(evs, genEvent{
-				host: hs[h].name, typeIdx: 0, req: req, ts: ts,
-				fields: map[string]event.Value{
-					"user_id":     event.Int(int64(rng.Intn(200))),
-					"exchange_id": event.Int(int64(1 + rng.Intn(5))),
-					"bid_price":   event.Float(float64(rng.Intn(1000)) / 100),
-					"country":     event.Str(countries[rng.Intn(len(countries))]),
-				},
-			})
 		}
-		out = append(out, evs...)
 	}
 
 	if fam == famJoin {
 		// Exclusions reference existing bid requests at ~40% rate, with a
 		// few orphans; each lands near (but not exactly at) the bid's
-		// time, often on another host.
-		for _, req := range recentReqs {
+		// time, often on another host. The range covers the bids only.
+		for _, b := range out {
 			if rng.Float64() > 0.4 {
 				continue
 			}
-			var bidTs int64
-			for _, e := range out {
-				if e.req == req {
-					bidTs = e.ts
-					break
-				}
-			}
-			host := hs[rng.Intn(len(hs))].name
-			out = append(out, genEvent{
-				host: host, typeIdx: 1, req: req,
-				ts: bidTs + int64(rng.Intn(1500)-400)*ms,
-				fields: map[string]event.Value{
-					"line_item_id": event.Int(int64(rng.Intn(300))),
-					"reason":       event.Str(reasons[rng.Intn(len(reasons))]),
-				},
-			})
+			host := hosts[rng.Intn(len(hosts))]
+			out = append(out, newExclusion(host, b.RequestID, b.TimeNanos+int64(rng.Intn(1500)-400)*ms))
 		}
 		// A few orphan exclusions with no bid partner.
 		for i := 0; i < 5+rng.Intn(10); i++ {
-			out = append(out, genEvent{
-				host: hs[rng.Intn(len(hs))].name, typeIdx: 1, req: nextReq,
-				ts: int64(rng.Intn(30000)) * ms,
-				fields: map[string]event.Value{
-					"line_item_id": event.Int(int64(rng.Intn(300))),
-					"reason":       event.Str(reasons[rng.Intn(len(reasons))]),
-				},
-			})
+			out = append(out, newExclusion(hosts[rng.Intn(len(hosts))], nextReq, int64(rng.Intn(30000))*ms))
 			nextReq++
 		}
 	}
@@ -296,16 +271,14 @@ func genEvents(rng *rand.Rand, fam int, hosts int, slack time.Duration) []genEve
 		if a.typeIdx != b.typeIdx {
 			return a.typeIdx < b.typeIdx
 		}
-		return a.ts < b.ts
+		return a.TimeNanos < b.TimeNanos
 	})
 	for i := 1; i < len(out); i++ {
 		a, b := &out[i-1], &out[i]
 		if a.host == b.host && a.typeIdx == b.typeIdx &&
-			b.ts-a.ts < jitter && rng.Intn(3) == 0 {
+			b.TimeNanos-a.TimeNanos < jitter && rng.Intn(3) == 0 {
 			out[i-1], out[i] = out[i], out[i-1]
 		}
 	}
 	return out
 }
-
-// negative timestamps never occur by construction; events start at t≥0.

@@ -23,24 +23,30 @@ import (
 type pipeTopology struct {
 	coord  *coord.Coordinator
 	router *coord.Router
-	mconn  *transport.Conn
+	nodes  []*coord.ShardNode
+	// manifest is the router's current target; failoverTopology.failover
+	// swaps it to the promoted coordinator. The harness is single-threaded,
+	// so a plain field suffices.
+	manifest coord.ManifestFunc
+	mconn    *transport.Conn
 }
 
-// newPipeTopology builds a coordinator + shards fabric. Each shard node
-// analyzes query text against its own catalog instance, exactly like a
-// separate process would.
-func newPipeTopology(shards int, opts central.Options, cat func() *event.Catalog) *pipeTopology {
-	t := &pipeTopology{coord: coord.NewCoordinator(opts)}
-	mc, ms := transport.Pipe()
-	t.mconn = mc
-	go t.coord.ServeConn(ms)
-	t.router = coord.NewRouter(coord.NewManifestClient(mc), nil)
+// newPipeTopology wires coordinator c to n shard nodes and a router. Each
+// shard node analyzes query text against its own catalog instance,
+// exactly like a separate process would.
+func newPipeTopology(c *coord.Coordinator, shards int, cat func() *event.Catalog) *pipeTopology {
+	t := &pipeTopology{coord: c}
+	t.connect(c)
+	t.router = coord.NewRouter(func(m transport.BatchManifest) error {
+		return t.manifest(m)
+	}, nil)
 	for i := 0; i < shards; i++ {
 		node := coord.NewShardNode(cat())
 		// Every sub-batch's borrowed cells turn to garbage once applied:
 		// shard state that kept one instead of a copy is a divergence with
 		// a seed, not a latent bug.
 		node.PoisonBorrowed()
+		t.nodes = append(t.nodes, node)
 		addr := fmt.Sprintf("shard-%d", i)
 		cc, cs := transport.Pipe()
 		go node.ServeConn(cs)
@@ -50,6 +56,14 @@ func newPipeTopology(shards int, opts central.Options, cat func() *event.Catalog
 		t.router.AddShardConn(addr, rc)
 	}
 	return t
+}
+
+// connect points the router's manifests at coordinator c.
+func (t *pipeTopology) connect(c *coord.Coordinator) {
+	mc, ms := transport.Pipe()
+	t.mconn = mc
+	go c.ServeConn(ms)
+	t.manifest = coord.NewManifestClient(mc)
 }
 
 // start registers the query on the coordinator and pins the router's
@@ -84,26 +98,18 @@ func (t *pipeTopology) close() {
 // query — so every sweep seed exercises the takeover path, not just the
 // dedicated failover tests.
 type failoverTopology struct {
-	coord   *coord.Coordinator
+	*pipeTopology
 	standby *coord.Standby
-	router  *coord.Router
-	nodes   []*coord.ShardNode
-
-	// manifest is the router's current target; failover() swaps it to the
-	// promoted coordinator. The harness is single-threaded, so a plain
-	// field suffices.
-	manifest coord.ManifestFunc
-	mconn    *transport.Conn
-	emit     central.EmitFunc
-	queryID  uint64
-	promoted bool
+	emit    central.EmitFunc
+	queryID uint64
 }
 
 func newFailoverTopology(shards int, opts central.Options, cat func() *event.Catalog) *failoverTopology {
-	t := &failoverTopology{coord: coord.NewCoordinator(opts)}
+	c := coord.NewCoordinator(opts)
 	// Heartbeats an hour out: replication rides the synchronous appends
 	// only, so the single-threaded harness stays deterministic.
-	t.coord.StartReplication(coord.ReplicationConfig{Term: 1, Heartbeat: time.Hour})
+	c.StartReplication(coord.ReplicationConfig{Term: 1, Heartbeat: time.Hour})
+	t := &failoverTopology{}
 	t.standby = coord.NewStandby(coord.StandbyOptions{
 		Central: coordOptions(opts),
 		Catalog: cat(),
@@ -120,27 +126,8 @@ func newFailoverTopology(shards int, opts central.Options, cat func() *event.Cat
 	})
 	sbc, sbs := transport.Pipe()
 	go t.standby.ServeConn(sbs)
-	t.coord.AddStandbyConn(sbc, "standby-0")
-
-	mc, ms := transport.Pipe()
-	t.mconn = mc
-	go t.coord.ServeConn(ms)
-	t.manifest = coord.NewManifestClient(mc)
-	t.router = coord.NewRouter(func(m transport.BatchManifest) error {
-		return t.manifest(m)
-	}, nil)
-	for i := 0; i < shards; i++ {
-		node := coord.NewShardNode(cat())
-		node.PoisonBorrowed()
-		t.nodes = append(t.nodes, node)
-		addr := fmt.Sprintf("shard-%d", i)
-		cc, cs := transport.Pipe()
-		go node.ServeConn(cs)
-		t.coord.AddShardConn(cc, addr)
-		rc, rs := transport.Pipe()
-		go node.ServeConn(rs)
-		t.router.AddShardConn(addr, rc)
-	}
+	c.AddStandbyConn(sbc, "standby-0")
+	t.pipeTopology = newPipeTopology(c, shards, cat)
 	return t
 }
 
@@ -151,23 +138,12 @@ func coordOptions(opts central.Options) coord.Options {
 }
 
 func (t *failoverTopology) start(p central.Plan, emit central.EmitFunc) error {
-	t.emit = emit
-	t.queryID = p.QueryID
-	if err := t.coord.StartQuery(p, emit); err != nil {
-		return err
-	}
-	epoch, ok := t.coord.QueryEpoch(p.QueryID)
-	if !ok {
-		return fmt.Errorf("difftest: query %d vanished after StartQuery", p.QueryID)
-	}
-	t.router.HandleShardMap(t.coord.ShardMap())
-	t.router.PinQuery(p.QueryID, epoch)
-	return nil
+	t.emit, t.queryID = emit, p.QueryID
+	return t.pipeTopology.start(p, emit)
 }
 
 // failover kills the leader and promotes the standby. The replicated
-// registration must survive: losing it would drop the query on the floor,
-// which is exactly the bug class the tentpole exists to prevent.
+// registration must survive: losing it would drop the query on the floor.
 func (t *failoverTopology) failover() error {
 	t.coord.Close()
 	t.mconn.Close()
@@ -186,17 +162,7 @@ func (t *failoverTopology) failover() error {
 		return fmt.Errorf("difftest: leader death lost query %d (resumed: %v)", t.queryID, resumed)
 	}
 	t.coord = promoted
-	t.promoted = true
-	mc, ms := transport.Pipe()
-	t.mconn = mc
-	go promoted.ServeConn(ms)
-	t.manifest = coord.NewManifestClient(mc)
+	t.connect(promoted)
 	t.router.HandleShardMap(promoted.ShardMap())
 	return nil
-}
-
-func (t *failoverTopology) close() {
-	t.router.Close()
-	t.coord.Close()
-	t.mconn.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scrub/internal/central"
+	"scrub/internal/coord"
 	"scrub/internal/event"
 	"scrub/internal/host"
 	"scrub/internal/ql"
@@ -57,7 +58,9 @@ func replayBurst(base int64) []*event.Event {
 	return out
 }
 
-// replaySink gathers shipped batches in arrival order.
+// replaySink gathers shipped batches in arrival order. The replay arm's
+// history ships from the agent's own goroutine, outside any Flush, so it
+// needs the lock capture does without.
 type replaySink struct {
 	mu      sync.Mutex
 	batches []transport.TupleBatch
@@ -130,28 +133,16 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 		defer rs.Close()
 	}
 	sink := &replaySink{}
-	agent, err := host.New(host.Config{
-		HostID: "h1", Service: "BidServers", DC: "DC1",
-		Catalog: cat, Sink: sink,
-		FlushInterval: time.Hour, // explicit Flush only
-		Record:        rs,
-	})
+	acfg := agentConfig("h1", cat, sink)
+	acfg.Record = rs
+	agent, err := host.New(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agent.Close()
 
-	hq := transport.HostQuery{
-		QueryID:      1,
-		EventType:    "bid",
-		TypeIdx:      0,
-		Pred:         plan.HostPred["bid"],
-		Columns:      plan.Columns["bid"],
-		SampleEvents: plan.SampleEvents,
-		StartNanos:   start,
-		EndNanos:     end,
-		ReplayNanos:  int64(replaySpan),
-	}
+	hq := plan.HostQueries(1, start, end)[0]
+	hq.ReplayNanos = int64(replaySpan)
 
 	if before {
 		if err := agent.Start(hq); err != nil {
@@ -192,7 +183,7 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 	// coordinator + 2-shard pipe topology must match the engine bit for
 	// bit — including the replay arm, where the hold settles across
 	// shards via the manifests' ReplayDone markers.
-	topo := newPipeTopology(2, central.Options{}, replayCatalog)
+	topo := newPipeTopology(coord.NewCoordinator(central.Options{}), 2, replayCatalog)
 	defer topo.close()
 	cpMP := cp
 	cpMP.Text = queryText

@@ -5,13 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"time"
 
 	"scrub/internal/agg"
 	"scrub/internal/central"
+	"scrub/internal/coord"
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/host"
 	"scrub/internal/oracle"
 	"scrub/internal/ql"
 	"scrub/internal/sketch"
@@ -37,7 +40,10 @@ func modeName(m int) string {
 
 // Config fully determines one simulation. deriveConfig maps a bare seed
 // onto the coverage grid so a contiguous seed sweep visits every
-// (family × shards × mode) combination every 96 seeds.
+// (family × shards × mode) combination every 96 seeds. That mapping is
+// frozen (ROADMAP.md, standing gates); what a seed derives beyond its
+// config — batch boundaries, interleaving — is not, so a pinned seed pins
+// a configuration.
 type Config struct {
 	Seed   int64
 	Family int
@@ -87,36 +93,52 @@ type Outcome struct {
 	CovHit     int // ... of which contained the oracle's exact truth
 }
 
-// vclock is the harness-controlled wall clock shared by both engines.
-// The harness is single-threaded, so a plain field suffices.
-type vclock struct{ nanos int64 }
-
-func (v *vclock) now() time.Time { return time.Unix(0, v.nanos) }
-
-// hostRow adapts a generated event for host-side predicate evaluation.
-type hostRow struct {
-	typ string
-	e   *genEvent
+// agentConfig is the agent every simulated host runs: explicit Flush only
+// (the hour never elapses) on a clock that never moves, so no heartbeat,
+// governor tick or span expiry fires on its own and what ships, and with
+// which counters, is decided by the harness's Flush calls alone.
+func agentConfig(hostID string, cat *event.Catalog, sink host.Sink) host.Config {
+	return host.Config{
+		HostID: hostID, Service: "BidServers", DC: "DC1",
+		Catalog: cat, Sink: sink,
+		FlushInterval: time.Hour,
+		Clock:         func() time.Time { return time.Unix(0, 0) },
+	}
 }
 
-func (r hostRow) Field(typ, name string) event.Value {
-	if typ != "" && typ != r.typ {
-		return event.Invalid
-	}
-	switch name {
-	case event.FieldRequestID:
-		return event.Int(int64(r.e.req))
-	case event.FieldTimestamp:
-		return event.TimeNanos(r.e.ts)
-	}
-	v, ok := r.e.fields[name]
-	if !ok {
-		return event.Invalid
-	}
-	return v
+// streamKey names one agent stream: a query's object for one event type
+// on one host.
+type streamKey struct {
+	query   uint64
+	host    string
+	typeIdx uint8
 }
 
-func (hostRow) Agg(int) event.Value { return event.Invalid }
+func keyOf(b *transport.TupleBatch) streamKey { return streamKey{b.QueryID, b.HostID, b.TypeIdx} }
+
+// capture is the agents' Sink: a copy of every batch they ship — the
+// agent recycles batch memory once SendBatch returns — per stream, in
+// order. Run's agents record no history to replay, so they ship only
+// inside Flush (see agentConfig) and Run reads it between Flush calls
+// without a lock.
+type capture map[streamKey][]transport.TupleBatch
+
+func (c capture) SendBatch(b transport.TupleBatch) error {
+	k := keyOf(&b)
+	c[k] = append(c[k], transport.CloneBatch(b))
+	return nil
+}
+
+// firstTuple returns the index of the first batch carrying a tuple, -1
+// when every batch is a counter-only heartbeat.
+func firstTuple(bs []transport.TupleBatch) int {
+	for i := range bs {
+		if len(bs[i].Tuples) > 0 {
+			return i
+		}
+	}
+	return -1
+}
 
 type collector struct {
 	name string
@@ -146,14 +168,10 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 	src := genQuery(rng, cfg.Family, shapes)
 	out := &Outcome{Query: src}
-
-	q, err := ql.Parse(src)
+	cat := catalog()
+	qp, err := analyze(src, cat)
 	if err != nil {
-		return out, fmt.Errorf("generated query does not parse: %v\n  query: %s", err, src)
-	}
-	qp, err := ql.Analyze(q, catalog())
-	if err != nil {
-		return out, fmt.Errorf("generated query does not analyze: %v\n  query: %s", err, src)
+		return out, err
 	}
 
 	hosts := 2 + rng.Intn(3)
@@ -161,7 +179,14 @@ func Run(cfg Config) (*Outcome, error) {
 	if cfg.Mode == modeHostSample {
 		sampledHosts = 1 + rng.Intn(hosts-1)
 	}
-	plan := central.FromPlan(qp, 1, 0, 0, totalHosts, sampledHosts)
+	if cfg.Mode == modeSampled {
+		qp.SampleEvents = []float64{0.5, 0.25}[rng.Intn(2)]
+	}
+	// The query id comes from the seed, so the agents' (query, host)-seeded
+	// samplers draw differently on every seed; each seed owns a block of
+	// eight ids, the query under test first and its decoys after it.
+	qid := 8*uint64(cfg.Seed) + 1
+	plan := central.FromPlan(qp, qid, 0, 0, totalHosts, sampledHosts)
 	// slack is how far behind the slowest stream a window closes; the
 	// generator keeps each stream's disorder under half of it.
 	slack := 2 * time.Second
@@ -170,36 +195,6 @@ func Run(cfg Config) (*Outcome, error) {
 	} else {
 		plan.Lateness = slack
 	}
-	rate := 1.0
-	if cfg.Mode == modeSampled {
-		rate = []float64{0.5, 0.25}[rng.Intn(2)]
-		plan.SampleEvents = rate
-	}
-
-	events := genEvents(rng, cfg.Family, hosts, slack)
-
-	// --- host pipeline: selection, sampling, projection, batching ---
-
-	// Every host predicate runs through both evaluators — the closure the
-	// pipeline below filters with and the register program the agent
-	// dispatches through (by name here: hostRow is not an EventRow) — and a
-	// disagreement fails the seed.
-	hostPreds := make([]func(expr.Row) bool, len(plan.Types))
-	progIDs := make([]int32, len(plan.Types))
-	pb := expr.NewProgramBuilder()
-	for i, typ := range plan.Types {
-		if n := qp.HostPred[typ]; n != nil {
-			ev, cerr := expr.Compile(n)
-			if cerr != nil {
-				return out, fmt.Errorf("host predicate compile: %v", cerr)
-			}
-			hostPreds[i] = expr.Predicate(ev)
-			if progIDs[i], cerr = pb.Intern(n); cerr != nil {
-				return out, fmt.Errorf("host predicate intern: %v", cerr)
-			}
-		}
-	}
-	progCtx := pb.Build().NewCtx()
 
 	shipping := make(map[string]bool, hosts)
 	hostNames := make([]string, hosts)
@@ -207,6 +202,7 @@ func Run(cfg Config) (*Outcome, error) {
 		hostNames[h] = fmt.Sprintf("host-%d", h)
 		shipping[hostNames[h]] = true
 	}
+	events := genEvents(rng, cat, cfg.Family, hostNames, slack)
 	if cfg.Mode == modeHostSample {
 		perm := rng.Perm(hosts)
 		for h := range shipping {
@@ -217,95 +213,121 @@ func Run(cfg Config) (*Outcome, error) {
 		}
 	}
 
-	type streamState struct {
-		host             string
-		typeIdx          int
-		batches          []transport.TupleBatch
-		pending          []transport.Tuple
-		limit            int
-		matched, shipped uint64
+	// --- host half: every event through its host's agent ---
+
+	// Beside the query under test every agent runs 0–4 decoys, drawn from a
+	// source of their own so the seed's query and streams do not move with
+	// them: they put shared dispatch, projection groups, span gating (half
+	// carry a span), the solo path and the schema scan under the sweep.
+	// Their batches are captured and accounted for, never delivered.
+	drng := rand.New(rand.NewSource(^cfg.Seed))
+	var decoys []transport.HostQuery
+	for i, n := 0, drng.Intn(5); i < n; i++ {
+		dp, err := analyze(genQuery(drng, drng.Intn(numFamilies), windowShapes), cat)
+		if err != nil {
+			return out, err
+		}
+		var start, end int64
+		if drng.Intn(2) == 0 {
+			start = drng.Int63n(int64(30 * time.Second))
+			end = start + 1 + drng.Int63n(int64(60*time.Second))
+		}
+		decoys = append(decoys, dp.HostQueries(qid+1+uint64(i), start, end)...)
 	}
-	streams := make(map[string]*streamState)
-	var streamKeys []string
+	sink := capture{}
+	agents := make(map[string]*host.Agent, hosts)
+	for _, name := range hostNames {
+		a, err := host.New(agentConfig(name, cat, sink))
+		if err != nil {
+			return out, err
+		}
+		defer a.Close()
+		hqs := decoys
+		if shipping[name] {
+			hqs = append(qp.HostQueries(qid, 0, 0), decoys...)
+		}
+		for _, hq := range hqs {
+			if err := a.Start(hq); err != nil {
+				return out, fmt.Errorf("%s: %v\n  query: %s", name, err, src)
+			}
+		}
+		agents[name] = a
+	}
+
+	// The compiled closure is the reference selection: it decides the
+	// oracle's population, and what the agents must have matched.
+	hostPreds := make([]func(expr.Row) bool, len(plan.Types))
+	for i, typ := range plan.Types {
+		if n := qp.HostPred[typ]; n != nil {
+			ev, cerr := expr.Compile(n)
+			if cerr != nil {
+				return out, fmt.Errorf("host predicate compile: %v", cerr)
+			}
+			hostPreds[i] = expr.Predicate(ev)
+		}
+	}
 	var oracleEvents []oracle.Event
-
-	key := func(host string, typeIdx int) string { return fmt.Sprintf("%s/%d", host, typeIdx) }
-	flush := func(s *streamState) {
-		if len(s.pending) == 0 {
-			return
-		}
-		s.batches = append(s.batches, transport.TupleBatch{
-			QueryID:      plan.QueryID,
-			HostID:       s.host,
-			TypeIdx:      uint8(s.typeIdx),
-			Tuples:       s.pending,
-			MatchedTotal: s.matched,
-			SampledTotal: s.shipped,
-		})
-		s.pending = nil
-		s.limit = 4 + rng.Intn(6)
-	}
-
-	for i := range events {
-		e := &events[i]
-		if e.typeIdx >= len(plan.Types) {
-			continue // exclusion events under a single-type plan never ship
-		}
-		if pred := hostPreds[e.typeIdx]; pred != nil {
-			row := hostRow{typ: plan.Types[e.typeIdx], e: e}
-			match := pred(row)
-			progCtx.Begin(row)
-			got := progCtx.Bool(progIDs[e.typeIdx])
-			progCtx.Finish()
-			if got != match {
-				return out, fmt.Errorf("host predicate %s: program says %v, closure %v (request %d)", qp.HostPred[plan.Types[e.typeIdx]], got, match, e.req)
-			}
-			if !match {
-				continue
-			}
-		}
-		cols := plan.Columns[e.typeIdx]
-		vals := make([]event.Value, len(cols))
-		for ci, c := range cols {
-			vals[ci] = e.fields[c]
-		}
-		// The oracle sees the full matched population from every host —
-		// no sampling, no host subsetting: it is the ground truth the
-		// sampled estimates are judged against.
-		oracleEvents = append(oracleEvents, oracle.Event{
-			Host: e.host, TypeIdx: e.typeIdx, RequestID: e.req, TsNanos: e.ts, Values: vals,
-		})
-		if !shipping[e.host] {
-			continue
-		}
-		k := key(e.host, e.typeIdx)
-		s := streams[k]
-		if s == nil {
-			// First batch is a single tuple (limit 1): it registers the
-			// stream with the engines' watermark before real volume flows —
-			// see the registration pass below.
-			s = &streamState{host: e.host, typeIdx: e.typeIdx, limit: 1}
-			streams[k] = s
-			streamKeys = append(streamKeys, k)
-		}
-		s.matched++
-		if rate < 1 && rng.Float64() >= rate {
-			continue
-		}
-		s.shipped++
-		s.pending = append(s.pending, transport.Tuple{RequestID: e.req, TsNanos: e.ts, Values: vals})
-		if len(s.pending) >= s.limit {
-			flush(s)
+	// The streams under test, by host and type, and the closure's selection
+	// on each.
+	var streamKeys []streamKey
+	want := make(map[streamKey][]transport.Tuple)
+	for _, h := range hostNames {
+		for t := 0; t < len(plan.Types) && shipping[h]; t++ {
+			streamKeys = append(streamKeys, streamKey{qid, h, uint8(t)})
+			want[streamKey{qid, h, uint8(t)}] = nil
 		}
 	}
-	for _, k := range streamKeys {
-		flush(streams[k])
+	// Each agent is flushed after a seed-drawn run of 4–9 of its own events
+	// — fewer than a chunk holds, so every batch ships inside Flush with
+	// deterministic counters and no chunk is ever dropped — and after any
+	// event of a stream that has not shipped a tuple yet, so that a stream's
+	// first tuple ships alone (see the registration pass below).
+	runLeft := make(map[string]int, hosts)
+	for _, h := range hostNames {
+		runLeft[h] = 4 + rng.Intn(6)
+	}
+	registered := make(map[streamKey]bool)
+	for _, e := range events {
+		agents[e.host].Log(e.Event)
+		k := streamKey{qid, e.host, uint8(e.typeIdx)}
+		_, tested := want[k]
+		if e.typeIdx < len(plan.Types) && (hostPreds[e.typeIdx] == nil || hostPreds[e.typeIdx](expr.EventRow{Event: e.Event})) {
+			var vals []event.Value
+			for _, c := range plan.Columns[e.typeIdx] {
+				vals = append(vals, e.Get(c))
+			}
+			// The oracle sees the full matched population from every host —
+			// no sampling, no host subsetting: it is the ground truth the
+			// sampled estimates are judged against.
+			oracleEvents = append(oracleEvents, oracle.Event{
+				Host: e.host, TypeIdx: e.typeIdx, RequestID: e.RequestID, TsNanos: e.TimeNanos, Values: vals,
+			})
+			if tested {
+				want[k] = append(want[k], transport.Tuple{RequestID: e.RequestID, TsNanos: e.TimeNanos, Values: vals})
+			}
+		}
+		fresh := tested && !registered[k]
+		if runLeft[e.host]--; runLeft[e.host] > 0 && !fresh {
+			continue
+		}
+		if runLeft[e.host] == 0 {
+			runLeft[e.host] = 4 + rng.Intn(6)
+		}
+		agents[e.host].Flush()
+		if fresh {
+			registered[k] = firstTuple(sink[k]) >= 0
+		}
+	}
+	for _, h := range hostNames {
+		agents[h].Flush()
+	}
+	if err := checkAgents(sink, qid, qp.SampleEvents, want); err != nil {
+		return out, fmt.Errorf("%v\n  query: %s", err, src)
 	}
 
 	// --- interleave per-stream batch queues into one delivery order ---
 
-	sort.Strings(streamKeys)
-	idx := make(map[string]int, len(streamKeys))
+	idx := make(map[streamKey]int, len(streamKeys))
 	batchMaxTs := func(b transport.TupleBatch) int64 {
 		var m int64
 		for _, t := range b.Tuples {
@@ -315,40 +337,47 @@ func Run(cfg Config) (*Outcome, error) {
 		}
 		return m
 	}
-	// Registration pass: every stream's first (single-tuple) batch is
-	// delivered up front, in ascending event-time order. The engines'
-	// watermark is a minimum over streams that have shipped at least one
-	// tuple — a stream is invisible until then — so a stream whose first
-	// batch arrived after others had advanced would find its early windows
-	// already closed: a harness artifact, not an engine bug. Registering
-	// everyone first keeps the watermark a true minimum over all streams
-	// for the remainder of the run, and the ascending order means no
-	// first tuple can itself be behind the watermark the earlier ones
-	// establish.
+	// Registration pass: every stream's first tuple batch (a single tuple)
+	// is delivered up front, with the counter-only heartbeats ahead of it,
+	// in ascending event-time order. The engines' watermark is a minimum
+	// over streams that have shipped at least one tuple — a stream is
+	// invisible until then — so a stream whose first tuple arrived after
+	// others had advanced would find its early windows already closed: a
+	// harness artifact, not an engine bug. Registering everyone first keeps
+	// the watermark a true minimum over all streams for the remainder of the
+	// run, and the ascending order means no first tuple can itself be behind
+	// the watermark the earlier ones establish. A heartbeat sorts at time 0,
+	// so the stable sort keeps each stream's batches in shipping order.
 	var deliveries []transport.TupleBatch
 	for _, k := range streamKeys {
-		if len(streams[k].batches) > 0 {
-			deliveries = append(deliveries, streams[k].batches[0])
-			idx[k] = 1
+		if f := firstTuple(sink[k]); f >= 0 {
+			deliveries = append(deliveries, sink[k][:f+1]...)
+			idx[k] = f + 1
 		}
 	}
+	// The tick watermark is valid only once EVERY stream that will ever
+	// ship a tuple has reported: a minimum over a prefix of the streams
+	// runs ahead of the true watermark, and ticking with it would
+	// force-close windows that laggard streams still have events for —
+	// manufacturing late drops the contracts forbid.
+	expectedStreams := len(idx)
 	sort.SliceStable(deliveries, func(i, j int) bool {
 		return batchMaxTs(deliveries[i]) < batchMaxTs(deliveries[j])
 	})
 	for {
-		best, bestTs := "", int64(math.MaxInt64)
-		var nonEmpty []string
+		var best streamKey
+		bestTs := int64(math.MaxInt64)
+		var nonEmpty []streamKey
 		for _, k := range streamKeys {
-			s := streams[k]
-			if idx[k] >= len(s.batches) {
+			if idx[k] >= len(sink[k]) {
 				continue
 			}
 			nonEmpty = append(nonEmpty, k)
-			if ts := batchMaxTs(s.batches[idx[k]]); ts < bestTs {
+			if ts := batchMaxTs(sink[k][idx[k]]); ts < bestTs {
 				best, bestTs = k, ts
 			}
 		}
-		if best == "" {
+		if len(nonEmpty) == 0 {
 			break
 		}
 		// Mostly time order; sometimes an arbitrary ready stream, which
@@ -357,7 +386,7 @@ func Run(cfg Config) (*Outcome, error) {
 		if len(nonEmpty) > 1 && rng.Intn(4) == 0 {
 			best = nonEmpty[rng.Intn(len(nonEmpty))]
 		}
-		deliveries = append(deliveries, streams[best].batches[idx[best]])
+		deliveries = append(deliveries, sink[best][idx[best]])
 		idx[best]++
 	}
 
@@ -396,12 +425,14 @@ func Run(cfg Config) (*Outcome, error) {
 	// --- drive both engines over the identical delivery sequence: eng is the
 	// cluster of one, sh the same executor at cfg.Shards (at Shards == 1 the
 	// same arm twice: it costs nothing, and no seed's config is redrawn) ---
-	vc := &vclock{}
 	ttl := time.Hour
 	if cfg.Mode == modeChaos {
 		ttl = 2 * time.Second
 	}
-	opts := central.Options{Clock: vc.now, LeaseTTL: ttl}
+	// vcNanos is the harness-controlled wall clock every arm reads; the
+	// harness is single-threaded, so a plain variable suffices.
+	var vcNanos int64
+	opts := central.Options{Clock: func() time.Time { return time.Unix(0, vcNanos) }, LeaseTTL: ttl}
 	eng := central.NewEngineWith(opts)
 	sh, err := central.NewShardedEngineWith(cfg.Shards, opts)
 	if err != nil {
@@ -424,7 +455,7 @@ func Run(cfg Config) (*Outcome, error) {
 	if cfg.Shards >= 4 {
 		procs = 4
 	}
-	topo := newPipeTopology(procs, opts, catalog)
+	topo := newPipeTopology(coord.NewCoordinator(opts), procs, catalog)
 	defer topo.close()
 	planMP := plan
 	planMP.Text = src
@@ -450,19 +481,14 @@ func Run(cfg Config) (*Outcome, error) {
 		killAt = len(deliveries) / 2
 	}
 	foPre := -1 // leader-emitted window count at the kill; -1 = never killed
-
-	// The tick watermark is valid only once EVERY stream that will ever
-	// ship has reported: a minimum over a prefix of the streams runs
-	// ahead of the true watermark, and ticking with it would force-close
-	// windows that laggard streams still have events for — manufacturing
-	// late drops the contracts forbid.
-	expectedStreams := 0
-	for _, k := range streamKeys {
-		if len(streams[k].batches) > 0 {
-			expectedStreams++
-		}
+	tick := func(now int64) {
+		eng.Tick(now)
+		sh.Tick(now)
+		topo.coord.Tick(now)
+		fo.coord.Tick(now)
 	}
-	streamMax := make(map[string]int64)
+
+	streamMax := make(map[streamKey]int64)
 	watermark := func() (int64, bool) {
 		if len(streamMax) < expectedStreams {
 			return 0, false
@@ -485,10 +511,8 @@ func Run(cfg Config) (*Outcome, error) {
 				i, b.HostID, b.TypeIdx, len(b.Tuples), float64(mn)/1e9, float64(mx)/1e9)
 		}
 		if mts := batchMaxTs(b); mts > 0 {
-			if mts > vc.nanos {
-				vc.nanos = mts
-			}
-			k := key(b.HostID, int(b.TypeIdx))
+			vcNanos = max(vcNanos, mts)
+			k := keyOf(&b)
 			if mts > streamMax[k] {
 				streamMax[k] = mts
 			}
@@ -514,7 +538,7 @@ func Run(cfg Config) (*Outcome, error) {
 			// Exact modes tick at the harness-tracked watermark — never
 			// ahead of what event time has justified, so ticking cannot
 			// manufacture late drops. Chaos ticks at full wall speed.
-			now := vc.nanos
+			now := vcNanos
 			if cfg.Mode != modeChaos {
 				wm, ok := watermark()
 				if !ok {
@@ -522,23 +546,14 @@ func Run(cfg Config) (*Outcome, error) {
 				}
 				now = wm
 			}
-			eng.Tick(now)
-			sh.Tick(now)
-			topo.coord.Tick(now)
-			fo.coord.Tick(now)
+			tick(now)
 		}
 	}
 	if cfg.Mode == modeChaos {
 		// Let the dead host's lease expire and tick the eviction through.
-		vc.nanos += int64(ttl) + int64(5*time.Second)
-		eng.Tick(vc.nanos)
-		sh.Tick(vc.nanos)
-		topo.coord.Tick(vc.nanos)
-		fo.coord.Tick(vc.nanos)
-		eng.Tick(vc.nanos)
-		sh.Tick(vc.nanos)
-		topo.coord.Tick(vc.nanos)
-		fo.coord.Tick(vc.nanos)
+		vcNanos += int64(ttl) + int64(5*time.Second)
+		tick(vcNanos)
+		tick(vcNanos)
 	}
 	engStats, _ := eng.StopQuery(plan.QueryID)
 	shStats, _ := sh.StopQuery(plan.QueryID)
@@ -556,8 +571,8 @@ func Run(cfg Config) (*Outcome, error) {
 	if err := compareWindowLists(ew, sw, cfg.Shards); err != nil {
 		return out, fmt.Errorf("cross-engine divergence (Engine vs %d-shard): %v\n  query: %s", cfg.Shards, err, src)
 	}
-	if err := compareStats(engStats, shStats); err != nil {
-		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-shard): %v\n  query: %s", cfg.Shards, err, src)
+	if engStats != shStats {
+		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-shard): %+v vs %+v\n  query: %s", cfg.Shards, engStats, shStats, src)
 	}
 
 	// --- contract D': the multi-process topology agrees too ---
@@ -565,8 +580,8 @@ func Run(cfg Config) (*Outcome, error) {
 	if err := compareWindowLists(ew, cMP.wins, procs); err != nil {
 		return out, fmt.Errorf("cross-engine divergence (Engine vs %d-process topology): %v\n  query: %s", procs, err, src)
 	}
-	if err := compareStats(engStats, mpStats); err != nil {
-		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-process topology): %v\n  query: %s", procs, err, src)
+	if engStats != mpStats {
+		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-process topology): %+v vs %+v\n  query: %s", procs, engStats, mpStats, src)
 	}
 
 	// --- contract D'': the failover topology survives its leader kill ---
@@ -578,8 +593,8 @@ func Run(cfg Config) (*Outcome, error) {
 		if err := compareWindowLists(ew, cFO.wins, procs); err != nil {
 			return out, fmt.Errorf("cross-engine divergence (Engine vs replicating leader): %v\n  query: %s", err, src)
 		}
-		if err := compareStats(engStats, foStats); err != nil {
-			return out, fmt.Errorf("cross-engine stats divergence (Engine vs replicating leader): %v\n  query: %s", err, src)
+		if engStats != foStats {
+			return out, fmt.Errorf("cross-engine stats divergence (Engine vs replicating leader): %+v vs %+v\n  query: %s", engStats, foStats, src)
 		}
 	} else if err := compareFailoverWindows(ew, cFO.wins, foPre, procs); err != nil {
 		return out, fmt.Errorf("failover divergence (Engine vs promoted standby, %d-process): %v\n  query: %s", procs, err, src)
@@ -647,6 +662,54 @@ func Run(cfg Config) (*Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+func analyze(src string, cat *event.Catalog) (*ql.Plan, error) {
+	q, err := ql.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("generated query does not parse: %v\n  query: %s", err, src)
+	}
+	qp, err := ql.Analyze(q, cat)
+	if err != nil {
+		return nil, fmt.Errorf("generated query does not analyze: %v\n  query: %s", err, src)
+	}
+	return qp, nil
+}
+
+// checkAgents holds what the agents shipped to account for every tuple.
+// Every stream, decoys' included, ends on a batch whose SampledTotal is
+// the tuples it shipped plus its QueueDrops; the Flush cadence never lets
+// a chunk fill, so QueueDrops is 0, and at rate 1 (decoys never sample)
+// SampledTotal is MatchedTotal. For the query under test, want holds the
+// closure's selection on every stream it was installed on: the agent must
+// have matched exactly that many events and, at rate 1, shipped exactly
+// those projections in Log order.
+func checkAgents(sink capture, qid uint64, rate float64, want map[streamKey][]transport.Tuple) error {
+	for k, bs := range sink {
+		last := bs[len(bs)-1]
+		var shipped uint64
+		for _, b := range bs {
+			shipped += uint64(len(b.Tuples))
+		}
+		if last.QueueDrops != 0 || last.SampledTotal != shipped+last.QueueDrops ||
+			(k.query != qid || rate == 1) && last.SampledTotal != last.MatchedTotal {
+			return fmt.Errorf("agent stream %+v: matched %d, sampled %d, shipped %d, queue drops %d",
+				k, last.MatchedTotal, last.SampledTotal, shipped, last.QueueDrops)
+		}
+	}
+	for k, ts := range want {
+		var matched uint64
+		var got []transport.Tuple
+		for _, b := range sink[k] {
+			matched = b.MatchedTotal
+			got = append(got, b.Tuples...)
+		}
+		if matched != uint64(len(ts)) || rate == 1 && !reflect.DeepEqual(got, ts) {
+			return fmt.Errorf("agent stream %+v matched %d events and shipped %v\n  the closure selected %d: %v",
+				k, matched, got, len(ts), ts)
+		}
+	}
+	return nil
 }
 
 // hllStdError mirrors the default-precision HLL relative standard error
@@ -791,13 +854,6 @@ func compareWindowLists(ew, sw []transport.ResultWindow, shards int) error {
 				return fmt.Errorf("window %d stream %d: %+v vs %+v", i, s, a.Streams[s], b.Streams[s])
 			}
 		}
-	}
-	return nil
-}
-
-func compareStats(a, b transport.QueryStats) error {
-	if a != b {
-		return fmt.Errorf("final stats: %+v vs %+v", a, b)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -63,37 +64,22 @@ func ParseSchemas(text string) ([]*Schema, error) {
 	return out, nil
 }
 
-// LoadCatalog parses schema-file text and registers every type into a
-// fresh catalog.
-func LoadCatalog(text string) (*Catalog, error) {
-	schemas, err := ParseSchemas(text)
+// LoadSchemaFile parses the schema file at path and registers every type
+// it declares into cat, beside any cat already holds: the daemons load
+// -schema into the catalog -adplatform may have filled.
+func LoadSchemaFile(cat *Catalog, path string) error {
+	text, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("event: %w", err)
 	}
-	cat := NewCatalog()
+	schemas, err := ParseSchemas(string(text))
+	if err != nil {
+		return err
+	}
 	for _, s := range schemas {
 		if err := cat.Register(s); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return cat, nil
-}
-
-// FormatSchemas renders schemas in schema-file syntax (the inverse of
-// ParseSchemas), used by daemons to dump their catalogs.
-func FormatSchemas(schemas []*Schema) string {
-	var sb strings.Builder
-	for _, s := range schemas {
-		sb.WriteString(s.Name())
-		for i := 0; i < s.NumFields(); i++ {
-			f := s.Field(i)
-			if f.Kind == KindList {
-				fmt.Fprintf(&sb, " %s:list<%s>", f.Name, f.Elem)
-			} else {
-				fmt.Fprintf(&sb, " %s:%s", f.Name, f.Kind)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return nil
 }

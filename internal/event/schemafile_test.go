@@ -1,7 +1,8 @@
 package event
 
 import (
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -57,38 +58,33 @@ func TestParseSchemasErrors(t *testing.T) {
 	}
 }
 
-func TestLoadCatalogAndFormatRoundTrip(t *testing.T) {
-	cat, err := LoadCatalog(demoSchemaText)
-	if err != nil {
+func TestLoadSchemaFile(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Types already in the catalog (a daemon's -adplatform set) stay beside
+	// the file's.
+	cat := NewCatalog()
+	cat.MustRegister(MustSchema("impression", FieldDef{Name: "ad_id", Kind: KindInt}))
+	if err := LoadSchemaFile(cat, file("demo.schema", demoSchemaText)); err != nil {
 		t.Fatal(err)
 	}
-	if cat.Len() != 3 {
-		t.Fatalf("catalog = %d", cat.Len())
+	if cat.Len() != 4 {
+		t.Fatalf("catalog = %v", cat.Names())
 	}
-	// Format → Parse round trip preserves definitions.
-	var schemas []*Schema
-	for _, name := range cat.Names() {
-		s, _ := cat.Lookup(name)
-		schemas = append(schemas, s)
+	if s, ok := cat.Lookup("auction"); !ok || s.Field(0).Kind != KindList {
+		t.Errorf("auction = %v", s)
 	}
-	text := FormatSchemas(schemas)
-	again, err := ParseSchemas(text)
-	if err != nil {
-		t.Fatalf("re-parse: %v", err)
-	}
-	if len(again) != len(schemas) {
-		t.Fatal("round trip lost schemas")
-	}
-	for i := range schemas {
-		if schemas[i].String() != again[i].String() {
-			t.Errorf("schema %d: %s != %s", i, schemas[i], again[i])
-		}
-	}
-	if !strings.Contains(text, "list<int>") {
-		t.Errorf("formatted text = %q", text)
-	}
-	// Duplicate type names rejected at catalog load.
-	if _, err := LoadCatalog("a x:int\na y:int"); err == nil {
+	// Conflicting duplicate type names fail the load, as does a missing file.
+	if err := LoadSchemaFile(NewCatalog(), file("dup.schema", "a x:int\na x:string")); err == nil {
 		t.Error("conflicting duplicate type should fail")
+	}
+	if err := LoadSchemaFile(NewCatalog(), filepath.Join(dir, "missing.schema")); err == nil {
+		t.Error("missing file should fail")
 	}
 }

@@ -232,6 +232,30 @@ func TestSpanGating(t *testing.T) {
 	}
 }
 
+// A zero StartNanos leaves the span open before it, pre-1970 event times
+// included, on every dispatch path: the solo fast path (one unfiltered
+// query), the shared path, and a span bounded only at its end.
+func TestOpenStartAdmitsNegativeTimes(t *testing.T) {
+	for _, hqs := range [][]transport.HostQuery{
+		{{QueryID: 1, EventType: "bid"}},
+		{{QueryID: 1, EventType: "bid"}, {QueryID: 2, EventType: "bid", Columns: []string{"city"}}},
+		{{QueryID: 1, EventType: "bid", EndNanos: 1000}},
+	} {
+		sink := &collectSink{}
+		a := newAgent(t, sink)
+		for _, hq := range hqs {
+			if err := a.Start(hq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Log(bidEvent(1, 1, "x", 1, -500))
+		a.Flush()
+		if got := sink.tuples(); len(got) != len(hqs) {
+			t.Errorf("%d queries shipped %v for an event at -500ns", len(hqs), got)
+		}
+	}
+}
+
 func TestPruneExpired(t *testing.T) {
 	a := newAgent(t, &collectSink{})
 	now := time.Now()

@@ -2,6 +2,7 @@ package host
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"time"
 
@@ -206,7 +207,12 @@ func buildTypeProgram(schema *event.Schema, aqs []*activeQuery) *typeProgram {
 			}
 			s.group = g
 		}
-		if s.startNs == 0 && s.endNs == 0 {
+		if s.startNs == 0 {
+			// A zero start leaves the span open before it, pre-1970 event
+			// times included, for the solo and gated checks alike.
+			s.startNs = math.MinInt64
+		}
+		if aq.startNs == 0 && aq.endNs == 0 {
 			tp.always = append(tp.always, s)
 		} else {
 			if len(tp.gated) == 0 || s.startNs < tp.minStart {

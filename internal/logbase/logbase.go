@@ -23,7 +23,6 @@ import (
 	"scrub/internal/central"
 	"scrub/internal/event"
 	"scrub/internal/expr"
-	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/transport"
 )
@@ -34,9 +33,6 @@ import (
 type Logger struct {
 	hostID string
 	store  *LogStore
-
-	events obs.Counter
-	bytes  obs.Counter
 
 	mu      sync.Mutex
 	scratch []byte
@@ -53,14 +49,7 @@ func (l *Logger) Log(ev *event.Event) {
 	l.scratch = event.AppendEvent(l.scratch[:0], ev)
 	n := len(l.scratch)
 	l.mu.Unlock()
-	l.events.Inc()
-	l.bytes.Add(uint64(n))
 	l.store.append(l.hostID, ev, n)
-}
-
-// Stats returns events logged and bytes shipped by this host.
-func (l *Logger) Stats() (events, bytes uint64) {
-	return l.events.Value(), l.bytes.Value()
 }
 
 // LogStore is the central log warehouse: everything every host shipped,

@@ -37,16 +37,9 @@ func TestLoggerAccountsFullBytes(t *testing.T) {
 	l := NewLogger("h1", store)
 	ev := bidEv(1, 42, 1.5, 1)
 	l.Log(ev)
-	events, bytes := l.Stats()
-	if events != 1 {
-		t.Errorf("events = %d", events)
-	}
 	want := len(event.AppendEvent(nil, ev))
-	if bytes != uint64(want) {
-		t.Errorf("bytes = %d, want %d (full event)", bytes, want)
-	}
 	if store.Len() != 1 || store.Bytes() != uint64(want) {
-		t.Errorf("store %d events %d bytes", store.Len(), store.Bytes())
+		t.Errorf("store %d events %d bytes, want 1 event %d bytes (full event)", store.Len(), store.Bytes(), want)
 	}
 }
 
@@ -167,7 +160,7 @@ func TestShippedBytesDwarfProjected(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		l.Log(bidEv(uint64(i), int64(i%10), 1.5, 1))
 	}
-	_, full := l.Stats()
+	full := store.Bytes()
 	// Approximate Scrub per-tuple cost: request id + ts + one int value.
 	scrubApprox := uint64(1000 * (8 + 8 + 9))
 	if full*2 < 3*scrubApprox { // ≥1.5× even for this minimal 3-field schema

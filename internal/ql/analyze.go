@@ -8,6 +8,7 @@ import (
 	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/transport"
 )
 
 // SemanticError is a validation failure (the query parsed, but is not a
@@ -100,6 +101,31 @@ func (p *Plan) TypeNames() []string {
 		names[i] = s.Name()
 	}
 	return names
+}
+
+// HostQueries builds the plan's host half for query qid over the span
+// [startNanos, endNanos): one query object per FROM type, in FROM order,
+// carrying that type's selection and projection, the event-sampling rate,
+// the budget and the replay span. The shard epoch is left to the caller.
+func (p *Plan) HostQueries(qid uint64, startNanos, endNanos int64) []transport.HostQuery {
+	out := make([]transport.HostQuery, len(p.Schemas))
+	for i, s := range p.Schemas {
+		typ := s.Name()
+		out[i] = transport.HostQuery{
+			QueryID:           qid,
+			EventType:         typ,
+			TypeIdx:           uint8(i),
+			Pred:              p.HostPred[typ],
+			Columns:           p.Columns[typ],
+			SampleEvents:      p.SampleEvents,
+			StartNanos:        startNanos,
+			EndNanos:          endNanos,
+			BudgetCPUPct:      p.BudgetCPUPct,
+			BudgetBytesPerSec: p.BudgetBytesPerSec,
+			ReplayNanos:       int64(p.Replay),
+		}
+	}
+	return out
 }
 
 // Analyze validates a parsed query against the catalog and produces the

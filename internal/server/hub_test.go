@@ -7,7 +7,6 @@ import (
 
 	"scrub/internal/central"
 	"scrub/internal/cluster"
-	"scrub/internal/event"
 	"scrub/internal/transport"
 )
 
@@ -273,14 +272,6 @@ func TestHubClientDisconnectCancelsQueries(t *testing.T) {
 	waitCond(t, "query active", func() bool { return len(srv.Active()) == 1 })
 	client.Close()
 	waitCond(t, "query cancelled on disconnect", func() bool { return len(srv.Active()) == 0 })
-}
-
-func TestDecodedSchemaMismatchClosesEvent(t *testing.T) {
-	// event.LoadCatalog used by the daemons: duplicate conflicting types
-	// must fail (regression guard for catalog skew between daemons).
-	if _, err := event.LoadCatalog("a x:int\na x:string"); err == nil {
-		t.Error("conflicting types should fail")
-	}
 }
 
 func TestHubListQueries(t *testing.T) {

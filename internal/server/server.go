@@ -218,21 +218,8 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 	// object per FROM type. Hosts that do not produce a type simply never
 	// match events for it. Dispatch failures degrade coverage, not the
 	// query.
-	for typeIdx, typ := range plan.TypeNames() {
-		hq := transport.HostQuery{
-			QueryID:           qid,
-			EventType:         typ,
-			TypeIdx:           uint8(typeIdx),
-			Pred:              plan.HostPred[typ],
-			Columns:           plan.Columns[typ],
-			SampleEvents:      plan.SampleEvents,
-			StartNanos:        start.UnixNano(),
-			EndNanos:          end.UnixNano(),
-			BudgetCPUPct:      plan.BudgetCPUPct,
-			BudgetBytesPerSec: plan.BudgetBytesPerSec,
-			ReplayNanos:       int64(plan.Replay),
-			ShardEpoch:        shardEpoch,
-		}
+	for _, hq := range plan.HostQueries(qid, start.UnixNano(), end.UnixNano()) {
+		hq.ShardEpoch = shardEpoch
 		for _, h := range chosen {
 			_ = s.cfg.Dispatcher.SendToHost(h, hq)
 		}
@@ -411,24 +398,13 @@ func (s *Server) ResyncHost(hostName string) int {
 
 	n := 0
 	for _, sq := range targeted {
-		for typeIdx, typ := range sq.plan.TypeNames() {
-			hq := transport.HostQuery{
-				QueryID:           sq.info.ID,
-				EventType:         typ,
-				TypeIdx:           uint8(typeIdx),
-				Pred:              sq.plan.HostPred[typ],
-				Columns:           sq.plan.Columns[typ],
-				SampleEvents:      sq.plan.SampleEvents,
-				StartNanos:        sq.info.Start.UnixNano(),
-				EndNanos:          sq.info.End.UnixNano(),
-				BudgetCPUPct:      sq.plan.BudgetCPUPct,
-				BudgetBytesPerSec: sq.plan.BudgetBytesPerSec,
-				ShardEpoch:        sq.shardEpoch,
-				// A resync deliberately omits ReplayNanos: the restarted
-				// host's record stream is empty (or stale), and a second
-				// replay of a query already past its start would duplicate
-				// history central has folded in.
-			}
+		for _, hq := range sq.plan.HostQueries(sq.info.ID, sq.info.Start.UnixNano(), sq.info.End.UnixNano()) {
+			hq.ShardEpoch = sq.shardEpoch
+			// A resync deliberately omits ReplayNanos: the restarted host's
+			// record stream is empty (or stale), and a second replay of a
+			// query already past its start would duplicate history central
+			// has folded in.
+			hq.ReplayNanos = 0
 			if s.cfg.Dispatcher.SendToHost(hostName, hq) == nil {
 				n++
 			}

@@ -173,16 +173,6 @@ func (g *Generator) exponential(ratePerSec float64) int64 {
 	return int64(g.rng.ExpFloat64() / ratePerSec * float64(time.Second))
 }
 
-// Users returns the simulated human users' ids and segments, for
-// installing profiles into the platform's ProfileStore.
-func (g *Generator) Users() map[int64][]int64 {
-	out := make(map[int64][]int64, len(g.users))
-	for _, u := range g.users {
-		out[u.id] = append([]int64(nil), u.segments...)
-	}
-	return out
-}
-
 // InstallProfiles seeds the platform's ProfileStore with the user
 // population's segments.
 func (g *Generator) InstallProfiles(store *adplatform.ProfileStore) {
@@ -291,6 +281,3 @@ func (g *Generator) emitBotBurst(b *BotSpec, tNanos int64, fn func(adplatform.Bi
 	}
 	return b.BatchSize
 }
-
-// Requests returns how many bid requests have been generated so far.
-func (g *Generator) Requests() uint64 { return g.reqID }

@@ -70,9 +70,6 @@ func TestVirtualTimeOrderingAndBounds(t *testing.T) {
 	if n < 2000 || n > 9000 {
 		t.Errorf("generated %d requests, want ≈4800", n)
 	}
-	if g.Requests() != uint64(n) {
-		t.Errorf("Requests() = %d, n = %d", g.Requests(), n)
-	}
 }
 
 func TestHumanRequestRatesAreMostlyLow(t *testing.T) {
@@ -199,13 +196,16 @@ func TestUsersAndProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	users := g.Users()
-	if len(users) != 50 {
-		t.Fatalf("users = %d", len(users))
-	}
-	for id, segs := range users {
+	store := adplatform.NewProfileStore()
+	g.InstallProfiles(store)
+	// Ids 1000–1049 each get 1–4 segments from the universe; none outside.
+	for id := int64(999); id <= 1050; id++ {
+		segs := store.Get(id).Segments
 		if id < 1000 || id >= 1050 {
-			t.Errorf("user id %d outside range", id)
+			if len(segs) != 0 {
+				t.Errorf("user id %d outside range installed", id)
+			}
+			continue
 		}
 		if len(segs) == 0 || len(segs) > 4 {
 			t.Errorf("user %d has %d segments", id, len(segs))
@@ -215,10 +215,5 @@ func TestUsersAndProfiles(t *testing.T) {
 				t.Errorf("segment %d out of universe", s)
 			}
 		}
-	}
-	store := adplatform.NewProfileStore()
-	g.InstallProfiles(store)
-	if store.Len() != 50 {
-		t.Errorf("installed %d profiles", store.Len())
 	}
 }

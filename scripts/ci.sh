@@ -50,6 +50,9 @@ echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
 if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(internal/central|internal/difftest|bench)/|_test\.go:' | grep -vE 'NewShardedEngine(With)?\(1[,)]'; then echo "non-test code outside internal/central, internal/difftest and bench/ builds a ShardedEngine with n other than a literal 1" >&2; exit 1; fi
 
+echo "== the oracle runs the real host agent (non-test internal/difftest builds no TupleBatch; its batches come from host.Agent) =="
+if grep -nE 'TupleBatch *\{' $(nontest internal/difftest); then echo "non-test internal/difftest builds a transport.TupleBatch literal again: batches come from agents only" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
