@@ -2,11 +2,14 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"scrub/internal/central"
 	"scrub/internal/cluster"
+	"scrub/internal/event"
 	"scrub/internal/transport"
 )
 
@@ -272,6 +275,18 @@ func TestHubClientDisconnectCancelsQueries(t *testing.T) {
 	waitCond(t, "query active", func() bool { return len(srv.Active()) == 1 })
 	client.Close()
 	waitCond(t, "query cancelled on disconnect", func() bool { return len(srv.Active()) == 0 })
+}
+
+func TestDecodedSchemaMismatchClosesEvent(t *testing.T) {
+	// event.LoadSchemaFile used by the daemons: duplicate conflicting types
+	// must fail (regression guard for catalog skew between daemons).
+	path := filepath.Join(t.TempDir(), "dup.schema")
+	if err := os.WriteFile(path, []byte("a x:int\na x:string"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := event.LoadSchemaFile(event.NewCatalog(), path); err == nil {
+		t.Error("conflicting types should fail")
+	}
 }
 
 func TestHubListQueries(t *testing.T) {
