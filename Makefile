@@ -57,12 +57,12 @@ metrics-smoke:
 # Short coverage-guided fuzz pass over the surfaces that parse untrusted
 # input — the transport frame decoder (arbitrary network bytes, with and
 # without a receive scratch, whole and in fuzz-chosen read sizes), the
-# packed runs a partial's bytes become window state as, the
-# query-language parser (arbitrary operator-typed text), the replay chunk
-# decoder — and over the mechanisms checked against a model: the
-# window-state hash index against its map, freeze/thaw against an engine
-# that thrashes and a plain reference, the host's register program
-# against the closure compiler on every node of generated predicates, the
+# packed runs a partial's bytes become window state as, the window
+# partials a shard sends the coordinator (decode, merge, render,
+# re-encode), the query-language parser (arbitrary operator-typed text),
+# the replay chunk decoder — and over the mechanisms checked against a
+# model: the window-state hash index against its map, the host's register
+# program against the closure compiler on every node of generated predicates, the
 # batch size the shipper charges against the encoder's bytes, and top_k's
 # flat stream summary against the map-based one it replaced. This is the
 # one list of fuzz targets: ci.sh runs it with FUZZTIME=3s.
@@ -72,7 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzTupleBatchWireSize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzFreezeThaw -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/replay -run='^$$' -fuzz=FuzzDecodeChunk -fuzztime=$(FUZZTIME)

@@ -136,11 +136,13 @@ func TestStateCodecTruncation(t *testing.T) {
 	}
 }
 
-// TestStateCodecContinuationExact is what lets an open window be kept as
-// its encoded partial while no tuple touches it (central's cold windows):
-// for every kind, Add(xs); decode(encode); Add(ys) must leave byte for
-// byte the state Add(xs); Add(ys) leaves, wherever the stream is cut and
-// however often. The value streams are shaped to reach each kind's state:
+// TestStateCodecContinuationExact: a state's encoding is all of the
+// state, not merely enough to render it — for every kind, Add(xs);
+// decode(encode); Add(ys) must leave byte for byte the state Add(xs);
+// Add(ys) leaves, wherever the stream is cut and however often. No engine
+// path folds into a decoded state (only a closed window is encoded); this
+// is a property of the codec, and the strongest form of the losslessness a
+// merge of decoded partials relies on. The value streams are shaped to reach each kind's state:
 // ints turning into floats under SUM, strings under MIN/MAX, and for
 // TOP_K more distinct items than the summary has counters, drawn from a
 // narrow range so that many counters tie at the minimum count when an
@@ -174,28 +176,28 @@ func TestStateCodecContinuationExact(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				straight, thawed := MustNew(c.spec), MustNew(c.spec)
+				straight, resumed := MustNew(c.spec), MustNew(c.spec)
 				for cut := 0; cut < 4; cut++ {
 					for i := rng.Intn(400); i > 0; i-- {
 						v := c.gen(rng)
 						straight.Add(v)
-						thawed.Add(v)
+						resumed.Add(v)
 					}
-					enc, err := AppendState(nil, thawed)
+					enc, err := AppendState(nil, resumed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if thawed, _, err = DecodeState(c.spec, enc); err != nil {
+					if resumed, _, err = DecodeState(c.spec, enc); err != nil {
 						t.Fatal(err)
 					}
 				}
 				want, _ := AppendState(nil, straight)
-				got, _ := AppendState(nil, thawed)
+				got, _ := AppendState(nil, resumed)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("seed %d: state after four encode/decode cuts differs from the uninterrupted one:\n got %x\nwant %x", seed, got, want)
 				}
-				if !sameResult(thawed.Result(), straight.Result()) {
-					t.Fatalf("seed %d: result %v, uninterrupted %v", seed, thawed.Result(), straight.Result())
+				if !sameResult(resumed.Result(), straight.Result()) {
+					t.Fatalf("seed %d: result %v, uninterrupted %v", seed, resumed.Result(), straight.Result())
 				}
 			}
 		})

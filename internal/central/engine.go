@@ -26,8 +26,6 @@ import (
 type stateGauges struct {
 	joinPending *obs.Gauge
 	bytes       *obs.Gauge
-	frozen      *obs.Gauge
-	thaws       *obs.Counter
 }
 
 func newStateGauges(reg *obs.Registry) *stateGauges {
@@ -36,9 +34,7 @@ func newStateGauges(reg *obs.Registry) *stateGauges {
 	}
 	return &stateGauges{
 		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
-		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state, indexes included (join-pending and group runs and their bucket heads, aggregators, raw rows); only sketches and the per-host maps are not counted; a cold window counts as its encoded partial plus its join runs"),
-		frozen:      reg.Gauge("scrub_central_windows_frozen", "open windows kept in their cold form: no tuple has touched them for two window-opens"),
-		thaws:       reg.Counter("scrub_central_window_thaws_total", "cold windows a straggler tuple made live again"),
+		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state (join-pending and group runs and their bucket heads, aggregate states and sketches, raw rows); only the per-host maps are not counted"),
 	}
 }
 
@@ -79,9 +75,6 @@ type queryState struct {
 	probe   []event.Value
 	found   []uint32
 	packBuf []byte
-	// partial is the buffer a window going cold is encoded in before it
-	// keeps an exact copy.
-	partial []byte
 	// chainSteps counts the runs join probes have visited; tests assert on
 	// it that a probe never walks its own side's chain.
 	chainSteps uint64
@@ -157,7 +150,7 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
 		return DrivenAck{}, false
 	}
-	lateBefore, opened := qs.win.LateDrops(), qs.win.Opened()
+	lateBefore := qs.win.LateDrops()
 	dataStart := qs.plan.DataStartNanos()
 	var maxTs int64
 	var hasTs bool
@@ -182,50 +175,8 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 	// batch.
 	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
 	clear(qs.probe)
-	if qs.win.Opened() != opened {
-		e.sweep(qs)
-	}
 	late := qs.win.LateDrops()
 	return DrivenAck{HasTs: hasTs, MaxTs: maxTs, LateDelta: late - lateBefore, Late: late, Overflow: qs.overflow}, true
-}
-
-// sweep ends a batch that opened a window: every open window of the query
-// that no tuple has touched since the previous sweep goes cold. The clock
-// is event-time progress itself, one sweep a slide: a window a slower host
-// or a half-filled chunk still feeds was touched and stays live, nothing
-// here knows Plan.Lateness or a merger's watermark, and a thawed window
-// has moved, so a window pays at most one encode per sweep (DESIGN.md §17).
-//
-//scrub:allowalloc(once per window opened: a cold window's partial and its sorted group list)
-func (e *Engine) sweep(qs *queryState) {
-	qs.win.Each(func(ws *winState) {
-		if ws.frozen == nil && ws.tuples == ws.swept {
-			e.freeze(qs, ws)
-		}
-		ws.swept = ws.tuples
-	})
-}
-
-// freeze puts a live window into its cold form and takes what it gave up
-// off the state gauges.
-func (e *Engine) freeze(qs *queryState, ws *winState) {
-	qs.partial = encodePartial(qs.partial[:0], &qs.plan, ws)
-	ws.freeze(qs.partial)
-	if e.state != nil {
-		e.state.frozen.Add(1)
-		e.charge(ws)
-	}
-}
-
-// thaw makes a cold window live again for the straggler about to be
-// applied to it.
-func (e *Engine) thaw(qs *queryState, ws *winState) {
-	ws.thaw(&qs.plan)
-	if e.state != nil {
-		e.state.frozen.Add(-1)
-		e.state.thaws.Inc()
-		e.charge(ws)
-	}
 }
 
 // closed takes windows that have just left a query's manager off the
@@ -236,17 +187,13 @@ func (e *Engine) closed(cs []window.Closed[*winState]) []window.Closed[*winState
 		for _, c := range cs {
 			e.state.joinPending.Add(-int64(c.State.pendN))
 			e.state.bytes.Add(-c.State.charged)
-			if c.State.frozen != nil {
-				e.state.frozen.Add(-1)
-			}
 		}
 	}
 	return cs
 }
 
 // charge brings the state-bytes gauge up to date after ws's slabs may
-// have grown (or the window changed form): one comparison per appended
-// item, one atomic per growth.
+// have grown: one comparison per appended item, one atomic per growth.
 func (e *Engine) charge(ws *winState) {
 	if e.state == nil {
 		return
@@ -258,14 +205,10 @@ func (e *Engine) charge(ws *winState) {
 }
 
 // processTuple routes one in-window tuple through join (if any), the
-// residual predicate, and accumulation. A cold window is thawed first:
-// one predictable branch per tuple and window.
+// residual predicate, and accumulation.
 //
 //scrub:hotpath
 func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
-	if ws.frozen != nil {
-		e.thaw(qs, ws)
-	}
 	ws.tuples++
 	qs.tuplesIn++
 	ws.touch(host)

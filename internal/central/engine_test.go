@@ -14,7 +14,7 @@ import (
 
 // buildPlan parses + analyzes a query against the test catalog and builds
 // a central plan for it.
-func buildPlan(t *testing.T, src string, queryID uint64, totalHosts, sampledHosts int) Plan {
+func buildPlan(t testing.TB, src string, queryID uint64, totalHosts, sampledHosts int) Plan {
 	t.Helper()
 	cat := event.NewCatalog()
 	cat.MustRegister(event.MustSchema("bid",

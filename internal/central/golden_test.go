@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -195,4 +196,61 @@ func TestPartialGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodePartial holds the coordinator to its ShardClient contract on
+// the bytes a shard sends it: a partial that does not decode degrades the
+// query, it never crashes the merger. Seeded with every golden partial
+// under its plan, it feeds DecodePartial arbitrary bytes. Each call must
+// return an error or a window; a window it accepts must merge into a
+// second decode of itself and render, and its re-encoding must decode to
+// a window that renders the same.
+func FuzzDecodePartial(f *testing.F) {
+	qrs := make([]*QueryRuntime, len(goldenQueries))
+	for qi, src := range goldenQueries {
+		qr, err := CompileQuery(buildPlan(f, src, 1, 3, 3))
+		if err != nil {
+			f.Fatal(err)
+		}
+		qrs[qi] = qr
+		wire, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("partial_q%d.golden", qi)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for len(wire) > 0 { // per window: start, length, partial bytes
+			_, n := binary.Varint(wire)
+			size, m := binary.Uvarint(wire[n:])
+			f.Add(uint8(qi), wire[n+m:n+m+int(size)])
+			wire = wire[n+m+int(size):]
+		}
+	}
+	f.Fuzz(func(t *testing.T, q uint8, b []byte) {
+		qr := qrs[int(q)%len(qrs)]
+		pw, err := qr.DecodePartial(b)
+		if err != nil {
+			return
+		}
+		// Encoded before the render, which gives an ungrouped window with
+		// no group its empty one.
+		again, err := qr.DecodePartial(encodePartial(nil, qr.Plan(), pw.ws))
+		if err != nil {
+			t.Fatalf("the re-encoding of an accepted partial does not decode: %v", err)
+		}
+		want, got := qr.Render(0, pw, nil), qr.Render(0, again, nil)
+		if want.Stats != got.Stats || want.Approx != got.Approx || !sameRows(want.Rows, got.Rows) || len(want.ErrBounds) != len(got.ErrBounds) {
+			t.Fatalf("re-encoded partial renders\n %+v\nthe accepted one\n %+v", got, want)
+		}
+		for i := range want.ErrBounds {
+			if math.Float64bits(want.ErrBounds[i]) != math.Float64bits(got.ErrBounds[i]) {
+				t.Fatalf("re-encoded partial's bound %d is %v, the accepted one's %v", i, got.ErrBounds[i], want.ErrBounds[i])
+			}
+		}
+		dst, err := qr.DecodePartial(b)
+		if err != nil {
+			t.Fatalf("accepted bytes do not decode a second time: %v", err)
+		}
+		src, _ := qr.DecodePartial(b)
+		qr.Merge(dst, src)
+		qr.Render(0, dst, nil)
+	})
 }

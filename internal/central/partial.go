@@ -68,18 +68,11 @@ func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops ui
 	return encodePartials(plan, closed), late + overflow, ok
 }
 
-// encodePartials serializes closed windows. A cold window's partial
-// exists already and is handed over as it is — the usual case when a plan
-// declares a lateness of many slides; a plan that closes one slide behind
-// its slowest stream mostly closes live windows, encoded here.
+// encodePartials serializes closed windows.
 func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial {
 	var out []EncodedPartial
 	for _, c := range closed {
-		data := c.State.frozen
-		if data == nil {
-			data = encodePartial(nil, p, c.State)
-		}
-		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: data})
+		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: encodePartial(nil, p, c.State)})
 	}
 	return out
 }
@@ -134,12 +127,10 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 //
 // Deterministic layout (sorted hosts, sorted group keys) with float state
 // as raw IEEE-754 bits, so decode(encode(ws)) merges and renders
-// bit-identically to ws — and goes on absorbing tuples bit-identically
-// too (every aggregate's state is continued, not approximated; raw rows
-// keep their order), which is what lets an open window be kept as its
-// partial while it is cold (winState.freeze). Join-pending state is never
-// encoded: shards route by request id, so both sides of a request joined
-// on one shard, and pending tuples are irrelevant once the window closed.
+// bit-identically to ws. Only a closed window is encoded. Join-pending
+// state is never encoded: shards route by request id, so both sides of a
+// request joined on one shard, and pending tuples are irrelevant once the
+// window closed.
 
 // encodePartial appends ws's partial to dst.
 func encodePartial(dst []byte, p *Plan, ws *winState) []byte {
@@ -198,34 +189,32 @@ func encodePartial(dst []byte, p *Plan, ws *winState) []byte {
 }
 
 // DecodePartial parses a partial serialized by a shard's CollectDriven /
-// DrainDriven under the same plan.
-func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
-	ws := newWinState(&qr.plan, 0)
-	if err := ws.decodePartial(&qr.plan, b); err != nil {
-		return nil, fmt.Errorf("central: decode partial: %w", err)
-	}
-	return &PartialWindow{ws: ws}, nil
-}
-
-// decodePartial loads a partial into ws, which holds no groups, rows or
-// hosts yet: a new window (DecodePartial) or one being thawed.
-func (ws *winState) decodePartial(p *Plan, b []byte) error {
+// DrainDriven under the same plan. The bytes come off the wire: anything
+// malformed is an error, never a panic.
+func (qr *QueryRuntime) DecodePartial(b []byte) (_ *PartialWindow, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("central: decode partial: %w", err)
+		}
+	}()
+	p := &qr.plan
+	ws := newWinState(p, 0)
 	var run []byte // a group's run, built before the window keeps it
 	tuples, n := binary.Uvarint(b)
 	if n <= 0 {
-		return fmt.Errorf("bad tuple count")
+		return nil, fmt.Errorf("bad tuple count")
 	}
 	ws.tuples = tuples
 
 	hostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || hostCnt > uint64(len(b)) {
-		return fmt.Errorf("bad host count")
+		return nil, fmt.Errorf("bad host count")
 	}
 	n += sz
 	for i := uint64(0); i < hostCnt; i++ {
 		s, used, err := decodeString(b[n:])
 		if err != nil {
-			return fmt.Errorf("host: %w", err)
+			return nil, fmt.Errorf("host: %w", err)
 		}
 		ws.hosts[s] = struct{}{}
 		n += used
@@ -233,7 +222,7 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 
 	groupCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || groupCnt > uint64(len(b)) {
-		return fmt.Errorf("bad group count")
+		return nil, fmt.Errorf("bad group count")
 	}
 	n += sz
 	if groupCnt > 0 {
@@ -242,55 +231,55 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 	for i := uint64(0); i < groupCnt; i++ {
 		kvCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || kvCnt > uint64(len(b)) {
-			return fmt.Errorf("bad key count")
+			return nil, fmt.Errorf("bad key count")
 		}
 		n += sz
 		if kvCnt != uint64(len(p.GroupBy)) {
-			return fmt.Errorf("%d key values for %d group-by columns", kvCnt, len(p.GroupBy))
+			return nil, fmt.Errorf("%d key values for %d group-by columns", kvCnt, len(p.GroupBy))
 		}
 		// The group's stored key is the encoding of its key values —
 		// these very bytes, once they are known to decode.
 		used, err := packedLen(b[n:], len(p.GroupBy))
 		if err != nil {
-			return fmt.Errorf("key value: %w", err)
+			return nil, fmt.Errorf("key value: %w", err)
 		}
 		run = append(appendHeader(run[:0], groupHdr), b[n:n+used]...)
 		n += used
 		g, used, err := ws.aggStates(p).Decode(b[n:])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		n += used
 		hash := hashKey(run[groupHdr:])
 		if _, dup := ws.findGroup(hash, run[groupHdr:]); dup {
-			return fmt.Errorf("duplicate group key")
+			return nil, fmt.Errorf("duplicate group key")
 		}
 		if !ws.addGroup(hash, run, g) {
-			return fmt.Errorf("group state too large")
+			return nil, fmt.Errorf("group state too large")
 		}
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || rowCnt > uint64(len(b)) {
-		return fmt.Errorf("bad row count")
+		return nil, fmt.Errorf("bad row count")
 	}
 	n += sz
 	for i := uint64(0); i < rowCnt; i++ {
 		valCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || valCnt > uint64(len(b)) {
-			return fmt.Errorf("bad row width")
+			return nil, fmt.Errorf("bad row width")
 		}
 		n += sz
 		if valCnt != uint64(len(p.Select)) {
-			return fmt.Errorf("row of %d values for %d select columns", valCnt, len(p.Select))
+			return nil, fmt.Errorf("row of %d values for %d select columns", valCnt, len(p.Select))
 		}
 		// A row is kept as it arrived, once it is known to decode.
 		used, err := packedLen(b[n:], len(p.Select))
 		if err != nil {
-			return fmt.Errorf("row value: %w", err)
+			return nil, fmt.Errorf("row value: %w", err)
 		}
 		if _, ok := ws.raw.Append(b[n : n+used]); !ok {
-			return fmt.Errorf("row state too large")
+			return nil, fmt.Errorf("row state too large")
 		}
 		n += used
 		ws.rawN++
@@ -298,25 +287,28 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 
 	mhostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || mhostCnt > uint64(len(b)) {
-		return fmt.Errorf("bad moment host count")
+		return nil, fmt.Errorf("bad moment host count")
 	}
 	n += sz
 	for i := uint64(0); i < mhostCnt; i++ {
 		host, used, err := decodeString(b[n:])
 		if err != nil {
-			return fmt.Errorf("moment host: %w", err)
+			return nil, fmt.Errorf("moment host: %w", err)
 		}
 		n += used
 		mCnt, sz := binary.Uvarint(b[n:])
-		if sz <= 0 || mCnt > uint64(len(b)) {
-			return fmt.Errorf("bad moment count")
+		if sz <= 0 {
+			return nil, fmt.Errorf("bad moment count")
 		}
 		n += sz
+		if mCnt != uint64(len(p.Aggs)) {
+			return nil, fmt.Errorf("%d moments for %d aggregates", mCnt, len(p.Aggs))
+		}
 		moments := make([]stats.Running, mCnt)
 		for j := range moments {
 			r, used, err := stats.DecodeRunning(b[n:])
 			if err != nil {
-				return fmt.Errorf("moment: %w", err)
+				return nil, fmt.Errorf("moment: %w", err)
 			}
 			moments[j] = r
 			n += used
@@ -324,9 +316,9 @@ func (ws *winState) decodePartial(p *Plan, b []byte) error {
 		ws.perHost[host] = moments
 	}
 	if n != len(b) {
-		return fmt.Errorf("%d trailing bytes", len(b)-n)
+		return nil, fmt.Errorf("%d trailing bytes", len(b)-n)
 	}
-	return nil
+	return &PartialWindow{ws: ws}, nil
 }
 
 func appendString(dst []byte, s string) []byte {

@@ -150,7 +150,6 @@ func (d directShard) windows(qr *QueryRuntime, bound int64, drain bool) ShardWin
 	closed, _, late, overflow, ok := d.eng.collectDriven(qr.plan.QueryID, bound, drain)
 	sw := ShardWindows{Found: ok, Late: late, Overflow: overflow}
 	for _, c := range closed {
-		c.State.thaw(&qr.plan) // the merger merges and renders live state
 		sw.Windows = append(sw.Windows, window.Closed[PartialWindow]{Start: c.Start, End: c.End, State: PartialWindow{ws: c.State}})
 	}
 	return sw

@@ -26,19 +26,10 @@ import (
 // bucket heads whose collision chains run through the stored runs
 // themselves (slab.Index): no map, cell or record indexes them. The set is
 // owned by the window and nothing is pooled across windows: it is dropped
-// once the window's result has been emitted (or its partial handed over) —
-// or earlier, all but the join arena, when the window goes cold and keeps
-// its encoded partial instead (frozen). DESIGN.md §17.
+// once the window's result has been emitted (or its partial handed over).
+// DESIGN.md §17.
 type winState struct {
 	tuples uint64
-	// swept is what tuples was when the query's windows were last swept:
-	// a window that has not moved since is frozen (Engine.sweep).
-	swept uint64
-	// frozen, when non-nil, is the window in its cold form: encodePartial
-	// of everything below but arena, pendN, start and keyW, which stay (a
-	// straggler must still find its partner, and buffered tuples are never
-	// part of a partial); the rest is dropped until thaw decodes it back.
-	frozen []byte
 	hosts  map[string]struct{}
 	// perHost tracks per-host reading moments per aggregate for the
 	// Eq. 1–3 error bounds; only maintained for ungrouped scalable
@@ -69,7 +60,7 @@ type winState struct {
 	// is kept of the key. aggs holds every group's aggregate states, found
 	// from the ordinal by arithmetic (agg.Slab); it is nil until the
 	// window's first group, so a window without groups — raw rows, a join
-	// still waiting, a cold one — pays a word for it.
+	// still waiting — pays a word for it.
 	groupRuns slab.Arena
 	groups    slab.Index
 	keyW      int
@@ -121,13 +112,12 @@ func hashKey(key []byte) uint64 {
 	return mix(h ^ head)
 }
 
-// rethreadJoin grows the join index — to twice its size, or from nothing
-// to fit the window's pendN tuples — and threads every buffered tuple
+// rethreadJoin doubles the join index and threads every buffered tuple
 // again, in arrival order — the arena's.
 //
 //scrub:allowalloc(the heads array doubles: amortised over the tuples buffered since the last doubling)
 func (ws *winState) rethreadJoin(p *Plan) {
-	ws.join.Grow(ws.pendN)
+	ws.join.Grow(0)
 	for k, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
 			run := chunk[off+slab.LinkSize:]
@@ -148,42 +138,6 @@ func newWinState(p *Plan, start int64) *winState {
 		perHost: make(map[string][]stats.Running),
 		start:   start,
 		keyW:    len(p.GroupBy),
-	}
-}
-
-// freeze puts the window into its cold form: partial — its encodePartial,
-// in a buffer the caller reuses — is kept as an exact copy and what it
-// encodes is dropped, the join's bucket heads with it (only a probe reads
-// them). lastHost stays: it is in the partial's host set, so touch is
-// still right about the next tuple.
-func (ws *winState) freeze(partial []byte) {
-	ws.frozen = append(make([]byte, 0, len(partial)), partial...)
-	ws.hosts, ws.perHost, ws.lastMoments = nil, nil, nil
-	ws.join = slab.Index{}
-	ws.groupRuns, ws.groups = slab.Arena{}, slab.Index{}
-	ws.aggs = nil
-	ws.raw, ws.rawN = slab.Arena{}, 0
-}
-
-// thaw makes a frozen window live again (a live one is left as it is):
-// the partial is decoded into the same winState and the buffered join
-// tuples are threaded once, at a size fitted to their number. The codec is
-// continuation-exact (partial.go): a tuple applied from here on leaves
-// the state it would have left had the window never been frozen.
-//
-//scrub:allowalloc(a cold window's first straggler, or its close: at most once per sweep and window)
-func (ws *winState) thaw(p *Plan) {
-	if ws.frozen == nil {
-		return
-	}
-	partial := ws.frozen
-	ws.frozen = nil
-	ws.hosts, ws.perHost = make(map[string]struct{}), make(map[string][]stats.Running)
-	if err := ws.decodePartial(p, partial); err != nil {
-		panic("central: frozen window does not decode: " + err.Error())
-	}
-	if ws.pendN > 0 {
-		ws.rethreadJoin(p)
 	}
 }
 
@@ -325,10 +279,9 @@ func (ws *winState) rawRows(width int) [][]event.Value {
 
 // slabBytes is the capacity of the window's slabs, arenas, index heads and
 // sketches in bytes — what the scrub_central_state_bytes gauge counts: all
-// of the window's state but the two per-host maps. A cold window comes to
-// its partial plus its join arena.
+// of the window's state but the two per-host maps.
 func (ws *winState) slabBytes() int64 {
-	return int64(cap(ws.frozen)) + ws.arena.Bytes() + ws.join.Bytes() +
+	return ws.arena.Bytes() + ws.join.Bytes() +
 		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() +
 		ws.raw.Bytes()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -133,6 +134,49 @@ func TestApplyNewGroupAllocsAmortised(t *testing.T) {
 	st, _ := e.StopQuery(1)
 	if st.TuplesIn != 7*n || st.LateDrops != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// A window no tuple has touched for two window-opens closes as cheaply as
+// one that was fed until its close: an open window has one form, so the
+// close renders it where it lies — no partial is encoded while it waits
+// and none is decoded back at the close.
+func TestIdleWindowClosesWithoutCodec(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := buildPlan(t, `select bid.user_id, count(*), sum(bid.bid_price) from bid group by bid.user_id window 1s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	groups := bidBatch(1, "h1")
+	for i := 0; i < 1000; i++ {
+		groups.Tuples = append(groups.Tuples, tup(uint64(i), sec(0)+int64(i), event.Int(int64(i)), event.Float(float64(i)/3)))
+	}
+	// closeFirst feeds an engine the 1 000-group window [0 s, 1 s), then
+	// batches at the given times, and returns the bytes allocated by the
+	// tick that closes [0 s, 1 s) alone.
+	closeFirst := func(later ...int64) uint64 {
+		e := NewEngine()
+		var emitted []transport.ResultWindow
+		if err := e.StartQuery(p, func(rw transport.ResultWindow) { emitted = append(emitted, rw) }); err != nil {
+			t.Fatal(err)
+		}
+		e.HandleBatch(transport.CloneBatch(groups))
+		for _, ts := range later {
+			e.HandleBatch(bidBatch(1, "h1", tup(1, ts, event.Int(1), event.Float(1))))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Tick(sec(1) + int64(p.Lateness))
+		runtime.ReadMemStats(&after)
+		if len(emitted) != 1 || len(emitted[0].Rows) != 1000 {
+			t.Fatalf("the tick emitted %d windows, want [0 s, 1 s) with its 1 000 groups", len(emitted))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	live := closeFirst(sec(0) + int64(time.Second)/2)
+	idle := closeFirst(sec(1)+1, sec(2)+1) // two window-opens after its last tuple
+	if idle > live {
+		t.Errorf("closing the idle window allocated %d bytes, the live one %d", idle, live)
 	}
 }
 
@@ -345,17 +389,13 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			apply(transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: excl})
 		}
 	}
-	// The feed opens three windows in order, so the third one's sweep finds
-	// the first idle and freezes it (per engine): every close path below
-	// takes a cold window with it, and the straggler thaws one first.
+	// The feed opens three windows in order; the straggler lands in the
+	// first of them while it is still open.
 	straggler := transport.TupleBatch{QueryID: 1, HostID: "h2", TypeIdx: 1, Tuples: []transport.Tuple{tup(7, sec(5), event.Str("cap"))}}
-	check := func(t *testing.T, reg *obs.Registry, when string, wantPending, wantFrozen int64) {
+	check := func(t *testing.T, reg *obs.Registry, when string, wantPending int64) {
 		t.Helper()
 		if got := gaugeValue(reg, "scrub_central_join_pending"); got != wantPending {
 			t.Errorf("%s: scrub_central_join_pending = %d, want %d", when, got, wantPending)
-		}
-		if got := gaugeValue(reg, "scrub_central_windows_frozen"); got != wantFrozen {
-			t.Errorf("%s: scrub_central_windows_frozen = %d, want %d", when, got, wantFrozen)
 		}
 		bytes := gaugeValue(reg, "scrub_central_state_bytes")
 		if (wantPending == 0) != (bytes == 0) || bytes < 0 {
@@ -375,18 +415,15 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 				t.Fatal("ApplyDriven: unknown query")
 			}
 		})
-		check(t, reg, "after apply", 240, 1)
+		check(t, reg, "after apply", 240)
 		if partials, _, _, ok := e.CollectDriven(1, sec(10)); !ok || len(partials) != 1 {
 			t.Fatalf("CollectDriven: %d partials, ok=%v", len(partials), ok)
 		}
-		check(t, reg, "after collecting the cold window", 160, 0)
+		check(t, reg, "after collecting the first window", 160)
 		if partials, _, ok := e.DrainDriven(1); !ok || len(partials) != 2 {
 			t.Fatalf("DrainDriven: %d partials, ok=%v", len(partials), ok)
 		}
-		check(t, reg, "after drain", 0, 0)
-		if got := thawsOf(reg); got != 0 {
-			t.Errorf("handing partials over thawed %d windows", got)
-		}
+		check(t, reg, "after drain", 0)
 	})
 
 	t.Run("engine-tick", func(t *testing.T) {
@@ -398,16 +435,13 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(e.HandleBatch)
-		check(t, reg, "after apply", 240, 1)
+		check(t, reg, "after apply", 240)
 		e.HandleBatch(straggler)
-		check(t, reg, "after a straggler thawed the cold window", 241, 0)
-		if got := thawsOf(reg); got != 1 {
-			t.Errorf("scrub_central_window_thaws_total = %d after one straggler", got)
-		}
+		check(t, reg, "after a straggler", 241)
 		e.Tick(sec(20) + int64(p.Lateness))
-		check(t, reg, "after tick closed two windows", 80, 0)
+		check(t, reg, "after tick closed two windows", 80)
 		e.StopQuery(1)
-		check(t, reg, "after stop", 0, 0)
+		check(t, reg, "after stop", 0)
 	})
 
 	t.Run("engine-watermark", func(t *testing.T) {
@@ -419,14 +453,10 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 		}
 		// Both streams reach 25 s, so the watermark closes [0,10) and
 		// [10,20) inside HandleBatch.
-		// [0,10) is cold by then.
 		feed(e.HandleBatch)
-		check(t, reg, "after the watermark closed two windows", 80, 0)
+		check(t, reg, "after the watermark closed two windows", 80)
 		e.StopQuery(1)
-		check(t, reg, "after stop", 0, 0)
-		if got := thawsOf(reg); got != 0 {
-			t.Errorf("closing a cold window counted as %d straggler thaws", got)
-		}
+		check(t, reg, "after stop", 0)
 	})
 
 	t.Run("sharded", func(t *testing.T) {
@@ -441,13 +471,13 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(se.HandleBatch)
-		check(t, reg, "after apply", 240, 3) // the shards charge the merger's registry
-		se.HandleBatch(straggler)            // request 7 lives on shard 1
-		check(t, reg, "after a straggler thawed one shard's cold window", 241, 2)
+		check(t, reg, "after apply", 240) // the shards charge the merger's registry
+		se.HandleBatch(straggler)         // request 7 lives on shard 1
+		check(t, reg, "after a straggler", 241)
 		se.Tick(sec(10) + int64(p.Lateness))
-		check(t, reg, "after tick closed one window", 160, 0)
+		check(t, reg, "after tick closed one window", 160)
 		se.StopQuery(1)
-		check(t, reg, "after stop", 0, 0)
+		check(t, reg, "after stop", 0)
 	})
 }
 
@@ -471,64 +501,26 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), ts, event.Int(int64(i%700)), event.Float(1))))
 		e.HandleBatch(bidBatch(2, "h1", tup(uint64(i), ts, event.Int(int64(i)))))
 	}
-	// audit holds the gauge to what the open windows hold now, whatever
-	// form each is in, and returns how many are cold.
-	audit := func(when string) (frozen int) {
-		t.Helper()
-		var want int64
-		e.mu.Lock()
-		for _, qs := range e.queries {
-			qs.win.Each(func(ws *winState) {
-				want += ws.slabBytes()
-				if ws.frozen != nil {
-					frozen++
-					if got := int64(len(ws.frozen)) + ws.arena.Bytes(); ws.slabBytes() != got {
-						t.Errorf("%s: a cold window is charged %d bytes, its partial and join arena are %d", when, ws.slabBytes(), got)
-					}
-				}
-			})
-		}
-		e.mu.Unlock()
-		if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
-			t.Errorf("%s: scrub_central_state_bytes = %d, open windows hold %d", when, got, want)
-		}
-		return frozen
-	}
-	var heads, groups int64
+	// The feed's event times span [0 s, 25 s): three windows a query, all
+	// still open, so GetAll finds them and creates none.
+	var want, heads, groups int64
 	e.mu.Lock()
 	for _, qs := range e.queries {
-		qs.win.Each(func(ws *winState) {
-			heads += ws.groups.Bytes()
-			groups += int64(ws.groups.Len())
-		})
+		for _, at := range []int64{0, 10, 20} {
+			for _, ws := range qs.win.GetAll(sec(at)) {
+				want += ws.slabBytes()
+				heads += ws.groups.Bytes()
+				groups += int64(ws.groups.Len())
+			}
+		}
 	}
 	e.mu.Unlock()
-	if frozen := audit("every window live"); frozen != 0 {
-		t.Errorf("%d windows cold while tuples still reach all of them", frozen)
+	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
+		t.Errorf("scrub_central_state_bytes = %d, open windows hold %d", got, want)
 	}
-	live := gaugeValue(reg, "scrub_central_state_bytes")
 	// The figure includes the indexes: a bucket head per group at least.
 	if groups == 0 || heads < 4*groups {
 		t.Errorf("group index heads hold %d bytes for %d groups", heads, groups)
-	}
-	// Two more windows open and nothing else arrives: the second one's
-	// sweep freezes the three idle windows of each query, and the gauge
-	// comes down to their partials.
-	for _, at := range []int64{35, 45} {
-		e.HandleBatch(bidBatch(1, "h1", tup(1, sec(at), event.Int(1), event.Float(1))))
-		e.HandleBatch(bidBatch(2, "h1", tup(1, sec(at), event.Int(1))))
-	}
-	if frozen := audit("after two idle sweeps"); frozen != 8 {
-		t.Errorf("%d windows cold, want the 4 idle ones of each query", frozen)
-	}
-	if cold := gaugeValue(reg, "scrub_central_state_bytes"); cold > live/2 {
-		t.Errorf("scrub_central_state_bytes = %d with every window but two cold, %d when live", cold, live)
-	}
-	// A straggler thaws one window of each query: the gauge follows it back.
-	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(5), event.Int(3), event.Float(1))))
-	e.HandleBatch(bidBatch(2, "h1", tup(1, sec(5), event.Int(3))))
-	if frozen := audit("after a straggler"); frozen != 6 {
-		t.Errorf("%d windows cold after a straggler into one of each query, want 6", frozen)
 	}
 	e.StopQuery(1)
 	e.StopQuery(2)
@@ -538,9 +530,8 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 }
 
 // The gauge covers the sketches: a window's top_k summary and its
-// count_distinct registers are charged while the window is live — as the
-// summary grows, not only when a group opens — given back when it goes
-// cold, and gone when it closes.
+// count_distinct registers are charged while the window is open — as the
+// summary grows, not only when a group opens — and gone when it closes.
 func TestStateBytesGaugeCountsSketches(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := NewEngineWith(Options{Metrics: reg})
@@ -560,36 +551,12 @@ func TestStateBytesGaugeCountsSketches(t *testing.T) {
 		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), sec(2), event.Int(int64(i)))))
 	}
 	full := gaugeValue(reg, "scrub_central_state_bytes")
-	// held is what the open windows hold, and what the first of them is
-	// charged once it is cold.
-	held := func() (all, cold int64) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		e.queries[1].win.Each(func(ws *winState) {
-			all += ws.slabBytes()
-			if ws.frozen != nil {
-				if ws.start == 0 {
-					cold = ws.slabBytes()
-				}
-				if ws.slabBytes() != int64(len(ws.frozen)) {
-					t.Errorf("a cold window is charged %d bytes, its partial is %d", ws.slabBytes(), len(ws.frozen))
-				}
-			}
-		})
-		return all, cold
-	}
+	e.mu.Lock()
+	held := e.queries[1].win.GetAll(sec(2))[0].slabBytes() // the one open window
+	e.mu.Unlock()
 	const counters = 80 * 48 // a built top_k(_, 10) summary: 80 counters of 48 bytes, at least
-	if all, _ := held(); full != all || full-one < counters || full-start < hll+counters {
-		t.Errorf("scrub_central_state_bytes = %d (%d after one tuple, %d idle): the window holds %d, its sketches at least %d", full, one, start, all, hll+counters)
-	}
-	// Two more windows open and the first stays idle: it goes cold, and what
-	// it is charged is its partial — the registers verbatim, the summary as
-	// its entries.
-	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(11), event.Int(1))))
-	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(21), event.Int(1))))
-	all, cold := held()
-	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != all || cold == 0 || cold > full-start-counters/2 {
-		t.Errorf("scrub_central_state_bytes = %d, the windows hold %d, the first one %d cold and %d live", got, all, cold, full-start)
+	if full != held || full-one < counters || full-start < hll+counters {
+		t.Errorf("scrub_central_state_bytes = %d (%d after one tuple, %d idle): the window holds %d, its sketches at least %d", full, one, start, held, hll+counters)
 	}
 	e.StopQuery(1)
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != start {

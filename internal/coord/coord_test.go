@@ -1009,8 +1009,8 @@ func TestShardNodeServesStateGauges(t *testing.T) {
 	if err := c.StartQuery(plan, func(transport.ResultWindow) {}); err != nil {
 		t.Fatal(err)
 	}
-	// Four windows opened in order, a tuple each: every sweep finds the
-	// windows before the newest unmoved and freezes them.
+	// Four windows opened in order, a tuple each; the hour of lateness
+	// keeps all of them open.
 	for w := int64(0); w < 4; w++ {
 		c.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", Tuples: []transport.Tuple{
 			{RequestID: uint64(w), TsNanos: w*10*sec + 1, Values: []event.Value{event.Float(1)}},
@@ -1024,16 +1024,13 @@ func TestShardNodeServesStateGauges(t *testing.T) {
 		return got
 	}
 	shard, coord := series(shardReg), series(coordReg)
-	if shard["scrub_central_state_bytes"] <= 0 || shard["scrub_central_windows_frozen"] != 3 {
-		t.Errorf("shard registry: state_bytes %v, windows_frozen %v; want the open windows' bytes and 3",
-			shard["scrub_central_state_bytes"], shard["scrub_central_windows_frozen"])
+	if shard["scrub_central_state_bytes"] <= 0 {
+		t.Errorf("shard registry: state_bytes %v; want the open windows' bytes", shard["scrub_central_state_bytes"])
 	}
-	for _, name := range []string{"scrub_central_join_pending", "scrub_central_window_thaws_total"} {
-		if _, ok := shard[name]; !ok {
-			t.Errorf("shard registry lacks %s", name)
-		}
+	if _, ok := shard["scrub_central_join_pending"]; !ok {
+		t.Error("shard registry lacks scrub_central_join_pending")
 	}
-	if _, ok := shard["scrub_central_batches_total"]; ok || len(shard) != 4 {
+	if _, ok := shard["scrub_central_batches_total"]; ok || len(shard) != 2 {
 		t.Errorf("shard registry serves more than the state series: %v", shard)
 	}
 	if coord["scrub_coord_manifests_total"] != 4 {
@@ -1042,7 +1039,7 @@ func TestShardNodeServesStateGauges(t *testing.T) {
 	if _, ok := c.StopQuery(1); !ok {
 		t.Fatal("StopQuery: unknown query")
 	}
-	if after := series(shardReg); after["scrub_central_state_bytes"] != 0 || after["scrub_central_windows_frozen"] != 0 {
+	if after := series(shardReg); after["scrub_central_state_bytes"] != 0 {
 		t.Errorf("shard gauges after the query stopped: %v", after)
 	}
 }

@@ -8,8 +8,8 @@
 //
 //   - LocalCluster runs everything in one process with direct calls —
 //     the substrate for tests, benchmarks, and the simulator.
-//   - NetCluster (net.go) runs the same components over real TCP — the
-//     shape of a production deployment, used by the cmd/ binaries.
+//   - NetCluster (net.go) runs them over real TCP in one process — the
+//     shape of a production deployment, used by experiment C1 and tests.
 package core
 
 import (

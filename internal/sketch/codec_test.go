@@ -95,7 +95,9 @@ func TestSpaceSavingDecodeErrors(t *testing.T) {
 // SpaceSaving the summary is small against the alphabet and every
 // addition is 1, so it sits at capacity with several counters tied at the
 // minimum count whenever an eviction picks its victim — the one place a
-// rebuilt bucket list could behave differently from the original.
+// rebuilt bucket list could behave differently from the original. No
+// engine path folds into a decoded sketch; this is a property of the
+// codec: the encoding is the whole summary.
 func TestCodecContinuationExact(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -76,7 +76,6 @@ type SlidingManager[S any] struct {
 	open      map[int64]S
 	closed    int64 // highest bound closed before; windows ending at or before it are gone
 	lateDrops uint64
-	opened    uint64
 	scratch   []int64
 	states    []S // GetAll's result buffer, reused across calls
 }
@@ -117,7 +116,6 @@ func (m *SlidingManager[S]) GetAll(ts int64) []S {
 		}
 		s := m.newState(start, start+m.assigner.size)
 		m.open[start] = s
-		m.opened++
 		out = append(out, s)
 	}
 	if len(out) == 0 {
@@ -157,15 +155,3 @@ func (m *SlidingManager[S]) Flush() []Closed[S] {
 
 // LateDrops counts events whose every covering window had closed.
 func (m *SlidingManager[S]) LateDrops() uint64 { return m.lateDrops }
-
-// Opened counts the windows GetAll has created so far: event-time
-// progress, one step a slide.
-func (m *SlidingManager[S]) Opened() uint64 { return m.opened }
-
-// Each calls f with the state of every open window, in no particular
-// order.
-func (m *SlidingManager[S]) Each(f func(S)) {
-	for _, s := range m.open {
-		f(s)
-	}
-}

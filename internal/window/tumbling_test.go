@@ -63,8 +63,8 @@ func TestTumblingOneWindowPerEvent(t *testing.T) {
 	if len(closed) != 1 || closed[0].Start != 0 || closed[0].End != 10*sec || closed[0].State.n != 2 {
 		t.Fatalf("closed = %+v", closed)
 	}
-	if len(m.open) != 1 || m.Opened() != 2 {
-		t.Errorf("open = %d, opened = %d", len(m.open), m.Opened())
+	if len(m.open) != 1 {
+		t.Errorf("open = %d", len(m.open))
 	}
 }
 
@@ -104,11 +104,6 @@ func TestTumblingCloseInOrderAndFlush(t *testing.T) {
 		for _, s := range m.GetAll(ts * sec) {
 			s.n = int(ts)
 		}
-	}
-	seen := 0
-	m.Each(func(*counter) { seen++ })
-	if seen != 4 {
-		t.Errorf("Each visited %d of 4 open windows", seen)
 	}
 	closed := m.ForceBefore(30 * sec)
 	if len(closed) != 3 {

@@ -42,6 +42,11 @@ if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "",
   echo "internal/central reads Lateness outside Plan.closeBounds" >&2; exit 1
 fi
 
+echo "== one form of open window state (no cold windows: no frozen/thaw series, no winState frozen/swept, no SlidingManager.Each/Opened) =="
+if grep -rnE --include='*.go' 'scrub_central_(windows_frozen|window_thaws_total)' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ names a cold-window series again" >&2; exit 1; fi
+if grep -nE '\b(frozen|swept)\b' $(nontest internal/central); then echo "non-test internal/central has a frozen or swept window field again" >&2; exit 1; fi
+if grep -nE '\b(Each|Opened)\(' $(nontest internal/window) $(nontest internal/central); then echo "non-test internal/window or internal/central has SlidingManager.Each or Opened again" >&2; exit 1; fi
+
 echo "== one performance benchmark (scrubbench measures host overhead, latency and central throughput; benchrunner has no P1/P2/PS/P4) =="
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
@@ -92,7 +97,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, window freeze/thaw, window-state index, ql parser, replay chunks, register program vs closures, stream summary vs its map-based reference) =="
+echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, shard window partials (decode, merge, render), window-state index, ql parser, replay chunks, register program vs closures, stream summary vs its map-based reference) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"

@@ -69,8 +69,6 @@ var moving = []string{
 var requiredShard = []string{
 	"scrub_central_join_pending",
 	"scrub_central_state_bytes",
-	"scrub_central_windows_frozen",
-	"scrub_central_window_thaws_total",
 }
 
 var forbiddenShard = []string{
