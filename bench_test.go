@@ -120,25 +120,6 @@ func BenchmarkE6FrequencyCap(b *testing.B) {
 	}
 }
 
-// BenchmarkP3SamplingAccuracy — §3.2, Eqs. 1–3.
-func BenchmarkP3SamplingAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.P3SamplingAccuracy(experiments.P3Config{
-			Hosts: 40, PerHost: 300, Trials: 150,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Report the paper's 10%/10% setting.
-		for _, p := range res.Points {
-			if p.HostRate == 0.1 && p.EventRate == 0.1 {
-				b.ReportMetric(p.Coverage, "coverage-10/10")
-				b.ReportMetric(p.MeanRelErr, "rel-err-10/10")
-			}
-		}
-	}
-}
-
 // BenchmarkP5VsLogging — §1/§8.1 logging contrast.
 func BenchmarkP5VsLogging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -184,19 +165,5 @@ func BenchmarkA2Baggage(b *testing.B) {
 		}
 		b.ReportMetric(res.BaggageMeanBytes, "baggage-bytes/req")
 		b.ReportMetric(res.Ratio, "bytes-ratio-active")
-	}
-}
-
-// BenchmarkP6Sketches — §3.2 probabilistic aggregates.
-func BenchmarkP6Sketches(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.P6Sketches(experiments.P6Config{
-			StreamLen: 300000, Ks: []int{10}, Cardinalities: []int{100000},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TopK[0].Precision, "top10-precision")
-		b.ReportMetric(res.HLL[0].RelErr, "hll-rel-err")
 	}
 }

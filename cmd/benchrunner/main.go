@@ -1,18 +1,21 @@
-// Command benchrunner regenerates the paper's case-study and methodology
-// tables (see DESIGN.md §5 and EXPERIMENTS.md): E1–E6, P3, P5, P6, A1 and
-// A2, at full (or quick) scale, each printed as an aligned text table with
-// the paper's qualitative claim attached. Beyond the paper's tables it
-// also runs C1, a chaos soak over real TCP that pins the reproduction's
+// Command benchrunner regenerates the paper's case-study and comparison
+// tables (see DESIGN.md §5 and EXPERIMENTS.md): E1–E6, P5, A1 and A2, at
+// full (or quick) scale, each printed as an aligned text table with the
+// paper's qualitative claim attached. Beyond the paper's tables it also
+// runs C1, a chaos soak over real TCP that pins the reproduction's
 // failure-domain contract (degraded windows, lease eviction, spill
 // redelivery), and G1, the overhead governor under an expensive query.
 //
 // Usage:
 //
-//	benchrunner [-only E1,P3,...] [-quick] [-seed N]
+//	benchrunner [-only E1,P5,...] [-quick] [-seed N]
 //
-// The host-overhead, request-latency and central-throughput claims are
-// measured by scrubbench (bench/, BENCHMARK.json), not here: this command
-// prints tables and writes no files.
+// E1–E6, P5 and A2 run on a fixed virtual epoch, so their -quick tables
+// repeat to the byte apart from wall-time notes; testdata/quick.golden
+// pins them (TestQuickGolden). The host-overhead, request-latency and
+// central-throughput claims are measured by scrubbench (bench/,
+// BENCHMARK.json), not here: this command prints tables and writes no
+// files.
 package main
 
 import (
@@ -34,8 +37,7 @@ type runner struct {
 var runners = []runner{
 	{"E1", runE1}, {"E2", runE2}, {"E3", runE3},
 	{"E4", runE4}, {"E5", runE5}, {"E6", runE6},
-	{"P3", runP3}, {"P5", runP5}, {"P6", runP6},
-	{"A1", runA1}, {"A2", runA2},
+	{"P5", runP5}, {"A1", runA1}, {"A2", runA2},
 	{"C1", runC1},
 	{"G1", runG1},
 }
@@ -78,7 +80,7 @@ func selectRunners(only string) ([]runner, error) {
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,P3); empty runs all")
+	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,P5); empty runs all")
 	quick := flag.Bool("quick", false, "smaller configurations for a fast pass")
 	seed := flag.Int64("seed", 0, "override experiment seeds (0 keeps per-experiment defaults)")
 	flag.Parse()
@@ -189,18 +191,6 @@ func runE6(quick bool, seed int64) (*experiments.Table, error) {
 	return res.Table(), nil
 }
 
-func runP3(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.P3Config{Seed: seed}
-	if quick {
-		cfg.Hosts, cfg.PerHost, cfg.Trials = 30, 200, 120
-	}
-	res, err := experiments.P3SamplingAccuracy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
 func runP5(quick bool, seed int64) (*experiments.Table, error) {
 	cfg := experiments.P5Config{Seed: seed}
 	if quick {
@@ -209,18 +199,6 @@ func runP5(quick bool, seed int64) (*experiments.Table, error) {
 		cfg.Users, cfg.Duration = 1200, 3*time.Minute
 	}
 	res, err := experiments.P5VsLogging(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table(), nil
-}
-
-func runP6(quick bool, seed int64) (*experiments.Table, error) {
-	cfg := experiments.P6Config{Seed: seed}
-	if quick {
-		cfg.StreamLen = 200000
-	}
-	res, err := experiments.P6Sketches(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,9 @@ type LocalConfig struct {
 	Catalog *event.Catalog
 	Hosts   []HostSpec
 	// Agent forwards host.Config tuning (queue size, batch size, flush
-	// interval) to every agent.
+	// interval) to every agent. Its Clock is the deployment's one clock:
+	// the query server and, unless Central.Clock is set, central read it
+	// too, so a simulation on virtual time runs on it end to end.
 	Agent host.Config
 	// AgentSink, when set, replaces the default engine-backed sink for
 	// every agent. Overhead measurements use an encode-and-discard sink
@@ -69,6 +71,9 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 	}
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
+	}
+	if cfg.Central.Clock == nil {
+		cfg.Central.Clock = cfg.Agent.Clock
 	}
 	// One process runs one kernel; n = 1 cannot fail.
 	engine, _ := central.NewShardedEngineWith(1, cfg.Central)
@@ -128,6 +133,7 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 		Registry:   lc.Registry,
 		Engine:     lc.Engine,
 		Dispatcher: dispatcher,
+		Clock:      cfg.Agent.Clock,
 	})
 	if err != nil {
 		lc.Close()

@@ -19,13 +19,15 @@ import (
 // heartbeat (tens of bytes), so the budgeted query is over budget every
 // enforcement interval and must walk the ladder deterministically — six
 // rate halvings (1 → 1/64) and then a shed on the seventh interval —
-// while the sibling never degrades. The agents run on a virtual clock
-// advanced 1s per flush so the ladder does not depend on scheduler
-// timing; events carry wall-clock timestamps so windows close normally.
+// while the sibling never degrades. The whole cluster runs on a virtual
+// clock advanced 100ms per flush so the ladder does not depend on
+// scheduler timing. Every event is stamped at the query's start, so all of
+// them land in one window, and the eight rounds stay well inside that
+// window's 2s close hold: it closes only once the pump below has run.
 func TestLocalGovernorDownsampleThenShed(t *testing.T) {
 	base := time.Now()
-	var step atomic.Int64 // whole seconds of virtual agent time
-	clock := func() time.Time { return base.Add(time.Duration(step.Load()) * time.Second) }
+	var step atomic.Int64 // tenths of a second of virtual time
+	clock := func() time.Time { return base.Add(time.Duration(step.Load()) * 100 * time.Millisecond) }
 
 	reg := obs.NewRegistry()
 	lc, err := NewLocalCluster(LocalConfig{
@@ -67,7 +69,7 @@ func TestLocalGovernorDownsampleThenShed(t *testing.T) {
 		for i, a := range lc.Agents() {
 			for j := 0; j < perRound; j++ {
 				price := 0.5 + float64(j%7)/7 // spread for the error bound
-				logBid(t, a, uint64(1+i*10000+round*100+j), 7, price, time.Now())
+				logBid(t, a, uint64(1+i*10000+round*100+j), 7, price, base)
 			}
 		}
 		logged += 2 * perRound
@@ -82,8 +84,8 @@ func TestLocalGovernorDownsampleThenShed(t *testing.T) {
 		}
 	}
 
-	// Keep virtual time (and thus heartbeats) moving while wall-clock
-	// window closing catches up, so liveness leases stay renewed and the
+	// Keep virtual time (and thus heartbeats) moving until the window's
+	// close hold has passed, so liveness leases stay renewed and the
 	// emitted windows reflect governor state, not lease expiry.
 	stopPump := make(chan struct{})
 	var pumpWG sync.WaitGroup

@@ -22,6 +22,7 @@ import (
 // The ablated variant ships less, but its per-event cost and its memory
 // footprint grow with group cardinality — unbounded, query-dependent
 // state on a machine with an SLO. Scrub's host cost is flat by design.
+// A1 is a timing experiment, so it reads the wall clock.
 type A1Config struct {
 	Events        int   // per measurement; default 2_000_000
 	Cardinalities []int // distinct users; default {1e2, 1e4, 1e6}

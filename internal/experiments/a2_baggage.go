@@ -66,25 +66,19 @@ type A2Result struct {
 // A2BaggageVsOnDemand runs the comparison.
 func A2BaggageVsOnDemand(cfg A2Config) (*A2Result, error) {
 	cfg.fillDefaults()
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:      adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed),
 		EmitExclusions: true,
-		Agent:          host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 18, BatchSize: 1024},
+		Agent:          host.Config{QueueSize: 1 << 18, BatchSize: 1024},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
+		Exchanges: []workload.Exchange{{ID: 1, Weight: 1}, {ID: 2, Weight: 1}},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
-
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
-		Exchanges: []workload.Exchange{{ID: 1, Weight: 1}, {ID: 2, Weight: 1}},
-	}, virtualStart())
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
 
 	// The §8.4 on-demand query (selection on one exchange, projection to
 	// the reason field) — Scrub's cost while troubleshooting.
@@ -95,7 +89,7 @@ func A2BaggageVsOnDemand(cfg A2Config) (*A2Result, error) {
 	var p99Samples []float64
 
 	_, err = RunScenario(platform.Cluster, []string{query}, func() {
-		res.Requests = gen.Run(cfg.Duration, func(r adplatform.BidRequest) {
+		res.Requests = drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) {
 			// The platform call produces exclusion events via the agents
 			// (Scrub's path). For the baggage model, serialize the same
 			// exclusions as the request-carried payload they would be.

@@ -66,7 +66,9 @@ type C1Result struct {
 //	0.70D  host c1-2's connections are severed  → redial, spill redelivery
 //	0.85D  host c1-0 heals
 //
-// All randomness (fault decisions, reconnect jitter) flows from Seed.
+// All randomness (fault decisions, reconnect jitter) flows from Seed. C1
+// runs on the wall clock, unlike the case studies: its faults, leases and
+// reconnects happen over real TCP in real time.
 func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
 	cfg.fillDefaults()
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
-	"scrub/internal/host"
 	"scrub/internal/workload"
 )
 
@@ -69,31 +68,24 @@ func E1SpamDetection(cfg E1Config) (*E1Result, error) {
 	for _, li := range items {
 		li.SetBudget(1e9)
 	}
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 1, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems: items,
-		Agent:     host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 16},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 2,
+		Bots: cfg.Bots,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
 
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 2,
-		Bots: cfg.Bots,
-	}, virtualStart())
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
-
 	// The paper's Figure 9 query, on one BidServer.
 	query := fmt.Sprintf(
 		`select bid.user_id, count(*) from bid group by bid.user_id window %s duration 1h @[Service in BidServers and Server = "bid-DC1-000"]`,
 		cfg.Window)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
-	"scrub/internal/host"
 	"scrub/internal/workload"
 )
 
@@ -79,20 +78,12 @@ func E2ExchangeValidation(cfg E2Config) (*E2Result, error) {
 	for _, li := range items {
 		li.SetBudget(1e9)
 	}
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 4, NumAdServers: 4,
 		NumPresentationServers: cfg.PresentationServers,
 		LineItems:              items,
 		ExternalWinRate:        0.25, // enough impressions to see the ramp through 10% sampling
-		Agent:                  host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 16},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer platform.Close()
-
-	start := virtualStart()
-	gen, err := workload.NewGenerator(workload.Spec{
+	}, workload.Spec{
 		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
 		Exchanges: []workload.Exchange{
 			{ID: 1, Weight: 1},
@@ -100,18 +91,18 @@ func E2ExchangeValidation(cfg E2Config) (*E2Result, error) {
 			{ID: 3, Weight: 1},
 			{ID: 4, Weight: 2, EnableAt: cfg.EnableAt}, // the newcomer
 		},
-	}, start)
+	})
 	if err != nil {
 		return nil, err
 	}
-	gen.InstallProfiles(platform.Store)
+	defer platform.Close()
 
 	// The paper's Figure 11 query.
 	query := fmt.Sprintf(
 		`select impression.exchange_id, count(*) from impression group by impression.exchange_id window %s duration 1h @[Service in PresentationServers and DC = DC1] sample hosts %g%% events %g%%`,
 		cfg.Window, cfg.SampleHostsPct, cfg.SampleEventsPct)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err
@@ -120,7 +111,7 @@ func E2ExchangeValidation(cfg E2Config) (*E2Result, error) {
 	res := &E2Result{
 		Config:         cfg,
 		ByExchange:     make(map[string][]E2Point),
-		EnableBoundary: start.Add(cfg.EnableAt).UnixNano(),
+		EnableBoundary: epoch.Add(cfg.EnableAt).UnixNano(),
 	}
 	for _, rw := range wins[0] {
 		res.Approx = res.Approx || rw.Approx

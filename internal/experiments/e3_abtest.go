@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
-	"scrub/internal/host"
 	"scrub/internal/transport"
 	"scrub/internal/workload"
 )
@@ -66,7 +65,7 @@ func E3ABTesting(cfg E3Config) (*E3Result, error) {
 	li.SetBudget(1e9)
 	items := append([]*adplatform.LineItem{li}, adplatform.GenerateLineItems(40, cfg.Seed)...)
 
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: n, NumPresentationServers: n,
 		LineItems: items,
 		ModelForAdServer: func(i int) adplatform.TargetingModel {
@@ -76,20 +75,13 @@ func E3ABTesting(cfg E3Config) (*E3Result, error) {
 			return adplatform.ImprovedModel{}
 		},
 		ExternalWinRate: 0.5,
-		Agent:           host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 16},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
-
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
-	}, virtualStart())
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
 
 	hostList := func(model string) string {
 		hosts := platform.PresentationHostsForModel(model)
@@ -111,7 +103,7 @@ func E3ABTesting(cfg E3Config) (*E3Result, error) {
 		fmt.Sprintf(`select count(*) from click where click.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("B")),
 	}
 	wins, err := RunScenario(platform.Cluster, queries, func() {
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err

@@ -62,27 +62,21 @@ type E4Result struct {
 // E4Exclusions runs the experiment.
 func E4Exclusions(cfg E4Config) (*E4Result, error) {
 	cfg.fillDefaults()
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:      adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed),
 		EmitExclusions: true,
-		Agent:          host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 18, BatchSize: 1024},
+		Agent:          host.Config{QueueSize: 1 << 18, BatchSize: 1024},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
+		Exchanges: []workload.Exchange{
+			{ID: 1, Weight: 1}, {ID: 2, Weight: 1}, {ID: 3, Weight: 1},
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
-
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
-		Exchanges: []workload.Exchange{
-			{ID: 1, Weight: 1}, {ID: 2, Weight: 1}, {ID: 3, Weight: 1},
-		},
-	}, virtualStart())
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
 
 	// The Figure-17 join template: bid ⋈ exclusion on request id, with
 	// selection on the bid's exchange.
@@ -90,7 +84,7 @@ func E4Exclusions(cfg E4Config) (*E4Result, error) {
 		`select exclusion.reason, count(*) from bid, exclusion where bid.exchange_id = %d group by exclusion.reason window 30s duration 1h @[all]`,
 		cfg.ExchangeID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err

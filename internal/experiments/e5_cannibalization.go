@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
-	"scrub/internal/host"
 	"scrub/internal/workload"
 )
 
@@ -81,25 +80,18 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 		items = append(items, rival)
 	}
 
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:       items,
 		EmitAuctions:    true,
 		ExternalWinRate: 0.6,
-		Agent:           host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 16},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
-
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
-	}, virtualStart())
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
 
 	// The §8.5 query: auctions where λ participated, joined to the
 	// impressions they produced, grouped by the winning line item.
@@ -110,7 +102,7 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 		 group by auction.winner_line_item_id window 30s duration 1h @[all]`,
 		cfg.LambdaID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
-	"scrub/internal/host"
 	"scrub/internal/workload"
 )
 
@@ -80,25 +79,17 @@ func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
 	capped.SetBudget(1e9)
 	items := append([]*adplatform.LineItem{capped}, adplatform.GenerateLineItems(20, cfg.Seed)...)
 
-	platform, err := adplatform.New(adplatform.Config{
+	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:       items,
 		ExternalWinRate: 1.0, // every bid serves: the cap is the only brake
-		Agent:           host.Config{FlushInterval: 10 * time.Millisecond, QueueSize: 1 << 16},
+	}, workload.Spec{
+		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
-
-	start := virtualStart()
-	gen, err := workload.NewGenerator(workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
-	}, start)
-	if err != nil {
-		return nil, err
-	}
-	gen.InstallProfiles(platform.Store)
 
 	// Ground truth: the corrupt feed hits the first CorruptUsers ids.
 	res := &E6Result{Config: cfg, CorruptSet: make(map[string]bool)}
@@ -116,7 +107,7 @@ func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
 		cfg.LineItemID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
 		n := 0
-		gen.Run(cfg.Duration, func(r adplatform.BidRequest) {
+		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) {
 			platform.Process(r)
 			n++
 			if n%50 == 0 {

@@ -1,10 +1,10 @@
-// Package experiments reproduces every table and figure of the paper's
-// evaluation (the §8 case studies and the §9/abstract performance
-// claims), plus the methodology checks the design rests on (sampling
-// error bounds, sketch accuracy, logging comparison). Each experiment is
-// a function from a config with sensible defaults to a result carrying
-// both structured data (asserted in tests and benchmarks) and a
-// printable table (rendered by cmd/benchrunner and EXPERIMENTS.md).
+// Package experiments reproduces the tables and figures of the paper's
+// §8 case studies, plus the comparisons the design rests on (logging,
+// baggage, host-side aggregation), the overhead governor and a chaos
+// soak. Each experiment is a function from a config with sensible
+// defaults to a result carrying both structured data (asserted in tests)
+// and a printable table (rendered by cmd/benchrunner, whose -quick tables
+// for the case studies are pinned by a golden file, and EXPERIMENTS.md).
 //
 // The substrate is the simulated ad platform (internal/adplatform) under
 // synthetic-but-shaped traffic (internal/workload); absolute numbers
@@ -20,13 +20,15 @@ import (
 	"sync"
 	"time"
 
+	"scrub/internal/adplatform"
 	"scrub/internal/core"
 	"scrub/internal/transport"
+	"scrub/internal/workload"
 )
 
 // Table is one printable experiment artifact.
 type Table struct {
-	ID      string // experiment id, e.g. "E1" or "P3"
+	ID      string // experiment id, e.g. "E1" or "P5"
 	Title   string
 	Columns []string
 	Rows    [][]string
@@ -108,7 +110,9 @@ func (c *collectStream) wait() []transport.ResultWindow {
 
 // RunScenario submits queries against a cluster, runs the traffic
 // function, flushes agents, cancels the queries, and returns each
-// query's collected windows (in submission order).
+// query's collected windows (in submission order). A query that dropped a
+// tuple late or on a host, or emitted a degraded window, is an error: a
+// case study's answer is exact or it is not reported.
 func RunScenario(lc *core.LocalCluster, queries []string, traffic func()) ([][]transport.ResultWindow, error) {
 	collects := make([]*collectStream, 0, len(queries))
 	ids := make([]uint64, 0, len(queries))
@@ -133,15 +137,58 @@ func RunScenario(lc *core.LocalCluster, queries []string, traffic func()) ([][]t
 	out := make([][]transport.ResultWindow, len(collects))
 	for i, c := range collects {
 		out[i] = c.wait()
+		if s := c.stream.Final(); s.LateDrops != 0 || s.HostDrops != 0 || s.DegradedWindows != 0 {
+			return nil, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",
+				queries[i], s.LateDrops, s.HostDrops, s.DegradedWindows)
+		}
 	}
 	return out, nil
 }
 
-// virtualStart picks the virtual epoch for simulated traffic: slightly in
-// the future of the wall clock so the central wall-clock tick never
-// declares simulated windows late (see central.Merger.Tick).
-func virtualStart() time.Time {
-	return time.Now().Add(5 * time.Second)
+// epoch is the virtual start of every case study on simulated traffic.
+// Their whole deployment reads it as the time — agents, central and the
+// query server — so windows align the same way on every run and nothing
+// closes by the wall clock; windows close as the request stream's
+// timestamps advance.
+var epoch = time.Date(2018, time.April, 23, 0, 0, 0, 0, time.UTC)
+
+// newSim builds a case study's platform on the epoch clock, and a
+// generator starting at epoch whose user profiles it installs. Agents ship
+// when drive flushes them, not on a timer; QueueSize defaults to 1<<16.
+func newSim(pcfg adplatform.Config, spec workload.Spec) (*adplatform.Platform, *workload.Generator, error) {
+	pcfg.Agent.Clock = func() time.Time { return epoch }
+	pcfg.Agent.FlushInterval = time.Hour
+	if pcfg.Agent.QueueSize == 0 {
+		pcfg.Agent.QueueSize = 1 << 16
+	}
+	platform, err := adplatform.New(pcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	gen, err := workload.NewGenerator(spec, epoch)
+	if err != nil {
+		platform.Close()
+		return nil, nil, err
+	}
+	gen.InstallProfiles(platform.Store)
+	return platform, gen, nil
+}
+
+// drive runs d of the generator's requests through fn and flushes every
+// agent of p each time the request stream crosses a virtual second, so no
+// stream's undelivered tuples are more than a second older than what
+// central has seen — less than the 2 s close slack of every case study's
+// windows (10 s or longer), so none arrives late. It returns the number
+// of requests.
+func drive(p *adplatform.Platform, gen *workload.Generator, d time.Duration, fn func(adplatform.BidRequest)) int {
+	var sec int64
+	return gen.Run(d, func(r adplatform.BidRequest) {
+		if s := r.TimeNanos / int64(time.Second); s != sec {
+			sec = s
+			p.Cluster.FlushAgents()
+		}
+		fn(r)
+	})
 }
 
 // fmtF renders a float compactly.

@@ -100,10 +100,15 @@ func g1Platform(cfg G1Config, bytes *atomic.Uint64) (*adplatform.Platform, error
 
 // overheadTraffic returns a bidding-traffic generator and enough virtual
 // time for it to produce about requests bid requests.
+//
+// G1 stays on the wall clock, unlike the case studies: the governor
+// skips every cycle in which its clock has not advanced, so on a fixed
+// epoch it would never act. Traffic starts 5 s ahead of the wall clock so
+// central's wall-clock tick never declares its windows late.
 func overheadTraffic(requests int, seed int64) (*workload.Generator, time.Duration, error) {
 	gen, err := workload.NewGenerator(workload.Spec{
 		Seed: seed, NumUsers: 1000, MeanPageViewsPerMin: 6,
-	}, virtualStart())
+	}, time.Now().Add(5*time.Second))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -172,18 +172,3 @@ func EstimateSum(totalHosts int, samples []HostSample, confidence float64) (Esti
 	}
 	return EstimateSumMoments(totalHosts, hosts, confidence)
 }
-
-// EstimateCount computes a COUNT estimate: every sampled event is a reading
-// of 1, so per-host readings reduce to (Mᵢ, mᵢ) with zero within-host
-// variance; only between-host variance contributes.
-func EstimateCount(totalHosts int, samples []HostSample, confidence float64) (Estimate, error) {
-	counts := make([]HostSample, len(samples))
-	for i, s := range samples {
-		ones := make([]float64, len(s.Values))
-		for j := range ones {
-			ones[j] = 1
-		}
-		counts[i] = HostSample{HostID: s.HostID, M: s.M, Values: ones}
-	}
-	return EstimateSum(totalHosts, counts, confidence)
-}

@@ -165,15 +165,16 @@ func TestEstimateSumSingleHostInfiniteBound(t *testing.T) {
 // TestEstimateCoverage is the empirical check of Eqs. 1–3: across many
 // independent sampling draws, the 95% interval should contain the true
 // total roughly 95% of the time (we assert ≥ 85% to avoid flakiness;
-// gross formula errors produce far lower coverage).
+// gross formula errors produce far lower coverage). It sweeps seven
+// (host, event) rate pairs, from every host at half the events down to
+// the paper's 10%/10% use case (§8.2) and below, and the error must grow
+// as the sampling thins.
 func TestEstimateCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const (
 		N          = 40  // hosts
 		perHost    = 200 // events per host
 		trials     = 300
-		hostRate   = 0.5
-		eventRate  = 0.25
 		confidence = 0.95
 	)
 	// Fixed population: per-host event values with cross-host variation.
@@ -188,57 +189,47 @@ func TestEstimateCoverage(t *testing.T) {
 			truth += v
 		}
 	}
-	n := int(hostRate * N)
-	covered := 0
-	for trial := 0; trial < trials; trial++ {
-		hostIdx := rng.Perm(N)[:n]
-		samples := make([]HostSample, 0, n)
-		for _, hi := range hostIdx {
-			events := pop[hi]
-			mi := int(eventRate * float64(len(events)))
-			idx := rng.Perm(len(events))[:mi]
-			vals := make([]float64, mi)
-			for k, ei := range idx {
-				vals[k] = events[ei]
+	var relErrs []float64
+	for _, rates := range [][2]float64{
+		{1.0, 0.5}, {1.0, 0.1}, {0.5, 0.5}, {0.5, 0.1},
+		{0.2, 0.2}, {0.1, 0.1}, {0.1, 0.05},
+	} {
+		hostRate, eventRate := rates[0], rates[1]
+		n := int(hostRate * N)
+		covered, relErr := 0, 0.0
+		for trial := 0; trial < trials; trial++ {
+			hostIdx := rng.Perm(N)[:n]
+			samples := make([]HostSample, 0, n)
+			for _, hi := range hostIdx {
+				events := pop[hi]
+				mi := int(eventRate * float64(len(events)))
+				idx := rng.Perm(len(events))[:mi]
+				vals := make([]float64, mi)
+				for k, ei := range idx {
+					vals[k] = events[ei]
+				}
+				samples = append(samples, HostSample{HostID: "h", M: uint64(len(events)), Values: vals})
 			}
-			samples = append(samples, HostSample{HostID: "h", M: uint64(len(events)), Values: vals})
+			est, err := EstimateSum(N, samples, confidence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(est.Value-truth) <= est.Err {
+				covered++
+			}
+			relErr += math.Abs(est.Value-truth) / truth / trials
 		}
-		est, err := EstimateSum(N, samples, confidence)
-		if err != nil {
-			t.Fatal(err)
+		coverage := float64(covered) / trials
+		if coverage < 0.85 {
+			t.Errorf("rates %g/%g: 95%% interval empirical coverage = %.3f, want >= 0.85", hostRate, eventRate, coverage)
 		}
-		if math.Abs(est.Value-truth) <= est.Err {
-			covered++
+		if relErr > 0.5 {
+			t.Errorf("rates %g/%g: mean relative error %.3f, want <= 0.5", hostRate, eventRate, relErr)
 		}
+		relErrs = append(relErrs, relErr)
 	}
-	coverage := float64(covered) / trials
-	if coverage < 0.85 {
-		t.Errorf("95%% interval empirical coverage = %.3f, want >= 0.85", coverage)
-	}
-	if coverage == 1 {
-		t.Log("note: coverage 1.0 suggests overly wide bounds (not failing)")
-	}
-}
-
-func TestEstimateCount(t *testing.T) {
-	// 2 of 4 hosts, 10 of 100 events sampled per host → count estimate 400.
-	mk := func() []HostSample {
-		return []HostSample{
-			{HostID: "a", M: 100, Values: make([]float64, 10)},
-			{HostID: "b", M: 100, Values: make([]float64, 10)},
-		}
-	}
-	est, err := EstimateCount(4, mk(), 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Value != 400 {
-		t.Errorf("count estimate = %g, want 400", est.Value)
-	}
-	// Identical host totals → zero between-host variance; all-ones → zero
-	// within-host variance.
-	if est.Err != 0 {
-		t.Errorf("count error = %g, want 0", est.Err)
+	if first, last := relErrs[0], relErrs[len(relErrs)-1]; first >= last {
+		t.Errorf("error did not grow with sparser sampling: %.4f at 100%%/50%% vs %.4f at 10%%/5%%", first, last)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,53 @@ func TestSpaceSavingHeavyHittersSurvive(t *testing.T) {
 	top := s.Top(2)
 	if top[0].Item != "heavy-A" || top[1].Item != "heavy-B" {
 		t.Errorf("Top(2) = %v", top)
+	}
+}
+
+// TestSpaceSavingZipfTopKPrecision is TOP_K's accuracy claim (§3.2): on a
+// Zipf(1.2) stream, a summary of 8k counters reports at least 80% of the
+// true top k, and counts the true positives within 20%.
+func TestSpaceSavingZipfTopKPrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(9606))
+	zipf := rand.NewZipf(rng, 1.2, 1, 100000)
+	stream := make([]string, 200000)
+	truth := make(map[string]uint64)
+	for i := range stream {
+		stream[i] = fmt.Sprintf("item-%d", zipf.Uint64())
+		truth[stream[i]]++
+	}
+	ranked := make([]string, 0, len(truth))
+	for it := range truth {
+		ranked = append(ranked, it)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if truth[ranked[i]] != truth[ranked[j]] {
+			return truth[ranked[i]] > truth[ranked[j]]
+		}
+		return ranked[i] < ranked[j]
+	})
+	for _, k := range []int{5, 10, 50} {
+		s := MustSpaceSaving(8 * k)
+		for _, it := range stream {
+			s.Add(it)
+		}
+		trueTop := make(map[string]bool, k)
+		for _, it := range ranked[:k] {
+			trueTop[it] = true
+		}
+		hits := 0
+		for _, e := range s.Top(k) {
+			if !trueTop[e.Item] {
+				continue
+			}
+			hits++
+			if n := truth[e.Item]; float64(e.Count-n) > 0.2*float64(n) {
+				t.Errorf("TOP_%d: %s counted %d, true %d", k, e.Item, e.Count, n)
+			}
+		}
+		if precision := float64(hits) / float64(k); precision < 0.8 {
+			t.Errorf("TOP_%d precision %.2f, want >= 0.8", k, precision)
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ echo "== one performance benchmark (scrubbench measures host overhead, latency a
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
 
+echo "== the case studies run on one fixed clock (no P3 or P6 runner, no EstimateCount; in non-test internal/experiments only G1, C1 and A1 read the wall clock) =="
+if grep -rnE --include='*.go' 'P3SamplingAccuracy|P6Sketches|EstimateCount' .; then echo "a .go file names a deleted P3/P6 runner or sampling.EstimateCount again" >&2; exit 1; fi
+if grep -nE 'time\.(Now|Since)\b|\bvirtualStart\b' $(nontest internal/experiments | grep -vE '/(g1_governor|c1_chaos|a1_ablation)\.go$'); then echo "non-test internal/experiments reads the wall clock outside G1, C1 and A1: the case studies run on the fixed epoch" >&2; exit 1; fi
+
 echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
 if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(internal/central|internal/difftest|bench)/|_test\.go:' | grep -vE 'NewShardedEngine(With)?\(1[,)]'; then echo "non-test code outside internal/central, internal/difftest and bench/ builds a ShardedEngine with n other than a literal 1" >&2; exit 1; fi
