@@ -79,9 +79,9 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run='^$$' -fuzz=FuzzProgramMatchesCompile -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sketch -run='^$$' -fuzz=FuzzSpaceSavingMatchesReference -fuzztime=$(FUZZTIME)
 
-# Fixed-seed chaos soak (quick mode) under the race detector.
+# Fixed-seed chaos soak under the race detector.
 chaos-soak:
-	$(GO) run -race ./cmd/benchrunner -only C1 -quick
+	$(GO) run -race ./cmd/benchrunner -only C1
 
 # Differential-oracle sweep: 200 seeded cluster simulations (two full
 # family × shards × mode coverage cycles), every host a real host.Agent

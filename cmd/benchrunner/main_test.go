@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden from this run")
 
 func ids(rs []runner) []string {
 	out := make([]string, len(rs))
@@ -57,23 +57,23 @@ func TestSelectRunners(t *testing.T) {
 	}
 }
 
-// TestQuickGolden pins the paper's case studies: the -quick tables of the
-// experiments that run on a fixed virtual epoch, printed as benchrunner
-// prints them, must equal testdata/quick.golden line for line. Only the
-// wall-time notes are left out. After a change that means to move a
-// number, regenerate the file with
+// TestGolden pins the paper's case studies: the tables of the experiments
+// that run on a fixed virtual epoch, printed as benchrunner prints them,
+// must equal testdata/tables.golden line for line. Only the wall-time
+// notes are left out. After a change that means to move a number,
+// regenerate the file with
 //
-//	go test ./cmd/benchrunner -run TestQuickGolden -update
+//	go test ./cmd/benchrunner -run TestGolden -update
 //
 // and say in the change why the number moved.
-func TestQuickGolden(t *testing.T) {
+func TestGolden(t *testing.T) {
 	sel, err := selectRunners("E1,E2,E3,E4,E5,E6,P5,A2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	for _, r := range sel {
-		tab, err := r.run(true, 0)
+		tab, err := r.run()
 		if err != nil {
 			t.Fatalf("%s: %v", r.id, err)
 		}
@@ -87,7 +87,7 @@ func TestQuickGolden(t *testing.T) {
 	}
 	got := strings.Join(kept, "")
 
-	path := filepath.Join("testdata", "quick.golden")
+	path := filepath.Join("testdata", "tables.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

@@ -9,10 +9,9 @@ import (
 	"scrub/internal/transport"
 )
 
-// A1Config parametrizes the ablation of Scrub's defining execution
-// choice (paper §4, §6): joins/group-bys/aggregations run at ScrubCentral,
-// never on the hosts. The ablation runs the spam query's host-side work
-// both ways on one host:
+// A1 ablates Scrub's defining execution choice (paper §4, §6):
+// joins/group-bys/aggregations run at ScrubCentral, never on the hosts.
+// The ablation runs the spam query's host-side work both ways on one host:
 //
 //   - Scrub: selection → projection → enqueue (ship raw tuples);
 //   - ablated: maintain the group-by aggregation in the host process
@@ -23,23 +22,9 @@ import (
 // footprint grow with group cardinality — unbounded, query-dependent
 // state on a machine with an SLO. Scrub's host cost is flat by design.
 // A1 is a timing experiment, so it reads the wall clock.
-type A1Config struct {
-	Events        int   // per measurement; default 2_000_000
-	Cardinalities []int // distinct users; default {1e2, 1e4, 1e6}
-	Seed          int64
-}
+const a1Events = 500_000 // per measurement
 
-func (c *A1Config) fillDefaults() {
-	if c.Events == 0 {
-		c.Events = 2_000_000
-	}
-	if len(c.Cardinalities) == 0 {
-		c.Cardinalities = []int{100, 10000, 250000}
-	}
-	if c.Seed == 0 {
-		c.Seed = 9707
-	}
-}
+var a1Cardinalities = []int{100, 10000, 250000} // distinct users
 
 // A1Point is one measurement.
 type A1Point struct {
@@ -53,13 +38,11 @@ type A1Point struct {
 
 // A1Result carries the sweep.
 type A1Result struct {
-	Config A1Config
 	Points []A1Point
 }
 
 // A1HostVsCentralAggregation runs the ablation.
-func A1HostVsCentralAggregation(cfg A1Config) (*A1Result, error) {
-	cfg.fillDefaults()
+func A1HostVsCentralAggregation() (*A1Result, error) {
 	schema := event.MustSchema("bid",
 		event.FieldDef{Name: "user_id", Kind: event.KindInt},
 		event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
@@ -67,8 +50,8 @@ func A1HostVsCentralAggregation(cfg A1Config) (*A1Result, error) {
 	catalog := event.NewCatalog()
 	catalog.MustRegister(schema)
 
-	res := &A1Result{Config: cfg}
-	for _, card := range cfg.Cardinalities {
+	res := &A1Result{}
+	for _, card := range a1Cardinalities {
 		// Pre-build the event stream (excluded from both timings). The
 		// pool must cover the cardinality so every group actually occurs.
 		poolSize := 1 << 18
@@ -103,10 +86,10 @@ func A1HostVsCentralAggregation(cfg A1Config) (*A1Result, error) {
 			return nil, err
 		}
 		start := time.Now()
-		for i := 0; i < cfg.Events; i++ {
+		for i := 0; i < a1Events; i++ {
 			agent.Log(events[i&mask])
 		}
-		scrubNs := float64(time.Since(start).Nanoseconds()) / float64(cfg.Events)
+		scrubNs := float64(time.Since(start).Nanoseconds()) / float64(a1Events)
 		agent.Close()
 
 		// --- Ablated: host-side group-by COUNT(*) per user, windows
@@ -115,7 +98,7 @@ func A1HostVsCentralAggregation(cfg A1Config) (*A1Result, error) {
 		maxGroups := 0
 		var windowStart int64
 		start = time.Now()
-		for i := 0; i < cfg.Events; i++ {
+		for i := 0; i < a1Events; i++ {
 			ev := events[i&mask]
 			if ev.TimeNanos-windowStart >= int64(10*time.Second) {
 				if len(groups) > maxGroups {
@@ -135,7 +118,7 @@ func A1HostVsCentralAggregation(cfg A1Config) (*A1Result, error) {
 		if len(groups) > maxGroups {
 			maxGroups = len(groups)
 		}
-		ablatedNs := float64(time.Since(start).Nanoseconds()) / float64(cfg.Events)
+		ablatedNs := float64(time.Since(start).Nanoseconds()) / float64(a1Events)
 
 		res.Points = append(res.Points, A1Point{
 			Cardinality:       card,

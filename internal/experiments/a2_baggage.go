@@ -11,43 +11,27 @@ import (
 	"scrub/internal/workload"
 )
 
-// A2Config parametrizes the baggage-propagation comparison the paper makes
-// in §8.4: Pivot-Tracing-style causal baggage would have to carry every
-// exclusion from the AdServers back through the request path — "the
-// baggage would have to include all these exclusions" — on every request,
-// whether or not anyone is troubleshooting. Scrub ships exclusion data
-// only while a query is active, already filtered and projected.
+// A2 is the baggage-propagation comparison the paper makes in §8.4:
+// Pivot-Tracing-style causal baggage would have to carry every exclusion
+// from the AdServers back through the request path — "the baggage would
+// have to include all these exclusions" — on every request, whether or not
+// anyone is troubleshooting. Scrub ships exclusion data only while a query
+// is active, already filtered and projected.
 //
 // The experiment runs the same bidding workload and measures:
 //   - baggage bytes per request (every exclusion event, serialized — what
 //     the request would carry);
 //   - Scrub bytes per request while the §8.4 query is active (projected
 //     exclusion tuples for one exchange), and zero when it is not.
-type A2Config struct {
-	Users     int           // default 600
-	Duration  time.Duration // default 90s
-	LineItems int           // default 150 (exclusions per request scale with this)
-	Seed      int64
-}
-
-func (c *A2Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 600
-	}
-	if c.Duration == 0 {
-		c.Duration = 90 * time.Second
-	}
-	if c.LineItems == 0 {
-		c.LineItems = 150
-	}
-	if c.Seed == 0 {
-		c.Seed = 9808
-	}
-}
+const (
+	a2Users     = 300
+	a2Duration  = time.Minute
+	a2LineItems = 80 // exclusions per request scale with this
+	a2Seed      = 9808
+)
 
 // A2Result carries the comparison.
 type A2Result struct {
-	Config   A2Config
 	Requests int
 
 	// Baggage side: per-request payload statistics.
@@ -64,15 +48,14 @@ type A2Result struct {
 }
 
 // A2BaggageVsOnDemand runs the comparison.
-func A2BaggageVsOnDemand(cfg A2Config) (*A2Result, error) {
-	cfg.fillDefaults()
+func A2BaggageVsOnDemand() (*A2Result, error) {
 	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
-		LineItems:      adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed),
+		LineItems:      adplatform.GenerateLineItems(a2LineItems, a2Seed),
 		EmitExclusions: true,
 		Agent:          host.Config{QueueSize: 1 << 18, BatchSize: 1024},
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
+		Seed: a2Seed, NumUsers: a2Users, MeanPageViewsPerMin: 3,
 		Exchanges: []workload.Exchange{{ID: 1, Weight: 1}, {ID: 2, Weight: 1}},
 	})
 	if err != nil {
@@ -84,12 +67,12 @@ func A2BaggageVsOnDemand(cfg A2Config) (*A2Result, error) {
 	// the reason field) — Scrub's cost while troubleshooting.
 	query := `select exclusion.reason, count(*) from bid, exclusion where bid.exchange_id = 2 group by exclusion.reason window 30s duration 1h @[all]`
 
-	res := &A2Result{Config: cfg}
+	res := &A2Result{}
 	var perRequest stats.Running
 	var p99Samples []float64
 
 	_, err = RunScenario(platform.Cluster, []string{query}, func() {
-		res.Requests = drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) {
+		res.Requests = drive(platform, gen, a2Duration, func(r adplatform.BidRequest) {
 			// The platform call produces exclusion events via the agents
 			// (Scrub's path). For the baggage model, serialize the same
 			// exclusions as the request-carried payload they would be.

@@ -13,41 +13,22 @@ import (
 	"scrub/internal/transport"
 )
 
-// C1Config parametrizes the chaos soak: a real-TCP cluster under a
-// scripted fault schedule — a lossy, reordering link; a full partition
-// with lease expiry and degraded windows; an abrupt connection kill with
-// spill-and-redeliver — verifying the failure-domain contract end to
-// end. Not a paper table: the paper deployed on a production network and
-// never injected faults; this pins the reproduction's liveness layer.
-type C1Config struct {
-	Hosts    int           // default 3
-	Duration time.Duration // soak length; default 12s
-	Window   time.Duration // query window; default 500ms
-	LeaseTTL time.Duration // stream lease; default 600ms
-	Seed     int64         // chaos + jitter seed; default 40917
-}
-
-func (c *C1Config) fillDefaults() {
-	if c.Hosts < 3 {
-		c.Hosts = 3
-	}
-	if c.Duration == 0 {
-		c.Duration = 12 * time.Second
-	}
-	if c.Window == 0 {
-		c.Window = 500 * time.Millisecond
-	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = 600 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 40917
-	}
-}
+// C1 is the chaos soak: a real-TCP cluster under a scripted fault
+// schedule — a lossy, reordering link; a full partition with lease expiry
+// and degraded windows; an abrupt connection kill with spill-and-redeliver
+// — verifying the failure-domain contract end to end. Not a paper table:
+// the paper deployed on a production network and never injected faults;
+// this pins the reproduction's liveness layer.
+const (
+	c1Hosts    = 3               // the schedule faults three different hosts
+	c1Duration = 6 * time.Second // soak length
+	c1Window   = 500 * time.Millisecond
+	c1LeaseTTL = 600 * time.Millisecond // stream lease
+	c1Seed     = 40917                  // chaos + jitter seed
+)
 
 // C1Result summarizes the soak.
 type C1Result struct {
-	Config          C1Config
 	Windows         int    // result windows emitted
 	DegradedWindows int    // windows flagged degraded
 	EvictionsNamed  bool   // every degraded window named host 1 evicted
@@ -58,7 +39,7 @@ type C1Result struct {
 	EventsLogged    uint64 // events offered by the traffic loop
 }
 
-// C1ChaosSoak runs the soak. The schedule, scaled to Duration D:
+// C1ChaosSoak runs the soak. The schedule, scaled to its duration D:
 //
 //	0.25D  host c1-0 gets a lossy link (drop 30%, dup 10%, reorder 20%)
 //	0.40D  host c1-1 is fully partitioned       → lease expiry, degraded
@@ -66,23 +47,21 @@ type C1Result struct {
 //	0.70D  host c1-2's connections are severed  → redial, spill redelivery
 //	0.85D  host c1-0 heals
 //
-// All randomness (fault decisions, reconnect jitter) flows from Seed. C1
+// All randomness (fault decisions, reconnect jitter) flows from c1Seed. C1
 // runs on the wall clock, unlike the case studies: its faults, leases and
 // reconnects happen over real TCP in real time.
-func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
-	cfg.fillDefaults()
-
+func C1ChaosSoak() (*C1Result, error) {
 	cat := event.NewCatalog()
 	cat.MustRegister(event.MustSchema("bid",
 		event.FieldDef{Name: "user_id", Kind: event.KindInt},
 		event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
 	))
-	hosts := make([]core.HostSpec, cfg.Hosts)
+	hosts := make([]core.HostSpec, c1Hosts)
 	for i := range hosts {
 		hosts[i] = core.HostSpec{Name: fmt.Sprintf("c1-%d", i), Service: "BidServers", DC: "DC1"}
 	}
 
-	inj := chaos.New(cfg.Seed)
+	inj := chaos.New(c1Seed)
 	nc, err := core.NewNetCluster(core.NetConfig{
 		Catalog: cat,
 		Hosts:   hosts,
@@ -90,9 +69,9 @@ func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
 			FlushInterval:     10 * time.Millisecond,
 			HeartbeatInterval: 50 * time.Millisecond,
 		},
-		Central:  central.Options{LeaseTTL: cfg.LeaseTTL},
+		Central:  central.Options{LeaseTTL: c1LeaseTTL},
 		Sink:     host.NetSinkOptions{DialTimeout: 500 * time.Millisecond, SpillLimit: 2048},
-		Control:  host.ControlOptions{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 250 * time.Millisecond, Seed: cfg.Seed},
+		Control:  host.ControlOptions{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 250 * time.Millisecond, Seed: c1Seed},
 		WrapConn: inj.Wrap,
 	})
 	if err != nil {
@@ -106,7 +85,7 @@ func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
 	}
 	defer client.Close()
 	q := fmt.Sprintf("select count(*) from bid window %s duration %s",
-		cfg.Window, cfg.Duration+time.Minute)
+		c1Window, c1Duration+time.Minute)
 	qs, err := client.Query(q)
 	if err != nil {
 		return nil, err
@@ -151,7 +130,7 @@ func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
 	}()
 
 	// Scripted faults, scaled to the soak duration.
-	D := cfg.Duration
+	D := c1Duration
 	severed := make(chan int, 1)
 	schedDone := make(chan struct{})
 	go func() {
@@ -189,7 +168,6 @@ func C1ChaosSoak(cfg C1Config) (*C1Result, error) {
 	}
 
 	res := &C1Result{
-		Config:         cfg,
 		Windows:        len(wins),
 		EvictionsNamed: true,
 		HostDrops:      stats.HostDrops,
@@ -225,9 +203,9 @@ func (r *C1Result) Table() *Table {
 		Title:   "Chaos soak: lossy link, partition with lease eviction, abrupt kill",
 		Columns: []string{"metric", "value"},
 	}
-	t.AddRow("hosts", fmtI(int64(r.Config.Hosts)))
-	t.AddRow("soak duration", r.Config.Duration.String())
-	t.AddRow("chaos seed", fmtI(r.Config.Seed))
+	t.AddRow("hosts", fmtI(c1Hosts))
+	t.AddRow("soak duration", c1Duration.String())
+	t.AddRow("chaos seed", fmtI(c1Seed))
 	t.AddRow("events logged", fmtI(int64(r.EventsLogged)))
 	t.AddRow("windows emitted", fmtI(int64(r.Windows)))
 	t.AddRow("degraded windows", fmtI(int64(r.DegradedWindows)))

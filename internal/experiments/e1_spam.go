@@ -9,45 +9,24 @@ import (
 	"scrub/internal/workload"
 )
 
-// E1Config parametrizes the §8.1 spam-detection reproduction (Figures 9
-// and 10): COUNT(*) of bid requests per user in 10-second tumbling
-// windows on one BidServer, with two bots hidden in a human population.
-type E1Config struct {
-	Users     int           // human population; default 1500
-	Duration  time.Duration // virtual run; paper: 20 minutes; default 5m
-	Window    time.Duration // default 10s (the paper's)
-	Bots      []workload.BotSpec
-	LineItems int
-	Seed      int64
-}
+// The §8.1 spam-detection reproduction (Figures 9 and 10): COUNT(*) of
+// bid requests per user in 10-second tumbling windows on one BidServer,
+// with two bots hidden in a human population.
+const (
+	e1Users     = 400              // human population
+	e1Duration  = 90 * time.Second // virtual run; the paper ran 20 minutes
+	e1Window    = 10 * time.Second // the paper's
+	e1LineItems = 100
+	e1Seed      = 8101
+)
 
-func (c *E1Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 1500
-	}
-	if c.Duration == 0 {
-		c.Duration = 5 * time.Minute
-	}
-	if c.Window == 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.LineItems == 0 {
-		c.LineItems = 100
-	}
-	if len(c.Bots) == 0 {
-		c.Bots = []workload.BotSpec{
-			{UserID: 900001, BatchSize: 400, Period: 20 * time.Second},
-			{UserID: 900002, BatchSize: 250, Period: 30 * time.Second, StartAt: 45 * time.Second},
-		}
-	}
-	if c.Seed == 0 {
-		c.Seed = 8101
-	}
+var e1Bots = []workload.BotSpec{
+	{UserID: 900001, BatchSize: 400, Period: 20 * time.Second},
+	{UserID: 900002, BatchSize: 250, Period: 30 * time.Second, StartAt: 45 * time.Second},
 }
 
 // E1Result carries the per-user-per-window request-count distribution.
 type E1Result struct {
-	Config E1Config
 	// Histogram buckets requests-per-user-per-window → user-window count.
 	Histogram map[int64]int64
 	// MaxPerUser maps user → max requests in any window.
@@ -60,11 +39,10 @@ type E1Result struct {
 }
 
 // E1SpamDetection runs the experiment.
-func E1SpamDetection(cfg E1Config) (*E1Result, error) {
-	cfg.fillDefaults()
+func E1SpamDetection() (*E1Result, error) {
 	// Durable budgets: bid events are the measured signal; exhausted
 	// budgets would stop bidding (and hence the signal) mid-run.
-	items := adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed)
+	items := adplatform.GenerateLineItems(e1LineItems, e1Seed)
 	for _, li := range items {
 		li.SetBudget(1e9)
 	}
@@ -72,8 +50,8 @@ func E1SpamDetection(cfg E1Config) (*E1Result, error) {
 		NumBidServers: 1, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems: items,
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 2,
-		Bots: cfg.Bots,
+		Seed: e1Seed, NumUsers: e1Users, MeanPageViewsPerMin: 2,
+		Bots: e1Bots,
 	})
 	if err != nil {
 		return nil, err
@@ -83,16 +61,15 @@ func E1SpamDetection(cfg E1Config) (*E1Result, error) {
 	// The paper's Figure 9 query, on one BidServer.
 	query := fmt.Sprintf(
 		`select bid.user_id, count(*) from bid group by bid.user_id window %s duration 1h @[Service in BidServers and Server = "bid-DC1-000"]`,
-		cfg.Window)
+		e1Window)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, e1Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &E1Result{
-		Config:     cfg,
 		Histogram:  make(map[int64]int64),
 		MaxPerUser: make(map[string]int64),
 		Windows:    len(wins[0]),

@@ -3,20 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"scrub/internal/workload"
 )
 
 func TestE1SpamDetection(t *testing.T) {
-	res, err := E1SpamDetection(E1Config{
-		Users:    400,
-		Duration: 90 * time.Second,
-		Bots: []workload.BotSpec{
-			{UserID: 900001, BatchSize: 300, Period: 15 * time.Second},
-			{UserID: 900002, BatchSize: 200, Period: 20 * time.Second, StartAt: 10 * time.Second},
-		},
-	})
+	res, err := E1SpamDetection()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,9 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestE2ExchangeValidation(t *testing.T) {
-	res, err := E2ExchangeValidation(E2Config{
-		Users:    1500,
-		Duration: 2 * time.Minute,
-		EnableAt: time.Minute,
-	})
+	res, err := E2ExchangeValidation()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,35 +10,17 @@ import (
 	"scrub/internal/workload"
 )
 
-// E3Config parametrizes the §8.3 A/B test reproduction (Figures 13–15):
-// model A on half the machines, model B on the other half; Scrub queries
-// compute each side's CPM (1000·AVG(impression.cost)) and CTR
-// (clicks/impressions) by targeting the host lists.
-type E3Config struct {
-	ServersPerSide int           // ad+presentation servers per model; default 2
-	Users          int           // default 3000
-	Duration       time.Duration // default 3m
-	LineItemID     int64         // the A/B'd line item; default 7777
-	Seed           int64
-}
-
-func (c *E3Config) fillDefaults() {
-	if c.ServersPerSide == 0 {
-		c.ServersPerSide = 2
-	}
-	if c.Users == 0 {
-		c.Users = 3000
-	}
-	if c.Duration == 0 {
-		c.Duration = 3 * time.Minute
-	}
-	if c.LineItemID == 0 {
-		c.LineItemID = 7777
-	}
-	if c.Seed == 0 {
-		c.Seed = 8303
-	}
-}
+// The §8.3 A/B test reproduction (Figures 13–15): model A on half the
+// machines, model B on the other half; Scrub queries compute each side's
+// CPM (1000·AVG(impression.cost)) and CTR (clicks/impressions) by
+// targeting the host lists.
+const (
+	e3ServersPerSide = 2 // ad+presentation servers per model
+	e3Users          = 2000
+	e3Duration       = 2 * time.Minute
+	e3LineItemID     = 7777 // the A/B'd line item
+	e3Seed           = 8303
+)
 
 // E3Side is one model's measured economics.
 type E3Side struct {
@@ -51,32 +33,30 @@ type E3Side struct {
 
 // E3Result carries both sides.
 type E3Result struct {
-	Config E3Config
-	A, B   E3Side
+	A, B E3Side
 }
 
 // E3ABTesting runs the experiment.
-func E3ABTesting(cfg E3Config) (*E3Result, error) {
-	cfg.fillDefaults()
-	n := cfg.ServersPerSide * 2
+func E3ABTesting() (*E3Result, error) {
+	n := e3ServersPerSide * 2
 
 	// One open line item under test plus background inventory.
-	li := &adplatform.LineItem{ID: cfg.LineItemID, CampaignID: 99, AdvisoryPrice: 2.0}
+	li := &adplatform.LineItem{ID: e3LineItemID, CampaignID: 99, AdvisoryPrice: 2.0}
 	li.SetBudget(1e9)
-	items := append([]*adplatform.LineItem{li}, adplatform.GenerateLineItems(40, cfg.Seed)...)
+	items := append([]*adplatform.LineItem{li}, adplatform.GenerateLineItems(40, e3Seed)...)
 
 	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: n, NumPresentationServers: n,
 		LineItems: items,
 		ModelForAdServer: func(i int) adplatform.TargetingModel {
-			if i < cfg.ServersPerSide {
+			if i < e3ServersPerSide {
 				return adplatform.BaselineModel{}
 			}
 			return adplatform.ImprovedModel{}
 		},
 		ExternalWinRate: 0.5,
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
+		Seed: e3Seed, NumUsers: e3Users, MeanPageViewsPerMin: 4,
 	})
 	if err != nil {
 		return nil, err
@@ -95,15 +75,15 @@ func E3ABTesting(cfg E3Config) (*E3Result, error) {
 	// per model, targeting that model's machines. The window spans the
 	// whole run — the paper computes daily values.
 	queries := []string{
-		fmt.Sprintf(`select 1000*avg(impression.cost) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("A")),
-		fmt.Sprintf(`select 1000*avg(impression.cost) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("B")),
-		fmt.Sprintf(`select count(*) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("A")),
-		fmt.Sprintf(`select count(*) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("B")),
-		fmt.Sprintf(`select count(*) from click where click.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("A")),
-		fmt.Sprintf(`select count(*) from click where click.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, cfg.LineItemID, hostList("B")),
+		fmt.Sprintf(`select 1000*avg(impression.cost) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("A")),
+		fmt.Sprintf(`select 1000*avg(impression.cost) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("B")),
+		fmt.Sprintf(`select count(*) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("A")),
+		fmt.Sprintf(`select count(*) from impression where impression.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("B")),
+		fmt.Sprintf(`select count(*) from click where click.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("A")),
+		fmt.Sprintf(`select count(*) from click where click.line_item_id = %d window 30m duration 1h @[Servers in (%s)]`, e3LineItemID, hostList("B")),
 	}
 	wins, err := RunScenario(platform.Cluster, queries, func() {
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, e3Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +111,7 @@ func E3ABTesting(cfg E3Config) (*E3Result, error) {
 		return t
 	}
 
-	res := &E3Result{Config: cfg}
+	res := &E3Result{}
 	res.A = E3Side{Model: "A", CPM: firstFloat(wins[0]), Impressions: sumInt(wins[2]), Clicks: sumInt(wins[4])}
 	res.B = E3Side{Model: "B", CPM: firstFloat(wins[1]), Impressions: sumInt(wins[3]), Clicks: sumInt(wins[5])}
 	if res.A.Impressions > 0 {

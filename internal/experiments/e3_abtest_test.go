@@ -1,12 +1,9 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestE3ABTesting(t *testing.T) {
-	res, err := E3ABTesting(E3Config{Users: 3000, Duration: 3 * time.Minute})
+	res, err := E3ABTesting()
 	if err != nil {
 		t.Fatal(err)
 	}

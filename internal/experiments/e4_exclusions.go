@@ -10,43 +10,24 @@ import (
 	"scrub/internal/workload"
 )
 
-// E4Config parametrizes the §8.4 exclusion investigation (Figures 16–17):
-// an equi-join of bid and exclusion events on the request identifier —
-// one event type produced at the BidServers, the other at the AdServers —
-// grouped by exclusion reason, with selection narrowing to one exchange.
-// The case study's point is scalability: every bid request produces a
-// flood of exclusions that would be prohibitive to log, while Scrub
-// queries them on demand.
-type E4Config struct {
-	Users      int           // default 800
-	Duration   time.Duration // default 90s
-	LineItems  int           // default 150 — exclusion volume per request
-	ExchangeID int64         // selection target; default 2
-	Seed       int64
-}
-
-func (c *E4Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 800
-	}
-	if c.Duration == 0 {
-		c.Duration = 90 * time.Second
-	}
-	if c.LineItems == 0 {
-		c.LineItems = 150
-	}
-	if c.ExchangeID == 0 {
-		c.ExchangeID = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 8404
-	}
-}
+// The §8.4 exclusion investigation (Figures 16–17): an equi-join of bid
+// and exclusion events on the request identifier — one event type
+// produced at the BidServers, the other at the AdServers — grouped by
+// exclusion reason, with selection narrowing to one exchange. The case
+// study's point is scalability: every bid request produces a flood of
+// exclusions that would be prohibitive to log, while Scrub queries them on
+// demand.
+const (
+	e4Users      = 400
+	e4Duration   = time.Minute
+	e4LineItems  = 80 // exclusion volume per request
+	e4ExchangeID = 2  // the selection's target
+	e4Seed       = 8404
+)
 
 // E4Result carries the per-reason exclusion distribution for the chosen
 // exchange.
 type E4Result struct {
-	Config E4Config
 	// ReasonCounts: exclusion reason → joined occurrences (for requests
 	// that produced a bid on the selected exchange).
 	ReasonCounts map[string]int64
@@ -60,15 +41,14 @@ type E4Result struct {
 }
 
 // E4Exclusions runs the experiment.
-func E4Exclusions(cfg E4Config) (*E4Result, error) {
-	cfg.fillDefaults()
+func E4Exclusions() (*E4Result, error) {
 	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
-		LineItems:      adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed),
+		LineItems:      adplatform.GenerateLineItems(e4LineItems, e4Seed),
 		EmitExclusions: true,
 		Agent:          host.Config{QueueSize: 1 << 18, BatchSize: 1024},
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
+		Seed: e4Seed, NumUsers: e4Users, MeanPageViewsPerMin: 3,
 		Exchanges: []workload.Exchange{
 			{ID: 1, Weight: 1}, {ID: 2, Weight: 1}, {ID: 3, Weight: 1},
 		},
@@ -82,15 +62,15 @@ func E4Exclusions(cfg E4Config) (*E4Result, error) {
 	// selection on the bid's exchange.
 	query := fmt.Sprintf(
 		`select exclusion.reason, count(*) from bid, exclusion where bid.exchange_id = %d group by exclusion.reason window 30s duration 1h @[all]`,
-		cfg.ExchangeID)
+		e4ExchangeID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, e4Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &E4Result{Config: cfg, ReasonCounts: make(map[string]int64)}
+	res := &E4Result{ReasonCounts: make(map[string]int64)}
 	for _, rw := range wins[0] {
 		for _, row := range rw.Rows {
 			n, _ := row[1].AsInt()
@@ -113,7 +93,7 @@ func E4Exclusions(cfg E4Config) (*E4Result, error) {
 func (r *E4Result) Table() *Table {
 	t := &Table{
 		ID:      "E4",
-		Title:   fmt.Sprintf("Line-item exclusions (§8.4, Figs. 16–17): bid ⋈ exclusion, exchange %d", r.Config.ExchangeID),
+		Title:   fmt.Sprintf("Line-item exclusions (§8.4, Figs. 16–17): bid ⋈ exclusion, exchange %d", e4ExchangeID),
 		Columns: []string{"exclusion reason", "occurrences"},
 	}
 	var reasons []string

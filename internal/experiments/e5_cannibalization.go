@@ -9,44 +9,23 @@ import (
 	"scrub/internal/workload"
 )
 
-// E5Config parametrizes the §8.5 cannibalization study (Figures 18–19):
-// line item λ has budget and relaxed targeting but never serves; the
-// query joins auction and impression events on the request id, restricted
-// to auctions λ participated in, and reports each winner's win count and
-// average winning bid — revealing that λ's whole price band sits below
-// every winner's.
-type E5Config struct {
-	Users    int           // default 1200
-	Duration time.Duration // paper: 1 hour; default 2m (scaled)
-	// LambdaID and LambdaPrice configure the victim.
-	LambdaID    int64   // default 4242
-	LambdaPrice float64 // default 1.0
-	// RivalPrices are the advisory prices of competitors with identical
-	// targeting; default {3.0, 2.6}.
-	RivalPrices []float64
-	Seed        int64
-}
+// The §8.5 cannibalization study (Figures 18–19): line item λ has budget
+// and relaxed targeting but never serves; the query joins auction and
+// impression events on the request id, restricted to auctions λ
+// participated in, and reports each winner's win count and average
+// winning bid — revealing that λ's whole price band sits below every
+// winner's. The paper's remedy, raising λ's advisory price, is the same
+// run with λ priced above its rivals.
+const (
+	e5Users       = 800
+	e5Duration    = time.Minute // the paper watched an hour
+	e5LambdaID    = 4242
+	e5LambdaPrice = 1.0 // λ's advisory price as found
+	e5RaisedPrice = 4.0 // and raised above its rivals'
+	e5Seed        = 8505
+)
 
-func (c *E5Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 1200
-	}
-	if c.Duration == 0 {
-		c.Duration = 2 * time.Minute
-	}
-	if c.LambdaID == 0 {
-		c.LambdaID = 4242
-	}
-	if c.LambdaPrice == 0 {
-		c.LambdaPrice = 1.0
-	}
-	if len(c.RivalPrices) == 0 {
-		c.RivalPrices = []float64{3.0, 2.6}
-	}
-	if c.Seed == 0 {
-		c.Seed = 8505
-	}
-}
+var e5RivalPrices = []float64{3.0, 2.6} // competitors with λ's targeting
 
 // E5Winner is one line item's row in Figure 18.
 type E5Winner struct {
@@ -55,27 +34,45 @@ type E5Winner struct {
 	AvgWinPrice float64
 }
 
-// E5Result carries the cannibalization evidence.
-type E5Result struct {
-	Config  E5Config
-	Winners []E5Winner // sorted by wins desc
-	// LambdaWins counts λ's own wins (the complaint: zero).
-	LambdaWins int64
+// E5Run is the query's answer with λ at one advisory price.
+type E5Run struct {
+	LambdaPrice float64
+	Winners     []E5Winner // line items other than λ, by wins desc
+	// LambdaWins counts λ's own wins (the complaint: zero) and
+	// LambdaAvgWin their average price.
+	LambdaWins   int64
+	LambdaAvgWin float64
 	// LambdaBandHigh is the top of λ's possible price band.
 	LambdaBandHigh float64
 	// MinWinnerAvg is the lowest average winning price among winners.
 	MinWinnerAvg float64
 }
 
-// E5Cannibalization runs the experiment.
-func E5Cannibalization(cfg E5Config) (*E5Result, error) {
-	cfg.fillDefaults()
+// E5Result carries the cannibalization evidence, Before λ's price is
+// raised and After.
+type E5Result struct {
+	Before, After E5Run
+}
 
-	lambda := &adplatform.LineItem{ID: cfg.LambdaID, CampaignID: 1, AdvisoryPrice: cfg.LambdaPrice}
+// E5Cannibalization runs the experiment at both of λ's prices.
+func E5Cannibalization() (*E5Result, error) {
+	before, err := e5Run(e5LambdaPrice)
+	if err != nil {
+		return nil, err
+	}
+	after, err := e5Run(e5RaisedPrice)
+	if err != nil {
+		return nil, err
+	}
+	return &E5Result{Before: *before, After: *after}, nil
+}
+
+func e5Run(lambdaPrice float64) (*E5Run, error) {
+	lambda := &adplatform.LineItem{ID: e5LambdaID, CampaignID: 1, AdvisoryPrice: lambdaPrice}
 	lambda.SetBudget(1e9)
 	items := []*adplatform.LineItem{lambda}
-	for i, p := range cfg.RivalPrices {
-		rival := &adplatform.LineItem{ID: cfg.LambdaID + int64(i) + 1, CampaignID: 2, AdvisoryPrice: p}
+	for i, p := range e5RivalPrices {
+		rival := &adplatform.LineItem{ID: e5LambdaID + int64(i) + 1, CampaignID: 2, AdvisoryPrice: p}
 		rival.SetBudget(1e9)
 		items = append(items, rival)
 	}
@@ -86,7 +83,7 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 		EmitAuctions:    true,
 		ExternalWinRate: 0.6,
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3,
+		Seed: e5Seed, NumUsers: e5Users, MeanPageViewsPerMin: 3,
 	})
 	if err != nil {
 		return nil, err
@@ -100,15 +97,15 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 		 from auction, impression
 		 where auction.line_item_ids contains %d
 		 group by auction.winner_line_item_id window 30s duration 1h @[all]`,
-		cfg.LambdaID)
+		e5LambdaID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+		drive(platform, gen, e5Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &E5Result{Config: cfg, LambdaBandHigh: cfg.LambdaPrice * 1.15}
+	res := &E5Run{LambdaPrice: lambdaPrice, LambdaBandHigh: lambdaPrice * 1.15}
 	agg := make(map[string]*E5Winner)
 	sums := make(map[string]float64)
 	for _, rw := range wins[0] {
@@ -129,14 +126,13 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 		if w.Wins > 0 {
 			w.AvgWinPrice = sums[id] / float64(w.Wins)
 		}
-		if id == fmt.Sprint(cfg.LambdaID) {
-			res.LambdaWins = w.Wins
+		if id == fmt.Sprint(e5LambdaID) {
+			res.LambdaWins, res.LambdaAvgWin = w.Wins, w.AvgWinPrice
 			continue
 		}
 		res.Winners = append(res.Winners, *w)
 	}
 	sort.Slice(res.Winners, func(i, j int) bool { return res.Winners[i].Wins > res.Winners[j].Wins })
-	res.MinWinnerAvg = 0
 	for i, w := range res.Winners {
 		if i == 0 || w.AvgWinPrice < res.MinWinnerAvg {
 			res.MinWinnerAvg = w.AvgWinPrice
@@ -145,20 +141,30 @@ func E5Cannibalization(cfg E5Config) (*E5Result, error) {
 	return res, nil
 }
 
-// Table renders Figures 18a/18b.
+// Table renders Figures 18a/18b, then the same rows with λ's price
+// raised.
 func (r *E5Result) Table() *Table {
 	t := &Table{
 		ID:      "E5",
-		Title:   fmt.Sprintf("Line-item cannibalization (§8.5, Figs. 18–19): auctions with λ=%d", r.Config.LambdaID),
+		Title:   fmt.Sprintf("Line-item cannibalization (§8.5, Figs. 18–19): auctions with λ=%d", e5LambdaID),
 		Columns: []string{"winning line item", "wins", "avg winning bid ($)"},
 	}
-	for _, w := range r.Winners {
-		t.AddRow(w.LineItemID, fmtI(w.Wins), fmtF(w.AvgWinPrice))
+	for i, run := range []E5Run{r.Before, r.After} {
+		if i > 0 {
+			t.AddRow(fmt.Sprintf("with λ at $%.2f:", run.LambdaPrice), "", "")
+		}
+		for _, w := range run.Winners {
+			t.AddRow(w.LineItemID, fmtI(w.Wins), fmtF(w.AvgWinPrice))
+		}
+		avg := "—"
+		if run.LambdaWins > 0 {
+			avg = fmtF(run.LambdaAvgWin)
+		}
+		t.AddRow(fmt.Sprintf("%d (λ)", e5LambdaID), fmtI(run.LambdaWins), avg)
 	}
-	t.AddRow(fmt.Sprintf("%d (λ)", r.Config.LambdaID), fmtI(r.LambdaWins), "—")
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("λ's price band tops out at $%.2f; the lowest winner average is $%.2f — λ is priced out of every auction it enters",
-			r.LambdaBandHigh, r.MinWinnerAvg),
+			r.Before.LambdaBandHigh, r.Before.MinWinnerAvg),
 		"paper: bumping λ's advisory price immediately started delivery")
 	return t
 }

@@ -9,41 +9,20 @@ import (
 	"scrub/internal/workload"
 )
 
-// E6Config parametrizes the §8.6 incorrectly-set-field study: a campaign
-// capped at one ad per user per day serves some users far more often.
-// The cause in the paper was erroneous input data corrupting profile
-// frequency state, not a code bug; the experiment injects exactly that —
-// an external feed periodically clobbers some users' serve counts — and
-// uses Scrub to find the over-served users and the corrupt counts.
-type E6Config struct {
-	Users        int           // default 600
-	CorruptUsers int           // default 4
-	Duration     time.Duration // default 2m
-	FrequencyCap int           // default 1
-	LineItemID   int64         // default 5151
-	Seed         int64
-}
-
-func (c *E6Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 600
-	}
-	if c.CorruptUsers == 0 {
-		c.CorruptUsers = 4
-	}
-	if c.Duration == 0 {
-		c.Duration = 2 * time.Minute
-	}
-	if c.FrequencyCap == 0 {
-		c.FrequencyCap = 1
-	}
-	if c.LineItemID == 0 {
-		c.LineItemID = 5151
-	}
-	if c.Seed == 0 {
-		c.Seed = 8606
-	}
-}
+// The §8.6 incorrectly-set-field study: a campaign capped at one ad per
+// user per day serves some users far more often. The cause in the paper
+// was erroneous input data corrupting profile frequency state, not a code
+// bug; the experiment injects exactly that — an external feed periodically
+// clobbers some users' serve counts — and uses Scrub to find the
+// over-served users and the corrupt counts.
+const (
+	e6Users        = 400
+	e6CorruptUsers = 4
+	e6Duration     = 2 * time.Minute
+	e6FrequencyCap = 1
+	e6LineItemID   = 5151
+	e6Seed         = 8606
+)
 
 // E6User is one over-served user found by the query.
 type E6User struct {
@@ -57,7 +36,6 @@ type E6User struct {
 
 // E6Result carries the diagnosis.
 type E6Result struct {
-	Config E6Config
 	// OverServed: users whose impression count for the capped line item
 	// exceeded the frequency cap, sorted by impressions desc.
 	OverServed []E6User
@@ -69,32 +47,30 @@ type E6Result struct {
 }
 
 // E6FrequencyCap runs the experiment.
-func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
-	cfg.fillDefaults()
-
+func E6FrequencyCap() (*E6Result, error) {
 	capped := &adplatform.LineItem{
-		ID: cfg.LineItemID, CampaignID: 3, AdvisoryPrice: 3.0,
-		FrequencyCap: cfg.FrequencyCap,
+		ID: e6LineItemID, CampaignID: 3, AdvisoryPrice: 3.0,
+		FrequencyCap: e6FrequencyCap,
 	}
 	capped.SetBudget(1e9)
-	items := append([]*adplatform.LineItem{capped}, adplatform.GenerateLineItems(20, cfg.Seed)...)
+	items := append([]*adplatform.LineItem{capped}, adplatform.GenerateLineItems(20, e6Seed)...)
 
 	platform, gen, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:       items,
 		ExternalWinRate: 1.0, // every bid serves: the cap is the only brake
 	}, workload.Spec{
-		Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 4,
+		Seed: e6Seed, NumUsers: e6Users, MeanPageViewsPerMin: 4,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer platform.Close()
 
-	// Ground truth: the corrupt feed hits the first CorruptUsers ids.
-	res := &E6Result{Config: cfg, CorruptSet: make(map[string]bool)}
-	corrupt := make([]int64, 0, cfg.CorruptUsers)
-	for u := int64(0); u < int64(cfg.CorruptUsers); u++ {
+	// Ground truth: the corrupt feed hits the first e6CorruptUsers ids.
+	res := &E6Result{CorruptSet: make(map[string]bool)}
+	corrupt := make([]int64, 0, e6CorruptUsers)
+	for u := int64(0); u < e6CorruptUsers; u++ {
 		corrupt = append(corrupt, u)
 		res.CorruptSet[fmt.Sprint(u)] = true
 	}
@@ -104,17 +80,17 @@ func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
 	// as evidence of the corrupt profile state.
 	query := fmt.Sprintf(
 		`select impression.user_id, count(*), max(impression.serve_count) from impression where impression.line_item_id = %d group by impression.user_id window 10m duration 1h @[Service in PresentationServers]`,
-		cfg.LineItemID)
+		e6LineItemID)
 	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
 		n := 0
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) {
+		drive(platform, gen, e6Duration, func(r adplatform.BidRequest) {
 			platform.Process(r)
 			n++
 			if n%50 == 0 {
 				// The erroneous input feed: periodically clobbers the
 				// corrupt users' serve counts back to zero-ish state.
 				for _, u := range corrupt {
-					platform.Store.CorruptServeCounts(u, map[int64]int{int64(cfg.LineItemID): -1000}, time.Unix(0, r.TimeNanos))
+					platform.Store.CorruptServeCounts(u, map[int64]int{e6LineItemID: -1000}, time.Unix(0, r.TimeNanos))
 				}
 			}
 		})
@@ -141,7 +117,7 @@ func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
 		}
 	}
 	for _, u := range perUser {
-		if u.Impressions > int64(cfg.FrequencyCap) {
+		if u.Impressions > e6FrequencyCap {
 			res.OverServed = append(res.OverServed, *u)
 		} else if u.Impressions > res.HealthyMax {
 			res.HealthyMax = u.Impressions
@@ -157,7 +133,7 @@ func E6FrequencyCap(cfg E6Config) (*E6Result, error) {
 func (r *E6Result) Table() *Table {
 	t := &Table{
 		ID:      "E6",
-		Title:   fmt.Sprintf("Incorrectly set field (§8.6): users over the frequency cap (%d/day)", r.Config.FrequencyCap),
+		Title:   fmt.Sprintf("Incorrectly set field (§8.6): users over the frequency cap (%d/day)", e6FrequencyCap),
 		Columns: []string{"user", "impressions", "max serve_count seen", "corrupt profile?"},
 	}
 	for _, u := range r.OverServed {
@@ -165,7 +141,7 @@ func (r *E6Result) Table() *Table {
 			fmt.Sprint(r.CorruptSet[u.UserID]))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("healthy users max impressions: %d (cap %d)", r.HealthyMax, r.Config.FrequencyCap),
+		fmt.Sprintf("healthy users max impressions: %d (cap %d)", r.HealthyMax, e6FrequencyCap),
 		"paper: the root cause was erroneous input data corrupting profile frequency state — found by querying, not by code changes")
 	return t
 }

@@ -1,12 +1,9 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestE6FrequencyCap(t *testing.T) {
-	res, err := E6FrequencyCap(E6Config{Users: 400, CorruptUsers: 3, Duration: 2 * time.Minute})
+	res, err := E6FrequencyCap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +19,8 @@ func TestE6FrequencyCap(t *testing.T) {
 	}
 	// And the corrupted users are clearly anomalous versus the healthy
 	// population.
-	if res.HealthyMax > int64(res.Config.FrequencyCap) {
-		t.Errorf("healthy max %d exceeds cap %d", res.HealthyMax, res.Config.FrequencyCap)
+	if res.HealthyMax > e6FrequencyCap {
+		t.Errorf("healthy max %d exceeds cap %d", res.HealthyMax, e6FrequencyCap)
 	}
 	if res.OverServed[0].Impressions < 3 {
 		t.Errorf("top over-served user only %d impressions — corruption not visible", res.OverServed[0].Impressions)

@@ -1,10 +1,11 @@
 // Package experiments reproduces the tables and figures of the paper's
 // §8 case studies, plus the comparisons the design rests on (logging,
 // baggage, host-side aggregation), the overhead governor and a chaos
-// soak. Each experiment is a function from a config with sensible
-// defaults to a result carrying both structured data (asserted in tests)
-// and a printable table (rendered by cmd/benchrunner, whose -quick tables
-// for the case studies are pinned by a golden file, and EXPERIMENTS.md).
+// soak. Each experiment is a parameterless function, its one
+// configuration constants in its file, returning a result that carries
+// both structured data (asserted in tests) and a printable table (rendered
+// by cmd/benchrunner, whose tables for the case studies are pinned by a
+// golden file, and quoted by EXPERIMENTS.md).
 //
 // The substrate is the simulated ad platform (internal/adplatform) under
 // synthetic-but-shaped traffic (internal/workload); absolute numbers

@@ -12,64 +12,45 @@ import (
 	"scrub/internal/workload"
 )
 
-// G1Config parametrizes the governor experiment: one deliberately
-// expensive query (wide raw projection — every sampled tuple ships) runs
-// over the same bidding workload twice, once unbounded and once with a
-// tight BUDGET BYTES clause. The point of comparison is the host impact:
-// absolute added ns/request over the zero-query baseline, and total bytes
-// handed to the wire. Under budget the governor walks the query down the
-// degradation ladder (rate halvings, then shed), so both numbers must
-// drop while the unbounded run pays full freight.
-type G1Config struct {
-	Requests  int   `json:"requests"`   // requests per measurement; default 30000
-	LineItems int   `json:"line_items"` // default 150
-	Seed      int64 `json:"seed"`
-	// BudgetBytesPerSec is the BUDGET BYTES value for the budgeted run.
-	// Default 4096 — far below what the wide query ships unbounded, so
-	// the ladder bottoms out and the query sheds within the run.
-	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
-	// ReferenceRequestNs is the production request budget the added cost
-	// is set against: the paper's bid transaction completes "in under 20
-	// milliseconds" (§7), while the simulator's request costs ~10µs (no
+// G1 is the governor experiment: one deliberately expensive query (wide
+// raw projection — every sampled tuple ships) runs over the same bidding
+// workload twice, once unbounded and once with a tight BUDGET BYTES
+// clause. The point of comparison is the host impact: absolute added
+// ns/request over the zero-query baseline, and total bytes handed to the
+// wire. Under budget the governor walks the query down the degradation
+// ladder (rate halvings, then shed), so both numbers must drop while the
+// unbounded run pays full freight.
+const (
+	g1Requests  = 10000 // requests per measurement
+	g1LineItems = 150
+	g1Seed      = 9301
+	// g1BudgetBytesPerSec is the BUDGET BYTES value for the budgeted run:
+	// far below what the wide query ships unbounded, so the ladder
+	// bottoms out and the query sheds within the run.
+	g1BudgetBytesPerSec = 4096
+	// g1ReferenceRequestNs is the production request budget the added
+	// cost is set against: the paper's bid transaction completes "in under
+	// 20 milliseconds" (§7), while the simulator's request costs ~10µs (no
 	// ML scoring, no real network), so only the absolute added ns/request
-	// transfers. Default 10ms.
-	ReferenceRequestNs float64 `json:"reference_request_ns"`
-}
-
-func (c *G1Config) fillDefaults() {
-	if c.Requests == 0 {
-		c.Requests = 30000
-	}
-	if c.LineItems == 0 {
-		c.LineItems = 150
-	}
-	if c.Seed == 0 {
-		c.Seed = 9301
-	}
-	if c.BudgetBytesPerSec == 0 {
-		c.BudgetBytesPerSec = 4096
-	}
-	if c.ReferenceRequestNs == 0 {
-		c.ReferenceRequestNs = 10e6
-	}
-}
+	// transfers.
+	g1ReferenceRequestNs = 10e6
+)
 
 // G1Side is one measured configuration.
 type G1Side struct {
-	Label    string  `json:"label"`
-	NsPerReq float64 `json:"ns_per_request"`
-	AddedNs  float64 `json:"added_ns"` // vs the zero-query baseline
-	SLOPct   float64 `json:"slo_pct"`  // AddedNs vs the production request budget
-	Bytes    uint64  `json:"bytes_shipped"`
-	Shed     bool    `json:"shed"` // did the governor shed the query?
+	Label    string
+	NsPerReq float64
+	AddedNs  float64 // vs the zero-query baseline
+	SLOPct   float64 // AddedNs vs the production request budget
+	Bytes    uint64
+	Shed     bool // did the governor shed the query?
 }
 
 // G1Result carries the comparison.
 type G1Result struct {
-	Config     G1Config `json:"config"`
-	BaselineNs float64  `json:"baseline_ns_per_request"`
-	Unbounded  G1Side   `json:"unbounded"`
-	Budgeted   G1Side   `json:"budgeted"`
+	BaselineNs float64
+	Unbounded  G1Side
+	Budgeted   G1Side
 }
 
 // g1Query is the expensive shape: raw (no aggregation), wide projection —
@@ -80,7 +61,7 @@ const g1Query = `select bid.user_id, bid.line_item_id, bid.exchange_id, bid.bid_
 // g1Platform builds the ad platform with a sink that serializes every
 // batch (keeping the wire cost on the host; ScrubCentral is a remote
 // facility whose CPU is not charged to it) and counts encoded bytes.
-func g1Platform(cfg G1Config, bytes *atomic.Uint64) (*adplatform.Platform, error) {
+func g1Platform(bytes *atomic.Uint64) (*adplatform.Platform, error) {
 	encPool := sync.Pool{New: func() any { return new([]byte) }}
 	countAndDiscard := host.SinkFunc(func(b transport.TupleBatch) error {
 		bp := encPool.Get().(*[]byte)
@@ -92,7 +73,7 @@ func g1Platform(cfg G1Config, bytes *atomic.Uint64) (*adplatform.Platform, error
 	})
 	return adplatform.New(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
-		LineItems: adplatform.GenerateLineItems(cfg.LineItems, cfg.Seed),
+		LineItems: adplatform.GenerateLineItems(g1LineItems, g1Seed),
 		Agent:     host.Config{FlushInterval: 20 * time.Millisecond, QueueSize: 1 << 16},
 		AgentSink: countAndDiscard,
 	})
@@ -134,15 +115,15 @@ func measureWorkload(platform *adplatform.Platform, gen *workload.Generator, dur
 
 // g1Measure runs the workload with the given query (empty = baseline) and
 // returns ns/request, bytes shipped, and whether any agent shed.
-func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed bool, err error) {
+func g1Measure(query string) (nsPerReq float64, bytes uint64, shed bool, err error) {
 	var byteCount atomic.Uint64
 	var windowShed atomic.Bool
-	platform, err := g1Platform(cfg, &byteCount)
+	platform, err := g1Platform(&byteCount)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer platform.Close()
-	gen, dur, err := overheadTraffic(cfg.Requests, cfg.Seed)
+	gen, dur, err := overheadTraffic(g1Requests, g1Seed)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -162,7 +143,7 @@ func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed
 	}
 	// Warm-up (fills caches, steadies the allocator), then the measured
 	// pass over fresh traffic.
-	warm, warmDur, err := overheadTraffic(cfg.Requests/4, cfg.Seed+1)
+	warm, warmDur, err := overheadTraffic(g1Requests/4, g1Seed+1)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -183,31 +164,29 @@ func g1Measure(cfg G1Config, query string) (nsPerReq float64, bytes uint64, shed
 }
 
 // G1Governor runs baseline, unbounded, and budgeted passes.
-func G1Governor(cfg G1Config) (*G1Result, error) {
-	cfg.fillDefaults()
-	res := &G1Result{Config: cfg}
-
-	baseline, _, _, err := g1Measure(cfg, "")
+func G1Governor() (*G1Result, error) {
+	res := &G1Result{}
+	baseline, _, _, err := g1Measure("")
 	if err != nil {
 		return nil, err
 	}
 	res.BaselineNs = baseline
 
 	side := func(label, query string) (G1Side, error) {
-		ns, bytes, shed, err := g1Measure(cfg, query)
+		ns, bytes, shed, err := g1Measure(query)
 		if err != nil {
 			return G1Side{}, err
 		}
 		s := G1Side{Label: label, NsPerReq: ns, Bytes: bytes, Shed: shed}
 		s.AddedNs = ns - baseline
-		s.SLOPct = s.AddedNs / cfg.ReferenceRequestNs * 100
+		s.SLOPct = s.AddedNs / g1ReferenceRequestNs * 100
 		return s, nil
 	}
 	if res.Unbounded, err = side("unbounded", g1Query); err != nil {
 		return nil, err
 	}
-	budgeted := fmt.Sprintf("%s budget bytes %g", g1Query, cfg.BudgetBytesPerSec)
-	if res.Budgeted, err = side(fmt.Sprintf("budget bytes %g", cfg.BudgetBytesPerSec), budgeted); err != nil {
+	budget := fmt.Sprintf("budget bytes %d", g1BudgetBytesPerSec)
+	if res.Budgeted, err = side(budget, g1Query+" "+budget); err != nil {
 		return nil, err
 	}
 	return res, nil

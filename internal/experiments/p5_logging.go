@@ -6,39 +6,26 @@ import (
 	"time"
 
 	"scrub/internal/adplatform"
+	"scrub/internal/central"
 	"scrub/internal/event"
-	"scrub/internal/host"
-	"scrub/internal/logbase"
+	"scrub/internal/oracle"
+	"scrub/internal/ql"
 	"scrub/internal/workload"
 )
 
-// P5Config parametrizes the Scrub-vs-logging comparison (§1, §8.1's cost
-// contrast): the same workload and the same troubleshooting question,
-// answered (a) by Scrub — selection, projection and sampling on hosts,
-// results online — and (b) by full-event logging plus a batch scan.
-type P5Config struct {
-	Users    int           // default 1000
-	Duration time.Duration // default 2m
-	Seed     int64
-}
-
-func (c *P5Config) fillDefaults() {
-	if c.Users == 0 {
-		c.Users = 1000
-	}
-	if c.Duration == 0 {
-		c.Duration = 2 * time.Minute
-	}
-	if c.Seed == 0 {
-		c.Seed = 9505
-	}
-}
+// P5 is the Scrub-vs-logging comparison (§1, §8.1's cost contrast): the
+// same workload and the same troubleshooting question, answered (a) by
+// Scrub — selection, projection and sampling on hosts, results online —
+// and (b) by full-event logging plus a batch evaluation of the log.
+const (
+	p5Users    = 400
+	p5Duration = time.Minute
+	p5Seed     = 9505
+	p5Query    = `select bid.user_id, count(*) from bid group by bid.user_id window 10s duration 1h @[Service in BidServers]`
+)
 
 // P5Result contrasts the two architectures on one workload + query.
 type P5Result struct {
-	Config P5Config
-	Query  string
-
 	// Scrub side.
 	ScrubTuplesShipped uint64
 	ScrubBytesShipped  uint64
@@ -47,7 +34,6 @@ type P5Result struct {
 	// Logging side.
 	LogEventsShipped uint64
 	LogBytesShipped  uint64
-	LogScanElapsed   time.Duration
 	LogRows          int
 
 	// BytesRatio = logging bytes / Scrub bytes.
@@ -56,19 +42,19 @@ type P5Result struct {
 
 // P5VsLogging runs the comparison. The question asked is the spam query:
 // per-user bid counts — which needs only user_id from bid events, while
-// the platform also produces impression/click/auction events that logging
-// must retain because "queries are not known a priori". Both sides run
-// the same traffic from the same epoch, so they must give the same answer,
-// window for window; a difference is an error.
-func P5VsLogging(cfg P5Config) (*P5Result, error) {
-	cfg.fillDefaults()
-	res := &P5Result{Config: cfg}
-	res.Query = `select bid.user_id, count(*) from bid group by bid.user_id window 10s duration 1h @[Service in BidServers]`
+// the platform also produces impression events that logging must retain
+// because "queries are not known a priori". Both sides run the same
+// traffic from the same epoch. The logging side's answer is the exact
+// oracle's over the logged bids, which shares no aggregate state with
+// ScrubCentral, so the two must agree window for window; a difference is
+// an error.
+func P5VsLogging() (*P5Result, error) {
+	res := &P5Result{}
 	newSide := func() (*adplatform.Platform, *workload.Generator, error) {
 		return newSim(adplatform.Config{
 			NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
-			LineItems: adplatform.GenerateLineItems(60, cfg.Seed),
-		}, workload.Spec{Seed: cfg.Seed, NumUsers: cfg.Users, MeanPageViewsPerMin: 3})
+			LineItems: adplatform.GenerateLineItems(60, p5Seed),
+		}, workload.Spec{Seed: p5Seed, NumUsers: p5Users, MeanPageViewsPerMin: 3})
 	}
 
 	// --- Scrub side ---
@@ -76,8 +62,8 @@ func P5VsLogging(cfg P5Config) (*P5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wins, err := RunScenario(platform.Cluster, []string{res.Query}, func() {
-		drive(platform, gen, cfg.Duration, func(r adplatform.BidRequest) { platform.Process(r) })
+	wins, err := RunScenario(platform.Cluster, []string{p5Query}, func() {
+		drive(platform, gen, p5Duration, func(r adplatform.BidRequest) { platform.Process(r) })
 	})
 	if err != nil {
 		platform.Close()
@@ -100,20 +86,24 @@ func P5VsLogging(cfg P5Config) (*P5Result, error) {
 		return nil, err
 	}
 	defer platform.Close()
-	store := logbase.NewLogStore()
-	loggers := make(map[string]*logbase.Logger)
-	logAt := func(a *host.Agent, ev *event.Event) {
-		l, ok := loggers[a.ID()]
-		if !ok {
-			l = logbase.NewLogger(a.ID(), store)
-			loggers[a.ID()] = l
-		}
-		l.Log(ev)
+	q, err := ql.Parse(p5Query)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := ql.Analyze(q, platform.Catalog)
+	if err != nil {
+		return nil, err
+	}
+	ship := func(ev *event.Event) {
+		res.LogEventsShipped++
+		res.LogBytesShipped += uint64(len(event.AppendEvent(nil, ev)))
 	}
 	// Mirror every platform event into the log, as a logging-based
-	// deployment would. No query runs on this side, so the agents ship
-	// nothing and need no flushing.
-	gen.Run(cfg.Duration, func(r adplatform.BidRequest) {
+	// deployment would, and keep the bids (every one is a BidServer's)
+	// projected to the query's columns. No query runs on this side, so the
+	// agents ship nothing and need no flushing.
+	var bids []oracle.Event
+	gen.Run(p5Duration, func(r adplatform.BidRequest) {
 		resp, out, ok := platform.Process(r)
 		// Reconstruct the events logging must retain: the bid, the
 		// impression. (Exclusions/auctions are off in this config for both
@@ -121,29 +111,31 @@ func P5VsLogging(cfg P5Config) (*P5Result, error) {
 		if !ok {
 			return
 		}
-		logAt(platform.BidServers[int(r.RequestID%uint64(len(platform.BidServers)))].Agent(), mustBuildBid(r, resp))
+		bid := mustBuildBid(r, resp)
+		ship(bid)
+		e := oracle.Event{RequestID: bid.RequestID, TsNanos: bid.TimeNanos}
+		for _, col := range plan.Columns["bid"] {
+			e.Values = append(e.Values, bid.Get(col))
+		}
+		bids = append(bids, e)
 		if out.Impression {
-			logAt(platform.PresServers[int(uint64(r.UserID)%uint64(len(platform.PresServers)))].Agent(), mustBuildImpression(r, resp, out))
+			ship(mustBuildImpression(r, resp, out))
 		}
 	})
-	res.LogEventsShipped = uint64(store.Len())
-	res.LogBytesShipped = store.Bytes()
-
-	scan, err := store.RunQuery(res.Query, platform.Catalog)
+	logged, err := oracle.Eval(central.FromPlan(plan, 1, 0, 0, 1, 1), bids)
 	if err != nil {
 		return nil, err
 	}
-	res.LogScanElapsed = scan.Elapsed
-	for _, rw := range scan.Windows {
-		res.LogRows += len(rw.Rows)
+	for _, w := range logged {
+		res.LogRows += len(w.Rows)
 	}
-	if len(scan.Windows) != len(wins[0]) {
-		return nil, fmt.Errorf("experiments: P5: Scrub emitted %d windows, the logging scan %d", len(wins[0]), len(scan.Windows))
+	if len(logged) != len(wins[0]) {
+		return nil, fmt.Errorf("experiments: P5: Scrub emitted %d windows, the logging side %d", len(wins[0]), len(logged))
 	}
-	for i, rw := range scan.Windows {
-		if s := wins[0][i]; s.WindowStart != rw.WindowStart || !reflect.DeepEqual(s.Rows, rw.Rows) {
+	for i, w := range logged {
+		if s := wins[0][i]; s.WindowStart != w.Start || !reflect.DeepEqual(s.Rows, w.Rows) {
 			return nil, fmt.Errorf("experiments: P5: window %d differs: Scrub [%d] %d rows, logging [%d] %d rows",
-				i, s.WindowStart, len(s.Rows), rw.WindowStart, len(rw.Rows))
+				i, s.WindowStart, len(s.Rows), w.Start, len(w.Rows))
 		}
 	}
 
@@ -191,7 +183,6 @@ func (r *P5Result) Table() *Table {
 	t.AddRow("result rows", fmtI(int64(r.ScrubRows)), fmtI(int64(r.LogRows)))
 	t.AddRow("answer arrives", "online, per window", "after a batch scan")
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("batch scan wall time: %.1fms", float64(r.LogScanElapsed.Microseconds())/1000),
 		fmt.Sprintf("logging ships %.1f× the bytes for this query", r.BytesRatio),
 		"the gap widens with schema width and with queries that select narrowly — logging must retain everything because queries are not known a priori")
 	return t

@@ -1,12 +1,9 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestP5VsLogging(t *testing.T) {
-	res, err := P5VsLogging(P5Config{Users: 400, Duration: time.Minute})
+	res, err := P5VsLogging()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +18,6 @@ func TestP5VsLogging(t *testing.T) {
 	if res.ScrubRows == 0 || res.LogRows == 0 {
 		t.Error("one side produced no rows")
 	}
-	if res.LogScanElapsed <= 0 {
-		t.Error("scan latency unmeasured")
-	}
 	if tab := res.Table(); len(tab.Rows) < 4 {
 		t.Error("table rows")
 	}
@@ -33,35 +27,35 @@ func TestA1HostVsCentralAggregation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	res, err := A1HostVsCentralAggregation(A1Config{Events: 300000, Cardinalities: []int{100, 100000}})
+	res, err := A1HostVsCentralAggregation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
+	if len(res.Points) != len(a1Cardinalities) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	low, high := res.Points[0], res.Points[1]
+	low, high := res.Points[0], res.Points[len(res.Points)-1]
 	// The ablated variant's resident state tracks cardinality; Scrub's
 	// host path holds none.
 	if high.AblatedGroups <= low.AblatedGroups {
 		t.Errorf("ablated groups did not grow with cardinality: %d vs %d",
 			low.AblatedGroups, high.AblatedGroups)
 	}
-	if high.AblatedGroups < 50000 {
-		t.Errorf("high-cardinality groups = %d, want ~100k", high.AblatedGroups)
+	if high.AblatedGroups != a1Cardinalities[len(a1Cardinalities)-1] {
+		t.Errorf("high-cardinality groups = %d, want %d", high.AblatedGroups, a1Cardinalities[len(a1Cardinalities)-1])
 	}
 	for _, p := range res.Points {
 		if p.ScrubNsPerEvent <= 0 || p.AblatedNsPerEvent <= 0 {
 			t.Errorf("degenerate timing: %+v", p)
 		}
 	}
-	if tab := res.Table(); len(tab.Rows) != 2 {
+	if tab := res.Table(); len(tab.Rows) != len(res.Points) {
 		t.Error("table rows")
 	}
 }
 
 func TestA2BaggageVsOnDemand(t *testing.T) {
-	res, err := A2BaggageVsOnDemand(A2Config{Users: 300, Duration: time.Minute, LineItems: 80})
+	res, err := A2BaggageVsOnDemand()
 	if err != nil {
 		t.Fatal(err)
 	}

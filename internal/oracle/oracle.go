@@ -197,55 +197,74 @@ func (r groupRow) Agg(i int) event.Value {
 
 // --- exact aggregate state ---
 
-// exactAgg accumulates one aggregate with exact counts. Standard SQL
-// aggregates reuse the agg package (whose arithmetic is already exact up
-// to float rounding); TOP_K and COUNT_DISTINCT replace their sketches
-// with full maps.
+// exactAgg keeps every input of one aggregate and computes the result
+// from them when the window renders. Nothing is folded as it arrives, so
+// the oracle shares no aggregate state or arithmetic with internal/agg,
+// whose states the engine carves: COUNT(*) keeps every call, every other
+// kind its non-NULL inputs (SQL NULL rules), and TOP_K and COUNT_DISTINCT
+// count exactly where the engine keeps sketches.
 type exactAgg struct {
-	kind  agg.Kind
-	k     int
-	std   agg.Aggregator       // nil for sketch kinds
-	items map[string]uint64    // TOP_K
-	set   map[string]struct{}  // COUNT_DISTINCT, keyed by encoded value
+	kind agg.Kind
+	k    int
+	in   []event.Value
 }
 
 func newExactAgg(spec agg.Spec) (*exactAgg, error) {
-	switch spec.Kind {
-	case agg.KindTopK:
-		if spec.K <= 0 {
-			return nil, fmt.Errorf("oracle: TOP_K requires k > 0")
-		}
-		return &exactAgg{kind: spec.Kind, k: spec.K, items: make(map[string]uint64)}, nil
-	case agg.KindCountDistinct:
-		return &exactAgg{kind: spec.Kind, set: make(map[string]struct{})}, nil
-	default:
-		a, err := agg.New(spec)
-		if err != nil {
-			return nil, err
-		}
-		return &exactAgg{kind: spec.Kind, std: a}, nil
+	switch {
+	case spec.Kind < agg.KindCountStar || spec.Kind > agg.KindCountDistinct:
+		return nil, fmt.Errorf("oracle: unknown aggregate kind %d", spec.Kind)
+	case spec.Kind == agg.KindTopK && spec.K <= 0:
+		return nil, fmt.Errorf("oracle: TOP_K requires k > 0")
 	}
+	return &exactAgg{kind: spec.Kind, k: spec.K}, nil
 }
 
 func (a *exactAgg) add(v event.Value) {
-	switch a.kind {
-	case agg.KindTopK:
-		if v.IsValid() {
-			a.items[v.String()]++
-		}
-	case agg.KindCountDistinct:
-		if v.IsValid() {
-			a.set[string(event.AppendValue(nil, v))] = struct{}{}
-		}
-	default:
-		a.std.Add(v)
+	if v.IsValid() || a.kind == agg.KindCountStar {
+		a.in = append(a.in, v)
 	}
 }
 
 // result renders the exact value the way the engine renders the same
-// aggregate, so exact-path rows compare directly.
+// aggregate, so exact-path rows compare directly: counts are ints; SUM is
+// an int unless a float arrived; AVG is a float; MIN and MAX keep the
+// first input and replace it only by a comparable better one; an
+// aggregate other than a count with no (numeric, for SUM and AVG) input
+// is NULL.
 func (a *exactAgg) result() event.Value {
 	switch a.kind {
+	case agg.KindCountStar, agg.KindCount:
+		return event.Int(int64(len(a.in)))
+	case agg.KindSum, agg.KindAvg:
+		var n int
+		var isum int64
+		var fsum float64
+		float := false
+		for _, v := range a.in {
+			if i, ok := v.AsInt(); ok {
+				n, isum, fsum = n+1, isum+i, fsum+float64(i)
+			} else if f, ok := v.AsFloat(); ok {
+				n, fsum, float = n+1, fsum+f, true
+			}
+		}
+		switch {
+		case n == 0:
+			return event.Invalid
+		case a.kind == agg.KindAvg:
+			return event.Float(fsum / float64(n))
+		case float:
+			return event.Float(fsum)
+		}
+		return event.Int(isum)
+	case agg.KindMin, agg.KindMax:
+		best := event.Invalid
+		for _, v := range a.in {
+			c, ok := v.Compare(best)
+			if !best.IsValid() || ok && (a.kind == agg.KindMin && c < 0 || a.kind == agg.KindMax && c > 0) {
+				best = v
+			}
+		}
+		return best
 	case agg.KindTopK:
 		entries := a.topEntries()
 		vs := make([]event.Value, len(entries))
@@ -253,11 +272,27 @@ func (a *exactAgg) result() event.Value {
 			vs[i] = event.Str(fmt.Sprintf("%s=%d", e.item, e.count))
 		}
 		return event.List(event.KindString, vs...)
-	case agg.KindCountDistinct:
-		return event.Int(int64(len(a.set)))
-	default:
-		return a.std.Result()
+	default: // COUNT_DISTINCT
+		return event.Int(int64(len(a.distinct())))
 	}
+}
+
+// items counts each TOP_K input by its string form.
+func (a *exactAgg) items() map[string]uint64 {
+	m := make(map[string]uint64)
+	for _, v := range a.in {
+		m[v.String()]++
+	}
+	return m
+}
+
+// distinct is COUNT_DISTINCT's input set, keyed by encoded value.
+func (a *exactAgg) distinct() map[string]struct{} {
+	m := make(map[string]struct{})
+	for _, v := range a.in {
+		m[string(event.AppendValue(nil, v))] = struct{}{}
+	}
+	return m
 }
 
 type itemCount struct {
@@ -266,8 +301,8 @@ type itemCount struct {
 }
 
 func (a *exactAgg) topEntries() []itemCount {
-	all := make([]itemCount, 0, len(a.items))
-	for it, c := range a.items {
+	var all []itemCount
+	for it, c := range a.items() {
 		all = append(all, itemCount{it, c})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -286,12 +321,9 @@ func (a *exactAgg) truth() AggTruth {
 	t := AggTruth{Kind: a.kind, Value: a.result(), Float: math.NaN()}
 	switch a.kind {
 	case agg.KindTopK:
-		t.Items = make(map[string]uint64, len(a.items))
-		for k, v := range a.items {
-			t.Items[k] = v
-		}
+		t.Items = a.items()
 	case agg.KindCountDistinct:
-		t.Distinct = uint64(len(a.set))
+		t.Distinct = uint64(len(a.distinct()))
 		t.Float = float64(t.Distinct)
 	default:
 		if f, ok := t.Value.AsFloat(); ok {

@@ -253,6 +253,83 @@ func TestOracleSlidingWindows(t *testing.T) {
 	}
 }
 
+// TestOracleAggregatesByHand holds Eval's aggregates to answers worked out
+// by hand rather than to the engine's, which the oracle is the reference
+// for: NULL inputs, a SUM over ints and floats (the oracle takes values as
+// they come, so one column may carry both), string MIN/MAX, and a join
+// window with no joined row.
+func TestOracleAggregatesByHand(t *testing.T) {
+	null, i, f, s := event.Invalid, event.Int, event.Float, event.Str
+	for _, tc := range []struct {
+		src    string
+		events []map[string]event.Value // "type" is the plan's type index; "ts" is in seconds
+		want   [][][]event.Value        // rows per window, in start order
+	}{{
+		src: `select count(*), count(bid_price), sum(bid_price), avg(bid_price), min(bid_price), max(user_id) from bid window 10s`,
+		events: []map[string]event.Value{
+			{"ts": i(1), "bid_price": i(2), "user_id": i(5)},
+			{"ts": i(2), "bid_price": f(0.5), "user_id": i(9)},
+			{"ts": i(3)},
+			{"ts": i(11), "bid_price": i(3), "user_id": i(1)},
+			{"ts": i(12), "bid_price": i(4), "user_id": i(2)},
+			{"ts": i(21)},
+		},
+		want: [][][]event.Value{
+			{{i(3), i(2), f(2.5), f(1.25), f(0.5), i(9)}},
+			{{i(2), i(2), i(7), f(3.5), i(3), i(2)}},
+			{{i(1), i(0), null, null, null, null}},
+		},
+	}, {
+		src: `select min(reason), max(reason), count(reason) from exclusion window 10s`,
+		events: []map[string]event.Value{
+			{"ts": i(1), "reason": s("viewability")},
+			{"ts": i(2)},
+			{"ts": i(3), "reason": s("blocked")},
+			{"ts": i(4), "reason": s("geo")},
+		},
+		want: [][][]event.Value{{{s("blocked"), s("viewability"), i(3)}}},
+	}, {
+		src: `select count(*), sum(bid.bid_price), max(exclusion.reason) from bid, exclusion window 10s`,
+		events: []map[string]event.Value{
+			{"req": i(1), "ts": i(1), "bid_price": f(1.5)},
+			{"type": i(1), "req": i(1), "ts": i(2), "reason": s("geo")},
+			{"req": i(3), "ts": i(11), "bid_price": f(2)},
+			{"type": i(1), "req": i(4), "ts": i(12), "reason": s("orphan")},
+		},
+		want: [][][]event.Value{
+			{{i(1), f(1.5), s("geo")}},
+			{{i(0), null, null}},
+		},
+	}} {
+		t.Run(tc.src, func(t *testing.T) {
+			p := buildPlan(t, tc.src)
+			events := make([]Event, len(tc.events))
+			for n, fields := range tc.events {
+				typ, _ := fields["type"].AsInt()
+				req, _ := fields["req"].AsInt()
+				ts, _ := fields["ts"].AsInt()
+				e := Event{Host: "h", TypeIdx: int(typ), RequestID: uint64(req), TsNanos: sec(ts)}
+				for _, col := range p.Columns[typ] {
+					e.Values = append(e.Values, fields[col])
+				}
+				events[n] = e
+			}
+			got, err := Eval(p, events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d windows, want %d: %+v", len(got), len(tc.want), got)
+			}
+			for w := range got {
+				if !reflect.DeepEqual(got[w].Rows, tc.want[w]) {
+					t.Errorf("window %d rows = %v, want %v", w, got[w].Rows, tc.want[w])
+				}
+			}
+		})
+	}
+}
+
 func TestOracleTopKAndDistinctExact(t *testing.T) {
 	src := `select top_k(user_id, 2), count_distinct(exchange_id) from bid window 10s`
 	p := buildPlan(t, src)

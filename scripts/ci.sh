@@ -55,6 +55,14 @@ echo "== the case studies run on one fixed clock (no P3 or P6 runner, no Estimat
 if grep -rnE --include='*.go' 'P3SamplingAccuracy|P6Sketches|EstimateCount' .; then echo "a .go file names a deleted P3/P6 runner or sampling.EstimateCount again" >&2; exit 1; fi
 if grep -nE 'time\.(Now|Since)\b|\bvirtualStart\b' $(nontest internal/experiments | grep -vE '/(g1_governor|c1_chaos|a1_ablation)\.go$'); then echo "non-test internal/experiments reads the wall clock outside G1, C1 and A1: the case studies run on the fixed epoch" >&2; exit 1; fi
 
+echo "== one copy of each case study (no internal/logbase, no experiment config struct, no benchrunner -quick or -seed, no root-level test file, examples/ holds only quickstart; the oracle folds no internal/agg state) =="
+if [ -e internal/logbase ] || grep -rn --include='*.go' '"scrub/internal/logbase"' .; then echo "internal/logbase exists or is imported again: P5's logging answer is the oracle's" >&2; exit 1; fi
+if grep -nE '[A-Z][0-9]Config' internal/experiments/*.go cmd/benchrunner/*.go; then echo "internal/experiments or cmd/benchrunner names an experiment config again: each experiment has one configuration, constants in its file" >&2; exit 1; fi
+if grep -nE 'flag\.[A-Za-z0-9]+\("(quick|seed)"' cmd/benchrunner/*.go; then echo "cmd/benchrunner has a -quick or -seed flag again" >&2; exit 1; fi
+if ls ./*_test.go 2>/dev/null; then echo "a root-level test file is back: the case studies are tested in internal/experiments and pinned by cmd/benchrunner's golden" >&2; exit 1; fi
+if find examples -mindepth 1 -maxdepth 1 ! -name quickstart | grep .; then echo "examples/ holds more than quickstart again: a case study has one copy, in internal/experiments" >&2; exit 1; fi
+if grep -nE '\bagg\.(New|MustNew)\(' $(nontest internal/oracle); then echo "non-test internal/oracle folds through internal/agg's aggregators again: the oracle's aggregates are its own" >&2; exit 1; fi
+
 echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
 if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(internal/central|internal/difftest|bench)/|_test\.go:' | grep -vE 'NewShardedEngine(With)?\(1[,)]'; then echo "non-test code outside internal/central, internal/difftest and bench/ builds a ShardedEngine with n other than a literal 1" >&2; exit 1; fi
@@ -86,8 +94,8 @@ go test -race ./...
 echo "== metrics smoke (boot a plain scrubcentral, a shard process and a coordinator over it, the two executors with agents, scrape /metrics, run a query through both executors, then a top_k whose window state the gauge must count and give back) =="
 go run ./scripts/metricssmoke
 
-echo "== chaos soak (fixed seed, quick, -race) =="
-go run -race ./cmd/benchrunner -only C1 -quick
+echo "== chaos soak (fixed seed, -race) =="
+go run -race ./cmd/benchrunner -only C1
 
 echo "== differential oracle sweep (200 seeded sims, the pinned seeds and 64 default-lateness sims, -race) =="
 go test -race ./internal/difftest -run 'TestDifferentialSweep|TestRegressionSeeds|TestDefaultLatenessSweep' -difftest.seeds=200
