@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci size bench bench-smoke fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
+.PHONY: build test race vet ci size unreached bench bench-smoke fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,8 @@ race:
 # allocation freedom, pooled-memory retention, atomic/guarded field
 # discipline, metric naming, wire-codec symmetry/exhaustiveness,
 # lock-order and lock-leak checking, goroutine lifecycle). The passes
-# run concurrently over one shared type-checked load; `-seq` restores
-# sequential execution, `-json` emits machine-readable findings.
+# run concurrently over one shared type-checked load (one at a time at
+# GOMAXPROCS=1); `-json` emits machine-readable findings.
 # See DESIGN.md §12 for the annotation grammar.
 vet:
 	$(GO) vet ./...
@@ -30,6 +30,13 @@ ci:
 # (`scripts/size.sh <dir>` sizes another checkout).
 size:
 	./scripts/size.sh
+
+# Build every non-test binary with inlining off and fail on any func under
+# internal/ that none of them links and scripts/unreached.allow does not
+# name with a reason: non-test code is code a binary runs (ci.sh runs it
+# after the build).
+unreached:
+	$(GO) run ./scripts/unreached
 
 # scrubbench, the repository's one performance benchmark: all five
 # workloads, untraced, printing the gated end-to-end metrics

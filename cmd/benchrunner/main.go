@@ -4,7 +4,7 @@
 // paper's qualitative claim attached. Beyond the paper's tables it also
 // runs C1, a chaos soak over real TCP that pins the reproduction's
 // failure-domain contract (degraded windows, lease eviction, spill
-// redelivery), and G1, the overhead governor under an expensive query.
+// redelivery).
 //
 // Usage:
 //
@@ -56,7 +56,6 @@ var runners = []runner{
 	{"A1", tabled(experiments.A1HostVsCentralAggregation)},
 	{"A2", tabled(experiments.A2BaggageVsOnDemand)},
 	{"C1", tabled(experiments.C1ChaosSoak)},
-	{"G1", tabled(experiments.G1Governor)},
 }
 
 // selectRunners returns the runners only names (comma-separated ids, any

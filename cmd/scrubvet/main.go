@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	scrubvet [-C dir] [-analyzers hotpath,poolsafe,...] [-notests] [-json] [-seq] [packages...]
+//	scrubvet [-C dir] [-analyzers hotpath,poolsafe,...] [-notests] [-json] [packages...]
 //
 // -json emits one JSON object per finding (file/line/analyzer/message),
-// for CI tooling. -seq runs the passes sequentially instead of
-// concurrently (wall-time comparisons; see EXPERIMENTS.md).
+// for CI tooling. The passes run concurrently, or one at a time when
+// GOMAXPROCS is 1.
 //
 // Exit status is 1 when any diagnostic is reported, 2 on load errors.
 package main
@@ -30,7 +30,6 @@ func main() {
 	noTests := flag.Bool("notests", false, "skip _test.go files (default: tests are analyzed too)")
 	list := flag.Bool("list", false, "print the available analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per finding instead of plain text")
-	seq := flag.Bool("seq", false, "run analyzer passes sequentially instead of concurrently")
 	flag.Parse()
 
 	all := analysis.All()
@@ -77,12 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var diags []analysis.Diagnostic
-	if *seq {
-		diags = analysis.RunSequential(prog, selected)
-	} else {
-		diags = analysis.Run(prog, selected)
-	}
+	diags := analysis.Run(prog, selected)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		for _, d := range diags {

@@ -39,8 +39,6 @@ type Config struct {
 
 	// Agent forwards agent tuning (queue sizes, flush interval).
 	Agent host.Config
-	// AgentSink forwards core.LocalConfig.AgentSink (see there).
-	AgentSink host.Sink
 }
 
 // Platform is a running simulated deployment: the Scrub cluster plus the
@@ -90,10 +88,9 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	cluster, err := core.NewLocalCluster(core.LocalConfig{
-		Catalog:   catalog,
-		Hosts:     hosts,
-		Agent:     cfg.Agent,
-		AgentSink: cfg.AgentSink,
+		Catalog: catalog,
+		Hosts:   hosts,
+		Agent:   cfg.Agent,
 	})
 	if err != nil {
 		return nil, err

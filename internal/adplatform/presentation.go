@@ -31,9 +31,6 @@ func NewPresentationServer(agent *host.Agent, store *ProfileStore) *Presentation
 	}
 }
 
-// Agent exposes the embedded Scrub agent.
-func (s *PresentationServer) Agent() *host.Agent { return s.agent }
-
 // detRand returns a deterministic pseudo-uniform in [0,1) keyed by the
 // request and a salt, so simulations replay identically under any
 // concurrency.

@@ -89,11 +89,6 @@ type Spec struct {
 	Prec uint8 // HLL precision for COUNT_DISTINCT; 0 means default
 }
 
-// RequiresNumeric reports whether the aggregate's input must be numeric.
-func (s Spec) RequiresNumeric() bool {
-	return s.Kind == KindSum || s.Kind == KindAvg
-}
-
 // Scalable reports whether the aggregate's result scales linearly under
 // sampling (so a Horvitz-Thompson factor can be applied). COUNT and SUM
 // scale; AVG/MIN/MAX are invariant ratios/extremes; sketches are reported
@@ -114,8 +109,6 @@ type Aggregator interface {
 	// aggregates yield Invalid (SQL NULL), except COUNT variants which
 	// yield 0.
 	Result() event.Value
-	// Count returns how many inputs were folded in (post-NULL-filtering).
-	Count() uint64
 }
 
 // New constructs an aggregator for a spec.
@@ -202,7 +195,6 @@ func (a *countAgg) Merge(o Aggregator) error {
 }
 
 func (a *countAgg) Result() event.Value { return event.Int(int64(a.n)) }
-func (a *countAgg) Count() uint64       { return a.n }
 
 func (a *countStarAgg) Add(event.Value) { a.n++ }
 
@@ -216,7 +208,6 @@ func (a *countStarAgg) Merge(o Aggregator) error {
 }
 
 func (a *countStarAgg) Result() event.Value { return event.Int(int64(a.n)) }
-func (a *countStarAgg) Count() uint64       { return a.n }
 
 // --- SUM ---
 
@@ -263,8 +254,6 @@ func (a *sumAgg) Result() event.Value {
 	return event.Int(a.intSum)
 }
 
-func (a *sumAgg) Count() uint64 { return a.n }
-
 // --- AVG ---
 
 type avgAgg struct {
@@ -295,8 +284,6 @@ func (a *avgAgg) Result() event.Value {
 	}
 	return event.Float(a.sum / float64(a.n))
 }
-
-func (a *avgAgg) Count() uint64 { return a.n }
 
 // --- MIN / MAX ---
 
@@ -358,8 +345,6 @@ func (a *extremeAgg) Result() event.Value {
 	return a.best
 }
 
-func (a *extremeAgg) Count() uint64 { return a.n }
-
 // --- TOP_K ---
 
 type topKAgg struct {
@@ -390,8 +375,8 @@ func (a *topKAgg) Merge(o Aggregator) error {
 	return nil
 }
 
-// Result renders the top-k as a list of "item=count" strings; use Entries
-// for structured access. The strings are cut from one buffer.
+// Result renders the top-k as a list of "item=count" strings, cut from one
+// buffer.
 func (a *topKAgg) Result() event.Value {
 	var buf []byte
 	ends := make([]int, 0, min(a.k, a.ss.Len()))
@@ -407,20 +392,6 @@ func (a *topKAgg) Result() event.Value {
 		start = end
 	}
 	return event.List(event.KindString, vs...)
-}
-
-func (a *topKAgg) Count() uint64 { return a.n }
-
-// Entries exposes the structured top-k for harnesses and tests.
-func (a *topKAgg) Entries() []sketch.Entry { return a.ss.Top(a.k) }
-
-// TopKEntries extracts structured entries when a is a TOP_K aggregator.
-func TopKEntries(a Aggregator) ([]sketch.Entry, bool) {
-	t, ok := a.(*topKAgg)
-	if !ok {
-		return nil, false
-	}
-	return t.Entries(), true
 }
 
 // --- COUNT_DISTINCT ---
@@ -451,7 +422,6 @@ func (a *distinctAgg) Merge(o Aggregator) error {
 }
 
 func (a *distinctAgg) Result() event.Value { return event.Int(int64(a.hll.Estimate())) }
-func (a *distinctAgg) Count() uint64       { return a.n }
 
 // ScaleResult applies a Horvitz-Thompson scale factor to a scalable
 // aggregate's result (COUNT and SUM under sampling). Non-numeric or

@@ -48,76 +48,66 @@ func AppendState(dst []byte, a Aggregator) ([]byte, error) {
 	}
 }
 
-// DecodeState constructs a fresh aggregator for spec and loads state
-// serialized by AppendState into it, returning bytes consumed. The spec
-// must match the one the encoder's aggregator was built from.
-func DecodeState(s Spec, b []byte) (Aggregator, int, error) {
-	a, err := New(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeInto(a, b)
-}
-
-// decodeInto loads serialized state into a freshly constructed aggregator.
-func decodeInto(a Aggregator, b []byte) (Aggregator, int, error) {
+// decodeInto loads state serialized by AppendState into a freshly carved
+// aggregator of the same spec, returning the bytes consumed.
+func decodeInto(a Aggregator, b []byte) (int, error) {
 	n64, sz := binary.Uvarint(b)
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("agg: decode state: bad count")
+		return 0, fmt.Errorf("agg: decode state: bad count")
 	}
 	n := sz
 	switch ag := a.(type) {
 	case *countAgg:
 		ag.n = n64
-		return ag, n, nil
+		return n, nil
 	case *countStarAgg:
 		ag.n = n64
-		return ag, n, nil
+		return n, nil
 	case *sumAgg:
 		if len(b) < n+17 {
-			return nil, 0, fmt.Errorf("agg: decode state: short sum")
+			return 0, fmt.Errorf("agg: decode state: short sum")
 		}
 		ag.n = n64
 		ag.intSum = int64(binary.LittleEndian.Uint64(b[n:]))
 		ag.fltSum = math.Float64frombits(binary.LittleEndian.Uint64(b[n+8:]))
 		ag.isFloat = b[n+16] != 0
-		return ag, n + 17, nil
+		return n + 17, nil
 	case *avgAgg:
 		if len(b) < n+8 {
-			return nil, 0, fmt.Errorf("agg: decode state: short avg")
+			return 0, fmt.Errorf("agg: decode state: short avg")
 		}
 		ag.n = n64
 		ag.sum = math.Float64frombits(binary.LittleEndian.Uint64(b[n:]))
-		return ag, n + 8, nil
+		return n + 8, nil
 	case *extremeAgg:
 		ag.n = n64
 		if n64 == 0 {
-			return ag, n, nil
+			return n, nil
 		}
 		v, used, err := event.DecodeValue(b[n:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("agg: decode state: extreme: %w", err)
+			return 0, fmt.Errorf("agg: decode state: extreme: %w", err)
 		}
 		ag.best = v
-		return ag, n + used, nil
+		return n + used, nil
 	case *topKAgg:
 		ss, used, err := sketch.DecodeSpaceSaving(b[n:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("agg: decode state: top-k: %w", err)
+			return 0, fmt.Errorf("agg: decode state: top-k: %w", err)
 		}
 		ag.n = n64
 		ag.ss = ss
-		return ag, n + used, nil
+		return n + used, nil
 	case *distinctAgg:
 		hll, used, err := sketch.DecodeHLL(b[n:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("agg: decode state: distinct: %w", err)
+			return 0, fmt.Errorf("agg: decode state: distinct: %w", err)
 		}
 		ag.n = n64
 		ag.hll = hll
-		return ag, n + used, nil
+		return n + used, nil
 	default:
-		return nil, 0, fmt.Errorf("agg: cannot decode state of %T", a)
+		return 0, fmt.Errorf("agg: cannot decode state of %T", a)
 	}
 }
 

@@ -57,15 +57,15 @@ func TestStateCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: encode: %v", spec.Kind, err)
 			}
-			d, n, err := DecodeState(spec, enc)
+			d, n, err := decodeState(spec, enc)
 			if err != nil {
 				t.Fatalf("%v: decode: %v", spec.Kind, err)
 			}
 			if n != len(enc) {
 				t.Fatalf("%v: consumed %d of %d bytes", spec.Kind, n, len(enc))
 			}
-			if d.Count() != a.Count() {
-				t.Fatalf("%v: count %d vs %d", spec.Kind, d.Count(), a.Count())
+			if inputs(d) != inputs(a) {
+				t.Fatalf("%v: count %d vs %d", spec.Kind, inputs(d), inputs(a))
 			}
 			if !sameResult(d.Result(), a.Result()) {
 				t.Fatalf("%v: result %v vs %v", spec.Kind, d.Result(), a.Result())
@@ -87,9 +87,9 @@ func TestStateCodecRoundTrip(t *testing.T) {
 				a.Add(v)
 				d.Add(v)
 			}
-			if d.Count() != a.Count() || !sameResult(d.Result(), a.Result()) {
+			if inputs(d) != inputs(a) || !sameResult(d.Result(), a.Result()) {
 				t.Fatalf("%v: post-merge divergence: (%d,%v) vs (%d,%v)",
-					spec.Kind, d.Count(), d.Result(), a.Count(), a.Result())
+					spec.Kind, inputs(d), d.Result(), inputs(a), a.Result())
 			}
 		}
 	}
@@ -106,11 +106,11 @@ func TestStateCodecEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode empty: %v", spec.Kind, err)
 		}
-		d, n, err := DecodeState(spec, enc)
+		d, n, err := decodeState(spec, enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("%v: decode empty: n=%d err=%v", spec.Kind, n, err)
 		}
-		if d.Count() != 0 || !sameResult(d.Result(), a.Result()) {
+		if inputs(d) != 0 || !sameResult(d.Result(), a.Result()) {
 			t.Fatalf("%v: empty round-trip mismatch", spec.Kind)
 		}
 	}
@@ -129,7 +129,7 @@ func TestStateCodecTruncation(t *testing.T) {
 			t.Fatalf("%v: encode: %v", spec.Kind, err)
 		}
 		for cut := 0; cut < len(enc); cut++ {
-			if _, _, err := DecodeState(spec, enc[:cut]); err == nil {
+			if _, _, err := decodeState(spec, enc[:cut]); err == nil {
 				t.Fatalf("%v: truncation at %d decoded without error", spec.Kind, cut)
 			}
 		}
@@ -187,7 +187,7 @@ func TestStateCodecContinuationExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if resumed, _, err = DecodeState(c.spec, enc); err != nil {
+					if resumed, _, err = decodeState(c.spec, enc); err != nil {
 						t.Fatal(err)
 					}
 				}

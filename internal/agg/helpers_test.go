@@ -1,0 +1,60 @@
+package agg
+
+import (
+	"fmt"
+)
+
+// inputs is how many inputs a folded in (post-NULL-filtering).
+func inputs(a Aggregator) uint64 {
+	switch a := a.(type) {
+	case *countAgg:
+		return a.n
+	case *countStarAgg:
+		return a.n
+	case *sumAgg:
+		return a.n
+	case *avgAgg:
+		return a.n
+	case *extremeAgg:
+		return a.n
+	case *topKAgg:
+		return a.n
+	case *distinctAgg:
+		return a.n
+	}
+	panic(fmt.Sprintf("agg: no input count in %T", a))
+}
+
+// topEntry is one TOP_K heavy hitter as the summary's EachTop reports it.
+type topEntry struct {
+	Item       string
+	Count, Err uint64
+}
+
+// topKEntries reads a TOP_K aggregator's top k through EachTop; ok is
+// false for any other aggregate.
+func topKEntries(a Aggregator) (out []topEntry, ok bool) {
+	t, ok := a.(*topKAgg)
+	if !ok {
+		return nil, false
+	}
+	t.ss.EachTop(t.k, func(item []byte, count, errVal uint64) {
+		out = append(out, topEntry{Item: string(item), Count: count, Err: errVal})
+	})
+	return out, true
+}
+
+// decodeState decodes one aggregate's state, serialized by AppendState,
+// into a one-group Slab and returns it with the bytes consumed.
+func decodeState(s Spec, b []byte) (Aggregator, int, error) {
+	lay, err := NewLayout([]Spec{s})
+	if err != nil {
+		return nil, 0, err
+	}
+	sl := NewSlab(lay)
+	g, n, err := sl.Decode(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sl.At(g, 0), n, nil
+}

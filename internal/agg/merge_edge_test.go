@@ -75,8 +75,8 @@ func TestMergeEdgeCases(t *testing.T) {
 			if !resultsEqual(got, tc.want) {
 				t.Errorf("merged result = %v, want %v", got, tc.want)
 			}
-			if dst.Count() != tc.wantN {
-				t.Errorf("merged count = %d, want %d", dst.Count(), tc.wantN)
+			if inputs(dst) != tc.wantN {
+				t.Errorf("merged count = %d, want %d", inputs(dst), tc.wantN)
 			}
 
 			// Merge must equal one aggregator fed the combined stream.

@@ -145,7 +145,7 @@ func (sl *Slab) Decode(b []byte) (g uint32, n int, err error) {
 		return 0, 0, fmt.Errorf("agg: slab is full")
 	}
 	for i := range sl.lay.slots {
-		_, used, err := decodeInto(sl.At(g, i), b[n:])
+		used, err := decodeInto(sl.At(g, i), b[n:])
 		if err != nil {
 			return 0, 0, fmt.Errorf("agg %d: %w", i, err)
 		}

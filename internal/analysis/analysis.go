@@ -91,12 +91,6 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	return run(prog, analyzers, 0)
 }
 
-// RunSequential runs the passes one at a time (the pre-parallelism
-// behavior, kept for wall-time comparisons; see EXPERIMENTS.md).
-func RunSequential(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	return run(prog, analyzers, 1)
-}
-
 func run(prog *Program, analyzers []*Analyzer, parallelism int) []Diagnostic {
 	results := make([][]Diagnostic, len(analyzers))
 	if parallelism == 1 {

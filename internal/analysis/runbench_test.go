@@ -26,6 +26,6 @@ func BenchmarkRunSequential(b *testing.B) {
 	prog := loadRepo(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunSequential(prog, All())
+		run(prog, All(), 1)
 	}
 }

@@ -84,9 +84,8 @@ func TestStartQueryValidation(t *testing.T) {
 	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err == nil {
 		t.Error("duplicate id should fail")
 	}
-	ids := e.ActiveQueries()
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Errorf("active = %v", ids)
+	if _, ok := e.Stats(1); !ok {
+		t.Error("query 1 not running")
 	}
 }
 
@@ -115,6 +114,9 @@ func TestGroupedCountOverWindows(t *testing.T) {
 	wins := c.all()
 	if len(wins) != 2 {
 		t.Fatalf("emitted %d windows, want 2", len(wins))
+	}
+	if n := e.cluster.Merges(); n != 0 {
+		t.Errorf("the one-shard cluster merged %d partials", n)
 	}
 	w := wins[0]
 	if w.WindowStart != 0 || w.WindowEnd != sec(10) {
@@ -274,6 +276,9 @@ func TestRawRowsQuery(t *testing.T) {
 	if wins[0].Rows[0][0].String() != "7" || wins[0].Rows[1][1].String() != "2.5" {
 		t.Errorf("rows = %v", wins[0].Rows)
 	}
+	if n := e.cluster.Merges(); n != 0 {
+		t.Errorf("the one-shard cluster merged %d partials", n)
+	}
 }
 
 func TestJoinOnRequestID(t *testing.T) {
@@ -319,6 +324,9 @@ func TestJoinOnRequestID(t *testing.T) {
 	}
 	if w := wins[0]; w.Stats.HostsReporting != 2 {
 		t.Errorf("hosts reporting = %d", w.Stats.HostsReporting)
+	}
+	if n := e.cluster.Merges(); n != 0 {
+		t.Errorf("the one-shard cluster merged %d partials", n)
 	}
 }
 
@@ -665,7 +673,6 @@ func TestEngineConcurrentStress(t *testing.T) {
 			default:
 				e.Tick(0) // bound far in the past: must never close anything
 				e.Stats(1)
-				e.ActiveQueries()
 			}
 		}
 	}()

@@ -279,7 +279,8 @@ func (h handThrough) Apply(b transport.TupleBatch) (central.DrivenAck, bool, err
 }
 
 // TestEngineIsOneShardCluster pins what "Engine is the n = 1 cluster"
-// costs and means: no window is ever merged, the route step hands the
+// costs and means (that no window is ever merged is checked in-package,
+// by the grouped, raw and join engine tests): the route step hands the
 // shard the caller's own tuples — no copy, no allocation, nothing wiped
 // behind the caller's back — and the executor's running tuple count is
 // the kernel's.
@@ -300,8 +301,8 @@ func TestEngineIsOneShardCluster(t *testing.T) {
 				t.Fatalf("%s: Stats().TuplesIn = %d (ok=%v), the kernel has applied %d (running=%v)", name, st.TuplesIn, ok, kernel, running)
 			}
 		})
-		if len(wins) == 0 || e.Merges() != 0 {
-			t.Errorf("%s: %d windows, %d merges; want windows and no merge", name, len(wins), e.Merges())
+		if len(wins) == 0 {
+			t.Errorf("%s: no windows", name)
 		}
 
 		var drops uint64

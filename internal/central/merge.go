@@ -186,11 +186,11 @@ func manifestOf(b *transport.TupleBatch) transport.BatchManifest {
 	}
 }
 
-// queryCore is what the merger keeps per query, whoever accumulates its
-// windows: the compiled plan, the emit hook, the stream table, the running
-// stats and the replay hold. The stream fold, the close decisions and the
-// emit stamping exist here and nowhere else.
-type queryCore struct {
+// mergeQuery is what the merger keeps per query: the compiled plan, the
+// emit hook, the stream table, the running stats, the replay hold and the
+// query's shards. The stream fold, the close decisions and the emit
+// stamping exist here and nowhere else.
+type mergeQuery struct {
 	QueryRuntime
 	emit EmitFunc
 
@@ -216,12 +216,44 @@ type queryCore struct {
 	// done marker or of a query no recording host serves.
 	replayHold     bool
 	replayDeadline int64
+
+	// installed flips true once every shard accepted the start. Until
+	// then the entry only reserves the query id: batches and manifests
+	// are dropped (their tuples never reached a started shard query) and
+	// Stop reports the query unknown, so a rolled-back start never races
+	// concurrent traffic folding state into it.
+	installed bool
+
+	// The query's shards, fixed at Start; shard i owns request ids ≡ i.
+	shards []ShardClient
+	// Cumulative window-late and overflow drops by shard index: max-folded
+	// from manifests (order-insensitive, so late or duplicated manifests
+	// cannot regress them) and refreshed by every collect.
+	shardLate     []uint64
+	shardOverflow []uint64
+	// lostShard latches when a shard dies, fences the caller out or sends
+	// a partial that does not decode: part of the query's state is
+	// unreachable, so every window from then on is flagged Degraded
+	// rather than silently incomplete.
+	lostShard bool
+
+	// pending holds merged-but-unflushed windows by start time.
+	pending map[int64]*winState
+	// barrier is the highest slide index, floor(bound/slide), a collect
+	// barrier has covered (closeBefore).
+	barrier int64
+	// mergeDrops counts raw rows truncated when shard partials merged past
+	// MaxRawRows; folded into the query's late/overflow totals.
+	mergeDrops uint64
+	// routeDrops tracks cumulative routing failures per stream for Ingest.
+	// Allocated on the first failure: direct shards never fail.
+	routeDrops map[liveness.Key]uint64
 }
 
 // fold renews the stream's lease and folds the batch's cumulative host
 // counters into it. Every batch — counter-only heartbeats included —
 // renews the lease; a batch from an evicted stream re-admits it.
-func (q *queryCore) fold(m *transport.BatchManifest, nowN int64) *liveness.Stream {
+func (q *mergeQuery) fold(m *transport.BatchManifest, nowN int64) *liveness.Stream {
 	st, _ := q.streams.Touch(liveness.Key{Host: m.HostID, TypeIdx: m.TypeIdx}, nowN)
 	// Counters are cumulative; max() keeps a delayed or duplicated batch
 	// (chaos, retransmits) from regressing them.
@@ -238,7 +270,7 @@ func (q *queryCore) fold(m *transport.BatchManifest, nowN int64) *liveness.Strea
 
 // holding reports whether the replay hold is still open at leaseNow,
 // releasing it when replay has settled or the deadline passed.
-func (q *queryCore) holding(leaseNow int64) bool {
+func (q *mergeQuery) holding(leaseNow int64) bool {
 	if q.replayHold && (q.streams.ReplaySettled() || leaseNow >= q.replayDeadline) {
 		q.replayHold = false
 	}
@@ -253,7 +285,7 @@ func (q *queryCore) holding(leaseNow int64) bool {
 // every stream) until the host's lease expired. A batch that releases the
 // replay hold (its ReplayDone marker settled the last replaying stream)
 // closes windows even when it carried no tuples of its own.
-func (q *queryCore) advance(st *liveness.Stream, lateDelta uint64, hasTs bool, maxTs, nowN int64) (wm int64, ok bool) {
+func (q *mergeQuery) advance(st *liveness.Stream, lateDelta uint64, hasTs bool, maxTs, nowN int64) (wm int64, ok bool) {
 	st.LateDrops += lateDelta
 	if hasTs {
 		st.ObserveTs(maxTs)
@@ -271,7 +303,7 @@ func (q *queryCore) advance(st *liveness.Stream, lateDelta uint64, hasTs bool, m
 // stream or this tick released the hold, the watermark recomputed over
 // the survivors is returned so windows a dead host was holding open close
 // now instead of waiting out the force bound.
-func (q *queryCore) sweep(leaseNow int64) (held bool, wm int64, moved bool) {
+func (q *mergeQuery) sweep(leaseNow int64) (held bool, wm int64, moved bool) {
 	// Expire before the hold check: evicting a replaying stream can
 	// settle the replay (a dead host will never send its done marker).
 	evicted := q.streams.Expire(leaseNow)
@@ -291,21 +323,21 @@ func (q *queryCore) sweep(leaseNow int64) (held bool, wm int64, moved bool) {
 // stream's lease is expired — or after part of the cluster was lost —
 // carries the degraded marker and the full per-stream accounting, so the
 // consumer knows exactly whose data is missing.
-func (q *queryCore) emitWindow(met *centralMetrics, start, end int64, ws *winState, lateDrops uint64, lostShard bool) {
+func (q *mergeQuery) emitWindow(met *centralMetrics, start, end int64, ws *winState) {
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
 	}
 	rw := renderWindow(&q.plan, q.comp, start, end, ws, q.streams.RatesByHost(q.plan.SampleEvents))
 	rw.Stats.HostDrops = q.streams.HostDrops()
-	rw.Stats.LateDrops = lateDrops
-	rw.Degraded = lostShard || q.streams.AnyEvicted()
+	rw.Stats.LateDrops = q.lateDrops()
+	rw.Degraded = q.lostShard || q.streams.AnyEvicted()
 	rw.BudgetShed = q.streams.AnyShed()
 	rw.Streams = q.streams.Snapshot()
 	q.stats.Windows++
 	q.stats.Rows += uint64(len(rw.Rows))
 	q.stats.HostDrops = rw.Stats.HostDrops
-	q.stats.LateDrops = lateDrops
+	q.stats.LateDrops = rw.Stats.LateDrops
 	if rw.Degraded {
 		q.stats.DegradedWindows++
 	}
@@ -389,42 +421,6 @@ type Merger struct {
 	merges  atomic.Uint64 // partial-window merges folded
 }
 
-type mergeQuery struct {
-	queryCore
-
-	// installed flips true once every shard accepted the start. Until
-	// then the entry only reserves the query id: batches and manifests
-	// are dropped (their tuples never reached a started shard query) and
-	// Stop reports the query unknown, so a rolled-back start never races
-	// concurrent traffic folding state into it.
-	installed bool
-
-	// The query's shards, fixed at Start; shard i owns request ids ≡ i.
-	shards []ShardClient
-	// Cumulative window-late and overflow drops by shard index: max-folded
-	// from manifests (order-insensitive, so late or duplicated manifests
-	// cannot regress them) and refreshed by every collect.
-	shardLate     []uint64
-	shardOverflow []uint64
-	// lostShard latches when a shard dies, fences the caller out or sends
-	// a partial that does not decode: part of the query's state is
-	// unreachable, so every window from then on is flagged Degraded
-	// rather than silently incomplete.
-	lostShard bool
-
-	// pending holds merged-but-unflushed windows by start time.
-	pending map[int64]*winState
-	// barrier is the highest slide index, floor(bound/slide), a collect
-	// barrier has covered (closeBefore).
-	barrier int64
-	// mergeDrops counts raw rows truncated when shard partials merged past
-	// MaxRawRows; folded into the query's late/overflow totals.
-	mergeDrops uint64
-	// routeDrops tracks cumulative routing failures per stream for Ingest.
-	// Allocated on the first failure: direct shards never fail.
-	routeDrops map[liveness.Key]uint64
-}
-
 // NewMerger returns a merger with no queries.
 func NewMerger(opt Options) *Merger {
 	opt.fillDefaults()
@@ -461,7 +457,9 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 	}
 	id := qr.plan.QueryID
 	q := &mergeQuery{
-		queryCore:     queryCore{QueryRuntime: *qr, emit: emit, streams: liveness.NewTable(m.opt.LeaseTTL)},
+		QueryRuntime:  *qr,
+		emit:          emit,
+		streams:       liveness.NewTable(m.opt.LeaseTTL),
 		shards:        shards,
 		shardLate:     make([]uint64, len(shards)),
 		shardOverflow: make([]uint64, len(shards)),
@@ -587,7 +585,7 @@ func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 // window ending at or before now − hold (Plan.closeBounds). It also
 // expires stream leases, on the merger's own clock (nowNanos may be
 // virtual time), and closes at once, at watermark − slack, whatever an
-// evicted stream was holding open (queryCore.sweep). The query server
+// evicted stream was holding open (mergeQuery.sweep). The query server
 // calls it from a ticker.
 func (m *Merger) Tick(nowNanos int64) {
 	m.mu.Lock()
@@ -692,7 +690,7 @@ func (m *Merger) flush(q *mergeQuery, bound int64) {
 		ws := q.pending[start]
 		delete(q.pending, start)
 		q.stats.TuplesIn += ws.tuples
-		q.emitWindow(m.met, start, start+winSize, ws, q.lateDrops(), q.lostShard)
+		q.emitWindow(m.met, start, start+winSize, ws)
 	}
 }
 
@@ -767,20 +765,6 @@ func (m *Merger) Stats(id uint64) (transport.QueryStats, bool) {
 	}
 	st.TuplesIn = max(st.TuplesIn, tuples)
 	return st, true
-}
-
-// ActiveQueries returns the installed query ids.
-func (m *Merger) ActiveQueries() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]uint64, 0, len(m.queries))
-	for id, q := range m.queries {
-		if q.installed {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Merges reports how many partial-window merges the merger has folded.

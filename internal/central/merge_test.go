@@ -368,15 +368,12 @@ func TestMergerTwoPhaseInstall(t *testing.T) {
 	if _, ok := m.Stop(1, nil); ok {
 		t.Error("Stop stopped a query whose install has not finished")
 	}
-	if ids := m.ActiveQueries(); len(ids) != 0 {
-		t.Errorf("ActiveQueries during install = %v, want none", ids)
-	}
 
 	s1.startGate <- errors.New("no capacity")
 	if err := <-startErr; err == nil {
 		t.Fatal("Start succeeded despite shard refusal")
 	}
-	if qs := s0.eng.ActiveQueries(); len(qs) != 0 {
+	if qs := s0.eng.DrivenQueries(); len(qs) != 0 {
 		t.Errorf("shard 0 still runs %v after rollback", qs)
 	}
 	// The id is free again.

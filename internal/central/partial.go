@@ -107,9 +107,6 @@ func (qr *QueryRuntime) Plan() *Plan { return &qr.plan }
 // PartialWindow is one decoded (or merged) window's accumulated state.
 type PartialWindow struct{ ws *winState }
 
-// Tuples returns how many tuples the partial has absorbed.
-func (pw *PartialWindow) Tuples() uint64 { return pw.ws.tuples }
-
 // Merge folds src into dst, returning the raw rows dropped because the
 // merged window hit MaxRawRows. Merge order must be deterministic
 // (ascending shard index) for bit-identical results.

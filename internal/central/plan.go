@@ -77,9 +77,6 @@ type Plan struct {
 	aggLayout *agg.Layout
 }
 
-// Budgeted reports whether the query carries a host-impact budget.
-func (p *Plan) Budgeted() bool { return p.BudgetCPUPct > 0 || p.BudgetBytesPerSec > 0 }
-
 // FromPlan assembles a central Plan from an analyzed query.
 func FromPlan(p *ql.Plan, queryID uint64, startNanos, endNanos int64, totalHosts, sampledHosts int) Plan {
 	types := p.TypeNames()

@@ -50,7 +50,6 @@ type Executor interface {
 	Tick(nowNanos int64)
 	StopQuery(id uint64) (transport.QueryStats, bool)
 	Stats(id uint64) (transport.QueryStats, bool)
-	ActiveQueries() []uint64
 }
 
 var (
@@ -98,7 +97,7 @@ func NewEngineWith(opt Options) *Engine {
 }
 
 // The Executor surface of a single-node Engine is its one-shard cluster's,
-// method for method; Merges is there to say that one never merges.
+// method for method.
 func (e *Engine) StartQuery(p Plan, emit EmitFunc) error { return e.cluster.StartQuery(p, emit) }
 func (e *Engine) HandleBatch(b transport.TupleBatch)     { e.cluster.HandleBatch(b) }
 func (e *Engine) Tick(nowNanos int64)                    { e.cluster.Tick(nowNanos) }
@@ -106,8 +105,6 @@ func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
 	return e.cluster.StopQuery(id)
 }
 func (e *Engine) Stats(id uint64) (transport.QueryStats, bool) { return e.cluster.Stats(id) }
-func (e *Engine) ActiveQueries() []uint64                      { return e.cluster.ActiveQueries() }
-func (e *Engine) Merges() uint64                               { return e.cluster.Merges() }
 
 // StartQuery implements Executor.
 func (se *ShardedEngine) StartQuery(p Plan, emit EmitFunc) error {

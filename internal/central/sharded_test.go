@@ -27,8 +27,8 @@ func TestNewShardedEngineValidation(t *testing.T) {
 	if err := se.StartQuery(p, func(transport.ResultWindow) {}); err == nil {
 		t.Error("duplicate id should fail")
 	}
-	if got := se.ActiveQueries(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("active = %v", got)
+	if _, ok := se.Stats(1); !ok {
+		t.Error("query 1 not running")
 	}
 }
 

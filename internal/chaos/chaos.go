@@ -144,12 +144,6 @@ func (inj *Injector) Wrap(host string, nc net.Conn) net.Conn {
 	return c
 }
 
-// Wrapper returns a single-host wrap function in the shape transport
-// dial seams accept (host.NetSinkOptions.Wrap, transport.DialWith).
-func (inj *Injector) Wrapper(host string) func(net.Conn) net.Conn {
-	return func(nc net.Conn) net.Conn { return inj.Wrap(host, nc) }
-}
-
 // conn is one wrapped connection. The write path reassembles transport
 // frames from arbitrary Write chunks and applies faults per frame; the
 // read path applies partition stalls and throttling to raw bytes.

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func chaosPipe(t *testing.T, inj *Injector, host string) (client, server *transp
 		}
 		accepted <- conn
 	}()
-	c, err := transport.DialWith(l.Addr(), time.Second, inj.Wrapper(host))
+	c, err := transport.DialWith(l.Addr(), time.Second, func(nc net.Conn) net.Conn { return inj.Wrap(host, nc) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,47 +57,11 @@ func (r *Registry) Deregister(name string) {
 	delete(r.hosts, name)
 }
 
-// Lookup returns a host by name.
-func (r *Registry) Lookup(name string) (HostInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h, ok := r.hosts[name]
-	return h, ok
-}
-
 // Len returns the number of registered hosts.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.hosts)
-}
-
-// All returns every host, sorted by name.
-func (r *Registry) All() []HostInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]HostInfo, 0, len(r.hosts))
-	for _, h := range r.hosts {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Services returns the distinct service names, sorted.
-func (r *Registry) Services() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := make(map[string]bool)
-	for _, h := range r.hosts {
-		seen[h.Service] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Resolve returns the hosts matching a target spec, sorted by name.

@@ -27,6 +27,15 @@ func demoRegistry(t *testing.T) *Registry {
 	return r
 }
 
+// lookup finds one host by name through Resolve.
+func lookup(r *Registry, name string) (HostInfo, bool) {
+	hs := r.Resolve(ql.TargetSpec{Servers: []string{name}})
+	if len(hs) == 0 {
+		return HostInfo{}, false
+	}
+	return hs[0], true
+}
+
 func TestRegisterValidation(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Register(HostInfo{Service: "X"}); err == nil {
@@ -39,14 +48,14 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestLookupAndDeregister(t *testing.T) {
 	r := demoRegistry(t)
-	if h, ok := r.Lookup("ad-sj-1"); !ok || h.Service != "AdServers" {
+	if h, ok := lookup(r, "ad-sj-1"); !ok || h.Service != "AdServers" {
 		t.Errorf("Lookup = %+v, %v", h, ok)
 	}
-	if _, ok := r.Lookup("nope"); ok {
+	if _, ok := lookup(r, "nope"); ok {
 		t.Error("unknown lookup should miss")
 	}
 	r.Deregister("ad-sj-1")
-	if _, ok := r.Lookup("ad-sj-1"); ok {
+	if _, ok := lookup(r, "ad-sj-1"); ok {
 		t.Error("deregistered host still present")
 	}
 	r.Deregister("nope") // no-op
@@ -60,7 +69,7 @@ func TestRegisterUpdatesInPlace(t *testing.T) {
 	if err := r.Register(HostInfo{Name: "bid-sj-1", Service: "BidServers", DC: "DC3"}); err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := r.Lookup("bid-sj-1"); h.DC != "DC3" {
+	if h, _ := lookup(r, "bid-sj-1"); h.DC != "DC3" {
 		t.Error("re-register did not update")
 	}
 	if r.Len() != 6 {
@@ -70,17 +79,19 @@ func TestRegisterUpdatesInPlace(t *testing.T) {
 
 func TestAllAndServices(t *testing.T) {
 	r := demoRegistry(t)
-	all := r.All()
+	all := r.Resolve(ql.TargetSpec{All: true})
 	if len(all) != 6 {
 		t.Fatalf("All = %d", len(all))
 	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Name <= all[i-1].Name {
+	services := map[string]bool{}
+	for i, h := range all {
+		if i > 0 && h.Name <= all[i-1].Name {
 			t.Error("All not sorted")
 		}
+		services[h.Service] = true
 	}
-	if got := r.Services(); !reflect.DeepEqual(got, []string{"AdServers", "BidServers", "PresentationServers"}) {
-		t.Errorf("Services = %v", got)
+	if len(services) != 3 || !services["AdServers"] || !services["BidServers"] || !services["PresentationServers"] {
+		t.Errorf("Services = %v", services)
 	}
 }
 
@@ -132,7 +143,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("h-%d-%d", w, i)
 				_ = r.Register(HostInfo{Name: name, Service: "S", DC: "DC1"})
-				r.Lookup(name)
+				lookup(r, name)
 				r.Resolve(ql.TargetSpec{Services: []string{"S"}})
 				if i%3 == 0 {
 					r.Deregister(name)

@@ -476,7 +476,7 @@ func TestCollectStaleOrGarbageDegrades(t *testing.T) {
 
 	// Shard 0 holds two tuples of [0,10s); the manifest closes the window.
 	for rid := uint64(0); rid < 4; rid += 2 {
-		node.Engine().ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
+		node.eng.ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
 			Tuples: []transport.Tuple{{RequestID: rid, TsNanos: sec, Values: []event.Value{event.Float(1)}}}})
 	}
 	closeAt := func(ts int64, reply func(transport.ShardCollectReq) transport.ShardPartials) {
@@ -500,7 +500,7 @@ func TestCollectStaleOrGarbageDegrades(t *testing.T) {
 		t.Errorf("LateDrops = %d, want the 4 the reply carried beside the garbage", col.wins[0].Stats.LateDrops)
 	}
 
-	node.Engine().ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
+	node.eng.ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h1",
 		Tuples: []transport.Tuple{{RequestID: 4, TsNanos: 13 * sec, Values: []event.Value{event.Float(1)}}}})
 	closeAt(22*sec, func(r transport.ShardCollectReq) transport.ShardPartials {
 		return transport.ShardPartials{Seq: r.Seq, Stale: true}
@@ -573,7 +573,7 @@ func TestStartQueryTwoPhase(t *testing.T) {
 		QueryID: 1, HostID: "h1",
 		Tuples: []transport.Tuple{{RequestID: 0, TsNanos: sec}, {RequestID: 2, TsNanos: 2 * sec}},
 	})
-	if tuples, ok := node.Engine().TuplesIn(1); !ok || tuples != 0 {
+	if tuples, ok := node.eng.TuplesIn(1); !ok || tuples != 0 {
 		t.Errorf("shard 0 absorbed %d tuples of a half-installed query (running there: %v)", tuples, ok)
 	}
 	if _, ok := c.Stats(1); ok {
@@ -581,9 +581,6 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	}
 	if _, ok := c.StopQuery(1); ok {
 		t.Error("StopQuery stopped a query whose install has not finished")
-	}
-	if ids := c.ActiveQueries(); len(ids) != 0 {
-		t.Errorf("ActiveQueries during install = %v, want none", ids)
 	}
 
 	// Refuse the start: the rollback must leave no trace.
@@ -593,15 +590,15 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	if err := <-startErr; err == nil {
 		t.Fatal("StartQuery succeeded despite shard refusal")
 	}
-	if ids := c.ActiveQueries(); len(ids) != 0 {
-		t.Errorf("ActiveQueries after rollback = %v, want none", ids)
+	if _, ok := c.Stats(1); ok {
+		t.Error("Stats sees the query after rollback")
 	}
 	if len(col.wins) != 0 {
 		t.Errorf("rolled-back query emitted %d windows", len(col.wins))
 	}
 	// The dropped manifest must not have left stream state behind: shard
 	// 0 no longer runs the query either (rollback stopped it).
-	if qs := node.Engine().DrivenQueries(); len(qs) != 0 {
+	if qs := node.eng.DrivenQueries(); len(qs) != 0 {
 		t.Errorf("shard 0 still runs %v after rollback", qs)
 	}
 
@@ -679,10 +676,10 @@ func TestStartQueryRollbackManifestRace(t *testing.T) {
 	close(stop)
 	<-done
 	<-done
-	if ids := c.ActiveQueries(); len(ids) != 0 {
-		t.Errorf("queries leaked through rollback: %v", ids)
+	if _, ok := c.Stats(1); ok {
+		t.Error("query 1 leaked through rollback")
 	}
-	if qs := good.Engine().DrivenQueries(); len(qs) != 0 {
+	if qs := good.eng.DrivenQueries(); len(qs) != 0 {
 		t.Errorf("good shard still runs %v after rollbacks", qs)
 	}
 }
@@ -855,7 +852,7 @@ func TestLeaderFailover(t *testing.T) {
 		}
 		plan7 := central.FromPlan(qp, 7, 0, 0, 1, 1)
 		plan7.Text = src
-		if err := tt.shards[0].node.Engine().StartDriven(plan7); err != nil {
+		if err := tt.shards[0].node.eng.StartDriven(plan7); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -883,11 +880,11 @@ func TestLeaderFailover(t *testing.T) {
 		t.Errorf("resumed pin epoch = %d, want 2", resumed[0].PinEpoch)
 	}
 	for i, s := range tt.shards {
-		if f := s.node.Fence(); f != 2 {
+		if f := s.node.fence.Load(); f != 2 {
 			t.Errorf("shard %d fence = %d, want 2", i, f)
 		}
 	}
-	if qs := tt.shards[0].node.Engine().DrivenQueries(); len(qs) != 1 || qs[0] != 1 {
+	if qs := tt.shards[0].node.eng.DrivenQueries(); len(qs) != 1 || qs[0] != 1 {
 		t.Errorf("shard 0 active queries after takeover = %v, want [1] (orphan stopped)", qs)
 	}
 	if _, _, err := sb.Promote(nil); err == nil {

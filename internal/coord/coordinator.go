@@ -292,9 +292,6 @@ func (c *Coordinator) StopQuery(id uint64) (transport.QueryStats, bool) {
 // Stats implements central.Executor.
 func (c *Coordinator) Stats(id uint64) (transport.QueryStats, bool) { return c.core.Stats(id) }
 
-// ActiveQueries implements central.Executor.
-func (c *Coordinator) ActiveQueries() []uint64 { return c.core.ActiveQueries() }
-
 // Status reports the fabric's operational view for scrubql -stats: the
 // epoch, merge and rebalance totals, and one row per member shard.
 func (c *Coordinator) Status() transport.ShardStatusList {
@@ -329,37 +326,6 @@ func (c *Coordinator) Status() transport.ShardStatusList {
 		sl.Shards = append(sl.Shards, row)
 	}
 	return sl
-}
-
-// ServeConn answers a data-plane connection carrying manifests and
-// control asks from a host-side router or the query server's hub.
-func (c *Coordinator) ServeConn(conn *transport.Conn) {
-	defer conn.Close()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		var resp transport.Message
-		switch t := m.(type) {
-		case transport.BatchManifest:
-			c.HandleManifest(t)
-			resp = transport.ManifestAck{Seq: t.Seq}
-		case transport.ShardStatusReq:
-			resp = c.Status()
-		case transport.ShardHello:
-			// Best effort: a failed dial leaves the shard out of the map.
-			c.HandleHello(t)
-			continue
-		case transport.Ping:
-			resp = transport.Pong{Nonce: t.Nonce}
-		default:
-			continue
-		}
-		if err := conn.Send(resp); err != nil {
-			return
-		}
-	}
 }
 
 // Close tears down every shard connection and stops replication to

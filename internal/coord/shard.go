@@ -42,18 +42,12 @@ func NewShardNodeWith(cat *event.Catalog, reg *obs.Registry) *ShardNode {
 	return &ShardNode{eng: central.NewShardEngine(reg), cat: cat}
 }
 
-// Engine exposes the underlying kernel (tests).
-func (n *ShardNode) Engine() *central.Engine { return n.eng }
-
 // PoisonBorrowed is a test hook: from now on every serve loop overwrites
 // the tuple and value cells it borrowed for a sub-batch with garbage once
 // the engine has applied it, so state that kept a borrowed cell — instead
 // of a copy — diverges from a reference at once rather than when the
 // cell happens to be reused.
 func (n *ShardNode) PoisonBorrowed() { n.poison.Store(true) }
-
-// Fence reports the highest fencing epoch the node has latched.
-func (n *ShardNode) Fence() uint64 { return n.fence.Load() }
 
 // admitFence latches f if it is at least the current fencing epoch and
 // reports whether the caller is current. Equal epochs are admitted: the

@@ -48,7 +48,7 @@ func TestShardStartRoundTrip(t *testing.T) {
 				t.Errorf("ShardStartFromPlan leaves %s zero for a plan that sets it", name)
 			}
 		}
-		wire, err := transport.Encode(msg)
+		wire, err := transport.AppendEncode(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,11 +40,6 @@ type LocalConfig struct {
 	// the query server and, unless Central.Clock is set, central read it
 	// too, so a simulation on virtual time runs on it end to end.
 	Agent host.Config
-	// AgentSink, when set, replaces the default engine-backed sink for
-	// every agent. Overhead measurements use an encode-and-discard sink
-	// to model the paper's deployment, where ScrubCentral is a dedicated
-	// remote facility whose work never lands on application hosts.
-	AgentSink host.Sink
 	// Central tunes the engine's failure-domain behavior (stream lease
 	// TTL, lease clock). Zero value is production defaults.
 	Central central.Options
@@ -84,13 +79,10 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 		agents:   make(map[string]*host.Agent),
 	}
 
-	var sink host.Sink = host.SinkFunc(func(b transport.TupleBatch) error {
+	sink := host.SinkFunc(func(b transport.TupleBatch) error {
 		lc.Engine.HandleBatch(b)
 		return nil
 	})
-	if cfg.AgentSink != nil {
-		sink = cfg.AgentSink
-	}
 	for _, h := range cfg.Hosts {
 		if err := lc.Registry.Register(cluster.HostInfo{Name: h.Name, Service: h.Service, DC: h.DC}); err != nil {
 			lc.Close()
@@ -180,16 +172,6 @@ func (s *Stream) Final() transport.QueryStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// Done reports completion without blocking.
-func (s *Stream) Done() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // Query submits query text and streams result windows until the span

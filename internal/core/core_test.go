@@ -257,11 +257,19 @@ func TestStreamDoneNonBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done() {
+	done := func() bool {
+		select {
+		case <-st.done:
+			return true
+		default:
+			return false
+		}
+	}
+	if done() {
 		t.Error("fresh query should not be done")
 	}
 	st.Final()
-	if !st.Done() {
+	if !done() {
 		t.Error("finished query should be done")
 	}
 }

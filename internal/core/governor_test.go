@@ -152,6 +152,23 @@ func TestLocalGovernorDownsampleThenShed(t *testing.T) {
 		t.Errorf("sibling window BudgetShed=%v Approx=%v, want false/false", srw.BudgetShed, srw.Approx)
 	}
 
+	// Shipping falls under BUDGET: the ladder ships fewer events than the
+	// hosts match for the budgeted query, and every matched one for the
+	// sibling.
+	shipped := func(rw transport.ResultWindow) (sampled, matched uint64) {
+		for _, s := range rw.Streams {
+			sampled += s.Sampled
+			matched += s.Matched
+		}
+		return sampled, matched
+	}
+	if s, m := shipped(brw); m == 0 || s >= m {
+		t.Errorf("budgeted streams sampled %d of %d matched events, want fewer than all", s, m)
+	}
+	if s, m := shipped(srw); m == 0 || s != m {
+		t.Errorf("sibling streams sampled %d of %d matched events, want all", s, m)
+	}
+
 	// Drain both queries; the sibling must deliver every event exactly.
 	if err := lc.Cancel(budgeted.Info.ID); err != nil {
 		t.Fatal(err)

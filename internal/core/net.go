@@ -18,14 +18,8 @@ import (
 type NetConfig struct {
 	Catalog *event.Catalog
 	Hosts   []HostSpec
-	// Listener addresses; empty means ephemeral loopback ports.
-	ClientAddr  string
-	ControlAddr string
-	DataAddr    string
 	// Agent defaults forwarded to every agent.
 	Agent host.Config
-	// Logf for hub diagnostics; nil silences them.
-	Logf func(string, ...any)
 	// Central: see LocalConfig.Central.
 	Central central.Options
 	// Sink is the base option set for every host's data sink (dial
@@ -65,26 +59,13 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("core: nil catalog")
 	}
-	if cfg.ClientAddr == "" {
-		cfg.ClientAddr = "127.0.0.1:0"
-	}
-	if cfg.ControlAddr == "" {
-		cfg.ControlAddr = "127.0.0.1:0"
-	}
-	if cfg.DataAddr == "" {
-		cfg.DataAddr = "127.0.0.1:0"
-	}
-
+	// The hub listens on ephemeral loopback ports and logs nothing.
 	registry := cluster.NewRegistry()
-	hub, err := server.NewHub(registry, cfg.ClientAddr, cfg.ControlAddr, cfg.DataAddr)
+	hub, err := server.NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Logf != nil {
-		hub.SetLogf(cfg.Logf)
-	} else {
-		hub.SetLogf(func(string, ...any) {})
-	}
+	hub.SetLogf(func(string, ...any) {})
 	// One process runs one kernel; n = 1 cannot fail.
 	engine, _ := central.NewShardedEngineWith(1, cfg.Central)
 	srv, err := server.New(server.Config{

@@ -11,8 +11,9 @@ import (
 )
 
 // pipeTopology stands up a real multi-process ScrubCentral in miniature:
-// a coordinator, n shard nodes and a host-side router, every hop over the
-// in-memory pipe transport through the full wire codec. The differential
+// a coordinator, n shard nodes and a host-side router, every shard hop
+// over the in-memory pipe transport through the full wire codec; the
+// router hands its manifests to the coordinator directly. The differential
 // sweep drives it next to the in-process cluster: same merger, RPC clients
 // for direct ones, and the results must be bit-identical.
 //
@@ -28,7 +29,6 @@ type pipeTopology struct {
 	// swaps it to the promoted coordinator. The harness is single-threaded,
 	// so a plain field suffices.
 	manifest coord.ManifestFunc
-	mconn    *transport.Conn
 }
 
 // newPipeTopology wires coordinator c to n shard nodes and a router. Each
@@ -60,10 +60,10 @@ func newPipeTopology(c *coord.Coordinator, shards int, cat func() *event.Catalog
 
 // connect points the router's manifests at coordinator c.
 func (t *pipeTopology) connect(c *coord.Coordinator) {
-	mc, ms := transport.Pipe()
-	t.mconn = mc
-	go c.ServeConn(ms)
-	t.manifest = coord.NewManifestClient(mc)
+	t.manifest = func(m transport.BatchManifest) error {
+		c.HandleManifest(m)
+		return nil
+	}
 }
 
 // start registers the query on the coordinator and pins the router's
@@ -87,7 +87,6 @@ func (t *pipeTopology) start(p central.Plan, emit central.EmitFunc) error {
 func (t *pipeTopology) close() {
 	t.router.Close()
 	t.coord.Close()
-	t.mconn.Close()
 }
 
 // failoverTopology is the fourth executor arm: the same fabric as
@@ -146,7 +145,6 @@ func (t *failoverTopology) start(p central.Plan, emit central.EmitFunc) error {
 // registration must survive: losing it would drop the query on the floor.
 func (t *failoverTopology) failover() error {
 	t.coord.Close()
-	t.mconn.Close()
 	promoted, resumed, err := t.standby.Promote(
 		func(coord.ResumedQuery, *central.Plan) central.EmitFunc { return t.emit })
 	if err != nil {

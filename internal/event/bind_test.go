@@ -97,7 +97,7 @@ func TestMarshal(t *testing.T) {
 	if l, ok := ev.Get("segments").AsList(); !ok || len(l) != 2 || l[1].String() != "20" {
 		t.Errorf("segments wrong: %v", ev.Get("segments"))
 	}
-	if w, ok := ev.Get("when").AsTime(); !ok || !w.Equal(when) {
+	if w := ev.Get("when"); w.Kind() != KindTime || !w.Equal(Time(when)) {
 		t.Error("when wrong")
 	}
 	// Pointer value also works.

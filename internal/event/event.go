@@ -18,12 +18,6 @@ type Event struct {
 	Values    []Value
 }
 
-// Type returns the event-type label.
-func (e *Event) Type() string { return e.Schema.Name() }
-
-// Time returns the event time.
-func (e *Event) Time() time.Time { return time.Unix(0, e.TimeNanos) }
-
 // Get returns the value of a field by name. System fields resolve to
 // synthesized values; unknown fields return Invalid.
 func (e *Event) Get(name string) Value {

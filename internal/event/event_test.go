@@ -22,7 +22,7 @@ func TestBuilderBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if ev.Type() != "bid" || ev.RequestID != 77 || !ev.Time().Equal(ts) {
+	if ev.Schema.Name() != "bid" || ev.RequestID != 77 || ev.TimeNanos != ts.UnixNano() {
 		t.Fatalf("event identity wrong: %s", ev)
 	}
 	if v := ev.Get("city"); v.String() != "porto" {
@@ -31,7 +31,7 @@ func TestBuilderBuild(t *testing.T) {
 	if v := ev.Get(FieldRequestID); v.String() != "77" {
 		t.Errorf("Get(request_id) = %v", v)
 	}
-	if v, ok := ev.Get(FieldTimestamp).AsTime(); !ok || !v.Equal(ts) {
+	if v := ev.Get(FieldTimestamp); v.Kind() != KindTime || !v.Equal(Time(ts)) {
 		t.Errorf("Get(ts) = %v", v)
 	}
 	if ev.Get("missing").IsValid() {

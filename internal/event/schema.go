@@ -89,13 +89,6 @@ func (s *Schema) NumFields() int { return len(s.fields) }
 // Field returns the i'th field definition.
 func (s *Schema) Field(i int) FieldDef { return s.fields[i] }
 
-// Fields returns a copy of the field definitions.
-func (s *Schema) Fields() []FieldDef {
-	cp := make([]FieldDef, len(s.fields))
-	copy(cp, s.fields)
-	return cp
-}
-
 // FieldIndex returns the position of the named user field, or -1.
 func (s *Schema) FieldIndex(name string) int {
 	i, ok := s.index[name]

@@ -67,8 +67,8 @@ func TestSchemaLookups(t *testing.T) {
 	if _, ok := s.FieldKind("nope"); ok {
 		t.Error("FieldKind(nope) should be not-ok")
 	}
-	if got := s.Fields(); !reflect.DeepEqual(got[0], FieldDef{Name: "exchange_id", Kind: KindInt}) {
-		t.Errorf("Fields()[0] = %+v", got[0])
+	if got := s.Field(0); !reflect.DeepEqual(got, FieldDef{Name: "exchange_id", Kind: KindInt}) {
+		t.Errorf("Field(0) = %+v", got)
 	}
 	if !strings.Contains(s.String(), "bid_price float") {
 		t.Errorf("String() = %q", s.String())

@@ -228,22 +228,6 @@ func (v Value) AsStr() (string, bool) {
 	return v.str, true
 }
 
-// AsTime returns the time payload; ok is false on kind mismatch.
-func (v Value) AsTime() (time.Time, bool) {
-	if v.kind != KindTime {
-		return time.Time{}, false
-	}
-	return time.Unix(0, int64(v.num)), true
-}
-
-// TimeNanosValue returns the raw unix-nano payload of a time value.
-func (v Value) TimeNanosValue() (int64, bool) {
-	if v.kind != KindTime {
-		return 0, false
-	}
-	return int64(v.num), true
-}
-
 // AsList returns the list payload; ok is false on kind mismatch. The
 // returned slice must not be mutated.
 func (v Value) AsList() ([]Value, bool) {

@@ -114,19 +114,6 @@ const (
 	ActionShed
 )
 
-func (a Action) String() string {
-	switch a {
-	case ActionDownsample:
-		return "downsample"
-	case ActionRecover:
-		return "recover"
-	case ActionShed:
-		return "shed"
-	default:
-		return "none"
-	}
-}
-
 // Tracker holds one query's position on the degradation ladder. Not safe
 // for concurrent use; the host agent drives it from its shipper goroutine.
 type Tracker struct {
@@ -139,9 +126,6 @@ func NewTracker() *Tracker { return &Tracker{mult: 1} }
 
 // Mult is the current effective sampling-rate multiplier in (0, 1].
 func (t *Tracker) Mult() float64 { return t.mult }
-
-// Shed reports whether the query has been shed on this host.
-func (t *Tracker) Shed() bool { return t.shed }
 
 // Load is usage relative to budget: the max over the budgeted dimensions
 // of (rate used)/(rate allowed). 0 when nothing is budgeted or elapsed

@@ -11,8 +11,8 @@ func TestUnlimitedNoop(t *testing.T) {
 	if a := tr.Evaluate(sec(1e9, 1e9), Budget{}, Config{}); a != ActionNone {
 		t.Fatalf("unlimited budget acted: %v", a)
 	}
-	if tr.Mult() != 1 || tr.Shed() {
-		t.Fatalf("tracker moved: mult=%g shed=%v", tr.Mult(), tr.Shed())
+	if tr.Mult() != 1 || tr.shed {
+		t.Fatalf("tracker moved: mult=%g shed=%v", tr.Mult(), tr.shed)
 	}
 }
 
@@ -41,14 +41,14 @@ func TestLadderDownToShed(t *testing.T) {
 	if a := tr.Evaluate(u, b, Config{}); a != ActionShed {
 		t.Fatalf("floor breach: action %v, want shed", a)
 	}
-	if !tr.Shed() {
+	if !tr.shed {
 		t.Fatal("not shed")
 	}
 	// Sticky: even a now-idle query stays shed.
 	if a := tr.Evaluate(sec(0, 0), b, Config{}); a != ActionNone {
 		t.Fatalf("post-shed action %v, want none", a)
 	}
-	if !tr.Shed() {
+	if !tr.shed {
 		t.Fatal("shed not sticky")
 	}
 }

@@ -362,12 +362,6 @@ func New(cfg Config) (*Agent, error) {
 // ID returns the agent's host identifier.
 func (a *Agent) ID() string { return a.cfg.HostID }
 
-// Service returns the agent's service name.
-func (a *Agent) Service() string { return a.cfg.Service }
-
-// DC returns the agent's data center.
-func (a *Agent) DC() string { return a.cfg.DC }
-
 // Catalog returns the agent's event catalog.
 func (a *Agent) Catalog() *event.Catalog { return a.cfg.Catalog }
 

@@ -20,17 +20,13 @@ type NetSinkOptions struct {
 	DialTimeout time.Duration
 	// SpillLimit bounds, in tuples, how much data the sink buffers across
 	// a disconnect for redelivery on reconnect. Oldest batches are evicted
-	// (and their tuples charged to AccountDrops) when the buffer is full.
-	// Default 4096; negative disables spilling entirely.
+	// (and their tuples charged to the drop accounting, SetDropAccounting)
+	// when the buffer is full. Default 4096; negative disables spilling
+	// entirely.
 	SpillLimit int
 	// Wrap, when non-nil, interposes on the raw data connection — the
 	// fault-injection seam (internal/chaos).
 	Wrap func(net.Conn) net.Conn
-	// AccountDrops, when non-nil, is told about every tuple the spill
-	// buffer gives up on, keyed by query and type. Wire it to
-	// Agent.AccountDrops so outage losses surface in the cumulative
-	// QueueDrops counters central reports.
-	AccountDrops func(queryID uint64, typeIdx uint8, n uint64)
 	// Metrics, when non-nil, registers the sink's series (spill depth and
 	// drops, reconnects, per-connection transport accounting) labeled
 	// host=<hostID>, conn="data".
@@ -58,11 +54,11 @@ type NetSink struct {
 	hostID string
 	opt    NetSinkOptions
 
-	mu         sync.Mutex
-	conn       *transport.Conn
-	spill      []transport.TupleBatch // deep copies, oldest first
-	spillSize  int                    // tuples across spill
-	spillDrops uint64                 // tuples evicted; monotone, for tests
+	mu           sync.Mutex
+	conn         *transport.Conn
+	spill        []transport.TupleBatch // deep copies, oldest first
+	spillSize    int                    // tuples across spill
+	accountDrops func(queryID uint64, typeIdx uint8, n uint64)
 
 	// Registered series; all nil when no registry was configured.
 	spillDepth  *obs.Gauge
@@ -190,29 +186,23 @@ func (s *NetSink) spillLocked(b transport.TupleBatch) {
 
 func (s *NetSink) dropLocked(b transport.TupleBatch) {
 	n := uint64(len(b.Tuples))
-	s.spillDrops += n
 	if s.spillDropsC != nil {
 		s.spillDropsC.Add(n)
 	}
-	if s.opt.AccountDrops != nil {
-		s.opt.AccountDrops(b.QueryID, b.TypeIdx, n)
+	if s.accountDrops != nil {
+		s.accountDrops(b.QueryID, b.TypeIdx, n)
 	}
 }
 
-// SetDropAccounting installs (or replaces) the AccountDrops callback.
-// Assembly code needs this because the sink is constructed before the
-// agent whose counters it should charge.
+// SetDropAccounting installs the callback told about every tuple the
+// spill buffer gives up on, keyed by query and type. Wire it to
+// Agent.AccountDrops so outage losses surface in the cumulative
+// QueueDrops counters central reports; the sink is constructed before
+// the agent whose counters it charges.
 func (s *NetSink) SetDropAccounting(fn func(queryID uint64, typeIdx uint8, n uint64)) {
 	s.mu.Lock()
-	s.opt.AccountDrops = fn
+	s.accountDrops = fn
 	s.mu.Unlock()
-}
-
-// SpillDrops reports how many tuples the spill buffer has given up on.
-func (s *NetSink) SpillDrops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spillDrops
 }
 
 // Close drops the data connection.
@@ -273,12 +263,6 @@ func (o *ControlOptions) fillDefaults(hostID string) {
 	if o.Dial == nil {
 		o.Dial = transport.Dial
 	}
-}
-
-// RunControl connects the agent to the query server's control port with
-// default ControlOptions. See RunControlWith.
-func (a *Agent) RunControl(ctx context.Context, serverAddr string) error {
-	return a.RunControlWith(ctx, serverAddr, ControlOptions{})
 }
 
 // RunControlWith connects the agent to the query server's control port,

@@ -152,7 +152,7 @@ func TestRunControlAppliesQueryObjects(t *testing.T) {
 	a := newAgent(t, &collectSink{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = a.RunControl(ctx, l.Addr()) }()
+	go func() { _ = a.RunControlWith(ctx, l.Addr(), ControlOptions{}) }()
 
 	var reg transport.RegisterHost
 	select {
@@ -218,7 +218,7 @@ func TestRunControlReconnects(t *testing.T) {
 	a := newAgent(t, &collectSink{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { _ = a.RunControl(ctx, l.Addr()) }()
+	go func() { _ = a.RunControlWith(ctx, l.Addr(), ControlOptions{}) }()
 
 	for i := 0; i < 2; i++ {
 		select {

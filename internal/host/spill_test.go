@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scrub/internal/event"
+	"scrub/internal/obs"
 	"scrub/internal/transport"
 )
 
@@ -31,14 +32,16 @@ func TestNetSinkSpillRedelivers(t *testing.T) {
 
 	var mu sync.Mutex
 	dropped := make(map[uint64]uint64) // queryID -> tuples
+	reg := obs.NewRegistry()
 	sink := NewNetSinkWith(addr, "h9", NetSinkOptions{
 		DialTimeout: 200 * time.Millisecond,
 		SpillLimit:  3,
-		AccountDrops: func(queryID uint64, typeIdx uint8, n uint64) {
-			mu.Lock()
-			dropped[queryID] += n
-			mu.Unlock()
-		},
+		Metrics:     reg,
+	})
+	sink.SetDropAccounting(func(queryID uint64, typeIdx uint8, n uint64) {
+		mu.Lock()
+		dropped[queryID] += n
+		mu.Unlock()
 	})
 	defer sink.Close()
 
@@ -57,8 +60,14 @@ func TestNetSinkSpillRedelivers(t *testing.T) {
 		t.Fatalf("dropped = %v, want queries 1 and 2 evicted", dropped)
 	}
 	mu.Unlock()
-	if sink.SpillDrops() != 2 {
-		t.Fatalf("SpillDrops = %d, want 2", sink.SpillDrops())
+	spillDrops := -1.0
+	for _, sm := range reg.Snapshot() {
+		if sm.Name == "scrub_host_spill_drops_total" {
+			spillDrops = sm.Value
+		}
+	}
+	if spillDrops != 2 {
+		t.Fatalf("scrub_host_spill_drops_total = %g, want 2", spillDrops)
 	}
 
 	// Central comes back on the same address.
@@ -133,9 +142,9 @@ func TestNetSinkSpillDisabled(t *testing.T) {
 	sink := NewNetSinkWith("127.0.0.1:1", "h", NetSinkOptions{
 		DialTimeout: 50 * time.Millisecond,
 		SpillLimit:  -1,
-		AccountDrops: func(uint64, uint8, uint64) {
-			t.Error("disabled spill must not account drops")
-		},
+	})
+	sink.SetDropAccounting(func(uint64, uint8, uint64) {
+		t.Error("disabled spill must not account drops")
 	})
 	defer sink.Close()
 	if err := sink.SendBatch(oneTupleBatch(1, 1)); err == nil {

@@ -115,9 +115,6 @@ func NewTable(ttl time.Duration) *Table {
 	return &Table{ttl: int64(ttl), streams: make(map[Key]*Stream)}
 }
 
-// TTL reports the configured lease timeout.
-func (t *Table) TTL() time.Duration { return time.Duration(t.ttl) }
-
 // Touch renews k's lease at nowNanos, creating the stream on first
 // contact. It reports the stream state and whether this touch re-admitted
 // a previously evicted stream.
@@ -279,9 +276,6 @@ func (t *Table) HostDrops() uint64 {
 
 // Len returns the number of tracked streams.
 func (t *Table) Len() int { return len(t.streams) }
-
-// Get returns a stream's state, or nil.
-func (t *Table) Get(k Key) *Stream { return t.streams[k] }
 
 // Snapshot renders every stream as a transport.StreamStat, sorted by
 // (host, type) so emitted windows are deterministic.

@@ -30,7 +30,7 @@ func TestTouchExpireReadmit(t *testing.T) {
 	if want := []Key{k2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Expire = %v, want %v", got, want)
 	}
-	if !tab.AnyEvicted() || !tab.Get(k2).Evicted {
+	if !tab.AnyEvicted() || !tab.streams[k2].Evicted {
 		t.Error("h2 should be evicted")
 	}
 	// Repeated expiry does not re-report (h1 keeps heartbeating).
@@ -126,10 +126,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestDefaultTTL(t *testing.T) {
-	if got := NewTable(0).TTL(); got != DefaultTTL {
+	if got := time.Duration(NewTable(0).ttl); got != DefaultTTL {
 		t.Errorf("TTL = %v, want %v", got, DefaultTTL)
 	}
-	if got := NewTable(-time.Second).TTL(); got != DefaultTTL {
+	if got := time.Duration(NewTable(-time.Second).ttl); got != DefaultTTL {
 		t.Errorf("TTL = %v, want %v", got, DefaultTTL)
 	}
 }

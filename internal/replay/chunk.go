@@ -7,8 +7,8 @@
 // The layout follows the vault/chunk/seal/index shape of append-only
 // event stores: one active in-memory chunk accumulates encoded events
 // until a size or age threshold seals it; sealing freezes the chunk
-// behind a lightweight index (event-type bitmap, request-id bloom
-// filter, min/max timestamp) and hands it to a background flusher that
+// behind a lightweight index (event-type bitmap, min/max timestamp) and
+// hands it to a background flusher that
 // tiers it to disk and enforces retention (max bytes, max age). Scans
 // prune whole chunks on the index before decoding a single event.
 //
@@ -26,11 +26,10 @@ import (
 
 // Chunk file layout, all fixed-width fields little-endian:
 //
-//	magic     [8]byte  "SCRBCHK1"
+//	magic     [8]byte  "SCRBCHK2"
 //	minTs     int64    smallest event TimeNanos in the chunk
 //	maxTs     int64    largest event TimeNanos in the chunk
 //	typeBits  uint64   bitmap of hash(event type) % 64
-//	bloom     [8]uint64  512-bit request-id bloom filter (2 probes)
 //	count     uint32   number of records
 //	payload   uvarint-length-prefixed event.AppendEvent records
 //	crc       uint32   IEEE CRC-32 of everything before it
@@ -38,12 +37,13 @@ import (
 // A chunk is a single atomic unit: it is written to disk in one call
 // and validated wholesale on recovery. A crash mid-write leaves a
 // truncated tail file that fails the length or CRC check and is
-// dropped; every earlier chunk is bit-intact or it is dropped too.
+// dropped; every earlier chunk is bit-intact or it is dropped too. A
+// chunk of the first format ("SCRBCHK1", which carried a request-id bloom
+// filter after typeBits) fails the magic check and is dropped as well.
 const (
-	chunkMagic   = "SCRBCHK1"
-	bloomWords   = 8
-	chunkHdrSize = 8 + 8 + 8 + 8 + bloomWords*8 + 4 + 4 // magic..payloadLen
-	chunkMinSize = chunkHdrSize + 4                     // empty payload + crc
+	chunkMagic   = "SCRBCHK2"
+	chunkHdrSize = 8 + 8 + 8 + 8 + 4 + 4 // magic..payloadLen
+	chunkMinSize = chunkHdrSize + 4      // empty payload + crc
 )
 
 var (
@@ -53,15 +53,14 @@ var (
 )
 
 // Index is the per-chunk summary consulted before any decode work. The
-// type bitmap and request-id bloom are approximate (false positives
-// only); the timestamp bounds are exact.
+// type bitmap is approximate (false positives only); the timestamp bounds
+// are exact.
 type Index struct {
 	MinTs int64
 	MaxTs int64
 	Count uint32
 
 	typeBits uint64
-	bloom    [bloomWords]uint64
 }
 
 // typeBit hashes an event-type name onto the 64-bit type bitmap (FNV-1a).
@@ -74,22 +73,7 @@ func typeBit(name string) uint64 {
 	return 1 << (h % 64)
 }
 
-// bloomProbes derives two independent probe positions from a request id
-// (splitmix64 finalizer; the halves index the 512-bit filter).
-func bloomProbes(id uint64) (uint32, uint32) {
-	z := id + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return uint32(z) % (bloomWords * 64), uint32(z>>32) % (bloomWords * 64)
-}
-
 func (ix *Index) addType(name string) { ix.typeBits |= typeBit(name) }
-func (ix *Index) addRequest(id uint64) {
-	a, b := bloomProbes(id)
-	ix.bloom[a/64] |= 1 << (a % 64)
-	ix.bloom[b/64] |= 1 << (b % 64)
-}
 func (ix *Index) observeTs(ts int64) {
 	if ix.Count == 0 || ts < ix.MinTs {
 		ix.MinTs = ts
@@ -105,13 +89,6 @@ func (ix *Index) MayContainType(name string) bool {
 	return ix.typeBits&typeBit(name) != 0
 }
 
-// MayContainRequest reports whether the chunk can hold events for the
-// request id. False means definitely not; true means possibly.
-func (ix *Index) MayContainRequest(id uint64) bool {
-	a, b := bloomProbes(id)
-	return ix.bloom[a/64]&(1<<(a%64)) != 0 && ix.bloom[b/64]&(1<<(b%64)) != 0
-}
-
 // Overlaps reports whether any event time in the chunk can fall inside
 // the half-open range [fromNs, toNs).
 func (ix *Index) Overlaps(fromNs, toNs int64) bool {
@@ -125,9 +102,6 @@ func appendChunk(dst []byte, ix *Index, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ix.MinTs))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ix.MaxTs))
 	dst = binary.LittleEndian.AppendUint64(dst, ix.typeBits)
-	for _, w := range ix.bloom {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
 	dst = binary.LittleEndian.AppendUint32(dst, ix.Count)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
@@ -150,10 +124,6 @@ func DecodeChunk(b []byte) (Index, []byte, error) {
 	ix.MaxTs = int64(binary.LittleEndian.Uint64(b[off+8:]))
 	ix.typeBits = binary.LittleEndian.Uint64(b[off+16:])
 	off += 24
-	for i := 0; i < bloomWords; i++ {
-		ix.bloom[i] = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-	}
 	ix.Count = binary.LittleEndian.Uint32(b[off:])
 	plen := binary.LittleEndian.Uint32(b[off+4:])
 	off += 8

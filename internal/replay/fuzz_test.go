@@ -25,7 +25,7 @@ func sealedCorpus(tb testing.TB) [][]byte {
 			ts += int64(rng.Intn(2000) + 1)
 			s.Append(genTestEvent(rng, cat, ts))
 		}
-		s.Seal()
+		seal(s)
 		s.mu.Lock()
 		data := append([]byte(nil), s.chunks[0].data...)
 		s.mu.Unlock()

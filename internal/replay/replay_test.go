@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -63,10 +66,17 @@ func eventsEqual(a, b *event.Event) bool {
 	return true
 }
 
+// seal seals the store's active chunk now rather than at its size or age
+// threshold.
+func seal(s *Store) {
+	s.mu.Lock()
+	s.sealLocked()
+	s.mu.Unlock()
+}
+
 // TestSealIndexRoundTrip is the seal/index property test: for random
 // event sets, every sealed chunk must decode bit-for-bit, the timestamp
-// bounds must be exact, and the type bitmap and request-id bloom must
-// have no false negatives.
+// bounds must be exact, and the type bitmap must have no false negatives.
 func TestSealIndexRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,7 +93,7 @@ func TestSealIndexRoundTrip(t *testing.T) {
 			evs[i] = genTestEvent(rng, cat, ts)
 			s.Append(evs[i])
 		}
-		s.Seal()
+		seal(s)
 
 		s.mu.Lock()
 		if len(s.chunks) != 1 {
@@ -111,9 +121,6 @@ func TestSealIndexRoundTrip(t *testing.T) {
 			if !ix.MayContainType(ev.Schema.Name()) {
 				t.Fatalf("seed %d: type bitmap false negative for %q", seed, ev.Schema.Name())
 			}
-			if !ix.MayContainRequest(ev.RequestID) {
-				t.Fatalf("seed %d: request bloom false negative for %d", seed, ev.RequestID)
-			}
 		}
 		if ix.MinTs != wantMin || ix.MaxTs != wantMax {
 			t.Fatalf("seed %d: ts bounds [%d,%d] != [%d,%d]", seed, ix.MinTs, ix.MaxTs, wantMin, wantMax)
@@ -136,9 +143,9 @@ func TestSealIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBloomRejectsAbsent checks the index actually prunes: ids and types
-// never appended should mostly test negative.
-func TestBloomRejectsAbsent(t *testing.T) {
+// TestIndexRejectsAbsent checks the index actually prunes: a type never
+// appended and a time range outside the chunk's test negative.
+func TestIndexRejectsAbsent(t *testing.T) {
 	cat := testCatalog()
 	s, err := Open(Options{Catalog: cat})
 	if err != nil {
@@ -150,23 +157,18 @@ func TestBloomRejectsAbsent(t *testing.T) {
 		s.Append(&event.Event{Schema: sch, RequestID: uint64(i), TimeNanos: int64(i + 1),
 			Values: []event.Value{event.Int(1), event.Float(1), event.Str("us")}})
 	}
-	s.Seal()
+	seal(s)
 	s.mu.Lock()
 	ix := s.chunks[0].ix
 	s.mu.Unlock()
 	if ix.MayContainType("no_such_type") {
 		t.Error("type bitmap claims a type never appended (possible but suspicious for 1 type)")
 	}
-	neg := 0
-	for id := uint64(10_000); id < 11_000; id++ {
-		if !ix.MayContainRequest(id) {
-			neg++
-		}
+	if !ix.MayContainType("bid") {
+		t.Error("type bitmap misses the appended type")
 	}
-	// 50 ids × 2 probes in 512 bits → false-positive rate ~3%; demand
-	// the overwhelming majority of absent ids are rejected.
-	if neg < 900 {
-		t.Fatalf("bloom rejected only %d/1000 absent ids", neg)
+	if ix.Overlaps(51, 100) || ix.Overlaps(-10, 1) || !ix.Overlaps(50, 51) || !ix.Overlaps(0, 2) {
+		t.Errorf("time bounds [%d,%d] prune the wrong ranges", ix.MinTs, ix.MaxTs)
 	}
 }
 
@@ -285,6 +287,66 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryDropsFirstFormatChunk: a chunk written in the first format
+// ("SCRBCHK1", a 64-byte request-id bloom filter after typeBits) is
+// dropped on recovery as bad magic rather than misparsed, and a current
+// chunk beside it survives.
+func TestRecoveryDropsFirstFormatChunk(t *testing.T) {
+	cat := testCatalog()
+	sch, _ := cat.Lookup("bid")
+	src := t.TempDir()
+	s, err := Open(Options{Catalog: cat, Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		s.Append(&event.Event{Schema: sch, RequestID: uint64(i), TimeNanos: int64(i),
+			Values: []event.Value{event.Int(1), event.Float(1), event.Str("us")}})
+	}
+	s.Close()
+	files, _ := filepath.Glob(filepath.Join(src, "chunk-*.rec"))
+	if len(files) != 1 {
+		t.Fatalf("want 1 chunk file, got %d", len(files))
+	}
+	cur, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same chunk in the first format: magic, minTs, maxTs, typeBits,
+	// eight bloom words, count, payload length, payload, CRC.
+	old := append([]byte("SCRBCHK1"), cur[8:32]...)
+	old = append(old, make([]byte, 64)...)
+	old = append(old, cur[32:len(cur)-4]...)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+	if _, _, err := DecodeChunk(old); !errors.Is(err, errBadMagic) {
+		t.Fatalf("first-format chunk decoded with err %v, want bad magic", err)
+	}
+
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "chunk-0000000000000000.rec")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "chunk-0000000000000001.rec"), cur, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Catalog: cat, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	n := 0
+	if err := s2.Scan(0, 1<<62, "", func(*event.Event) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("recovered %d events, want the current chunk's 2", n)
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Errorf("first-format chunk %s was not dropped", oldPath)
+	}
+}
+
 // TestRetentionEvictionOrdering: the byte cap evicts strictly oldest
 // first, and the store keeps honoring scans over what remains.
 func TestRetentionEvictionOrdering(t *testing.T) {
@@ -300,12 +362,14 @@ func TestRetentionEvictionOrdering(t *testing.T) {
 		s.Append(&event.Event{Schema: sch, RequestID: uint64(i), TimeNanos: int64(i) * 1000,
 			Values: []event.Value{event.Int(int64(i)), event.Float(3), event.Str("fr")}})
 	}
-	st := s.StoreStats()
-	if st.Evictions == 0 {
+	s.mu.Lock()
+	evictions, total := s.evictions.Value(), s.total
+	s.mu.Unlock()
+	if evictions == 0 {
 		t.Fatal("byte cap never triggered an eviction")
 	}
-	if st.TotalBytes > 2048 {
-		t.Fatalf("retention left %d bytes > cap 2048", st.TotalBytes)
+	if total > 2048 {
+		t.Fatalf("retention left %d bytes > cap 2048", total)
 	}
 	// Whatever survived must be a contiguous suffix of the appends: an
 	// eviction order other than oldest-first would leave a gap.
@@ -347,15 +411,17 @@ func TestRetentionMaxAge(t *testing.T) {
 			Values: []event.Value{event.Int(1), event.Float(1), event.Str("us")}}
 	}
 	s.Append(mk(1))
-	s.Seal()
+	seal(s)
 	mu.Lock()
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
 	s.Append(mk(2))
-	s.Seal() // seal-time retention sees the first chunk aged out
-	st := s.StoreStats()
-	if st.Evictions != 1 || st.Chunks != 1 {
-		t.Fatalf("want 1 eviction leaving 1 chunk, got %d evictions, %d chunks", st.Evictions, st.Chunks)
+	seal(s) // seal-time retention sees the first chunk aged out
+	s.mu.Lock()
+	evictions, chunks := s.evictions.Value(), len(s.chunks)
+	s.mu.Unlock()
+	if evictions != 1 || chunks != 1 {
+		t.Fatalf("want 1 eviction leaving 1 chunk, got %d evictions, %d chunks", evictions, chunks)
 	}
 	var got []int64
 	s.Scan(0, 1<<62, "", func(ev *event.Event) bool { got = append(got, ev.TimeNanos); return true })
@@ -406,8 +472,8 @@ func TestMemoryTierTrim(t *testing.T) {
 	// A full scan must still see every event, reading trimmed chunks
 	// back from disk.
 	count := 0
-	want := int(s.StoreStats().ActiveCount)
 	s.mu.Lock()
+	want := int(s.activeIx.Count)
 	for _, c := range s.chunks {
 		want += int(c.ix.Count)
 	}
@@ -455,7 +521,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.StoreStats().Recorded; got != 2000 {
+	if got := s.recorded.Value(); got != 2000 {
 		t.Fatalf("recorded %d events, want 2000", got)
 	}
 }

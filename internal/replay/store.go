@@ -235,7 +235,6 @@ func (s *Store) Append(ev *event.Event) {
 	s.active.b = append(s.active.b, s.enc.b...)
 	s.activeIx.observeTs(ev.TimeNanos)
 	s.activeIx.addType(ev.Schema.Name())
-	s.activeIx.addRequest(ev.RequestID)
 	s.activeIx.Count++
 	// Size sealing happens inline; age sealing is the flusher ticker's
 	// job so the hot path pays at most one Clock call per chunk.
@@ -386,39 +385,6 @@ func (s *Store) flushOne(c *sealed) {
 		os.Remove(tmp)
 	}
 	s.mu.Unlock()
-}
-
-// Seal seals the active chunk immediately (tests and shutdown).
-func (s *Store) Seal() {
-	s.mu.Lock()
-	s.sealLocked()
-	s.mu.Unlock()
-}
-
-// Stats is a point-in-time summary of the store.
-type Stats struct {
-	Chunks      int
-	TotalBytes  int64
-	MemBytes    int64
-	ActiveCount uint32
-	Recorded    uint64
-	Seals       uint64
-	Evictions   uint64
-}
-
-// StoreStats reports the store's current occupancy.
-func (s *Store) StoreStats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Chunks:      len(s.chunks),
-		TotalBytes:  s.total,
-		MemBytes:    s.memHeld + int64(len(s.active.b)),
-		ActiveCount: s.activeIx.Count,
-		Recorded:    s.recorded.Value(),
-		Seals:       s.sealsTotal.Value(),
-		Evictions:   s.evictions.Value(),
-	}
 }
 
 // Scan replays every recorded event of the named type with TimeNanos in

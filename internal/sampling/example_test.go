@@ -6,15 +6,15 @@ import (
 	"scrub/internal/sampling"
 )
 
-// ExampleEstimateSum demonstrates the paper's Eq. 1–3 multistage
-// estimator: 2 of 4 hosts sampled, half the events read at each, the sum
-// scaled up with a 95% confidence bound.
-func ExampleEstimateSum() {
-	samples := []sampling.HostSample{
-		{HostID: "bid-01", M: 4, Values: []float64{5, 7}},
-		{HostID: "bid-02", M: 4, Values: []float64{6, 6}},
+// ExampleEstimateSumMoments demonstrates the paper's Eq. 1–3 multistage
+// estimator: 2 of 4 hosts sampled, half the events read at each (readings
+// 5, 7 and 6, 6), the sum scaled up with a 95% confidence bound.
+func ExampleEstimateSumMoments() {
+	hosts := []sampling.HostMoments{
+		{HostID: "bid-01", M: 4, N: 2, Sum: 12, Var: 2},
+		{HostID: "bid-02", M: 4, N: 2, Sum: 12, Var: 0},
 	}
-	est, err := sampling.EstimateSum(4, samples, 0.95)
+	est, err := sampling.EstimateSumMoments(4, hosts, 0.95)
 	if err != nil {
 		fmt.Println(err)
 		return

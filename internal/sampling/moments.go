@@ -7,9 +7,11 @@ import (
 	"scrub/internal/stats"
 )
 
-// HostMoments is the sufficient-statistics form of HostSample: ScrubCentral
-// keeps per-host Welford accumulators instead of raw readings, so memory
-// stays O(hosts · aggregates) per window instead of O(sampled tuples).
+// HostMoments is one sampled host's contribution to a multistage estimate,
+// in sufficient-statistics form: ScrubCentral keeps per-host Welford
+// accumulators instead of raw readings (vᵢⱼ; each is 1 for COUNT), so
+// memory stays O(hosts · aggregates) per window instead of O(sampled
+// tuples).
 type HostMoments struct {
 	HostID string
 	M      uint64  // Mᵢ: matching events at the host
@@ -27,17 +29,14 @@ type HostMoments struct {
 	EstimatedM bool
 }
 
-// MomentsOf converts a raw sample to moments (test/interop helper).
-func MomentsOf(s HostSample) HostMoments {
-	var r stats.Running
-	for _, v := range s.Values {
-		r.Add(v)
-	}
-	return HostMoments{HostID: s.HostID, M: s.M, N: r.N(), Sum: r.Sum(), Var: r.Var()}
-}
-
-// EstimateSumMoments computes Eq. 1–3 from per-host sufficient statistics.
-// Semantics match EstimateSum exactly.
+// EstimateSumMoments computes the paper's Eq. 1–3 estimator for a SUM
+// over a two-stage sample. totalHosts is N (the eligible population the
+// sample was drawn from); hosts holds one entry per sampled host.
+// confidence is 1−α, e.g. 0.95.
+//
+// Degenerate cases: n == 1 yields an infinite error bound (t with 0 df);
+// a host with M > 0 but no sampled values is an error — the estimator
+// cannot scale from zero readings.
 func EstimateSumMoments(totalHosts int, hosts []HostMoments, confidence float64) (Estimate, error) {
 	n := len(hosts)
 	N := float64(totalHosts)

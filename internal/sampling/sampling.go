@@ -24,12 +24,6 @@ import (
 	"sort"
 )
 
-// Rate is a sampling fraction in [0, 1]; 1 means keep everything.
-type Rate float64
-
-// Valid reports whether the rate is a usable fraction.
-func (r Rate) Valid() bool { return r > 0 && r <= 1 }
-
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -65,17 +59,6 @@ func NewGeometricSampler(rate float64, seed uint64) *GeometricSampler {
 		s.lnq = math.Log1p(-rate)
 	}
 	return s
-}
-
-// Rate returns the clamped keep probability.
-func (s *GeometricSampler) Rate() float64 {
-	switch {
-	case s.rate >= 1:
-		return 1
-	case s.rate <= 0:
-		return 0
-	}
-	return s.rate
 }
 
 // NextSkip returns k >= 1 meaning "the k-th event offered from now is the
@@ -124,23 +107,21 @@ func SelectHosts(hosts []string, rate float64, queryID uint64) []string {
 	fmt.Fprintf(h, "scrub-host-sample-%d", queryID)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	rng.Shuffle(len(sorted), func(i, j int) { sorted[i], sorted[j] = sorted[j], sorted[i] })
-	n := int(math.Ceil(rate * float64(len(sorted))))
-	if n < 1 {
-		n = 1
-	}
-	out := sorted[:n]
+	out := sorted[:hostCount(rate, len(sorted))]
 	sort.Strings(out)
 	return out
 }
 
-// HostSample carries one sampled host's contribution to a multistage
-// estimate: the total number of matching events at the host (Mᵢ) and the
-// sampled readings (vᵢⱼ, so mᵢ = len(Values)). For COUNT estimates each
-// reading is 1.
-type HostSample struct {
-	HostID string
-	M      uint64
-	Values []float64
+// hostCount is ceil(rate·n), at least 1, where a product within
+// floating-point error of an integer counts as that integer: 7 % of 100
+// hosts is 7, though 0.07·100 is 7.000000000000001.
+func hostCount(rate float64, n int) int {
+	x := rate * float64(n)
+	k := int(math.Ceil(x))
+	if r := math.Round(x); math.Abs(x-r) <= 1e-9*r {
+		k = int(r)
+	}
+	return max(k, 1)
 }
 
 // Estimate is a scaled aggregate with its confidence interval.
@@ -150,25 +131,4 @@ type Estimate struct {
 	Confidence float64 // 1 − α
 	NumHosts   int     // N
 	Sampled    int     // n
-}
-
-// String renders "τ̂ ± ε".
-func (e Estimate) String() string {
-	return fmt.Sprintf("%.6g ± %.6g (%.0f%% conf, %d/%d hosts)", e.Value, e.Err, e.Confidence*100, e.Sampled, e.NumHosts)
-}
-
-// EstimateSum computes the paper's Eq. 1–3 estimator for a SUM over a
-// two-stage sample. totalHosts is N (the eligible population the sample was
-// drawn from); samples holds one entry per sampled host. confidence is
-// 1−α, e.g. 0.95.
-//
-// Degenerate cases: n == 1 yields an infinite error bound (t with 0 df);
-// a host with M > 0 but no sampled values is an error — the estimator
-// cannot scale from zero readings.
-func EstimateSum(totalHosts int, samples []HostSample, confidence float64) (Estimate, error) {
-	hosts := make([]HostMoments, len(samples))
-	for i, s := range samples {
-		hosts[i] = MomentsOf(s)
-	}
-	return EstimateSumMoments(totalHosts, hosts, confidence)
 }

@@ -10,6 +10,7 @@ import (
 	"scrub/internal/central"
 	"scrub/internal/cluster"
 	"scrub/internal/event"
+	"scrub/internal/ql"
 	"scrub/internal/transport"
 )
 
@@ -71,8 +72,8 @@ func TestHubAgentRegistrationLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "registration", func() bool { return registry.Len() == 1 })
-	if h, ok := registry.Lookup("h1"); !ok || h.Service != "BidServers" {
-		t.Fatalf("registry entry = %+v, %v", h, ok)
+	if hs := registry.Resolve(ql.TargetSpec{Servers: []string{"h1"}}); len(hs) != 1 || hs[0].Service != "BidServers" {
+		t.Fatalf("registry entry = %+v", hs)
 	}
 
 	// The hub can now dispatch to the host.

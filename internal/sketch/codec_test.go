@@ -17,7 +17,7 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 		s := MustSpaceSaving(capacity)
 		adds := rng.Intn(500)
 		for i := 0; i < adds; i++ {
-			s.AddN(fmt.Sprintf("item-%d", rng.Intn(80)), uint64(1+rng.Intn(5)))
+			s.add([]byte(fmt.Sprintf("item-%d", rng.Intn(80))), uint64(1+rng.Intn(5)))
 		}
 		enc := s.AppendBinary(nil)
 		d, n, err := DecodeSpaceSaving(enc)
@@ -27,9 +27,9 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("trial %d: consumed %d of %d bytes", trial, n, len(enc))
 		}
-		if d.Capacity() != s.Capacity() || d.Len() != s.Len() {
+		if d.capacity != s.capacity || d.Len() != s.Len() {
 			t.Fatalf("trial %d: capacity/len mismatch: %d/%d vs %d/%d",
-				trial, d.Capacity(), d.Len(), s.Capacity(), s.Len())
+				trial, d.capacity, d.Len(), s.capacity, s.Len())
 		}
 		wantTop, gotTop := s.Top(s.Len()), d.Top(d.Len())
 		for i := range wantTop {
@@ -41,12 +41,12 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 		// both summaries with identical contents.
 		other := MustSpaceSaving(capacity)
 		for i := 0; i < 100; i++ {
-			other.AddN(fmt.Sprintf("other-%d", rng.Intn(30)), uint64(1+rng.Intn(3)))
+			other.add([]byte(fmt.Sprintf("other-%d", rng.Intn(30))), uint64(1+rng.Intn(3)))
 		}
 		for i := 0; i < 200; i++ {
 			item := fmt.Sprintf("item-%d", rng.Intn(100))
-			s.Add(item)
-			d.Add(item)
+			s.AddBytes([]byte(item))
+			d.AddBytes([]byte(item))
 		}
 		s.Merge(other)
 		d.Merge(other)
@@ -69,10 +69,10 @@ func TestSpaceSavingCodecEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
-	if n != len(enc) || d.Len() != 0 || d.Capacity() != 8 {
-		t.Fatalf("empty round-trip: n=%d len=%d cap=%d", n, d.Len(), d.Capacity())
+	if n != len(enc) || d.Len() != 0 || d.capacity != 8 {
+		t.Fatalf("empty round-trip: n=%d len=%d cap=%d", n, d.Len(), d.capacity)
 	}
-	d.Add("x")
+	d.AddBytes([]byte("x"))
 	if c, ok := d.Count("x"); !ok || c != 1 {
 		t.Fatalf("decoded empty summary unusable: count=%d ok=%v", c, ok)
 	}
@@ -80,7 +80,7 @@ func TestSpaceSavingCodecEmpty(t *testing.T) {
 
 func TestSpaceSavingDecodeErrors(t *testing.T) {
 	s := MustSpaceSaving(4)
-	s.Add("a")
+	s.AddBytes([]byte("a"))
 	enc := s.AppendBinary(nil)
 	for cut := 0; cut < len(enc); cut++ {
 		if _, _, err := DecodeSpaceSaving(enc[:cut]); err == nil {
@@ -110,7 +110,7 @@ func TestCodecContinuationExact(t *testing.T) {
 			if _, tracked := ss.Count(item); !tracked && ss.Len() == capacity {
 				evictions++
 			}
-			ss.Add(item)
+			ss.AddBytes([]byte(item))
 			ssCut.AddBytes([]byte(item))
 			x := rng.Uint64()
 			hll.AddHash(x)

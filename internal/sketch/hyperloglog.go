@@ -9,7 +9,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -48,9 +47,6 @@ func MustHLL(precision uint8) *HLL {
 	return h
 }
 
-// Precision returns the register-count exponent.
-func (h *HLL) Precision() uint8 { return h.precision }
-
 // Bytes is what the estimator holds, in bytes: its registers, fixed at
 // construction.
 func (h *HLL) Bytes() int64 { return int64(unsafe.Sizeof(*h)) + int64(cap(h.registers)) }
@@ -79,20 +75,6 @@ func (h *HLL) AddHash(x uint64) {
 	if rho > h.registers[idx] {
 		h.registers[idx] = rho
 	}
-}
-
-// Add hashes an arbitrary byte string into the sketch (FNV-1a 64).
-func (h *HLL) Add(b []byte) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var x uint64 = offset64
-	for _, c := range b {
-		x ^= uint64(c)
-		x *= prime64
-	}
-	h.AddHash(x)
 }
 
 func alpha(m int) float64 {
@@ -126,12 +108,6 @@ func (h *HLL) Estimate() uint64 {
 		est = float64(m) * math.Log(float64(m)/float64(zeros))
 	}
 	return uint64(est + 0.5)
-}
-
-// StdError returns the theoretical relative standard error for this
-// precision, used when reporting approximate results to the troubleshooter.
-func (h *HLL) StdError() float64 {
-	return 1.04 / math.Sqrt(float64(len(h.registers)))
 }
 
 // Merge folds another sketch into h. Both must share a precision.
@@ -181,23 +157,3 @@ func DecodeHLL(b []byte) (*HLL, int, error) {
 	copy(h.registers, b[1:1+m])
 	return h, 1 + m, nil
 }
-
-// hashUint64 is exposed for tests that need the same item→hash mapping the
-// sketches use for integer items.
-func hashUint64(x uint64) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for _, c := range buf {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-// AddUint64 adds an integer item.
-func (h *HLL) AddUint64(x uint64) { h.AddHash(hashUint64(x)) }

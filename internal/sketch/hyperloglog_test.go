@@ -15,7 +15,7 @@ func TestNewHLLValidation(t *testing.T) {
 		t.Error("precision 19 should fail")
 	}
 	h, err := NewHLL(DefaultHLLPrecision)
-	if err != nil || h.Precision() != DefaultHLLPrecision {
+	if err != nil || h.precision != DefaultHLLPrecision {
 		t.Fatalf("NewHLL default: %v", err)
 	}
 }
@@ -48,13 +48,13 @@ func TestHLLAccuracySweep(t *testing.T) {
 			x := rng.Uint64()
 			if !seen[x] {
 				seen[x] = true
-				h.AddUint64(x)
+				h.AddHash(x)
 			}
 		}
 		est := float64(h.Estimate())
 		rel := math.Abs(est-float64(n)) / float64(n)
-		if rel > 5*h.StdError() {
-			t.Errorf("n=%d: estimate %v, relative error %.4f > %.4f", n, est, rel, 5*h.StdError())
+		if rel > 5*stdError(h) {
+			t.Errorf("n=%d: estimate %v, relative error %.4f > %.4f", n, est, rel, 5*stdError(h))
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestHLLDuplicatesDoNotInflate(t *testing.T) {
 	h := MustHLL(12)
 	for i := 0; i < 100; i++ {
 		for j := 0; j < 1000; j++ {
-			h.AddUint64(uint64(i))
+			h.AddHash(uint64(i))
 		}
 	}
 	est := h.Estimate()
@@ -75,10 +75,10 @@ func TestHLLDuplicatesDoNotInflate(t *testing.T) {
 func TestHLLAddBytes(t *testing.T) {
 	h := MustHLL(12)
 	for i := 0; i < 5000; i++ {
-		h.Add([]byte(fmt.Sprintf("user-%d", i)))
+		h.AddHash(fnv64([]byte(fmt.Sprintf("user-%d", i))))
 	}
 	est := float64(h.Estimate())
-	if math.Abs(est-5000)/5000 > 5*h.StdError() {
+	if math.Abs(est-5000)/5000 > 5*stdError(h) {
 		t.Errorf("byte-string estimate %v for 5000 distinct", est)
 	}
 }
@@ -86,16 +86,16 @@ func TestHLLAddBytes(t *testing.T) {
 func TestHLLMerge(t *testing.T) {
 	a, b := MustHLL(12), MustHLL(12)
 	for i := 0; i < 10000; i++ {
-		a.AddUint64(uint64(i))
+		a.AddHash(uint64(i))
 	}
 	for i := 5000; i < 15000; i++ {
-		b.AddUint64(uint64(i))
+		b.AddHash(uint64(i))
 	}
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
 	est := float64(a.Estimate())
-	if math.Abs(est-15000)/15000 > 5*a.StdError() {
+	if math.Abs(est-15000)/15000 > 5*stdError(a) {
 		t.Errorf("merged estimate %v, want ~15000", est)
 	}
 	// Merge is an upper bound union: merging b again changes nothing.
@@ -119,11 +119,11 @@ func TestHLLMergeEqualsUnion(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		x := rng.Uint64()
 		if i%2 == 0 {
-			a.AddUint64(x)
+			a.AddHash(x)
 		} else {
-			b.AddUint64(x)
+			b.AddHash(x)
 		}
-		u.AddUint64(x)
+		u.AddHash(x)
 	}
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestHLLMergeEqualsUnion(t *testing.T) {
 func TestHLLSerializeRoundTrip(t *testing.T) {
 	h := MustHLL(11)
 	for i := 0; i < 12345; i++ {
-		h.AddUint64(uint64(i))
+		h.AddHash(uint64(i))
 	}
 	buf := h.AppendBinary(nil)
 	got, n, err := DecodeHLL(buf)
@@ -166,7 +166,7 @@ func TestDecodeHLLErrors(t *testing.T) {
 func TestHLLReset(t *testing.T) {
 	h := MustHLL(10)
 	for i := 0; i < 1000; i++ {
-		h.AddUint64(uint64(i))
+		h.AddHash(uint64(i))
 	}
 	h.Reset()
 	if h.Estimate() != 0 {
@@ -178,14 +178,14 @@ func BenchmarkHLLAdd(b *testing.B) {
 	h := MustHLL(14)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.AddUint64(uint64(i))
+		h.AddHash(uint64(i))
 	}
 }
 
 func BenchmarkHLLEstimate(b *testing.B) {
 	h := MustHLL(14)
 	for i := 0; i < 100000; i++ {
-		h.AddUint64(uint64(i))
+		h.AddHash(uint64(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

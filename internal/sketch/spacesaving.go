@@ -83,9 +83,6 @@ func MustSpaceSaving(capacity int) *SpaceSaving {
 	return s
 }
 
-// Capacity returns the maximum number of tracked items.
-func (s *SpaceSaving) Capacity() int { return s.capacity }
-
 // Len returns the number of currently tracked items.
 func (s *SpaceSaving) Len() int { return len(s.ctr) }
 
@@ -99,19 +96,9 @@ func (s *SpaceSaving) Bytes() int64 {
 		int64(cap(s.heads))*4 + int64(cap(s.items))
 }
 
-// Add increments item by one.
-func (s *SpaceSaving) Add(item string) { s.AddN(item, 1) }
-
-// AddN increments item by n.
-func (s *SpaceSaving) AddN(item string, n uint64) {
-	if n > 0 {
-		s.add([]byte(item), n)
-	}
-}
-
-// AddBytes is Add for an item held in a caller-owned buffer, which may be
-// reused after the call returns: the summary keeps its own copy of an item
-// it starts to track.
+// AddBytes increments item by one. The item is held in a caller-owned
+// buffer, which may be reused after the call returns: the summary keeps
+// its own copy of an item it starts to track.
 //
 //scrub:hotpath
 func (s *SpaceSaving) AddBytes(item []byte) { s.add(item, 1) }
@@ -362,14 +349,6 @@ func (s *SpaceSaving) victim() uint32 {
 	return v
 }
 
-// Entry is one reported heavy hitter. Count overestimates the true count by
-// at most Err.
-type Entry struct {
-	Item  string
-	Count uint64
-	Err   uint64
-}
-
 // EachTop calls f with the k highest-count entries, ties broken by item
 // for determinism. item aliases the summary's store: it is valid until the
 // next addition.
@@ -387,24 +366,6 @@ func (s *SpaceSaving) EachTop(k int, f func(item []byte, count, errVal uint64)) 
 	for _, ci := range order[:max(0, min(k, len(order)))] {
 		f(s.item(ci), s.ctr[ci].count, s.ctr[ci].errVal)
 	}
-}
-
-// Top returns the k highest-count entries, in EachTop's order.
-func (s *SpaceSaving) Top(k int) []Entry {
-	out := make([]Entry, 0, max(0, min(k, len(s.ctr))))
-	s.EachTop(k, func(item []byte, count, errVal uint64) {
-		out = append(out, Entry{Item: string(item), Count: count, Err: errVal})
-	})
-	return out
-}
-
-// Count returns the (over)estimate for an item and whether it is tracked.
-func (s *SpaceSaving) Count(item string) (uint64, bool) {
-	ci := s.find(maphash.String(hashSeed, item), []byte(item))
-	if ci == none {
-		return 0, false
-	}
-	return s.ctr[ci].count, true
 }
 
 // Merge folds another summary into s using the mergeable-summaries
@@ -530,14 +491,4 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 		s.track(h, item, count, errVal)
 	}
 	return s, n, nil
-}
-
-// TotalCount returns the sum of all tracked counts (≥ the number of
-// additions routed to tracked items).
-func (s *SpaceSaving) TotalCount() uint64 {
-	var t uint64
-	for i := range s.ctr {
-		t += s.ctr[i].count
-	}
-	return t
 }

@@ -58,7 +58,7 @@ func TestSpaceSavingMergeSound(t *testing.T) {
 			all = append(all, stream...)
 			summaries[p] = MustSpaceSaving(capacity)
 			for _, it := range stream {
-				summaries[p].Add(it)
+				summaries[p].AddBytes([]byte(it))
 			}
 		}
 		exact := exactCounts(all)
@@ -82,15 +82,15 @@ func TestSpaceSavingMergeUniqueInheritsMin(t *testing.T) {
 	// behind s could have contained up to 5 occurrences of c (evicted).
 	s := MustSpaceSaving(2)
 	for i := 0; i < 7; i++ {
-		s.Add("a")
+		s.AddBytes([]byte("a"))
 	}
 	for i := 0; i < 5; i++ {
-		s.Add("b")
+		s.AddBytes([]byte("b"))
 	}
 	// o tracks c only (not at capacity: absence from o means true zero).
 	o := MustSpaceSaving(2)
 	for i := 0; i < 6; i++ {
-		o.Add("c")
+		o.AddBytes([]byte("c"))
 	}
 	s.Merge(o)
 	c, ok := s.Count("c")
@@ -117,7 +117,7 @@ func TestSpaceSavingMergeSymmetric(t *testing.T) {
 		mk := func(stream []string) *SpaceSaving {
 			s := MustSpaceSaving(capacity)
 			for _, it := range stream {
-				s.Add(it)
+				s.AddBytes([]byte(it))
 			}
 			return s
 		}
@@ -147,16 +147,16 @@ func TestSpaceSavingMergeThenAdd(t *testing.T) {
 	o := MustSpaceSaving(10)
 	pre := zipfStream(rng, 400, 40)
 	for _, it := range pre {
-		s.Add(it)
+		s.AddBytes([]byte(it))
 	}
 	mid := zipfStream(rng, 400, 40)
 	for _, it := range mid {
-		o.Add(it)
+		o.AddBytes([]byte(it))
 	}
 	s.Merge(o)
 	post := zipfStream(rng, 400, 40)
 	for _, it := range post {
-		s.Add(it)
+		s.AddBytes([]byte(it))
 	}
 	exact := exactCounts(append(append(append([]string(nil), pre...), mid...), post...))
 	checkSound(t, s, exact, "merge-then-add")

@@ -391,7 +391,7 @@ func newSSPair(t testing.TB, capacity int) *ssPair {
 func (p *ssPair) add(item string, n uint64, raw bool) {
 	p.t.Helper()
 	var tracked []Entry
-	if _, ok := p.got.Count(item); !ok && p.got.Len() == p.got.Capacity() && n > 0 {
+	if _, ok := p.got.Count(item); !ok && p.got.Len() == p.got.capacity && n > 0 {
 		tracked = p.got.Top(p.got.Len())
 	}
 	evictions := len(p.ref.victims)
@@ -403,7 +403,9 @@ func (p *ssPair) add(item string, n uint64, raw bool) {
 		}
 		p.ref.AddBytes([]byte(item))
 	} else {
-		p.got.AddN(item, n)
+		if n > 0 {
+			p.got.add([]byte(item), n)
+		}
 		p.ref.AddN(item, n)
 	}
 	if (tracked != nil) != (len(p.ref.victims) > evictions) {
@@ -570,8 +572,8 @@ func TestSpaceSavingAddBytesZeroAllocs(t *testing.T) {
 	for _, it := range items {
 		s.AddBytes(it)
 	}
-	if s.Len() != s.Capacity() {
-		t.Fatalf("warm-up tracked %d items of %d", s.Len(), s.Capacity())
+	if s.Len() != s.capacity {
+		t.Fatalf("warm-up tracked %d items of %d", s.Len(), s.capacity)
 	}
 	i, before := 0, s.Bytes()
 	if n := testing.AllocsPerRun(2000, func() {

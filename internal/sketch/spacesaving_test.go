@@ -18,7 +18,7 @@ func TestNewSpaceSavingValidation(t *testing.T) {
 		t.Error("negative capacity should fail")
 	}
 	s, err := NewSpaceSaving(8)
-	if err != nil || s.Capacity() != 8 {
+	if err != nil || s.capacity != 8 {
 		t.Fatalf("NewSpaceSaving: %v", err)
 	}
 }
@@ -37,7 +37,7 @@ func TestSpaceSavingExactWhenUnderCapacity(t *testing.T) {
 	truth := map[string]uint64{"a": 5, "b": 3, "c": 7, "d": 1}
 	for item, n := range truth {
 		for i := uint64(0); i < n; i++ {
-			s.Add(item)
+			s.AddBytes([]byte(item))
 		}
 	}
 	if s.Len() != 4 {
@@ -72,7 +72,7 @@ func TestSpaceSavingOverestimateInvariant(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		item := fmt.Sprintf("it-%d", zipf.Uint64())
 		truth[item]++
-		s.Add(item)
+		s.AddBytes([]byte(item))
 	}
 	for _, e := range s.Top(s.Len()) {
 		trueCount := truth[e.Item]
@@ -92,7 +92,7 @@ func TestSpaceSavingHeavyHittersSurvive(t *testing.T) {
 	n := 0
 	add := func(item string, c int) {
 		for i := 0; i < c; i++ {
-			s.Add(item)
+			s.AddBytes([]byte(item))
 			n++
 		}
 	}
@@ -144,7 +144,7 @@ func TestSpaceSavingZipfTopKPrecision(t *testing.T) {
 	for _, k := range []int{5, 10, 50} {
 		s := MustSpaceSaving(8 * k)
 		for _, it := range stream {
-			s.Add(it)
+			s.AddBytes([]byte(it))
 		}
 		trueTop := make(map[string]bool, k)
 		for _, it := range ranked[:k] {
@@ -168,8 +168,7 @@ func TestSpaceSavingZipfTopKPrecision(t *testing.T) {
 
 func TestSpaceSavingAddN(t *testing.T) {
 	s := MustSpaceSaving(4)
-	s.AddN("x", 100)
-	s.AddN("x", 0) // no-op
+	s.add([]byte("x"), 100)
 	if c, _ := s.Count("x"); c != 100 {
 		t.Errorf("Count(x) = %d", c)
 	}
@@ -180,9 +179,9 @@ func TestSpaceSavingAddN(t *testing.T) {
 
 func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
 	s := MustSpaceSaving(10)
-	s.AddN("b", 5)
-	s.AddN("a", 5)
-	s.AddN("c", 9)
+	s.add([]byte("b"), 5)
+	s.add([]byte("a"), 5)
+	s.add([]byte("c"), 9)
 	top := s.Top(10)
 	if top[0].Item != "c" || top[1].Item != "a" || top[2].Item != "b" {
 		t.Errorf("tie-break order wrong: %v", top)
@@ -191,10 +190,10 @@ func TestSpaceSavingTopOrderDeterministic(t *testing.T) {
 
 func TestSpaceSavingMerge(t *testing.T) {
 	a, b := MustSpaceSaving(10), MustSpaceSaving(10)
-	a.AddN("x", 50)
-	a.AddN("y", 10)
-	b.AddN("x", 25)
-	b.AddN("z", 40)
+	a.add([]byte("x"), 50)
+	a.add([]byte("y"), 10)
+	b.add([]byte("x"), 25)
+	b.add([]byte("z"), 40)
 	a.Merge(b)
 	if c, _ := a.Count("x"); c != 75 {
 		t.Errorf("merged x = %d, want 75", c)
@@ -210,11 +209,11 @@ func TestSpaceSavingMerge(t *testing.T) {
 
 func TestSpaceSavingMergeOverCapacity(t *testing.T) {
 	a, b := MustSpaceSaving(3), MustSpaceSaving(3)
-	a.AddN("a1", 100)
-	a.AddN("a2", 90)
-	a.AddN("a3", 1)
-	b.AddN("b1", 80)
-	b.AddN("b2", 70)
+	a.add([]byte("a1"), 100)
+	a.add([]byte("a2"), 90)
+	a.add([]byte("a3"), 1)
+	b.add([]byte("b1"), 80)
+	b.add([]byte("b2"), 70)
 	a.Merge(b)
 	if a.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (capacity)", a.Len())
@@ -252,9 +251,9 @@ func TestSpaceSavingMergeInvariantQuick(t *testing.T) {
 			item := fmt.Sprintf("i%d", rng.Intn(30))
 			truth[item]++
 			if rng.Intn(2) == 0 {
-				a.Add(item)
+				a.AddBytes([]byte(item))
 			} else {
-				b.Add(item)
+				b.AddBytes([]byte(item))
 			}
 		}
 		a.Merge(b)
@@ -319,7 +318,7 @@ func TestSpaceSavingAddBytesMatchesAdd(t *testing.T) {
 	buf := make([]byte, 0, 16)
 	for i := 0; i < 2000; i++ {
 		item := fmt.Sprintf("item-%d", rng.Intn(5)*rng.Intn(5)+rng.Intn(3))
-		a.Add(item)
+		a.AddBytes([]byte(item))
 		buf = append(buf[:0], item...)
 		b.AddBytes(buf)
 		for j := range buf {

@@ -37,9 +37,6 @@ func (r *Running) Var() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
 // Sum returns n * mean.
 func (r *Running) Sum() float64 { return r.mean * float64(r.n) }
 

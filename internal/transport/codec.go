@@ -322,16 +322,10 @@ func (r *reader) finish() error {
 	return nil
 }
 
-// Encode serializes a message payload (without framing) prefixed by its
-// type tag.
-func Encode(m Message) ([]byte, error) {
-	return AppendEncode(make([]byte, 0, 128), m)
-}
-
-// AppendEncode serializes like Encode but appends to dst, so steady-state
-// senders (connections, benchmark sinks) can reuse one buffer across
-// messages instead of allocating per encode. dst may be nil; the appended
-// buffer is returned.
+// AppendEncode serializes a message payload (without framing) prefixed by
+// its type tag, appending to dst, so steady-state senders (connections,
+// benchmark sinks) can reuse one buffer across messages instead of
+// allocating per encode. dst may be nil; the appended buffer is returned.
 //
 //scrub:hotpath
 func AppendEncode(dst []byte, m Message) ([]byte, error) {

@@ -51,7 +51,7 @@ func newMessageForTag(t *testing.T, tag byte) Message {
 // holds through a receive scratch, which must decode to the same message.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatalf("decoded %s does not re-encode: %v", Name(m), err)
 		}
@@ -88,7 +88,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s decodes without a scratch but not with one: %v", Name(m), err)
 			}
-			if bb, err := Encode(owned(mb)); err != nil || !bytes.Equal(bb, buf) {
+			if bb, err := AppendEncode(nil, owned(mb)); err != nil || !bytes.Equal(bb, buf) {
 				t.Fatalf("%s decodes differently through a scratch (%v)", Name(m), err)
 			}
 		}
@@ -152,7 +152,7 @@ func drainFrames(t *testing.T, nc net.Conn, sc *RecvScratch) [][]byte {
 			}
 			break
 		}
-		enc, err := Encode(owned(m))
+		enc, err := AppendEncode(nil, owned(m))
 		if err != nil {
 			t.Fatalf("frame %d: received %s does not re-encode: %v", len(out), Name(m), err)
 		}
@@ -171,7 +171,7 @@ func drainFrames(t *testing.T, nc net.Conn, sc *RecvScratch) [][]byte {
 // show: the same messages arrive, with a scratch and without.
 func FuzzRecvFrame(f *testing.F) {
 	frame := func(m Message) []byte {
-		payload, err := Encode(m)
+		payload, err := AppendEncode(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}

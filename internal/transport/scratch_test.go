@@ -100,8 +100,8 @@ func TestRecvBorrowedMatchesRecv(t *testing.T) {
 				t.Fatalf("frame %d: the sub-batch's tuples are not the scratch's cells", i)
 			}
 		}
-		wantEnc, _ := Encode(want)
-		gotEnc, err := Encode(owned(got))
+		wantEnc, _ := AppendEncode(nil, want)
+		gotEnc, err := AppendEncode(nil, owned(got))
 		if err != nil || !bytes.Equal(gotEnc, wantEnc) {
 			t.Fatalf("frame %d (%s): borrowed decode differs from the allocating one (%v)", i, Name(want), err)
 		}

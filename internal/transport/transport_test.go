@@ -180,9 +180,9 @@ func msgEqual(a, b Message) bool {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
-			t.Fatalf("Encode(%s): %v", Name(m), err)
+			t.Fatalf("AppendEncode(nil, %s): %v", Name(m), err)
 		}
 		got, err := Decode(buf)
 		if err != nil {
@@ -271,7 +271,7 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Truncations of every sample message must error, never panic.
 	for _, m := range sampleMessages() {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	if err := <-recvd; err != nil {
 		t.Fatalf("Recv: %v", err)
 	}
-	payload, err := Encode(small)
+	payload, err := AppendEncode(nil, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func BenchmarkTupleBatchEncode(b *testing.B) {
 	batch := TupleBatch{QueryID: 1, HostID: "h1", Tuples: tuples, MatchedTotal: 100, SampledTotal: 100}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(batch); err != nil {
+		if _, err := AppendEncode(nil, batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +480,7 @@ func BenchmarkTupleBatchDecode(b *testing.B) {
 		tuples[i] = Tuple{RequestID: uint64(i), TsNanos: int64(i),
 			Values: []event.Value{event.Int(int64(i)), event.Str("san jose"), event.Float(1.5)}}
 	}
-	buf, err := Encode(TupleBatch{QueryID: 1, HostID: "h1", Tuples: tuples})
+	buf, err := AppendEncode(nil, TupleBatch{QueryID: 1, HostID: "h1", Tuples: tuples})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,19 +495,19 @@ func BenchmarkTupleBatchDecode(b *testing.B) {
 
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	// AppendEncode into a reused buffer must produce byte-identical
-	// payloads to Encode, message after message.
+	// payloads to an encode into a fresh one, message after message.
 	var buf []byte
 	for _, m := range sampleMessages() {
-		want, err := Encode(m)
+		want, err := AppendEncode(nil, m)
 		if err != nil {
-			t.Fatalf("Encode(%s): %v", Name(m), err)
+			t.Fatalf("AppendEncode(nil, %s): %v", Name(m), err)
 		}
 		got, err := AppendEncode(buf[:0], m)
 		if err != nil {
 			t.Fatalf("AppendEncode(%s): %v", Name(m), err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("AppendEncode(%s) differs from Encode", Name(m))
+			t.Errorf("AppendEncode(%s) into a reused buffer differs from a fresh encode", Name(m))
 		}
 		buf = got // reuse across iterations, like a connection does
 	}

@@ -101,14 +101,14 @@ func TestTupleBatchWireSize(t *testing.T) {
 // and the shapes above.
 func FuzzTupleBatchWireSize(f *testing.F) {
 	for _, m := range sampleMessages() {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf)
 	}
 	for _, b := range wireSizeBatches() {
-		buf, err := Encode(b)
+		buf, err := AppendEncode(nil, b)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -51,9 +51,9 @@ echo "== one performance benchmark (scrubbench measures host overhead, latency a
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
 
-echo "== the case studies run on one fixed clock (no P3 or P6 runner, no EstimateCount; in non-test internal/experiments only G1, C1 and A1 read the wall clock) =="
+echo "== the case studies run on one fixed clock (no P3 or P6 runner, no EstimateCount; in non-test internal/experiments only C1 and A1 read the wall clock) =="
 if grep -rnE --include='*.go' 'P3SamplingAccuracy|P6Sketches|EstimateCount' .; then echo "a .go file names a deleted P3/P6 runner or sampling.EstimateCount again" >&2; exit 1; fi
-if grep -nE 'time\.(Now|Since)\b|\bvirtualStart\b' $(nontest internal/experiments | grep -vE '/(g1_governor|c1_chaos|a1_ablation)\.go$'); then echo "non-test internal/experiments reads the wall clock outside G1, C1 and A1: the case studies run on the fixed epoch" >&2; exit 1; fi
+if grep -nE 'time\.(Now|Since)\b|\bvirtualStart\b' $(nontest internal/experiments | grep -vE '/(c1_chaos|a1_ablation)\.go$'); then echo "non-test internal/experiments reads the wall clock outside C1 and A1: the case studies run on the fixed epoch" >&2; exit 1; fi
 
 echo "== one copy of each case study (no internal/logbase, no experiment config struct, no benchrunner -quick or -seed, no root-level test file, examples/ holds only quickstart; the oracle folds no internal/agg state) =="
 if [ -e internal/logbase ] || grep -rn --include='*.go' '"scrub/internal/logbase"' .; then echo "internal/logbase exists or is imported again: P5's logging answer is the oracle's" >&2; exit 1; fi
@@ -84,6 +84,10 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== non-test code is code a binary runs (every func under internal/ is linked into a cmd/, examples/, scripts/ or scrubbench binary, or named in scripts/unreached.allow; no G1 runner, AgentSink, scrubvet -seq or replay request bloom) =="
+go run ./scripts/unreached
+if grep -rnE --include='*.go' 'G1Governor|AgentSink|\bRunSequential\b|bloomProbes|MayContainRequest' cmd internal scripts examples; then echo "a .go file names G1, an AgentSink, analysis.RunSequential or the replay request bloom again" >&2; exit 1; fi
 
 echo "== bench smoke (the benchmark's compile gate: bench/ is a nested module built against internal/*; plus generator determinism and 1/50-scale workloads) =="
 make bench-smoke
