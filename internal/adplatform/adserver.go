@@ -36,9 +36,6 @@ func NewAdServer(agent *host.Agent, store *ProfileStore, model TargetingModel, l
 // Agent exposes the embedded Scrub agent.
 func (s *AdServer) Agent() *host.Agent { return s.agent }
 
-// Model returns the installed targeting model.
-func (s *AdServer) Model() TargetingModel { return s.model }
-
 // filter applies the filtering-phase checks in their production order;
 // the first failing check names the exclusion reason.
 func (s *AdServer) filter(li *LineItem, req BidRequest, profile UserProfile, now time.Time) (ExclusionReason, bool) {

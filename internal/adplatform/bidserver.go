@@ -19,9 +19,6 @@ func NewBidServer(agent *host.Agent) *BidServer {
 	return &BidServer{agent: agent}
 }
 
-// Agent exposes the embedded Scrub agent.
-func (s *BidServer) Agent() *host.Agent { return s.agent }
-
 // Respond turns an auction result into a bid response (or a no-bid) and
 // logs the bid event.
 func (s *BidServer) Respond(req BidRequest, auction AuctionResult, modelName string) (BidResponse, bool) {

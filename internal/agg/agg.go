@@ -111,44 +111,21 @@ type Aggregator interface {
 	Result() event.Value
 }
 
-// New constructs an aggregator for a spec.
-func New(s Spec) (Aggregator, error) {
-	switch s.Kind {
-	case KindCountStar:
-		return &countStarAgg{}, nil
-	case KindCount:
-		return &countAgg{}, nil
-	case KindSum:
-		return &sumAgg{}, nil
-	case KindAvg:
-		return &avgAgg{}, nil
-	case KindMin:
-		return &extremeAgg{min: true}, nil
-	case KindMax:
-		return &extremeAgg{}, nil
-	case KindTopK:
-		if s.K <= 0 {
-			return nil, fmt.Errorf("agg: TOP_K requires k > 0, got %d", s.K)
+// validate rejects a spec no state can be made for: an unknown kind, a
+// TOP_K without k > 0, a COUNT_DISTINCT precision outside the sketch's.
+func (s Spec) validate() error {
+	switch {
+	case s.Kind < KindCountStar || s.Kind > KindCountDistinct:
+		return fmt.Errorf("agg: unknown aggregate kind %d", s.Kind)
+	case s.Kind == KindTopK && s.K <= 0:
+		return fmt.Errorf("agg: TOP_K requires k > 0, got %d", s.K)
+	case s.Kind == KindCountDistinct:
+		if p := hllPrecision(s); p < sketch.MinHLLPrecision || p > sketch.MaxHLLPrecision {
+			return fmt.Errorf("agg: COUNT_DISTINCT precision %d outside [%d, %d]",
+				p, sketch.MinHLLPrecision, sketch.MaxHLLPrecision)
 		}
-		return &topKAgg{k: s.K, ss: sketch.MustSpaceSaving(topKCapacity(s.K))}, nil
-	case KindCountDistinct:
-		h, err := sketch.NewHLL(hllPrecision(s))
-		if err != nil {
-			return nil, err
-		}
-		return &distinctAgg{hll: h}, nil
-	default:
-		return nil, fmt.Errorf("agg: unknown aggregate kind %d", s.Kind)
 	}
-}
-
-// MustNew is New that panics on error.
-func MustNew(s Spec) Aggregator {
-	a, err := New(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	return nil
 }
 
 // topKCapacity is how many counters TOP_K tracks: a multiple of k, so the

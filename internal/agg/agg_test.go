@@ -41,14 +41,18 @@ func TestKindString(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Spec{Kind: KindTopK, K: 0}); err == nil {
-		t.Error("TOP_K with k=0 should fail")
-	}
-	if _, err := New(Spec{Kind: KindCountDistinct, Prec: 99}); err == nil {
-		t.Error("bad HLL precision should fail")
-	}
-	if _, err := New(Spec{Kind: KindInvalid}); err == nil {
-		t.Error("invalid kind should fail")
+	for name, s := range map[string]Spec{
+		"TOP_K with k=0":     {Kind: KindTopK, K: 0},
+		"bad HLL precision":  {Kind: KindCountDistinct, Prec: 99},
+		"invalid kind":       {Kind: KindInvalid},
+		"kind past the last": {Kind: KindCountDistinct + 1},
+	} {
+		if _, err := New(s); err == nil {
+			t.Errorf("New: %s should fail", name)
+		}
+		if _, err := NewLayout([]Spec{{Kind: KindCountStar}, s}); err == nil {
+			t.Errorf("NewLayout: %s should fail", name)
+		}
 	}
 	defer func() {
 		if recover() == nil {

@@ -2,7 +2,44 @@ package agg
 
 import (
 	"fmt"
+
+	"scrub/internal/sketch"
 )
+
+// New is the boxed twin of a Slab's states: one aggregator of spec s,
+// standing alone, that tests fold beside a Slab and compare with it.
+func New(s Spec) (Aggregator, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	switch s.Kind {
+	case KindCountStar:
+		return &countStarAgg{}, nil
+	case KindCount:
+		return &countAgg{}, nil
+	case KindSum:
+		return &sumAgg{}, nil
+	case KindAvg:
+		return &avgAgg{}, nil
+	case KindMin:
+		return &extremeAgg{min: true}, nil
+	case KindMax:
+		return &extremeAgg{}, nil
+	case KindTopK:
+		return &topKAgg{k: s.K, ss: sketch.MustSpaceSaving(topKCapacity(s.K))}, nil
+	default:
+		return &distinctAgg{hll: sketch.MustHLL(hllPrecision(s))}, nil
+	}
+}
+
+// MustNew is New that panics on error.
+func MustNew(s Spec) Aggregator {
+	a, err := New(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 // inputs is how many inputs a folded in (post-NULL-filtering).
 func inputs(a Aggregator) uint64 {

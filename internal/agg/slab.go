@@ -36,13 +36,13 @@ func slabOf(k Kind) int {
 	}
 }
 
-// NewLayout lays out a plan's aggregates, validating each spec as New
-// does.
+// NewLayout lays out a plan's aggregates, rejecting a spec no state can
+// be made for.
 func NewLayout(specs []Spec) (*Layout, error) {
 	var strides [KindCountDistinct + 1]uint32
 	l := &Layout{slots: make([]slot, len(specs))}
 	for i, s := range specs {
-		if _, err := New(s); err != nil {
+		if err := s.validate(); err != nil {
 			return nil, err
 		}
 		l.slots[i] = slot{spec: s, rank: strides[slabOf(s.Kind)]}

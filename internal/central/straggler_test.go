@@ -37,9 +37,15 @@ type refWindow struct {
 }
 
 func newRefWindow() *refWindow {
+	lay, err := agg.NewLayout([]agg.Spec{{Kind: agg.KindTopK, K: 3}})
+	if err != nil {
+		panic(err)
+	}
+	sl := agg.NewSlab(lay)
+	g, _ := sl.Open()
 	return &refWindow{
 		count: map[string]int64{}, sum: map[string]float64{},
-		topk: agg.MustNew(agg.Spec{Kind: agg.KindTopK, K: 3}),
+		topk: sl.At(g, 0),
 	}
 }
 

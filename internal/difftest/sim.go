@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"scrub/internal/agg"
 	"scrub/internal/central"
 	"scrub/internal/coord"
 	"scrub/internal/event"
@@ -17,7 +16,6 @@ import (
 	"scrub/internal/host"
 	"scrub/internal/oracle"
 	"scrub/internal/ql"
-	"scrub/internal/sketch"
 	"scrub/internal/transport"
 )
 
@@ -621,18 +619,8 @@ func Run(cfg Config) (*Outcome, error) {
 			return out, fmt.Errorf("exact run dropped %d tuples as late — the harness guarantees none are\n  query: %s",
 				engStats.LateDrops, src)
 		}
-		if len(ew) != len(owins) {
-			return out, fmt.Errorf("window count: engine %d, oracle %d\n  query: %s", len(ew), len(owins), src)
-		}
-		for i := range ew {
-			o := obyStart[ew[i].WindowStart]
-			if o == nil || ew[i].WindowEnd != o.End {
-				return out, fmt.Errorf("window %d span [%d,%d) has no oracle counterpart\n  query: %s",
-					i, ew[i].WindowStart, ew[i].WindowEnd, src)
-			}
-			if err := compareToOracle(&plan, ew[i], o); err != nil {
-				return out, fmt.Errorf("window [%d,%d): %v\n  query: %s", o.Start, o.End, err, src)
-			}
+		if err := oracle.Compare(&plan, ew, owins); err != nil {
+			return out, fmt.Errorf("%v\n  query: %s", err, src)
 		}
 	case modeSampled, modeHostSample:
 		// Contract B: Eq. 1–3 confidence intervals must contain the exact
@@ -712,95 +700,6 @@ func checkAgents(sink capture, qid uint64, rate float64, want map[streamKey][]tr
 	return nil
 }
 
-// hllStdError mirrors the default-precision HLL relative standard error
-// the engine's COUNT_DISTINCT uses.
-var hllStdError = 1.04 / math.Sqrt(float64(int(1)<<sketch.DefaultHLLPrecision))
-
-// distinctTolerance is the sketch-guarantee bound for COUNT_DISTINCT:
-// 5 standard errors (the bound the sketch's own tests enforce), floored
-// for tiny cardinalities where rounding dominates.
-func distinctTolerance(truth float64) float64 {
-	tol := 5 * hllStdError * truth
-	if tol < 3 {
-		tol = 3
-	}
-	return tol
-}
-
-// compareToOracle checks one engine window against the oracle row-for-row
-// (contract A). COUNT_DISTINCT columns are held to the sketch guarantee
-// instead of exact equality; every other column — including TOP_K, whose
-// generated universes stay below SpaceSaving capacity — must match.
-func compareToOracle(p *central.Plan, ew transport.ResultWindow, o *oracle.Result) error {
-	if len(ew.Rows) != len(o.Rows) {
-		return fmt.Errorf("row count: engine %d, oracle %d\n  engine: %v\n  oracle: %v",
-			len(ew.Rows), len(o.Rows), ew.Rows, o.Rows)
-	}
-	for r := range ew.Rows {
-		if len(ew.Rows[r]) != len(o.Rows[r]) {
-			return fmt.Errorf("row %d width: engine %d, oracle %d", r, len(ew.Rows[r]), len(o.Rows[r]))
-		}
-		for c := range ew.Rows[r] {
-			if ar, ok := p.Select[c].Expr.(expr.AggRef); ok && ar.Spec.Kind == agg.KindCountDistinct {
-				est, eok := ew.Rows[r][c].AsFloat()
-				truth, tok := o.Rows[r][c].AsFloat()
-				if !eok || !tok {
-					return fmt.Errorf("row %d col %d: non-numeric COUNT_DISTINCT (engine %v, oracle %v)",
-						r, c, ew.Rows[r][c], o.Rows[r][c])
-				}
-				if math.Abs(est-truth) > distinctTolerance(truth) {
-					return fmt.Errorf("row %d col %d: COUNT_DISTINCT %v vs exact %v exceeds sketch bound %.2f",
-						r, c, est, truth, distinctTolerance(truth))
-				}
-				continue
-			}
-			if !valuesClose(ew.Rows[r][c], o.Rows[r][c]) {
-				return fmt.Errorf("row %d col %d: engine %v, oracle %v\n  engine row: %v\n  oracle row: %v",
-					r, c, ew.Rows[r][c], o.Rows[r][c], ew.Rows[r], o.Rows[r])
-			}
-		}
-	}
-	return nil
-}
-
-// valuesClose is exact for everything except float comparisons, which
-// allow 1e-9 relative error (shard merges re-associate float additions).
-func valuesClose(a, b event.Value) bool {
-	if !a.IsValid() || !b.IsValid() {
-		return a.IsValid() == b.IsValid()
-	}
-	if la, ok := a.AsList(); ok {
-		lb, ok := b.AsList()
-		if !ok || len(la) != len(lb) {
-			return false
-		}
-		for i := range la {
-			if !valuesClose(la[i], lb[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	fa, oka := a.AsFloat()
-	fb, okb := b.AsFloat()
-	if oka && okb {
-		if math.IsNaN(fa) || math.IsNaN(fb) {
-			return math.IsNaN(fa) && math.IsNaN(fb)
-		}
-		return floatsClose(fa, fb)
-	}
-	return a.Equal(b)
-}
-
-func floatsClose(a, b float64) bool {
-	if a == b {
-		return true // exact match, including equal infinities (Inf-Inf is NaN)
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return diff <= 1e-9*scale
-}
-
 // compareWindowLists enforces contract D field by field, including the
 // degradation accounting a consumer acts on.
 func compareWindowLists(ew, sw []transport.ResultWindow, shards int) error {
@@ -828,7 +727,7 @@ func compareWindowLists(ew, sw []transport.ResultWindow, shards int) error {
 				return fmt.Errorf("window %d row %d width: %d vs %d", i, r, len(a.Rows[r]), len(b.Rows[r]))
 			}
 			for c := range a.Rows[r] {
-				if !valuesClose(a.Rows[r][c], b.Rows[r][c]) {
+				if !oracle.ValuesClose(a.Rows[r][c], b.Rows[r][c]) {
 					return fmt.Errorf("window %d [%d,%d) row %d col %d: %v vs %v",
 						i, a.WindowStart, a.WindowEnd, r, c, a.Rows[r][c], b.Rows[r][c])
 				}
@@ -839,7 +738,7 @@ func compareWindowLists(ew, sw []transport.ResultWindow, shards int) error {
 		}
 		for c := range a.ErrBounds {
 			x, y := a.ErrBounds[c], b.ErrBounds[c]
-			if math.IsNaN(x) != math.IsNaN(y) || (!math.IsNaN(x) && !floatsClose(x, y)) {
+			if math.IsNaN(x) != math.IsNaN(y) || (!math.IsNaN(x) && !oracle.FloatsClose(x, y)) {
 				return fmt.Errorf("window %d bound %d: %v vs %v", i, c, x, y)
 			}
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/host"
 	"scrub/internal/transport"
@@ -94,7 +93,7 @@ func A1HostVsCentralAggregation() (*A1Result, error) {
 
 		// --- Ablated: host-side group-by COUNT(*) per user, windows
 		// rotated every 10s of event time. ---
-		groups := make(map[int64]agg.Aggregator)
+		groups := make(map[int64]int64)
 		maxGroups := 0
 		var windowStart int64
 		start = time.Now()
@@ -104,16 +103,11 @@ func A1HostVsCentralAggregation() (*A1Result, error) {
 				if len(groups) > maxGroups {
 					maxGroups = len(groups)
 				}
-				groups = make(map[int64]agg.Aggregator)
+				groups = make(map[int64]int64)
 				windowStart = ev.TimeNanos
 			}
 			user, _ := ev.Get("user_id").AsInt()
-			a := groups[user]
-			if a == nil {
-				a = agg.MustNew(agg.Spec{Kind: agg.KindCountStar})
-				groups[user] = a
-			}
-			a.Add(event.Bool(true))
+			groups[user]++
 		}
 		if len(groups) > maxGroups {
 			maxGroups = len(groups)

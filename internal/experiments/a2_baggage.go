@@ -19,8 +19,8 @@ import (
 // is active, already filtered and projected.
 //
 // The experiment runs the same bidding workload and measures:
-//   - baggage bytes per request (every exclusion event, serialized — what
-//     the request would carry);
+//   - baggage bytes per request (every exclusion event the request logged,
+//     serialized — what the request would carry);
 //   - Scrub bytes per request while the §8.4 query is active (projected
 //     exclusion tuples for one exchange), and zero when it is not.
 const (
@@ -49,7 +49,7 @@ type A2Result struct {
 
 // A2BaggageVsOnDemand runs the comparison.
 func A2BaggageVsOnDemand() (*A2Result, error) {
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:      adplatform.GenerateLineItems(a2LineItems, a2Seed),
 		EmitExclusions: true,
@@ -61,74 +61,46 @@ func A2BaggageVsOnDemand() (*A2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
 	// The §8.4 on-demand query (selection on one exchange, projection to
 	// the reason field) — Scrub's cost while troubleshooting.
 	query := `select exclusion.reason, count(*) from bid, exclusion where bid.exchange_id = 2 group by exclusion.reason window 30s duration 1h @[all]`
+	wins, requests, err := s.run([]string{query}, a2Duration, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.check(query, wins[0]); err != nil {
+		return nil, err
+	}
+	res := &A2Result{Requests: requests}
 
-	res := &A2Result{}
-	var perRequest stats.Running
-	var p99Samples []float64
-
-	_, err = RunScenario(platform.Cluster, []string{query}, func() {
-		res.Requests = drive(platform, gen, a2Duration, func(r adplatform.BidRequest) {
-			// The platform call produces exclusion events via the agents
-			// (Scrub's path). For the baggage model, serialize the same
-			// exclusions as the request-carried payload they would be.
-			_, as, _ := platformRoute(platform, r)
-			auction := as.RunAuction(r)
-			var bytes int
-			for _, ex := range auction.Exclusions {
-				ev := event.NewBuilder(adplatform.ExclusionEventSchema).
-					SetRequestID(r.RequestID).SetTimeNanos(r.TimeNanos).
-					Int("line_item_id", ex.LineItemID).
-					Str("reason", string(ex.Reason)).
-					Int("exchange_id", r.ExchangeID).
-					Int("publisher_id", r.PublisherID).
-					MustBuild()
-				bytes += len(event.AppendEvent(nil, ev))
-			}
-			perRequest.Add(float64(bytes))
-			p99Samples = append(p99Samples, float64(bytes))
-			res.BaggageTotal += uint64(bytes)
-			// Complete the pipeline so Scrub's side sees the same events.
-			bs := platform.BidServers[int(r.RequestID%uint64(len(platform.BidServers)))]
-			if resp, ok := bs.Respond(r, auction, as.Model().Name()); ok {
-				ps := platform.PresServers[int(uint64(r.UserID)%uint64(len(platform.PresServers)))]
-				ps.HandleBid(r, resp, auction.Winner.LineItem, as.Model())
-			}
-		})
+	// The baggage a request would carry is the exclusion events it logged,
+	// serialized; a request that logged none carries nothing.
+	perRequest := make(map[uint64]uint64)
+	var buf []byte
+	err = s.scan(adplatform.ExclusionEventSchema.Name(), func(ev *event.Event) {
+		buf = event.AppendEvent(buf[:0], ev)
+		perRequest[ev.RequestID] += uint64(len(buf))
 	})
 	if err != nil {
 		return nil, err
 	}
+	samples := make([]float64, res.Requests)
+	i := 0
+	for _, n := range perRequest {
+		samples[i] = float64(n)
+		res.BaggageTotal += n
+		i++
+	}
+	res.BaggageMeanBytes = float64(res.BaggageTotal) / float64(res.Requests)
+	res.BaggageP99Bytes = stats.Percentile(samples, 99)
 
-	res.BaggageMeanBytes = perRequest.Mean()
-	res.BaggageP99Bytes = stats.Percentile(p99Samples, 99)
-	for _, as := range platform.AdServers {
-		res.ScrubTuples += as.Agent().Stats().Shipped
-	}
-	for _, bs := range platform.BidServers {
-		res.ScrubTuples += bs.Agent().Stats().Shipped
-	}
-	// Approximate Scrub wire bytes: system fields + one short string or
-	// int per tuple plus batch overhead.
-	res.ScrubBytes = res.ScrubTuples * 40
+	res.ScrubTuples, res.ScrubBytes = s.shipped()
 	if res.ScrubBytes > 0 {
 		res.Ratio = float64(res.BaggageTotal) / float64(res.ScrubBytes)
 	}
 	return res, nil
-}
-
-// platformRoute mirrors Platform.route for the experiment (route is
-// unexported; the experiment needs the ad server to model baggage at the
-// point the exclusions are produced).
-func platformRoute(p *adplatform.Platform, r adplatform.BidRequest) (*adplatform.BidServer, *adplatform.AdServer, *adplatform.PresentationServer) {
-	bs := p.BidServers[int(r.RequestID%uint64(len(p.BidServers)))]
-	as := p.AdServers[int(uint64(r.UserID)%uint64(len(p.AdServers)))]
-	ps := p.PresServers[int(uint64(r.UserID)%uint64(len(p.PresServers)))]
-	return bs, as, ps
 }
 
 // Table renders the comparison.
@@ -143,7 +115,7 @@ func (r *A2Result) Table() *Table {
 	t.AddRow("baggage bytes/request (p99)", fmtF(r.BaggageP99Bytes))
 	t.AddRow("baggage total (always-on)", fmtI(int64(r.BaggageTotal)))
 	t.AddRow("Scrub tuples shipped (query active)", fmtI(int64(r.ScrubTuples)))
-	t.AddRow("Scrub bytes shipped (approx)", fmtI(int64(r.ScrubBytes)))
+	t.AddRow("Scrub bytes shipped (query active)", fmtI(int64(r.ScrubBytes)))
 	t.AddRow("byte ratio while the query runs", fmt.Sprintf("%.1f×", r.Ratio))
 	// The decisive number: baggage is always on, Scrub only runs while a
 	// troubleshooter is looking. At a 1% troubleshooting duty cycle the

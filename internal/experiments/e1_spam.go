@@ -46,7 +46,7 @@ func E1SpamDetection() (*E1Result, error) {
 	for _, li := range items {
 		li.SetBudget(1e9)
 	}
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 1, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems: items,
 	}, workload.Spec{
@@ -56,15 +56,14 @@ func E1SpamDetection() (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
-	// The paper's Figure 9 query, on one BidServer.
+	// The paper's Figure 9 query, on one BidServer. Naming one host puts
+	// it beyond check: the record does not say which host logged an event.
 	query := fmt.Sprintf(
 		`select bid.user_id, count(*) from bid group by bid.user_id window %s duration 1h @[Service in BidServers and Server = "bid-DC1-000"]`,
 		e1Window)
-	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, e1Duration, func(r adplatform.BidRequest) { platform.Process(r) })
-	})
+	wins, _, err := s.run([]string{query}, e1Duration, nil)
 	if err != nil {
 		return nil, err
 	}

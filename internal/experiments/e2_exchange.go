@@ -48,7 +48,7 @@ func E2ExchangeValidation() (*E2Result, error) {
 	for _, li := range items {
 		li.SetBudget(1e9)
 	}
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 4, NumAdServers: 4,
 		NumPresentationServers: e2PresentationServers,
 		LineItems:              items,
@@ -65,15 +65,14 @@ func E2ExchangeValidation() (*E2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
-	// The paper's Figure 11 query.
+	// The paper's Figure 11 query. It samples, so check does not hold it
+	// to the exact oracle; difftest's coverage contract holds its shape.
 	query := fmt.Sprintf(
 		`select impression.exchange_id, count(*) from impression group by impression.exchange_id window %s duration 1h @[Service in PresentationServers and DC = DC1] sample hosts %g%% events %g%%`,
 		e2Window, e2SampleHostsPct, e2SampleEventsPct)
-	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, e2Duration, func(r adplatform.BidRequest) { platform.Process(r) })
-	})
+	wins, _, err := s.run([]string{query}, e2Duration, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ type E4Result struct {
 
 // E4Exclusions runs the experiment.
 func E4Exclusions() (*E4Result, error) {
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:      adplatform.GenerateLineItems(e4LineItems, e4Seed),
 		EmitExclusions: true,
@@ -56,17 +56,18 @@ func E4Exclusions() (*E4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
 	// The Figure-17 join template: bid ⋈ exclusion on request id, with
 	// selection on the bid's exchange.
 	query := fmt.Sprintf(
 		`select exclusion.reason, count(*) from bid, exclusion where bid.exchange_id = %d group by exclusion.reason window 30s duration 1h @[all]`,
 		e4ExchangeID)
-	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, e4Duration, func(r adplatform.BidRequest) { platform.Process(r) })
-	})
+	wins, _, err := s.run([]string{query}, e4Duration, nil)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := s.check(query, wins[0]); err != nil {
 		return nil, err
 	}
 
@@ -78,14 +79,10 @@ func E4Exclusions() (*E4Result, error) {
 			res.TotalJoined += n
 		}
 	}
-	for _, as := range platform.AdServers {
-		st := as.Agent().Stats()
-		res.ExclusionEventsLogged += st.Logged
-		res.TuplesShipped += st.Shipped
+	for _, as := range s.AdServers {
+		res.ExclusionEventsLogged += as.Agent().Stats().Logged
 	}
-	for _, bs := range platform.BidServers {
-		res.TuplesShipped += bs.Agent().Stats().Shipped
-	}
+	res.TuplesShipped, _ = s.shipped()
 	return res, nil
 }
 

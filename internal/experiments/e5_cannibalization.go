@@ -77,7 +77,7 @@ func e5Run(lambdaPrice float64) (*E5Run, error) {
 		items = append(items, rival)
 	}
 
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:       items,
 		EmitAuctions:    true,
@@ -88,7 +88,7 @@ func e5Run(lambdaPrice float64) (*E5Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
 	// The §8.5 query: auctions where λ participated, joined to the
 	// impressions they produced, grouped by the winning line item.
@@ -98,10 +98,11 @@ func e5Run(lambdaPrice float64) (*E5Run, error) {
 		 where auction.line_item_ids contains %d
 		 group by auction.winner_line_item_id window 30s duration 1h @[all]`,
 		e5LambdaID)
-	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		drive(platform, gen, e5Duration, func(r adplatform.BidRequest) { platform.Process(r) })
-	})
+	wins, _, err := s.run([]string{query}, e5Duration, nil)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := s.check(query, wins[0]); err != nil {
 		return nil, err
 	}
 

@@ -55,7 +55,7 @@ func E6FrequencyCap() (*E6Result, error) {
 	capped.SetBudget(1e9)
 	items := append([]*adplatform.LineItem{capped}, adplatform.GenerateLineItems(20, e6Seed)...)
 
-	platform, gen, err := newSim(adplatform.Config{
+	s, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 2, NumPresentationServers: 2,
 		LineItems:       items,
 		ExternalWinRate: 1.0, // every bid serves: the cap is the only brake
@@ -65,7 +65,7 @@ func E6FrequencyCap() (*E6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer platform.Close()
+	defer s.Close()
 
 	// Ground truth: the corrupt feed hits the first e6CorruptUsers ids.
 	res := &E6Result{CorruptSet: make(map[string]bool)}
@@ -81,21 +81,20 @@ func E6FrequencyCap() (*E6Result, error) {
 	query := fmt.Sprintf(
 		`select impression.user_id, count(*), max(impression.serve_count) from impression where impression.line_item_id = %d group by impression.user_id window 10m duration 1h @[Service in PresentationServers]`,
 		e6LineItemID)
-	wins, err := RunScenario(platform.Cluster, []string{query}, func() {
-		n := 0
-		drive(platform, gen, e6Duration, func(r adplatform.BidRequest) {
-			platform.Process(r)
-			n++
-			if n%50 == 0 {
-				// The erroneous input feed: periodically clobbers the
-				// corrupt users' serve counts back to zero-ish state.
-				for _, u := range corrupt {
-					platform.Store.CorruptServeCounts(u, map[int64]int{e6LineItemID: -1000}, time.Unix(0, r.TimeNanos))
-				}
+	n := 0
+	wins, _, err := s.run([]string{query}, e6Duration, func(r adplatform.BidRequest) {
+		if n++; n%50 == 0 {
+			// The erroneous input feed: periodically clobbers the corrupt
+			// users' serve counts back to zero-ish state.
+			for _, u := range corrupt {
+				s.Store.CorruptServeCounts(u, map[int64]int{e6LineItemID: -1000}, time.Unix(0, r.TimeNanos))
 			}
-		})
+		}
 	})
 	if err != nil {
+		return nil, err
+	}
+	if _, err := s.check(query, wins[0]); err != nil {
 		return nil, err
 	}
 

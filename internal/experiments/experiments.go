@@ -17,12 +17,18 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"scrub/internal/adplatform"
+	"scrub/internal/central"
 	"scrub/internal/core"
+	"scrub/internal/event"
+	"scrub/internal/expr"
+	"scrub/internal/oracle"
+	"scrub/internal/ql"
+	"scrub/internal/replay"
 	"scrub/internal/transport"
 	"scrub/internal/workload"
 )
@@ -81,71 +87,6 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// collectStream drains a query stream in the background.
-type collectStream struct {
-	stream  *core.Stream
-	mu      sync.Mutex
-	windows []transport.ResultWindow
-	done    chan struct{}
-}
-
-func newCollect(st *core.Stream) *collectStream {
-	c := &collectStream{stream: st, done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		for rw := range st.Windows {
-			c.mu.Lock()
-			c.windows = append(c.windows, rw)
-			c.mu.Unlock()
-		}
-	}()
-	return c
-}
-
-func (c *collectStream) wait() []transport.ResultWindow {
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.windows
-}
-
-// RunScenario submits queries against a cluster, runs the traffic
-// function, flushes agents, cancels the queries, and returns each
-// query's collected windows (in submission order). A query that dropped a
-// tuple late or on a host, or emitted a degraded window, is an error: a
-// case study's answer is exact or it is not reported.
-func RunScenario(lc *core.LocalCluster, queries []string, traffic func()) ([][]transport.ResultWindow, error) {
-	collects := make([]*collectStream, 0, len(queries))
-	ids := make([]uint64, 0, len(queries))
-	for _, q := range queries {
-		st, err := lc.Query(q)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: submit %q: %w", q, err)
-		}
-		collects = append(collects, newCollect(st))
-		ids = append(ids, st.Info.ID)
-	}
-	traffic()
-	lc.FlushAgents()
-	// One extra flush cycle: the first Flush guarantees queue drain, the
-	// second guarantees the counter-only heartbeats landed too.
-	lc.FlushAgents()
-	for _, id := range ids {
-		if err := lc.Cancel(id); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]transport.ResultWindow, len(collects))
-	for i, c := range collects {
-		out[i] = c.wait()
-		if s := c.stream.Final(); s.LateDrops != 0 || s.HostDrops != 0 || s.DegradedWindows != 0 {
-			return nil, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",
-				queries[i], s.LateDrops, s.HostDrops, s.DegradedWindows)
-		}
-	}
-	return out, nil
-}
-
 // epoch is the virtual start of every case study on simulated traffic.
 // Their whole deployment reads it as the time — agents, central and the
 // query server — so windows align the same way on every run and nothing
@@ -153,43 +94,206 @@ func RunScenario(lc *core.LocalCluster, queries []string, traffic func()) ([][]t
 // timestamps advance.
 var epoch = time.Date(2018, time.April, 23, 0, 0, 0, 0, time.UTC)
 
-// newSim builds a case study's platform on the epoch clock, and a
-// generator starting at epoch whose user profiles it installs. Agents ship
-// when drive flushes them, not on a timer; QueueSize defaults to 1<<16.
-func newSim(pcfg adplatform.Config, spec workload.Spec) (*adplatform.Platform, *workload.Generator, error) {
-	pcfg.Agent.Clock = func() time.Time { return epoch }
+// sim is one case study's deployment: the platform, the generator whose
+// requests drive it, and rec, the record of every event the platform's
+// agents log. The record is what full-event logging would have kept (P5,
+// A2), and the oracle's input (check).
+type sim struct {
+	*adplatform.Platform
+	gen *workload.Generator
+	rec *replay.Store
+}
+
+// newSim builds a case study's platform on the epoch clock, its agents
+// recording into one store, and a generator starting at epoch whose user
+// profiles it installs. Agents ship when run flushes them, not on a
+// timer; QueueSize defaults to 1<<16.
+func newSim(pcfg adplatform.Config, spec workload.Spec) (*sim, error) {
+	clock := func() time.Time { return epoch }
+	cat := event.NewCatalog()
+	adplatform.RegisterEventTypes(cat)
+	// The store evicts nothing a case study logs; check fails if it did.
+	rec, err := replay.Open(replay.Options{Catalog: cat, Clock: clock, MaxBytes: 1 << 30})
+	if err != nil {
+		return nil, err
+	}
+	pcfg.Agent.Clock = clock
 	pcfg.Agent.FlushInterval = time.Hour
+	pcfg.Agent.Record = rec
 	if pcfg.Agent.QueueSize == 0 {
 		pcfg.Agent.QueueSize = 1 << 16
 	}
 	platform, err := adplatform.New(pcfg)
 	if err != nil {
-		return nil, nil, err
+		rec.Close()
+		return nil, err
 	}
-	gen, err := workload.NewGenerator(spec, epoch)
-	if err != nil {
-		platform.Close()
-		return nil, nil, err
+	s := &sim{Platform: platform, rec: rec}
+	if s.gen, err = workload.NewGenerator(spec, epoch); err != nil {
+		s.Close()
+		return nil, err
 	}
-	gen.InstallProfiles(platform.Store)
-	return platform, gen, nil
+	s.gen.InstallProfiles(platform.Store)
+	return s, nil
 }
 
-// drive runs d of the generator's requests through fn and flushes every
-// agent of p each time the request stream crosses a virtual second, so no
+// Close shuts the platform down, then its record.
+func (s *sim) Close() {
+	s.Platform.Close()
+	s.rec.Close()
+}
+
+// run submits queries, processes d of the generator's requests through
+// the platform (calling each, when non-nil, after each request), flushes
+// agents, cancels the queries, and returns each query's collected windows
+// (in submission order) and the number of requests. Every agent is
+// flushed each time the request stream crosses a virtual second, so no
 // stream's undelivered tuples are more than a second older than what
 // central has seen — less than the 2 s close slack of every case study's
-// windows (10 s or longer), so none arrives late. It returns the number
-// of requests.
-func drive(p *adplatform.Platform, gen *workload.Generator, d time.Duration, fn func(adplatform.BidRequest)) int {
-	var sec int64
-	return gen.Run(d, func(r adplatform.BidRequest) {
-		if s := r.TimeNanos / int64(time.Second); s != sec {
-			sec = s
-			p.Cluster.FlushAgents()
+// windows (10 s or longer), so none arrives late. A query that dropped a
+// tuple late or on a host, or emitted a degraded window, is an error: a
+// case study's answer is exact or it is not reported.
+func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidRequest)) ([][]transport.ResultWindow, int, error) {
+	lc := s.Cluster
+	streams := make([]*core.Stream, len(queries))
+	collected := make([]chan []transport.ResultWindow, len(queries))
+	for i, q := range queries {
+		st, err := lc.Query(q)
+		if err != nil {
+			return nil, 0, fmt.Errorf("experiments: submit %q: %w", q, err)
 		}
-		fn(r)
+		c := make(chan []transport.ResultWindow, 1)
+		go func() {
+			var ws []transport.ResultWindow
+			for rw := range st.Windows {
+				ws = append(ws, rw)
+			}
+			c <- ws
+		}()
+		streams[i], collected[i] = st, c
+	}
+	var sec int64
+	requests := s.gen.Run(d, func(r adplatform.BidRequest) {
+		if now := r.TimeNanos / int64(time.Second); now != sec {
+			sec = now
+			lc.FlushAgents()
+		}
+		s.Process(r)
+		if each != nil {
+			each(r)
+		}
 	})
+	lc.FlushAgents()
+	// One extra flush cycle: the first Flush guarantees queue drain, the
+	// second guarantees the counter-only heartbeats landed too.
+	lc.FlushAgents()
+	for _, st := range streams {
+		if err := lc.Cancel(st.Info.ID); err != nil {
+			return nil, 0, err
+		}
+	}
+	out := make([][]transport.ResultWindow, len(queries))
+	for i, stream := range streams {
+		out[i] = <-collected[i]
+		if st := stream.Final(); st.LateDrops != 0 || st.HostDrops != 0 || st.DegradedWindows != 0 {
+			return nil, 0, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",
+				queries[i], st.LateDrops, st.HostDrops, st.DegradedWindows)
+		}
+	}
+	return out, requests, nil
+}
+
+// scan calls fn on every recorded event of type typ ("" for every type),
+// in the order the agents logged them.
+func (s *sim) scan(typ string, fn func(*event.Event)) error {
+	return s.rec.Scan(math.MinInt64, math.MaxInt64, typ, func(ev *event.Event) bool {
+		fn(ev)
+		return true
+	})
+}
+
+// shipped sums what every agent handed to central: tuples, and their
+// measured wire bytes.
+func (s *sim) shipped() (tuples, bytes uint64) {
+	for _, a := range s.Cluster.Agents() {
+		st := a.Stats()
+		tuples += st.Shipped
+		bytes += st.ShipBytes
+	}
+	return tuples, bytes
+}
+
+// check holds query's windows, as run returned them, to the exact oracle
+// over the record, and returns the oracle's windows. The oracle reads
+// what the query's host objects would have matched — the record's events
+// of its types, through the reference closure of each object's predicate,
+// projected to the object's columns — and shares no aggregate state with
+// central. A query can be checked only if it samples nothing and its
+// target covers every host that logs its types: the record does not say
+// which host logged an event. The record must be complete: it must hold
+// exactly the events the agents counted as logged.
+func (s *sim) check(query string, wins []transport.ResultWindow) ([]oracle.Result, error) {
+	q, err := ql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	qp, err := ql.Analyze(q, s.Catalog)
+	if err != nil {
+		return nil, err
+	}
+	if qp.SampleHosts < 1 || qp.SampleEvents < 1 {
+		return nil, fmt.Errorf("experiments: %q samples: the oracle's answer is exact", query)
+	}
+	type object struct {
+		typeIdx int
+		pred    func(expr.Row) bool
+		columns []string
+	}
+	objects := make(map[string]object)
+	for _, hq := range qp.HostQueries(0, 0, 0) {
+		o := object{typeIdx: int(hq.TypeIdx), columns: hq.Columns}
+		if hq.Pred != nil {
+			ev, err := expr.Compile(hq.Pred)
+			if err != nil {
+				return nil, err
+			}
+			o.pred = expr.Predicate(ev)
+		}
+		objects[hq.EventType] = o
+	}
+	var scanned uint64
+	var events []oracle.Event
+	err = s.scan("", func(ev *event.Event) {
+		scanned++
+		o, ok := objects[ev.Schema.Name()]
+		if !ok || o.pred != nil && !o.pred(expr.EventRow{Event: ev}) {
+			return
+		}
+		e := oracle.Event{TypeIdx: o.typeIdx, RequestID: ev.RequestID, TsNanos: ev.TimeNanos}
+		for _, col := range o.columns {
+			e.Values = append(e.Values, ev.Get(col))
+		}
+		events = append(events, e)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var logged uint64
+	for _, a := range s.Cluster.Agents() {
+		logged += a.Stats().Logged
+	}
+	if scanned != logged {
+		return nil, fmt.Errorf("experiments: the record holds %d events, the agents logged %d", scanned, logged)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	owins, err := oracle.Eval(plan, events)
+	if err != nil {
+		return nil, err
+	}
+	if err := oracle.Compare(&plan, wins, owins); err != nil {
+		return nil, fmt.Errorf("experiments: %q diverges from the oracle: %w", query, err)
+	}
+	return owins, nil
 }
 
 // fmtF renders a float compactly.

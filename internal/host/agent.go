@@ -249,6 +249,7 @@ type Stats struct {
 	Logged     uint64 // events offered to Log
 	Matched    uint64 // events matching ≥1 active query
 	Shipped    uint64 // tuples handed to the sink
+	ShipBytes  uint64 // wire bytes of the batches the sink took, heartbeats included
 	QueueDrops uint64 // tuples dropped because the queue was full
 	SinkErrors uint64 // batches the sink rejected
 	// SinkErrorTuples counts the tuples in those batches: a sink that
@@ -1048,6 +1049,7 @@ func (a *Agent) Stats() Stats {
 		Logged:              a.logged.Value(),
 		Matched:             a.matched.Value(),
 		Shipped:             a.shipped.Value(),
+		ShipBytes:           a.shipBytes.Value(),
 		QueueDrops:          a.queueDrops.Value(),
 		SinkErrors:          a.sinkErrors.Value(),
 		SinkErrorTuples:     a.sinkErrTuples.Value(),

@@ -26,9 +26,6 @@ func (r *Running) Add(x float64) {
 // N returns the number of observations.
 func (r *Running) N() int { return r.n }
 
-// Mean returns the sample mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
 // Var returns the unbiased sample variance s² (0 when n < 2).
 func (r *Running) Var() float64 {
 	if r.n < 2 {

@@ -9,6 +9,9 @@ import (
 
 func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Mean returns the sample mean (0 when empty); production reads Sum.
+func (r *Running) Mean() float64 { return r.mean }
+
 func TestRegIncBetaBoundaries(t *testing.T) {
 	if RegIncBeta(2, 3, 0) != 0 || RegIncBeta(2, 3, 1) != 1 {
 		t.Error("boundaries wrong")

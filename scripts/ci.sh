@@ -55,13 +55,18 @@ echo "== the case studies run on one fixed clock (no P3 or P6 runner, no Estimat
 if grep -rnE --include='*.go' 'P3SamplingAccuracy|P6Sketches|EstimateCount' .; then echo "a .go file names a deleted P3/P6 runner or sampling.EstimateCount again" >&2; exit 1; fi
 if grep -nE 'time\.(Now|Since)\b|\bvirtualStart\b' $(nontest internal/experiments | grep -vE '/(c1_chaos|a1_ablation)\.go$'); then echo "non-test internal/experiments reads the wall clock outside C1 and A1: the case studies run on the fixed epoch" >&2; exit 1; fi
 
-echo "== one copy of each case study (no internal/logbase, no experiment config struct, no benchrunner -quick or -seed, no root-level test file, examples/ holds only quickstart; the oracle folds no internal/agg state) =="
+echo "== one copy of each case study (no internal/logbase, no experiment config struct, no benchrunner -quick or -seed, no root-level test file, examples/ holds only quickstart) =="
 if [ -e internal/logbase ] || grep -rn --include='*.go' '"scrub/internal/logbase"' .; then echo "internal/logbase exists or is imported again: P5's logging answer is the oracle's" >&2; exit 1; fi
 if grep -nE '[A-Z][0-9]Config' internal/experiments/*.go cmd/benchrunner/*.go; then echo "internal/experiments or cmd/benchrunner names an experiment config again: each experiment has one configuration, constants in its file" >&2; exit 1; fi
 if grep -nE 'flag\.[A-Za-z0-9]+\("(quick|seed)"' cmd/benchrunner/*.go; then echo "cmd/benchrunner has a -quick or -seed flag again" >&2; exit 1; fi
 if ls ./*_test.go 2>/dev/null; then echo "a root-level test file is back: the case studies are tested in internal/experiments and pinned by cmd/benchrunner's golden" >&2; exit 1; fi
 if find examples -mindepth 1 -maxdepth 1 ! -name quickstart | grep .; then echo "examples/ holds more than quickstart again: a case study has one copy, in internal/experiments" >&2; exit 1; fi
-if grep -nE '\bagg\.(New|MustNew)\(' $(nontest internal/oracle); then echo "non-test internal/oracle folds through internal/agg's aggregators again: the oracle's aggregates are its own" >&2; exit 1; fi
+
+echo "== the agents' record is the case studies' log (no hand-built events or mirrored route in internal/experiments, no reflect in its non-test code; agg.New and MustNew are test helpers; one copy of the oracle's tolerance, in internal/oracle) =="
+if grep -rnE 'mustBuildBid|mustBuildImpression|platformRoute' internal/experiments; then echo "internal/experiments builds the platform's events or mirrors its route again: what the platform logged is in the record" >&2; exit 1; fi
+if grep -n '"reflect"' $(nontest internal/experiments); then echo "non-test internal/experiments imports reflect again: a case study is compared with oracle.Compare" >&2; exit 1; fi
+if grep -nE '^func (New|MustNew)\(' $(nontest internal/agg) || grep -rnE --include='*.go' '\bagg\.(New|MustNew)\(' cmd internal scripts examples bench | grep -v '_test\.go:'; then echo "agg.New or MustNew is non-test code or has a non-test caller again: aggregate state lives in a Slab, and the oracle's aggregates are its own" >&2; exit 1; fi
+if grep -rniE --include='*.go' 'func (floatsClose|valuesClose)\(' internal | grep -v '^internal/oracle/'; then echo "a copy of floatsClose or valuesClose lives outside internal/oracle again: compare through oracle.Compare and oracle.ValuesClose" >&2; exit 1; fi
 
 echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
