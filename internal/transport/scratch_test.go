@@ -175,6 +175,33 @@ func TestRecvBorrowedZeroAllocs(t *testing.T) {
 	}
 }
 
+// Encoding a 128-tuple batch into a reused buffer allocates nothing: a
+// TupleBatch by value, as a host's sink sends it, and a *ShardSubBatch,
+// as a router sends its splits.
+func TestAppendEncodeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var tuples []Tuple
+	for i := 0; i < 128; i++ {
+		tuples = append(tuples, Tuple{RequestID: uint64(i), TsNanos: int64(i), Values: []event.Value{
+			event.Int(int64(i)), event.Float(float64(i) / 3), event.Str("geo"), event.Invalid,
+		}})
+	}
+	for _, m := range []Message{
+		TupleBatch{QueryID: 7, HostID: "bid-sj-1", Tuples: tuples, MatchedTotal: 128, SampledTotal: 128, EffRate: 1},
+		&ShardSubBatch{Seq: 1, QueryID: 7, HostID: "bid-sj-1", Tuples: tuples},
+	} {
+		buf, err := AppendEncode(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { buf, _ = AppendEncode(buf[:0], m) }); n != 0 {
+			t.Errorf("AppendEncode(%T) into a reused buffer allocates %v times, want 0", m, n)
+		}
+	}
+}
+
 // A hostile length prefix costs a receive loop at most 64 KiB before the
 // short read surfaces, with a scratch or without.
 func TestRecvHostilePrefix(t *testing.T) {

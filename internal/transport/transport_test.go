@@ -55,6 +55,10 @@ func sampleMessages() []Message {
 			StartNanos: 100, EndNanos: 200, ReplayNanos: 30_000_000_000,
 		},
 		HostQuery{QueryID: 8, EventType: "click"}, // nil pred, no columns
+		HostQuery{ // budgeted, pinned to a shard-map epoch
+			QueryID: 9, EventType: "bid", Columns: []string{"user_id"}, SampleEvents: 1,
+			StartNanos: 100, EndNanos: 200, BudgetCPUPct: 2.5, BudgetBytesPerSec: 1 << 20, ShardEpoch: 3,
+		},
 		StopQuery{QueryID: 7},
 		DataHello{HostID: "bid-sj-1"},
 		TupleBatch{
@@ -68,6 +72,11 @@ func sampleMessages() []Message {
 		},
 		TupleBatch{QueryID: 8, HostID: "h"}, // empty batch (counters only)
 		TupleBatch{QueryID: 9, HostID: "h", ReplayEpoch: 1, ReplayDone: true},
+		TupleBatch{ // governor accounting
+			QueryID: 10, HostID: "bid-sj-2", TypeIdx: 2,
+			Tuples:       []Tuple{{RequestID: 3, TsNanos: 13, Values: []event.Value{event.Str("geo"), event.Bool(true)}}},
+			MatchedTotal: 64, SampledTotal: 8, EffRate: 0.125, BudgetShed: true, CPUNs: 1 << 33, ShipBytes: 4096,
+		},
 		ListQueries{},
 		QueryList{Queries: []QuerySummary{
 			{QueryID: 7, Text: "select count(*) from bid", Columns: []string{"count(*)"},
