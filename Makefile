@@ -11,10 +11,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# go vet plus scrubvet, the project's own seven analyzers (hot-path
+# go vet plus scrubvet, the project's own six analyzers (hot-path
 # allocation freedom, pooled-memory retention, atomic/guarded field
-# discipline, metric naming, wire-codec symmetry/exhaustiveness,
-# lock-order and lock-leak checking, goroutine lifecycle). The passes
+# discipline, metric naming, lock-order and lock-leak checking, goroutine
+# lifecycle). The passes
 # run concurrently over one shared type-checked load (one at a time at
 # GOMAXPROCS=1); `-json` emits machine-readable findings.
 # See DESIGN.md §12 for the annotation grammar.

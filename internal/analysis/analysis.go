@@ -72,7 +72,6 @@ func All() []*Analyzer {
 		PoolSafeAnalyzer,
 		AtomicFieldAnalyzer,
 		MetricNameAnalyzer,
-		CodecSymAnalyzer,
 		LockOrderAnalyzer,
 		GoLifecycleAnalyzer,
 	}

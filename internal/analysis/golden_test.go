@@ -33,7 +33,6 @@ func TestGolden(t *testing.T) {
 		{"poolsafe", []*Analyzer{PoolSafeAnalyzer}},
 		{"atomicfield", []*Analyzer{AtomicFieldAnalyzer}},
 		{"metricname", []*Analyzer{MetricNameAnalyzer}},
-		{"codecsym", []*Analyzer{CodecSymAnalyzer}},
 		{"lockorder", []*Analyzer{LockOrderAnalyzer}},
 		{"golifecycle", []*Analyzer{GoLifecycleAnalyzer}},
 	}

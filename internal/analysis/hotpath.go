@@ -319,6 +319,9 @@ func pointerShaped(t types.Type) bool {
 }
 
 func isIface(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false // a type argument is substituted, not boxed
+	}
 	_, ok := t.Underlying().(*types.Interface)
 	return ok
 }

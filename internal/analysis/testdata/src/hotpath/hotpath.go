@@ -33,6 +33,7 @@ func Hot(buf []byte, xs []int, s string, p ptrShaped, f fatStruct) []byte {
 	_ = sl
 	ml := map[int]int{} // want `map literal allocates`
 	_ = ml
+	var n2 int32
 	pp := &fatStruct{a: 1} // want `&composite literal escapes`
 	_ = pp
 	fn := func() {} // want `function literal allocates a closure`
@@ -52,10 +53,18 @@ func Hot(buf []byte, xs []int, s string, p ptrShaped, f fatStruct) []byte {
 	sink(f)           // want `boxes non-pointer-shaped`
 	_ = helper()      // transitive: helper -> mk is checked above
 	_ = coldInit()    // ok: //scrub:allowalloc function, not traversed
+	_ = widen(&n2)    // ok: a type argument is substituted, not boxed
 	//scrub:allowalloc(suppressed for the golden test)
 	z := make([]int, 8) // ok: line-level escape hatch
 	_ = z
 	return appendHeader(buf)
+}
+
+// widen is reached from Hot: converting to its type parameter converts to
+// the type argument, which boxes nothing.
+func widen[T ~int32 | ~int64](x *T) int64 {
+	*x = T(int64(*x) + 1)
+	return int64(*x)
 }
 
 // appendHeader is reached transitively from Hot; the builder idiom

@@ -41,7 +41,7 @@ func chaosPipe(t *testing.T, inj *Injector, host string) (client, server *transp
 }
 
 // recvNonces drains messages until the deadline or an error, returning
-// received Ping nonces in order.
+// the sequence numbers of the ManifestAcks received, in order.
 func recvNonces(s *transport.Conn, n int, deadline time.Duration) []uint64 {
 	var out []uint64
 	s.SetReadDeadline(time.Now().Add(deadline))
@@ -50,8 +50,8 @@ func recvNonces(s *transport.Conn, n int, deadline time.Duration) []uint64 {
 		if err != nil {
 			break
 		}
-		if p, ok := msg.(transport.Ping); ok {
-			out = append(out, p.Nonce)
+		if ack, ok := msg.(transport.ManifestAck); ok {
+			out = append(out, ack.Seq)
 		}
 	}
 	return out
@@ -61,7 +61,7 @@ func TestCleanLinkPassesThrough(t *testing.T) {
 	inj := New(1)
 	c, s := chaosPipe(t, inj, "h1")
 	for i := uint64(1); i <= 20; i++ {
-		if err := c.Send(transport.Ping{Nonce: i}); err != nil {
+		if err := c.Send(transport.ManifestAck{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestDropIsDeterministic(t *testing.T) {
 		inj.Set("h1", Faults{DropProb: 0.5})
 		c, s := chaosPipe(t, inj, "h1")
 		for i := uint64(1); i <= 50; i++ {
-			if err := c.Send(transport.Ping{Nonce: i}); err != nil {
+			if err := c.Send(transport.ManifestAck{Seq: i}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,7 +120,7 @@ func TestDuplicateAndReorder(t *testing.T) {
 	inj.Set("dup", Faults{DupProb: 1})
 	c, s := chaosPipe(t, inj, "dup")
 	for i := uint64(1); i <= 3; i++ {
-		if err := c.Send(transport.Ping{Nonce: i}); err != nil {
+		if err := c.Send(transport.ManifestAck{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestDuplicateAndReorder(t *testing.T) {
 	inj2.Set("ro", Faults{ReorderProb: 1})
 	c2, s2 := chaosPipe(t, inj2, "ro")
 	for i := uint64(1); i <= 4; i++ {
-		if err := c2.Send(transport.Ping{Nonce: i}); err != nil {
+		if err := c2.Send(transport.ManifestAck{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	inj := New(3)
 	c, s := chaosPipe(t, inj, "h1")
 
-	if err := c.Send(transport.Ping{Nonce: 1}); err != nil {
+	if err := c.Send(transport.ManifestAck{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvNonces(s, 1, 2*time.Second); len(got) != 1 {
@@ -169,7 +169,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	// Partition: sends succeed at the application, nothing arrives.
 	inj.Set("h1", Partitioned())
 	for i := uint64(2); i <= 5; i++ {
-		if err := c.Send(transport.Ping{Nonce: i}); err != nil {
+		if err := c.Send(transport.ManifestAck{Seq: i}); err != nil {
 			t.Fatalf("send during partition must not error at the sender: %v", err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPartitionAndHeal(t *testing.T) {
 
 	// Heal: the partition ate in-flight frames, but new sends flow.
 	inj.Heal("h1")
-	if err := c.Send(transport.Ping{Nonce: 6}); err != nil {
+	if err := c.Send(transport.ManifestAck{Seq: 6}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvNonces(s, 1, 2*time.Second)
@@ -198,7 +198,7 @@ func TestKillSeversConnections(t *testing.T) {
 	// (possibly not the very first send, depending on buffering).
 	var failed bool
 	for i := 0; i < 10; i++ {
-		if err := c.Send(transport.Ping{Nonce: 99}); err != nil {
+		if err := c.Send(transport.ManifestAck{Seq: 99}); err != nil {
 			failed = true
 			break
 		}

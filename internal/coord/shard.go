@@ -139,8 +139,6 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			resp = ack
 		case transport.ShardStatsReq:
 			resp = n.handleStats(t)
-		case transport.Ping:
-			resp = transport.Pong{Nonce: t.Nonce}
 		default:
 			// Unknown messages are ignored rather than answered: replying
 			// out of band would desynchronize the caller's sequence.

@@ -93,16 +93,11 @@ func (s *Standby) ServeConn(c *transport.Conn) {
 		if err != nil {
 			return
 		}
-		var resp transport.Message
-		switch t := m.(type) {
-		case transport.RepAppend:
-			resp = s.handleAppend(t)
-		case transport.Ping:
-			resp = transport.Pong{Nonce: t.Nonce}
-		default:
+		t, ok := m.(transport.RepAppend)
+		if !ok {
 			continue
 		}
-		if err := c.Send(resp); err != nil {
+		if err := c.Send(s.handleAppend(t)); err != nil {
 			return
 		}
 	}

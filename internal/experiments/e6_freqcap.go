@@ -29,8 +29,8 @@ type E6User struct {
 	UserID      string
 	Impressions int64
 	// MaxServeCount is the highest serve_count field observed in the
-	// user's impression events — for corrupt users this stays at or
-	// below the cap (or jumps erratically) while impressions pile up.
+	// user's impression events — for corrupt users it stays below the cap
+	// (the feed's clobbered counts are negative) while impressions pile up.
 	MaxServeCount int64
 }
 
@@ -106,13 +106,11 @@ func E6FrequencyCap() (*E6Result, error) {
 			maxServe, _ := row[2].AsInt()
 			u := perUser[id]
 			if u == nil {
-				u = &E6User{UserID: id}
+				u = &E6User{UserID: id, MaxServeCount: maxServe}
 				perUser[id] = u
 			}
 			u.Impressions += n
-			if maxServe > u.MaxServeCount {
-				u.MaxServeCount = maxServe
-			}
+			u.MaxServeCount = max(u.MaxServeCount, maxServe)
 		}
 	}
 	for _, u := range perUser {

@@ -16,6 +16,11 @@ func TestE6FrequencyCap(t *testing.T) {
 		if !res.CorruptSet[u.UserID] {
 			t.Errorf("healthy user %s over-served %d times: cap logic broken", u.UserID, u.Impressions)
 		}
+		// The evidence: the feed's clobbered counts are negative, and the
+		// column shows them rather than a floor.
+		if u.MaxServeCount >= 0 {
+			t.Errorf("corrupt user %s: max serve_count seen %d, want the feed's negative count", u.UserID, u.MaxServeCount)
+		}
 	}
 	// And the corrupted users are clearly anomalous versus the healthy
 	// population.

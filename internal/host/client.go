@@ -346,10 +346,6 @@ func (a *Agent) controlSession(ctx context.Context, serverAddr string, opt *Cont
 			if opt.OnShardMap != nil {
 				opt.OnShardMap(m)
 			}
-		case transport.Ping:
-			if err := conn.Send(transport.Pong{Nonce: m.Nonce}); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("host: unexpected control message %s", transport.Name(msg))
 		}

@@ -171,18 +171,6 @@ func TestRunControlAppliesQueryObjects(t *testing.T) {
 	}
 	waitFor(t, func() bool { return len(a.ActiveQueries()) == 1 })
 
-	// Ping/Pong keepalive.
-	if err := conn.Send(transport.Ping{Nonce: 5}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := msg.(transport.Pong); !ok || p.Nonce != 5 {
-		t.Fatalf("got %s", transport.Name(msg))
-	}
-
 	if err := conn.Send(transport.StopQuery{QueryID: 9}); err != nil {
 		t.Fatal(err)
 	}

@@ -170,18 +170,14 @@ func (h *Hub) handleControl(conn *transport.Conn) {
 		}
 		h.mu.Unlock()
 	}()
-	// Control is server-push; the read loop only consumes Pongs and
-	// detects disconnects.
+	// Control is server-push; the read loop only detects disconnects (and
+	// logs anything a host sends).
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		switch msg.(type) {
-		case transport.Pong:
-		default:
-			h.logf("scrub: unexpected control message %s from %s", transport.Name(msg), reg.HostID)
-		}
+		h.logf("scrub: unexpected control message %s from %s", transport.Name(msg), reg.HostID)
 	}
 }
 
@@ -219,10 +215,6 @@ func (h *Hub) handleData(conn *transport.Conn) {
 		case transport.ShardHello:
 			if err := srv.HandleShardHello(m); err != nil {
 				h.logf("scrub: shard %s join: %v", m.ShardID, err)
-			}
-		case transport.Ping:
-			if err := conn.Send(transport.Pong{Nonce: m.Nonce}); err != nil {
-				return
 			}
 		default:
 			h.logf("scrub: unexpected data message %s", transport.Name(msg))
@@ -295,8 +287,6 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 			_ = conn.Send(transport.QueryList{Queries: srv.List()})
 		case transport.ShardStatusReq:
 			_ = conn.Send(srv.ShardStatus())
-		case transport.Ping:
-			_ = conn.Send(transport.Pong{Nonce: m.Nonce})
 		default:
 			_ = conn.Send(transport.QueryError{Msg: "unexpected message " + transport.Name(msg)})
 		}

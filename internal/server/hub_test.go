@@ -100,7 +100,7 @@ func TestHubRejectsBadControlHandshake(t *testing.T) {
 	hub, _, registry := newTestHub(t)
 	c := dialT(t, hub.ControlAddr())
 	// Wrong first message: connection is dropped, nothing registered.
-	if err := c.Send(transport.Ping{Nonce: 1}); err != nil {
+	if err := c.Send(transport.DataHello{HostID: "h1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Recv(); err == nil {
@@ -128,13 +128,13 @@ func TestHubReplacesDuplicateHostConnection(t *testing.T) {
 		t.Error("old connection should be closed")
 	}
 	waitCond(t, "replacement dispatchable", func() bool {
-		return hub.SendToHost("h1", transport.Ping{Nonce: 1}) == nil
+		return hub.SendToHost("h1", transport.StopQuery{QueryID: 1}) == nil
 	})
 	msg, err := replacement.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(transport.Ping); !ok {
+	if _, ok := msg.(transport.StopQuery); !ok {
 		t.Fatalf("replacement got %s", transport.Name(msg))
 	}
 	// A host must still be registered (the replacement's deferred cleanup
@@ -184,7 +184,7 @@ func TestHubDataPath(t *testing.T) {
 func TestHubDataPathRejectsBadHandshake(t *testing.T) {
 	hub, _, _ := newTestHub(t)
 	data := dialT(t, hub.DataAddr())
-	if err := data.Send(transport.Ping{Nonce: 1}); err != nil {
+	if err := data.Send(transport.RegisterHost{HostID: "h1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := data.Recv(); err == nil {
@@ -197,14 +197,14 @@ func TestHubClientSession(t *testing.T) {
 	_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
 
 	client := dialT(t, hub.ClientAddr())
-	// Ping works pre-query.
-	if err := client.Send(transport.Ping{Nonce: 7}); err != nil {
+	// Listing works pre-query.
+	if err := client.Send(transport.ListQueries{}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := client.Recv(); err != nil {
 		t.Fatal(err)
-	} else if p, ok := msg.(transport.Pong); !ok || p.Nonce != 7 {
-		t.Fatalf("got %s", transport.Name(msg))
+	} else if l, ok := msg.(transport.QueryList); !ok || len(l.Queries) != 0 {
+		t.Fatalf("got %#v", msg)
 	}
 	// Bad query → QueryError with no id.
 	if err := client.Send(transport.SubmitQuery{Text: "not a query"}); err != nil {

@@ -9,317 +9,80 @@ import (
 	"scrub/internal/expr"
 )
 
-// writer accumulates a payload.
-type writer struct {
-	buf []byte
-	err error
-}
-
-func (w *writer) u8(x uint8)   { w.buf = append(w.buf, x) }
-func (w *writer) u32(x uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, x) }
-func (w *writer) u64(x uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, x) }
-func (w *writer) i64(x int64)  { w.u64(uint64(x)) }
-func (w *writer) f64(x float64) {
-	w.u64(math.Float64bits(x))
-}
-func (w *writer) uvarint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *writer) strs(ss []string) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-func (w *writer) value(v event.Value) { w.buf = event.AppendValue(w.buf, v) }
-func (w *writer) tuples(ts []Tuple) {
-	w.uvarint(uint64(len(ts)))
-	for _, tp := range ts {
-		w.u64(tp.RequestID)
-		w.i64(tp.TsNanos)
-		w.uvarint(uint64(len(tp.Values)))
-		for _, v := range tp.Values {
-			w.value(v)
-		}
-	}
-}
-func (w *writer) node(n expr.Node) {
-	if w.err != nil {
-		return
-	}
-	if n == nil {
-		w.u8(0)
-		return
-	}
-	w.u8(1)
-	b, err := expr.AppendNode(w.buf, n)
-	if err != nil {
-		w.err = err
-		return
-	}
-	w.buf = b
-}
-func (w *writer) bool(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-func (w *writer) streamStat(s StreamStat) {
-	w.str(s.HostID)
-	w.u8(s.TypeIdx)
-	w.u64(s.Matched)
-	w.u64(s.Sampled)
-	w.u64(s.Drops)
-	w.u64(s.LateDrops)
-	w.bool(s.Evicted)
-	w.f64(s.EffRate)
-	w.bool(s.BudgetShed)
-	w.u64(s.CPUNs)
-	w.u64(s.Bytes)
-}
-
-func (w *writer) queryStats(s QueryStats) {
-	w.u64(s.Windows)
-	w.u64(s.Rows)
-	w.u64(s.TuplesIn)
-	w.u64(s.HostDrops)
-	w.u64(s.LateDrops)
-	w.u64(s.DegradedWindows)
-	w.u64(s.ShedWindows)
-}
-
-// reader consumes a payload, accumulating the first error.
-type reader struct {
-	buf []byte
-	pos int
-	err error
-	// sc, when set, lends the memory tuple-carrying messages are decoded
-	// into (RecvScratch); nil allocates.
+// A message is described once, by its code method: its fields in wire
+// order, each handed by pointer to a coder primitive. The coder walks that
+// one description in one of three modes — encoding appends each field to
+// buf, decoding reads each from buf into the field, sizing adds up the
+// bytes each would take — so the encoder, the decoder and
+// TupleBatchWireSize cannot disagree about a message's layout.
+type coder struct {
+	mode mode
+	buf  []byte // encoding: the payload so far; decoding: the payload
+	pos  int    // decoding: the next unread byte of buf
+	n    int    // sizing: the bytes counted
+	err  error
+	// sc, when decoding, lends the memory tuple-carrying messages are
+	// decoded into (RecvScratch); nil allocates.
 	sc *RecvScratch
+	// While a tuple list decodes: the flat array its values are cut from,
+	// and how many tuples, the current one included, are still to come.
+	vals []event.Value
+	left uint64
 }
 
-//scrub:allowalloc(cold error path)
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("transport: decode: %s", msg)
-	}
+type mode uint8
+
+const (
+	encoding mode = iota
+	decoding
+	sizing
+)
+
+// Message type names, by tag. A tag without a name is reserved: no
+// message carries it.
+var names = [...]string{
+	tagSubmitQuery:     "SubmitQuery",
+	tagQueryAccepted:   "QueryAccepted",
+	tagQueryError:      "QueryError",
+	tagResultWindow:    "ResultWindow",
+	tagQueryDone:       "QueryDone",
+	tagCancelQuery:     "CancelQuery",
+	tagRegisterHost:    "RegisterHost",
+	tagHostQuery:       "HostQuery",
+	tagStopQuery:       "StopQuery",
+	tagDataHello:       "DataHello",
+	tagTupleBatch:      "TupleBatch",
+	tagListQueries:     "ListQueries",
+	tagQueryList:       "QueryList",
+	tagShardStart:      "ShardStart",
+	tagShardAck:        "ShardAck",
+	tagShardSubBatch:   "ShardSubBatch",
+	tagShardBatchAck:   "ShardBatchAck",
+	tagShardCollectReq: "ShardCollectReq",
+	tagShardPartials:   "ShardPartials",
+	tagShardStopReq:    "ShardStopReq",
+	tagShardStatsReq:   "ShardStatsReq",
+	tagShardStatsResp:  "ShardStatsResp",
+	tagBatchManifest:   "BatchManifest",
+	tagManifestAck:     "ManifestAck",
+	tagShardHello:      "ShardHello",
+	tagShardMap:        "ShardMap",
+	tagShardStatusReq:  "ShardStatusReq",
+	tagShardStatusList: "ShardStatusList",
+	tagShardFence:      "ShardFence",
+	tagShardFenceAck:   "ShardFenceAck",
+	tagRepAppend:       "RepAppend",
+	tagRepAck:          "RepAck",
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.fail("short u8")
-		return 0
-	}
-	x := r.buf[r.pos]
-	r.pos++
-	return x
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+4 > len(r.buf) {
-		r.fail("short u32")
-		return 0
-	}
-	x := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return x
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.buf) {
-		r.fail("short u64")
-		return 0
-	}
-	x := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return x
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) boolv() bool  { return r.u8() == 1 }
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.pos += n
-	return x
-}
-
-func (r *reader) str() string {
-	ln := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.buf)-r.pos) < ln {
-		r.fail("short string")
-		return ""
-	}
-	b := r.buf[r.pos : r.pos+int(ln)]
-	r.pos += int(ln)
-	if r.sc != nil { // a receive loop's frames keep repeating their strings
-		return r.sc.intern(b)
-	}
-	return string(b)
-}
-
-func (r *reader) strs() []string {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail("implausible string count")
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-func (r *reader) value() event.Value {
-	if r.err != nil {
-		return event.Invalid
-	}
-	var str func([]byte) string // nil copies
-	if r.sc != nil {
-		str = r.sc.intern
-	}
-	v, n, err := event.DecodeValueAlias(r.buf[r.pos:], str)
-	if err != nil {
-		r.err = err
-		return event.Invalid
-	}
-	r.pos += n
-	return v
-}
-
-// minTupleBytes is the least a tuple takes on the wire: request id, event
-// time and a zero value count.
-const minTupleBytes = 17
-
-// tuples decodes a tuple list: the cells into r.sc's arrays when a scratch
-// is set — valid until the scratch's next decode, the //scrub:pooled
-// contract of Tuple.Values and the Tuples fields — and into fresh arrays
-// otherwise. Either way all the tuples' Values share one flat backing
-// array, each capped at its own length. String payloads are ordinary
-// immutable strings that never alias the payload, so a value copied out
-// of a borrowed cell is good for ever.
-//
-//scrub:hotpath
-func (r *reader) tuples() []Tuple {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.buf)-r.pos)/minTupleBytes {
-		r.fail("implausible tuple count")
-	}
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var ts []Tuple
-	var vals []event.Value
-	if r.sc != nil {
-		ts, vals = r.sc.tuples[:0], r.sc.vals[:0]
-	}
-	if uint64(cap(ts)) < n {
-		//scrub:allowalloc(one array per message without a scratch; growth only with one)
-		ts = make([]Tuple, 0, n)
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
-		nv := r.uvarint()
-		// Every value takes at least its tag byte.
-		if r.err != nil || nv > uint64(len(r.buf)-r.pos) {
-			r.fail("implausible value count")
-			break
+// Name returns a human-readable message name for logs.
+func Name(m Message) string {
+	if m != nil {
+		if name := names[m.msgTag()]; name != "" {
+			return name
 		}
-		if uint64(cap(vals)-len(vals)) < nv {
-			// Sized for the rest of the batch at this tuple's width, which
-			// the bytes left bound too. Tuples already decoded keep the
-			// array they were cut from.
-			need := min((n-i)*nv, uint64(len(r.buf)-r.pos))
-			//scrub:allowalloc(one array per message without a scratch; growth only with one)
-			vals = make([]event.Value, 0, max(need, 2*uint64(cap(vals))))
-		}
-		start := len(vals)
-		for j := uint64(0); j < nv; j++ {
-			vals = append(vals, r.value())
-		}
-		if nv > 0 {
-			tp.Values = vals[start:len(vals):len(vals)]
-		}
-		ts = append(ts, tp)
 	}
-	if r.sc != nil {
-		r.sc.tuples, r.sc.vals = ts, vals
-	}
-	return ts
-}
-
-func (r *reader) node() expr.Node {
-	if r.err != nil {
-		return nil
-	}
-	present := r.u8()
-	if r.err != nil || present == 0 {
-		return nil
-	}
-	n, used, err := expr.DecodeNode(r.buf[r.pos:])
-	if err != nil {
-		r.err = err
-		return nil
-	}
-	r.pos += used
-	return n
-}
-
-func (r *reader) streamStat() StreamStat {
-	return StreamStat{
-		HostID: r.str(), TypeIdx: r.u8(),
-		Matched: r.u64(), Sampled: r.u64(), Drops: r.u64(),
-		LateDrops: r.u64(), Evicted: r.boolv(),
-		EffRate: r.f64(), BudgetShed: r.boolv(),
-		CPUNs: r.u64(), Bytes: r.u64(),
-	}
-}
-
-func (r *reader) queryStats() QueryStats {
-	return QueryStats{
-		Windows: r.u64(), Rows: r.u64(), TuplesIn: r.u64(),
-		HostDrops: r.u64(), LateDrops: r.u64(), DegradedWindows: r.u64(),
-		ShedWindows: r.u64(),
-	}
-}
-
-func (r *reader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.buf) {
-		return fmt.Errorf("transport: decode: %d trailing bytes", len(r.buf)-r.pos)
-	}
-	return nil
+	return fmt.Sprintf("unknown(%T)", m)
 }
 
 // AppendEncode serializes a message payload (without framing) prefixed by
@@ -329,273 +92,629 @@ func (r *reader) finish() error {
 //
 //scrub:hotpath
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
-	//scrub:allowalloc(non-escaping scratch; the compiler keeps w on the stack)
-	w := &writer{buf: dst}
-	w.u8(m.msgTag())
+	dst = append(dst, m.msgTag())
+	c := coder{buf: dst}
 	switch t := m.(type) {
 	case SubmitQuery:
-		w.str(t.Text)
+		t.code(&c)
 	case QueryAccepted:
-		w.u64(t.QueryID)
-		w.strs(t.Columns)
-		w.u32(t.NumHosts)
-		w.u32(t.SampledHosts)
-		w.i64(t.EndNanos)
+		t.code(&c)
 	case QueryError:
-		w.u64(t.QueryID)
-		w.str(t.Msg)
+		t.code(&c)
 	case ResultWindow:
-		w.u64(t.QueryID)
-		w.i64(t.WindowStart)
-		w.i64(t.WindowEnd)
-		w.strs(t.Columns)
-		w.uvarint(uint64(len(t.Rows)))
-		for _, row := range t.Rows {
-			w.uvarint(uint64(len(row)))
-			for _, v := range row {
-				w.value(v)
-			}
-		}
-		w.bool(t.Approx)
-		w.uvarint(uint64(len(t.ErrBounds)))
-		for _, e := range t.ErrBounds {
-			w.f64(e)
-		}
-		w.u64(t.Stats.TuplesIn)
-		w.u64(t.Stats.HostDrops)
-		w.u64(t.Stats.LateDrops)
-		w.u32(t.Stats.HostsReporting)
-		w.bool(t.Degraded)
-		w.bool(t.BudgetShed)
-		w.uvarint(uint64(len(t.Streams)))
-		for _, s := range t.Streams {
-			w.streamStat(s)
-		}
+		t.code(&c)
 	case QueryDone:
-		w.u64(t.QueryID)
-		w.queryStats(t.Stats)
+		t.code(&c)
 	case CancelQuery:
-		w.u64(t.QueryID)
+		t.code(&c)
 	case RegisterHost:
-		w.str(t.HostID)
-		w.str(t.Service)
-		w.str(t.DC)
+		t.code(&c)
 	case HostQuery:
-		w.u64(t.QueryID)
-		w.str(t.EventType)
-		w.u8(t.TypeIdx)
-		w.node(t.Pred)
-		w.strs(t.Columns)
-		w.f64(t.SampleEvents)
-		w.i64(t.StartNanos)
-		w.i64(t.EndNanos)
-		w.f64(t.BudgetCPUPct)
-		w.f64(t.BudgetBytesPerSec)
-		w.i64(t.ReplayNanos)
-		w.u32(t.ShardEpoch)
+		t.code(&c)
 	case StopQuery:
-		w.u64(t.QueryID)
+		t.code(&c)
 	case DataHello:
-		w.str(t.HostID)
+		t.code(&c)
 	case TupleBatch:
-		w.u64(t.QueryID)
-		w.str(t.HostID)
-		w.u8(t.TypeIdx)
-		w.tuples(t.Tuples)
-		w.u64(t.MatchedTotal)
-		w.u64(t.SampledTotal)
-		w.u64(t.QueueDrops)
-		w.f64(t.EffRate)
-		w.bool(t.BudgetShed)
-		w.u64(t.CPUNs)
-		w.u64(t.ShipBytes)
-		w.u32(t.ReplayEpoch)
-		w.bool(t.ReplayDone)
-	case ListQueries:
+		t.code(&c)
+	case ListQueries, ShardStatusReq:
 		// no payload
 	case QueryList:
-		w.uvarint(uint64(len(t.Queries)))
-		for _, q := range t.Queries {
-			w.u64(q.QueryID)
-			w.str(q.Text)
-			w.strs(q.Columns)
-			w.u32(q.Hosts)
-			w.i64(q.EndNanos)
-			w.queryStats(q.Stats)
-		}
-	case Ping:
-		w.u64(t.Nonce)
-	case Pong:
-		w.u64(t.Nonce)
+		t.code(&c)
+	case ShardStart:
+		t.code(&c)
+	case ShardAck:
+		t.code(&c)
+	case ShardSubBatch:
+		t.code(&c)
+	case *ShardSubBatch:
+		t.code(&c) // by pointer, a sender's sub-batch is not boxed per frame
+	case ShardBatchAck:
+		t.code(&c)
+	case ShardCollectReq:
+		t.code(&c)
+	case ShardPartials:
+		t.code(&c)
+	case ShardStopReq:
+		t.code(&c)
+	case ShardStatsReq:
+		t.code(&c)
+	case ShardStatsResp:
+		t.code(&c)
+	case BatchManifest:
+		t.code(&c)
+	case ManifestAck:
+		t.code(&c)
+	case ShardHello:
+		t.code(&c)
+	case ShardMap:
+		t.code(&c)
+	case ShardStatusList:
+		t.code(&c)
+	case ShardFence:
+		t.code(&c)
+	case ShardFenceAck:
+		t.code(&c)
+	case RepAppend:
+		t.code(&c)
+	case RepAck:
+		t.code(&c)
 	default:
-		if !appendEncodeCoord(w, m) {
-			//scrub:allowalloc(cold error path for unknown message types)
-			return nil, fmt.Errorf("transport: encode: unknown message %T", m)
-		}
+		//scrub:allowalloc(cold error path for unknown message types)
+		return nil, fmt.Errorf("transport: encode: unknown message %T", m)
 	}
-	if w.err != nil {
-		return nil, w.err
+	if c.err != nil {
+		return nil, c.err
 	}
-	return w.buf, nil
+	return c.buf, nil
 }
 
 // TupleBatchWireSize returns len(AppendEncode(nil, *b)) without writing a
 // byte: the host shipper charges every batch it sends to the governor's
 // byte budget, and encoding one a second time just to measure it cost a
-// pass over the tuples and a buffer the size of a batch. It mirrors the
-// TupleBatch arm of AppendEncode field for field; FuzzTupleBatchWireSize
-// holds the two equal.
+// pass over the tuples and a buffer the size of a batch. It walks the
+// batch's description in sizing mode.
 func TupleBatchWireSize(b *TupleBatch) int {
-	// Everything but HostID and the tuples is fixed-width: tag, QueryID,
-	// TypeIdx, three totals, EffRate, BudgetShed, CPUNs, ShipBytes,
-	// ReplayEpoch, ReplayDone.
-	n := 64 + event.UvarintLen(uint64(len(b.HostID))) + len(b.HostID) + event.UvarintLen(uint64(len(b.Tuples)))
-	for i := range b.Tuples {
-		vals := b.Tuples[i].Values
-		n += 16 + event.UvarintLen(uint64(len(vals))) // RequestID, TsNanos, value count
-		for j := range vals {
-			n += event.EncodedSize(&vals[j])
-		}
-	}
-	return n
+	c := coder{mode: sizing, n: 1} // the tag
+	b.code(&c)
+	return c.n
 }
 
-// Decode parses a tagged payload produced by Encode. The message owns its
-// memory.
+// Decode parses a tagged payload produced by AppendEncode. The message
+// owns its memory.
 func Decode(b []byte) (Message, error) { return decode(b, nil) }
 
 // decode is the one decoder: with a scratch, tuple-carrying messages
-// borrow its memory (RecvScratch); without, everything is allocated.
+// borrow its memory (RecvScratch); without, everything is allocated. Each
+// arm is spelled out: a generic one would call code through a dictionary,
+// and the coder would escape to the heap on every frame.
 func decode(b []byte, sc *RecvScratch) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("transport: decode: empty payload")
 	}
-	r := &reader{buf: b, pos: 1, sc: sc}
+	c := coder{mode: decoding, buf: b, pos: 1, sc: sc}
 	var m Message
 	switch b[0] {
 	case tagSubmitQuery:
-		m = SubmitQuery{Text: r.str()}
+		var t SubmitQuery
+		t.code(&c)
+		m = t
 	case tagQueryAccepted:
-		m = QueryAccepted{
-			QueryID: r.u64(), Columns: r.strs(),
-			NumHosts: r.u32(), SampledHosts: r.u32(), EndNanos: r.i64(),
-		}
+		var t QueryAccepted
+		t.code(&c)
+		m = t
 	case tagQueryError:
-		m = QueryError{QueryID: r.u64(), Msg: r.str()}
+		var t QueryError
+		t.code(&c)
+		m = t
 	case tagResultWindow:
-		rw := ResultWindow{
-			QueryID: r.u64(), WindowStart: r.i64(), WindowEnd: r.i64(),
-			Columns: r.strs(),
-		}
-		nRows := r.uvarint()
-		if nRows > uint64(len(b)) {
-			r.fail("implausible row count")
-		}
-		if r.err == nil {
-			rw.Rows = make([][]event.Value, 0, nRows)
-			for i := uint64(0); i < nRows && r.err == nil; i++ {
-				nv := r.uvarint()
-				if nv > uint64(len(b)) {
-					r.fail("implausible value count")
-					break
-				}
-				row := make([]event.Value, 0, nv)
-				for j := uint64(0); j < nv; j++ {
-					row = append(row, r.value())
-				}
-				rw.Rows = append(rw.Rows, row)
-			}
-		}
-		rw.Approx = r.boolv()
-		nb := r.uvarint()
-		if nb > uint64(len(b)) {
-			r.fail("implausible bound count")
-		}
-		if r.err == nil {
-			rw.ErrBounds = make([]float64, 0, nb)
-			for i := uint64(0); i < nb; i++ {
-				rw.ErrBounds = append(rw.ErrBounds, r.f64())
-			}
-		}
-		rw.Stats = WindowStats{
-			TuplesIn: r.u64(), HostDrops: r.u64(), LateDrops: r.u64(),
-			HostsReporting: r.u32(),
-		}
-		rw.Degraded = r.boolv()
-		rw.BudgetShed = r.boolv()
-		ns := r.uvarint()
-		if ns > uint64(len(b)) {
-			r.fail("implausible stream count")
-		}
-		if r.err == nil && ns > 0 {
-			rw.Streams = make([]StreamStat, 0, ns)
-			for i := uint64(0); i < ns && r.err == nil; i++ {
-				rw.Streams = append(rw.Streams, r.streamStat())
-			}
-		}
-		m = rw
+		var t ResultWindow
+		t.code(&c)
+		m = t
 	case tagQueryDone:
-		m = QueryDone{QueryID: r.u64(), Stats: r.queryStats()}
+		var t QueryDone
+		t.code(&c)
+		m = t
 	case tagCancelQuery:
-		m = CancelQuery{QueryID: r.u64()}
+		var t CancelQuery
+		t.code(&c)
+		m = t
 	case tagRegisterHost:
-		m = RegisterHost{HostID: r.str(), Service: r.str(), DC: r.str()}
+		var t RegisterHost
+		t.code(&c)
+		m = t
 	case tagHostQuery:
-		m = HostQuery{
-			QueryID: r.u64(), EventType: r.str(), TypeIdx: r.u8(),
-			Pred: r.node(), Columns: r.strs(), SampleEvents: r.f64(),
-			StartNanos: r.i64(), EndNanos: r.i64(),
-			BudgetCPUPct: r.f64(), BudgetBytesPerSec: r.f64(),
-			ReplayNanos: r.i64(), ShardEpoch: r.u32(),
-		}
+		var t HostQuery
+		t.code(&c)
+		m = t
 	case tagStopQuery:
-		m = StopQuery{QueryID: r.u64()}
+		var t StopQuery
+		t.code(&c)
+		m = t
 	case tagDataHello:
-		m = DataHello{HostID: r.str()}
+		var t DataHello
+		t.code(&c)
+		m = t
 	case tagTupleBatch:
-		tb := TupleBatch{QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(), Tuples: r.tuples()}
-		tb.MatchedTotal = r.u64()
-		tb.SampledTotal = r.u64()
-		tb.QueueDrops = r.u64()
-		tb.EffRate = r.f64()
-		tb.BudgetShed = r.boolv()
-		tb.CPUNs = r.u64()
-		tb.ShipBytes = r.u64()
-		tb.ReplayEpoch = r.u32()
-		tb.ReplayDone = r.boolv()
-		m = tb
+		var t TupleBatch
+		t.code(&c)
+		m = t
 	case tagListQueries:
 		m = ListQueries{}
 	case tagQueryList:
-		ql := QueryList{}
-		n := r.uvarint()
-		if n > uint64(len(b)) {
-			r.fail("implausible query count")
+		var t QueryList
+		t.code(&c)
+		m = t
+	case tagShardStart:
+		var t ShardStart
+		t.code(&c)
+		m = t
+	case tagShardAck:
+		var t ShardAck
+		t.code(&c)
+		m = t
+	case tagShardSubBatch:
+		if sc == nil {
+			var t ShardSubBatch
+			t.code(&c)
+			m = t
+			break
 		}
-		if r.err == nil {
-			ql.Queries = make([]QuerySummary, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				ql.Queries = append(ql.Queries, QuerySummary{
-					QueryID: r.u64(), Text: r.str(), Columns: r.strs(),
-					Hosts: r.u32(), EndNanos: r.i64(),
-					Stats: r.queryStats(),
-				})
-			}
-		}
-		m = ql
-	case tagPing:
-		m = Ping{Nonce: r.u64()}
-	case tagPong:
-		m = Pong{Nonce: r.u64()}
+		// Handed out by pointer into the scratch: boxing the struct would
+		// be the one allocation left per frame.
+		sc.sub = ShardSubBatch{}
+		sc.sub.code(&c)
+		m = &sc.sub
+	case tagShardBatchAck:
+		var t ShardBatchAck
+		t.code(&c)
+		m = t
+	case tagShardCollectReq:
+		var t ShardCollectReq
+		t.code(&c)
+		m = t
+	case tagShardPartials:
+		var t ShardPartials
+		t.code(&c)
+		m = t
+	case tagShardStopReq:
+		var t ShardStopReq
+		t.code(&c)
+		m = t
+	case tagShardStatsReq:
+		var t ShardStatsReq
+		t.code(&c)
+		m = t
+	case tagShardStatsResp:
+		var t ShardStatsResp
+		t.code(&c)
+		m = t
+	case tagBatchManifest:
+		var t BatchManifest
+		t.code(&c)
+		m = t
+	case tagManifestAck:
+		var t ManifestAck
+		t.code(&c)
+		m = t
+	case tagShardHello:
+		var t ShardHello
+		t.code(&c)
+		m = t
+	case tagShardMap:
+		var t ShardMap
+		t.code(&c)
+		m = t
+	case tagShardStatusReq:
+		m = ShardStatusReq{}
+	case tagShardStatusList:
+		var t ShardStatusList
+		t.code(&c)
+		m = t
+	case tagShardFence:
+		var t ShardFence
+		t.code(&c)
+		m = t
+	case tagShardFenceAck:
+		var t ShardFenceAck
+		t.code(&c)
+		m = t
+	case tagRepAppend:
+		var t RepAppend
+		t.code(&c)
+		m = t
+	case tagRepAck:
+		var t RepAck
+		t.code(&c)
+		m = t
 	default:
-		cm, ok := decodeCoord(b[0], r)
-		if !ok {
-			return nil, fmt.Errorf("transport: decode: unknown tag %d", b[0])
-		}
-		m = cm
+		return nil, fmt.Errorf("transport: decode: unknown tag %d", b[0])
 	}
-	if err := r.finish(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.pos != len(b) {
+		return nil, fmt.Errorf("transport: decode: %d trailing bytes", len(b)-c.pos)
 	}
 	return m, nil
+}
+
+//scrub:allowalloc(cold error path)
+func (c *coder) fail(msg string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("transport: decode: %s", msg)
+	}
+}
+
+// next consumes k bytes of the payload, or fails with short and returns
+// nil when fewer are left.
+func (c *coder) next(k int, short string) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if len(c.buf)-c.pos < k {
+		c.fail(short)
+		return nil
+	}
+	b := c.buf[c.pos : c.pos+k]
+	c.pos += k
+	return b
+}
+
+func (c *coder) u8(x *uint8) {
+	switch c.mode {
+	case encoding:
+		c.buf = append(c.buf, *x)
+	case sizing:
+		c.n++
+	default:
+		if b := c.next(1, "short u8"); b != nil {
+			*x = b[0]
+		}
+	}
+}
+
+func (c *coder) u32(x *uint32) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *x)
+	case sizing:
+		c.n += 4
+	default:
+		if b := c.next(4, "short u32"); b != nil {
+			*x = binary.LittleEndian.Uint32(b)
+		}
+	}
+}
+
+// u64 and i64, a tuple's two words, inline into a description: sizing
+// is an addition, and writing or reading the word is one call.
+func (c *coder) u64(x *uint64) {
+	if c.mode == sizing {
+		c.n += 8
+		return
+	}
+	word(c, x)
+}
+
+func (c *coder) i64(x *int64) {
+	if c.mode == sizing {
+		c.n += 8
+		return
+	}
+	word(c, x)
+}
+
+// word writes or reads an 8-byte word.
+func word[T ~uint64 | ~int64](c *coder, x *T) {
+	if c.mode == encoding {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*x))
+	} else if b := c.next(8, "short u64"); b != nil {
+		*x = T(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// f64 and bool ride on u64 and u8; only decoding writes the field.
+func (c *coder) f64(x *float64) {
+	u := math.Float64bits(*x)
+	c.u64(&u)
+	if c.mode == decoding {
+		*x = math.Float64frombits(u)
+	}
+}
+
+func (c *coder) bool(x *bool) {
+	var u uint8
+	if *x {
+		u = 1
+	}
+	c.u8(&u)
+	if c.mode == decoding {
+		*x = u == 1
+	}
+}
+
+// uvarint codes a length prefix.
+func (c *coder) uvarint(x *uint64) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, *x)
+	case sizing:
+		c.n += event.UvarintLen(*x)
+	default:
+		if c.err != nil {
+			return
+		}
+		v, k := binary.Uvarint(c.buf[c.pos:])
+		if k <= 0 {
+			c.fail("bad uvarint")
+			return
+		}
+		c.pos += k
+		*x = v
+	}
+}
+
+func (c *coder) str(s *string) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*s)))
+		c.buf = append(c.buf, *s...)
+	case sizing:
+		c.n += event.UvarintLen(uint64(len(*s))) + len(*s)
+	default:
+		*s = c.readStr()
+	}
+}
+
+// readStr decodes a string. It never aliases the payload: a receive
+// loop's frames keep repeating their strings, so with a scratch it is
+// found in the intern table, and without one it is copied.
+//
+//scrub:allowalloc(a decoded string is copied out of the frame, once per distinct string with a scratch)
+func (c *coder) readStr() string {
+	b := c.blob("short string")
+	if c.sc != nil {
+		return c.sc.intern(b)
+	}
+	return string(b)
+}
+
+func (c *coder) bytes(b *[]byte) {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*b)))
+		c.buf = append(c.buf, *b...)
+	case sizing:
+		c.n += event.UvarintLen(uint64(len(*b))) + len(*b)
+	default:
+		*b = c.readBytes()
+	}
+}
+
+// readBytes decodes a byte string into an array of its own.
+//
+//scrub:allowalloc(a decoded byte string is copied out of the frame)
+func (c *coder) readBytes() []byte {
+	b := c.blob("short bytes")
+	if c.err != nil {
+		return nil
+	}
+	return append([]byte{}, b...)
+}
+
+// blob reads a length-prefixed run of bytes where it lies in the payload.
+func (c *coder) blob(short string) []byte {
+	var ln uint64
+	c.uvarint(&ln)
+	if c.err == nil && uint64(len(c.buf)-c.pos) < ln {
+		c.fail(short)
+	}
+	if c.err != nil {
+		return nil
+	}
+	b := c.buf[c.pos : c.pos+int(ln)]
+	c.pos += int(ln)
+	return b
+}
+
+func (c *coder) value(v *event.Value) {
+	switch c.mode {
+	case encoding:
+		c.buf = event.AppendValue(c.buf, *v)
+	case sizing:
+		c.n += event.EncodedSize(v)
+	default:
+		if c.err != nil {
+			return
+		}
+		var str func([]byte) string // nil copies
+		if c.sc != nil {
+			str = c.sc.intern
+		}
+		x, k, err := event.DecodeValueAlias(c.buf[c.pos:], str)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.pos += k
+		*v = x
+	}
+}
+
+// node codes an optional expression tree: a presence byte (any nonzero
+// byte decodes as present), then the tree.
+func (c *coder) node(n *expr.Node) {
+	var present uint8
+	if *n != nil {
+		present = 1
+	}
+	c.u8(&present)
+	if c.err != nil || present == 0 {
+		return
+	}
+	switch c.mode {
+	case encoding:
+		b, err := expr.AppendNode(c.buf, *n)
+		if err != nil {
+			c.err = err
+			return
+		}
+		c.buf = b
+	case sizing: // no hot path sizes a predicate
+		b, err := expr.AppendNode(nil, *n)
+		c.n += len(b)
+		c.err = err
+	default:
+		*n = c.readNode()
+	}
+}
+
+//scrub:allowalloc(a decoded expression tree is built node by node)
+func (c *coder) readNode() expr.Node {
+	n, used, err := expr.DecodeNode(c.buf[c.pos:])
+	if err != nil {
+		c.err = err
+		return nil
+	}
+	c.pos += used
+	return n
+}
+
+// Whether an empty list decodes as nil or as an empty, non-nil list.
+type empty bool
+
+const (
+	emptyNil  empty = false
+	emptyKept empty = true
+)
+
+// length codes a list's length prefix; decoding, it also makes the list,
+// whose elements the caller then codes one by one. A decoded count above
+// the payload's length is implausible — every element takes a byte — and
+// fails before anything is allocated for it.
+func length[T any](c *coder, s *[]T, e empty, implausible string) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if c.mode != decoding {
+		return
+	}
+	if c.err == nil && n > uint64(len(c.buf)) {
+		c.fail(implausible)
+	}
+	if c.err != nil || n == 0 && e == emptyNil {
+		*s = nil
+		return
+	}
+	//scrub:allowalloc(decoding makes the list it returns)
+	*s = make([]T, n)
+}
+
+func (c *coder) strs(s *[]string) {
+	length(c, s, emptyKept, "implausible string count")
+	for i := range *s {
+		c.str(&(*s)[i])
+	}
+}
+
+func (c *coder) u64s(s *[]uint64) {
+	length(c, s, emptyNil, "implausible u64 count")
+	for i := range *s {
+		c.u64(&(*s)[i])
+	}
+}
+
+// minTupleBytes is the least a tuple takes on the wire: request id, event
+// time and a zero value count.
+const minTupleBytes = 17
+
+// tuples codes a tuple list, each tuple by its description. Decoding, the
+// cells go into c.sc's arrays when a scratch is set — valid until the
+// scratch's next decode, the //scrub:pooled contract of Tuple.Values and
+// the Tuples fields — and into fresh arrays otherwise. Either way all the
+// tuples' Values share one flat backing array, each capped at its own
+// length (cells). String payloads are ordinary immutable strings that
+// never alias the payload, so a value copied out of a borrowed cell is
+// good for ever.
+//
+//scrub:hotpath
+func (c *coder) tuples(s *[]Tuple) {
+	n := uint64(len(*s))
+	c.uvarint(&n)
+	if c.mode != decoding {
+		for i := range *s {
+			(*s)[i].code(c)
+		}
+		return
+	}
+	if c.err == nil && n > uint64(len(c.buf)-c.pos)/minTupleBytes {
+		c.fail("implausible tuple count")
+	}
+	*s = nil
+	if c.err != nil || n == 0 {
+		return
+	}
+	var ts []Tuple
+	c.vals = nil
+	if c.sc != nil {
+		ts, c.vals = c.sc.tuples[:0], c.sc.vals[:0]
+	}
+	if uint64(cap(ts)) < n {
+		//scrub:allowalloc(one array per message without a scratch; growth only with one)
+		ts = make([]Tuple, 0, n)
+	}
+	ts = ts[:n]
+	for i := range ts {
+		c.left = n - uint64(i)
+		ts[i].code(c)
+	}
+	if c.sc != nil {
+		c.sc.tuples, c.sc.vals = ts, c.vals
+	}
+	*s = ts
+}
+
+// cells codes a tuple's values. Decoding, they are cut from c.vals, the
+// flat array the tuple list's values share.
+func (c *coder) cells(vs *[]event.Value) {
+	n := uint64(len(*vs))
+	switch c.mode { // as uvarint and value do, without a call per cell
+	case encoding:
+		buf := binary.AppendUvarint(c.buf, n)
+		for _, v := range *vs {
+			buf = event.AppendValue(buf, v)
+		}
+		c.buf = buf
+		return
+	case sizing:
+		size, vals := c.n+event.UvarintLen(n), *vs
+		for i := range vals {
+			size += event.EncodedSize(&vals[i])
+		}
+		c.n = size
+		return
+	}
+	c.uvarint(&n)
+	// Every value takes at least its tag byte.
+	if c.err == nil && n > uint64(len(c.buf)-c.pos) {
+		c.fail("implausible value count")
+	}
+	*vs = nil
+	if c.err != nil || n == 0 {
+		return
+	}
+	if uint64(cap(c.vals)-len(c.vals)) < n {
+		// Sized for the rest of the list at this tuple's width, which the
+		// bytes left bound too. Tuples already decoded keep the array they
+		// were cut from.
+		need := min(c.left*n, uint64(len(c.buf)-c.pos))
+		//scrub:allowalloc(one array per message without a scratch; growth only with one)
+		c.vals = make([]event.Value, 0, max(need, 2*uint64(cap(c.vals))))
+	}
+	start := len(c.vals)
+	c.vals = c.vals[:start+int(n)]
+	*vs = c.vals[start:len(c.vals):len(c.vals)]
+	for i := range *vs {
+		c.value(&(*vs)[i])
+	}
 }

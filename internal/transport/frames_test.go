@@ -31,7 +31,9 @@ func frameLines(t *testing.T) []string {
 // TestFramesGolden pins the wire: the bytes every sample message encodes
 // to are the ones in testdata/frames.golden. A change to a tag, a field's
 // width or order, or a length prefix shows here as a moved line; -update
-// rewrites the file, and a moved line needs a protocol reason.
+// rewrites the file, and a moved line needs a protocol reason. A golden
+// frame whose tag is now reserved (a retired message's) must be refused
+// by the decoder, so the tag cannot come back meaning something else.
 func TestFramesGolden(t *testing.T) {
 	got := frameLines(t)
 	if *update {
@@ -47,7 +49,21 @@ func TestFramesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	var want []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var tag int
+		var name, payload string
+		if _, err := fmt.Sscanf(line, "%d %s %x", &tag, &name, &payload); err != nil {
+			t.Fatalf("%s: %q: %v", framesGolden, line, err)
+		}
+		if tag < len(names) && names[tag] == "" {
+			if m, err := Decode([]byte(payload)); err == nil {
+				t.Errorf("reserved tag %d (%s) decodes, as %s", tag, name, Name(m))
+			}
+			continue
+		}
+		want = append(want, line)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%d sample frames, %s has %d", len(got), framesGolden, len(want))
 	}

@@ -12,35 +12,20 @@ import (
 )
 
 // TestFuzzSeedsCoverAllTags pins the fuzz corpus to the wire protocol:
-// every registered tag — the 15 base messages and the 19 coordination
-// messages — must appear among the FuzzDecode seeds, so a message type
-// added without a sampleMessages entry fails here before the fuzzer
-// ever runs blind on it.
+// every message type — every type with a msgTag method — must appear
+// among the FuzzDecode seeds under its own name, so a message type added
+// without a sampleMessages entry (or a names entry) fails here before the
+// fuzzer ever runs blind on it.
 func TestFuzzSeedsCoverAllTags(t *testing.T) {
-	seeded := make(map[byte]bool)
+	seeded := make(map[string]bool)
 	for _, m := range sampleMessages() {
-		seeded[m.msgTag()] = true
+		seeded[Name(m)] = true
 	}
-	for tag := tagSubmitQuery; tag <= tagRepAck; tag++ {
-		if !seeded[tag] {
-			t.Errorf("no fuzz seed encodes %s (tag %d); add a sample to sampleMessages", Name(newMessageForTag(t, tag)), tag)
+	for _, name := range messageTypes(t) {
+		if !seeded[name] {
+			t.Errorf("no fuzz seed encodes %s; add a sample to sampleMessages", name)
 		}
 	}
-	if got, want := len(seeded), int(tagRepAck); got != want {
-		t.Errorf("sampleMessages covers %d distinct tags, registry has %d", got, want)
-	}
-}
-
-// newMessageForTag decodes a minimal payload for the tag purely to
-// recover the type's Name for the error message; an undecodable tag
-// reports as its number.
-func newMessageForTag(t *testing.T, tag byte) Message {
-	t.Helper()
-	m, err := Decode(append([]byte{tag}, make([]byte, 64)...))
-	if err != nil {
-		return nil
-	}
-	return m
 }
 
 // FuzzDecode hammers the payload decoder with arbitrary bytes. The
@@ -177,21 +162,21 @@ func FuzzRecvFrame(f *testing.F) {
 		}
 		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 	}
-	ping := frame(Ping{Nonce: 1})
+	ack := frame(ManifestAck{Seq: 1})
 	sub := frame(ShardSubBatch{Seq: 2, QueryID: 3, HostID: "h", Tuples: []Tuple{
 		{RequestID: 1, TsNanos: 2, Values: []event.Value{event.Int(4), event.Str("geo")}},
 		{RequestID: 5, TsNanos: 6, Values: []event.Value{event.Int(7), event.Str("geo")}},
 	}})
-	stream := append(append(append([]byte(nil), sub...), ping...), sub...)
-	f.Add(ping, []byte{0})
+	stream := append(append(append([]byte(nil), sub...), ack...), sub...)
+	f.Add(ack, []byte{0})
 	f.Add([]byte{0, 0, 0, 0}, []byte{0})                      // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, []byte{0}) // length > MaxFrame
-	f.Add(ping[:3], []byte{1})                                // cut mid-header
+	f.Add(ack[:3], []byte{1})                                 // cut mid-header
 	f.Add(stream, []byte{0})                                  // several frames in one read
 	f.Add(stream, []byte{1})                                  // a byte at a time
 	f.Add(stream, []byte{3, 0, 17, 1})                        // a bit of everything
 	f.Add(stream[:len(stream)-5], []byte{9})                  // a borrowed sub-batch cut mid-payload
-	f.Add(stream[:len(sub)+len(ping)+2], []byte{0})           // ... and mid-header, behind whole frames
+	f.Add(stream[:len(sub)+len(ack)+2], []byte{0})            // ... and mid-header, behind whole frames
 	f.Fuzz(func(t *testing.T, data, sizes []byte) {
 		whole := func() net.Conn { return byteConn{r: bytes.NewReader(data)} }
 		pieces := func() net.Conn { return &chunkConn{byteConn: byteConn{r: bytes.NewReader(data)}, sizes: sizes} }

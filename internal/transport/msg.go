@@ -16,8 +16,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"scrub/internal/event"
 	"scrub/internal/expr"
 )
@@ -35,8 +33,8 @@ const (
 	tagStopQuery
 	tagDataHello
 	tagTupleBatch
-	tagPing
-	tagPong
+	_ // 12, retired with Ping: never reuse
+	_ // 13, retired with Pong: never reuse
 	tagListQueries
 	tagQueryList
 )
@@ -251,12 +249,6 @@ type QueryList struct {
 	Queries []QuerySummary
 }
 
-// Ping/Pong keep long-lived control connections verified.
-type Ping struct{ Nonce uint64 }
-
-// Pong answers a Ping.
-type Pong struct{ Nonce uint64 }
-
 func (SubmitQuery) msgTag() byte   { return tagSubmitQuery }
 func (QueryAccepted) msgTag() byte { return tagQueryAccepted }
 func (QueryError) msgTag() byte    { return tagQueryError }
@@ -270,46 +262,142 @@ func (DataHello) msgTag() byte     { return tagDataHello }
 func (TupleBatch) msgTag() byte    { return tagTupleBatch }
 func (ListQueries) msgTag() byte   { return tagListQueries }
 func (QueryList) msgTag() byte     { return tagQueryList }
-func (Ping) msgTag() byte          { return tagPing }
-func (Pong) msgTag() byte          { return tagPong }
 
-// Name returns a human-readable message name for logs.
-func Name(m Message) string {
-	switch m.(type) {
-	case SubmitQuery:
-		return "SubmitQuery"
-	case QueryAccepted:
-		return "QueryAccepted"
-	case QueryError:
-		return "QueryError"
-	case ResultWindow:
-		return "ResultWindow"
-	case QueryDone:
-		return "QueryDone"
-	case CancelQuery:
-		return "CancelQuery"
-	case RegisterHost:
-		return "RegisterHost"
-	case HostQuery:
-		return "HostQuery"
-	case StopQuery:
-		return "StopQuery"
-	case DataHello:
-		return "DataHello"
-	case TupleBatch:
-		return "TupleBatch"
-	case ListQueries:
-		return "ListQueries"
-	case QueryList:
-		return "QueryList"
-	case Ping:
-		return "Ping"
-	case Pong:
-		return "Pong"
-	default:
-		if name, ok := nameCoord(m); ok {
-			return name
+// Each message's description: its fields in wire order (see coder). Structs
+// nested in a message are described the same way.
+
+func (t *SubmitQuery) code(c *coder) { c.str(&t.Text) }
+
+func (t *QueryAccepted) code(c *coder) {
+	c.u64(&t.QueryID)
+	c.strs(&t.Columns)
+	c.u32(&t.NumHosts)
+	c.u32(&t.SampledHosts)
+	c.i64(&t.EndNanos)
+}
+
+func (t *QueryError) code(c *coder) {
+	c.u64(&t.QueryID)
+	c.str(&t.Msg)
+}
+
+func (t *ResultWindow) code(c *coder) {
+	c.u64(&t.QueryID)
+	c.i64(&t.WindowStart)
+	c.i64(&t.WindowEnd)
+	c.strs(&t.Columns)
+	length(c, &t.Rows, emptyKept, "implausible row count")
+	for i := range t.Rows {
+		row := &t.Rows[i]
+		length(c, row, emptyKept, "implausible value count")
+		for j := range *row {
+			c.value(&(*row)[j])
 		}
-		return fmt.Sprintf("unknown(%T)", m)
+	}
+	c.bool(&t.Approx)
+	length(c, &t.ErrBounds, emptyKept, "implausible bound count")
+	for i := range t.ErrBounds {
+		c.f64(&t.ErrBounds[i])
+	}
+	c.u64(&t.Stats.TuplesIn)
+	c.u64(&t.Stats.HostDrops)
+	c.u64(&t.Stats.LateDrops)
+	c.u32(&t.Stats.HostsReporting)
+	c.bool(&t.Degraded)
+	c.bool(&t.BudgetShed)
+	length(c, &t.Streams, emptyNil, "implausible stream count")
+	for i := range t.Streams {
+		t.Streams[i].code(c)
+	}
+}
+
+func (s *StreamStat) code(c *coder) {
+	c.str(&s.HostID)
+	c.u8(&s.TypeIdx)
+	c.u64(&s.Matched)
+	c.u64(&s.Sampled)
+	c.u64(&s.Drops)
+	c.u64(&s.LateDrops)
+	c.bool(&s.Evicted)
+	c.f64(&s.EffRate)
+	c.bool(&s.BudgetShed)
+	c.u64(&s.CPUNs)
+	c.u64(&s.Bytes)
+}
+
+func (s *QueryStats) code(c *coder) {
+	c.u64(&s.Windows)
+	c.u64(&s.Rows)
+	c.u64(&s.TuplesIn)
+	c.u64(&s.HostDrops)
+	c.u64(&s.LateDrops)
+	c.u64(&s.DegradedWindows)
+	c.u64(&s.ShedWindows)
+}
+
+func (t *QueryDone) code(c *coder) {
+	c.u64(&t.QueryID)
+	t.Stats.code(c)
+}
+
+func (t *CancelQuery) code(c *coder) { c.u64(&t.QueryID) }
+
+func (t *RegisterHost) code(c *coder) {
+	c.str(&t.HostID)
+	c.str(&t.Service)
+	c.str(&t.DC)
+}
+
+func (t *HostQuery) code(c *coder) {
+	c.u64(&t.QueryID)
+	c.str(&t.EventType)
+	c.u8(&t.TypeIdx)
+	c.node(&t.Pred)
+	c.strs(&t.Columns)
+	c.f64(&t.SampleEvents)
+	c.i64(&t.StartNanos)
+	c.i64(&t.EndNanos)
+	c.f64(&t.BudgetCPUPct)
+	c.f64(&t.BudgetBytesPerSec)
+	c.i64(&t.ReplayNanos)
+	c.u32(&t.ShardEpoch)
+}
+
+func (t *StopQuery) code(c *coder) { c.u64(&t.QueryID) }
+
+func (t *DataHello) code(c *coder) { c.str(&t.HostID) }
+
+func (tp *Tuple) code(c *coder) {
+	c.u64(&tp.RequestID)
+	c.i64(&tp.TsNanos)
+	c.cells(&tp.Values)
+}
+
+func (t *TupleBatch) code(c *coder) {
+	c.u64(&t.QueryID)
+	c.str(&t.HostID)
+	c.u8(&t.TypeIdx)
+	c.tuples(&t.Tuples)
+	c.u64(&t.MatchedTotal)
+	c.u64(&t.SampledTotal)
+	c.u64(&t.QueueDrops)
+	c.f64(&t.EffRate)
+	c.bool(&t.BudgetShed)
+	c.u64(&t.CPUNs)
+	c.u64(&t.ShipBytes)
+	c.u32(&t.ReplayEpoch)
+	c.bool(&t.ReplayDone)
+}
+
+func (t *QueryList) code(c *coder) {
+	length(c, &t.Queries, emptyKept, "implausible query count")
+	for i := range t.Queries {
+		q := &t.Queries[i]
+		c.u64(&q.QueryID)
+		c.str(&q.Text)
+		c.strs(&q.Columns)
+		c.u32(&q.Hosts)
+		c.i64(&q.EndNanos)
+		q.Stats.code(c)
 	}
 }

@@ -10,7 +10,7 @@ package transport
 // Three sub-conversations:
 //
 //   - coordinator → shard (control): ShardStart / ShardCollectReq /
-//     ShardStopReq / ShardStatsReq with their replies, plus Ping liveness
+//     ShardStopReq / ShardStatsReq with their replies
 //   - router → shard (data): ShardSubBatch → ShardBatchAck (synchronous,
 //     so shard application happens-before the manifest that reports it)
 //   - router → coordinator (data): BatchManifest → ManifestAck
@@ -337,48 +337,173 @@ func (ShardFenceAck) msgTag() byte   { return tagShardFenceAck }
 func (RepAppend) msgTag() byte       { return tagRepAppend }
 func (RepAck) msgTag() byte          { return tagRepAck }
 
-// nameCoord resolves the coordination messages for Name.
-func nameCoord(m Message) (string, bool) {
-	switch m.(type) {
-	case ShardStart:
-		return "ShardStart", true
-	case ShardAck:
-		return "ShardAck", true
-	case ShardSubBatch:
-		return "ShardSubBatch", true
-	case ShardBatchAck:
-		return "ShardBatchAck", true
-	case ShardCollectReq:
-		return "ShardCollectReq", true
-	case ShardPartials:
-		return "ShardPartials", true
-	case ShardStopReq:
-		return "ShardStopReq", true
-	case ShardStatsReq:
-		return "ShardStatsReq", true
-	case ShardStatsResp:
-		return "ShardStatsResp", true
-	case BatchManifest:
-		return "BatchManifest", true
-	case ManifestAck:
-		return "ManifestAck", true
-	case ShardHello:
-		return "ShardHello", true
-	case ShardMap:
-		return "ShardMap", true
-	case ShardStatusReq:
-		return "ShardStatusReq", true
-	case ShardStatusList:
-		return "ShardStatusList", true
-	case ShardFence:
-		return "ShardFence", true
-	case ShardFenceAck:
-		return "ShardFenceAck", true
-	case RepAppend:
-		return "RepAppend", true
-	case RepAck:
-		return "RepAck", true
-	default:
-		return "", false
+func (t *ShardStart) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Fence)
+	c.u64(&t.QueryID)
+	c.str(&t.Text)
+	c.i64(&t.StartNanos)
+	c.i64(&t.EndNanos)
+	c.i64(&t.ReplayNanos)
+	c.u32(&t.TotalHosts)
+	c.u32(&t.SampledHosts)
+	c.f64(&t.SampleEvents)
+	c.f64(&t.Confidence)
+	c.u32(&t.MaxRawRows)
+	c.u32(&t.MaxJoinPending)
+	c.f64(&t.BudgetCPUPct)
+	c.f64(&t.BudgetBytesPerSec)
+	c.i64(&t.LatenessNanos)
+}
+
+func (t *ShardAck) code(c *coder) {
+	c.u64(&t.Seq)
+	c.str(&t.Err)
+}
+
+func (t *ShardSubBatch) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.QueryID)
+	c.str(&t.HostID)
+	c.u8(&t.TypeIdx)
+	c.tuples(&t.Tuples)
+}
+
+func (t *ShardBatchAck) code(c *coder) {
+	c.u64(&t.Seq)
+	c.bool(&t.Known)
+	c.bool(&t.HasTs)
+	c.i64(&t.MaxTs)
+	c.u64(&t.LateDelta)
+	c.u64(&t.Late)
+	c.u64(&t.Overflow)
+}
+
+func (t *ShardCollectReq) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Fence)
+	c.u64(&t.QueryID)
+	c.i64(&t.Bound)
+}
+
+func (t *ShardPartials) code(c *coder) {
+	c.u64(&t.Seq)
+	c.bool(&t.Stale)
+	c.bool(&t.Found)
+	length(c, &t.Partials, emptyNil, "implausible partial count")
+	for i := range t.Partials {
+		p := &t.Partials[i]
+		c.i64(&p.Start)
+		c.i64(&p.End)
+		c.bytes(&p.Data)
 	}
+	c.u64(&t.Late)
+	c.u64(&t.Overflow)
+}
+
+func (t *ShardStopReq) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Fence)
+	c.u64(&t.QueryID)
+}
+
+func (t *ShardStatsReq) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.QueryID)
+}
+
+func (t *ShardStatsResp) code(c *coder) {
+	c.u64(&t.Seq)
+	c.bool(&t.Found)
+	c.u64(&t.TuplesIn)
+	c.u32(&t.ActiveQueries)
+}
+
+func (t *BatchManifest) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.QueryID)
+	c.str(&t.HostID)
+	c.u8(&t.TypeIdx)
+	c.u64(&t.RawTuples)
+	c.bool(&t.HasTs)
+	c.i64(&t.MaxTs)
+	c.u64(&t.LateDelta)
+	c.u64s(&t.ShardLate)
+	c.u64s(&t.ShardOverflow)
+	c.u64(&t.MatchedTotal)
+	c.u64(&t.SampledTotal)
+	c.u64(&t.QueueDrops)
+	c.f64(&t.EffRate)
+	c.bool(&t.BudgetShed)
+	c.u64(&t.CPUNs)
+	c.u64(&t.ShipBytes)
+	c.u32(&t.ReplayEpoch)
+	c.bool(&t.ReplayDone)
+}
+
+func (t *ManifestAck) code(c *coder) { c.u64(&t.Seq) }
+
+func (t *ShardHello) code(c *coder) {
+	c.str(&t.ShardID)
+	c.str(&t.DataAddr)
+}
+
+func (t *ShardMap) code(c *coder) {
+	c.u32(&t.Epoch)
+	c.u64(&t.Fence)
+	c.strs(&t.Addrs)
+}
+
+func (t *ShardStatusList) code(c *coder) {
+	c.u32(&t.Epoch)
+	c.u64(&t.Merges)
+	c.u64(&t.Rebalances)
+	c.u32(&t.EvictedStreams)
+	length(c, &t.Shards, emptyNil, "implausible shard count")
+	for i := range t.Shards {
+		s := &t.Shards[i]
+		c.u32(&s.Index)
+		c.str(&s.Addr)
+		c.bool(&s.Down)
+		c.i64(&s.LagNanos)
+		c.u32(&s.ActiveQueries)
+		c.u64(&s.TuplesIn)
+	}
+}
+
+func (t *ShardFence) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Fence)
+}
+
+func (t *ShardFenceAck) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Fence)
+	c.bool(&t.Ok)
+	c.u64s(&t.Queries)
+}
+
+// RepAppend nests each entry's query registration as its wire ShardStart.
+func (t *RepAppend) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Term)
+	c.u64(&t.Index)
+	length(c, &t.Entries, emptyNil, "implausible entry count")
+	for i := range t.Entries {
+		e := &t.Entries[i]
+		c.u8(&e.Kind)
+		e.Start.code(c)
+		c.u32(&e.PinEpoch)
+		c.i64(&e.ReplayDeadline)
+		c.u64(&e.QueryID)
+		c.u32(&e.MapEpoch)
+		c.strs(&e.Addrs)
+	}
+}
+
+func (t *RepAck) code(c *coder) {
+	c.u64(&t.Seq)
+	c.u64(&t.Term)
+	c.u64(&t.Index)
+	c.bool(&t.Ok)
 }

@@ -84,8 +84,6 @@ func sampleMessages() []Message {
 			{QueryID: 8},
 		}},
 		QueryList{},
-		Ping{Nonce: 99},
-		Pong{Nonce: 99},
 		ShardStart{
 			Seq: 1, Fence: 2, QueryID: 7, Text: "select count(*) from bid",
 			StartNanos: 100, EndNanos: 200, ReplayNanos: 30,
@@ -395,7 +393,7 @@ func TestConcurrentSend(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := a.Send(Ping{Nonce: uint64(s*1000 + i)}); err != nil {
+				if err := a.Send(ManifestAck{Seq: uint64(s*1000 + i)}); err != nil {
 					t.Errorf("Send: %v", err)
 					return
 				}
@@ -408,14 +406,14 @@ func TestConcurrentSend(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
-		p, ok := m.(Ping)
+		ack, ok := m.(ManifestAck)
 		if !ok {
 			t.Fatalf("got %s", Name(m))
 		}
-		if seen[p.Nonce] {
-			t.Fatalf("duplicate nonce %d (frame interleaving?)", p.Nonce)
+		if seen[ack.Seq] {
+			t.Fatalf("duplicate seq %d (frame interleaving?)", ack.Seq)
 		}
-		seen[p.Nonce] = true
+		seen[ack.Seq] = true
 	}
 	wg.Wait()
 }
@@ -524,7 +522,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 
 func TestAppendEncodePreservesPrefix(t *testing.T) {
 	prefix := []byte("hdr:")
-	out, err := AppendEncode(append([]byte(nil), prefix...), Ping{Nonce: 7})
+	out, err := AppendEncode(append([]byte(nil), prefix...), ManifestAck{Seq: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +533,7 @@ func TestAppendEncodePreservesPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := m.(Ping); !ok || p.Nonce != 7 {
+	if ack, ok := m.(ManifestAck); !ok || ack.Seq != 7 {
 		t.Errorf("decoded %#v", m)
 	}
 }

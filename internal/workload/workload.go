@@ -32,7 +32,6 @@ type BotSpec struct {
 	BatchSize int
 	Period    time.Duration
 	StartAt   time.Duration // first burst offset
-	StopAt    time.Duration // 0 = never stops
 }
 
 // Spec parametrizes a traffic generator.
@@ -42,21 +41,25 @@ type Spec struct {
 	// MeanPageViewsPerMin is the population mean page-view rate; actual
 	// per-user rates are log-normal around it (humans are heterogeneous).
 	MeanPageViewsPerMin float64
-	// SlotsPerPage bounds ad slots per page view (each slot is one bid
-	// request); default [1, 3].
-	MinSlots, MaxSlots int
-
-	Countries []string // uniform per-user assignment; default {"US","GB","DE","FR","BR"}
-	Cities    []string // default a small city list
-	// NumSegments is the segment-id universe; each user gets 1–4.
-	NumSegments int
 
 	Exchanges []Exchange
 	Bots      []BotSpec
-
-	// FirstUserID offsets generated user ids (bots use their own ids).
-	FirstUserID int64
 }
+
+// The population's fixed shape. Users are ids 0 … NumUsers−1 (bots use
+// their own ids); each gets one of countries and one of cities, uniformly
+// at random, and 1–4 segments of numSegments; a page view carries
+// minSlots … maxSlots ad slots, each one bid request.
+const (
+	minSlots    = 1
+	maxSlots    = 3
+	numSegments = 50
+)
+
+var (
+	countries = []string{"US", "GB", "DE", "FR", "BR"}
+	cities    = []string{"san jose", "london", "berlin", "paris", "sao paulo", "new york", "austin"}
+)
 
 func (s *Spec) fillDefaults() error {
 	if s.NumUsers <= 0 && len(s.Bots) == 0 {
@@ -64,21 +67,6 @@ func (s *Spec) fillDefaults() error {
 	}
 	if s.MeanPageViewsPerMin <= 0 {
 		s.MeanPageViewsPerMin = 2
-	}
-	if s.MinSlots <= 0 {
-		s.MinSlots = 1
-	}
-	if s.MaxSlots < s.MinSlots {
-		s.MaxSlots = s.MinSlots + 2
-	}
-	if len(s.Countries) == 0 {
-		s.Countries = []string{"US", "GB", "DE", "FR", "BR"}
-	}
-	if len(s.Cities) == 0 {
-		s.Cities = []string{"san jose", "london", "berlin", "paris", "sao paulo", "new york", "austin"}
-	}
-	if s.NumSegments <= 0 {
-		s.NumSegments = 50
 	}
 	if len(s.Exchanges) == 0 {
 		s.Exchanges = []Exchange{{ID: 1, Weight: 1}}
@@ -141,14 +129,14 @@ func NewGenerator(spec Spec, start time.Time) (*Generator, error) {
 	meanPerSec := spec.MeanPageViewsPerMin / 60
 	for i := 0; i < spec.NumUsers; i++ {
 		u := &userState{
-			id:      spec.FirstUserID + int64(i),
-			country: spec.Countries[g.rng.Intn(len(spec.Countries))],
-			city:    spec.Cities[g.rng.Intn(len(spec.Cities))],
+			id:      int64(i),
+			country: countries[g.rng.Intn(len(countries))],
+			city:    cities[g.rng.Intn(len(cities))],
 			rate:    meanPerSec * math.Exp(g.rng.NormFloat64()*0.8-0.32), // mean-preserving
 		}
 		nSegs := 1 + g.rng.Intn(4)
 		for s := 0; s < nSegs; s++ {
-			u.segments = append(u.segments, int64(1+g.rng.Intn(spec.NumSegments)))
+			u.segments = append(u.segments, int64(1+g.rng.Intn(numSegments)))
 		}
 		g.users = append(g.users, u)
 		first := g.start + g.exponential(u.rate)
@@ -221,13 +209,8 @@ func (g *Generator) Run(duration time.Duration, fn func(adplatform.BidRequest)) 
 			n += g.emitPageView(a.user, t, fn)
 			a.nextNanos = t + g.exponential(a.user.rate)
 		case a.bot != nil:
-			b := a.bot
-			if b.StopAt != 0 && t >= g.start+int64(b.StopAt) {
-				heap.Pop(&g.heap)
-				continue
-			}
-			n += g.emitBotBurst(b, t, fn)
-			a.nextNanos = t + int64(b.Period)
+			n += g.emitBotBurst(a.bot, t, fn)
+			a.nextNanos = t + int64(a.bot.Period)
 		}
 		heap.Fix(&g.heap, 0)
 	}
@@ -240,10 +223,7 @@ func (g *Generator) emitPageView(u *userState, tNanos int64, fn func(adplatform.
 	if !ok {
 		return 0
 	}
-	slots := g.spec.MinSlots
-	if g.spec.MaxSlots > g.spec.MinSlots {
-		slots += g.rng.Intn(g.spec.MaxSlots - g.spec.MinSlots + 1)
-	}
+	slots := minSlots + g.rng.Intn(maxSlots-minSlots+1)
 	publisher := int64(1 + g.rng.Intn(200))
 	for s := 0; s < slots; s++ {
 		g.reqID++

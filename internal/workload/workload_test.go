@@ -133,26 +133,6 @@ func TestBotsDominateTheirWindows(t *testing.T) {
 	}
 }
 
-func TestBotStopAt(t *testing.T) {
-	g, err := NewGenerator(Spec{
-		NumUsers: 1, MeanPageViewsPerMin: 0.0001,
-		Bots: []BotSpec{{UserID: 9, BatchSize: 10, Period: 10 * time.Second, StopAt: 25 * time.Second}},
-	}, time.Unix(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	botReqs := 0
-	g.Run(time.Minute, func(r adplatform.BidRequest) {
-		if r.UserID == 9 {
-			botReqs++
-		}
-	})
-	// Bursts at 0s, 10s, 20s — stopped before 30s.
-	if botReqs != 30 {
-		t.Errorf("bot requests = %d, want 30", botReqs)
-	}
-}
-
 func TestExchangeOnboarding(t *testing.T) {
 	// Exchange 4 enables at t=30s: no traffic before, plenty after.
 	g, err := NewGenerator(Spec{
@@ -192,16 +172,16 @@ func TestExchangeOnboarding(t *testing.T) {
 }
 
 func TestUsersAndProfiles(t *testing.T) {
-	g, err := NewGenerator(Spec{Seed: 6, NumUsers: 50, NumSegments: 10, FirstUserID: 1000}, time.Unix(0, 0))
+	g, err := NewGenerator(Spec{Seed: 6, NumUsers: 50}, time.Unix(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := adplatform.NewProfileStore()
 	g.InstallProfiles(store)
-	// Ids 1000–1049 each get 1–4 segments from the universe; none outside.
-	for id := int64(999); id <= 1050; id++ {
+	// Ids 0–49 each get 1–4 segments from the universe; none outside.
+	for id := int64(-1); id <= 50; id++ {
 		segs := store.Get(id).Segments
-		if id < 1000 || id >= 1050 {
+		if id < 0 || id >= 50 {
 			if len(segs) != 0 {
 				t.Errorf("user id %d outside range installed", id)
 			}
@@ -211,7 +191,7 @@ func TestUsersAndProfiles(t *testing.T) {
 			t.Errorf("user %d has %d segments", id, len(segs))
 		}
 		for _, s := range segs {
-			if s < 1 || s > 10 {
+			if s < 1 || s > numSegments {
 				t.Errorf("segment %d out of universe", s)
 			}
 		}

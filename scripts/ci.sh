@@ -75,10 +75,13 @@ if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(int
 echo "== the oracle runs the real host agent (non-test internal/difftest builds no TupleBatch; its batches come from host.Agent) =="
 if grep -nE 'TupleBatch *\{' $(nontest internal/difftest); then echo "non-test internal/difftest builds a transport.TupleBatch literal again: batches come from agents only" >&2; exit 1; fi
 
+echo "== one description per wire message (no codecsym analyzer, no coordination codec beside the base one, no Ping/Pong) =="
+if grep -rnE --include='*.go' 'CodecSymAnalyzer|appendEncodeCoord|decodeCoord|nameCoord|shardStartBody|transport\.(Ping|Pong)\b' . || grep -nE '^type (Ping|Pong)\b' internal/transport/*.go; then echo "a .go file names the codecsym analyzer, a twin encode/decode/Name arm or Ping/Pong again: each message is described once, by its code method" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
-echo "== scrubvet (hotpath, poolsafe, atomicfield, metricname, codecsym, lockorder, golifecycle) =="
+echo "== scrubvet (hotpath, poolsafe, atomicfield, metricname, lockorder, golifecycle) =="
 # On failure, re-run in -json mode so CI logs carry machine-readable
 # findings (one object per line: file/line/analyzer/message).
 if ! go run ./cmd/scrubvet ./...; then
