@@ -64,6 +64,7 @@ func runConfig(t *testing.T, cfg Config) *Outcome {
 		t.Errorf("[%s] %v\n  replay: %s", cfg, err, cfg.ReplayCommand())
 		return out
 	}
+	checkWindowsGolden(t, cfg, out)
 	if testing.Verbose() {
 		t.Logf("[%s] ok: %d windows, %d/%d CI hits, query: %s",
 			cfg, out.Windows, out.CovHit, out.CovChecked, out.Query)

@@ -89,6 +89,15 @@ type Outcome struct {
 	Windows    int
 	CovChecked int // sampled-mode (estimate, bound) pairs examined
 	CovHit     int // ... of which contained the oracle's exact truth
+	Arms       []Arm
+}
+
+// Arm is what one executor arm emitted, in emit order, and its final
+// query stats.
+type Arm struct {
+	Name    string
+	Windows []transport.ResultWindow
+	Stats   transport.QueryStats
 }
 
 // agentConfig is the agent every simulated host runs: explicit Flush only
@@ -557,6 +566,10 @@ func Run(cfg Config) (*Outcome, error) {
 	shStats, _ := sh.StopQuery(plan.QueryID)
 	mpStats, _ := topo.coord.StopQuery(plan.QueryID)
 	foStats, foOK := fo.coord.StopQuery(plan.QueryID)
+	out.Arms = []Arm{
+		{"engine", cEng.wins, engStats}, {"sharded", cSh.wins, shStats},
+		{"pipe", cMP.wins, mpStats}, {"failover", cFO.wins, foStats},
+	}
 	if !foOK {
 		return out, fmt.Errorf("failover topology lost query %d at StopQuery\n  query: %s", plan.QueryID, src)
 	}
@@ -757,7 +770,7 @@ func compareWindowLists(ew, sw []transport.ResultWindow, shards int) error {
 	return nil
 }
 
-// compareFailoverWindows enforces contract D'': windows the leader
+// compareFailoverWindows enforces contract D”: windows the leader
 // emitted before its kill are bit-identical to the Engine's prefix, and
 // the promoted standby's windows afterwards are an ordered subsequence
 // of the Engine's remaining spans, every one honestly flagged Degraded.
