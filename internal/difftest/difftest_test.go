@@ -67,7 +67,7 @@ func runConfig(t *testing.T, cfg Config) *Outcome {
 	checkWindowsGolden(t, cfg, out)
 	if testing.Verbose() {
 		t.Logf("[%s] ok: %d windows, %d/%d CI hits, query: %s",
-			cfg, out.Windows, out.CovHit, out.CovChecked, out.Query)
+			cfg, len(out.Arms[0].Windows), out.CovHit, out.CovChecked, out.Query)
 	}
 	return out
 }

@@ -19,10 +19,108 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
+	"scrub/internal/central"
 	"scrub/internal/event"
+	"scrub/internal/ql"
 )
+
+// gen is what a seed draws before any agent runs: the query under test and
+// its plan, the hosts and which of them run the query, every event in Log
+// order, and after which events the harness flushes the logging agent.
+// rng is the seed's source, left where the delivery schedule draws next.
+type gen struct {
+	cfg        Config
+	rng        *rand.Rand
+	cat        *event.Catalog
+	src        string
+	qp         *ql.Plan
+	plan       central.Plan
+	hosts      []string
+	shipping   map[string]bool // the hosts the query under test runs on
+	events     []genEvent
+	flushAfter []bool // per event: its run of 4–9 events on its host ends here
+}
+
+// generate draws a seed's query, hosts, events and flush points, in the
+// order the seed's source has always drawn them.
+func generate(cfg Config) (*gen, error) {
+	g := &gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), cat: catalog()}
+	rng := g.rng
+	shapes := windowShapes
+	if cfg.DefaultLateness {
+		shapes = shortWindowShapes
+	}
+	g.src = genQuery(rng, cfg.Family, shapes)
+	var err error
+	if g.qp, err = analyze(g.src, g.cat); err != nil {
+		return g, err
+	}
+	hosts := 2 + rng.Intn(3)
+	sampledHosts := hosts
+	if cfg.Mode == modeHostSample {
+		sampledHosts = 1 + rng.Intn(hosts-1)
+	}
+	if cfg.Mode == modeSampled {
+		g.qp.SampleEvents = []float64{0.5, 0.25}[rng.Intn(2)]
+	}
+	// The query id comes from the seed, so the agents' (query, host)-seeded
+	// samplers draw differently on every seed; each seed owns a block of
+	// eight ids, the query under test first and its decoys after it.
+	g.plan = central.FromPlan(g.qp, 8*uint64(cfg.Seed)+1, 0, 0, hosts, sampledHosts)
+	g.plan.Text = g.src
+	// slack is how far behind the slowest stream a window closes; the
+	// generator keeps each stream's disorder under half of it.
+	slack := 2 * time.Second
+	if cfg.DefaultLateness {
+		slack = min(g.plan.Slide, slack)
+	} else {
+		g.plan.Lateness = slack
+	}
+
+	g.shipping = make(map[string]bool, hosts)
+	for h := 0; h < hosts; h++ {
+		g.hosts = append(g.hosts, fmt.Sprintf("host-%d", h))
+		g.shipping[g.hosts[h]] = true
+	}
+	g.events = genEvents(rng, g.cat, cfg.Family, g.hosts, slack)
+	if cfg.Mode == modeHostSample {
+		perm := rng.Perm(hosts)
+		clear(g.shipping)
+		for _, i := range perm[:sampledHosts] {
+			g.shipping[g.hosts[i]] = true
+		}
+	}
+	// Each agent is flushed after a seed-drawn run of 4–9 of its own
+	// events: fewer than a chunk holds, so every batch ships inside Flush
+	// with deterministic counters and no chunk is ever dropped.
+	runLeft := make(map[string]int, hosts)
+	for _, h := range g.hosts {
+		runLeft[h] = 4 + rng.Intn(6)
+	}
+	g.flushAfter = make([]bool, len(g.events))
+	for i, e := range g.events {
+		if runLeft[e.host]--; runLeft[e.host] == 0 {
+			runLeft[e.host] = 4 + rng.Intn(6)
+			g.flushAfter[i] = true
+		}
+	}
+	return g, nil
+}
+
+func analyze(src string, cat *event.Catalog) (*ql.Plan, error) {
+	q, err := ql.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("generated query does not parse: %v\n  query: %s", err, src)
+	}
+	qp, err := ql.Analyze(q, cat)
+	if err != nil {
+		return nil, fmt.Errorf("generated query does not analyze: %v\n  query: %s", err, src)
+	}
+	return qp, nil
+}
 
 // catalog returns the fixed simulation catalog: an ad-serving "bid"
 // stream and a lower-rate "exclusion" stream sharing request ids, the
@@ -97,14 +195,7 @@ func genQuery(rng *rand.Rand, fam int, shapes []string) string {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		cols := all[:1+rng.Intn(len(all))]
 		sort.Strings(cols)
-		sel := ""
-		for i, c := range cols {
-			if i > 0 {
-				sel += ", "
-			}
-			sel += c
-		}
-		q := "select " + sel + " from bid" + bidPred(rng)
+		q := "select " + strings.Join(cols, ", ") + " from bid" + bidPred(rng)
 		if rng.Intn(2) == 0 {
 			q += fmt.Sprintf(" order by %d", 1+rng.Intn(len(cols)))
 			if rng.Intn(2) == 0 {
@@ -124,10 +215,7 @@ func genQuery(rng *rand.Rand, fam int, shapes []string) string {
 		}
 		rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
 		n := 1 + rng.Intn(3)
-		sel := key
-		for _, a := range aggPool[:n] {
-			sel += ", " + a
-		}
+		sel := strings.Join(append([]string{key}, aggPool[:n]...), ", ")
 		q := "select " + sel + " from bid" + bidPred(rng) + " group by " + key
 		if rng.Intn(3) == 0 {
 			q += fmt.Sprintf(" having count(*) >= %d", 1+rng.Intn(3))
@@ -147,14 +235,7 @@ func genQuery(rng *rand.Rand, fam int, shapes []string) string {
 		}
 		rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
 		n := 2 + rng.Intn(3)
-		sel := ""
-		for i, a := range aggPool[:n] {
-			if i > 0 {
-				sel += ", "
-			}
-			sel += a
-		}
-		return "select " + sel + " from bid" + bidPred(rng) + " " + pick(rng, shapes...)
+		return "select " + strings.Join(aggPool[:n], ", ") + " from bid" + bidPred(rng) + " " + pick(rng, shapes...)
 
 	case famTopK:
 		k := []int{2, 3, 5}[rng.Intn(3)]

@@ -13,9 +13,9 @@ import (
 // pipeTopology stands up a real multi-process ScrubCentral in miniature:
 // a coordinator, n shard nodes and a host-side router, every shard hop
 // over the in-memory pipe transport through the full wire codec; the
-// router hands its manifests to the coordinator directly. The differential
-// sweep drives it next to the in-process cluster: same merger, RPC clients
-// for direct ones, and the results must be bit-identical.
+// router hands its manifests to the coordinator directly. It is an
+// executor like the in-process cluster (same merger, RPC clients for
+// direct ones), and Arms holds its results to that cluster's.
 //
 // net.Pipe is fully synchronous, so every RPC round-trip is a
 // happens-before edge: the single-threaded harness observes the same
@@ -25,10 +25,7 @@ type pipeTopology struct {
 	coord  *coord.Coordinator
 	router *coord.Router
 	nodes  []*coord.ShardNode
-	// manifest is the router's current target; failoverTopology.failover
-	// swaps it to the promoted coordinator. The harness is single-threaded,
-	// so a plain field suffices.
-	manifest coord.ManifestFunc
+	err    error // the first batch the router could not route
 }
 
 // newPipeTopology wires coordinator c to n shard nodes and a router. Each
@@ -36,9 +33,11 @@ type pipeTopology struct {
 // exactly like a separate process would.
 func newPipeTopology(c *coord.Coordinator, shards int, cat func() *event.Catalog) *pipeTopology {
 	t := &pipeTopology{coord: c}
-	t.connect(c)
+	// Manifests go to the current coordinator, the promoted one after a
+	// failover. The harness is single-threaded, so a plain field suffices.
 	t.router = coord.NewRouter(func(m transport.BatchManifest) error {
-		return t.manifest(m)
+		t.coord.HandleManifest(m)
+		return nil
 	}, nil)
 	for i := 0; i < shards; i++ {
 		node := coord.NewShardNode(cat())
@@ -58,18 +57,10 @@ func newPipeTopology(c *coord.Coordinator, shards int, cat func() *event.Catalog
 	return t
 }
 
-// connect points the router's manifests at coordinator c.
-func (t *pipeTopology) connect(c *coord.Coordinator) {
-	t.manifest = func(m transport.BatchManifest) error {
-		c.HandleManifest(m)
-		return nil
-	}
-}
-
-// start registers the query on the coordinator and pins the router's
+// StartQuery registers the query on the coordinator and pins the router's
 // routing to the query's shard-map epoch, the way a host agent would on
 // receiving the HostQuery fan-out.
-func (t *pipeTopology) start(p central.Plan, emit central.EmitFunc) error {
+func (t *pipeTopology) StartQuery(p central.Plan, emit central.EmitFunc) error {
 	if err := t.coord.StartQuery(p, emit); err != nil {
 		return err
 	}
@@ -82,6 +73,22 @@ func (t *pipeTopology) start(p central.Plan, emit central.EmitFunc) error {
 	return nil
 }
 
+// HandleBatch routes b as the host's router would; the first failure is
+// kept in err.
+func (t *pipeTopology) HandleBatch(b transport.TupleBatch) {
+	if err := t.router.SendBatch(b); err != nil && t.err == nil {
+		t.err = fmt.Errorf("routing: %v", err)
+	}
+}
+
+func (t *pipeTopology) Tick(nowNanos int64) { t.coord.Tick(nowNanos) }
+
+func (t *pipeTopology) StopQuery(id uint64) (transport.QueryStats, bool) {
+	return t.coord.StopQuery(id)
+}
+
+func (t *pipeTopology) Stats(id uint64) (transport.QueryStats, bool) { return t.coord.Stats(id) }
+
 // close tears down every connection; the per-connection serve loops exit
 // on their next Recv.
 func (t *pipeTopology) close() {
@@ -91,16 +98,15 @@ func (t *pipeTopology) close() {
 
 // failoverTopology is the fourth executor arm: the same fabric as
 // pipeTopology, but the coordinator replicates its control plane to a
-// standby, and the harness kills the leader mid-query. The standby
-// promotes under a higher fencing term, resumes the replicated
-// registration against the still-live shard nodes, and finishes the
-// query — so every sweep seed exercises the takeover path, not just the
-// dedicated failover tests.
+// standby, and Arms kills the leader mid-query. The standby promotes
+// under a higher fencing term, resumes the replicated registration
+// against the still-live shard nodes, and finishes the query — so every
+// schedule exercises the takeover path, not just the dedicated failover
+// tests.
 type failoverTopology struct {
 	*pipeTopology
 	standby *coord.Standby
 	emit    central.EmitFunc
-	queryID uint64
 }
 
 func newFailoverTopology(shards int, opts central.Options, cat func() *event.Catalog) *failoverTopology {
@@ -110,7 +116,8 @@ func newFailoverTopology(shards int, opts central.Options, cat func() *event.Cat
 	c.StartReplication(coord.ReplicationConfig{Term: 1, Heartbeat: time.Hour})
 	t := &failoverTopology{}
 	t.standby = coord.NewStandby(coord.StandbyOptions{
-		Central: coordOptions(opts),
+		// The promoted coordinator runs on the leader's clock and leases.
+		Central: coord.Options{Clock: opts.Clock, LeaseTTL: opts.LeaseTTL},
 		Catalog: cat(),
 		Dial: func(addr string) (*transport.Conn, error) {
 			for i, node := range t.nodes {
@@ -130,37 +137,22 @@ func newFailoverTopology(shards int, opts central.Options, cat func() *event.Cat
 	return t
 }
 
-// coordOptions passes the leader's clock/lease config through to the
-// coordinator a promotion builds (the contracts need both on one clock).
-func coordOptions(opts central.Options) coord.Options {
-	return coord.Options{Clock: opts.Clock, LeaseTTL: opts.LeaseTTL}
-}
-
-func (t *failoverTopology) start(p central.Plan, emit central.EmitFunc) error {
-	t.emit, t.queryID = emit, p.QueryID
-	return t.pipeTopology.start(p, emit)
+func (t *failoverTopology) StartQuery(p central.Plan, emit central.EmitFunc) error {
+	t.emit = emit
+	return t.pipeTopology.StartQuery(p, emit)
 }
 
 // failover kills the leader and promotes the standby. The replicated
-// registration must survive: losing it would drop the query on the floor.
+// registration must survive: a promoted coordinator that lost it fails
+// the arm's StopQuery.
 func (t *failoverTopology) failover() error {
 	t.coord.Close()
-	promoted, resumed, err := t.standby.Promote(
+	promoted, _, err := t.standby.Promote(
 		func(coord.ResumedQuery, *central.Plan) central.EmitFunc { return t.emit })
 	if err != nil {
 		return fmt.Errorf("difftest: promote: %v", err)
 	}
-	found := false
-	for _, rq := range resumed {
-		if rq.QueryID == t.queryID {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("difftest: leader death lost query %d (resumed: %v)", t.queryID, resumed)
-	}
 	t.coord = promoted
-	t.connect(promoted)
 	t.router.HandleShardMap(promoted.ShardMap())
 	return nil
 }

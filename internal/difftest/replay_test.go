@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scrub/internal/central"
-	"scrub/internal/coord"
 	"scrub/internal/event"
 	"scrub/internal/host"
 	"scrub/internal/ql"
@@ -164,54 +163,24 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 		}
 	}
 
-	eng := central.NewEngine()
 	cp := central.FromPlan(plan, 1, start, end, 1, 1)
 	cp.Replay = replaySpan
-	col := &collector{name: "replay-arm"}
-	if err := eng.StartQuery(cp, col.emit); err != nil {
-		t.Fatal(err)
+	cp.Text = queryText
+	// Every executor arm takes the shipped batches, the replay arm's
+	// included, where the hold settles across shards via the manifests'
+	// ReplayDone markers. Arms holds them to the engine with the sweep's
+	// 1e-9 float tolerance — shard merges re-associate float additions —
+	// and the two replay arms compare the engine's windows bit for bit.
+	batches := sink.all()
+	var sched Schedule
+	for i := range batches {
+		sched.Steps = append(sched.Steps, Step{Batch: &batches[i]})
 	}
-	for _, b := range sink.all() {
-		eng.HandleBatch(b)
+	arms, err := Arms(cp, replayCatalog, sched, 2)
+	if err != nil {
+		t.Fatalf("arms (before=%v): %v", before, err)
 	}
-	stats, ok := eng.StopQuery(1)
-	if !ok {
-		t.Fatal("StopQuery missed")
-	}
-
-	// Distributed cross-check: the same shipped batches through a
-	// coordinator + 2-shard pipe topology must match the engine bit for
-	// bit — including the replay arm, where the hold settles across
-	// shards via the manifests' ReplayDone markers.
-	topo := newPipeTopology(coord.NewCoordinator(central.Options{}), 2, replayCatalog)
-	defer topo.close()
-	cpMP := cp
-	cpMP.Text = queryText
-	mp := &collector{name: "replay-multi"}
-	if err := topo.start(cpMP, mp.emit); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range sink.all() {
-		if err := topo.router.SendBatch(transport.CloneBatch(b)); err != nil {
-			t.Fatalf("multiproc routing: %v", err)
-		}
-	}
-	mpStats, ok := topo.coord.StopQuery(1)
-	if !ok {
-		t.Fatal("multiproc StopQuery missed")
-	}
-	// compareWindowLists, not compareReplayWindows: shard merges
-	// re-associate float additions, so cross-executor floats carry the
-	// sweep's 1e-9 relative tolerance (bit-exactness holds within an
-	// executor, which is what the two replay arms assert).
-	if err := compareWindowLists(col.wins, mp.wins, 2); err != nil {
-		t.Errorf("engine vs 2-process topology (before=%v): %v", before, err)
-	}
-	if stats != mpStats {
-		t.Errorf("engine vs 2-process topology stats (before=%v): %+v vs %+v", before, stats, mpStats)
-	}
-
-	return col.wins, stats
+	return arms[0].Windows, arms[0].Stats
 }
 
 // compareReplayWindows demands bit-identical results across the two

@@ -15,20 +15,23 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"scrub/internal/adplatform"
 	"scrub/internal/central"
 	"scrub/internal/core"
+	"scrub/internal/difftest"
 	"scrub/internal/event"
-	"scrub/internal/expr"
 	"scrub/internal/oracle"
 	"scrub/internal/ql"
 	"scrub/internal/replay"
+	"scrub/internal/server"
 	"scrub/internal/transport"
 	"scrub/internal/workload"
 )
@@ -97,23 +100,44 @@ var epoch = time.Date(2018, time.April, 23, 0, 0, 0, 0, time.UTC)
 // sim is one case study's deployment: the platform, the generator whose
 // requests drive it, and rec, the record of every event the platform's
 // agents log. The record is what full-event logging would have kept (P5,
-// A2), and the oracle's input (check).
+// A2), and the oracle's input (check). tap holds what the agents handed
+// central: what the executor arms replay (replayArms).
 type sim struct {
 	*adplatform.Platform
 	gen *workload.Generator
 	rec *replay.Store
+	tap *tap
+}
+
+// tap is central as the agents see it: it keeps a copy of every batch
+// they hand over, in the order the executor takes them.
+type tap struct {
+	central.Executor
+	mu      sync.Mutex
+	batches []transport.TupleBatch
+}
+
+func (t *tap) HandleBatch(b transport.TupleBatch) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.batches = append(t.batches, transport.CloneBatch(b))
+	t.Executor.HandleBatch(b)
+}
+
+func catalog() *event.Catalog {
+	cat := event.NewCatalog()
+	adplatform.RegisterEventTypes(cat)
+	return cat
 }
 
 // newSim builds a case study's platform on the epoch clock, its agents
-// recording into one store, and a generator starting at epoch whose user
-// profiles it installs. Agents ship when run flushes them, not on a
-// timer; QueueSize defaults to 1<<16.
+// recording into one store and shipping through a tap, and a generator
+// starting at epoch whose user profiles it installs. Agents ship when run
+// flushes them, not on a timer; QueueSize defaults to 1<<16.
 func newSim(pcfg adplatform.Config, spec workload.Spec) (*sim, error) {
 	clock := func() time.Time { return epoch }
-	cat := event.NewCatalog()
-	adplatform.RegisterEventTypes(cat)
 	// The store evicts nothing a case study logs; check fails if it did.
-	rec, err := replay.Open(replay.Options{Catalog: cat, Clock: clock, MaxBytes: 1 << 30})
+	rec, err := replay.Open(replay.Options{Catalog: catalog(), Clock: clock, MaxBytes: 1 << 30})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +152,11 @@ func newSim(pcfg adplatform.Config, spec workload.Spec) (*sim, error) {
 		rec.Close()
 		return nil, err
 	}
-	s := &sim{Platform: platform, rec: rec}
+	// The cluster's agents hand their batches to whatever executor its
+	// Engine field holds at the time, so the tap goes in there, before any
+	// query runs; the query server keeps the executor itself.
+	s := &sim{Platform: platform, rec: rec, tap: &tap{Executor: platform.Cluster.Engine}}
+	platform.Cluster.Engine = s.tap
 	if s.gen, err = workload.NewGenerator(spec, epoch); err != nil {
 		s.Close()
 		return nil, err
@@ -152,25 +180,18 @@ func (s *sim) Close() {
 // central has seen — less than the 2 s close slack of every case study's
 // windows (10 s or longer), so none arrives late. A query that dropped a
 // tuple late or on a host, or emitted a degraded window, is an error: a
-// case study's answer is exact or it is not reported.
+// case study's answer is exact or it is not reported. So is one whose
+// batches, replayed through every executor arm (replayArms), come out
+// different.
 func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidRequest)) ([][]transport.ResultWindow, int, error) {
 	lc := s.Cluster
 	streams := make([]*core.Stream, len(queries))
-	collected := make([]chan []transport.ResultWindow, len(queries))
 	for i, q := range queries {
 		st, err := lc.Query(q)
 		if err != nil {
 			return nil, 0, fmt.Errorf("experiments: submit %q: %w", q, err)
 		}
-		c := make(chan []transport.ResultWindow, 1)
-		go func() {
-			var ws []transport.ResultWindow
-			for rw := range st.Windows {
-				ws = append(ws, rw)
-			}
-			c <- ws
-		}()
-		streams[i], collected[i] = st, c
+		streams[i] = st
 	}
 	var sec int64
 	requests := s.gen.Run(d, func(r adplatform.BidRequest) {
@@ -187,20 +208,68 @@ func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidReq
 	// One extra flush cycle: the first Flush guarantees queue drain, the
 	// second guarantees the counter-only heartbeats landed too.
 	lc.FlushAgents()
-	for _, st := range streams {
-		if err := lc.Cancel(st.Info.ID); err != nil {
-			return nil, 0, err
-		}
-	}
 	out := make([][]transport.ResultWindow, len(queries))
 	for i, stream := range streams {
-		out[i] = <-collected[i]
-		if st := stream.Final(); st.LateDrops != 0 || st.HostDrops != 0 || st.DegradedWindows != 0 {
+		// A stream buffers 1 024 windows, more than any case study emits; a
+		// window it dropped would show as the arms' extra one.
+		if err := lc.Cancel(stream.Info.ID); err != nil {
+			return nil, 0, err
+		}
+		for rw := range stream.Windows {
+			out[i] = append(out[i], rw)
+		}
+		st := stream.Final()
+		if st.LateDrops != 0 || st.HostDrops != 0 || st.DegradedWindows != 0 {
 			return nil, 0, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",
 				queries[i], st.LateDrops, st.HostDrops, st.DegradedWindows)
 		}
+		if err := s.replayArms(queries[i], stream.Info, out[i], st); err != nil {
+			return nil, 0, err
+		}
 	}
 	return out, requests, nil
+}
+
+// replayArms runs what the agents handed central for one query through
+// difftest's executor arms at 2 and 4 shards, and holds them to the live
+// run: the engine arm must emit the live windows and final stats, and
+// Arms holds every other arm to it (contracts D, D′ and D″), so a query
+// check holds to the oracle is held to it in every arm. Like the live
+// run, the arms read the epoch, which closes no window, and never tick.
+func (s *sim) replayArms(query string, info server.QueryInfo, live []transport.ResultWindow, final transport.QueryStats) error {
+	qp, err := s.analyze(query)
+	if err != nil {
+		return err
+	}
+	plan := central.FromPlan(qp, info.ID, info.Start.UnixNano(), info.End.UnixNano(), info.NumHosts, info.SampledHosts)
+	plan.Text = query
+	var sched difftest.Schedule
+	for i := range s.tap.batches {
+		if b := &s.tap.batches[i]; b.QueryID == info.ID {
+			sched.Steps = append(sched.Steps, difftest.Step{Batch: b, Clock: epoch.UnixNano()})
+		}
+	}
+	for _, shards := range []int{2, 4} {
+		arms, err := difftest.Arms(plan, catalog, sched, shards)
+		if err == nil {
+			err = difftest.CompareWindows(live, arms[0].Windows)
+		}
+		if err == nil && arms[0].Stats != final {
+			err = fmt.Errorf("final stats %+v, live %+v", arms[0].Stats, final)
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: %q at %d shards: the arms diverge from the live run: %w", query, shards, err)
+		}
+	}
+	return nil
+}
+
+func (s *sim) analyze(query string) (*ql.Plan, error) {
+	q, err := ql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return ql.Analyze(q, s.Catalog)
 }
 
 // scan calls fn on every recorded event of type typ ("" for every type),
@@ -223,57 +292,38 @@ func (s *sim) shipped() (tuples, bytes uint64) {
 	return tuples, bytes
 }
 
+// A query check refuses: the record holds every event, sampled or not, and
+// from every host, but not which host logged it.
+var (
+	errSampled      = errors.New("it samples, and the oracle's answer is exact")
+	errHostTargeted = errors.New("its target names hosts, and the record does not say which host logged an event")
+)
+
 // check holds query's windows, as run returned them, to the exact oracle
-// over the record, and returns the oracle's windows. The oracle reads
-// what the query's host objects would have matched — the record's events
-// of its types, through the reference closure of each object's predicate,
-// projected to the object's columns — and shares no aggregate state with
-// central. A query can be checked only if it samples nothing and its
-// target covers every host that logs its types: the record does not say
-// which host logged an event. The record must be complete: it must hold
-// exactly the events the agents counted as logged.
+// over the record, and returns the oracle's windows. oracle.Input reads
+// the record as the query's host objects would have matched it, and the
+// oracle shares no aggregate state with central. A query can be checked
+// only if it samples nothing and its target covers every host that logs
+// its types: a target by service does — each of the platform's services
+// logs the same types on every host — and a target that names hosts need
+// not (errSampled, errHostTargeted). The record must be complete: it must
+// hold exactly the events the agents counted as logged.
 func (s *sim) check(query string, wins []transport.ResultWindow) ([]oracle.Result, error) {
-	q, err := ql.Parse(query)
-	if err != nil {
+	qp, err := s.analyze(query)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	qp, err := ql.Analyze(q, s.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	if qp.SampleHosts < 1 || qp.SampleEvents < 1 {
-		return nil, fmt.Errorf("experiments: %q samples: the oracle's answer is exact", query)
-	}
-	type object struct {
-		typeIdx int
-		pred    func(expr.Row) bool
-		columns []string
-	}
-	objects := make(map[string]object)
-	for _, hq := range qp.HostQueries(0, 0, 0) {
-		o := object{typeIdx: int(hq.TypeIdx), columns: hq.Columns}
-		if hq.Pred != nil {
-			ev, err := expr.Compile(hq.Pred)
-			if err != nil {
-				return nil, err
-			}
-			o.pred = expr.Predicate(ev)
-		}
-		objects[hq.EventType] = o
+	case qp.SampleHosts < 1 || qp.SampleEvents < 1:
+		return nil, fmt.Errorf("experiments: cannot check %q: %w", query, errSampled)
+	case len(qp.Target.Servers) > 0:
+		return nil, fmt.Errorf("experiments: cannot check %q: %w", query, errHostTargeted)
 	}
 	var scanned uint64
-	var events []oracle.Event
-	err = s.scan("", func(ev *event.Event) {
-		scanned++
-		o, ok := objects[ev.Schema.Name()]
-		if !ok || o.pred != nil && !o.pred(expr.EventRow{Event: ev}) {
-			return
-		}
-		e := oracle.Event{TypeIdx: o.typeIdx, RequestID: ev.RequestID, TsNanos: ev.TimeNanos}
-		for _, col := range o.columns {
-			e.Values = append(e.Values, ev.Get(col))
-		}
-		events = append(events, e)
+	events, err := oracle.Input(qp, func(emit func(string, *event.Event)) error {
+		return s.scan("", func(ev *event.Event) {
+			scanned++
+			emit("", ev)
+		})
 	})
 	if err != nil {
 		return nil, err

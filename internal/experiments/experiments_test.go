@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +12,8 @@ import (
 )
 
 // TestCheckRejects pins that check is not vacuous: windows Scrub did not
-// emit, a row it did not compute, and a sampled query are errors.
+// emit and a row it did not compute are errors, and a sampled or
+// host-targeted query is refused.
 func TestCheckRejects(t *testing.T) {
 	s, err := newSim(adplatform.Config{
 		NumBidServers: 2, NumAdServers: 1, NumPresentationServers: 1,
@@ -40,7 +43,11 @@ func TestCheckRejects(t *testing.T) {
 			t.Errorf("%s passed the check", name)
 		}
 	}
-	if _, err := s.check(p5Query+` sample events 50%`, wins[0]); err == nil {
-		t.Error("a sampled query passed the check")
+	if _, err := s.check(p5Query+` sample events 50%`, wins[0]); !errors.Is(err, errSampled) {
+		t.Errorf("a sampled query: %v, want %v", err, errSampled)
+	}
+	named := strings.Replace(p5Query, `@[Service in BidServers]`, `@[Server = "bid-DC1-000"]`, 1)
+	if _, err := s.check(named, wins[0]); !errors.Is(err, errHostTargeted) {
+		t.Errorf("a host-targeted query: %v, want %v", err, errHostTargeted)
 	}
 }

@@ -11,18 +11,27 @@
 // this package's output per contract class: exact paths row-for-row,
 // sampled paths via confidence-interval coverage, sketch aggregates via
 // their published guarantees. Clarity beats speed everywhere here: any
-// cleverness shared with the engine under test would hide its bugs.
+// cleverness shared with the engine under test would hide its bugs. What
+// it does share with the system is named, because a bug there is wrong on
+// both sides of every comparison: the planner's predicate split
+// (ql.splitPredicate, read through the plan's HostPred and CentralPred),
+// the expression compiler (expr.Compile) and, under it, the scalar helpers
+// compareValue, eqValue, cmpValue and arithValue that the host's register
+// program calls too, and the event model.
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"scrub/internal/agg"
 	"scrub/internal/central"
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/ql"
 )
 
 // Event is one matched event as shipped to ScrubCentral, before any
@@ -36,32 +45,20 @@ type Event struct {
 	Values    []event.Value
 }
 
-// AggTruth is the exact state of one ungrouped aggregate in a window,
-// exposed for the bounded-approximate and sketch-guarantee contracts.
-type AggTruth struct {
-	Kind  agg.Kind
-	Value event.Value // exact unscaled result as the oracle renders it
-	// Float is the exact numeric value (NaN when the result is not
-	// numeric or the aggregate saw no input).
-	Float float64
-	// Items holds exact per-item counts for TOP_K.
-	Items map[string]uint64
-	// Distinct holds the exact distinct-value count for COUNT_DISTINCT.
-	Distinct uint64
-}
-
 // Result is one window's exact answer.
 type Result struct {
 	Start, End int64
 	Rows       [][]event.Value
-	// AggExact holds per-aggregate exact truth for ungrouped aggregate
-	// queries (nil otherwise): index matches plan.Aggs.
-	AggExact []AggTruth
+	// AggExact holds each aggregate's exact value for ungrouped aggregate
+	// queries (nil otherwise), index matching plan.Aggs: NaN when it is not
+	// numeric or saw no input, COUNT_DISTINCT's exact distinct count.
+	AggExact []float64
 }
 
 // evaluator is the compiled form of a plan, mirroring central's compile
 // but rebuilt here so the oracle shares no evaluation shortcuts with the
-// engine under test beyond the expression compiler itself.
+// engine under test beyond the plan the planner split and the expression
+// compiler, scalar helpers included (see the package comment).
 type evaluator struct {
 	plan        *central.Plan
 	colIdx      []map[string]int
@@ -82,46 +79,44 @@ func compile(p *central.Plan) (*evaluator, error) {
 		}
 		ev.colIdx[i] = m
 	}
+	var c compiler
 	for _, g := range p.GroupBy {
-		e, err := expr.Compile(g)
-		if err != nil {
-			return nil, err
-		}
-		ev.groupEvals = append(ev.groupEvals, e)
+		ev.groupEvals = append(ev.groupEvals, c.eval(g))
 	}
 	for _, a := range p.Aggs {
-		if a.Arg == nil {
-			ev.aggArgEvals = append(ev.aggArgEvals, nil)
-			continue
+		switch {
+		case a.Spec.Kind < agg.KindCountStar || a.Spec.Kind > agg.KindCountDistinct:
+			return nil, fmt.Errorf("oracle: unknown aggregate kind %d", a.Spec.Kind)
+		case a.Spec.Kind == agg.KindTopK && a.Spec.K <= 0:
+			return nil, fmt.Errorf("oracle: TOP_K requires k > 0")
 		}
-		e, err := expr.Compile(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		ev.aggArgEvals = append(ev.aggArgEvals, e)
+		ev.aggArgEvals = append(ev.aggArgEvals, c.eval(a.Arg))
 	}
 	for _, s := range p.Select {
-		e, err := expr.Compile(s.Expr)
-		if err != nil {
-			return nil, err
-		}
-		ev.selectEvals = append(ev.selectEvals, e)
+		ev.selectEvals = append(ev.selectEvals, c.eval(s.Expr))
 	}
-	if p.CentralPred != nil {
-		e, err := expr.Compile(p.CentralPred)
-		if err != nil {
-			return nil, err
-		}
-		ev.centralPred = expr.Predicate(e)
+	ev.centralPred, ev.havingPred = c.pred(p.CentralPred), c.pred(p.Having)
+	return ev, c.err
+}
+
+// compiler compiles expressions with expr.Compile, a nil node to nil, and
+// keeps the first error.
+type compiler struct{ err error }
+
+func (c *compiler) eval(n expr.Node) expr.Evaluator {
+	if n == nil || c.err != nil {
+		return nil
 	}
-	if p.Having != nil {
-		e, err := expr.Compile(p.Having)
-		if err != nil {
-			return nil, err
-		}
-		ev.havingPred = expr.Predicate(e)
+	e, err := expr.Compile(n)
+	c.err = err
+	return e
+}
+
+func (c *compiler) pred(n expr.Node) func(expr.Row) bool {
+	if e := c.eval(n); e != nil {
+		return expr.Predicate(e)
 	}
-	return ev, nil
+	return nil
 }
 
 // --- row adapters (mirroring central's sideRow/joinRow/resultRow) ---
@@ -209,16 +204,6 @@ type exactAgg struct {
 	in   []event.Value
 }
 
-func newExactAgg(spec agg.Spec) (*exactAgg, error) {
-	switch {
-	case spec.Kind < agg.KindCountStar || spec.Kind > agg.KindCountDistinct:
-		return nil, fmt.Errorf("oracle: unknown aggregate kind %d", spec.Kind)
-	case spec.Kind == agg.KindTopK && spec.K <= 0:
-		return nil, fmt.Errorf("oracle: TOP_K requires k > 0")
-	}
-	return &exactAgg{kind: spec.Kind, k: spec.K}, nil
-}
-
 func (a *exactAgg) add(v event.Value) {
 	if v.IsValid() || a.kind == agg.KindCountStar {
 		a.in = append(a.in, v)
@@ -272,27 +257,13 @@ func (a *exactAgg) result() event.Value {
 			vs[i] = event.Str(fmt.Sprintf("%s=%d", e.item, e.count))
 		}
 		return event.List(event.KindString, vs...)
-	default: // COUNT_DISTINCT
-		return event.Int(int64(len(a.distinct())))
+	default: // COUNT_DISTINCT: the input set, keyed by encoded value
+		distinct := make(map[string]struct{})
+		for _, v := range a.in {
+			distinct[string(event.AppendValue(nil, v))] = struct{}{}
+		}
+		return event.Int(int64(len(distinct)))
 	}
-}
-
-// items counts each TOP_K input by its string form.
-func (a *exactAgg) items() map[string]uint64 {
-	m := make(map[string]uint64)
-	for _, v := range a.in {
-		m[v.String()]++
-	}
-	return m
-}
-
-// distinct is COUNT_DISTINCT's input set, keyed by encoded value.
-func (a *exactAgg) distinct() map[string]struct{} {
-	m := make(map[string]struct{})
-	for _, v := range a.in {
-		m[string(event.AppendValue(nil, v))] = struct{}{}
-	}
-	return m
 }
 
 type itemCount struct {
@@ -300,9 +271,15 @@ type itemCount struct {
 	count uint64
 }
 
+// topEntries counts each TOP_K input by its string form and keeps the k
+// largest counts, ties by item.
 func (a *exactAgg) topEntries() []itemCount {
+	counts := make(map[string]uint64)
+	for _, v := range a.in {
+		counts[v.String()]++
+	}
 	var all []itemCount
-	for it, c := range a.items() {
+	for it, c := range counts {
 		all = append(all, itemCount{it, c})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -317,20 +294,46 @@ func (a *exactAgg) topEntries() []itemCount {
 	return all
 }
 
-func (a *exactAgg) truth() AggTruth {
-	t := AggTruth{Kind: a.kind, Value: a.result(), Float: math.NaN()}
-	switch a.kind {
-	case agg.KindTopK:
-		t.Items = a.items()
-	case agg.KindCountDistinct:
-		t.Distinct = uint64(len(a.distinct()))
-		t.Float = float64(t.Distinct)
-	default:
-		if f, ok := t.Value.AsFloat(); ok {
-			t.Float = f
-		}
+// exact is the aggregate's exact value as a float: NaN when it is not
+// numeric or saw no input.
+func (a *exactAgg) exact() float64 {
+	if f, ok := a.result().AsFloat(); ok {
+		return f
 	}
-	return t
+	return math.NaN()
+}
+
+// Input is how every caller builds Eval's input from logged events: each
+// event of one of qp's types that the type's host predicate selects — the
+// reference closure expr.Compile builds of it — projected to the host
+// object's columns, in the order logged. It samples nothing and leaves no
+// host out; which hosts' events to pass is the caller's decision. logged
+// calls emit once per logged event, with the host that logged it ("" when
+// that is not known).
+func Input(qp *ql.Plan, logged func(emit func(host string, ev *event.Event)) error) ([]Event, error) {
+	hqs := qp.HostQueries(0, 0, 0)
+	var c compiler
+	preds := make([]func(expr.Row) bool, len(hqs))
+	for i, hq := range hqs {
+		preds[i] = c.pred(hq.Pred)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	var out []Event
+	err := logged(func(host string, ev *event.Event) {
+		for i, hq := range hqs {
+			if hq.EventType != ev.Schema.Name() || preds[i] != nil && !preds[i](expr.EventRow{Event: ev}) {
+				continue
+			}
+			e := Event{Host: host, TypeIdx: i, RequestID: ev.RequestID, TsNanos: ev.TimeNanos}
+			for _, col := range hq.Columns {
+				e.Values = append(e.Values, ev.Get(col))
+			}
+			out = append(out, e)
+		}
+	})
+	return out, err
 }
 
 // --- window accumulation ---
@@ -338,6 +341,15 @@ func (a *exactAgg) truth() AggTruth {
 type exactGroup struct {
 	keyVals []event.Value
 	aggs    []*exactAgg
+}
+
+// newGroup starts a group with one exact aggregate per plan aggregate.
+func newGroup(p *central.Plan, keyVals []event.Value) *exactGroup {
+	g := &exactGroup{keyVals: keyVals}
+	for _, a := range p.Aggs {
+		g.aggs = append(g.aggs, &exactAgg{kind: a.Spec.Kind, k: a.Spec.K})
+	}
+	return g
 }
 
 type windowAcc struct {
@@ -348,19 +360,11 @@ type windowAcc struct {
 	sides map[uint64]*[2][]*Event
 }
 
-func encodeKey(vals []event.Value) string {
-	buf := make([]byte, 0, 32)
-	for _, v := range vals {
-		buf = event.AppendValue(buf, v)
-	}
-	return string(buf)
-}
-
 // Eval evaluates the plan exactly over the full matched event stream and
 // returns one Result per window that received at least one in-span
 // event, in start order. Events must be the *matched* stream — host-side
 // selection already applied, no sampling — with projected values in plan
-// column order.
+// column order: what Input builds.
 func Eval(p central.Plan, events []Event) ([]Result, error) {
 	if len(p.Types) == 0 || len(p.Types) > 2 {
 		return nil, fmt.Errorf("oracle: plan must cover 1 or 2 types, got %d", len(p.Types))
@@ -379,43 +383,26 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 
 	size, sl := int64(p.Window), int64(slide)
 	wins := make(map[int64]*windowAcc)
-	getWin := func(start int64) *windowAcc {
-		w := wins[start]
-		if w == nil {
-			w = &windowAcc{
-				start: start, end: start + size,
-				groups: make(map[string]*exactGroup),
-				sides:  make(map[uint64]*[2][]*Event),
-			}
-			wins[start] = w
-		}
-		return w
-	}
 
-	accumulate := func(w *windowAcc, row expr.Row) error {
+	accumulate := func(w *windowAcc, row expr.Row) {
 		if !p.HasAgg() && !p.Grouped() {
 			out := make([]event.Value, len(ev.selectEvals))
 			for i, se := range ev.selectEvals {
 				out[i] = se(row)
 			}
 			w.rawRows = append(w.rawRows, out)
-			return nil
+			return
 		}
 		keyVals := make([]event.Value, len(ev.groupEvals))
+		var enc []byte
 		for i, ge := range ev.groupEvals {
 			keyVals[i] = ge(row)
+			enc = event.AppendValue(enc, keyVals[i])
 		}
-		key := encodeKey(keyVals)
+		key := string(enc)
 		g := w.groups[key]
 		if g == nil {
-			g = &exactGroup{keyVals: keyVals}
-			for _, a := range p.Aggs {
-				ea, err := newExactAgg(a.Spec)
-				if err != nil {
-					return err
-				}
-				g.aggs = append(g.aggs, ea)
-			}
+			g = newGroup(&p, keyVals)
 			w.groups[key] = g
 		}
 		for i, a := range g.aggs {
@@ -425,7 +412,6 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 				a.add(ev.aggArgEvals[i](row))
 			}
 		}
-		return nil
 	}
 
 	for i := range events {
@@ -442,12 +428,15 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 			latest -= sl
 		}
 		for start := latest - size + sl; start <= latest; start += sl {
-			w := getWin(start)
+			w := wins[start]
+			if w == nil {
+				w = &windowAcc{start: start, end: start + size,
+					groups: make(map[string]*exactGroup), sides: make(map[uint64]*[2][]*Event)}
+				wins[start] = w
+			}
 			if !p.IsJoin() {
 				if row := (eventRow{ev: ev, e: e}); ev.centralPred == nil || ev.centralPred(row) {
-					if err := accumulate(w, row); err != nil {
-						return nil, err
-					}
+					accumulate(w, row)
 				}
 				continue
 			}
@@ -475,12 +464,8 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 				cell := w.sides[req]
 				for _, l := range cell[0] {
 					for _, r := range cell[1] {
-						row := joinedRow{ev: ev, left: l, right: r}
-						if ev.centralPred != nil && !ev.centralPred(row) {
-							continue
-						}
-						if err := accumulate(w, row); err != nil {
-							return nil, err
+						if row := (joinedRow{ev: ev, left: l, right: r}); ev.centralPred == nil || ev.centralPred(row) {
+							accumulate(w, row)
 						}
 					}
 				}
@@ -495,11 +480,7 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	out := make([]Result, 0, len(starts))
 	for _, s := range starts {
-		r, err := render(&p, ev, wins[s])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+		out = append(out, render(&p, ev, wins[s]))
 	}
 	return out, nil
 }
@@ -507,7 +488,7 @@ func Eval(p central.Plan, events []Event) ([]Result, error) {
 // render turns a window accumulator into the exact Result, mirroring the
 // engine's render pipeline (group order, empty-window semantics, HAVING,
 // ORDER BY with full-row tie-break, LIMIT) without any scale-up.
-func render(p *central.Plan, ev *evaluator, w *windowAcc) (Result, error) {
+func render(p *central.Plan, ev *evaluator, w *windowAcc) Result {
 	res := Result{Start: w.start, End: w.end}
 
 	if !p.HasAgg() && !p.Grouped() {
@@ -519,15 +500,7 @@ func render(p *central.Plan, ev *evaluator, w *windowAcc) (Result, error) {
 		}
 		sort.Strings(keys)
 		if len(keys) == 0 && p.HasAgg() && !p.Grouped() {
-			g := &exactGroup{}
-			for _, a := range p.Aggs {
-				ea, err := newExactAgg(a.Spec)
-				if err != nil {
-					return Result{}, err
-				}
-				g.aggs = append(g.aggs, ea)
-			}
-			w.groups[""] = g
+			w.groups[""] = newGroup(p, nil)
 			keys = append(keys, "")
 		}
 		for _, k := range keys {
@@ -537,9 +510,9 @@ func render(p *central.Plan, ev *evaluator, w *windowAcc) (Result, error) {
 				aggVals[i] = a.result()
 			}
 			if !p.Grouped() {
-				res.AggExact = make([]AggTruth, len(g.aggs))
+				res.AggExact = make([]float64, len(g.aggs))
 				for i, a := range g.aggs {
-					res.AggExact[i] = a.truth()
+					res.AggExact[i] = a.exact()
 				}
 			}
 			row := groupRow{groupBy: p.GroupBy, keyVals: g.keyVals, aggVals: aggVals}
@@ -567,7 +540,7 @@ func render(p *central.Plan, ev *evaluator, w *windowAcc) (Result, error) {
 	if p.Limit > 0 && len(res.Rows) > p.Limit {
 		res.Rows = res.Rows[:p.Limit]
 	}
-	return res, nil
+	return res
 }
 
 // --- deterministic row comparison (the engine's contract, restated) ---
@@ -576,33 +549,16 @@ func compareValues(a, b event.Value) int {
 	if c, ok := a.Compare(b); ok {
 		return c
 	}
-	as, bs := a.String(), b.String()
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	}
-	return 0
+	return strings.Compare(a.String(), b.String())
 }
 
 func compareRows(a, b []event.Value) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(a), len(b)); i++ {
 		if c := compareValues(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	return cmp.Compare(len(a), len(b))
 }
 
 func compareOrdered(p *central.Plan, a, b []event.Value) int {
@@ -610,14 +566,11 @@ func compareOrdered(p *central.Plan, a, b []event.Value) int {
 		if key.Col >= len(a) || key.Col >= len(b) {
 			continue
 		}
-		c := compareValues(a[key.Col], b[key.Col])
-		if c == 0 {
-			continue
-		}
-		if key.Desc {
+		if c := compareValues(a[key.Col], b[key.Col]); c != 0 && key.Desc {
 			return -c
+		} else if c != 0 {
+			return c
 		}
-		return c
 	}
 	return compareRows(a, b)
 }

@@ -68,6 +68,9 @@ if grep -n '"reflect"' $(nontest internal/experiments); then echo "non-test inte
 if grep -nE '^func (New|MustNew)\(' $(nontest internal/agg) || grep -rnE --include='*.go' '\bagg\.(New|MustNew)\(' cmd internal scripts examples bench | grep -v '_test\.go:'; then echo "agg.New or MustNew is non-test code or has a non-test caller again: aggregate state lives in a Slab, and the oracle's aggregates are its own" >&2; exit 1; fi
 if grep -rniE --include='*.go' 'func (floatsClose|valuesClose)\(' internal | grep -v '^internal/oracle/'; then echo "a copy of floatsClose or valuesClose lives outside internal/oracle again: compare through oracle.Compare and oracle.ValuesClose" >&2; exit 1; fi
 
+echo "== the oracle's input is built once (non-test Go under cmd/ and internal/ calls expr.Compile only in internal/expr, internal/central and internal/oracle, whose Input every harness calls) =="
+if grep -rn --include='*.go' 'expr\.Compile(' cmd internal | grep -v '_test\.go:' | grep -vE '^internal/(expr|central|oracle)/'; then echo "non-test Go outside internal/expr, internal/central and internal/oracle calls expr.Compile again: build the oracle's input with oracle.Input" >&2; exit 1; fi
+
 echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi
 if grep -rnE --include='*.go' 'NewShardedEngine(With)?\(' . | grep -vE '^\./(internal/central|internal/difftest|bench)/|_test\.go:' | grep -vE 'NewShardedEngine(With)?\(1[,)]'; then echo "non-test code outside internal/central, internal/difftest and bench/ builds a ShardedEngine with n other than a literal 1" >&2; exit 1; fi
