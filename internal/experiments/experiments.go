@@ -110,7 +110,8 @@ type sim struct {
 }
 
 // tap is central as the agents see it: it keeps a copy of every batch
-// they hand over, in the order the executor takes them.
+// they hand over, in the order the executor takes them (the lock is held
+// across the hand-over for that order).
 type tap struct {
 	central.Executor
 	mu      sync.Mutex
