@@ -65,13 +65,14 @@ type queryState struct {
 	tuplesIn uint64 // tuples applied, one per tuple and covering window
 	overflow uint64 // raw-row + join-pending drops
 	// Per-query scratch for the apply path (the engine lock is held
-	// throughout a batch, so one set per query suffices): the rows handed
-	// to the evaluators, the cells a buffered join tuple's columns are
-	// unpacked into for a probe, the links a probe found under its request
-	// id, and the buffer join, group and raw runs are packed in before the
-	// window keeps them.
-	side    sideRow
-	join    joinRow
+	// throughout a batch, so one set per query suffices): the evaluation
+	// context and the tuple row it reads — the shipped tuple and, in a
+	// join, the buffered partner — the cells a buffered tuple's columns
+	// are unpacked into for a probe, the links a probe found under its
+	// request id, and the buffer join, group and raw runs are packed in
+	// before the window keeps them.
+	ctx     *expr.Ctx
+	sides   [2]expr.Tuple
 	probe   []event.Value
 	found   []uint32
 	packBuf []byte
@@ -91,11 +92,10 @@ func (e *Engine) StartDriven(p Plan) error {
 }
 
 // start installs a compiled query. A direct client hands over its merger's:
-// evaluators are pure closures, so one process compiles a query once.
+// the program and its binding are immutable and each query state evaluates
+// through a Ctx of its own, so one process compiles a query once.
 func (e *Engine) start(qr *QueryRuntime) (err error) {
-	qs := &queryState{QueryRuntime: *qr}
-	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
-	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
+	qs := &queryState{QueryRuntime: *qr, ctx: qr.comp.prog.NewCtx()}
 	if qs.plan.IsJoin() {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
@@ -169,11 +169,11 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 			maxTs, hasTs = t.TsNanos, true
 		}
 	}
-	// The scratch rows must not keep pointing into the batch's pooled
+	// The scratch row must not keep pointing into the batch's pooled
 	// memory once the call returns (host.Sink contract), nor the probe
 	// cells into the chunks of a window that may close before the next
 	// batch.
-	qs.side.t, qs.join.sides = tupleView{}, [2]tupleView{}
+	qs.sides = [2]expr.Tuple{}
 	clear(qs.probe)
 	late := qs.win.LateDrops()
 	return DrivenAck{HasTs: hasTs, MaxTs: maxTs, LateDelta: late - lateBefore, Late: late, Overflow: qs.overflow}, true
@@ -212,14 +212,13 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	ws.tuples++
 	qs.tuplesIn++
 	ws.touch(host)
+	//scrub:allowretain(the row the program reads while this tuple is applied; ApplyDriven clears it before it returns)
+	qs.sides[typeIdx] = expr.Tuple{RequestID: t.RequestID, TimeNanos: t.TsNanos, Values: t.Values}
 
 	if !qs.plan.IsJoin() {
-		row := &qs.side
-		row.typeIdx, row.t = int(typeIdx), viewOf(t)
-		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
-			return
+		if qs.admit() {
+			e.accumulate(qs, ws, host)
 		}
-		e.accumulate(qs, ws, row, host)
 		return
 	}
 
@@ -233,12 +232,20 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	}
 }
 
+// admit starts the evaluation of the row qs.sides holds and reports
+// whether it passes the residual predicate.
+func (qs *queryState) admit() bool {
+	qs.ctx.BeginTuples(qs.comp.bind, &qs.sides, nil)
+	return qs.comp.pred < 0 || qs.ctx.Bool(qs.comp.pred)
+}
+
 // probeJoin folds the joined rows a tuple forms with the other side's
 // buffered tuples of its request id, in their arrival order — the order
 // float sums are folded in must not change. Only the other side's chain
 // (hash is hashID(id)<<1, the side its low bit) is walked, so a flood of
 // one id from one side costs its own side nothing. A chain runs newest
-// first: the matching links are collected, then replayed backwards.
+// first: the matching links are collected, then replayed backwards. The
+// tuple is side side of qs.sides already; each partner becomes the other.
 //
 //scrub:hotpath
 func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash uint64, t *transport.Tuple) {
@@ -256,8 +263,6 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash
 	if len(found) == 0 {
 		return
 	}
-	row := &qs.join
-	row.sides[side] = viewOf(t)
 	vals := qs.probe[:len(qs.plan.Columns[other])]
 	for i := len(found) - 1; i >= 0; i-- {
 		run, _ := ws.arena.Linked(found[i])
@@ -267,11 +272,10 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash
 			// tuple is applied and a run's payload is never rewritten.
 			unpackValues(vals, run[8+n:], true)
 		}
-		row.sides[other] = tupleView{req: t.RequestID, ts: ws.start + int64(tag>>1), vals: vals}
-		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
-			continue
+		qs.sides[other] = expr.Tuple{RequestID: t.RequestID, TimeNanos: ws.start + int64(tag>>1), Values: vals}
+		if qs.admit() {
+			e.accumulate(qs, ws, host)
 		}
-		e.accumulate(qs, ws, row, host)
 	}
 }
 
@@ -311,18 +315,19 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	return true
 }
 
-// accumulate folds a (possibly joined) row into the window's groups, or
-// collects it as a raw result row for non-aggregate queries.
-func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host string) {
-	p, c := &qs.plan, qs.comp
+// accumulate folds the row qs.ctx has begun — a tuple or a joined pair —
+// into the window's groups, or collects it as a raw result row for
+// non-aggregate queries.
+func (e *Engine) accumulate(qs *queryState, ws *winState, host string) {
+	p, c, ctx := &qs.plan, qs.comp, qs.ctx
 	if !p.HasAgg() && !p.Grouped() {
 		if ws.rawN >= p.MaxRawRows {
 			qs.overflow++
 			return
 		}
 		buf := qs.packBuf[:0]
-		for _, ev := range c.selectEvals {
-			buf = event.AppendValue(buf, ev(row))
+		for _, id := range c.selects {
+			buf = event.AppendValue(buf, ctx.Value(id))
 		}
 		qs.packBuf = buf
 		if _, ok := ws.raw.Append(buf); !ok {
@@ -338,8 +343,8 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 	// run's header, so that a key the window has not seen is kept by
 	// appending the buffer as it is.
 	buf := appendHeader(qs.packBuf[:0], groupHdr)
-	for _, ev := range c.groupEvals {
-		buf = event.AppendValue(buf, ev(row))
+	for _, id := range c.groups {
+		buf = event.AppendValue(buf, ctx.Value(id))
 	}
 	qs.packBuf = buf
 	key := buf[groupHdr:]
@@ -353,10 +358,10 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 		e.charge(ws)
 	}
 	grew := false
-	for i, ev := range c.aggArgEvals {
+	for i, id := range c.aggArgs {
 		var v event.Value // COUNT(*) reads none
-		if ev != nil {
-			v = ev(row)
+		if id >= 0 {
+			v = ctx.Value(id)
 		}
 		grew = ws.aggs.Add(g, i, v) || grew
 	}
@@ -370,16 +375,17 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 	// first deviating batch announces that, the window's earlier tuples
 	// are gone. Grouped queries have no moment tracking (bounds are
 	// per-column, not per-group); their degradation is surfaced via
-	// per-stream EffRate instead.
+	// per-stream EffRate instead. An argument is read back from the
+	// program's registers, not computed again.
 	if !p.Grouped() && len(p.Aggs) > 0 {
 		moments := ws.momentsOf(host, len(p.Aggs))
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
 				continue
 			}
-			if c.aggArgEvals[i] == nil {
+			if id := c.aggArgs[i]; id < 0 {
 				moments[i].Add(1) // COUNT(*): reading of 1
-			} else if f, ok := c.aggArgEvals[i](row).AsFloat(); ok {
+			} else if f, ok := ctx.Value(id).AsFloat(); ok {
 				moments[i].Add(f)
 			}
 		}
@@ -410,7 +416,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 
 	switch {
 	case !p.HasAgg() && !p.Grouped():
-		rw.Rows = ws.rawRows(len(comp.selectEvals))
+		rw.Rows = ws.rawRows(len(comp.selects))
 
 	default:
 		// An ungrouped aggregate query emits one row even for an empty
@@ -425,16 +431,20 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		if rw.Approx && !p.Grouped() {
 			bounds, sums = computeBounds(p, comp, ws, rates)
 		}
-		// One evaluation context and one backing array serve every group:
-		// the evaluators copy what they read, and a row that fails HAVING
-		// gives its slot back.
-		width := len(comp.selectEvals)
-		row := &resultRow{groupBy: p.GroupBy, keyVals: make([]event.Value, len(p.GroupBy)), aggVals: make([]event.Value, len(p.Aggs))}
+		// One evaluation context, one row — the group's key values, its
+		// scaled aggregates — and one backing array serve every group:
+		// Value copies what it reads, and a row that fails HAVING gives
+		// its slot back.
+		width := len(comp.selects)
+		ctx := comp.prog.NewCtx()
+		var row [2]expr.Tuple
+		row[0].Values = make([]event.Value, len(p.GroupBy))
+		aggs := make([]event.Value, len(p.Aggs))
 		out := make([]event.Value, 0, len(groups)*width)
 		for _, g := range groups {
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
-			unpackValues(row.keyVals, g.key(), false)
+			unpackValues(row[0].Values, g.key(), false)
 			for i := range p.Aggs {
 				v := ws.aggs.At(g.ordinal(), i).Result()
 				if p.Aggs[i].Spec.Scalable() {
@@ -444,14 +454,15 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 						v = agg.ScaleResult(v, factor)
 					}
 				}
-				row.aggVals[i] = v
+				aggs[i] = v
 			}
-			if comp.havingPred != nil && !comp.havingPred(row) {
+			ctx.BeginTuples(comp.keys, &row, aggs)
+			if comp.having >= 0 && !ctx.Bool(comp.having) {
 				continue
 			}
 			n := len(out)
-			for _, ev := range comp.selectEvals {
-				out = append(out, ev(row))
+			for _, id := range comp.selects {
+				out = append(out, ctx.Value(id))
 			}
 			rw.Rows = append(rw.Rows, out[n:n+width:n+width])
 		}

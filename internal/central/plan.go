@@ -216,73 +216,59 @@ func (p *Plan) scaleFactor() float64 {
 	return f
 }
 
-// compiled holds the evaluators derived from a Plan once at StartQuery.
+// compiled is a plan's expressions as nodes of one register program, so
+// what they share (a group key that is also a select item) is computed
+// once per row. bind reads fields from (side, column) slots of the plan's
+// projected layout, keys from a closed window's group key values. All are
+// immutable and shared by every kernel and the merger, each evaluating
+// through a Ctx of its own.
 type compiled struct {
-	colIdx      []map[string]int // per type: column name → tuple value index
-	groupEvals  []expr.Evaluator
-	aggArgEvals []expr.Evaluator // nil entry for COUNT(*)
-	selectEvals []expr.Evaluator
-	centralPred func(expr.Row) bool // nil when no residual predicate
-	havingPred  func(expr.Row) bool // nil when no HAVING
+	prog    *expr.Program
+	bind    *expr.Binding
+	keys    *expr.Binding
+	groups  []int32
+	aggArgs []int32 // -1 for COUNT(*)
+	selects []int32
+	pred    int32 // -1 when no residual predicate
+	having  int32 // -1 when no HAVING
 	// directAgg[i] >= 0 when select column i is exactly AggRef #n —
 	// those columns carry estimator error bounds.
 	directAgg []int
 }
 
 func compile(p *Plan) (*compiled, error) {
-	c := &compiled{}
-	c.colIdx = make([]map[string]int, len(p.Types))
-	for i, cols := range p.Columns {
-		m := make(map[string]int, len(cols))
-		for j, name := range cols {
-			m[name] = j
+	b := expr.NewProgramBuilder()
+	var err error
+	intern := func(n expr.Node) int32 {
+		if n == nil || err != nil {
+			return -1
 		}
-		c.colIdx[i] = m
+		var id int32
+		id, err = b.Intern(n)
+		return id
 	}
+	c := &compiled{}
 	for _, g := range p.GroupBy {
-		ev, err := expr.Compile(g)
-		if err != nil {
-			return nil, err
-		}
-		c.groupEvals = append(c.groupEvals, ev)
+		c.groups = append(c.groups, intern(g))
 	}
 	for _, a := range p.Aggs {
-		if a.Arg == nil {
-			c.aggArgEvals = append(c.aggArgEvals, nil)
-			continue
-		}
-		ev, err := expr.Compile(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		c.aggArgEvals = append(c.aggArgEvals, ev)
+		c.aggArgs = append(c.aggArgs, intern(a.Arg))
 	}
 	for _, s := range p.Select {
-		ev, err := expr.Compile(s.Expr)
-		if err != nil {
-			return nil, err
-		}
-		c.selectEvals = append(c.selectEvals, ev)
+		c.selects = append(c.selects, intern(s.Expr))
+		direct := -1
 		if ar, ok := s.Expr.(expr.AggRef); ok {
-			c.directAgg = append(c.directAgg, ar.Index)
-		} else {
-			c.directAgg = append(c.directAgg, -1)
+			direct = ar.Index
 		}
+		c.directAgg = append(c.directAgg, direct)
 	}
-	if p.CentralPred != nil {
-		ev, err := expr.Compile(p.CentralPred)
-		if err != nil {
-			return nil, err
-		}
-		c.centralPred = expr.Predicate(ev)
+	c.pred, c.having = intern(p.CentralPred), intern(p.Having)
+	if err != nil {
+		return nil, err
 	}
-	if p.Having != nil {
-		ev, err := expr.Compile(p.Having)
-		if err != nil {
-			return nil, err
-		}
-		c.havingPred = expr.Predicate(ev)
-	}
+	c.prog = b.Build()
+	c.bind = c.prog.BindTuples(p.Types, p.Columns)
+	c.keys = c.prog.BindKeys(p.GroupBy)
 	return c, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"scrub/internal/event"
+	"scrub/internal/expr"
 	"scrub/internal/obs"
 	"scrub/internal/sketch"
 	"scrub/internal/transport"
@@ -19,7 +20,8 @@ import (
 // allocate: no per-tuple window list, key string, boxed row or copy — and,
 // for top_k, no item string and no bucket for a counter that moves, a
 // takeover included: the zipfian users are many more than the summary's 80
-// counters, so most batches evict.
+// counters, so most batches evict. An ungrouped sum over a computed
+// argument also feeds the per-host moments the error bounds come from.
 func TestApplyOpenGroupsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -32,6 +34,7 @@ func TestApplyOpenGroupsZeroAllocs(t *testing.T) {
 	}{
 		{"group-by", `select bid.user_id, count(*), avg(bid.bid_price) from bid group by bid.user_id window 10s`, func(i int) int64 { return int64(i % 16) }},
 		{"top_k", `select top_k(bid.user_id, 10) from bid window 10s`, func(int) int64 { return int64(zipf.Uint64()) }},
+		{"ungrouped-sum", `select count(*), sum(bid.bid_price * 2 - bid.user_id) from bid window 10s`, func(i int) int64 { return int64(i % 16) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
@@ -97,6 +100,37 @@ func TestApplyJoinAllocsAmortised(t *testing.T) {
 	}
 	st, _ := e.StopQuery(1)
 	if st.TuplesIn != 42*2*n || st.LateDrops != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+// A raw select keeps every row it admits, so it allocates as its row
+// arena grows and for nothing else: not for the residual predicate, nor
+// for the arithmetic select item.
+func TestApplyRawAllocsAmortised(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine()
+	p := buildPlan(t, `select bid.user_id, bid.bid_price * 2 from bid window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	// The residual predicate a join carries, here over one side.
+	p.CentralPred = expr.Binary{Op: expr.OpGt, L: expr.FieldRef{Type: "bid", Name: "bid_price"}, R: expr.Lit{Val: event.Float(9)}}
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	b := bidBatch(1, "h1")
+	for i := 0; i < n; i++ {
+		b.Tuples = append(b.Tuples, tup(uint64(i), sec(1)+int64(i), event.Int(int64(i)), event.Float(float64(10*(i%2)))))
+	}
+	e.HandleBatch(b)
+	perBatch := testing.AllocsPerRun(40, func() { e.HandleBatch(b) })
+	if perTuple := perBatch / n; perTuple > 0.02 {
+		t.Errorf("raw apply allocates %.3f times per tuple (%v per batch of %d), want row arena growth only", perTuple, perBatch, n)
+	}
+	st, _ := e.StopQuery(1)
+	if st.TuplesIn != 42*n || st.Rows != 42*n/2 || st.LateDrops != 0 { // half the prices are over 9
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -194,6 +194,12 @@ func canonBoolChain(b Binary) (Node, error) {
 			chain = Binary{Op: b.Op, L: chain, R: kept[idx]}
 		}
 	}
+	// A lone column or aggregate stays `x op x`: it can hold a value of
+	// another kind, which the chain reads as invalid and x alone would not.
+	switch chain.(type) {
+	case FieldRef, AggRef:
+		chain = Binary{Op: b.Op, L: chain, R: chain}
+	}
 	return chain, nil
 }
 
@@ -252,9 +258,10 @@ func canonList(list []Node) ([]Node, error) {
 }
 
 // foldConst replaces an all-literal subtree (whose children are already
-// canonical) with its value, computed by the production evaluator so the
-// fold cannot drift from runtime semantics. Trees whose value is Invalid
-// are kept symbolic.
+// canonical) with its value, computed by Compile's closures — the
+// reference the register program is held to node for node — so the fold
+// cannot drift from runtime semantics. Trees whose value is Invalid are
+// kept symbolic.
 func foldConst(n Node) Node {
 	if !constOnly(n) {
 		return n

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -152,19 +153,11 @@ func genLeaf(rng *rand.Rand, kind event.Kind) Node {
 	return Lit{Val: event.Invalid}
 }
 
-// byNameRow is a Row that is not an EventRow: a Ctx has no event to bind
-// slots against and falls back to Row.Field.
-type byNameRow struct{ ev EventRow }
-
-func (r byNameRow) Field(typ, name string) event.Value { return r.ev.Field(typ, name) }
-func (r byNameRow) Agg(i int) event.Value              { return r.ev.Agg(i) }
-
-// genRow builds a random bid event. Most come from the Builder with some
-// fields unset, so predicates see Invalid (missing) values; some are raw
-// event literals — what a decoder or a careless caller can produce — with
-// values of the wrong kind in a column or fewer values than the schema
-// has fields; and some are handed over as a Row that is not an EventRow.
-func genRow(rng *rand.Rand) Row {
+// genEvent builds a random bid event with some fields unset, so
+// predicates see Invalid (missing) values; some hold values of the wrong
+// kind in a column or fewer values than the schema has fields — what a
+// decoder or a careless caller can produce.
+func genEvent(rng *rand.Rand) *event.Event {
 	ev := &event.Event{
 		Schema:    genSchema,
 		RequestID: uint64(rng.Intn(7)),
@@ -195,10 +188,7 @@ func genRow(rng *rand.Rand) Row {
 	if rng.Intn(6) == 0 {
 		ev.Values = ev.Values[:rng.Intn(len(ev.Values))]
 	}
-	if rng.Intn(5) == 0 {
-		return byNameRow{EventRow{Event: ev}}
-	}
-	return EventRow{Event: ev}
+	return ev
 }
 
 // eqv is the observational equivalence the rewrites promise: same kind
@@ -224,7 +214,9 @@ func eqv(a, b event.Value) bool {
 // with Compile on every node of the canonical tree — each subtree is
 // interned and compiled on its own, and all of them are read through one
 // Ctx within one Begin/Finish, so a wrong memo shows as well as a wrong
-// operator. It reports false when the drawn tree does not type-check.
+// operator — and (c) to agree with it again when the tree is read through
+// a tuple-row binding (checkPairs). It reports false when the drawn tree
+// does not type-check.
 func checkTree(t testing.TB, rng *rand.Rand) bool {
 	raw := genExpr(rng, event.KindBool, 4)
 	checked, kind, err := Check(raw, genResolver)
@@ -249,20 +241,40 @@ func checkTree(t testing.TB, rng *rand.Rand) bool {
 	if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
 		t.Fatalf("Canon not idempotent:\n  once:  %s\n  twice: %s", canon, Canon(canon))
 	}
-	// One program holding the root and, each under its own id, every
-	// subtree of the canonical tree.
+	prog, subs := internAll(t, canon)
+	ctx := prog.NewCtx()
+	for i := 0; i < 32; i++ {
+		row := EventRow{Event: genEvent(rng)}
+		want := orig(row)
+		if got := ce(row); !eqv(want, got) {
+			t.Fatalf("row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v", i, checked, canon, want, got)
+		}
+		ctx.Begin(row)
+		compareAll(t, ctx, subs, row, i)
+		ctx.Finish()
+	}
+	checkPairs(t, rng, canon)
+	return true
+}
+
+// sub is one subtree of a checked tree: its node id in a program and the
+// closure it compiles to on its own.
+type sub struct {
+	n    Node
+	id   int32
+	want Evaluator
+}
+
+// internAll builds one program holding root and, each under its own id,
+// every subtree of it (subs[0] is root), and compiles every subtree.
+func internAll(t testing.TB, root Node) (*Program, []sub) {
 	pb := NewProgramBuilder()
-	root, err := pb.Intern(canon)
+	rootID, err := pb.Intern(root)
 	if err != nil {
 		t.Fatalf("intern: %v", err)
 	}
-	type sub struct {
-		n    Node
-		id   int32
-		want Evaluator
-	}
 	var subs []sub
-	Walk(canon, func(n Node) bool {
+	Walk(root, func(n Node) bool {
 		id, err := pb.Intern(n)
 		if err != nil {
 			t.Fatalf("intern subtree %s: %v", n, err)
@@ -274,33 +286,162 @@ func checkTree(t testing.TB, rng *rand.Rand) bool {
 		subs = append(subs, sub{n, id, want})
 		return true
 	})
-	if subs[0].id != root {
-		t.Fatalf("root interned twice: %d then %d", root, subs[0].id)
+	if subs[0].id != rootID {
+		t.Fatalf("root interned twice: %d then %d", rootID, subs[0].id)
 	}
-	ctx := pb.Build().NewCtx()
-	for i := 0; i < 32; i++ {
-		row := genRow(rng)
-		want := orig(row)
-		if got := ce(row); !eqv(want, got) {
-			t.Fatalf("row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v", i, checked, canon, want, got)
+	return pb.Build(), subs
+}
+
+// compareAll requires the row ctx has begun to read, node by node, what
+// the closures read from row: the root as a predicate, then every node's
+// value children before parents and again parents first — the value must
+// not depend on what was already memoized.
+func compareAll(t testing.TB, ctx *Ctx, subs []sub, row Row, i int) {
+	root := subs[0]
+	wantB, okB := root.want(row).AsBool()
+	if gotB := ctx.Bool(root.id); gotB != (okB && wantB) {
+		t.Fatalf("row %d: predicate diverges on %s: want %v got %v", i, root.n, okB && wantB, gotB)
+	}
+	for j := len(subs) - 1; j >= -len(subs); j-- {
+		s := subs[max(j, -j-1)]
+		if want, got := s.want(row), ctx.Value(s.id); !eqv(want, got) {
+			t.Fatalf("row %d (%T): program diverges at node %d\n  node:  %s\n  root:  %s\n  want %v got %v",
+				i, row, s.id, s.n, root.n, want, got)
 		}
-		ctx.Begin(row)
-		wantB, okB := want.AsBool()
-		if gotB := ctx.Bool(root); gotB != (okB && wantB) {
-			t.Fatalf("row %d: predicate diverges on %s: want %v got %v", i, canon, okB && wantB, gotB)
+	}
+}
+
+// pairSide is the second side of a generated pair: it ships the same
+// columns as genSchema under another type name.
+const pairSide = "imp"
+
+// pairRow is the by-name reference for a tuple-row binding: a joined pair
+// of tuples whose projected columns are looked up by name on every read.
+// A reference qualified with a side's type reads that side, an
+// unqualified one the first side that ships the column; request_id and ts
+// read the header.
+type pairRow struct {
+	types [2]string
+	cols  [2][]string
+	sides [2]Tuple
+}
+
+func (r *pairRow) Field(typ, name string) event.Value {
+	for s := range r.types {
+		if typ != "" && typ != r.types[s] {
+			continue
 		}
-		// Children before parents, then again parents first: the value
-		// must not depend on what was already memoized.
-		for j := len(subs) - 1; j >= -len(subs); j-- {
-			s := subs[max(j, -j-1)]
-			if want, got := s.want(row), ctx.Value(s.id); !eqv(want, got) {
-				t.Fatalf("row %d (%T): program diverges at node %d\n  node:  %s\n  canon: %s\n  want %v got %v",
-					i, row, s.id, s.n, canon, want, got)
+		t := &r.sides[s]
+		switch name {
+		case event.FieldRequestID:
+			return event.Int(int64(t.RequestID))
+		case event.FieldTimestamp:
+			return event.TimeNanos(t.TimeNanos)
+		}
+		if i := slices.Index(r.cols[s], name); i >= 0 {
+			if i < len(t.Values) {
+				return t.Values[i]
+			}
+			return event.Invalid
+		}
+	}
+	return event.Invalid
+}
+
+func (*pairRow) Agg(int) event.Value { return event.Invalid }
+
+// keyRow is the by-name reference for BindKeys: a reference reads the
+// first key of its name and of the type it names (any, unqualified).
+type keyRow struct {
+	keys  []FieldRef
+	sides [2]Tuple // side 0's Values are the keys' values
+}
+
+func (r *keyRow) Field(typ, name string) event.Value {
+	for i, k := range r.keys {
+		if k.Name == name && (typ == "" || typ == k.Type) {
+			if vals := r.sides[0].Values; i < len(vals) {
+				return vals[i]
+			}
+			return event.Invalid
+		}
+	}
+	return event.Invalid
+}
+
+func (*keyRow) Agg(int) event.Value { return event.Invalid }
+
+// requalify spreads a checked tree's field references over a pair: each
+// keeps its type, moves to the other side, loses its qualifier or names a
+// type neither side has.
+func requalify(n Node, rng *rand.Rand) Node {
+	switch t := n.(type) {
+	case FieldRef:
+		t.Type = pick(rng, t.Type, pairSide, pairSide, "", "nope")
+		return t
+	case Unary:
+		t.X = requalify(t.X, rng)
+		return t
+	case Binary:
+		t.L, t.R = requalify(t.L, rng), requalify(t.R, rng)
+		return t
+	case In:
+		t.X = requalify(t.X, rng)
+		return t
+	}
+	return n
+}
+
+// checkPairs reads tree through a tuple-row binding: its references
+// spread over two sides (requalify), each side shipping a random subset of
+// genSchema's columns in a random order, over 32 pairs whose values are
+// missing, of the wrong kind, NaN, or cut short as genRow draws them. Every
+// node must read what its closure reads through the by-name pairRow. Then
+// the same nodes are read as a closed window's keys through BindKeys: a
+// random key list over both types, system fields and repeats included,
+// against the by-name keyRow.
+func checkPairs(t testing.TB, rng *rand.Rand, tree Node) {
+	prog, subs := internAll(t, requalify(tree, rng))
+	row := &pairRow{types: [2]string{genSchema.Name(), pairSide}}
+	for s := range row.cols {
+		for _, f := range rng.Perm(genSchema.NumFields()) {
+			if rng.Intn(5) != 0 {
+				row.cols[s] = append(row.cols[s], genSchema.Field(f).Name)
 			}
 		}
-		ctx.Finish()
 	}
-	return true
+	bind := prog.BindTuples(row.types[:], row.cols[:])
+	ctx := prog.NewCtx()
+	for i := 0; i < 32; i++ {
+		for s := range row.sides {
+			ev := genEvent(rng)
+			vals := make([]event.Value, len(row.cols[s]))
+			for j, name := range row.cols[s] {
+				if k := genSchema.FieldIndex(name); k < len(ev.Values) {
+					vals[j] = ev.Values[k]
+				}
+			}
+			if rng.Intn(6) == 0 {
+				vals = vals[:rng.Intn(len(vals)+1)]
+			}
+			row.sides[s] = Tuple{RequestID: ev.RequestID, TimeNanos: ev.TimeNanos, Values: vals}
+		}
+		ctx.BeginTuples(bind, &row.sides, nil)
+		compareAll(t, ctx, subs, row, i)
+	}
+	names := append([]string{event.FieldRequestID, event.FieldTimestamp}, row.cols[0]...)
+	kr := &keyRow{}
+	for n := 1 + rng.Intn(5); n > 0; n-- {
+		kr.keys = append(kr.keys, FieldRef{Type: pick(rng, genSchema.Name(), pairSide), Name: pick(rng, names...)})
+	}
+	keys := prog.BindKeys(kr.keys)
+	for i := 0; i < 32; i++ {
+		vals := genEvent(rng).Values
+		kr.sides[0].Values = vals[:min(len(kr.keys), len(vals))]
+		ctx.BeginTuples(keys, &kr.sides, nil)
+		compareAll(t, ctx, subs, kr, i)
+	}
+	ctx.Finish()
 }
 
 func TestCanonPreservesSemantics(t *testing.T) {
@@ -442,50 +583,31 @@ func TestProgramSharesSubexpressions(t *testing.T) {
 	if ids[0] == ids[1] {
 		t.Error("distinct predicates interned to the same id")
 	}
-	// Shared-node evaluation count: with memoization the shared conjunct
-	// reads its field once per row even when both roots are evaluated, and
-	// so does every other node — three field reads in all (price, city,
-	// won), counted through a Row that is not an EventRow.
+	// Shared-node evaluation: with memoization the shared conjunct is
+	// computed once per row even when both roots are evaluated. Its column
+	// changes behind the Ctx's back after the first root, so computing it
+	// again within the row would show.
 	ev := event.NewBuilder(bidSchema).Int("user_id", 1).Str("city", "sf").
 		Float("bid_price", 2.0).Bool("won", true).SetTimeNanos(1).MustBuild()
 	ctx := prog.NewCtx()
-	row := &countingRow{ev: EventRow{Event: ev}}
-	ctx.Begin(row)
-	if !ctx.Bool(ids[0]) || !ctx.Bool(ids[1]) || !ctx.Bool(ids[0]) {
-		t.Error("both predicates should match")
+	ctx.Begin(EventRow{Event: ev})
+	if !ctx.Bool(ids[0]) {
+		t.Error("p1 should match")
 	}
-	if row.reads != 3 {
-		t.Errorf("%d field reads for two predicates over three fields, want 3", row.reads)
+	ev.Values[bidSchema.FieldIndex("bid_price")] = event.Float(1)
+	if !ctx.Bool(ids[1]) || !ctx.Bool(ids[0]) {
+		t.Error("price > 1.5 was computed again within one row: the subexpression is not shared")
 	}
 	ctx.Finish()
-	if ctx.row != nil || ctx.ev != nil {
-		t.Error("Finish left the row in the context (pins event payloads)")
-	}
-	for i, v := range ctx.byName {
-		if v.IsValid() {
-			t.Errorf("Finish left by-name field %d populated (pins event payloads)", i)
-		}
+	if ctx.sides != nil || ctx.own[0].Values != nil {
+		t.Error("Finish left the event in the context (pins event payloads)")
 	}
 	ctx.Begin(EventRow{Event: ev})
-	if !ctx.Bool(ids[0]) || !ctx.Bool(ids[1]) {
-		t.Error("both predicates should match on the bound path")
+	if ctx.Bool(ids[1]) {
+		t.Error("a new row sees the previous row's registers")
 	}
 	ctx.Finish()
-	if ctx.row != nil || ctx.ev != nil {
-		t.Error("Finish left the event in the context")
-	}
 }
-
-type countingRow struct {
-	ev    EventRow
-	reads int
-}
-
-func (r *countingRow) Field(typ, name string) event.Value {
-	r.reads++
-	return r.ev.Field(typ, name)
-}
-func (r *countingRow) Agg(i int) event.Value { return r.ev.Agg(i) }
 
 // TestProgramNodeSize pins the instruction at three words (the issue's
 // ceiling is four): host-fanout's live heap is mostly these.

@@ -7,13 +7,14 @@ import (
 	"scrub/internal/event"
 )
 
-// Row is the evaluation context: a single event, a joined event pair, or a
-// closed window's aggregate results.
+// Row is the evaluation context of Compile's closures: a single event, a
+// joined event pair, or a closed window's aggregate results. (A Ctx reads
+// events and tuple rows through bound slots instead.)
 type Row interface {
 	// Field returns the value of a (qualified) field reference.
 	Field(typ, name string) event.Value
-	// Agg returns the i'th aggregate result; only meaningful at
-	// ScrubCentral after a window closes.
+	// Agg returns the i'th aggregate result; only meaningful after a
+	// window closes.
 	Agg(i int) event.Value
 }
 

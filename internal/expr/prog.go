@@ -23,10 +23,12 @@ import (
 // `IN`, `LIKE`, and/or over them — are specialised by the constant's kind
 // when interned and guarded by the value's kind when run. Whatever the
 // guard turns away (a value of another kind, a missing one, a list)
-// goes, boxed, through the scalar helpers in eval.go that Compile's
-// closures call, so there is one definition of every operator and the two
-// engines cannot diverge. The call graph is static: scrubvet's hotpath
-// analyzer chases Ctx.Bool/Value through eval into those helpers.
+// goes, boxed, through the scalar helpers in eval.go, which Compile's
+// closures (the reference the tests hold this to) call too, so every
+// operator has one definition. The call graph is static: scrubvet's
+// hotpath analyzer chases Ctx.Bool/Value through eval into those helpers.
+// ScrubCentral runs one Program per query over tuple rows (BindTuples,
+// BindKeys).
 
 // opcode selects what an instruction computes.
 type opcode uint8
@@ -298,7 +300,7 @@ func boolState(b bool) state {
 	return stFalse
 }
 
-// Column slots below zero: no such column for this schema (or the
+// Column slots below zero: no such column in the layout (or the
 // reference names another event type), and the two system fields.
 const (
 	slotMissing   = -1
@@ -309,6 +311,83 @@ const (
 // missing is what a reference to an absent column reads. Never written.
 var missing event.Value
 
+// Tuple is one side of a tuple row: what a host ships of an event — its
+// request id, its event time and the projected columns a Binding names.
+type Tuple struct {
+	RequestID uint64
+	TimeNanos int64
+	Values    []event.Value
+}
+
+// A Binding is a Program's field references resolved against a tuple
+// layout; immutable, any number of Ctxs share it.
+type Binding struct {
+	slots []tupleSlot // per Program.fields entry
+}
+
+// tupleSlot is where a field reference reads: a column of one side, or
+// that side's system field, or missing (the slot sentinels).
+type tupleSlot struct{ side, col int32 }
+
+// BindTuples binds the program's field references (bindTo has the rules)
+// to a layout of one or two sides: side i of a row is a Tuple of event
+// type types[i] whose Values are columns[i], in order.
+//
+//scrub:allowalloc(binding is control-plane, once per query)
+func (p *Program) BindTuples(types []string, columns [][]string) *Binding {
+	b := &Binding{slots: make([]tupleSlot, len(p.fields))}
+	p.bindTo(b.slots, types, func(side int, name string) int { return slices.Index(columns[side], name) })
+	return b
+}
+
+// BindKeys binds the program's field references to a one-sided row whose
+// Values are the values of keys, in order, as a closed window's group
+// keys are: a reference reads the first key of its name and of the type
+// it names (any, unqualified); any other reference is missing.
+//
+//scrub:allowalloc(binding is control-plane, once per query)
+func (p *Program) BindKeys(keys []FieldRef) *Binding {
+	b := &Binding{slots: make([]tupleSlot, len(p.fields))}
+	for i, f := range p.fields {
+		b.slots[i] = tupleSlot{col: slotMissing}
+		for k, key := range keys {
+			if key.Name == f.name && (f.typ == "" || f.typ == key.Type) {
+				b.slots[i].col = int32(k)
+				break
+			}
+		}
+	}
+	return b
+}
+
+// bindTo resolves every field reference into slots, deciding what
+// EventRow.Field decides per call by name: a reference qualified with a
+// side's type reads that side, request_id and ts its header, any other
+// name the column col reports (-1: none). An unqualified reference reads
+// the first side that has the field; the checker qualifies every
+// reference a plan holds. Another type's, or an absent column, is missing.
+func (p *Program) bindTo(slots []tupleSlot, types []string, col func(side int, name string) int) {
+	for i, f := range p.fields {
+		slots[i] = tupleSlot{col: slotMissing}
+		for side, typ := range types {
+			if f.typ != "" && f.typ != typ {
+				continue
+			}
+			c := int32(col(side, f.name))
+			switch f.name {
+			case event.FieldRequestID:
+				c = slotRequestID
+			case event.FieldTimestamp:
+				c = slotTimestamp
+			}
+			if c != slotMissing {
+				slots[i] = tupleSlot{side: int32(side), col: c}
+				break
+			}
+		}
+	}
+}
+
 // Ctx evaluates one Program against one row at a time, memoizing every
 // node it computes so shared subexpressions cost one evaluation per row
 // regardless of how many expressions contain them. A Ctx is single-
@@ -317,18 +396,18 @@ var missing event.Value
 // forced (and/or short-circuits never force unreached operands).
 type Ctx struct {
 	prog *Program
-	row  Row
-	// ev is the row's event when the row is an EventRow; fields are then
-	// read through slot, which is bound to schema.
-	ev     *event.Event
-	schema *event.Schema
-	slot   []int32 // per Program.fields entry
-	st     []state
-	num    []uint64
-	sys    [2]event.Value // request_id and ts, synthesized on read
-	// byName holds the fields of a row that is not an EventRow, fetched
-	// through Row.Field; allocated by the first such row.
-	byName []event.Value
+	// sides is the row: a tuple row (BeginTuples), or own, whose side 0 is
+	// an event (Begin). Fields are read through slots: the Binding's, or
+	// bySchema, bound to schema.
+	sides    *[2]Tuple
+	slots    []tupleSlot
+	aggs     []event.Value // a tuple row's aggregates; an event has none
+	own      [2]Tuple
+	schema   *event.Schema
+	bySchema []tupleSlot
+	st       []state
+	num      []uint64
+	sys      [2]event.Value // request_id and ts, synthesized on read
 }
 
 // NewCtx allocates an evaluation context for the program.
@@ -336,59 +415,51 @@ type Ctx struct {
 //scrub:allowalloc(context construction is control-plane; hot paths reuse pooled Ctxs)
 func (p *Program) NewCtx() *Ctx {
 	return &Ctx{
-		prog: p,
-		slot: make([]int32, len(p.fields)),
-		st:   make([]state, len(p.nodes)),
-		num:  make([]uint64, len(p.nodes)),
+		prog:     p,
+		bySchema: make([]tupleSlot, len(p.fields)),
+		st:       make([]state, len(p.nodes)),
+		num:      make([]uint64, len(p.nodes)),
 	}
 }
 
-// Begin starts evaluation of a new row, invalidating all memoized
-// results.
+// Begin starts evaluation of an event, invalidating all memoized results.
 //
 //scrub:hotpath
-func (c *Ctx) Begin(row Row) {
+func (c *Ctx) Begin(row EventRow) {
 	clear(c.st)
-	c.row = row
-	if er, ok := row.(EventRow); ok {
-		c.ev = er.Event
-		if er.Event.Schema != c.schema {
-			c.bind(er.Event.Schema)
-		}
-		return
+	ev := row.Event
+	if ev.Schema != c.schema {
+		c.bind(ev.Schema)
 	}
-	c.ev = nil
-	if c.byName == nil {
-		//scrub:allowalloc(first row that is not an EventRow; the host agent never passes one)
-		c.byName = make([]event.Value, len(c.prog.fields))
-	}
+	c.own[0] = Tuple{RequestID: ev.RequestID, TimeNanos: ev.TimeNanos, Values: ev.Values}
+	c.sides, c.slots, c.aggs = &c.own, c.bySchema, nil
+}
+
+// BeginTuples starts evaluation of a tuple row read through b, a binding
+// of this Ctx's Program: sides[i] is side i of b's layout, and aggregate i
+// is aggs[i] (nil: none). The caller may rewrite the row and begin again.
+//
+//scrub:hotpath
+func (c *Ctx) BeginTuples(b *Binding, sides *[2]Tuple, aggs []event.Value) {
+	clear(c.st)
+	c.sides, c.slots, c.aggs = sides, b.slots, aggs
 }
 
 // bind resolves every field reference against a schema, once per schema
-// a Ctx meets: what EventRow.Field decides per call by name.
+// a Ctx meets: the event is a one-sided tuple row of all its fields.
+//
+//scrub:allowalloc(once per schema a Ctx meets; neither literal escapes, go build -gcflags=-m)
 func (c *Ctx) bind(s *event.Schema) {
-	for i, f := range c.prog.fields {
-		switch {
-		case f.typ != "" && f.typ != s.Name():
-			c.slot[i] = slotMissing
-		case f.name == event.FieldRequestID:
-			c.slot[i] = slotRequestID
-		case f.name == event.FieldTimestamp:
-			c.slot[i] = slotTimestamp
-		default:
-			c.slot[i] = int32(s.FieldIndex(f.name))
-		}
-	}
+	c.prog.bindTo(c.bySchema, []string{s.Name()}, func(_ int, name string) int { return s.FieldIndex(name) })
 	c.schema = s
 }
 
 // Finish releases the row so a pooled Ctx does not pin event payloads
-// between uses. Registers hold no pointers; only by-name field copies do.
+// between uses. Registers hold no pointers.
 //
 //scrub:hotpath
 func (c *Ctx) Finish() {
-	c.row, c.ev = nil, nil
-	clear(c.byName)
+	c.sides, c.aggs, c.own[0] = nil, nil, Tuple{}
 }
 
 // Bool evaluates node id as a predicate: missing or non-boolean results
@@ -415,7 +486,7 @@ func (c *Ctx) Value(id int32) event.Value {
 	case opField:
 		return *c.field(nd.r)
 	case opAgg:
-		return c.row.Agg(int(nd.imm))
+		return c.agg(nd.imm)
 	}
 	switch s := c.force(id); {
 	case s >= stInt:
@@ -426,29 +497,31 @@ func (c *Ctx) Value(id int32) event.Value {
 	return event.Invalid
 }
 
+// agg returns aggregate i of the current row.
+func (c *Ctx) agg(i uint64) event.Value {
+	if i < uint64(len(c.aggs)) {
+		return c.aggs[i]
+	}
+	return event.Invalid
+}
+
 // field returns the value of field reference ord for the current row, in
-// place: a column of the event, a synthesized system field, or the
-// by-name copy for a row that is not an EventRow.
+// place: a column of one of its sides, or a synthesized system field.
 func (c *Ctx) field(ord int32) *event.Value {
-	ev := c.ev
-	if ev == nil {
-		f := &c.prog.fields[ord]
-		c.byName[ord] = c.row.Field(f.typ, f.name)
-		return &c.byName[ord]
+	s := c.slots[ord]
+	t := &c.sides[s.side]
+	if uint(s.col) < uint(len(t.Values)) {
+		return &t.Values[s.col]
 	}
-	s := c.slot[ord]
-	if uint(s) < uint(len(ev.Values)) {
-		return &ev.Values[s]
-	}
-	switch s {
+	switch s.col {
 	case slotRequestID:
-		c.sys[0] = event.Int(int64(ev.RequestID))
+		c.sys[0] = event.Int(int64(t.RequestID))
 		return &c.sys[0]
 	case slotTimestamp:
-		c.sys[1] = event.TimeNanos(ev.TimeNanos)
+		c.sys[1] = event.TimeNanos(t.TimeNanos)
 		return &c.sys[1]
 	}
-	return &missing // unknown column, or Values shorter than the schema
+	return &missing // unknown column, or Values shorter than the layout
 }
 
 // operand reads a specialised instruction's non-literal operand unboxed:
@@ -509,7 +582,7 @@ func (c *Ctx) eval(id int32) state {
 		c.num[id] = bits
 		s = stateOf(k, bits)
 	case opAgg:
-		s = c.set(id, c.row.Agg(int(nd.imm)))
+		s = c.set(id, c.agg(nd.imm))
 	case opNot:
 		switch c.force(nd.l) {
 		case stFalse:

@@ -52,42 +52,23 @@ func (b Budget) Min(o Budget) Budget {
 	return out
 }
 
-// Config tunes enforcement; the zero value uses the defaults below.
+// Config tunes enforcement; the zero value caps nothing host-wide.
 type Config struct {
 	// HostBudget caps the *aggregate* impact of all queries on a host.
 	// When the aggregate exceeds it, every query is additionally held to
 	// an equal share (see EffectiveBudget) — even queries with no budget
 	// of their own, so one host cap bounds total Scrub impact.
 	HostBudget Budget
-	// MinMult is the sampling-multiplier floor: once halving would go
-	// below it the query is shed instead. Default 1/64.
-	MinMult float64
-	// RecoverBelow: when load (usage/budget) falls under this fraction
-	// the multiplier doubles back toward 1. Default 0.45, just under
-	// half — so recovery cannot immediately re-trip the halving.
-	RecoverBelow float64
 }
 
-// DefaultMinMult is the sampling-multiplier floor before shedding.
-const DefaultMinMult = 1.0 / 64
+// MinMult is the sampling-multiplier floor: once halving would go below
+// it the query is shed instead.
+const MinMult = 1.0 / 64
 
-// DefaultRecoverBelow is the load fraction under which the multiplier
-// recovers.
-const DefaultRecoverBelow = 0.45
-
-func (c Config) minMult() float64 {
-	if c.MinMult > 0 {
-		return c.MinMult
-	}
-	return DefaultMinMult
-}
-
-func (c Config) recoverBelow() float64 {
-	if c.RecoverBelow > 0 {
-		return c.RecoverBelow
-	}
-	return DefaultRecoverBelow
-}
+// RecoverBelow is the load (usage/budget) under which the multiplier
+// doubles back toward 1: just under half, so recovery cannot immediately
+// re-trip the halving.
+const RecoverBelow = 0.45
 
 // Usage is one query's measured cost over one enforcement interval.
 type Usage struct {
@@ -151,7 +132,7 @@ func Load(u Usage, b Budget) float64 {
 
 // Evaluate advances the ladder one interval and returns what the caller
 // must apply. A shed tracker never acts again.
-func (t *Tracker) Evaluate(u Usage, b Budget, cfg Config) Action {
+func (t *Tracker) Evaluate(u Usage, b Budget) Action {
 	if t.shed || b.Unlimited() || u.ElapsedNs <= 0 {
 		return ActionNone
 	}
@@ -159,13 +140,13 @@ func (t *Tracker) Evaluate(u Usage, b Budget, cfg Config) Action {
 	switch {
 	case load > 1:
 		next := t.mult / 2
-		if next < cfg.minMult() {
+		if next < MinMult {
 			t.shed = true
 			return ActionShed
 		}
 		t.mult = next
 		return ActionDownsample
-	case t.mult < 1 && load < cfg.recoverBelow():
+	case t.mult < 1 && load < RecoverBelow:
 		t.mult *= 2
 		if t.mult > 1 {
 			t.mult = 1

@@ -8,7 +8,7 @@ func sec(cpuNs, bytes uint64) Usage {
 
 func TestUnlimitedNoop(t *testing.T) {
 	tr := NewTracker()
-	if a := tr.Evaluate(sec(1e9, 1e9), Budget{}, Config{}); a != ActionNone {
+	if a := tr.Evaluate(sec(1e9, 1e9), Budget{}); a != ActionNone {
 		t.Fatalf("unlimited budget acted: %v", a)
 	}
 	if tr.Mult() != 1 || tr.shed {
@@ -19,7 +19,7 @@ func TestUnlimitedNoop(t *testing.T) {
 func TestZeroElapsedNoop(t *testing.T) {
 	tr := NewTracker()
 	b := Budget{BytesPerSec: 1}
-	if a := tr.Evaluate(Usage{Bytes: 1 << 20, ElapsedNs: 0}, b, Config{}); a != ActionNone {
+	if a := tr.Evaluate(Usage{Bytes: 1 << 20, ElapsedNs: 0}, b); a != ActionNone {
 		t.Fatalf("zero elapsed acted: %v", a)
 	}
 }
@@ -31,21 +31,21 @@ func TestLadderDownToShed(t *testing.T) {
 	u := sec(0, 1000) // always over
 	wantMults := []float64{1.0 / 2, 1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64}
 	for i, want := range wantMults {
-		if a := tr.Evaluate(u, b, Config{}); a != ActionDownsample {
+		if a := tr.Evaluate(u, b); a != ActionDownsample {
 			t.Fatalf("step %d: action %v, want downsample", i, a)
 		}
 		if tr.Mult() != want {
 			t.Fatalf("step %d: mult %g, want %g", i, tr.Mult(), want)
 		}
 	}
-	if a := tr.Evaluate(u, b, Config{}); a != ActionShed {
+	if a := tr.Evaluate(u, b); a != ActionShed {
 		t.Fatalf("floor breach: action %v, want shed", a)
 	}
 	if !tr.shed {
 		t.Fatal("not shed")
 	}
 	// Sticky: even a now-idle query stays shed.
-	if a := tr.Evaluate(sec(0, 0), b, Config{}); a != ActionNone {
+	if a := tr.Evaluate(sec(0, 0), b); a != ActionNone {
 		t.Fatalf("post-shed action %v, want none", a)
 	}
 	if !tr.shed {
@@ -58,26 +58,26 @@ func TestRecovery(t *testing.T) {
 	b := Budget{CPUPct: 0.10} // 10% of a core
 	over := sec(200e6, 0)     // 20% used
 	idle := sec(1e6, 0)       // 0.1% used
-	if a := tr.Evaluate(over, b, Config{}); a != ActionDownsample {
+	if a := tr.Evaluate(over, b); a != ActionDownsample {
 		t.Fatalf("action %v, want downsample", a)
 	}
-	if a := tr.Evaluate(over, b, Config{}); a != ActionDownsample {
+	if a := tr.Evaluate(over, b); a != ActionDownsample {
 		t.Fatalf("action %v, want downsample", a)
 	}
 	if tr.Mult() != 0.25 {
 		t.Fatalf("mult %g, want 0.25", tr.Mult())
 	}
-	if a := tr.Evaluate(idle, b, Config{}); a != ActionRecover {
+	if a := tr.Evaluate(idle, b); a != ActionRecover {
 		t.Fatalf("action %v, want recover", a)
 	}
-	if a := tr.Evaluate(idle, b, Config{}); a != ActionRecover {
+	if a := tr.Evaluate(idle, b); a != ActionRecover {
 		t.Fatalf("action %v, want recover", a)
 	}
 	if tr.Mult() != 1 {
 		t.Fatalf("mult %g, want 1", tr.Mult())
 	}
 	// At full rate, under-budget load does nothing more.
-	if a := tr.Evaluate(idle, b, Config{}); a != ActionNone {
+	if a := tr.Evaluate(idle, b); a != ActionNone {
 		t.Fatalf("action %v, want none at mult 1", a)
 	}
 }
@@ -87,9 +87,9 @@ func TestHysteresisBand(t *testing.T) {
 	tr := NewTracker()
 	b := Budget{CPUPct: 0.10}
 	over := sec(300e6, 0) // 3× over
-	tr.Evaluate(over, b, Config{})
+	tr.Evaluate(over, b)
 	mid := sec(80e6, 0) // 80% of budget: inside the band
-	if a := tr.Evaluate(mid, b, Config{}); a != ActionNone {
+	if a := tr.Evaluate(mid, b); a != ActionNone {
 		t.Fatalf("action %v, want none in hysteresis band", a)
 	}
 	if tr.Mult() != 0.5 {
@@ -142,14 +142,15 @@ func TestEffectiveBudget(t *testing.T) {
 	}
 }
 
-func TestCustomFloor(t *testing.T) {
-	tr := NewTracker()
+// One rung above the floor a query is downsampled onto it, and from the
+// floor it is shed.
+func TestFloor(t *testing.T) {
+	tr := &Tracker{mult: 2 * MinMult}
 	b := Budget{BytesPerSec: 1}
-	cfg := Config{MinMult: 0.5}
-	if a := tr.Evaluate(sec(0, 10), b, cfg); a != ActionDownsample {
-		t.Fatalf("action %v", a)
+	if a := tr.Evaluate(sec(0, 10), b); a != ActionDownsample || tr.Mult() != MinMult {
+		t.Fatalf("action %v at mult %g, want downsample onto the floor %g", a, tr.Mult(), MinMult)
 	}
-	if a := tr.Evaluate(sec(0, 10), b, cfg); a != ActionShed {
-		t.Fatalf("action %v, want shed at custom floor", a)
+	if a := tr.Evaluate(sec(0, 10), b); a != ActionShed {
+		t.Fatalf("action %v, want shed at the floor", a)
 	}
 }

@@ -961,7 +961,7 @@ func (a *Agent) governTick(actives []*activeQuery) {
 			continue
 		}
 		eb := governor.EffectiveBudget(aq.budget, a.cfg.Governor.HostBudget, hostOver, len(actives))
-		switch aq.tracker.Evaluate(usages[i], eb, a.cfg.Governor) {
+		switch aq.tracker.Evaluate(usages[i], eb) {
 		case governor.ActionDownsample:
 			a.govDownsamples.Inc()
 			a.applyRate(aq)

@@ -15,9 +15,9 @@
 // it does share with the system is named, because a bug there is wrong on
 // both sides of every comparison: the planner's predicate split
 // (ql.splitPredicate, read through the plan's HostPred and CentralPred),
-// the expression compiler (expr.Compile) and, under it, the scalar helpers
-// compareValue, eqValue, cmpValue and arithValue that the host's register
-// program calls too, and the event model.
+// the scalar helpers compareValue, eqValue, cmpValue and arithValue under
+// both its expression compiler (expr.Compile) and the register program
+// host and central run, and the event model.
 package oracle
 
 import (
@@ -55,10 +55,10 @@ type Result struct {
 	AggExact []float64
 }
 
-// evaluator is the compiled form of a plan, mirroring central's compile
-// but rebuilt here so the oracle shares no evaluation shortcuts with the
-// engine under test beyond the plan the planner split and the expression
-// compiler, scalar helpers included (see the package comment).
+// evaluator is the compiled form of a plan, built here with closures of
+// its own so the oracle shares no evaluator with the engine under test,
+// only the plan the planner split and the scalar helpers (see the package
+// comment).
 type evaluator struct {
 	plan        *central.Plan
 	colIdx      []map[string]int

@@ -15,10 +15,10 @@ echo "== one executor (internal/window keeps no watermark of its own, no shard r
 if grep -nE '\blateness\b|Observe\(' internal/window/*.go; then echo "internal/window knows lateness or has an Observe again" >&2; exit 1; fi
 if grep -n 'shardLateness' internal/central/*.go; then echo "internal/central has shardLateness again" >&2; exit 1; fi
 
-echo "== one evaluator on the host (expr.Program keeps no Value memo; internal/host compiles no closures) =="
+echo "== one production evaluator (expr.Program keeps no Value memo; non-test Go under cmd/, internal/, scripts/ and examples/ uses expr.Compile, Predicate or Evaluator only in internal/expr and internal/oracle, whose Input every harness calls: host and central run the register program) =="
 if grep -nE '\bpnode\b|\btouched\b|\bmark +\[\]|\bepoch\b' internal/expr/prog.go; then echo "internal/expr/prog.go has the Value-memo interpreter's pnode/touched/mark/epoch again" >&2; exit 1; fi
-if grep -nE 'expr\.(Compile|Predicate)\(' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host compiles a predicate closure again" >&2; exit 1; fi
-for f in Begin Finish Bool Value cmpNum cmpStr in arith; do
+if grep -rnE --include='*.go' 'expr\.(Compile|Predicate)\(|expr\.Evaluator\b' cmd internal scripts examples | grep -v '_test\.go:' | grep -vE '^internal/(expr|oracle)/'; then echo "non-test Go outside internal/expr and internal/oracle compiles an expression closure again: evaluate through expr.Program, build the oracle's input with oracle.Input" >&2; exit 1; fi
+for f in Begin BeginTuples Finish Bool Value cmpNum cmpStr in arith; do
   if ! grep -B1 -E "^func \(c \*Ctx\) $f\(" internal/expr/prog.go | grep -q '^//scrub:hotpath$'; then echo "internal/expr/prog.go: Ctx.$f lost its //scrub:hotpath seed" >&2; exit 1; fi
 done
 
@@ -67,9 +67,6 @@ if grep -rnE 'mustBuildBid|mustBuildImpression|platformRoute' internal/experimen
 if grep -n '"reflect"' $(nontest internal/experiments); then echo "non-test internal/experiments imports reflect again: a case study is compared with oracle.Compare" >&2; exit 1; fi
 if grep -nE '^func (New|MustNew)\(' $(nontest internal/agg) || grep -rnE --include='*.go' '\bagg\.(New|MustNew)\(' cmd internal scripts examples bench | grep -v '_test\.go:'; then echo "agg.New or MustNew is non-test code or has a non-test caller again: aggregate state lives in a Slab, and the oracle's aggregates are its own" >&2; exit 1; fi
 if grep -rniE --include='*.go' 'func (floatsClose|valuesClose)\(' internal | grep -v '^internal/oracle/'; then echo "a copy of floatsClose or valuesClose lives outside internal/oracle again: compare through oracle.Compare and oracle.ValuesClose" >&2; exit 1; fi
-
-echo "== the oracle's input is built once (non-test Go under cmd/ and internal/ calls expr.Compile only in internal/expr, internal/central and internal/oracle, whose Input every harness calls) =="
-if grep -rn --include='*.go' 'expr\.Compile(' cmd internal | grep -v '_test\.go:' | grep -vE '^internal/(expr|central|oracle)/'; then echo "non-test Go outside internal/expr, internal/central and internal/oracle calls expr.Compile again: build the oracle's input with oracle.Input" >&2; exit 1; fi
 
 echo "== one kernel per process (no shard-count knob; ShardedEngine at n >= 2 is the coordinator's test double, built only in internal/central, internal/difftest and bench/) =="
 if grep -rnE --include='*.go' '\bCentralShards\b|"shards"' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ has a shard-count knob (CentralShards or a \"shards\" flag) again" >&2; exit 1; fi

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -20,6 +19,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"scrub/scripts/daemon"
 )
 
 func main() {
@@ -37,12 +38,8 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	for _, cmd := range []string{"scrubcentral", "scrubd", "scrubql"} {
-		build := exec.Command("go", "build", "-race", "-o", filepath.Join(tmp, cmd), "./cmd/"+cmd)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("build %s: %w", cmd, err)
-		}
+	if err := daemon.Build(tmp, "-race"); err != nil {
+		return err
 	}
 	central := filepath.Join(tmp, "scrubcentral")
 
@@ -64,12 +61,12 @@ func run() error {
 	// Two shard processes: they outlive the leader and hold the windows.
 	var shardAddrs []string
 	for i := 0; i < 2; i++ {
-		shard := newDaemon(central, "-adplatform", "-shard", "127.0.0.1:0")
-		if err := shard.start(); err != nil {
+		shard := daemon.New(central, "-adplatform", "-shard", "127.0.0.1:0")
+		if err := shard.Start(); err != nil {
 			return err
 		}
-		defer shard.stop()
-		addr, err := shard.await("  shard rpc: ")
+		defer shard.Stop()
+		addr, err := shard.Await("  shard rpc: ")
 		if err != nil {
 			return err
 		}
@@ -78,42 +75,42 @@ func run() error {
 
 	// The warm standby: shadows the replicated log, and on leader silence
 	// rebinds the leader's client/control/data addresses.
-	standby := newDaemon(central, "-adplatform",
+	standby := daemon.New(central, "-adplatform",
 		"-standby", "127.0.0.1:0", "-failover-timeout", "750ms",
 		"-client", clientAddr, "-control", controlAddr, "-data", dataAddr)
-	if err := standby.start(); err != nil {
+	if err := standby.Start(); err != nil {
 		return err
 	}
-	defer standby.stop()
-	repAddr, err := standby.await("  replication: ")
+	defer standby.Stop()
+	repAddr, err := standby.Await("  replication: ")
 	if err != nil {
 		return err
 	}
 
 	// The leader: replicating coordinator over both shards.
-	leader := newDaemon(central, "-adplatform", "-coord",
+	leader := daemon.New(central, "-adplatform", "-coord",
 		"-client", clientAddr, "-control", controlAddr, "-data", dataAddr,
 		"-shard-addrs", strings.Join(shardAddrs, ","),
 		"-peers", repAddr)
-	if err := leader.start(); err != nil {
+	if err := leader.Start(); err != nil {
 		return err
 	}
-	defer leader.stop()
-	if _, err := leader.await("scrubcentral up"); err != nil {
+	defer leader.Stop()
+	if _, err := leader.Await("scrubcentral up"); err != nil {
 		return err
 	}
 
 	// Two host agents generating demo bid events.
 	for i := 0; i < 2; i++ {
-		agent := newDaemon(filepath.Join(tmp, "scrubd"),
+		agent := daemon.New(filepath.Join(tmp, "scrubd"),
 			"-host", fmt.Sprintf("fo-%d", i+1), "-service", "BidServers", "-adplatform",
 			"-control", controlAddr, "-data", dataAddr,
 			"-demo", "bid=300", "-seed", fmt.Sprintf("%d", i+1))
-		if err := agent.start(); err != nil {
+		if err := agent.Start(); err != nil {
 			return err
 		}
-		defer agent.stop()
-		if _, err := agent.await("scrubd up:"); err != nil {
+		defer agent.Stop()
+		if _, err := agent.Await("scrubd up:"); err != nil {
 			return err
 		}
 	}
@@ -121,13 +118,13 @@ func run() error {
 	// The troubleshooter: a live query spanning well past the kill. Its
 	// client connection dies with the leader; the promoted standby owns
 	// the query afterwards and prints its windows itself.
-	query := newDaemon(filepath.Join(tmp, "scrubql"),
+	query := daemon.New(filepath.Join(tmp, "scrubql"),
 		"-server", clientAddr, "-quiet",
 		"select count(*) from bid window 2s duration 2m")
-	if err := query.start(); err != nil {
+	if err := query.Start(); err != nil {
 		return err
 	}
-	defer query.stop()
+	defer query.Stop()
 
 	// Windows must flow on the leader before the kill is meaningful.
 	if err := awaitWindows(filepath.Join(tmp, "scrubql"), clientAddr, 20*time.Second); err != nil {
@@ -136,15 +133,15 @@ func run() error {
 	fmt.Println("failover-smoke: query running on leader, windows closing — killing leader")
 
 	// kill -9: no shutdown path runs; the standby must notice via silence.
-	if err := leader.cmd.Process.Kill(); err != nil {
+	if err := leader.Cmd.Process.Kill(); err != nil {
 		return err
 	}
-	_, _ = leader.cmd.Process.Wait()
+	_, _ = leader.Cmd.Process.Wait()
 
-	if _, err := standby.await("scrubcentral standby: leader silent"); err != nil {
+	if _, err := standby.Await("scrubcentral standby: leader silent"); err != nil {
 		return err
 	}
-	promoted, err := standby.await("scrubcentral up (promoted leader, fence ")
+	promoted, err := standby.Await("scrubcentral up (promoted leader, fence ")
 	if err != nil {
 		return err
 	}
@@ -153,7 +150,7 @@ func run() error {
 	// The adopted query must keep closing windows on the new leader —
 	// several of them, proving the merge resumed, not just survived.
 	for n := 0; n < 3; n++ {
-		if _, err := standby.await("scrubcentral adopted window: query 1 "); err != nil {
+		if _, err := standby.Await("scrubcentral adopted window: query 1 "); err != nil {
 			return fmt.Errorf("post-failover window %d: %w", n+1, err)
 		}
 	}
@@ -196,63 +193,4 @@ func pickPort() (string, error) {
 	addr := l.Addr().String()
 	l.Close()
 	return addr, nil
-}
-
-// daemon wraps a child process whose stdout is scanned for marker lines.
-type daemon struct {
-	cmd   *exec.Cmd
-	lines chan string
-}
-
-func newDaemon(bin string, args ...string) *daemon {
-	return &daemon{cmd: exec.Command(bin, args...), lines: make(chan string, 256)}
-}
-
-func (d *daemon) start() error {
-	out, err := d.cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	d.cmd.Stderr = os.Stderr
-	if err := d.cmd.Start(); err != nil {
-		return err
-	}
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			select {
-			case d.lines <- sc.Text():
-			default: // never block the child on our buffer
-			}
-		}
-		close(d.lines)
-	}()
-	return nil
-}
-
-// await returns the remainder of the first stdout line starting with
-// prefix, waiting up to 30s (promotion waits out the failover timeout,
-// and -race children are slow).
-func (d *daemon) await(prefix string) (string, error) {
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case line, ok := <-d.lines:
-			if !ok {
-				return "", fmt.Errorf("%s exited before printing %q", d.cmd.Path, prefix)
-			}
-			if strings.HasPrefix(line, prefix) {
-				return strings.TrimSpace(strings.TrimPrefix(line, prefix)), nil
-			}
-		case <-deadline:
-			return "", fmt.Errorf("timed out waiting for %q from %s", prefix, d.cmd.Path)
-		}
-	}
-}
-
-func (d *daemon) stop() {
-	if d.cmd.Process != nil {
-		_ = d.cmd.Process.Kill()
-		_, _ = d.cmd.Process.Wait()
-	}
 }

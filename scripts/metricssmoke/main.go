@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -38,6 +37,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"scrub/scripts/daemon"
 )
 
 // required lists the metric families each daemon must expose at boot
@@ -113,30 +114,26 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	for _, cmd := range []string{"scrubcentral", "scrubd", "scrubql"} {
-		build := exec.Command("go", "build", "-o", filepath.Join(tmp, cmd), "./cmd/"+cmd)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("build %s: %w", cmd, err)
-		}
+	if err := daemon.Build(tmp); err != nil {
+		return err
 	}
-	var daemons []*daemon
+	var daemons []*daemon.Daemon
 	defer func() {
 		for _, d := range daemons {
-			d.stop()
+			d.Stop()
 		}
 	}()
 	// boot starts a daemon and returns what it printed after each prefix,
 	// in the order the daemon prints them.
 	boot := func(bin string, args []string, prefixes ...string) ([]string, error) {
-		d := newDaemon(filepath.Join(tmp, bin), args...)
-		if err := d.start(); err != nil {
+		d := daemon.New(filepath.Join(tmp, bin), args...)
+		if err := d.Start(); err != nil {
 			return nil, err
 		}
 		daemons = append(daemons, d)
 		var out []string
 		for _, prefix := range prefixes {
-			v, err := d.await(prefix)
+			v, err := d.Await(prefix)
 			if err != nil {
 				return nil, err
 			}
@@ -330,64 +327,6 @@ func awaitIndex(who, url string) error {
 		}
 	}
 	return fmt.Errorf("%s: a query with a predicate is running but scrub_host_program_nodes = %v, scrub_host_index_rebuilds_total = %v", who, nodes, rebuilds)
-}
-
-// daemon wraps a child process whose stdout is scanned for marker lines.
-type daemon struct {
-	cmd   *exec.Cmd
-	lines chan string
-}
-
-func newDaemon(bin string, args ...string) *daemon {
-	return &daemon{cmd: exec.Command(bin, args...), lines: make(chan string, 64)}
-}
-
-func (d *daemon) start() error {
-	out, err := d.cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	d.cmd.Stderr = os.Stderr
-	if err := d.cmd.Start(); err != nil {
-		return err
-	}
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			select {
-			case d.lines <- sc.Text():
-			default: // never block the child on our buffer
-			}
-		}
-		close(d.lines)
-	}()
-	return nil
-}
-
-// await returns the remainder of the first stdout line starting with
-// prefix, waiting up to 10s.
-func (d *daemon) await(prefix string) (string, error) {
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case line, ok := <-d.lines:
-			if !ok {
-				return "", fmt.Errorf("%s exited before printing %q", d.cmd.Path, prefix)
-			}
-			if strings.HasPrefix(line, prefix) {
-				return strings.TrimSpace(strings.TrimPrefix(line, prefix)), nil
-			}
-		case <-deadline:
-			return "", fmt.Errorf("timed out waiting for %q from %s", prefix, d.cmd.Path)
-		}
-	}
-}
-
-func (d *daemon) stop() {
-	if d.cmd.Process != nil {
-		_ = d.cmd.Process.Kill()
-		_, _ = d.cmd.Process.Wait()
-	}
 }
 
 // scrape fetches url and validates the exposition — no duplicate series,
