@@ -63,10 +63,13 @@ metrics-smoke:
 
 # Short coverage-guided fuzz pass over the surfaces that parse untrusted
 # input — the transport frame decoder (arbitrary network bytes, with and
-# without a receive scratch, whole and in fuzz-chosen read sizes), the
-# packed runs a partial's bytes become window state as, the window
-# partials a shard sends the coordinator (decode, merge, render,
-# re-encode), the query-language parser (arbitrary operator-typed text),
+# without a receive scratch, whole and in fuzz-chosen read sizes; a
+# HostQuery's expression tree included), the packed runs a partial's bytes
+# become window state as, the window partials a shard sends the
+# coordinator with their aggregate states, sketches and moments (decode,
+# merge, render, re-encode) — every one of these formats a description
+# walked by internal/wire's coder, so the fuzzers drive its decoding mode
+# — the query-language parser (arbitrary operator-typed text),
 # the replay chunk decoder — and over the mechanisms checked against a
 # model: the window-state hash index against its map, the host's register
 # program against the closure compiler on every node of generated predicates, the

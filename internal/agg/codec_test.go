@@ -53,7 +53,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 			for i := rng.Intn(200); i > 0; i-- {
 				a.Add(randValue(rng))
 			}
-			enc, err := AppendState(nil, a)
+			enc, err := appendState(nil, a)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", spec.Kind, err)
 			}
@@ -102,7 +102,7 @@ func TestStateCodecEmpty(t *testing.T) {
 		{Kind: KindCountDistinct},
 	} {
 		a := MustNew(spec)
-		enc, err := AppendState(nil, a)
+		enc, err := appendState(nil, a)
 		if err != nil {
 			t.Fatalf("%v: encode empty: %v", spec.Kind, err)
 		}
@@ -124,7 +124,7 @@ func TestStateCodecTruncation(t *testing.T) {
 		a := MustNew(spec)
 		a.Add(event.Int(5))
 		a.Add(event.Int(9))
-		enc, err := AppendState(nil, a)
+		enc, err := appendState(nil, a)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", spec.Kind, err)
 		}
@@ -183,7 +183,7 @@ func TestStateCodecContinuationExact(t *testing.T) {
 						straight.Add(v)
 						resumed.Add(v)
 					}
-					enc, err := AppendState(nil, resumed)
+					enc, err := appendState(nil, resumed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,8 +191,8 @@ func TestStateCodecContinuationExact(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want, _ := AppendState(nil, straight)
-				got, _ := AppendState(nil, resumed)
+				want, _ := appendState(nil, straight)
+				got, _ := appendState(nil, resumed)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("seed %d: state after four encode/decode cuts differs from the uninterrupted one:\n got %x\nwant %x", seed, got, want)
 				}

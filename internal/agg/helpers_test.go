@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scrub/internal/sketch"
+	"scrub/internal/wire"
 )
 
 // New is the boxed twin of a Slab's states: one aggregator of spec s,
@@ -81,7 +82,23 @@ func topKEntries(a Aggregator) (out []topEntry, ok bool) {
 	return out, true
 }
 
-// decodeState decodes one aggregate's state, serialized by AppendState,
+// appendState appends one aggregate's state, as Slab.Code encodes it.
+func appendState(dst []byte, a Aggregator) ([]byte, error) {
+	c := wire.Coder{Buf: dst}
+	codeState(&c, a)
+	return c.Buf, c.Err
+}
+
+// slabDecode starts a group of sl with the states at the head of b and
+// returns its ordinal and the bytes they took.
+func slabDecode(sl *Slab, b []byte) (uint32, int, error) {
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	var g uint32
+	sl.Code(&c, &g)
+	return g, c.Pos, c.Err
+}
+
+// decodeState decodes one aggregate's state, serialized by appendState,
 // into a one-group Slab and returns it with the bytes consumed.
 func decodeState(s Spec, b []byte) (Aggregator, int, error) {
 	lay, err := NewLayout([]Spec{s})
@@ -89,7 +106,7 @@ func decodeState(s Spec, b []byte) (Aggregator, int, error) {
 		return nil, 0, err
 	}
 	sl := NewSlab(lay)
-	g, n, err := sl.Decode(b)
+	g, n, err := slabDecode(sl, b)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,12 +1,12 @@
 package agg
 
 import (
-	"fmt"
 	"math"
 
 	"scrub/internal/event"
 	"scrub/internal/sketch"
 	"scrub/internal/slab"
+	"scrub/internal/wire"
 )
 
 // Layout is where a plan's aggregates live in a Slab: aggregate i is the
@@ -137,22 +137,25 @@ func (sl *Slab) Open() (uint32, bool) {
 	return g, ok
 }
 
-// Decode starts a group with the states AppendState serialized, one per
-// aggregate of the layout, and returns the bytes consumed.
-func (sl *Slab) Decode(b []byte) (g uint32, n int, err error) {
-	g, ok := sl.carve(false)
-	if !ok {
-		return 0, 0, fmt.Errorf("agg: slab is full")
+// Code codes the states of group *g, one per aggregate of the layout, in
+// c's mode (codeState). Decoding starts a group with the states the bytes
+// hold and sets *g to its ordinal.
+func (sl *Slab) Code(c *wire.Coder, g *uint32) {
+	if c.Mode == wire.Decoding && c.Err == nil {
+		var ok bool
+		if *g, ok = sl.carve(false); !ok {
+			c.Fail("aggregate slab is full")
+		}
+	}
+	if c.Err != nil {
+		return
 	}
 	for i := range sl.lay.slots {
-		used, err := decodeInto(sl.At(g, i), b[n:])
-		if err != nil {
-			return 0, 0, fmt.Errorf("agg %d: %w", i, err)
-		}
-		n += used
+		codeState(c, sl.At(*g, i))
 	}
-	sl.sketches += sl.sketchBytes(g)
-	return g, n, nil
+	if c.Mode == wire.Decoding && c.Err == nil {
+		sl.sketches += sl.sketchBytes(*g)
+	}
 }
 
 // Adopt starts a group with the states of src's group sg, which src must

@@ -72,10 +72,10 @@ func TestSlabAggregatorsMatchNew(t *testing.T) {
 				for i := range specs {
 					tw[i].Add(randValue(rng))
 					tw[i].Add(randValue(rng))
-					enc, _ = AppendState(enc, tw[i])
+					enc, _ = appendState(enc, tw[i])
 				}
 				var n int
-				g, n, err = sl.Decode(enc)
+				g, n, err = slabDecode(sl, enc)
 				ok = err == nil && n == len(enc)
 			case 2: // as mergeWinStates adopts a group only the source has
 				dg, _ := donor.Open()
@@ -101,8 +101,8 @@ func TestSlabAggregatorsMatchNew(t *testing.T) {
 				if !sameResult(a.Result(), tw[i].Result()) || inputs(a) != inputs(tw[i]) {
 					t.Fatalf("seed %d %v: group %d aggregate %d (%v): slab %v (%d), New %v (%d)", seed, specs, g, i, spec.Kind, a.Result(), inputs(a), tw[i].Result(), inputs(tw[i]))
 				}
-				se, err1 := AppendState(nil, a)
-				he, err2 := AppendState(nil, tw[i])
+				se, err1 := appendState(nil, a)
+				he, err2 := appendState(nil, tw[i])
 				if err1 != nil || err2 != nil || !bytes.Equal(se, he) {
 					t.Fatalf("seed %d: group %d aggregate %d (%v): serialized states differ", seed, g, i, spec.Kind)
 				}

@@ -12,6 +12,7 @@ import (
 	"scrub/internal/event"
 	"scrub/internal/expr"
 	"scrub/internal/obs"
+	"scrub/internal/ql"
 	"scrub/internal/sampling"
 	"scrub/internal/slab"
 	"scrub/internal/transport"
@@ -408,7 +409,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		QueryID:     p.QueryID,
 		WindowStart: start,
 		WindowEnd:   end,
-		Columns:     p.ColumnLabels(),
+		Columns:     ql.Labels(p.Select),
 	}
 
 	factor := p.scaleFactor()

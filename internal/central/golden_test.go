@@ -144,7 +144,7 @@ func TestPartialGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("DecodePartial: %v", err)
 					}
-					if again := encodePartial(nil, qr.Plan(), pw.ws); !bytes.Equal(again, ep.Data) {
+					if again := reencode(qr.Plan(), pw.ws); !bytes.Equal(again, ep.Data) {
 						t.Fatalf("window %d: decode→encode changed the partial (%d → %d bytes)", ep.Start, len(ep.Data), len(again))
 					}
 					if dst, ok := merged[ep.Start]; ok {
@@ -232,7 +232,7 @@ func FuzzDecodePartial(f *testing.F) {
 		}
 		// Encoded before the render, which gives an ungrouped window with
 		// no group its empty one.
-		again, err := qr.DecodePartial(encodePartial(nil, qr.Plan(), pw.ws))
+		again, err := qr.DecodePartial(reencode(qr.Plan(), pw.ws))
 		if err != nil {
 			t.Fatalf("the re-encoding of an accepted partial does not decode: %v", err)
 		}

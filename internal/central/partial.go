@@ -1,14 +1,13 @@
 package central
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
-	"scrub/internal/agg"
 	"scrub/internal/stats"
 	"scrub/internal/transport"
 	"scrub/internal/window"
+	"scrub/internal/wire"
 )
 
 // This file is how windows leave a kernel. They close only when the
@@ -71,8 +70,10 @@ func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops ui
 // encodePartials serializes closed windows.
 func encodePartials(p *Plan, closed []window.Closed[*winState]) []EncodedPartial {
 	var out []EncodedPartial
-	for _, c := range closed {
-		out = append(out, EncodedPartial{Start: c.Start, End: c.End, Data: encodePartial(nil, p, c.State)})
+	for _, cl := range closed {
+		var c wire.Coder
+		codePartial(&c, p, cl.State)
+		out = append(out, EncodedPartial{Start: cl.Start, End: cl.End, Data: c.Buf})
 	}
 	return out
 }
@@ -129,207 +130,146 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // request joined on one shard, and pending tuples are irrelevant once the
 // window closed.
 
-// encodePartial appends ws's partial to dst.
-func encodePartial(dst []byte, p *Plan, ws *winState) []byte {
-	dst = binary.AppendUvarint(dst, ws.tuples)
+// codePartial is a partial's description: the tuple count, the hosts that
+// reported, each group's key and aggregate states, the raw rows, and each
+// host's moments. Decoding builds ws, a fresh window, and holds the bytes
+// to the plan: key and row widths, keys and rows that decode, no group key
+// twice, one moment per aggregate per host.
+func codePartial(c *wire.Coder, p *Plan, ws *winState) {
+	decoding := c.Mode == wire.Decoding
+	c.Uvarint(&ws.tuples)
 
-	hosts := make([]string, 0, len(ws.hosts))
-	for h := range ws.hosts {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	dst = binary.AppendUvarint(dst, uint64(len(hosts)))
-	for _, h := range hosts {
-		dst = appendString(dst, h)
+	hosts := sortedKeys(ws.hosts)
+	n := len(hosts)
+	c.Count(&n, "implausible host count")
+	for i := 0; i < n && c.Err == nil; i++ {
+		var h string
+		if !decoding {
+			h = hosts[i]
+		}
+		c.Str(&h)
+		if decoding {
+			ws.hosts[h] = struct{}{}
+		}
 	}
 
-	groups := ws.sortedGroups()
-	dst = binary.AppendUvarint(dst, uint64(len(groups)))
-	for _, g := range groups {
+	var groups []groupRun
+	if !decoding {
+		groups = ws.sortedGroups()
+	}
+	n = len(groups)
+	c.Count(&n, "implausible group count")
+	if decoding && n > 0 {
+		ws.groups.Grow(n) // once, not by doubling up to it
+	}
+	var run []byte // decoding: a group's run, built before the window keeps it
+	for i := 0; i < n && c.Err == nil; i++ {
 		// The stored key is the encoding of the group's key values.
-		dst = binary.AppendUvarint(dst, uint64(len(p.GroupBy)))
-		dst = append(dst, g.key()...)
-		for i := range p.Aggs {
-			enc, err := agg.AppendState(dst, ws.aggs.At(g.ordinal(), i))
-			if err != nil {
-				// Unreachable: every aggregator a window holds is
-				// encodable. A placeholder count keeps the failure loud at
-				// decode rather than silently truncating the partial.
-				dst = binary.AppendUvarint(dst, 0)
-				continue
-			}
-			dst = enc
+		var key []byte
+		var g uint32
+		if !decoding {
+			key, g = groups[i].key(), groups[i].ordinal()
+		}
+		codeRun(c, &key, len(p.GroupBy), "key")
+		ws.aggStates(p).Code(c, &g)
+		if !decoding || c.Err != nil {
+			continue
+		}
+		run = append(appendHeader(run[:0], groupHdr), key...)
+		hash := hashKey(key)
+		if _, dup := ws.findGroup(hash, key); dup {
+			c.Fail("duplicate group key")
+		} else if !ws.addGroup(hash, run, g) {
+			c.Fail("group state too large")
 		}
 	}
 
-	dst = binary.AppendUvarint(dst, uint64(ws.rawN))
-	for rows, i := rowsOf(&ws.raw, len(p.Select)), 0; i < ws.rawN; i++ {
-		dst = binary.AppendUvarint(dst, uint64(len(p.Select)))
-		dst = append(dst, rows.next()...)
+	n = ws.rawN
+	c.Count(&n, "implausible row count")
+	for rows, i := rowsOf(&ws.raw, len(p.Select)), 0; i < n && c.Err == nil; i++ {
+		var row []byte
+		if !decoding {
+			row = rows.next()
+		}
+		codeRun(c, &row, len(p.Select), "row")
+		if !decoding || c.Err != nil {
+			continue
+		}
+		// A row is kept as it arrived.
+		if _, ok := ws.raw.Append(row); !ok {
+			c.Fail("row state too large")
+		}
+		ws.rawN++
 	}
 
-	mhosts := make([]string, 0, len(ws.perHost))
-	for h := range ws.perHost {
-		mhosts = append(mhosts, h)
-	}
-	sort.Strings(mhosts)
-	dst = binary.AppendUvarint(dst, uint64(len(mhosts)))
-	for _, h := range mhosts {
-		dst = appendString(dst, h)
+	hosts = sortedKeys(ws.perHost)
+	n = len(hosts)
+	c.Count(&n, "implausible moment host count")
+	for i := 0; i < n && c.Err == nil; i++ {
+		var h string
+		if !decoding {
+			h = hosts[i]
+		}
+		c.Str(&h)
 		moments := ws.perHost[h]
-		dst = binary.AppendUvarint(dst, uint64(len(moments)))
-		for i := range moments {
-			dst = moments[i].AppendBinary(dst)
+		m := len(moments)
+		c.Int(&m)
+		if decoding && c.Err == nil {
+			if m != len(p.Aggs) {
+				c.Failf("%d moments for %d aggregates", m, len(p.Aggs))
+				return
+			}
+			moments = make([]stats.Running, m)
+			ws.perHost[h] = moments
+		}
+		for j := range moments {
+			moments[j].Code(c)
 		}
 	}
-	return dst
+}
+
+// codeRun codes a packed run of w values (packed.go) after its width,
+// which decoding holds to w. Decoding points *run at the run where it lies
+// in the input, once its values are known to decode.
+func codeRun(c *wire.Coder, run *[]byte, w int, what string) {
+	width, n := w, len(*run)
+	c.Int(&width)
+	if c.Mode == wire.Decoding && c.Err == nil {
+		if width != w {
+			c.Failf("%s of %d values for %d columns", what, width, w)
+			return
+		}
+		var err error
+		if n, err = packedLen(c.Rest(), w); err != nil {
+			c.Failf("%s value: %v", what, err)
+			return
+		}
+	}
+	c.Raw(run, n)
+}
+
+// sortedKeys lists a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // DecodePartial parses a partial serialized by a shard's CollectDriven /
 // DrainDriven under the same plan. The bytes come off the wire: anything
 // malformed is an error, never a panic.
-func (qr *QueryRuntime) DecodePartial(b []byte) (_ *PartialWindow, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("central: decode partial: %w", err)
-		}
-	}()
-	p := &qr.plan
-	ws := newWinState(p, 0)
-	var run []byte // a group's run, built before the window keeps it
-	tuples, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, fmt.Errorf("bad tuple count")
+func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
+	ws := newWinState(&qr.plan, 0)
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	codePartial(&c, &qr.plan, ws)
+	if c.Err == nil && c.Pos != len(b) {
+		c.Failf("%d trailing bytes", len(b)-c.Pos)
 	}
-	ws.tuples = tuples
-
-	hostCnt, sz := binary.Uvarint(b[n:])
-	if sz <= 0 || hostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("bad host count")
-	}
-	n += sz
-	for i := uint64(0); i < hostCnt; i++ {
-		s, used, err := decodeString(b[n:])
-		if err != nil {
-			return nil, fmt.Errorf("host: %w", err)
-		}
-		ws.hosts[s] = struct{}{}
-		n += used
-	}
-
-	groupCnt, sz := binary.Uvarint(b[n:])
-	if sz <= 0 || groupCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("bad group count")
-	}
-	n += sz
-	if groupCnt > 0 {
-		ws.groups.Grow(int(groupCnt)) // once, not by doubling up to it
-	}
-	for i := uint64(0); i < groupCnt; i++ {
-		kvCnt, sz := binary.Uvarint(b[n:])
-		if sz <= 0 || kvCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("bad key count")
-		}
-		n += sz
-		if kvCnt != uint64(len(p.GroupBy)) {
-			return nil, fmt.Errorf("%d key values for %d group-by columns", kvCnt, len(p.GroupBy))
-		}
-		// The group's stored key is the encoding of its key values —
-		// these very bytes, once they are known to decode.
-		used, err := packedLen(b[n:], len(p.GroupBy))
-		if err != nil {
-			return nil, fmt.Errorf("key value: %w", err)
-		}
-		run = append(appendHeader(run[:0], groupHdr), b[n:n+used]...)
-		n += used
-		g, used, err := ws.aggStates(p).Decode(b[n:])
-		if err != nil {
-			return nil, err
-		}
-		n += used
-		hash := hashKey(run[groupHdr:])
-		if _, dup := ws.findGroup(hash, run[groupHdr:]); dup {
-			return nil, fmt.Errorf("duplicate group key")
-		}
-		if !ws.addGroup(hash, run, g) {
-			return nil, fmt.Errorf("group state too large")
-		}
-	}
-
-	rowCnt, sz := binary.Uvarint(b[n:])
-	if sz <= 0 || rowCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("bad row count")
-	}
-	n += sz
-	for i := uint64(0); i < rowCnt; i++ {
-		valCnt, sz := binary.Uvarint(b[n:])
-		if sz <= 0 || valCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("bad row width")
-		}
-		n += sz
-		if valCnt != uint64(len(p.Select)) {
-			return nil, fmt.Errorf("row of %d values for %d select columns", valCnt, len(p.Select))
-		}
-		// A row is kept as it arrived, once it is known to decode.
-		used, err := packedLen(b[n:], len(p.Select))
-		if err != nil {
-			return nil, fmt.Errorf("row value: %w", err)
-		}
-		if _, ok := ws.raw.Append(b[n : n+used]); !ok {
-			return nil, fmt.Errorf("row state too large")
-		}
-		n += used
-		ws.rawN++
-	}
-
-	mhostCnt, sz := binary.Uvarint(b[n:])
-	if sz <= 0 || mhostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("bad moment host count")
-	}
-	n += sz
-	for i := uint64(0); i < mhostCnt; i++ {
-		host, used, err := decodeString(b[n:])
-		if err != nil {
-			return nil, fmt.Errorf("moment host: %w", err)
-		}
-		n += used
-		mCnt, sz := binary.Uvarint(b[n:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("bad moment count")
-		}
-		n += sz
-		if mCnt != uint64(len(p.Aggs)) {
-			return nil, fmt.Errorf("%d moments for %d aggregates", mCnt, len(p.Aggs))
-		}
-		moments := make([]stats.Running, mCnt)
-		for j := range moments {
-			r, used, err := stats.DecodeRunning(b[n:])
-			if err != nil {
-				return nil, fmt.Errorf("moment: %w", err)
-			}
-			moments[j] = r
-			n += used
-		}
-		ws.perHost[host] = moments
-	}
-	if n != len(b) {
-		return nil, fmt.Errorf("%d trailing bytes", len(b)-n)
+	if c.Err != nil {
+		return nil, fmt.Errorf("central: decode partial: %w", c.Err)
 	}
 	return &PartialWindow{ws: ws}, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func decodeString(b []byte) (string, int, error) {
-	ln, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return "", 0, fmt.Errorf("bad string length")
-	}
-	if uint64(len(b)-sz) < ln {
-		return "", 0, fmt.Errorf("short string")
-	}
-	return string(b[sz : sz+int(ln)]), sz + int(ln), nil
 }

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/transport"
+	"scrub/internal/wire"
 )
 
 // TestPartialCodecMatchesShardedEngine drives identical batches through a
@@ -163,5 +165,41 @@ func TestPartialCodecMatchesShardedEngine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// reencode is a decoded window's partial, encoded again.
+func reencode(p *Plan, ws *winState) []byte {
+	var c wire.Coder
+	codePartial(&c, p, ws)
+	return c.Buf
+}
+
+// TestDecodePartialRejectsOverflowingCount: a moment's observation count
+// that does not fit an int is malformed. Taken as it came, 2^63 reads as
+// N() = −1, and merged into a host's moments it silently erases an
+// observation from Eq. 1's bound.
+func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
+	qr, err := CompileQuery(buildPlan(t, `select count(*), sum(bid_price) from bid sample events 50%`, 1, 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moment := func(b []byte, n uint64) []byte {
+		b = binary.AppendUvarint(b, n)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2)) // mean
+		return binary.LittleEndian.AppendUint64(b, 0)                // m2
+	}
+	partial := func(n uint64) []byte {
+		b := []byte{1, 1, 2, 'h', '0'} // one tuple, from h0
+		b = append(b, 0, 0)            // no groups, no raw rows
+		b = append(b, 1, 2, 'h', '0')  // h0's moments:
+		b = append(b, 2)               // one per aggregate
+		return moment(moment(b, n), 1)
+	}
+	if _, err := qr.DecodePartial(partial(1)); err != nil {
+		t.Fatalf("a well-formed partial: %v", err)
+	}
+	if _, err := qr.DecodePartial(partial(1 << 63)); err == nil {
+		t.Fatal("a moment count of 2^63 decoded")
 	}
 }

@@ -194,15 +194,6 @@ func (p *Plan) HasAgg() bool { return len(p.Aggs) > 0 }
 // ungrouped aggregate forms one global group).
 func (p *Plan) Grouped() bool { return len(p.GroupBy) > 0 }
 
-// ColumnLabels returns the result column headers.
-func (p *Plan) ColumnLabels() []string {
-	out := make([]string, len(p.Select))
-	for i, s := range p.Select {
-		out[i] = s.Label
-	}
-	return out
-}
-
 // scaleFactor is the Horvitz-Thompson factor applied to scalable
 // aggregates: (N/n) for host sampling times (1/q) for event sampling.
 func (p *Plan) scaleFactor() float64 {

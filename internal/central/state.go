@@ -232,7 +232,7 @@ func (ws *winState) openGroup(p *Plan, hash uint64, run []byte) (uint32, bool) {
 	return g, ok && ws.addGroup(hash, run, g)
 }
 
-// groupRun is one group's run as render, encodePartial and merge read it,
+// groupRun is one group's run as render, codePartial and merge read it,
 // in place.
 type groupRun []byte
 

@@ -1,18 +1,16 @@
 package expr
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"scrub/internal/agg"
-	"scrub/internal/event"
+	"scrub/internal/wire"
 )
 
-// Binary codec for expression trees. Query objects carry compiled-down
+// Binary form of expression trees. Query objects carry compiled-down
 // plans from the query server to host agents and ScrubCentral; the
-// predicate and projection expressions inside them are serialized with
-// this codec rather than re-parsed from text, so the server's validated
-// plan is exactly what executes.
+// predicate and projection expressions inside them are serialized in this
+// form rather than re-parsed from text, so the server's validated plan is
+// exactly what executes. The form is described once, by codeNode.
 
 const (
 	tagLit uint8 = iota + 1
@@ -25,195 +23,112 @@ const (
 
 const maxNodeDepth = 200
 
-// AppendNode appends the binary encoding of an expression tree. Call nodes
-// are rejected — plans never contain unresolved calls.
+// AppendNode appends the binary form of an expression tree: CodeNode in
+// encoding mode, and the key ProgramBuilder and Canon intern a tree by.
+// Call nodes are rejected — plans never contain unresolved calls.
 //
 //scrub:allowalloc(control-plane predicate serialization; never on the per-tuple path)
 func AppendNode(dst []byte, n Node) ([]byte, error) {
-	switch t := n.(type) {
-	case Lit:
-		dst = append(dst, tagLit)
-		return event.AppendValue(dst, t.Val), nil
-	case FieldRef:
-		dst = append(dst, tagFieldRef)
-		dst = appendString(dst, t.Type)
-		return appendString(dst, t.Name), nil
-	case Unary:
-		dst = append(dst, tagUnary, byte(t.Op))
-		return AppendNode(dst, t.X)
-	case Binary:
-		dst = append(dst, tagBinary, byte(t.Op))
-		var err error
-		dst, err = AppendNode(dst, t.L)
-		if err != nil {
-			return nil, err
-		}
-		return AppendNode(dst, t.R)
-	case In:
-		dst = append(dst, tagIn)
-		if t.Negate {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		var err error
-		dst, err = AppendNode(dst, t.X)
-		if err != nil {
-			return nil, err
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(t.List)))
-		for _, e := range t.List {
-			dst, err = AppendNode(dst, e)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
-	case AggRef:
-		dst = append(dst, tagAggRef)
-		dst = binary.AppendUvarint(dst, uint64(t.Index))
-		dst = append(dst, byte(t.Spec.Kind))
-		dst = binary.AppendUvarint(dst, uint64(t.Spec.K))
-		dst = append(dst, t.Spec.Prec)
-		if t.Arg == nil {
-			return append(dst, 0), nil
-		}
-		dst = append(dst, 1)
-		return AppendNode(dst, t.Arg)
-	case nil:
-		return nil, fmt.Errorf("expr: encode: nil node")
-	default:
-		return nil, fmt.Errorf("expr: encode: unsupported node %T", n)
+	c := wire.Coder{Buf: dst}
+	CodeNode(&c, &n)
+	if c.Err != nil {
+		return nil, fmt.Errorf("expr: encode: %w", c.Err)
 	}
+	return c.Buf, nil
 }
 
-// DecodeNode decodes one expression tree, returning bytes consumed.
-func DecodeNode(b []byte) (Node, int, error) {
-	return decodeNode(b, 0)
-}
+// CodeNode codes one expression tree in c's mode. Decoding builds the
+// tree and refuses one nested deeper than maxNodeDepth.
+//
+//scrub:allowalloc(a tree is coded with a query's registration, never per tuple; decoding builds it node by node)
+func CodeNode(c *wire.Coder, n *Node) { codeNode(c, n, 0) }
 
-func decodeNode(b []byte, depth int) (Node, int, error) {
-	if depth > maxNodeDepth {
-		return nil, 0, fmt.Errorf("expr: decode: tree too deep")
+// codeNode is the tree's description: a tag byte, then the node's fields
+// and children in order. Encoding reads each field from the node *n holds;
+// decoding fills a zero node of the tag's type and stores it in *n.
+func codeNode(c *wire.Coder, n *Node, depth int) {
+	if c.Mode == wire.Decoding && depth > maxNodeDepth {
+		c.Fail("expression tree too deep")
+		return
 	}
-	if len(b) == 0 {
-		return nil, 0, fmt.Errorf("expr: decode: empty buffer")
+	tag := tagOf(*n)
+	c.U8(&tag)
+	if c.Err != nil {
+		return
 	}
-	switch b[0] {
+	switch tag {
 	case tagLit:
-		v, n, err := event.DecodeValue(b[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return Lit{Val: v}, 1 + n, nil
+		t, _ := (*n).(Lit)
+		c.Value(&t.Val)
+		set(c, n, t)
 	case tagFieldRef:
-		typ, n1, err := decodeString(b[1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		name, n2, err := decodeString(b[1+n1:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return FieldRef{Type: typ, Name: name}, 1 + n1 + n2, nil
+		t, _ := (*n).(FieldRef)
+		c.Str(&t.Type)
+		c.Str(&t.Name)
+		set(c, n, t)
 	case tagUnary:
-		if len(b) < 2 {
-			return nil, 0, fmt.Errorf("expr: decode: short unary")
-		}
-		x, n, err := decodeNode(b[2:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return Unary{Op: Op(b[1]), X: x}, 2 + n, nil
+		t, _ := (*n).(Unary)
+		c.U8((*uint8)(&t.Op))
+		codeNode(c, &t.X, depth+1)
+		set(c, n, t)
 	case tagBinary:
-		if len(b) < 2 {
-			return nil, 0, fmt.Errorf("expr: decode: short binary")
-		}
-		l, n1, err := decodeNode(b[2:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, n2, err := decodeNode(b[2+n1:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return Binary{Op: Op(b[1]), L: l, R: r}, 2 + n1 + n2, nil
+		t, _ := (*n).(Binary)
+		c.U8((*uint8)(&t.Op))
+		codeNode(c, &t.L, depth+1)
+		codeNode(c, &t.R, depth+1)
+		set(c, n, t)
 	case tagIn:
-		if len(b) < 2 {
-			return nil, 0, fmt.Errorf("expr: decode: short in")
+		t, _ := (*n).(In)
+		c.Bool(&t.Negate)
+		codeNode(c, &t.X, depth+1)
+		wire.Length(c, &t.List, wire.EmptyKept, "implausible in-list count")
+		for i := range t.List {
+			codeNode(c, &t.List[i], depth+1)
 		}
-		negate := b[1] == 1
-		off := 2
-		x, n, err := decodeNode(b[off:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		cnt, sz := binary.Uvarint(b[off:])
-		if sz <= 0 || cnt > uint64(len(b)) {
-			return nil, 0, fmt.Errorf("expr: decode: bad in-list count")
-		}
-		off += sz
-		list := make([]Node, 0, cnt)
-		for i := uint64(0); i < cnt; i++ {
-			e, n, err := decodeNode(b[off:], depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			list = append(list, e)
-			off += n
-		}
-		return In{X: x, List: list, Negate: negate}, off, nil
+		set(c, n, t)
 	case tagAggRef:
-		off := 1
-		idx, sz := binary.Uvarint(b[off:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("expr: decode: bad agg index")
-		}
-		off += sz
-		if len(b) < off+1 {
-			return nil, 0, fmt.Errorf("expr: decode: short agg kind")
-		}
-		kind := agg.Kind(b[off])
-		off++
-		k, sz := binary.Uvarint(b[off:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("expr: decode: bad agg k")
-		}
-		off += sz
-		if len(b) < off+2 {
-			return nil, 0, fmt.Errorf("expr: decode: short agg tail")
-		}
-		prec := b[off]
-		hasArg := b[off+1] == 1
-		off += 2
-		ref := AggRef{Index: int(idx), Spec: agg.Spec{Kind: kind, K: int(k), Prec: prec}}
+		t, _ := (*n).(AggRef)
+		c.Int(&t.Index)
+		c.U8((*uint8)(&t.Spec.Kind))
+		c.Int(&t.Spec.K)
+		c.U8(&t.Spec.Prec)
+		hasArg := t.Arg != nil
+		c.Bool(&hasArg)
 		if hasArg {
-			arg, n, err := decodeNode(b[off:], depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			ref.Arg = arg
-			off += n
+			codeNode(c, &t.Arg, depth+1)
 		}
-		return ref, off, nil
+		set(c, n, t)
 	default:
-		return nil, 0, fmt.Errorf("expr: decode: unknown tag %d", b[0])
+		if c.Mode == wire.Decoding {
+			c.Failf("unknown node tag %d", tag)
+		} else {
+			c.Failf("unsupported node %T", *n)
+		}
 	}
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+// tagOf is the tag a node encodes with; 0 for a node that has none.
+func tagOf(n Node) uint8 {
+	switch n.(type) {
+	case Lit:
+		return tagLit
+	case FieldRef:
+		return tagFieldRef
+	case Unary:
+		return tagUnary
+	case Binary:
+		return tagBinary
+	case In:
+		return tagIn
+	case AggRef:
+		return tagAggRef
+	}
+	return 0
 }
 
-func decodeString(b []byte) (string, int, error) {
-	ln, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return "", 0, fmt.Errorf("expr: decode: bad string length")
+// set stores a decoded node in *n; the other modes leave the tree as it is.
+func set[T Node](c *wire.Coder, n *Node, t T) {
+	if c.Mode == wire.Decoding {
+		*n = t
 	}
-	if uint64(len(b)-sz) < ln {
-		return "", 0, fmt.Errorf("expr: decode: short string")
-	}
-	return string(b[sz : sz+int(ln)]), sz + int(ln), nil
 }

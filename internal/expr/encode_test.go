@@ -6,7 +6,17 @@ import (
 
 	"scrub/internal/agg"
 	"scrub/internal/event"
+	"scrub/internal/wire"
 )
+
+// decodeTree decodes the tree at the head of b through CodeNode,
+// returning the bytes it took.
+func decodeTree(b []byte) (Node, int, error) {
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	var n Node
+	CodeNode(&c, &n)
+	return n, c.Pos, c.Err
+}
 
 func TestNodeEncodeRoundTrip(t *testing.T) {
 	nodes := []Node{
@@ -30,9 +40,9 @@ func TestNodeEncodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendNode(%s): %v", n, err)
 		}
-		got, used, err := DecodeNode(buf)
+		got, used, err := decodeTree(buf)
 		if err != nil {
-			t.Fatalf("DecodeNode(%s): %v", n, err)
+			t.Fatalf("decodeTree(%s): %v", n, err)
 		}
 		if used != len(buf) {
 			t.Errorf("%s: consumed %d of %d", n, used, len(buf))
@@ -61,12 +71,22 @@ func TestNodeDecodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(good); i++ {
-		if _, _, err := DecodeNode(good[:i]); err == nil {
+		if _, _, err := decodeTree(good[:i]); err == nil {
 			t.Errorf("truncated decode at %d should fail", i)
 		}
 	}
-	if _, _, err := DecodeNode([]byte{99}); err == nil {
+	if _, _, err := decodeTree([]byte{99}); err == nil {
 		t.Error("unknown tag should fail")
+	}
+	// An index or a top_k K that does not fit an int is malformed.
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01} // 2^63
+	for _, b := range [][]byte{
+		append(append([]byte{tagAggRef}, huge...), byte(agg.KindCountStar), 0, 0, 0),
+		append(append([]byte{tagAggRef, 0, byte(agg.KindTopK)}, huge...), 0, 0),
+	} {
+		if n, _, err := decodeTree(b); err == nil {
+			t.Errorf("%x decodes, as %#v", b, n)
+		}
 	}
 	// Depth bomb: deeply nested unary ops must be rejected, not overflow.
 	deep := make([]byte, 0, 3000)
@@ -75,7 +95,7 @@ func TestNodeDecodeErrors(t *testing.T) {
 	}
 	deep = append(deep, tagLit)
 	deep = event.AppendValue(deep, event.Bool(true))
-	if _, _, err := DecodeNode(deep); err == nil {
+	if _, _, err := decodeTree(deep); err == nil {
 		t.Error("over-deep tree should be rejected")
 	}
 }
@@ -89,7 +109,7 @@ func TestEncodedDecodedTreeStillCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeNode(buf)
+	got, _, err := decodeTree(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

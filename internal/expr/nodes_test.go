@@ -58,7 +58,7 @@ func TestNodesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendNode(%s): %v", s.name, err)
 		}
-		back, used, err := DecodeNode(enc)
+		back, used, err := decodeTree(enc)
 		if err != nil || used != len(enc) || !reflect.DeepEqual(back, s.n) {
 			t.Errorf("%s: decodes to %#v (%d of %d bytes, %v)", s.name, back, used, len(enc), err)
 		}

@@ -36,6 +36,15 @@ type PlannedItem struct {
 	Kind  event.Kind
 }
 
+// Labels returns the result column headers of a select list.
+func Labels(items []PlannedItem) []string {
+	out := make([]string, len(items))
+	for i, item := range items {
+		out[i] = item.Label
+	}
+	return out
+}
+
 // Plan is a validated query split per the paper's execution model: the
 // host side gets per-event-type selection predicates, projection column
 // lists and the event sampling rate; ScrubCentral gets the join, group-by,

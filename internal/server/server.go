@@ -186,7 +186,7 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 
 	info := QueryInfo{
 		ID:           qid,
-		Columns:      columnLabels(plan),
+		Columns:      ql.Labels(plan.Select),
 		Hosts:        chosen,
 		NumHosts:     len(hosts),
 		SampledHosts: len(chosen),
@@ -239,14 +239,6 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 	return info, nil
 }
 
-func columnLabels(p *ql.Plan) []string {
-	out := make([]string, len(p.Select))
-	for i, item := range p.Select {
-		out[i] = item.Label
-	}
-	return out
-}
-
 // Adopt registers a query that is already running in the engine — a
 // promoted coordinator resumed it from the dead leader's replicated
 // control-plane log — so span expiry, listing, cancellation and host
@@ -271,7 +263,7 @@ func (s *Server) Adopt(qid uint64, text string, start, end time.Time, shardEpoch
 	if err != nil {
 		return QueryInfo{}, err
 	}
-	info := QueryInfo{ID: qid, Columns: columnLabels(plan), Start: start, End: end}
+	info := QueryInfo{ID: qid, Columns: ql.Labels(plan.Select), Start: start, End: end}
 	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, shardEpoch: shardEpoch, adopted: true}
 	s.mu.Lock()
 	if _, dup := s.queries[qid]; dup {

@@ -5,7 +5,37 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"scrub/internal/wire"
 )
+
+// ssBytes and hllBytes encode a sketch through its description; ssFrom
+// and hllFrom decode one at the head of b, returning the bytes it took.
+func ssBytes(s *SpaceSaving) []byte {
+	var c wire.Coder
+	CodeSpaceSaving(&c, &s)
+	return c.Buf
+}
+
+func ssFrom(b []byte) (*SpaceSaving, int, error) {
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	var s *SpaceSaving
+	CodeSpaceSaving(&c, &s)
+	return s, c.Pos, c.Err
+}
+
+func hllBytes(h *HLL) []byte {
+	var c wire.Coder
+	CodeHLL(&c, &h)
+	return c.Buf
+}
+
+func hllFrom(b []byte) (*HLL, int, error) {
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	var h *HLL
+	CodeHLL(&c, &h)
+	return h, c.Pos, c.Err
+}
 
 // TestSpaceSavingCodecRoundTrip checks that a decoded summary reports the
 // exact entries of the original and keeps behaving identically under
@@ -19,8 +49,8 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 		for i := 0; i < adds; i++ {
 			s.add([]byte(fmt.Sprintf("item-%d", rng.Intn(80))), uint64(1+rng.Intn(5)))
 		}
-		enc := s.AppendBinary(nil)
-		d, n, err := DecodeSpaceSaving(enc)
+		enc := ssBytes(s)
+		d, n, err := ssFrom(enc)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -64,8 +94,8 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 
 func TestSpaceSavingCodecEmpty(t *testing.T) {
 	s := MustSpaceSaving(8)
-	enc := s.AppendBinary(nil)
-	d, n, err := DecodeSpaceSaving(enc)
+	enc := ssBytes(s)
+	d, n, err := ssFrom(enc)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
@@ -81,9 +111,9 @@ func TestSpaceSavingCodecEmpty(t *testing.T) {
 func TestSpaceSavingDecodeErrors(t *testing.T) {
 	s := MustSpaceSaving(4)
 	s.AddBytes([]byte("a"))
-	enc := s.AppendBinary(nil)
+	enc := ssBytes(s)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeSpaceSaving(enc[:cut]); err == nil {
+		if _, _, err := ssFrom(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
@@ -117,10 +147,10 @@ func TestCodecContinuationExact(t *testing.T) {
 			hllCut.AddHash(x)
 			if rng.Intn(40) == 0 {
 				var err error
-				if ssCut, _, err = DecodeSpaceSaving(ssCut.AppendBinary(nil)); err != nil {
+				if ssCut, _, err = ssFrom(ssBytes(ssCut)); err != nil {
 					t.Fatal(err)
 				}
-				if hllCut, _, err = DecodeHLL(hllCut.AppendBinary(nil)); err != nil {
+				if hllCut, _, err = hllFrom(hllBytes(hllCut)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -128,10 +158,10 @@ func TestCodecContinuationExact(t *testing.T) {
 		if evictions == 0 {
 			t.Fatalf("seed %d: the stream never evicted a counter", seed)
 		}
-		if got, want := ssCut.AppendBinary(nil), ss.AppendBinary(nil); !bytes.Equal(got, want) {
+		if got, want := ssBytes(ssCut), ssBytes(ss); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: SpaceSaving(%d) diverged after %d evictions:\n got %x\nwant %x", seed, capacity, evictions, got, want)
 		}
-		if got, want := hllCut.AppendBinary(nil), hll.AppendBinary(nil); !bytes.Equal(got, want) {
+		if got, want := hllBytes(hllCut), hllBytes(hll); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: HLL registers diverged", seed)
 		}
 	}

@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/bits"
 	"unsafe"
+
+	"scrub/internal/wire"
 )
 
 // HLL is a HyperLogLog cardinality estimator with 2^precision registers.
@@ -133,27 +135,22 @@ func (h *HLL) Reset() {
 	}
 }
 
-// AppendBinary serializes the sketch (precision byte + raw registers).
-func (h *HLL) AppendBinary(dst []byte) []byte {
-	dst = append(dst, h.precision)
-	return append(dst, h.registers...)
-}
-
-// DecodeHLL parses a sketch serialized by AppendBinary, returning bytes
-// consumed.
-func DecodeHLL(b []byte) (*HLL, int, error) {
-	if len(b) < 1 {
-		return nil, 0, fmt.Errorf("sketch: decode HLL: empty")
+// CodeHLL codes the estimator *hp points to in c's mode: its precision
+// byte, then its 2^precision registers as they are. Decoding makes the
+// estimator.
+func CodeHLL(c *wire.Coder, hp **HLL) {
+	h := *hp
+	if c.Mode == wire.Decoding {
+		h = new(HLL)
 	}
-	p := b[0]
-	if p < MinHLLPrecision || p > MaxHLLPrecision {
-		return nil, 0, fmt.Errorf("sketch: decode HLL: bad precision %d", p)
+	c.U8(&h.precision)
+	if c.Mode == wire.Decoding && c.Err == nil && (h.precision < MinHLLPrecision || h.precision > MaxHLLPrecision) {
+		c.Failf("bad HLL precision %d", h.precision)
 	}
-	m := 1 << p
-	if len(b) < 1+m {
-		return nil, 0, fmt.Errorf("sketch: decode HLL: short registers")
+	c.Raw(&h.registers, 1<<h.precision)
+	if c.Mode == wire.Decoding && c.Err == nil {
+		regs := make([]uint8, len(h.registers)) // copied out of the input
+		copy(regs, h.registers)
+		h.registers, *hp = regs, h
 	}
-	h := &HLL{precision: p, registers: make([]uint8, m)}
-	copy(h.registers, b[1:1+m])
-	return h, 1 + m, nil
 }

@@ -138,10 +138,10 @@ func TestHLLSerializeRoundTrip(t *testing.T) {
 	for i := 0; i < 12345; i++ {
 		h.AddHash(uint64(i))
 	}
-	buf := h.AppendBinary(nil)
-	got, n, err := DecodeHLL(buf)
+	buf := hllBytes(h)
+	got, n, err := hllFrom(buf)
 	if err != nil {
-		t.Fatalf("DecodeHLL: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if n != len(buf) {
 		t.Errorf("consumed %d of %d", n, len(buf))
@@ -152,13 +152,13 @@ func TestHLLSerializeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeHLLErrors(t *testing.T) {
-	if _, _, err := DecodeHLL(nil); err == nil {
+	if _, _, err := hllFrom(nil); err == nil {
 		t.Error("empty decode should fail")
 	}
-	if _, _, err := DecodeHLL([]byte{99}); err == nil {
+	if _, _, err := hllFrom([]byte{99}); err == nil {
 		t.Error("bad precision should fail")
 	}
-	if _, _, err := DecodeHLL([]byte{10, 1, 2}); err == nil {
+	if _, _, err := hllFrom([]byte{10, 1, 2}); err == nil {
 		t.Error("short registers should fail")
 	}
 }

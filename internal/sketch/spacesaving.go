@@ -8,6 +8,8 @@ import (
 	"hash/maphash"
 	"slices"
 	"unsafe"
+
+	"scrub/internal/wire"
 )
 
 // SpaceSaving is the stream-summary structure of Metwally, Agrawal and El
@@ -417,46 +419,45 @@ func (s *SpaceSaving) minInheritance() uint64 {
 	return s.bkt[s.minBkt].count
 }
 
-// AppendBinary serializes the summary: capacity, entry count, then every
-// tracked entry in descending-count order (ties by item). A SpaceSaving's
-// observable behavior — counts, eviction victims, merge inheritance — is
-// fully determined by its (item, count, err) multiset plus capacity, so
-// this encoding is lossless even though the bucket list is not written.
-func (s *SpaceSaving) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(s.capacity))
-	dst = binary.AppendUvarint(dst, uint64(len(s.ctr)))
-	s.EachTop(len(s.ctr), func(item []byte, count, errVal uint64) {
-		dst = binary.AppendUvarint(dst, uint64(len(item)))
-		dst = append(dst, item...)
-		dst = binary.AppendUvarint(dst, count)
-		dst = binary.AppendUvarint(dst, errVal)
-	})
-	return dst
-}
-
-// DecodeSpaceSaving parses a summary serialized by AppendBinary, returning
-// bytes consumed. The decoded summary behaves identically to the encoded
-// one: the entries determine the bucket list. An item listed twice is
-// refused.
-func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
-	capacity, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad capacity")
+// CodeSpaceSaving codes the summary *sp points to in c's mode: capacity,
+// entry count, then every tracked entry in descending-count order (ties by
+// item). A SpaceSaving's observable behavior — counts, eviction victims,
+// merge inheritance — is fully determined by its (item, count, err)
+// multiset plus capacity, so this form is lossless even though the bucket
+// list is not written. Decoding makes the summary: the entries determine
+// the bucket list, and an item listed twice is refused.
+func CodeSpaceSaving(c *wire.Coder, sp **SpaceSaving) {
+	s := *sp
+	var capacity, cnt uint64
+	if c.Mode != wire.Decoding {
+		capacity, cnt = uint64(s.capacity), uint64(len(s.ctr))
 	}
-	cnt, sz := binary.Uvarint(b[n:])
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad entry count")
+	c.Uvarint(&capacity)
+	c.Uvarint(&cnt)
+	if c.Mode != wire.Decoding {
+		s.EachTop(len(s.ctr), func(item []byte, count, errVal uint64) {
+			e := ssEntry{item, count, errVal}
+			e.code(c)
+		})
+		return
 	}
-	n += sz
-	if cnt > capacity || cnt > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: implausible entry count %d (capacity %d)", cnt, capacity)
+	if c.Err != nil {
+		return
+	}
+	// An entry takes at least three bytes: more entries than bytes left
+	// cannot be there.
+	if cnt > capacity || cnt > uint64(len(c.Rest())) {
+		c.Failf("implausible SpaceSaving entry count %d (capacity %d)", cnt, capacity)
+		return
 	}
 	if capacity >= uint64(none) {
-		return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: implausible capacity %d", capacity)
+		c.Failf("implausible SpaceSaving capacity %d", capacity)
+		return
 	}
 	s, err := NewSpaceSaving(int(capacity))
 	if err != nil {
-		return nil, 0, err
+		c.Err = err
+		return
 	}
 	if cnt > 0 {
 		s.grow(int(cnt))
@@ -464,31 +465,30 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 	// Entries come in descending count order, so each one's bucket is the
 	// list's first or goes in front of it.
 	for i := uint64(0); i < cnt; i++ {
-		ln, sz := binary.Uvarint(b[n:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad item length")
+		var e ssEntry
+		e.code(c)
+		if c.Err != nil {
+			return
 		}
-		n += sz
-		if uint64(len(b)-n) < ln {
-			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: short item")
+		h := maphash.Bytes(hashSeed, e.item)
+		if s.find(h, e.item) != none {
+			c.Failf("SpaceSaving item %q listed twice", e.item)
+			return
 		}
-		item := b[n : n+int(ln)]
-		n += int(ln)
-		count, sz := binary.Uvarint(b[n:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad count")
-		}
-		n += sz
-		errVal, sz := binary.Uvarint(b[n:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: bad err")
-		}
-		n += sz
-		h := maphash.Bytes(hashSeed, item)
-		if s.find(h, item) != none {
-			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: item %q listed twice", item)
-		}
-		s.track(h, item, count, errVal)
+		s.track(h, e.item, e.count, e.errVal)
 	}
-	return s, n, nil
+	*sp = s
+}
+
+// ssEntry is one tracked entry as it is coded. Decoding, item points into
+// the input; track copies it.
+type ssEntry struct {
+	item          []byte
+	count, errVal uint64
+}
+
+func (e *ssEntry) code(c *wire.Coder) {
+	c.BytesAlias(&e.item)
+	c.Uvarint(&e.count)
+	c.Uvarint(&e.errVal)
 }

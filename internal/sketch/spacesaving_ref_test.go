@@ -435,7 +435,7 @@ func (p *ssPair) check(ctx string) {
 	if got, want := p.got.Top(p.got.Len()), p.ref.Top(p.ref.Len()); !reflect.DeepEqual(got, want) {
 		p.t.Fatalf("%s: entries\n got %v\nwant %v", ctx, got, want)
 	}
-	if got, want := p.got.AppendBinary(nil), p.ref.AppendBinary(nil); !bytes.Equal(got, want) {
+	if got, want := ssBytes(p.got), p.ref.AppendBinary(nil); !bytes.Equal(got, want) {
 		p.t.Fatalf("%s: serialized\n got %x\nwant %x", ctx, got, want)
 	}
 	if got, want := p.got.minInheritance(), p.ref.minInheritance(); got != want {
@@ -446,8 +446,8 @@ func (p *ssPair) check(ctx string) {
 // recode replaces both summaries by decode(encode).
 func (p *ssPair) recode() {
 	p.t.Helper()
-	enc := p.got.AppendBinary(nil)
-	got, n, err := DecodeSpaceSaving(enc)
+	enc := ssBytes(p.got)
+	got, n, err := ssFrom(enc)
 	if err != nil || n != len(enc) {
 		p.t.Fatalf("decode: n=%d of %d, err=%v", n, len(enc), err)
 	}

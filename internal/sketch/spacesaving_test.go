@@ -328,7 +328,7 @@ func TestSpaceSavingAddBytesMatchesAdd(t *testing.T) {
 	if got, want := fmt.Sprint(b.Top(8)), fmt.Sprint(a.Top(8)); got != want {
 		t.Fatalf("AddBytes summary %v, Add summary %v", got, want)
 	}
-	if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+	if !bytes.Equal(ssBytes(a), ssBytes(b)) {
 		t.Fatal("serialized summaries differ")
 	}
 }

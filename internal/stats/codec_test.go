@@ -4,7 +4,24 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"scrub/internal/wire"
 )
+
+// runningBytes encodes an accumulator through its description;
+// runningFrom decodes one at the head of b, returning the bytes it took.
+func runningBytes(r Running) []byte {
+	var c wire.Coder
+	r.Code(&c)
+	return c.Buf
+}
+
+func runningFrom(b []byte) (Running, int, error) {
+	c := wire.Coder{Mode: wire.Decoding, Buf: b}
+	var r Running
+	r.Code(&c)
+	return r, c.Pos, c.Err
+}
 
 // TestRunningCodecRoundTrip checks bit-exact round-trips: a decoded
 // accumulator must report and merge identically to the original.
@@ -15,8 +32,8 @@ func TestRunningCodecRoundTrip(t *testing.T) {
 		for i := rng.Intn(100); i > 0; i-- {
 			r.Add(rng.NormFloat64() * 1e3)
 		}
-		enc := r.AppendBinary(nil)
-		d, n, err := DecodeRunning(enc)
+		enc := runningBytes(r)
+		d, n, err := runningFrom(enc)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -43,10 +60,14 @@ func TestRunningCodecRoundTrip(t *testing.T) {
 func TestRunningDecodeErrors(t *testing.T) {
 	var r Running
 	r.Add(1.5)
-	enc := r.AppendBinary(nil)
+	enc := runningBytes(r)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeRunning(enc[:cut]); err == nil {
+		if _, _, err := runningFrom(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
+	}
+	// A count that does not fit an int would read as a negative N.
+	if _, _, err := runningFrom(append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, enc[1:]...)); err == nil {
+		t.Fatal("a count of 2^63 decoded")
 	}
 }

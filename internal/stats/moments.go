@@ -1,10 +1,10 @@
 package stats
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
+
+	"scrub/internal/wire"
 )
 
 // Running accumulates streaming mean and variance via Welford's algorithm.
@@ -54,34 +54,13 @@ func (r *Running) Merge(o Running) {
 	r.n += o.n
 }
 
-// AppendBinary serializes the accumulator exactly: the observation count
+// Code codes the accumulator exactly in c's mode: the observation count
 // plus the raw IEEE-754 bits of mean and m2, so a decoded copy merges and
 // reports bit-identically to the original.
-func (r Running) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.n))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r.mean))
-	dst = append(dst, buf[:]...)
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r.m2))
-	return append(dst, buf[:]...)
-}
-
-// DecodeRunning parses an accumulator serialized by AppendBinary,
-// returning bytes consumed.
-func DecodeRunning(b []byte) (Running, int, error) {
-	n64, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return Running{}, 0, fmt.Errorf("stats: decode Running: bad count")
-	}
-	if len(b) < sz+16 {
-		return Running{}, 0, fmt.Errorf("stats: decode Running: short moments")
-	}
-	r := Running{
-		n:    int(n64),
-		mean: math.Float64frombits(binary.LittleEndian.Uint64(b[sz : sz+8])),
-		m2:   math.Float64frombits(binary.LittleEndian.Uint64(b[sz+8 : sz+16])),
-	}
-	return r, sz + 16, nil
+func (r *Running) Code(c *wire.Coder) {
+	c.Int(&r.n)
+	c.F64(&r.mean)
+	c.F64(&r.m2)
 }
 
 // Percentile returns the p'th percentile (0..100) of xs using linear

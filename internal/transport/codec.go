@@ -3,24 +3,20 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"scrub/internal/event"
-	"scrub/internal/expr"
+	"scrub/internal/wire"
 )
 
 // A message is described once, by its code method: its fields in wire
-// order, each handed by pointer to a coder primitive. The coder walks that
-// one description in one of three modes — encoding appends each field to
-// buf, decoding reads each from buf into the field, sizing adds up the
-// bytes each would take — so the encoder, the decoder and
-// TupleBatchWireSize cannot disagree about a message's layout.
+// order, each handed by pointer to a coder primitive (internal/wire). The
+// coder walks that one description to encode, to decode and to size
+// (TupleBatchWireSize), so the three cannot disagree about a message's
+// layout. On top of wire.Coder it keeps what a receive loop lends the
+// decoder: Str interns strings in a scratch, and a tuple list's cells are
+// cut from the scratch's arrays, their strings interned too.
 type coder struct {
-	mode mode
-	buf  []byte // encoding: the payload so far; decoding: the payload
-	pos  int    // decoding: the next unread byte of buf
-	n    int    // sizing: the bytes counted
-	err  error
+	wire.Coder
 	// sc, when decoding, lends the memory tuple-carrying messages are
 	// decoded into (RecvScratch); nil allocates.
 	sc *RecvScratch
@@ -29,14 +25,6 @@ type coder struct {
 	vals []event.Value
 	left uint64
 }
-
-type mode uint8
-
-const (
-	encoding mode = iota
-	decoding
-	sizing
-)
 
 // Message type names, by tag. A tag without a name is reserved: no
 // message carries it.
@@ -93,7 +81,7 @@ func Name(m Message) string {
 //scrub:hotpath
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	dst = append(dst, m.msgTag())
-	c := coder{buf: dst}
+	c := coder{Coder: wire.Coder{Buf: dst}}
 	switch t := m.(type) {
 	case SubmitQuery:
 		t.code(&c)
@@ -163,10 +151,10 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 		//scrub:allowalloc(cold error path for unknown message types)
 		return nil, fmt.Errorf("transport: encode: unknown message %T", m)
 	}
-	if c.err != nil {
-		return nil, c.err
+	if c.Err != nil {
+		return nil, c.Err
 	}
-	return c.buf, nil
+	return c.Buf, nil
 }
 
 // TupleBatchWireSize returns len(AppendEncode(nil, *b)) without writing a
@@ -175,9 +163,9 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 // pass over the tuples and a buffer the size of a batch. It walks the
 // batch's description in sizing mode.
 func TupleBatchWireSize(b *TupleBatch) int {
-	c := coder{mode: sizing, n: 1} // the tag
+	c := coder{Coder: wire.Coder{Mode: wire.Sizing, N: 1}} // the tag
 	b.code(&c)
-	return c.n
+	return c.N
 }
 
 // Decode parses a tagged payload produced by AppendEncode. The message
@@ -192,7 +180,7 @@ func decode(b []byte, sc *RecvScratch) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("transport: decode: empty payload")
 	}
-	c := coder{mode: decoding, buf: b, pos: 1, sc: sc}
+	c := coder{Coder: wire.Coder{Mode: wire.Decoding, Buf: b, Pos: 1}, sc: sc}
 	var m Message
 	switch b[0] {
 	case tagSubmitQuery:
@@ -330,297 +318,39 @@ func decode(b []byte, sc *RecvScratch) (Message, error) {
 	default:
 		return nil, fmt.Errorf("transport: decode: unknown tag %d", b[0])
 	}
-	if c.err != nil {
-		return nil, c.err
+	if c.Err != nil {
+		return nil, fmt.Errorf("transport: decode: %w", c.Err)
 	}
-	if c.pos != len(b) {
-		return nil, fmt.Errorf("transport: decode: %d trailing bytes", len(b)-c.pos)
+	if c.Pos != len(b) {
+		return nil, fmt.Errorf("transport: decode: %d trailing bytes", len(b)-c.Pos)
 	}
 	return m, nil
 }
 
-//scrub:allowalloc(cold error path)
-func (c *coder) fail(msg string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("transport: decode: %s", msg)
-	}
-}
-
-// next consumes k bytes of the payload, or fails with short and returns
-// nil when fewer are left.
-func (c *coder) next(k int, short string) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if len(c.buf)-c.pos < k {
-		c.fail(short)
-		return nil
-	}
-	b := c.buf[c.pos : c.pos+k]
-	c.pos += k
-	return b
-}
-
-func (c *coder) u8(x *uint8) {
-	switch c.mode {
-	case encoding:
-		c.buf = append(c.buf, *x)
-	case sizing:
-		c.n++
-	default:
-		if b := c.next(1, "short u8"); b != nil {
-			*x = b[0]
-		}
-	}
-}
-
-func (c *coder) u32(x *uint32) {
-	switch c.mode {
-	case encoding:
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, *x)
-	case sizing:
-		c.n += 4
-	default:
-		if b := c.next(4, "short u32"); b != nil {
-			*x = binary.LittleEndian.Uint32(b)
-		}
-	}
-}
-
-// u64 and i64, a tuple's two words, inline into a description: sizing
-// is an addition, and writing or reading the word is one call.
-func (c *coder) u64(x *uint64) {
-	if c.mode == sizing {
-		c.n += 8
+// Str is wire.Coder's, but decoding with a scratch finds the string in
+// the scratch's intern table: a receive loop's frames keep repeating their
+// strings. Either way it never aliases the payload.
+func (c *coder) Str(s *string) {
+	if c.Mode != wire.Decoding || c.sc == nil {
+		c.Coder.Str(s)
 		return
 	}
-	word(c, x)
+	var b []byte
+	c.BytesAlias(&b)
+	*s = c.sc.intern(b)
 }
 
-func (c *coder) i64(x *int64) {
-	if c.mode == sizing {
-		c.n += 8
-		return
-	}
-	word(c, x)
-}
-
-// word writes or reads an 8-byte word.
-func word[T ~uint64 | ~int64](c *coder, x *T) {
-	if c.mode == encoding {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*x))
-	} else if b := c.next(8, "short u64"); b != nil {
-		*x = T(binary.LittleEndian.Uint64(b))
-	}
-}
-
-// f64 and bool ride on u64 and u8; only decoding writes the field.
-func (c *coder) f64(x *float64) {
-	u := math.Float64bits(*x)
-	c.u64(&u)
-	if c.mode == decoding {
-		*x = math.Float64frombits(u)
-	}
-}
-
-func (c *coder) bool(x *bool) {
-	var u uint8
-	if *x {
-		u = 1
-	}
-	c.u8(&u)
-	if c.mode == decoding {
-		*x = u == 1
-	}
-}
-
-// uvarint codes a length prefix.
-func (c *coder) uvarint(x *uint64) {
-	switch c.mode {
-	case encoding:
-		c.buf = binary.AppendUvarint(c.buf, *x)
-	case sizing:
-		c.n += event.UvarintLen(*x)
-	default:
-		if c.err != nil {
-			return
-		}
-		v, k := binary.Uvarint(c.buf[c.pos:])
-		if k <= 0 {
-			c.fail("bad uvarint")
-			return
-		}
-		c.pos += k
-		*x = v
-	}
-}
-
-func (c *coder) str(s *string) {
-	switch c.mode {
-	case encoding:
-		c.buf = binary.AppendUvarint(c.buf, uint64(len(*s)))
-		c.buf = append(c.buf, *s...)
-	case sizing:
-		c.n += event.UvarintLen(uint64(len(*s))) + len(*s)
-	default:
-		*s = c.readStr()
-	}
-}
-
-// readStr decodes a string. It never aliases the payload: a receive
-// loop's frames keep repeating their strings, so with a scratch it is
-// found in the intern table, and without one it is copied.
-//
-//scrub:allowalloc(a decoded string is copied out of the frame, once per distinct string with a scratch)
-func (c *coder) readStr() string {
-	b := c.blob("short string")
-	if c.sc != nil {
-		return c.sc.intern(b)
-	}
-	return string(b)
-}
-
-func (c *coder) bytes(b *[]byte) {
-	switch c.mode {
-	case encoding:
-		c.buf = binary.AppendUvarint(c.buf, uint64(len(*b)))
-		c.buf = append(c.buf, *b...)
-	case sizing:
-		c.n += event.UvarintLen(uint64(len(*b))) + len(*b)
-	default:
-		*b = c.readBytes()
-	}
-}
-
-// readBytes decodes a byte string into an array of its own.
-//
-//scrub:allowalloc(a decoded byte string is copied out of the frame)
-func (c *coder) readBytes() []byte {
-	b := c.blob("short bytes")
-	if c.err != nil {
-		return nil
-	}
-	return append([]byte{}, b...)
-}
-
-// blob reads a length-prefixed run of bytes where it lies in the payload.
-func (c *coder) blob(short string) []byte {
-	var ln uint64
-	c.uvarint(&ln)
-	if c.err == nil && uint64(len(c.buf)-c.pos) < ln {
-		c.fail(short)
-	}
-	if c.err != nil {
-		return nil
-	}
-	b := c.buf[c.pos : c.pos+int(ln)]
-	c.pos += int(ln)
-	return b
-}
-
-func (c *coder) value(v *event.Value) {
-	switch c.mode {
-	case encoding:
-		c.buf = event.AppendValue(c.buf, *v)
-	case sizing:
-		c.n += event.EncodedSize(v)
-	default:
-		if c.err != nil {
-			return
-		}
-		var str func([]byte) string // nil copies
-		if c.sc != nil {
-			str = c.sc.intern
-		}
-		x, k, err := event.DecodeValueAlias(c.buf[c.pos:], str)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.pos += k
-		*v = x
-	}
-}
-
-// node codes an optional expression tree: a presence byte (any nonzero
-// byte decodes as present), then the tree.
-func (c *coder) node(n *expr.Node) {
-	var present uint8
-	if *n != nil {
-		present = 1
-	}
-	c.u8(&present)
-	if c.err != nil || present == 0 {
-		return
-	}
-	switch c.mode {
-	case encoding:
-		b, err := expr.AppendNode(c.buf, *n)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.buf = b
-	case sizing: // no hot path sizes a predicate
-		b, err := expr.AppendNode(nil, *n)
-		c.n += len(b)
-		c.err = err
-	default:
-		*n = c.readNode()
-	}
-}
-
-//scrub:allowalloc(a decoded expression tree is built node by node)
-func (c *coder) readNode() expr.Node {
-	n, used, err := expr.DecodeNode(c.buf[c.pos:])
-	if err != nil {
-		c.err = err
-		return nil
-	}
-	c.pos += used
-	return n
-}
-
-// Whether an empty list decodes as nil or as an empty, non-nil list.
-type empty bool
-
-const (
-	emptyNil  empty = false
-	emptyKept empty = true
-)
-
-// length codes a list's length prefix; decoding, it also makes the list,
-// whose elements the caller then codes one by one. A decoded count above
-// the payload's length is implausible — every element takes a byte — and
-// fails before anything is allocated for it.
-func length[T any](c *coder, s *[]T, e empty, implausible string) {
-	n := uint64(len(*s))
-	c.uvarint(&n)
-	if c.mode != decoding {
-		return
-	}
-	if c.err == nil && n > uint64(len(c.buf)) {
-		c.fail(implausible)
-	}
-	if c.err != nil || n == 0 && e == emptyNil {
-		*s = nil
-		return
-	}
-	//scrub:allowalloc(decoding makes the list it returns)
-	*s = make([]T, n)
-}
-
-func (c *coder) strs(s *[]string) {
-	length(c, s, emptyKept, "implausible string count")
+func (c *coder) Strs(s *[]string) {
+	wire.Length(&c.Coder, s, wire.EmptyKept, "implausible string count")
 	for i := range *s {
-		c.str(&(*s)[i])
+		c.Str(&(*s)[i])
 	}
 }
 
-func (c *coder) u64s(s *[]uint64) {
-	length(c, s, emptyNil, "implausible u64 count")
+func (c *coder) U64s(s *[]uint64) {
+	wire.Length(&c.Coder, s, wire.EmptyNil, "implausible u64 count")
 	for i := range *s {
-		c.u64(&(*s)[i])
+		c.U64(&(*s)[i])
 	}
 }
 
@@ -640,18 +370,18 @@ const minTupleBytes = 17
 //scrub:hotpath
 func (c *coder) tuples(s *[]Tuple) {
 	n := uint64(len(*s))
-	c.uvarint(&n)
-	if c.mode != decoding {
+	c.Uvarint(&n)
+	if c.Mode != wire.Decoding {
 		for i := range *s {
 			(*s)[i].code(c)
 		}
 		return
 	}
-	if c.err == nil && n > uint64(len(c.buf)-c.pos)/minTupleBytes {
-		c.fail("implausible tuple count")
+	if c.Err == nil && n > uint64(len(c.Buf)-c.Pos)/minTupleBytes {
+		c.Fail("implausible tuple count")
 	}
 	*s = nil
-	if c.err != nil || n == 0 {
+	if c.Err != nil || n == 0 {
 		return
 	}
 	var ts []Tuple
@@ -678,43 +408,47 @@ func (c *coder) tuples(s *[]Tuple) {
 // flat array the tuple list's values share.
 func (c *coder) cells(vs *[]event.Value) {
 	n := uint64(len(*vs))
-	switch c.mode { // as uvarint and value do, without a call per cell
-	case encoding:
-		buf := binary.AppendUvarint(c.buf, n)
+	switch c.Mode { // as Uvarint and Value do, without a call per cell
+	case wire.Encoding:
+		buf := binary.AppendUvarint(c.Buf, n)
 		for _, v := range *vs {
 			buf = event.AppendValue(buf, v)
 		}
-		c.buf = buf
+		c.Buf = buf
 		return
-	case sizing:
-		size, vals := c.n+event.UvarintLen(n), *vs
+	case wire.Sizing:
+		size, vals := c.N+event.UvarintLen(n), *vs
 		for i := range vals {
 			size += event.EncodedSize(&vals[i])
 		}
-		c.n = size
+		c.N = size
 		return
 	}
-	c.uvarint(&n)
+	c.Uvarint(&n)
 	// Every value takes at least its tag byte.
-	if c.err == nil && n > uint64(len(c.buf)-c.pos) {
-		c.fail("implausible value count")
+	if c.Err == nil && n > uint64(len(c.Buf)-c.Pos) {
+		c.Fail("implausible value count")
 	}
 	*vs = nil
-	if c.err != nil || n == 0 {
+	if c.Err != nil || n == 0 {
 		return
 	}
 	if uint64(cap(c.vals)-len(c.vals)) < n {
 		// Sized for the rest of the list at this tuple's width, which the
 		// bytes left bound too. Tuples already decoded keep the array they
 		// were cut from.
-		need := min(c.left*n, uint64(len(c.buf)-c.pos))
+		need := min(c.left*n, uint64(len(c.Buf)-c.Pos))
 		//scrub:allowalloc(one array per message without a scratch; growth only with one)
 		c.vals = make([]event.Value, 0, max(need, 2*uint64(cap(c.vals))))
 	}
 	start := len(c.vals)
 	c.vals = c.vals[:start+int(n)]
 	*vs = c.vals[start:len(c.vals):len(c.vals)]
+	var str func([]byte) string // nil copies
+	if c.sc != nil {
+		str = c.sc.intern // a string payload is interned as Str's are
+	}
 	for i := range *vs {
-		c.value(&(*vs)[i])
+		c.ValueWith(&(*vs)[i], str)
 	}
 }

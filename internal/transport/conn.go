@@ -158,6 +158,8 @@ const internSlots = 64
 // the slot b hashes to holds these bytes, else a fresh one that takes the
 // slot. Two strings sharing a slot evict each other and cost what they
 // did without the table, an allocation each.
+//
+//scrub:allowalloc(a string the table does not hold is copied, once per distinct string of a loop's frames)
 func (sc *RecvScratch) intern(b []byte) string {
 	h := uint32(2166136261) // FNV-1a
 	for _, c := range b {

@@ -18,6 +18,7 @@ package transport
 import (
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/wire"
 )
 
 // Message type tags.
@@ -266,138 +267,142 @@ func (QueryList) msgTag() byte     { return tagQueryList }
 // Each message's description: its fields in wire order (see coder). Structs
 // nested in a message are described the same way.
 
-func (t *SubmitQuery) code(c *coder) { c.str(&t.Text) }
+func (t *SubmitQuery) code(c *coder) { c.Str(&t.Text) }
 
 func (t *QueryAccepted) code(c *coder) {
-	c.u64(&t.QueryID)
-	c.strs(&t.Columns)
-	c.u32(&t.NumHosts)
-	c.u32(&t.SampledHosts)
-	c.i64(&t.EndNanos)
+	c.U64(&t.QueryID)
+	c.Strs(&t.Columns)
+	c.U32(&t.NumHosts)
+	c.U32(&t.SampledHosts)
+	c.I64(&t.EndNanos)
 }
 
 func (t *QueryError) code(c *coder) {
-	c.u64(&t.QueryID)
-	c.str(&t.Msg)
+	c.U64(&t.QueryID)
+	c.Str(&t.Msg)
 }
 
 func (t *ResultWindow) code(c *coder) {
-	c.u64(&t.QueryID)
-	c.i64(&t.WindowStart)
-	c.i64(&t.WindowEnd)
-	c.strs(&t.Columns)
-	length(c, &t.Rows, emptyKept, "implausible row count")
+	c.U64(&t.QueryID)
+	c.I64(&t.WindowStart)
+	c.I64(&t.WindowEnd)
+	c.Strs(&t.Columns)
+	wire.Length(&c.Coder, &t.Rows, wire.EmptyKept, "implausible row count")
 	for i := range t.Rows {
 		row := &t.Rows[i]
-		length(c, row, emptyKept, "implausible value count")
+		wire.Length(&c.Coder, row, wire.EmptyKept, "implausible value count")
 		for j := range *row {
-			c.value(&(*row)[j])
+			c.Value(&(*row)[j])
 		}
 	}
-	c.bool(&t.Approx)
-	length(c, &t.ErrBounds, emptyKept, "implausible bound count")
+	c.Bool(&t.Approx)
+	wire.Length(&c.Coder, &t.ErrBounds, wire.EmptyKept, "implausible bound count")
 	for i := range t.ErrBounds {
-		c.f64(&t.ErrBounds[i])
+		c.F64(&t.ErrBounds[i])
 	}
-	c.u64(&t.Stats.TuplesIn)
-	c.u64(&t.Stats.HostDrops)
-	c.u64(&t.Stats.LateDrops)
-	c.u32(&t.Stats.HostsReporting)
-	c.bool(&t.Degraded)
-	c.bool(&t.BudgetShed)
-	length(c, &t.Streams, emptyNil, "implausible stream count")
+	c.U64(&t.Stats.TuplesIn)
+	c.U64(&t.Stats.HostDrops)
+	c.U64(&t.Stats.LateDrops)
+	c.U32(&t.Stats.HostsReporting)
+	c.Bool(&t.Degraded)
+	c.Bool(&t.BudgetShed)
+	wire.Length(&c.Coder, &t.Streams, wire.EmptyNil, "implausible stream count")
 	for i := range t.Streams {
 		t.Streams[i].code(c)
 	}
 }
 
 func (s *StreamStat) code(c *coder) {
-	c.str(&s.HostID)
-	c.u8(&s.TypeIdx)
-	c.u64(&s.Matched)
-	c.u64(&s.Sampled)
-	c.u64(&s.Drops)
-	c.u64(&s.LateDrops)
-	c.bool(&s.Evicted)
-	c.f64(&s.EffRate)
-	c.bool(&s.BudgetShed)
-	c.u64(&s.CPUNs)
-	c.u64(&s.Bytes)
+	c.Str(&s.HostID)
+	c.U8(&s.TypeIdx)
+	c.U64(&s.Matched)
+	c.U64(&s.Sampled)
+	c.U64(&s.Drops)
+	c.U64(&s.LateDrops)
+	c.Bool(&s.Evicted)
+	c.F64(&s.EffRate)
+	c.Bool(&s.BudgetShed)
+	c.U64(&s.CPUNs)
+	c.U64(&s.Bytes)
 }
 
 func (s *QueryStats) code(c *coder) {
-	c.u64(&s.Windows)
-	c.u64(&s.Rows)
-	c.u64(&s.TuplesIn)
-	c.u64(&s.HostDrops)
-	c.u64(&s.LateDrops)
-	c.u64(&s.DegradedWindows)
-	c.u64(&s.ShedWindows)
+	c.U64(&s.Windows)
+	c.U64(&s.Rows)
+	c.U64(&s.TuplesIn)
+	c.U64(&s.HostDrops)
+	c.U64(&s.LateDrops)
+	c.U64(&s.DegradedWindows)
+	c.U64(&s.ShedWindows)
 }
 
 func (t *QueryDone) code(c *coder) {
-	c.u64(&t.QueryID)
+	c.U64(&t.QueryID)
 	t.Stats.code(c)
 }
 
-func (t *CancelQuery) code(c *coder) { c.u64(&t.QueryID) }
+func (t *CancelQuery) code(c *coder) { c.U64(&t.QueryID) }
 
 func (t *RegisterHost) code(c *coder) {
-	c.str(&t.HostID)
-	c.str(&t.Service)
-	c.str(&t.DC)
+	c.Str(&t.HostID)
+	c.Str(&t.Service)
+	c.Str(&t.DC)
 }
 
 func (t *HostQuery) code(c *coder) {
-	c.u64(&t.QueryID)
-	c.str(&t.EventType)
-	c.u8(&t.TypeIdx)
-	c.node(&t.Pred)
-	c.strs(&t.Columns)
-	c.f64(&t.SampleEvents)
-	c.i64(&t.StartNanos)
-	c.i64(&t.EndNanos)
-	c.f64(&t.BudgetCPUPct)
-	c.f64(&t.BudgetBytesPerSec)
-	c.i64(&t.ReplayNanos)
-	c.u32(&t.ShardEpoch)
+	c.U64(&t.QueryID)
+	c.Str(&t.EventType)
+	c.U8(&t.TypeIdx)
+	present := t.Pred != nil // any nonzero byte decodes as present
+	c.NonZero(&present)
+	if present {
+		expr.CodeNode(&c.Coder, &t.Pred)
+	}
+	c.Strs(&t.Columns)
+	c.F64(&t.SampleEvents)
+	c.I64(&t.StartNanos)
+	c.I64(&t.EndNanos)
+	c.F64(&t.BudgetCPUPct)
+	c.F64(&t.BudgetBytesPerSec)
+	c.I64(&t.ReplayNanos)
+	c.U32(&t.ShardEpoch)
 }
 
-func (t *StopQuery) code(c *coder) { c.u64(&t.QueryID) }
+func (t *StopQuery) code(c *coder) { c.U64(&t.QueryID) }
 
-func (t *DataHello) code(c *coder) { c.str(&t.HostID) }
+func (t *DataHello) code(c *coder) { c.Str(&t.HostID) }
 
 func (tp *Tuple) code(c *coder) {
-	c.u64(&tp.RequestID)
-	c.i64(&tp.TsNanos)
+	c.U64(&tp.RequestID)
+	c.I64(&tp.TsNanos)
 	c.cells(&tp.Values)
 }
 
 func (t *TupleBatch) code(c *coder) {
-	c.u64(&t.QueryID)
-	c.str(&t.HostID)
-	c.u8(&t.TypeIdx)
+	c.U64(&t.QueryID)
+	c.Str(&t.HostID)
+	c.U8(&t.TypeIdx)
 	c.tuples(&t.Tuples)
-	c.u64(&t.MatchedTotal)
-	c.u64(&t.SampledTotal)
-	c.u64(&t.QueueDrops)
-	c.f64(&t.EffRate)
-	c.bool(&t.BudgetShed)
-	c.u64(&t.CPUNs)
-	c.u64(&t.ShipBytes)
-	c.u32(&t.ReplayEpoch)
-	c.bool(&t.ReplayDone)
+	c.U64(&t.MatchedTotal)
+	c.U64(&t.SampledTotal)
+	c.U64(&t.QueueDrops)
+	c.F64(&t.EffRate)
+	c.Bool(&t.BudgetShed)
+	c.U64(&t.CPUNs)
+	c.U64(&t.ShipBytes)
+	c.U32(&t.ReplayEpoch)
+	c.Bool(&t.ReplayDone)
 }
 
 func (t *QueryList) code(c *coder) {
-	length(c, &t.Queries, emptyKept, "implausible query count")
+	wire.Length(&c.Coder, &t.Queries, wire.EmptyKept, "implausible query count")
 	for i := range t.Queries {
 		q := &t.Queries[i]
-		c.u64(&q.QueryID)
-		c.str(&q.Text)
-		c.strs(&q.Columns)
-		c.u32(&q.Hosts)
-		c.i64(&q.EndNanos)
+		c.U64(&q.QueryID)
+		c.Str(&q.Text)
+		c.Strs(&q.Columns)
+		c.U32(&q.Hosts)
+		c.I64(&q.EndNanos)
 		q.Stats.code(c)
 	}
 }

@@ -1,5 +1,7 @@
 package transport
 
+import "scrub/internal/wire"
+
 // Coordination protocol for a distributed ScrubCentral (internal/coord):
 // a coordinator process owns query registration, shard membership and the
 // merge layer; shard processes run driven central engines; hosts (or the
@@ -338,172 +340,172 @@ func (RepAppend) msgTag() byte       { return tagRepAppend }
 func (RepAck) msgTag() byte          { return tagRepAck }
 
 func (t *ShardStart) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Fence)
-	c.u64(&t.QueryID)
-	c.str(&t.Text)
-	c.i64(&t.StartNanos)
-	c.i64(&t.EndNanos)
-	c.i64(&t.ReplayNanos)
-	c.u32(&t.TotalHosts)
-	c.u32(&t.SampledHosts)
-	c.f64(&t.SampleEvents)
-	c.f64(&t.Confidence)
-	c.u32(&t.MaxRawRows)
-	c.u32(&t.MaxJoinPending)
-	c.f64(&t.BudgetCPUPct)
-	c.f64(&t.BudgetBytesPerSec)
-	c.i64(&t.LatenessNanos)
+	c.U64(&t.Seq)
+	c.U64(&t.Fence)
+	c.U64(&t.QueryID)
+	c.Str(&t.Text)
+	c.I64(&t.StartNanos)
+	c.I64(&t.EndNanos)
+	c.I64(&t.ReplayNanos)
+	c.U32(&t.TotalHosts)
+	c.U32(&t.SampledHosts)
+	c.F64(&t.SampleEvents)
+	c.F64(&t.Confidence)
+	c.U32(&t.MaxRawRows)
+	c.U32(&t.MaxJoinPending)
+	c.F64(&t.BudgetCPUPct)
+	c.F64(&t.BudgetBytesPerSec)
+	c.I64(&t.LatenessNanos)
 }
 
 func (t *ShardAck) code(c *coder) {
-	c.u64(&t.Seq)
-	c.str(&t.Err)
+	c.U64(&t.Seq)
+	c.Str(&t.Err)
 }
 
 func (t *ShardSubBatch) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.QueryID)
-	c.str(&t.HostID)
-	c.u8(&t.TypeIdx)
+	c.U64(&t.Seq)
+	c.U64(&t.QueryID)
+	c.Str(&t.HostID)
+	c.U8(&t.TypeIdx)
 	c.tuples(&t.Tuples)
 }
 
 func (t *ShardBatchAck) code(c *coder) {
-	c.u64(&t.Seq)
-	c.bool(&t.Known)
-	c.bool(&t.HasTs)
-	c.i64(&t.MaxTs)
-	c.u64(&t.LateDelta)
-	c.u64(&t.Late)
-	c.u64(&t.Overflow)
+	c.U64(&t.Seq)
+	c.Bool(&t.Known)
+	c.Bool(&t.HasTs)
+	c.I64(&t.MaxTs)
+	c.U64(&t.LateDelta)
+	c.U64(&t.Late)
+	c.U64(&t.Overflow)
 }
 
 func (t *ShardCollectReq) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Fence)
-	c.u64(&t.QueryID)
-	c.i64(&t.Bound)
+	c.U64(&t.Seq)
+	c.U64(&t.Fence)
+	c.U64(&t.QueryID)
+	c.I64(&t.Bound)
 }
 
 func (t *ShardPartials) code(c *coder) {
-	c.u64(&t.Seq)
-	c.bool(&t.Stale)
-	c.bool(&t.Found)
-	length(c, &t.Partials, emptyNil, "implausible partial count")
+	c.U64(&t.Seq)
+	c.Bool(&t.Stale)
+	c.Bool(&t.Found)
+	wire.Length(&c.Coder, &t.Partials, wire.EmptyNil, "implausible partial count")
 	for i := range t.Partials {
 		p := &t.Partials[i]
-		c.i64(&p.Start)
-		c.i64(&p.End)
-		c.bytes(&p.Data)
+		c.I64(&p.Start)
+		c.I64(&p.End)
+		c.Bytes(&p.Data)
 	}
-	c.u64(&t.Late)
-	c.u64(&t.Overflow)
+	c.U64(&t.Late)
+	c.U64(&t.Overflow)
 }
 
 func (t *ShardStopReq) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Fence)
-	c.u64(&t.QueryID)
+	c.U64(&t.Seq)
+	c.U64(&t.Fence)
+	c.U64(&t.QueryID)
 }
 
 func (t *ShardStatsReq) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.QueryID)
+	c.U64(&t.Seq)
+	c.U64(&t.QueryID)
 }
 
 func (t *ShardStatsResp) code(c *coder) {
-	c.u64(&t.Seq)
-	c.bool(&t.Found)
-	c.u64(&t.TuplesIn)
-	c.u32(&t.ActiveQueries)
+	c.U64(&t.Seq)
+	c.Bool(&t.Found)
+	c.U64(&t.TuplesIn)
+	c.U32(&t.ActiveQueries)
 }
 
 func (t *BatchManifest) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.QueryID)
-	c.str(&t.HostID)
-	c.u8(&t.TypeIdx)
-	c.u64(&t.RawTuples)
-	c.bool(&t.HasTs)
-	c.i64(&t.MaxTs)
-	c.u64(&t.LateDelta)
-	c.u64s(&t.ShardLate)
-	c.u64s(&t.ShardOverflow)
-	c.u64(&t.MatchedTotal)
-	c.u64(&t.SampledTotal)
-	c.u64(&t.QueueDrops)
-	c.f64(&t.EffRate)
-	c.bool(&t.BudgetShed)
-	c.u64(&t.CPUNs)
-	c.u64(&t.ShipBytes)
-	c.u32(&t.ReplayEpoch)
-	c.bool(&t.ReplayDone)
+	c.U64(&t.Seq)
+	c.U64(&t.QueryID)
+	c.Str(&t.HostID)
+	c.U8(&t.TypeIdx)
+	c.U64(&t.RawTuples)
+	c.Bool(&t.HasTs)
+	c.I64(&t.MaxTs)
+	c.U64(&t.LateDelta)
+	c.U64s(&t.ShardLate)
+	c.U64s(&t.ShardOverflow)
+	c.U64(&t.MatchedTotal)
+	c.U64(&t.SampledTotal)
+	c.U64(&t.QueueDrops)
+	c.F64(&t.EffRate)
+	c.Bool(&t.BudgetShed)
+	c.U64(&t.CPUNs)
+	c.U64(&t.ShipBytes)
+	c.U32(&t.ReplayEpoch)
+	c.Bool(&t.ReplayDone)
 }
 
-func (t *ManifestAck) code(c *coder) { c.u64(&t.Seq) }
+func (t *ManifestAck) code(c *coder) { c.U64(&t.Seq) }
 
 func (t *ShardHello) code(c *coder) {
-	c.str(&t.ShardID)
-	c.str(&t.DataAddr)
+	c.Str(&t.ShardID)
+	c.Str(&t.DataAddr)
 }
 
 func (t *ShardMap) code(c *coder) {
-	c.u32(&t.Epoch)
-	c.u64(&t.Fence)
-	c.strs(&t.Addrs)
+	c.U32(&t.Epoch)
+	c.U64(&t.Fence)
+	c.Strs(&t.Addrs)
 }
 
 func (t *ShardStatusList) code(c *coder) {
-	c.u32(&t.Epoch)
-	c.u64(&t.Merges)
-	c.u64(&t.Rebalances)
-	c.u32(&t.EvictedStreams)
-	length(c, &t.Shards, emptyNil, "implausible shard count")
+	c.U32(&t.Epoch)
+	c.U64(&t.Merges)
+	c.U64(&t.Rebalances)
+	c.U32(&t.EvictedStreams)
+	wire.Length(&c.Coder, &t.Shards, wire.EmptyNil, "implausible shard count")
 	for i := range t.Shards {
 		s := &t.Shards[i]
-		c.u32(&s.Index)
-		c.str(&s.Addr)
-		c.bool(&s.Down)
-		c.i64(&s.LagNanos)
-		c.u32(&s.ActiveQueries)
-		c.u64(&s.TuplesIn)
+		c.U32(&s.Index)
+		c.Str(&s.Addr)
+		c.Bool(&s.Down)
+		c.I64(&s.LagNanos)
+		c.U32(&s.ActiveQueries)
+		c.U64(&s.TuplesIn)
 	}
 }
 
 func (t *ShardFence) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Fence)
+	c.U64(&t.Seq)
+	c.U64(&t.Fence)
 }
 
 func (t *ShardFenceAck) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Fence)
-	c.bool(&t.Ok)
-	c.u64s(&t.Queries)
+	c.U64(&t.Seq)
+	c.U64(&t.Fence)
+	c.Bool(&t.Ok)
+	c.U64s(&t.Queries)
 }
 
 // RepAppend nests each entry's query registration as its wire ShardStart.
 func (t *RepAppend) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Term)
-	c.u64(&t.Index)
-	length(c, &t.Entries, emptyNil, "implausible entry count")
+	c.U64(&t.Seq)
+	c.U64(&t.Term)
+	c.U64(&t.Index)
+	wire.Length(&c.Coder, &t.Entries, wire.EmptyNil, "implausible entry count")
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		c.u8(&e.Kind)
+		c.U8(&e.Kind)
 		e.Start.code(c)
-		c.u32(&e.PinEpoch)
-		c.i64(&e.ReplayDeadline)
-		c.u64(&e.QueryID)
-		c.u32(&e.MapEpoch)
-		c.strs(&e.Addrs)
+		c.U32(&e.PinEpoch)
+		c.I64(&e.ReplayDeadline)
+		c.U64(&e.QueryID)
+		c.U32(&e.MapEpoch)
+		c.Strs(&e.Addrs)
 	}
 }
 
 func (t *RepAck) code(c *coder) {
-	c.u64(&t.Seq)
-	c.u64(&t.Term)
-	c.u64(&t.Index)
-	c.bool(&t.Ok)
+	c.U64(&t.Seq)
+	c.U64(&t.Term)
+	c.U64(&t.Index)
+	c.Bool(&t.Ok)
 }

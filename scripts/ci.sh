@@ -80,6 +80,10 @@ if grep -nE 'TupleBatch\{' $(nontest internal/difftest); then echo "non-test int
 echo "== one description per wire message (no codecsym analyzer, no coordination codec beside the base one, no Ping/Pong) =="
 if grep -rnE --include='*.go' 'CodecSymAnalyzer|appendEncodeCoord|decodeCoord|nameCoord|shardStartBody|transport\.(Ping|Pong)\b' . || grep -nE '^type (Ping|Pong)\b' internal/transport/*.go; then echo "a .go file names the codecsym analyzer, a twin encode/decode/Name arm or Ping/Pong again: each message is described once, by its code method" >&2; exit 1; fi
 
+echo "== one description per binary format (expression trees, aggregate states, sketches, moments and window partials are coded by internal/wire, with no twin decoder beside them) =="
+if grep -rnE --include='*.go' '\b(DecodeNode|decodeNode|DecodeHLL|DecodeSpaceSaving|DecodeRunning|decodeInto|encodePartial|readNode)\b' .; then echo "a .go file names a twin encoder or decoder of a nested format again: describe the format once, as a code method walked in every mode" >&2; exit 1; fi
+if grep -nF '"encoding/binary"' $(nontest internal/expr) $(nontest internal/agg) $(nontest internal/stats) internal/central/partial.go; then echo "non-test internal/expr, internal/agg, internal/stats or internal/central/partial.go imports encoding/binary again: a format's bytes go through internal/wire" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
