@@ -3,8 +3,8 @@
 // in its one configuration and printed as an aligned text table with the
 // paper's qualitative claim attached. Beyond the paper's tables it also
 // runs C1, a chaos soak over real TCP that pins the reproduction's
-// failure-domain contract (degraded windows, lease eviction, spill
-// redelivery).
+// failure-domain contract (degraded windows, lease eviction, redelivery
+// of what a severed connection left undelivered).
 //
 // Usage:
 //

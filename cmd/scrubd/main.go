@@ -110,7 +110,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("scrubd: %v", err)
 	}
-	sink.SetDropAccounting(agent.AccountDrops)
 	if reg != nil {
 		bound, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {

@@ -198,6 +198,47 @@ func TestPartialGolden(t *testing.T) {
 	}
 }
 
+// goldenWindows splits partial_q<qi>.golden into its windows' partials.
+func goldenWindows(tb testing.TB, qi int) [][]byte {
+	wire, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("partial_q%d.golden", qi)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for len(wire) > 0 { // per window: start, length, partial bytes
+		_, n := binary.Varint(wire)
+		size, m := binary.Uvarint(wire[n:])
+		out = append(out, wire[n+m:n+m+int(size)])
+		wire = wire[n+m+int(size):]
+	}
+	return out
+}
+
+// BenchmarkDecodePartial is what the coordinator pays to decode a shard's
+// window partials: one op decodes every window of partial_q<i>.golden
+// under its plan, so ns/op is ns per file. q0 is grouped with eight
+// aggregates, q1 sketches and moments, q2 raw rows, q3 join groups.
+func BenchmarkDecodePartial(b *testing.B) {
+	for qi, src := range goldenQueries[:4] {
+		b.Run(fmt.Sprintf("q%d", qi), func(b *testing.B) {
+			qr, err := CompileQuery(buildPlan(b, src, 1, 3, 3))
+			if err != nil {
+				b.Fatal(err)
+			}
+			windows := goldenWindows(b, qi)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, w := range windows {
+					if _, err := qr.DecodePartial(w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzDecodePartial holds the coordinator to its ShardClient contract on
 // the bytes a shard sends it: a partial that does not decode degrades the
 // query, it never crashes the merger. Seeded with every golden partial
@@ -213,15 +254,8 @@ func FuzzDecodePartial(f *testing.F) {
 			f.Fatal(err)
 		}
 		qrs[qi] = qr
-		wire, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("partial_q%d.golden", qi)))
-		if err != nil {
-			f.Fatal(err)
-		}
-		for len(wire) > 0 { // per window: start, length, partial bytes
-			_, n := binary.Varint(wire)
-			size, m := binary.Uvarint(wire[n:])
-			f.Add(uint8(qi), wire[n+m:n+m+int(size)])
-			wire = wire[n+m+int(size):]
+		for _, w := range goldenWindows(f, qi) {
+			f.Add(uint8(qi), w)
 		}
 	}
 	f.Fuzz(func(t *testing.T, q uint8, b []byte) {

@@ -23,8 +23,9 @@ type NetConfig struct {
 	// Central: see LocalConfig.Central.
 	Central central.Options
 	// Sink is the base option set for every host's data sink (dial
-	// timeout, spill limit). Per-host wrapping and drop accounting are
-	// filled in by the assembly.
+	// timeout). Per-host wrapping is filled in by the assembly. The sink
+	// buffers nothing: each agent keeps what it could not deliver, under
+	// Agent.QueueSize.
 	Sink host.NetSinkOptions
 	// Control is the base option set for every agent's control loop
 	// (dial timeout, reconnect backoff). The jitter seed is derived per
@@ -116,9 +117,6 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 			nc.Close()
 			return nil, err
 		}
-		// Spill-buffer overflow lands in the agent's cumulative drop
-		// counters, so central reports outage losses like queue drops.
-		sink.SetDropAccounting(agent.AccountDrops)
 		nc.agents = append(nc.agents, agent)
 		nc.sinks = append(nc.sinks, sink)
 		go func() { _ = agent.RunControlWith(ctx, hub.ControlAddr(), copt) }()

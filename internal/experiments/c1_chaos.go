@@ -15,10 +15,11 @@ import (
 
 // C1 is the chaos soak: a real-TCP cluster under a scripted fault
 // schedule — a lossy, reordering link; a full partition with lease expiry
-// and degraded windows; an abrupt connection kill with spill-and-redeliver
-// — verifying the failure-domain contract end to end. Not a paper table:
-// the paper deployed on a production network and never injected faults;
-// this pins the reproduction's liveness layer.
+// and degraded windows; an abrupt connection kill whose undelivered
+// chunks the agent keeps and redelivers — verifying the failure-domain
+// contract end to end. Not a paper table: the paper deployed on a
+// production network and never injected faults; this pins the
+// reproduction's liveness layer.
 const (
 	c1Hosts    = 3               // the schedule faults three different hosts
 	c1Duration = 6 * time.Second // soak length
@@ -44,8 +45,13 @@ type C1Result struct {
 //	0.25D  host c1-0 gets a lossy link (drop 30%, dup 10%, reorder 20%)
 //	0.40D  host c1-1 is fully partitioned       → lease expiry, degraded
 //	0.60D  host c1-1 heals                      → re-admission, clean
-//	0.70D  host c1-2's connections are severed  → redial, spill redelivery
+//	0.70D  host c1-2's connections are severed  → redial, redelivery
 //	0.85D  host c1-0 heals
+//
+// Once the query is cancelled, every agent is flushed and must account
+// for each tuple it matched: matched = shipped + queue drops + sink-error
+// tuples, nothing still kept, and no sink-error tuple at all (a NetSink
+// reports every failure undelivered, so the agent gives up on nothing).
 //
 // All randomness (fault decisions, reconnect jitter) flows from c1Seed. C1
 // runs on the wall clock, unlike the case studies: its faults, leases and
@@ -70,7 +76,7 @@ func C1ChaosSoak() (*C1Result, error) {
 			HeartbeatInterval: 50 * time.Millisecond,
 		},
 		Central:  central.Options{LeaseTTL: c1LeaseTTL},
-		Sink:     host.NetSinkOptions{DialTimeout: 500 * time.Millisecond, SpillLimit: 2048},
+		Sink:     host.NetSinkOptions{DialTimeout: 500 * time.Millisecond},
 		Control:  host.ControlOptions{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 250 * time.Millisecond, Seed: c1Seed},
 		WrapConn: inj.Wrap,
 	})
@@ -165,6 +171,15 @@ func C1ChaosSoak() (*C1Result, error) {
 	stats, err := qs.Final()
 	if err != nil {
 		return nil, err
+	}
+	for i := 0; i < nc.NumAgents(); i++ {
+		a := nc.Agent(i)
+		a.Flush()
+		st := a.Stats()
+		if st.Matched != st.Shipped+st.QueueDrops+st.SinkErrorTuples || st.Kept != 0 || st.SinkErrorTuples != 0 {
+			return nil, fmt.Errorf("experiments: C1: host %s does not account for what it matched: matched %d, shipped %d, queue drops %d, sink-error tuples %d, kept %d",
+				a.ID(), st.Matched, st.Shipped, st.QueueDrops, st.SinkErrorTuples, st.Kept)
+		}
 	}
 
 	res := &C1Result{

@@ -18,10 +18,10 @@ import (
 // Rules applied:
 //
 //   - Constant folding: an all-literal subtree is replaced by its value,
-//     evaluated by the same Compile used at query time (so folded
-//     arithmetic is bit-identical to evaluated arithmetic). Subtrees that
-//     fold to Invalid are left alone — they are rare, and keeping them
-//     preserves encodability.
+//     evaluated by Compile's closures, the reference the register program
+//     is held to node for node (so folded arithmetic is bit-identical to
+//     evaluated arithmetic). Subtrees that fold to Invalid are left
+//     alone — they are rare, and keeping them preserves encodability.
 //   - and/or chains are flattened, deduplicated, and sorted by canonical
 //     encoding. Safe because Kleene three-valued and/or are commutative,
 //     associative, and idempotent: `and` is min and `or` is max over the

@@ -27,6 +27,7 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -53,6 +54,10 @@ import (
 // implementation that retains tuples past the call must copy them.
 // Encoding sinks (the wire, serialize-and-discard benchmarks) copy by
 // construction; the central engine copies the tuples it keeps.
+//
+// Failure: an error wrapping ErrUndelivered says nobody received the
+// batch, and the agent keeps it for redelivery; any other error loses
+// the batch's tuples, counted as Stats.SinkErrorTuples.
 type Sink interface {
 	SendBatch(transport.TupleBatch) error
 }
@@ -73,7 +78,9 @@ type Config struct {
 
 	// QueueSize bounds (in tuples) the pending work shared by all queries
 	// on this host; it is rounded to whole chunks of BatchSize tuples.
-	// Default 8192. When full, Log drops (never blocks).
+	// Default 8192. When full, Log drops (never blocks). The chunks the
+	// sink reports undelivered are kept for redelivery under the same
+	// bound, oldest evicted into the queue drops.
 	QueueSize int
 	// BatchSize is the chunk capacity: Log appends tuples into a
 	// per-query chunk and the shipper sends one TupleBatch per full
@@ -246,16 +253,23 @@ type chunk struct {
 
 // Stats is a snapshot of agent-level accounting.
 type Stats struct {
-	Logged     uint64 // events offered to Log
-	Matched    uint64 // events matching ≥1 active query
-	Shipped    uint64 // tuples handed to the sink
-	ShipBytes  uint64 // wire bytes of the batches the sink took, heartbeats included
-	QueueDrops uint64 // tuples dropped because the queue was full
-	SinkErrors uint64 // batches the sink rejected
-	// SinkErrorTuples counts the tuples in those batches: a sink that
-	// does not spill (coord.Router) loses them, so they close the identity
-	// matched = sampled out + Shipped + QueueDrops + SinkErrorTuples.
+	Logged    uint64 // events offered to Log
+	Matched   uint64 // events matching ≥1 active query
+	Shipped   uint64 // tuples the sink took, redelivered ones once
+	ShipBytes uint64 // wire bytes of the batches the sink took, heartbeats included
+	// QueueDrops counts tuples dropped because the queue was full, and
+	// those of kept chunks evicted or still kept at Close.
+	QueueDrops uint64
+	SinkErrors uint64 // sends the sink failed, undelivered ones included
+	// SinkErrorTuples counts the tuples of batches the sink failed without
+	// ErrUndelivered: the agent gives them up (coord.Router's shard and
+	// manifest failures). They close the identity
+	// matched = sampled out + Shipped + QueueDrops + SinkErrorTuples,
+	// which holds for every sink once nothing is Kept.
 	SinkErrorTuples uint64
+	// Kept counts the tuples held for redelivery after the sink reported
+	// them undelivered (scrub_host_spill_depth).
+	Kept uint64
 	// Governor ladder actions across all queries this agent ran.
 	GovernorDownsamples uint64
 	GovernorRecovers    uint64
@@ -285,6 +299,9 @@ type Agent struct {
 	// shipper-only.
 	shipperScratch []*activeQuery
 	govScratch     []governor.Usage
+	// kept holds the chunks the sink reported undelivered, oldest first,
+	// at most cap(chunks) of them; shipper-only.
+	kept []*chunk
 	// lastGovNanos is the previous governor evaluation time; shipper-only.
 	// Cycles where the configured clock has not advanced (real ticker
 	// firings under a virtual test clock) skip evaluation entirely.
@@ -300,6 +317,8 @@ type Agent struct {
 	sinkErrTuples  obs.Counter
 	chunkFills     obs.Counter
 	shipBytes      obs.Counter
+	keptTuples     obs.Gauge   // tuples across kept
+	keptDrops      obs.Counter // kept tuples evicted or dropped at Close; a subset of queueDrops
 	govDownsamples obs.Counter
 	govRecovers    obs.Counter
 	govSheds       obs.Counter
@@ -343,9 +362,11 @@ func New(cfg Config) (*Agent, error) {
 		reg.RegisterCounter("scrub_host_shipped_total", "tuples handed to the sink", &a.shipped, hl)
 		reg.RegisterCounter("scrub_host_queue_drops_total", "tuples dropped because the shipping queue was full", &a.queueDrops, hl)
 		reg.RegisterCounter("scrub_host_sink_errors_total", "batches the sink rejected", &a.sinkErrors, hl)
-		reg.RegisterCounter("scrub_host_sink_error_tuples_total", "tuples in the batches the sink rejected", &a.sinkErrTuples, hl)
+		reg.RegisterCounter("scrub_host_sink_error_tuples_total", "tuples the agent gave up because the sink rejected their batch", &a.sinkErrTuples, hl)
 		reg.RegisterCounter("scrub_host_chunk_fills_total", "chunks filled to BatchSize and submitted", &a.chunkFills, hl)
 		reg.RegisterCounter("scrub_host_ship_bytes_total", "encoded bytes of batches handed to the sink", &a.shipBytes, hl)
+		reg.RegisterGauge("scrub_host_spill_depth", "tuples buffered across a central disconnect", &a.keptTuples, hl)
+		reg.RegisterCounter("scrub_host_spill_drops_total", "tuples the spill buffer evicted", &a.keptDrops, hl)
 		reg.RegisterCounter("scrub_host_governor_downsamples_total", "budget governor rate halvings", &a.govDownsamples, hl)
 		reg.RegisterCounter("scrub_host_governor_recovers_total", "budget governor rate recoveries", &a.govRecovers, hl)
 		reg.RegisterCounter("scrub_host_governor_sheds_total", "queries shed by the budget governor", &a.govSheds, hl)
@@ -610,11 +631,16 @@ func (a *Agent) submit(c *chunk) {
 	//scrub:allowretain(ownership handoff: the shipper goroutine ships and recycles the chunk)
 	case a.chunks <- c:
 	default:
-		n := uint64(c.n)
-		c.q.drops.Add(n)
-		a.queueDrops.Add(n)
-		a.putChunk(c)
+		a.drop(c)
 	}
+}
+
+// drop gives a chunk up, charging its tuples to its query's queue drops.
+func (a *Agent) drop(c *chunk) {
+	n := uint64(c.n)
+	c.q.drops.Add(n)
+	a.queueDrops.Add(n)
+	a.putChunk(c)
 }
 
 // getChunk takes a pooled chunk and sizes its flat value array for the
@@ -810,6 +836,9 @@ func (a *Agent) shipper() {
 			a.PruneExpired(a.cfg.Clock())
 		case <-a.done:
 			a.flushCycle()
+			for len(a.kept) > 0 {
+				a.evict()
+			}
 			return
 		}
 	}
@@ -849,19 +878,67 @@ func (a *Agent) flushCycle() {
 			a.putChunk(c)
 		}
 	}
-	now := a.cfg.Clock().UnixNano()
-	for _, aq := range actives {
-		if aq.needsHeartbeat() || now-aq.lastSentNanos >= int64(a.cfg.HeartbeatInterval) {
-			a.sendBatch(aq, nil, 0, false)
+	// A heartbeat never overtakes kept tuples: its totals count them.
+	if a.redeliver() {
+		now := a.cfg.Clock().UnixNano()
+		for _, aq := range actives {
+			if aq.needsHeartbeat() || now-aq.lastSentNanos >= int64(a.cfg.HeartbeatInterval) {
+				_ = a.sendBatch(aq, nil, 0, false) // a failure leaves the snapshots to retry
+			}
 		}
 	}
 	a.governTick(actives)
 }
 
-// ship sends one chunk's tuples and recycles the chunk.
+// ship sends one chunk's tuples and recycles the chunk. A chunk the sink
+// reports undelivered is kept for redelivery, and so is every chunk
+// shipped while an older one is still kept: the sink sees chunks in the
+// order they were shipped.
 func (a *Agent) ship(c *chunk) {
-	a.sendBatch(c.q, c.tuples[:c.n], c.epoch, c.done)
-	a.putChunk(c)
+	if a.redeliver() && !errors.Is(a.sendBatch(c.q, c.tuples[:c.n], c.epoch, c.done), ErrUndelivered) {
+		a.putChunk(c)
+		return
+	}
+	if len(a.kept) == cap(a.chunks) {
+		a.evict()
+	}
+	//scrub:allowretain(the agent's own retransmit buffer; a kept chunk is recycled only once delivered, given up or evicted)
+	a.kept = append(a.kept, c)
+	a.keptTuples.Add(int64(c.n))
+}
+
+// redeliver resends kept chunks oldest-first and reports whether none is
+// left; it stops at the first the sink reports undelivered again. A
+// redelivered chunk counts once, as shipped, with the query's totals as
+// they are now.
+func (a *Agent) redeliver() bool {
+	for len(a.kept) > 0 {
+		c := a.kept[0]
+		if errors.Is(a.sendBatch(c.q, c.tuples[:c.n], c.epoch, c.done), ErrUndelivered) {
+			return false
+		}
+		a.putChunk(a.popKept())
+	}
+	return true
+}
+
+// evict drops the oldest kept chunk.
+func (a *Agent) evict() {
+	c := a.popKept()
+	a.keptDrops.Add(uint64(c.n))
+	a.drop(c)
+}
+
+// popKept takes the oldest chunk out of kept.
+func (a *Agent) popKept() *chunk {
+	c := a.kept[0]
+	//scrub:allowretain(shifts kept down a slot within its own array)
+	n := copy(a.kept, a.kept[1:])
+	a.kept[n] = nil
+	//scrub:allowretain(truncates kept's own array, whose last slot was just cleared)
+	a.kept = a.kept[:n]
+	a.keptTuples.Add(-int64(c.n))
+	return c
 }
 
 // needsHeartbeat reports whether the query has anything new to announce:
@@ -877,12 +954,13 @@ func (aq *activeQuery) needsHeartbeat() bool {
 }
 
 // sendBatch ships tuples (nil for a counter-only heartbeat) with the
-// query's cumulative accounting. On success the counter snapshots record
-// what the batch carried; a failed send leaves them alone, so the same
-// totals trigger a resend on the next cycle (see needsHeartbeat). A
-// nonzero epoch marks the batch as replayed history; done marks the
-// stream's final replay batch.
-func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint32, done bool) {
+// query's cumulative accounting and returns the sink's error. On success
+// the counter snapshots record what the batch carried; a failed send
+// leaves them alone, so the same totals trigger a resend on the next
+// cycle (see needsHeartbeat). A failure without ErrUndelivered loses the
+// tuples, counted as sink-error tuples. A nonzero epoch marks the batch
+// as replayed history; done marks the stream's final replay batch.
+func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint32, done bool) error {
 	matched := aq.matched.Load()
 	sampledRaw := aq.sampled.Load()
 	drops := aq.drops.Load()
@@ -910,8 +988,10 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 	size := transport.TupleBatchWireSize(&batch) + 4
 	if err := a.cfg.Sink.SendBatch(batch); err != nil {
 		a.sinkErrors.Add(1)
-		a.sinkErrTuples.Add(uint64(len(tuples)))
-		return
+		if !errors.Is(err, ErrUndelivered) {
+			a.sinkErrTuples.Add(uint64(len(tuples)))
+		}
+		return err
 	}
 	// Snapshot the raw counters (not the rate-1 substituted mᵢ, which
 	// derives from matched and is covered by its comparison).
@@ -927,6 +1007,7 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 		a.replayShipped.Add(uint64(len(tuples)))
 		a.replayShipBytes.Add(uint64(size))
 	}
+	return nil
 }
 
 // governTick runs one budget-enforcement interval over the active
@@ -1009,25 +1090,6 @@ func (a *Agent) applyRate(aq *activeQuery) {
 	aq.announce = true
 }
 
-// AccountDrops charges n dropped tuples against a query's cumulative
-// drop counter. Sinks that buffer across disconnects (NetSink's spill
-// queue) call this when their buffer overflows, so tuples lost between
-// the agent and the wire land in the same QueueDrops accounting central
-// reports. Unknown queries charge only the agent-level counter (the
-// query may have been stopped while its batches waited out an outage).
-func (a *Agent) AccountDrops(queryID uint64, typeIdx uint8, n uint64) {
-	if n == 0 {
-		return
-	}
-	a.queueDrops.Add(n)
-	a.mu.Lock()
-	aq := a.queries[queryKey{id: queryID, typeIdx: typeIdx}]
-	a.mu.Unlock()
-	if aq != nil {
-		aq.drops.Add(n) // the drops-counter comparison heartbeats this
-	}
-}
-
 // Flush synchronously pushes pending chunks and counters out (test and
 // shutdown aid): it asks the shipper for a flush cycle and waits for the
 // acknowledgement, so tests flush deterministically instead of sleeping.
@@ -1053,6 +1115,7 @@ func (a *Agent) Stats() Stats {
 		QueueDrops:          a.queueDrops.Value(),
 		SinkErrors:          a.sinkErrors.Value(),
 		SinkErrorTuples:     a.sinkErrTuples.Value(),
+		Kept:                uint64(a.keptTuples.Value()),
 		GovernorDownsamples: a.govDownsamples.Value(),
 		GovernorRecovers:    a.govRecovers.Value(),
 		GovernorSheds:       a.govSheds.Value(),

@@ -24,16 +24,21 @@ func testCatalog() *event.Catalog {
 	return c
 }
 
-// collectSink gathers batches thread-safely.
+// collectSink gathers batches thread-safely. fail makes it lose what it
+// is sent; down makes it report every batch undelivered.
 type collectSink struct {
 	mu      sync.Mutex
 	batches []transport.TupleBatch
 	fail    atomic.Bool
+	down    atomic.Bool
 }
 
 func (s *collectSink) SendBatch(b transport.TupleBatch) error {
 	if s.fail.Load() {
 		return fmt.Errorf("sink down")
+	}
+	if s.down.Load() {
+		return fmt.Errorf("%w: central unreachable", ErrUndelivered)
 	}
 	// The agent recycles batch memory once SendBatch returns (see Sink),
 	// so a retaining sink must deep-copy.

@@ -231,7 +231,7 @@ func TestAccountingParity(t *testing.T) {
 }
 
 func TestAccountingIdentityWithFailingSink(t *testing.T) {
-	// A sink that rejects batches and does not spill them (coord.Router)
+	// A sink that rejects batches without ErrUndelivered (coord.Router)
 	// loses their tuples; they must still be counted somewhere, or
 	// matched = sampled out + shipped + counted drops stops closing the
 	// moment a sink fails.

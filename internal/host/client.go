@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -13,59 +14,44 @@ import (
 	"scrub/internal/transport"
 )
 
-// NetSinkOptions tunes a NetSink. The zero value matches the historical
-// behavior plus a small spill buffer.
+// ErrUndelivered marks a batch a sink handed to nobody: it failed before
+// any receiver could apply it, so sending it again cannot count it twice.
+// A sink wraps it into such a failure (errors.Is finds it); the agent then
+// keeps the batch and redelivers it ahead of newer data (Agent.ship). Any
+// other sink error loses the batch's tuples, and the agent counts them as
+// sink-error tuples.
+var ErrUndelivered = errors.New("host: batch undelivered")
+
+// NetSinkOptions tunes a NetSink.
 type NetSinkOptions struct {
 	// DialTimeout bounds each dial attempt. Default 3s.
 	DialTimeout time.Duration
-	// SpillLimit bounds, in tuples, how much data the sink buffers across
-	// a disconnect for redelivery on reconnect. Oldest batches are evicted
-	// (and their tuples charged to the drop accounting, SetDropAccounting)
-	// when the buffer is full. Default 4096; negative disables spilling
-	// entirely.
-	SpillLimit int
 	// Wrap, when non-nil, interposes on the raw data connection — the
 	// fault-injection seam (internal/chaos).
 	Wrap func(net.Conn) net.Conn
-	// Metrics, when non-nil, registers the sink's series (spill depth and
-	// drops, reconnects, per-connection transport accounting) labeled
-	// host=<hostID>, conn="data".
+	// Metrics, when non-nil, registers the sink's series (reconnects,
+	// per-connection transport accounting) labeled host=<hostID>,
+	// conn="data".
 	Metrics *obs.Registry
-}
-
-func (o *NetSinkOptions) fillDefaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.SpillLimit == 0 {
-		o.SpillLimit = 4096
-	}
 }
 
 // NetSink ships tuple batches to ScrubCentral over TCP. It dials lazily,
 // sends a DataHello, and on any send error drops the connection and
-// redials on the next batch. A failed batch is not retried in place —
-// that would block the shipper — but it is deep-copied into a bounded
-// spill buffer and redelivered, in order, once a connection comes back.
-// Spill overflow evicts oldest-first and feeds the drop accounting, so
-// drop-over-block is preserved and every loss is counted.
+// redials on the next batch. It holds no batch: a dial, hello or send
+// failure is returned wrapping ErrUndelivered, and the agent keeps the
+// batch for redelivery.
 type NetSink struct {
 	addr   string
 	hostID string
 	opt    NetSinkOptions
 
-	mu           sync.Mutex
-	conn         *transport.Conn
-	spill        []transport.TupleBatch // deep copies, oldest first
-	spillSize    int                    // tuples across spill
-	accountDrops func(queryID uint64, typeIdx uint8, n uint64)
+	mu   sync.Mutex
+	conn *transport.Conn
 
 	// Registered series; all nil when no registry was configured.
-	spillDepth  *obs.Gauge
-	spillDropsC *obs.Counter
-	reconnects  *obs.Counter
-	connMet     *transport.ConnMetrics
-	dialed      bool // a first dial happened; later dials are reconnects
+	reconnects *obs.Counter
+	connMet    *transport.ConnMetrics
+	dialed     bool // a first dial happened; later dials are reconnects
 }
 
 // NewNetSink creates a sink for the given ScrubCentral data address with
@@ -76,38 +62,30 @@ func NewNetSink(addr, hostID string) *NetSink {
 
 // NewNetSinkWith creates a sink with explicit options.
 func NewNetSinkWith(addr, hostID string, opt NetSinkOptions) *NetSink {
-	opt.fillDefaults()
+	if opt.DialTimeout <= 0 {
+		opt.DialTimeout = 3 * time.Second
+	}
 	s := &NetSink{addr: addr, hostID: hostID, opt: opt}
 	if reg := opt.Metrics; reg != nil {
 		hl := obs.L("host", hostID)
-		s.spillDepth = reg.Gauge("scrub_host_spill_depth", "tuples buffered across a central disconnect", hl)
-		s.spillDropsC = reg.Counter("scrub_host_spill_drops_total", "tuples the spill buffer evicted", hl)
 		s.reconnects = reg.Counter("scrub_host_data_reconnects_total", "data-connection dials after the first", hl)
 		s.connMet = transport.NewConnMetrics(reg, hl, obs.L("conn", "data"))
 	}
 	return s
 }
 
-// SendBatch implements Sink. On failure the batch (if it carries tuples)
-// is spilled for redelivery and the error is still returned: the caller's
-// accounting sees the send as failed, and the counters it re-ships are
-// cumulative, so a later redelivery cannot double-count.
+// SendBatch implements Sink. A failure leaves no connection behind, so
+// the next batch redials; it wraps ErrUndelivered.
 func (s *NetSink) SendBatch(b transport.TupleBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensureConnLocked(); err != nil {
-		s.spillLocked(b)
-		return err
-	}
-	if err := s.drainSpillLocked(); err != nil {
-		s.spillLocked(b)
-		return err
+		return fmt.Errorf("%w: %w", ErrUndelivered, err)
 	}
 	if err := s.conn.Send(b); err != nil {
 		s.conn.Close()
 		s.conn = nil
-		s.spillLocked(b)
-		return err
+		return fmt.Errorf("%w: %w", ErrUndelivered, err)
 	}
 	return nil
 }
@@ -133,76 +111,6 @@ func (s *NetSink) ensureConnLocked() error {
 	}
 	s.conn = conn
 	return nil
-}
-
-// drainSpillLocked redelivers spilled batches in arrival order. On error
-// the unsent remainder (failed batch included) stays spilled.
-func (s *NetSink) drainSpillLocked() error {
-	for len(s.spill) > 0 {
-		if err := s.conn.Send(s.spill[0]); err != nil {
-			s.conn.Close()
-			s.conn = nil
-			return err
-		}
-		s.spillSize -= len(s.spill[0].Tuples)
-		s.spill[0] = transport.TupleBatch{}
-		s.spill = s.spill[1:]
-	}
-	if len(s.spill) == 0 {
-		s.spill = nil // release the drained backing array
-	}
-	s.noteDepthLocked()
-	return nil
-}
-
-func (s *NetSink) noteDepthLocked() {
-	if s.spillDepth != nil {
-		s.spillDepth.Set(int64(s.spillSize))
-	}
-}
-
-// spillLocked deep-copies b into the spill buffer, evicting oldest
-// batches (with drop accounting) to stay under SpillLimit. Counter-only
-// heartbeats are never spilled: the totals are cumulative and the next
-// heartbeat supersedes them.
-func (s *NetSink) spillLocked(b transport.TupleBatch) {
-	if s.opt.SpillLimit < 0 || len(b.Tuples) == 0 {
-		return
-	}
-	if len(b.Tuples) > s.opt.SpillLimit {
-		s.dropLocked(b)
-		return
-	}
-	for s.spillSize+len(b.Tuples) > s.opt.SpillLimit {
-		s.dropLocked(s.spill[0])
-		s.spillSize -= len(s.spill[0].Tuples)
-		s.spill[0] = transport.TupleBatch{}
-		s.spill = s.spill[1:]
-	}
-	s.spill = append(s.spill, transport.CloneBatch(b))
-	s.spillSize += len(b.Tuples)
-	s.noteDepthLocked()
-}
-
-func (s *NetSink) dropLocked(b transport.TupleBatch) {
-	n := uint64(len(b.Tuples))
-	if s.spillDropsC != nil {
-		s.spillDropsC.Add(n)
-	}
-	if s.accountDrops != nil {
-		s.accountDrops(b.QueryID, b.TypeIdx, n)
-	}
-}
-
-// SetDropAccounting installs the callback told about every tuple the
-// spill buffer gives up on, keyed by query and type. Wire it to
-// Agent.AccountDrops so outage losses surface in the cumulative
-// QueueDrops counters central reports; the sink is constructed before
-// the agent whose counters it charges.
-func (s *NetSink) SetDropAccounting(fn func(queryID uint64, typeIdx uint8, n uint64)) {
-	s.mu.Lock()
-	s.accountDrops = fn
-	s.mu.Unlock()
 }
 
 // Close drops the data connection.

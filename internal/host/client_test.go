@@ -15,6 +15,7 @@ type fakeCentral struct {
 	mu      sync.Mutex
 	hellos  []string
 	batches []transport.TupleBatch
+	ends    int // connections read to their end
 }
 
 func newFakeCentral(t *testing.T) *fakeCentral {
@@ -23,6 +24,11 @@ func newFakeCentral(t *testing.T) *fakeCentral {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveFakeCentral(t, l)
+}
+
+// serveFakeCentral records what every connection to l sends.
+func serveFakeCentral(t *testing.T, l *transport.Listener) *fakeCentral {
 	fc := &fakeCentral{l: l}
 	t.Cleanup(func() { l.Close() })
 	go func() {
@@ -36,6 +42,9 @@ func newFakeCentral(t *testing.T) *fakeCentral {
 				for {
 					msg, err := conn.Recv()
 					if err != nil {
+						fc.mu.Lock()
+						fc.ends++
+						fc.mu.Unlock()
 						return
 					}
 					fc.mu.Lock()

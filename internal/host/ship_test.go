@@ -76,8 +76,10 @@ func TestShipBytesMatchWire(t *testing.T) {
 		}
 		a.Log(b.MustBuild())
 	}
-	a.Flush()               // 12 full chunks and a partial one
-	a.AccountDrops(1, 0, 3) // moves a counter: the next cycle owes a heartbeat
+	a.Flush() // 12 full chunks and a partial one
+	a.mu.Lock()
+	a.queries[queryKey{id: 1}].drops.Add(3) // moves a counter: the next cycle owes a heartbeat
+	a.mu.Unlock()
 	a.Flush()
 	a.Close()
 	var charged uint64

@@ -15,6 +15,10 @@ import (
 	"scrub/internal/obs"
 )
 
+// chunkAge seals a non-empty active chunk this long after its first
+// append, so quiet streams still become scannable.
+const chunkAge = 5 * time.Second
+
 // Options configures a Store. Zero values take the defaults noted.
 type Options struct {
 	// Catalog resolves event types when scanning. Required.
@@ -24,9 +28,6 @@ type Options struct {
 	// ChunkBytes seals the active chunk when its payload reaches this
 	// size (default 256 KiB).
 	ChunkBytes int
-	// ChunkAge seals a non-empty active chunk this long after its first
-	// append (default 5s), so quiet streams still become scannable.
-	ChunkAge time.Duration
 	// MaxBytes caps total sealed bytes; oldest chunks are evicted first
 	// (default 64 MiB).
 	MaxBytes int64
@@ -47,9 +48,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 256 << 10
-	}
-	if o.ChunkAge <= 0 {
-		o.ChunkAge = 5 * time.Second
 	}
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = 64 << 20
@@ -326,7 +324,7 @@ func (s *Store) trimMemLocked() {
 }
 
 // flusher persists sealed chunks and maintains the tiers off the hot
-// path. The ticker seals idle active chunks past ChunkAge and applies
+// path. The ticker seals idle active chunks past chunkAge and applies
 // age retention even when nothing is being appended.
 func (s *Store) flusher() {
 	defer s.wg.Done()
@@ -339,7 +337,7 @@ func (s *Store) flusher() {
 		case <-tick.C:
 			s.mu.Lock()
 			now := s.opt.Clock().UnixNano()
-			if s.activeIx.Count > 0 && now-s.firstNs >= int64(s.opt.ChunkAge) {
+			if s.activeIx.Count > 0 && now-s.firstNs >= int64(chunkAge) {
 				s.sealLocked()
 			}
 			s.retainLocked(now)

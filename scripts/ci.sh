@@ -84,6 +84,10 @@ echo "== one description per binary format (expression trees, aggregate states, 
 if grep -rnE --include='*.go' '\b(DecodeNode|decodeNode|DecodeHLL|DecodeSpaceSaving|DecodeRunning|decodeInto|encodePartial|readNode)\b' .; then echo "a .go file names a twin encoder or decoder of a nested format again: describe the format once, as a code method walked in every mode" >&2; exit 1; fi
 if grep -nF '"encoding/binary"' $(nontest internal/expr) $(nontest internal/agg) $(nontest internal/stats) internal/central/partial.go; then echo "non-test internal/expr, internal/agg, internal/stats or internal/central/partial.go imports encoding/binary again: a format's bytes go through internal/wire" >&2; exit 1; fi
 
+echo "== one retransmit buffer, in the agent (the agent keeps what a sink reports undelivered; NetSink buffers no batch, and no SpillLimit, SetDropAccounting or AccountDrops) =="
+if grep -rnwE --include='*.go' 'SpillLimit|SetDropAccounting|AccountDrops|spillLocked|drainSpillLocked' .; then echo "a .go file names NetSink's spill or its drop callback again: the agent's shipper keeps undelivered chunks, bounded by QueueSize" >&2; exit 1; fi
+if grep -nF '[]transport.TupleBatch' internal/host/client.go; then echo "internal/host/client.go declares a []transport.TupleBatch again: a sink holds no batch, it wraps host.ErrUndelivered" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
