@@ -23,8 +23,8 @@ func TestCloseBounds(t *testing.T) {
 		{window: 100 * time.Millisecond, lateness: 5 * time.Second, slack: 5 * time.Second, hold: 5 * time.Second},
 		{window: time.Hour, lateness: time.Second, slack: time.Second, hold: time.Second},
 	} {
-		p := Plan{QueryID: 1, Types: []string{"bid"}, Columns: [][]string{nil}, Select: []ql.PlannedItem{{}},
-			Window: tc.window, Slide: tc.slide, Lateness: tc.lateness}
+		p := Plan{Plan: ql.Plan{Select: []ql.PlannedItem{{}}, Window: tc.window, Slide: tc.slide},
+			QueryID: 1, Types: []string{"bid"}, Columns: [][]string{nil}, Lateness: tc.lateness}
 		if err := p.fillDefaults(); err != nil {
 			t.Fatal(err)
 		}
@@ -36,8 +36,8 @@ func TestCloseBounds(t *testing.T) {
 			t.Errorf("fillDefaults rewrote lateness %v to %v", tc.lateness, p.Lateness)
 		}
 	}
-	bad := Plan{QueryID: 1, Types: []string{"bid"}, Columns: [][]string{nil}, Select: []ql.PlannedItem{{}},
-		Window: time.Second, Lateness: -time.Second}
+	bad := Plan{Plan: ql.Plan{Select: []ql.PlannedItem{{}}, Window: time.Second},
+		QueryID: 1, Types: []string{"bid"}, Columns: [][]string{nil}, Lateness: -time.Second}
 	if err := bad.fillDefaults(); err == nil {
 		t.Error("a negative lateness was accepted")
 	}

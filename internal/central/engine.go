@@ -282,12 +282,12 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash
 
 // buffer keeps a join tuple for the other side's later arrivals as one
 // arena run, threaded on its side's chain (winState.arena has the
-// layout). It reports false when the window is at MaxJoinPending (or the
+// layout). It reports false when the window is at maxJoinPending (or the
 // arena at the end of its address space).
 //
 //scrub:hotpath
 func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple) bool {
-	if ws.pendN >= qs.plan.MaxJoinPending {
+	if ws.pendN >= qs.plan.maxJoinPending {
 		return false
 	}
 	// The batch's Values arrays live in memory that is recycled once the
@@ -322,7 +322,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 func (e *Engine) accumulate(qs *queryState, ws *winState, host string) {
 	p, c, ctx := &qs.plan, qs.comp, qs.ctx
 	if !p.HasAgg() && !p.Grouped() {
-		if ws.rawN >= p.MaxRawRows {
+		if ws.rawN >= p.maxRawRows {
 			qs.overflow++
 			return
 		}
@@ -534,7 +534,7 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 		if total < len(hosts) {
 			total = len(hosts)
 		}
-		est, err := sampling.EstimateSumMoments(total, hosts, p.Confidence)
+		est, err := sampling.EstimateSumMoments(total, hosts, confidence)
 		if err != nil {
 			continue
 		}
@@ -605,7 +605,7 @@ func compareOrdered(p *Plan, a, b []event.Value) int {
 // and counters add. Join pending state is irrelevant post-close — shards
 // route by request id, so both sides of a request land on one shard and
 // were joined there. The return value counts what the merged window could
-// not hold — raw rows past MaxRawRows — and callers fold it into their
+// not hold — raw rows past maxRawRows — and callers fold it into their
 // overflow accounting so bounded-memory truncation is never silent. src
 // must not be used afterwards: the sketches of a group only src has move
 // to dst as they are.
@@ -636,7 +636,7 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 			dropped++
 		}
 	}
-	take := min(src.rawN, max(p.MaxRawRows-dst.rawN, 0))
+	take := min(src.rawN, max(p.maxRawRows-dst.rawN, 0))
 	dropped += uint64(src.rawN - take)
 	for rows := rowsOf(&src.raw, len(p.Select)); take > 0; take-- {
 		if _, ok := dst.raw.Append(rows.next()); !ok {

@@ -473,7 +473,7 @@ func TestRawRowOverflowBounded(t *testing.T) {
 	e := NewEngine()
 	c := &collector{}
 	p := buildPlan(t, `select bid.user_id from bid window 10s`, 1, 1, 1)
-	p.MaxRawRows = 5
+	p.maxRawRows = 5
 	if err := e.StartQuery(p, c.emit); err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ type mergeQuery struct {
 	// barrier has covered (closeBefore).
 	barrier int64
 	// mergeDrops counts raw rows truncated when shard partials merged past
-	// MaxRawRows; folded into the query's late/overflow totals.
+	// maxRawRows; folded into the query's late/overflow totals.
 	mergeDrops uint64
 	// routeDrops tracks cumulative routing failures per stream for Ingest.
 	// Allocated on the first failure: direct shards never fail.

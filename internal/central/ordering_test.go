@@ -16,7 +16,7 @@ import (
 // LIMIT could differ between runs and between Engine and ShardedEngine.
 
 func TestCompareOrderedTieBreak(t *testing.T) {
-	p := &Plan{OrderBy: []ql.OrderKey{{Col: 0, Desc: false}}}
+	p := &Plan{Plan: ql.Plan{OrderBy: []ql.OrderKey{{Col: 0, Desc: false}}}}
 	a := []event.Value{event.Int(1), event.Str("a")}
 	b := []event.Value{event.Int(1), event.Str("b")}
 	if got := compareOrdered(p, a, b); got >= 0 {
@@ -29,7 +29,7 @@ func TestCompareOrderedTieBreak(t *testing.T) {
 		t.Errorf("identical rows must compare equal, got %d", got)
 	}
 	// Desc applies to the key but the tie-break stays canonical.
-	pd := &Plan{OrderBy: []ql.OrderKey{{Col: 0, Desc: true}}}
+	pd := &Plan{Plan: ql.Plan{OrderBy: []ql.OrderKey{{Col: 0, Desc: true}}}}
 	c := []event.Value{event.Int(2), event.Str("z")}
 	if got := compareOrdered(pd, c, a); got >= 0 {
 		t.Errorf("desc key: larger key must sort first, got %d", got)

@@ -109,7 +109,7 @@ func (qr *QueryRuntime) Plan() *Plan { return &qr.plan }
 type PartialWindow struct{ ws *winState }
 
 // Merge folds src into dst, returning the raw rows dropped because the
-// merged window hit MaxRawRows. Merge order must be deterministic
+// merged window hit maxRawRows. Merge order must be deterministic
 // (ascending shard index) for bit-identical results.
 func (qr *QueryRuntime) Merge(dst, src *PartialWindow) (dropped uint64) {
 	return mergeWinStates(&qr.plan, dst.ws, src.ws)

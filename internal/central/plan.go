@@ -14,10 +14,15 @@ import (
 	"scrub/internal/ql"
 )
 
-// Plan is the central-side query object the query server installs. It is
-// derived from a validated ql.Plan plus the resolved deployment facts
-// (absolute span, host counts for estimator scaling).
+// Plan is the central-side query object the query server installs: the
+// analyzed query, embedded by value, plus only what the deployment
+// resolved for it. fillDefaults therefore never writes into a caller's
+// ql.Plan. Central's Columns and its IsJoin and HasAgg methods shadow the
+// promoted ql.Plan names: central reads a side's columns by index, and a
+// plan built in a test may carry the layout alone.
 type Plan struct {
+	ql.Plan
+
 	QueryID uint64
 	// Text is the original query source, carried so a coordinator can
 	// re-distribute the query to shard processes (which re-analyze it
@@ -27,55 +32,39 @@ type Plan struct {
 	Types   []string   // event types in FROM order (1 or 2)
 	Columns [][]string // per type: projected column names, HostQuery order
 
-	GroupBy     []expr.FieldRef
-	Aggs        []ql.AggPlan
-	Select      []ql.PlannedItem
-	CentralPred expr.Node
-	Having      expr.Node
-	OrderBy     []ql.OrderKey
-	Limit       int
-
-	Window time.Duration
-	Slide  time.Duration // sliding interval; == Window for tumbling
 	// Lateness, when set, is how far past a window's end both the slowest
 	// live stream's event time and the wall clock must be before it closes.
 	// Unset (0): one slide, at most 2 s, and 2 s (closeBounds).
 	Lateness time.Duration
 
+	// StartNanos/EndNanos are the span resolved at submission. With
+	// REPLAY, hosts with a record stream ship history from
+	// [StartNanos-Replay, StartNanos) before going live, so the span
+	// filter must accept event times that far before the start and window
+	// closing must wait for the history (the replay hold).
 	StartNanos int64
 	EndNanos   int64
 
-	// Replay is the REPLAY clause: hosts with a record stream ship
-	// history from [StartNanos-Replay, StartNanos) before going live, so
-	// the span filter must accept event times that far before the start
-	// and window closing must wait for the history (the replay hold).
-	// 0 disables replay.
-	Replay time.Duration
-
-	// Estimator inputs (paper Eq. 1–3): how many hosts matched the target
-	// spec (N), how many were activated after host sampling (n), and the
-	// per-host event sampling rate (q).
+	// Estimator inputs (paper Eq. 1–3) beside the query's own event
+	// sampling rate: how many hosts matched the target spec (N) and how
+	// many were activated after host sampling (n).
 	TotalHosts   int
 	SampledHosts int
-	SampleEvents float64
-	Confidence   float64 // default 0.95
 
-	// MaxRawRows bounds collected rows per window for non-aggregate
-	// queries; MaxJoinPending bounds buffered join tuples per window.
-	// Overflow is counted and dropped — bounded state, always.
-	MaxRawRows     int
-	MaxJoinPending int
-
-	// Host-impact budget (BUDGET clause), forwarded to hosts via
-	// HostQuery. Central keeps a copy so it knows to expect per-host
-	// effective-rate deviations and collects estimator moments for them.
-	BudgetCPUPct      float64
-	BudgetBytesPerSec float64
+	// maxRawRows bounds collected rows per window for non-aggregate
+	// queries; maxJoinPending bounds buffered join tuples per window.
+	// Overflow is counted and dropped — bounded state, always. Only
+	// central's own tests set them below their defaults.
+	maxRawRows     int
+	maxJoinPending int
 
 	// aggLayout is where Aggs' states live in a window's agg.Slab
 	// (checkAggs).
 	aggLayout *agg.Layout
 }
+
+// confidence is the level of every estimator error bound.
+const confidence = 0.95
 
 // FromPlan assembles a central Plan from an analyzed query.
 func FromPlan(p *ql.Plan, queryID uint64, startNanos, endNanos int64, totalHosts, sampledHosts int) Plan {
@@ -85,26 +74,14 @@ func FromPlan(p *ql.Plan, queryID uint64, startNanos, endNanos int64, totalHosts
 		cols[i] = p.Columns[t]
 	}
 	return Plan{
-		QueryID:           queryID,
-		Types:             types,
-		Columns:           cols,
-		GroupBy:           p.GroupBy,
-		Aggs:              p.Aggs,
-		Select:            p.Select,
-		CentralPred:       p.CentralPred,
-		Having:            p.Having,
-		OrderBy:           p.OrderBy,
-		Limit:             p.Limit,
-		Window:            p.Window,
-		Slide:             p.Slide,
-		StartNanos:        startNanos,
-		EndNanos:          endNanos,
-		Replay:            p.Replay,
-		TotalHosts:        totalHosts,
-		SampledHosts:      sampledHosts,
-		SampleEvents:      p.SampleEvents,
-		BudgetCPUPct:      p.BudgetCPUPct,
-		BudgetBytesPerSec: p.BudgetBytesPerSec,
+		Plan:         *p,
+		QueryID:      queryID,
+		Types:        types,
+		Columns:      cols,
+		StartNanos:   startNanos,
+		EndNanos:     endNanos,
+		TotalHosts:   totalHosts,
+		SampledHosts: sampledHosts,
 	}
 }
 
@@ -142,17 +119,11 @@ func (p *Plan) fillDefaults() error {
 	if p.TotalHosts < p.SampledHosts {
 		return fmt.Errorf("central: total hosts %d < sampled %d", p.TotalHosts, p.SampledHosts)
 	}
-	if p.Confidence == 0 {
-		p.Confidence = 0.95
+	if p.maxRawRows <= 0 {
+		p.maxRawRows = 100000
 	}
-	if p.Confidence <= 0 || p.Confidence >= 1 {
-		return fmt.Errorf("central: confidence must be in (0,1)")
-	}
-	if p.MaxRawRows <= 0 {
-		p.MaxRawRows = 100000
-	}
-	if p.MaxJoinPending <= 0 {
-		p.MaxJoinPending = 1 << 20
+	if p.maxJoinPending <= 0 {
+		p.maxJoinPending = 1 << 20
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ type winState struct {
 	arena slab.Arena
 	join  slab.Index
 	start int64
-	pendN int // buffered tuples: the MaxJoinPending bound and the gauge
+	pendN int // buffered tuples: the maxJoinPending bound and the gauge
 
 	// Group state: groupRuns holds one run per group — [link] [the
 	// group's ordinal in aggs, 4 bytes] [the key values' wire form, keyW

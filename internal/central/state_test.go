@@ -228,7 +228,7 @@ func TestJoinOneSidedFloodIsLinear(t *testing.T) {
 	e := NewEngine()
 	p := buildPlan(t, `select bid.bid_price, exclusion.reason from bid, exclusion window 10s`, 1, 1, 1)
 	p.Lateness = time.Hour
-	p.MaxRawRows = 2 * flood
+	p.maxRawRows = 2 * flood
 	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ type refTuple struct {
 // TestSlabJoinMatchesNestedLoop feeds seeded bid/exclusion streams —
 // request ids drawn from a small range so ids repeat M×N, the two sides
 // interleaved at random so either may arrive first, sliding windows so a
-// tuple lands in two, and on some seeds a MaxJoinPending small enough to
+// tuple lands in two, and on some seeds a maxJoinPending small enough to
 // overflow — and requires every window's groups, counts, float sums (bit
 // for bit: the fold order is the arrival order) and drop count to equal
 // the nested-loop reference.
@@ -302,7 +302,7 @@ func TestSlabJoinMatchesNestedLoop(t *testing.T) {
 			if seed%3 == 0 {
 				maxPending = 20 + rng.Intn(40)
 			}
-			p.MaxJoinPending = maxPending
+			p.maxJoinPending = maxPending
 			e := NewEngine()
 			c := &collector{}
 			if err := e.StartQuery(p, c.emit); err != nil {
@@ -364,7 +364,7 @@ func TestSlabJoinMatchesNestedLoop(t *testing.T) {
 				t.Errorf("overflow drops = %d, reference %d", st.LateDrops, refOverflow)
 			}
 			if seed%3 == 0 && refOverflow == 0 {
-				t.Error("seed meant to overflow MaxJoinPending did not")
+				t.Error("seed meant to overflow maxJoinPending did not")
 			}
 
 			wins := c.all()

@@ -15,14 +15,18 @@ import (
 	"scrub/internal/transport"
 )
 
+// adCatalog is the differential harness's catalog: a bid stream and an
+// exclusion stream sharing request ids.
 func adCatalog() *event.Catalog {
 	c := event.NewCatalog()
 	c.MustRegister(event.MustSchema("bid",
 		event.FieldDef{Name: "user_id", Kind: event.KindInt},
+		event.FieldDef{Name: "exchange_id", Kind: event.KindInt},
 		event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
 		event.FieldDef{Name: "country", Kind: event.KindString},
 	))
 	c.MustRegister(event.MustSchema("exclusion",
+		event.FieldDef{Name: "line_item_id", Kind: event.KindInt},
 		event.FieldDef{Name: "reason", Kind: event.KindString},
 	))
 	return c

@@ -83,6 +83,29 @@ func (tt *testTopo) addShard(t *testing.T) *testShard {
 	return s
 }
 
+// addStandby attaches a warm standby over cat to the coordinator's
+// replication stream; it dials the topology's shards over pipes.
+func (tt *testTopo) addStandby(opts Options, cat *event.Catalog) *Standby {
+	sb := NewStandby(StandbyOptions{
+		Central: opts,
+		Catalog: cat,
+		Dial: func(addr string) (*transport.Conn, error) {
+			for i, s := range tt.shards {
+				if addr == fmt.Sprintf("shard-%d", i) {
+					cc, cs := transport.Pipe()
+					go s.node.ServeConn(cs)
+					return cc, nil
+				}
+			}
+			return nil, fmt.Errorf("unknown shard %q", addr)
+		},
+	})
+	sbc, sbs := transport.Pipe()
+	go sb.ServeConn(sbs)
+	tt.coord.AddStandbyConn(sbc, "standby-0")
+	return sb
+}
+
 func (tt *testTopo) close() {
 	tt.router.Close()
 	tt.coord.Close()
@@ -794,23 +817,7 @@ func TestLeaderFailover(t *testing.T) {
 		t.Fatalf("leader fence = %d, want 1", tt.coord.Fence())
 	}
 
-	sb := NewStandby(StandbyOptions{
-		Central: opts,
-		Catalog: testCatalog(),
-		Dial: func(addr string) (*transport.Conn, error) {
-			for i, s := range tt.shards {
-				if addr == fmt.Sprintf("shard-%d", i) {
-					cc, cs := transport.Pipe()
-					go s.node.ServeConn(cs)
-					return cc, nil
-				}
-			}
-			return nil, fmt.Errorf("unknown shard %q", addr)
-		},
-	})
-	sbc, sbs := transport.Pipe()
-	go sb.ServeConn(sbs)
-	tt.coord.AddStandbyConn(sbc, "standby-0")
+	sb := tt.addStandby(opts, testCatalog())
 
 	const src = `select count(*) from ev window 10s`
 	col1 := &collector{}
@@ -947,6 +954,52 @@ func TestLeaderFailover(t *testing.T) {
 	}
 	if n := countOf(t, col2.wins[1]); n != 1 {
 		t.Errorf("drained count = %d, want 1", n)
+	}
+}
+
+// TestPromoteDrainsUnresumable: a replicated registration the standby
+// cannot resume — here its catalog lacks the query's event type, the
+// catalog drift a rolling upgrade can leave — is drained from every
+// shard at takeover. The fence step spares it as replicated, so without
+// the drain no leader would ever stop it and it would hold shard memory
+// for good.
+func TestPromoteDrainsUnresumable(t *testing.T) {
+	vc := &vclock{}
+	opts := Options{Clock: vc.now, LeaseTTL: time.Hour}
+	tt := newTestTopo(t, 2, opts)
+	defer tt.close()
+	tt.coord.StartReplication(ReplicationConfig{Term: 1, Heartbeat: time.Hour})
+
+	drifted := event.NewCatalog()
+	drifted.MustRegister(event.MustSchema("other", event.FieldDef{Name: "v", Kind: event.KindFloat}))
+	sb := tt.addStandby(opts, drifted)
+
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, &collector{})
+	if _, _, qs := sb.Snapshot(); len(qs) != 1 || qs[0] != 1 {
+		t.Fatalf("standby shadows queries %v, want [1]", qs)
+	}
+	for i, s := range tt.shards {
+		if qs := s.node.eng.DrivenQueries(); len(qs) != 1 {
+			t.Fatalf("shard %d runs %v before takeover, want [1]", i, qs)
+		}
+	}
+
+	old := tt.coord
+	defer old.Close()
+	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc {
+		return (&collector{}).emit
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt.coord = promoted
+	if len(resumed) != 0 {
+		t.Fatalf("resumed %+v with a catalog that lacks its type", resumed)
+	}
+	for i, s := range tt.shards {
+		if qs := s.node.eng.DrivenQueries(); len(qs) != 0 {
+			t.Errorf("shard %d still runs %v after a takeover that resumed nothing", i, qs)
+		}
 	}
 }
 

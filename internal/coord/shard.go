@@ -152,9 +152,10 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 
 // handleStart re-analyzes the query text against the shard's own catalog
 // and overlays the deployment facts the coordinator resolved, then
-// installs the query in driven mode. Re-analysis (rather than shipping a
-// compiled plan) keeps the wire format free of expression trees; the
-// differential oracle holds both analyses to identical semantics.
+// installs the query in driven mode. The text is the one description of
+// the query both sides hold, so a start carries no field the text already
+// says, and a shard never runs a plan its text does not; the differential
+// oracle holds both analyses to identical semantics.
 //
 // Starts are idempotent per query id: a promoted standby re-installs
 // every replicated registration, and a shard that already runs the query
@@ -197,9 +198,9 @@ func (n *ShardNode) handleStats(t transport.ShardStatsReq) transport.ShardStatsR
 }
 
 // PlanFromShardStart rebuilds the central plan a ShardStart describes:
-// parse and analyze the text, then apply the coordinator's resolved
-// values verbatim — they are post-defaults, so every override is
-// unconditional and the shard plan matches the coordinator's bit for bit.
+// parse and analyze the text, then apply the deployment facts the
+// coordinator resolved. Everything else the plan holds is the text's, so
+// the shard plan matches the coordinator's bit for bit.
 func PlanFromShardStart(t transport.ShardStart, cat *event.Catalog) (central.Plan, error) {
 	q, err := ql.Parse(t.Text)
 	if err != nil {
@@ -212,34 +213,20 @@ func PlanFromShardStart(t transport.ShardStart, cat *event.Catalog) (central.Pla
 	cp := central.FromPlan(plan, t.QueryID, t.StartNanos, t.EndNanos,
 		int(t.TotalHosts), int(t.SampledHosts))
 	cp.Text = t.Text
-	cp.Replay = time.Duration(t.ReplayNanos)
-	cp.SampleEvents = t.SampleEvents
-	cp.Confidence = t.Confidence
-	cp.MaxRawRows = int(t.MaxRawRows)
-	cp.MaxJoinPending = int(t.MaxJoinPending)
-	cp.BudgetCPUPct = t.BudgetCPUPct
-	cp.BudgetBytesPerSec = t.BudgetBytesPerSec
 	cp.Lateness = time.Duration(t.LatenessNanos)
 	return cp, nil
 }
 
-// ShardStartFromPlan is the inverse mapping, built from a post-defaults
-// plan at the coordinator.
+// ShardStartFromPlan is the inverse mapping, built from a plan at the
+// coordinator.
 func ShardStartFromPlan(p *central.Plan) transport.ShardStart {
 	return transport.ShardStart{
-		QueryID:           p.QueryID,
-		Text:              p.Text,
-		StartNanos:        p.StartNanos,
-		EndNanos:          p.EndNanos,
-		ReplayNanos:       int64(p.Replay),
-		TotalHosts:        uint32(p.TotalHosts),
-		SampledHosts:      uint32(p.SampledHosts),
-		SampleEvents:      p.SampleEvents,
-		Confidence:        p.Confidence,
-		MaxRawRows:        uint32(p.MaxRawRows),
-		MaxJoinPending:    uint32(p.MaxJoinPending),
-		BudgetCPUPct:      p.BudgetCPUPct,
-		BudgetBytesPerSec: p.BudgetBytesPerSec,
-		LatenessNanos:     int64(p.Lateness),
+		QueryID:       p.QueryID,
+		Text:          p.Text,
+		StartNanos:    p.StartNanos,
+		EndNanos:      p.EndNanos,
+		TotalHosts:    uint32(p.TotalHosts),
+		SampledHosts:  uint32(p.SampledHosts),
+		LatenessNanos: int64(p.Lateness),
 	}
 }

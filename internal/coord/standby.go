@@ -192,7 +192,8 @@ type ResumedQuery struct {
 // matters, it is the rid%n routing order every host pins — fences every
 // live shard, stops orphan queries a dead leader installed but never
 // committed, and re-installs every replicated registration (idempotent
-// shard-side, so absorbed window state survives).
+// shard-side, so absorbed window state survives) or, when it cannot,
+// drains it from the shards.
 //
 // emitFor supplies the emit hook per resumed query. Every resumed query
 // starts with its Degraded latch set: the manifest-gap during failover
@@ -269,13 +270,13 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 		}
 	}
 
-	// Resume the registrations in ascending query-id order.
+	// Resume the registrations in ascending query-id order. One that
+	// cannot be resumed — its text no longer analyzes (catalog drift), it
+	// gets no emit hook, or its install fails — is drained on every live
+	// member like an orphan: the fence step spared it as replicated, and
+	// no leader will ever collect or stop it.
 	var resumed []ResumedQuery
 	for _, e := range entries {
-		plan, err := PlanFromShardStart(e.Start, s.opt.Catalog)
-		if err != nil {
-			continue // unresolvable text (catalog drift); nothing to resume
-		}
 		rq := ResumedQuery{
 			QueryID:    e.Start.QueryID,
 			Text:       e.Start.Text,
@@ -283,14 +284,20 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 			EndNanos:   e.Start.EndNanos,
 			PinEpoch:   e.PinEpoch,
 		}
-		emit := emitFor(rq, &plan)
-		if emit == nil {
+		plan, err := PlanFromShardStart(e.Start, s.opt.Catalog)
+		var emit central.EmitFunc
+		if err == nil {
+			emit = emitFor(rq, &plan)
+		}
+		if emit != nil && c.install(plan, emit, &e) == nil {
+			resumed = append(resumed, rq)
 			continue
 		}
-		if err := c.install(plan, emit, &e); err != nil {
-			continue
+		for _, sc := range members {
+			if !sc.Down() {
+				sc.drain(rq.QueryID) // best effort, as for an orphan
+			}
 		}
-		resumed = append(resumed, rq)
 	}
 	return c, resumed, nil
 }

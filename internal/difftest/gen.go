@@ -54,17 +54,17 @@ func generate(cfg Config) (*gen, error) {
 		shapes = shortWindowShapes
 	}
 	g.src = genQuery(rng, cfg.Family, shapes)
-	var err error
-	if g.qp, err = analyze(g.src, g.cat); err != nil {
-		return g, err
-	}
 	hosts := 2 + rng.Intn(3)
 	sampledHosts := hosts
 	if cfg.Mode == modeHostSample {
 		sampledHosts = 1 + rng.Intn(hosts-1)
 	}
 	if cfg.Mode == modeSampled {
-		g.qp.SampleEvents = []float64{0.5, 0.25}[rng.Intn(2)]
+		g.src += []string{" sample events 50%", " sample events 25%"}[rng.Intn(2)]
+	}
+	var err error
+	if g.qp, err = analyze(g.src, g.cat); err != nil {
+		return g, err
 	}
 	// The query id comes from the seed, so the agents' (query, host)-seeded
 	// samplers draw differently on every seed; each seed owns a block of

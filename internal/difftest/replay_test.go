@@ -103,6 +103,16 @@ func (s *replaySink) waitDone(timeout time.Duration) bool {
 func runReplayArm(t *testing.T, queryText string, events []*event.Event, base int64, before bool) ([]transport.ResultWindow, transport.QueryStats) {
 	t.Helper()
 	cat := replayCatalog()
+
+	// The live arm starts at the burst; the replay arm starts 40s later
+	// and replays the missed history, which its text says. Either way the
+	// data partition the query accepts is [base, end).
+	start := base
+	if !before {
+		queryText += " replay 40s"
+		start = base + int64(40*time.Second)
+	}
+	end := start + int64(10*time.Minute)
 	q, err := ql.Parse(queryText)
 	if err != nil {
 		t.Fatal(err)
@@ -111,17 +121,6 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The live arm starts at the burst; the replay arm starts 40s later
-	// and replays the missed history. Either way the data partition the
-	// query accepts is [base, end).
-	start := base
-	var replaySpan time.Duration
-	if !before {
-		replaySpan = 40 * time.Second
-		start = base + int64(replaySpan)
-	}
-	end := start + int64(10*time.Minute)
 
 	var rs *replay.Store
 	if !before {
@@ -141,7 +140,6 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 	defer agent.Close()
 
 	hq := plan.HostQueries(1, start, end)[0]
-	hq.ReplayNanos = int64(replaySpan)
 
 	if before {
 		if err := agent.Start(hq); err != nil {
@@ -164,7 +162,6 @@ func runReplayArm(t *testing.T, queryText string, events []*event.Event, base in
 	}
 
 	cp := central.FromPlan(plan, 1, start, end, 1, 1)
-	cp.Replay = replaySpan
 	cp.Text = queryText
 	// Every executor arm takes the shipped batches, the replay arm's
 	// included, where the hold settles across shards via the manifests'

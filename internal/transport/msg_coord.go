@@ -52,32 +52,23 @@ const (
 	tagRepAck
 )
 
-// ShardStart installs a query on a shard process in driven mode. The
-// shard re-analyzes Text against its own catalog and applies the resolved
-// deployment facts, so plan distribution never serializes compiled
-// expression trees.
+// ShardStart installs a query on a shard process in driven mode. It
+// carries what a shard cannot read off the query text: the shard parses
+// and analyzes Text against its own catalog, then applies the deployment
+// facts the coordinator resolved.
 type ShardStart struct {
 	Seq uint64
 	// Fence is the sending coordinator's fencing epoch; a shard rejects
 	// starts from an epoch below the highest it has seen. 0 (standalone
 	// deployments) is never below anything.
-	Fence       uint64
-	QueryID     uint64
-	Text        string
-	StartNanos  int64
-	EndNanos    int64
-	ReplayNanos int64 // REPLAY span; extends the span filter back
+	Fence      uint64
+	QueryID    uint64
+	Text       string
+	StartNanos int64
+	EndNanos   int64
 	// Estimator facts resolved at submission (central.Plan fields).
 	TotalHosts   uint32
 	SampledHosts uint32
-	SampleEvents float64 // post-override event-sampling rate; <= 0 keeps the parsed rate
-	Confidence   float64 // 0 keeps the default
-	// State bounds; 0 keeps the defaults.
-	MaxRawRows     uint32
-	MaxJoinPending uint32
-	// Host-impact budget, forwarded for plan parity.
-	BudgetCPUPct      float64
-	BudgetBytesPerSec float64
 	// LatenessNanos is the plan's declared lateness, 0 when unset: whether
 	// one was declared selects how windows close, so a standby that
 	// resumes the query must close them by the same rule as its leader.
@@ -346,15 +337,8 @@ func (t *ShardStart) code(c *coder) {
 	c.Str(&t.Text)
 	c.I64(&t.StartNanos)
 	c.I64(&t.EndNanos)
-	c.I64(&t.ReplayNanos)
 	c.U32(&t.TotalHosts)
 	c.U32(&t.SampledHosts)
-	c.F64(&t.SampleEvents)
-	c.F64(&t.Confidence)
-	c.U32(&t.MaxRawRows)
-	c.U32(&t.MaxJoinPending)
-	c.F64(&t.BudgetCPUPct)
-	c.F64(&t.BudgetBytesPerSec)
 	c.I64(&t.LatenessNanos)
 }
 

@@ -86,10 +86,8 @@ func sampleMessages() []Message {
 		QueryList{},
 		ShardStart{
 			Seq: 1, Fence: 2, QueryID: 7, Text: "select count(*) from bid",
-			StartNanos: 100, EndNanos: 200, ReplayNanos: 30,
-			TotalHosts: 100, SampledHosts: 10, SampleEvents: 0.5,
-			Confidence: 0.99, MaxRawRows: 1000, MaxJoinPending: 4096,
-			BudgetCPUPct: 1.5, BudgetBytesPerSec: 1 << 20, LatenessNanos: 5e9,
+			StartNanos: 100, EndNanos: 200,
+			TotalHosts: 100, SampledHosts: 10, LatenessNanos: 5e9,
 		},
 		ShardAck{Seq: 1},
 		ShardAck{Seq: 2, Err: "no such query"},

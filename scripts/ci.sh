@@ -88,6 +88,14 @@ echo "== one retransmit buffer, in the agent (the agent keeps what a sink report
 if grep -rnwE --include='*.go' 'SpillLimit|SetDropAccounting|AccountDrops|spillLocked|drainSpillLocked' .; then echo "a .go file names NetSink's spill or its drop callback again: the agent's shipper keeps undelivered chunks, bounded by QueueSize" >&2; exit 1; fi
 if grep -nF '[]transport.TupleBatch' internal/host/client.go; then echo "internal/host/client.go declares a []transport.TupleBatch again: a sink holds no batch, it wraps host.ErrUndelivered" >&2; exit 1; fi
 
+echo "== one description of a query's plan (central.Plan embeds ql.Plan and adds only what the deployment resolved; ShardStart carries only what the text does not say; difftest's plans say what their text says) =="
+knobs='Confidence|MaxRawRows|MaxJoinPending|BudgetCPUPct|BudgetBytesPerSec|ReplayNanos|SampleEvents'
+if awk '/^type ShardStart struct/,/^}/' internal/transport/msg_coord.go | grep -nwE "$knobs" ||
+   awk '/^type Plan struct/,/^}/' internal/central/plan.go | grep -nwE "$knobs"; then
+  echo "transport.ShardStart or central.Plan declares a knob again: the text says the sampling rate, the replay span and the budget, and central's confidence and state caps are its own" >&2; exit 1
+fi
+if grep -nE '\.(SampleEvents|Replay) *=[^=]' $(nontest internal/difftest); then echo "non-test internal/difftest sets a plan's SampleEvents or Replay again: write the clause into the query text" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
