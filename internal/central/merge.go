@@ -105,7 +105,9 @@ func (sc *RouteScratch) reset(n int) {
 // the sum of the host's own drops and the routing failures — same wire
 // contract as host-side queue drops, so no extra failure channel exists.
 func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64, sc *RouteScratch) transport.BatchManifest {
-	m := manifestOf(&b)
+	// The manifest is the batch's header: the pooled tuples do not ride it.
+	m := transport.BatchManifest{TupleBatch: b, RawTuples: uint64(len(b.Tuples))}
+	m.Tuples = nil
 	n := uint64(len(shards))
 	sc.reset(len(shards))
 	m.ShardLate, m.ShardOverflow = sc.counters[:n:n], sc.counters[n:]
@@ -166,30 +168,10 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 	return m
 }
 
-// manifestOf copies a batch's stream header — identity and the host's
-// cumulative counters — into a manifest with nothing observed yet.
-func manifestOf(b *transport.TupleBatch) transport.BatchManifest {
-	return transport.BatchManifest{
-		QueryID:      b.QueryID,
-		HostID:       b.HostID,
-		TypeIdx:      b.TypeIdx,
-		RawTuples:    uint64(len(b.Tuples)),
-		MatchedTotal: b.MatchedTotal,
-		SampledTotal: b.SampledTotal,
-		QueueDrops:   b.QueueDrops,
-		EffRate:      b.EffRate,
-		BudgetShed:   b.BudgetShed,
-		CPUNs:        b.CPUNs,
-		ShipBytes:    b.ShipBytes,
-		ReplayEpoch:  b.ReplayEpoch,
-		ReplayDone:   b.ReplayDone,
-	}
-}
-
 // mergeQuery is what the merger keeps per query: the compiled plan, the
 // emit hook, the stream table, the running stats, the replay hold and the
-// query's shards. The stream fold, the close decisions and the emit
-// stamping exist here and nowhere else.
+// query's shards. The close decisions and the emit stamping exist here
+// and nowhere else; the stream fold is liveness.Table.Fold.
 type mergeQuery struct {
 	QueryRuntime
 	emit EmitFunc
@@ -250,24 +232,6 @@ type mergeQuery struct {
 	routeDrops map[liveness.Key]uint64
 }
 
-// fold renews the stream's lease and folds the batch's cumulative host
-// counters into it. Every batch — counter-only heartbeats included —
-// renews the lease; a batch from an evicted stream re-admits it.
-func (q *mergeQuery) fold(m *transport.BatchManifest, nowN int64) *liveness.Stream {
-	st, _ := q.streams.Touch(liveness.Key{Host: m.HostID, TypeIdx: m.TypeIdx}, nowN)
-	// Counters are cumulative; max() keeps a delayed or duplicated batch
-	// (chaos, retransmits) from regressing them.
-	st.Matched = max(st.Matched, m.MatchedTotal)
-	st.Sampled = max(st.Sampled, m.SampledTotal)
-	st.Drops = max(st.Drops, m.QueueDrops)
-	st.FoldGovernor(m.EffRate, m.BudgetShed, m.CPUNs, m.ShipBytes)
-	q.streams.FoldReplay(st, m.ReplayEpoch, m.ReplayDone)
-	if q.tuplesC != nil {
-		q.tuplesC.Add(m.RawTuples)
-	}
-	return st
-}
-
 // holding reports whether the replay hold is still open at leaseNow,
 // releasing it when replay has settled or the deadline passed.
 func (q *mergeQuery) holding(leaseNow int64) bool {
@@ -277,19 +241,14 @@ func (q *mergeQuery) holding(leaseNow int64) bool {
 	return q.replayHold
 }
 
-// advance folds what a batch's tuples did — late drops, max in-span event
-// time — into their stream and reports the watermark to close at, if the
-// batch calls for a close decision. The fold is unconditional: a batch
-// whose tuples were all filtered or late-dropped still advances its
-// stream's clock, or it would stall the watermark (and window closure for
-// every stream) until the host's lease expired. A batch that releases the
-// replay hold (its ReplayDone marker settled the last replaying stream)
-// closes windows even when it carried no tuples of its own.
-func (q *mergeQuery) advance(st *liveness.Stream, lateDelta uint64, hasTs bool, maxTs, nowN int64) (wm int64, ok bool) {
-	st.LateDrops += lateDelta
-	if hasTs {
-		st.ObserveTs(maxTs)
-	}
+// advance is the close decision a folded batch calls for: it reports the
+// watermark to close at, if any. A batch whose tuples were all filtered
+// or late-dropped still advanced its stream's clock in the fold, or it
+// would stall the watermark (and window closure for every stream) until
+// the host's lease expired. A batch that releases the replay hold (its
+// ReplayDone marker settled the last replaying stream) closes windows
+// even when it carried no tuples of its own.
+func (q *mergeQuery) advance(hasTs bool, nowN int64) (wm int64, ok bool) {
 	wasHolding := q.replayHold
 	if q.holding(nowN) || !(hasTs || wasHolding) {
 		return 0, false
@@ -331,7 +290,7 @@ func (q *mergeQuery) emitWindow(met *centralMetrics, start, end int64, ws *winSt
 	rw := renderWindow(&q.plan, q.comp, start, end, ws, q.streams.RatesByHost(q.plan.SampleEvents))
 	rw.Stats.HostDrops = q.streams.HostDrops()
 	rw.Stats.LateDrops = q.lateDrops()
-	rw.Degraded = q.lostShard || q.streams.AnyEvicted()
+	rw.Degraded = q.lostShard || q.streams.Evicted() > 0
 	rw.BudgetShed = q.streams.AnyShed()
 	rw.Streams = q.streams.Snapshot()
 	q.stats.Windows++
@@ -561,7 +520,10 @@ func (m *Merger) Observe(man transport.BatchManifest) bool {
 
 func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 	nowN := m.opt.Clock().UnixNano()
-	st := q.fold(man, nowN)
+	q.streams.Fold(man, nowN)
+	if q.tuplesC != nil {
+		q.tuplesC.Add(man.RawTuples)
+	}
 	if m.met != nil {
 		m.met.batches.Inc()
 		m.met.tuples.Add(man.RawTuples)
@@ -572,7 +534,7 @@ func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 	for i := 0; i < len(q.shards) && i < len(man.ShardOverflow); i++ {
 		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
 	}
-	if wm, ok := q.advance(st, man.LateDelta, man.HasTs, man.MaxTs, nowN); ok {
+	if wm, ok := q.advance(man.HasTs, nowN); ok {
 		if m.met != nil {
 			m.met.wmLag.Set(nowN - wm)
 		}
@@ -775,11 +737,7 @@ func (m *Merger) EvictedStreams() (n uint32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, q := range m.queries {
-		for _, s := range q.streams.Snapshot() {
-			if s.Evicted {
-				n++
-			}
-		}
+		n += uint32(q.streams.Evicted())
 	}
 	return n
 }

@@ -359,7 +359,7 @@ func TestMergerTwoPhaseInstall(t *testing.T) {
 	if n, _ := s0.TuplesIn(1); n != 0 {
 		t.Errorf("shard 0 absorbed %d tuples of a half-installed query", n)
 	}
-	if m.Observe(transport.BatchManifest{QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: sec(50)}) {
+	if m.Observe(transport.BatchManifest{TupleBatch: transport.TupleBatch{QueryID: 1, HostID: "h1"}, RawTuples: 1, HasTs: true, MaxTs: sec(50)}) {
 		t.Error("Observe folded a manifest into a query whose install has not finished")
 	}
 	if _, ok := m.Stats(1); ok {

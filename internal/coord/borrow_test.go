@@ -178,10 +178,10 @@ func TestManifestClientNamesTheCoordinator(t *testing.T) {
 	ours, theirs := transport.Pipe()
 	theirs.Close()
 	send := NewManifestClient(ours)
-	if err := send(transport.BatchManifest{QueryID: 1}); err == nil {
+	if err := send(transport.BatchManifest{TupleBatch: transport.TupleBatch{QueryID: 1}}); err == nil {
 		t.Fatal("a manifest to a closed coordinator succeeded")
 	}
-	err := send(transport.BatchManifest{QueryID: 1})
+	err := send(transport.BatchManifest{TupleBatch: transport.TupleBatch{QueryID: 1}})
 	if err == nil || !strings.Contains(err.Error(), "coordinator is down") || strings.Contains(err.Error(), "shard") {
 		t.Errorf("the latched-down manifest client reports %v", err)
 	}

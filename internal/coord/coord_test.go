@@ -509,7 +509,7 @@ func TestCollectStaleOrGarbageDegrades(t *testing.T) {
 			defer close(done)
 			answer(func(m transport.Message) transport.Message { return reply(m.(transport.ShardCollectReq)) })
 		}()
-		c.HandleManifest(transport.BatchManifest{QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: ts})
+		c.HandleManifest(transport.BatchManifest{TupleBatch: transport.TupleBatch{QueryID: 1, HostID: "h1"}, RawTuples: 1, HasTs: true, MaxTs: ts})
 		<-done
 	}
 	closeAt(12*sec, func(r transport.ShardCollectReq) transport.ShardPartials {
@@ -588,7 +588,8 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	// Probe the pending entry: it must be invisible to every Executor
 	// surface, and a manifest racing the install must be dropped.
 	c.HandleManifest(transport.BatchManifest{
-		QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: 50 * sec,
+		TupleBatch: transport.TupleBatch{QueryID: 1, HostID: "h1"},
+		RawTuples:  1, HasTs: true, MaxTs: 50 * sec,
 	})
 	// A legacy whole batch racing the install must not reach shard 0,
 	// which already runs the query: its tuples would vanish on shard 1.
@@ -674,7 +675,8 @@ func TestStartQueryRollbackManifestRace(t *testing.T) {
 			default:
 			}
 			c.HandleManifest(transport.BatchManifest{
-				QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: i * sec,
+				TupleBatch: transport.TupleBatch{QueryID: 1, HostID: "h1"},
+				RawTuples:  1, HasTs: true, MaxTs: i * sec,
 			})
 		}
 	}()
@@ -731,8 +733,8 @@ func TestManifestTupleFreeHasTs(t *testing.T) {
 	// shard-side — plus a late-drop delta to fold.
 	vc.nanos = 12 * sec
 	tt.coord.HandleManifest(transport.BatchManifest{
-		QueryID: 1, HostID: "h1", TypeIdx: 0,
-		RawTuples: 0, HasTs: true, MaxTs: 12 * sec, LateDelta: 3,
+		TupleBatch: transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 0},
+		RawTuples:  0, HasTs: true, MaxTs: 12 * sec, LateDelta: 3,
 	})
 	if len(col.wins) != 1 {
 		t.Fatalf("tuple-free HasTs manifest did not close the window: %d windows", len(col.wins))

@@ -133,11 +133,11 @@ func TestDefaultLatenessSweep(t *testing.T) {
 //     binomial error — sweep coverage sat near 0.79 instead of ≥0.95;
 //   - the coordinator published a query before installing it on shards
 //     (manifests could fold into a registration that was later rolled
-//     back) and skipped LateDelta/ObserveTs on tuple-free manifests; the
-//     failover arm kills the replicating leader mid-delivery on every
-//     seed, so any of these — or a takeover that loses a registration,
-//     double-emits a collected window, or forgets the Degraded latch —
-//     diverges against the Engine;
+//     back) and skipped late drops and the event clock on tuple-free
+//     manifests; the failover arm kills the replicating leader
+//     mid-delivery on every seed, so any of these — or a takeover that
+//     loses a registration, double-emits a collected window, or forgets
+//     the Degraded latch — diverges against the Engine;
 //   - the agent's solo path (one unfiltered query on a type) and spans
 //     bounded only at the end read a zero span start as t = 0, so they
 //     dropped events before 1970 that the shared path kept — the agent

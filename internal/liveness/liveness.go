@@ -14,6 +14,10 @@
 // degradation: progress is never held hostage to a dead peer, and every
 // loss is accounted, never silent.
 //
+// A stream embeds the transport.StreamStat its windows report, and
+// Table.Fold is the one place a batch's report — its manifest: the
+// batch's header plus what routing did — is folded into it.
+//
 // A Table is NOT self-locking: the central engines mutate it while
 // holding their own query locks, so adding a second mutex here would only
 // buy deadlock surface. Callers must serialize access themselves.
@@ -34,61 +38,24 @@ type Key struct {
 	TypeIdx uint8
 }
 
-// Stream is the per-stream lease and accounting state.
+// Stream is the per-stream lease and accounting state. It embeds the
+// StreamStat a window reports of it, so the report is folded in place and
+// Snapshot copies it out whole.
 type Stream struct {
+	transport.StreamStat
 	// LastSeen is the wall-clock nanos of the last batch or heartbeat.
 	LastSeen int64
 	// LastTs is the max event time shipped so far; HasTs gates it so a
 	// stream that has only sent heartbeats does not pin the watermark at 0.
 	LastTs int64
 	HasTs  bool
-	// Last-known cumulative counters from the host (TupleBatch fields).
-	Matched uint64
-	Sampled uint64
-	Drops   uint64
-	// LateDrops counts this stream's tuples that arrived after every
-	// covering window had closed — counted, not applied.
-	LateDrops uint64
-	// Evicted marks an expired lease. Evictions counts how many times the
-	// lease has expired over the stream's life (a flapping host shows up
-	// here).
-	Evicted   bool
-	Evictions uint64
-	// Governor accounting (TupleBatch fields): the host's last-reported
-	// effective event-sampling rate (0 = never reported), whether the
-	// budget governor shed the query there (sticky, like the host-side
-	// flag), and cumulative measured cost.
-	EffRate    float64
-	BudgetShed bool
-	CPUNs      uint64
-	Bytes      uint64
-	// Replay framing (TupleBatch fields). Replaying marks a stream
-	// currently shipping replayed history: it announced a nonzero replay
-	// epoch and has not yet sent its ReplayDone marker. ReplayEnded
-	// latches once its replay finished (done marker, or eviction
-	// mid-replay), so a duplicated or reordered epoch batch cannot
-	// restart a finished replay.
+	// Replaying marks a stream currently shipping replayed history: it
+	// announced a nonzero replay epoch and has not yet sent its ReplayDone
+	// marker. ReplayEnded latches once its replay finished (done marker,
+	// or eviction mid-replay), so a duplicated or reordered epoch batch
+	// cannot restart a finished replay.
 	Replaying   bool
 	ReplayEnded bool
-}
-
-// FoldGovernor folds one batch's governor accounting into the stream.
-// Rates replace (they recover as well as degrade); shed is sticky; the
-// cost counters are cumulative so max() tolerates duplicated or
-// reordered batches, like the matched/sampled folding in the engines.
-func (s *Stream) FoldGovernor(effRate float64, shed bool, cpuNs, bytes uint64) {
-	if effRate > 0 {
-		s.EffRate = effRate
-	}
-	if shed {
-		s.BudgetShed = true
-	}
-	if cpuNs > s.CPUNs {
-		s.CPUNs = cpuNs
-	}
-	if bytes > s.Bytes {
-		s.Bytes = bytes
-	}
 }
 
 // Table holds the lease state for one query's streams.
@@ -96,7 +63,7 @@ type Table struct {
 	ttl     int64
 	streams map[Key]*Stream
 	// Replay bookkeeping: how many streams ever announced replay and how
-	// many are still replaying. Maintained by FoldReplay and Expire; the
+	// many are still replaying. Maintained by Fold and Expire; the
 	// engines' replay hold reads them through ReplaySettled.
 	replayStarted int
 	replayActive  int
@@ -115,30 +82,38 @@ func NewTable(ttl time.Duration) *Table {
 	return &Table{ttl: int64(ttl), streams: make(map[Key]*Stream)}
 }
 
-// Touch renews k's lease at nowNanos, creating the stream on first
-// contact. It reports the stream state and whether this touch re-admitted
-// a previously evicted stream.
-func (t *Table) Touch(k Key, nowNanos int64) (s *Stream, readmitted bool) {
-	s = t.streams[k]
+// Fold renews the lease of m's stream at nowNanos (creating it on first
+// contact, re-admitting it if evicted) and folds the batch's report into
+// it. Cumulative counters max-fold, so a delayed or duplicated batch
+// cannot regress them; a reported rate replaces the last (rates recover
+// too) and shed is sticky; LateDelta adds up; the clock takes the newest
+// MaxTs.
+func (t *Table) Fold(m *transport.BatchManifest, nowNanos int64) {
+	k := Key{Host: m.HostID, TypeIdx: m.TypeIdx}
+	s := t.streams[k]
 	if s == nil {
-		s = &Stream{}
+		s = &Stream{StreamStat: transport.StreamStat{HostID: k.Host, TypeIdx: k.TypeIdx}}
 		t.streams[k] = s
 	}
 	s.LastSeen = nowNanos
-	if s.Evicted {
-		s.Evicted = false
-		readmitted = true
+	s.Evicted = false
+	s.Matched = max(s.Matched, m.MatchedTotal)
+	s.Sampled = max(s.Sampled, m.SampledTotal)
+	s.Drops = max(s.Drops, m.QueueDrops)
+	s.CPUNs = max(s.CPUNs, m.CPUNs)
+	s.Bytes = max(s.Bytes, m.ShipBytes)
+	if m.EffRate > 0 {
+		s.EffRate = m.EffRate
 	}
-	return s, readmitted
-}
-
-// FoldReplay folds one batch's replay-epoch framing into the stream and
-// the table's replay bookkeeping. Epoch 0 (a live batch) is a no-op:
-// replay chunks interleave with live chunks on the same stream, so a
-// live batch says nothing about whether the history has finished
-// shipping — only the explicit ReplayDone marker (or eviction) does.
-func (t *Table) FoldReplay(s *Stream, epoch uint32, done bool) {
-	if epoch == 0 {
+	s.BudgetShed = s.BudgetShed || m.BudgetShed
+	s.LateDrops += m.LateDelta
+	if m.HasTs && (!s.HasTs || m.MaxTs > s.LastTs) {
+		s.LastTs, s.HasTs = m.MaxTs, true
+	}
+	// Replay framing. A live batch (epoch 0) says nothing: replay chunks
+	// interleave with live ones on the same stream, so only the
+	// ReplayDone marker (or eviction) ends a replay.
+	if m.ReplayEpoch == 0 {
 		return
 	}
 	if !s.Replaying && !s.ReplayEnded {
@@ -146,7 +121,7 @@ func (t *Table) FoldReplay(s *Stream, epoch uint32, done bool) {
 		t.replayStarted++
 		t.replayActive++
 	}
-	if done && s.Replaying {
+	if m.ReplayDone && s.Replaying {
 		s.Replaying = false
 		s.ReplayEnded = true
 		t.replayActive--
@@ -161,14 +136,6 @@ func (t *Table) ReplaySettled() bool {
 	return t.replayStarted > 0 && t.replayActive == 0
 }
 
-// ObserveTs folds one batch's max event time into the stream.
-func (s *Stream) ObserveTs(maxTs int64) {
-	if !s.HasTs || maxTs > s.LastTs {
-		s.LastTs = maxTs
-		s.HasTs = true
-	}
-}
-
 // Expire evicts every live stream whose lease is older than the TTL at
 // nowNanos and returns the newly evicted keys (sorted, deterministic).
 // Already-evicted streams are not reported again.
@@ -180,7 +147,6 @@ func (t *Table) Expire(nowNanos int64) []Key {
 		}
 		if nowNanos-s.LastSeen >= t.ttl {
 			s.Evicted = true
-			s.Evictions++
 			if s.Replaying {
 				// A dead host cannot finish its replay; a replay hold
 				// must not wait out its own deadline for it.
@@ -215,14 +181,15 @@ func (t *Table) Watermark() (int64, bool) {
 	return wm, !first
 }
 
-// AnyEvicted reports whether at least one stream is currently evicted.
-func (t *Table) AnyEvicted() bool {
+// Evicted counts the streams currently evicted.
+func (t *Table) Evicted() int {
+	n := 0
 	for _, s := range t.streams {
 		if s.Evicted {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // AnyShed reports whether at least one stream has been shed by the host
@@ -264,8 +231,9 @@ func (t *Table) RatesByHost(planRate float64) map[string]float64 {
 	return out
 }
 
-// HostDrops sums the last-known host queue-drop counters across streams
-// (evicted ones included — their losses still happened).
+// HostDrops sums the last-known Drops counters across streams — host
+// queue drops plus routing failures (evicted streams included: their
+// losses still happened).
 func (t *Table) HostDrops() uint64 {
 	var n uint64
 	for _, s := range t.streams {
@@ -284,20 +252,8 @@ func (t *Table) Snapshot() []transport.StreamStat {
 		return nil
 	}
 	out := make([]transport.StreamStat, 0, len(t.streams))
-	for k, s := range t.streams {
-		out = append(out, transport.StreamStat{
-			HostID:     k.Host,
-			TypeIdx:    k.TypeIdx,
-			Matched:    s.Matched,
-			Sampled:    s.Sampled,
-			Drops:      s.Drops,
-			LateDrops:  s.LateDrops,
-			Evicted:    s.Evicted,
-			EffRate:    s.EffRate,
-			BudgetShed: s.BudgetShed,
-			CPUNs:      s.CPUNs,
-			Bytes:      s.Bytes,
-		})
+	for _, s := range t.streams {
+		out = append(out, s.StreamStat)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].HostID != out[j].HostID {

@@ -4,25 +4,43 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"scrub/internal/transport"
 )
 
 func ns(s int64) int64 { return s * int64(time.Second) }
 
-func TestTouchExpireReadmit(t *testing.T) {
+// beat folds a counter-only heartbeat from k's stream at now.
+func beat(tab *Table, k Key, now int64) {
+	tab.Fold(manifest(k, transport.TupleBatch{}), now)
+}
+
+// manifest is b's header for k's stream, as RouteToShards builds it.
+func manifest(k Key, b transport.TupleBatch) *transport.BatchManifest {
+	b.HostID, b.TypeIdx = k.Host, k.TypeIdx
+	return &transport.BatchManifest{TupleBatch: b}
+}
+
+// at is a manifest from k's stream whose tuples reached event time ts.
+func at(k Key, ts int64) *transport.BatchManifest {
+	m := manifest(k, transport.TupleBatch{})
+	m.HasTs, m.MaxTs = true, ts
+	return m
+}
+
+func TestFoldExpireReadmit(t *testing.T) {
 	tab := NewTable(2 * time.Second)
 	k1 := Key{Host: "h1"}
 	k2 := Key{Host: "h2"}
 
-	if _, re := tab.Touch(k1, ns(0)); re {
-		t.Error("first touch should not be a re-admission")
-	}
-	tab.Touch(k2, ns(0))
-	if tab.Len() != 2 || tab.AnyEvicted() {
-		t.Fatalf("len=%d evicted=%v", tab.Len(), tab.AnyEvicted())
+	beat(tab, k1, ns(0))
+	beat(tab, k2, ns(0))
+	if tab.Len() != 2 || tab.Evicted() != 0 {
+		t.Fatalf("len=%d evicted=%d", tab.Len(), tab.Evicted())
 	}
 
 	// h1 keeps heartbeating; h2 goes silent.
-	tab.Touch(k1, ns(1))
+	beat(tab, k1, ns(1))
 	if got := tab.Expire(ns(1)); len(got) != 0 {
 		t.Fatalf("nothing should expire at 1s, got %v", got)
 	}
@@ -30,24 +48,21 @@ func TestTouchExpireReadmit(t *testing.T) {
 	if want := []Key{k2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Expire = %v, want %v", got, want)
 	}
-	if !tab.AnyEvicted() || !tab.streams[k2].Evicted {
+	if tab.Evicted() != 1 || !tab.streams[k2].Evicted {
 		t.Error("h2 should be evicted")
 	}
 	// Repeated expiry does not re-report (h1 keeps heartbeating).
-	tab.Touch(k1, ns(2))
+	beat(tab, k1, ns(2))
 	if got := tab.Expire(ns(3)); len(got) != 0 {
 		t.Errorf("already-evicted stream re-reported: %v", got)
 	}
 
-	// h2 reconnects: re-admitted, eviction counted.
-	s, re := tab.Touch(k2, ns(4))
-	if !re {
-		t.Error("touch after eviction should report re-admission")
-	}
-	if s.Evicted || s.Evictions != 1 {
+	// h2 reconnects: re-admitted.
+	beat(tab, k2, ns(4))
+	if s := tab.streams[k2]; s.Evicted || s.LastSeen != ns(4) {
 		t.Errorf("stream = %+v", s)
 	}
-	if tab.AnyEvicted() {
+	if tab.Evicted() != 0 {
 		t.Error("no stream should remain evicted")
 	}
 }
@@ -59,40 +74,150 @@ func TestWatermarkSkipsEvicted(t *testing.T) {
 	if _, ok := tab.Watermark(); ok {
 		t.Error("empty table should have no watermark")
 	}
-	s1, _ := tab.Touch(k1, ns(0))
-	s1.ObserveTs(ns(10))
+	tab.Fold(at(k1, ns(10)), ns(0))
 	// h2 has only heartbeated — no tuple timestamps — so it must not pin
 	// the watermark at zero.
-	tab.Touch(k2, ns(0))
+	beat(tab, k2, ns(0))
 	if wm, ok := tab.Watermark(); !ok || wm != ns(10) {
 		t.Fatalf("watermark = %d,%v want %d", wm, ok, ns(10))
 	}
 
-	s2, _ := tab.Touch(k2, ns(0))
-	s2.ObserveTs(ns(4))
+	tab.Fold(at(k2, ns(4)), ns(0))
 	if wm, _ := tab.Watermark(); wm != ns(4) {
 		t.Fatalf("watermark = %d, want min %d", wm, ns(4))
 	}
 
 	// Evicting h2 releases the watermark to h1's clock.
-	tab.Touch(k1, ns(5))
+	beat(tab, k1, ns(5))
 	tab.Expire(ns(5))
 	if wm, ok := tab.Watermark(); !ok || wm != ns(10) {
 		t.Fatalf("watermark after eviction = %d,%v want %d", wm, ok, ns(10))
 	}
 
 	// Re-admission pulls it back in.
-	tab.Touch(k2, ns(6))
+	beat(tab, k2, ns(6))
 	if wm, _ := tab.Watermark(); wm != ns(4) {
 		t.Fatalf("watermark after re-admission = %d, want %d", wm, ns(4))
 	}
 
-	s1.ObserveTs(ns(8)) // regressions are ignored
+	tab.Fold(at(k1, ns(8)), ns(6)) // regressions are ignored
 	if wm, _ := tab.Watermark(); wm != ns(4) {
-		t.Fatalf("watermark = %d after stale ObserveTs", wm)
+		t.Fatalf("watermark = %d after a stale MaxTs", wm)
 	}
-	if s1.LastTs != ns(10) {
-		t.Errorf("LastTs regressed to %d", s1.LastTs)
+	if s := tab.streams[k1]; s.LastTs != ns(10) {
+		t.Errorf("LastTs regressed to %d", s.LastTs)
+	}
+}
+
+// TestFoldCounters folds a sequence of manifests into one stream and
+// checks the StreamStat a window would report, the event clock and the
+// replay state after each. Every central arm shares this fold, so
+// agreement between arms cannot catch a field folded into the wrong place.
+func TestFoldCounters(t *testing.T) {
+	k := Key{Host: "h1", TypeIdx: 1}
+	stat := func(s transport.StreamStat) transport.StreamStat {
+		s.HostID, s.TypeIdx = k.Host, k.TypeIdx
+		return s
+	}
+	type step struct {
+		name string
+		b    transport.TupleBatch
+		// What routing did: MaxTs is set when hasTs.
+		hasTs     bool
+		maxTs     int64
+		lateDelta uint64
+		expire    bool // expire the lease before this step's batch
+
+		want        transport.StreamStat
+		wantTs      int64
+		wantHasTs   bool
+		replaying   bool
+		replayEnded bool
+		settled     bool
+	}
+	full := stat(transport.StreamStat{Matched: 100, Sampled: 40, Drops: 3, LateDrops: 2, EffRate: 0.5, CPUNs: 700, Bytes: 900})
+	shed := full
+	shed.BudgetShed = true
+	later := shed
+	later.EffRate, later.LateDrops = 0.25, 7
+	back := later
+	back.Matched = 120
+	steps := []step{
+		{name: "heartbeat", want: stat(transport.StreamStat{})},
+		{
+			name: "counters, rate, late drops and clock",
+			b: transport.TupleBatch{MatchedTotal: 100, SampledTotal: 40, QueueDrops: 3,
+				EffRate: 0.5, CPUNs: 700, ShipBytes: 900},
+			hasTs: true, maxTs: ns(10), lateDelta: 2,
+			want: full, wantTs: ns(10), wantHasTs: true,
+		},
+		{
+			name: "stale duplicate regresses nothing",
+			b: transport.TupleBatch{MatchedTotal: 90, SampledTotal: 30, QueueDrops: 1,
+				EffRate: 0.5, CPUNs: 600, ShipBytes: 800},
+			hasTs: true, maxTs: ns(7),
+			want: full, wantTs: ns(10), wantHasTs: true,
+		},
+		{
+			name: "rate 0 keeps the last rate; shed is set",
+			b:    transport.TupleBatch{BudgetShed: true},
+			want: shed, wantTs: ns(10), wantHasTs: true,
+		},
+		{
+			name: "shed stays set; a new rate replaces; late drops add up",
+			b:    transport.TupleBatch{EffRate: 0.25}, lateDelta: 5,
+			want: later, wantTs: ns(10), wantHasTs: true,
+		},
+		{
+			name: "replay epoch starts the replay",
+			b:    transport.TupleBatch{ReplayEpoch: 1},
+			want: later, wantTs: ns(10), wantHasTs: true, replaying: true,
+		},
+		{
+			name: "done marker ends it",
+			b:    transport.TupleBatch{ReplayEpoch: 1, ReplayDone: true},
+			want: later, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
+		},
+		{
+			name: "an epoch batch after done does not restart the replay",
+			b:    transport.TupleBatch{ReplayEpoch: 1},
+			want: later, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
+		},
+		{
+			name: "a batch re-admits an evicted stream and moves its clock",
+			b:    transport.TupleBatch{MatchedTotal: 120}, hasTs: true, maxTs: ns(12), expire: true,
+			want: back, wantTs: ns(12), wantHasTs: true, replayEnded: true, settled: true,
+		},
+	}
+	tab := NewTable(time.Second)
+	now := ns(0)
+	for _, st := range steps {
+		if st.expire {
+			now += ns(5)
+			if got := tab.Expire(now); !reflect.DeepEqual(got, []Key{k}) || tab.Evicted() != 1 {
+				t.Fatalf("%s: Expire = %v, %d evicted", st.name, got, tab.Evicted())
+			}
+		}
+		m := manifest(k, st.b)
+		m.HasTs, m.MaxTs, m.LateDelta = st.hasTs, st.maxTs, st.lateDelta
+		tab.Fold(m, now)
+		s := tab.streams[k]
+		if s.StreamStat != st.want {
+			t.Errorf("%s: stat = %+v, want %+v", st.name, s.StreamStat, st.want)
+		}
+		if s.LastTs != st.wantTs || s.HasTs != st.wantHasTs {
+			t.Errorf("%s: clock = %d,%v, want %d,%v", st.name, s.LastTs, s.HasTs, st.wantTs, st.wantHasTs)
+		}
+		if s.Replaying != st.replaying || s.ReplayEnded != st.replayEnded || tab.ReplaySettled() != st.settled {
+			t.Errorf("%s: replaying=%v ended=%v settled=%v, want %v %v %v", st.name,
+				s.Replaying, s.ReplayEnded, tab.ReplaySettled(), st.replaying, st.replayEnded, st.settled)
+		}
+		if s.LastSeen != now || tab.Evicted() != 0 {
+			t.Errorf("%s: lease at %d with %d evicted, want renewed at %d", st.name, s.LastSeen, tab.Evicted(), now)
+		}
+		if snap := tab.Snapshot(); len(snap) != 1 || snap[0] != st.want {
+			t.Errorf("%s: snapshot = %+v", st.name, snap)
+		}
 	}
 }
 
@@ -100,14 +225,14 @@ func TestSnapshotDeterministic(t *testing.T) {
 	tab := NewTable(time.Second)
 	for _, h := range []string{"h3", "h1", "h2"} {
 		for _, ti := range []uint8{1, 0} {
-			s, _ := tab.Touch(Key{Host: h, TypeIdx: ti}, ns(0))
-			s.Matched, s.Sampled, s.Drops = 10, 5, 1
+			k := Key{Host: h, TypeIdx: ti}
+			tab.Fold(manifest(k, transport.TupleBatch{MatchedTotal: 10, SampledTotal: 5, QueueDrops: 1}), ns(0))
 		}
 	}
 	tab.Expire(ns(5))
 	snap := tab.Snapshot()
-	if len(snap) != 6 {
-		t.Fatalf("snapshot len = %d", len(snap))
+	if len(snap) != 6 || tab.Evicted() != 6 {
+		t.Fatalf("snapshot len = %d, %d evicted", len(snap), tab.Evicted())
 	}
 	for i := 1; i < len(snap); i++ {
 		a, b := snap[i-1], snap[i]

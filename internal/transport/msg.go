@@ -67,7 +67,7 @@ type QueryError struct {
 // accuracy losses the paper accepts by design (queue drops, late drops).
 type WindowStats struct {
 	TuplesIn       uint64 // tuples folded into this window
-	HostDrops      uint64 // host-side queue drops observed so far (cumulative)
+	HostDrops      uint64 // Σ StreamStat.Drops so far: host queue drops + routing failures
 	LateDrops      uint64 // tuples rejected as late (cumulative)
 	HostsReporting uint32 // distinct hosts that contributed
 }
@@ -81,7 +81,7 @@ type StreamStat struct {
 	TypeIdx   uint8
 	Matched   uint64 // events matching selection (pre event-sampling)
 	Sampled   uint64 // events shipped (post sampling, pre queue drops)
-	Drops     uint64 // host-side queue drops, evicted kept chunks included
+	Drops     uint64 // host queue drops (evicted kept chunks too) + tuples routing failed to deliver
 	LateDrops uint64 // this stream's tuples that missed their windows
 	Evicted   bool   // liveness lease expired; excluded from the watermark
 	// Governor accounting (PR 3): the host's last-reported effective
@@ -124,7 +124,7 @@ type QueryStats struct {
 	Windows   uint64
 	Rows      uint64
 	TuplesIn  uint64
-	HostDrops uint64
+	HostDrops uint64 // Σ StreamStat.Drops: host queue drops + routing failures
 	LateDrops uint64
 	// DegradedWindows counts windows emitted with >= 1 evicted stream.
 	DegradedWindows uint64
@@ -379,10 +379,20 @@ func (tp *Tuple) code(c *coder) {
 }
 
 func (t *TupleBatch) code(c *coder) {
+	t.stream(c)
+	c.tuples(&t.Tuples)
+	t.counters(c)
+}
+
+// stream and counters describe a batch's header — the stream it belongs
+// to and the host's report on it — which BatchManifest carries too.
+func (t *TupleBatch) stream(c *coder) {
 	c.U64(&t.QueryID)
 	c.Str(&t.HostID)
 	c.U8(&t.TypeIdx)
-	c.tuples(&t.Tuples)
+}
+
+func (t *TupleBatch) counters(c *coder) {
 	c.U64(&t.MatchedTotal)
 	c.U64(&t.SampledTotal)
 	c.U64(&t.QueueDrops)

@@ -161,16 +161,17 @@ type ShardStatsResp struct {
 	ActiveQueries uint32
 }
 
-// BatchManifest reports one whole host batch's counters to the
-// coordinator after its tuples were routed to shards. The coordinator's
-// merge core (central.Merger.Observe) folds it into stream liveness and
-// watermark state; an in-process cluster builds the same manifest from
-// the same fan-out (central.RouteToShards) and folds it the same way.
+// BatchManifest reports one whole host batch to the coordinator after its
+// tuples were routed to shards: the batch's header (its stream and the
+// host's cumulative counters, Tuples nil) plus what routing did with it.
+// The coordinator's merge core (central.Merger.Observe) folds it into
+// stream liveness and watermark state; an in-process cluster builds the
+// same manifest from the same fan-out (central.RouteToShards) and folds it
+// the same way. QueueDrops holds the host's queue drops plus the tuples
+// routing could not deliver.
 type BatchManifest struct {
-	Seq       uint64
-	QueryID   uint64
-	HostID    string
-	TypeIdx   uint8
+	Seq uint64
+	TupleBatch
 	RawTuples uint64 // tuple count before the span filter (ingest accounting)
 	HasTs     bool   // any in-span tuple (folded from the shard acks)
 	MaxTs     int64  // max in-span event time
@@ -180,16 +181,6 @@ type BatchManifest struct {
 	// every collect refreshes, so emitted windows report current totals.
 	ShardLate     []uint64
 	ShardOverflow []uint64
-	// The host batch's own cumulative counters (TupleBatch fields).
-	MatchedTotal uint64
-	SampledTotal uint64
-	QueueDrops   uint64 // host queue drops plus router send failures
-	EffRate      float64
-	BudgetShed   bool
-	CPUNs        uint64
-	ShipBytes    uint64
-	ReplayEpoch  uint32
-	ReplayDone   bool
 }
 
 // ManifestAck answers BatchManifest; the synchronous round-trip keeps
@@ -407,24 +398,14 @@ func (t *ShardStatsResp) code(c *coder) {
 
 func (t *BatchManifest) code(c *coder) {
 	c.U64(&t.Seq)
-	c.U64(&t.QueryID)
-	c.Str(&t.HostID)
-	c.U8(&t.TypeIdx)
+	t.stream(c)
 	c.U64(&t.RawTuples)
 	c.Bool(&t.HasTs)
 	c.I64(&t.MaxTs)
 	c.U64(&t.LateDelta)
 	c.U64s(&t.ShardLate)
 	c.U64s(&t.ShardOverflow)
-	c.U64(&t.MatchedTotal)
-	c.U64(&t.SampledTotal)
-	c.U64(&t.QueueDrops)
-	c.F64(&t.EffRate)
-	c.Bool(&t.BudgetShed)
-	c.U64(&t.CPUNs)
-	c.U64(&t.ShipBytes)
-	c.U32(&t.ReplayEpoch)
-	c.Bool(&t.ReplayDone)
+	t.counters(c)
 }
 
 func (t *ManifestAck) code(c *coder) { c.U64(&t.Seq) }

@@ -115,14 +115,17 @@ func sampleMessages() []Message {
 		ShardStatsReq{Seq: 8, QueryID: 7},
 		ShardStatsResp{Seq: 8, Found: true, TuplesIn: 99, ActiveQueries: 2},
 		BatchManifest{
-			Seq: 9, QueryID: 7, HostID: "bid-sj-1", TypeIdx: 1,
+			Seq: 9,
+			TupleBatch: TupleBatch{
+				QueryID: 7, HostID: "bid-sj-1", TypeIdx: 1,
+				MatchedTotal: 100, SampledTotal: 10, QueueDrops: 3,
+				EffRate: 0.25, BudgetShed: true, CPUNs: 5, ShipBytes: 6,
+				ReplayEpoch: 1, ReplayDone: true,
+			},
 			RawTuples: 10, HasTs: true, MaxTs: 44, LateDelta: 1,
 			ShardLate: []uint64{0, 1}, ShardOverflow: []uint64{2, 0},
-			MatchedTotal: 100, SampledTotal: 10, QueueDrops: 3,
-			EffRate: 0.25, BudgetShed: true, CPUNs: 5, ShipBytes: 6,
-			ReplayEpoch: 1, ReplayDone: true,
 		},
-		BatchManifest{Seq: 10, QueryID: 8, HostID: "h"},
+		BatchManifest{Seq: 10, TupleBatch: TupleBatch{QueryID: 8, HostID: "h"}},
 		ManifestAck{Seq: 9},
 		ShardHello{ShardID: "shard-0", DataAddr: "127.0.0.1:7101"},
 		ShardMap{Epoch: 3, Fence: 2, Addrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"}},

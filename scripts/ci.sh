@@ -96,6 +96,10 @@ if awk '/^type ShardStart struct/,/^}/' internal/transport/msg_coord.go | grep -
 fi
 if grep -nE '\.(SampleEvents|Replay) *=[^=]' $(nontest internal/difftest); then echo "non-test internal/difftest sets a plan's SampleEvents or Replay again: write the clause into the query text" >&2; exit 1; fi
 
+echo "== one description of a stream's report (BatchManifest embeds TupleBatch and declares no report field of its own; liveness.Table.Fold is the one fold; no manifestOf, FoldGovernor, FoldReplay, ObserveTs or Evictions) =="
+if grep -rnwE --include='*.go' 'manifestOf|FoldGovernor|FoldReplay|ObserveTs|Evictions' . | grep -v '_test\.go:'; then echo "non-test Go names a deleted copy or fold of a stream's report again: a manifest is its batch's header (transport.BatchManifest embeds TupleBatch) and liveness.Table.Fold folds it into the StreamStat a window reports" >&2; exit 1; fi
+if awk '/^type BatchManifest struct/,/^}/' internal/transport/msg_coord.go | grep -nw 'MatchedTotal'; then echo "transport.BatchManifest declares its own MatchedTotal again: it embeds TupleBatch, whose counters description it codes" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
