@@ -101,9 +101,9 @@ func (sc *RouteScratch) reset(n int) {
 // No span filter runs here: the shard applies the filter itself
 // (Engine.ApplyDriven) and its acks report HasTs/MaxTs over in-span
 // tuples only, so the router stays plan-free. cumDrops accumulates tuples
-// that could not reach a live shard; the manifest's QueueDrops carries
-// the sum of the host's own drops and the routing failures — same wire
-// contract as host-side queue drops, so no extra failure channel exists.
+// that no live shard running the query applied; the manifest's QueueDrops
+// carries the sum of the host's own drops and the routing failures — same
+// wire contract as host-side queue drops, so no extra failure channel exists.
 func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64, sc *RouteScratch) transport.BatchManifest {
 	// The manifest is the batch's header: the pooled tuples do not ride it.
 	m := transport.BatchManifest{TupleBatch: b, RawTuples: uint64(len(b.Tuples))}
@@ -138,11 +138,10 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 			QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx,
 			Tuples: tuples,
 		})
-		if err != nil {
+		if err != nil || !known {
+			// A failed shard, or one not running the query (teardown race,
+			// a fresh process at a pinned address), applied nothing.
 			*cumDrops += uint64(len(tuples))
-			continue
-		}
-		if !known {
 			continue
 		}
 		if ack.HasTs && (!m.HasTs || ack.MaxTs > m.MaxTs) {

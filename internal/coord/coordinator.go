@@ -42,6 +42,8 @@ type Coordinator struct {
 	// regs holds every running query's replicated registration — its
 	// pinned epoch included — kept in step with the merger by the hooks.
 	regs map[uint64]transport.RepEntry
+	// pinAddrs holds the shards each running query started on.
+	pinAddrs map[uint64][]string
 	// mergesSeen is how much of the merger's merge count has been added
 	// to scrub_coord_merges_total.
 	mergesSeen uint64
@@ -55,9 +57,10 @@ var _ central.Executor = (*Coordinator)(nil)
 // with AddShard/AddShardConn/HandleHello before starting queries.
 func NewCoordinator(opt Options) *Coordinator {
 	return &Coordinator{
-		met:  newCoordMetrics(opt.Metrics),
-		core: central.NewMerger(opt),
-		regs: make(map[uint64]transport.RepEntry),
+		met:      newCoordMetrics(opt.Metrics),
+		core:     central.NewMerger(opt),
+		regs:     make(map[uint64]transport.RepEntry),
+		pinAddrs: make(map[uint64][]string),
 	}
 }
 
@@ -149,6 +152,16 @@ func (c *Coordinator) QueryEpoch(id uint64) (uint32, bool) {
 	return e.PinEpoch, ok
 }
 
+// PinnedMap reports the shard map a running query is pinned to — its
+// epoch and the shards it started on — under the current fence, for a
+// host that registers after membership moved on.
+func (c *Coordinator) PinnedMap(id uint64) (transport.ShardMap, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.regs[id]
+	return transport.ShardMap{Epoch: e.PinEpoch, Fence: c.fence.Load(), Addrs: c.pinAddrs[id]}, ok
+}
+
 // removeDownLocked drops dead shards from the membership (their pinned
 // queries keep their clients and degrade; only new queries see the
 // shrunken map) and bumps the epoch if anything changed.
@@ -209,8 +222,9 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 		in = central.Install{Resume: true, ReplayDeadline: resume.ReplayDeadline}
 	}
 	shards := make([]central.ShardClient, len(c.members))
+	addrs := make([]string, len(c.members))
 	for i, sc := range c.members {
-		shards[i] = sc
+		shards[i], addrs[i] = sc, sc.addr
 	}
 	c.mu.Unlock()
 	if len(shards) == 0 {
@@ -226,6 +240,7 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.regs[e.Start.QueryID] = e
+		c.pinAddrs[e.Start.QueryID] = addrs
 		if c.rep != nil {
 			c.rep.append(e)
 		}
@@ -283,6 +298,7 @@ func (c *Coordinator) StopQuery(id uint64) (transport.QueryStats, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		delete(c.regs, id)
+		delete(c.pinAddrs, id)
 		if c.rep != nil {
 			c.rep.append(transport.RepEntry{Kind: transport.RepQueryStop, QueryID: id})
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"scrub/internal/central"
+	"scrub/internal/host"
 	"scrub/internal/transport"
 )
 
@@ -48,10 +49,10 @@ type routeKey struct {
 // epoch by request-id modulo shard count, collects the synchronous
 // shard acks, and reports the folded manifest to the coordinator.
 //
-// Tuples that cannot reach their shard (dead shard, send failure) fold
-// into the stream's cumulative drop counter and ride the manifest's
-// QueueDrops field — same wire contract as host-side queue drops, so
-// the coordinator needs no extra failure channel.
+// Tuples their shard does not apply (dead shard, send failure, a shard
+// that does not run the query) fold into the stream's cumulative drop
+// counter and ride the manifest's QueueDrops field — same wire contract
+// as host-side queue drops, so the coordinator needs no extra channel.
 type Router struct {
 	manifest ManifestFunc
 	// fallback receives whole batches for queries with no epoch pin
@@ -63,7 +64,12 @@ type Router struct {
 	maps    map[uint32][]string // epoch -> shard addresses
 	pins    map[uint64]uint32   // query -> pinned epoch
 	clients map[string]*shardClient
-	drops   map[routeKey]uint64
+	// relisted: addresses a map listed after their client was dialed. A
+	// down client there is dialed again — the coordinator lists only
+	// shards it reached, maybe a fresh process where a dead one stood.
+	relisted map[string]bool
+	newest   uint32 // highest epoch of any installed map
+	drops    map[routeKey]uint64
 	// fence is the highest coordinator fencing epoch seen on a ShardMap
 	// push; pushes below it come from a deposed leader and are ignored.
 	fence uint64
@@ -89,6 +95,7 @@ func NewRouter(manifest ManifestFunc, fallback func(transport.TupleBatch) error)
 		maps:     make(map[uint32][]string),
 		pins:     make(map[uint64]uint32),
 		clients:  make(map[string]*shardClient),
+		relisted: make(map[string]bool),
 		drops:    make(map[routeKey]uint64),
 		scratch:  sync.Pool{New: func() any { return new(routeScratch) }},
 	}
@@ -103,6 +110,12 @@ func (r *Router) SetMap(epoch uint32, addrs []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.maps[epoch] = append([]string(nil), addrs...)
+	r.newest = max(r.newest, epoch)
+	for _, addr := range addrs {
+		if _, ok := r.clients[addr]; ok {
+			r.relisted[addr] = true
+		}
+	}
 }
 
 // HandleShardMap is SetMap for a received push message, with fencing: a
@@ -153,11 +166,10 @@ func (r *Router) AddShardConn(addr string, conn *transport.Conn) {
 	r.clients[addr] = newShardClient(conn, addr, nil)
 }
 
-// dial connects to a shard no batch has been routed to yet and installs
-// the client, unless a concurrent SendBatch got there first. A shard that
-// cannot be reached gets a client latched down, and a down client stays
-// down — re-dial policy belongs to membership changes (a recovered shard
-// rejoins under a new epoch), not the data path.
+// dial connects to a shard that has no client, or a down one a map
+// relisted, and installs the client unless a concurrent SendBatch got
+// there first. A shard that cannot be reached gets a client latched
+// down — re-dial policy belongs to membership changes, not the data path.
 func (r *Router) dial(addr string) *shardClient {
 	sc, err := dialShard(addr, nil)
 	if err != nil {
@@ -165,11 +177,12 @@ func (r *Router) dial(addr string) *shardClient {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur, ok := r.clients[addr]; ok {
+	if cur, ok := r.clients[addr]; ok && !cur.Down() {
 		sc.close()
 		return cur
 	}
 	r.clients[addr] = sc
+	delete(r.relisted, addr)
 	return sc
 }
 
@@ -196,13 +209,14 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	epoch, pinned := r.pins[b.QueryID]
 	addrs := r.maps[epoch]
 	for _, addr := range addrs {
-		if c, ok := r.clients[addr]; ok {
+		if c, ok := r.clients[addr]; ok && !(c.Down() && r.relisted[addr]) {
 			sc.clients = append(sc.clients, c)
 		} else {
 			sc.clients = append(sc.clients, nil)
 			undialed = true
 		}
 	}
+	ahead := epoch > r.newest // a pin above every map: its push is on its way
 	cum := r.drops[key]
 	r.mu.Unlock()
 	if !pinned {
@@ -212,9 +226,13 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 		return fmt.Errorf("coord: query %d has no shard-epoch pin and no fallback sink", b.QueryID)
 	}
 	if len(addrs) == 0 {
-		return fmt.Errorf("coord: no shard map for epoch %d", epoch)
+		err := fmt.Errorf("coord: no shard map for epoch %d", epoch)
+		if ahead { // nothing was applied: the agent keeps the batch
+			err = fmt.Errorf("%w: %w", host.ErrUndelivered, err)
+		}
+		return err
 	}
-	if undialed { // an address's first batch
+	if undialed {
 		for i, addr := range addrs {
 			if sc.clients[i] == nil {
 				sc.clients[i] = r.dial(addr)

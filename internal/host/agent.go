@@ -170,16 +170,8 @@ type activeQuery struct {
 	// The query's span, [startNs, endNs); 0 leaves that side open.
 	startNs, endNs int64
 
-	// Event sampling, amortized: skip counts down to the next kept event;
-	// an unsampled event is one atomic decrement. sampleAll short-circuits
-	// the common rate-1 case; it is atomic because the governor lowers the
-	// rate from the shipper goroutine while Log reads it lock-free.
-	// sampler re-draws are guarded by mu (the kept event takes that lock
-	// anyway to append its tuple).
-	sampleAll atomic.Bool
-	skip      atomic.Int64
-	//scrub:guardedby(mu)
-	sampler *sampling.GeometricSampler
+	// live is the lane Log dispatches the query's events on.
+	live lane
 
 	// Governor state. baseRate/seed/budget are immutable after Start;
 	// tracker, shed, effRate, bytesShipped, and the last* interval marks
@@ -197,11 +189,6 @@ type activeQuery struct {
 	bytesShipped uint64
 	lastCPUNs    uint64
 	lastBytes    uint64
-
-	mu sync.Mutex // guards cur and sampler
-	// cur is the partially filled chunk, nil when none.
-	//scrub:guardedby(mu)
-	cur *chunk
 
 	// stopped flips when the query is removed (Stop, span expiry) or shed
 	// by the governor; the replay scanner polls it so historical shipping
@@ -230,6 +217,65 @@ type activeQuery struct {
 	// sink. Initialized at Start so a fresh query's first heartbeat honors
 	// HeartbeatInterval; shipper-goroutine only afterwards.
 	lastSentNanos int64
+}
+
+// lane is one configuration of dispatch's per-query half (dispatch.go):
+// the sampler that keeps or skips a matched event and the chunk a kept
+// event is projected into. Log runs a query's live lane; a replay scan
+// runs the same dispatch on a lane of its own, so history and live
+// traffic share selection, Mᵢ/mᵢ accounting, sampling and projection,
+// and never a chunk or a sampler's sequence.
+type lane struct {
+	aq *activeQuery
+	// epoch tags the lane's chunks: 0 live, nonzero replayed history.
+	epoch uint32
+
+	// Event sampling, amortized: skip counts down to the next kept event;
+	// an unsampled event is one atomic decrement. sampleAll short-circuits
+	// the common rate-1 case; it is atomic because the governor lowers the
+	// rate from the shipper goroutine while Log reads it lock-free.
+	// sampler re-draws are guarded by mu (the kept event takes that lock
+	// anyway to append its tuple).
+	sampleAll atomic.Bool
+	skip      atomic.Int64
+	//scrub:guardedby(mu)
+	sampler *sampling.GeometricSampler
+
+	mu sync.Mutex // guards cur and sampler
+	// cur is the partially filled chunk, nil when none.
+	//scrub:guardedby(mu)
+	cur *chunk
+}
+
+// arm starts a fresh sampler at rate under seed. A lane's first arm at
+// rate 1 takes the counter-free fast path. A re-arm leaves it for good:
+// it seeds the sampled counter with the matched total (at rate 1,
+// mᵢ = Mᵢ) so the cumulative accounting stays exact across the
+// transition. A Log racing past the flag flip may ship one tuple
+// uncounted in mᵢ — a one-time, one-event skew the estimator cannot
+// notice. Once off the fast path a lane never returns to it (a full
+// recovery runs a rate-1 sampler instead), because re-deriving mᵢ = Mᵢ
+// after a degraded period would overstate the sample.
+func (ln *lane) arm(rate float64, seed uint64) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if ln.sampler == nil {
+		ln.sampleAll.Store(rate >= 1)
+	} else if ln.sampleAll.Load() {
+		ln.aq.sampled.Store(ln.aq.matched.Load())
+		ln.sampleAll.Store(false)
+	}
+	ln.sampler = sampling.NewGeometricSampler(rate, seed)
+	ln.skip.Store(ln.sampler.NextSkip())
+}
+
+// take empties the lane's chunk and returns it, nil when there is none.
+func (ln *lane) take() *chunk {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	c := ln.cur
+	ln.cur = nil
+	return c
 }
 
 // chunk is a block of pending tuples for one query. tuples has BatchSize
@@ -438,11 +484,8 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	aq.baseRate = rate
 	aq.seed = seed
 	aq.effRate = rate
-	aq.sampleAll.Store(rate >= 1)
-	aq.sampler = sampling.NewGeometricSampler(rate, seed)
-	if !aq.sampleAll.Load() {
-		aq.skip.Store(aq.sampler.NextSkip())
-	}
+	aq.live.aq = aq
+	aq.live.arm(rate, seed)
 	aq.budget = governor.Budget{CPUPct: hq.BudgetCPUPct, BytesPerSec: hq.BudgetBytesPerSec}
 	aq.tracker = governor.NewTracker()
 	// Stamp the heartbeat clock now: a fresh query with nothing to report
@@ -468,25 +511,9 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 
 // Stop removes a query's objects (all event types); unknown ids are a
 // no-op — stop is idempotent because span expiry and explicit cancel can
-// race. A removed query's partial chunk is pushed to the shipper so stop
-// does not lose sampled tuples.
+// race.
 func (a *Agent) Stop(queryID uint64) {
-	a.mu.Lock()
-	var removed []*activeQuery
-	for key, aq := range a.queries {
-		if key.id == queryID {
-			delete(a.queries, key)
-			removed = append(removed, aq)
-		}
-	}
-	if len(removed) > 0 {
-		a.rebuildLocked()
-	}
-	a.mu.Unlock()
-	for _, aq := range removed {
-		aq.stopped.Store(true)
-		a.salvage(aq)
-	}
+	a.retire(func(aq *activeQuery) bool { return aq.queryID == queryID })
 }
 
 // ActiveQueries returns the distinct ids of installed queries.
@@ -510,10 +537,17 @@ func (a *Agent) ActiveQueries() []uint64 {
 // forgotten queries).
 func (a *Agent) PruneExpired(now time.Time) int {
 	nowN := now.UnixNano()
+	return a.retire(func(aq *activeQuery) bool { return aq.endNs != 0 && nowN >= aq.endNs })
+}
+
+// retire removes the query objects match selects and returns how many it
+// removed. A removed query's partial chunk is pushed to the shipper so
+// removal does not lose sampled tuples.
+func (a *Agent) retire(match func(*activeQuery) bool) int {
 	a.mu.Lock()
 	var removed []*activeQuery
 	for key, aq := range a.queries {
-		if aq.endNs != 0 && nowN >= aq.endNs {
+		if match(aq) {
 			delete(a.queries, key)
 			removed = append(removed, aq)
 		}
@@ -550,14 +584,14 @@ func (a *Agent) rebuildLocked() {
 		}
 		return keys[i].typeIdx < keys[j].typeIdx
 	})
-	perType := make(map[*event.Schema][]*activeQuery, len(keys))
+	perType := make(map[*event.Schema][]subscriber, len(keys))
 	for _, key := range keys {
 		aq := a.queries[key]
-		perType[aq.schema] = append(perType[aq.schema], aq)
+		perType[aq.schema] = append(perType[aq.schema], subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
 	}
 	m := make(map[string]*typeProgram, len(perType))
-	for schema, aqs := range perType {
-		m[schema.Name()] = buildTypeProgram(schema, aqs)
+	for schema, subs := range perType {
+		m[schema.Name()] = buildTypeProgram(schema, subs)
 	}
 	a.indexRebuilds.Inc()
 	if reg := a.cfg.Metrics; reg != nil {
@@ -608,7 +642,9 @@ func (a *Agent) Log(ev *event.Event) {
 	if timed {
 		t0 = time.Now()
 	}
-	a.logEvent(ev)
+	if tp := a.byType.Load().find(ev.Schema); tp != nil {
+		a.dispatch(tp, ev)
+	}
 	if timed {
 		a.logNs.Observe(float64(time.Since(t0)))
 	}
@@ -674,10 +710,7 @@ func (a *Agent) putChunk(c *chunk) {
 // salvage pushes a removed query's partial chunk to the shipper so stop
 // and span expiry don't lose sampled tuples.
 func (a *Agent) salvage(aq *activeQuery) {
-	aq.mu.Lock()
-	c := aq.cur
-	aq.cur = nil
-	aq.mu.Unlock()
+	c := aq.live.take()
 	if c == nil {
 		return
 	}
@@ -696,6 +729,15 @@ func (a *Agent) salvage(aq *activeQuery) {
 // goroutine per replaying query: the scan is disk- and decode-bound and
 // must never touch the application's Log latency.
 //
+// Each recorded event goes through Log's dispatch, on a lane of the
+// scan's own and a one-query index with an open span (the scan's time
+// range is the span). The lane's fresh sampler runs at the query's base
+// rate under its own seed, as the live lane's did at Start, so a replay
+// whose live rate the governor never changed keeps exactly the events a
+// query submitted before them would have kept. Replayed matches fold
+// into the query's cumulative Mᵢ/mᵢ, so central's estimator and stream
+// stats see the same counts.
+//
 // Replay shipping inherits every impact bound live shipping has: chunks
 // go through the same bounded queue (a backlog drops them, counted as
 // queue drops), the encoded bytes land in the same governor accounting,
@@ -709,35 +751,11 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		// Immediate-start query: the live partition begins at activation.
 		to = a.cfg.Clock().UnixNano()
 	}
-	from := to - aq.replayNanos
-	// The scan owns a one-predicate program and its context: the same
-	// evaluator Log dispatches through, private to this goroutine.
-	var ec *expr.Ctx
-	var pred int32
-	if aq.canon != nil {
-		b := expr.NewProgramBuilder()
-		id, err := b.Intern(aq.canon)
-		if err != nil {
-			// Start validated the tree, so this is unreachable; ship
-			// nothing rather than unfiltered history.
-			a.submitReplay(nil, aq, true)
-			return
-		}
-		pred, ec = id, b.Build().NewCtx()
-	}
-	// Replay applies the query's base event-sampling rate with a fresh
-	// sampler under the query's own seed: the sample stays reproducible
-	// per (query, host), but is drawn independently of the live sampler's
-	// sequence. With sampling off (rate 1) replay is exact.
-	sampleAll := aq.baseRate >= 1
-	var sampler *sampling.GeometricSampler
-	var skip int64
-	if !sampleAll {
-		sampler = sampling.NewGeometricSampler(aq.baseRate, aq.seed)
-		skip = sampler.NextSkip()
-	}
-	var c *chunk
-	err := a.cfg.Record.Scan(from, to, aq.schema.Name(), func(ev *event.Event) bool {
+	ln := &lane{aq: aq, epoch: 1}
+	ln.arm(aq.baseRate, aq.seed)
+	tp := buildTypeProgram(aq.schema, []subscriber{{ln: ln}})
+	// A failed or aborted scan still owes the done marker below.
+	_ = a.cfg.Record.Scan(to-aq.replayNanos, to, aq.schema.Name(), func(ev *event.Event) bool {
 		if aq.stopped.Load() {
 			return false
 		}
@@ -746,49 +764,10 @@ func (a *Agent) replayShip(aq *activeQuery) {
 			return false
 		default:
 		}
-		if ec != nil {
-			ec.Begin(expr.EventRow{Event: ev})
-			ok := ec.Bool(pred)
-			ec.Finish()
-			if !ok {
-				return true
-			}
-		}
-		// Fold replayed accounting into the query's cumulative counters:
-		// central's estimator and stream stats then see the same Mᵢ/mᵢ a
-		// query submitted before the events would have reported.
-		aq.matched.Add(1)
-		a.matched.Add(1)
-		if !sampleAll {
-			skip--
-			if skip != 0 {
-				return true
-			}
-			skip = sampler.NextSkip()
-			aq.sampled.Add(1)
-		}
-		if c == nil {
-			c = a.getChunk(aq)
-			c.epoch = 1
-		}
-		i := c.n
-		var vals []event.Value
-		if w := aq.width; w > 0 {
-			base := i * w
-			vals = c.vals[base : base+w : base+w]
-			for j, idx := range aq.colIdx {
-				vals[j] = ev.At(idx)
-			}
-		}
-		c.tuples[i] = transport.Tuple{RequestID: ev.RequestID, TsNanos: ev.TimeNanos, Values: vals}
-		c.n++
-		if c.n == len(c.tuples) {
-			a.submitReplay(c, aq, false)
-			c = nil
-		}
+		a.dispatch(tp, ev)
 		return true
 	})
-	_ = err // a failed or aborted scan still owes the done marker below
+	c := ln.take()
 	if aq.stopped.Load() {
 		// Dead query: drop the partial chunk, skip the marker (central
 		// tears the query's state down independently).
@@ -802,19 +781,9 @@ func (a *Agent) replayShip(aq *activeQuery) {
 	// hold without waiting out the deadline.
 	if c == nil {
 		c = a.getChunk(aq)
-		c.epoch = 1
+		c.epoch = ln.epoch
 	}
-	a.submitReplay(c, aq, true)
-}
-
-// submitReplay tags and submits one replay chunk (nil allocates an empty
-// marker-only chunk first).
-func (a *Agent) submitReplay(c *chunk, aq *activeQuery, done bool) {
-	if c == nil {
-		c = a.getChunk(aq)
-		c.epoch = 1
-	}
-	c.done = done
+	c.done = true
 	a.submit(c)
 }
 
@@ -865,10 +834,7 @@ func (a *Agent) flushCycle() {
 	a.shipperScratch = actives
 	a.mu.Unlock()
 	for _, aq := range actives {
-		aq.mu.Lock()
-		c := aq.cur
-		aq.cur = nil
-		aq.mu.Unlock()
+		c := aq.live.take()
 		if c == nil {
 			continue
 		}
@@ -965,7 +931,7 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 	sampledRaw := aq.sampled.Load()
 	drops := aq.drops.Load()
 	sampled := sampledRaw
-	if aq.sampleAll.Load() {
+	if aq.live.sampleAll.Load() {
 		sampled = matched // rate 1: every matched event is sampled
 	}
 	batch := transport.TupleBatch{
@@ -1062,31 +1028,16 @@ func (a *Agent) governTick(actives []*activeQuery) {
 	}
 }
 
-// applyRate re-arms a query's sampler at base rate × the tracker's
-// multiplier and records the new effective rate for batch reporting.
-// Shipper-only.
+// applyRate re-arms a query's live sampler at base rate × the tracker's
+// multiplier and records the new effective rate for batch reporting; the
+// re-arm leaves the rate-1 fast path for good (lane.arm). Shipper-only.
 func (a *Agent) applyRate(aq *activeQuery) {
 	rate := aq.baseRate * aq.tracker.Mult()
 	if rate > 1 {
 		rate = 1
 	}
-	aq.mu.Lock()
-	if aq.sampleAll.Load() {
-		// Leaving the counter-free rate-1 fast path: seed the sampled
-		// counter with the matched total (at rate 1, mᵢ = Mᵢ) so the
-		// cumulative accounting stays exact across the transition. A Log
-		// racing past the flag flip may ship one tuple uncounted in mᵢ —
-		// a one-time, one-event skew the estimator cannot notice. Once
-		// off the fast path a query never returns to it (a full recovery
-		// runs a rate-1 sampler instead), because re-deriving mᵢ = Mᵢ
-		// after a degraded period would overstate the sample.
-		aq.sampled.Store(aq.matched.Load())
-		aq.sampleAll.Store(false)
-	}
-	aq.sampler = sampling.NewGeometricSampler(rate, aq.seed)
-	aq.skip.Store(aq.sampler.NextSkip())
+	aq.live.arm(rate, aq.seed)
 	aq.effRate = rate
-	aq.mu.Unlock()
 	aq.announce = true
 }
 

@@ -15,14 +15,16 @@ import (
 // immutable per-type snapshot and handing a full chunk to the shipper —
 // the shared query index (DESIGN.md §14), projection groups, per-query
 // sampling and the chunk append. Building the snapshot lives here too;
-// installing queries, shipping, the governor and replay are agent.go.
+// installing queries, lanes, shipping, the governor and replay's scan are
+// agent.go.
 
 // subscriber is one query's entry in the shared per-type dispatch index:
 // the immutable hot-path facts (predicate node, projection group, span)
-// plus the owning query, whose sampling, accounting, and chunk remain
-// strictly per-subscriber — sharing stops at selection and projection.
+// plus the lane the query's kept events go to, whose sampling,
+// accounting, and chunk remain strictly per-subscriber — sharing stops at
+// selection and projection.
 type subscriber struct {
-	aq *activeQuery
+	ln *lane
 	// pred is the query's predicate node in the type's shared program;
 	// -1 matches every event.
 	pred int32
@@ -176,17 +178,18 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 	return dc
 }
 
-// buildTypeProgram compiles one event type's query list into its shared
-// dispatch index: predicates interned into one program, identical column
-// sets merged into one projection group, subscribers split into the
-// always/gated lists.
-func buildTypeProgram(schema *event.Schema, aqs []*activeQuery) *typeProgram {
+// buildTypeProgram compiles one event type's subscribers, each given its
+// lane and span, into their shared dispatch index: predicates interned
+// into one program, identical column sets merged into one projection
+// group, subscribers split into the always/gated lists.
+func buildTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 	tp := &typeProgram{schema: schema}
 	b := expr.NewProgramBuilder()
-	groupIdx := make(map[string]int32, len(aqs))
+	groupIdx := make(map[string]int32, len(subs))
 	width := 0
-	for _, aq := range aqs {
-		s := subscriber{aq: aq, pred: -1, group: -1, startNs: aq.startNs, endNs: aq.endNs}
+	for _, s := range subs {
+		aq := s.ln.aq
+		s.pred, s.group = -1, -1
 		if aq.canon != nil {
 			// Start trial-interned the same canonical tree, so this cannot
 			// fail here.
@@ -207,12 +210,13 @@ func buildTypeProgram(schema *event.Schema, aqs []*activeQuery) *typeProgram {
 			}
 			s.group = g
 		}
+		open := s.startNs == 0 && s.endNs == 0
 		if s.startNs == 0 {
 			// A zero start leaves the span open before it, pre-1970 event
 			// times included, for the solo and gated checks alike.
 			s.startNs = math.MinInt64
 		}
-		if aq.startNs == 0 && aq.endNs == 0 {
+		if open {
 			tp.always = append(tp.always, s)
 		} else {
 			if len(tp.gated) == 0 || s.startNs < tp.minStart {
@@ -246,18 +250,15 @@ func groupKey(colIdx []int) string {
 	return string(b)
 }
 
-// logEvent dispatches one event through the type's shared query index:
-// each distinct predicate node is evaluated at most once (memoized in the
-// dispatch context's expr.Ctx), each distinct projection column set is
-// extracted at most once, and the results fan out to subscribers — whose
-// sampling, accounting, and chunks remain strictly per-query.
+// dispatch runs one event through a type's query index — Log's snapshot
+// entry, or a replay scan's one-query index: each distinct predicate node
+// is evaluated at most once (memoized in the dispatch context's
+// expr.Ctx), each distinct projection column set is extracted at most
+// once, and the results fan out to subscribers — whose sampling,
+// accounting, and chunks remain strictly per-lane.
 //
 //scrub:hotpath
-func (a *Agent) logEvent(ev *event.Event) {
-	tp := a.byType.Load().find(ev.Schema)
-	if tp == nil {
-		return
-	}
+func (a *Agent) dispatch(tp *typeProgram, ev *event.Event) {
 	ts := ev.TimeNanos
 	if s := tp.solo; s != nil {
 		if ts < s.startNs || (s.endNs != 0 && ts >= s.endNs) {
@@ -310,21 +311,24 @@ func (a *Agent) logEvent(ev *event.Event) {
 // already passed the shared selection stage: Mᵢ accounting, event
 // sampling, and (for kept events) projection into the query's chunk.
 func (a *Agent) offerMatched(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev *event.Event, ts int64) {
-	aq := s.aq
+	ln := s.ln
+	aq := ln.aq
 	m := aq.matched.Add(1)
 	// The matched count doubles as the cost-sampling sequence, so the
 	// per-query CPU measurement adds no atomics of its own. Shared
 	// selection cost is not charged per-query — as before, when selection
 	// for non-matching events was not charged — because shedding one
 	// subscriber cannot remove a predicate node other queries still need.
-	timed := m&costSampleMask == 0
+	// A replay lane is not timed, so a budgeted REPLAY query cannot shed
+	// itself on its own history scan.
+	timed := ln.epoch == 0 && m&costSampleMask == 0
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	kept := true
-	if !aq.sampleAll.Load() {
-		if aq.skip.Add(-1) != 0 {
+	if !ln.sampleAll.Load() {
+		if ln.skip.Add(-1) != 0 {
 			// >0: inside the current gap. <0: a racing decrement during a
 			// concurrent re-arm; the re-arm's Add folds it into the next
 			// gap. Either way the event is unsampled and cost one decrement.
@@ -343,30 +347,33 @@ func (a *Agent) offerMatched(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev
 
 // enqueue copies the event's projected columns — extracted at most once
 // per event per distinct column set by the dispatch context — into the
-// query's active chunk, submitting the chunk to the shipper when it
-// fills. Allocation-free in steady state: the tuple and its values land
-// in pooled chunk memory. A nil dc (the solo fast path) extracts the
-// columns directly from the event into the chunk.
+// lane's active chunk, stamped with the lane's epoch, submitting the
+// chunk to the shipper when it fills. Allocation-free in steady state:
+// the tuple and its values land in pooled chunk memory. A nil dc (the
+// solo fast path) extracts the columns directly from the event into the
+// chunk.
 func (a *Agent) enqueue(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev *event.Event, ts int64) {
-	aq := s.aq
-	// Extract (or reuse) the group's columns outside aq.mu: the scratch
-	// belongs to the dispatch context, not the query.
+	ln := s.ln
+	aq := ln.aq
+	// Extract (or reuse) the group's columns outside ln.mu: the scratch
+	// belongs to the dispatch context, not the lane.
 	var src []event.Value
 	if dc != nil && s.group >= 0 {
 		src = dc.project(tp, s.group, ev)
 	}
-	aq.mu.Lock()
-	if !aq.sampleAll.Load() {
+	ln.mu.Lock()
+	if !ln.sampleAll.Load() {
 		// Re-arm the countdown for the next kept event. Adding (rather
 		// than storing) credits decrements that raced past zero, keeping
 		// the long-run keep rate unbiased.
-		aq.skip.Add(aq.sampler.NextSkip())
+		ln.skip.Add(ln.sampler.NextSkip())
 	}
-	c := aq.cur
+	c := ln.cur
 	if c == nil {
 		c = a.getChunk(aq)
-		//scrub:allowretain(chunk parked on its owning query under aq.mu; reclaimed by submit/salvage/flush)
-		aq.cur = c
+		c.epoch = ln.epoch
+		//scrub:allowretain(chunk parked on its owning lane under ln.mu; reclaimed by submit/salvage/flush/replay's tail)
+		ln.cur = c
 	}
 	i := c.n
 	var vals []event.Value
@@ -385,9 +392,9 @@ func (a *Agent) enqueue(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev *eve
 	c.n++
 	full := c.n == len(c.tuples)
 	if full {
-		aq.cur = nil
+		ln.cur = nil
 	}
-	aq.mu.Unlock()
+	ln.mu.Unlock()
 	if full {
 		a.chunkFills.Inc()
 		a.submit(c)

@@ -27,41 +27,10 @@ func TestMultinodeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multinode smoke needs a wall-clock query span")
 	}
-	registry := cluster.NewRegistry()
-	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub.SetLogf(func(string, ...any) {})
-	coordEng := coord.NewCoordinator(central.Options{})
-	srv, err := New(Config{
-		Catalog:      testCatalog(),
-		Registry:     registry,
-		Engine:       coordEng,
-		Dispatcher:   hub,
-		TickInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		hub.Close()
-		t.Fatal(err)
-	}
-	hub.SetServer(srv)
-	coordEng.OnShardMap(func(m transport.ShardMap) { go hub.BroadcastShardMap(m) })
-	hub.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		hub.Close()
-	})
+	hub, _, coordEng, registry := newFabricHub(t)
 
 	// Shard 1: static enrollment, as -shard-addrs would.
-	shardA := coord.NewShardNode(testCatalog())
-	la, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { la.Close() })
-	go shardA.Serve(la)
-	if err := coordEng.AddShard(la.Addr()); err != nil {
+	if err := coordEng.AddShard(serveShard(t)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,31 +60,7 @@ func TestMultinodeSmoke(t *testing.T) {
 	defer cancel()
 	var agents []*host.Agent
 	for i := 0; i < 3; i++ {
-		hostID := fmt.Sprintf("mh-%d", i)
-		mconn := dialT(t, hub.DataAddr())
-		if err := mconn.Send(transport.DataHello{HostID: hostID}); err != nil {
-			t.Fatal(err)
-		}
-		router := coord.NewRouter(coord.NewManifestClient(mconn), nil)
-		t.Cleanup(router.Close)
-		agent, err := host.New(host.Config{
-			HostID: hostID, Service: "BidServers", DC: "DC1",
-			Catalog:       testCatalog(),
-			Sink:          router,
-			FlushInterval: 20 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(agent.Close)
-		agents = append(agents, agent)
-		go func() {
-			_ = agent.RunControlWith(ctx, hub.ControlAddr(), host.ControlOptions{
-				OnShardMap:   router.HandleShardMap,
-				OnQueryPin:   router.PinQuery,
-				OnQueryUnpin: router.UnpinQuery,
-			})
-		}()
+		agents = append(agents, startRoutedAgent(t, ctx, hub, fmt.Sprintf("mh-%d", i)))
 	}
 	waitCond(t, "hosts registered", func() bool { return registry.Len() == 3 })
 
@@ -203,5 +148,145 @@ func TestMultinodeSmoke(t *testing.T) {
 	}
 	if final.DegradedWindows != 0 {
 		t.Errorf("degraded windows with a healthy fabric: %+v", final)
+	}
+}
+
+// newFabricHub assembles a hub and a server driving a shard-fabric
+// coordinator with no shards, on ephemeral ports.
+func newFabricHub(t *testing.T) (*Hub, *Server, *coord.Coordinator, *cluster.Registry) {
+	t.Helper()
+	registry := cluster.NewRegistry()
+	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub.SetLogf(func(string, ...any) {})
+	coordEng := coord.NewCoordinator(central.Options{})
+	srv, err := New(Config{
+		Catalog:      testCatalog(),
+		Registry:     registry,
+		Engine:       coordEng,
+		Dispatcher:   hub,
+		TickInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		hub.Close()
+		t.Fatal(err)
+	}
+	hub.SetServer(srv)
+	coordEng.OnShardMap(func(m transport.ShardMap) { go hub.BroadcastShardMap(m) })
+	hub.Serve()
+	t.Cleanup(func() {
+		srv.Close()
+		hub.Close()
+	})
+	return hub, srv, coordEng, registry
+}
+
+// serveShard runs a shard node on an ephemeral listener and returns its
+// address.
+func serveShard(t *testing.T) string {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go coord.NewShardNode(testCatalog()).Serve(l)
+	return l.Addr()
+}
+
+// startRoutedAgent starts a host agent whose sink is a router with no
+// fallback, its control loop running until ctx ends: any routing gap
+// (missing map, missing pin) surfaces as host drops or sink errors, not
+// as silently correct single-process delivery.
+func startRoutedAgent(t *testing.T, ctx context.Context, hub *Hub, hostID string) *host.Agent {
+	t.Helper()
+	mconn := dialT(t, hub.DataAddr())
+	if err := mconn.Send(transport.DataHello{HostID: hostID}); err != nil {
+		t.Fatal(err)
+	}
+	router := coord.NewRouter(coord.NewManifestClient(mconn), nil)
+	t.Cleanup(router.Close)
+	agent, err := host.New(host.Config{
+		HostID: hostID, Service: "BidServers", DC: "DC1",
+		Catalog:       testCatalog(),
+		Sink:          router,
+		FlushInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agent.Close)
+	go func() {
+		_ = agent.RunControlWith(ctx, hub.ControlAddr(), host.ControlOptions{
+			OnShardMap:   router.HandleShardMap,
+			OnQueryPin:   router.PinQuery,
+			OnQueryUnpin: router.UnpinQuery,
+		})
+	}()
+	return agent
+}
+
+// TestResyncSendsPinnedShardMap: a host restarts while a query pinned to
+// an older shard-map epoch is running. Registration pushes it only the
+// current map, so the re-synced query's own map must come with it: the
+// restarted host ships both queries' tuples, and neither holds the
+// other's back in the agent's retransmit buffer.
+func TestResyncSendsPinnedShardMap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a wall-clock query span")
+	}
+	hub, srv, coordEng, registry := newFabricHub(t)
+	if err := coordEng.AddShard(serveShard(t)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startRoutedAgent(t, ctx, hub, "rh")
+	waitCond(t, "host registered", func() bool { return registry.Len() == 1 })
+
+	// Query 1 pins the first epoch; a second shard joins, and query 2
+	// pins the epoch after it.
+	cb := Callbacks{Window: func(transport.ResultWindow) {}, Done: func(transport.QueryDone) {}}
+	q1, err := srv.Submit(`select count(*) from bid window 1s duration 1h`, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coordEng.AddShard(serveShard(t)); err != nil {
+		t.Fatal(err)
+	}
+	q2, err := srv.Submit(`select count(*) from bid window 1s duration 1h`, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, _ := coordEng.QueryEpoch(q1.ID)
+	e2, _ := coordEng.QueryEpoch(q2.ID)
+	if e1 == e2 {
+		t.Fatalf("both queries pinned to epoch %d", e1)
+	}
+
+	// The host restarts: a fresh agent and router under the same name.
+	cancel()
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	agent := startRoutedAgent(t, ctx2, hub, "rh")
+	waitCond(t, "both queries re-synced", func() bool { return len(agent.ActiveQueries()) == 2 })
+
+	schema, _ := testCatalog().Lookup("bid")
+	const n = 20
+	for rid := uint64(1); rid <= n; rid++ {
+		agent.Log(event.NewBuilder(schema).SetRequestID(rid).SetTime(time.Now()).
+			Int("user_id", 1).Float("bid_price", 1.5).MustBuild())
+	}
+	agent.Flush()
+	if st := agent.Stats(); st.Shipped != 2*n || st.Kept != 0 || st.SinkErrorTuples != 0 || st.QueueDrops != 0 {
+		t.Errorf("restarted host: shipped %d, kept %d, sink-error tuples %d, queue drops %d; want %d, 0, 0, 0",
+			st.Shipped, st.Kept, st.SinkErrorTuples, st.QueueDrops, 2*n)
+	}
+	for _, id := range []uint64{q1.ID, q2.ID} {
+		if st, _ := coordEng.Stats(id); st.TuplesIn != n || st.HostDrops != 0 {
+			t.Errorf("query %d: shards absorbed %d tuples, %d dropped; want %d, 0", id, st.TuplesIn, st.HostDrops, n)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func (f DispatcherFunc) SendToHost(host string, msg transport.Message) error { r
 // (internal/coord) adds on top of central.Executor. The server detects it
 // by interface assertion so single-process deployments need no stubs.
 type shardFabric interface {
-	QueryEpoch(id uint64) (uint32, bool)
+	PinnedMap(id uint64) (transport.ShardMap, bool)
 	HandleManifest(m transport.BatchManifest)
 	HandleHello(h transport.ShardHello) error
 	Status() transport.ShardStatusList
@@ -206,7 +206,8 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 	// current at registration; hosts route its batches by that epoch.
 	var shardEpoch uint32
 	if f, ok := s.cfg.Engine.(shardFabric); ok {
-		shardEpoch, _ = f.QueryEpoch(qid)
+		m, _ := f.PinnedMap(qid)
+		shardEpoch = m.Epoch
 	}
 
 	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, shardEpoch: shardEpoch}
@@ -390,6 +391,13 @@ func (s *Server) ResyncHost(hostName string) int {
 
 	n := 0
 	for _, sq := range targeted {
+		// The hub pushed only the current shard map: a query pinned to an
+		// earlier epoch needs that epoch's map sent ahead of it.
+		if f, ok := s.cfg.Engine.(shardFabric); ok {
+			if m, ok := f.PinnedMap(sq.info.ID); ok {
+				_ = s.cfg.Dispatcher.SendToHost(hostName, m)
+			}
+		}
 		for _, hq := range sq.plan.HostQueries(sq.info.ID, sq.info.Start.UnixNano(), sq.info.End.UnixNano()) {
 			hq.ShardEpoch = sq.shardEpoch
 			// A resync deliberately omits ReplayNanos: the restarted host's

@@ -100,6 +100,10 @@ echo "== one description of a stream's report (BatchManifest embeds TupleBatch a
 if grep -rnwE --include='*.go' 'manifestOf|FoldGovernor|FoldReplay|ObserveTs|Evictions' . | grep -v '_test\.go:'; then echo "non-test Go names a deleted copy or fold of a stream's report again: a manifest is its batch's header (transport.BatchManifest embeds TupleBatch) and liveness.Table.Fold folds it into the StreamStat a window reports" >&2; exit 1; fi
 if awk '/^type BatchManifest struct/,/^}/' internal/transport/msg_coord.go | grep -nw 'MatchedTotal'; then echo "transport.BatchManifest declares its own MatchedTotal again: it embeds TupleBatch, whose counters description it codes" >&2; exit 1; fi
 
+echo "== one path from a matched event to a chunk (a replay scan runs Log's dispatch on a lane of its own: no submitReplay, and agent.go begins no evaluation context) =="
+if grep -nw 'submitReplay' $(nontest internal/host); then echo "non-test internal/host names submitReplay again: a replayed event is selected, sampled and projected into its chunk by dispatch.go, on the scan's own lane" >&2; exit 1; fi
+if grep -nE '\.Begin\(expr\.' internal/host/agent.go; then echo "internal/host/agent.go begins an evaluation context again: events are evaluated only in dispatch.go" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
