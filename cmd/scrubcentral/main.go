@@ -146,11 +146,6 @@ func main() {
 	}
 	hub.SetMetrics(reg)
 	hub.SetServer(srv)
-	if coordEng != nil {
-		// Push every membership epoch to registered hosts; the hook may
-		// fire under the coordinator's lock, so dispatch asynchronously.
-		coordEng.OnShardMap(func(m transport.ShardMap) { go hub.BroadcastShardMap(m) })
-	}
 	hub.Serve()
 
 	serveMetrics(*metricsAddr, reg)
@@ -338,11 +333,10 @@ func runStandby(cfg standbyConfig) {
 	}
 	hub.SetMetrics(reg)
 	hub.SetServer(srv)
-	coordEng.OnShardMap(func(m transport.ShardMap) { go hub.BroadcastShardMap(m) })
 	for _, rq := range resumed {
 		id := rq.QueryID
 		_, err := srv.Adopt(id, rq.Text,
-			time.Unix(0, rq.StartNanos), time.Unix(0, rq.EndNanos), rq.PinEpoch,
+			time.Unix(0, rq.StartNanos), time.Unix(0, rq.EndNanos),
 			server.Callbacks{Done: func(qd transport.QueryDone) {
 				log.Printf("scrubcentral: adopted query %d done: %+v", id, qd.Stats)
 			}})

@@ -305,7 +305,6 @@ func TestEngineIsOneShardCluster(t *testing.T) {
 			t.Errorf("%s: no windows", name)
 		}
 
-		var drops uint64
 		var scratch central.RouteScratch
 		var fed transport.TupleBatch
 		shards := []central.ShardClient{handThrough{applied: func(first *transport.Tuple) {
@@ -316,7 +315,7 @@ func TestEngineIsOneShardCluster(t *testing.T) {
 		for _, b := range sc.batches {
 			fed = transport.CloneBatch(b)
 			var man transport.BatchManifest
-			if n := testing.AllocsPerRun(10, func() { man = central.RouteToShards(fed, shards, &drops, &scratch) }); n != 0 {
+			if n := testing.AllocsPerRun(10, func() { man = central.RouteToShards(fed, shards, &scratch) }); n != 0 {
 				t.Errorf("%s: one-shard RouteToShards allocates %v times per batch", name, n)
 			}
 			if man.RawTuples != uint64(len(b.Tuples)) || len(man.ShardLate) != 1 {

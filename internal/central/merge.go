@@ -100,11 +100,10 @@ func (sc *RouteScratch) reset(n int) {
 //
 // No span filter runs here: the shard applies the filter itself
 // (Engine.ApplyDriven) and its acks report HasTs/MaxTs over in-span
-// tuples only, so the router stays plan-free. cumDrops accumulates tuples
-// that no live shard running the query applied; the manifest's QueueDrops
-// carries the sum of the host's own drops and the routing failures — same
-// wire contract as host-side queue drops, so no extra failure channel exists.
-func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint64, sc *RouteScratch) transport.BatchManifest {
+// tuples only, so the router stays plan-free. The manifest's RouteDrops
+// counts this batch's tuples that no live shard running the query
+// applied: a fact about this batch alone, kept nowhere but its manifest.
+func RouteToShards(b transport.TupleBatch, shards []ShardClient, sc *RouteScratch) transport.BatchManifest {
 	// The manifest is the batch's header: the pooled tuples do not ride it.
 	m := transport.BatchManifest{TupleBatch: b, RawTuples: uint64(len(b.Tuples))}
 	m.Tuples = nil
@@ -131,7 +130,7 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 			continue
 		}
 		if shards[i].Down() {
-			*cumDrops += uint64(len(tuples))
+			m.RouteDrops += uint64(len(tuples))
 			continue
 		}
 		ack, known, err := shards[i].Apply(transport.TupleBatch{
@@ -141,7 +140,7 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 		if err != nil || !known {
 			// A failed shard, or one not running the query (teardown race,
 			// a fresh process at a pinned address), applied nothing.
-			*cumDrops += uint64(len(tuples))
+			m.RouteDrops += uint64(len(tuples))
 			continue
 		}
 		if ack.HasTs && (!m.HasTs || ack.MaxTs > m.MaxTs) {
@@ -163,7 +162,6 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, cumDrops *uint6
 			sub[i] = tuples[:0]
 		}
 	}
-	m.QueueDrops = b.QueueDrops + *cumDrops
 	return m
 }
 
@@ -226,9 +224,6 @@ type mergeQuery struct {
 	// mergeDrops counts raw rows truncated when shard partials merged past
 	// maxRawRows; folded into the query's late/overflow totals.
 	mergeDrops uint64
-	// routeDrops tracks cumulative routing failures per stream for Ingest.
-	// Allocated on the first failure: direct shards never fail.
-	routeDrops map[liveness.Key]uint64
 }
 
 // holding reports whether the replay hold is still open at leaseNow,
@@ -490,16 +485,7 @@ func (m *Merger) Ingest(b transport.TupleBatch) bool {
 	if q == nil {
 		return false
 	}
-	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
-	before := q.routeDrops[key]
-	cum := before
-	man := RouteToShards(b, q.shards, &cum, &m.route)
-	if cum != before {
-		if q.routeDrops == nil {
-			q.routeDrops = make(map[liveness.Key]uint64)
-		}
-		q.routeDrops[key] = cum
-	}
+	man := RouteToShards(b, q.shards, &m.route)
 	m.observe(q, &man)
 	return true
 }

@@ -293,8 +293,7 @@ func TestMergerBarrierOncePerSlide(t *testing.T) {
 // shards first, then the manifest.
 func TestReplayHoldMerger(t *testing.T) {
 	route := func(r *mergerRig, b transport.TupleBatch) {
-		var cum uint64
-		r.m.Observe(RouteToShards(b, r.clients(), &cum, new(RouteScratch)))
+		r.m.Observe(RouteToShards(b, r.clients(), new(RouteScratch)))
 	}
 	start := func(t *testing.T) *mergerRig {
 		r := newMergerRig(t, 2, replayPlan(t))

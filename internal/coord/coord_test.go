@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -130,11 +131,11 @@ func (tt *testTopo) startQuery(t *testing.T, id uint64, src string, lateness tim
 	if err := tt.coord.StartQuery(plan, col.emit); err != nil {
 		t.Fatal(err)
 	}
-	epoch, ok := tt.coord.QueryEpoch(id)
+	m, ok := tt.coord.PinnedMap(id)
 	if !ok {
 		t.Fatalf("query %d has no pinned epoch", id)
 	}
-	tt.router.PinQuery(id, epoch)
+	tt.router.PinQuery(id, m.Epoch)
 }
 
 // send ships one single-tuple batch through the router.
@@ -217,13 +218,14 @@ func TestShardKillMidQuery(t *testing.T) {
 
 	// A tick sweeps the dead shard out of the membership: epoch bumps and
 	// the map shrinks, but the running query keeps its pinned topology.
-	epochBefore, _ := tt.coord.QueryEpoch(1)
+	pinned, _ := tt.coord.PinnedMap(1)
+	epochBefore := pinned.Epoch
 	tt.coord.Tick(vc.nanos)
 	if m := tt.coord.ShardMap(); len(m.Addrs) != 1 || m.Epoch <= epochBefore {
 		t.Fatalf("membership after death sweep: %+v (want 1 addr, epoch > %d)", m, epochBefore)
 	}
-	if e, ok := tt.coord.QueryEpoch(1); !ok || e != epochBefore {
-		t.Fatalf("running query's pinned epoch changed: %d -> %d", epochBefore, e)
+	if m, ok := tt.coord.PinnedMap(1); !ok || m.Epoch != epochBefore {
+		t.Fatalf("running query's pinned epoch changed: %d -> %d", epochBefore, m.Epoch)
 	}
 
 	stats, ok := tt.coord.StopQuery(1)
@@ -885,8 +887,8 @@ func TestLeaderFailover(t *testing.T) {
 	if len(resumed) != 1 || resumed[0].QueryID != 1 || resumed[0].Text != src {
 		t.Fatalf("resumed = %+v, want query 1 with original text", resumed)
 	}
-	if resumed[0].PinEpoch != 2 {
-		t.Errorf("resumed pin epoch = %d, want 2", resumed[0].PinEpoch)
+	if m, _ := promoted.PinnedMap(1); m.Epoch != 2 {
+		t.Errorf("resumed pin epoch = %d, want 2", m.Epoch)
 	}
 	for i, s := range tt.shards {
 		if f := s.node.fence.Load(); f != 2 {
@@ -956,6 +958,41 @@ func TestLeaderFailover(t *testing.T) {
 	}
 	if n := countOf(t, col2.wins[1]); n != 1 {
 		t.Errorf("drained count = %d, want 1", n)
+	}
+}
+
+// TestPromoteResumesPinnedShardList: a third shard joins after a query
+// pinned two, then the standby promotes. The resumed query keeps the
+// shard list it pinned, so the map a re-synced host is sent routes
+// rid % 2 like every other host's, and the shard that joined later is
+// not handed the query.
+func TestPromoteResumesPinnedShardList(t *testing.T) {
+	vc := &vclock{}
+	opts := Options{Clock: vc.now, LeaseTTL: time.Hour}
+	tt := newTestTopo(t, 2, opts)
+	defer tt.close()
+	tt.coord.StartReplication(ReplicationConfig{Term: 1, Heartbeat: time.Hour})
+	sb := tt.addStandby(opts, testCatalog())
+	col := &collector{}
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, col)
+	want, _ := tt.coord.PinnedMap(1)
+	tt.addShard(t)
+
+	old := tt.coord
+	defer old.Close()
+	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc { return col.emit })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt.coord = promoted
+	if len(resumed) != 1 {
+		t.Fatalf("resumed %+v, want query 1", resumed)
+	}
+	if got, ok := promoted.PinnedMap(1); !ok || got.Epoch != want.Epoch || !reflect.DeepEqual(got.Addrs, want.Addrs) {
+		t.Errorf("promoted leader pins epoch %d = %v, want epoch %d = %v", got.Epoch, got.Addrs, want.Epoch, want.Addrs)
+	}
+	if qs := tt.shards[2].node.eng.DrivenQueries(); len(qs) != 0 {
+		t.Errorf("the shard that joined after the pin runs %v after takeover, want none", qs)
 	}
 }
 

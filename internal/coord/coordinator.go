@@ -39,11 +39,10 @@ type Coordinator struct {
 	members    []*shardClient
 	epoch      uint32
 	rebalances uint64
-	// regs holds every running query's replicated registration — its
-	// pinned epoch included — kept in step with the merger by the hooks.
+	// regs holds every running query's replicated registration — the
+	// shard map it pinned included — kept in step with the merger by the
+	// hooks.
 	regs map[uint64]transport.RepEntry
-	// pinAddrs holds the shards each running query started on.
-	pinAddrs map[uint64][]string
 	// mergesSeen is how much of the merger's merge count has been added
 	// to scrub_coord_merges_total.
 	mergesSeen uint64
@@ -57,10 +56,9 @@ var _ central.Executor = (*Coordinator)(nil)
 // with AddShard/AddShardConn/HandleHello before starting queries.
 func NewCoordinator(opt Options) *Coordinator {
 	return &Coordinator{
-		met:      newCoordMetrics(opt.Metrics),
-		core:     central.NewMerger(opt),
-		regs:     make(map[uint64]transport.RepEntry),
-		pinAddrs: make(map[uint64][]string),
+		met:  newCoordMetrics(opt.Metrics),
+		core: central.NewMerger(opt),
+		regs: make(map[uint64]transport.RepEntry),
 	}
 }
 
@@ -133,7 +131,8 @@ func (c *Coordinator) ShardMap() transport.ShardMap {
 
 // OnShardMap registers the push hook for membership changes and fires it
 // once with the current map. The hook runs with the coordinator locked:
-// it must hand the map off (enqueue, send) without calling back in.
+// it must hand the map off (enqueue, send) without calling back in. No
+// pin depends on it: a query carries its own map (PinnedMap) to hosts.
 func (c *Coordinator) OnShardMap(fn func(transport.ShardMap)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -143,23 +142,15 @@ func (c *Coordinator) OnShardMap(fn func(transport.ShardMap)) {
 	}
 }
 
-// QueryEpoch reports the shard-map epoch a running query is pinned to,
-// for stamping HostQuery.ShardEpoch at registration fan-out.
-func (c *Coordinator) QueryEpoch(id uint64) (uint32, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.regs[id]
-	return e.PinEpoch, ok
-}
-
 // PinnedMap reports the shard map a running query is pinned to — its
-// epoch and the shards it started on — under the current fence, for a
-// host that registers after membership moved on.
+// epoch and the shards it started on, as its registration records them —
+// under the current fence. The server sends it to a host ahead of the
+// query's pin.
 func (c *Coordinator) PinnedMap(id uint64) (transport.ShardMap, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.regs[id]
-	return transport.ShardMap{Epoch: e.PinEpoch, Fence: c.fence.Load(), Addrs: c.pinAddrs[id]}, ok
+	return transport.ShardMap{Epoch: e.PinEpoch, Fence: c.fence.Load(), Addrs: e.PinAddrs}, ok
 }
 
 // removeDownLocked drops dead shards from the membership (their pinned
@@ -202,9 +193,11 @@ func (c *Coordinator) StartQuery(p central.Plan, emit central.EmitFunc) error {
 
 // install starts a query over the current members, pinned to the current
 // epoch — or, when a promoted standby re-adopts a replicated registration
-// (central.Install.Resume), resumes it under the epoch and replay
-// deadline that registration carries. Membership changes never touch a
-// running query: it keeps the shard list it started with.
+// (central.Install.Resume), resumes it over the shard list, epoch and
+// replay deadline that registration carries: the member at each pinned
+// address, or a client latched down where the membership lists the
+// address no more. Membership changes never touch a running query: it
+// keeps the shard list it started with.
 //
 // The registration is recorded and replicated under the merger's lock, at
 // the instant the query goes live, so the replicated log orders a start
@@ -217,14 +210,18 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 	var in central.Install
 	c.mu.Lock()
 	pinEpoch := c.epoch
-	if resume != nil {
-		pinEpoch = resume.PinEpoch
-		in = central.Install{Resume: true, ReplayDeadline: resume.ReplayDeadline}
-	}
 	shards := make([]central.ShardClient, len(c.members))
 	addrs := make([]string, len(c.members))
 	for i, sc := range c.members {
 		shards[i], addrs[i] = sc, sc.addr
+	}
+	if resume != nil {
+		pinEpoch, addrs = resume.PinEpoch, resume.PinAddrs
+		in = central.Install{Resume: true, ReplayDeadline: resume.ReplayDeadline}
+		shards = make([]central.ShardClient, len(addrs))
+		for i, addr := range addrs {
+			shards[i] = c.memberLocked(addr)
+		}
 	}
 	c.mu.Unlock()
 	if len(shards) == 0 {
@@ -235,17 +232,29 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 			Kind:           transport.RepQueryStart,
 			Start:          ShardStartFromPlan(qr.Plan()),
 			PinEpoch:       pinEpoch,
+			PinAddrs:       addrs,
 			ReplayDeadline: replayDeadline,
 		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.regs[e.Start.QueryID] = e
-		c.pinAddrs[e.Start.QueryID] = addrs
 		if c.rep != nil {
 			c.rep.append(e)
 		}
 	}
 	return c.core.Start(qr, emit, shards, in)
+}
+
+// memberLocked returns the member at addr, or a client latched down when
+// the membership does not list addr: a pinned shard that left is a dead
+// one to the query.
+func (c *Coordinator) memberLocked(addr string) *shardClient {
+	for _, sc := range c.members {
+		if sc.addr == addr {
+			return sc
+		}
+	}
+	return newShardClient(nil, addr, &c.fence)
 }
 
 // HandleManifest folds the manifest of a batch a host-side router already
@@ -298,7 +307,6 @@ func (c *Coordinator) StopQuery(id uint64) (transport.QueryStats, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		delete(c.regs, id)
-		delete(c.pinAddrs, id)
 		if c.rep != nil {
 			c.rep.append(transport.RepEntry{Kind: transport.RepQueryStop, QueryID: id})
 		}

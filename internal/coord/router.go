@@ -15,6 +15,9 @@ import (
 // (shard state for a batch is applied before its manifest is processed).
 // The manifest's ShardLate and ShardOverflow slices are the router's to
 // reuse once the call returns: encode or copy them, do not keep them.
+// A manifest the call fails to deliver is lost with its RouteDrops:
+// SendBatch returns the error, the agent charges the batch to its
+// sink-error tuples, and no later manifest counts it again.
 type ManifestFunc func(transport.BatchManifest) error
 
 // NewManifestClient wraps a connection to the coordinator's data plane
@@ -36,23 +39,16 @@ func NewManifestClient(conn *transport.Conn) ManifestFunc {
 	}
 }
 
-// routeKey identifies one (query, host, type) stream for cumulative
-// route-failure accounting.
-type routeKey struct {
-	query   uint64
-	host    string
-	typeIdx uint8
-}
-
 // Router is the host-side half of the shard fabric: a host.Sink that
 // splits every tuple batch across the shards of the query's pinned
 // epoch by request-id modulo shard count, collects the synchronous
 // shard acks, and reports the folded manifest to the coordinator.
 //
 // Tuples their shard does not apply (dead shard, send failure, a shard
-// that does not run the query) fold into the stream's cumulative drop
-// counter and ride the manifest's QueueDrops field — same wire contract
-// as host-side queue drops, so the coordinator needs no extra channel.
+// that does not run the query) are the manifest's RouteDrops: a fact
+// about that batch, which the router reports and keeps no tally of. The
+// router learns a query's shard map from the query itself: the server
+// sends the pinned map ahead of the pin on the host's control connection.
 type Router struct {
 	manifest ManifestFunc
 	// fallback receives whole batches for queries with no epoch pin
@@ -69,7 +65,6 @@ type Router struct {
 	// shards it reached, maybe a fresh process where a dead one stood.
 	relisted map[string]bool
 	newest   uint32 // highest epoch of any installed map
-	drops    map[routeKey]uint64
 	// fence is the highest coordinator fencing epoch seen on a ShardMap
 	// push; pushes below it come from a deposed leader and are ignored.
 	fence uint64
@@ -96,7 +91,6 @@ func NewRouter(manifest ManifestFunc, fallback func(transport.TupleBatch) error)
 		pins:     make(map[uint64]uint32),
 		clients:  make(map[string]*shardClient),
 		relisted: make(map[string]bool),
-		drops:    make(map[routeKey]uint64),
 		scratch:  sync.Pool{New: func() any { return new(routeScratch) }},
 	}
 }
@@ -146,16 +140,11 @@ func (r *Router) PinQuery(id uint64, epoch uint32) {
 	r.pins[id] = epoch
 }
 
-// UnpinQuery forgets a stopped query's pin and drop counters.
+// UnpinQuery forgets a stopped query's pin.
 func (r *Router) UnpinQuery(id uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.pins, id)
-	for k := range r.drops {
-		if k.query == id {
-			delete(r.drops, k)
-		}
-	}
 }
 
 // AddShardConn installs an established connection (pipes, tests) as the
@@ -202,7 +191,6 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 	sc := r.scratch.Get().(*routeScratch)
 	defer r.scratch.Put(sc)
 	sc.clients = sc.clients[:0]
-	key := routeKey{query: b.QueryID, host: b.HostID, typeIdx: b.TypeIdx}
 	undialed := false
 	// One critical section resolves everything the fan-out needs.
 	r.mu.Lock()
@@ -217,7 +205,6 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 		}
 	}
 	ahead := epoch > r.newest // a pin above every map: its push is on its way
-	cum := r.drops[key]
 	r.mu.Unlock()
 	if !pinned {
 		if r.fallback != nil {
@@ -239,13 +226,7 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 			}
 		}
 	}
-	before := cum
-	m := central.RouteToShards(b, sc.clients, &cum, &sc.RouteScratch)
-	if cum != before {
-		r.mu.Lock()
-		r.drops[key] = cum
-		r.mu.Unlock()
-	}
+	m := central.RouteToShards(b, sc.clients, &sc.RouteScratch)
 	// The manifest's per-shard counters are slices of sc; the send is
 	// synchronous, so they are encoded before sc goes back.
 	return r.manifest(m)

@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,7 +170,8 @@ func TestAgentRedeliversBatchAheadOfItsMap(t *testing.T) {
 	defer tt.close()
 	col := &collector{}
 	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, col)
-	epoch, _ := tt.coord.QueryEpoch(1)
+	pinned, _ := tt.coord.PinnedMap(1)
+	epoch := pinned.Epoch
 
 	// The agent's own router has its shard connections and the pin, but
 	// not yet the map.
@@ -205,5 +207,53 @@ func TestAgentRedeliversBatchAheadOfItsMap(t *testing.T) {
 	}
 	if qs, _ := tt.coord.Stats(1); qs.TuplesIn != 3 {
 		t.Errorf("shards absorbed %d tuples, want 3", qs.TuplesIn)
+	}
+}
+
+// TestLostManifestRouteDropsChargedOnce: a tuple the router could not
+// apply is its batch's routing drop, and a manifest that fails to reach
+// the coordinator is lost with it. SendBatch returns a plain error, so
+// the agent charges that batch to its sink-error tuples; the next
+// manifest reports its own batch's routing drop only, so the coordinator
+// does not count the lost batch a second time.
+func TestLostManifestRouteDropsChargedOnce(t *testing.T) {
+	vc := &vclock{nanos: sec}
+	tt := newTestTopo(t, 2, Options{Clock: vc.now, LeaseTTL: time.Hour})
+	defer tt.close()
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, &collector{})
+	pinned, _ := tt.coord.PinnedMap(1)
+
+	var lost atomic.Bool
+	tt.router.manifest = func(m transport.BatchManifest) error {
+		if m.RawTuples > 0 && lost.CompareAndSwap(false, true) {
+			return errors.New("manifest link down")
+		}
+		tt.coord.HandleManifest(m)
+		return nil
+	}
+	a, err := host.New(host.Config{HostID: "h2", Service: "svc", Catalog: testCatalog(), Sink: tt.router, Clock: vc.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "ev", ShardEpoch: pinned.Epoch}); err != nil {
+		t.Fatal(err)
+	}
+	tt.shards[1].kill()
+	// Odd request ids belong to the dead shard: each batch is one routing
+	// drop, and the first batch's manifest is lost.
+	for _, rid := range []uint64{1, 3} {
+		a.Log(event.NewBuilder(testSchema).SetRequestID(rid).SetTimeNanos(sec).Float("v", 1).MustBuild())
+		a.Flush()
+	}
+	if st := a.Stats(); st.Shipped != 1 || st.SinkErrorTuples != 1 || st.Kept != 0 {
+		t.Fatalf("agent: shipped %d, sink-error tuples %d, kept %d; want 1, 1, 0", st.Shipped, st.SinkErrorTuples, st.Kept)
+	}
+	st, ok := tt.coord.StopQuery(1)
+	if !ok {
+		t.Fatal("StopQuery missed")
+	}
+	if st.HostDrops != 1 {
+		t.Errorf("host drops = %d, want 1: the lost manifest's batch is the agent's sink-error tuple, charged nowhere else", st.HostDrops)
 	}
 }

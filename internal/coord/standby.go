@@ -183,7 +183,6 @@ type ResumedQuery struct {
 	Text       string
 	StartNanos int64
 	EndNanos   int64
-	PinEpoch   uint32
 }
 
 // Promote assumes leadership: it builds a live Coordinator under term+1
@@ -282,7 +281,6 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 			Text:       e.Start.Text,
 			StartNanos: e.Start.StartNanos,
 			EndNanos:   e.Start.EndNanos,
-			PinEpoch:   e.PinEpoch,
 		}
 		plan, err := PlanFromShardStart(e.Start, s.opt.Catalog)
 		var emit central.EmitFunc

@@ -57,19 +57,19 @@ func newPipeTopology(c *coord.Coordinator, shards int, cat func() *event.Catalog
 	return t
 }
 
-// StartQuery registers the query on the coordinator and pins the router's
-// routing to the query's shard-map epoch, the way a host agent would on
-// receiving the HostQuery fan-out.
+// StartQuery registers the query on the coordinator, then hands the router
+// the query's pinned shard map and pins its routing to that map's epoch,
+// the way a host agent would on receiving the query's dispatch.
 func (t *pipeTopology) StartQuery(p central.Plan, emit central.EmitFunc) error {
 	if err := t.coord.StartQuery(p, emit); err != nil {
 		return err
 	}
-	epoch, ok := t.coord.QueryEpoch(p.QueryID)
+	m, ok := t.coord.PinnedMap(p.QueryID)
 	if !ok {
 		return fmt.Errorf("difftest: query %d vanished after StartQuery", p.QueryID)
 	}
-	t.router.HandleShardMap(t.coord.ShardMap())
-	t.router.PinQuery(p.QueryID, epoch)
+	t.router.HandleShardMap(m)
+	t.router.PinQuery(p.QueryID, m.Epoch)
 	return nil
 }
 

@@ -142,9 +142,10 @@ type ControlOptions struct {
 	// Metrics, when non-nil, counts control reconnect attempts
 	// (scrub_host_control_reconnects_total, labeled host=<id>).
 	Metrics *obs.Registry
-	// OnShardMap, when non-nil, receives shard-membership pushes from a
-	// distributed ScrubCentral. Wire it to a coord.Router's HandleShardMap
-	// so the host can split batches across shard processes.
+	// OnShardMap, when non-nil, receives the shard maps a distributed
+	// ScrubCentral sends, each ahead of the query that pins it. Wire it to
+	// a coord.Router's HandleShardMap so the host can split batches across
+	// shard processes.
 	OnShardMap func(transport.ShardMap)
 	// OnQueryPin is told each query's shard-epoch pin before the query
 	// starts (so no batch ships unrouted); OnQueryUnpin fires after a

@@ -16,7 +16,8 @@
 //
 // A stream embeds the transport.StreamStat its windows report, and
 // Table.Fold is the one place a batch's report — its manifest: the
-// batch's header plus what routing did — is folded into it.
+// batch's header plus what routing did — is folded into it. Drops are
+// kept apart by cause inside the stream and reported as their sum.
 //
 // A Table is NOT self-locking: the central engines mutate it while
 // holding their own query locks, so adding a second mutex here would only
@@ -56,6 +57,11 @@ type Stream struct {
 	// cannot restart a finished replay.
 	Replaying   bool
 	ReplayEnded bool
+	// The two causes StreamStat.Drops sums: the host's cumulative queue
+	// drops (max-folded) and the routing failures of every manifest
+	// received (added up: each manifest reports its own batch's).
+	hostDrops  uint64
+	routeDrops uint64
 }
 
 // Table holds the lease state for one query's streams.
@@ -86,8 +92,9 @@ func NewTable(ttl time.Duration) *Table {
 // contact, re-admitting it if evicted) and folds the batch's report into
 // it. Cumulative counters max-fold, so a delayed or duplicated batch
 // cannot regress them; a reported rate replaces the last (rates recover
-// too) and shed is sticky; LateDelta adds up; the clock takes the newest
-// MaxTs.
+// too) and shed is sticky; LateDelta and RouteDrops, which are the
+// batch's own, add up, and Drops reports the host's queue drops plus the
+// routing drops; the clock takes the newest MaxTs.
 func (t *Table) Fold(m *transport.BatchManifest, nowNanos int64) {
 	k := Key{Host: m.HostID, TypeIdx: m.TypeIdx}
 	s := t.streams[k]
@@ -99,7 +106,9 @@ func (t *Table) Fold(m *transport.BatchManifest, nowNanos int64) {
 	s.Evicted = false
 	s.Matched = max(s.Matched, m.MatchedTotal)
 	s.Sampled = max(s.Sampled, m.SampledTotal)
-	s.Drops = max(s.Drops, m.QueueDrops)
+	s.hostDrops = max(s.hostDrops, m.QueueDrops)
+	s.routeDrops += m.RouteDrops
+	s.Drops = s.hostDrops + s.routeDrops
 	s.CPUNs = max(s.CPUNs, m.CPUNs)
 	s.Bytes = max(s.Bytes, m.ShipBytes)
 	if m.EffRate > 0 {

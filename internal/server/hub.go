@@ -154,12 +154,9 @@ func (h *Hub) handleControl(conn *transport.Conn) {
 	srv := h.srv
 	h.mu.Unlock()
 	// A (re)connecting host missed any query objects dispatched while it
-	// was away; re-sync the ones that target it. The shard map goes first:
-	// re-synced queries carry epoch pins the host's router must resolve.
+	// was away; re-sync the ones that target it. Each carries its pinned
+	// shard map ahead of it.
 	if srv != nil {
-		if m, ok := srv.CurrentShardMap(); ok {
-			_ = conn.Send(m)
-		}
 		srv.ResyncHost(reg.HostID)
 	}
 	defer func() {

@@ -20,9 +20,9 @@ import (
 // statically, one joining through the data plane's ShardHello path, the
 // way `scrubcentral -shard -join` does), and three host agents whose
 // routers have NO fallback sink — every tuple that reaches central
-// proves the whole control-plane relay worked: shard map push at
-// registration, epoch pin on HostQuery, request-id routing, shard acks,
-// and manifest folding. `make multinode-smoke` runs it under -race.
+// proves the whole control-plane relay worked: the pinned shard map sent
+// ahead of each query, epoch pin on HostQuery, request-id routing, shard
+// acks, and manifest folding. `make multinode-smoke` runs it under -race.
 func TestMultinodeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multinode smoke needs a wall-clock query span")
@@ -174,7 +174,6 @@ func newFabricHub(t *testing.T) (*Hub, *Server, *coord.Coordinator, *cluster.Reg
 		t.Fatal(err)
 	}
 	hub.SetServer(srv)
-	coordEng.OnShardMap(func(m transport.ShardMap) { go hub.BroadcastShardMap(m) })
 	hub.Serve()
 	t.Cleanup(func() {
 		srv.Close()
@@ -229,10 +228,10 @@ func startRoutedAgent(t *testing.T, ctx context.Context, hub *Hub, hostID string
 }
 
 // TestResyncSendsPinnedShardMap: a host restarts while a query pinned to
-// an older shard-map epoch is running. Registration pushes it only the
-// current map, so the re-synced query's own map must come with it: the
-// restarted host ships both queries' tuples, and neither holds the
-// other's back in the agent's retransmit buffer.
+// an older shard-map epoch is running. Registration pushes it no map, so
+// each re-synced query's own map must come with it: the restarted host
+// ships both queries' tuples, and neither holds the other's back in the
+// agent's retransmit buffer.
 func TestResyncSendsPinnedShardMap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a wall-clock query span")
@@ -260,10 +259,10 @@ func TestResyncSendsPinnedShardMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, _ := coordEng.QueryEpoch(q1.ID)
-	e2, _ := coordEng.QueryEpoch(q2.ID)
-	if e1 == e2 {
-		t.Fatalf("both queries pinned to epoch %d", e1)
+	m1, _ := coordEng.PinnedMap(q1.ID)
+	m2, _ := coordEng.PinnedMap(q2.ID)
+	if m1.Epoch == m2.Epoch {
+		t.Fatalf("both queries pinned to epoch %d", m1.Epoch)
 	}
 
 	// The host restarts: a fresh agent and router under the same name.

@@ -41,7 +41,6 @@ type shardFabric interface {
 	HandleManifest(m transport.BatchManifest)
 	HandleHello(h transport.ShardHello) error
 	Status() transport.ShardStatusList
-	ShardMap() transport.ShardMap
 }
 
 // Callbacks deliver a query's output to its submitter. Window and Done
@@ -78,13 +77,12 @@ type Config struct {
 }
 
 type serverQuery struct {
-	info       QueryInfo
-	text       string
-	plan       *ql.Plan
-	cb         Callbacks
-	timer      *time.Timer
-	done       bool
-	shardEpoch uint32 // shard-map epoch the query is pinned to; 0 single-process
+	info  QueryInfo
+	text  string
+	plan  *ql.Plan
+	cb    Callbacks
+	timer *time.Timer
+	done  bool
 	// adopted marks a query resumed from a dead leader's replicated log
 	// (Adopt): its host set is discovered incrementally as hosts register,
 	// not fixed at submission.
@@ -202,28 +200,15 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 		return QueryInfo{}, err
 	}
 
-	// A distributed coordinator pins the query to the shard-map epoch
-	// current at registration; hosts route its batches by that epoch.
-	var shardEpoch uint32
-	if f, ok := s.cfg.Engine.(shardFabric); ok {
-		m, _ := f.PinnedMap(qid)
-		shardEpoch = m.Epoch
-	}
-
-	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, shardEpoch: shardEpoch}
+	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb}
 	s.mu.Lock()
 	s.queries[qid] = sq
 	s.mu.Unlock()
 
-	// Fan the host query objects out: every chosen host gets one query
-	// object per FROM type. Hosts that do not produce a type simply never
-	// match events for it. Dispatch failures degrade coverage, not the
-	// query.
-	for _, hq := range plan.HostQueries(qid, start.UnixNano(), end.UnixNano()) {
-		hq.ShardEpoch = shardEpoch
-		for _, h := range chosen {
-			_ = s.cfg.Dispatcher.SendToHost(h, hq)
-		}
+	// Fan the query out to every chosen host. Dispatch failures degrade
+	// coverage, not the query.
+	for _, h := range chosen {
+		s.dispatch(h, sq, true)
 	}
 
 	// Span expiry. The timer handle is written under the lock because the
@@ -252,7 +237,7 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 // ResyncHost re-resolves it as each host registers (host sampling is
 // deterministic in the query id, so the same hosts are chosen the dead
 // leader chose), and finish stops exactly the hosts that showed up.
-func (s *Server) Adopt(qid uint64, text string, start, end time.Time, shardEpoch uint32, cb Callbacks) (QueryInfo, error) {
+func (s *Server) Adopt(qid uint64, text string, start, end time.Time, cb Callbacks) (QueryInfo, error) {
 	if cb.Done == nil {
 		return QueryInfo{}, fmt.Errorf("server: Done callback is required")
 	}
@@ -265,7 +250,7 @@ func (s *Server) Adopt(qid uint64, text string, start, end time.Time, shardEpoch
 		return QueryInfo{}, err
 	}
 	info := QueryInfo{ID: qid, Columns: ql.Labels(plan.Select), Start: start, End: end}
-	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, shardEpoch: shardEpoch, adopted: true}
+	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, adopted: true}
 	s.mu.Lock()
 	if _, dup := s.queries[qid]; dup {
 		s.mu.Unlock()
@@ -389,25 +374,38 @@ func (s *Server) ResyncHost(hostName string) int {
 		}
 	}
 
+	// A resync does not replay: the restarted host's record stream is
+	// empty (or stale), and a second replay of a query already past its
+	// start would duplicate history central has folded in.
 	n := 0
 	for _, sq := range targeted {
-		// The hub pushed only the current shard map: a query pinned to an
-		// earlier epoch needs that epoch's map sent ahead of it.
-		if f, ok := s.cfg.Engine.(shardFabric); ok {
-			if m, ok := f.PinnedMap(sq.info.ID); ok {
-				_ = s.cfg.Dispatcher.SendToHost(hostName, m)
-			}
+		n += s.dispatch(hostName, sq, false)
+	}
+	return n
+}
+
+// dispatch sends one query to one host over its ordered control
+// connection: on a shard fabric the shard map the query pinned first, so
+// the host can resolve the pin, then one query object per FROM type,
+// stamped with that map's epoch. Hosts that do not produce a type simply
+// never match events for it. ReplayNanos rides only when replay is set.
+// It reports how many query objects were sent.
+func (s *Server) dispatch(host string, sq *serverQuery, replay bool) int {
+	var pinned transport.ShardMap
+	if f, ok := s.cfg.Engine.(shardFabric); ok {
+		if m, ok := f.PinnedMap(sq.info.ID); ok {
+			pinned = m
+			_ = s.cfg.Dispatcher.SendToHost(host, m)
 		}
-		for _, hq := range sq.plan.HostQueries(sq.info.ID, sq.info.Start.UnixNano(), sq.info.End.UnixNano()) {
-			hq.ShardEpoch = sq.shardEpoch
-			// A resync deliberately omits ReplayNanos: the restarted host's
-			// record stream is empty (or stale), and a second replay of a
-			// query already past its start would duplicate history central
-			// has folded in.
+	}
+	n := 0
+	for _, hq := range sq.plan.HostQueries(sq.info.ID, sq.info.Start.UnixNano(), sq.info.End.UnixNano()) {
+		hq.ShardEpoch = pinned.Epoch
+		if !replay {
 			hq.ReplayNanos = 0
-			if s.cfg.Dispatcher.SendToHost(hostName, hq) == nil {
-				n++
-			}
+		}
+		if s.cfg.Dispatcher.SendToHost(host, hq) == nil {
+			n++
 		}
 	}
 	return n
@@ -470,16 +468,6 @@ func (s *Server) ShardStatus() transport.ShardStatusList {
 		return f.Status()
 	}
 	return transport.ShardStatusList{}
-}
-
-// CurrentShardMap returns the fabric's current membership, if any — the
-// hub pushes it to hosts on registration.
-func (s *Server) CurrentShardMap() (transport.ShardMap, bool) {
-	if f, ok := s.cfg.Engine.(shardFabric); ok {
-		m := f.ShardMap()
-		return m, m.Epoch > 0
-	}
-	return transport.ShardMap{}, false
 }
 
 // Close cancels every active query and stops the ticker.

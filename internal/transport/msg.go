@@ -81,7 +81,7 @@ type StreamStat struct {
 	TypeIdx   uint8
 	Matched   uint64 // events matching selection (pre event-sampling)
 	Sampled   uint64 // events shipped (post sampling, pre queue drops)
-	Drops     uint64 // host queue drops (evicted kept chunks too) + tuples routing failed to deliver
+	Drops     uint64 // host queue drops (evicted kept chunks too) + Σ manifests' RouteDrops
 	LateDrops uint64 // this stream's tuples that missed their windows
 	Evicted   bool   // liveness lease expired; excluded from the watermark
 	// Governor accounting (PR 3): the host's last-reported effective

@@ -167,15 +167,16 @@ type ShardStatsResp struct {
 // The coordinator's merge core (central.Merger.Observe) folds it into
 // stream liveness and watermark state; an in-process cluster builds the
 // same manifest from the same fan-out (central.RouteToShards) and folds it
-// the same way. QueueDrops holds the host's queue drops plus the tuples
-// routing could not deliver.
+// the same way. Every fact about the batch rides here: QueueDrops is the
+// host's own cumulative count, RouteDrops this batch's routing failures.
 type BatchManifest struct {
 	Seq uint64
 	TupleBatch
-	RawTuples uint64 // tuple count before the span filter (ingest accounting)
-	HasTs     bool   // any in-span tuple (folded from the shard acks)
-	MaxTs     int64  // max in-span event time
-	LateDelta uint64 // window-late drops this batch caused, attributed to this stream
+	RawTuples  uint64 // tuple count before the span filter (ingest accounting)
+	HasTs      bool   // any in-span tuple (folded from the shard acks)
+	MaxTs      int64  // max in-span event time
+	LateDelta  uint64 // window-late drops this batch caused, attributed to this stream
+	RouteDrops uint64 // this batch's tuples no live shard running the query applied
 	// Per-shard cumulative drop counters as of this batch, indexed by the
 	// query's shard order. The merger max-folds them into a cache that
 	// every collect refreshes, so emitted windows report current totals.
@@ -261,9 +262,11 @@ type ShardFenceAck struct {
 type RepEntry struct {
 	Kind uint8 // 1 = query start, 2 = query stop, 3 = membership
 	// Kind 1: the query's wire-form registration (Seq/Fence unused) plus
-	// the shard-map epoch it pinned and its replay-hold deadline.
+	// the shard map it pinned (epoch and shard addresses, in rid % n
+	// order) and its replay-hold deadline.
 	Start          ShardStart
 	PinEpoch       uint32
+	PinAddrs       []string
 	ReplayDeadline int64
 	// Kind 2: the stopped query.
 	QueryID uint64
@@ -403,6 +406,7 @@ func (t *BatchManifest) code(c *coder) {
 	c.Bool(&t.HasTs)
 	c.I64(&t.MaxTs)
 	c.U64(&t.LateDelta)
+	c.U64(&t.RouteDrops)
 	c.U64s(&t.ShardLate)
 	c.U64s(&t.ShardOverflow)
 	t.counters(c)
@@ -461,6 +465,7 @@ func (t *RepAppend) code(c *coder) {
 		c.U8(&e.Kind)
 		e.Start.code(c)
 		c.U32(&e.PinEpoch)
+		c.Strs(&e.PinAddrs)
 		c.I64(&e.ReplayDeadline)
 		c.U64(&e.QueryID)
 		c.U32(&e.MapEpoch)

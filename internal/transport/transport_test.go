@@ -122,7 +122,7 @@ func sampleMessages() []Message {
 				EffRate: 0.25, BudgetShed: true, CPUNs: 5, ShipBytes: 6,
 				ReplayEpoch: 1, ReplayDone: true,
 			},
-			RawTuples: 10, HasTs: true, MaxTs: 44, LateDelta: 1,
+			RawTuples: 10, HasTs: true, MaxTs: 44, LateDelta: 1, RouteDrops: 2,
 			ShardLate: []uint64{0, 1}, ShardOverflow: []uint64{2, 0},
 		},
 		BatchManifest{Seq: 10, TupleBatch: TupleBatch{QueryID: 8, HostID: "h"}},
@@ -151,7 +151,8 @@ func sampleMessages() []Message {
 						QueryID: 7, Text: "select count(*) from bid",
 						StartNanos: 100, EndNanos: 200, TotalHosts: 3, SampledHosts: 3,
 					},
-					PinEpoch: 2, ReplayDeadline: 500,
+					PinEpoch: 2, PinAddrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"},
+					ReplayDeadline: 500,
 				},
 				{Kind: RepQueryStop, QueryID: 9},
 				{Kind: RepMembership, MapEpoch: 2, Addrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"}},
@@ -262,6 +263,9 @@ func normalize(m Message) Message {
 		for i := range t.Entries {
 			if len(t.Entries[i].Addrs) == 0 {
 				t.Entries[i].Addrs = nil
+			}
+			if len(t.Entries[i].PinAddrs) == 0 {
+				t.Entries[i].PinAddrs = nil
 			}
 		}
 		return t

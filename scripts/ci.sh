@@ -104,6 +104,17 @@ echo "== one path from a matched event to a chunk (a replay scan runs Log's disp
 if grep -nw 'submitReplay' $(nontest internal/host); then echo "non-test internal/host names submitReplay again: a replayed event is selected, sampled and projected into its chunk by dispatch.go, on the scan's own lane" >&2; exit 1; fi
 if grep -nE '\.Begin\(expr\.' internal/host/agent.go; then echo "internal/host/agent.go begins an evaluation context again: events are evaluated only in dispatch.go" >&2; exit 1; fi
 
+echo "== the router keeps no ledger (a manifest reports its own batch's routing drops: no routeKey, routeDrops map or cumDrops, and RouteToShards takes no counter; each query carries the shard map it pins: no CurrentShardMap, pinAddrs or QueryEpoch, and only Server.dispatch stamps a ShardEpoch) =="
+if grep -rnwE --include='*.go' 'routeKey|cumDrops|CurrentShardMap|pinAddrs|QueryEpoch' cmd internal | grep -v '_test\.go:' ||
+   grep -rnE --include='*.go' '\brouteDrops +map\b' cmd internal | grep -v '_test\.go:'; then
+  echo "non-test Go under cmd/ or internal/ keeps a routing-drop ledger or a second source of a query's pin again: a manifest's RouteDrops is its batch's, liveness sums them, and a host learns a query's map from the query (Server.dispatch, Coordinator.PinnedMap)" >&2; exit 1
+fi
+if grep -rnE --include='*.go' 'func RouteToShards\([^)]*\*uint64' cmd internal; then echo "central.RouteToShards takes a counter again: it reports the batch's routing drops on the manifest" >&2; exit 1; fi
+if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /\.ShardEpoch *=[^=]/ && fn !~ /\) dispatch\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' $(nontest internal/server); then
+  echo "internal/server stamps a ShardEpoch outside Server.dispatch: Submit and ResyncHost send a query through the one dispatch" >&2; exit 1
+fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
