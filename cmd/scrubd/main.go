@@ -157,8 +157,9 @@ func main() {
 
 // manifestDialer lazily opens the router's manifest channel to the
 // coordinator's data plane. Errors reset the connection so the next
-// manifest redials — transient coordinator outages cost manifests (the
-// counters are cumulative, so the next one supersedes them), not state.
+// manifest redials — a transient coordinator outage costs the manifests
+// it swallows, not state: a lost manifest's per-batch facts go with it,
+// and the agent charges its batch once, to its sink-error tuples.
 type manifestDialer struct {
 	addr   string
 	hostID string

@@ -151,7 +151,7 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
 		return DrivenAck{}, false
 	}
-	lateBefore := qs.win.LateDrops()
+	lateBefore, overflowBefore := qs.win.LateDrops(), qs.overflow
 	dataStart := qs.plan.DataStartNanos()
 	var maxTs int64
 	var hasTs bool
@@ -176,8 +176,10 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 	// batch.
 	qs.sides = [2]expr.Tuple{}
 	clear(qs.probe)
-	late := qs.win.LateDrops()
-	return DrivenAck{HasTs: hasTs, MaxTs: maxTs, LateDelta: late - lateBefore, Late: late, Overflow: qs.overflow}, true
+	return DrivenAck{
+		HasTs: hasTs, MaxTs: maxTs,
+		LateDelta: qs.win.LateDrops() - lateBefore, OverflowDelta: qs.overflow - overflowBefore,
+	}, true
 }
 
 // closed takes windows that have just left a query's manager off the

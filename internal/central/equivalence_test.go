@@ -318,7 +318,7 @@ func TestEngineIsOneShardCluster(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { man = central.RouteToShards(fed, shards, &scratch) }); n != 0 {
 				t.Errorf("%s: one-shard RouteToShards allocates %v times per batch", name, n)
 			}
-			if man.RawTuples != uint64(len(b.Tuples)) || len(man.ShardLate) != 1 {
+			if man.RawTuples != uint64(len(b.Tuples)) {
 				t.Errorf("%s: manifest %+v for a batch of %d", name, man, len(b.Tuples))
 			}
 			if !reflect.DeepEqual(fed.Tuples, transport.CloneBatch(b).Tuples) {

@@ -132,7 +132,7 @@ func TestPartialGolden(t *testing.T) {
 			var wire []byte
 			merged := make(map[int64]*PartialWindow)
 			for _, e := range drv {
-				partials, _, ok := e.DrainDriven(1)
+				partials, ok := e.DrainDriven(1)
 				if !ok {
 					t.Fatal("DrainDriven: unknown query")
 				}

@@ -30,11 +30,8 @@ import (
 //
 //   - Apply returns only after the shard absorbed the sub-batch, so a
 //     manifest folded from Apply acks is observed after the state it
-//     reports exists (applies happen-before their manifest).
-//   - Collect and Stop report the shard's cumulative drop counters as of
-//     the call; the merger refreshes its cache from every shard before it
-//     flushes anything, so an emitted window's drop totals are the
-//     barrier's, not a stale manifest's.
+//     reports exists (applies happen-before their manifest). Its ack says
+//     what the sub-batch cost in drops; a shard reports no running total.
 //   - A non-nil error means part of the query's state is unreachable —
 //     the shard died, rejected the caller (fencing), or sent a partial
 //     that does not decode. The merger latches the query Degraded and
@@ -48,42 +45,22 @@ type ShardClient interface {
 	// Apply folds one sub-batch into the shard. known is false when the
 	// shard does not run the query (a batch racing its teardown).
 	Apply(b transport.TupleBatch) (ack DrivenAck, known bool, err error)
-	// Collect closes and returns the windows ending at or before bound.
-	Collect(qr *QueryRuntime, bound int64) (ShardWindows, error)
+	// Collect closes and returns the windows ending at or before bound;
+	// none when the shard does not run the query.
+	Collect(qr *QueryRuntime, bound int64) ([]window.Closed[PartialWindow], error)
 	// Stop removes the query and returns its remaining windows.
-	Stop(qr *QueryRuntime) (ShardWindows, error)
+	Stop(qr *QueryRuntime) ([]window.Closed[PartialWindow], error)
 	// TuplesIn reports how many tuples the shard has absorbed for a query.
 	TuplesIn(id uint64) (uint64, bool)
 	Down() bool
 }
 
-// ShardWindows is what one shard hands over at a collect or a stop.
-type ShardWindows struct {
-	Found   bool // the shard runs (ran) the query
-	Windows []window.Closed[PartialWindow]
-	// Cumulative window-late and overflow drops as of the call.
-	Late     uint64
-	Overflow uint64
-}
-
 // RouteScratch is the memory RouteToShards splits a batch in: the
-// per-shard sub-batches and the manifest's per-shard counters. It belongs
-// to the caller, who keeps it from batch to batch — it is reset, not
-// reallocated — and never shares it between concurrent calls. The zero
-// value is ready to use.
+// per-shard sub-batches. It belongs to the caller, who keeps it from
+// batch to batch — it is resized, not reallocated — and never shares it
+// between concurrent calls. The zero value is ready to use.
 type RouteScratch struct {
-	sub      [][]transport.Tuple
-	counters []uint64
-}
-
-// reset sizes the scratch for n shards and empties it.
-func (sc *RouteScratch) reset(n int) {
-	if cap(sc.sub) < n {
-		sc.sub = make([][]transport.Tuple, n)
-		sc.counters = make([]uint64, 2*n)
-	}
-	sc.sub, sc.counters = sc.sub[:n], sc.counters[:2*n]
-	clear(sc.counters)
+	sub [][]transport.Tuple
 }
 
 // RouteToShards fans one batch out across the shards by request-id modulo
@@ -92,25 +69,22 @@ func (sc *RouteScratch) reset(n int) {
 // whole-batch path and ShardedEngine all go through it. One shard is
 // handed the batch's own tuple slice: nothing is copied, nothing wiped.
 //
-// The manifest's ShardLate and ShardOverflow are slices of sc: they are
-// good until sc's next use, which is enough for both consumers — the
-// merger max-folds them into its own cache (Merger.observe) and a
-// router's manifest send encodes them — because both are done with the
-// manifest before the caller touches sc again.
-//
 // No span filter runs here: the shard applies the filter itself
 // (Engine.ApplyDriven) and its acks report HasTs/MaxTs over in-span
-// tuples only, so the router stays plan-free. The manifest's RouteDrops
-// counts this batch's tuples that no live shard running the query
-// applied: a fact about this batch alone, kept nowhere but its manifest.
+// tuples only, so the router stays plan-free. Every drop count on the
+// manifest is a fact about this batch alone, kept nowhere but there:
+// LateDelta and OverflowDelta sum what its sub-batches cost the shards,
+// and RouteDrops counts its tuples that no live shard running the query
+// applied.
 func RouteToShards(b transport.TupleBatch, shards []ShardClient, sc *RouteScratch) transport.BatchManifest {
 	// The manifest is the batch's header: the pooled tuples do not ride it.
 	m := transport.BatchManifest{TupleBatch: b, RawTuples: uint64(len(b.Tuples))}
 	m.Tuples = nil
 	n := uint64(len(shards))
-	sc.reset(len(shards))
-	m.ShardLate, m.ShardOverflow = sc.counters[:n:n], sc.counters[n:]
-	sub := sc.sub
+	if cap(sc.sub) < len(shards) {
+		sc.sub = make([][]transport.Tuple, len(shards))
+	}
+	sub := sc.sub[:len(shards)]
 	// Sub-batches alias the caller's pooled tuple memory only within this
 	// call: every Apply below is synchronous, a shard copies (direct) or
 	// encodes (RPC) what it keeps before returning, and the scratch then
@@ -148,8 +122,7 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, sc *RouteScratc
 		}
 		m.HasTs = m.HasTs || ack.HasTs
 		m.LateDelta += ack.LateDelta
-		m.ShardLate[i] = ack.Late
-		m.ShardOverflow[i] = ack.Overflow
+		m.OverflowDelta += ack.OverflowDelta
 	}
 	if n == 1 {
 		sub[0] = nil // the caller's array, not the scratch's: dropped, never wiped
@@ -205,11 +178,6 @@ type mergeQuery struct {
 
 	// The query's shards, fixed at Start; shard i owns request ids ≡ i.
 	shards []ShardClient
-	// Cumulative window-late and overflow drops by shard index: max-folded
-	// from manifests (order-insensitive, so late or duplicated manifests
-	// cannot regress them) and refreshed by every collect.
-	shardLate     []uint64
-	shardOverflow []uint64
 	// lostShard latches when a shard dies, fences the caller out or sends
 	// a partial that does not decode: part of the query's state is
 	// unreachable, so every window from then on is flagged Degraded
@@ -222,7 +190,7 @@ type mergeQuery struct {
 	// barrier has covered (closeBefore).
 	barrier int64
 	// mergeDrops counts raw rows truncated when shard partials merged past
-	// maxRawRows; folded into the query's late/overflow totals.
+	// maxRawRows: the one drop no stream is charged for (lateDrops).
 	mergeDrops uint64
 }
 
@@ -410,15 +378,13 @@ func (m *Merger) Start(qr *QueryRuntime, emit EmitFunc, shards []ShardClient, in
 	}
 	id := qr.plan.QueryID
 	q := &mergeQuery{
-		QueryRuntime:  *qr,
-		emit:          emit,
-		streams:       liveness.NewTable(m.opt.LeaseTTL),
-		shards:        shards,
-		shardLate:     make([]uint64, len(shards)),
-		shardOverflow: make([]uint64, len(shards)),
-		lostShard:     in.Resume,
-		pending:       make(map[int64]*winState),
-		barrier:       math.MinInt64,
+		QueryRuntime: *qr,
+		emit:         emit,
+		streams:      liveness.NewTable(m.opt.LeaseTTL),
+		shards:       shards,
+		lostShard:    in.Resume,
+		pending:      make(map[int64]*winState),
+		barrier:      math.MinInt64,
 	}
 	now := m.opt.Clock().UnixNano()
 	if in.Resume {
@@ -506,18 +472,13 @@ func (m *Merger) Observe(man transport.BatchManifest) bool {
 func (m *Merger) observe(q *mergeQuery, man *transport.BatchManifest) {
 	nowN := m.opt.Clock().UnixNano()
 	q.streams.Fold(man, nowN)
-	if q.tuplesC != nil {
+	if q.tuplesC != nil { // the query's series come in a pair (querySeries)
 		q.tuplesC.Add(man.RawTuples)
+		q.lateC.Add(man.LateDelta)
 	}
 	if m.met != nil {
 		m.met.batches.Inc()
 		m.met.tuples.Add(man.RawTuples)
-	}
-	for i := 0; i < len(q.shards) && i < len(man.ShardLate); i++ {
-		q.foldLate(i, man.ShardLate[i])
-	}
-	for i := 0; i < len(q.shards) && i < len(man.ShardOverflow); i++ {
-		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
 	}
 	if wm, ok := q.advance(man.HasTs, nowN); ok {
 		if m.met != nil {
@@ -559,8 +520,7 @@ func (m *Merger) Tick(nowNanos int64) {
 // order must be deterministic for bit-identical results), merged, then
 // rendered and emitted in start order. Because the same bound reaches
 // every shard before any flush, a flushed window can never receive more
-// tuples from a shard (they would be late there too), and the drop
-// counters the flush reports are the ones the barrier just refreshed.
+// tuples from a shard (they would be late there too).
 //
 // A barrier is a round trip to every shard under the merger's lock, inside
 // the manifest round trip a host's shipper is blocked on, so it runs once
@@ -568,8 +528,8 @@ func (m *Merger) Tick(nowNanos int64) {
 // multiples of the slide, and after a barrier at bound B no shard holds or
 // can still open a window ending at or before B and pending holds none, so
 // a bound whose floor(bound/slide) is no higher closes nothing. What the
-// skipped call would have refreshed — drop caches, a dead shard's latch —
-// the barrier before the next flush does (DESIGN.md §16.2).
+// skipped call would have found out — a dead shard's latch — the barrier
+// before the next flush does (DESIGN.md §16.2).
 func (m *Merger) closeBefore(q *mergeQuery, bound int64) {
 	slide := int64(q.plan.Slide)
 	idx := bound / slide
@@ -580,35 +540,18 @@ func (m *Merger) closeBefore(q *mergeQuery, bound int64) {
 		return
 	}
 	q.barrier = idx
-	for i, sc := range q.shards {
+	for _, sc := range q.shards {
 		if sc.Down() {
 			q.lostShard = true
 			continue
 		}
-		sw, err := sc.Collect(&q.QueryRuntime, bound)
+		windows, err := sc.Collect(&q.QueryRuntime, bound)
 		if err != nil {
 			q.lostShard = true
 		}
-		if !sw.Found {
-			continue
-		}
-		q.foldLate(i, sw.Late)
-		q.shardOverflow[i] = max(q.shardOverflow[i], sw.Overflow)
-		m.merge(q, sw.Windows)
+		m.merge(q, windows)
 	}
 	m.flush(q, bound)
-}
-
-// foldLate max-folds shard i's cumulative window-late drops into the
-// cache and adds what is new to the query's late-drop series.
-func (q *mergeQuery) foldLate(i int, late uint64) {
-	if late <= q.shardLate[i] {
-		return
-	}
-	if q.lateC != nil {
-		q.lateC.Add(late - q.shardLate[i])
-	}
-	q.shardLate[i] = late
 }
 
 func (m *Merger) merge(q *mergeQuery, windows []window.Closed[PartialWindow]) {
@@ -641,20 +584,17 @@ func (m *Merger) flush(q *mergeQuery, bound int64) {
 	}
 }
 
-// lateDrops is the query's late/overflow total as last reported by the
-// shards, plus what merging truncated.
+// lateDrops is the query's late/overflow total: what the manifests this
+// merger observed charged each stream, plus what merging truncated.
 func (q *mergeQuery) lateDrops() uint64 {
-	n := q.mergeDrops
-	for i := range q.shards {
-		n += q.shardLate[i] + q.shardOverflow[i]
-	}
-	return n
+	return q.streams.ShardDrops() + q.mergeDrops
 }
 
 // Stop drains every shard, merges and emits the remainder, and returns
-// the final stats. A dead shard contributes its last-known drop totals —
-// its window state is gone, which the Degraded flag reports. stopped,
-// when set, runs under the merger's lock once the query is gone.
+// the final stats. A dead shard's drops were charged to their streams as
+// its acks reported them; its window state is gone, which the Degraded
+// flag reports. stopped, when set, runs under the merger's lock once the
+// query is gone.
 func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -662,23 +602,16 @@ func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 	if !ok || !q.installed {
 		return transport.QueryStats{}, false
 	}
-	for i, sc := range q.shards {
+	for _, sc := range q.shards {
 		if sc.Down() {
 			q.lostShard = true
 			continue
 		}
-		sw, err := sc.Stop(&q.QueryRuntime)
+		windows, err := sc.Stop(&q.QueryRuntime)
 		if err != nil {
 			q.lostShard = true
-			if !sw.Found {
-				continue
-			}
 		}
-		// The shard query is gone: its final totals replace the cache, so
-		// the windows flushed below neither forget nor double-count them.
-		q.foldLate(i, sw.Late)
-		q.shardLate[i], q.shardOverflow[i] = sw.Late, sw.Overflow
-		m.merge(q, sw.Windows)
+		m.merge(q, windows)
 	}
 	m.flush(q, int64(1)<<62-1)
 	q.stats.LateDrops = q.lateDrops()

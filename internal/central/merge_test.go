@@ -2,12 +2,15 @@ package central
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"scrub/internal/event"
 	"scrub/internal/obs"
 	"scrub/internal/transport"
+	"scrub/internal/window"
 )
 
 // fakeShard is a ShardClient over a real driven Engine with the failures
@@ -25,9 +28,6 @@ type fakeShard struct {
 	// lose makes Collect and Stop deliver their windows minus the first,
 	// with an error alongside: one partial did not decode.
 	lose bool
-	// late/overflow, when nonzero, replace the engine's own counters in
-	// what Collect reports.
-	late, overflow uint64
 	// startGate, when set, parks Start until the test answers it.
 	startGate chan error
 	starting  chan struct{}
@@ -45,36 +45,32 @@ func (f *fakeShard) Start(qr *QueryRuntime) error {
 	return f.directShard.Start(qr)
 }
 
-func (f *fakeShard) Collect(qr *QueryRuntime, bound int64) (ShardWindows, error) {
+func (f *fakeShard) Collect(qr *QueryRuntime, bound int64) ([]window.Closed[PartialWindow], error) {
 	*f.order = append(*f.order, f.idx)
-	sw, _ := f.directShard.Collect(qr, bound)
-	if f.late != 0 || f.overflow != 0 {
-		sw.Late, sw.Overflow = f.late, f.overflow
-	}
-	return f.inject(sw)
+	windows, _ := f.directShard.Collect(qr, bound)
+	return f.inject(windows)
 }
 
-func (f *fakeShard) Stop(qr *QueryRuntime) (ShardWindows, error) {
-	sw, _ := f.directShard.Stop(qr)
-	return f.inject(sw)
+func (f *fakeShard) Stop(qr *QueryRuntime) ([]window.Closed[PartialWindow], error) {
+	windows, _ := f.directShard.Stop(qr)
+	return f.inject(windows)
 }
 
-func (f *fakeShard) inject(sw ShardWindows) (ShardWindows, error) {
+func (f *fakeShard) inject(windows []window.Closed[PartialWindow]) ([]window.Closed[PartialWindow], error) {
 	if f.fail != nil {
-		return ShardWindows{}, f.fail
+		return nil, f.fail
 	}
-	if f.lose && len(sw.Windows) > 0 {
+	if f.lose && len(windows) > 0 {
 		// Closed windows arrive in no particular order; lose the earliest.
 		first := 0
-		for i, w := range sw.Windows {
-			if w.Start < sw.Windows[first].Start {
+		for i, w := range windows {
+			if w.Start < windows[first].Start {
 				first = i
 			}
 		}
-		sw.Windows = append(sw.Windows[:first], sw.Windows[first+1:]...)
-		return sw, errors.New("partial does not decode")
+		return append(windows[:first], windows[first+1:]...), errors.New("partial does not decode")
 	}
-	return sw, nil
+	return windows, nil
 }
 
 // mergerRig is a Merger over n fake shards running one count(*) query
@@ -184,8 +180,8 @@ func TestMergerShardFailuresDegrade(t *testing.T) {
 }
 
 // TestMergerStopFoldsDeadShardDropsOnce: a shard that died before the
-// stop contributes the drop totals it last reported — once, in the final
-// stats and on the windows the stop flushes alike.
+// stop contributes the drops its acks reported — once, charged to their
+// stream, in the final stats and on the windows the stop flushes alike.
 func TestMergerStopFoldsDeadShardDropsOnce(t *testing.T) {
 	r := newMergerRig(t, 2, countPlan(t))
 	r.ingest(0, 1, 1, 2)
@@ -211,28 +207,18 @@ func TestMergerStopFoldsDeadShardDropsOnce(t *testing.T) {
 	}
 }
 
-// TestMergerBarrierOrderAndDropTotals: every close collects the shards in
-// ascending index (merge order decides float rounding, so it must be
-// fixed), and an emitted window's drop totals are what the shards
-// reported at that barrier — not what the last manifest happened to
-// carry.
-func TestMergerBarrierOrderAndDropTotals(t *testing.T) {
+// TestMergerBarrierOrder: every close collects the shards in ascending
+// index (merge order decides float rounding, so it must be fixed).
+func TestMergerBarrierOrder(t *testing.T) {
 	r := newMergerRig(t, 3, countPlan(t))
 	r.ingest(0, 1, 1, 2, 2, 3)
-	// Shard 2 has counted drops no manifest told this merger about (they
-	// came through another host's router, say).
-	r.shards[2].late, r.shards[2].overflow = 7, 2
 	r.order = nil
 	r.ingest(3, 12)
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(r.order, want) {
 		t.Errorf("collect order = %v, want %v", r.order, want)
 	}
-	wins := r.col.all()
-	if len(wins) != 1 || wins[0].Stats.LateDrops != 9 {
-		t.Fatalf("emitted %d windows, LateDrops %d; want 1 window carrying the barrier's 9", len(wins), wins[0].Stats.LateDrops)
-	}
-	if st, _ := r.m.Stats(1); st.LateDrops != 9 {
-		t.Errorf("running stats LateDrops = %d, want 9", st.LateDrops)
+	if got := counts(r.col.all()); !reflect.DeepEqual(got, []string{"3"}) {
+		t.Errorf("window counts = %v, want [3]", got)
 	}
 }
 
@@ -386,9 +372,9 @@ func TestMergerTwoPhaseInstall(t *testing.T) {
 }
 
 // TestQueryLateDropsSeries: scrub_central_query_late_drops_total{query} is
-// the sum of the shards' window-late drops — each shard's cumulative count
-// max-folded once, so a manifest that repeats a count adds nothing — and
-// goes away with the query.
+// the sum of the manifests' LateDelta — each batch's window-late drops
+// across its shards, so an on-time batch adds nothing — and goes away
+// with the query.
 func TestQueryLateDropsSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	se, err := NewShardedEngineWith(2, Options{Metrics: reg})
@@ -413,7 +399,7 @@ func TestQueryLateDropsSeries(t *testing.T) {
 	se.HandleBatch(bidBatch(1, "h1", tup(2, sec(12)))) // closes [0,10s)
 	// Late on shard 0 once and on shard 1 twice.
 	se.HandleBatch(bidBatch(1, "h1", tup(4, sec(3)), tup(5, sec(4)), tup(7, sec(5))))
-	se.HandleBatch(bidBatch(1, "h2", tup(9, sec(13)))) // on-time: repeats both counts
+	se.HandleBatch(bidBatch(1, "h2", tup(9, sec(13)))) // on-time: adds nothing
 	if got := late(); got != 3 {
 		t.Fatalf("series = %v, want 3", got)
 	}
@@ -422,5 +408,82 @@ func TestQueryLateDropsSeries(t *testing.T) {
 	}
 	if got := late(); got != -1 {
 		t.Errorf("series still registered after Stop (value %v)", got)
+	}
+}
+
+// TestShardDropsChargedPerStream: what a kernel drops of a stream's tuples
+// — late, or past the join-pending and raw-row caps — reaches the merger
+// on the manifest of the batch that caused it and is charged to that
+// stream, whatever the shard count. The streams' ShardDrops is every
+// kernel's own count, and the query's final LateDrops adds to it only the
+// raw rows merging the shards' partials truncated.
+func TestShardDropsChargedPerStream(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%d shards", n), func(t *testing.T) {
+			p := buildPlan(t, `select exclusion.reason from bid, exclusion window 10s`, 1, 2, 2)
+			p.Lateness = time.Second
+			p.maxJoinPending = 6
+			p.maxRawRows = 4
+			se, err := NewShardedEngine(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := se.StartQuery(p, (&collector{}).emit); err != nil {
+				t.Fatal(err)
+			}
+			bids := func(ts int64, rids ...uint64) {
+				b := transport.TupleBatch{QueryID: 1, HostID: "bid-h", TypeIdx: 0}
+				for _, rid := range rids {
+					b.Tuples = append(b.Tuples, tup(rid, ts))
+				}
+				se.HandleBatch(b)
+			}
+			exclusions := func(ts int64, rids ...uint64) {
+				b := transport.TupleBatch{QueryID: 1, HostID: "ex-h", TypeIdx: 1}
+				for _, rid := range rids {
+					b.Tuples = append(b.Tuples, tup(rid, ts, event.Str("budget")))
+				}
+				se.HandleBatch(b)
+			}
+			// Twelve requests, each joined twice, into [0,10s): both caps
+			// overflow on every shard count.
+			var rids []uint64
+			for rid := uint64(0); rid < 12; rid++ {
+				rids = append(rids, rid)
+			}
+			bids(sec(1), rids...)
+			exclusions(sec(2), rids...)
+			exclusions(sec(3), rids...)
+			bids(sec(12), 20) // closes [0,10s)
+			exclusions(sec(12), 20)
+			bids(sec(4), 21, 22, 23) // late
+			exclusions(sec(5), 24)   // late
+
+			q := se.queries[1]
+			var kernels uint64
+			for _, sc := range se.shards {
+				qs := sc.(directShard).eng.queries[1]
+				kernels += qs.win.LateDrops() + qs.overflow
+			}
+			streams := q.streams.ShardDrops()
+			var late uint64
+			for _, st := range q.streams.Snapshot() {
+				late += st.LateDrops
+			}
+			if late != 4 || streams <= late {
+				t.Errorf("streams charged %d late drops and %d in all, want 4 late and some overflow", late, streams)
+			}
+			if streams != kernels {
+				t.Errorf("streams charged %d shard drops, the kernels counted %d", streams, kernels)
+			}
+			merged := q.mergeDrops
+			if n == 1 && merged != 0 {
+				t.Errorf("one shard: %d rows truncated at merge", merged)
+			}
+			stats, ok := se.StopQuery(1)
+			if !ok || stats.LateDrops != streams+merged {
+				t.Errorf("final LateDrops = %d (ok %v), want the streams' %d + the merge's %d", stats.LateDrops, ok, streams, merged)
+			}
+		})
 	}
 }

@@ -21,15 +21,14 @@ import (
 type EncodedPartial = transport.WindowPartial
 
 // DrivenAck reports how a kernel absorbed one sub-batch. The
-// router folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
+// router folds the per-shard acks (OR HasTs, max MaxTs, sum the deltas)
 // into the manifest the merger observes, recovering exactly what one
 // shard would have reported for the whole batch.
 type DrivenAck struct {
-	HasTs     bool
-	MaxTs     int64  // max in-span event time in the sub-batch
-	LateDelta uint64 // window-late drops this sub-batch caused
-	Late      uint64 // cumulative window-late drops for the query
-	Overflow  uint64 // cumulative raw-row/join-pending overflow drops
+	HasTs         bool
+	MaxTs         int64  // max in-span event time in the sub-batch
+	LateDelta     uint64 // window-late drops this sub-batch caused
+	OverflowDelta uint64 // raw-row/join-pending overflow drops this sub-batch caused
 }
 
 // collectDriven closes every window ending at or before bound and
@@ -54,17 +53,18 @@ func (e *Engine) collectDriven(id uint64, bound int64, drain bool) (closed []win
 
 // CollectDriven closes every window ending at or before bound and
 // returns the serialized partials, plus the query's cumulative drop
-// counters as of the collect.
+// counters as of the collect. A shard does not send the counters: its
+// merger learns what each sub-batch cost from the sub-batch's ack.
 func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartial, late, overflow uint64, ok bool) {
 	closed, plan, late, overflow, ok := e.collectDriven(id, bound, false)
 	return encodePartials(plan, closed), late, overflow, ok
 }
 
 // DrainDriven removes a query, returning its remaining windows as
-// serialized partials and its final late+overflow drop total.
-func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops uint64, ok bool) {
-	closed, plan, late, overflow, ok := e.collectDriven(id, 0, true)
-	return encodePartials(plan, closed), late + overflow, ok
+// serialized partials.
+func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, ok bool) {
+	closed, plan, _, _, ok := e.collectDriven(id, 0, true)
+	return encodePartials(plan, closed), ok
 }
 
 // encodePartials serializes closed windows.

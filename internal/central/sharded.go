@@ -135,21 +135,21 @@ func (d directShard) Apply(b transport.TupleBatch) (DrivenAck, bool, error) {
 	return ack, known, nil
 }
 
-func (d directShard) Collect(qr *QueryRuntime, bound int64) (ShardWindows, error) {
+func (d directShard) Collect(qr *QueryRuntime, bound int64) ([]window.Closed[PartialWindow], error) {
 	return d.windows(qr, bound, false), nil
 }
 
-func (d directShard) Stop(qr *QueryRuntime) (ShardWindows, error) {
+func (d directShard) Stop(qr *QueryRuntime) ([]window.Closed[PartialWindow], error) {
 	return d.windows(qr, 0, true), nil
 }
 
-func (d directShard) windows(qr *QueryRuntime, bound int64, drain bool) ShardWindows {
-	closed, _, late, overflow, ok := d.eng.collectDriven(qr.plan.QueryID, bound, drain)
-	sw := ShardWindows{Found: ok, Late: late, Overflow: overflow}
+func (d directShard) windows(qr *QueryRuntime, bound int64, drain bool) []window.Closed[PartialWindow] {
+	closed, _, _, _, _ := d.eng.collectDriven(qr.plan.QueryID, bound, drain)
+	var out []window.Closed[PartialWindow]
 	for _, c := range closed {
-		sw.Windows = append(sw.Windows, window.Closed[PartialWindow]{Start: c.Start, End: c.End, State: PartialWindow{ws: c.State}})
+		out = append(out, window.Closed[PartialWindow]{Start: c.Start, End: c.End, State: PartialWindow{ws: c.State}})
 	}
-	return sw
+	return out
 }
 
 func (d directShard) TuplesIn(id uint64) (uint64, bool) { return d.eng.TuplesIn(id) }

@@ -459,7 +459,7 @@ func TestStateGaugesReturnToZero(t *testing.T) {
 			t.Fatalf("CollectDriven: %d partials, ok=%v", len(partials), ok)
 		}
 		check(t, reg, "after collecting the first window", 160)
-		if partials, _, ok := e.DrainDriven(1); !ok || len(partials) != 2 {
+		if partials, ok := e.DrainDriven(1); !ok || len(partials) != 2 {
 			t.Fatalf("DrainDriven: %d partials, ok=%v", len(partials), ok)
 		}
 		check(t, reg, "after drain", 0)

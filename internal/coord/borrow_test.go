@@ -125,9 +125,9 @@ func TestShardStateSurvivesPoisonedScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantDrops, ok := ref.DrainDriven(1)
-			if !ok || !got.Found || got.Late != wantDrops {
-				t.Fatalf("drain: found=%v drops=%d, reference found=%v drops=%d", got.Found, got.Late, ok, wantDrops)
+			want, ok := ref.DrainDriven(1)
+			if !ok || !got.Found {
+				t.Fatalf("drain: found=%v, reference found=%v", got.Found, ok)
 			}
 			if len(got.Partials) != len(want) || len(want) != 3 {
 				t.Fatalf("%d partials, reference %d, want 3 windows", len(got.Partials), len(want))

@@ -9,7 +9,8 @@
 // The merge layer is central.Merger — the same one ShardedEngine runs
 // in-process — reached here through an RPC central.ShardClient: shards
 // absorb sub-batches and report what they observed (max in-span event
-// time, late-drop deltas) in synchronous acks; the router folds the acks
+// time, the late and overflow drops the sub-batch caused) in synchronous
+// acks; the router folds the acks
 // into a BatchManifest that reaches the coordinator only after every
 // shard has applied its slice; and the merger makes its stream-lease,
 // watermark, replay-hold and window-close decisions per manifest. Window
@@ -18,10 +19,11 @@
 // differential oracle can hold a 1-process Engine and an N-process
 // topology to bit-identical windows, rows, bounds and stats.
 //
-// Membership is epoch-numbered: every join or leave bumps the epoch and
-// pushes a fresh ShardMap to the host agents. A query pins the epoch
-// current at its start (carried on HostQuery), so all hosts split its
-// request-id space over the same shard list for the query's whole life;
+// Membership is epoch-numbered: every join or leave bumps the epoch. A
+// query pins the epoch current at its start (carried on HostQuery), and
+// the server sends each host the pinned ShardMap ahead of the query on
+// its control connection, so all hosts split its request-id space over
+// the same shard list for the query's whole life;
 // later joins serve new queries only, and a shard death degrades the
 // queries pinned to it (results keep flowing, flagged Degraded) instead
 // of wedging their watermarks.
@@ -198,12 +200,12 @@ func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, er
 	}
 	return central.DrivenAck{
 		HasTs: ack.HasTs, MaxTs: ack.MaxTs,
-		LateDelta: ack.LateDelta, Late: ack.Late, Overflow: ack.Overflow,
+		LateDelta: ack.LateDelta, OverflowDelta: ack.OverflowDelta,
 	}, ack.Known, nil
 }
 
 // Collect implements central.ShardClient.
-func (c *shardClient) Collect(qr *central.QueryRuntime, bound int64) (central.ShardWindows, error) {
+func (c *shardClient) Collect(qr *central.QueryRuntime, bound int64) ([]window.Closed[central.PartialWindow], error) {
 	sp, err := c.partials(func(s uint64) transport.Message {
 		return transport.ShardCollectReq{Seq: s, Fence: c.term(), QueryID: qr.Plan().QueryID, Bound: bound}
 	})
@@ -211,7 +213,7 @@ func (c *shardClient) Collect(qr *central.QueryRuntime, bound int64) (central.Sh
 }
 
 // Stop implements central.ShardClient.
-func (c *shardClient) Stop(qr *central.QueryRuntime) (central.ShardWindows, error) {
+func (c *shardClient) Stop(qr *central.QueryRuntime) ([]window.Closed[central.PartialWindow], error) {
 	sp, err := c.drain(qr.Plan().QueryID)
 	return decodeWindows(qr, sp, err)
 }
@@ -253,20 +255,20 @@ func (c *shardClient) staleErr() error {
 // decodeWindows turns a shard's serialized partials into merger-ready
 // windows. Undecodable state is lost state: the error reports it, and the
 // partials that did decode are returned alongside.
-func decodeWindows(qr *central.QueryRuntime, sp transport.ShardPartials, err error) (central.ShardWindows, error) {
+func decodeWindows(qr *central.QueryRuntime, sp transport.ShardPartials, err error) ([]window.Closed[central.PartialWindow], error) {
 	if err != nil {
-		return central.ShardWindows{}, err
+		return nil, err
 	}
-	sw := central.ShardWindows{Found: sp.Found, Late: sp.Late, Overflow: sp.Overflow}
+	var windows []window.Closed[central.PartialWindow]
 	for _, wp := range sp.Partials {
 		pw, derr := qr.DecodePartial(wp.Data)
 		if derr != nil {
 			err = fmt.Errorf("coord: query %d window [%d,%d): %w", qr.Plan().QueryID, wp.Start, wp.End, derr)
 			continue
 		}
-		sw.Windows = append(sw.Windows, window.Closed[central.PartialWindow]{Start: wp.Start, End: wp.End, State: *pw})
+		windows = append(windows, window.Closed[central.PartialWindow]{Start: wp.Start, End: wp.End, State: *pw})
 	}
-	return sw, err
+	return windows, err
 }
 
 // installFence installs the caller's fencing epoch on the shard and

@@ -13,11 +13,10 @@ import (
 // It must be synchronous: the router only calls it after every shard ack
 // for the batch arrived, and the coordinator relies on that ordering
 // (shard state for a batch is applied before its manifest is processed).
-// The manifest's ShardLate and ShardOverflow slices are the router's to
-// reuse once the call returns: encode or copy them, do not keep them.
-// A manifest the call fails to deliver is lost with its RouteDrops:
-// SendBatch returns the error, the agent charges the batch to its
-// sink-error tuples, and no later manifest counts it again.
+// A manifest the call fails to deliver is lost with its drop counts —
+// LateDelta, OverflowDelta and RouteDrops: SendBatch returns the error,
+// the agent charges the batch to its sink-error tuples, and no later
+// manifest counts it again.
 type ManifestFunc func(transport.BatchManifest) error
 
 // NewManifestClient wraps a connection to the coordinator's data plane
@@ -45,7 +44,8 @@ func NewManifestClient(conn *transport.Conn) ManifestFunc {
 // shard acks, and reports the folded manifest to the coordinator.
 //
 // Tuples their shard does not apply (dead shard, send failure, a shard
-// that does not run the query) are the manifest's RouteDrops: a fact
+// that does not run the query) are the manifest's RouteDrops, and what
+// the shards dropped of the rest its LateDelta and OverflowDelta: facts
 // about that batch, which the router reports and keeps no tally of. The
 // router learns a query's shard map from the query itself: the server
 // sends the pinned map ahead of the pin on the host's control connection.
@@ -226,8 +226,5 @@ func (r *Router) SendBatch(b transport.TupleBatch) error {
 			}
 		}
 	}
-	m := central.RouteToShards(b, sc.clients, &sc.RouteScratch)
-	// The manifest's per-shard counters are slices of sc; the send is
-	// synchronous, so they are encoded before sc goes back.
-	return r.manifest(m)
+	return r.manifest(central.RouteToShards(b, sc.clients, &sc.RouteScratch))
 }

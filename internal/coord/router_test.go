@@ -257,3 +257,49 @@ func TestLostManifestRouteDropsChargedOnce(t *testing.T) {
 		t.Errorf("host drops = %d, want 1: the lost manifest's batch is the agent's sink-error tuple, charged nowhere else", st.HostDrops)
 	}
 }
+
+// TestLostManifestLateDropChargedOnce: a tuple a shard drops as late is
+// its batch's LateDelta, and a manifest that fails to reach the
+// coordinator is lost with it. The agent charges that batch to its
+// sink-error tuples; no collect or stop reports the shard's count again,
+// so the coordinator does not count the tuple a second time as late.
+func TestLostManifestLateDropChargedOnce(t *testing.T) {
+	vc := &vclock{nanos: sec}
+	tt := newTestTopo(t, 2, Options{Clock: vc.now, LeaseTTL: time.Hour})
+	defer tt.close()
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, &collector{})
+	pinned, _ := tt.coord.PinnedMap(1)
+
+	var sent atomic.Int32
+	tt.router.manifest = func(m transport.BatchManifest) error {
+		if m.RawTuples > 0 && sent.Add(1) == 3 {
+			return errors.New("manifest link down")
+		}
+		tt.coord.HandleManifest(m)
+		return nil
+	}
+	a, err := host.New(host.Config{HostID: "h2", Service: "svc", Catalog: testCatalog(), Sink: tt.router, Clock: vc.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "ev", ShardEpoch: pinned.Epoch}); err != nil {
+		t.Fatal(err)
+	}
+	// Even request ids: all three land on shard 0. The 12 s batch closes
+	// [0,10s); the 2 s one is late there, and its manifest is lost.
+	for _, e := range []struct{ rid, ts uint64 }{{0, 1}, {2, 12}, {4, 2}} {
+		a.Log(event.NewBuilder(testSchema).SetRequestID(e.rid).SetTimeNanos(int64(e.ts)*sec).Float("v", 1).MustBuild())
+		a.Flush()
+	}
+	if st := a.Stats(); st.Shipped != 2 || st.SinkErrorTuples != 1 || st.Kept != 0 {
+		t.Fatalf("agent: shipped %d, sink-error tuples %d, kept %d; want 2, 1, 0", st.Shipped, st.SinkErrorTuples, st.Kept)
+	}
+	st, ok := tt.coord.StopQuery(1)
+	if !ok {
+		t.Fatal("StopQuery missed")
+	}
+	if st.LateDrops != 0 {
+		t.Errorf("late drops = %d, want 0: the lost manifest's batch is the agent's sink-error tuple, charged nowhere else", st.LateDrops)
+	}
+}

@@ -108,28 +108,22 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			resp = transport.ShardBatchAck{
 				Seq: t.Seq, Known: known,
 				HasTs: ack.HasTs, MaxTs: ack.MaxTs,
-				LateDelta: ack.LateDelta, Late: ack.Late, Overflow: ack.Overflow,
+				LateDelta: ack.LateDelta, OverflowDelta: ack.OverflowDelta,
 			}
 		case transport.ShardCollectReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, late, overflow, found := n.eng.CollectDriven(t.QueryID, t.Bound)
-			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: partials,
-				Late: late, Overflow: overflow,
-			}
+			partials, _, _, found := n.eng.CollectDriven(t.QueryID, t.Bound)
+			resp = transport.ShardPartials{Seq: t.Seq, Found: found, Partials: partials}
 		case transport.ShardStopReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, drops, found := n.eng.DrainDriven(t.QueryID)
-			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: partials,
-				Late: drops,
-			}
+			partials, found := n.eng.DrainDriven(t.QueryID)
+			resp = transport.ShardPartials{Seq: t.Seq, Found: found, Partials: partials}
 		case transport.ShardFence:
 			ack := transport.ShardFenceAck{Seq: t.Seq, Ok: n.admitFence(t.Fence)}
 			ack.Fence = n.fence.Load()

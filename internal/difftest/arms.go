@@ -121,8 +121,13 @@ func Arms(plan central.Plan, cat func() *event.Catalog, sched Schedule, shards i
 // sharded and pipe arms emit the engine's windows and stats. So does the
 // failover arm when its leader never died — replication, and fencing at
 // term 1, may not perturb results — and otherwise it passes
-// compareFailoverWindows.
+// compareFailoverWindows. Every arm's windows also pass holdLateDrops.
 func holdArms(arms []Arm, foPre, shards, procs int) error {
+	for _, a := range arms {
+		if err := holdLateDrops(a.Windows); err != nil {
+			return fmt.Errorf("%s arm (%d shards, %d processes): %v", a.Name, shards, procs, err)
+		}
+	}
 	eng, same := arms[0], arms[1:3]
 	if foPre < 0 {
 		same = arms[1:]
@@ -141,6 +146,25 @@ func holdArms(arms []Arm, foPre, shards, procs int) error {
 	}
 	if err := compareFailoverWindows(eng.Windows, arms[3].Windows, foPre); err != nil {
 		return fmt.Errorf("failover divergence (engine vs promoted standby, %d-process): %v", procs, err)
+	}
+	return nil
+}
+
+// holdLateDrops holds each window's late total to its streams' total: a
+// late drop is charged once, to the stream whose batch caused it, by
+// that batch's manifest. A window's LateDrops also counts overflow (the
+// raw-row and join-pending caps) and merge truncation, which no stream's
+// LateDrops reports; difftest's plans reach neither maxRawRows (100 000)
+// nor maxJoinPending (2²⁰), so here the two sums are equal.
+func holdLateDrops(ws []transport.ResultWindow) error {
+	for _, w := range ws {
+		var sum uint64
+		for _, s := range w.Streams {
+			sum += s.LateDrops
+		}
+		if w.Stats.LateDrops != sum {
+			return fmt.Errorf("window [%d,%d): LateDrops %d, its streams' sum %d", w.WindowStart, w.WindowEnd, w.Stats.LateDrops, sum)
+		}
 	}
 	return nil
 }

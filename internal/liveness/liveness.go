@@ -16,8 +16,10 @@
 //
 // A stream embeds the transport.StreamStat its windows report, and
 // Table.Fold is the one place a batch's report — its manifest: the
-// batch's header plus what routing did — is folded into it. Drops are
-// kept apart by cause inside the stream and reported as their sum.
+// batch's header plus what routing and the shards did with it — is
+// folded into it. Drops are kept apart by cause inside the stream and
+// reported as sums: host queue and routing drops as Drops, late and
+// overflow drops at the shards as ShardDrops.
 //
 // A Table is NOT self-locking: the central engines mutate it while
 // holding their own query locks, so adding a second mutex here would only
@@ -62,6 +64,10 @@ type Stream struct {
 	// received (added up: each manifest reports its own batch's).
 	hostDrops  uint64
 	routeDrops uint64
+	// overflow adds up the manifests' OverflowDelta: tuples the shards
+	// accepted and could not keep (raw-row and join-pending caps).
+	// StreamStat does not report it; Table.ShardDrops does.
+	overflow uint64
 }
 
 // Table holds the lease state for one query's streams.
@@ -92,9 +98,9 @@ func NewTable(ttl time.Duration) *Table {
 // contact, re-admitting it if evicted) and folds the batch's report into
 // it. Cumulative counters max-fold, so a delayed or duplicated batch
 // cannot regress them; a reported rate replaces the last (rates recover
-// too) and shed is sticky; LateDelta and RouteDrops, which are the
-// batch's own, add up, and Drops reports the host's queue drops plus the
-// routing drops; the clock takes the newest MaxTs.
+// too) and shed is sticky; LateDelta, OverflowDelta and RouteDrops,
+// which are the batch's own, add up, and Drops reports the host's queue
+// drops plus the routing drops; the clock takes the newest MaxTs.
 func (t *Table) Fold(m *transport.BatchManifest, nowNanos int64) {
 	k := Key{Host: m.HostID, TypeIdx: m.TypeIdx}
 	s := t.streams[k]
@@ -116,6 +122,7 @@ func (t *Table) Fold(m *transport.BatchManifest, nowNanos int64) {
 	}
 	s.BudgetShed = s.BudgetShed || m.BudgetShed
 	s.LateDrops += m.LateDelta
+	s.overflow += m.OverflowDelta
 	if m.HasTs && (!s.HasTs || m.MaxTs > s.LastTs) {
 		s.LastTs, s.HasTs = m.MaxTs, true
 	}
@@ -247,6 +254,17 @@ func (t *Table) HostDrops() uint64 {
 	var n uint64
 	for _, s := range t.streams {
 		n += s.Drops
+	}
+	return n
+}
+
+// ShardDrops sums what the shards dropped of every stream's tuples —
+// window-late drops plus overflow — as the manifests folded so far
+// reported it (evicted streams included).
+func (t *Table) ShardDrops() uint64 {
+	var n uint64
+	for _, s := range t.streams {
+		n += s.LateDrops + s.overflow
 	}
 	return n
 }

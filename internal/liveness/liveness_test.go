@@ -123,24 +123,30 @@ func TestFoldCounters(t *testing.T) {
 		name string
 		b    transport.TupleBatch
 		// What routing did: MaxTs is set when hasTs.
-		hasTs     bool
-		maxTs     int64
-		lateDelta uint64
-		expire    bool // expire the lease before this step's batch
+		hasTs         bool
+		maxTs         int64
+		lateDelta     uint64
+		overflowDelta uint64
+		expire        bool // expire the lease before this step's batch
 
-		want        transport.StreamStat
-		wantTs      int64
-		wantHasTs   bool
-		replaying   bool
-		replayEnded bool
-		settled     bool
+		want transport.StreamStat
+		// wantOverflow is the stream's overflow so far: ShardDrops reports
+		// it beside want.LateDrops, and the StreamStat does not.
+		wantOverflow uint64
+		wantTs       int64
+		wantHasTs    bool
+		replaying    bool
+		replayEnded  bool
+		settled      bool
 	}
 	full := stat(transport.StreamStat{Matched: 100, Sampled: 40, Drops: 3, LateDrops: 2, EffRate: 0.5, CPUNs: 700, Bytes: 900})
 	shed := full
 	shed.BudgetShed = true
 	later := shed
 	later.EffRate, later.LateDrops = 0.25, 7
-	back := later
+	lateAgain := later
+	lateAgain.LateDrops = 8
+	back := lateAgain
 	back.Matched = 120
 	steps := []step{
 		{name: "heartbeat", want: stat(transport.StreamStat{})},
@@ -169,24 +175,32 @@ func TestFoldCounters(t *testing.T) {
 			want: later, wantTs: ns(10), wantHasTs: true,
 		},
 		{
+			name: "overflow adds up, in ShardDrops only", overflowDelta: 3,
+			want: later, wantOverflow: 3, wantTs: ns(10), wantHasTs: true,
+		},
+		{
+			name: "overflow and late drops add up together", lateDelta: 1, overflowDelta: 2,
+			want: lateAgain, wantOverflow: 5, wantTs: ns(10), wantHasTs: true,
+		},
+		{
 			name: "replay epoch starts the replay",
 			b:    transport.TupleBatch{ReplayEpoch: 1},
-			want: later, wantTs: ns(10), wantHasTs: true, replaying: true,
+			want: lateAgain, wantOverflow: 5, wantTs: ns(10), wantHasTs: true, replaying: true,
 		},
 		{
 			name: "done marker ends it",
 			b:    transport.TupleBatch{ReplayEpoch: 1, ReplayDone: true},
-			want: later, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
+			want: lateAgain, wantOverflow: 5, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
 		},
 		{
 			name: "an epoch batch after done does not restart the replay",
 			b:    transport.TupleBatch{ReplayEpoch: 1},
-			want: later, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
+			want: lateAgain, wantOverflow: 5, wantTs: ns(10), wantHasTs: true, replayEnded: true, settled: true,
 		},
 		{
 			name: "a batch re-admits an evicted stream and moves its clock",
 			b:    transport.TupleBatch{MatchedTotal: 120}, hasTs: true, maxTs: ns(12), expire: true,
-			want: back, wantTs: ns(12), wantHasTs: true, replayEnded: true, settled: true,
+			want: back, wantOverflow: 5, wantTs: ns(12), wantHasTs: true, replayEnded: true, settled: true,
 		},
 	}
 	tab := NewTable(time.Second)
@@ -199,11 +213,14 @@ func TestFoldCounters(t *testing.T) {
 			}
 		}
 		m := manifest(k, st.b)
-		m.HasTs, m.MaxTs, m.LateDelta = st.hasTs, st.maxTs, st.lateDelta
+		m.HasTs, m.MaxTs, m.LateDelta, m.OverflowDelta = st.hasTs, st.maxTs, st.lateDelta, st.overflowDelta
 		tab.Fold(m, now)
 		s := tab.streams[k]
 		if s.StreamStat != st.want {
 			t.Errorf("%s: stat = %+v, want %+v", st.name, s.StreamStat, st.want)
+		}
+		if got := tab.ShardDrops(); got != st.want.LateDrops+st.wantOverflow {
+			t.Errorf("%s: ShardDrops = %d, want %d late + %d overflow", st.name, got, st.want.LateDrops, st.wantOverflow)
 		}
 		if s.LastTs != st.wantTs || s.HasTs != st.wantHasTs {
 			t.Errorf("%s: clock = %d,%v, want %d,%v", st.name, s.LastTs, s.HasTs, st.wantTs, st.wantHasTs)

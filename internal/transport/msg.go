@@ -66,9 +66,13 @@ type QueryError struct {
 // WindowStats summarizes one emitted window's accounting, including the
 // accuracy losses the paper accepts by design (queue drops, late drops).
 type WindowStats struct {
-	TuplesIn       uint64 // tuples folded into this window
-	HostDrops      uint64 // Σ StreamStat.Drops so far: host queue drops + routing failures
-	LateDrops      uint64 // tuples rejected as late (cumulative)
+	TuplesIn  uint64 // tuples folded into this window
+	HostDrops uint64 // Σ StreamStat.Drops so far: host queue drops + routing failures
+	// LateDrops is Σ StreamStat.LateDrops so far, plus the streams'
+	// overflow drops (raw-row and join-pending caps) and the raw rows
+	// merging shard partials truncated: every tuple central accepted and
+	// then could not count.
+	LateDrops      uint64
 	HostsReporting uint32 // distinct hosts that contributed
 }
 
@@ -125,7 +129,7 @@ type QueryStats struct {
 	Rows      uint64
 	TuplesIn  uint64
 	HostDrops uint64 // Σ StreamStat.Drops: host queue drops + routing failures
-	LateDrops uint64
+	LateDrops uint64 // the last window's WindowStats.LateDrops, final at stop
 	// DegradedWindows counts windows emitted with >= 1 evicted stream.
 	DegradedWindows uint64
 	// ShedWindows counts windows emitted with >= 1 budget-shed stream.

@@ -6,20 +6,21 @@ import "scrub/internal/wire"
 // a coordinator process owns query registration, shard membership and the
 // merge layer; shard processes run driven central engines; hosts (or the
 // coordinator's own data plane, for legacy hosts) route each batch's
-// tuples to shards by hash(request-id) mod shards and report the batch's
-// counters to the coordinator in a manifest.
+// tuples to shards by hash(request-id) mod shards and report the batch to
+// the coordinator in a manifest.
 //
-// Three sub-conversations:
+// Four sub-conversations:
 //
 //   - coordinator → shard (control): ShardStart / ShardCollectReq /
 //     ShardStopReq / ShardStatsReq with their replies
 //   - router → shard (data): ShardSubBatch → ShardBatchAck (synchronous,
 //     so shard application happens-before the manifest that reports it)
 //   - router → coordinator (data): BatchManifest → ManifestAck
-//   - shard → coordinator (membership): ShardHello; coordinator → host
-//     agents: ShardMap pushes with epoch-numbered membership
+//   - shard → coordinator (membership): ShardHello. Hosts learn shard maps
+//     from the queries that pin them: the server sends a query's ShardMap
+//     ahead of its HostQuery on the host's control connection.
 //
-// A fourth sub-conversation serves coordinator high availability:
+// Coordinator high availability adds two more:
 //
 //   - leader → standby (replication): RepAppend → RepAck carries the
 //     control-plane log (query registrations, membership transitions);
@@ -98,16 +99,16 @@ type ShardSubBatch struct {
 
 // ShardBatchAck answers ShardSubBatch with what the driven engine
 // observed while absorbing it. The router folds per-shard acks (OR HasTs,
-// max MaxTs, sum LateDelta) to recover exactly what an in-process
-// ShardedEngine would have seen around its synchronous fan-out.
+// max MaxTs, sum the deltas) to recover exactly what an in-process
+// ShardedEngine would have seen around its synchronous fan-out. The
+// deltas are the sub-batch's own: a shard reports no running total.
 type ShardBatchAck struct {
-	Seq       uint64
-	Known     bool // false: the shard does not know the query (teardown race)
-	HasTs     bool
-	MaxTs     int64
-	LateDelta uint64 // window-late drops this sub-batch caused
-	Late      uint64 // cumulative window-late drops on this shard
-	Overflow  uint64 // cumulative overflow drops on this shard
+	Seq           uint64
+	Known         bool // false: the shard does not know the query (teardown race)
+	HasTs         bool
+	MaxTs         int64
+	LateDelta     uint64 // window-late drops this sub-batch caused
+	OverflowDelta uint64 // raw-row and join-pending overflow drops this sub-batch caused
 }
 
 // ShardCollectReq asks a shard to close every window of a query ending at
@@ -135,8 +136,6 @@ type ShardPartials struct {
 	Stale    bool
 	Found    bool
 	Partials []WindowPartial
-	Late     uint64 // cumulative window-late drops (stop: late+overflow total)
-	Overflow uint64 // cumulative overflow drops (stop: 0)
 }
 
 // ShardStopReq drains and removes a query from a shard.
@@ -168,20 +167,19 @@ type ShardStatsResp struct {
 // stream liveness and watermark state; an in-process cluster builds the
 // same manifest from the same fan-out (central.RouteToShards) and folds it
 // the same way. Every fact about the batch rides here: QueueDrops is the
-// host's own cumulative count, RouteDrops this batch's routing failures.
+// host's own cumulative count; LateDelta, OverflowDelta and RouteDrops
+// are what this batch cost at the shards and in routing, summed over its
+// sub-batches. A lost manifest takes them with it: the agent charges its
+// batch to sink-error tuples, and no later manifest counts them.
 type BatchManifest struct {
 	Seq uint64
 	TupleBatch
-	RawTuples  uint64 // tuple count before the span filter (ingest accounting)
-	HasTs      bool   // any in-span tuple (folded from the shard acks)
-	MaxTs      int64  // max in-span event time
-	LateDelta  uint64 // window-late drops this batch caused, attributed to this stream
-	RouteDrops uint64 // this batch's tuples no live shard running the query applied
-	// Per-shard cumulative drop counters as of this batch, indexed by the
-	// query's shard order. The merger max-folds them into a cache that
-	// every collect refreshes, so emitted windows report current totals.
-	ShardLate     []uint64
-	ShardOverflow []uint64
+	RawTuples     uint64 // tuple count before the span filter (ingest accounting)
+	HasTs         bool   // any in-span tuple (folded from the shard acks)
+	MaxTs         int64  // max in-span event time
+	LateDelta     uint64 // window-late drops this batch caused, attributed to this stream
+	OverflowDelta uint64 // overflow drops this batch caused, attributed to this stream
+	RouteDrops    uint64 // this batch's tuples no live shard running the query applied
 }
 
 // ManifestAck answers BatchManifest; the synchronous round-trip keeps
@@ -197,10 +195,12 @@ type ShardHello struct {
 	DataAddr string
 }
 
-// ShardMap pushes epoch-numbered shard membership to host agents. A
-// query's routing is pinned to the epoch current at its start (carried on
-// HostQuery), so membership changes never split a running query's
-// request-id space across disagreeing hosts.
+// ShardMap is one epoch's shard membership, as a host agent's router
+// learns it: the server sends the map a query pins ahead of the query on
+// the host's control connection. A query's routing is pinned to the epoch
+// current at its start (carried on HostQuery), so membership changes
+// never split a running query's request-id space across disagreeing
+// hosts.
 type ShardMap struct {
 	Epoch uint32
 	// Fence is the fencing epoch of the coordinator that pushed the map;
@@ -355,8 +355,7 @@ func (t *ShardBatchAck) code(c *coder) {
 	c.Bool(&t.HasTs)
 	c.I64(&t.MaxTs)
 	c.U64(&t.LateDelta)
-	c.U64(&t.Late)
-	c.U64(&t.Overflow)
+	c.U64(&t.OverflowDelta)
 }
 
 func (t *ShardCollectReq) code(c *coder) {
@@ -377,8 +376,6 @@ func (t *ShardPartials) code(c *coder) {
 		c.I64(&p.End)
 		c.Bytes(&p.Data)
 	}
-	c.U64(&t.Late)
-	c.U64(&t.Overflow)
 }
 
 func (t *ShardStopReq) code(c *coder) {
@@ -406,9 +403,8 @@ func (t *BatchManifest) code(c *coder) {
 	c.Bool(&t.HasTs)
 	c.I64(&t.MaxTs)
 	c.U64(&t.LateDelta)
+	c.U64(&t.OverflowDelta)
 	c.U64(&t.RouteDrops)
-	c.U64s(&t.ShardLate)
-	c.U64s(&t.ShardOverflow)
 	t.counters(c)
 }
 

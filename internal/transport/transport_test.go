@@ -98,7 +98,7 @@ func sampleMessages() []Message {
 			},
 		},
 		ShardSubBatch{Seq: 4, QueryID: 7, HostID: "h"}, // empty split
-		ShardBatchAck{Seq: 3, Known: true, HasTs: true, MaxTs: 44, LateDelta: 1, Late: 2, Overflow: 3},
+		ShardBatchAck{Seq: 3, Known: true, HasTs: true, MaxTs: 44, LateDelta: 1, OverflowDelta: 3},
 		ShardBatchAck{Seq: 4},
 		ShardCollectReq{Seq: 5, Fence: 2, QueryID: 7, Bound: 1000},
 		ShardPartials{
@@ -107,7 +107,6 @@ func sampleMessages() []Message {
 				{Start: 0, End: 10, Data: []byte{1, 2, 3}},
 				{Start: 10, End: 20, Data: nil},
 			},
-			Late: 2, Overflow: 3,
 		},
 		ShardPartials{Seq: 6},
 		ShardPartials{Seq: 7, Stale: true},
@@ -122,8 +121,7 @@ func sampleMessages() []Message {
 				EffRate: 0.25, BudgetShed: true, CPUNs: 5, ShipBytes: 6,
 				ReplayEpoch: 1, ReplayDone: true,
 			},
-			RawTuples: 10, HasTs: true, MaxTs: 44, LateDelta: 1, RouteDrops: 2,
-			ShardLate: []uint64{0, 1}, ShardOverflow: []uint64{2, 0},
+			RawTuples: 10, HasTs: true, MaxTs: 44, LateDelta: 1, OverflowDelta: 2, RouteDrops: 2,
 		},
 		BatchManifest{Seq: 10, TupleBatch: TupleBatch{QueryID: 8, HostID: "h"}},
 		ManifestAck{Seq: 9},
