@@ -214,13 +214,13 @@ func (e *Engine) charge(ws *winState) {
 func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
 	ws.tuples++
 	qs.tuplesIn++
-	ws.touch(host)
+	ws.touch(host, qs.plan.moments)
 	//scrub:allowretain(the row the program reads while this tuple is applied; ApplyDriven clears it before it returns)
 	qs.sides[typeIdx] = expr.Tuple{RequestID: t.RequestID, TimeNanos: t.TsNanos, Values: t.Values}
 
 	if !qs.plan.IsJoin() {
 		if qs.admit() {
-			e.accumulate(qs, ws, host)
+			e.accumulate(qs, ws)
 		}
 		return
 	}
@@ -229,7 +229,7 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	// tuple with everything the other side has buffered under its id, then
 	// buffer it for the other side's later arrivals.
 	side, hash := uint64(typeIdx), hashID(t.RequestID)<<1
-	e.probeJoin(qs, ws, host, side, hash, t)
+	e.probeJoin(qs, ws, side, hash, t)
 	if !e.buffer(qs, ws, side, hash, t) {
 		qs.overflow++
 	}
@@ -251,7 +251,7 @@ func (qs *queryState) admit() bool {
 // tuple is side side of qs.sides already; each partner becomes the other.
 //
 //scrub:hotpath
-func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash uint64, t *transport.Tuple) {
+func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple) {
 	other := 1 - side
 	found := qs.found[:0]
 	for link := ws.join.Head(hash | other); link != 0; {
@@ -277,7 +277,7 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, host string, side, hash
 		}
 		qs.sides[other] = expr.Tuple{RequestID: t.RequestID, TimeNanos: ws.start + int64(tag>>1), Values: vals}
 		if qs.admit() {
-			e.accumulate(qs, ws, host)
+			e.accumulate(qs, ws)
 		}
 	}
 }
@@ -321,7 +321,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 // accumulate folds the row qs.ctx has begun — a tuple or a joined pair —
 // into the window's groups, or collects it as a raw result row for
 // non-aggregate queries.
-func (e *Engine) accumulate(qs *queryState, ws *winState, host string) {
+func (e *Engine) accumulate(qs *queryState, ws *winState) {
 	p, c, ctx := &qs.plan, qs.comp, qs.ctx
 	if !p.HasAgg() && !p.Grouped() {
 		if ws.rawN >= p.maxRawRows {
@@ -372,16 +372,16 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, host string) {
 		e.charge(ws)
 	}
 
-	// Error-bound moments: ungrouped scalable aggregates. Collected even
-	// at plan rate 1, because the host-side budget governor can lower a
-	// host's effective sampling rate mid-query — and by the time the
-	// first deviating batch announces that, the window's earlier tuples
-	// are gone. Grouped queries have no moment tracking (bounds are
-	// per-column, not per-group); their degradation is surfaced via
-	// per-stream EffRate instead. An argument is read back from the
-	// program's registers, not computed again.
-	if !p.Grouped() && len(p.Aggs) > 0 {
-		moments := ws.momentsOf(host, len(p.Aggs))
+	// Error-bound moments: ungrouped scalable aggregates (Plan.moments),
+	// into the host's that touch found. Collected even at plan rate 1,
+	// because the host-side budget governor can lower a host's effective
+	// sampling rate mid-query — and by the time the first deviating batch
+	// announces that, the window's earlier tuples are gone. Grouped
+	// queries have no moment tracking (bounds are per-column, not
+	// per-group); their degradation is surfaced via per-stream EffRate
+	// instead. An argument is read back from the program's registers, not
+	// computed again.
+	if moments := ws.lastMoments; moments != nil {
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
 				continue
@@ -498,18 +498,14 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 	// Host order must be fixed before the float sums inside the estimator:
 	// map iteration order would otherwise make ε differ between runs (and
 	// between shard counts) by float-addition rounding.
-	hostIDs := make([]string, 0, len(ws.perHost))
-	for host := range ws.perHost {
-		hostIDs = append(hostIDs, host)
-	}
-	sort.Strings(hostIDs)
+	hostIDs := sortedKeys(ws.hosts)
 	for col, aggIdx := range comp.directAgg {
 		if aggIdx < 0 || !p.Aggs[aggIdx].Spec.Scalable() {
 			continue
 		}
 		hosts := make([]sampling.HostMoments, 0, len(hostIDs))
 		for _, host := range hostIDs {
-			r := ws.perHost[host][aggIdx]
+			r := ws.hosts[host][aggIdx]
 			if r.N() == 0 {
 				continue
 			}
@@ -602,19 +598,27 @@ func compareOrdered(p *Plan, a, b []event.Value) int {
 	return compareRows(a, b)
 }
 
-// mergeWinStates folds src into dst: groups merge through the mergeable
-// aggregators, raw rows concatenate (bounded), per-host moments combine,
-// and counters add. Join pending state is irrelevant post-close — shards
-// route by request id, so both sides of a request land on one shard and
-// were joined there. The return value counts what the merged window could
-// not hold — raw rows past maxRawRows — and callers fold it into their
-// overflow accounting so bounded-memory truncation is never silent. src
-// must not be used afterwards: the sketches of a group only src has move
-// to dst as they are.
+// mergeWinStates folds src into dst: counters add, the host tables join
+// (the moments of a host both have combine), groups merge through the
+// mergeable aggregators and raw rows concatenate (bounded). Join pending
+// state is irrelevant post-close — shards route by request id, so both
+// sides of a request land on one shard and were joined there. The return
+// value counts what the merged window could not hold — raw rows past
+// maxRawRows — and callers fold it into their overflow accounting so
+// bounded-memory truncation is never silent. src must not be used
+// afterwards: the sketches of a group only src has move to dst as they
+// are, and so do the moments of a host only src has.
 func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	dst.tuples += src.tuples
-	for h := range src.hosts {
-		dst.hosts[h] = struct{}{}
+	for host, sm := range src.hosts {
+		dm, ok := dst.hosts[host]
+		if !ok {
+			dst.hosts[host] = sm
+			continue
+		}
+		for i := range dm {
+			dm[i].Merge(sm[i])
+		}
 	}
 	var adopted []byte
 	for runs := src.groupsInOrder(); ; {
@@ -646,16 +650,6 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 			continue
 		}
 		dst.rawN++
-	}
-	for host, sm := range src.perHost {
-		dm, ok := dst.perHost[host]
-		if !ok {
-			dst.perHost[host] = sm
-			continue
-		}
-		for i := range dm {
-			dm[i].Merge(sm[i])
-		}
 	}
 	return dropped
 }

@@ -371,6 +371,30 @@ func TestLateTuplesCounted(t *testing.T) {
 	}
 }
 
+// TestStatsCurrentBetweenWindows: Stats reads the drop totals when it is
+// called, not as the last emitted window stamped them, so a late drop and
+// a host's queue drops show before another window closes.
+func TestStatsCurrentBetweenWindows(t *testing.T) {
+	e := NewEngine()
+	c := &collector{}
+	p := buildPlan(t, `select count(*) from bid window 10s`, 1, 1, 1)
+	if err := e.StartQuery(p, c.emit); err != nil {
+		t.Fatal(err)
+	}
+	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(1))))
+	e.Tick(sec(60)) // closes [0,10)
+	late := bidBatch(1, "h1", tup(2, sec(2)))
+	late.QueueDrops = 3
+	e.HandleBatch(late)
+	stats, ok := e.Stats(1)
+	if !ok || stats.Windows != 1 || stats.LateDrops != 1 || stats.HostDrops != 3 {
+		t.Errorf("stats after the late batch = %+v (ok %v), want 1 window, 1 late drop, 3 host drops", stats, ok)
+	}
+	if final, _ := e.StopQuery(1); final.LateDrops != 1 || final.HostDrops != 3 {
+		t.Errorf("final stats = %+v", final)
+	}
+}
+
 // TestLatenessGraceAtCentral pins watermark − lateness where it is
 // computed, at the merger: a window stays open, and takes stragglers,
 // until the watermark is a full Plan.Lateness past its end. (The window

@@ -153,6 +153,8 @@ type mergeQuery struct {
 	// crashed or partitioned host is evicted on lease expiry instead of
 	// freezing window emission forever.
 	streams *liveness.Table
+	// stats holds the window counters; the drop totals are read from the
+	// streams when a window, Stats or Stop reports them.
 	stats   transport.QueryStats
 	tuplesC *obs.Counter // per-query ingest counter; nil without a registry
 	lateC   *obs.Counter // per-query window-late drops; nil without a registry
@@ -249,16 +251,14 @@ func (q *mergeQuery) emitWindow(met *centralMetrics, start, end int64, ws *winSt
 	if met != nil {
 		t0 = time.Now()
 	}
-	rw := renderWindow(&q.plan, q.comp, start, end, ws, q.streams.RatesByHost(q.plan.SampleEvents))
-	rw.Stats.HostDrops = q.streams.HostDrops()
-	rw.Stats.LateDrops = q.lateDrops()
-	rw.Degraded = q.lostShard || q.streams.Evicted() > 0
-	rw.BudgetShed = q.streams.AnyShed()
-	rw.Streams = q.streams.Snapshot()
+	r := q.streams.Report(q.plan.SampleEvents)
+	rw := renderWindow(&q.plan, q.comp, start, end, ws, r.Rates)
+	rw.Stats.HostDrops, rw.Stats.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
+	rw.Degraded = q.lostShard || r.Evicted > 0
+	rw.BudgetShed = r.Shed
+	rw.Streams = r.Streams
 	q.stats.Windows++
 	q.stats.Rows += uint64(len(rw.Rows))
-	q.stats.HostDrops = rw.Stats.HostDrops
-	q.stats.LateDrops = rw.Stats.LateDrops
 	if rw.Degraded {
 		q.stats.DegradedWindows++
 	}
@@ -584,12 +584,6 @@ func (m *Merger) flush(q *mergeQuery, bound int64) {
 	}
 }
 
-// lateDrops is the query's late/overflow total: what the manifests this
-// merger observed charged each stream, plus what merging truncated.
-func (q *mergeQuery) lateDrops() uint64 {
-	return q.streams.ShardDrops() + q.mergeDrops
-}
-
 // Stop drains every shard, merges and emits the remainder, and returns
 // the final stats. A dead shard's drops were charged to their streams as
 // its acks reported them; its window state is gone, which the Degraded
@@ -614,18 +608,19 @@ func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 		m.merge(q, windows)
 	}
 	m.flush(q, int64(1)<<62-1)
-	q.stats.LateDrops = q.lateDrops()
-	q.stats.HostDrops = q.streams.HostDrops()
+	st := q.stats
+	r := q.streams.Report(q.plan.SampleEvents)
+	st.HostDrops, st.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
 	delete(m.queries, id)
 	dropQuerySeries(m.opt.Metrics, id)
 	if stopped != nil {
 		stopped()
 	}
-	return q.stats, true
+	return st, true
 }
 
-// Stats returns a query's running stats. TuplesIn so far is what the
-// shards have absorbed.
+// Stats returns a query's running stats: the drop totals as of the call,
+// and TuplesIn so far is what the shards have absorbed.
 func (m *Merger) Stats(id uint64) (transport.QueryStats, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -634,6 +629,8 @@ func (m *Merger) Stats(id uint64) (transport.QueryStats, bool) {
 		return transport.QueryStats{}, false
 	}
 	st := q.stats
+	r := q.streams.Report(q.plan.SampleEvents)
+	st.HostDrops, st.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
 	var tuples uint64
 	for _, sc := range q.shards {
 		if sc.Down() {
@@ -655,7 +652,7 @@ func (m *Merger) EvictedStreams() (n uint32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, q := range m.queries {
-		n += uint32(q.streams.Evicted())
+		n += uint32(q.streams.Report(q.plan.SampleEvents).Evicted)
 	}
 	return n
 }

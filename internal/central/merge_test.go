@@ -465,9 +465,10 @@ func TestShardDropsChargedPerStream(t *testing.T) {
 				qs := sc.(directShard).eng.queries[1]
 				kernels += qs.win.LateDrops() + qs.overflow
 			}
-			streams := q.streams.ShardDrops()
+			r := q.streams.Report(q.plan.SampleEvents)
+			streams := r.ShardDrops
 			var late uint64
-			for _, st := range q.streams.Snapshot() {
+			for _, st := range r.Streams {
 				late += st.LateDrops
 			}
 			if late != 4 || streams <= late {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"scrub/internal/stats"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 	"scrub/internal/wire"
@@ -131,10 +130,11 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // window closed.
 
 // codePartial is a partial's description: the tuple count, the hosts that
-// reported, each group's key and aggregate states, the raw rows, and each
-// host's moments. Decoding builds ws, a fresh window, and holds the bytes
-// to the plan: key and row widths, keys and rows that decode, no group key
-// twice, one moment per aggregate per host.
+// reported, each with its moments when the plan keeps them (Plan.moments),
+// each group's key and aggregate states, and the raw rows. Decoding builds
+// ws, a fresh window, and holds the bytes to the plan: no host twice, as
+// many moments per host as the plan keeps, key and row widths, keys and
+// rows that decode, no group key twice.
 func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 	decoding := c.Mode == wire.Decoding
 	c.Uvarint(&ws.tuples)
@@ -148,8 +148,25 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 			h = hosts[i]
 		}
 		c.Str(&h)
-		if decoding {
-			ws.hosts[h] = struct{}{}
+		if decoding && c.Err == nil {
+			if _, dup := ws.hosts[h]; dup {
+				c.Fail("duplicate host")
+				return
+			}
+			ws.newMoments(h, p.moments)
+		}
+		if p.moments == 0 {
+			continue
+		}
+		moments := ws.hosts[h]
+		m := len(moments)
+		c.Int(&m)
+		if decoding && c.Err == nil && m != p.moments {
+			c.Failf("%d moments for %d aggregates", m, p.moments)
+			return
+		}
+		for j := range moments {
+			moments[j].Code(c)
 		}
 	}
 
@@ -202,30 +219,6 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 		ws.rawN++
 	}
 
-	hosts = sortedKeys(ws.perHost)
-	n = len(hosts)
-	c.Count(&n, "implausible moment host count")
-	for i := 0; i < n && c.Err == nil; i++ {
-		var h string
-		if !decoding {
-			h = hosts[i]
-		}
-		c.Str(&h)
-		moments := ws.perHost[h]
-		m := len(moments)
-		c.Int(&m)
-		if decoding && c.Err == nil {
-			if m != len(p.Aggs) {
-				c.Failf("%d moments for %d aggregates", m, len(p.Aggs))
-				return
-			}
-			moments = make([]stats.Running, m)
-			ws.perHost[h] = moments
-		}
-		for j := range moments {
-			moments[j].Code(c)
-		}
-	}
 }
 
 // codeRun codes a packed run of w values (packed.go) after its width,

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -190,16 +191,70 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 		return binary.LittleEndian.AppendUint64(b, 0)                // m2
 	}
 	partial := func(n uint64) []byte {
-		b := []byte{1, 1, 2, 'h', '0'} // one tuple, from h0
-		b = append(b, 0, 0)            // no groups, no raw rows
-		b = append(b, 1, 2, 'h', '0')  // h0's moments:
-		b = append(b, 2)               // one per aggregate
-		return moment(moment(b, n), 1)
+		b := []byte{1, 1, 2, 'h', '0'} // one tuple, from h0, with
+		b = append(b, 2)               // one moment per aggregate
+		b = moment(moment(b, n), 1)
+		return append(b, 0, 0) // no groups, no raw rows
 	}
 	if _, err := qr.DecodePartial(partial(1)); err != nil {
 		t.Fatalf("a well-formed partial: %v", err)
 	}
 	if _, err := qr.DecodePartial(partial(1 << 63)); err == nil {
 		t.Fatal("a moment count of 2^63 decoded")
+	}
+}
+
+// TestDecodePartialHoldsHostsToPlan: a host's moments are coded after its
+// name only under a plan that keeps them, as many as the plan keeps, and
+// a host is listed once. A partial that breaks any of these is malformed.
+func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
+	moment := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // n = 1, mean 0, m2 0
+	host := func(name string, moments int) []byte {
+		b := []byte{byte(len(name))}
+		b = append(b, name...)
+		if moments < 0 {
+			return b
+		}
+		b = append(b, byte(moments))
+		for range moments {
+			b = append(b, moment...)
+		}
+		return b
+	}
+	partial := func(hosts ...[]byte) []byte {
+		b := []byte{1, byte(len(hosts))} // one tuple
+		for _, h := range hosts {
+			b = append(b, h...)
+		}
+		return append(b, 0, 0) // no groups, no raw rows
+	}
+	cases := []struct {
+		name  string
+		query string
+		b     []byte
+		ok    bool
+	}{
+		{"moments kept", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2), host("h1", 2)), true},
+		{"one moment short", `select count(*), sum(bid_price) from bid`, partial(host("h0", 1)), false},
+		{"one moment over", `select count(*), sum(bid_price) from bid`, partial(host("h0", 3)), false},
+		{"repeated host", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2), host("h0", 2)), false},
+		{"no moments kept", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", -1), host("h1", -1)), true},
+		{"moments a plan does not keep", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", 2)), false},
+		{"grouped: no moments", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1)), true},
+		{"grouped: repeated host", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1), host("h0", -1)), false},
+	}
+	for _, tc := range cases {
+		qr, err := CompileQuery(buildPlan(t, tc.query, 1, 3, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw, err := qr.DecodePartial(tc.b)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok %v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && !bytes.Equal(reencode(qr.Plan(), pw.ws), tc.b) {
+			t.Errorf("%s: re-encodes as %x, decoded from %x", tc.name, reencode(qr.Plan(), pw.ws), tc.b)
+		}
 	}
 }

@@ -61,6 +61,10 @@ type Plan struct {
 	// aggLayout is where Aggs' states live in a window's agg.Slab
 	// (checkAggs).
 	aggLayout *agg.Layout
+	// moments is how many reading moments a window keeps per host for the
+	// Eq. 1–3 bounds: one per aggregate when the plan is ungrouped and has
+	// a scalable aggregate, else none (checkAggs).
+	moments int
 }
 
 // confidence is the level of every estimator error bound.
@@ -235,11 +239,15 @@ func compile(p *Plan) (*compiled, error) {
 }
 
 // checkAggs lays out the plan's aggregates for the windows' state slabs,
-// so a bad spec fails the query at start, not at the first tuple.
+// so a bad spec fails the query at start, not at the first tuple, and
+// sets how many moments a window keeps per host.
 func (p *Plan) checkAggs() (err error) {
 	specs := make([]agg.Spec, len(p.Aggs))
 	for i, a := range p.Aggs {
 		specs[i] = a.Spec
+		if a.Spec.Scalable() && !p.Grouped() {
+			p.moments = len(p.Aggs)
+		}
 	}
 	p.aggLayout, err = agg.NewLayout(specs)
 	return err

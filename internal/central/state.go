@@ -30,14 +30,15 @@ import (
 // DESIGN.md §17.
 type winState struct {
 	tuples uint64
-	hosts  map[string]struct{}
-	// perHost tracks per-host reading moments per aggregate for the
-	// Eq. 1–3 error bounds; only maintained for ungrouped scalable
-	// aggregates under sampling.
-	perHost map[string][]stats.Running
+	// hosts is the window's one table of the hosts that reported: what
+	// HostsReporting counts, and each host's reading moments per aggregate
+	// for the Eq. 1–3 error bounds. A host's moments are nil unless the
+	// plan keeps them (Plan.moments): an ungrouped plan with a scalable
+	// aggregate.
+	hosts map[string][]stats.Running
 	// lastHost and lastMoments remember the previous tuple's host: a batch
-	// comes from one host, so hosts and perHost are consulted once per
-	// (batch, window) rather than once per tuple.
+	// comes from one host, so hosts is consulted once per (batch, window)
+	// rather than once per tuple.
 	lastHost    string
 	lastMoments []stats.Running
 
@@ -134,36 +135,35 @@ func (ws *winState) rethreadJoin(p *Plan) {
 
 func newWinState(p *Plan, start int64) *winState {
 	return &winState{
-		hosts:   make(map[string]struct{}),
-		perHost: make(map[string][]stats.Running),
-		start:   start,
-		keyW:    len(p.GroupBy),
+		hosts: make(map[string][]stats.Running),
+		start: start,
+		keyW:  len(p.GroupBy),
 	}
 }
 
-// touch records that host contributed to the window. (The length test
-// covers a fresh window whose first tuple carries the empty host id.)
-func (ws *winState) touch(host string) {
+// touch records that host contributed to the window, giving a new host
+// the moments the plan keeps (Plan.moments), and makes them lastMoments,
+// the ones the current tuple's readings fold into. (The length test covers
+// a fresh window whose first tuple carries the empty host id.)
+func (ws *winState) touch(host string, moments int) {
 	if ws.lastHost != host || len(ws.hosts) == 0 {
-		ws.hosts[host] = struct{}{}
-		ws.lastHost = host
-		ws.lastMoments = nil
+		m, ok := ws.hosts[host]
+		if !ok {
+			m = ws.newMoments(host, moments)
+		}
+		ws.lastHost, ws.lastMoments = host, m
 	}
 }
 
-// momentsOf returns the host's per-aggregate moments, creating them on
-// first use. touch(host) must have been called for the current tuple.
-func (ws *winState) momentsOf(host string, aggs int) []stats.Running {
-	if ws.lastMoments == nil {
-		m := ws.perHost[host]
-		if m == nil {
-			//scrub:allowalloc(once per host and window)
-			m = make([]stats.Running, aggs)
-			ws.perHost[host] = m
-		}
-		ws.lastMoments = m
+// newMoments enters host in the table with n empty moments (nil for 0).
+func (ws *winState) newMoments(host string, n int) []stats.Running {
+	var m []stats.Running
+	if n > 0 {
+		//scrub:allowalloc(once per host and window)
+		m = make([]stats.Running, n)
 	}
-	return ws.lastMoments
+	ws.hosts[host] = m
+	return m
 }
 
 // findGroup returns the ordinal of the group whose encoded key is key
@@ -279,7 +279,7 @@ func (ws *winState) rawRows(width int) [][]event.Value {
 
 // slabBytes is the capacity of the window's slabs, arenas, index heads and
 // sketches in bytes — what the scrub_central_state_bytes gauge counts: all
-// of the window's state but the two per-host maps.
+// of the window's state but the host table.
 func (ws *winState) slabBytes() int64 {
 	return ws.arena.Bytes() + ws.join.Bytes() +
 		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() +

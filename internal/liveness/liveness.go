@@ -17,9 +17,10 @@
 // A stream embeds the transport.StreamStat its windows report, and
 // Table.Fold is the one place a batch's report — its manifest: the
 // batch's header plus what routing and the shards did with it — is
-// folded into it. Drops are kept apart by cause inside the stream and
-// reported as sums: host queue and routing drops as Drops, late and
-// overflow drops at the shards as ShardDrops.
+// folded into it, and Table.Report the one place the streams are read
+// back out. Drops are kept apart by cause inside the stream and reported
+// as sums: host queue and routing drops as Drops, late and overflow drops
+// at the shards as ShardDrops.
 //
 // A Table is NOT self-locking: the central engines mutate it while
 // holding their own query locks, so adding a second mutex here would only
@@ -43,7 +44,7 @@ type Key struct {
 
 // Stream is the per-stream lease and accounting state. It embeds the
 // StreamStat a window reports of it, so the report is folded in place and
-// Snapshot copies it out whole.
+// Report copies it out whole.
 type Stream struct {
 	transport.StreamStat
 	// LastSeen is the wall-clock nanos of the last batch or heartbeat.
@@ -66,7 +67,7 @@ type Stream struct {
 	routeDrops uint64
 	// overflow adds up the manifests' OverflowDelta: tuples the shards
 	// accepted and could not keep (raw-row and join-pending caps).
-	// StreamStat does not report it; Table.ShardDrops does.
+	// StreamStat does not report it; Report.ShardDrops does.
 	overflow uint64
 }
 
@@ -197,98 +198,72 @@ func (t *Table) Watermark() (int64, bool) {
 	return wm, !first
 }
 
-// Evicted counts the streams currently evicted.
-func (t *Table) Evicted() int {
-	n := 0
-	for _, s := range t.streams {
-		if s.Evicted {
-			n++
-		}
-	}
-	return n
-}
-
-// AnyShed reports whether at least one stream has been shed by the host
-// budget governor.
-func (t *Table) AnyShed() bool {
-	for _, s := range t.streams {
-		if s.BudgetShed {
-			return true
-		}
-	}
-	return false
-}
-
-// RatesByHost returns each host's effective event-sampling rate — the
-// minimum reported across the host's streams — for hosts that have
-// reported one. It returns nil when every reported rate equals planRate
-// (within rounding), so the common unbudgeted case allocates nothing and
-// downstream code can treat nil as "plan rate everywhere".
-func (t *Table) RatesByHost(planRate float64) map[string]float64 {
-	var out map[string]float64
-	deviates := false
-	for k, s := range t.streams {
-		if s.EffRate <= 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]float64, 4)
-		}
-		if prev, ok := out[k.Host]; !ok || s.EffRate < prev {
-			out[k.Host] = s.EffRate
-		}
-		if diff := s.EffRate - planRate; diff > 1e-12 || diff < -1e-12 {
-			deviates = true
-		}
-	}
-	if !deviates {
-		return nil
-	}
-	return out
-}
-
-// HostDrops sums the last-known Drops counters across streams — host
-// queue drops plus routing failures (evicted streams included: their
-// losses still happened).
-func (t *Table) HostDrops() uint64 {
-	var n uint64
-	for _, s := range t.streams {
-		n += s.Drops
-	}
-	return n
-}
-
-// ShardDrops sums what the shards dropped of every stream's tuples —
-// window-late drops plus overflow — as the manifests folded so far
-// reported it (evicted streams included).
-func (t *Table) ShardDrops() uint64 {
-	var n uint64
-	for _, s := range t.streams {
-		n += s.LateDrops + s.overflow
-	}
-	return n
-}
-
 // Len returns the number of tracked streams.
 func (t *Table) Len() int { return len(t.streams) }
 
-// Snapshot renders every stream as a transport.StreamStat, sorted by
-// (host, type) so emitted windows are deterministic.
-func (t *Table) Snapshot() []transport.StreamStat {
+// Report is what a window, a query's stats and a status call say of a
+// query's streams, read from the table in one pass.
+type Report struct {
+	// Streams is every stream's StreamStat, sorted by (host, type) so
+	// emitted windows are deterministic; nil for an empty table.
+	Streams []transport.StreamStat
+	// Drops sums the streams' Drops — host queue drops plus routing
+	// failures (evicted streams included: their losses still happened).
+	Drops uint64
+	// ShardDrops sums what the shards dropped of every stream's tuples —
+	// window-late drops plus overflow — as the manifests folded so far
+	// reported it (evicted streams included).
+	ShardDrops uint64
+	// Evicted counts the streams currently evicted.
+	Evicted int
+	// Shed reports whether at least one stream has been shed by the host
+	// budget governor.
+	Shed bool
+	// Rates maps each host that reported an effective event-sampling rate
+	// to the minimum across its streams. It is nil when every reported
+	// rate equals the plan rate (within rounding), so the common
+	// unbudgeted case allocates nothing and downstream code can treat nil
+	// as "plan rate everywhere".
+	Rates map[string]float64
+}
+
+// Report reads every stream once; planRate is the rate a stream's
+// reported rate must deviate from for Rates to be filled.
+func (t *Table) Report(planRate float64) Report {
+	var r Report
 	if len(t.streams) == 0 {
-		return nil
+		return r
 	}
-	out := make([]transport.StreamStat, 0, len(t.streams))
+	r.Streams = make([]transport.StreamStat, 0, len(t.streams))
+	deviates := false
 	for _, s := range t.streams {
-		out = append(out, s.StreamStat)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].HostID != out[j].HostID {
-			return out[i].HostID < out[j].HostID
+		r.Streams = append(r.Streams, s.StreamStat)
+		r.Drops += s.Drops
+		r.ShardDrops += s.LateDrops + s.overflow
+		if s.Evicted {
+			r.Evicted++
 		}
-		return out[i].TypeIdx < out[j].TypeIdx
+		r.Shed = r.Shed || s.BudgetShed
+		if diff := s.EffRate - planRate; s.EffRate > 0 && (diff > 1e-12 || diff < -1e-12) {
+			deviates = true
+		}
+	}
+	sort.Slice(r.Streams, func(i, j int) bool {
+		a, b := &r.Streams[i], &r.Streams[j]
+		if a.HostID != b.HostID {
+			return a.HostID < b.HostID
+		}
+		return a.TypeIdx < b.TypeIdx
 	})
-	return out
+	if deviates {
+		r.Rates = make(map[string]float64, 4)
+		for _, s := range r.Streams {
+			if prev, ok := r.Rates[s.HostID]; s.EffRate > 0 && (!ok || s.EffRate < prev) {
+				r.Rates[s.HostID] = s.EffRate
+			}
+		}
+	}
+	return r
 }
 
 func sortKeys(ks []Key) {
