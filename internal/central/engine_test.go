@@ -226,6 +226,60 @@ func TestScaleUpUnderSampling(t *testing.T) {
 	}
 }
 
+// TestEstimatorCountsEverySampledHost: in Eq. 1–3 a sampled host with no
+// matching event in the window is a zero among the n sampled hosts, not a
+// host left out of n. The plan names n: a window sees only the hosts that
+// reported.
+func TestEstimatorCountsEverySampledHost(t *testing.T) {
+	run := func(t *testing.T, src string, total, sampled int, batches ...transport.TupleBatch) transport.ResultWindow {
+		t.Helper()
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, src, 1, total, sampled), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			e.HandleBatch(b)
+		}
+		e.Tick(sec(30))
+		wins := c.all()
+		if len(wins) != 1 {
+			t.Fatalf("wins = %d", len(wins))
+		}
+		return wins[0]
+	}
+	tuples := func(n int) []transport.Tuple {
+		out := make([]transport.Tuple, n)
+		for i := range out {
+			out[i] = tup(uint64(i), sec(1))
+		}
+		return out
+	}
+	t.Run("governed sparse count", func(t *testing.T) {
+		// Four hosts run the query and two match: h1 ships its 10 events,
+		// h2 ships 10 of its 20 at the governor's rate 0.5. The count is 30.
+		h1 := bidBatch(1, "h1", tuples(10)...)
+		h1.EffRate = 1
+		h2 := bidBatch(1, "h2", tuples(10)...)
+		h2.EffRate = 0.5
+		w := run(t, `select count(*) from bid window 10s`, 4, 4, h1, h2)
+		if got := w.Rows[0][0].String(); got != "30" {
+			t.Errorf("count = %s, want 30 (bound %v)", got, w.ErrBounds)
+		}
+	})
+	t.Run("host-sampled window with one reporter", func(t *testing.T) {
+		// Four of eight hosts sampled, one of them matches: the scale-up
+		// is 2, and the bound is that of four hosts, one non-zero.
+		w := run(t, `select count(*) from bid window 10s sample hosts 50%`, 8, 4, bidBatch(1, "h1", tuples(10)...))
+		if got := w.Rows[0][0].String(); got != "20" {
+			t.Errorf("count = %s, want 20", got)
+		}
+		if len(w.ErrBounds) != 1 || math.IsInf(w.ErrBounds[0], 0) || math.IsNaN(w.ErrBounds[0]) {
+			t.Errorf("bounds = %v, want one finite bound", w.ErrBounds)
+		}
+	})
+}
+
 func TestAvgNotScaled(t *testing.T) {
 	e := NewEngine()
 	c := &collector{}
