@@ -483,7 +483,9 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 // sampling is in effect (the host's exact matched totals are cumulative
 // across windows, so the per-window Mᵢ is recovered from the sampling
 // rate); qᵢ is the host's governor-degraded effective rate when rates
-// carries one, else the uniform plan rate.
+// carries one, else the uniform plan rate. n is the hosts the plan
+// sampled (Plan.SampledHosts), or the hosts with a reading if more
+// reported: a sampled host without one is a zero, not a host left out.
 //
 // When rates is non-nil (at least one host deviates from the plan rate),
 // the returned sums map also carries the Eq. 1 point estimate τ̂ per
@@ -528,11 +530,14 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 		if len(hosts) == 0 {
 			continue
 		}
-		total := p.TotalHosts
-		if total < len(hosts) {
-			total = len(hosts)
+		// Every host the plan sampled is one of Eq. 1's n — the n
+		// scaleFactor divides by — whether or not it had a matching event
+		// in the window: one without is a zero.
+		n := max(p.SampledHosts, len(hosts))
+		for len(hosts) < n {
+			hosts = append(hosts, sampling.HostMoments{})
 		}
-		est, err := sampling.EstimateSumMoments(total, hosts, confidence)
+		est, err := sampling.EstimateSumMoments(max(p.TotalHosts, n), hosts, confidence)
 		if err != nil {
 			continue
 		}
