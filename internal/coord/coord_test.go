@@ -515,7 +515,7 @@ func TestCollectStaleOrGarbageDegrades(t *testing.T) {
 		<-done
 	}
 	closeAt(12*sec, func(r transport.ShardCollectReq) transport.ShardPartials {
-		return transport.ShardPartials{Seq: r.Seq, Found: true,
+		return transport.ShardPartials{Seq: r.Seq,
 			Partials: []transport.WindowPartial{{Start: 0, End: 10 * sec, Data: []byte{0xff}}}}
 	})
 	if len(col.wins) != 1 || !col.wins[0].Degraded || countOf(t, col.wins[0]) != 2 {

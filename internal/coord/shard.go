@@ -115,15 +115,15 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, _, _, found := n.eng.CollectDriven(t.QueryID, t.Bound)
-			resp = transport.ShardPartials{Seq: t.Seq, Found: found, Partials: partials}
+			partials, _, _, _ := n.eng.CollectDriven(t.QueryID, t.Bound)
+			resp = transport.ShardPartials{Seq: t.Seq, Partials: partials}
 		case transport.ShardStopReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, found := n.eng.DrainDriven(t.QueryID)
-			resp = transport.ShardPartials{Seq: t.Seq, Found: found, Partials: partials}
+			partials, _ := n.eng.DrainDriven(t.QueryID)
+			resp = transport.ShardPartials{Seq: t.Seq, Partials: partials}
 		case transport.ShardFence:
 			ack := transport.ShardFenceAck{Seq: t.Seq, Ok: n.admitFence(t.Fence)}
 			ack.Fence = n.fence.Load()

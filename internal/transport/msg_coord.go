@@ -132,9 +132,8 @@ type WindowPartial struct {
 type ShardPartials struct {
 	Seq uint64
 	// Stale reports the request carried a fencing epoch below the shard's:
-	// the caller was deposed and got no state (Found false, no partials).
+	// the caller was deposed and got no state (no partials).
 	Stale    bool
-	Found    bool
 	Partials []WindowPartial
 }
 
@@ -368,7 +367,6 @@ func (t *ShardCollectReq) code(c *coder) {
 func (t *ShardPartials) code(c *coder) {
 	c.U64(&t.Seq)
 	c.Bool(&t.Stale)
-	c.Bool(&t.Found)
 	wire.Length(&c.Coder, &t.Partials, wire.EmptyNil, "implausible partial count")
 	for i := range t.Partials {
 		p := &t.Partials[i]

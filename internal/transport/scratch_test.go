@@ -248,7 +248,7 @@ func TestReadBufferPolicy(t *testing.T) {
 	for i := 1; i < acks; i++ {
 		send(ShardBatchAck{Seq: uint64(i), Known: true, HasTs: true, MaxTs: int64(i)})
 	}
-	big := ShardPartials{Seq: acks, Found: true, Partials: []WindowPartial{{Start: 1, End: 2, Data: bytes.Repeat([]byte{7}, 1<<20)}}}
+	big := ShardPartials{Seq: acks, Partials: []WindowPartial{{Start: 1, End: 2, Data: bytes.Repeat([]byte{7}, 1<<20)}}}
 	send(big)
 	send(ShardBatchAck{Seq: acks + 1})
 	recvAck := func(c *Conn, seq uint64) {

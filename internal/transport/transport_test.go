@@ -102,7 +102,7 @@ func sampleMessages() []Message {
 		ShardBatchAck{Seq: 4},
 		ShardCollectReq{Seq: 5, Fence: 2, QueryID: 7, Bound: 1000},
 		ShardPartials{
-			Seq: 5, Found: true,
+			Seq: 5,
 			Partials: []WindowPartial{
 				{Start: 0, End: 10, Data: []byte{1, 2, 3}},
 				{Start: 10, End: 20, Data: nil},
