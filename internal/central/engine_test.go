@@ -618,6 +618,57 @@ func BenchmarkHandleBatchGrouped(b *testing.B) {
 	b.SetBytes(batchSize)
 }
 
+// BenchmarkFleet is what one count(*) query costs its Engine as the fleet
+// feeding it grows to 1, 100, 1 000 and 10 000 live streams: ns per
+// 16-tuple batch (each folds a manifest and recomputes the watermark over
+// every stream) and ns per emitted window (each reports every stream).
+// One op is one window: a batch from each of the next 16 streams, then
+// the tick that closes the window. The declared lateness keeps the
+// batches from closing a window, and the lease clock stands still, so no
+// stream expires.
+func BenchmarkFleet(b *testing.B) {
+	const batchesPerWindow, batchSize = 16, 16
+	for _, streams := range []int{1, 100, 1000, 10000} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			now := time.Unix(0, 0)
+			e := NewEngineWith(Options{Clock: func() time.Time { return now }})
+			p := buildPlan(b, `select count(*) from bid window 1s`, 1, streams, streams)
+			p.Lateness = 1000 * time.Hour
+			if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+				b.Fatal(err)
+			}
+			hosts := make([]string, streams)
+			tuples := make([]transport.Tuple, batchSize)
+			batch := func(host string, ts int64) {
+				for j := range tuples {
+					tuples[j] = tup(uint64(j), ts)
+				}
+				e.HandleBatch(bidBatch(1, host, tuples...))
+			}
+			for i := range hosts {
+				hosts[i] = fmt.Sprintf("h%05d", i)
+				batch(hosts[i], 0) // every stream is live and has a clock
+			}
+			var batchNs, windowNs time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := sec(int64(i))
+				t0 := time.Now()
+				for k := 0; k < batchesPerWindow; k++ {
+					batch(hosts[(i*batchesPerWindow+k)%streams], start+int64(k))
+				}
+				t1 := time.Now()
+				e.Tick(start + sec(1) + int64(p.Lateness))
+				windowNs += time.Since(t1)
+				batchNs += t1.Sub(t0)
+			}
+			b.ReportMetric(float64(batchNs)/float64(b.N*batchesPerWindow), "ns/batch")
+			b.ReportMetric(float64(windowNs)/float64(b.N), "ns/window")
+		})
+	}
+}
+
 func TestSlidingWindowsAtCentral(t *testing.T) {
 	// The paper's named extension: window 10s slide 5s — each tuple
 	// counts in two overlapping windows.
