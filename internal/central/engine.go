@@ -401,7 +401,7 @@ func (e *Engine) accumulate(qs *queryState, ws *winState) {
 // merger, on a window's merged state, whatever the shard count.
 //
 // rates, when non-nil, maps hosts to governor-degraded effective
-// event-sampling rates (liveness.Table.RatesByHost): the window is then
+// event-sampling rates (liveness.Report.Rates): the window is then
 // approximate even at plan rate 1, and ungrouped scalable aggregates are
 // re-estimated from the per-host moments with each host's own rate
 // (Eq. 1–3) instead of the uniform plan-rate scale-up, so budget

@@ -119,6 +119,14 @@ echo "== a shard's drops ride the manifest of the batch that caused them (no per
 if grep -rnwE --include='*.go' 'ShardLate|ShardOverflow|foldLate|shardLate|shardOverflow' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ keeps a per-shard drop ledger again: a shard reports what each sub-batch cost (LateDelta, OverflowDelta), the manifest sums it, and liveness charges it to the stream" >&2; exit 1; fi
 if awk '/^type (ShardBatchAck|ShardPartials|ShardWindows|DrivenAck) struct/,/^}/ { print FILENAME ":" FNR ": " $0 }' $(nontest internal/transport) $(nontest internal/central) | grep -E ':\s*(Late|Overflow)\b'; then echo "a shard ack, a collect reply or DrivenAck declares a cumulative Late or Overflow field again: a shard reports only the sub-batch's deltas" >&2; exit 1; fi
 
+echo "== a window's hosts in one table, a query's streams in one read (no perHost, RatesByHost or AnyShed; liveness.Table has no Snapshot, HostDrops, ShardDrops or Evicted method and none is called; ShardPartials declares no Found) =="
+if grep -rnwE --include='*.go' 'perHost|RatesByHost|AnyShed' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ names a second per-host map or a deleted stream-table read again: a window keeps one host table (winState.hosts), and liveness.Table.Report reads the streams once" >&2; exit 1; fi
+if grep -nE '^func \(t \*Table\) (Snapshot|HostDrops|ShardDrops|Evicted)\(' $(nontest internal/liveness) ||
+   grep -rnE --include='*.go' '\bstreams\.(Snapshot|HostDrops|ShardDrops|Evicted)\(' cmd internal | grep -v '_test\.go:'; then
+  echo "liveness.Table has or a caller calls a deleted one-field read (Snapshot, HostDrops, ShardDrops, Evicted) again: read a liveness.Report" >&2; exit 1
+fi
+if awk '/^type ShardPartials struct/,/^}/' internal/transport/msg_coord.go | grep -nw 'Found'; then echo "transport.ShardPartials declares Found again: no receiver reads it" >&2; exit 1; fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
