@@ -123,13 +123,19 @@ type ResultWindow struct {
 	Streams    []StreamStat
 }
 
-// QueryStats summarizes a finished query.
+// QueryStats summarizes a query, running or finished. The drop totals
+// are read from the query's streams when the stats are taken, so they
+// can be ahead of the last emitted window's.
 type QueryStats struct {
 	Windows   uint64
 	Rows      uint64
 	TuplesIn  uint64
 	HostDrops uint64 // Σ StreamStat.Drops: host queue drops + routing failures
-	LateDrops uint64 // the last window's WindowStats.LateDrops, final at stop
+	// LateDrops is what the shards dropped of the query's tuples — late
+	// for their window, or past a raw-row or join-pending cap — as the
+	// manifests folded so far reported it, plus the raw rows merging
+	// shard partials truncated.
+	LateDrops uint64
 	// DegradedWindows counts windows emitted with >= 1 evicted stream.
 	DegradedWindows uint64
 	// ShedWindows counts windows emitted with >= 1 budget-shed stream.
