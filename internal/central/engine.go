@@ -373,14 +373,14 @@ func (e *Engine) accumulate(qs *queryState, ws *winState) {
 	}
 
 	// Error-bound moments: ungrouped scalable aggregates (Plan.moments),
-	// into the host's that touch found. Collected even at plan rate 1,
-	// because the host-side budget governor can lower a host's effective
-	// sampling rate mid-query — and by the time the first deviating batch
-	// announces that, the window's earlier tuples are gone. Grouped
-	// queries have no moment tracking (bounds are per-column, not
-	// per-group); their degradation is surfaced via per-stream EffRate
-	// instead. An argument is read back from the program's registers, not
-	// computed again.
+	// folded into the moments touch looked up for the tuple's host.
+	// Collected even at plan rate 1, because the host-side budget governor
+	// can lower a host's effective sampling rate mid-query — and by the
+	// time the first deviating batch announces that, the window's earlier
+	// tuples are gone. Grouped queries have no moment tracking (bounds are
+	// per-column, not per-group); their degradation is surfaced via
+	// per-stream EffRate instead. An argument is read back from the
+	// program's registers, not computed again.
 	if moments := ws.lastMoments; moments != nil {
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
