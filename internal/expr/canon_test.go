@@ -609,6 +609,38 @@ func TestProgramSharesSubexpressions(t *testing.T) {
 	ctx.Finish()
 }
 
+// TestInternPresentTreeAllocatesNothing pins interning as a lookup: a tree
+// the builder already holds, every side table included — a field, a float
+// and a string literal, an in-list, a LIKE pattern — adds no node and
+// allocates nothing.
+func TestInternPresentTreeAllocatesNothing(t *testing.T) {
+	tree, _, err := Check(Binary{Op: OpAnd,
+		L: Binary{Op: OpOr,
+			L: Binary{Op: OpGt, L: FieldRef{Name: "bid_price"}, R: Lit{Val: event.Float(1.5)}},
+			R: Binary{Op: OpLike, L: FieldRef{Name: "city"}, R: Lit{Val: event.Str("s%j")}}},
+		R: Binary{Op: OpAnd,
+			L: In{X: Binary{Op: OpMod, L: FieldRef{Name: "user_id"}, R: Lit{Val: event.Int(64)}},
+				List: []Node{Lit{Val: event.Int(1)}, Lit{Val: event.Int(7)}}},
+			R: Binary{Op: OpEq, L: FieldRef{Name: "city"}, R: Lit{Val: event.Str("sf")}}}}, singleResolver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := NewProgramBuilder()
+	want, err := pb.Intern(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := len(pb.p.nodes)
+	allocs := testing.AllocsPerRun(100, func() {
+		if id, err := pb.Intern(tree); id != want || err != nil {
+			t.Fatalf("re-intern: %d, %v; want %d", id, err, want)
+		}
+	})
+	if allocs != 0 || len(pb.p.nodes) != nodes {
+		t.Errorf("re-interning a present tree: %v allocs, %d nodes; want 0 allocs, %d nodes", allocs, len(pb.p.nodes), nodes)
+	}
+}
+
 // TestProgramNodeSize pins the instruction at three words (the issue's
 // ceiling is four): host-fanout's live heap is mostly these.
 func TestProgramNodeSize(t *testing.T) {
