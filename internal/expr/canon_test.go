@@ -214,8 +214,10 @@ func eqv(a, b event.Value) bool {
 // with Compile on every node of the canonical tree — each subtree is
 // interned and compiled on its own, and all of them are read through one
 // Ctx within one Begin/Finish, so a wrong memo shows as well as a wrong
-// operator — and (c) to agree with it again when the tree is read through
-// a tuple-row binding (checkPairs). It reports false when the drawn tree
+// operator — both in a fresh program and in one seeded from a program
+// that already holds other drawn trees, as an agent's Start interns a
+// query, and (c) to agree with it again when the tree is read through a
+// tuple-row binding (checkPairs). It reports false when the drawn tree
 // does not type-check.
 func checkTree(t testing.TB, rng *rand.Rand) bool {
 	raw := genExpr(rng, event.KindBool, 4)
@@ -241,17 +243,24 @@ func checkTree(t testing.TB, rng *rand.Rand) bool {
 	if err1 != nil || err2 != nil || !bytes.Equal(k1, k2) {
 		t.Fatalf("Canon not idempotent:\n  once:  %s\n  twice: %s", canon, Canon(canon))
 	}
-	prog, subs := internAll(t, canon)
-	ctx := prog.NewCtx()
+	prog, subs := internAll(t, NewProgramBuilder(), canon)
+	others := otherTrees(t, rng)
+	seeded, seededSubs := internAll(t, others.Builder(), canon)
+	if !slices.Equal(seeded.nodes[:others.NumNodes()], others.nodes) {
+		t.Fatalf("interning %s renumbered the seeding program's nodes", canon)
+	}
+	ctxs := []*Ctx{prog.NewCtx(), seeded.NewCtx()}
 	for i := 0; i < 32; i++ {
 		row := EventRow{Event: genEvent(rng)}
 		want := orig(row)
 		if got := ce(row); !eqv(want, got) {
 			t.Fatalf("row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v", i, checked, canon, want, got)
 		}
-		ctx.Begin(row)
-		compareAll(t, ctx, subs, row, i)
-		ctx.Finish()
+		for j, s := range [][]sub{subs, seededSubs} {
+			ctxs[j].Begin(row)
+			compareAll(t, ctxs[j], s, row, i)
+			ctxs[j].Finish()
+		}
 	}
 	checkPairs(t, rng, canon)
 	return true
@@ -265,10 +274,26 @@ type sub struct {
 	want Evaluator
 }
 
-// internAll builds one program holding root and, each under its own id,
-// every subtree of it (subs[0] is root), and compiles every subtree.
-func internAll(t testing.TB, root Node) (*Program, []sub) {
+// otherTrees draws one to eight more trees from rng and interns the
+// canonical form of each that type-checks into one program.
+func otherTrees(t testing.TB, rng *rand.Rand) *Program {
 	pb := NewProgramBuilder()
+	for n := 1 + rng.Intn(8); n > 0; n-- {
+		checked, _, err := Check(genExpr(rng, event.KindBool, 4), genResolver)
+		if err != nil {
+			continue
+		}
+		if _, err := pb.Intern(Canon(checked)); err != nil {
+			t.Fatalf("intern %s: %v", checked, err)
+		}
+	}
+	return pb.Build()
+}
+
+// internAll interns root into pb and, each under its own id, every
+// subtree of it (subs[0] is root), compiles every subtree, and builds the
+// program.
+func internAll(t testing.TB, pb *ProgramBuilder, root Node) (*Program, []sub) {
 	rootID, err := pb.Intern(root)
 	if err != nil {
 		t.Fatalf("intern: %v", err)
@@ -401,7 +426,7 @@ func requalify(n Node, rng *rand.Rand) Node {
 // random key list over both types, system fields and repeats included,
 // against the by-name keyRow.
 func checkPairs(t testing.TB, rng *rand.Rand, tree Node) {
-	prog, subs := internAll(t, requalify(tree, rng))
+	prog, subs := internAll(t, NewProgramBuilder(), requalify(tree, rng))
 	row := &pairRow{types: [2]string{genSchema.Name(), pairSide}}
 	for s := range row.cols {
 		for _, f := range rng.Perm(genSchema.NumFields()) {
@@ -612,7 +637,8 @@ func TestProgramSharesSubexpressions(t *testing.T) {
 // TestInternPresentTreeAllocatesNothing pins interning as a lookup: a tree
 // the builder already holds, every side table included — a field, a float
 // and a string literal, an in-list, a LIKE pattern — adds no node and
-// allocates nothing.
+// allocates nothing, in the builder that interned it and in one a Program
+// seeds, which finds the tree under the id the Program gave it.
 func TestInternPresentTreeAllocatesNothing(t *testing.T) {
 	tree, _, err := Check(Binary{Op: OpAnd,
 		L: Binary{Op: OpOr,
@@ -625,19 +651,32 @@ func TestInternPresentTreeAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Another tree first, so that none of tree's side-table entries is the
+	// first of its table.
+	other, _, err := Check(Binary{Op: OpAnd,
+		L: Binary{Op: OpLike, L: FieldRef{Name: "city"}, R: Lit{Val: event.Str("x%")}},
+		R: Binary{Op: OpOr, L: FieldRef{Name: "won"}, R: In{X: FieldRef{Name: "user_id"}, List: []Node{Lit{Val: event.Int(2)}}}}}, singleResolver())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pb := NewProgramBuilder()
+	if _, err := pb.Intern(other); err != nil {
+		t.Fatal(err)
+	}
 	want, err := pb.Intern(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := len(pb.p.nodes)
-	allocs := testing.AllocsPerRun(100, func() {
-		if id, err := pb.Intern(tree); id != want || err != nil {
-			t.Fatalf("re-intern: %d, %v; want %d", id, err, want)
+	for name, b := range map[string]*ProgramBuilder{"fresh": pb, "seeded": pb.Build().Builder()} {
+		nodes := len(b.p.nodes)
+		allocs := testing.AllocsPerRun(100, func() {
+			if id, err := b.Intern(tree); id != want || err != nil {
+				t.Fatalf("%s: re-intern: %d, %v; want %d", name, id, err, want)
+			}
+		})
+		if allocs != 0 || len(b.p.nodes) != nodes {
+			t.Errorf("%s: re-interning a present tree: %v allocs, %d nodes; want 0 allocs, %d nodes", name, allocs, len(b.p.nodes), nodes)
 		}
-	})
-	if allocs != 0 || len(pb.p.nodes) != nodes {
-		t.Errorf("re-interning a present tree: %v allocs, %d nodes; want 0 allocs, %d nodes", allocs, len(pb.p.nodes), nodes)
 	}
 }
 

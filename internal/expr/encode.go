@@ -24,7 +24,8 @@ const (
 const maxNodeDepth = 200
 
 // AppendNode appends the binary form of an expression tree: CodeNode in
-// encoding mode, and the key ProgramBuilder and Canon intern a tree by.
+// encoding mode. Of the package only Canon keys on it, to order and
+// deduplicate operands; ProgramBuilder keys a node on its instruction.
 // Call nodes are rejected — plans never contain unresolved calls.
 //
 //scrub:allowalloc(control-plane predicate serialization; never on the per-tuple path)

@@ -47,8 +47,8 @@ func sampleNodes() []struct {
 }
 
 // TestNodesGolden pins the expression tree's bytes: what a HostQuery's
-// predicate travels as, and the key the register program and Canon intern
-// a tree by. Every line is a sample tree's name and its encoding in hex;
+// predicate travels as, and the key Canon orders and deduplicates
+// operands by. Every line is a sample tree's name and its encoding in hex;
 // the bytes must also decode back to the tree. -update rewrites the file,
 // and a moved line needs a protocol reason.
 func TestNodesGolden(t *testing.T) {

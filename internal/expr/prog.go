@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"scrub/internal/event"
 )
@@ -92,45 +93,67 @@ func (p *Program) NumNodes() int { return len(p.nodes) }
 
 // ProgramBuilder interns expression trees into a Program. Trees should be
 // canonicalized first (Canon) so that equivalent-but-differently-spelled
-// subexpressions intern to the same node; interning keys on the exact
-// binary encoding, so it is correct (just less shared) without it.
+// subexpressions intern to the same node; interning is correct (just less
+// shared) without it. A node is keyed on its instruction: its children
+// are node ids and every side table holds a value once, so the inst is
+// the subexpression's identity.
 type ProgramBuilder struct {
-	p   Program // nodes and side tables so far
-	ids map[string]int32
+	p      Program // nodes and side tables so far
+	ids    map[inst]int32
+	fields map[fieldName]int32
+	vals   map[event.Value]int32 // string literals by content, list ones by identity (ql parses none)
+	pats   map[event.Value]int32 // LIKE patterns, to their likes entry
 }
 
 // NewProgramBuilder returns an empty builder.
-func NewProgramBuilder() *ProgramBuilder {
-	return &ProgramBuilder{ids: make(map[string]int32)}
+func NewProgramBuilder() *ProgramBuilder { return new(Program).Builder() }
+
+// Builder returns a builder holding p's nodes and side tables under the
+// ids p gives them, so what it interns extends p and every id p handed
+// out stays valid. p is not changed: a builder only appends, and the
+// tables it starts from are clipped, so its first append copies them.
+func (p *Program) Builder() *ProgramBuilder {
+	b := &ProgramBuilder{
+		p: Program{nodes: slices.Clip(p.nodes), fields: slices.Clip(p.fields),
+			vals: slices.Clip(p.vals), lists: slices.Clip(p.lists), likes: slices.Clip(p.likes)},
+		ids:    make(map[inst]int32, len(p.nodes)),
+		fields: make(map[fieldName]int32, len(p.fields)),
+		vals:   make(map[event.Value]int32, len(p.vals)),
+		pats:   make(map[event.Value]int32, len(p.likes)),
+	}
+	for i, nd := range p.nodes {
+		b.ids[nd] = int32(i)
+	}
+	for i, f := range p.fields {
+		b.fields[f] = int32(i)
+	}
+	for i, v := range p.vals {
+		b.vals[v] = int32(i)
+	}
+	for i, m := range p.likes {
+		b.pats[event.Str(strings.Join(m.chunks, "%"))] = int32(i)
+	}
+	return b
 }
 
 // Intern adds a checked tree and returns its node id, reusing every
-// already-interned subexpression. The same requirements as Compile apply:
-// field references resolved, no Call nodes, literal like patterns and
-// in-lists.
+// already-interned subexpression; a tree the builder holds allocates
+// nothing. The same requirements as Compile apply: field references
+// resolved, no Call nodes, literal like patterns and in-lists.
 func (b *ProgramBuilder) Intern(n Node) (int32, error) {
-	enc, err := AppendNode(nil, n)
-	if err != nil {
-		return -1, err
-	}
-	key := string(enc)
-	if id, ok := b.ids[key]; ok {
-		return id, nil
-	}
 	var nd inst
 	switch t := n.(type) {
 	case Lit:
 		nd = inst{op: opLit, k: t.Val.Kind(), r: -1}
 		switch nd.k {
 		case event.KindString, event.KindList:
-			nd.r = int32(len(b.p.vals))
-			b.p.vals = append(b.p.vals, t.Val)
+			nd.r = add(b.vals, &b.p.vals, t.Val, t.Val)
 		default:
 			_, nd.imm = t.Val.Raw()
 		}
 	case FieldRef:
-		nd = inst{op: opField, r: int32(len(b.p.fields))}
-		b.p.fields = append(b.p.fields, fieldName{t.Type, t.Name})
+		f := fieldName{t.Type, t.Name}
+		nd = inst{op: opField, r: add(b.fields, &b.p.fields, f, f)}
 	case Unary:
 		x, err := b.Intern(t.X)
 		if err != nil {
@@ -150,12 +173,16 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 			return -1, err
 		}
 		if t.Op == OpLike {
-			m, err := likeFor(t.R)
-			if err != nil {
-				return -1, err
+			pat, _ := t.R.(Lit)
+			i, ok := b.pats[pat.Val]
+			if !ok {
+				m, err := likeFor(t.R)
+				if err != nil {
+					return -1, err
+				}
+				i = add(b.pats, &b.p.likes, pat.Val, m)
 			}
-			nd = inst{op: opLike, l: l, r: b.fieldOf(l), imm: uint64(len(b.p.likes))}
-			b.p.likes = append(b.p.likes, m)
+			nd = inst{op: opLike, l: l, r: b.fieldOf(l), imm: uint64(i)}
 			break
 		}
 		r, err := b.Intern(t.R)
@@ -181,25 +208,43 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 		if err != nil {
 			return -1, err
 		}
-		lits := make([]event.Value, len(t.List))
-		for i, e := range t.List {
-			le, ok := e.(Lit)
-			if !ok {
-				return -1, fmt.Errorf("expr: intern: in-list element %d is not a literal", i)
+		// In-lists are few, so one is found by a scan.
+		i := slices.IndexFunc(b.p.lists, func(l []event.Value) bool {
+			return slices.EqualFunc(l, t.List, func(v event.Value, e Node) bool {
+				lit, ok := e.(Lit)
+				return ok && v == lit.Val
+			})
+		})
+		if i < 0 {
+			lits := make([]event.Value, len(t.List))
+			for j, e := range t.List {
+				lit, ok := e.(Lit)
+				if !ok {
+					return -1, fmt.Errorf("expr: intern: in-list element %d is not a literal", j)
+				}
+				lits[j] = lit.Val
 			}
-			lits[i] = le.Val
+			i = len(b.p.lists)
+			b.p.lists = append(b.p.lists, lits)
 		}
-		nd = inst{op: opIn, k: listKind(lits), negate: t.Negate, l: x, r: b.fieldOf(x), imm: uint64(len(b.p.lists))}
-		b.p.lists = append(b.p.lists, lits)
+		nd = inst{op: opIn, k: listKind(b.p.lists[i]), negate: t.Negate, l: x, r: b.fieldOf(x), imm: uint64(i)}
 	case AggRef:
 		nd = inst{op: opAgg, imm: uint64(t.Index)}
 	default:
 		return -1, fmt.Errorf("expr: intern: unsupported node %T", n)
 	}
-	id := int32(len(b.p.nodes))
-	b.p.nodes = append(b.p.nodes, nd)
-	b.ids[key] = id
-	return id, nil
+	return add(b.ids, &b.p.nodes, nd, nd), nil
+}
+
+// add returns key's index in *table, appending v there on key's first use.
+func add[K comparable, V any](index map[K]int32, table *[]V, key K, v V) int32 {
+	i, ok := index[key]
+	if !ok {
+		i = int32(len(*table))
+		index[key] = i
+		*table = append(*table, v)
+	}
+	return i
 }
 
 // fieldOf is node id's field ordinal when it is a field reference, -1

@@ -30,7 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,9 +162,9 @@ type activeQuery struct {
 	schema      *event.Schema // the catalog's schema for EventType
 	replayNanos int64
 	// canon is the query's selection predicate in canonical form
-	// (expr.Canon), nil to match everything. rebuildLocked interns it into
-	// the event type's shared program; Start pre-validates it against a
-	// throwaway builder so interning at rebuild time cannot fail.
+	// (expr.Canon), nil to match everything. Start interns it into the
+	// event type's shared program and refuses the query if that fails, so
+	// a full rebuild's re-intern of the same tree cannot fail.
 	canon  expr.Node
 	colIdx []int // schema field indices to project
 	width  int   // len(colIdx), the projected tuple width
@@ -369,7 +370,8 @@ type Agent struct {
 	govRecovers    obs.Counter
 	govSheds       obs.Counter
 	// indexRebuilds counts dispatch snapshots built (query start, stop,
-	// expiry, shed): each re-interns every live predicate of every type.
+	// expiry, shed): a start interns its own predicate, the others
+	// re-intern every live predicate of every type.
 	indexRebuilds obs.Counter
 	// Replay shipping accounting: historical tuples (and their encoded
 	// bytes) shipped from the record stream on behalf of REPLAY queries.
@@ -452,15 +454,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		if kind != event.KindBool {
 			return fmt.Errorf("host: predicate is %s, not bool", kind)
 		}
-		canon := expr.Canon(checked)
-		// Trial-intern against a throwaway builder: rebuildLocked interns
-		// the same tree and cannot return an error, so any malformed plan
-		// (unresolved call, non-literal like pattern) must be rejected
-		// here, at the same point the old per-query compile rejected it.
-		if _, err := expr.NewProgramBuilder().Intern(canon); err != nil {
-			return fmt.Errorf("host: compile predicate: %w", err)
-		}
-		aq.canon = canon
+		aq.canon = expr.Canon(checked)
 	}
 	aq.colIdx = make([]int, len(hq.Columns))
 	for i, col := range hq.Columns {
@@ -499,8 +493,11 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		a.mu.Unlock()
 		return fmt.Errorf("host: query %d (type %s) already active", hq.QueryID, hq.EventType)
 	}
+	if err := a.installLocked(aq); err != nil {
+		a.mu.Unlock()
+		return fmt.Errorf("host: compile predicate: %w", err)
+	}
 	a.queries[key] = aq
-	a.rebuildLocked()
 	a.mu.Unlock()
 	if hq.ReplayNanos > 0 && a.cfg.Record != nil {
 		a.wg.Add(1)
@@ -563,36 +560,67 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 	return len(removed)
 }
 
-// rebuildLocked swaps in a new immutable type→program snapshot: each
-// event type's queries compiled into one shared typeProgram (see that
-// type's comment). Shed queries are excluded — they stop paying per-event
-// cost entirely — but stay in a.queries so heartbeats keep announcing the
-// BudgetShed state. Queries are processed in (QueryID, TypeIdx) order so
-// rebuilds are deterministic: the same query set always interns the same
-// program with the same node ids, regardless of map iteration order.
-func (a *Agent) rebuildLocked() {
-	keys := make([]queryKey, 0, len(a.queries))
-	for key, aq := range a.queries {
-		if aq.shed {
-			continue
+// installLocked swaps in a snapshot that dispatches aq's events too. Only
+// aq's event type is re-snapshotted: its program is seeded from the
+// type's live one (expr.Program.Builder), so only aq's predicate is
+// interned and every other subscriber keeps its node id; every other
+// type's typeProgram, pooled dispatch contexts included, is carried over
+// as it is. A predicate that does not intern spoils only the seeded copy
+// and is returned. Node ids therefore follow install order until a full
+// rebuild renumbers them.
+func (a *Agent) installLocked(aq *activeQuery) error {
+	cur := a.byType.Load()
+	name := aq.schema.Name()
+	b := expr.NewProgramBuilder()
+	var subs []subscriber
+	if tp := cur.byName[name]; tp != nil {
+		if tp.prog != nil {
+			b = tp.prog.Builder()
 		}
-		keys = append(keys, key)
+		subs = slices.Concat(tp.always, tp.gated)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
+	s := subscriber{ln: &aq.live, pred: -1, startNs: aq.startNs, endNs: aq.endNs}
+	if aq.canon != nil {
+		id, err := b.Intern(aq.canon)
+		if err != nil {
+			return err
 		}
-		return keys[i].typeIdx < keys[j].typeIdx
-	})
-	perType := make(map[*event.Schema][]subscriber, len(keys))
-	for _, key := range keys {
-		aq := a.queries[key]
-		perType[aq.schema] = append(perType[aq.schema], subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
+		s.pred = id
+	}
+	subs = append(subs, s)
+	sortSubscribers(subs)
+	m := make(map[string]*typeProgram, len(cur.byName)+1)
+	maps.Copy(m, cur.byName)
+	m[name] = buildTypeProgram(aq.schema, b.Build(), subs)
+	a.swapLocked(m)
+	return nil
+}
+
+// rebuildLocked swaps in a snapshot built from nothing: each event type's
+// queries compiled into one shared typeProgram (see that type's comment)
+// over a fresh program, which compacts away the nodes of queries that
+// left. Removal (Stop, span expiry) and governor shed take this path.
+// Shed queries are excluded — they stop paying per-event cost entirely —
+// but stay in a.queries so heartbeats keep announcing the BudgetShed
+// state. A type's queries are interned in (QueryID, TypeIdx) order, so a
+// rebuild numbers the nodes of a query set the same way whatever the map
+// iteration or install order was.
+func (a *Agent) rebuildLocked() {
+	perType := make(map[*event.Schema][]subscriber)
+	for _, aq := range a.queries {
+		if !aq.shed {
+			perType[aq.schema] = append(perType[aq.schema], subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
+		}
 	}
 	m := make(map[string]*typeProgram, len(perType))
 	for schema, subs := range perType {
-		m[schema.Name()] = buildTypeProgram(schema, subs)
+		m[schema.Name()] = compileTypeProgram(schema, subs)
 	}
+	a.swapLocked(m)
+}
+
+// swapLocked installs m as the dispatch snapshot.
+func (a *Agent) swapLocked(m map[string]*typeProgram) {
 	a.indexRebuilds.Inc()
 	if reg := a.cfg.Metrics; reg != nil {
 		a.publishIndexSize(reg, m)
@@ -753,7 +781,7 @@ func (a *Agent) replayShip(aq *activeQuery) {
 	}
 	ln := &lane{aq: aq, epoch: 1}
 	ln.arm(aq.baseRate, aq.seed)
-	tp := buildTypeProgram(aq.schema, []subscriber{{ln: ln}})
+	tp := compileTypeProgram(aq.schema, []subscriber{{ln: ln}})
 	// A failed or aborted scan still owes the done marker below.
 	_ = a.cfg.Record.Scan(to-aq.replayNanos, to, aq.schema.Name(), func(ev *event.Event) bool {
 		if aq.stopped.Load() {

@@ -1,8 +1,10 @@
 package host
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -178,45 +180,74 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 	return dc
 }
 
-// buildTypeProgram compiles one event type's subscribers, each given its
-// lane and span, into their shared dispatch index: predicates interned
-// into one program, identical column sets merged into one projection
-// group, subscribers split into the always/gated lists.
-func buildTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
-	tp := &typeProgram{schema: schema}
+// compileTypeProgram interns every subscriber's predicate, in
+// (QueryID, TypeIdx) order, into a fresh program and builds the type's
+// dispatch index over it: a full rebuild's path, and a replay scan's,
+// whose one-query index must not share node ids with the live program.
+func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
+	sortSubscribers(subs)
 	b := expr.NewProgramBuilder()
-	groupIdx := make(map[string]int32, len(subs))
-	width := 0
+	kept := subs[:0]
 	for _, s := range subs {
-		aq := s.ln.aq
-		s.pred, s.group = -1, -1
-		if aq.canon != nil {
-			// Start trial-interned the same canonical tree, so this cannot
-			// fail here.
-			id, err := b.Intern(aq.canon)
+		s.pred = -1
+		if canon := s.ln.aq.canon; canon != nil {
+			// Start interned the same canonical tree, so this cannot fail
+			// here.
+			id, err := b.Intern(canon)
 			if err != nil {
 				continue // unreachable; drop rather than dispatch wrongly
 			}
 			s.pred = id
 		}
+		kept = append(kept, s)
+	}
+	return buildTypeProgram(schema, b.Build(), kept)
+}
+
+// sortSubscribers orders a type's subscribers by (QueryID, TypeIdx), so
+// the order Log offers an event to them depends on neither map iteration
+// nor install order.
+func sortSubscribers(subs []subscriber) {
+	slices.SortFunc(subs, func(x, y subscriber) int {
+		p, q := x.ln.aq, y.ln.aq
+		return cmp.Or(cmp.Compare(p.queryID, q.queryID), cmp.Compare(p.typeIdx, q.typeIdx))
+	})
+}
+
+// buildTypeProgram builds one event type's dispatch index over prog, the
+// program every subscriber's pred is a node of: identical column sets
+// merged into one projection group, subscribers split, in the order
+// given, into the always/gated lists. Each subscriber comes with its
+// lane, its predicate node and its span: as the query set it, or as an
+// earlier build left it, which builds the same lists again.
+func buildTypeProgram(schema *event.Schema, prog *expr.Program, subs []subscriber) *typeProgram {
+	tp := &typeProgram{schema: schema}
+	if prog.NumNodes() > 0 {
+		tp.prog = prog
+	}
+	groupIdx := make(map[string]int32)
+	var gk []byte
+	width := 0
+	for _, s := range subs {
+		aq := s.ln.aq
+		s.group = -1
 		if aq.width > 0 {
-			gk := groupKey(aq.colIdx)
-			g, ok := groupIdx[gk]
+			gk = groupKey(gk[:0], aq.colIdx)
+			g, ok := groupIdx[string(gk)]
 			if !ok {
 				g = int32(len(tp.groups))
-				groupIdx[gk] = g
+				groupIdx[string(gk)] = g
 				tp.groups = append(tp.groups, projGroup{colIdx: aq.colIdx, off: width})
 				width += aq.width
 			}
 			s.group = g
 		}
-		open := s.startNs == 0 && s.endNs == 0
 		if s.startNs == 0 {
 			// A zero start leaves the span open before it, pre-1970 event
 			// times included, for the solo and gated checks alike.
 			s.startNs = math.MinInt64
 		}
-		if open {
+		if s.startNs == math.MinInt64 && s.endNs == 0 {
 			tp.always = append(tp.always, s)
 		} else {
 			if len(tp.gated) == 0 || s.startNs < tp.minStart {
@@ -224,9 +255,6 @@ func buildTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 			}
 			tp.gated = append(tp.gated, s)
 		}
-	}
-	if prog := b.Build(); prog.NumNodes() > 0 {
-		tp.prog = prog
 	}
 	if len(tp.always)+len(tp.gated) == 1 && tp.prog == nil {
 		if len(tp.always) == 1 {
@@ -240,14 +268,14 @@ func buildTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 	return tp
 }
 
-// groupKey encodes a projection column set so subscribers projecting
-// identical columns (in the same order) share one projGroup.
-func groupKey(colIdx []int) string {
-	b := make([]byte, 0, len(colIdx)*4)
+// groupKey appends the encoding of a projection column set to b, so
+// subscribers projecting identical columns (in the same order) share one
+// projGroup.
+func groupKey(b []byte, colIdx []int) []byte {
 	for _, idx := range colIdx {
 		b = binary.AppendVarint(b, int64(idx))
 	}
-	return string(b)
+	return b
 }
 
 // dispatch runs one event through a type's query index — Log's snapshot

@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -430,4 +431,145 @@ func TestForeignSchemaMatchesByName(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSeededInstallMatchesRebuild holds the two ways a snapshot is built
+// to each other: Start seeds the type's program from the live one and
+// interns only its own predicate, removal and shed rebuild from nothing.
+// Over a seeded churn of Start, Stop, PruneExpired and governor shed, with
+// predicates that share subtrees, every step must leave each subscriber
+// selecting, on a fixed set of events, exactly what it selects in a
+// from-scratch build over the same live queries, in the same dispatch
+// order and span split, on a program of the same size.
+func TestSeededInstallMatchesRebuild(t *testing.T) {
+	atoms := append(decoyPreds(), predSpellings()[1:]...)
+	base := time.Now().UnixNano()
+	cities := []string{"sf", "nyc", "la", ""}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		evs := make([]*event.Event, 64)
+		for i := range evs {
+			evs[i] = bidEvent(uint64(i), rng.Int63n(6), cities[rng.Intn(len(cities))],
+				float64(rng.Intn(200))/100-0.3, base+int64(rng.Intn(1000)))
+		}
+		a := newAgent(t, &collectSink{}, func(c *Config) { c.FlushInterval = time.Hour })
+		now, next := base, uint64(1)
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6: // Start: one to three atoms, and-ed or or-ed
+				var pred expr.Node
+				if rng.Intn(8) != 0 {
+					pred = atoms[rng.Intn(len(atoms))]
+					for k := rng.Intn(3); k > 0; k-- {
+						pred = expr.Binary{Op: []expr.Op{expr.OpAnd, expr.OpOr}[rng.Intn(2)], L: pred, R: atoms[rng.Intn(len(atoms))]}
+					}
+				}
+				hq := transport.HostQuery{QueryID: next, EventType: "bid", Pred: pred, Columns: colSets[rng.Intn(len(colSets))]}
+				if rng.Intn(3) == 0 {
+					hq.StartNanos = now + rng.Int63n(500)
+					hq.EndNanos = hq.StartNanos + 1 + rng.Int63n(1000)
+				}
+				next++
+				if err := a.Start(hq); err != nil {
+					t.Fatal(err)
+				}
+			case op < 8:
+				if ids := a.ActiveQueries(); len(ids) > 0 {
+					a.Stop(ids[rng.Intn(len(ids))])
+				}
+			case op < 9:
+				now += rng.Int63n(300)
+				a.PruneExpired(time.Unix(0, now))
+			default: // what governTick's ActionShed does to the index
+				a.mu.Lock()
+				for _, aq := range a.queries {
+					if !aq.shed {
+						aq.shed = true
+						a.rebuildLocked()
+						break
+					}
+				}
+				a.mu.Unlock()
+			}
+			checkAgainstRebuild(t, a, evs, fmt.Sprintf("seed %d step %d", seed, step))
+		}
+	}
+}
+
+// checkAgainstRebuild compares the agent's live bid index with one
+// compiled from nothing over the same live, unshed queries.
+func checkAgainstRebuild(t *testing.T, a *Agent, evs []*event.Event, at string) {
+	t.Helper()
+	a.mu.Lock()
+	var subs []subscriber
+	for _, aq := range a.queries {
+		if !aq.shed {
+			subs = append(subs, subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
+		}
+	}
+	a.mu.Unlock()
+	got := a.byType.Load().byName["bid"]
+	if len(subs) == 0 {
+		if got != nil {
+			t.Fatalf("%s: no live query, but the snapshot indexes bid", at)
+		}
+		return
+	}
+	want := compileTypeProgram(bidSchema, subs)
+	if got == nil {
+		t.Fatalf("%s: %d live queries, but the snapshot does not index bid", at, len(subs))
+	}
+	if g, w := got.numNodes(), want.numNodes(); g != w {
+		t.Fatalf("%s: %d program nodes, a rebuild has %d", at, g, w)
+	}
+	if (got.solo == nil) != (want.solo == nil) || got.minStart != want.minStart {
+		t.Fatalf("%s: solo %v minStart %d, a rebuild has solo %v minStart %d", at, got.solo != nil, got.minStart, want.solo != nil, want.minStart)
+	}
+	gotSubs, wantSubs := slices.Concat(got.always, got.gated), slices.Concat(want.always, want.gated)
+	if len(got.always) != len(want.always) || len(gotSubs) != len(wantSubs) {
+		t.Fatalf("%s: %d+%d always+gated subscribers, a rebuild has %d+%d",
+			at, len(got.always), len(got.gated), len(want.always), len(want.gated))
+	}
+	for i, g := range gotSubs {
+		w := wantSubs[i]
+		if g.ln != w.ln || g.startNs != w.startNs || g.endNs != w.endNs ||
+			!slices.Equal(got.groupCols(g.group), want.groupCols(w.group)) {
+			t.Fatalf("%s: subscriber %d is query %d %+v, a rebuild has query %d %+v", at, i, g.ln.aq.queryID, g, w.ln.aq.queryID, w)
+		}
+	}
+	gc, wc := got.newCtx(), want.newCtx()
+	for _, ev := range evs {
+		gc.Begin(expr.EventRow{Event: ev})
+		wc.Begin(expr.EventRow{Event: ev})
+		for i, g := range gotSubs {
+			w := wantSubs[i]
+			if gm, wm := g.pred < 0 || gc.Bool(g.pred), w.pred < 0 || wc.Bool(w.pred); gm != wm {
+				t.Fatalf("%s: query %d selects event %d: %v, in a rebuild %v", at, g.ln.aq.queryID, ev.RequestID, gm, wm)
+			}
+		}
+	}
+}
+
+func (tp *typeProgram) numNodes() int {
+	if tp.prog == nil {
+		return 0
+	}
+	return tp.prog.NumNodes()
+}
+
+// newCtx is an evaluation context for the program, an empty one's when
+// there is none.
+func (tp *typeProgram) newCtx() *expr.Ctx {
+	if tp.prog == nil {
+		return expr.NewProgramBuilder().Build().NewCtx()
+	}
+	return tp.prog.NewCtx()
+}
+
+// groupCols is projection group g's columns, nil for none.
+func (tp *typeProgram) groupCols(g int32) []int {
+	if g < 0 {
+		return nil
+	}
+	return tp.groups[g].colIdx
 }

@@ -87,3 +87,76 @@ func BenchmarkLogQueryScale(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAgentStart times Start installing the k-th query on the one
+// event type while k−1 are live: per op, the k-th is stopped (untimed)
+// and installed again. ms/all is the wall time the setup took to install
+// all k into an empty agent, what a host pays as a fleet of
+// troubleshooters' queries arrives. Every query is three conjuncts,
+// `bid_price > c and user_id % 64 = r and city = s`:
+//
+//	overlap:  (c, r, s) cycle together through 16 combinations, so the
+//	          k queries hold 16 distinct predicates
+//	distinct: c also differs per query in the sixth decimal, r cycles
+//	          through 64 residues and s through 32 cities, so every
+//	          predicate is its own and only the conjuncts overlap
+func BenchmarkAgentStart(b *testing.B) {
+	const overlapPreds = 16
+	mixes := []struct {
+		name  string
+		query func(i int) expr.Node
+	}{
+		{"overlap", func(i int) expr.Node {
+			j := i % overlapPreds
+			return startPred(6+3*float64(j)/overlapPreds, j, fmt.Sprintf("c%d", j))
+		}},
+		{"distinct", func(i int) expr.Node {
+			return startPred(6+3*float64(i%overlapPreds)/overlapPreds+float64(i)*1e-6, i%64, fmt.Sprintf("c%d", i%32))
+		}},
+	}
+	for _, mix := range mixes {
+		for _, k := range []int{64, 256, 1024} {
+			b.Run(fmt.Sprintf("mix=%s/queries=%d", mix.name, k), func(b *testing.B) {
+				a, err := New(Config{HostID: "h", Service: "s", Catalog: testCatalog(),
+					Sink: SinkFunc(func(transport.TupleBatch) error { return nil }), FlushInterval: time.Hour})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer a.Close()
+				qs := make([]transport.HostQuery, k)
+				for i := range qs {
+					qs[i] = transport.HostQuery{QueryID: uint64(i + 1), EventType: "bid", Pred: mix.query(i), Columns: []string{"user_id"}}
+				}
+				t0 := time.Now()
+				for _, q := range qs {
+					if err := a.Start(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				all := time.Since(t0)
+				last := qs[k-1]
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					a.Stop(last.QueryID)
+					b.StartTimer()
+					if err := a.Start(last); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(all)/1e6, "ms/all")
+			})
+		}
+	}
+}
+
+// startPred is `bid.bid_price > c and bid.user_id % 64 = r and bid.city = s`.
+func startPred(c float64, r int, s string) expr.Node {
+	f := func(name string) expr.Node { return expr.FieldRef{Type: "bid", Name: name} }
+	and := func(x, y expr.Node) expr.Node { return expr.Binary{Op: expr.OpAnd, L: x, R: y} }
+	return and(and(
+		expr.Binary{Op: expr.OpGt, L: f("bid_price"), R: expr.Lit{Val: event.Float(c)}},
+		expr.Binary{Op: expr.OpEq, L: expr.Binary{Op: expr.OpMod, L: f("user_id"), R: expr.Lit{Val: event.Int(64)}}, R: expr.Lit{Val: event.Int(int64(r))}}),
+		expr.Binary{Op: expr.OpEq, L: f("city"), R: expr.Lit{Val: event.Str(s)}})
+}

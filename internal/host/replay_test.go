@@ -1,6 +1,7 @@
 package host
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -195,5 +196,59 @@ func TestReplayMetricsCharged(t *testing.T) {
 	}
 	if b := a.replayShipBytes.Value(); b == 0 {
 		t.Error("scrub_host_replay_ship_bytes_total = 0, want > 0")
+	}
+}
+
+func TestReplayIndexSelectsOwnQuery(t *testing.T) {
+	// A replay scan's one-query index is compiled on its own, not carved
+	// out of the live program: with every decoy predicate live beside it,
+	// and its own predicate built from two of their subtrees, the scan
+	// must ship exactly the recorded events its predicate selects.
+	sink := &collectSink{}
+	a, _ := newRecordingAgent(t, sink)
+	now := time.Now().UnixNano()
+	cities := []string{"sf", "nyc", "la", ""}
+	var history []*event.Event
+	for i := uint64(1); i <= 200; i++ {
+		ev := bidEvent(i, int64(i%7), cities[i%4], float64(i%9)/4, now-int64(time.Second)+int64(i))
+		history = append(history, ev)
+		a.Log(ev)
+	}
+	decoys := decoyPreds()
+	for i, p := range decoys {
+		if err := a.Start(transport.HostQuery{QueryID: uint64(i + 1), EventType: "bid", Pred: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred := expr.Binary{Op: expr.OpAnd, L: decoys[7], R: decoys[3]} // user_id % 4 = 1 and city != "sf"
+	if err := a.Start(transport.HostQuery{
+		QueryID: 99, EventType: "bid", Pred: pred, Columns: []string{"user_id"},
+		ReplayNanos: int64(time.Minute),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checked, _, err := expr.Check(pred, expr.SchemaResolver{Schemas: []*event.Schema{bidSchema}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := expr.Compile(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for _, ev := range history {
+		if expr.Predicate(ref)(expr.EventRow{Event: ev}) {
+			want = append(want, ev.RequestID)
+		}
+	}
+	if len(want) == 0 || len(want) == len(history) {
+		t.Fatalf("the predicate selects %d of %d recorded events: no test of selection", len(want), len(history))
+	}
+	var got []uint64
+	for _, tu := range replayTuples(waitReplayDone(t, sink)) {
+		got = append(got, tu.RequestID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("replayed request ids %v, want %v", got, want)
 	}
 }
