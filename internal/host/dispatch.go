@@ -45,8 +45,9 @@ type projGroup struct {
 }
 
 // typeProgram is the per-event-type entry of the immutable dispatch
-// snapshot: the type's shared query index, rebuilt wholesale by
-// rebuildLocked. Instead of running every query's predicate and
+// snapshot: the type's shared query index, replaced wholesale when a
+// query of the type starts (installLocked) or any query leaves
+// (rebuildLocked). Instead of running every query's predicate and
 // projection independently, the queries' canonicalized predicates are
 // interned into one expr.Program (structurally identical predicates and
 // common subexpressions become one node each) and subscribers with
