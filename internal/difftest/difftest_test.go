@@ -152,29 +152,30 @@ func TestDefaultLatenessSweep(t *testing.T) {
 // mode at several shard counts (mode cycle: 24-seed blocks; see
 // deriveConfig).
 func TestRegressionSeeds(t *testing.T) {
-	seeds := []int64{
-		0,    // raw,      1 shard, exact: canonical raw-row order
-		1,    // grouped,  1 shard, exact
-		3,    // topk,     1 shard, exact: SpaceSaving merge + determinism
-		5,    // join,     1 shard, exact: join fan-out + pending merge
-		9,    // topk,     2 shards, exact: cross-shard sketch merge
-		15,   // topk,     4 shards, exact
-		21,   // topk,     8 shards, exact
-		18,   // raw,      8 shards, exact: merge truncation accounting
-		22,   // distinct, 8 shards, exact: HLL register-max merge
-		23,   // join,     8 shards, exact
-		72,   // raw,      1 shard, chaos: late redelivery + host death
-		76,   // distinct, 1 shard, chaos: stop-flush drop accounting
-		78,   // raw,      2 shards, chaos: stop-flush drop accounting
-		86,   // ungrouped, 4 shards, chaos: stop-flush drop accounting
-		87,   // topk,     4 shards, chaos: stop-flush drop accounting
-		93,   // topk,     8 shards, chaos: stop-flush drop accounting
-		95,   // join,     8 shards, chaos: degraded-window agreement
-		13,   // grouped,  4 shards, exact: leader killed mid-query, standby resumes
-		69,   // topk,     8 shards, hostsample: failover under host subsetting
-		1169, // join,     4 shards, exact: the agent's solo path dropped pre-1970 exclusions
-	}
-	for _, seed := range seeds {
+	for _, seed := range regressionSeeds {
 		runSeed(t, seed)
 	}
+}
+
+var regressionSeeds = []int64{
+	0,    // raw,      1 shard, exact: canonical raw-row order
+	1,    // grouped,  1 shard, exact
+	3,    // topk,     1 shard, exact: SpaceSaving merge + determinism
+	5,    // join,     1 shard, exact: join fan-out + pending merge
+	9,    // topk,     2 shards, exact: cross-shard sketch merge
+	15,   // topk,     4 shards, exact
+	21,   // topk,     8 shards, exact
+	18,   // raw,      8 shards, exact: merge truncation accounting
+	22,   // distinct, 8 shards, exact: HLL register-max merge
+	23,   // join,     8 shards, exact
+	72,   // raw,      1 shard, chaos: late redelivery + host death
+	76,   // distinct, 1 shard, chaos: stop-flush drop accounting
+	78,   // raw,      2 shards, chaos: stop-flush drop accounting
+	86,   // ungrouped, 4 shards, chaos: stop-flush drop accounting
+	87,   // topk,     4 shards, chaos: stop-flush drop accounting
+	93,   // topk,     8 shards, chaos: stop-flush drop accounting
+	95,   // join,     8 shards, chaos: degraded-window agreement
+	13,   // grouped,  4 shards, exact: leader killed mid-query, standby resumes
+	69,   // topk,     8 shards, hostsample: failover under host subsetting
+	1169, // join,     4 shards, exact: the agent's solo path dropped pre-1970 exclusions
 }

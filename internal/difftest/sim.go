@@ -162,6 +162,30 @@ func Run(cfg Config) (*Outcome, error) {
 	return out, nil
 }
 
+// decoy is a query an agent runs beside the one under test: its text and
+// its span, [0, 0) when it has none.
+type decoy struct {
+	src        string
+	start, end int64
+}
+
+// drawDecoys draws a seed's 0–4 decoys, half of them with a span, from a
+// source of their own so that the seed's query and streams do not move
+// with them.
+func drawDecoys(seed int64) []decoy {
+	drng := rand.New(rand.NewSource(^seed))
+	out := make([]decoy, drng.Intn(5))
+	for i := range out {
+		d := &out[i]
+		d.src = genQuery(drng, drng.Intn(numFamilies), windowShapes)
+		if drng.Intn(2) == 0 {
+			d.start = drng.Int63n(int64(30 * time.Second))
+			d.end = d.start + 1 + drng.Int63n(int64(60*time.Second))
+		}
+	}
+	return out
+}
+
 // hostHalf logs every event through its host's agent, flushing at the
 // generator's flush points, and holds what the agents shipped to
 // checkAgents. It returns the captured batches, the streams under test in
@@ -169,24 +193,17 @@ func Run(cfg Config) (*Outcome, error) {
 // matched events, sampled or not.
 func (g *gen) hostHalf() (capture, []streamKey, []oracle.Event, error) {
 	qid := g.plan.QueryID
-	// Beside the query under test every agent runs 0–4 decoys, drawn from a
-	// source of their own so the seed's query and streams do not move with
-	// them: they put shared dispatch, projection groups, span gating (half
-	// carry a span), the solo path and the schema scan under the sweep.
-	// Their batches are captured and accounted for, never delivered.
-	drng := rand.New(rand.NewSource(^g.cfg.Seed))
+	// Beside the query under test every agent runs the seed's decoys: they
+	// put shared dispatch, projection groups, span gating, the solo path
+	// and the schema scan under the sweep. Their batches are captured and
+	// accounted for, never delivered.
 	var decoys []transport.HostQuery
-	for i, n := 0, drng.Intn(5); i < n; i++ {
-		dp, err := analyze(genQuery(drng, drng.Intn(numFamilies), windowShapes), g.cat)
+	for i, d := range drawDecoys(g.cfg.Seed) {
+		dp, err := analyze(d.src, g.cat)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		var start, end int64
-		if drng.Intn(2) == 0 {
-			start = drng.Int63n(int64(30 * time.Second))
-			end = start + 1 + drng.Int63n(int64(60*time.Second))
-		}
-		decoys = append(decoys, dp.HostQueries(qid+1+uint64(i), start, end)...)
+		decoys = append(decoys, dp.HostQueries(qid+1+uint64(i), d.start, d.end)...)
 	}
 	sink := capture{}
 	agents := make(map[string]*host.Agent, len(g.hosts))

@@ -14,7 +14,7 @@ import (
 	"scrub/internal/transport"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/windows.golden from the seeds this run checks")
+var update = flag.Bool("update", false, "rewrite testdata/windows.golden from the seeds this run checks, and testdata/plans.golden")
 
 const windowsGolden = "testdata/windows.golden"
 

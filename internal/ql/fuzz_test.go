@@ -1,36 +1,29 @@
 package ql
 
-import "testing"
+import (
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // FuzzParse drives the full lex→parse pipeline with arbitrary query
 // text. Beyond not panicking, it checks the printer/parser round-trip:
 // any query that parses must re-parse from its own String() rendering,
 // and the rendering must be a fixed point (String of the re-parse is
 // byte-identical) — the property Explain and the query server's echo
-// path rely on.
+// path rely on. Its seeds are testdata/parse_seeds.txt, one Go-quoted
+// query a line, which internal/difftest's plans golden pins the plans of.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"select x, COUNT(*) from bid where a >= 1.5 and b != 'hi'",
-		"select count(*) from bid",
-		`select impression.exchange_id, count(*) from impression group by impression.exchange_id order by 2 desc limit 10`,
-		`select bid.exchange_id, exclusion.reason, count(*) from bid, exclusion where bid.request_id = exclusion.request_id group by bid.exchange_id, exclusion.reason`,
-		`select count(*) from bid start +30s duration 20m`,
-		`select count(*) from bid start "2026-07-05T10:00:00Z" duration 60`,
-		`select count(*) from bid start now`,
-		`select count(*) from bid duration 10m replay 30s`,
-		`select count(*) from bid replay 45`,
-		`select sum(price), avg(price) from bid window 10s slide 2s`,
-		`select top_k(city, 5) from bid @ service = exchange and dc = iad sample hosts 10% events 50%`,
-		`select count_distinct(user_id) from bid having count(*) > 100 budget cpu 1% bytes 1048576;`,
-		`select x from bid where name like 'a%' or name contains 'b' and not (a in (1, 2, 3))`,
-		"select 'unterminated",
-		"select 1.2.3",
-		"select `backtick`",
-		"select x\nfrom bid\nwhere $",
-		"",
-		";",
+	seeds, err := os.ReadFile("testdata/parse_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, s := range seeds {
+	for _, line := range strings.Split(strings.TrimSuffix(string(seeds), "\n"), "\n") {
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatalf("testdata/parse_seeds.txt: %q: %v", line, err)
+		}
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
