@@ -92,7 +92,10 @@ func BenchmarkLogQueryScale(b *testing.B) {
 // event type while k−1 are live: per op, the k-th is stopped (untimed)
 // and installed again. ms/all is the wall time the setup took to install
 // all k into an empty agent, what a host pays as a fleet of
-// troubleshooters' queries arrives. Every query is three conjuncts,
+// troubleshooters' queries arrives. ms/stop is the mean time of the
+// untimed Stop, the compacting rebuild that re-interns the k−1 queries
+// left into a fresh program: an intern that scanned the nodes would make
+// it grow with k². Every query is three conjuncts,
 // `bid_price > c and user_id % 64 = r and city = s`:
 //
 //	overlap:  (c, r, s) cycle together through 16 combinations, so the
@@ -137,15 +140,19 @@ func BenchmarkAgentStart(b *testing.B) {
 				last := qs[k-1]
 				b.ReportAllocs()
 				b.ResetTimer()
+				var stop time.Duration
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
+					t0 := time.Now()
 					a.Stop(last.QueryID)
+					stop += time.Since(t0)
 					b.StartTimer()
 					if err := a.Start(last); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(all)/1e6, "ms/all")
+				b.ReportMetric(float64(stop)/1e6/float64(b.N), "ms/stop")
 			})
 		}
 	}
