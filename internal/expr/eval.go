@@ -310,6 +310,7 @@ func inValue(v event.Value, lits []event.Value, negate bool) event.Value {
 // interpreter can hold it in a node and scrubvet can chase match
 // statically.
 type likeMatcher struct {
+	pat string // as written, which a ProgramBuilder finds the matcher by
 	// chunks are the literal runs between % separators: the first anchors
 	// the start, the last anchors the end, the middle ones float in order.
 	chunks []string
@@ -326,7 +327,7 @@ func likeFor(r Node) (likeMatcher, error) {
 	if !ok {
 		return likeMatcher{}, fmt.Errorf("expr: compile: like pattern must be a string")
 	}
-	return likeMatcher{chunks: strings.Split(ps, "%")}, nil
+	return likeMatcher{pat: ps, chunks: strings.Split(ps, "%")}, nil
 }
 
 // match reports whether s matches the pattern.

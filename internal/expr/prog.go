@@ -2,9 +2,9 @@ package expr
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
-	"strings"
 
 	"scrub/internal/event"
 )
@@ -96,13 +96,13 @@ func (p *Program) NumNodes() int { return len(p.nodes) }
 // subexpressions intern to the same node; interning is correct (just less
 // shared) without it. A node is keyed on its instruction: its children
 // are node ids and every side table holds a value once, so the inst is
-// the subexpression's identity.
+// the subexpression's identity. Nodes and string literals are found
+// through an open-addressed index over the builder's own table; fields,
+// in-lists and LIKE patterns, a handful per program, by a scan.
 type ProgramBuilder struct {
-	p      Program // nodes and side tables so far
-	ids    map[inst]int32
-	fields map[fieldName]int32
-	vals   map[event.Value]int32 // string literals by content, list ones by identity (ql parses none)
-	pats   map[event.Value]int32 // LIKE patterns, to their likes entry
+	p    Program // nodes and side tables so far
+	ids  index   // over p.nodes
+	strs index   // over p.vals: string literals by content, list ones by identity (ql parses none)
 }
 
 // NewProgramBuilder returns an empty builder.
@@ -113,27 +113,25 @@ func NewProgramBuilder() *ProgramBuilder { return new(Program).Builder() }
 // out stays valid. p is not changed: a builder only appends, and the
 // tables it starts from are clipped, so its first append copies them.
 func (p *Program) Builder() *ProgramBuilder {
-	b := &ProgramBuilder{
-		p: Program{nodes: slices.Clip(p.nodes), fields: slices.Clip(p.fields),
-			vals: slices.Clip(p.vals), lists: slices.Clip(p.lists), likes: slices.Clip(p.likes)},
-		ids:    make(map[inst]int32, len(p.nodes)),
-		fields: make(map[fieldName]int32, len(p.fields)),
-		vals:   make(map[event.Value]int32, len(p.vals)),
-		pats:   make(map[event.Value]int32, len(p.likes)),
-	}
-	for i, nd := range p.nodes {
-		b.ids[nd] = int32(i)
-	}
-	for i, f := range p.fields {
-		b.fields[f] = int32(i)
-	}
-	for i, v := range p.vals {
-		b.vals[v] = int32(i)
-	}
-	for i, m := range p.likes {
-		b.pats[event.Str(strings.Join(m.chunks, "%"))] = int32(i)
-	}
+	b := &ProgramBuilder{p: Program{nodes: slices.Clip(p.nodes), fields: slices.Clip(p.fields),
+		vals: slices.Clip(p.vals), lists: slices.Clip(p.lists), likes: slices.Clip(p.likes)}}
+	b.indexNodes()
+	b.indexVals()
 	return b
+}
+
+func (b *ProgramBuilder) indexNodes() {
+	b.ids = newIndex(len(b.p.nodes))
+	for e, nd := range b.p.nodes {
+		b.ids.add(hashInst(nd), int32(e))
+	}
+}
+
+func (b *ProgramBuilder) indexVals() {
+	b.strs = newIndex(len(b.p.vals))
+	for e, v := range b.p.vals {
+		b.strs.add(hashVal(v), int32(e))
+	}
 }
 
 // Intern adds a checked tree and returns its node id, reusing every
@@ -147,13 +145,18 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 		nd = inst{op: opLit, k: t.Val.Kind(), r: -1}
 		switch nd.k {
 		case event.KindString, event.KindList:
-			nd.r = add(b.vals, &b.p.vals, t.Val, t.Val)
+			nd.r = intern(&b.strs, &b.p.vals, t.Val, hashVal(t.Val), b.indexVals)
 		default:
 			_, nd.imm = t.Val.Raw()
 		}
 	case FieldRef:
 		f := fieldName{t.Type, t.Name}
-		nd = inst{op: opField, r: add(b.fields, &b.p.fields, f, f)}
+		i := slices.Index(b.p.fields, f)
+		if i < 0 {
+			i = len(b.p.fields)
+			b.p.fields = append(b.p.fields, f)
+		}
+		nd = inst{op: opField, r: int32(i)}
 	case Unary:
 		x, err := b.Intern(t.X)
 		if err != nil {
@@ -173,14 +176,19 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 			return -1, err
 		}
 		if t.Op == OpLike {
-			pat, _ := t.R.(Lit)
-			i, ok := b.pats[pat.Val]
-			if !ok {
+			i := -1
+			if pat, ok := t.R.(Lit); ok {
+				if ps, ok := pat.Val.AsStr(); ok {
+					i = slices.IndexFunc(b.p.likes, func(m likeMatcher) bool { return m.pat == ps })
+				}
+			}
+			if i < 0 {
 				m, err := likeFor(t.R)
 				if err != nil {
 					return -1, err
 				}
-				i = add(b.pats, &b.p.likes, pat.Val, m)
+				i = len(b.p.likes)
+				b.p.likes = append(b.p.likes, m)
 			}
 			nd = inst{op: opLike, l: l, r: b.fieldOf(l), imm: uint64(i)}
 			break
@@ -233,19 +241,72 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 	default:
 		return -1, fmt.Errorf("expr: intern: unsupported node %T", n)
 	}
-	return add(b.ids, &b.p.nodes, nd, nd), nil
+	return intern(&b.ids, &b.p.nodes, nd, hashInst(nd), b.indexNodes), nil
 }
 
-// add returns key's index in *table, appending v there on key's first use.
-func add[K comparable, V any](index map[K]int32, table *[]V, key K, v V) int32 {
-	i, ok := index[key]
-	if !ok {
-		i = int32(len(*table))
-		index[key] = i
-		*table = append(*table, v)
+// intern returns v's position in *table, appending v there on its first
+// use; h is v's hash, and reindex rebuilds x over the grown table when it
+// fills.
+func intern[T comparable](x *index, table *[]T, v T, h uint64, reindex func()) int32 {
+	mask := uint64(len(*x) - 1)
+	for i := h & mask; (*x)[i] != 0; i = (i + 1) & mask {
+		if e := (*x)[i] - 1; (*table)[e] == v {
+			return e
+		}
 	}
-	return i
+	e := int32(len(*table))
+	*table = append(*table, v)
+	if x.add(h, e) {
+		reindex()
+	}
+	return e
 }
+
+// An index finds the entries of one of a builder's tables by hash: open
+// addressing with linear probing, each slot an entry's position + 1 or 0
+// when empty, at most three quarters full so that every probe ends.
+type index []int32
+
+// newIndex returns an empty index sized for n entries.
+func newIndex(n int) index {
+	size := 8
+	for 3*size <= 4*n {
+		size *= 2
+	}
+	return make(index, size)
+}
+
+// add records entry e, the table's last, whose hash is h, and reports
+// whether the index is now too full to take another.
+func (x index) add(h uint64, e int32) bool {
+	mask := uint64(len(x) - 1)
+	i := h & mask
+	for x[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x[i] = e + 1
+	return 4*int(e+1) > 3*len(x)
+}
+
+// hashInst hashes an instruction: its words multiplied apart, then one
+// multiply-shift round so that every bit reaches the low ones an index
+// masks.
+func hashInst(nd inst) uint64 {
+	var neg uint64
+	if nd.negate {
+		neg = 1
+	}
+	h := (uint64(nd.op)|uint64(nd.cmp)<<8|uint64(nd.k)<<16|neg<<24|uint64(uint32(nd.r))<<32)*0x9e3779b97f4a7c15 ^
+		uint64(uint32(nd.l))*0xbf58476d1ce4e5b9 ^ nd.imm*0x94d049bb133111eb
+	h = (h ^ h>>29) * 0xbf58476d1ce4e5b9
+	return h ^ h>>32
+}
+
+// hashVal hashes a string literal's content. A list literal hashes as the
+// empty string does, and == tells the two apart.
+func hashVal(v event.Value) uint64 { return maphash.String(strSeed, v.RawStr()) }
+
+var strSeed = maphash.MakeSeed()
 
 // fieldOf is node id's field ordinal when it is a field reference, -1
 // otherwise: a specialised instruction then reads the column directly
