@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -571,13 +570,10 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 func (a *Agent) installLocked(aq *activeQuery) error {
 	cur := a.byType.Load()
 	name := aq.schema.Name()
+	tp := cur.byName[name]
 	b := expr.NewProgramBuilder()
-	var subs []subscriber
-	if tp := cur.byName[name]; tp != nil {
-		if tp.prog != nil {
-			b = tp.prog.Builder()
-		}
-		subs = slices.Concat(tp.always, tp.gated)
+	if tp != nil && tp.prog != nil {
+		b = tp.prog.Builder()
 	}
 	s := subscriber{ln: &aq.live, pred: -1, startNs: aq.startNs, endNs: aq.endNs}
 	if aq.canon != nil {
@@ -587,8 +583,10 @@ func (a *Agent) installLocked(aq *activeQuery) error {
 		}
 		s.pred = id
 	}
-	subs = append(subs, s)
-	sortSubscribers(subs)
+	subs := []subscriber{s}
+	if tp != nil {
+		subs = withSubscriber(tp, s)
+	}
 	m := make(map[string]*typeProgram, len(cur.byName)+1)
 	maps.Copy(m, cur.byName)
 	m[name] = buildTypeProgram(aq.schema, b.Build(), subs)

@@ -2,7 +2,6 @@ package host
 
 import (
 	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 	"sync"
@@ -208,47 +207,75 @@ func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 // sortSubscribers orders a type's subscribers by (QueryID, TypeIdx), so
 // the order Log offers an event to them depends on neither map iteration
 // nor install order.
-func sortSubscribers(subs []subscriber) {
-	slices.SortFunc(subs, func(x, y subscriber) int {
-		p, q := x.ln.aq, y.ln.aq
-		return cmp.Or(cmp.Compare(p.queryID, q.queryID), cmp.Compare(p.typeIdx, q.typeIdx))
-	})
+func sortSubscribers(subs []subscriber) { slices.SortFunc(subs, subscriberOrder) }
+
+func subscriberOrder(x, y subscriber) int {
+	p, q := x.ln.aq, y.ln.aq
+	return cmp.Or(cmp.Compare(p.queryID, q.queryID), cmp.Compare(p.typeIdx, q.typeIdx))
 }
+
+// withSubscriber returns tp's subscribers and s in one exact-size slice,
+// in sortSubscribers' order: tp's always and gated lists each keep the
+// order they were built in, so the two merge and s goes in at its place.
+func withSubscriber(tp *typeProgram, s subscriber) []subscriber {
+	out := make([]subscriber, 0, len(tp.always)+len(tp.gated)+1)
+	al, ga := tp.always, tp.gated
+	for len(al) > 0 && len(ga) > 0 {
+		if subscriberOrder(al[0], ga[0]) < 0 {
+			out, al = append(out, al[0]), al[1:]
+		} else {
+			out, ga = append(out, ga[0]), ga[1:]
+		}
+	}
+	out = append(append(out, al...), ga...)
+	i, _ := slices.BinarySearchFunc(out, s, subscriberOrder)
+	return slices.Insert(out, i, s)
+}
+
+// open reports whether s has no span bounds, after buildTypeProgram has
+// read a zero start as open.
+func (s *subscriber) open() bool { return s.startNs == math.MinInt64 && s.endNs == 0 }
 
 // buildTypeProgram builds one event type's dispatch index over prog, the
 // program every subscriber's pred is a node of: identical column sets
 // merged into one projection group, subscribers split, in the order
-// given, into the always/gated lists. Each subscriber comes with its
-// lane, its predicate node and its span: as the query set it, or as an
-// earlier build left it, which builds the same lists again.
+// given, into the always/gated lists, each allocated at its exact length.
+// Each subscriber comes with its lane, its predicate node and its span:
+// as the query set it, or as an earlier build left it, which builds the
+// same lists again.
 func buildTypeProgram(schema *event.Schema, prog *expr.Program, subs []subscriber) *typeProgram {
 	tp := &typeProgram{schema: schema}
 	if prog.NumNodes() > 0 {
 		tp.prog = prog
 	}
-	groupIdx := make(map[string]int32)
-	var gk []byte
-	width := 0
-	for _, s := range subs {
-		aq := s.ln.aq
-		s.group = -1
-		if aq.width > 0 {
-			gk = groupKey(gk[:0], aq.colIdx)
-			g, ok := groupIdx[string(gk)]
-			if !ok {
-				g = int32(len(tp.groups))
-				groupIdx[string(gk)] = g
-				tp.groups = append(tp.groups, projGroup{colIdx: aq.colIdx, off: width})
-				width += aq.width
-			}
-			s.group = g
-		}
+	always := 0
+	for i := range subs {
+		s := &subs[i]
 		if s.startNs == 0 {
 			// A zero start leaves the span open before it, pre-1970 event
 			// times included, for the solo and gated checks alike.
 			s.startNs = math.MinInt64
 		}
-		if s.startNs == math.MinInt64 && s.endNs == 0 {
+		if s.open() {
+			always++
+		}
+	}
+	tp.always = make([]subscriber, 0, always)
+	tp.gated = make([]subscriber, 0, len(subs)-always)
+	width := 0
+	for _, s := range subs {
+		aq := s.ln.aq
+		s.group = -1
+		if aq.width > 0 {
+			g := slices.IndexFunc(tp.groups, func(gr projGroup) bool { return slices.Equal(gr.colIdx, aq.colIdx) })
+			if g < 0 {
+				g = len(tp.groups)
+				tp.groups = append(tp.groups, projGroup{colIdx: aq.colIdx, off: width})
+				width += aq.width
+			}
+			s.group = int32(g)
+		}
+		if s.open() {
 			tp.always = append(tp.always, s)
 		} else {
 			if len(tp.gated) == 0 || s.startNs < tp.minStart {
@@ -267,16 +294,6 @@ func buildTypeProgram(schema *event.Schema, prog *expr.Program, subs []subscribe
 	projWidth := width
 	tp.ctxs.New = func() any { return newDispatchCtx(tp, projWidth) }
 	return tp
-}
-
-// groupKey appends the encoding of a projection column set to b, so
-// subscribers projecting identical columns (in the same order) share one
-// projGroup.
-func groupKey(b []byte, colIdx []int) []byte {
-	for _, idx := range colIdx {
-		b = binary.AppendVarint(b, int64(idx))
-	}
-	return b
 }
 
 // dispatch runs one event through a type's query index — Log's snapshot
