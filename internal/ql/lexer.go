@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates lexical token kinds.
@@ -92,7 +93,8 @@ func (e *SyntaxError) Error() string {
 // lex tokenizes query text. Durations like `10s`, `5m`, `1h30m`, `250ms`
 // lex as a single duration token; identifiers may not start with a digit.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// Every token but the last consumes at least a byte.
+	toks := make([]token, 0, len(src)+1)
 	i := 0
 	errf := func(pos int, format string, args ...any) error {
 		return &SyntaxError{Pos: pos, Query: src, Msg: fmt.Sprintf(format, args...)}
@@ -234,14 +236,12 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{Kind: tokString, Text: sb.String(), Pos: start})
 
-		case isIdentStart(rune(c)):
-			start := i
-			for i < len(src) && isIdentPart(rune(src[i])) {
-				i++
-			}
-			toks = append(toks, token{Kind: tokIdent, Text: src[start:i], Pos: start})
-
 		default:
+			if n := identLen(src[i:]); n > 0 {
+				toks = append(toks, token{Kind: tokIdent, Text: src[i : i+n], Pos: i})
+				i += n
+				continue
+			}
 			start := i
 			// Two-character symbols first.
 			if i+1 < len(src) {
@@ -258,7 +258,8 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{Kind: tokSymbol, Text: string(c), Pos: start})
 				i++
 			default:
-				return nil, errf(i, "unexpected character %q", string(c))
+				r, _ := utf8.DecodeRuneInString(src[i:])
+				return nil, errf(i, "unexpected character %q", string(r))
 			}
 		}
 	}
@@ -266,10 +267,17 @@ func lex(src string) ([]token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+// identLen is the byte length of the identifier s begins with, 0 when it
+// begins with none: a letter or underscore, then letters, digits and
+// underscores, all decoded from UTF-8.
+func identLen(s string) int {
+	n := 0
+	for n < len(s) {
+		r, size := utf8.DecodeRuneInString(s[n:])
+		if r != '_' && !unicode.IsLetter(r) && (n == 0 || !unicode.IsDigit(r)) {
+			break
+		}
+		n += size
+	}
+	return n
 }

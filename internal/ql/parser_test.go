@@ -67,6 +67,26 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexDecodesUTF8 holds the lexer to reading runes, not bytes: a
+// non-ASCII letter belongs to its identifier, which the analyzer then
+// judges, and a stray character is reported as itself rather than as the
+// rune one of its bytes happens to be.
+func TestLexDecodesUTF8(t *testing.T) {
+	q, err := Parse("select bid.usér from bid")
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, err := Analyze(q, testCatalog()); err == nil || !strings.Contains(err.Error(), `no field "usér"`) {
+		t.Errorf("analyze: %v, want bid has no field \"usér\"", err)
+	}
+	if _, err := Parse("select count(*) from bid where bid.é = 1"); err != nil {
+		t.Errorf("parse bid.é: %v", err)
+	}
+	if _, err := Parse("select © from bid"); err == nil || !strings.Contains(err.Error(), `unexpected character "©"`) {
+		t.Errorf("parse stray ©: %v, want unexpected character \"©\"", err)
+	}
+}
+
 func TestLexStringEscapes(t *testing.T) {
 	toks, err := lex(`select "a\n\t\"b\\c"`)
 	if err != nil {
