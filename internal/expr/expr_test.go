@@ -352,14 +352,38 @@ func TestFieldsAndWalk(t *testing.T) {
 		L: Binary{Op: OpGt, L: FieldRef{Name: "bid_price"}, R: Lit{event.Int(1)}},
 		R: In{X: FieldRef{Name: "city"}, List: []Node{Lit{event.Str("sf")}}},
 	}
-	fs := Fields(n)
-	if len(fs) != 2 || fs[0].Name != "bid_price" || fs[1].Name != "city" {
-		t.Errorf("Fields = %v", fs)
+	fields := func(n Node) []FieldRef {
+		var fs []FieldRef
+		Walk(n, func(x Node) bool {
+			if f, ok := x.(FieldRef); ok {
+				fs = append(fs, f)
+			}
+			return true
+		})
+		return fs
 	}
-	// Duplicates collapse.
+	fs := fields(n)
+	if len(fs) != 2 || fs[0].Name != "bid_price" || fs[1].Name != "city" {
+		t.Errorf("Walk's fields = %v", fs)
+	}
+	// Walk visits every occurrence, both operands of a binary node.
 	dup := Binary{Op: OpAdd, L: FieldRef{Name: "user_id"}, R: FieldRef{Name: "user_id"}}
-	if got := Fields(dup); len(got) != 1 {
-		t.Errorf("duplicate Fields = %v", got)
+	if got := fields(dup); len(got) != 2 {
+		t.Errorf("Walk's fields of a duplicate = %v", got)
+	}
+	// Returning false prunes the subtree.
+	pruned := 0
+	Walk(n, func(x Node) bool {
+		if _, ok := x.(In); ok {
+			return false
+		}
+		if _, ok := x.(FieldRef); ok {
+			pruned++
+		}
+		return true
+	})
+	if pruned != 1 {
+		t.Errorf("Walk pruned at In visited %d fields, want 1", pruned)
 	}
 }
 

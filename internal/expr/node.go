@@ -187,13 +187,13 @@ func (Call) node() {}
 
 func (c Call) String() string {
 	if c.Star {
-		return fmt.Sprintf("%s(*)", c.Name)
+		return c.Name + "(*)"
 	}
 	parts := make([]string, len(c.Args))
 	for i, a := range c.Args {
 		parts[i] = a.String()
 	}
-	return fmt.Sprintf("%s(%s)", c.Name, strings.Join(parts, ", "))
+	return c.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // AggRef replaces a Call during planning: it refers to the Index'th
@@ -238,21 +238,6 @@ func Walk(n Node, visit func(Node) bool) {
 	case AggRef:
 		Walk(t.Arg, visit)
 	}
-}
-
-// Fields returns the distinct field references in the tree, in first-seen
-// order. The host planner uses this to compute the projection column set.
-func Fields(n Node) []FieldRef {
-	var out []FieldRef
-	seen := make(map[FieldRef]bool)
-	Walk(n, func(x Node) bool {
-		if f, ok := x.(FieldRef); ok && !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-		return true
-	})
-	return out
 }
 
 // HasAggregate reports whether the tree contains an aggregate call or

@@ -2,6 +2,8 @@ package ql
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -172,6 +174,7 @@ func Analyze(q *Query, cat *event.Catalog) (*Plan, error) {
 	if q.BudgetCPUPct < 0 || q.BudgetBytesPerSec < 0 {
 		return nil, semf("budget values must be positive")
 	}
+	p.Schemas = make([]*event.Schema, 0, len(q.From))
 	for _, name := range q.From {
 		s, ok := cat.Lookup(name)
 		if !ok {
@@ -220,6 +223,7 @@ func Analyze(q *Query, cat *event.Catalog) (*Plan, error) {
 	}
 
 	// Rewrite select items: aggregate calls → AggRefs; then type-check.
+	p.Select = make([]PlannedItem, 0, len(q.Select))
 	for _, item := range q.Select {
 		rewritten, err := p.rewriteAggregates(item.Expr, false)
 		if err != nil {
@@ -246,16 +250,14 @@ func Analyze(q *Query, cat *event.Catalog) (*Plan, error) {
 	}
 
 	// Resolve group-by fields.
-	seenGroup := make(map[expr.FieldRef]bool)
 	for _, g := range q.GroupBy {
 		rg, _, err := res.ResolveField(g)
 		if err != nil {
 			return nil, &SemanticError{Msg: err.Error()}
 		}
-		if seenGroup[rg] {
+		if slices.Contains(p.GroupBy, rg) {
 			return nil, semf("duplicate group-by field %s", rg)
 		}
-		seenGroup[rg] = true
 		p.GroupBy = append(p.GroupBy, rg)
 	}
 
@@ -448,16 +450,12 @@ func (p *Plan) rewriteAggregates(n expr.Node, inAgg bool) (expr.Node, error) {
 // arguments) is a group-by key. The plan's AggPlan args were recorded
 // before Check resolved the select items, so compare by resolved refs.
 func (p *Plan) checkGrouped(n expr.Node) error {
-	grouped := make(map[expr.FieldRef]bool, len(p.GroupBy))
-	for _, g := range p.GroupBy {
-		grouped[g] = true
-	}
 	var bad *expr.FieldRef
 	var walk func(expr.Node, bool)
 	walk = func(n expr.Node, inAgg bool) {
 		switch t := n.(type) {
 		case expr.FieldRef:
-			if !inAgg && !grouped[t] && bad == nil {
+			if !inAgg && !slices.Contains(p.GroupBy, t) && bad == nil {
 				f := t
 				bad = &f
 			}
@@ -487,60 +485,66 @@ func (p *Plan) checkGrouped(n expr.Node) error {
 // splitPredicate distributes WHERE conjuncts: single-type conjuncts run on
 // the hosts of that type (paper: selection happens on the host); conjuncts
 // referencing both join sides run at ScrubCentral after the join. Constant
-// conjuncts run on every host.
+// conjuncts run on every host. Each side's conjuncts are AND-ed left to
+// right in the order WHERE lists them.
 func (p *Plan) splitPredicate(w expr.Node) {
-	conjuncts := flattenAnd(w)
-	perType := make(map[string][]expr.Node)
-	var central []expr.Node
-	for _, c := range conjuncts {
-		types := refTypes(c)
-		switch len(types) {
-		case 0:
-			for _, s := range p.Schemas {
-				perType[s.Name()] = append(perType[s.Name()], c)
-			}
-		case 1:
-			for t := range types {
-				perType[t] = append(perType[t], c)
-			}
-		default:
-			central = append(central, c)
+	var host [2]expr.Node
+	p.splitConjuncts(w, host[:len(p.Schemas)])
+	for i, s := range p.Schemas {
+		if host[i] != nil {
+			p.HostPred[s.Name()] = host[i]
 		}
 	}
-	for t, cs := range perType {
-		p.HostPred[t] = joinAnd(cs)
-	}
-	p.CentralPred = joinAnd(central)
 }
 
-func flattenAnd(n expr.Node) []expr.Node {
+// splitConjuncts adds each conjunct of n to the host predicate of the one
+// schema it references (of every schema, when it references none) or to
+// the central one.
+func (p *Plan) splitConjuncts(n expr.Node, host []expr.Node) {
 	if b, ok := n.(expr.Binary); ok && b.Op == expr.OpAnd {
-		return append(flattenAnd(b.L), flattenAnd(b.R)...)
+		p.splitConjuncts(b.L, host)
+		p.splitConjuncts(b.R, host)
+		return
 	}
-	return []expr.Node{n}
-}
-
-func joinAnd(ns []expr.Node) expr.Node {
-	if len(ns) == 0 {
-		return nil
-	}
-	out := ns[0]
-	for _, n := range ns[1:] {
-		out = expr.Binary{Op: expr.OpAnd, L: out, R: n}
-	}
-	return out
-}
-
-// refTypes returns the set of event types referenced by n (references are
-// already qualified by Check).
-func refTypes(n expr.Node) map[string]bool {
-	out := make(map[string]bool)
-	for _, f := range expr.Fields(n) {
-		if f.Type != "" {
-			out[f.Type] = true
+	switch refs := p.refSchemas(n); {
+	case refs == 0:
+		for i := range host {
+			host[i] = and(host[i], n)
 		}
+	case refs&(refs-1) == 0:
+		i := bits.TrailingZeros8(refs)
+		host[i] = and(host[i], n)
+	default:
+		p.CentralPred = and(p.CentralPred, n)
 	}
-	return out
+}
+
+func and(l, r expr.Node) expr.Node {
+	if l == nil {
+		return r
+	}
+	return expr.Binary{Op: expr.OpAnd, L: l, R: r}
+}
+
+// refSchemas returns the set of p.Schemas that n's field references name,
+// schema i as bit i (references are already qualified by Check).
+func (p *Plan) refSchemas(n expr.Node) uint8 {
+	var set uint8
+	expr.Walk(n, func(x expr.Node) bool {
+		if f, ok := x.(expr.FieldRef); ok {
+			if i := p.schemaIndex(f.Type); i >= 0 {
+				set |= 1 << i
+			}
+		}
+		return true
+	})
+	return set
+}
+
+// schemaIndex is the position in p.Schemas of the schema named typ, -1
+// when none is.
+func (p *Plan) schemaIndex(typ string) int {
+	return slices.IndexFunc(p.Schemas, func(s *event.Schema) bool { return s.Name() == typ })
 }
 
 // computeColumns derives the per-type projection sets: every user field
@@ -548,42 +552,52 @@ func refTypes(n expr.Node) map[string]bool {
 // and the residual central predicate. Host predicate fields are NOT
 // shipped unless needed elsewhere; they are consumed on the host.
 func (p *Plan) computeColumns() {
-	need := make(map[string]map[string]bool)
-	for _, s := range p.Schemas {
-		need[s.Name()] = make(map[string]bool)
+	// need[i] marks the fields of p.Schemas[i] that ship, counts[i] counts
+	// them.
+	var need [2][]bool
+	var counts [2]int
+	for i, s := range p.Schemas {
+		need[i] = make([]bool, s.NumFields())
 	}
-	addFields := func(n expr.Node) {
-		if n == nil {
-			return
-		}
-		for _, f := range expr.Fields(n) {
-			if event.IsSystemField(f.Name) {
-				continue // always shipped
-			}
-			if m, ok := need[f.Type]; ok {
-				m[f.Name] = true
+	markField := func(f expr.FieldRef) {
+		if i := p.schemaIndex(f.Type); i >= 0 && !event.IsSystemField(f.Name) {
+			if j := p.Schemas[i].FieldIndex(f.Name); j >= 0 && !need[i][j] {
+				need[i][j] = true
+				counts[i]++
 			}
 		}
+	}
+	mark := func(n expr.Node) {
+		expr.Walk(n, func(x expr.Node) bool {
+			switch t := x.(type) {
+			case expr.FieldRef:
+				markField(t)
+			case expr.AggRef:
+				return false // its input is one of p.Aggs
+			}
+			return true
+		})
 	}
 	for _, item := range p.Select {
-		addFields(item.Expr)
+		mark(item.Expr)
 	}
 	for _, a := range p.Aggs {
-		addFields(a.Arg)
+		mark(a.Arg)
 	}
 	for _, g := range p.GroupBy {
-		addFields(g)
+		markField(g)
 	}
-	addFields(p.CentralPred)
+	mark(p.CentralPred)
 
-	for _, s := range p.Schemas {
-		m := need[s.Name()]
+	for i, s := range p.Schemas {
 		// Keep schema order for deterministic plans.
 		var cols []string
-		for i := 0; i < s.NumFields(); i++ {
-			name := s.Field(i).Name
-			if m[name] {
-				cols = append(cols, name)
+		if counts[i] > 0 {
+			cols = make([]string, 0, counts[i])
+			for j, ok := range need[i] {
+				if ok {
+					cols = append(cols, s.Field(j).Name)
+				}
 			}
 		}
 		p.Columns[s.Name()] = cols
