@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 
 	"scrub/internal/event"
@@ -267,14 +268,9 @@ func intern[T comparable](x *index, table *[]T, v T, h uint64, reindex func()) i
 // when empty, at most three quarters full so that every probe ends.
 type index []int32
 
-// newIndex returns an empty index sized for n entries.
-func newIndex(n int) index {
-	size := 8
-	for 3*size <= 4*n {
-		size *= 2
-	}
-	return make(index, size)
-}
+// newIndex returns an empty index for n entries: a power of two over 4n/3
+// slots, at least 8.
+func newIndex(n int) index { return make(index, 1<<max(3, bits.Len(uint(4*n/3)))) }
 
 // add records entry e, the table's last, whose hash is h, and reports
 // whether the index is now too full to take another.
@@ -290,13 +286,10 @@ func (x index) add(h uint64, e int32) bool {
 
 // hashInst hashes an instruction: its words multiplied apart, then one
 // multiply-shift round so that every bit reaches the low ones an index
-// masks.
+// masks. negate is left out: an IN and its NOT IN share a probe run, and
+// == tells them apart.
 func hashInst(nd inst) uint64 {
-	var neg uint64
-	if nd.negate {
-		neg = 1
-	}
-	h := (uint64(nd.op)|uint64(nd.cmp)<<8|uint64(nd.k)<<16|neg<<24|uint64(uint32(nd.r))<<32)*0x9e3779b97f4a7c15 ^
+	h := (uint64(nd.op)|uint64(nd.cmp)<<8|uint64(nd.k)<<16|uint64(uint32(nd.r))<<32)*0x9e3779b97f4a7c15 ^
 		uint64(uint32(nd.l))*0xbf58476d1ce4e5b9 ^ nd.imm*0x94d049bb133111eb
 	h = (h ^ h>>29) * 0xbf58476d1ce4e5b9
 	return h ^ h>>32

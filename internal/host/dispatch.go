@@ -185,7 +185,7 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 // dispatch index over it: a full rebuild's path, and a replay scan's,
 // whose one-query index must not share node ids with the live program.
 func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
-	sortSubscribers(subs)
+	slices.SortFunc(subs, subscriberOrder)
 	b := expr.NewProgramBuilder()
 	kept := subs[:0]
 	for _, s := range subs {
@@ -204,18 +204,16 @@ func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 	return buildTypeProgram(schema, b.Build(), kept)
 }
 
-// sortSubscribers orders a type's subscribers by (QueryID, TypeIdx), so
+// subscriberOrder orders a type's subscribers by (QueryID, TypeIdx), so
 // the order Log offers an event to them depends on neither map iteration
 // nor install order.
-func sortSubscribers(subs []subscriber) { slices.SortFunc(subs, subscriberOrder) }
-
 func subscriberOrder(x, y subscriber) int {
 	p, q := x.ln.aq, y.ln.aq
 	return cmp.Or(cmp.Compare(p.queryID, q.queryID), cmp.Compare(p.typeIdx, q.typeIdx))
 }
 
 // withSubscriber returns tp's subscribers and s in one exact-size slice,
-// in sortSubscribers' order: tp's always and gated lists each keep the
+// in subscriberOrder: tp's always and gated lists each keep the
 // order they were built in, so the two merge and s goes in at its place.
 func withSubscriber(tp *typeProgram, s subscriber) []subscriber {
 	out := make([]subscriber, 0, len(tp.always)+len(tp.gated)+1)

@@ -552,26 +552,20 @@ func (p *Plan) schemaIndex(typ string) int {
 // and the residual central predicate. Host predicate fields are NOT
 // shipped unless needed elsewhere; they are consumed on the host.
 func (p *Plan) computeColumns() {
-	// need[i] marks the fields of p.Schemas[i] that ship, counts[i] counts
-	// them.
+	// need[i] marks the fields of p.Schemas[i] that ship.
 	var need [2][]bool
-	var counts [2]int
 	for i, s := range p.Schemas {
 		need[i] = make([]bool, s.NumFields())
-	}
-	markField := func(f expr.FieldRef) {
-		if i := p.schemaIndex(f.Type); i >= 0 && !event.IsSystemField(f.Name) {
-			if j := p.Schemas[i].FieldIndex(f.Name); j >= 0 && !need[i][j] {
-				need[i][j] = true
-				counts[i]++
-			}
-		}
 	}
 	mark := func(n expr.Node) {
 		expr.Walk(n, func(x expr.Node) bool {
 			switch t := x.(type) {
 			case expr.FieldRef:
-				markField(t)
+				if i := p.schemaIndex(t.Type); i >= 0 && !event.IsSystemField(t.Name) {
+					if j := p.Schemas[i].FieldIndex(t.Name); j >= 0 {
+						need[i][j] = true
+					}
+				}
 			case expr.AggRef:
 				return false // its input is one of p.Aggs
 			}
@@ -585,19 +579,16 @@ func (p *Plan) computeColumns() {
 		mark(a.Arg)
 	}
 	for _, g := range p.GroupBy {
-		markField(g)
+		mark(g)
 	}
 	mark(p.CentralPred)
 
 	for i, s := range p.Schemas {
 		// Keep schema order for deterministic plans.
 		var cols []string
-		if counts[i] > 0 {
-			cols = make([]string, 0, counts[i])
-			for j, ok := range need[i] {
-				if ok {
-					cols = append(cols, s.Field(j).Name)
-				}
+		for j, ok := range need[i] {
+			if ok {
+				cols = append(cols, s.Field(j).Name)
 			}
 		}
 		p.Columns[s.Name()] = cols

@@ -274,15 +274,13 @@ func lex(src string) ([]token, error) {
 func identLen(s string) int {
 	n := 0
 	for n < len(s) {
-		if c := s[n]; c < utf8.RuneSelf {
-			if c != '_' && !('a' <= c|0x20 && c|0x20 <= 'z') && (n == 0 || c < '0' || c > '9') {
-				break
-			}
-			n++
-			continue
+		r, size := rune(s[n]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[n:])
 		}
-		r, size := utf8.DecodeRuneInString(s[n:])
-		if !unicode.IsLetter(r) && (n == 0 || !unicode.IsDigit(r)) {
+		letter := r == '_' || 'a' <= r|0x20 && r|0x20 <= 'z' || r >= utf8.RuneSelf && unicode.IsLetter(r)
+		digit := '0' <= r && r <= '9' || r >= utf8.RuneSelf && unicode.IsDigit(r)
+		if !letter && (n == 0 || !digit) {
 			break
 		}
 		n += size
