@@ -94,7 +94,7 @@ func (e *SyntaxError) Error() string {
 // lex as a single duration token; identifiers may not start with a digit.
 func lex(src string) ([]token, error) {
 	// Queries as troubleshooters write them run about four bytes a token
-	// (`bid.user_id >= 16 and` is 7 in 22); denser text grows the slice.
+	// (`bid.user_id >= 16 and ` is six in 22); denser text grows the slice.
 	toks := make([]token, 0, len(src)/4+4)
 	i := 0
 	errf := func(pos int, format string, args ...any) error {
