@@ -267,6 +267,27 @@ func TestEstimatorCountsEverySampledHost(t *testing.T) {
 			t.Errorf("count = %s, want 30 (bound %v)", got, w.ErrBounds)
 		}
 	})
+	t.Run("governed sparse count, grouped", func(t *testing.T) {
+		// The same events under GROUP BY: the groups sum to the same 30.
+		keyed := func(host string, rate float64) transport.TupleBatch {
+			b := bidBatch(1, host)
+			for i := range 10 {
+				b.Tuples = append(b.Tuples, tup(uint64(i), sec(1), event.Int(int64(i%3))))
+			}
+			b.EffRate = rate
+			return b
+		}
+		w := run(t, `select exchange_id, count(*) from bid group by exchange_id window 10s`, 4, 4,
+			keyed("h1", 1), keyed("h2", 0.5))
+		var sum int64
+		for _, row := range w.Rows {
+			n, _ := row[1].AsInt()
+			sum += n
+		}
+		if sum != 30 || !w.Approx {
+			t.Errorf("Σ count = %d (approx %v) over %v, want 30, approximate", sum, w.Approx, w.Rows)
+		}
+	})
 	t.Run("host-sampled window with one reporter", func(t *testing.T) {
 		// Four of eight hosts sampled, one of them matches: the scale-up
 		// is 2, and the bound is that of four hosts, one non-zero.
@@ -281,18 +302,103 @@ func TestEstimatorCountsEverySampledHost(t *testing.T) {
 }
 
 func TestAvgNotScaled(t *testing.T) {
-	e := NewEngine()
-	c := &collector{}
-	p := buildPlan(t, `select avg(bid.bid_price) from bid window 10s sample events 10%`, 1, 1, 1)
-	if err := e.StartQuery(p, c.emit); err != nil {
-		t.Fatal(err)
+	governed := func(host string, rate float64, price float64) transport.TupleBatch {
+		b := bidBatch(1, host, tup(1, sec(1), event.Float(price)))
+		b.EffRate = rate
+		return b
 	}
-	e.HandleBatch(bidBatch(1, "h1", tup(1, sec(1), event.Float(3)), tup(2, sec(2), event.Float(5))))
-	e.Tick(sec(30))
-	row := c.all()[0].Rows[0]
-	if row[0].String() != "4" {
-		t.Errorf("AVG under sampling = %v, want unscaled 4", row[0])
+	for _, tc := range []struct {
+		name, query string
+		batches     []transport.TupleBatch
+		want        string
+	}{
+		// A uniform rate scales every reading alike: the mean is as read.
+		{"sampled", `select avg(bid.bid_price) from bid window 10s sample events 10%`,
+			[]transport.TupleBatch{bidBatch(1, "h1", tup(1, sec(1), event.Float(3)), tup(2, sec(2), event.Float(5)))}, "4"},
+		// h2's reading stands for two events, h1's for one: (3 + 2·5)/3.
+		{"governed", `select avg(bid.bid_price) from bid window 10s`,
+			[]transport.TupleBatch{governed("h1", 1, 3), governed("h2", 0.5, 5)}, event.Float(13.0 / 3).String()},
+	} {
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, tc.query, 1, 1, 1), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range tc.batches {
+			e.HandleBatch(b)
+		}
+		e.Tick(sec(30))
+		if row := c.all()[0].Rows[0]; row[0].String() != tc.want {
+			t.Errorf("%s: AVG = %v, want %s", tc.name, row[0], tc.want)
+		}
 	}
+}
+
+// TestGovernedBatchWeightsItsTuples: a batch's tuples count by the rate
+// they were sampled at — not by a rate their host reported later — and
+// a grouped query scales them as an ungrouped one does.
+func TestGovernedBatchWeightsItsTuples(t *testing.T) {
+	at := func(host string, rate float64, n int, from int64, vals ...event.Value) transport.TupleBatch {
+		b := bidBatch(1, host)
+		for i := range n {
+			b.Tuples = append(b.Tuples, tup(uint64(i), sec(from)+int64(i), vals...))
+		}
+		b.EffRate = rate
+		return b
+	}
+	run := func(t *testing.T, src string, total int, batches ...transport.TupleBatch) []transport.ResultWindow {
+		t.Helper()
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, src, 1, total, total), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			e.HandleBatch(b)
+		}
+		e.Tick(sec(60))
+		return c.all()
+	}
+	t.Run("rate lowered before the window closes", func(t *testing.T) {
+		// Four hosts each ship 10 tuples at rate 1 into [0, 10 s), then 5
+		// at 0.5 into [10 s, 20 s), before the first window closes.
+		var batches []transport.TupleBatch
+		for h := range 4 {
+			host := fmt.Sprintf("h%d", h)
+			batches = append(batches, at(host, 1, 10, 0), at(host, 0.5, 5, 10))
+		}
+		wins := run(t, `select count(*) from bid window 10s`, 4, batches...)
+		if len(wins) != 2 {
+			t.Fatalf("wins = %d, want 2", len(wins))
+		}
+		if w := wins[0]; w.Rows[0][0].String() != "40" || w.Approx {
+			t.Errorf("[0, 10 s) = %v ± %v (approx %v), want exactly 40", w.Rows[0][0], w.ErrBounds, w.Approx)
+		}
+		w := wins[1]
+		if w.Rows[0][0].String() != "40" || !w.Approx {
+			t.Errorf("[10 s, 20 s) = %v (approx %v), want 40, approximate", w.Rows[0][0], w.Approx)
+		}
+		if len(w.ErrBounds) != 1 || math.IsInf(w.ErrBounds[0], 0) || math.IsNaN(w.ErrBounds[0]) {
+			t.Errorf("[10 s, 20 s) bounds = %v, want one finite bound", w.ErrBounds)
+		}
+	})
+	t.Run("grouped and ungrouped agree", func(t *testing.T) {
+		// Ten tuples shipped at rate 0.5 stand for twenty events, whether
+		// or not the query groups them.
+		for _, src := range []string{
+			`select count(*) from bid window 10s`,
+			`select exchange_id, count(*) from bid group by exchange_id window 10s`,
+		} {
+			wins := run(t, src, 1, at("h1", 0.5, 10, 0, event.Int(7)))
+			if len(wins) != 1 || len(wins[0].Rows) != 1 {
+				t.Fatalf("%s: windows %v, want one row", src, wins)
+			}
+			row := wins[0].Rows[0]
+			if got := row[len(row)-1].String(); got != "20" || !wins[0].Approx {
+				t.Errorf("%s: count(*) = %s (approx %v), want 20, approximate", src, got, wins[0].Approx)
+			}
+		}
+	})
 }
 
 func TestArithmeticOverAggregate(t *testing.T) {

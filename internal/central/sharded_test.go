@@ -2,11 +2,16 @@ package central
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"scrub/internal/event"
 	"scrub/internal/transport"
+	"scrub/internal/window"
 )
 
 func TestNewShardedEngineValidation(t *testing.T) {
@@ -185,4 +190,125 @@ func TestShardedThroughWholeCluster(t *testing.T) {
 		t.Errorf("sliding sharded counts = %v", counts)
 	}
 	se.StopQuery(1)
+}
+
+// codecShard is a direct shard whose closed windows cross the partial
+// codec, as a shard process's do.
+type codecShard struct{ directShard }
+
+func (d codecShard) Collect(qr *QueryRuntime, bound int64) ([]window.Closed[PartialWindow], error) {
+	partials, _, _, _ := d.eng.CollectDriven(qr.plan.QueryID, bound)
+	return decodeAll(qr, partials)
+}
+
+func (d codecShard) Stop(qr *QueryRuntime) ([]window.Closed[PartialWindow], error) {
+	partials, _ := d.eng.DrainDriven(qr.plan.QueryID)
+	return decodeAll(qr, partials)
+}
+
+func decodeAll(qr *QueryRuntime, partials []EncodedPartial) ([]window.Closed[PartialWindow], error) {
+	var out []window.Closed[PartialWindow]
+	for _, ep := range partials {
+		pw, err := qr.DecodePartial(ep.Data)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, window.Closed[PartialWindow]{Start: ep.Start, End: ep.End, State: *pw})
+	}
+	return out, nil
+}
+
+// TestGovernedWindowsIdenticalAcrossShards: batches sampled at rates the
+// governor set render the same windows on one shard as on four whose
+// partials cross the codec, and the groups of a grouped count sum to the
+// ungrouped count.
+func TestGovernedWindowsIdenticalAcrossShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	rates := []float64{1, 0.5, 0.25}
+	var batches []transport.TupleBatch
+	for round := range 6 {
+		for h := range 4 {
+			b := transport.TupleBatch{QueryID: 1, HostID: fmt.Sprintf("h%d", h), EffRate: rates[(round+h)%len(rates)]}
+			for range 8 {
+				b.Tuples = append(b.Tuples, transport.Tuple{
+					RequestID: uint64(rng.Intn(1000)), TsNanos: sec(int64(rng.Intn(20))),
+					Values: []event.Value{event.Int(int64(rng.Intn(50))), event.Int(int64(rng.Intn(4))), event.Float(float64(rng.Intn(1000)) / 8)},
+				})
+			}
+			batches = append(batches, b)
+		}
+	}
+	run := func(t *testing.T, ex Executor, src string) []transport.ResultWindow {
+		t.Helper()
+		c := &collector{}
+		p := buildPlan(t, src, 1, 4, 4)
+		p.Lateness = time.Hour // the batches run back and forth over both windows
+		if err := ex.StartQuery(p, c.emit); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			ex.HandleBatch(transport.CloneBatch(b))
+		}
+		ex.Tick(sec(20) + int64(p.Lateness))
+		wins := c.all()
+		if len(wins) != 2 {
+			t.Fatalf("%s: %d windows, want 2", src, len(wins))
+		}
+		return wins
+	}
+	// Rows, flags, stats and streams must match exactly. The bounds come
+	// from per-host moments a shard split merges in another float order,
+	// so they are held to 1e-9 of each other.
+	same := func(a, b []transport.ResultWindow) bool {
+		for i := range a {
+			for j, x := range a[i].ErrBounds {
+				if y := b[i].ErrBounds[j]; math.IsNaN(x) != math.IsNaN(y) || math.Abs(x-y) > 1e-9*math.Abs(x) {
+					return false
+				}
+			}
+		}
+		blank := func(ws []transport.ResultWindow) string {
+			ws = slices.Clone(ws)
+			for i := range ws {
+				ws[i].ErrBounds = nil
+			}
+			return fmt.Sprintf("%v", ws)
+		}
+		return blank(a) == blank(b)
+	}
+	var counts [2][]int64 // per window: the ungrouped count(*), Σ of the grouped
+	for qi, q := range []struct {
+		src   string
+		count int // count(*)'s column
+	}{
+		{`select count(*), sum(bid_price), avg(bid_price), max(user_id) from bid window 10s`, 0},
+		{`select exchange_id, count(*), sum(bid_price), avg(bid_price) from bid group by exchange_id window 10s`, 1},
+	} {
+		one := run(t, NewEngine(), q.src)
+		se, err := NewShardedEngine(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range se.shards {
+			se.shards[i] = codecShard{s.(directShard)}
+		}
+		four := run(t, se, q.src)
+		if !same(one, four) {
+			t.Errorf("%s:\none shard:   %v\nfour shards: %v", q.src, one, four)
+		}
+		for _, w := range one {
+			if !w.Approx {
+				t.Errorf("%s: window %d not approximate", q.src, w.WindowStart)
+			}
+			var n int64
+			for _, row := range w.Rows {
+				v, _ := row[q.count].AsInt()
+				n += v
+			}
+			counts[qi] = append(counts[qi], n)
+		}
+	}
+	if !slices.Equal(counts[0], counts[1]) {
+		t.Errorf("Σ grouped count(*) %v, ungrouped %v: want equal", counts[1], counts[0])
+	}
 }

@@ -9,6 +9,8 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/governor"
+	"scrub/internal/replay"
 	"scrub/internal/transport"
 )
 
@@ -494,4 +496,95 @@ func BenchmarkLogOneMatchingQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Log(ev)
 	}
+}
+
+// TestBatchCarriesItsChunksRate: a batch reports the rate its tuples were
+// sampled at. A rate change cuts the live chunk, so tuples kept before it
+// ship under the old rate; a replayed chunk was sampled at the base rate,
+// whatever the governor has done to the live lane since.
+func TestBatchCarriesItsChunksRate(t *testing.T) {
+	// The shipper runs only on Flush, so the test may drive the governor
+	// between flushes as the shipper would.
+	quiet := func(c *Config) { c.FlushInterval = time.Hour }
+	downsample := func(a *Agent, id uint64) {
+		a.mu.Lock()
+		aq := a.queries[queryKey{id: id}]
+		a.mu.Unlock()
+		if act := aq.tracker.Evaluate(governor.Usage{CPUNs: 1 << 30, ElapsedNs: 1 << 30}, governor.Budget{CPUPct: 0.5}); act != governor.ActionDownsample {
+			t.Fatalf("tracker action %v, want a downsample", act)
+		}
+		a.applyRate(aq)
+	}
+	rates := func(batches []transport.TupleBatch, replayed bool) (out []float64) {
+		for _, b := range batches {
+			if len(b.Tuples) > 0 && (b.ReplayEpoch != 0) == replayed {
+				out = append(out, b.EffRate)
+			}
+		}
+		return out
+	}
+
+	t.Run("live", func(t *testing.T) {
+		sink := &collectSink{}
+		a := newAgent(t, sink, quiet)
+		if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"}}); err != nil {
+			t.Fatal(err)
+		}
+		now := time.Now().UnixNano()
+		for i := range 4 {
+			a.Log(bidEvent(uint64(i), 1, "sf", 1, now))
+		}
+		downsample(a, 1)
+		for i := range 64 {
+			a.Log(bidEvent(uint64(100+i), 1, "sf", 1, now))
+		}
+		a.Flush()
+		got := rates(sink.all(), false)
+		if len(got) != 2 || got[0] != 1 || got[1] != 0.5 {
+			t.Fatalf("batch rates %v, want [1 0.5]", got)
+		}
+		if first := sink.all()[0]; len(first.Tuples) != 4 {
+			t.Errorf("the chunk cut at the rate change holds %d tuples, want 4", len(first.Tuples))
+		}
+	})
+
+	t.Run("replayed", func(t *testing.T) {
+		sink := &collectSink{}
+		rs, err := replay.Open(replay.Options{Catalog: testCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rs.Close() })
+		a := newAgent(t, sink, quiet, func(c *Config) { c.Record = rs })
+		now := time.Now().UnixNano()
+		for i := range 40 {
+			a.Log(bidEvent(uint64(i), 1, "sf", 1, now-int64(time.Second)))
+		}
+		// The replayed chunk is kept undelivered until after the governor
+		// has halved the live rate.
+		sink.down.Store(true)
+		if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"},
+			SampleEvents: 0.5, ReplayNanos: int64(time.Minute)}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for a.Stats().SinkErrors == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the replayed chunk never reached the sink")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		downsample(a, 1)
+		sink.down.Store(false)
+		a.Flush()
+		got := rates(sink.all(), true)
+		if len(got) == 0 {
+			t.Fatal("no replayed tuples shipped")
+		}
+		for _, r := range got {
+			if r != 0.5 {
+				t.Errorf("replayed batch rate %v, want the base rate 0.5", r)
+			}
+		}
+	})
 }
