@@ -100,9 +100,10 @@ func (s Spec) Scalable() bool {
 // Aggregator accumulates values and produces a result. Implementations are
 // not safe for concurrent use; ScrubCentral partitions by group key.
 type Aggregator interface {
-	// Add folds one input value in. CountStar counts every call; the other
-	// aggregates skip Invalid (missing) inputs, mirroring SQL NULL rules.
-	Add(v event.Value)
+	// Add folds one input value of weight w in: COUNT, SUM and AVG count
+	// it w times, MIN, MAX and the sketches once. CountStar counts every
+	// call; the others skip Invalid (missing) inputs, as SQL skips NULL.
+	Add(v event.Value, w uint64)
 	// Merge combines another partial of the same kind into the receiver.
 	Merge(o Aggregator) error
 	// Result renders the current aggregate as a result-row value. Empty
@@ -156,9 +157,9 @@ type (
 	countStarAgg countAgg
 )
 
-func (a *countAgg) Add(v event.Value) {
+func (a *countAgg) Add(v event.Value, w uint64) {
 	if v.IsValid() {
-		a.n++
+		a.n += w
 	}
 }
 
@@ -173,7 +174,7 @@ func (a *countAgg) Merge(o Aggregator) error {
 
 func (a *countAgg) Result() event.Value { return event.Int(int64(a.n)) }
 
-func (a *countStarAgg) Add(event.Value) { a.n++ }
+func (a *countStarAgg) Add(_ event.Value, w uint64) { a.n += w }
 
 func (a *countStarAgg) Merge(o Aggregator) error {
 	oc, ok := o.(*countStarAgg)
@@ -195,17 +196,17 @@ type sumAgg struct {
 	isFloat bool
 }
 
-func (a *sumAgg) Add(v event.Value) {
+func (a *sumAgg) Add(v event.Value, w uint64) {
 	if i, ok := v.AsInt(); ok {
-		a.intSum += i
-		a.fltSum += float64(i)
-		a.n++
+		a.intSum += i * int64(w)
+		a.fltSum += float64(i) * float64(w)
+		a.n += w
 		return
 	}
 	if f, ok := v.AsFloat(); ok {
 		a.isFloat = true
-		a.fltSum += f
-		a.n++
+		a.fltSum += f * float64(w)
+		a.n += w
 	}
 }
 
@@ -238,10 +239,10 @@ type avgAgg struct {
 	sum float64
 }
 
-func (a *avgAgg) Add(v event.Value) {
+func (a *avgAgg) Add(v event.Value, w uint64) {
 	if f, ok := v.AsFloat(); ok {
-		a.sum += f
-		a.n++
+		a.sum += f * float64(w)
+		a.n += w
 	}
 }
 
@@ -276,7 +277,7 @@ type extremeAgg struct {
 	best event.Value
 }
 
-func (a *extremeAgg) Add(v event.Value) {
+func (a *extremeAgg) Add(v event.Value, _ uint64) {
 	if !v.IsValid() {
 		return
 	}
@@ -333,7 +334,7 @@ type topKAgg struct {
 
 // Add counts the value's string form. The form is built in the reused
 // buffer, so a tuple whose item is already tracked allocates nothing.
-func (a *topKAgg) Add(v event.Value) {
+func (a *topKAgg) Add(v event.Value, _ uint64) {
 	if !v.IsValid() {
 		return
 	}
@@ -378,7 +379,7 @@ type distinctAgg struct {
 	hll *sketch.HLL
 }
 
-func (a *distinctAgg) Add(v event.Value) {
+func (a *distinctAgg) Add(v event.Value, _ uint64) {
 	if !v.IsValid() {
 		return
 	}

@@ -67,8 +67,8 @@ func TestCountStarVsCount(t *testing.T) {
 	plain := MustNew(Spec{Kind: KindCount})
 	inputs := []event.Value{event.Int(1), event.Invalid, event.Str("x"), event.Invalid}
 	for _, v := range inputs {
-		star.Add(v)
-		plain.Add(v)
+		star.Add(v, 1)
+		plain.Add(v, 1)
 	}
 	if got := star.Result(); got.String() != "4" {
 		t.Errorf("COUNT(*) = %v, want 4", got)
@@ -83,14 +83,14 @@ func TestSum(t *testing.T) {
 	if s.Result().IsValid() {
 		t.Error("empty SUM should be Invalid (NULL)")
 	}
-	s.Add(event.Int(3))
-	s.Add(event.Int(-1))
-	s.Add(event.Invalid)
+	s.Add(event.Int(3), 1)
+	s.Add(event.Int(-1), 1)
+	s.Add(event.Invalid, 1)
 	if got, _ := s.Result().AsInt(); got != 2 {
 		t.Errorf("int SUM = %v", s.Result())
 	}
 	// Adding a float switches the result kind.
-	s.Add(event.Float(0.5))
+	s.Add(event.Float(0.5), 1)
 	f, ok := s.Result().AsFloat()
 	if !ok || math.Abs(f-2.5) > 1e-12 {
 		t.Errorf("mixed SUM = %v", s.Result())
@@ -106,9 +106,9 @@ func TestAvg(t *testing.T) {
 		t.Error("empty AVG should be Invalid")
 	}
 	for _, x := range []float64{1, 2, 3, 4} {
-		a.Add(event.Float(x))
+		a.Add(event.Float(x), 1)
 	}
-	a.Add(event.Str("skip")) // non-numeric skipped
+	a.Add(event.Str("skip"), 1) // non-numeric skipped
 	if f, _ := a.Result().AsFloat(); f != 2.5 {
 		t.Errorf("AVG = %v", a.Result())
 	}
@@ -118,8 +118,8 @@ func TestMinMax(t *testing.T) {
 	mn := MustNew(Spec{Kind: KindMin})
 	mx := MustNew(Spec{Kind: KindMax})
 	for _, x := range []int64{5, -3, 9, 0} {
-		mn.Add(event.Int(x))
-		mx.Add(event.Int(x))
+		mn.Add(event.Int(x), 1)
+		mx.Add(event.Int(x), 1)
 	}
 	if got, _ := mn.Result().AsInt(); got != -3 {
 		t.Errorf("MIN = %v", mn.Result())
@@ -129,13 +129,13 @@ func TestMinMax(t *testing.T) {
 	}
 	// Strings compare lexically.
 	smn := MustNew(Spec{Kind: KindMin})
-	smn.Add(event.Str("pear"))
-	smn.Add(event.Str("apple"))
+	smn.Add(event.Str("pear"), 1)
+	smn.Add(event.Str("apple"), 1)
 	if got, _ := smn.Result().AsStr(); got != "apple" {
 		t.Errorf("string MIN = %v", smn.Result())
 	}
 	// Incomparable inputs are skipped.
-	smn.Add(event.Int(1))
+	smn.Add(event.Int(1), 1)
 	if got, _ := smn.Result().AsStr(); got != "apple" {
 		t.Errorf("MIN after incomparable input = %v", smn.Result())
 	}
@@ -147,15 +147,15 @@ func TestMinMax(t *testing.T) {
 func TestTopK(t *testing.T) {
 	a := MustNew(Spec{Kind: KindTopK, K: 2})
 	for i := 0; i < 50; i++ {
-		a.Add(event.Str("hot"))
+		a.Add(event.Str("hot"), 1)
 	}
 	for i := 0; i < 30; i++ {
-		a.Add(event.Str("warm"))
+		a.Add(event.Str("warm"), 1)
 	}
 	for i := 0; i < 100; i++ {
-		a.Add(event.Str(fmt.Sprintf("cold-%d", i)))
+		a.Add(event.Str(fmt.Sprintf("cold-%d", i)), 1)
 	}
-	a.Add(event.Invalid) // skipped
+	a.Add(event.Invalid, 1) // skipped
 	entries, ok := topKEntries(a)
 	if !ok || len(entries) != 2 {
 		t.Fatalf("topKEntries = %v, %v", entries, ok)
@@ -177,7 +177,7 @@ func TestTopK(t *testing.T) {
 	g := MustNew(Spec{Kind: KindTopK, K: 4})
 	for i, item := range []event.Value{event.Int(-7), event.Str("a=b"), event.Str(""), event.Float(2.5), event.Str("tail")} {
 		for n := 0; n < []int{12, 12, 1000001, 3, 1}[i]; n++ {
-			g.Add(item)
+			g.Add(item, 1)
 		}
 	}
 	if got, want := g.Result().String(), `[=1000001, -7=12, a=b=12, 2.5=3]`; got != want {
@@ -191,7 +191,7 @@ func TestTopK(t *testing.T) {
 func TestCountDistinct(t *testing.T) {
 	a := MustNew(Spec{Kind: KindCountDistinct})
 	for i := 0; i < 10000; i++ {
-		a.Add(event.Int(int64(i % 1000)))
+		a.Add(event.Int(int64(i%1000)), 1)
 	}
 	got, _ := a.Result().AsInt()
 	if math.Abs(float64(got)-1000)/1000 > 0.05 {
@@ -199,8 +199,8 @@ func TestCountDistinct(t *testing.T) {
 	}
 	// int/float numeric identity: Int(5) and Float(5.0) are one item.
 	b := MustNew(Spec{Kind: KindCountDistinct})
-	b.Add(event.Int(5))
-	b.Add(event.Float(5.0))
+	b.Add(event.Int(5), 1)
+	b.Add(event.Float(5.0), 1)
 	if got, _ := b.Result().AsInt(); got != 1 {
 		t.Errorf("Int(5)+Float(5.0) distinct = %d, want 1", got)
 	}
@@ -219,11 +219,11 @@ func TestMergeAllKinds(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 2000; i++ {
 			v := event.Int(int64(rng.Intn(50)))
-			whole.Add(v)
+			whole.Add(v, 1)
 			if i%2 == 0 {
-				p1.Add(v)
+				p1.Add(v, 1)
 			} else {
-				p2.Add(v)
+				p2.Add(v, 1)
 			}
 		}
 		if err := p1.Merge(p2); err != nil {
@@ -258,7 +258,7 @@ func TestMergeKindMismatch(t *testing.T) {
 
 func TestMergeEmptyPartials(t *testing.T) {
 	a, b := MustNew(Spec{Kind: KindMin}), MustNew(Spec{Kind: KindMin})
-	b.Add(event.Int(4))
+	b.Add(event.Int(4), 1)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +280,8 @@ func TestSumMergeAssociativityQuick(t *testing.T) {
 		parts := []Aggregator{MustNew(Spec{Kind: KindSum}), MustNew(Spec{Kind: KindSum}), MustNew(Spec{Kind: KindSum})}
 		for i, x := range xs {
 			v := event.Int(int64(x))
-			whole.Add(v)
-			parts[i%3].Add(v)
+			whole.Add(v, 1)
+			parts[i%3].Add(v, 1)
 		}
 		if err := parts[0].Merge(parts[1]); err != nil {
 			return false
@@ -339,7 +339,7 @@ func BenchmarkSumAdd(b *testing.B) {
 	v := event.Float(1.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Add(v)
+		a.Add(v, 1)
 	}
 }
 
@@ -352,6 +352,6 @@ func BenchmarkCountDistinctAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Add(vals[i&1023])
+		a.Add(vals[i&1023], 1)
 	}
 }

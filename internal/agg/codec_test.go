@@ -51,7 +51,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			a := MustNew(spec)
 			for i := rng.Intn(200); i > 0; i-- {
-				a.Add(randValue(rng))
+				a.Add(randValue(rng), 1)
 			}
 			enc, err := appendState(nil, a)
 			if err != nil {
@@ -74,7 +74,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 			// same partial into both, then the same direct additions.
 			o := MustNew(spec)
 			for i := 0; i < 50; i++ {
-				o.Add(randValue(rng))
+				o.Add(randValue(rng), 1)
 			}
 			if err := a.Merge(o); err != nil {
 				t.Fatalf("%v: merge into original: %v", spec.Kind, err)
@@ -84,8 +84,8 @@ func TestStateCodecRoundTrip(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				v := randValue(rng)
-				a.Add(v)
-				d.Add(v)
+				a.Add(v, 1)
+				d.Add(v, 1)
 			}
 			if inputs(d) != inputs(a) || !sameResult(d.Result(), a.Result()) {
 				t.Fatalf("%v: post-merge divergence: (%d,%v) vs (%d,%v)",
@@ -122,8 +122,8 @@ func TestStateCodecTruncation(t *testing.T) {
 		{Kind: KindTopK, K: 2}, {Kind: KindCountDistinct, Prec: 6},
 	} {
 		a := MustNew(spec)
-		a.Add(event.Int(5))
-		a.Add(event.Int(9))
+		a.Add(event.Int(5), 1)
+		a.Add(event.Int(9), 1)
 		enc, err := appendState(nil, a)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", spec.Kind, err)
@@ -180,8 +180,8 @@ func TestStateCodecContinuationExact(t *testing.T) {
 				for cut := 0; cut < 4; cut++ {
 					for i := rng.Intn(400); i > 0; i-- {
 						v := c.gen(rng)
-						straight.Add(v)
-						resumed.Add(v)
+						straight.Add(v, 1)
+						resumed.Add(v, 1)
 					}
 					enc, err := appendState(nil, resumed)
 					if err != nil {

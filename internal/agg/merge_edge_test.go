@@ -18,7 +18,7 @@ func feed(t *testing.T, s Spec, vals ...event.Value) Aggregator {
 	t.Helper()
 	a := MustNew(s)
 	for _, v := range vals {
-		a.Add(v)
+		a.Add(v, 1)
 	}
 	return a
 }

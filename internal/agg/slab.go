@@ -197,21 +197,21 @@ func (sl *Slab) Merge(g uint32, src *Slab, sg uint32) {
 	sl.sketches += sl.sketchBytes(g)
 }
 
-// Add folds v into aggregate i of group g and reports whether a sketch
-// took more memory, so that Bytes has moved. (A switch on the plan's kind
+// Add folds v of weight w into aggregate i of group g and reports whether
+// a sketch took more memory, so that Bytes has moved. (A switch on the plan's kind
 // into the concrete state, in place of At's interface and its call, was
 // built and measured no faster: EXPERIMENTS.md M10.)
 //
 //scrub:hotpath
-func (sl *Slab) Add(g uint32, i int, v event.Value) bool {
+func (sl *Slab) Add(g uint32, i int, v event.Value, w uint64) bool {
 	a := sl.At(g, i)
 	t, ok := a.(*topKAgg)
 	if !ok {
-		a.Add(v)
+		a.Add(v, w)
 		return false
 	}
 	before := t.ss.Bytes()
-	t.Add(v)
+	t.Add(v, w)
 	grown := t.ss.Bytes() - before
 	sl.sketches += grown
 	return grown != 0

@@ -53,8 +53,8 @@ func TestSlabAggregatorsMatchNew(t *testing.T) {
 		fold := func(sl *Slab, g uint32, twins []Aggregator) {
 			for i := range specs {
 				v := randValue(rng)
-				sl.Add(g, i, v)
-				twins[i].Add(v)
+				sl.Add(g, i, v, 1)
+				twins[i].Add(v, 1)
 			}
 		}
 		for len(twins) < groups {
@@ -70,8 +70,8 @@ func TestSlabAggregatorsMatchNew(t *testing.T) {
 			case 1: // as decodePartial opens it
 				var enc []byte
 				for i := range specs {
-					tw[i].Add(randValue(rng))
-					tw[i].Add(randValue(rng))
+					tw[i].Add(randValue(rng), 1)
+					tw[i].Add(randValue(rng), 1)
 					enc, _ = appendState(enc, tw[i])
 				}
 				var n int
@@ -150,7 +150,7 @@ func TestTopKAddTrackedItemDoesNotAllocate(t *testing.T) {
 	vals := []event.Value{event.Int(123456789), event.Str("user-7"), event.Float(2.5), event.Int(-1)}
 	for i := 0; i < 40; i++ {
 		for _, v := range vals[:1+i%len(vals)] {
-			a.Add(v)
+			a.Add(v, 1)
 			ref.(*topKAgg).ss.AddBytes([]byte(v.String())) // the formatting Add used to do
 		}
 	}
@@ -164,16 +164,48 @@ func TestTopKAddTrackedItemDoesNotAllocate(t *testing.T) {
 	// bytes, not an untracked one, not the takeover it causes.
 	b := MustNew(Spec{Kind: KindTopK, K: 4})
 	for i := 0; b.(*topKAgg).ss.Len() < topKCapacity(4); i++ {
-		b.Add(event.Int(int64(1000 + i)))
+		b.Add(event.Int(int64(1000+i)), 1)
 	}
-	b.Add(event.Str("user-7"))
+	b.Add(event.Str("user-7"), 1)
 	next := int64(5000)
 	if n := testing.AllocsPerRun(200, func() {
-		b.Add(event.Int(1001))     // tracked
-		b.Add(event.Str("user-7")) // tracked, a string
-		b.Add(event.Int(next))     // untracked: takes over the minimum
+		b.Add(event.Int(1001), 1)     // tracked
+		b.Add(event.Str("user-7"), 1) // tracked, a string
+		b.Add(event.Int(next), 1)     // untracked: takes over the minimum
 		next++
 	}); n != 0 {
 		t.Errorf("Adds on a built TOP_K allocate %v times, want 0", n)
+	}
+}
+
+// TestSlabAddWeighs: a value of weight w counts w times in COUNT, COUNT(*),
+// SUM and AVG's Σwx/Σw, and once in MIN, MAX and the sketches.
+func TestSlabAddWeighs(t *testing.T) {
+	specs := []Spec{{Kind: KindCountStar}, {Kind: KindCount}, {Kind: KindSum}, {Kind: KindSum}, {Kind: KindAvg},
+		{Kind: KindMin}, {Kind: KindMax}, {Kind: KindTopK, K: 2}, {Kind: KindCountDistinct}}
+	lay, err := NewLayout(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := NewSlab(lay)
+	g, _ := sl.Open()
+	for _, in := range []struct {
+		v event.Value
+		w uint64
+	}{{event.Int(3), 1}, {event.Int(5), 4}, {event.Invalid, 2}} {
+		for i := range specs {
+			v := in.v
+			if i == 3 && v.IsValid() { // the second SUM reads floats
+				f, _ := v.AsFloat()
+				v = event.Float(f / 2)
+			}
+			sl.Add(g, i, v, in.w)
+		}
+	}
+	want := []string{"7", "5", "23", "11.5", event.Float(23.0 / 5).String(), "3", "5", "[3=1, 5=1]", "2"}
+	for i, w := range want {
+		if got := sl.At(g, i).Result().String(); got != w {
+			t.Errorf("%s = %s, want %s", specs[i].Kind, got, w)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/governor"
 	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/sampling"
@@ -153,6 +154,7 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 	}
 	lateBefore, overflowBefore := qs.win.LateDrops(), qs.overflow
 	dataStart := qs.plan.DataStartNanos()
+	w := tupleWeight(qs.plan.SampleEvents, b.EffRate)
 	var maxTs int64
 	var hasTs bool
 	for i := range b.Tuples {
@@ -164,7 +166,7 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 			continue
 		}
 		for _, ws := range qs.win.GetAll(t.TsNanos) {
-			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t)
+			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t, w)
 		}
 		if !hasTs || t.TsNanos > maxTs {
 			maxTs, hasTs = t.TsNanos, true
@@ -180,6 +182,17 @@ func (e *Engine) ApplyDriven(b transport.TupleBatch) (ack DrivenAck, known bool)
 		HasTs: hasTs, MaxTs: maxTs,
 		LateDelta: qs.win.LateDrops() - lateBefore, OverflowDelta: qs.overflow - overflowBefore,
 	}, true
+}
+
+// tupleWeight is what a tuple sampled at rate counts for under plan rate
+// q: q/rate, exactly 2^k ≤ 64, as the governor halves and doubles down to
+// governor.MinMult, so weighted counts stay integers in any fold order. No
+// rate (zero, or NaN off the wire), or one above q, weighs 1.
+func tupleWeight(q, rate float64) uint64 {
+	if !(rate > 0) {
+		return 1
+	}
+	return uint64(min(max(math.Round(q/rate), 1), 1/governor.MinMult))
 }
 
 // closed takes windows that have just left a query's manager off the
@@ -207,12 +220,13 @@ func (e *Engine) charge(ws *winState) {
 	}
 }
 
-// processTuple routes one in-window tuple through join (if any), the
-// residual predicate, and accumulation.
+// processTuple routes one in-window tuple of weight w through join (if
+// any), the residual predicate, and accumulation.
 //
 //scrub:hotpath
-func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
+func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple, w uint64) {
 	ws.tuples++
+	ws.weight += w
 	qs.tuplesIn++
 	ws.touch(host, qs.plan.moments)
 	//scrub:allowretain(the row the program reads while this tuple is applied; ApplyDriven clears it before it returns)
@@ -220,16 +234,17 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 
 	if !qs.plan.IsJoin() {
 		if qs.admit() {
-			e.accumulate(qs, ws)
+			e.accumulate(qs, ws, w)
 		}
 		return
 	}
 
 	// Equi-join on the request identifier, within the window: pair the
 	// tuple with everything the other side has buffered under its id, then
-	// buffer it for the other side's later arrivals.
+	// buffer it for the other side's later arrivals. A pair weighs what
+	// the tuple that completes it does.
 	side, hash := uint64(typeIdx), hashID(t.RequestID)<<1
-	e.probeJoin(qs, ws, side, hash, t)
+	e.probeJoin(qs, ws, side, hash, t, w)
 	if !e.buffer(qs, ws, side, hash, t) {
 		qs.overflow++
 	}
@@ -251,7 +266,7 @@ func (qs *queryState) admit() bool {
 // tuple is side side of qs.sides already; each partner becomes the other.
 //
 //scrub:hotpath
-func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple) {
+func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) {
 	other := 1 - side
 	found := qs.found[:0]
 	for link := ws.join.Head(hash | other); link != 0; {
@@ -277,7 +292,7 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		}
 		qs.sides[other] = expr.Tuple{RequestID: t.RequestID, TimeNanos: ws.start + int64(tag>>1), Values: vals}
 		if qs.admit() {
-			e.accumulate(qs, ws)
+			e.accumulate(qs, ws, w)
 		}
 	}
 }
@@ -318,10 +333,10 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	return true
 }
 
-// accumulate folds the row qs.ctx has begun — a tuple or a joined pair —
-// into the window's groups, or collects it as a raw result row for
-// non-aggregate queries.
-func (e *Engine) accumulate(qs *queryState, ws *winState) {
+// accumulate folds the row qs.ctx has begun — a tuple or a joined pair,
+// of weight w — into the window's groups, or collects it as a raw result
+// row for non-aggregate queries.
+func (e *Engine) accumulate(qs *queryState, ws *winState, w uint64) {
 	p, c, ctx := &qs.plan, qs.comp, qs.ctx
 	if !p.HasAgg() && !p.Grouped() {
 		if ws.rawN >= p.maxRawRows {
@@ -366,7 +381,7 @@ func (e *Engine) accumulate(qs *queryState, ws *winState) {
 		if id >= 0 {
 			v = ctx.Value(id)
 		}
-		grew = ws.aggs.Add(g, i, v) || grew
+		grew = ws.aggs.Add(g, i, v, w) || grew
 	}
 	if grew {
 		e.charge(ws)
@@ -375,21 +390,19 @@ func (e *Engine) accumulate(qs *queryState, ws *winState) {
 	// Error-bound moments: ungrouped scalable aggregates (Plan.moments),
 	// folded into the moments touch looked up for the tuple's host.
 	// Collected even at plan rate 1, because the host-side budget governor
-	// can lower a host's effective sampling rate mid-query — and by the
-	// time the first deviating batch announces that, the window's earlier
-	// tuples are gone. Grouped queries have no moment tracking (bounds are
-	// per-column, not per-group); their degradation is surfaced via
-	// per-stream EffRate instead. An argument is read back from the
-	// program's registers, not computed again.
+	// can lower a host's rate mid-query, and a tuple's weight then says
+	// how many events its reading stands for. Grouped queries have no
+	// moment tracking (bounds are per-column, not per-group). An argument
+	// is read back from the program's registers, not computed again.
 	if moments := ws.lastMoments; moments != nil {
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
 				continue
 			}
 			if id := c.aggArgs[i]; id < 0 {
-				moments[i].Add(1) // COUNT(*): reading of 1
+				moments[i].add(1, w) // COUNT(*): reading of 1
 			} else if f, ok := ctx.Value(id).AsFloat(); ok {
-				moments[i].Add(f)
+				moments[i].add(f, w)
 			}
 		}
 	}
@@ -400,13 +413,11 @@ func (e *Engine) accumulate(qs *queryState, ws *winState) {
 // scale-up, HAVING, error bounds, ORDER BY and LIMIT. It runs at the
 // merger, on a window's merged state, whatever the shard count.
 //
-// rates, when non-nil, maps hosts to governor-degraded effective
-// event-sampling rates (liveness.Report.Rates): the window is then
-// approximate even at plan rate 1, and ungrouped scalable aggregates are
-// re-estimated from the per-host moments with each host's own rate
-// (Eq. 1–3) instead of the uniform plan-rate scale-up, so budget
-// downsampling widens the bounds rather than silently skewing values.
-func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates map[string]float64) transport.ResultWindow {
+// Every scalable aggregate, grouped or not, scales by the plan's one
+// factor: a tuple a governed host sampled below the plan's rate was
+// weighted at apply (tupleWeight). The window is approximate when the
+// plan samples or when any of its tuples was weighted.
+func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) transport.ResultWindow {
 	rw := transport.ResultWindow{
 		QueryID:     p.QueryID,
 		WindowStart: start,
@@ -415,7 +426,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 	}
 
 	factor := p.scaleFactor()
-	rw.Approx = factor != 1 || len(rates) > 0
+	rw.Approx = factor != 1 || ws.weight != ws.tuples
 
 	switch {
 	case !p.HasAgg() && !p.Grouped():
@@ -429,10 +440,8 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		}
 		// Deterministic group order: sort by encoded key.
 		groups := ws.sortedGroups()
-		var bounds []float64
-		var sums map[int]float64
 		if rw.Approx && !p.Grouped() {
-			bounds, sums = computeBounds(p, comp, ws, rates)
+			rw.ErrBounds = computeBounds(p, comp, ws)
 		}
 		// One evaluation context, one row — the group's key values, its
 		// scaled aggregates — and one backing array serve every group:
@@ -451,11 +460,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 			for i := range p.Aggs {
 				v := ws.aggs.At(g.ordinal(), i).Result()
 				if p.Aggs[i].Spec.Scalable() {
-					if est, ok := sums[i]; ok {
-						v = substituteEstimate(v, est)
-					} else {
-						v = agg.ScaleResult(v, factor)
-					}
+					v = agg.ScaleResult(v, factor)
 				}
 				aggs[i] = v
 			}
@@ -469,7 +474,6 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 			}
 			rw.Rows = append(rw.Rows, out[n:n+width:n+width])
 		}
-		rw.ErrBounds = bounds
 	}
 	orderAndLimit(p, &rw)
 	rw.Stats.TuplesIn = ws.tuples
@@ -479,24 +483,18 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 
 // computeBounds applies the paper's Eq. 1–3 per select column. Only
 // columns that are directly a scalable aggregate get a bound; others are
-// NaN. Per-host cluster sizes Mᵢ are estimated as mᵢ/qᵢ when event
-// sampling is in effect (the host's exact matched totals are cumulative
-// across windows, so the per-window Mᵢ is recovered from the sampling
-// rate); qᵢ is the host's governor-degraded effective rate when rates
-// carries one, else the uniform plan rate. n is the hosts the plan
-// sampled (Plan.SampledHosts), or the hosts with a reading if more
-// reported: a sampled host without one is a zero, not a host left out.
-//
-// When rates is non-nil (at least one host deviates from the plan rate),
-// the returned sums map also carries the Eq. 1 point estimate τ̂ per
-// aggregate index: the caller substitutes it for the uniform scale-up,
-// which would be biased by the unequal per-host rates.
-func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float64) ([]float64, map[int]float64) {
+// NaN. A host's cluster size Mᵢ is its readings' summed weight over the
+// plan rate q, Wᵢ/q: the host's exact matched totals are cumulative
+// across windows, so the per-window Mᵢ is recovered from the rates its
+// tuples were sampled at. It is an estimate when q < 1 or when a weight
+// other than 1 went into Wᵢ. n is the hosts the plan sampled
+// (Plan.SampledHosts), or the hosts with a reading if more reported: a
+// sampled host without one is a zero, not a host left out.
+func computeBounds(p *Plan, comp *compiled, ws *winState) []float64 {
 	bounds := make([]float64, len(p.Select))
 	for i := range bounds {
 		bounds[i] = math.NaN()
 	}
-	var sums map[int]float64
 	// Host order must be fixed before the float sums inside the estimator:
 	// map iteration order would otherwise make ε differ between runs (and
 	// between shard counts) by float-addition rounding.
@@ -511,20 +509,12 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 			if r.N() == 0 {
 				continue
 			}
-			rate := p.SampleEvents
-			if hr, ok := rates[host]; ok && hr > 0 && hr < rate {
-				rate = hr
-			}
-			m := uint64(math.Round(float64(r.N()) / rate))
-			if m < uint64(r.N()) {
-				m = uint64(r.N())
-			}
+			m := max(uint64(math.Round(float64(r.w)/p.SampleEvents)), uint64(r.N()))
 			hosts = append(hosts, sampling.HostMoments{
 				HostID: host, M: m, N: r.N(), Sum: r.Sum(), Var: r.Var(),
-				// Mᵢ above is mᵢ/q, not an exact per-window count: the
-				// hosts' matched totals are cumulative across windows. The
+				// Mᵢ above is Wᵢ/q, not an exact per-window count. The
 				// estimator must widen the within-host term accordingly.
-				EstimatedM: rate < 1,
+				EstimatedM: p.SampleEvents < 1 || r.w != uint64(r.N()),
 			})
 		}
 		if len(hosts) == 0 {
@@ -542,24 +532,8 @@ func computeBounds(p *Plan, comp *compiled, ws *winState, rates map[string]float
 			continue
 		}
 		bounds[col] = est.Err
-		if rates != nil {
-			if sums == nil {
-				sums = make(map[int]float64, len(p.Aggs))
-			}
-			sums[aggIdx] = est.Value
-		}
 	}
-	return bounds, sums
-}
-
-// substituteEstimate replaces a scalable aggregate's direct result with
-// the moments-based estimate, preserving the result's numeric kind the
-// way agg.ScaleResult does.
-func substituteEstimate(orig event.Value, est float64) event.Value {
-	if _, ok := orig.AsInt(); ok {
-		return event.Int(int64(math.Round(est)))
-	}
-	return event.Float(est)
+	return bounds
 }
 
 // orderAndLimit applies the plan's ORDER BY keys and LIMIT to an emitted
@@ -615,6 +589,7 @@ func compareOrdered(p *Plan, a, b []event.Value) int {
 // are, and so do the moments of a host only src has.
 func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	dst.tuples += src.tuples
+	dst.weight += src.weight
 	for host, sm := range src.hosts {
 		dm, ok := dst.hosts[host]
 		if !ok {
@@ -622,7 +597,8 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 			continue
 		}
 		for i := range dm {
-			dm[i].Merge(sm[i])
+			dm[i].Merge(sm[i].Running)
+			dm[i].w += sm[i].w
 		}
 	}
 	var adopted []byte

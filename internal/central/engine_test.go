@@ -334,6 +334,22 @@ func TestAvgNotScaled(t *testing.T) {
 	}
 }
 
+// TestTupleWeight: a tuple weighs its plan rate over its batch's, 1 to
+// 64, whatever rate a batch off the wire states.
+func TestTupleWeight(t *testing.T) {
+	for _, tc := range []struct {
+		q, rate float64
+		want    uint64
+	}{
+		{1, 1, 1}, {1, 0.5, 2}, {0.5, 0.125, 4}, {1, 1.0 / 64, 64},
+		{1, 0, 1}, {1, math.NaN(), 1}, {0.1, 1, 1}, {1, 1e-300, 64}, {1, math.Inf(1), 1},
+	} {
+		if got := tupleWeight(tc.q, tc.rate); got != tc.want {
+			t.Errorf("tupleWeight(%g, %g) = %d, want %d", tc.q, tc.rate, got, tc.want)
+		}
+	}
+}
+
 // TestGovernedBatchWeightsItsTuples: a batch's tuples count by the rate
 // they were sampled at — not by a rate their host reported later — and
 // a grouped query scales them as an ungrouped one does.

@@ -109,7 +109,7 @@ func RouteToShards(b transport.TupleBatch, shards []ShardClient, sc *RouteScratc
 		}
 		ack, known, err := shards[i].Apply(transport.TupleBatch{
 			QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx,
-			Tuples: tuples,
+			Tuples: tuples, EffRate: b.EffRate,
 		})
 		if err != nil || !known {
 			// A failed shard, or one not running the query (teardown race,
@@ -251,8 +251,8 @@ func (q *mergeQuery) emitWindow(met *centralMetrics, start, end int64, ws *winSt
 	if met != nil {
 		t0 = time.Now()
 	}
-	r := q.streams.Report(q.plan.SampleEvents)
-	rw := renderWindow(&q.plan, q.comp, start, end, ws, r.Rates)
+	r := q.streams.Report()
+	rw := renderWindow(&q.plan, q.comp, start, end, ws)
 	rw.Stats.HostDrops, rw.Stats.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
 	rw.Degraded = q.lostShard || r.Evicted > 0
 	rw.BudgetShed = r.Shed
@@ -609,7 +609,7 @@ func (m *Merger) Stop(id uint64, stopped func()) (transport.QueryStats, bool) {
 	}
 	m.flush(q, int64(1)<<62-1)
 	st := q.stats
-	r := q.streams.Report(q.plan.SampleEvents)
+	r := q.streams.Report()
 	st.HostDrops, st.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
 	delete(m.queries, id)
 	dropQuerySeries(m.opt.Metrics, id)
@@ -629,7 +629,7 @@ func (m *Merger) Stats(id uint64) (transport.QueryStats, bool) {
 		return transport.QueryStats{}, false
 	}
 	st := q.stats
-	r := q.streams.Report(q.plan.SampleEvents)
+	r := q.streams.Report()
 	st.HostDrops, st.LateDrops = r.Drops, r.ShardDrops+q.mergeDrops
 	var tuples uint64
 	for _, sc := range q.shards {
@@ -652,7 +652,7 @@ func (m *Merger) EvictedStreams() (n uint32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, q := range m.queries {
-		n += uint32(q.streams.Report(q.plan.SampleEvents).Evicted)
+		n += uint32(q.streams.Report().Evicted)
 	}
 	return n
 }

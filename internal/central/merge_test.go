@@ -465,7 +465,7 @@ func TestShardDropsChargedPerStream(t *testing.T) {
 				qs := sc.(directShard).eng.queries[1]
 				kernels += qs.win.LateDrops() + qs.overflow
 			}
-			r := q.streams.Report(q.plan.SampleEvents)
+			r := q.streams.Report()
 			streams := r.ShardDrops
 			var late uint64
 			for _, st := range r.Streams {

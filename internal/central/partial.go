@@ -116,8 +116,10 @@ func (qr *QueryRuntime) Merge(dst, src *PartialWindow) (dropped uint64) {
 
 // Render turns a merged window into a ResultWindow. The caller fills the
 // deployment-level fields afterwards (drop totals, Degraded, Streams).
+// rates is not read (a tuple's rate weighted it at apply): it stays only
+// for the benchmark harness's callers.
 func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]float64) transport.ResultWindow {
-	return renderWindow(&qr.plan, qr.comp, start, start+int64(qr.plan.Window), pw.ws, rates)
+	return renderWindow(&qr.plan, qr.comp, start, start+int64(qr.plan.Window), pw.ws)
 }
 
 // --- partial window state codec ---
@@ -129,15 +131,20 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // request joined on one shard, and pending tuples are irrelevant once the
 // window closed.
 
-// codePartial is a partial's description: the tuple count, the hosts that
-// reported, each with its moments when the plan keeps them (Plan.moments),
-// each group's key and aggregate states, and the raw rows. Decoding builds
-// ws, a fresh window, and holds the bytes to the plan: no host twice, as
-// many moments per host as the plan keeps, key and row widths, keys and
-// rows that decode, no group key twice.
+// codePartial is a partial's description: the tuple count and weight, the
+// hosts that reported, each with its weighed moments when the plan keeps
+// them (Plan.moments), each group's key and aggregate states, and the raw
+// rows. Decoding builds ws, a fresh window, and holds the bytes to the
+// plan: no weight below its count, no host twice, as many moments per
+// host as the plan keeps, key and row widths, keys and rows that decode,
+// no group key twice.
 func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 	decoding := c.Mode == wire.Decoding
 	c.Uvarint(&ws.tuples)
+	c.Uvarint(&ws.weight)
+	if decoding && ws.weight < ws.tuples {
+		c.Failf("weight %d below %d tuples", ws.weight, ws.tuples)
+	}
 
 	hosts := sortedKeys(ws.hosts)
 	n := len(hosts)
@@ -167,6 +174,10 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 		}
 		for j := range moments {
 			moments[j].Code(c)
+			c.Uvarint(&moments[j].w)
+			if decoding && moments[j].w < uint64(moments[j].N()) {
+				c.Failf("moment weight %d below %d readings", moments[j].w, moments[j].N())
+			}
 		}
 	}
 

@@ -188,11 +188,12 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 	moment := func(b []byte, n uint64) []byte {
 		b = binary.AppendUvarint(b, n)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2)) // mean
-		return binary.LittleEndian.AppendUint64(b, 0)                // m2
+		b = binary.LittleEndian.AppendUint64(b, 0)                   // m2
+		return binary.AppendUvarint(b, n)                            // weight
 	}
 	partial := func(n uint64) []byte {
-		b := []byte{1, 1, 2, 'h', '0'} // one tuple, from h0, with
-		b = append(b, 2)               // one moment per aggregate
+		b := []byte{1, 1, 1, 2, 'h', '0'} // one tuple of weight 1, from h0, with
+		b = append(b, 2)                  // one moment per aggregate
 		b = moment(moment(b, n), 1)
 		return append(b, 0, 0) // no groups, no raw rows
 	}
@@ -206,10 +207,14 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 
 // TestDecodePartialHoldsHostsToPlan: a host's moments are coded after its
 // name only under a plan that keeps them, as many as the plan keeps, and
-// a host is listed once. A partial that breaks any of these is malformed.
+// a host is listed once. A weight is never below the count it sums over:
+// the window's below its tuples, a moment's below its readings. A partial
+// that breaks any of these is malformed.
 func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
-	moment := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // n = 1, mean 0, m2 0
-	host := func(name string, moments int) []byte {
+	moment := func(w byte) []byte { // n = 1, mean 0, m2 0, weight w
+		return []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, w}
+	}
+	host := func(name string, moments int, w byte) []byte { // each moment of weight w
 		b := []byte{byte(len(name))}
 		b = append(b, name...)
 		if moments < 0 {
@@ -217,31 +222,35 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		}
 		b = append(b, byte(moments))
 		for range moments {
-			b = append(b, moment...)
+			b = append(b, moment(w)...)
 		}
 		return b
 	}
-	partial := func(hosts ...[]byte) []byte {
-		b := []byte{1, byte(len(hosts))} // one tuple
+	weighed := func(w byte, hosts ...[]byte) []byte {
+		b := []byte{1, w, byte(len(hosts))} // one tuple of weight w
 		for _, h := range hosts {
 			b = append(b, h...)
 		}
 		return append(b, 0, 0) // no groups, no raw rows
 	}
+	partial := func(hosts ...[]byte) []byte { return weighed(1, hosts...) }
 	cases := []struct {
 		name  string
 		query string
 		b     []byte
 		ok    bool
 	}{
-		{"moments kept", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2), host("h1", 2)), true},
-		{"one moment short", `select count(*), sum(bid_price) from bid`, partial(host("h0", 1)), false},
-		{"one moment over", `select count(*), sum(bid_price) from bid`, partial(host("h0", 3)), false},
-		{"repeated host", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2), host("h0", 2)), false},
-		{"no moments kept", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", -1), host("h1", -1)), true},
-		{"moments a plan does not keep", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", 2)), false},
-		{"grouped: no moments", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1)), true},
-		{"grouped: repeated host", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1), host("h0", -1)), false},
+		{"moments kept", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, 1), host("h1", 2, 1)), true},
+		{"one moment short", `select count(*), sum(bid_price) from bid`, partial(host("h0", 1, 1)), false},
+		{"one moment over", `select count(*), sum(bid_price) from bid`, partial(host("h0", 3, 1)), false},
+		{"repeated host", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, 1), host("h0", 2, 1)), false},
+		{"no moments kept", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", -1, 1), host("h1", -1, 1)), true},
+		{"moments a plan does not keep", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", 2, 1)), false},
+		{"grouped: no moments", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1, 1)), true},
+		{"grouped: repeated host", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1, 1), host("h0", -1, 1)), false},
+		{"a governed tuple", `select count(*), sum(bid_price) from bid`, weighed(4, host("h0", 2, 4)), true},
+		{"weight below the tuples", `select exchange_id, count(*) from bid group by exchange_id`, weighed(0, host("h0", -1, 1)), false},
+		{"moment weight below its readings", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, 0)), false},
 	}
 	for _, tc := range cases {
 		qr, err := CompileQuery(buildPlan(t, tc.query, 1, 3, 3))

@@ -29,18 +29,20 @@ import (
 // once the window's result has been emitted (or its partial handed over).
 // DESIGN.md §17.
 type winState struct {
-	tuples uint64
+	// tuples counts the tuples applied to the window, weight sums their
+	// weights (tupleWeight): the two differ where the governor stepped in.
+	tuples, weight uint64
 	// hosts is the window's one table of the hosts that reported: what
 	// HostsReporting counts, and each host's reading moments per aggregate
 	// for the Eq. 1–3 error bounds. A host's moments are nil unless the
 	// plan keeps them (Plan.moments): an ungrouped plan with a scalable
 	// aggregate.
-	hosts map[string][]stats.Running
+	hosts map[string][]moment
 	// lastHost and lastMoments remember the previous tuple's host: a batch
 	// comes from one host, so hosts is consulted once per (batch, window)
 	// rather than once per tuple.
 	lastHost    string
-	lastMoments []stats.Running
+	lastMoments []moment
 
 	// Join-pending state: arena holds one run per buffered tuple —
 	// [link] [request id, 8 bytes] [(event time − start)<<1 | side,
@@ -75,6 +77,19 @@ type winState struct {
 	// charged is what the window currently contributes to the
 	// scrub_central_state_bytes gauge.
 	charged int64
+}
+
+// moment is one host's readings of one aggregate in a window, and w, the
+// summed weight of the tuples they came from.
+type moment struct {
+	stats.Running
+	w uint64
+}
+
+// add folds a reading of a tuple of weight w.
+func (m *moment) add(x float64, w uint64) {
+	m.Running.Add(x)
+	m.w += w
 }
 
 // groupHdr is what precedes the key in a group's run: the link and the
@@ -135,7 +150,7 @@ func (ws *winState) rethreadJoin(p *Plan) {
 
 func newWinState(p *Plan, start int64) *winState {
 	return &winState{
-		hosts: make(map[string][]stats.Running),
+		hosts: make(map[string][]moment),
 		start: start,
 		keyW:  len(p.GroupBy),
 	}
@@ -156,11 +171,11 @@ func (ws *winState) touch(host string, moments int) {
 }
 
 // newMoments enters host in the table with n empty moments (nil for 0).
-func (ws *winState) newMoments(host string, n int) []stats.Running {
-	var m []stats.Running
+func (ws *winState) newMoments(host string, n int) []moment {
+	var m []moment
 	if n > 0 {
 		//scrub:allowalloc(once per host and window)
-		m = make([]stats.Running, n)
+		m = make([]moment, n)
 	}
 	ws.hosts[host] = m
 	return m

@@ -59,7 +59,7 @@ func (w *refWindow) fold(user int64, price float64, reason string) {
 	w.count[key]++
 	w.sum[key] += price
 	w.total += price
-	w.topk.Add(event.Int(user))
+	w.topk.Add(event.Int(user), 1)
 	w.rows = append(w.rows, []event.Value{event.Int(user), event.Float(price)})
 }
 

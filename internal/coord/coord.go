@@ -187,7 +187,7 @@ func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, er
 	c.seq++
 	seq := c.seq
 	//scrub:allowretain(held under mu for the one round trip that encodes it, and cleared before Apply returns)
-	c.sub = transport.ShardSubBatch{Seq: seq, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: b.Tuples}
+	c.sub = transport.ShardSubBatch{Seq: seq, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, EffRate: b.EffRate, Tuples: b.Tuples}
 	resp, err := c.roundTripLocked(&c.sub)
 	c.sub = transport.ShardSubBatch{}
 	c.mu.Unlock()

@@ -100,7 +100,7 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 		case *transport.ShardSubBatch:
 			ack, known := n.eng.ApplyDriven(transport.TupleBatch{
 				QueryID: t.QueryID, HostID: t.HostID, TypeIdx: t.TypeIdx,
-				Tuples: t.Tuples,
+				Tuples: t.Tuples, EffRate: t.EffRate,
 			})
 			if n.poison.Load() {
 				sc.Poison()

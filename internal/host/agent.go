@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,7 +175,7 @@ type activeQuery struct {
 	live lane
 
 	// Governor state. baseRate/seed/budget are immutable after Start;
-	// tracker, shed, effRate, bytesShipped, and the last* interval marks
+	// tracker, shed, step, bytesShipped, and the last* interval marks
 	// are owned by the shipper goroutine (shed is additionally written
 	// under the agent mutex so rebuildLocked can read it from any
 	// goroutine). cpuNs is the sampled hot-path cost: 1 in 64 matched
@@ -184,7 +185,7 @@ type activeQuery struct {
 	budget       governor.Budget
 	tracker      *governor.Tracker
 	shed         bool
-	effRate      float64
+	step         uint8 // the live lane's governor step (stepRate)
 	cpuNs        atomic.Uint64
 	bytesShipped uint64
 	lastCPUNs    uint64
@@ -210,7 +211,7 @@ type activeQuery struct {
 	// failed send leaves the snapshots alone — a bump is either included
 	// in a successful batch or still visible to the comparison, never
 	// silently skipped. announce covers the non-counter batch fields
-	// (effRate, BudgetShed), which only the shipper itself mutates.
+	// (step, BudgetShed), which only the shipper itself mutates.
 	announce                            bool
 	lastMatched, lastSampled, lastDrops uint64
 	// lastSentNanos is when the last batch for this query reached the
@@ -241,13 +242,20 @@ type lane struct {
 	//scrub:guardedby(mu)
 	sampler *sampling.GeometricSampler
 
-	mu sync.Mutex // guards cur and sampler
+	mu sync.Mutex // guards cur, sampler and step
 	// cur is the partially filled chunk, nil when none.
 	//scrub:guardedby(mu)
 	cur *chunk
+	// step is the sampler's governor halvings below the base rate.
+	//scrub:guardedby(mu)
+	step uint8
 }
 
-// arm starts a fresh sampler at rate under seed. A lane's first arm at
+// stepRate is the rate step governor halvings below base, exactly.
+func stepRate(base float64, step uint8) float64 { return math.Ldexp(base, -int(step)) }
+
+// arm starts a fresh sampler step halvings below the base rate under seed
+// and hands back the chunk filled before (nil if none). A lane's first arm at
 // rate 1 takes the counter-free fast path. A re-arm leaves it for good:
 // it seeds the sampled counter with the matched total (at rate 1,
 // mᵢ = Mᵢ) so the cumulative accounting stays exact across the
@@ -256,7 +264,8 @@ type lane struct {
 // notice. Once off the fast path a lane never returns to it (a full
 // recovery runs a rate-1 sampler instead), because re-deriving mᵢ = Mᵢ
 // after a degraded period would overstate the sample.
-func (ln *lane) arm(rate float64, seed uint64) {
+func (ln *lane) arm(step uint8, seed uint64) *chunk {
+	rate := stepRate(ln.aq.baseRate, step)
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	if ln.sampler == nil {
@@ -267,6 +276,10 @@ func (ln *lane) arm(rate float64, seed uint64) {
 	}
 	ln.sampler = sampling.NewGeometricSampler(rate, seed)
 	ln.skip.Store(ln.sampler.NextSkip())
+	ln.step = step
+	c := ln.cur
+	ln.cur = nil
+	return c
 }
 
 // take empties the lane's chunk and returns it, nil when there is none.
@@ -293,6 +306,7 @@ type chunk struct {
 	// chunk. Live chunks leave both zero.
 	epoch  uint32
 	done   bool
+	step   uint8 // the lane's step when the chunk was started: its tuples' rate
 	tuples []transport.Tuple
 	vals   []event.Value
 }
@@ -476,9 +490,8 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	seed := hq.QueryID*1000003 ^ h.Sum64()
 	aq.baseRate = rate
 	aq.seed = seed
-	aq.effRate = rate
 	aq.live.aq = aq
-	aq.live.arm(rate, seed)
+	aq.live.arm(0, seed)
 	aq.budget = governor.Budget{CPUPct: hq.BudgetCPUPct, BytesPerSec: hq.BudgetBytesPerSec}
 	aq.tracker = governor.NewTracker()
 	// Stamp the heartbeat clock now: a fresh query with nothing to report
@@ -760,9 +773,9 @@ func (a *Agent) salvage(aq *activeQuery) {
 // range is the span). The lane's fresh sampler runs at the query's base
 // rate under its own seed, as the live lane's did at Start, so a replay
 // whose live rate the governor never changed keeps exactly the events a
-// query submitted before them would have kept. Replayed matches fold
-// into the query's cumulative Mᵢ/mᵢ, so central's estimator and stream
-// stats see the same counts.
+// query submitted before them would have kept, and ships them at that
+// rate. Replayed matches fold into the query's cumulative Mᵢ/mᵢ, so
+// central's estimator and stream stats see the same counts.
 //
 // Replay shipping inherits every impact bound live shipping has: chunks
 // go through the same bounded queue (a backlog drops them, counted as
@@ -778,7 +791,7 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		to = a.cfg.Clock().UnixNano()
 	}
 	ln := &lane{aq: aq, epoch: 1}
-	ln.arm(aq.baseRate, aq.seed)
+	ln.arm(0, aq.seed)
 	tp := compileTypeProgram(aq.schema, []subscriber{{ln: ln}})
 	// A failed or aborted scan still owes the done marker below.
 	_ = a.cfg.Record.Scan(to-aq.replayNanos, to, aq.schema.Name(), func(ev *event.Event) bool {
@@ -875,7 +888,7 @@ func (a *Agent) flushCycle() {
 		now := a.cfg.Clock().UnixNano()
 		for _, aq := range actives {
 			if aq.needsHeartbeat() || now-aq.lastSentNanos >= int64(a.cfg.HeartbeatInterval) {
-				_ = a.sendBatch(aq, nil, 0, false) // a failure leaves the snapshots to retry
+				_ = a.sendBatch(aq, &chunk{step: aq.step}) // a failure leaves the snapshots to retry
 			}
 		}
 	}
@@ -887,7 +900,7 @@ func (a *Agent) flushCycle() {
 // shipped while an older one is still kept: the sink sees chunks in the
 // order they were shipped.
 func (a *Agent) ship(c *chunk) {
-	if a.redeliver() && !errors.Is(a.sendBatch(c.q, c.tuples[:c.n], c.epoch, c.done), ErrUndelivered) {
+	if a.redeliver() && !errors.Is(a.sendBatch(c.q, c), ErrUndelivered) {
 		a.putChunk(c)
 		return
 	}
@@ -906,7 +919,7 @@ func (a *Agent) ship(c *chunk) {
 func (a *Agent) redeliver() bool {
 	for len(a.kept) > 0 {
 		c := a.kept[0]
-		if errors.Is(a.sendBatch(c.q, c.tuples[:c.n], c.epoch, c.done), ErrUndelivered) {
+		if errors.Is(a.sendBatch(c.q, c), ErrUndelivered) {
 			return false
 		}
 		a.putChunk(a.popKept())
@@ -945,14 +958,14 @@ func (aq *activeQuery) needsHeartbeat() bool {
 		aq.drops.Load() != aq.lastDrops
 }
 
-// sendBatch ships tuples (nil for a counter-only heartbeat) with the
-// query's cumulative accounting and returns the sink's error. On success
-// the counter snapshots record what the batch carried; a failed send
-// leaves them alone, so the same totals trigger a resend on the next
-// cycle (see needsHeartbeat). A failure without ErrUndelivered loses the
-// tuples, counted as sink-error tuples. A nonzero epoch marks the batch
-// as replayed history; done marks the stream's final replay batch.
-func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint32, done bool) error {
+// sendBatch ships a chunk's tuples — none for a counter-only heartbeat,
+// an empty chunk at the query's step — with the chunk's rate, epoch and
+// done mark and the query's cumulative accounting, and returns the sink's
+// error. On success the counter snapshots record what the batch carried;
+// a failed send leaves them alone, so the same totals trigger a resend on
+// the next cycle (see needsHeartbeat). A failure without ErrUndelivered
+// loses the tuples, counted as sink-error tuples.
+func (a *Agent) sendBatch(aq *activeQuery, c *chunk) error {
 	matched := aq.matched.Load()
 	sampledRaw := aq.sampled.Load()
 	drops := aq.drops.Load()
@@ -964,16 +977,16 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 		QueryID:      aq.queryID,
 		HostID:       a.cfg.HostID,
 		TypeIdx:      aq.typeIdx,
-		Tuples:       tuples,
+		Tuples:       c.tuples[:c.n],
 		MatchedTotal: matched,
 		SampledTotal: sampled,
 		QueueDrops:   drops,
-		EffRate:      aq.effRate,
+		EffRate:      stepRate(aq.baseRate, c.step),
 		BudgetShed:   aq.shed,
 		CPUNs:        aq.cpuNs.Load(),
 		ShipBytes:    aq.bytesShipped, // through the previous batch
-		ReplayEpoch:  epoch,
-		ReplayDone:   done,
+		ReplayEpoch:  c.epoch,
+		ReplayDone:   c.done,
 	}
 	// The batch's wire size for budget accounting, frame header included:
 	// computed, not measured — the sink does the one encode a tuple gets.
@@ -981,7 +994,7 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 	if err := a.cfg.Sink.SendBatch(batch); err != nil {
 		a.sinkErrors.Add(1)
 		if !errors.Is(err, ErrUndelivered) {
-			a.sinkErrTuples.Add(uint64(len(tuples)))
+			a.sinkErrTuples.Add(uint64(len(batch.Tuples)))
 		}
 		return err
 	}
@@ -994,9 +1007,9 @@ func (a *Agent) sendBatch(aq *activeQuery, tuples []transport.Tuple, epoch uint3
 	aq.lastSentNanos = a.cfg.Clock().UnixNano()
 	aq.bytesShipped += uint64(size)
 	a.shipBytes.Add(uint64(size))
-	a.shipped.Add(uint64(len(tuples)))
-	if epoch != 0 {
-		a.replayShipped.Add(uint64(len(tuples)))
+	a.shipped.Add(uint64(len(batch.Tuples)))
+	if batch.ReplayEpoch != 0 {
+		a.replayShipped.Add(uint64(len(batch.Tuples)))
 		a.replayShipBytes.Add(uint64(size))
 	}
 	return nil
@@ -1055,15 +1068,15 @@ func (a *Agent) governTick(actives []*activeQuery) {
 }
 
 // applyRate re-arms a query's live sampler at base rate × the tracker's
-// multiplier and records the new effective rate for batch reporting; the
-// re-arm leaves the rate-1 fast path for good (lane.arm). Shipper-only.
+// multiplier, 2^-step, and records the new rate for heartbeats; the
+// re-arm leaves the rate-1 fast path for good (lane.arm). The chunk filled
+// at the old rate is queued behind the full ones. Shipper-only.
 func (a *Agent) applyRate(aq *activeQuery) {
-	rate := aq.baseRate * aq.tracker.Mult()
-	if rate > 1 {
-		rate = 1
+	step := uint8(math.Round(-math.Log2(aq.tracker.Mult())))
+	if c := aq.live.arm(step, aq.seed); c != nil {
+		a.submit(c)
 	}
-	aq.live.arm(rate, aq.seed)
-	aq.effRate = rate
+	aq.step = step
 	aq.announce = true
 }
 

@@ -391,7 +391,7 @@ func (a *Agent) offerMatched(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev
 
 // enqueue copies the event's projected columns — extracted at most once
 // per event per distinct column set by the dispatch context — into the
-// lane's active chunk, stamped with the lane's epoch, submitting the
+// lane's active chunk, stamped with the lane's epoch and step, submitting the
 // chunk to the shipper when it fills. Allocation-free in steady state:
 // the tuple and its values land in pooled chunk memory. A nil dc (the
 // solo fast path) extracts the columns directly from the event into the
@@ -415,7 +415,7 @@ func (a *Agent) enqueue(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev *eve
 	c := ln.cur
 	if c == nil {
 		c = a.getChunk(aq)
-		c.epoch = ln.epoch
+		c.epoch, c.step = ln.epoch, ln.step
 		//scrub:allowretain(chunk parked on its owning lane under ln.mu; reclaimed by submit/salvage/flush/replay's tail)
 		ln.cur = c
 	}

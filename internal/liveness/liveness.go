@@ -219,23 +219,15 @@ type Report struct {
 	// Shed reports whether at least one stream has been shed by the host
 	// budget governor.
 	Shed bool
-	// Rates maps each host that reported an effective event-sampling rate
-	// to the minimum across its streams. It is nil when every reported
-	// rate equals the plan rate (within rounding), so the common
-	// unbudgeted case allocates nothing and downstream code can treat nil
-	// as "plan rate everywhere".
-	Rates map[string]float64
 }
 
-// Report reads every stream once; planRate is the rate a stream's
-// reported rate must deviate from for Rates to be filled.
-func (t *Table) Report(planRate float64) Report {
+// Report reads every stream once.
+func (t *Table) Report() Report {
 	var r Report
 	if len(t.streams) == 0 {
 		return r
 	}
 	r.Streams = make([]transport.StreamStat, 0, len(t.streams))
-	deviates := false
 	for _, s := range t.streams {
 		r.Streams = append(r.Streams, s.StreamStat)
 		r.Drops += s.Drops
@@ -244,9 +236,6 @@ func (t *Table) Report(planRate float64) Report {
 			r.Evicted++
 		}
 		r.Shed = r.Shed || s.BudgetShed
-		if diff := s.EffRate - planRate; s.EffRate > 0 && (diff > 1e-12 || diff < -1e-12) {
-			deviates = true
-		}
 	}
 	sort.Slice(r.Streams, func(i, j int) bool {
 		a, b := &r.Streams[i], &r.Streams[j]
@@ -255,14 +244,6 @@ func (t *Table) Report(planRate float64) Report {
 		}
 		return a.TypeIdx < b.TypeIdx
 	})
-	if deviates {
-		r.Rates = make(map[string]float64, 4)
-		for _, s := range r.Streams {
-			if prev, ok := r.Rates[s.HostID]; s.EffRate > 0 && (!ok || s.EffRate < prev) {
-				r.Rates[s.HostID] = s.EffRate
-			}
-		}
-	}
 	return r
 }
 

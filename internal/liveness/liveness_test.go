@@ -35,8 +35,8 @@ func TestFoldExpireReadmit(t *testing.T) {
 
 	beat(tab, k1, ns(0))
 	beat(tab, k2, ns(0))
-	if tab.Len() != 2 || tab.Report(1).Evicted != 0 {
-		t.Fatalf("len=%d evicted=%d", tab.Len(), tab.Report(1).Evicted)
+	if tab.Len() != 2 || tab.Report().Evicted != 0 {
+		t.Fatalf("len=%d evicted=%d", tab.Len(), tab.Report().Evicted)
 	}
 
 	// h1 keeps heartbeating; h2 goes silent.
@@ -48,7 +48,7 @@ func TestFoldExpireReadmit(t *testing.T) {
 	if want := []Key{k2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Expire = %v, want %v", got, want)
 	}
-	if tab.Report(1).Evicted != 1 || !tab.streams[k2].Evicted {
+	if tab.Report().Evicted != 1 || !tab.streams[k2].Evicted {
 		t.Error("h2 should be evicted")
 	}
 	// Repeated expiry does not re-report (h1 keeps heartbeating).
@@ -62,7 +62,7 @@ func TestFoldExpireReadmit(t *testing.T) {
 	if s := tab.streams[k2]; s.Evicted || s.LastSeen != ns(4) {
 		t.Errorf("stream = %+v", s)
 	}
-	if tab.Report(1).Evicted != 0 {
+	if tab.Report().Evicted != 0 {
 		t.Error("no stream should remain evicted")
 	}
 }
@@ -208,8 +208,8 @@ func TestFoldCounters(t *testing.T) {
 	for _, st := range steps {
 		if st.expire {
 			now += ns(5)
-			if got := tab.Expire(now); !reflect.DeepEqual(got, []Key{k}) || tab.Report(1).Evicted != 1 {
-				t.Fatalf("%s: Expire = %v, %d evicted", st.name, got, tab.Report(1).Evicted)
+			if got := tab.Expire(now); !reflect.DeepEqual(got, []Key{k}) || tab.Report().Evicted != 1 {
+				t.Fatalf("%s: Expire = %v, %d evicted", st.name, got, tab.Report().Evicted)
 			}
 		}
 		m := manifest(k, st.b)
@@ -219,7 +219,7 @@ func TestFoldCounters(t *testing.T) {
 		if s.StreamStat != st.want {
 			t.Errorf("%s: stat = %+v, want %+v", st.name, s.StreamStat, st.want)
 		}
-		if got := tab.Report(1).ShardDrops; got != st.want.LateDrops+st.wantOverflow {
+		if got := tab.Report().ShardDrops; got != st.want.LateDrops+st.wantOverflow {
 			t.Errorf("%s: ShardDrops = %d, want %d late + %d overflow", st.name, got, st.want.LateDrops, st.wantOverflow)
 		}
 		if s.LastTs != st.wantTs || s.HasTs != st.wantHasTs {
@@ -229,10 +229,10 @@ func TestFoldCounters(t *testing.T) {
 			t.Errorf("%s: replaying=%v ended=%v settled=%v, want %v %v %v", st.name,
 				s.Replaying, s.ReplayEnded, tab.ReplaySettled(), st.replaying, st.replayEnded, st.settled)
 		}
-		if s.LastSeen != now || tab.Report(1).Evicted != 0 {
-			t.Errorf("%s: lease at %d with %d evicted, want renewed at %d", st.name, s.LastSeen, tab.Report(1).Evicted, now)
+		if s.LastSeen != now || tab.Report().Evicted != 0 {
+			t.Errorf("%s: lease at %d with %d evicted, want renewed at %d", st.name, s.LastSeen, tab.Report().Evicted, now)
 		}
-		if snap := tab.Report(1).Streams; len(snap) != 1 || snap[0] != st.want {
+		if snap := tab.Report().Streams; len(snap) != 1 || snap[0] != st.want {
 			t.Errorf("%s: snapshot = %+v", st.name, snap)
 		}
 	}
@@ -247,9 +247,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 		}
 	}
 	tab.Expire(ns(5))
-	snap := tab.Report(1).Streams
-	if len(snap) != 6 || tab.Report(1).Evicted != 6 {
-		t.Fatalf("snapshot len = %d, %d evicted", len(snap), tab.Report(1).Evicted)
+	snap := tab.Report().Streams
+	if len(snap) != 6 || tab.Report().Evicted != 6 {
+		t.Fatalf("snapshot len = %d, %d evicted", len(snap), tab.Report().Evicted)
 	}
 	for i := 1; i < len(snap); i++ {
 		a, b := snap[i-1], snap[i]
@@ -262,16 +262,16 @@ func TestSnapshotDeterministic(t *testing.T) {
 			t.Errorf("stat = %+v", s)
 		}
 	}
-	if tab.Report(1).Drops != 6 {
-		t.Errorf("HostDrops = %d, want 6", tab.Report(1).Drops)
+	if tab.Report().Drops != 6 {
+		t.Errorf("HostDrops = %d, want 6", tab.Report().Drops)
 	}
 }
 
 // TestReport folds a table of every kind of stream — evicted, shed,
-// deviating from the plan rate, late, overflowing, silent about its rate
+// at its own rate, late, overflowing, silent about its rate
 // — and holds each Report field to its hand-computed value.
 func TestReport(t *testing.T) {
-	if r := NewTable(time.Second).Report(1); !reflect.DeepEqual(r, Report{}) {
+	if r := NewTable(time.Second).Report(); !reflect.DeepEqual(r, Report{}) {
 		t.Errorf("empty table: %+v", r)
 	}
 	tab := NewTable(time.Second)
@@ -305,20 +305,9 @@ func TestReport(t *testing.T) {
 		ShardDrops: 4 + 1 + 3, // a's and b's late drops, b's overflow
 		Evicted:    1,
 		Shed:       true,
-		Rates:      map[string]float64{"a": 0.5, "b": 0.25, "c": 1}, // each host's minimum; d reported none
 	}
-	if got := tab.Report(1); !reflect.DeepEqual(got, want) {
-		t.Errorf("Report(1) =\n %+v\nwant\n %+v", got, want)
-	}
-	// Rates is nil unless a reported rate deviates from the plan rate.
-	even := NewTable(time.Second)
-	even.Fold(manifest(a0, transport.TupleBatch{EffRate: 0.5}), ns(0))
-	even.Fold(manifest(b0, transport.TupleBatch{}), ns(0))
-	if r := even.Report(0.5); r.Rates != nil {
-		t.Errorf("every rate at the plan rate: Rates = %v, want nil", r.Rates)
-	}
-	if r := even.Report(1); !reflect.DeepEqual(r.Rates, map[string]float64{"a": 0.5}) {
-		t.Errorf("a at 0.5 under plan rate 1: Rates = %v", r.Rates)
+	if got := tab.Report(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Report() =\n %+v\nwant\n %+v", got, want)
 	}
 }
 

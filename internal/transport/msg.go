@@ -89,7 +89,7 @@ type StreamStat struct {
 	LateDrops uint64 // this stream's tuples that missed their windows
 	Evicted   bool   // liveness lease expired; excluded from the watermark
 	// Governor accounting (PR 3): the host's last-reported effective
-	// event-sampling rate (0 = never reported; the plan rate applies),
+	// event-sampling rate (0 = never reported; shown, not scaled by),
 	// whether the budget governor shed the query on this host, and the
 	// cumulative measured cost there.
 	EffRate    float64
@@ -223,11 +223,11 @@ type TupleBatch struct {
 	MatchedTotal uint64 // events matching selection (pre event-sampling)
 	SampledTotal uint64 // events shipped (post sampling, pre queue drops)
 	QueueDrops   uint64 // events lost to the bounded host queue
-	// Governor accounting: the effective event-sampling rate in force
-	// when the batch was sent (base rate × governor multiplier; 0 only
-	// from pre-governor peers), whether the governor shed the query on
-	// this host, and cumulative measured cost (CPU-ns sampled ×64;
-	// encoded bytes shipped).
+	// Governor accounting: the rate the tuples were sampled at (base rate
+	// × governor multiplier; a heartbeat's, the rate now; 0 only from
+	// pre-governor peers), whether the governor shed the query on this
+	// host, and cumulative measured cost (CPU-ns sampled ×64; encoded
+	// bytes shipped).
 	EffRate    float64
 	BudgetShed bool
 	CPUNs      uint64

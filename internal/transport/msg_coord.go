@@ -84,13 +84,14 @@ type ShardAck struct {
 }
 
 // ShardSubBatch carries the slice of one host batch whose request ids
-// hash to this shard. Counters stay out: they belong to the manifest the
-// router sends the coordinator.
+// hash to this shard, with the batch's rate, which weights them at apply.
+// Counters stay out: they belong to the manifest sent the coordinator.
 type ShardSubBatch struct {
 	Seq     uint64
 	QueryID uint64
 	HostID  string
 	TypeIdx uint8
+	EffRate float64
 	// Tuples may alias the sending router's caller-owned batch memory;
 	// the send serializes them before returning (see Sink contract).
 	//scrub:pooled
@@ -345,6 +346,7 @@ func (t *ShardSubBatch) code(c *coder) {
 	c.U64(&t.QueryID)
 	c.Str(&t.HostID)
 	c.U8(&t.TypeIdx)
+	c.F64(&t.EffRate)
 	c.tuples(&t.Tuples)
 }
 

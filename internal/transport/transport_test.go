@@ -92,7 +92,7 @@ func sampleMessages() []Message {
 		ShardAck{Seq: 1},
 		ShardAck{Seq: 2, Err: "no such query"},
 		ShardSubBatch{
-			Seq: 3, QueryID: 7, HostID: "bid-sj-1", TypeIdx: 1,
+			Seq: 3, QueryID: 7, HostID: "bid-sj-1", TypeIdx: 1, EffRate: 0.25,
 			Tuples: []Tuple{
 				{RequestID: 4, TsNanos: 44, Values: []event.Value{event.Str("x")}},
 			},

@@ -132,6 +132,13 @@ if grep -nF 'NewProgramBuilder().Intern(' $(nontest internal/host); then echo "n
 if grep -nE '\bmap\[' internal/expr/prog.go; then echo "internal/expr/prog.go has a Go map again: a ProgramBuilder finds nodes and string literals through its open-addressed index, fields, in-lists and LIKE patterns by scan" >&2; exit 1; fi
 if grep -nw 'groupKey' $(nontest internal/host); then echo "non-test internal/host names groupKey again: buildTypeProgram finds a projection group by comparing column sets" >&2; exit 1; fi
 
+echo "== one scale-up rule (a batch's rate weights its tuples at apply: non-test internal/ and cmd/ name no substituteEstimate and no report's Rates, and liveness.Table.Report takes no argument) =="
+if grep -rnw --include='*.go' 'substituteEstimate' cmd internal | grep -v '_test\.go:' ||
+   grep -rnE --include='*.go' '\.Rates\b|\bReport\([^)]' cmd internal | grep -v '_test\.go:' ||
+   awk '/^type Report struct/,/^}/' internal/liveness/liveness.go | grep -nw 'Rates'; then
+  echo "non-test Go under cmd/ or internal/ scales a window by its hosts' last reported rates again (substituteEstimate, Report.Rates or Report's plan-rate argument): a batch's rate weights its tuples at apply (central.tupleWeight), and render scales every scalable aggregate by Plan.scaleFactor alone" >&2; exit 1
+fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
