@@ -132,7 +132,7 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // window closed.
 
 // codePartial is a partial's description: the tuple count and weight, the
-// hosts that reported, each with its weighed moments when the plan keeps
+// hosts that reported, each with its weighted moments when the plan keeps
 // them (Plan.moments), each group's key and aggregate states, and the raw
 // rows. Decoding builds ws, a fresh window, and holds the bytes to the
 // plan: no weight below its count, no host twice, as many moments per
