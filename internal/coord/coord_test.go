@@ -240,6 +240,34 @@ func TestShardKillMidQuery(t *testing.T) {
 	}
 }
 
+// TestShardProcessWeightsGovernedBatch: a sub-batch carries its batch's
+// rate to the shard process, which weights the tuples as an in-process
+// kernel does: ten tuples sampled at half the plan rate count twenty.
+func TestShardProcessWeightsGovernedBatch(t *testing.T) {
+	vc := &vclock{}
+	tt := newTestTopo(t, 2, Options{Clock: vc.now, LeaseTTL: time.Hour})
+	defer tt.close()
+	col := &collector{}
+	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, col)
+	b := transport.TupleBatch{QueryID: 1, HostID: "h1", EffRate: 0.5}
+	for i := range 10 {
+		b.Tuples = append(b.Tuples, transport.Tuple{RequestID: uint64(i), TsNanos: int64(i+1) * sec / 2, Values: []event.Value{event.Float(1)}})
+	}
+	vc.nanos = 5 * sec
+	if err := tt.router.SendBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	// ts=12s advances the watermark past 10s+lateness: [0,10s) closes.
+	vc.nanos = 12 * sec
+	tt.send(t, 1, 100, 12*sec)
+	if len(col.wins) != 1 {
+		t.Fatalf("want 1 window, got %d", len(col.wins))
+	}
+	if n := countOf(t, col.wins[0]); n != 20 || !col.wins[0].Approx {
+		t.Errorf("window [0,10s) count = %d (approx %v), want 20, approximate", n, col.wins[0].Approx)
+	}
+}
+
 // TestShardJoinMidQuery joins a third shard mid-query: the running query
 // keeps its 2-shard pin and its results stay exact; a query started after
 // the join routes over all three shards.
