@@ -301,6 +301,77 @@ func TestEstimatorCountsEverySampledHost(t *testing.T) {
 	})
 }
 
+// TestBoundsAreHorvitzThompson: a window's bound is the Horvitz–Thompson
+// one. A tuple of weight w at plan rate q was kept with probability q/w, so
+// a host's total is Σw·x/q and that total's unbiased variance is
+// Σw·(w−q)·x²/q²; with every host sampled (n = N) the bound is the normal
+// quantile times the root of the hosts' summed variances.
+func TestBoundsAreHorvitzThompson(t *testing.T) {
+	const z = 1.959963984540054 // the normal 0.975 quantile
+	run := func(t *testing.T, src string, hosts int, batches ...transport.TupleBatch) transport.ResultWindow {
+		t.Helper()
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, src, 1, hosts, hosts), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			e.HandleBatch(b)
+		}
+		e.Tick(sec(30))
+		wins := c.all()
+		if len(wins) != 1 || len(wins[0].Rows) != 1 {
+			t.Fatalf("windows %v, want one row", wins)
+		}
+		return wins[0]
+	}
+	readings := func(host string, rate float64, n int, v event.Value) transport.TupleBatch {
+		b := transport.TupleBatch{QueryID: 1, HostID: host, EffRate: rate}
+		for i := range n {
+			b.Tuples = append(b.Tuples, tup(uint64(i), sec(1), v))
+		}
+		return b
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+	t.Run("mixed weights", func(t *testing.T) {
+		// Plan rate 1: each of two hosts ships 5 readings of 100 at
+		// EffRate 0.5 (w = 2) and 10 of 1 at rate 1 (w = 1).
+		var batches []transport.TupleBatch
+		for _, h := range []string{"h1", "h2"} {
+			batches = append(batches, readings(h, 0.5, 5, event.Float(100)), readings(h, 1, 10, event.Float(1)))
+		}
+		w := run(t, `select sum(bid.bid_price), count(*) from bid window 10s`, 2, batches...)
+		if w.Rows[0][0].String() != "2020" || w.Rows[0][1].String() != "40" || !w.Approx {
+			t.Fatalf("row %v (approx %v), want 2020, 40, approximate", w.Rows[0], w.Approx)
+		}
+		// Per host: w·(w−q) = 2 for a weighted reading, 0 for the others.
+		sumVar := 2 * (5 * 2 * 100 * 100.0)
+		countVar := 2 * (5 * 2.0)
+		if len(w.ErrBounds) != 2 || !near(w.ErrBounds[0], z*math.Sqrt(sumVar)) || !near(w.ErrBounds[1], z*math.Sqrt(countVar)) {
+			t.Errorf("bounds %v, want [%.6g %.6g]", w.ErrBounds, z*math.Sqrt(sumVar), z*math.Sqrt(countVar))
+		}
+	})
+	t.Run("count of a column counts ones", func(t *testing.T) {
+		w := run(t, `select count(*), count(bid.bid_price) from bid window 10s sample events 50%`, 2,
+			readings("h1", 0.5, 10, event.Float(1000)), readings("h2", 0.5, 15, event.Float(1000)))
+		if b := w.ErrBounds; len(b) != 2 || b[0] != b[1] || !near(b[0], z*math.Sqrt(25*0.5/0.25)) {
+			t.Errorf("bounds %v, want count(bid_price)'s equal to count(*)'s %.6g", b, z*math.Sqrt(25*0.5/0.25))
+		}
+		w = run(t, `select count(*), count(exclusion.reason) from exclusion window 10s sample events 50%`, 2,
+			readings("h1", 0.5, 10, event.Str("filtered")), readings("h2", 0.5, 15, event.Str("budget")))
+		if b := w.ErrBounds; len(b) != 2 || b[0] != b[1] || math.IsNaN(b[1]) || math.IsInf(b[1], 0) {
+			t.Errorf("bounds %v, want a finite count(reason) bound equal to count(*)'s", b)
+		}
+	})
+	t.Run("one host", func(t *testing.T) {
+		// Ten readings at q = 0.5: v = 10·(1 − 0.5)/0.25 = 20.
+		w := run(t, `select count(*) from bid window 10s sample events 50%`, 1, readings("h1", 0.5, 10, event.Float(1)))
+		if w.Rows[0][0].String() != "20" || len(w.ErrBounds) != 1 || !near(w.ErrBounds[0], z*math.Sqrt(20)) {
+			t.Errorf("count %v ± %v, want 20 ± %.6g", w.Rows[0][0], w.ErrBounds, z*math.Sqrt(20))
+		}
+	})
+}
+
 func TestAvgNotScaled(t *testing.T) {
 	governed := func(host string, rate float64, price float64) transport.TupleBatch {
 		b := bidBatch(1, host, tup(1, sec(1), event.Float(price)))
