@@ -392,18 +392,28 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, w uint64) {
 	// Collected even at plan rate 1, because the host-side budget governor
 	// can lower a host's rate mid-query, and a tuple's weight then says
 	// how many events its reading stands for. Grouped queries have no
-	// moment tracking (bounds are per-column, not per-group). An argument
-	// is read back from the program's registers, not computed again.
+	// moment tracking (bounds are per-column, not per-group). A reading is
+	// 1 for COUNT(*) and a non-NULL COUNT(x), x for SUM; an argument is
+	// read back from the program's registers, not computed again. A SUM
+	// reading that is NaN folds nothing, so a moment's v is never NaN.
 	if moments := ws.lastMoments; moments != nil {
+		fw := float64(w)
 		for i, a := range p.Aggs {
 			if !a.Spec.Scalable() {
 				continue
 			}
-			if id := c.aggArgs[i]; id < 0 {
-				moments[i].add(1, w) // COUNT(*): reading of 1
-			} else if f, ok := ctx.Value(id).AsFloat(); ok {
-				moments[i].add(f, w)
+			x := 1.0
+			if id := c.aggArgs[i]; id >= 0 {
+				v := ctx.Value(id)
+				if a.Spec.Kind == agg.KindCount {
+					if !v.IsValid() {
+						continue
+					}
+				} else if x, ok = v.AsFloat(); !ok || math.IsNaN(x) {
+					continue
+				}
 			}
+			moments[i].add(x, fw, p.SampleEvents)
 		}
 	}
 }
@@ -481,57 +491,33 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 	return rw
 }
 
-// computeBounds applies the paper's Eq. 1–3 per select column. Only
-// columns that are directly a scalable aggregate get a bound; others are
-// NaN. A host's cluster size Mᵢ is its readings' summed weight over the
-// plan rate q, Wᵢ/q: the host's exact matched totals are cumulative
-// across windows, so the per-window Mᵢ is recovered from the rates its
-// tuples were sampled at. It is an estimate when q < 1 or when a weight
-// other than 1 went into Wᵢ. n is the hosts the plan sampled
-// (Plan.SampledHosts), or the hosts with a reading if more reported: a
-// sampled host without one is a zero, not a host left out.
+// computeBounds applies the paper's Eq. 1–3 per select column, in their
+// Horvitz–Thompson form (internal/sampling): a host's total is its
+// moment's t/q, and that total's variance v/q². Only columns that are
+// directly a scalable aggregate get a bound; others are NaN. n is the
+// hosts the plan sampled (Plan.SampledHosts), or the hosts that reported
+// if more did: a sampled host without a reading is a zero, not a host
+// left out.
 func computeBounds(p *Plan, comp *compiled, ws *winState) []float64 {
-	bounds := make([]float64, len(p.Select))
-	for i := range bounds {
-		bounds[i] = math.NaN()
-	}
 	// Host order must be fixed before the float sums inside the estimator:
 	// map iteration order would otherwise make ε differ between runs (and
 	// between shard counts) by float-addition rounding.
 	hostIDs := sortedKeys(ws.hosts)
+	totals := make([]sampling.HostTotal, max(p.SampledHosts, len(hostIDs)))
+	q := p.SampleEvents
+	bounds := make([]float64, len(p.Select))
 	for col, aggIdx := range comp.directAgg {
+		bounds[col] = math.NaN()
 		if aggIdx < 0 || !p.Aggs[aggIdx].Spec.Scalable() {
 			continue
 		}
-		hosts := make([]sampling.HostMoments, 0, len(hostIDs))
-		for _, host := range hostIDs {
-			r := ws.hosts[host][aggIdx]
-			if r.N() == 0 {
-				continue
-			}
-			m := max(uint64(math.Round(float64(r.w)/p.SampleEvents)), uint64(r.N()))
-			hosts = append(hosts, sampling.HostMoments{
-				HostID: host, M: m, N: r.N(), Sum: r.Sum(), Var: r.Var(),
-				// Mᵢ above is Wᵢ/q, not an exact per-window count. The
-				// estimator must widen the within-host term accordingly.
-				EstimatedM: p.SampleEvents < 1 || r.w != uint64(r.N()),
-			})
+		for i, host := range hostIDs {
+			m := ws.hosts[host][aggIdx]
+			totals[i] = sampling.HostTotal{T: m.t / q, V: m.v / (q * q)}
 		}
-		if len(hosts) == 0 {
-			continue
+		if _, eps, err := sampling.EstimateSum(max(p.TotalHosts, len(totals)), totals); err == nil {
+			bounds[col] = eps
 		}
-		// Every host the plan sampled is one of Eq. 1's n — the n
-		// scaleFactor divides by — whether or not it had a matching event
-		// in the window: one without is a zero.
-		n := max(p.SampledHosts, len(hosts))
-		for len(hosts) < n {
-			hosts = append(hosts, sampling.HostMoments{})
-		}
-		est, err := sampling.EstimateSumMoments(max(p.TotalHosts, n), hosts, confidence)
-		if err != nil {
-			continue
-		}
-		bounds[col] = est.Err
 	}
 	return bounds
 }
@@ -597,8 +583,8 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 			continue
 		}
 		for i := range dm {
-			dm[i].Merge(sm[i].Running)
-			dm[i].w += sm[i].w
+			dm[i].t += sm[i].t
+			dm[i].v += sm[i].v
 		}
 	}
 	var adopted []byte

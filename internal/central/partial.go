@@ -132,12 +132,12 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // window closed.
 
 // codePartial is a partial's description: the tuple count and weight, the
-// hosts that reported, each with its weighted moments when the plan keeps
+// hosts that reported, each with its moments' two sums when the plan keeps
 // them (Plan.moments), each group's key and aggregate states, and the raw
 // rows. Decoding builds ws, a fresh window, and holds the bytes to the
 // plan: no weight below its count, no host twice, as many moments per
-// host as the plan keeps, key and row widths, keys and rows that decode,
-// no group key twice.
+// host as the plan keeps and no variance sum that is negative or NaN, key
+// and row widths, keys and rows that decode, no group key twice.
 func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 	decoding := c.Mode == wire.Decoding
 	c.Uvarint(&ws.tuples)
@@ -173,10 +173,10 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 			return
 		}
 		for j := range moments {
-			moments[j].Code(c)
-			c.Uvarint(&moments[j].w)
-			if decoding && moments[j].w < uint64(moments[j].N()) {
-				c.Failf("moment weight %d below %d readings", moments[j].w, moments[j].N())
+			c.F64(&moments[j].t)
+			c.F64(&moments[j].v)
+			if decoding && !(moments[j].v >= 0) {
+				c.Failf("moment variance %g", moments[j].v)
 			}
 		}
 	}

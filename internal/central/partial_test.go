@@ -176,28 +176,23 @@ func reencode(p *Plan, ws *winState) []byte {
 	return c.Buf
 }
 
-// TestDecodePartialRejectsOverflowingCount: a moment's observation count
-// that does not fit an int is malformed. Taken as it came, 2^63 reads as
-// N() = −1, and merged into a host's moments it silently erases an
-// observation from Eq. 1's bound.
+// TestDecodePartialRejectsOverflowingCount: a host's moment count that
+// does not fit an int is malformed. Taken as it came, 2^63 reads as −1.
 func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 	qr, err := CompileQuery(buildPlan(t, `select count(*), sum(bid_price) from bid sample events 50%`, 1, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	moment := func(b []byte, n uint64) []byte {
-		b = binary.AppendUvarint(b, n)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2)) // mean
-		b = binary.LittleEndian.AppendUint64(b, 0)                   // m2
-		return binary.AppendUvarint(b, n)                            // weight
-	}
 	partial := func(n uint64) []byte {
 		b := []byte{1, 1, 1, 2, 'h', '0'} // one tuple of weight 1, from h0, with
-		b = append(b, 2)                  // one moment per aggregate
-		b = moment(moment(b, n), 1)
+		b = binary.AppendUvarint(b, n)    // n moments
+		for range 2 {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2)) // t
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(2)) // v
+		}
 		return append(b, 0, 0) // no groups, no raw rows
 	}
-	if _, err := qr.DecodePartial(partial(1)); err != nil {
+	if _, err := qr.DecodePartial(partial(2)); err != nil {
 		t.Fatalf("a well-formed partial: %v", err)
 	}
 	if _, err := qr.DecodePartial(partial(1 << 63)); err == nil {
@@ -207,14 +202,11 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 
 // TestDecodePartialHoldsHostsToPlan: a host's moments are coded after its
 // name only under a plan that keeps them, as many as the plan keeps, and
-// a host is listed once. A weight is never below the count it sums over:
-// the window's below its tuples, a moment's below its readings. A partial
-// that breaks any of these is malformed.
+// a host is listed once. The window's weight is never below its tuples,
+// and a moment's variance sum is neither negative nor NaN. A partial that
+// breaks any of these is malformed.
 func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
-	moment := func(w byte) []byte { // n = 1, mean 0, m2 0, weight w
-		return []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, w}
-	}
-	host := func(name string, moments int, w byte) []byte { // each moment of weight w
+	host := func(name string, moments int, v float64) []byte { // each moment's sums t = 4, v
 		b := []byte{byte(len(name))}
 		b = append(b, name...)
 		if moments < 0 {
@@ -222,7 +214,8 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		}
 		b = append(b, byte(moments))
 		for range moments {
-			b = append(b, moment(w)...)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(4))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 		return b
 	}
@@ -248,9 +241,10 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		{"moments a plan does not keep", `select avg(bid_price), max(user_id) from bid`, partial(host("h0", 2, 1)), false},
 		{"grouped: no moments", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1, 1)), true},
 		{"grouped: repeated host", `select exchange_id, count(*) from bid group by exchange_id`, partial(host("h0", -1, 1), host("h0", -1, 1)), false},
-		{"a governed tuple", `select count(*), sum(bid_price) from bid`, weighed(4, host("h0", 2, 4)), true},
+		{"a governed tuple", `select count(*), sum(bid_price) from bid`, weighed(4, host("h0", 2, 12)), true},
 		{"weight below the tuples", `select exchange_id, count(*) from bid group by exchange_id`, weighed(0, host("h0", -1, 1)), false},
-		{"moment weight below its readings", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, 0)), false},
+		{"a negative variance", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, -1)), false},
+		{"a NaN variance", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, math.NaN())), false},
 	}
 	for _, tc := range cases {
 		qr, err := CompileQuery(buildPlan(t, tc.query, 1, 3, 3))

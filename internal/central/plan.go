@@ -61,14 +61,11 @@ type Plan struct {
 	// aggLayout is where Aggs' states live in a window's agg.Slab
 	// (checkAggs).
 	aggLayout *agg.Layout
-	// moments is how many reading moments a window keeps per host for the
+	// moments is how many moments a window keeps per host for the
 	// Eq. 1–3 bounds: one per aggregate when the plan is ungrouped and has
 	// a scalable aggregate, else none (checkAggs).
 	moments int
 }
-
-// confidence is the level of every estimator error bound.
-const confidence = 0.95
 
 // FromPlan assembles a central Plan from an analyzed query.
 func FromPlan(p *ql.Plan, queryID uint64, startNanos, endNanos int64, totalHosts, sampledHosts int) Plan {

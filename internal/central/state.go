@@ -10,7 +10,6 @@ import (
 	"scrub/internal/agg"
 	"scrub/internal/event"
 	"scrub/internal/slab"
-	"scrub/internal/stats"
 )
 
 // winState is everything one open window holds, laid out as one slab set
@@ -33,8 +32,8 @@ type winState struct {
 	// weights (tupleWeight): the two differ where the governor stepped in.
 	tuples, weight uint64
 	// hosts is the window's one table of the hosts that reported: what
-	// HostsReporting counts, and each host's reading moments per aggregate
-	// for the Eq. 1–3 error bounds. A host's moments are nil unless the
+	// HostsReporting counts, and each host's moments per aggregate for
+	// the Eq. 1–3 error bounds. A host's moments are nil unless the
 	// plan keeps them (Plan.moments): an ungrouped plan with a scalable
 	// aggregate.
 	hosts map[string][]moment
@@ -79,17 +78,20 @@ type winState struct {
 	charged int64
 }
 
-// moment is one host's readings of one aggregate in a window, and w, the
-// summed weight of the tuples they came from.
-type moment struct {
-	stats.Running
-	w uint64
-}
+// moment is one host's Horvitz–Thompson sums of one aggregate in a
+// window: t = Σ w·x and v = Σ w·(w−q)·x² over its readings x, of tuples
+// of weight w at plan rate q. A tuple was kept with probability q/w, so
+// t/q is the host's estimated total and v/q² that estimate's unbiased
+// variance (computeBounds).
+type moment struct{ t, v float64 }
 
-// add folds a reading of a tuple of weight w.
-func (m *moment) add(x float64, w uint64) {
-	m.Running.Add(x)
-	m.w += w
+// add folds a reading x of a tuple of weight w at plan rate q. A tuple
+// kept for certain (w = q = 1) adds no variance.
+func (m *moment) add(x, w, q float64) {
+	m.t += w * x
+	if w > q {
+		m.v += (w - q) * x * (w * x)
+	}
 }
 
 // groupHdr is what precedes the key in a group's run: the link and the

@@ -29,20 +29,30 @@ func TestDifferentialSweep(t *testing.T) {
 	if testing.Short() {
 		n = 24
 	}
-	covChecked, covHit := 0, 0
+	// Coverage per mode: sampled seeds sample every host's events (n = N),
+	// hostsample seeds sample hosts (n < N).
+	var modeChecked, modeHit [numModes]int
 	for seed := int64(0); seed < n; seed++ {
 		out := runSeed(t, seed)
 		if out != nil {
-			covChecked += out.CovChecked
-			covHit += out.CovHit
+			mode := deriveConfig(seed).Mode
+			modeChecked[mode] += out.CovChecked
+			modeHit[mode] += out.CovHit
 		}
+	}
+	covChecked, covHit := 0, 0
+	for mode := range modeChecked {
+		covChecked += modeChecked[mode]
+		covHit += modeHit[mode]
 	}
 	// Contract B is statistical: the Eq. 1–3 intervals are built at 95%
 	// confidence, so aggregate coverage across the sweep must clear a
 	// conservative floor (individual misses are expected and fine).
 	if covChecked >= 20 {
 		rate := float64(covHit) / float64(covChecked)
-		t.Logf("sampling CI coverage: %d/%d = %.3f", covHit, covChecked, rate)
+		t.Logf("sampling CI coverage: %d/%d = %.3f (n = N, sampled: %d/%d; n < N, hostsample: %d/%d)",
+			covHit, covChecked, rate, modeHit[modeSampled], modeChecked[modeSampled],
+			modeHit[modeHostSample], modeChecked[modeHostSample])
 		if rate < 0.80 {
 			t.Errorf("confidence-interval coverage %.3f (%d/%d) below 0.80 floor: Eq. 1–3 bounds are too tight",
 				rate, covHit, covChecked)

@@ -6,22 +6,23 @@ import (
 	"scrub/internal/sampling"
 )
 
-// ExampleEstimateSumMoments demonstrates the paper's Eq. 1–3 multistage
-// estimator: 2 of 4 hosts sampled, half the events read at each (readings
-// 5, 7 and 6, 6), the sum scaled up with a 95% confidence bound.
-func ExampleEstimateSumMoments() {
-	hosts := []sampling.HostMoments{
-		{HostID: "bid-01", M: 4, N: 2, Sum: 12, Var: 2},
-		{HostID: "bid-02", M: 4, N: 2, Sum: 12, Var: 0},
+// ExampleEstimateSum demonstrates the paper's Eq. 1–3 multistage
+// estimator: 2 of 4 hosts sampled, 2 of the 4 events read at each
+// (readings 5, 7 and 6, 6), each host's total Mᵢ/mᵢ·Σv = 24 with variance
+// Mᵢ(Mᵢ−mᵢ)·s²ᵢ/mᵢ, the sum scaled up with a 95% confidence bound.
+func ExampleEstimateSum() {
+	hosts := []sampling.HostTotal{
+		{T: 24, V: 8}, // s² = 2
+		{T: 24, V: 0}, // s² = 0
 	}
-	est, err := sampling.EstimateSumMoments(4, hosts, 0.95)
+	tau, eps, err := sampling.EstimateSum(4, hosts)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("τ̂ = %.0f (N=%d, n=%d)\n", est.Value, est.NumHosts, est.Sampled)
+	fmt.Printf("τ̂ = %.0f ± %.1f (N=4, n=%d)\n", tau, eps, len(hosts))
 	// Output:
-	// τ̂ = 96 (N=4, n=2)
+	// τ̂ = 96 ± 50.8 (N=4, n=2)
 }
 
 // ExampleSelectHosts shows deterministic host sampling: every component

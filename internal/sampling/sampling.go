@@ -4,16 +4,28 @@
 // The query language supports sampling the set of hosts and sampling the
 // events on each chosen host (paper §3.2); both trade accuracy for load in
 // a tunable fashion. Like ApproxHadoop, error bounds for scaled SUM/COUNT
-// results come from two-stage (cluster) sampling theory:
+// results come from two-stage (cluster) sampling theory. The paper states
+// them for mᵢ of Mᵢ events drawn without replacement at each host:
 //
 //	τ̂ = N/n · Σᵢ (Mᵢ/mᵢ · Σⱼ vᵢⱼ)  ± ε                    (Eq. 1)
 //	ε  = t_{n−1,1−α/2} · sqrt(V̂ar(τ̂))                      (Eq. 2)
 //	V̂ar(τ̂) = N(N−n)·s²ᵤ/n + N/n · Σᵢ Mᵢ(Mᵢ−mᵢ)·s²ᵢ/mᵢ      (Eq. 3)
 //
-// where N is the number of eligible hosts, n the number sampled, Mᵢ the
-// number of matching events at host i, mᵢ the number sampled there, s²ᵢ the
+// where N is the number of eligible hosts, n the number sampled, s²ᵢ the
 // per-host reading variance, and s²ᵤ the variance of the estimated host
-// totals.
+// totals. A host here samples each event independently, keeping event j
+// with probability πⱼ = q/wⱼ (plan rate q, the tuple's integer governor
+// weight wⱼ), and Mᵢ is not known per window. So each host's Mᵢ/mᵢ·Σⱼ vᵢⱼ
+// is its Horvitz–Thompson total tᵢ = Σⱼ vᵢⱼ/πⱼ, and its within-host term
+// Mᵢ(Mᵢ−mᵢ)·s²ᵢ/mᵢ is that total's unbiased variance
+// vᵢ = Σⱼ (1−πⱼ)/πⱼ² · vᵢⱼ²:
+//
+//	τ̂ = N/n · Σᵢ tᵢ
+//	V̂ar(τ̂) = N(N−n)·s²ₜ/n + N/n · Σᵢ vᵢ
+//
+// Eq. 2's t applies when hosts are sampled (n < N). When every host is
+// (n = N) there is no first stage, and ε is the normal quantile times
+// sqrt(Σᵢ vᵢ) (EstimateSum).
 package sampling
 
 import (
@@ -122,13 +134,4 @@ func hostCount(rate float64, n int) int {
 		k = int(r)
 	}
 	return max(k, 1)
-}
-
-// Estimate is a scaled aggregate with its confidence interval.
-type Estimate struct {
-	Value      float64 // τ̂
-	Err        float64 // ε: half-width of the confidence interval
-	Confidence float64 // 1 − α
-	NumHosts   int     // N
-	Sampled    int     // n
 }

@@ -1,23 +1,31 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
-
-	"scrub/internal/stats"
 )
 
-// sample is one sampled host's moments over its readings vals, of m
-// matching events there.
-func sample(id string, m uint64, vals ...float64) HostMoments {
-	var r stats.Running
+// srswor is a host's total and variance in the paper's Eq. 1 and 3 form:
+// the readings vals are m of the host's M events, drawn without
+// replacement, so tᵢ = M/m·Σv and vᵢ = M(M−m)·s²/m.
+func srswor(M int, vals ...float64) HostTotal {
+	m := float64(len(vals))
+	var sum, ss float64
 	for _, v := range vals {
-		r.Add(v)
+		sum += v
 	}
-	return HostMoments{HostID: id, M: m, N: r.N(), Sum: r.Sum(), Var: r.Var()}
+	for _, v := range vals {
+		ss += (v - sum/m) * (v - sum/m)
+	}
+	h := HostTotal{T: float64(M) / m * sum}
+	if m > 1 {
+		h.V = float64(M) * (float64(M) - m) * ss / (m - 1) / m
+	}
+	return h
 }
 
 func hostNames(n int) []string {
@@ -109,98 +117,114 @@ func TestSelectHostsDeterministicAndSeedSensitive(t *testing.T) {
 func TestEstimateSumExactWhenFull(t *testing.T) {
 	// Sampling every host and every event reproduces the exact sum with
 	// zero variance.
-	samples := []HostMoments{sample("a", 3, 1, 2, 3), sample("b", 2, 10, 20)}
-	est, err := EstimateSumMoments(2, samples, 0.95)
+	tau, eps, err := EstimateSum(2, []HostTotal{srswor(3, 1, 2, 3), srswor(2, 10, 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Value != 36 {
-		t.Errorf("full-sample estimate = %g, want 36", est.Value)
+	if tau != 36 {
+		t.Errorf("full-sample estimate = %g, want 36", tau)
 	}
-	if est.Err != 0 {
-		t.Errorf("full-sample error = %g, want 0", est.Err)
+	if eps != 0 {
+		t.Errorf("full-sample error = %g, want 0", eps)
 	}
 }
 
 func TestEstimateSumScaling(t *testing.T) {
 	// 2 of 4 hosts sampled, half the events at each: estimate scales by 4.
-	samples := []HostMoments{sample("a", 4, 5, 5), sample("b", 4, 5, 5)}
-	est, err := EstimateSumMoments(4, samples, 0.95)
+	tau, _, err := EstimateSum(4, []HostTotal{srswor(4, 5, 5), srswor(4, 5, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// u_i = 4/2*10 = 20 each; τ̂ = 4/2*(20+20) = 80.
-	if est.Value != 80 {
-		t.Errorf("estimate = %g, want 80", est.Value)
-	}
-	if est.NumHosts != 4 || est.Sampled != 2 {
-		t.Errorf("N/n = %d/%d", est.NumHosts, est.Sampled)
+	// t_i = 4/2*10 = 20 each; τ̂ = 4/2*(20+20) = 80.
+	if tau != 80 {
+		t.Errorf("estimate = %g, want 80", tau)
 	}
 }
 
 func TestEstimateSumErrors(t *testing.T) {
-	good := []HostMoments{sample("a", 1, 1), sample("b", 1, 1)}
-	if _, err := EstimateSumMoments(2, nil, 0.95); err == nil {
+	if _, _, err := EstimateSum(2, nil); err == nil {
 		t.Error("no samples should fail")
 	}
-	if _, err := EstimateSumMoments(1, good, 0.95); err == nil {
+	if _, _, err := EstimateSum(1, []HostTotal{srswor(1, 1), srswor(1, 1)}); err == nil {
 		t.Error("N < n should fail")
 	}
-	if _, err := EstimateSumMoments(2, good, 0); err == nil {
-		t.Error("confidence 0 should fail")
-	}
-	if _, err := EstimateSumMoments(2, good, 1); err == nil {
-		t.Error("confidence 1 should fail")
-	}
-	bad := []HostMoments{sample("a", 5), sample("b", 1, 1)}
-	if _, err := EstimateSumMoments(2, bad, 0.95); err == nil {
-		t.Error("M>0 with no values should fail")
-	}
-	// Host with M=0 and no values is fine — it contributes zero.
-	zero := []HostMoments{sample("a", 0), sample("b", 2, 3, 4)}
-	est, err := EstimateSumMoments(2, zero, 0.95)
-	if err != nil || est.Value != 7 {
-		t.Errorf("zero-host estimate = %v, %v", est, err)
+	// A host without a reading is fine — it contributes zero.
+	if tau, _, err := EstimateSum(2, []HostTotal{{}, srswor(2, 3, 4)}); err != nil || tau != 7 {
+		t.Errorf("zero-host estimate = %g, %v", tau, err)
 	}
 }
 
 func TestEstimateSumSingleHostInfiniteBound(t *testing.T) {
-	est, err := EstimateSumMoments(10, []HostMoments{sample("a", 10, 1, 2)}, 0.95)
-	if err != nil {
-		t.Fatal(err)
+	h := srswor(10, 1, 2)
+	if _, eps, err := EstimateSum(10, []HostTotal{h}); err != nil || !math.IsInf(eps, 1) {
+		t.Errorf("n=1 of N=10 error bound = %g, %v; want +Inf", eps, err)
 	}
-	if !math.IsInf(est.Err, 1) {
-		t.Errorf("n=1 error bound = %g, want +Inf", est.Err)
+	// The one host of one is every host: there is no first stage, and
+	// the bound is the within-host term's alone.
+	if _, eps, err := EstimateSum(1, []HostTotal{h}); err != nil || eps != z*math.Sqrt(h.V) {
+		t.Errorf("n=N=1 error bound = %g, %v; want %g", eps, err, z*math.Sqrt(h.V))
 	}
 }
 
 // TestEstimateCoverage is the empirical check of Eqs. 1–3: across many
 // independent sampling draws, the 95% interval should contain the true
 // total roughly 95% of the time (we assert ≥ 85% to avoid flakiness;
-// gross formula errors produce far lower coverage). It sweeps seven
-// (host, event) rate pairs, from every host at half the events down to
-// the paper's 10%/10% use case (§8.2) and below, and the error must grow
-// as the sampling thins.
+// gross formula errors produce far lower coverage). Its first rows draw
+// as the paper does, mᵢ of Mᵢ events without replacement on n of N hosts,
+// from every host at half the events down to the paper's 10%/10% use case
+// (§8.2) and below, and the error must grow as the sampling thins. The
+// others draw as a host and central do: each event kept independently
+// with probability q/w, where half of a host's events carry the governor
+// weight 2, and each host's total and variance summed as central sums
+// them — including one host of one and four of four, where there is no
+// host stage.
 func TestEstimateCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const (
-		N          = 40  // hosts
-		perHost    = 200 // events per host
-		trials     = 300
-		confidence = 0.95
+		N       = 40  // hosts
+		perHost = 200 // events per host
+		trials  = 300
 	)
 	// Fixed population: per-host event values with cross-host variation.
 	pop := make([][]float64, N)
-	var truth float64
 	for i := range pop {
 		base := rng.Float64() * 10
 		pop[i] = make([]float64, perHost)
 		for j := range pop[i] {
-			v := base + rng.NormFloat64()*2
-			pop[i][j] = v
-			truth += v
+			pop[i][j] = base + rng.NormFloat64()*2
 		}
 	}
+	total := func(hosts int) (truth float64) {
+		for _, events := range pop[:hosts] {
+			for _, v := range events {
+				truth += v
+			}
+		}
+		return truth
+	}
+	check := func(name string, truth float64, draw func() (int, []HostTotal)) float64 {
+		covered, relErr := 0, 0.0
+		for range trials {
+			tau, eps, err := EstimateSum(draw())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(tau-truth) <= eps {
+				covered++
+			}
+			relErr += math.Abs(tau-truth) / truth / trials
+		}
+		coverage := float64(covered) / trials
+		t.Logf("%s: coverage %.3f, mean relative error %.4f", name, coverage, relErr)
+		if coverage < 0.85 {
+			t.Errorf("%s: 95%% interval empirical coverage = %.3f, want >= 0.85", name, coverage)
+		}
+		if relErr > 0.5 {
+			t.Errorf("%s: mean relative error %.3f, want <= 0.5", name, relErr)
+		}
+		return relErr
+	}
+
 	var relErrs []float64
 	for _, rates := range [][2]float64{
 		{1.0, 0.5}, {1.0, 0.1}, {0.5, 0.5}, {0.5, 0.1},
@@ -208,56 +232,58 @@ func TestEstimateCoverage(t *testing.T) {
 	} {
 		hostRate, eventRate := rates[0], rates[1]
 		n := int(hostRate * N)
-		covered, relErr := 0, 0.0
-		for trial := 0; trial < trials; trial++ {
-			hostIdx := rng.Perm(N)[:n]
-			samples := make([]HostMoments, 0, n)
-			for _, hi := range hostIdx {
+		relErrs = append(relErrs, check(fmt.Sprintf("rates %g/%g", hostRate, eventRate), total(N), func() (int, []HostTotal) {
+			hosts := make([]HostTotal, 0, n)
+			for _, hi := range rng.Perm(N)[:n] {
 				events := pop[hi]
-				mi := int(eventRate * float64(len(events)))
-				idx := rng.Perm(len(events))[:mi]
-				vals := make([]float64, mi)
-				for k, ei := range idx {
+				vals := make([]float64, int(eventRate*float64(len(events))))
+				for k, ei := range rng.Perm(len(events))[:len(vals)] {
 					vals[k] = events[ei]
 				}
-				samples = append(samples, sample("h", uint64(len(events)), vals...))
+				hosts = append(hosts, srswor(len(events), vals...))
 			}
-			est, err := EstimateSumMoments(N, samples, confidence)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(est.Value-truth) <= est.Err {
-				covered++
-			}
-			relErr += math.Abs(est.Value-truth) / truth / trials
-		}
-		coverage := float64(covered) / trials
-		if coverage < 0.85 {
-			t.Errorf("rates %g/%g: 95%% interval empirical coverage = %.3f, want >= 0.85", hostRate, eventRate, coverage)
-		}
-		if relErr > 0.5 {
-			t.Errorf("rates %g/%g: mean relative error %.3f, want <= 0.5", hostRate, eventRate, relErr)
-		}
-		relErrs = append(relErrs, relErr)
+			return N, hosts
+		}))
 	}
 	if first, last := relErrs[0], relErrs[len(relErrs)-1]; first >= last {
 		t.Errorf("error did not grow with sparser sampling: %.4f at 100%%/50%% vs %.4f at 10%%/5%%", first, last)
 	}
+
+	for _, c := range []struct {
+		N, n int
+		q    float64
+	}{{1, 1, 0.5}, {1, 1, 0.1}, {4, 4, 0.5}, {4, 4, 0.1}, {40, 40, 0.05}, {40, 10, 0.2}} {
+		check(fmt.Sprintf("Bernoulli q=%g, n=%d of N=%d", c.q, c.n, c.N), total(c.N), func() (int, []HostTotal) {
+			hosts := make([]HostTotal, 0, c.n)
+			for _, hi := range rng.Perm(c.N)[:c.n] {
+				var T, V float64 // as central's moment sums them
+				for j, x := range pop[hi] {
+					w := float64(1 + 2*j/perHost)
+					if rng.Float64() < c.q/w {
+						T += w * x
+						V += w * (w - c.q) * x * x
+					}
+				}
+				hosts = append(hosts, HostTotal{T: T / c.q, V: V / (c.q * c.q)})
+			}
+			return c.N, hosts
+		})
+	}
 }
 
-func BenchmarkEstimateSumMoments(b *testing.B) {
+func BenchmarkEstimateSum(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	samples := make([]HostMoments, 50)
-	for i := range samples {
+	hosts := make([]HostTotal, 50)
+	for i := range hosts {
 		vals := make([]float64, 100)
 		for j := range vals {
 			vals[j] = rng.Float64()
 		}
-		samples[i] = sample("h", 1000, vals...)
+		hosts[i] = srswor(1000, vals...)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateSumMoments(100, samples, 0.95); err != nil {
+		if _, _, err := EstimateSum(100, hosts); err != nil {
 			b.Fatal(err)
 		}
 	}

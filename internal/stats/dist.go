@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit Scrub's sampling
 // machinery needs: Student-t quantiles for the multistage-sampling error
-// bounds (paper Eq. 2), plus streaming mean/variance and simple percentile
-// helpers used by the benchmark harness.
+// bounds (paper Eq. 2), plus a percentile helper the case studies use.
 //
 // Everything is implemented from first principles on the stdlib: the t
 // CDF goes through the regularized incomplete beta function (continued

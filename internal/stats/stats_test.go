@@ -9,9 +9,6 @@ import (
 
 func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// Mean returns the sample mean (0 when empty); production reads Sum.
-func (r *Running) Mean() float64 { return r.mean }
-
 func TestRegIncBetaBoundaries(t *testing.T) {
 	if RegIncBeta(2, 3, 0) != 0 || RegIncBeta(2, 3, 1) != 1 {
 		t.Error("boundaries wrong")
@@ -124,58 +121,6 @@ func TestNormQuantile(t *testing.T) {
 	}
 }
 
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.N() != 0 {
-		t.Error("zero value not empty")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		r.Add(x)
-	}
-	if r.N() != 8 || !close(r.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %g", r.Mean())
-	}
-	// Sample variance of this classic set: population var 4, sample var 32/7.
-	if !close(r.Var(), 32.0/7, 1e-12) {
-		t.Errorf("var = %g", r.Var())
-	}
-	if !close(r.Sum(), 40, 1e-12) {
-		t.Errorf("sum = %g", r.Sum())
-	}
-}
-
-func TestRunningMergeQuick(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				return true // skip pathological inputs
-			}
-		}
-		var whole, a, b Running
-		cut := 0
-		if len(xs) > 0 {
-			cut = int(split) % (len(xs) + 1)
-		}
-		for i, x := range xs {
-			whole.Add(x)
-			if i < cut {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		scale := 1 + math.Abs(whole.Mean()) + whole.Var()
-		return a.N() == whole.N() &&
-			close(a.Mean(), whole.Mean(), 1e-9*scale) &&
-			close(a.Var(), whole.Var(), 1e-9*scale)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := map[float64]float64{
@@ -194,36 +139,5 @@ func TestPercentile(t *testing.T) {
 	// Input not mutated.
 	if xs[0] != 15 || xs[4] != 50 {
 		t.Error("Percentile mutated input")
-	}
-}
-
-func TestRunningMergeEdges(t *testing.T) {
-	// Merge of/into empty accumulators.
-	var a, b Running
-	b.Add(3)
-	b.Add(5)
-	a.Merge(b) // into empty
-	if a.N() != 2 || !close(a.Mean(), 4, 1e-12) {
-		t.Errorf("merge into empty: n=%d mean=%g", a.N(), a.Mean())
-	}
-	var empty Running
-	a.Merge(empty) // merge of empty: no-op
-	if a.N() != 2 || !close(a.Mean(), 4, 1e-12) {
-		t.Errorf("merge of empty disturbed: n=%d mean=%g", a.N(), a.Mean())
-	}
-	// Non-trivial merge matches whole-stream accumulation.
-	var c, d, whole Running
-	for i := 0; i < 10; i++ {
-		x := float64(i * i)
-		whole.Add(x)
-		if i < 4 {
-			c.Add(x)
-		} else {
-			d.Add(x)
-		}
-	}
-	c.Merge(d)
-	if !close(c.Mean(), whole.Mean(), 1e-9) || !close(c.Var(), whole.Var(), 1e-9) {
-		t.Errorf("merge: mean %g/%g var %g/%g", c.Mean(), whole.Mean(), c.Var(), whole.Var())
 	}
 }

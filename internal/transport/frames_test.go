@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,19 +29,31 @@ func frameLines(t *testing.T) []string {
 	return out
 }
 
+// retiredFrames are the golden lines of retired messages, whose tags are
+// reserved: the golden keeps them so that the decoder is held to refusing
+// them. -update writes them after the base protocol's frames (tags up to
+// QueryList's), where they stood when the messages were retired.
+var retiredFrames = []string{
+	"12 Ping 0c6300000000000000",
+	"13 Pong 0d6300000000000000",
+}
+
 // TestFramesGolden pins the wire: the bytes every sample message encodes
 // to are the ones in testdata/frames.golden. A change to a tag, a field's
 // width or order, or a length prefix shows here as a moved line; -update
 // rewrites the file, and a moved line needs a protocol reason. A golden
 // frame whose tag is now reserved (a retired message's) must be refused
-// by the decoder, so the tag cannot come back meaning something else.
+// by the decoder, so the tag cannot come back meaning something else, and
+// the golden must hold every retired frame.
 func TestFramesGolden(t *testing.T) {
 	got := frameLines(t)
 	if *update {
+		base := slices.IndexFunc(sampleMessages(), func(m Message) bool { return m.msgTag() > tagQueryList })
+		lines := slices.Concat(got[:base], retiredFrames, got[base:])
 		if err := os.MkdirAll(filepath.Dir(framesGolden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(framesGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(framesGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -50,6 +63,7 @@ func TestFramesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []string
+	retired := slices.Clone(retiredFrames)
 	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
 		var tag int
 		var name, payload string
@@ -60,9 +74,13 @@ func TestFramesGolden(t *testing.T) {
 			if m, err := Decode([]byte(payload)); err == nil {
 				t.Errorf("reserved tag %d (%s) decodes, as %s", tag, name, Name(m))
 			}
+			retired = slices.DeleteFunc(retired, func(r string) bool { return r == line })
 			continue
 		}
 		want = append(want, line)
+	}
+	for _, r := range retired {
+		t.Errorf("%s lacks the retired frame %q", framesGolden, r)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d sample frames, %s has %d", len(got), framesGolden, len(want))

@@ -139,6 +139,12 @@ if grep -rnw --include='*.go' 'substituteEstimate' cmd internal | grep -v '_test
   echo "non-test Go under cmd/ or internal/ scales a window by its hosts' last reported rates again (substituteEstimate, Report.Rates or Report's plan-rate argument): a batch's rate weights its tuples at apply (central.tupleWeight), and render scales every scalable aggregate by Plan.scaleFactor alone" >&2; exit 1
 fi
 
+echo "== one estimator input (a window's host keeps two Horvitz-Thompson sums per aggregate: non-test internal/ and cmd/ name no EstimatedM, EstimateSumMoments or stats.Running, and internal/stats declares no Running) =="
+if grep -rnE --include='*.go' 'EstimatedM|EstimateSumMoments|stats\.Running' cmd internal | grep -v '_test\.go:' ||
+   grep -nE '^type Running\b' $(nontest internal/stats); then
+  echo "non-test Go under cmd/ or internal/ keeps Welford moments or recovers a host's Mᵢ for the error bounds again: a host's moment is t = Σw·x and v = Σw·(w−q)·x² (central.moment), and sampling.EstimateSum takes each host's (t/q, v/q²)" >&2; exit 1
+fi
+
 echo "== analyzer golden tests (internal/analysis) =="
 go test ./internal/analysis/...
 
