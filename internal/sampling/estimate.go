@@ -58,7 +58,8 @@ func EstimateSum(totalHosts int, hosts []HostTotal) (tau, eps float64, err error
 	}
 	var ss float64 // (n − 1)·s²ₜ
 	for _, h := range hosts {
-		ss += (h.T - sum/fn) * (h.T - sum/fn)
+		d := h.T - sum/fn
+		ss += d * d
 	}
 	tq, err := stats.TQuantile(1-(1-Confidence)/2, fn-1)
 	if err != nil {
