@@ -370,6 +370,61 @@ func TestBoundsAreHorvitzThompson(t *testing.T) {
 			t.Errorf("count %v ± %v, want 20 ± %.6g", w.Rows[0][0], w.ErrBounds, z*math.Sqrt(20))
 		}
 	})
+	t.Run("no reading", func(t *testing.T) {
+		// Two NULL prices: count(bid_price) is 0 with nothing to bound
+		// it by, not 0 ± 0.
+		w := run(t, `select count(*), count(bid.bid_price) from bid window 10s sample events 50%`, 1,
+			readings("h1", 0.5, 2, event.Value{}))
+		if w.Rows[0][1].String() != "0" || len(w.ErrBounds) != 2 || math.IsNaN(w.ErrBounds[0]) || !math.IsNaN(w.ErrBounds[1]) {
+			t.Errorf("row %v ± %v, want count(bid_price) 0 with a NaN bound beside count(*)'s", w.Rows[0], w.ErrBounds)
+		}
+	})
+	t.Run("join", func(t *testing.T) {
+		// A request's pairs are kept or dropped together: they are not
+		// the independent readings the variance sums assume.
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, `select count(*) from bid, exclusion window 10s sample events 50%`, 1, 1, 1), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", EffRate: 0.5, Tuples: []transport.Tuple{tup(1, sec(1)), tup(2, sec(1))}})
+		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 1, EffRate: 0.5,
+			Tuples: []transport.Tuple{tup(1, sec(2), event.Str("budget")), tup(2, sec(2), event.Str("cap"))}})
+		e.Tick(sec(30))
+		w := c.all()
+		if len(w) != 1 || w[0].Rows[0][0].String() != "4" || !w[0].Approx || len(w[0].ErrBounds) != 1 || !math.IsNaN(w[0].ErrBounds[0]) {
+			t.Errorf("windows %+v, want one approximate count of 4 with a NaN bound", w)
+		}
+	})
+}
+
+// TestJoinPairWeighsItsHeavierTuple: a pair is kept when both its tuples
+// are, and the lighter one's keep test nests inside the heavier one's, so
+// the pair counts for the larger weight whichever side arrives first.
+func TestJoinPairWeighsItsHeavierTuple(t *testing.T) {
+	side := func(typeIdx uint8, rate float64, vals ...event.Value) transport.TupleBatch {
+		return transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: typeIdx, EffRate: rate,
+			Tuples: []transport.Tuple{tup(7, sec(1), vals...)}}
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second transport.TupleBatch
+	}{
+		{"heavier buffered", side(0, 0.25), side(1, 1, event.Str("budget"))},
+		{"heavier completes", side(0, 1), side(1, 0.25, event.Str("budget"))},
+	} {
+		e := NewEngine()
+		c := &collector{}
+		if err := e.StartQuery(buildPlan(t, `select count(*) from bid, exclusion window 10s`, 1, 1, 1), c.emit); err != nil {
+			t.Fatal(err)
+		}
+		e.HandleBatch(tc.first)
+		e.HandleBatch(tc.second)
+		e.Tick(sec(30))
+		if w := c.all(); len(w) != 1 || w[0].Rows[0][0].String() != "4" {
+			t.Errorf("%s: windows %+v, want count(*) = 4", tc.name, w)
+		}
+	}
 }
 
 func TestAvgNotScaled(t *testing.T) {
