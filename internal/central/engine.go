@@ -241,11 +241,10 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 
 	// Equi-join on the request identifier, within the window: pair the
 	// tuple with everything the other side has buffered under its id, then
-	// buffer it for the other side's later arrivals. A pair weighs what
-	// the tuple that completes it does.
+	// buffer it for the other side's later arrivals.
 	side, hash := uint64(typeIdx), hashID(t.RequestID)<<1
 	e.probeJoin(qs, ws, side, hash, t, w)
-	if !e.buffer(qs, ws, side, hash, t) {
+	if !e.buffer(qs, ws, side, hash, t, w) {
 		qs.overflow++
 	}
 }
@@ -265,6 +264,10 @@ func (qs *queryState) admit() bool {
 // first: the matching links are collected, then replayed backwards. The
 // tuple is side side of qs.sides already; each partner becomes the other.
 //
+// A pair weighs the larger of its two tuples' weights: hosts sample a join
+// by request id, and the lighter side keeps every request the heavier one
+// keeps (sampling.Keep).
+//
 //scrub:hotpath
 func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) {
 	other := 1 - side
@@ -282,6 +285,7 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		return
 	}
 	vals := qs.probe[:len(qs.plan.Columns[other])]
+	span := uint64(qs.plan.Window)
 	for i := len(found) - 1; i >= 0; i-- {
 		run, _ := ws.arena.Linked(found[i])
 		tag, n := binary.Uvarint(run[8:])
@@ -290,20 +294,25 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 			// tuple is applied and a run's payload is never rewritten.
 			unpackValues(vals, run[8+n:], true)
 		}
-		qs.sides[other] = expr.Tuple{RequestID: t.RequestID, TimeNanos: ws.start + int64(tag>>1), Values: vals}
+		dt, pw := tag>>1, w
+		if dt >= span {
+			pw = max(w, dt/span+1)
+			dt %= span
+		}
+		qs.sides[other] = expr.Tuple{RequestID: t.RequestID, TimeNanos: ws.start + int64(dt), Values: vals}
 		if qs.admit() {
-			e.accumulate(qs, ws, w)
+			e.accumulate(qs, ws, pw)
 		}
 	}
 }
 
-// buffer keeps a join tuple for the other side's later arrivals as one
-// arena run, threaded on its side's chain (winState.arena has the
-// layout). It reports false when the window is at maxJoinPending (or the
-// arena at the end of its address space).
+// buffer keeps a join tuple of weight w for the other side's later
+// arrivals as one arena run, threaded on its side's chain (winState.arena
+// has the layout). It reports false when the window is at maxJoinPending
+// (or the arena at the end of its address space).
 //
 //scrub:hotpath
-func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple) bool {
+func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) bool {
 	if ws.pendN >= qs.plan.maxJoinPending {
 		return false
 	}
@@ -313,7 +322,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	// the arena.
 	buf := appendHeader(qs.packBuf[:0], slab.LinkSize) // the index writes the link
 	buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
-	buf = binary.AppendUvarint(buf, uint64(t.TsNanos-ws.start)<<1|side)
+	buf = binary.AppendUvarint(buf, ((w-1)*uint64(qs.plan.Window)+uint64(t.TsNanos-ws.start))<<1|side)
 	buf = packValues(buf, t.Values, len(qs.plan.Columns[side]))
 	qs.packBuf = buf
 	at, ok := ws.arena.Append(buf)
@@ -494,10 +503,11 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 // computeBounds applies the paper's Eq. 1–3 per select column, in their
 // Horvitz–Thompson form (internal/sampling): a host's total is its
 // moment's t/q, and that total's variance v/q². Only columns that are
-// directly a scalable aggregate get a bound; others are NaN. n is the
-// hosts the plan sampled (Plan.SampledHosts), or the hosts that reported
-// if more did: a sampled host without a reading is a zero, not a host
-// left out.
+// directly a scalable aggregate of a plan that keeps moments get a bound,
+// and only when some host has a nonzero reading (0 ± 0 would claim an
+// exact zero); others are NaN. n is the hosts the plan sampled
+// (Plan.SampledHosts), or the hosts that reported if more did: a sampled
+// host without a reading is a zero, not a host left out.
 func computeBounds(p *Plan, comp *compiled, ws *winState) []float64 {
 	// Host order must be fixed before the float sums inside the estimator:
 	// map iteration order would otherwise make ε differ between runs (and
@@ -508,12 +518,17 @@ func computeBounds(p *Plan, comp *compiled, ws *winState) []float64 {
 	bounds := make([]float64, len(p.Select))
 	for col, aggIdx := range comp.directAgg {
 		bounds[col] = math.NaN()
-		if aggIdx < 0 || !p.Aggs[aggIdx].Spec.Scalable() {
+		if aggIdx < 0 || p.moments == 0 || !p.Aggs[aggIdx].Spec.Scalable() {
 			continue
 		}
+		read := false
 		for i, host := range hostIDs {
 			m := ws.hosts[host][aggIdx]
 			totals[i] = sampling.HostTotal{T: m.t / q, V: m.v / (q * q)}
+			read = read || m != moment{}
+		}
+		if !read {
+			continue
 		}
 		if _, eps, err := sampling.EstimateSum(max(p.TotalHosts, len(totals)), totals); err == nil {
 			bounds[col] = eps

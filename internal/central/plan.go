@@ -62,8 +62,8 @@ type Plan struct {
 	// (checkAggs).
 	aggLayout *agg.Layout
 	// moments is how many moments a window keeps per host for the
-	// Eq. 1–3 bounds: one per aggregate when the plan is ungrouped and has
-	// a scalable aggregate, else none (checkAggs).
+	// Eq. 1–3 bounds: one per aggregate when the plan is ungrouped, not a
+	// join, and has a scalable aggregate, else none (checkAggs).
 	moments int
 }
 
@@ -237,12 +237,13 @@ func compile(p *Plan) (*compiled, error) {
 
 // checkAggs lays out the plan's aggregates for the windows' state slabs,
 // so a bad spec fails the query at start, not at the first tuple, and
-// sets how many moments a window keeps per host.
+// sets how many moments a window keeps per host. A join keeps none: a
+// request's pairs are kept together, not one by one as the moments assume.
 func (p *Plan) checkAggs() (err error) {
 	specs := make([]agg.Spec, len(p.Aggs))
 	for i, a := range p.Aggs {
 		specs[i] = a.Spec
-		if a.Spec.Scalable() && !p.Grouped() {
+		if a.Spec.Scalable() && !p.Grouped() && !p.IsJoin() {
 			p.moments = len(p.Aggs)
 		}
 	}

@@ -66,8 +66,8 @@ func generate(cfg Config) (*gen, error) {
 	if g.qp, err = analyze(g.src, g.cat); err != nil {
 		return g, err
 	}
-	// The query id comes from the seed, so the agents' (query, host)-seeded
-	// samplers draw differently on every seed; each seed owns a block of
+	// The query id comes from the seed, so the agents' query-seeded keep
+	// tests keep different events on every seed; each seed owns a block of
 	// eight ids, the query under test first and its decoys after it.
 	g.plan = central.FromPlan(g.qp, 8*uint64(cfg.Seed)+1, 0, 0, hosts, sampledHosts)
 	g.plan.Text = g.src

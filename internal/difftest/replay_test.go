@@ -221,9 +221,9 @@ func TestReplayEquivalence(t *testing.T) {
 		`select bid.user_id, count(*) from bid where bid.bid_price > 0.5 group by bid.user_id window 5s`,
 		`select count(*), sum(bid.bid_price), avg(bid.bid_price) from bid window 10s`,
 		`select bid.user_id, bid.city from bid where bid.user_id = 3 window 10s`,
-		// Sampled: both arms' samplers start fresh from the same (query,
-		// host) seed and see the same matched sequence, so they keep the
-		// same events.
+		// Sampled: both arms' keep tests run under the same (query, host)
+		// seed and count the same matched sequence from 0, so they keep
+		// the same events.
 		`select bid.user_id, count(*) from bid where bid.bid_price > 0.5 group by bid.user_id window 5s sample events 25%`,
 		`select bid.user_id, bid.city from bid window 10s sample events 30%`,
 	} {

@@ -84,10 +84,10 @@ const (
 	// ActionNone: within budget (or nothing to enforce); no change.
 	ActionNone Action = iota
 	// ActionDownsample: over budget; the multiplier was halved and the
-	// caller must re-arm its sampler at Mult()·base rate.
+	// caller must re-arm its keep test at Mult()·base rate.
 	ActionDownsample
 	// ActionRecover: comfortably under budget; the multiplier was
-	// doubled back toward 1 and the sampler must be re-armed.
+	// doubled back toward 1 and the keep test must be re-armed.
 	ActionRecover
 	// ActionShed: the floor was reached while still over budget; the
 	// query must stop paying per-event cost on this host and announce

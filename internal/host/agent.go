@@ -16,9 +16,10 @@
 //     flat value arrays are recycled after shipment, and only a full
 //     chunk (not every tuple) crosses a channel to the shipper, so the
 //     synchronization cost is amortized ~BatchSize×.
-//   - Event sampling is amortized too: instead of drawing RNG per event,
-//     a geometric skip count is drawn per *kept* event, so an unsampled
-//     event costs one atomic decrement.
+//   - Event sampling holds no state but a threshold: a matched event is
+//     kept when its key hashes below it (sampling.Keep), so sampling an
+//     event costs one hash and, for a single-type query, one atomic
+//     increment of the count that keys it.
 //   - No joins, group-bys, or aggregations ever run here — those belong
 //     to ScrubCentral. Selection and projection run on the host only
 //     because they shrink what must be shipped.
@@ -174,7 +175,8 @@ type activeQuery struct {
 	// live is the lane Log dispatches the query's events on.
 	live lane
 
-	// Governor state. baseRate/seed/budget are immutable after Start;
+	// Governor state. baseRate/seed/byRequest/budget are immutable after
+	// Start (byRequest is transport.HostQuery.SampleByRequest);
 	// tracker, shed, step, bytesShipped, and the last* interval marks
 	// are owned by the shipper goroutine (shed is additionally written
 	// under the agent mutex so rebuildLocked can read it from any
@@ -182,6 +184,7 @@ type activeQuery struct {
 	// events is timed and charged ×64.
 	baseRate     float64
 	seed         uint64
+	byRequest    bool
 	budget       governor.Budget
 	tracker      *governor.Tracker
 	shed         bool
@@ -221,32 +224,32 @@ type activeQuery struct {
 }
 
 // lane is one configuration of dispatch's per-query half (dispatch.go):
-// the sampler that keeps or skips a matched event and the chunk a kept
+// the keep test a matched event passes or fails and the chunk a kept
 // event is projected into. Log runs a query's live lane; a replay scan
 // runs the same dispatch on a lane of its own, so history and live
 // traffic share selection, Mᵢ/mᵢ accounting, sampling and projection,
-// and never a chunk or a sampler's sequence.
+// and never a chunk or a count of matched events.
 type lane struct {
 	aq *activeQuery
 	// epoch tags the lane's chunks: 0 live, nonzero replayed history.
 	epoch uint32
 
-	// Event sampling, amortized: skip counts down to the next kept event;
-	// an unsampled event is one atomic decrement. sampleAll short-circuits
-	// the common rate-1 case; it is atomic because the governor lowers the
-	// rate from the shipper goroutine while Log reads it lock-free.
-	// sampler re-draws are guarded by mu (the kept event takes that lock
-	// anyway to append its tuple).
+	// Event sampling: a matched event is kept when its key hashes below
+	// thr under the query's seed (sampling.Keep), its key being its
+	// request id when the query samples by request, else ord, the lane's
+	// count of the events it has tested. sampleAll short-circuits the
+	// common rate-1 case. All three are atomic: the governor re-arms the
+	// lane from the shipper goroutine while Log reads them lock-free. thr
+	// is 0 until the first arm.
 	sampleAll atomic.Bool
-	skip      atomic.Int64
-	//scrub:guardedby(mu)
-	sampler *sampling.GeometricSampler
+	thr       atomic.Uint64
+	ord       atomic.Uint64
 
-	mu sync.Mutex // guards cur, sampler and step
+	mu sync.Mutex // guards cur and step
 	// cur is the partially filled chunk, nil when none.
 	//scrub:guardedby(mu)
 	cur *chunk
-	// step is the sampler's governor halvings below the base rate.
+	// step is the keep test's governor halvings below the base rate.
 	//scrub:guardedby(mu)
 	step uint8
 }
@@ -254,28 +257,28 @@ type lane struct {
 // stepRate is the rate step governor halvings below base, exactly.
 func stepRate(base float64, step uint8) float64 { return math.Ldexp(base, -int(step)) }
 
-// arm starts a fresh sampler step halvings below the base rate under seed
-// and hands back the chunk filled before (nil if none). A lane's first arm at
-// rate 1 takes the counter-free fast path. A re-arm leaves it for good:
-// it seeds the sampled counter with the matched total (at rate 1,
-// mᵢ = Mᵢ) so the cumulative accounting stays exact across the
-// transition. A Log racing past the flag flip may ship one tuple
-// uncounted in mᵢ — a one-time, one-event skew the estimator cannot
-// notice. Once off the fast path a lane never returns to it (a full
-// recovery runs a rate-1 sampler instead), because re-deriving mᵢ = Mᵢ
-// after a degraded period would overstate the sample.
-func (ln *lane) arm(step uint8, seed uint64) *chunk {
+// arm sets the keep test step halvings below the base rate and hands back
+// the chunk filled before (nil if none). A lane's first arm at rate 1
+// takes the counter-free fast path. A re-arm leaves it for good: it seeds
+// the sampled counter with the matched total (at rate 1, mᵢ = Mᵢ) so the
+// cumulative accounting stays exact across the transition. A Log racing
+// past the flag flip may ship one tuple uncounted in mᵢ — a one-time,
+// one-event skew the estimator cannot notice. Once off the fast path a
+// lane never returns to it (a full recovery runs the keep test at rate 1
+// instead), because re-deriving mᵢ = Mᵢ after a degraded period would
+// overstate the sample. (A rate below 2⁻⁵³ arms thr 0 as well; it is off
+// the fast path either way.)
+func (ln *lane) arm(step uint8) *chunk {
 	rate := stepRate(ln.aq.baseRate, step)
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
-	if ln.sampler == nil {
+	if ln.thr.Load() == 0 {
 		ln.sampleAll.Store(rate >= 1)
 	} else if ln.sampleAll.Load() {
 		ln.aq.sampled.Store(ln.aq.matched.Load())
 		ln.sampleAll.Store(false)
 	}
-	ln.sampler = sampling.NewGeometricSampler(rate, seed)
-	ln.skip.Store(ln.sampler.NextSkip())
+	ln.thr.Store(sampling.Threshold(rate))
 	ln.step = step
 	c := ln.cur
 	ln.cur = nil
@@ -479,19 +482,23 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	}
 	aq.width = len(aq.colIdx)
 	rate := hq.SampleEvents
-	if rate <= 0 || rate > 1 {
+	if !(rate > 0 && rate <= 1) { // NaN too
 		rate = 1
 	}
-	// Seed ties the sample to (query, host) so re-runs are reproducible
-	// but hosts sample independently. FNV-1a over the full HostID keeps
+	// The seed ties the sample to the query so re-runs are reproducible,
+	// and keyed by a host's own count to the host too, so hosts sample
+	// independently; keyed by request, every host keeps the same requests.
+	// FNV-1a over the full HostID keeps
 	// anagram host ids (h-ab vs h-ba) uncorrelated.
-	h := fnv.New64a()
-	h.Write([]byte(a.cfg.HostID))
-	seed := hq.QueryID*1000003 ^ h.Sum64()
+	aq.seed = hq.QueryID * 1000003
+	if aq.byRequest = hq.SampleByRequest; !aq.byRequest {
+		h := fnv.New64a()
+		h.Write([]byte(a.cfg.HostID))
+		aq.seed ^= h.Sum64()
+	}
 	aq.baseRate = rate
-	aq.seed = seed
 	aq.live.aq = aq
-	aq.live.arm(0, seed)
+	aq.live.arm(0)
 	aq.budget = governor.Budget{CPUPct: hq.BudgetCPUPct, BytesPerSec: hq.BudgetBytesPerSec}
 	aq.tracker = governor.NewTracker()
 	// Stamp the heartbeat clock now: a fresh query with nothing to report
@@ -770,12 +777,13 @@ func (a *Agent) salvage(aq *activeQuery) {
 //
 // Each recorded event goes through Log's dispatch, on a lane of the
 // scan's own and a one-query index with an open span (the scan's time
-// range is the span). The lane's fresh sampler runs at the query's base
-// rate under its own seed, as the live lane's did at Start, so a replay
-// whose live rate the governor never changed keeps exactly the events a
-// query submitted before them would have kept, and ships them at that
-// rate. Replayed matches fold into the query's cumulative Mᵢ/mᵢ, so
-// central's estimator and stream stats see the same counts.
+// range is the span). The lane's keep test runs at the query's base rate
+// under the query's seed, its count of matched events from 0 as the live
+// lane's did at Start, so a replay whose live rate the governor never
+// changed keeps exactly the events a query submitted before them would
+// have kept, and ships them at that rate. Replayed matches fold into the
+// query's cumulative Mᵢ/mᵢ, so central's estimator and stream stats see
+// the same counts.
 //
 // Replay shipping inherits every impact bound live shipping has: chunks
 // go through the same bounded queue (a backlog drops them, counted as
@@ -791,7 +799,7 @@ func (a *Agent) replayShip(aq *activeQuery) {
 		to = a.cfg.Clock().UnixNano()
 	}
 	ln := &lane{aq: aq, epoch: 1}
-	ln.arm(0, aq.seed)
+	ln.arm(0)
 	tp := compileTypeProgram(aq.schema, []subscriber{{ln: ln}})
 	// A failed or aborted scan still owes the done marker below.
 	_ = a.cfg.Record.Scan(to-aq.replayNanos, to, aq.schema.Name(), func(ev *event.Event) bool {
@@ -1067,13 +1075,13 @@ func (a *Agent) governTick(actives []*activeQuery) {
 	}
 }
 
-// applyRate re-arms a query's live sampler at base rate × the tracker's
+// applyRate re-arms a query's live lane at base rate × the tracker's
 // multiplier, 2^-step, and records the new rate for heartbeats; the
 // re-arm leaves the rate-1 fast path for good (lane.arm). The chunk filled
 // at the old rate is queued behind the full ones. Shipper-only.
 func (a *Agent) applyRate(aq *activeQuery) {
 	step := uint8(math.Round(-math.Log2(aq.tracker.Mult())))
-	if c := aq.live.arm(step, aq.seed); c != nil {
+	if c := aq.live.arm(step); c != nil {
 		a.submit(c)
 	}
 	aq.step = step

@@ -498,6 +498,19 @@ func BenchmarkLogOneMatchingQuery(b *testing.B) {
 	}
 }
 
+// downsample has query id's governor halve its live rate, as the shipper
+// would on a budget overrun.
+func downsample(t *testing.T, a *Agent, id uint64) {
+	t.Helper()
+	a.mu.Lock()
+	aq := a.queries[queryKey{id: id}]
+	a.mu.Unlock()
+	if act := aq.tracker.Evaluate(governor.Usage{CPUNs: 1 << 30, ElapsedNs: 1 << 30}, governor.Budget{CPUPct: 0.5}); act != governor.ActionDownsample {
+		t.Fatalf("tracker action %v, want a downsample", act)
+	}
+	a.applyRate(aq)
+}
+
 // TestBatchCarriesItsChunksRate: a batch reports the rate its tuples were
 // sampled at. A rate change cuts the live chunk, so tuples kept before it
 // ship under the old rate; a replayed chunk was sampled at the base rate,
@@ -506,15 +519,7 @@ func TestBatchCarriesItsChunksRate(t *testing.T) {
 	// The shipper runs only on Flush, so the test may drive the governor
 	// between flushes as the shipper would.
 	quiet := func(c *Config) { c.FlushInterval = time.Hour }
-	downsample := func(a *Agent, id uint64) {
-		a.mu.Lock()
-		aq := a.queries[queryKey{id: id}]
-		a.mu.Unlock()
-		if act := aq.tracker.Evaluate(governor.Usage{CPUNs: 1 << 30, ElapsedNs: 1 << 30}, governor.Budget{CPUPct: 0.5}); act != governor.ActionDownsample {
-			t.Fatalf("tracker action %v, want a downsample", act)
-		}
-		a.applyRate(aq)
-	}
+	downsample := func(a *Agent, id uint64) { downsample(t, a, id) }
 	rates := func(batches []transport.TupleBatch, replayed bool) (out []float64) {
 		for _, b := range batches {
 			if len(b.Tuples) > 0 && (b.ReplayEpoch != 0) == replayed {

@@ -9,6 +9,7 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/sampling"
 	"scrub/internal/transport"
 )
 
@@ -372,12 +373,11 @@ func (a *Agent) offerMatched(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev
 	}
 	kept := true
 	if !ln.sampleAll.Load() {
-		if ln.skip.Add(-1) != 0 {
-			// >0: inside the current gap. <0: a racing decrement during a
-			// concurrent re-arm; the re-arm's Add folds it into the next
-			// gap. Either way the event is unsampled and cost one decrement.
-			kept = false
-		} else {
+		key := ev.RequestID
+		if !aq.byRequest {
+			key = ln.ord.Add(1)
+		}
+		if kept = sampling.Keep(aq.seed, key, ln.thr.Load()); kept {
 			aq.sampled.Add(1)
 		}
 	}
@@ -406,12 +406,6 @@ func (a *Agent) enqueue(tp *typeProgram, s *subscriber, dc *dispatchCtx, ev *eve
 		src = dc.project(tp, s.group, ev)
 	}
 	ln.mu.Lock()
-	if !ln.sampleAll.Load() {
-		// Re-arm the countdown for the next kept event. Adding (rather
-		// than storing) credits decrements that raced past zero, keeping
-		// the long-run keep rate unbiased.
-		ln.skip.Add(ln.sampler.NextSkip())
-	}
 	c := ln.cur
 	if c == nil {
 		c = a.getChunk(aq)

@@ -126,6 +126,7 @@ func (p *Plan) HostQueries(qid uint64, startNanos, endNanos int64) []transport.H
 			Pred:              p.HostPred[typ],
 			Columns:           p.Columns[typ],
 			SampleEvents:      p.SampleEvents,
+			SampleByRequest:   p.IsJoin(),
 			StartNanos:        startNanos,
 			EndNanos:          endNanos,
 			BudgetCPUPct:      p.BudgetCPUPct,

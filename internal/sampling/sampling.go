@@ -1,5 +1,6 @@
 // Package sampling implements Scrub's two sampling levels and the
-// accompanying error bounds.
+// accompanying error bounds: SelectHosts picks a query's hosts, and Keep
+// is every host's keep test for a matched event.
 //
 // The query language supports sampling the set of hosts and sampling the
 // events on each chosen host (paper §3.2); both trade accuracy for load in
@@ -45,55 +46,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// GeometricSampler amortizes Bernoulli(rate) sampling into skip counts:
-// instead of drawing per event, it draws the gap until the next kept event
-// from the geometric distribution with success probability rate. A stream
-// consumer decrements a counter per event (one cheap operation) and only
-// re-draws when the counter hits zero, so unsampled events — the vast
-// majority at troubleshooting rates — cost O(1) with no RNG work at all.
-// The sequence of gaps is deterministic for a seed, so two runs over the
-// same stream sample identically. Not safe for concurrent use; callers
-// serialize draws (the host agent re-draws under the lock it already
-// holds for the sampled event's enqueue).
-type GeometricSampler struct {
-	rate float64
-	lnq  float64 // ln(1 − rate), < 0
-	seed uint64
-	seq  uint64
+// Threshold is what Keep compares a key's hash to for a Bernoulli(rate)
+// sample: rate·2⁵³, the hash's top 53 bits being a float's precision, so
+// that rate 1 keeps every key and a halved rate keeps exactly the half of
+// the keys below the half threshold. rate is clamped to [0, 1].
+func Threshold(rate float64) uint64 {
+	return uint64(math.Ldexp(min(max(rate, 0), 1), 53))
 }
 
-// NewGeometricSampler creates a sampler keeping approximately rate of
-// events. rate is clamped to (0, 1]: rate >= 1 keeps everything (every
-// gap is 1); rate <= 0 keeps nothing (NextSkip returns MaxInt64).
-func NewGeometricSampler(rate float64, seed uint64) *GeometricSampler {
-	s := &GeometricSampler{rate: rate, seed: seed}
-	if rate > 0 && rate < 1 {
-		s.lnq = math.Log1p(-rate)
-	}
-	return s
-}
-
-// NextSkip returns k >= 1 meaning "the k-th event offered from now is the
-// next kept one" — i.e. skip k−1 events, keep the k-th. Gaps have mean
-// 1/rate, so over N events approximately N·rate are kept.
+// Keep reports whether the sample under seed at threshold thr keeps key.
+// It holds no state: whether a key is kept depends on (seed, key, thr)
+// alone, so every sampler that shares a seed keeps the same keys, and
+// thresholds nest — a key kept at a threshold is kept at every higher one.
 //
 //scrub:hotpath
-func (s *GeometricSampler) NextSkip() int64 {
-	switch {
-	case s.rate >= 1:
-		return 1
-	case s.rate <= 0:
-		return math.MaxInt64
-	}
-	s.seq++
-	// u uniform in (0, 1]: the +1 keeps it off zero so Log is finite.
-	u := (float64(mix64(s.seed^s.seq)>>11) + 1) / (1 << 53)
-	k := int64(math.Log(u)/s.lnq) + 1
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
+func Keep(seed, key, thr uint64) bool { return mix64(seed^key)>>11 < thr }
 
 // SelectHosts deterministically samples ceil(rate·len(hosts)) hosts using
 // the query id as seed, so the query server, hosts, and ScrubCentral all

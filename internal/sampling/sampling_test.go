@@ -289,63 +289,73 @@ func BenchmarkEstimateSum(b *testing.B) {
 	}
 }
 
-func TestGeometricSamplerMeanGap(t *testing.T) {
+func TestKeepRate(t *testing.T) {
 	for _, rate := range []float64{0.5, 0.1, 0.01} {
-		s := NewGeometricSampler(rate, 42)
-		const draws = 20000
-		var total int64
-		for i := 0; i < draws; i++ {
-			total += s.NextSkip()
+		thr := Threshold(rate)
+		const keys = 20000
+		kept := 0
+		for k := uint64(0); k < keys; k++ {
+			if Keep(42, k, thr) {
+				kept++
+			}
 		}
-		// Keep fraction over the simulated stream = draws / Σ gaps.
-		got := float64(draws) / float64(total)
-		if got < rate*0.9 || got > rate*1.1 {
-			t.Errorf("rate %g: effective keep fraction %g, want within ±10%%", rate, got)
+		if got := float64(kept) / keys; got < rate*0.9 || got > rate*1.1 {
+			t.Errorf("rate %g: keep fraction %g, want within ±10%%", rate, got)
 		}
 	}
 }
 
-func TestGeometricSamplerDeterministic(t *testing.T) {
-	a := NewGeometricSampler(0.05, 7)
-	b := NewGeometricSampler(0.05, 7)
-	c := NewGeometricSampler(0.05, 8)
+func TestKeepDeterministic(t *testing.T) {
+	thr := Threshold(0.05)
 	same, diff := true, true
-	for i := 0; i < 1000; i++ {
-		ka := a.NextSkip()
-		if ka != b.NextSkip() {
+	for k := uint64(0); k < 1000; k++ {
+		ka := Keep(7, k, thr)
+		if ka != Keep(7, k, thr) {
 			same = false
 		}
-		if ka != c.NextSkip() {
+		if ka != Keep(8, k, thr) {
 			diff = false
 		}
 	}
 	if !same {
-		t.Error("same seed must reproduce the same gap sequence")
+		t.Error("same seed must keep the same keys")
 	}
 	if diff {
-		t.Error("different seeds should diverge")
+		t.Error("different seeds should keep different keys")
 	}
 }
 
-func TestGeometricSamplerClamps(t *testing.T) {
-	all := NewGeometricSampler(1.5, 1)
-	for i := 0; i < 10; i++ {
-		if k := all.NextSkip(); k != 1 {
-			t.Fatalf("rate>=1 gap = %d, want 1", k)
+// TestKeepNests: a key kept at a rate is kept at every higher rate, so a
+// governor step that halves a rate drops keys and keeps none new.
+func TestKeepNests(t *testing.T) {
+	for k := uint64(0); k < 20000; k++ {
+		for step := 1; step <= 6; step++ {
+			if Keep(3, k, Threshold(math.Ldexp(0.3, -step))) && !Keep(3, k, Threshold(math.Ldexp(0.3, 1-step))) {
+				t.Fatalf("key %d kept at step %d but not at step %d", k, step, step-1)
+			}
 		}
 	}
-	none := NewGeometricSampler(-0.1, 1)
-	if k := none.NextSkip(); k != math.MaxInt64 {
-		t.Errorf("rate<=0 gap = %d, want MaxInt64", k)
+}
+
+func TestThresholdClamps(t *testing.T) {
+	for k := uint64(0); k < 1000; k++ {
+		if !Keep(1, k, Threshold(1)) || !Keep(1, k, Threshold(1.5)) {
+			t.Fatalf("rate >= 1 dropped key %d", k)
+		}
+		if Keep(1, k, Threshold(0)) || Keep(1, k, Threshold(-0.1)) {
+			t.Fatalf("rate <= 0 kept key %d", k)
+		}
 	}
 }
 
-func BenchmarkGeometricSamplerNextSkip(b *testing.B) {
-	s := NewGeometricSampler(0.1, 1)
+func BenchmarkKeep(b *testing.B) {
+	thr := Threshold(0.1)
 	b.ReportAllocs()
-	var sink int64
+	kept := 0
 	for i := 0; i < b.N; i++ {
-		sink += s.NextSkip()
+		if Keep(1, uint64(i), thr) {
+			kept++
+		}
 	}
-	_ = sink
+	_ = kept
 }

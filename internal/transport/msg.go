@@ -169,8 +169,11 @@ type HostQuery struct {
 	Pred         expr.Node // selection; nil ships every event
 	Columns      []string  // projection: user fields to ship
 	SampleEvents float64   // (0,1]
-	StartNanos   int64     // activate at
-	EndNanos     int64     // deactivate at (span expiry)
+	// SampleByRequest keys event sampling on the request id under a seed
+	// every host shares, as a join's plan does (ql.Plan.HostQueries).
+	SampleByRequest bool
+	StartNanos      int64 // activate at
+	EndNanos        int64 // deactivate at (span expiry)
 	// Host-impact budget (BUDGET clause); 0 means unlimited. The agent's
 	// governor downsamples then sheds when the measured cost exceeds it.
 	BudgetCPUPct      float64
@@ -370,6 +373,7 @@ func (t *HostQuery) code(c *coder) {
 	}
 	c.Strs(&t.Columns)
 	c.F64(&t.SampleEvents)
+	c.Bool(&t.SampleByRequest)
 	c.I64(&t.StartNanos)
 	c.I64(&t.EndNanos)
 	c.F64(&t.BudgetCPUPct)

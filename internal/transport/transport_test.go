@@ -51,7 +51,7 @@ func sampleMessages() []Message {
 		RegisterHost{HostID: "bid-sj-1", Service: "BidServers", DC: "DC1"},
 		HostQuery{
 			QueryID: 7, EventType: "bid", TypeIdx: 1, Pred: pred,
-			Columns: []string{"user_id", "bid_price"}, SampleEvents: 0.1,
+			Columns: []string{"user_id", "bid_price"}, SampleEvents: 0.1, SampleByRequest: true,
 			StartNanos: 100, EndNanos: 200, ReplayNanos: 30_000_000_000,
 		},
 		HostQuery{QueryID: 8, EventType: "click"}, // nil pred, no columns

@@ -47,8 +47,9 @@ if grep -rnE --include='*.go' 'scrub_central_(windows_frozen|window_thaws_total)
 if grep -nE '\b(frozen|swept)\b' $(nontest internal/central); then echo "non-test internal/central has a frozen or swept window field again" >&2; exit 1; fi
 if grep -nE '\b(Each|Opened)\(' $(nontest internal/window) $(nontest internal/central); then echo "non-test internal/window or internal/central has SlidingManager.Each or Opened again" >&2; exit 1; fi
 
-echo "== one performance benchmark (scrubbench measures host overhead, latency and central throughput; benchrunner has no P1/P2/PS/P4) =="
+echo "== one performance benchmark (scrubbench measures host overhead, latency and central throughput; benchrunner has no P1/P2/PS/P4) and one event sampler (sampling.Keep: no per-event or geometric sampler) =="
 if grep -rnE --include='*.go' 'P1HostOverhead|P2RequestLatency|PSQueryScale|P4CentralThroughput|EventSampler' .; then echo "a .go file names a deleted runner or the per-event sampler again" >&2; exit 1; fi
+if grep -rnE --include='*.go' '\b(GeometricSampler|NextSkip)\b' . | grep -v '_test\.go:'; then echo "non-test Go names the geometric skip-count sampler again: event sampling is sampling.Keep" >&2; exit 1; fi
 if grep -nE '"(P1|P2|PS|P4)"|\brun(P1|P2|PS|P4)\b' cmd/benchrunner/*.go; then echo "cmd/benchrunner lists a P1, P2, PS or P4 runner again" >&2; exit 1; fi
 
 echo "== the case studies run on one fixed clock (no P3 or P6 runner, no EstimateCount; in non-test internal/experiments only C1 and A1 read the wall clock) =="
