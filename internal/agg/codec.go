@@ -9,9 +9,11 @@ import (
 // ships it from a shard to the coordinator for merging (Slab.Code).
 // Numeric state travels as raw IEEE-754 bits and sketches in their own
 // forms, so a decoded state merges and renders bit-identically to the
-// encoded one. The spec is not coded — the decoder carves the state from
-// the plan's Spec for the same aggregate slot, exactly like Merge pairs
-// partials by slot.
+// encoded one. The spec is not coded — the decoder carves the state, its
+// sketch included, from the plan's Spec for the same aggregate slot,
+// exactly like Merge pairs partials by slot. A sketch's shape (a summary's
+// capacity, an estimator's precision) is coded, and one that is not the
+// spec's is refused.
 
 // codeState is a state's description: the observation count, then what
 // its kind keeps.
@@ -36,9 +38,9 @@ func codeState(c *wire.Coder, a Aggregator) {
 		}
 	case *topKAgg:
 		c.Uvarint(&ag.n)
-		sketch.CodeSpaceSaving(c, &ag.ss)
+		sketch.CodeSpaceSaving(c, ag.ss)
 	case *distinctAgg:
 		c.Uvarint(&ag.n)
-		sketch.CodeHLL(c, &ag.hll)
+		sketch.CodeHLL(c, ag.hll)
 	}
 }

@@ -139,11 +139,12 @@ func (sl *Slab) Open() (uint32, bool) {
 
 // Code codes the states of group *g, one per aggregate of the layout, in
 // c's mode (codeState). Decoding starts a group with the states the bytes
-// hold and sets *g to its ordinal.
+// hold and sets *g to its ordinal; its sketches are made to the layout's
+// shape, and bytes of another shape are refused.
 func (sl *Slab) Code(c *wire.Coder, g *uint32) {
 	if c.Mode == wire.Decoding && c.Err == nil {
 		var ok bool
-		if *g, ok = sl.carve(false); !ok {
+		if *g, ok = sl.carve(true); !ok {
 			c.Fail("aggregate slab is full")
 		}
 	}

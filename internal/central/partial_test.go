@@ -203,8 +203,10 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 // TestDecodePartialHoldsHostsToPlan: a host's moments are coded after its
 // name only under a plan that keeps them, as many as the plan keeps, and
 // a host is listed once. The window's weight is never below its tuples,
-// and a moment's variance sum is neither negative nor NaN. A partial that
-// breaks any of these is malformed.
+// a moment's variance sum is neither negative nor NaN, and a sketch has
+// the shape the plan gives it: top_k(_, 3)'s summary 64 counters,
+// count_distinct's estimator precision 14. A partial that breaks any of
+// these is malformed.
 func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 	host := func(name string, moments int, v float64) []byte { // each moment's sums t = 4, v
 		b := []byte{byte(len(name))}
@@ -227,6 +229,14 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		return append(b, 0, 0) // no groups, no raw rows
 	}
 	partial := func(hosts ...[]byte) []byte { return weighed(1, hosts...) }
+	stated := func(state ...byte) []byte { // one tuple, from h0, in the one group of an ungrouped plan
+		b := append([]byte{1, 1, 1}, host("h0", -1, 1)...)
+		b = append(b, 1, 0) // one group, its key of no values
+		b = append(b, state...)
+		return append(b, 0) // no raw rows
+	}
+	topK := func(capacity byte) []byte { return []byte{1, capacity, 1, 1, 'x', 1, 0} } // n, then one entry x of count 1
+	distinct := func(precision byte) []byte { return append([]byte{1, precision}, make([]byte, 1<<precision)...) }
 	cases := []struct {
 		name  string
 		query string
@@ -245,6 +255,11 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		{"weight below the tuples", `select exchange_id, count(*) from bid group by exchange_id`, weighed(0, host("h0", -1, 1)), false},
 		{"a negative variance", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, -1)), false},
 		{"a NaN variance", `select count(*), sum(bid_price) from bid`, partial(host("h0", 2, math.NaN())), false},
+		{"top_k at the plan's capacity", `select top_k(exchange_id, 3) from bid`, stated(topK(64)...), true},
+		{"top_k of capacity 1", `select top_k(exchange_id, 3) from bid`, stated(topK(1)...), false},
+		{"top_k of a wider plan's capacity", `select top_k(exchange_id, 3) from bid`, stated(topK(72)...), false},
+		{"count_distinct at the plan's precision", `select count_distinct(user_id) from bid`, stated(distinct(14)...), true},
+		{"count_distinct of precision 4", `select count_distinct(user_id) from bid`, stated(distinct(4)...), false},
 	}
 	for _, tc := range cases {
 		qr, err := CompileQuery(buildPlan(t, tc.query, 1, 3, 3))

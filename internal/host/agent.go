@@ -348,8 +348,11 @@ type Agent struct {
 	// start/stop. Log only ever loads it — no locks on the hot path.
 	byType atomic.Pointer[typeIndex]
 
-	mu      sync.Mutex // guards mutations of the query set
+	mu      sync.Mutex // guards mutations of the query set, and shut
 	queries map[queryKey]*activeQuery
+	// shut is set by Close before it waits for the agent's goroutines:
+	// Start refuses from then on, so none is started after the wait.
+	shut bool
 
 	chunkPool sync.Pool
 	chunks    chan *chunk
@@ -508,6 +511,10 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 
 	key := queryKey{id: hq.QueryID, typeIdx: hq.TypeIdx}
 	a.mu.Lock()
+	if a.shut {
+		a.mu.Unlock()
+		return fmt.Errorf("host: agent closed")
+	}
 	if _, dup := a.queries[key]; dup {
 		a.mu.Unlock()
 		return fmt.Errorf("host: query %d (type %s) already active", hq.QueryID, hq.EventType)
@@ -517,11 +524,11 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		return fmt.Errorf("host: compile predicate: %w", err)
 	}
 	a.queries[key] = aq
-	a.mu.Unlock()
 	if hq.ReplayNanos > 0 && a.cfg.Record != nil {
-		a.wg.Add(1)
+		a.wg.Add(1) // under mu, so not after Close's Wait
 		go a.replayShip(aq)
 	}
+	a.mu.Unlock()
 	return nil
 }
 
@@ -1121,9 +1128,12 @@ func (a *Agent) Stats() Stats {
 }
 
 // Close stops the shipper after a final flush. The agent must not be used
-// afterwards.
+// afterwards: Start refuses.
 func (a *Agent) Close() {
 	a.closed.Do(func() {
+		a.mu.Lock()
+		a.shut = true
+		a.mu.Unlock()
 		close(a.done)
 		a.wg.Wait()
 	})

@@ -203,6 +203,24 @@ func TestStartValidation(t *testing.T) {
 	}
 }
 
+// TestStartAfterCloseIsRefused: a closed agent installs no query and
+// starts no replay scan, which nothing would wait for.
+func TestStartAfterCloseIsRefused(t *testing.T) {
+	rs, err := replay.Open(replay.Options{Catalog: testCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	a := newAgent(t, &collectSink{}, func(c *Config) { c.Record = rs })
+	a.Close()
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", ReplayNanos: int64(time.Minute)}); err == nil {
+		t.Error("Start of a REPLAY query on a closed agent succeeded")
+	}
+	if ids := a.ActiveQueries(); len(ids) != 0 {
+		t.Errorf("a closed agent lists queries %v", ids)
+	}
+}
+
 func TestStopIsIdempotent(t *testing.T) {
 	sink := &collectSink{}
 	a := newAgent(t, sink)

@@ -10,30 +10,31 @@ import (
 )
 
 // ssBytes and hllBytes encode a sketch through its description; ssFrom
-// and hllFrom decode one at the head of b, returning the bytes it took.
+// and hllFrom decode one of the given shape at the head of b, returning
+// the bytes it took.
 func ssBytes(s *SpaceSaving) []byte {
 	var c wire.Coder
-	CodeSpaceSaving(&c, &s)
+	CodeSpaceSaving(&c, s)
 	return c.Buf
 }
 
-func ssFrom(b []byte) (*SpaceSaving, int, error) {
+func ssFrom(b []byte, capacity int) (*SpaceSaving, int, error) {
 	c := wire.Coder{Mode: wire.Decoding, Buf: b}
-	var s *SpaceSaving
-	CodeSpaceSaving(&c, &s)
+	s := MustSpaceSaving(capacity)
+	CodeSpaceSaving(&c, s)
 	return s, c.Pos, c.Err
 }
 
 func hllBytes(h *HLL) []byte {
 	var c wire.Coder
-	CodeHLL(&c, &h)
+	CodeHLL(&c, h)
 	return c.Buf
 }
 
-func hllFrom(b []byte) (*HLL, int, error) {
+func hllFrom(b []byte, precision uint8) (*HLL, int, error) {
 	c := wire.Coder{Mode: wire.Decoding, Buf: b}
-	var h *HLL
-	CodeHLL(&c, &h)
+	h := MustHLL(precision)
+	CodeHLL(&c, h)
 	return h, c.Pos, c.Err
 }
 
@@ -50,7 +51,7 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 			s.add([]byte(fmt.Sprintf("item-%d", rng.Intn(80))), uint64(1+rng.Intn(5)))
 		}
 		enc := ssBytes(s)
-		d, n, err := ssFrom(enc)
+		d, n, err := ssFrom(enc, capacity)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -95,7 +96,7 @@ func TestSpaceSavingCodecRoundTrip(t *testing.T) {
 func TestSpaceSavingCodecEmpty(t *testing.T) {
 	s := MustSpaceSaving(8)
 	enc := ssBytes(s)
-	d, n, err := ssFrom(enc)
+	d, n, err := ssFrom(enc, 8)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
@@ -113,9 +114,12 @@ func TestSpaceSavingDecodeErrors(t *testing.T) {
 	s.AddBytes([]byte("a"))
 	enc := ssBytes(s)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := ssFrom(enc[:cut]); err == nil {
+		if _, _, err := ssFrom(enc[:cut], 4); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
+	}
+	if _, _, err := ssFrom(enc, 5); err == nil {
+		t.Fatal("a capacity-4 summary decoded into a capacity-5 one")
 	}
 }
 
@@ -125,7 +129,7 @@ func TestSpaceSavingDecodeErrors(t *testing.T) {
 // SpaceSaving the summary is small against the alphabet and every
 // addition is 1, so it sits at capacity with several counters tied at the
 // minimum count whenever an eviction picks its victim — the one place a
-// rebuilt bucket list could behave differently from the original. No
+// rebuilt heap could behave differently from the original. No
 // engine path folds into a decoded sketch; this is a property of the
 // codec: the encoding is the whole summary.
 func TestCodecContinuationExact(t *testing.T) {
@@ -147,10 +151,10 @@ func TestCodecContinuationExact(t *testing.T) {
 			hllCut.AddHash(x)
 			if rng.Intn(40) == 0 {
 				var err error
-				if ssCut, _, err = ssFrom(ssBytes(ssCut)); err != nil {
+				if ssCut, _, err = ssFrom(ssBytes(ssCut), capacity); err != nil {
 					t.Fatal(err)
 				}
-				if hllCut, _, err = hllFrom(hllBytes(hllCut)); err != nil {
+				if hllCut, _, err = hllFrom(hllBytes(hllCut), DefaultHLLPrecision); err != nil {
 					t.Fatal(err)
 				}
 			}

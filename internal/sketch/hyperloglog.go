@@ -135,22 +135,17 @@ func (h *HLL) Reset() {
 	}
 }
 
-// CodeHLL codes the estimator *hp points to in c's mode: its precision
-// byte, then its 2^precision registers as they are. Decoding makes the
-// estimator.
-func CodeHLL(c *wire.Coder, hp **HLL) {
-	h := *hp
-	if c.Mode == wire.Decoding {
-		h = new(HLL)
+// CodeHLL codes estimator h in c's mode: its precision byte, then its
+// 2^precision registers as they are. Decoding refills h's registers;
+// bytes of another precision than h's are refused.
+func CodeHLL(c *wire.Coder, h *HLL) {
+	p, regs := h.precision, h.registers
+	c.U8(&p)
+	if p != h.precision {
+		c.Failf("HLL precision %d, want %d", p, h.precision)
 	}
-	c.U8(&h.precision)
-	if c.Mode == wire.Decoding && c.Err == nil && (h.precision < MinHLLPrecision || h.precision > MaxHLLPrecision) {
-		c.Failf("bad HLL precision %d", h.precision)
-	}
-	c.Raw(&h.registers, 1<<h.precision)
+	c.Raw(&regs, len(h.registers))
 	if c.Mode == wire.Decoding && c.Err == nil {
-		regs := make([]uint8, len(h.registers)) // copied out of the input
-		copy(regs, h.registers)
-		h.registers, *hp = regs, h
+		copy(h.registers, regs) // out of the input
 	}
 }

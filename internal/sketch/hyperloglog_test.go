@@ -139,7 +139,7 @@ func TestHLLSerializeRoundTrip(t *testing.T) {
 		h.AddHash(uint64(i))
 	}
 	buf := hllBytes(h)
-	got, n, err := hllFrom(buf)
+	got, n, err := hllFrom(buf, 11)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -152,14 +152,17 @@ func TestHLLSerializeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeHLLErrors(t *testing.T) {
-	if _, _, err := hllFrom(nil); err == nil {
+	if _, _, err := hllFrom(nil, 10); err == nil {
 		t.Error("empty decode should fail")
 	}
-	if _, _, err := hllFrom([]byte{99}); err == nil {
+	if _, _, err := hllFrom([]byte{99}, 10); err == nil {
 		t.Error("bad precision should fail")
 	}
-	if _, _, err := hllFrom([]byte{10, 1, 2}); err == nil {
+	if _, _, err := hllFrom([]byte{10, 1, 2}, 10); err == nil {
 		t.Error("short registers should fail")
+	}
+	if _, _, err := hllFrom(hllBytes(MustHLL(11)), 10); err == nil {
+		t.Error("a precision-11 estimator decoded into a precision-10 one")
 	}
 }
 

@@ -21,20 +21,16 @@ import (
 // count > N/capacity is present.
 //
 // The summary is four flat arrays whose entries refer to each other by
-// uint32 index (DESIGN.md §17): counters; count buckets, a doubly linked
-// list of the distinct counts in ascending order, each heading the doubly
-// linked list of the counters at that count — the layout that gives O(1)
-// increments; the bucket heads of a chained hash index over the item bytes;
-// and the item bytes themselves, a slot per counter. The arrays grow with
-// the number of tracked items up to capacity, and once every counter
-// exists an addition allocates nothing: a takeover writes the new item
-// into the victim's slot.
+// uint32 index (DESIGN.md §17): counters; a binary min-heap of counters
+// ordered by (count, item), whose root is the next takeover's victim; the
+// bucket heads of a chained hash index over the item bytes; and the item
+// bytes themselves, a slot per counter. The arrays grow with the number of
+// tracked items up to capacity, and once every counter exists an addition
+// allocates nothing: a takeover writes the new item into the victim's slot.
 type SpaceSaving struct {
 	capacity int
 	ctr      []ssCounter
-	bkt      []ssBucket
-	minBkt   uint32 // bucket of the smallest count; none while empty
-	freeBkt  uint32 // unused buckets, chained through next
+	heap     []uint32
 	heads    []uint32
 	// items holds every counter's slot. A taken-over counter whose new
 	// item does not fit gets a new slot at the end and leaves dead bytes
@@ -53,19 +49,12 @@ type ssCounter struct {
 	off, len, cap uint32
 	hash          uint32 // the item's hash, low half: its chain is heads[hash&mask]
 	hnext         uint32 // next counter of the hash chain
-	bucket        uint32
-	prev, next    uint32 // the bucket's other members
-}
-
-type ssBucket struct {
-	count      uint64
-	head       uint32 // first member
-	prev, next uint32
+	pos           uint32 // the counter's place in the heap
 }
 
 // hashSeed is drawn once per process, so no input can be built to land in
-// one chain. Nothing's order depends on a hash: a victim is chosen by item
-// bytes, and what is reported or serialized is sorted first.
+// one chain. Nothing's order depends on a hash: the heap orders counters by
+// item bytes, and what is reported or serialized is sorted first.
 var hashSeed = maphash.MakeSeed()
 
 // NewSpaceSaving creates a summary with the given counter capacity.
@@ -73,7 +62,7 @@ func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
 	if capacity <= 0 || int64(capacity) >= int64(none) {
 		return nil, fmt.Errorf("sketch: SpaceSaving capacity must be positive (and below 2^32), got %d", capacity)
 	}
-	return &SpaceSaving{capacity: capacity, minBkt: none, freeBkt: none}, nil
+	return &SpaceSaving{capacity: capacity}, nil
 }
 
 // MustSpaceSaving is NewSpaceSaving that panics on error.
@@ -89,13 +78,12 @@ func MustSpaceSaving(capacity int) *SpaceSaving {
 func (s *SpaceSaving) Len() int { return len(s.ctr) }
 
 // Bytes is the capacity of the summary's arrays, in bytes: at most
-// capacity × (a counter, a bucket and two index heads) plus the item
+// capacity × (a counter, a heap entry and two index heads) plus the item
 // slots.
 func (s *SpaceSaving) Bytes() int64 {
 	return int64(unsafe.Sizeof(*s)) +
 		int64(cap(s.ctr))*int64(unsafe.Sizeof(ssCounter{})) +
-		int64(cap(s.bkt))*int64(unsafe.Sizeof(ssBucket{})) +
-		int64(cap(s.heads))*4 + int64(cap(s.items))
+		int64(cap(s.heap)+cap(s.heads))*4 + int64(cap(s.items))
 }
 
 // AddBytes increments item by one. The item is held in a caller-owned
@@ -115,9 +103,9 @@ func (s *SpaceSaving) add(item []byte, n uint64) {
 		s.track(h, item, n, 0)
 		return
 	}
-	// Evict the minimum counter: the new item takes it over, inheriting
-	// its count as error.
-	ci := s.victim()
+	// Evict the minimum counter, the heap's root: the new item takes it
+	// over, inheriting its count as error.
+	ci := s.heap[0]
 	c := &s.ctr[ci]
 	s.unindex(ci)
 	c.errVal = c.count
@@ -216,16 +204,16 @@ func (s *SpaceSaving) track(h uint64, item []byte, n, errVal uint64) {
 	s.ctr = append(s.ctr, ssCounter{count: n, errVal: errVal})
 	s.store(&s.ctr[ci], item)
 	s.index(ci, uint32(h))
-	s.insert(ci, none)
+	s.heap = append(s.heap, ci)
+	s.up(len(s.heap) - 1)
 }
 
-// grow makes room for n counters and as many buckets and one (a bucket per
-// counter, and the one a counter is moving to before its old one goes),
-// and sizes the hash index for them — a head per counter at least, a power
-// of two of them — threading the tracked items again.
+// grow makes room for n counters and their heap entries, and sizes the
+// hash index for them — a head per counter at least, a power of two of
+// them — threading the tracked items again.
 func (s *SpaceSaving) grow(n int) {
 	s.ctr = append(make([]ssCounter, 0, n), s.ctr...)
-	s.bkt = append(make([]ssBucket, 0, n+1), s.bkt...)
+	s.heap = append(make([]uint32, 0, n), s.heap...)
 	heads := 8
 	for heads < n {
 		heads *= 2
@@ -239,116 +227,71 @@ func (s *SpaceSaving) grow(n int) {
 	}
 }
 
-// bump moves a counter up by n, maintaining the bucket list.
+// bump moves a counter up by n, and down the heap.
 //
 //scrub:hotpath
 func (s *SpaceSaving) bump(ci uint32, n uint64) {
-	c := &s.ctr[ci]
-	old := c.bucket
-	c.count += n
-	ob := &s.bkt[old]
-	if c.prev == none && c.next == none && (ob.next == none || s.bkt[ob.next].count > c.count) {
-		// The bucket's only member, and no bucket lies between the old
-		// count and the new: the bucket moves with it.
-		ob.count = c.count
-		return
-	}
-	s.leave(ci)
-	s.insert(ci, old)
-	if s.bkt[old].head == none {
-		s.unlink(old)
-	}
+	s.ctr[ci].count += n
+	s.down(int(s.ctr[ci].pos))
 }
 
-// leave takes counter ci off its bucket's member list; the bucket stays,
-// possibly empty.
-func (s *SpaceSaving) leave(ci uint32) {
-	c := &s.ctr[ci]
-	if c.prev != none {
-		s.ctr[c.prev].next = c.next
-	} else {
-		s.bkt[c.bucket].head = c.next
+// less orders counters by count, then by item: the heap's root is the
+// lexicographically smallest item at the minimum count, so identical
+// streams always evict the same victims. An order that depended on the
+// order of earlier additions would make replays (and Engine vs
+// ShardedEngine comparisons) depend on what a serialized summary does not
+// record.
+func (s *SpaceSaving) less(a, b uint32) bool {
+	if ca, cb := s.ctr[a].count, s.ctr[b].count; ca != cb {
+		return ca < cb
 	}
-	if c.next != none {
-		s.ctr[c.next].prev = c.prev
-	}
+	pa, pb := s.prefix(a), s.prefix(b)
+	return pa < pb || pa == pb && bytes.Compare(s.item(a), s.item(b)) < 0
 }
 
-// insert makes counter ci a member of the bucket of its count, which lies
-// behind bucket after (none: anywhere), creating the bucket when no
-// counter is at that count yet.
-func (s *SpaceSaving) insert(ci, after uint32) {
-	count := s.ctr[ci].count
-	next := s.minBkt
-	if after != none {
-		next = s.bkt[after].next
-	}
-	for next != none && s.bkt[next].count < count {
-		after, next = next, s.bkt[next].next
-	}
-	b := next
-	if b == none || s.bkt[b].count != count {
-		b = s.newBucket(count, after, next)
-	}
-	c, head := &s.ctr[ci], s.bkt[b].head
-	c.bucket, c.prev, c.next = b, none, head
-	if head != none {
-		s.ctr[head].prev = ci
-	}
-	s.bkt[b].head = ci
-}
-
-// newBucket links an empty bucket for count between prev and next, taking
-// it from the free list or from the room grow left.
-func (s *SpaceSaving) newBucket(count uint64, prev, next uint32) uint32 {
-	b := s.freeBkt
-	if b != none {
-		s.freeBkt = s.bkt[b].next
-	} else {
-		b = uint32(len(s.bkt))
-		s.bkt = s.bkt[:b+1]
-	}
-	s.bkt[b] = ssBucket{count: count, head: none, prev: prev, next: next}
-	if prev != none {
-		s.bkt[prev].next = b
-	} else {
-		s.minBkt = b
-	}
-	if next != none {
-		s.bkt[next].prev = b
-	}
-	return b
-}
-
-// unlink takes an empty bucket out of the list and onto the free list.
-func (s *SpaceSaving) unlink(b uint32) {
-	prev, next := s.bkt[b].prev, s.bkt[b].next
-	if prev != none {
-		s.bkt[prev].next = next
-	} else {
-		s.minBkt = next
-	}
-	if next != none {
-		s.bkt[next].prev = prev
-	}
-	s.bkt[b].next, s.freeBkt = s.freeBkt, b
-}
-
-// victim picks the counter to evict from the minimum bucket: the
-// lexicographically smallest item, so identical streams always build
-// identical summaries. Member-order victim choice would make replays (and
-// Engine vs ShardedEngine comparisons) depend on the order of earlier
-// additions that a serialized summary does not record. The scan is bounded
-// by the summary capacity and only runs on eviction.
-func (s *SpaceSaving) victim() uint32 {
-	v := s.bkt[s.minBkt].head
-	least := s.prefix(v)
-	for ci := s.ctr[v].next; ci != none; ci = s.ctr[ci].next {
-		if p := s.prefix(ci); p < least || p == least && bytes.Compare(s.item(ci), s.item(v)) < 0 {
-			v, least = ci, p
+// up moves the counter at heap[i] toward the root past every parent that
+// orders after it.
+//
+//scrub:hotpath
+func (s *SpaceSaving) up(i int) {
+	ci := s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(ci, s.heap[p]) {
+			break
 		}
+		s.place(i, s.heap[p])
+		i = p
 	}
-	return v
+	s.place(i, ci)
+}
+
+// down moves the counter at heap[i] toward the leaves past every child
+// that orders before it.
+//
+//scrub:hotpath
+func (s *SpaceSaving) down(i int) {
+	ci := s.heap[i]
+	for {
+		c := 2*i + 1
+		if c >= len(s.heap) {
+			break
+		}
+		if c+1 < len(s.heap) && s.less(s.heap[c+1], s.heap[c]) {
+			c++
+		}
+		if !s.less(s.heap[c], ci) {
+			break
+		}
+		s.place(i, s.heap[c])
+		i = c
+	}
+	s.place(i, ci)
+}
+
+// place puts counter ci at heap[i].
+func (s *SpaceSaving) place(i int, ci uint32) {
+	s.heap[i], s.ctr[ci].pos = ci, uint32(i)
 }
 
 // EachTop calls f with the k highest-count entries, ties broken by item
@@ -384,7 +327,7 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 		return
 	}
 	minS, minO := s.minInheritance(), o.minInheritance()
-	u := &SpaceSaving{capacity: len(s.ctr) + len(o.ctr), minBkt: none, freeBkt: none}
+	u := &SpaceSaving{capacity: len(s.ctr) + len(o.ctr)}
 	u.grow(u.capacity)
 	for i := range s.ctr {
 		c, item := &s.ctr[i], s.item(uint32(i))
@@ -416,22 +359,19 @@ func (s *SpaceSaving) minInheritance() uint64 {
 	if len(s.ctr) < s.capacity {
 		return 0
 	}
-	return s.bkt[s.minBkt].count
+	return s.ctr[s.heap[0]].count
 }
 
-// CodeSpaceSaving codes the summary *sp points to in c's mode: capacity,
-// entry count, then every tracked entry in descending-count order (ties by
-// item). A SpaceSaving's observable behavior — counts, eviction victims,
-// merge inheritance — is fully determined by its (item, count, err)
-// multiset plus capacity, so this form is lossless even though the bucket
-// list is not written. Decoding makes the summary: the entries determine
-// the bucket list, and an item listed twice is refused.
-func CodeSpaceSaving(c *wire.Coder, sp **SpaceSaving) {
-	s := *sp
-	var capacity, cnt uint64
-	if c.Mode != wire.Decoding {
-		capacity, cnt = uint64(s.capacity), uint64(len(s.ctr))
-	}
+// CodeSpaceSaving codes summary s in c's mode: capacity, entry count, then
+// every tracked entry in descending-count order (ties by item). A
+// SpaceSaving's observable behavior — counts, eviction victims, merge
+// inheritance — is fully determined by its (item, count, err) multiset
+// plus capacity, so this form is lossless even though the heap is not
+// written. Decoding refills s from the entries, which determine the heap;
+// bytes of another capacity than s's, or that list an item twice, are
+// refused.
+func CodeSpaceSaving(c *wire.Coder, s *SpaceSaving) {
+	capacity, cnt := uint64(s.capacity), uint64(len(s.ctr))
 	c.Uvarint(&capacity)
 	c.Uvarint(&cnt)
 	if c.Mode != wire.Decoding {
@@ -444,26 +384,20 @@ func CodeSpaceSaving(c *wire.Coder, sp **SpaceSaving) {
 	if c.Err != nil {
 		return
 	}
+	if capacity != uint64(s.capacity) {
+		c.Failf("SpaceSaving capacity %d, want %d", capacity, s.capacity)
+		return
+	}
 	// An entry takes at least three bytes: more entries than bytes left
 	// cannot be there.
 	if cnt > capacity || cnt > uint64(len(c.Rest())) {
 		c.Failf("implausible SpaceSaving entry count %d (capacity %d)", cnt, capacity)
 		return
 	}
-	if capacity >= uint64(none) {
-		c.Failf("implausible SpaceSaving capacity %d", capacity)
-		return
-	}
-	s, err := NewSpaceSaving(int(capacity))
-	if err != nil {
-		c.Err = err
-		return
-	}
+	*s = SpaceSaving{capacity: s.capacity}
 	if cnt > 0 {
 		s.grow(int(cnt))
 	}
-	// Entries come in descending count order, so each one's bucket is the
-	// list's first or goes in front of it.
 	for i := uint64(0); i < cnt; i++ {
 		var e ssEntry
 		e.code(c)
@@ -477,7 +411,6 @@ func CodeSpaceSaving(c *wire.Coder, sp **SpaceSaving) {
 		}
 		s.track(h, e.item, e.count, e.errVal)
 	}
-	*sp = s
 }
 
 // ssEntry is one tracked entry as it is coded. Decoding, item points into

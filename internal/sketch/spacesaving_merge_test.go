@@ -138,9 +138,8 @@ func TestSpaceSavingMergeSymmetric(t *testing.T) {
 	}
 }
 
-// TestSpaceSavingMergeThenAdd checks the rebuilt bucket structure stays
-// usable: adds after a merge must keep O(1) bookkeeping intact and the
-// guarantee sound.
+// TestSpaceSavingMergeThenAdd checks the rebuilt heap stays usable: adds
+// after a merge must keep its order intact and the guarantee sound.
 func TestSpaceSavingMergeThenAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := MustSpaceSaving(10)

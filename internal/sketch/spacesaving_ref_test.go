@@ -12,11 +12,13 @@ import (
 )
 
 // refSpaceSaving is the summary as it was before SpaceSaving became flat
-// arrays: a Go map from item to counter and a map of members per count
-// bucket. It is kept, unchanged but for its names and the victims log, as
-// the model SpaceSaving is checked against (TestSpaceSavingMatchesReference,
-// FuzzSpaceSavingMatchesReference): same entries, same eviction victims,
-// same serialized bytes.
+// arrays and a heap: a Go map from item to counter and a linked list of
+// count buckets, each a map of its members. It is kept, unchanged but for
+// its names and the victims log, as the model SpaceSaving is checked
+// against (TestSpaceSavingMatchesReference,
+// FuzzSpaceSavingMatchesReference): same entries, same eviction victims —
+// the least item of its minimum bucket is the heap's root — and same
+// serialized bytes.
 type refSpaceSaving struct {
 	capacity int
 	victims  []string // every item a takeover evicted, in order
@@ -380,20 +382,25 @@ type ssPair struct {
 	// evictions counts the takeovers seen; ref.victims lists those since
 	// the reference was last replaced.
 	evictions int
+	// Every addition's victim is checked, and every every'th addition's
+	// entries and bytes.
+	ops, every int
 }
 
 func newSSPair(t testing.TB, capacity int) *ssPair {
-	return &ssPair{t: t, got: MustSpaceSaving(capacity), ref: mustRefSpaceSaving(capacity)}
+	every := 1
+	if capacity >= 256 {
+		every = capacity / 16 // a comparison sorts both summaries
+	}
+	return &ssPair{t: t, got: MustSpaceSaving(capacity), ref: mustRefSpaceSaving(capacity), every: every}
 }
 
 // add counts item n times in both — through AddBytes when n is 1 and raw is
 // set — and checks that a takeover evicted the same victim.
 func (p *ssPair) add(item string, n uint64, raw bool) {
 	p.t.Helper()
-	var tracked []Entry
-	if _, ok := p.got.Count(item); !ok && p.got.Len() == p.got.capacity && n > 0 {
-		tracked = p.got.Top(p.got.Len())
-	}
+	_, tracked := p.got.Count(item)
+	takeover := !tracked && p.got.Len() == p.got.capacity && n > 0
 	evictions := len(p.ref.victims)
 	if raw && n == 1 {
 		buf := []byte(item)
@@ -408,22 +415,21 @@ func (p *ssPair) add(item string, n uint64, raw bool) {
 		}
 		p.ref.AddN(item, n)
 	}
-	if (tracked != nil) != (len(p.ref.victims) > evictions) {
+	if takeover != (len(p.ref.victims) > evictions) {
 		p.t.Fatalf("add %q: takeover in one summary only", item)
 	}
-	if tracked != nil {
+	if takeover {
+		// A takeover evicts one item: the reference's, unless the
+		// summary still tracks it.
 		p.evictions++
-		victim := ""
-		for _, e := range tracked {
-			if _, ok := p.got.Count(e.Item); !ok {
-				victim += e.Item + ";"
-			}
-		}
-		if want := p.ref.victims[evictions] + ";"; victim != want {
-			p.t.Fatalf("add %q evicted %q, reference %q", item, victim, want)
+		v := p.ref.victims[evictions]
+		if _, ok := p.got.Count(v); ok {
+			p.t.Fatalf("add %q evicted another item than the reference's %q", item, v)
 		}
 	}
-	p.check("add " + item)
+	if p.ops++; p.ops%p.every == 0 {
+		p.check("add " + item)
+	}
 }
 
 // check compares everything a summary shows.
@@ -447,7 +453,7 @@ func (p *ssPair) check(ctx string) {
 func (p *ssPair) recode() {
 	p.t.Helper()
 	enc := ssBytes(p.got)
-	got, n, err := ssFrom(enc)
+	got, n, err := ssFrom(enc, p.got.capacity)
 	if err != nil || n != len(enc) {
 		p.t.Fatalf("decode: n=%d of %d, err=%v", n, len(enc), err)
 	}
@@ -493,10 +499,10 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 		},
 	}
 	for name, next := range streams {
-		for _, capacity := range []int{1, 2, 7, 80} {
+		for _, capacity := range []int{1, 2, 7, 80, 1000} {
 			rng := rand.New(rand.NewSource(int64(capacity)))
 			p, q := newSSPair(t, capacity), newSSPair(t, capacity)
-			for i := 0; i < 40*capacity+200; i++ {
+			for i := 0; i < min(40*capacity, 10000)+200; i++ {
 				n := uint64(1)
 				if rng.Intn(5) == 0 {
 					n = uint64(rng.Intn(6)) // AddN, 0 included
@@ -505,7 +511,7 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 				if i%3 == 0 {
 					q.add(next(rng, capacity, i+1), 1, true)
 				}
-				switch rng.Intn(200) {
+				switch rng.Intn(200 * p.every) { // a recode or merge is compared too
 				case 0:
 					p.recode()
 				case 1:
@@ -533,7 +539,7 @@ func FuzzSpaceSavingMatchesReference(f *testing.F) {
 		if len(prog) == 0 {
 			return
 		}
-		capacity := 1 + int(prog[0])%12
+		capacity := 1 + int(prog[0])%64
 		p, q := newSSPair(t, capacity), newSSPair(t, capacity)
 		for prog = prog[1:]; len(prog) >= 2; prog = prog[2:] {
 			op, arg := prog[0]%10, prog[1]
@@ -585,7 +591,7 @@ func TestSpaceSavingAddBytesZeroAllocs(t *testing.T) {
 	if s.Bytes() != before {
 		t.Errorf("a built summary grew from %d to %d bytes", before, s.Bytes())
 	}
-	if max := int64(80*(48+24+8+16) + 512); before > max {
+	if max := int64(80*(40+4+8+16) + 512); before > max {
 		t.Errorf("a capacity-80 summary of short items holds %d bytes, want at most %d", before, max)
 	}
 }

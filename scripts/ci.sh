@@ -26,12 +26,13 @@ echo "== a shipped tuple is encoded once (the shipper sizes a batch, it does not
 if grep -rn 'encScratch' internal/; then echo "internal/ has encScratch again" >&2; exit 1; fi
 if grep -n 'AppendEncode' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host encodes a batch itself again" >&2; exit 1; fi
 
-echo "== aggregate state without boxes (no Aggregator word per group, no plan constant per count, no map in a sketch) =="
+echo "== aggregate state without boxes (no Aggregator word per group, no plan constant per count, no map in a sketch, no count-bucket list beside the stream summary's heap) =="
 nontest() { find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go'; }
 if grep -nE '\bmap\[' $(nontest internal/sketch); then echo "internal/sketch has a map (map[string]*ssCounter, map[*ssCounter]struct{}) in a non-test file again" >&2; exit 1; fi
+if grep -nwE 'ssBucket|minBkt|freeBkt' $(nontest internal/sketch); then echo "non-test internal/sketch has the stream summary's count-bucket list again: the counters are one min-heap, whose root is the victim" >&2; exit 1; fi
 if grep -nF 'slab.Slab[agg.Aggregator]' $(nontest internal/central); then echo "internal/central keeps an interface word per aggregate again" >&2; exit 1; fi
 if grep -nE '^\s*star +bool' $(nontest internal/agg); then echo "internal/agg keeps COUNT(*)'s plan constant in every count state again" >&2; exit 1; fi
-for f in 'SpaceSaving) AddBytes' 'SpaceSaving) bump'; do
+for f in 'SpaceSaving) AddBytes' 'SpaceSaving) bump' 'SpaceSaving) up' 'SpaceSaving) down'; do
   if ! grep -B1 -F "func (s *$f(" internal/sketch/spacesaving.go | grep -q '^//scrub:hotpath$'; then echo "internal/sketch/spacesaving.go: $f lost its //scrub:hotpath seed" >&2; exit 1; fi
 done
 if ! grep -B1 -F 'func (sl *Slab) Add(' internal/agg/slab.go | grep -q '^//scrub:hotpath$'; then echo "internal/agg/slab.go: Slab.Add lost its //scrub:hotpath seed" >&2; exit 1; fi
