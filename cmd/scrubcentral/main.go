@@ -56,7 +56,7 @@ func main() {
 	shardListen := flag.String("shard", "", "run as a shard process serving shard RPC on this address (exclusive with -coord)")
 	joinAddr := flag.String("join", "", "coordinator data address to announce this shard to (with -shard)")
 	advertise := flag.String("advertise", "", "address the coordinator should dial this shard back on (with -shard -join; default: the bound -shard address)")
-	peers := flag.String("peers", "", "comma-separated standby replication addresses to stream the control-plane log to (with -coord)")
+	peers := flag.String("peers", "", "comma-separated standby replication addresses to push the control-plane state to (with -coord)")
 	standbyListen := flag.String("standby", "", "run as a warm coordinator standby serving replication RPC on this address (exclusive with -coord/-shard)")
 	failoverTimeout := flag.Duration("failover-timeout", 2*time.Second, "leader silence before the standby promotes itself (with -standby)")
 	standbyRank := flag.Int("rank", 0, "standby rank: rank N waits (N+1) failover timeouts, so lower ranks promote first (with -standby)")
@@ -257,8 +257,8 @@ type standbyConfig struct {
 	rank                              int
 }
 
-// runStandby serves one warm coordinator standby: it shadows the leader's
-// replicated control-plane log, and when the leader falls silent for the
+// runStandby serves one warm coordinator standby: it holds the
+// control-plane state the leader last pushed, and when the leader falls silent for the
 // (rank-staggered) failover timeout, it promotes — fencing the shards
 // under a higher epoch, resuming every replicated query, and taking over
 // the leader's client/control/data addresses so host agents and
@@ -289,9 +289,8 @@ func runStandby(cfg standbyConfig) {
 		l.Close()
 		return
 	}
-	term, applied, qids := sb.Snapshot()
-	fmt.Printf("scrubcentral standby: leader silent — promoting (term %d, %d log entries, queries %v)\n",
-		term, applied, qids)
+	term, qids := sb.Snapshot()
+	fmt.Printf("scrubcentral standby: leader silent — promoting (term %d, queries %v)\n", term, qids)
 
 	coordEng, resumed, err := sb.Promote(func(rq coord.ResumedQuery, _ *central.Plan) central.EmitFunc {
 		// The submitter's client connection died with the leader; windows

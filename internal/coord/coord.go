@@ -310,13 +310,10 @@ func (c *shardClient) stats(queryID uint64) (transport.ShardStatsResp, error) {
 	return sr, nil
 }
 
-// repAppend ships replication log entries (or a heartbeat, when entries
-// is empty) to a standby over the same serialized RPC channel shards
-// use.
-func (c *shardClient) repAppend(term, index uint64, entries []transport.RepEntry) (transport.RepAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.RepAppend{Seq: s, Term: term, Index: index, Entries: entries}
-	})
+// repAppend ships the leader's state (or a heartbeat) to a standby over
+// the same serialized RPC channel shards use.
+func (c *shardClient) repAppend(m transport.RepAppend) (transport.RepAck, error) {
+	resp, seq, err := c.do(func(s uint64) transport.Message { m.Seq = s; return m })
 	if err != nil {
 		return transport.RepAck{}, err
 	}

@@ -87,7 +87,17 @@ func (tt *testTopo) addShard(t *testing.T) *testShard {
 // addStandby attaches a warm standby over cat to the coordinator's
 // replication stream; it dials the topology's shards over pipes.
 func (tt *testTopo) addStandby(opts Options, cat *event.Catalog) *Standby {
-	sb := NewStandby(StandbyOptions{
+	sb := tt.newStandby(opts, cat)
+	sbc, sbs := transport.Pipe()
+	go sb.ServeConn(sbs)
+	tt.coord.AddStandbyConn(sbc, "standby-0")
+	return sb
+}
+
+// newStandby builds a standby over cat that dials the topology's shards
+// over pipes, not yet attached to the coordinator.
+func (tt *testTopo) newStandby(opts Options, cat *event.Catalog) *Standby {
+	return NewStandby(StandbyOptions{
 		Central: opts,
 		Catalog: cat,
 		Dial: func(addr string) (*transport.Conn, error) {
@@ -101,10 +111,6 @@ func (tt *testTopo) addStandby(opts Options, cat *event.Catalog) *Standby {
 			return nil, fmt.Errorf("unknown shard %q", addr)
 		},
 	})
-	sbc, sbs := transport.Pipe()
-	go sb.ServeConn(sbs)
-	tt.coord.AddStandbyConn(sbc, "standby-0")
-	return sb
 }
 
 func (tt *testTopo) close() {
@@ -871,7 +877,7 @@ func TestLeaderFailover(t *testing.T) {
 	}
 
 	// The standby shadows the registration.
-	if term, _, qs := sb.Snapshot(); term != 1 || len(qs) != 1 || qs[0] != 1 {
+	if term, qs := sb.Snapshot(); term != 1 || len(qs) != 1 || qs[0] != 1 {
 		t.Fatalf("standby snapshot term=%d queries=%v, want term 1 queries [1]", term, qs)
 	}
 
@@ -1039,7 +1045,7 @@ func TestPromoteDrainsUnresumable(t *testing.T) {
 	sb := tt.addStandby(opts, drifted)
 
 	tt.startQuery(t, 1, `select count(*) from ev window 10s`, time.Second, &collector{})
-	if _, _, qs := sb.Snapshot(); len(qs) != 1 || qs[0] != 1 {
+	if _, qs := sb.Snapshot(); len(qs) != 1 || qs[0] != 1 {
 		t.Fatalf("standby shadows queries %v, want [1]", qs)
 	}
 	for i, s := range tt.shards {
@@ -1081,7 +1087,7 @@ func TestStandbyAwaitFailover(t *testing.T) {
 		t.Fatal("failover fired without ever hearing a leader")
 	case <-time.After(200 * time.Millisecond):
 	}
-	if ack := sb.handleAppend(transport.RepAppend{Term: 1}); !ack.Ok {
+	if ack := sb.handleAppend(transport.RepAppend{Term: 1, Beat: true}); !ack.Ok {
 		t.Fatalf("heartbeat append NAKed: %+v", ack)
 	}
 	select {
@@ -1091,6 +1097,104 @@ func TestStandbyAwaitFailover(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("failover did not fire after leader silence")
+	}
+}
+
+// TestLateStandbyGetsStateNotHistory: a standby added after many
+// start/stop cycles is sent the state as it is then — one running query
+// and the membership — so what it receives does not grow with the
+// cycles the leader has run. A membership change, a start and a stop
+// made after it joined each reach it, and it promotes over them.
+func TestLateStandbyGetsStateNotHistory(t *testing.T) {
+	const src = `select count(*) from ev window 10s`
+	join := func(cycles int) (*testTopo, *Standby, uint64) {
+		opts := Options{Clock: (&vclock{}).now, LeaseTTL: time.Hour}
+		tt := newTestTopo(t, 2, opts)
+		tt.coord.StartReplication(ReplicationConfig{Term: 1, Heartbeat: time.Hour})
+		tt.startQuery(t, 1, src, time.Second, &collector{})
+		for id := uint64(2); id < uint64(2+cycles); id++ {
+			tt.startQuery(t, id, src, time.Second, &collector{})
+			if _, ok := tt.coord.StopQuery(id); !ok {
+				t.Fatalf("stop %d missed", id)
+			}
+		}
+		sb := tt.newStandby(opts, testCatalog())
+		sbc, sbs := transport.Pipe()
+		met := transport.NewConnMetrics(obs.NewRegistry())
+		sbs.SetMetrics(met)
+		go sb.ServeConn(sbs)
+		tt.coord.AddStandbyConn(sbc, "standby-0")
+		return tt, sb, met.BytesRecv.Value()
+	}
+	few, _, fewBytes := join(1)
+	few.close()
+	tt, sb, manyBytes := join(100)
+	defer tt.close()
+	if fewBytes == 0 || manyBytes != fewBytes {
+		t.Fatalf("a standby joining after 100 start/stop cycles received %d bytes, after 1 cycle %d: want the same, nonzero", manyBytes, fewBytes)
+	}
+	if _, qs := sb.Snapshot(); !reflect.DeepEqual(qs, []uint64{1}) {
+		t.Fatalf("late standby holds queries %v, want [1]", qs)
+	}
+
+	tt.addShard(t)
+	tt.startQuery(t, 500, src, time.Second, &collector{})
+	if _, ok := tt.coord.StopQuery(1); !ok {
+		t.Fatal("stop 1 missed")
+	}
+	if _, qs := sb.Snapshot(); !reflect.DeepEqual(qs, []uint64{500}) {
+		t.Fatalf("standby holds queries %v after a start and a stop, want [500]", qs)
+	}
+	if ack := sb.handleAppend(transport.RepAppend{Term: 1, Beat: true}); !ack.Ok {
+		t.Fatalf("heartbeat NAKed: %+v", ack)
+	}
+	if _, qs := sb.Snapshot(); !reflect.DeepEqual(qs, []uint64{500}) {
+		t.Fatalf("a heartbeat left the standby holding queries %v, want [500]", qs)
+	}
+	wantMap := tt.coord.ShardMap()
+	pin, _ := tt.coord.PinnedMap(500)
+	if len(pin.Addrs) != 3 {
+		t.Fatalf("query 500 pinned %v, want the three shards", pin.Addrs)
+	}
+	old := tt.coord
+	defer old.Close()
+	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc { return (&collector{}).emit })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt.coord = promoted
+	if len(resumed) != 1 || resumed[0].QueryID != 500 {
+		t.Fatalf("resumed %+v, want query 500", resumed)
+	}
+	if got := promoted.ShardMap(); got.Epoch != wantMap.Epoch || !reflect.DeepEqual(got.Addrs, wantMap.Addrs) {
+		t.Errorf("promoted membership epoch %d = %v, want the leader's epoch %d = %v", got.Epoch, got.Addrs, wantMap.Epoch, wantMap.Addrs)
+	}
+	if got, _ := promoted.PinnedMap(500); got.Epoch != pin.Epoch || !reflect.DeepEqual(got.Addrs, pin.Addrs) {
+		t.Errorf("query 500 resumed pinned to epoch %d = %v, want epoch %d = %v", got.Epoch, got.Addrs, pin.Epoch, pin.Addrs)
+	}
+}
+
+// TestStatePushesRaceHeartbeats: heartbeats fire from the replicator's
+// own goroutine while registrations and stops push the state; a beat
+// carries no state, so whatever interleaving the two take, the standby
+// ends holding what runs.
+func TestStatePushesRaceHeartbeats(t *testing.T) {
+	opts := Options{Clock: (&vclock{}).now, LeaseTTL: time.Hour}
+	tt := newTestTopo(t, 2, opts)
+	defer tt.close()
+	tt.coord.StartReplication(ReplicationConfig{Term: 1, Heartbeat: time.Millisecond})
+	sb := tt.addStandby(opts, testCatalog())
+	const src = `select count(*) from ev window 10s`
+	tt.startQuery(t, 1, src, time.Second, &collector{})
+	for id := uint64(2); id < 40; id++ {
+		tt.startQuery(t, id, src, time.Second, &collector{})
+		if _, ok := tt.coord.StopQuery(id); !ok {
+			t.Fatalf("stop %d missed", id)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if term, qs := sb.Snapshot(); term != 1 || !reflect.DeepEqual(qs, []uint64{1}) {
+		t.Fatalf("standby at term %d holds queries %v, want term 1 and [1]", term, qs)
 	}
 }
 

@@ -106,12 +106,7 @@ func (c *Coordinator) bumpEpochLocked() {
 	if c.onMap != nil {
 		c.onMap(c.shardMapLocked())
 	}
-	if c.rep != nil {
-		m := c.shardMapLocked()
-		c.rep.append(transport.RepEntry{
-			Kind: transport.RepMembership, MapEpoch: m.Epoch, Addrs: m.Addrs,
-		})
-	}
+	c.replicateLocked()
 }
 
 func (c *Coordinator) shardMapLocked() transport.ShardMap {
@@ -200,8 +195,8 @@ func (c *Coordinator) StartQuery(p central.Plan, emit central.EmitFunc) error {
 // keeps the shard list it started with.
 //
 // The registration is recorded and replicated under the merger's lock, at
-// the instant the query goes live, so the replicated log orders a start
-// before the stop that can only follow it.
+// the instant the query goes live, so the pushes a start and the stop
+// that follows it cause reach a standby in that order.
 func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *transport.RepEntry) error {
 	qr, err := central.CompileQuery(p)
 	if err != nil {
@@ -229,7 +224,6 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 	}
 	in.Installed = func(replayDeadline int64) {
 		e := transport.RepEntry{
-			Kind:           transport.RepQueryStart,
 			Start:          ShardStartFromPlan(qr.Plan()),
 			PinEpoch:       pinEpoch,
 			PinAddrs:       addrs,
@@ -238,9 +232,7 @@ func (c *Coordinator) install(p central.Plan, emit central.EmitFunc, resume *tra
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.regs[e.Start.QueryID] = e
-		if c.rep != nil {
-			c.rep.append(e)
-		}
+		c.replicateLocked()
 	}
 	return c.core.Start(qr, emit, shards, in)
 }
@@ -307,9 +299,7 @@ func (c *Coordinator) StopQuery(id uint64) (transport.QueryStats, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		delete(c.regs, id)
-		if c.rep != nil {
-			c.rep.append(transport.RepEntry{Kind: transport.RepQueryStop, QueryID: id})
-		}
+		c.replicateLocked()
 	})
 }
 

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -9,15 +10,16 @@ import (
 
 // Leader-side control-plane replication.
 //
-// The replicated log carries exactly the state a takeover needs and
-// nothing else: query registrations (wire-form plan text plus the pinned
-// shard epoch and replay deadline), query stops, and membership
-// transitions. The high-rate manifest/partial flow is deliberately not
-// replicated — window state lives on the shards as collectible encoded
-// partials, so any merger that knows the registrations can resume the
-// merge by re-collecting. That keeps replication at control-plane rate:
-// one synchronous append per StartQuery/StopQuery/epoch bump, plus
-// heartbeats.
+// What is replicated is exactly the state a takeover needs and nothing
+// else: the membership and the running queries' registrations (wire-form
+// plan text plus the pinned shard map and replay deadline). The
+// high-rate manifest/partial flow is deliberately not replicated —
+// window state lives on the shards as collectible encoded partials, so
+// any merger that knows the registrations can resume the merge by
+// re-collecting. That keeps replication at control-plane rate: one
+// synchronous push of the whole state per StartQuery/StopQuery/epoch
+// bump, plus heartbeats. The state is O(running queries), so a push
+// costs what is running, not what has ever run.
 //
 // This is Raft's configuration-replication shape without its election
 // half: safety against split brain comes from shard-side fencing (a
@@ -29,21 +31,14 @@ import (
 // ReplicationConfig leaves it zero.
 const defaultHeartbeat = 250 * time.Millisecond
 
-// repPeer is one standby the leader replicates to. The underlying
+// replicator pushes the leader's state to its standby peers. Each peer's
 // shardClient provides the serialized seq-matched RPC channel and the
-// down latch; acked tracks how much of the log the standby has applied.
-type repPeer struct {
-	sc    *shardClient
-	acked uint64
-}
-
-// replicator owns the leader's in-memory log and its standby peers. The
-// log is never truncated: it holds control-plane transitions only, so
-// its size is bounded by query/membership churn, and a late-joining
-// standby can always be caught up from index 0.
+// down latch. A peer that fails one push is latched down and never
+// written to again, so no peer can fall behind and need catching up: a
+// live peer holds the state of the last push.
 //
 // Lock order: Coordinator.mu may be held when replicator.mu is taken
-// (appends fire under the coordinator lock, itself possibly under the
+// (pushes fire under the coordinator lock, itself possibly under the
 // merger's); replicator.mu may be held when a peer shardClient.mu is
 // taken. Never the reverse.
 type replicator struct {
@@ -51,8 +46,7 @@ type replicator struct {
 	hb   time.Duration
 
 	mu    sync.Mutex
-	log   []transport.RepEntry
-	peers []*repPeer
+	peers []*shardClient
 
 	stopCh chan struct{}
 	done   chan struct{}
@@ -72,66 +66,40 @@ func newReplicator(term uint64, hb time.Duration) *replicator {
 	return r
 }
 
-// append extends the log and pushes it to every live standby
-// synchronously. Replication is best effort: a standby that fails or
-// NAKs from a higher term is latched down and skipped from then on —
-// the leader never blocks the control plane on a dead peer, and a peer
-// with a higher term has promoted, which the shards' fencing already
-// protects against.
-func (r *replicator) append(entries ...transport.RepEntry) {
+// push sends m — the state, or a heartbeat — to every live standby
+// synchronously.
+func (r *replicator) push(m transport.RepAppend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.log = append(r.log, entries...)
-	r.syncPeersLocked()
-}
-
-// addPeer registers a standby and immediately catches it up from log
-// index 0.
-func (r *replicator) addPeer(sc *shardClient) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := &repPeer{sc: sc}
-	r.peers = append(r.peers, p)
-	r.syncPeerLocked(p)
-}
-
-func (r *replicator) syncPeersLocked() {
 	for _, p := range r.peers {
-		r.syncPeerLocked(p)
+		r.sendLocked(p, m)
 	}
 }
 
-func (r *replicator) syncPeerLocked(p *repPeer) {
-	if p.sc.Down() {
+// addPeer registers a standby and sends it st, the state as it is now.
+func (r *replicator) addPeer(p *shardClient, st transport.RepAppend) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.peers = append(r.peers, p)
+	r.sendLocked(p, st)
+}
+
+// sendLocked is best effort: a standby that fails is latched down by its
+// client, and one that NAKs has promoted or seen a higher term — this
+// leader is deposed to it, and the shards' fencing already protects
+// against it — so it is closed. The leader never blocks the control plane
+// on a dead peer.
+func (r *replicator) sendLocked(p *shardClient, m transport.RepAppend) {
+	if p.Down() {
 		return
 	}
-	// Up to two rounds: one send, one retransmission if the standby's
-	// applied index regressed below what we believed (restart).
-	for attempt := 0; attempt < 2; attempt++ {
-		ack, err := p.sc.repAppend(r.term, p.acked, r.log[p.acked:])
-		if err != nil {
-			return // client latched down
-		}
-		if ack.Ok {
-			p.acked = ack.Index
-			return
-		}
-		if ack.Term > r.term {
-			// The standby promoted past us: this leader is deposed. Stop
-			// replicating to it; the shards' fencing rejects our RPCs.
-			p.sc.close()
-			return
-		}
-		if ack.Index < p.acked {
-			p.acked = ack.Index
-			continue
-		}
-		return
+	m.Term = r.term
+	if ack, err := p.repAppend(m); err == nil && !ack.Ok {
+		p.close()
 	}
 }
 
-// heartbeatLoop keeps standbys' failover timers fed and doubles as the
-// catch-up path for peers that missed an append.
+// heartbeatLoop keeps standbys' failover timers fed.
 func (r *replicator) heartbeatLoop() {
 	defer close(r.done)
 	t := time.NewTicker(r.hb)
@@ -141,9 +109,7 @@ func (r *replicator) heartbeatLoop() {
 		case <-r.stopCh:
 			return
 		case <-t.C:
-			r.mu.Lock()
-			r.syncPeersLocked()
-			r.mu.Unlock()
+			r.push(transport.RepAppend{Beat: true})
 		}
 	}
 }
@@ -154,7 +120,7 @@ func (r *replicator) stop() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, p := range r.peers {
-		p.sc.close()
+		p.close()
 	}
 }
 
@@ -174,9 +140,8 @@ func (c *Coordinator) Fence() uint64 { return c.fence.Load() }
 
 // StartReplication turns this coordinator into a replicating leader:
 // its fencing epoch becomes cfg.Term and every subsequent registration,
-// stop and membership change is appended to the replicated log. Call it
-// at boot, before standbys are added with AddStandby; current state is
-// snapshotted into the log so later joiners recover it.
+// stop and membership change pushes the state to the standbys added with
+// AddStandby, each of which is sent the state when it is added.
 func (c *Coordinator) StartReplication(cfg ReplicationConfig) {
 	term := cfg.Term
 	if term == 0 {
@@ -191,18 +156,30 @@ func (c *Coordinator) StartReplication(cfg ReplicationConfig) {
 		c.fence.Store(term)
 	}
 	c.rep = newReplicator(c.fence.Load(), cfg.Heartbeat)
-	// Snapshot current state so replication can start at any point in
-	// the coordinator's life, not only on an empty one.
-	m := c.shardMapLocked()
-	c.rep.append(transport.RepEntry{
-		Kind: transport.RepMembership, MapEpoch: m.Epoch, Addrs: m.Addrs,
-	})
-	for _, e := range c.regs {
-		c.rep.append(e)
+}
+
+// replicateLocked pushes the state to the standbys after a change; a
+// no-op unless StartReplication was called.
+func (c *Coordinator) replicateLocked() {
+	if c.rep != nil {
+		c.rep.push(c.stateLocked())
 	}
 }
 
-// AddStandby dials a standby's replication address and catches it up.
+// stateLocked is the control-plane state a takeover needs: the
+// membership and the running queries' registrations in query-id order.
+func (c *Coordinator) stateLocked() transport.RepAppend {
+	m := c.shardMapLocked()
+	st := transport.RepAppend{MapEpoch: m.Epoch, Addrs: m.Addrs, Queries: make([]transport.RepEntry, 0, len(c.regs))}
+	for _, e := range c.regs {
+		st.Queries = append(st.Queries, e)
+	}
+	sort.Slice(st.Queries, func(i, j int) bool { return st.Queries[i].Start.QueryID < st.Queries[j].Start.QueryID })
+	return st
+}
+
+// AddStandby dials a standby's replication address and sends it the
+// state.
 func (c *Coordinator) AddStandby(addr string) error {
 	conn, err := transport.Dial(addr, rpcTimeout)
 	if err != nil {
@@ -213,14 +190,14 @@ func (c *Coordinator) AddStandby(addr string) error {
 }
 
 // AddStandbyConn registers a standby over an established connection
-// (pipes, tests). StartReplication must have been called.
+// (pipes, tests) and sends it the state. StartReplication must have been
+// called.
 func (c *Coordinator) AddStandbyConn(conn *transport.Conn, addr string) {
 	c.mu.Lock()
-	rep := c.rep
-	c.mu.Unlock()
-	if rep == nil {
+	defer c.mu.Unlock()
+	if c.rep == nil {
 		conn.Close()
 		return
 	}
-	rep.addPeer(newShardClient(conn, addr, nil))
+	c.rep.addPeer(newShardClient(conn, addr, nil), c.stateLocked())
 }

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +11,10 @@ import (
 	"scrub/internal/transport"
 )
 
-// Standby is the passive half of coordinator high availability: it
-// applies the leader's replicated control-plane log into a shadow state
-// machine (query registrations and shard membership — never window
-// state) and, on leader silence, promotes itself into a live Coordinator
-// under a strictly higher fencing term.
+// Standby is the passive half of coordinator high availability: it holds
+// the control-plane state the leader last pushed (query registrations and
+// shard membership — never window state) and, on leader silence, promotes
+// itself into a live Coordinator under a strictly higher fencing term.
 //
 // Election is deliberately not quorum-based: the shards are the ground
 // truth and the fence. A promoted standby's first act is installing its
@@ -28,10 +26,11 @@ import (
 type Standby struct {
 	opt StandbyOptions
 
-	mu         sync.Mutex
-	term       uint64
-	applied    uint64
-	queries    map[uint64]transport.RepEntry // live registrations by query id
+	mu   sync.Mutex
+	term uint64
+	// regs and membership are the leader's last pushed state: the running
+	// queries' registrations in query-id order, and the shard map.
+	regs       []transport.RepEntry
 	membership transport.ShardMap
 	promoted   bool
 
@@ -61,16 +60,13 @@ type StandbyOptions struct {
 	Rank int
 }
 
-// NewStandby creates a standby with an empty state machine. Serve (or
+// NewStandby creates a standby with an empty state. Serve (or
 // ServeConn) feeds it the leader's replication stream.
 func NewStandby(opt StandbyOptions) *Standby {
 	if opt.FailoverTimeout <= 0 {
 		opt.FailoverTimeout = 2 * time.Second
 	}
-	return &Standby{
-		opt:     opt,
-		queries: make(map[uint64]transport.RepEntry),
-	}
+	return &Standby{opt: opt}
 }
 
 // Serve accepts replication connections until the listener closes.
@@ -103,52 +99,34 @@ func (s *Standby) ServeConn(c *transport.Conn) {
 	}
 }
 
-// handleAppend applies one append. A promoted standby — or one that has
-// seen a higher term — NAKs with its term so a deposed leader learns it
-// is stale; an append ahead of the applied index NAKs with the applied
-// index to request retransmission from there.
+// handleAppend takes one push: a state replaces what the standby held, a
+// heartbeat only feeds the failover timer. A promoted standby — or one
+// that has seen a higher term — NAKs with its term so a deposed leader
+// learns it is stale.
 func (s *Standby) handleAppend(t transport.RepAppend) transport.RepAck {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted || t.Term < s.term {
-		return transport.RepAck{Seq: t.Seq, Term: s.term, Index: s.applied}
+		return transport.RepAck{Seq: t.Seq, Term: s.term}
 	}
 	s.term = t.Term
-	if t.Index > s.applied {
-		return transport.RepAck{Seq: t.Seq, Term: s.term, Index: s.applied}
-	}
-	for i, e := range t.Entries {
-		if t.Index+uint64(i) < s.applied {
-			continue // duplicate of an already-applied entry
-		}
-		s.applyLocked(e)
-		s.applied++
+	if !t.Beat {
+		s.regs = t.Queries
+		s.membership = transport.ShardMap{Epoch: t.MapEpoch, Addrs: t.Addrs}
 	}
 	s.lastContact.Store(time.Now().UnixNano())
-	return transport.RepAck{Seq: t.Seq, Term: s.term, Index: s.applied, Ok: true}
-}
-
-func (s *Standby) applyLocked(e transport.RepEntry) {
-	switch e.Kind {
-	case transport.RepQueryStart:
-		s.queries[e.Start.QueryID] = e
-	case transport.RepQueryStop:
-		delete(s.queries, e.QueryID)
-	case transport.RepMembership:
-		s.membership = transport.ShardMap{Epoch: e.MapEpoch, Addrs: e.Addrs}
-	}
+	return transport.RepAck{Seq: t.Seq, Term: s.term, Ok: true}
 }
 
 // Snapshot reports the standby's replication state (observability,
-// tests): the highest term seen, applied log length, and live query ids.
-func (s *Standby) Snapshot() (term, applied uint64, queries []uint64) {
+// tests): the highest term seen and the running queries' ids.
+func (s *Standby) Snapshot() (term uint64, queries []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id := range s.queries {
-		queries = append(queries, id)
+	for _, e := range s.regs {
+		queries = append(queries, e.Start.QueryID)
 	}
-	sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
-	return s.term, s.applied, queries
+	return s.term, queries
 }
 
 // AwaitFailover blocks until the leader has been silent for the
@@ -212,14 +190,8 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 	s.term++
 	term := s.term
 	membership := s.membership
-	entries := make([]transport.RepEntry, 0, len(s.queries))
-	for _, e := range s.queries {
-		entries = append(entries, e)
-	}
+	entries := s.regs
 	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Start.QueryID < entries[j].Start.QueryID
-	})
 
 	dial := s.opt.Dial
 	if dial == nil {

@@ -1045,7 +1045,13 @@ func (a *Agent) governTick(actives []*activeQuery) {
 	a.lastGovNanos = now
 	hostU := governor.Usage{ElapsedNs: elapsed}
 	usages := a.govScratch[:0]
+	// A shed query stays in actives to keep announcing BudgetShed, but it
+	// runs no more: the host cap is shared among the queries that do.
+	running := 0
 	for _, aq := range actives {
+		if !aq.shed {
+			running++
+		}
 		cpu := aq.cpuNs.Load()
 		bytes := aq.bytesShipped
 		u := governor.Usage{CPUNs: cpu - aq.lastCPUNs, Bytes: bytes - aq.lastBytes, ElapsedNs: elapsed}
@@ -1061,7 +1067,7 @@ func (a *Agent) governTick(actives []*activeQuery) {
 		if aq.shed {
 			continue
 		}
-		eb := governor.EffectiveBudget(aq.budget, a.cfg.Governor.HostBudget, hostOver, len(actives))
+		eb := governor.EffectiveBudget(aq.budget, a.cfg.Governor.HostBudget, hostOver, running)
 		switch aq.tracker.Evaluate(usages[i], eb) {
 		case governor.ActionDownsample:
 			a.govDownsamples.Inc()

@@ -611,3 +611,41 @@ func TestBatchCarriesItsChunksRate(t *testing.T) {
 		}
 	})
 }
+
+// TestShedQueryHoldsNoShareOfTheHostCap: a query the governor shed stays
+// in the agent to keep announcing BudgetShed, but the host cap is shared
+// among the queries still running. Under a 1 000 B/s cap, two running
+// queries shipping 450 B/s each and a shed one sending 150 B/s of
+// heartbeats put the host over its cap; each running query's share is
+// 500 B/s, not 333, so neither is downsampled.
+func TestShedQueryHoldsNoShareOfTheHostCap(t *testing.T) {
+	var now atomic.Int64
+	a := &Agent{cfg: Config{
+		Clock:    func() time.Time { return time.Unix(0, now.Load()) },
+		Governor: governor.Config{HostBudget: governor.Budget{BytesPerSec: 1000}},
+	}}
+	newQuery := func() *activeQuery {
+		aq := &activeQuery{baseRate: 1, tracker: governor.NewTracker()}
+		aq.live.aq = aq
+		aq.live.arm(0)
+		return aq
+	}
+	live1, live2, shed := newQuery(), newQuery(), newQuery()
+	shed.shed = true
+	actives := []*activeQuery{live1, live2, shed}
+	for tick := 0; tick < 5; tick++ {
+		now.Add(int64(time.Second))
+		live1.bytesShipped += 450
+		live2.bytesShipped += 450
+		shed.bytesShipped += 150
+		a.governTick(actives)
+	}
+	if n := a.govDownsamples.Value(); n != 0 {
+		t.Errorf("the governor downsampled %d times: a shed query kept a share of the host cap", n)
+	}
+	for i, aq := range actives[:2] {
+		if m := aq.tracker.Mult(); m != 1 {
+			t.Errorf("running query %d at rate multiplier %v, want 1", i, m)
+		}
+	}
+}

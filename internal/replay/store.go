@@ -391,12 +391,17 @@ func (s *Store) flushOne(c *sealed) {
 // returns false to stop early. An empty typeName matches every type.
 //
 // Scan snapshots chunk references under the lock and decodes outside
-// it: sealed data is immutable, and the active payload is copied.
+// it: sealed data is immutable, and the active payload is copied. Only a
+// sealed chunk is framed and checksummed; the active one's copy is
+// decoded as the records it is.
 func (s *Store) Scan(fromNs, toNs int64, typeName string, fn func(ev *event.Event) bool) error {
 	type span struct {
 		ix   Index
 		data []byte
 		path string
+		// records is the active chunk's copied payload, nil for a sealed
+		// chunk.
+		records []byte
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -411,10 +416,9 @@ func (s *Store) Scan(fromNs, toNs int64, typeName string, fn func(ev *event.Even
 		spans = append(spans, span{ix: c.ix, data: c.data, path: c.path})
 	}
 	if s.activeIx.Overlaps(fromNs, toNs) && (typeName == "" || s.activeIx.MayContainType(typeName)) {
-		cp := make([]byte, len(s.active.b))
+		cp := make([]byte, len(s.active.b)) // non-nil even when empty
 		copy(cp, s.active.b)
-		ix := s.activeIx
-		spans = append(spans, span{ix: ix, data: appendChunk(nil, &ix, cp[:len(cp):len(cp)])})
+		spans = append(spans, span{ix: s.activeIx, records: cp})
 	}
 	s.mu.Unlock()
 	s.scans.Inc()
@@ -424,17 +428,18 @@ func (s *Store) Scan(fromNs, toNs int64, typeName string, fn func(ev *event.Even
 		if !cont {
 			break
 		}
-		data := sp.data
-		if data == nil {
-			var err error
-			data, err = os.ReadFile(sp.path)
-			if err != nil {
-				continue // evicted between snapshot and read
+		var err error
+		payload := sp.records
+		if payload == nil {
+			data := sp.data
+			if data == nil {
+				if data, err = os.ReadFile(sp.path); err != nil {
+					continue // evicted between snapshot and read
+				}
 			}
-		}
-		_, payload, err := DecodeChunk(data)
-		if err != nil {
-			return err
+			if _, payload, err = DecodeChunk(data); err != nil {
+				return err
+			}
 		}
 		err = DecodeRecords(payload, sp.ix.Count, s.opt.Catalog, func(ev *event.Event) bool {
 			if ev.TimeNanos < fromNs || ev.TimeNanos >= toNs {

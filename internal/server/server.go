@@ -83,7 +83,7 @@ type serverQuery struct {
 	cb    Callbacks
 	timer *time.Timer
 	done  bool
-	// adopted marks a query resumed from a dead leader's replicated log
+	// adopted marks a query resumed from a dead leader's replicated state
 	// (Adopt): its host set is discovered incrementally as hosts register,
 	// not fixed at submission.
 	adopted bool

@@ -82,9 +82,6 @@ func (s *refSpaceSaving) AddBytes(item []byte) {
 
 // AddN increments item by n.
 func (s *refSpaceSaving) AddN(item string, n uint64) {
-	if n == 0 {
-		return
-	}
 	if c, ok := s.counters[item]; ok {
 		s.bump(c, n)
 		return
@@ -400,7 +397,7 @@ func newSSPair(t testing.TB, capacity int) *ssPair {
 func (p *ssPair) add(item string, n uint64, raw bool) {
 	p.t.Helper()
 	_, tracked := p.got.Count(item)
-	takeover := !tracked && p.got.Len() == p.got.capacity && n > 0
+	takeover := !tracked && p.got.Len() == p.got.capacity
 	evictions := len(p.ref.victims)
 	if raw && n == 1 {
 		buf := []byte(item)
@@ -410,9 +407,7 @@ func (p *ssPair) add(item string, n uint64, raw bool) {
 		}
 		p.ref.AddBytes([]byte(item))
 	} else {
-		if n > 0 {
-			p.got.add([]byte(item), n)
-		}
+		p.got.add([]byte(item), n)
 		p.ref.AddN(item, n)
 	}
 	if takeover != (len(p.ref.victims) > evictions) {
@@ -505,7 +500,7 @@ func TestSpaceSavingMatchesReference(t *testing.T) {
 			for i := 0; i < min(40*capacity, 10000)+200; i++ {
 				n := uint64(1)
 				if rng.Intn(5) == 0 {
-					n = uint64(rng.Intn(6)) // AddN, 0 included
+					n = uint64(1 + rng.Intn(5)) // AddN
 				}
 				p.add(next(rng, capacity, i), n, i%2 == 0)
 				if i%3 == 0 {
@@ -551,7 +546,7 @@ func FuzzSpaceSavingMatchesReference(f *testing.F) {
 			case 0, 1, 2, 3:
 				p.add(item, 1, op%2 == 0)
 			case 4:
-				p.add(item, uint64(arg%5), false)
+				p.add(item, uint64(1+arg%5), false)
 			case 5, 6:
 				q.add(item, 1, true)
 			case 7:

@@ -212,8 +212,10 @@ type Tuple struct {
 }
 
 // TupleBatch carries sampled, selected, projected tuples from a host to
-// ScrubCentral. The counters are cumulative per (query, host, type): they
-// let the estimator recover Mᵢ and mᵢ, and let results report drops.
+// ScrubCentral. The counters are cumulative per (query, host, type): a
+// window reports them per stream (StreamStat), drops included. The
+// estimator reads none of them: central weighs each tuple by its batch's
+// EffRate at apply.
 type TupleBatch struct {
 	QueryID uint64
 	HostID  string

@@ -23,8 +23,10 @@ import "scrub/internal/wire"
 // Coordinator high availability adds two more:
 //
 //   - leader → standby (replication): RepAppend → RepAck carries the
-//     control-plane log (query registrations, membership transitions);
-//     an empty RepAppend doubles as the leader heartbeat
+//     whole control-plane state (the membership and the running
+//     queries' registrations) after every change, which the standby
+//     holds in place of what it held before; a Beat RepAppend carries no
+//     state and is the leader heartbeat
 //   - coordinator → shard (fencing): ShardFence → ShardFenceAck installs
 //     a fencing epoch; ShardStart/ShardCollectReq/ShardStopReq carry the
 //     caller's epoch so a deposed leader's RPCs are rejected
@@ -245,7 +247,7 @@ type ShardFence struct {
 // ShardFenceAck answers ShardFence. Queries lists the shard's active
 // query ids so the new leader can reconcile: re-install what it knows
 // (idempotent) and stop orphans a dead leader installed but never
-// committed to the replication log.
+// replicated.
 type ShardFenceAck struct {
 	Seq     uint64
 	Fence   uint64 // the shard's fencing epoch after the call
@@ -253,55 +255,39 @@ type ShardFenceAck struct {
 	Queries []uint64
 }
 
-// RepEntry is one replicated coordinator state transition. Only the
-// control plane is logged — query registrations and membership — never
-// the manifest/partial flow: window state lives on shards and any merger
-// can re-collect it.
-//
-// Kind selects which fields are meaningful.
+// RepEntry is one running query's replicated registration: its
+// wire-form start (Seq and Fence unused), the shard map it pinned (epoch
+// and shard addresses, in rid % n order) and its replay-hold deadline.
+// Only the control plane is replicated, never the manifest/partial flow:
+// window state lives on shards and any merger can re-collect it.
 type RepEntry struct {
-	Kind uint8 // 1 = query start, 2 = query stop, 3 = membership
-	// Kind 1: the query's wire-form registration (Seq/Fence unused) plus
-	// the shard map it pinned (epoch and shard addresses, in rid % n
-	// order) and its replay-hold deadline.
 	Start          ShardStart
 	PinEpoch       uint32
 	PinAddrs       []string
 	ReplayDeadline int64
-	// Kind 2: the stopped query.
-	QueryID uint64
-	// Kind 3: the full membership after the transition (a snapshot, not a
-	// delta, so applying the latest entry alone is sufficient).
+}
+
+// RepAppend carries the leader's whole control-plane state to a standby,
+// which replaces what it held with it: the membership (epoch and shard
+// addresses in rid % n order) and every running query's registration, in
+// query-id order. A Beat append is the leader heartbeat and carries no
+// state. Term is the leader's fencing epoch: a standby refuses appends
+// from a term below the highest it has acknowledged.
+type RepAppend struct {
+	Seq      uint64
+	Term     uint64
+	Beat     bool
 	MapEpoch uint32
 	Addrs    []string
+	Queries  []RepEntry
 }
 
-// RepEntry kinds.
-const (
-	RepQueryStart uint8 = 1
-	RepQueryStop  uint8 = 2
-	RepMembership uint8 = 3
-)
-
-// RepAppend replicates log entries from the leader to a standby. Index is
-// the log position of the first entry; an entry-free append is the leader
-// heartbeat. Term is the leader's fencing epoch: a standby ignores
-// appends from a term below the highest it has acknowledged.
-type RepAppend struct {
-	Seq     uint64
-	Term    uint64
-	Index   uint64
-	Entries []RepEntry
-}
-
-// RepAck answers RepAppend. Ok false with the receiver's Term above the
-// sender's means the sender was deposed; Ok false with Index below the
-// sender's asks for retransmission from Index (the receiver is behind).
+// RepAck answers RepAppend. Ok false means the receiver has promoted or
+// seen a higher term (its Term): the sender was deposed.
 type RepAck struct {
-	Seq   uint64
-	Term  uint64 // receiver's highest term
-	Index uint64 // receiver's applied log length
-	Ok    bool
+	Seq  uint64
+	Term uint64 // receiver's highest term
+	Ok   bool
 }
 
 func (ShardStart) msgTag() byte      { return tagShardStart }
@@ -450,28 +436,25 @@ func (t *ShardFenceAck) code(c *coder) {
 	c.U64s(&t.Queries)
 }
 
-// RepAppend nests each entry's query registration as its wire ShardStart.
+// RepAppend nests each registration's start as its wire ShardStart.
 func (t *RepAppend) code(c *coder) {
 	c.U64(&t.Seq)
 	c.U64(&t.Term)
-	c.U64(&t.Index)
-	wire.Length(&c.Coder, &t.Entries, wire.EmptyNil, "implausible entry count")
-	for i := range t.Entries {
-		e := &t.Entries[i]
-		c.U8(&e.Kind)
+	c.Bool(&t.Beat)
+	c.U32(&t.MapEpoch)
+	c.Strs(&t.Addrs)
+	wire.Length(&c.Coder, &t.Queries, wire.EmptyNil, "implausible registration count")
+	for i := range t.Queries {
+		e := &t.Queries[i]
 		e.Start.code(c)
 		c.U32(&e.PinEpoch)
 		c.Strs(&e.PinAddrs)
 		c.I64(&e.ReplayDeadline)
-		c.U64(&e.QueryID)
-		c.U32(&e.MapEpoch)
-		c.Strs(&e.Addrs)
 	}
 }
 
 func (t *RepAck) code(c *coder) {
 	c.U64(&t.Seq)
 	c.U64(&t.Term)
-	c.U64(&t.Index)
 	c.Bool(&t.Ok)
 }

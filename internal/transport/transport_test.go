@@ -141,10 +141,9 @@ func sampleMessages() []Message {
 		ShardFenceAck{Seq: 11, Fence: 3, Ok: true, Queries: []uint64{7, 9}},
 		ShardFenceAck{Seq: 12, Fence: 4},
 		RepAppend{
-			Seq: 13, Term: 2, Index: 1,
-			Entries: []RepEntry{
+			Seq: 13, Term: 2, MapEpoch: 2, Addrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"},
+			Queries: []RepEntry{
 				{
-					Kind: RepQueryStart,
 					Start: ShardStart{
 						QueryID: 7, Text: "select count(*) from bid",
 						StartNanos: 100, EndNanos: 200, TotalHosts: 3, SampledHosts: 3,
@@ -152,13 +151,12 @@ func sampleMessages() []Message {
 					PinEpoch: 2, PinAddrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"},
 					ReplayDeadline: 500,
 				},
-				{Kind: RepQueryStop, QueryID: 9},
-				{Kind: RepMembership, MapEpoch: 2, Addrs: []string{"127.0.0.1:7101", "127.0.0.1:7102"}},
+				{Start: ShardStart{QueryID: 9, Text: "select count(*) from imp"}, PinEpoch: 1},
 			},
 		},
-		RepAppend{Seq: 14, Term: 2, Index: 4}, // heartbeat
-		RepAck{Seq: 13, Term: 2, Index: 4, Ok: true},
-		RepAck{Seq: 15, Term: 3, Index: 1},
+		RepAppend{Seq: 14, Term: 2, Beat: true}, // heartbeat
+		RepAck{Seq: 13, Term: 2, Ok: true},
+		RepAck{Seq: 15, Term: 3},
 	}
 }
 
@@ -258,12 +256,12 @@ func normalize(m Message) Message {
 		}
 		return t
 	case RepAppend:
-		for i := range t.Entries {
-			if len(t.Entries[i].Addrs) == 0 {
-				t.Entries[i].Addrs = nil
-			}
-			if len(t.Entries[i].PinAddrs) == 0 {
-				t.Entries[i].PinAddrs = nil
+		if len(t.Addrs) == 0 {
+			t.Addrs = nil
+		}
+		for i := range t.Queries {
+			if len(t.Queries[i].PinAddrs) == 0 {
+				t.Queries[i].PinAddrs = nil
 			}
 		}
 		return t

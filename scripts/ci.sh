@@ -117,6 +117,10 @@ if awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "",
   echo "internal/server stamps a ShardEpoch outside Server.dispatch: Submit and ResyncHost send a query through the one dispatch" >&2; exit 1
 fi
 
+echo "== standbys hold the leader's state, not its history (non-test Go under cmd/ or internal/ names no RepQueryStart, RepQueryStop, RepMembership, syncPeerLocked or applyLocked; transport.RepAppend declares no Index or Entries) =="
+if grep -rnwE --include='*.go' 'RepQueryStart|RepQueryStop|RepMembership|syncPeerLocked|applyLocked' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ replicates a log of transitions again: the leader pushes its whole control-plane state (Coordinator.stateLocked) and a standby replaces what it held with it" >&2; exit 1; fi
+if awk '/^type RepAppend struct/,/^}/' internal/transport/msg_coord.go | grep -nwE 'Index|Entries'; then echo "transport.RepAppend declares a log index or entries again: an append carries the state (Addrs, Queries) or is a Beat" >&2; exit 1; fi
+
 echo "== a shard's drops ride the manifest of the batch that caused them (no per-shard drop ledger: no ShardLate, ShardOverflow, foldLate, shardLate or shardOverflow; ShardBatchAck, ShardPartials, ShardWindows and DrivenAck declare no Late or Overflow field) =="
 if grep -rnwE --include='*.go' 'ShardLate|ShardOverflow|foldLate|shardLate|shardOverflow' cmd internal | grep -v '_test\.go:'; then echo "non-test Go under cmd/ or internal/ keeps a per-shard drop ledger again: a shard reports what each sub-batch cost (LateDelta, OverflowDelta), the manifest sums it, and liveness charges it to the stream" >&2; exit 1; fi
 if awk '/^type (ShardBatchAck|ShardPartials|ShardWindows|DrivenAck) struct/,/^}/ { print FILENAME ":" FNR ": " $0 }' $(nontest internal/transport) $(nontest internal/central) | grep -E ':\s*(Late|Overflow)\b'; then echo "a shard ack, a collect reply or DrivenAck declares a cumulative Late or Overflow field again: a shard reports only the sub-batch's deltas" >&2; exit 1; fi

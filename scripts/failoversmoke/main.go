@@ -73,7 +73,7 @@ func run() error {
 		shardAddrs = append(shardAddrs, addr)
 	}
 
-	// The warm standby: shadows the replicated log, and on leader silence
+	// The warm standby: holds the state the leader pushes, and on leader silence
 	// rebinds the leader's client/control/data addresses.
 	standby := daemon.New(central, "-adplatform",
 		"-standby", "127.0.0.1:0", "-failover-timeout", "750ms",
