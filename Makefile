@@ -11,10 +11,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# go vet plus scrubvet, the project's own six analyzers (hot-path
-# allocation freedom, pooled-memory retention, atomic/guarded field
-# discipline, metric naming, lock-order and lock-leak checking, goroutine
-# lifecycle). The passes
+# go vet plus scrubvet, the project's own five analyzers (hot-path
+# allocation freedom, pooled-memory retention, metric naming, lock-order
+# and lock-leak checking, goroutine lifecycle). The passes
 # run concurrently over one shared type-checked load (one at a time at
 # GOMAXPROCS=1); `-json` emits machine-readable findings.
 # See DESIGN.md §12 for the annotation grammar.

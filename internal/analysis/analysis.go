@@ -31,7 +31,7 @@ type Pass struct {
 }
 
 // Reportf records a diagnostic at pos unless a line-level suppression
-// (//scrub:allowalloc, //scrub:allowretain, //scrub:allow(name, …))
+// (//scrub:allowalloc for hotpath, //scrub:allowretain for poolsafe)
 // covers it.
 func (p *Pass) Reportf(analyzer string, pos token.Pos, format string, args ...any) {
 	position := p.Prog.Fset.Position(pos)
@@ -70,7 +70,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		HotPathAnalyzer,
 		PoolSafeAnalyzer,
-		AtomicFieldAnalyzer,
 		MetricNameAnalyzer,
 		LockOrderAnalyzer,
 		GoLifecycleAnalyzer,

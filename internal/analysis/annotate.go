@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 )
 
 // Scrub's annotation grammar (documented in DESIGN.md §12). Annotations
@@ -14,25 +13,18 @@ import (
 //   - //scrub:hotpath            (func doc) alloc-freedom seed
 //   - //scrub:pooled             (type or struct-field doc/line comment;
 //     func doc: the results borrow memory the callee recycles)
-//   - //scrub:guardedby(mu)      (struct-field doc/line comment)
-//   - //scrub:locked(mu)         (func doc) caller holds mu; the *Locked
-//     name suffix convention implies the same
 //   - //scrub:allowalloc(reason) (func doc, or on/above a line) hotpath
 //     escape hatch
 //   - //scrub:allowretain(reason) (on/above a line) poolsafe escape hatch
-//   - //scrub:allow(analyzer, reason) (on/above a line) generic per-line
-//     suppression for any analyzer
 //   - //scrub:longlived          (package doc) the package hosts
 //     long-lived components; golifecycle checks its go statements
-//   - //scrub:oneshot(reason)    (on/above a go statement) golifecycle
-//     escape hatch: the goroutine is bounded by construction
+//
+// Any other //scrub: name registers nothing.
 type AnnIndex struct {
 	// HotSeeds: FullName()s of functions annotated //scrub:hotpath.
 	HotSeeds map[string]bool
 	// AllowAllocFuncs: FullName()s whose whole body may allocate.
 	AllowAllocFuncs map[string]bool
-	// LockedFuncs: FullName()s annotated //scrub:locked(mu).
-	LockedFuncs map[string]bool
 	// PooledTypes: "pkgpath.TypeName" of //scrub:pooled types.
 	PooledTypes map[string]bool
 	// PooledFields: "pkgpath.TypeName.field" of //scrub:pooled fields.
@@ -41,8 +33,6 @@ type AnnIndex struct {
 	// what they return aliases memory they recycle on the next call, so
 	// poolsafe treats a result like a parameter.
 	BorrowFuncs map[string]bool
-	// GuardedFields: "pkgpath.TypeName.field" -> guarding mutex field name.
-	GuardedFields map[string]string
 	// LongLivedPkgs: import paths whose package doc carries
 	// //scrub:longlived — golifecycle checks their go statements.
 	LongLivedPkgs map[string]bool
@@ -60,30 +50,29 @@ func (a *AnnIndex) Allowed(analyzer, file string, line int) bool {
 
 // annRe is anchored: an annotation is a comment that IS the directive
 // (`//scrub:name` with no space after the slashes), so prose that merely
-// mentions an annotation never registers one.
-var annRe = regexp.MustCompile(`^//scrub:([a-z]+)(?:\(([^)]*)\))?`)
+// mentions an annotation never registers one. A directive's argument is
+// a reason for the reader; no analyzer reads it.
+var annRe = regexp.MustCompile(`^//scrub:([a-z]+)`)
 
-type ann struct {
-	name string
-	arg  string
-}
-
-func parseAnns(text string) []ann {
-	m := annRe.FindStringSubmatch(text)
-	if m == nil {
-		return nil
+// annName is the directive a comment writes, or "".
+func annName(text string) string {
+	if m := annRe.FindStringSubmatch(text); m != nil {
+		return m[1]
 	}
-	return []ann{{name: m[1], arg: strings.TrimSpace(m[2])}}
+	return ""
 }
 
-func groupAnns(groups ...*ast.CommentGroup) []ann {
-	var out []ann
+// groupAnns lists the directives the comment groups write.
+func groupAnns(groups ...*ast.CommentGroup) []string {
+	var out []string
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.List {
-			out = append(out, parseAnns(c.Text)...)
+			if name := annName(c.Text); name != "" {
+				out = append(out, name)
+			}
 		}
 	}
 	return out
@@ -93,11 +82,9 @@ func indexAnnotations(prog *Program) *AnnIndex {
 	idx := &AnnIndex{
 		HotSeeds:        make(map[string]bool),
 		AllowAllocFuncs: make(map[string]bool),
-		LockedFuncs:     make(map[string]bool),
 		PooledTypes:     make(map[string]bool),
 		PooledFields:    make(map[string]bool),
 		BorrowFuncs:     make(map[string]bool),
-		GuardedFields:   make(map[string]string),
 		LongLivedPkgs:   make(map[string]bool),
 		allow:           make(map[string]map[int]map[string]bool),
 	}
@@ -125,30 +112,23 @@ func (idx *AnnIndex) suppress(file string, line int, analyzer string) {
 	}
 }
 
+// lineHatches maps each line-level escape hatch to the analyzer it
+// suppresses.
+var lineHatches = map[string]string{"allowalloc": "hotpath", "allowretain": "poolsafe"}
+
 func (idx *AnnIndex) indexFile(prog *Program, u *Package, f *ast.File) {
 	// Package-doc annotations.
 	for _, a := range groupAnns(f.Doc) {
-		if a.name == "longlived" {
+		if a == "longlived" {
 			idx.LongLivedPkgs[u.Path] = true
 		}
 	}
 	// Line-level suppressions from every comment in the file.
 	for _, g := range f.Comments {
 		for _, c := range g.List {
-			for _, a := range parseAnns(c.Text) {
+			if analyzer, ok := lineHatches[annName(c.Text)]; ok {
 				pos := prog.Fset.Position(c.Pos())
-				switch a.name {
-				case "allowalloc":
-					idx.suppress(pos.Filename, pos.Line, "hotpath")
-				case "allowretain":
-					idx.suppress(pos.Filename, pos.Line, "poolsafe")
-				case "oneshot":
-					idx.suppress(pos.Filename, pos.Line, "golifecycle")
-				case "allow":
-					// First comma-separated token names the analyzer.
-					name, _, _ := strings.Cut(a.arg, ",")
-					idx.suppress(pos.Filename, pos.Line, strings.TrimSpace(name))
-				}
+				idx.suppress(pos.Filename, pos.Line, analyzer)
 			}
 		}
 	}
@@ -161,13 +141,11 @@ func (idx *AnnIndex) indexFile(prog *Program, u *Package, f *ast.File) {
 				if fn == nil {
 					continue
 				}
-				switch a.name {
+				switch a {
 				case "hotpath":
 					idx.HotSeeds[fn.FullName()] = true
 				case "allowalloc":
 					idx.AllowAllocFuncs[fn.FullName()] = true
-				case "locked":
-					idx.LockedFuncs[fn.FullName()] = true
 				case "pooled":
 					idx.BorrowFuncs[fn.FullName()] = true
 				}
@@ -180,7 +158,7 @@ func (idx *AnnIndex) indexFile(prog *Program, u *Package, f *ast.File) {
 				}
 				typeKey := u.Path + "." + ts.Name.Name
 				for _, a := range groupAnns(decl.Doc, ts.Doc, ts.Comment) {
-					if a.name == "pooled" {
+					if a == "pooled" {
 						idx.PooledTypes[typeKey] = true
 					}
 				}
@@ -190,14 +168,11 @@ func (idx *AnnIndex) indexFile(prog *Program, u *Package, f *ast.File) {
 				}
 				for _, field := range st.Fields.List {
 					for _, a := range groupAnns(field.Doc, field.Comment) {
+						if a != "pooled" {
+							continue
+						}
 						for _, nameID := range field.Names {
-							fieldKey := typeKey + "." + nameID.Name
-							switch a.name {
-							case "pooled":
-								idx.PooledFields[fieldKey] = true
-							case "guardedby":
-								idx.GuardedFields[fieldKey] = a.arg
-							}
+							idx.PooledFields[typeKey+"."+nameID.Name] = true
 						}
 					}
 				}

@@ -31,7 +31,6 @@ func TestGolden(t *testing.T) {
 	}{
 		{"hotpath", []*Analyzer{HotPathAnalyzer}},
 		{"poolsafe", []*Analyzer{PoolSafeAnalyzer}},
-		{"atomicfield", []*Analyzer{AtomicFieldAnalyzer}},
 		{"metricname", []*Analyzer{MetricNameAnalyzer}},
 		{"lockorder", []*Analyzer{LockOrderAnalyzer}},
 		{"golifecycle", []*Analyzer{GoLifecycleAnalyzer}},

@@ -18,14 +18,12 @@ import (
 //     range over a channel), through which a close/ctx-done can end it;
 //   - an event loop: an unconditional `for` whose body can exit via
 //     return or break — the connection-serve shape, which ends when its
-//     runtime source (conn, queue) is closed;
-//   - a //scrub:oneshot(reason) annotation on or above the go statement
-//     for goroutines bounded by construction.
+//     runtime source (conn, queue) is closed.
 //
 // An unconditional `for` with no reachable exit is flagged regardless
-// of other evidence, and a go statement whose target cannot be
-// statically resolved (a func value) is flagged so the hatch makes the
-// reasoning explicit.
+// of other evidence, and so is a go statement whose target cannot be
+// statically resolved (a func value). There is no escape hatch: a
+// goroutine the check cannot see end gets a stop path.
 var GoLifecycleAnalyzer = &Analyzer{
 	Name: "golifecycle",
 	Doc:  "go statements in //scrub:longlived packages need a reachable stop path",
@@ -55,7 +53,7 @@ func checkGoStmt(pass *Pass, u *Package, g *ast.GoStmt) {
 	bodyPkg, body := resolveSpawnBody(pass, u, g.Call)
 	if body == nil {
 		pass.Reportf("golifecycle", g.Pos(),
-			"cannot statically resolve the function this goroutine runs; give it an explicit stop path or annotate //scrub:oneshot(reason)")
+			"cannot statically resolve the function this goroutine runs; spawn a function literal or a named function, and give it a stop path")
 		return
 	}
 	ev := scanLifecycle(bodyPkg, body)
@@ -69,7 +67,7 @@ func checkGoStmt(pass *Pass, u *Package, g *ast.GoStmt) {
 		return
 	}
 	pass.Reportf("golifecycle", g.Pos(),
-		"goroutine has no tracked lifecycle: no WaitGroup.Done, no channel stop path; annotate //scrub:oneshot(reason) if it is bounded by construction")
+		"goroutine has no tracked lifecycle: no WaitGroup.Done, no channel stop path; give it a stop path")
 }
 
 // resolveSpawnBody finds the block a go statement runs: a function

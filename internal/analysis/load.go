@@ -10,12 +10,13 @@
 //     allocate (PR 1's zero-allocation Log path).
 //   - poolsafe: pooled chunk/batch memory must not be retained past the
 //     owning scope without a deep copy (the Sink contract).
-//   - atomicfield: a field accessed via sync/atomic is never touched
-//     plainly; //scrub:guardedby(mu) fields are only touched with the
-//     lock held.
 //   - metricname: every obs series uses a literal, unique
-//     scrub_{host,transport,central}_* name with consistent unit
+//     scrub_{host,transport,central,coord}_* name with consistent unit
 //     suffixes.
+//   - lockorder: no lock-order cycle among the tree's mutexes, and no
+//     path that leaks, re-takes or over-releases a lock.
+//   - golifecycle: every go statement in a //scrub:longlived package
+//     has a stop path.
 //
 // See DESIGN.md §12 for the annotation grammar.
 package analysis

@@ -25,12 +25,12 @@ import (
 //     lock acquired in that function is reported, as is re-acquiring a
 //     lock already held on the path (self-deadlock, including
 //     RLock→Lock upgrades) and unlocking a lock no path holds.
-//     Functions named *Locked or annotated //scrub:locked(mu) may
-//     release locks their caller holds.
+//     Functions named *Locked may release locks their caller holds.
+//     A function the walk cannot follow (a goto, or more than
+//     lockStateCap states at one point) is reported, not passed.
 //
 // Dynamic calls (func values, interface methods) are not chased; a
-// hook that acquires locks behind a func field needs a code-review eye
-// or a //scrub:allow(lockorder, reason) if it ever trips the checks.
+// hook that acquires locks behind a func field needs a code-review eye.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "static lock-acquisition graph: flag order cycles and acquire-without-release paths",
@@ -38,7 +38,7 @@ var LockOrderAnalyzer = &Analyzer{
 }
 
 // lockStateCap bounds the abstract-state fan-out per function; beyond
-// it the function is skipped rather than half-analyzed.
+// it the function is reported rather than half-analyzed.
 const lockStateCap = 64
 
 func runLockOrder(pass *Pass) {
@@ -136,24 +136,13 @@ func lockRecvKey(u *Package, sel *ast.SelectorExpr) (string, string) {
 	// Promoted method on an embedded mutex: t.Lock() — the selection
 	// path's field prefix names the embedded field.
 	if s, ok := u.Info.Selections[sel]; ok && s.Kind() == types.MethodVal && len(s.Index()) > 1 {
-		base := s.Recv()
-		idx := s.Index()
-		for i := 0; i < len(idx)-2; i++ {
-			st := structUnder(base)
-			if st == nil {
-				return expr, ""
-			}
-			base = st.Field(idx[i]).Type()
-		}
-		st := structUnder(base)
-		if st == nil {
-			return expr, ""
-		}
-		return expr, fieldKeyOf(base, st.Field(idx[len(idx)-2]).Name())
+		return expr, fieldPathKey(s.Recv(), s.Index()[:len(s.Index())-1])
 	}
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
-		return expr, selFieldKey(u, x)
+		if s, ok := u.Info.Selections[x]; ok && s.Kind() == types.FieldVal {
+			return expr, fieldPathKey(s.Recv(), s.Index())
+		}
 	case *ast.Ident:
 		if v, ok := objOf(u, x).(*types.Var); ok && !v.IsField() && v.Pkg() != nil &&
 			v.Parent() == v.Pkg().Scope() {
@@ -161,6 +150,23 @@ func lockRecvKey(u *Package, sel *ast.SelectorExpr) (string, string) {
 		}
 	}
 	return expr, ""
+}
+
+// fieldPathKey follows a selection's field path from t through its
+// embedded structs and keys the last field on the struct type that
+// declares it ("pkg.Type.mu"), or "" when that type is unnamed.
+func fieldPathKey(t types.Type, path []int) string {
+	for i, f := range path {
+		st := structUnder(t)
+		if st == nil {
+			return ""
+		}
+		if i == len(path)-1 {
+			return fieldKeyOf(t, st.Field(f).Name())
+		}
+		t = st.Field(f).Type()
+	}
+	return ""
 }
 
 func structUnder(t types.Type) *types.Struct {
@@ -313,8 +319,7 @@ func (lo *lockOrder) walkAll() {
 	sort.Strings(names)
 	for _, name := range names {
 		node := lo.pass.Prog.Funcs[name]
-		locked := strings.HasSuffix(node.Decl.Name.Name, "Locked") || lo.pass.Prog.Ann.LockedFuncs[name]
-		lo.walkFunc(node.Pkg, name, node.Decl.Body, locked)
+		lo.walkFunc(node.Pkg, name, node.Decl.Body, strings.HasSuffix(node.Decl.Name.Name, "Locked"))
 		// Function literals (closures, goroutine bodies, deferred
 		// cleanups) must balance their own acquisitions too. They are
 		// walked as locked functions: a deferred cleanup closure
@@ -398,11 +403,14 @@ type branchCtx struct {
 }
 
 type lockWalker struct {
-	lo      *lockOrder
-	u       *Package
-	fnName  string
-	locked  bool
-	stack   []*branchCtx
+	lo     *lockOrder
+	u      *Package
+	fnName string
+	locked bool
+	stack  []*branchCtx
+	// label names the statement walkStmt is about to walk, set by its
+	// LabeledStmt arm for the loop, switch or select it labels.
+	label   string
 	aborted bool
 }
 
@@ -413,7 +421,7 @@ func (lo *lockOrder) walkFunc(u *Package, fnName string, body *ast.BlockStmt, lo
 	lw := &lockWalker{lo: lo, u: u, fnName: fnName, locked: locked}
 	out := lw.walkStmts(body.List, []lockState{{}})
 	if lw.aborted {
-		return
+		return // reported where the walk stopped
 	}
 	for _, s := range out {
 		for _, h := range s.leftover() {
@@ -426,22 +434,40 @@ func (lo *lockOrder) walkFunc(u *Package, fnName string, body *ast.BlockStmt, lo
 func (lw *lockWalker) walkStmts(stmts []ast.Stmt, in []lockState) []lockState {
 	states := in
 	for _, s := range stmts {
-		if lw.aborted {
-			return nil
-		}
 		states = lw.walkStmt(s, states)
 		if len(states) > lockStateCap {
-			lw.aborted = true
+			lw.abort(s.Pos(), "more than %d lock states reach this statement, so lockorder cannot check %s: split it",
+				lockStateCap, shortFunc(lw.fnName))
 			return nil
 		}
 	}
 	return states
 }
 
+// abort ends the walk of a function it cannot follow, with a finding:
+// lockorder fails closed rather than pass what it did not check.
+func (lw *lockWalker) abort(pos token.Pos, format string, args ...any) {
+	lw.aborted = true
+	lw.lo.reportOnce(pos, format, args...)
+}
+
+// push opens a breakable statement's context, under the label that
+// names it, if any.
+func (lw *lockWalker) push(isLoop bool, label string) *branchCtx {
+	ctx := &branchCtx{isLoop: isLoop, label: label}
+	lw.stack = append(lw.stack, ctx)
+	return ctx
+}
+
+func (lw *lockWalker) pop() { lw.stack = lw.stack[:len(lw.stack)-1] }
+
 func (lw *lockWalker) walkStmt(s ast.Stmt, in []lockState) []lockState {
-	if len(in) == 0 {
-		// Unreachable continuation (every path returned); nothing to do.
-		return in
+	label := lw.label
+	lw.label = ""
+	if len(in) == 0 || lw.aborted {
+		// Unreachable continuation (every path returned), or a walk
+		// already given up; nothing to do.
+		return nil
 	}
 	switch x := s.(type) {
 	case *ast.ExprStmt:
@@ -542,16 +568,15 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, in []lockState) []lockState {
 		if x.Tag != nil {
 			states = lw.applyExpr(x.Tag, states)
 		}
-		return lw.walkCases(x.Body, states, hasDefaultClause(x.Body))
+		return lw.walkCases(label, x.Body, states)
 	case *ast.TypeSwitchStmt:
 		states := in
 		if x.Init != nil {
 			states = lw.walkStmt(x.Init, states)
 		}
-		return lw.walkCases(x.Body, states, hasDefaultClause(x.Body))
+		return lw.walkCases(label, x.Body, states)
 	case *ast.SelectStmt:
-		ctx := &branchCtx{}
-		lw.stack = append(lw.stack, ctx)
+		ctx := lw.push(false, label)
 		var outs [][]lockState
 		for _, cl := range x.Body.List {
 			cc := cl.(*ast.CommClause)
@@ -561,9 +586,8 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, in []lockState) []lockState {
 			}
 			outs = append(outs, lw.walkStmts(cc.Body, st))
 		}
-		lw.stack = lw.stack[:len(lw.stack)-1]
-		outs = append(outs, ctx.breaks)
-		return mergeStates(outs...)
+		lw.pop()
+		return mergeStates(append(outs, ctx.breaks)...)
 	case *ast.ForStmt:
 		st := in
 		if x.Init != nil {
@@ -572,26 +596,12 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, in []lockState) []lockState {
 		if x.Cond != nil {
 			st = lw.applyExpr(x.Cond, st)
 		}
-		return lw.walkLoop("", x.Body, st, x.Cond != nil)
+		return lw.walkLoop(label, x.Body, st, x.Cond != nil)
 	case *ast.RangeStmt:
-		st := lw.applyExpr(x.X, in)
-		return lw.walkLoop("", x.Body, st, true)
+		return lw.walkLoop(label, x.Body, lw.applyExpr(x.X, in), true)
 	case *ast.LabeledStmt:
-		switch inner := x.Stmt.(type) {
-		case *ast.ForStmt:
-			st := in
-			if inner.Init != nil {
-				st = lw.walkStmt(inner.Init, st)
-			}
-			if inner.Cond != nil {
-				st = lw.applyExpr(inner.Cond, st)
-			}
-			return lw.walkLoop(x.Label.Name, inner.Body, st, inner.Cond != nil)
-		case *ast.RangeStmt:
-			return lw.walkLoop(x.Label.Name, inner.Body, lw.applyExpr(inner.X, in), true)
-		default:
-			return lw.walkStmt(x.Stmt, in)
-		}
+		lw.label = x.Label.Name
+		return lw.walkStmt(x.Stmt, in)
 	case *ast.BranchStmt:
 		switch x.Tok {
 		case token.BREAK:
@@ -605,7 +615,8 @@ func (lw *lockWalker) walkStmt(s ast.Stmt, in []lockState) []lockState {
 			}
 			return nil
 		case token.GOTO:
-			lw.aborted = true
+			lw.abort(x.Pos(), "lockorder does not follow goto, so it cannot check %s: use a loop or a labeled break",
+				shortFunc(lw.fnName))
 			return nil
 		}
 		return in
@@ -642,28 +653,36 @@ func hasDefaultClause(body *ast.BlockStmt) bool {
 }
 
 // walkCases unions the per-case outcomes; without a default clause the
-// incoming states survive too (no case taken).
-func (lw *lockWalker) walkCases(body *ast.BlockStmt, in []lockState, hasDefault bool) []lockState {
-	ctx := &branchCtx{}
-	lw.stack = append(lw.stack, ctx)
+// incoming states survive too (no case taken). A clause that ends in
+// fallthrough hands its states to the next clause's body.
+func (lw *lockWalker) walkCases(label string, body *ast.BlockStmt, in []lockState) []lockState {
+	ctx := lw.push(false, label)
 	var outs [][]lockState
+	var carry []lockState
 	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
+		cc := cl.(*ast.CaseClause)
 		st := in
 		for _, e := range cc.List {
 			st = lw.applyExpr(e, st)
 		}
-		outs = append(outs, lw.walkStmts(cc.Body, st))
+		out := lw.walkStmts(cc.Body, mergeStates(st, carry))
+		carry = nil
+		if n := len(cc.Body); n > 0 && isFallthrough(cc.Body[n-1]) {
+			carry = out
+		} else {
+			outs = append(outs, out)
+		}
 	}
-	lw.stack = lw.stack[:len(lw.stack)-1]
-	if !hasDefault {
+	lw.pop()
+	if !hasDefaultClause(body) {
 		outs = append(outs, in)
 	}
-	outs = append(outs, ctx.breaks)
-	return mergeStates(outs...)
+	return mergeStates(append(outs, ctx.breaks)...)
+}
+
+func isFallthrough(s ast.Stmt) bool {
+	b, ok := s.(*ast.BranchStmt)
+	return ok && b.Tok == token.FALLTHROUGH
 }
 
 // walkLoop walks a loop body twice (the second pass feeds the first
@@ -671,25 +690,18 @@ func (lw *lockWalker) walkCases(body *ast.BlockStmt, in []lockState, hasDefault 
 // boundary is seen re-acquiring itself) and merges zero-iteration,
 // fall-out, break, and continue states.
 func (lw *lockWalker) walkLoop(label string, body *ast.BlockStmt, in []lockState, condExits bool) []lockState {
-	ctx := &branchCtx{isLoop: true, label: label}
-	lw.stack = append(lw.stack, ctx)
+	ctx := lw.push(true, label)
 	first := lw.walkStmts(body.List, in)
 	again := mergeStates(in, first, ctx.conts)
 	second := lw.walkStmts(body.List, again)
-	lw.stack = lw.stack[:len(lw.stack)-1]
-	if lw.aborted {
-		return nil
+	lw.pop()
+	if !condExits {
+		// `for { ... }`: only a break leaves it; with none, code after
+		// the loop is unreachable.
+		return mergeStates(ctx.breaks)
 	}
-	outs := [][]lockState{ctx.breaks}
-	if condExits {
-		// The loop condition can go false: body-exit states escape.
-		outs = append(outs, in, first, second, ctx.conts)
-	} else if len(ctx.breaks) == 0 {
-		// `for { ... }` with no break: the only exits are returns inside;
-		// code after the loop is unreachable.
-		return nil
-	}
-	return mergeStates(outs...)
+	// The loop condition can go false: body-exit states escape.
+	return mergeStates(ctx.breaks, in, first, second, ctx.conts)
 }
 
 func (lw *lockWalker) findBreakable(label *ast.Ident) *branchCtx {

@@ -1,7 +1,7 @@
 // Package golifecycle is golden-test input for the golifecycle
 // analyzer: goroutines in a long-lived component must have a reachable
-// stop path (WaitGroup.Done, a channel receive, an exitable event loop)
-// or a //scrub:oneshot(reason) annotation.
+// stop path: WaitGroup.Done, a channel receive, or an exitable event
+// loop.
 //
 //scrub:longlived
 package golifecycle
@@ -97,11 +97,3 @@ func (s *Service) runLoop() {
 }
 
 func (s *Service) runViaWrapper() { s.runLoop() }
-
-// Bounded by construction: the hatch documents why no stop path exists.
-func (s *Service) oneshot() {
-	//scrub:oneshot(writes one sample then exits by construction)
-	go func() {
-		s.out = append(s.out, 3)
-	}()
-}

@@ -2,8 +2,8 @@ package lockorder
 
 import "sync"
 
-// Everything in this file is clean: the accepted idioms and every
-// escape hatch the analyzer honors.
+// Everything in this file is clean: the accepted idioms, and the one
+// convention that lets a function release a lock it did not take.
 
 // Clean uses defer for release; the branchy return paths are all fine.
 type Clean struct {
@@ -70,9 +70,8 @@ func (h *Hierarchy) again() {
 	h.outer.Unlock()
 }
 
-// Owner hands its lock to *Locked helpers: the suffix convention and the
-// //scrub:locked annotation both mean "the caller holds mu", so an
-// unlock without a visible acquire is accepted there.
+// Owner hands its lock to *Locked helpers: the suffix means "the caller
+// holds mu", so an unlock without a visible acquire is accepted there.
 type Owner struct {
 	mu sync.Mutex
 	n  int
@@ -81,22 +80,4 @@ type Owner struct {
 func (o *Owner) bumpLocked() {
 	o.n++
 	o.mu.Unlock()
-}
-
-//scrub:locked(mu)
-func (o *Owner) drop() {
-	o.n--
-	o.mu.Unlock()
-}
-
-// Handoff intentionally returns while holding: ownership transfers, and
-// the line-level suppression records why.
-type Handoff struct {
-	mu sync.Mutex
-}
-
-func (h *Handoff) acquireForCaller() {
-	h.mu.Lock()
-	//scrub:allow(lockorder, ownership transfers to the caller, which must release)
-	return
 }

@@ -1,7 +1,8 @@
 // Package lockorder is golden-test input for the lockorder analyzer:
 // lock-order cycles, lock leaks on return/panic/fall-through paths,
-// double locks, interprocedural re-acquisition, and the escape hatches
-// (*Locked suffix, //scrub:locked, //scrub:allow, defer, TryLock).
+// double locks, interprocedural re-acquisition, the accepted idioms
+// (*Locked suffix, defer, TryLock) in hatches.go, and the branch walk
+// (loops, switches, selects, labels, goto, the state cap) in loops.go.
 package lockorder
 
 import "sync"

@@ -23,7 +23,4 @@ func register(r *Registry, dynamic string) {
 
 	r.Counter("scrub_host_dup_total", "x")
 	r.Counter("scrub_host_dup_total", "x") // want `already registered`
-
-	//scrub:allow(metricname, legacy free-form series kept for dashboard compat)
-	r.Gauge("legacy_depth", "ok: suppressed")
 }

@@ -142,9 +142,9 @@ func (b *Builder) MustBuild() *Event {
 // bits carry a node id so identifiers are unique across a cluster without
 // coordination — the property the equi-join relies on.
 // next is the atomic.Uint64 wrapper rather than a bare uint64 +
-// sync/atomic calls: the wrapper makes a mixed plain/atomic access —
-// the race scrubvet's atomicfield analyzer exists to catch — a compile
-// error instead of a latent bug.
+// sync/atomic calls: the wrapper makes a mixed plain/atomic access a
+// compile error instead of a latent race (scripts/ci.sh rejects
+// function-style sync/atomic calls in the tree).
 type RequestIDGenerator struct {
 	next atomic.Uint64
 	node uint64

@@ -247,10 +247,8 @@ type lane struct {
 
 	mu sync.Mutex // guards cur and step
 	// cur is the partially filled chunk, nil when none.
-	//scrub:guardedby(mu)
 	cur *chunk
 	// step is the keep test's governor halvings below the base rate.
-	//scrub:guardedby(mu)
 	step uint8
 }
 

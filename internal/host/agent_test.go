@@ -377,6 +377,77 @@ func TestEventSamplingCountsBothTotals(t *testing.T) {
 	}
 }
 
+// TestLogRacesRearm holds a lane's cur and step to lane.mu: Log's
+// enqueue, the governor's re-arm and the shipper's flush each touch them
+// only under it, so -race reports any access that is not. Four
+// goroutines Log a sampled query while another re-arms its live lane
+// through steps 0–3 and queues each chunk the re-arm cuts, the lane half
+// of applyRate (whose step and announce fields are the shipper's own).
+// Every kept tuple ships exactly once.
+func TestLogRacesRearm(t *testing.T) {
+	const loggers, perLogger = 4, 5000
+	sink := &collectSink{}
+	// A queue slot per event: each chunk a re-arm cuts holds at least
+	// one tuple, so none is dropped.
+	a := newAgent(t, sink, func(c *Config) { c.BatchSize, c.QueueSize = 256, loggers*perLogger*256 })
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"},
+		SampleEvents: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	ln := &a.queries[queryKey{id: 1}].live
+	a.mu.Unlock()
+
+	now := time.Now().UnixNano()
+	var wg sync.WaitGroup
+	for w := range loggers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perLogger {
+				a.Log(bidEvent(uint64(w*perLogger+i), int64(w), "sf", 1, now))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	rearms := make(chan int)
+	go func() {
+		n := 0
+		for step := uint8(0); ; step = (step + 1) % 4 {
+			select {
+			case <-stop:
+				rearms <- n
+				return
+			default:
+			}
+			if c := ln.arm(step); c != nil {
+				a.submit(c)
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-rearms; n == 0 {
+		t.Fatal("the lane was never re-armed while Log ran")
+	}
+	a.Flush()
+
+	matched, sampled, _ := sink.lastCounters()
+	if matched != loggers*perLogger {
+		t.Errorf("matched = %d, want %d", matched, loggers*perLogger)
+	}
+	if sampled == 0 {
+		t.Fatal("no event was kept")
+	}
+	if drops := a.Stats().QueueDrops; drops != 0 {
+		t.Errorf("%d tuples dropped from the queue", drops)
+	}
+	if shipped := uint64(len(sink.tuples())); shipped != sampled {
+		t.Errorf("shipped %d tuples, sampled %d", shipped, sampled)
+	}
+}
+
 func TestCounterOnlyHeartbeat(t *testing.T) {
 	// With sampling dropping everything, counters still reach the sink.
 	sink := &collectSink{}
