@@ -27,6 +27,30 @@ func (s *Service) spinForever() {
 	}()
 }
 
+// A labeled break that names an inner loop leaves only that loop.
+func (s *Service) innerBreak() {
+	go func() { // want `goroutine loops forever with no stop path`
+		for {
+		inner:
+			for {
+				break inner
+			}
+		}
+	}()
+}
+
+// A goto whose target is inside the loop does not leave it.
+func (s *Service) innerGoto() {
+	n := 0
+	go func() { // want `goroutine loops forever with no stop path`
+		for {
+			goto again
+		again:
+			n++
+		}
+	}()
+}
+
 func (s *Service) untracked() {
 	go func() { // want `goroutine has no tracked lifecycle`
 		s.out = append(s.out, 1)
@@ -80,6 +104,19 @@ func (s *Service) serve(next func() (int, bool)) {
 				return
 			}
 			s.out = append(s.out, v)
+		}
+	}()
+}
+
+// A labeled break that names the loop itself leaves it, from a nested
+// loop too.
+func (s *Service) outerBreak(next func() bool) {
+	go func() {
+	outer:
+		for {
+			for next() {
+				break outer
+			}
 		}
 	}()
 }

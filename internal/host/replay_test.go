@@ -2,6 +2,7 @@ package host
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,5 +251,56 @@ func TestReplayIndexSelectsOwnQuery(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("replayed request ids %v, want %v", got, want)
+	}
+}
+
+// TestReplayImmediateStartShipsEachEventOnce: a REPLAY query with no
+// StartNanos partitions history and live traffic at the instant Start
+// reads the clock, on event time, as a query the server stamps does. An
+// event logged after Start but stamped before the scan reads anything
+// must ship once, live, not live and again replayed.
+func TestReplayImmediateStartShipsEachEventOnce(t *testing.T) {
+	t0 := time.Unix(0, 1_000_000_000_000)
+	// Once armed, the clock reads t0 once, for Start; any later read, the
+	// scan's included, waits until request 7 is logged and then reads a
+	// second on.
+	var armed atomic.Bool
+	var calls atomic.Int32
+	logged := make(chan struct{})
+	clock := func() time.Time {
+		if !armed.Load() || calls.Add(1) == 1 {
+			return t0
+		}
+		<-logged
+		return t0.Add(time.Second)
+	}
+	rs, err := replay.Open(replay.Options{Catalog: testCatalog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	sink := &collectSink{}
+	a := newAgent(t, sink, func(c *Config) { c.Record, c.Clock, c.FlushInterval = rs, clock, time.Hour })
+	armed.Store(true)
+	a.Log(bidEvent(1, 1, "sf", 1, t0.Add(-time.Second).UnixNano()))
+	if err := a.Start(transport.HostQuery{
+		QueryID: 1, EventType: "bid", Columns: []string{"user_id"},
+		ReplayNanos: int64(time.Minute),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a.Log(bidEvent(7, 7, "sf", 1, t0.Add(time.Millisecond).UnixNano()))
+	close(logged)
+	a.Log(bidEvent(8, 8, "sf", 1, t0.Add(2*time.Second).UnixNano()))
+	waitReplayDone(t, sink)
+	a.Flush()
+	shipped := map[uint64]int{}
+	for _, tu := range sink.tuples() {
+		shipped[tu.RequestID]++
+	}
+	for _, id := range []uint64{1, 7, 8} {
+		if shipped[id] != 1 {
+			t.Errorf("request %d shipped %d times, want once (shipped %v)", id, shipped[id], shipped)
+		}
 	}
 }
