@@ -166,9 +166,21 @@ func isWaitGroupDone(u *Package, call *ast.CallExpr) bool {
 }
 
 // loopHasExit reports whether an unconditional for loop contains a
-// statement that leaves it: a return, a goto, or a break bound to this
-// loop (not to a nested loop, switch, or select).
+// statement that leaves it: a return, an unlabeled break bound to this
+// loop (not to a nested loop, switch, or select), or a labeled break,
+// continue or goto whose label is not declared inside the loop — a
+// branch can only name a statement around it or, for goto, one in a
+// block around it, so a label from outside the loop takes the branch out
+// of it.
 func loopHasExit(loop *ast.ForStmt) bool {
+	inner := make(map[string]bool)
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		if l, ok := n.(*ast.LabeledStmt); ok {
+			inner[l.Label.Name] = true
+		}
+		_, lit := n.(*ast.FuncLit) // a function literal's labels are its own
+		return !lit
+	})
 	exit := false
 	// breakDepth counts enclosing break-consuming statements inside the
 	// loop; an unlabeled break exits our loop only at depth zero.
@@ -186,13 +198,10 @@ func loopHasExit(loop *ast.ForStmt) bool {
 		case *ast.ReturnStmt:
 			exit = true
 		case *ast.BranchStmt:
-			switch x.Tok {
-			case token.GOTO:
-				exit = true
-			case token.BREAK:
-				if breakDepth == 0 || x.Label != nil {
-					exit = true
-				}
+			if x.Label != nil {
+				exit = !inner[x.Label.Name]
+			} else {
+				exit = x.Tok == token.BREAK && breakDepth == 0
 			}
 		case *ast.BlockStmt:
 			walkBody(x.List, breakDepth)

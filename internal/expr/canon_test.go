@@ -214,9 +214,11 @@ func eqv(a, b event.Value) bool {
 // with Compile on every node of the canonical tree — each subtree is
 // interned and compiled on its own, and all of them are read through one
 // Ctx within one Begin/Finish, so a wrong memo shows as well as a wrong
-// operator — both in a fresh program and in one seeded from a program
-// that already holds other drawn trees, as an agent's Start interns a
-// query, and (c) to agree with it again when the tree is read through a
+// operator — in a fresh program, in one that Program.Keep copied from a
+// program holding other drawn trees before the tree was interned, as an
+// agent's Start interns a query, and in a Keep of that one to the tree and
+// all but one of the others, as a query's removal cuts its type's program
+// — and (c) to agree with it again when the tree is read through a
 // tuple-row binding (checkPairs). It reports false when the drawn tree
 // does not type-check.
 func checkTree(t testing.TB, rng *rand.Rand) bool {
@@ -244,19 +246,44 @@ func checkTree(t testing.TB, rng *rand.Rand) bool {
 		t.Fatalf("Canon not idempotent:\n  once:  %s\n  twice: %s", canon, Canon(canon))
 	}
 	prog, subs := internAll(t, NewProgramBuilder(), canon)
-	others := otherTrees(t, rng)
-	seeded, seededSubs := internAll(t, others.Builder(), canon)
-	if !slices.Equal(seeded.nodes[:others.NumNodes()], others.nodes) {
-		t.Fatalf("interning %s renumbered the seeding program's nodes", canon)
+	others, trees, roots := otherTrees(t, rng)
+	kb, kept := others.Keep(roots)
+	if !slices.Equal(kept, roots) {
+		t.Fatalf("keeping every root renumbered them: %v, was %v", kept, roots)
 	}
-	ctxs := []*Ctx{prog.NewCtx(), seeded.NewCtx()}
+	seeded, seededSubs := internAll(t, kb, canon)
+	if !slices.Equal(seeded.nodes[:others.NumNodes()], others.nodes) {
+		t.Fatalf("interning %s renumbered the kept program's nodes", canon)
+	}
+	// Cut the seeded program to canon's subtrees and every other tree but
+	// the first: it holds what interning those afresh holds.
+	ids := make([]int32, len(seededSubs))
+	for j, s := range seededSubs {
+		ids[j] = s.id
+	}
+	kb, kept = seeded.Keep(append(ids, roots[min(1, len(roots)):]...))
+	cut, cutSubs := kb.Build(), slices.Clone(seededSubs)
+	for j := range cutSubs {
+		cutSubs[j].id = kept[j]
+	}
+	fb := NewProgramBuilder()
+	for _, n := range trees[min(1, len(trees)):] {
+		if _, err := fb.Intern(n); err != nil {
+			t.Fatalf("intern %s: %v", n, err)
+		}
+	}
+	fresh, _ := internAll(t, fb, canon)
+	if got, want := cut.NumNodes(), fresh.NumNodes(); got != want {
+		t.Fatalf("a cut to %s and %d other trees has %d nodes, a fresh intern %d", canon, len(trees)-min(1, len(trees)), got, want)
+	}
+	ctxs := []*Ctx{prog.NewCtx(), seeded.NewCtx(), cut.NewCtx()}
 	for i := 0; i < 32; i++ {
 		row := EventRow{Event: genEvent(rng)}
 		want := orig(row)
 		if got := ce(row); !eqv(want, got) {
 			t.Fatalf("row %d: canon diverges\n  expr:  %s\n  canon: %s\n  want %v got %v", i, checked, canon, want, got)
 		}
-		for j, s := range [][]sub{subs, seededSubs} {
+		for j, s := range [][]sub{subs, seededSubs, cutSubs} {
 			ctxs[j].Begin(row)
 			compareAll(t, ctxs[j], s, row, i)
 			ctxs[j].Finish()
@@ -275,19 +302,25 @@ type sub struct {
 }
 
 // otherTrees draws one to eight more trees from rng and interns the
-// canonical form of each that type-checks into one program.
-func otherTrees(t testing.TB, rng *rand.Rand) *Program {
+// canonical form of each that type-checks into one program; it returns
+// the program, the trees and their ids in it.
+func otherTrees(t testing.TB, rng *rand.Rand) (*Program, []Node, []int32) {
 	pb := NewProgramBuilder()
+	var trees []Node
+	var roots []int32
 	for n := 1 + rng.Intn(8); n > 0; n-- {
 		checked, _, err := Check(genExpr(rng, event.KindBool, 4), genResolver)
 		if err != nil {
 			continue
 		}
-		if _, err := pb.Intern(Canon(checked)); err != nil {
+		canon := Canon(checked)
+		id, err := pb.Intern(canon)
+		if err != nil {
 			t.Fatalf("intern %s: %v", checked, err)
 		}
+		trees, roots = append(trees, canon), append(roots, id)
 	}
-	return pb.Build()
+	return pb.Build(), trees, roots
 }
 
 // internAll interns root into pb and, each under its own id, every
@@ -660,14 +693,16 @@ func TestInternPresentTreeAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	pb := NewProgramBuilder()
-	if _, err := pb.Intern(other); err != nil {
+	otherID, err := pb.Intern(other)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := pb.Intern(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string]*ProgramBuilder{"fresh": pb, "seeded": pb.Build().Builder()} {
+	kept, _ := pb.Build().Keep([]int32{want, otherID})
+	for name, b := range map[string]*ProgramBuilder{"fresh": pb, "kept": kept} {
 		nodes := len(b.p.nodes)
 		allocs := testing.AllocsPerRun(100, func() {
 			if id, err := b.Intern(tree); id != want || err != nil {

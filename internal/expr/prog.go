@@ -107,18 +107,110 @@ type ProgramBuilder struct {
 }
 
 // NewProgramBuilder returns an empty builder.
-func NewProgramBuilder() *ProgramBuilder { return new(Program).Builder() }
+func NewProgramBuilder() *ProgramBuilder { return &ProgramBuilder{ids: newIndex(0), strs: newIndex(0)} }
 
-// Builder returns a builder holding p's nodes and side tables under the
-// ids p gives them, so what it interns extends p and every id p handed
-// out stays valid. p is not changed: a builder only appends, and the
-// tables it starts from are clipped, so its first append copies them.
-func (p *Program) Builder() *ProgramBuilder {
-	b := &ProgramBuilder{p: Program{nodes: slices.Clip(p.nodes), fields: slices.Clip(p.fields),
-		vals: slices.Clip(p.vals), lists: slices.Clip(p.lists), likes: slices.Clip(p.likes)}}
+// Keep returns a builder holding what roots reach in p, and the roots'
+// ids in it (a negative root stays -1): what interning the roots' trees
+// into a fresh builder would hold, the literal a specialised comparison
+// folded included, so that a kept program's NumNodes is a fresh intern's.
+// Keeping every root renumbers nothing. p is not changed. A node's
+// children are numbered before it — Intern and Keep append a node after
+// what it reads — so one pass down the ids finds what the roots reach and
+// one pass up copies it, side-table entries in order of first use.
+func (p *Program) Keep(roots []int32) (*ProgramBuilder, []int32) {
+	ids := make([]int32, len(p.nodes)) // reached: 1 going down, new id + 1 going up
+	for _, r := range roots {
+		if r >= 0 {
+			ids[r] = 1
+		}
+	}
+	lits := newIndex(len(p.nodes))
+	for e, nd := range p.nodes {
+		if nd.op == opLit {
+			lits.add(hashInst(nd), int32(e))
+		}
+	}
+	for e := len(p.nodes) - 1; e >= 0; e-- {
+		if ids[e] == 0 {
+			continue
+		}
+		switch nd := p.nodes[e]; nd.op {
+		case opAnd, opOr, opArith, opCmp, opContains:
+			ids[nd.l], ids[nd.r] = 1, 1
+		case opNot, opNeg, opIn, opLike:
+			ids[nd.l] = 1
+		case opCmpNum, opCmpStr:
+			ids[nd.l] = 1
+			lit := folded(nd)
+			if l := find(lits, p.nodes, lit, hashInst(lit)); l >= 0 {
+				ids[l] = 1
+			}
+		}
+	}
+	// A side table's renumbering: entry e's new position + 1, 0 until
+	// its first use.
+	fields, vals := make([]int32, len(p.fields)), make([]int32, len(p.vals))
+	lists, likes := make([]int32, len(p.lists)), make([]int32, len(p.likes))
+	b := &ProgramBuilder{}
+	for e, nd := range p.nodes {
+		if ids[e] == 0 {
+			continue
+		}
+		switch nd.op {
+		case opLit:
+			if nd.k == event.KindString || nd.k == event.KindList {
+				nd.r = keep(vals, p.vals, &b.p.vals, nd.r)
+			}
+		case opField:
+			nd.r = keep(fields, p.fields, &b.p.fields, nd.r)
+		case opNot, opNeg:
+			nd.l = ids[nd.l] - 1
+		case opAnd, opOr, opArith, opCmp, opContains:
+			nd.l, nd.r = ids[nd.l]-1, ids[nd.r]-1
+		case opCmpNum, opCmpStr, opIn, opLike:
+			nd.l = ids[nd.l] - 1
+			nd.r = b.fieldOf(nd.l)
+			switch nd.op {
+			case opCmpStr:
+				nd.imm = uint64(keep(vals, p.vals, &b.p.vals, int32(nd.imm)))
+			case opIn:
+				nd.imm = uint64(keep(lists, p.lists, &b.p.lists, int32(nd.imm)))
+			case opLike:
+				nd.imm = uint64(keep(likes, p.likes, &b.p.likes, int32(nd.imm)))
+			}
+		}
+		ids[e] = int32(len(b.p.nodes)) + 1
+		b.p.nodes = append(b.p.nodes, nd)
+	}
 	b.indexNodes()
 	b.indexVals()
-	return b
+	kept := make([]int32, len(roots))
+	for i, r := range roots {
+		kept[i] = -1
+		if r >= 0 {
+			kept[i] = ids[r] - 1
+		}
+	}
+	return b, kept
+}
+
+// folded is the literal node a specialised comparison read its operand
+// from when it was interned.
+func folded(nd inst) inst {
+	if nd.op == opCmpStr {
+		return inst{op: opLit, k: event.KindString, r: int32(nd.imm)}
+	}
+	return inst{op: opLit, k: nd.k, r: -1, imm: nd.imm}
+}
+
+// keep returns entry e of from's position in *to, copying it there on
+// its first use.
+func keep[T any](pos []int32, from []T, to *[]T, e int32) int32 {
+	if pos[e] == 0 {
+		*to = append(*to, from[e])
+		pos[e] = int32(len(*to))
+	}
+	return pos[e] - 1
 }
 
 func (b *ProgramBuilder) indexNodes() {
@@ -249,11 +341,8 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 // use; h is v's hash, and reindex rebuilds x over the grown table when it
 // fills.
 func intern[T comparable](x *index, table *[]T, v T, h uint64, reindex func()) int32 {
-	mask := uint64(len(*x) - 1)
-	for i := h & mask; (*x)[i] != 0; i = (i + 1) & mask {
-		if e := (*x)[i] - 1; (*table)[e] == v {
-			return e
-		}
+	if e := find(*x, *table, v, h); e >= 0 {
+		return e
 	}
 	e := int32(len(*table))
 	*table = append(*table, v)
@@ -261,6 +350,18 @@ func intern[T comparable](x *index, table *[]T, v T, h uint64, reindex func()) i
 		reindex()
 	}
 	return e
+}
+
+// find returns v's position in table through x, -1 when x holds none; h
+// is v's hash.
+func find[T comparable](x index, table []T, v T, h uint64) int32 {
+	mask := uint64(len(x) - 1)
+	for i := h & mask; x[i] != 0; i = (i + 1) & mask {
+		if e := x[i] - 1; table[e] == v {
+			return e
+		}
+	}
+	return -1
 }
 
 // An index finds the entries of one of a builder's tables by hash: open

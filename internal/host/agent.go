@@ -33,6 +33,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,19 +158,18 @@ type queryKey struct {
 // path.
 type activeQuery struct {
 	// What the agent still reads of the installed transport.HostQuery once
-	// canon and colIdx are built from its Pred and Columns.
+	// Start has interned its Pred into the event type's shared program
+	// (the program is the only copy of it) and built colIdx from its
+	// Columns.
 	queryID     uint64
 	typeIdx     uint8
 	schema      *event.Schema // the catalog's schema for EventType
 	replayNanos int64
-	// canon is the query's selection predicate in canonical form
-	// (expr.Canon), nil to match everything. Start interns it into the
-	// event type's shared program and refuses the query if that fails, so
-	// a full rebuild's re-intern of the same tree cannot fail.
-	canon  expr.Node
-	colIdx []int // schema field indices to project
-	width  int   // len(colIdx), the projected tuple width
-	// The query's span, [startNs, endNs); 0 leaves that side open.
+	colIdx      []int // schema field indices to project
+	width       int   // len(colIdx), the projected tuple width
+	// The query's span, [startNs, endNs); 0 leaves that side open. A
+	// replaying query's start is never open: Start sets an immediate one
+	// to its own clock read, where history ends and live traffic begins.
 	startNs, endNs int64
 
 	// live is the lane Log dispatches the query's events on.
@@ -463,6 +463,9 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	}
 	aq := &activeQuery{queryID: hq.QueryID, typeIdx: hq.TypeIdx, schema: schema,
 		replayNanos: hq.ReplayNanos, startNs: hq.StartNanos, endNs: hq.EndNanos}
+	// pred is the query's selection predicate in canonical form
+	// (expr.Canon), nil to match everything; it dies with Start.
+	var pred expr.Node
 	if hq.Pred != nil {
 		checked, kind, err := expr.Check(hq.Pred, expr.SchemaResolver{Schemas: []*event.Schema{schema}})
 		if err != nil {
@@ -471,7 +474,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		if kind != event.KindBool {
 			return fmt.Errorf("host: predicate is %s, not bool", kind)
 		}
-		aq.canon = expr.Canon(checked)
+		pred = expr.Canon(checked)
 	}
 	aq.colIdx = make([]int, len(hq.Columns))
 	for i, col := range hq.Columns {
@@ -506,6 +509,13 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	// sends its first counter-only heartbeat one HeartbeatInterval after
 	// activation, not on the first flush tick.
 	aq.lastSentNanos = a.cfg.Clock().UnixNano()
+	replaying := hq.ReplayNanos > 0 && a.cfg.Record != nil
+	if replaying && aq.startNs == 0 {
+		// Immediate start: history and live traffic part here, on event
+		// time, before the live lane is installed — as a query the server
+		// stamps with its start does.
+		aq.startNs = aq.lastSentNanos
+	}
 
 	key := queryKey{id: hq.QueryID, typeIdx: hq.TypeIdx}
 	a.mu.Lock()
@@ -517,14 +527,21 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		a.mu.Unlock()
 		return fmt.Errorf("host: query %d (type %s) already active", hq.QueryID, hq.EventType)
 	}
-	if err := a.installLocked(aq); err != nil {
+	id, err := a.installLocked(aq, pred)
+	if err != nil {
 		a.mu.Unlock()
 		return fmt.Errorf("host: compile predicate: %w", err)
 	}
 	a.queries[key] = aq
-	if hq.ReplayNanos > 0 && a.cfg.Record != nil {
+	if replaying {
+		// The scan's one-query index: a lane of its own, and a cut of the
+		// program just installed to the query's predicate.
+		ln := &lane{aq: aq, epoch: 1}
+		ln.arm(0)
+		tp := a.byType.Load().byName[schema.Name()]
+		b, subs := cut(tp, []subscriber{{ln: ln, pred: id}})
 		a.wg.Add(1) // under mu, so not after Close's Wait
-		go a.replayShip(aq)
+		go a.replayShip(ln, buildTypeProgram(aq.schema, b.Build(), subs))
 	}
 	a.mu.Unlock()
 	return nil
@@ -570,6 +587,7 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 	for key, aq := range a.queries {
 		if match(aq) {
 			delete(a.queries, key)
+			aq.stopped.Store(true)
 			removed = append(removed, aq)
 		}
 	}
@@ -578,66 +596,66 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 	}
 	a.mu.Unlock()
 	for _, aq := range removed {
-		aq.stopped.Store(true)
 		a.salvage(aq)
 	}
 	return len(removed)
 }
 
-// installLocked swaps in a snapshot that dispatches aq's events too. Only
-// aq's event type is re-snapshotted: its program is seeded from the
-// type's live one (expr.Program.Builder), so only aq's predicate is
-// interned and every other subscriber keeps its node id; every other
-// type's typeProgram, pooled dispatch contexts included, is carried over
-// as it is. A predicate that does not intern spoils only the seeded copy
-// and is returned. Node ids therefore follow install order until a full
-// rebuild renumbers them.
-func (a *Agent) installLocked(aq *activeQuery) error {
+// installLocked swaps in a snapshot that dispatches aq's events too, on
+// pred's node, and returns that node's id (-1 for no predicate). Only
+// aq's event type is re-snapshotted: pred is interned into a cut of the
+// type's live program to every subscriber it has, so node ids follow
+// install order; every other type's typeProgram, pooled dispatch contexts
+// included, is carried over as it is. A predicate that does not intern
+// spoils only the cut and is returned.
+func (a *Agent) installLocked(aq *activeQuery, pred expr.Node) (int32, error) {
 	cur := a.byType.Load()
 	name := aq.schema.Name()
 	tp := cur.byName[name]
-	b := expr.NewProgramBuilder()
-	if tp != nil && tp.prog != nil {
-		b = tp.prog.Builder()
-	}
 	s := subscriber{ln: &aq.live, pred: -1, startNs: aq.startNs, endNs: aq.endNs}
-	if aq.canon != nil {
-		id, err := b.Intern(aq.canon)
+	var subs []subscriber
+	if tp != nil {
+		subs = slices.Concat(tp.always, tp.gated)
+	}
+	b, subs := cut(tp, subs)
+	if pred != nil {
+		id, err := b.Intern(pred)
 		if err != nil {
-			return err
+			return -1, err
 		}
 		s.pred = id
 	}
-	subs := []subscriber{s}
-	if tp != nil {
-		subs = withSubscriber(tp, s)
-	}
+	i, _ := slices.BinarySearchFunc(subs, s, subscriberOrder)
 	m := make(map[string]*typeProgram, len(cur.byName)+1)
 	maps.Copy(m, cur.byName)
-	m[name] = buildTypeProgram(aq.schema, b.Build(), subs)
+	m[name] = buildTypeProgram(aq.schema, b.Build(), slices.Insert(subs, i, s))
 	a.swapLocked(m)
-	return nil
+	return s.pred, nil
 }
 
-// rebuildLocked swaps in a snapshot built from nothing: each event type's
-// queries compiled into one shared typeProgram (see that type's comment)
-// over a fresh program, which compacts away the nodes of queries that
-// left. Removal (Stop, span expiry) and governor shed take this path.
-// Shed queries are excluded — they stop paying per-event cost entirely —
-// but stay in a.queries so heartbeats keep announcing the BudgetShed
-// state. A type's queries are interned in (QueryID, TypeIdx) order, so a
-// rebuild numbers the nodes of a query set the same way whatever the map
-// iteration or install order was.
+// rebuildLocked swaps in a snapshot without the queries that left:
+// removal (Stop, span expiry) and governor shed take this path. Each
+// event type that lost one is rebuilt over a cut of its program to the
+// survivors, which compacts away the nodes only the leavers reached;
+// every other type is carried over as it is. Shed queries are excluded —
+// they stop paying per-event cost entirely — but stay in a.queries so
+// heartbeats keep announcing the BudgetShed state.
 func (a *Agent) rebuildLocked() {
-	perType := make(map[*event.Schema][]subscriber)
-	for _, aq := range a.queries {
-		if !aq.shed {
-			perType[aq.schema] = append(perType[aq.schema], subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
+	cur := a.byType.Load()
+	m := make(map[string]*typeProgram, len(cur.byName))
+	for name, tp := range cur.byName {
+		n := len(tp.always) + len(tp.gated)
+		subs := slices.DeleteFunc(slices.Concat(tp.always, tp.gated), func(s subscriber) bool {
+			return s.ln.aq.shed || s.ln.aq.stopped.Load()
+		})
+		switch len(subs) {
+		case 0:
+		case n:
+			m[name] = tp
+		default:
+			b, subs := cut(tp, subs)
+			m[name] = buildTypeProgram(tp.schema, b.Build(), subs)
 		}
-	}
-	m := make(map[string]*typeProgram, len(perType))
-	for schema, subs := range perType {
-		m[schema.Name()] = compileTypeProgram(schema, subs)
 	}
 	a.swapLocked(m)
 }
@@ -773,16 +791,16 @@ func (a *Agent) salvage(aq *activeQuery) {
 }
 
 // replayShip scans the record stream for a query's replay span —
-// [StartNanos-ReplayNanos, StartNanos), the complement of the live
-// partition, so replayed and live tuples never overlap — and ships the
-// matching history through the normal chunk/shipper path tagged with the
-// replay epoch, ending with a ReplayDone marker batch. Runs as its own
-// goroutine per replaying query: the scan is disk- and decode-bound and
-// must never touch the application's Log latency.
+// [start-ReplayNanos, start), the complement of the live partition, so
+// replayed and live tuples never overlap — and ships the matching history
+// through the normal chunk/shipper path tagged with the replay epoch,
+// ending with a ReplayDone marker batch. Runs as its own goroutine per
+// replaying query: the scan is disk- and decode-bound and must never
+// touch the application's Log latency.
 //
-// Each recorded event goes through Log's dispatch, on a lane of the
-// scan's own and a one-query index with an open span (the scan's time
-// range is the span). The lane's keep test runs at the query's base rate
+// Each recorded event goes through Log's dispatch, on ln, a lane of the
+// scan's own, and tp, the one-query index Start cut for it with an open
+// span (the scan's time range is the span). The lane's keep test runs at the query's base rate
 // under the query's seed, its count of matched events from 0 as the live
 // lane's did at Start, so a replay whose live rate the governor never
 // changed keeps exactly the events a query submitted before them would
@@ -796,18 +814,11 @@ func (a *Agent) salvage(aq *activeQuery) {
 // and a shed or stopped query aborts the scan mid-flight. The ReplayDone
 // marker itself can be dropped under backlog; central's replay hold has
 // a lease-clock deadline for exactly that case.
-func (a *Agent) replayShip(aq *activeQuery) {
+func (a *Agent) replayShip(ln *lane, tp *typeProgram) {
 	defer a.wg.Done()
-	to := aq.startNs
-	if to == 0 {
-		// Immediate-start query: the live partition begins at activation.
-		to = a.cfg.Clock().UnixNano()
-	}
-	ln := &lane{aq: aq, epoch: 1}
-	ln.arm(0)
-	tp := compileTypeProgram(aq.schema, []subscriber{{ln: ln}})
+	aq := ln.aq
 	// A failed or aborted scan still owes the done marker below.
-	_ = a.cfg.Record.Scan(to-aq.replayNanos, to, aq.schema.Name(), func(ev *event.Event) bool {
+	_ = a.cfg.Record.Scan(aq.startNs-aq.replayNanos, aq.startNs, aq.schema.Name(), func(ev *event.Event) bool {
 		if aq.stopped.Load() {
 			return false
 		}

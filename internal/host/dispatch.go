@@ -46,8 +46,7 @@ type projGroup struct {
 
 // typeProgram is the per-event-type entry of the immutable dispatch
 // snapshot: the type's shared query index, replaced wholesale when a
-// query of the type starts (installLocked) or any query leaves
-// (rebuildLocked). Instead of running every query's predicate and
+// query of the type starts (installLocked) or leaves (rebuildLocked). Instead of running every query's predicate and
 // projection independently, the queries' canonicalized predicates are
 // interned into one expr.Program (structurally identical predicates and
 // common subexpressions become one node each) and subscribers with
@@ -181,28 +180,26 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 	return dc
 }
 
-// compileTypeProgram interns every subscriber's predicate, in
-// (QueryID, TypeIdx) order, into a fresh program and builds the type's
-// dispatch index over it: a full rebuild's path, and a replay scan's,
-// whose one-query index must not share node ids with the live program.
-func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
+// cut copies what subs' predicates reach in tp's program into a fresh
+// builder (expr.Program.Keep) and returns subs with their predicates
+// renumbered into it, in subscriberOrder. It is the one way a type's
+// program changes: Start interns its query's predicate into a cut to
+// every subscriber, removal and shed cut to the survivors, and a replay
+// scan cuts to its query alone. tp is nil for a type no query is on.
+func cut(tp *typeProgram, subs []subscriber) (*expr.ProgramBuilder, []subscriber) {
 	slices.SortFunc(subs, subscriberOrder)
-	b := expr.NewProgramBuilder()
-	kept := subs[:0]
-	for _, s := range subs {
-		s.pred = -1
-		if canon := s.ln.aq.canon; canon != nil {
-			// Start interned the same canonical tree, so this cannot fail
-			// here.
-			id, err := b.Intern(canon)
-			if err != nil {
-				continue // unreachable; drop rather than dispatch wrongly
-			}
-			s.pred = id
-		}
-		kept = append(kept, s)
+	if tp == nil || tp.prog == nil {
+		return expr.NewProgramBuilder(), subs
 	}
-	return buildTypeProgram(schema, b.Build(), kept)
+	roots := make([]int32, len(subs))
+	for i, s := range subs {
+		roots[i] = s.pred
+	}
+	b, roots := tp.prog.Keep(roots)
+	for i := range subs {
+		subs[i].pred = roots[i]
+	}
+	return b, subs
 }
 
 // subscriberOrder orders a type's subscribers by (QueryID, TypeIdx), so
@@ -211,24 +208,6 @@ func compileTypeProgram(schema *event.Schema, subs []subscriber) *typeProgram {
 func subscriberOrder(x, y subscriber) int {
 	p, q := x.ln.aq, y.ln.aq
 	return cmp.Or(cmp.Compare(p.queryID, q.queryID), cmp.Compare(p.typeIdx, q.typeIdx))
-}
-
-// withSubscriber returns tp's subscribers and s in one exact-size slice,
-// in subscriberOrder: tp's always and gated lists each keep the
-// order they were built in, so the two merge and s goes in at its place.
-func withSubscriber(tp *typeProgram, s subscriber) []subscriber {
-	out := make([]subscriber, 0, len(tp.always)+len(tp.gated)+1)
-	al, ga := tp.always, tp.gated
-	for len(al) > 0 && len(ga) > 0 {
-		if subscriberOrder(al[0], ga[0]) < 0 {
-			out, al = append(out, al[0]), al[1:]
-		} else {
-			out, ga = append(out, ga[0]), ga[1:]
-		}
-	}
-	out = append(append(out, al...), ga...)
-	i, _ := slices.BinarySearchFunc(out, s, subscriberOrder)
-	return slices.Insert(out, i, s)
 }
 
 // open reports whether s has no span bounds, after buildTypeProgram has

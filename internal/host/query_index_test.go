@@ -10,6 +10,7 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/expr"
+	"scrub/internal/replay"
 	"scrub/internal/transport"
 )
 
@@ -433,14 +434,18 @@ func TestForeignSchemaMatchesByName(t *testing.T) {
 	}
 }
 
-// TestSeededInstallMatchesRebuild holds the two ways a snapshot is built
-// to each other: Start seeds the type's program from the live one and
-// interns only its own predicate, removal and shed rebuild from nothing.
-// Over a seeded churn of Start, Stop, PruneExpired and governor shed, with
-// predicates that share subtrees, every step must leave each subscriber
-// selecting, on a fixed set of events, exactly what it selects in a
-// from-scratch build over the same live queries, in the same dispatch
-// order and span split, on a program of the same size.
+// TestSeededInstallMatchesRebuild holds each type's live program, the
+// only copy of its queries' predicates, to a reference the test owns: a
+// fresh intern of the test's own canonical trees. Start interns a query's
+// predicate into a cut of the live program (cut, expr.Program.Keep), and
+// Stop, span expiry and governor shed cut it to the survivors. Over a
+// seeded churn of those steps, REPLAY starts among them, with predicates
+// that share subtrees, every step must leave each subscriber selecting,
+// on a fixed set of events, exactly what it selects in the reference over
+// the same live queries, in the same dispatch order and span split, on a
+// program of the same size. And each replay scan, run on a cut of the
+// program to its own query, must ship exactly the recorded events its
+// query's tree selects.
 func TestSeededInstallMatchesRebuild(t *testing.T) {
 	atoms := append(decoyPreds(), predSpellings()[1:]...)
 	base := time.Now().UnixNano()
@@ -452,7 +457,17 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 			evs[i] = bidEvent(uint64(i), rng.Int63n(6), cities[rng.Intn(len(cities))],
 				float64(rng.Intn(200))/100-0.3, base+int64(rng.Intn(1000)))
 		}
-		a := newAgent(t, &collectSink{}, func(c *Config) { c.FlushInterval = time.Hour })
+		rs, err := replay.Open(replay.Options{Catalog: testCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &collectSink{}
+		a := newAgent(t, sink, func(c *Config) { c.FlushInterval, c.QueueSize, c.Record = time.Hour, 1<<16, rs })
+		for _, ev := range evs {
+			a.Log(ev) // no query yet: only the record keeps it
+		}
+		trees := make(map[uint64]expr.Node) // each query's canonical tree, nil for none
+		var replaying []uint64
 		now, next := base, uint64(1)
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(10); {
@@ -469,6 +484,11 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 					hq.StartNanos = now + rng.Int63n(500)
 					hq.EndNanos = hq.StartNanos + 1 + rng.Int63n(1000)
 				}
+				if rng.Intn(6) == 0 {
+					hq.ReplayNanos = int64(time.Hour)
+					replaying = append(replaying, next)
+				}
+				trees[next] = canonOf(t, pred)
 				next++
 				if err := a.Start(hq); err != nil {
 					t.Fatal(err)
@@ -481,9 +501,11 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 				now += rng.Int63n(300)
 				a.PruneExpired(time.Unix(0, now))
 			default: // what governTick's ActionShed does to the index
+				// shed is the shipper's to read, which ships a replay
+				// scan's batches: shed only a query that does not replay.
 				a.mu.Lock()
 				for _, aq := range a.queries {
-					if !aq.shed {
+					if !aq.shed && aq.replayNanos == 0 {
 						aq.shed = true
 						a.rebuildLocked()
 						break
@@ -491,20 +513,38 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 				}
 				a.mu.Unlock()
 			}
-			checkAgainstRebuild(t, a, evs, fmt.Sprintf("seed %d step %d", seed, step))
+			checkAgainstFresh(t, a, trees, evs, fmt.Sprintf("seed %d step %d", seed, step))
 		}
+		checkReplays(t, a, sink, trees, replaying, evs)
+		a.Close()
+		rs.Close()
 	}
 }
 
-// checkAgainstRebuild compares the agent's live bid index with one
-// compiled from nothing over the same live, unshed queries.
-func checkAgainstRebuild(t *testing.T, a *Agent, evs []*event.Event, at string) {
+// canonOf is pred checked against the bid schema and in canonical form,
+// as Start interns it; nil stays nil.
+func canonOf(t *testing.T, pred expr.Node) expr.Node {
+	t.Helper()
+	if pred == nil {
+		return nil
+	}
+	checked, _, err := expr.Check(pred, expr.SchemaResolver{Schemas: []*event.Schema{bidSchema}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return expr.Canon(checked)
+}
+
+// checkAgainstFresh compares the agent's live bid index with one built
+// over a fresh intern of trees, the test's own copies of the live, unshed
+// queries' predicates, interned in dispatch order.
+func checkAgainstFresh(t *testing.T, a *Agent, trees map[uint64]expr.Node, evs []*event.Event, at string) {
 	t.Helper()
 	a.mu.Lock()
 	var subs []subscriber
 	for _, aq := range a.queries {
 		if !aq.shed {
-			subs = append(subs, subscriber{ln: &aq.live, startNs: aq.startNs, endNs: aq.endNs})
+			subs = append(subs, subscriber{ln: &aq.live, pred: -1, startNs: aq.startNs, endNs: aq.endNs})
 		}
 	}
 	a.mu.Unlock()
@@ -515,26 +555,37 @@ func checkAgainstRebuild(t *testing.T, a *Agent, evs []*event.Event, at string) 
 		}
 		return
 	}
-	want := compileTypeProgram(bidSchema, subs)
+	slices.SortFunc(subs, subscriberOrder)
+	b := expr.NewProgramBuilder()
+	for i := range subs {
+		if tree := trees[subs[i].ln.aq.queryID]; tree != nil {
+			id, err := b.Intern(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs[i].pred = id
+		}
+	}
+	want := buildTypeProgram(bidSchema, b.Build(), subs)
 	if got == nil {
 		t.Fatalf("%s: %d live queries, but the snapshot does not index bid", at, len(subs))
 	}
 	if g, w := got.numNodes(), want.numNodes(); g != w {
-		t.Fatalf("%s: %d program nodes, a rebuild has %d", at, g, w)
+		t.Fatalf("%s: %d program nodes, a fresh intern has %d", at, g, w)
 	}
 	if (got.solo == nil) != (want.solo == nil) || got.minStart != want.minStart {
-		t.Fatalf("%s: solo %v minStart %d, a rebuild has solo %v minStart %d", at, got.solo != nil, got.minStart, want.solo != nil, want.minStart)
+		t.Fatalf("%s: solo %v minStart %d, a fresh intern has solo %v minStart %d", at, got.solo != nil, got.minStart, want.solo != nil, want.minStart)
 	}
 	gotSubs, wantSubs := slices.Concat(got.always, got.gated), slices.Concat(want.always, want.gated)
 	if len(got.always) != len(want.always) || len(gotSubs) != len(wantSubs) {
-		t.Fatalf("%s: %d+%d always+gated subscribers, a rebuild has %d+%d",
+		t.Fatalf("%s: %d+%d always+gated subscribers, a fresh intern has %d+%d",
 			at, len(got.always), len(got.gated), len(want.always), len(want.gated))
 	}
 	for i, g := range gotSubs {
 		w := wantSubs[i]
-		if g.ln != w.ln || g.startNs != w.startNs || g.endNs != w.endNs ||
+		if g.ln != w.ln || g.startNs != w.startNs || g.endNs != w.endNs || (g.pred < 0) != (w.pred < 0) ||
 			!slices.Equal(got.groupCols(g.group), want.groupCols(w.group)) {
-			t.Fatalf("%s: subscriber %d is query %d %+v, a rebuild has query %d %+v", at, i, g.ln.aq.queryID, g, w.ln.aq.queryID, w)
+			t.Fatalf("%s: subscriber %d is query %d %+v, a fresh intern has query %d %+v", at, i, g.ln.aq.queryID, g, w.ln.aq.queryID, w)
 		}
 	}
 	gc, wc := got.newCtx(), want.newCtx()
@@ -544,9 +595,82 @@ func checkAgainstRebuild(t *testing.T, a *Agent, evs []*event.Event, at string) 
 		for i, g := range gotSubs {
 			w := wantSubs[i]
 			if gm, wm := g.pred < 0 || gc.Bool(g.pred), w.pred < 0 || wc.Bool(w.pred); gm != wm {
-				t.Fatalf("%s: query %d selects event %d: %v, in a rebuild %v", at, g.ln.aq.queryID, ev.RequestID, gm, wm)
+				t.Fatalf("%s: query %d selects event %d: %v, in a fresh intern %v", at, g.ln.aq.queryID, ev.RequestID, gm, wm)
 			}
 		}
+	}
+}
+
+// checkReplays waits for the replay scan of every query in ids that is
+// still installed to ship its done marker, then requires each scan that
+// shipped one to have replayed exactly the events of evs, in record
+// order, that fall before its query's start and that its tree selects.
+func checkReplays(t *testing.T, a *Agent, sink *collectSink, trees map[uint64]expr.Node, ids []uint64, evs []*event.Event) {
+	t.Helper()
+	starts := make(map[uint64]int64)
+	a.mu.Lock()
+	for _, aq := range a.queries {
+		starts[aq.queryID] = aq.startNs
+	}
+	a.mu.Unlock()
+	done := func() map[uint64]bool {
+		out := make(map[uint64]bool)
+		for _, b := range sink.all() {
+			if b.ReplayDone {
+				out[b.QueryID] = true
+			}
+		}
+		return out
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		d, waiting := done(), 0
+		for _, id := range ids {
+			if _, live := starts[id]; live && !d[id] {
+				waiting++
+			}
+		}
+		if waiting == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d installed replay queries never shipped their done marker", waiting)
+		}
+	}
+	got := make(map[uint64][]uint64)
+	for _, b := range sink.all() {
+		if b.ReplayEpoch != 0 {
+			for _, tu := range b.Tuples {
+				got[b.QueryID] = append(got[b.QueryID], tu.RequestID)
+			}
+		}
+	}
+	checked := 0
+	for id := range done() {
+		start, ok := starts[id]
+		if !ok {
+			continue // stopped: its scan may have shipped a marker before the stop, with a start this test no longer reads
+		}
+		sel := func(*event.Event) bool { return true }
+		if tree := trees[id]; tree != nil {
+			ev, err := expr.Compile(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel = func(e *event.Event) bool { return expr.Predicate(ev)(expr.EventRow{Event: e}) }
+		}
+		var want []uint64
+		for _, ev := range evs {
+			if ev.TimeNanos < start && sel(ev) {
+				want = append(want, ev.RequestID)
+			}
+		}
+		if !slices.Equal(got[id], want) {
+			t.Errorf("query %d replayed request ids %v, want %v", id, got[id], want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Error("no replay scan was checked")
 	}
 }
 

@@ -134,9 +134,17 @@ fi
 if awk '/^type ShardPartials struct/,/^}/' internal/transport/msg_coord.go | grep -nw 'Found'; then echo "transport.ShardPartials declares Found again: no receiver reads it" >&2; exit 1; fi
 
 echo "== a query install costs what the query brings (non-test internal/host makes no trial intern against a throwaway builder and keys no projection group on an encoding; internal/expr/prog.go has no Go map: the builder finds nodes and strings through its flat index) =="
-if grep -nF 'NewProgramBuilder().Intern(' $(nontest internal/host); then echo "non-test internal/host trial-interns a predicate against a throwaway builder again: Start interns into a builder seeded from the type's live program and returns the error" >&2; exit 1; fi
+if grep -nF 'NewProgramBuilder().Intern(' $(nontest internal/host); then echo "non-test internal/host trial-interns a predicate against a throwaway builder again: Start interns into a cut of the type's live program and returns the error" >&2; exit 1; fi
 if grep -nE '\bmap\[' internal/expr/prog.go; then echo "internal/expr/prog.go has a Go map again: a ProgramBuilder finds nodes and string literals through its open-addressed index, fields, in-lists and LIKE patterns by scan" >&2; exit 1; fi
 if grep -nw 'groupKey' $(nontest internal/host); then echo "non-test internal/host names groupKey again: buildTypeProgram finds a projection group by comparing column sets" >&2; exit 1; fi
+
+echo "== queries keep no predicate tree (a type's live expr.Program is the only copy of its queries' predicates, and one cut of it, expr.Program.Keep, serves install, removal and replay: non-test internal/host declares no canon field, holds no expr.Node in an activeQuery and names no compileTypeProgram or withSubscriber; internal/expr has no Program.Builder) =="
+if grep -nE '^\s+canon\s+[A-Za-z*[]' $(nontest internal/host) ||
+   awk '/^type activeQuery struct/,/^}/ { print FILENAME ":" FNR ": " $0 }' internal/host/agent.go | grep -F 'expr.Node' ||
+   grep -nwE 'compileTypeProgram|withSubscriber' $(nontest internal/host) ||
+   grep -nF 'func (p *Program) Builder(' $(nontest internal/expr); then
+  echo "internal/host keeps a query's predicate tree or a second way to build a type's program again, or internal/expr seeds a builder from a whole program: Start interns the tree into host.cut of the live program and drops it, and Stop, span expiry, shed and a replay scan cut the program to the roots they keep" >&2; exit 1
+fi
 
 echo "== one scale-up rule (a batch's rate weights its tuples at apply: non-test internal/ and cmd/ name no substituteEstimate and no report's Rates, and liveness.Table.Report takes no argument) =="
 if grep -rnw --include='*.go' 'substituteEstimate' cmd internal | grep -v '_test\.go:' ||
