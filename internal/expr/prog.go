@@ -109,122 +109,71 @@ type ProgramBuilder struct {
 // NewProgramBuilder returns an empty builder.
 func NewProgramBuilder() *ProgramBuilder { return &ProgramBuilder{ids: newIndex(0), strs: newIndex(0)} }
 
-// Keep returns a builder holding what roots reach in p, and the roots'
-// ids in it (a negative root stays -1): what interning the roots' trees
-// into a fresh builder would hold, the literal a specialised comparison
-// folded included, so that a kept program's NumNodes is a fresh intern's.
-// Keeping every root renumbers nothing. p is not changed. A node's
-// children are numbered before it — Intern and Keep append a node after
-// what it reads — so one pass down the ids finds what the roots reach and
-// one pass up copies it, side-table entries in order of first use.
+// Keep returns a builder holding only what roots reach in p, side-table
+// entries included, and the roots' ids in it (a negative root stays as it
+// is). That is what interning the roots' trees afresh makes, so it keeps
+// the literal a specialised comparison folded into its immediate too.
 func (p *Program) Keep(roots []int32) (*ProgramBuilder, []int32) {
-	ids := make([]int32, len(p.nodes)) // reached: 1 going down, new id + 1 going up
-	for _, r := range roots {
-		if r >= 0 {
-			ids[r] = 1
+	// Sized for all of p, so that neither index is rebuilt while it fills.
+	b := &ProgramBuilder{ids: newIndex(len(p.nodes)), strs: newIndex(len(p.vals))}
+	b.p.nodes = make([]inst, 0, len(p.nodes))
+	ids := make([]int32, len(p.nodes)) // a copied node's new id + 1
+	var keep func(e int32) int32
+	keep = func(e int32) int32 {
+		if ids[e] > 0 {
+			return ids[e] - 1
 		}
-	}
-	lits := newIndex(len(p.nodes))
-	for e, nd := range p.nodes {
-		if nd.op == opLit {
-			lits.add(hashInst(nd), int32(e))
-		}
-	}
-	for e := len(p.nodes) - 1; e >= 0; e-- {
-		if ids[e] == 0 {
-			continue
-		}
-		switch nd := p.nodes[e]; nd.op {
-		case opAnd, opOr, opArith, opCmp, opContains:
-			ids[nd.l], ids[nd.r] = 1, 1
-		case opNot, opNeg, opIn, opLike:
-			ids[nd.l] = 1
-		case opCmpNum, opCmpStr:
-			ids[nd.l] = 1
-			lit := folded(nd)
-			if l := find(lits, p.nodes, lit, hashInst(lit)); l >= 0 {
-				ids[l] = 1
-			}
-		}
-	}
-	// A side table's renumbering: entry e's new position + 1, 0 until
-	// its first use.
-	fields, vals := make([]int32, len(p.fields)), make([]int32, len(p.vals))
-	lists, likes := make([]int32, len(p.lists)), make([]int32, len(p.likes))
-	b := &ProgramBuilder{}
-	for e, nd := range p.nodes {
-		if ids[e] == 0 {
-			continue
-		}
+		nd := p.nodes[e]
 		switch nd.op {
 		case opLit:
 			if nd.k == event.KindString || nd.k == event.KindList {
-				nd.r = keep(vals, p.vals, &b.p.vals, nd.r)
+				nd.r = b.val(p.vals[nd.r])
 			}
 		case opField:
-			nd.r = keep(fields, p.fields, &b.p.fields, nd.r)
+			nd.r = b.field(p.fields[nd.r])
 		case opNot, opNeg:
-			nd.l = ids[nd.l] - 1
+			nd.l = keep(nd.l)
 		case opAnd, opOr, opArith, opCmp, opContains:
-			nd.l, nd.r = ids[nd.l]-1, ids[nd.r]-1
+			nd.l, nd.r = keep(nd.l), keep(nd.r)
 		case opCmpNum, opCmpStr, opIn, opLike:
-			nd.l = ids[nd.l] - 1
+			nd.l = keep(nd.l)
 			nd.r = b.fieldOf(nd.l)
 			switch nd.op {
+			case opCmpNum:
+				b.node(inst{op: opLit, k: nd.k, r: -1, imm: nd.imm})
 			case opCmpStr:
-				nd.imm = uint64(keep(vals, p.vals, &b.p.vals, int32(nd.imm)))
+				s := b.val(p.vals[nd.imm])
+				b.node(inst{op: opLit, k: event.KindString, r: s})
+				nd.imm = uint64(s)
 			case opIn:
-				nd.imm = uint64(keep(lists, p.lists, &b.p.lists, int32(nd.imm)))
+				l := p.lists[nd.imm]
+				nd.imm = uint64(scan(&b.p.lists, l, func(m []event.Value) bool { return slices.Equal(m, l) }))
 			case opLike:
-				nd.imm = uint64(keep(likes, p.likes, &b.p.likes, int32(nd.imm)))
+				m := p.likes[nd.imm]
+				nd.imm = uint64(scan(&b.p.likes, m, func(n likeMatcher) bool { return n.pat == m.pat }))
 			}
 		}
-		ids[e] = int32(len(b.p.nodes)) + 1
-		b.p.nodes = append(b.p.nodes, nd)
+		ids[e] = b.node(nd) + 1
+		return ids[e] - 1
 	}
-	b.indexNodes()
-	b.indexVals()
-	kept := make([]int32, len(roots))
-	for i, r := range roots {
-		kept[i] = -1
+	kept := slices.Clone(roots)
+	for i, r := range kept {
 		if r >= 0 {
-			kept[i] = ids[r] - 1
+			kept[i] = keep(r)
 		}
 	}
 	return b, kept
 }
 
-// folded is the literal node a specialised comparison read its operand
-// from when it was interned.
-func folded(nd inst) inst {
-	if nd.op == opCmpStr {
-		return inst{op: opLit, k: event.KindString, r: int32(nd.imm)}
-	}
-	return inst{op: opLit, k: nd.k, r: -1, imm: nd.imm}
-}
+// node, val and field return an instruction's, a string or list
+// literal's and a field reference's position in the builder's tables,
+// appending it on its first use.
+func (b *ProgramBuilder) node(nd inst) int32 { return intern(&b.ids, &b.p.nodes, nd, hashInst) }
 
-// keep returns entry e of from's position in *to, copying it there on
-// its first use.
-func keep[T any](pos []int32, from []T, to *[]T, e int32) int32 {
-	if pos[e] == 0 {
-		*to = append(*to, from[e])
-		pos[e] = int32(len(*to))
-	}
-	return pos[e] - 1
-}
+func (b *ProgramBuilder) val(v event.Value) int32 { return intern(&b.strs, &b.p.vals, v, hashVal) }
 
-func (b *ProgramBuilder) indexNodes() {
-	b.ids = newIndex(len(b.p.nodes))
-	for e, nd := range b.p.nodes {
-		b.ids.add(hashInst(nd), int32(e))
-	}
-}
-
-func (b *ProgramBuilder) indexVals() {
-	b.strs = newIndex(len(b.p.vals))
-	for e, v := range b.p.vals {
-		b.strs.add(hashVal(v), int32(e))
-	}
+func (b *ProgramBuilder) field(f fieldName) int32 {
+	return scan(&b.p.fields, f, func(g fieldName) bool { return g == f })
 }
 
 // Intern adds a checked tree and returns its node id, reusing every
@@ -238,18 +187,12 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 		nd = inst{op: opLit, k: t.Val.Kind(), r: -1}
 		switch nd.k {
 		case event.KindString, event.KindList:
-			nd.r = intern(&b.strs, &b.p.vals, t.Val, hashVal(t.Val), b.indexVals)
+			nd.r = b.val(t.Val)
 		default:
 			_, nd.imm = t.Val.Raw()
 		}
 	case FieldRef:
-		f := fieldName{t.Type, t.Name}
-		i := slices.Index(b.p.fields, f)
-		if i < 0 {
-			i = len(b.p.fields)
-			b.p.fields = append(b.p.fields, f)
-		}
-		nd = inst{op: opField, r: int32(i)}
+		nd = inst{op: opField, r: b.field(fieldName{t.Type, t.Name})}
 	case Unary:
 		x, err := b.Intern(t.X)
 		if err != nil {
@@ -334,34 +277,40 @@ func (b *ProgramBuilder) Intern(n Node) (int32, error) {
 	default:
 		return -1, fmt.Errorf("expr: intern: unsupported node %T", n)
 	}
-	return intern(&b.ids, &b.p.nodes, nd, hashInst(nd), b.indexNodes), nil
+	return b.node(nd), nil
 }
 
 // intern returns v's position in *table, appending v there on its first
-// use; h is v's hash, and reindex rebuilds x over the grown table when it
-// fills.
-func intern[T comparable](x *index, table *[]T, v T, h uint64, reindex func()) int32 {
-	if e := find(*x, *table, v, h); e >= 0 {
-		return e
+// use; x indexes the table by hash, and is rebuilt over the grown table
+// when it fills.
+func intern[T comparable](x *index, table *[]T, v T, hash func(T) uint64) int32 {
+	h := hash(v)
+	mask := uint64(len(*x) - 1)
+	for i := h & mask; (*x)[i] != 0; i = (i + 1) & mask {
+		if e := (*x)[i] - 1; (*table)[e] == v {
+			return e
+		}
 	}
 	e := int32(len(*table))
 	*table = append(*table, v)
 	if x.add(h, e) {
-		reindex()
+		*x = newIndex(len(*table))
+		for j, w := range *table {
+			x.add(hash(w), int32(j))
+		}
 	}
 	return e
 }
 
-// find returns v's position in table through x, -1 when x holds none; h
-// is v's hash.
-func find[T comparable](x index, table []T, v T, h uint64) int32 {
-	mask := uint64(len(x) - 1)
-	for i := h & mask; x[i] != 0; i = (i + 1) & mask {
-		if e := x[i] - 1; table[e] == v {
-			return e
-		}
+// scan returns the position in *table of the first entry same accepts,
+// appending v when there is none: the side tables a builder scans.
+func scan[T any](table *[]T, v T, same func(T) bool) int32 {
+	i := slices.IndexFunc(*table, same)
+	if i < 0 {
+		i = len(*table)
+		*table = append(*table, v)
 	}
-	return -1
+	return int32(i)
 }
 
 // An index finds the entries of one of a builder's tables by hash: open
@@ -453,14 +402,10 @@ func listKind(lits []event.Value) event.Kind {
 // Build freezes the interned nodes into a Program. The builder remains
 // usable; later Interns do not affect already-built Programs.
 func (b *ProgramBuilder) Build() *Program {
-	p := &b.p
-	return &Program{
-		nodes:  slices.Clone(p.nodes),
-		fields: slices.Clone(p.fields),
-		vals:   slices.Clone(p.vals),
-		lists:  slices.Clone(p.lists),
-		likes:  slices.Clone(p.likes),
-	}
+	p := b.p
+	p.nodes, p.fields, p.vals = slices.Clone(p.nodes), slices.Clone(p.fields), slices.Clone(p.vals)
+	p.lists, p.likes = slices.Clone(p.lists), slices.Clone(p.likes)
+	return &p
 }
 
 // state is a node's register tag for the current row. Booleans carry

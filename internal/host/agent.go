@@ -158,18 +158,15 @@ type queryKey struct {
 // path.
 type activeQuery struct {
 	// What the agent still reads of the installed transport.HostQuery once
-	// Start has interned its Pred into the event type's shared program
-	// (the program is the only copy of it) and built colIdx from its
-	// Columns.
+	// its Pred is in the type's program (the only copy) and colIdx is built.
 	queryID     uint64
 	typeIdx     uint8
 	schema      *event.Schema // the catalog's schema for EventType
 	replayNanos int64
 	colIdx      []int // schema field indices to project
 	width       int   // len(colIdx), the projected tuple width
-	// The query's span, [startNs, endNs); 0 leaves that side open. A
-	// replaying query's start is never open: Start sets an immediate one
-	// to its own clock read, where history ends and live traffic begins.
+	// The query's span, [startNs, endNs); 0 leaves that side open, but
+	// not a replaying query's start: history ends where live traffic starts.
 	startNs, endNs int64
 
 	// live is the lane Log dispatches the query's events on.
@@ -387,8 +384,7 @@ type Agent struct {
 	govRecovers    obs.Counter
 	govSheds       obs.Counter
 	// indexRebuilds counts dispatch snapshots built (query start, stop,
-	// expiry, shed): a start interns its own predicate, the others
-	// re-intern every live predicate of every type.
+	// expiry, shed), each over a cut of the live programs.
 	indexRebuilds obs.Counter
 	// Replay shipping accounting: historical tuples (and their encoded
 	// bytes) shipped from the record stream on behalf of REPLAY queries.
@@ -463,9 +459,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	}
 	aq := &activeQuery{queryID: hq.QueryID, typeIdx: hq.TypeIdx, schema: schema,
 		replayNanos: hq.ReplayNanos, startNs: hq.StartNanos, endNs: hq.EndNanos}
-	// pred is the query's selection predicate in canonical form
-	// (expr.Canon), nil to match everything; it dies with Start.
-	var pred expr.Node
+	var pred expr.Node // canonical, nil to match everything; dies with Start
 	if hq.Pred != nil {
 		checked, kind, err := expr.Check(hq.Pred, expr.SchemaResolver{Schemas: []*event.Schema{schema}})
 		if err != nil {
@@ -492,8 +486,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	// The seed ties the sample to the query so re-runs are reproducible,
 	// and keyed by a host's own count to the host too, so hosts sample
 	// independently; keyed by request, every host keeps the same requests.
-	// FNV-1a over the full HostID keeps
-	// anagram host ids (h-ab vs h-ba) uncorrelated.
+	// FNV-1a over the full HostID keeps anagram host ids uncorrelated.
 	aq.seed = hq.QueryID * 1000003
 	if aq.byRequest = hq.SampleByRequest; !aq.byRequest {
 		h := fnv.New64a()
@@ -512,8 +505,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	replaying := hq.ReplayNanos > 0 && a.cfg.Record != nil
 	if replaying && aq.startNs == 0 {
 		// Immediate start: history and live traffic part here, on event
-		// time, before the live lane is installed — as a query the server
-		// stamps with its start does.
+		// time, before the live lane is installed, as a server's start does.
 		aq.startNs = aq.lastSentNanos
 	}
 
@@ -534,12 +526,10 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	}
 	a.queries[key] = aq
 	if replaying {
-		// The scan's one-query index: a lane of its own, and a cut of the
-		// program just installed to the query's predicate.
+		// The scan's one-query index: a lane of its own on a cut to id.
 		ln := &lane{aq: aq, epoch: 1}
 		ln.arm(0)
-		tp := a.byType.Load().byName[schema.Name()]
-		b, subs := cut(tp, []subscriber{{ln: ln, pred: id}})
+		b, subs := cut(a.byType.Load().byName[schema.Name()], []subscriber{{ln: ln, pred: id}})
 		a.wg.Add(1) // under mu, so not after Close's Wait
 		go a.replayShip(ln, buildTypeProgram(aq.schema, b.Build(), subs))
 	}
@@ -554,19 +544,16 @@ func (a *Agent) Stop(queryID uint64) {
 	a.retire(func(aq *activeQuery) bool { return aq.queryID == queryID })
 }
 
-// ActiveQueries returns the distinct ids of installed queries.
+// ActiveQueries returns the distinct ids of installed queries, in order.
 func (a *Agent) ActiveQueries() []uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	seen := make(map[uint64]bool, len(a.queries))
 	out := make([]uint64, 0, len(a.queries))
 	for key := range a.queries {
-		if !seen[key.id] {
-			seen[key.id] = true
-			out = append(out, key.id)
-		}
+		out = append(out, key.id)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // PruneExpired removes queries whose span ended before now. The server
@@ -602,12 +589,10 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 }
 
 // installLocked swaps in a snapshot that dispatches aq's events too, on
-// pred's node, and returns that node's id (-1 for no predicate). Only
-// aq's event type is re-snapshotted: pred is interned into a cut of the
-// type's live program to every subscriber it has, so node ids follow
-// install order; every other type's typeProgram, pooled dispatch contexts
-// included, is carried over as it is. A predicate that does not intern
-// spoils only the cut and is returned.
+// pred's node, whose id (-1 for none) it returns. pred is interned into a
+// cut of aq's type's program to every subscriber it has; every other
+// type's typeProgram, pooled contexts included, is carried over. A
+// predicate that does not intern spoils only the cut and is returned.
 func (a *Agent) installLocked(aq *activeQuery, pred expr.Node) (int32, error) {
 	cur := a.byType.Load()
 	name := aq.schema.Name()
@@ -633,26 +618,18 @@ func (a *Agent) installLocked(aq *activeQuery, pred expr.Node) (int32, error) {
 	return s.pred, nil
 }
 
-// rebuildLocked swaps in a snapshot without the queries that left:
-// removal (Stop, span expiry) and governor shed take this path. Each
-// event type that lost one is rebuilt over a cut of its program to the
-// survivors, which compacts away the nodes only the leavers reached;
-// every other type is carried over as it is. Shed queries are excluded —
-// they stop paying per-event cost entirely — but stay in a.queries so
-// heartbeats keep announcing the BudgetShed state.
+// rebuildLocked swaps in a snapshot without the queries that left
+// (Stop, span expiry) or were shed: each type is rebuilt over a cut of its
+// program to the rest, which drops the nodes only the leavers reached. A
+// shed query stays in a.queries so heartbeats keep announcing BudgetShed.
 func (a *Agent) rebuildLocked() {
 	cur := a.byType.Load()
 	m := make(map[string]*typeProgram, len(cur.byName))
 	for name, tp := range cur.byName {
-		n := len(tp.always) + len(tp.gated)
 		subs := slices.DeleteFunc(slices.Concat(tp.always, tp.gated), func(s subscriber) bool {
 			return s.ln.aq.shed || s.ln.aq.stopped.Load()
 		})
-		switch len(subs) {
-		case 0:
-		case n:
-			m[name] = tp
-		default:
+		if len(subs) > 0 {
 			b, subs := cut(tp, subs)
 			m[name] = buildTypeProgram(tp.schema, b.Build(), subs)
 		}
@@ -779,15 +756,11 @@ func (a *Agent) putChunk(c *chunk) {
 // salvage pushes a removed query's partial chunk to the shipper so stop
 // and span expiry don't lose sampled tuples.
 func (a *Agent) salvage(aq *activeQuery) {
-	c := aq.live.take()
-	if c == nil {
-		return
-	}
-	if c.n == 0 {
+	if c := aq.live.take(); c != nil && c.n > 0 {
+		a.submit(c)
+	} else if c != nil {
 		a.putChunk(c)
-		return
 	}
-	a.submit(c)
 }
 
 // replayShip scans the record stream for a query's replay span —
@@ -800,11 +773,11 @@ func (a *Agent) salvage(aq *activeQuery) {
 //
 // Each recorded event goes through Log's dispatch, on ln, a lane of the
 // scan's own, and tp, the one-query index Start cut for it with an open
-// span (the scan's time range is the span). The lane's keep test runs at the query's base rate
-// under the query's seed, its count of matched events from 0 as the live
-// lane's did at Start, so a replay whose live rate the governor never
-// changed keeps exactly the events a query submitted before them would
-// have kept, and ships them at that rate. Replayed matches fold into the
+// span (the scan's time range is the span). The lane's keep test runs at
+// the query's base rate under the query's seed, its count of matched
+// events from 0 as the live lane's did at Start, so a replay whose live
+// rate the governor never changed keeps exactly the events a query
+// submitted before them would have kept, and ships them at that rate. Replayed matches fold into the
 // query's cumulative Mᵢ/mᵢ, so central's estimator and stream stats see
 // the same counts.
 //
@@ -880,14 +853,8 @@ func (a *Agent) shipper() {
 // partial chunk, then sends counter-only heartbeats for queries whose
 // totals moved without producing tuples.
 func (a *Agent) flushCycle() {
-	for {
-		select {
-		case c := <-a.chunks:
-			a.ship(c)
-			continue
-		default:
-		}
-		break
+	for len(a.chunks) > 0 { // the shipper is the one receiver: this cannot block
+		a.ship(<-a.chunks)
 	}
 	a.mu.Lock()
 	actives := a.shipperScratch[:0]
@@ -897,13 +864,9 @@ func (a *Agent) flushCycle() {
 	a.shipperScratch = actives
 	a.mu.Unlock()
 	for _, aq := range actives {
-		c := aq.live.take()
-		if c == nil {
-			continue
-		}
-		if c.n > 0 {
+		if c := aq.live.take(); c != nil && c.n > 0 {
 			a.ship(c)
-		} else {
+		} else if c != nil {
 			a.putChunk(c)
 		}
 	}

@@ -46,7 +46,8 @@ type projGroup struct {
 
 // typeProgram is the per-event-type entry of the immutable dispatch
 // snapshot: the type's shared query index, replaced wholesale when a
-// query of the type starts (installLocked) or leaves (rebuildLocked). Instead of running every query's predicate and
+// query of the type starts (installLocked) or any query leaves
+// (rebuildLocked). Instead of running every query's predicate and
 // projection independently, the queries' canonicalized predicates are
 // interned into one expr.Program (structurally identical predicates and
 // common subexpressions become one node each) and subscribers with
@@ -180,12 +181,11 @@ func newDispatchCtx(tp *typeProgram, width int) *dispatchCtx {
 	return dc
 }
 
-// cut copies what subs' predicates reach in tp's program into a fresh
-// builder (expr.Program.Keep) and returns subs with their predicates
-// renumbered into it, in subscriberOrder. It is the one way a type's
-// program changes: Start interns its query's predicate into a cut to
-// every subscriber, removal and shed cut to the survivors, and a replay
-// scan cuts to its query alone. tp is nil for a type no query is on.
+// cut copies what subs' predicates reach in tp's program (nil: no query
+// on the type) into a fresh builder, expr.Program.Keep, and returns subs
+// in subscriberOrder with their predicates renumbered into it. It is the
+// one way a type's program changes: Start interns into a cut to every
+// subscriber, removal and shed cut to the rest, a replay scan to its own.
 func cut(tp *typeProgram, subs []subscriber) (*expr.ProgramBuilder, []subscriber) {
 	slices.SortFunc(subs, subscriberOrder)
 	if tp == nil || tp.prog == nil {
@@ -308,10 +308,7 @@ func (a *Agent) dispatch(tp *typeProgram, ev *event.Event) {
 	if len(tp.gated) > 0 && ts >= tp.minStart {
 		for i := range tp.gated {
 			s := &tp.gated[i]
-			if ts < s.startNs {
-				continue
-			}
-			if s.endNs != 0 && ts >= s.endNs {
+			if ts < s.startNs || (s.endNs != 0 && ts >= s.endNs) {
 				continue
 			}
 			if s.pred >= 0 && !dc.ec.Bool(s.pred) {
