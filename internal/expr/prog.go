@@ -402,10 +402,14 @@ func listKind(lits []event.Value) event.Kind {
 // Build freezes the interned nodes into a Program. The builder remains
 // usable; later Interns do not affect already-built Programs.
 func (b *ProgramBuilder) Build() *Program {
-	p := b.p
-	p.nodes, p.fields, p.vals = slices.Clone(p.nodes), slices.Clone(p.fields), slices.Clone(p.vals)
-	p.lists, p.likes = slices.Clone(p.lists), slices.Clone(p.likes)
-	return &p
+	p := &b.p
+	return &Program{
+		nodes:  slices.Clone(p.nodes),
+		fields: slices.Clone(p.fields),
+		vals:   slices.Clone(p.vals),
+		lists:  slices.Clone(p.lists),
+		likes:  slices.Clone(p.likes),
+	}
 }
 
 // state is a node's register tag for the current row. Booleans carry

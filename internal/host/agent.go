@@ -486,7 +486,8 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	// The seed ties the sample to the query so re-runs are reproducible,
 	// and keyed by a host's own count to the host too, so hosts sample
 	// independently; keyed by request, every host keeps the same requests.
-	// FNV-1a over the full HostID keeps anagram host ids uncorrelated.
+	// FNV-1a over the full HostID keeps
+	// anagram host ids (h-ab vs h-ba) uncorrelated.
 	aq.seed = hq.QueryID * 1000003
 	if aq.byRequest = hq.SampleByRequest; !aq.byRequest {
 		h := fnv.New64a()
@@ -544,16 +545,19 @@ func (a *Agent) Stop(queryID uint64) {
 	a.retire(func(aq *activeQuery) bool { return aq.queryID == queryID })
 }
 
-// ActiveQueries returns the distinct ids of installed queries, in order.
+// ActiveQueries returns the distinct ids of installed queries.
 func (a *Agent) ActiveQueries() []uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	seen := make(map[uint64]bool, len(a.queries))
 	out := make([]uint64, 0, len(a.queries))
 	for key := range a.queries {
-		out = append(out, key.id)
+		if !seen[key.id] {
+			seen[key.id] = true
+			out = append(out, key.id)
+		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return out
 }
 
 // PruneExpired removes queries whose span ended before now. The server
@@ -756,11 +760,15 @@ func (a *Agent) putChunk(c *chunk) {
 // salvage pushes a removed query's partial chunk to the shipper so stop
 // and span expiry don't lose sampled tuples.
 func (a *Agent) salvage(aq *activeQuery) {
-	if c := aq.live.take(); c != nil && c.n > 0 {
-		a.submit(c)
-	} else if c != nil {
-		a.putChunk(c)
+	c := aq.live.take()
+	if c == nil {
+		return
 	}
+	if c.n == 0 {
+		a.putChunk(c)
+		return
+	}
+	a.submit(c)
 }
 
 // replayShip scans the record stream for a query's replay span —
@@ -853,8 +861,14 @@ func (a *Agent) shipper() {
 // partial chunk, then sends counter-only heartbeats for queries whose
 // totals moved without producing tuples.
 func (a *Agent) flushCycle() {
-	for len(a.chunks) > 0 { // the shipper is the one receiver: this cannot block
-		a.ship(<-a.chunks)
+	for {
+		select {
+		case c := <-a.chunks:
+			a.ship(c)
+			continue
+		default:
+		}
+		break
 	}
 	a.mu.Lock()
 	actives := a.shipperScratch[:0]
@@ -864,9 +878,13 @@ func (a *Agent) flushCycle() {
 	a.shipperScratch = actives
 	a.mu.Unlock()
 	for _, aq := range actives {
-		if c := aq.live.take(); c != nil && c.n > 0 {
+		c := aq.live.take()
+		if c == nil {
+			continue
+		}
+		if c.n > 0 {
 			a.ship(c)
-		} else if c != nil {
+		} else {
 			a.putChunk(c)
 		}
 	}

@@ -308,7 +308,10 @@ func (a *Agent) dispatch(tp *typeProgram, ev *event.Event) {
 	if len(tp.gated) > 0 && ts >= tp.minStart {
 		for i := range tp.gated {
 			s := &tp.gated[i]
-			if ts < s.startNs || (s.endNs != 0 && ts >= s.endNs) {
+			if ts < s.startNs {
+				continue
+			}
+			if s.endNs != 0 && ts >= s.endNs {
 				continue
 			}
 			if s.pred >= 0 && !dc.ec.Bool(s.pred) {

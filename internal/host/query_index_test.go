@@ -495,6 +495,7 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 				}
 			case op < 8:
 				if ids := a.ActiveQueries(); len(ids) > 0 {
+					slices.Sort(ids) // map order: sorted, the seed picks the same query every run
 					a.Stop(ids[rng.Intn(len(ids))])
 				}
 			case op < 9:
