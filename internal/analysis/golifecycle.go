@@ -17,8 +17,9 @@ import (
 //   - a channel stop path: a receive (<-ch, select with a receive case,
 //     range over a channel), through which a close/ctx-done can end it;
 //   - an event loop: an unconditional `for` whose body can exit via
-//     return or break — the connection-serve shape, which ends when its
-//     runtime source (conn, queue) is closed.
+//     return, break, or a labeled branch to a label outside it — the
+//     connection-serve shape, which ends when its runtime source (conn,
+//     queue) is closed.
 //
 // An unconditional `for` with no reachable exit is flagged regardless
 // of other evidence, and so is a go statement whose target cannot be

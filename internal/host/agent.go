@@ -785,9 +785,9 @@ func (a *Agent) salvage(aq *activeQuery) {
 // the query's base rate under the query's seed, its count of matched
 // events from 0 as the live lane's did at Start, so a replay whose live
 // rate the governor never changed keeps exactly the events a query
-// submitted before them would have kept, and ships them at that rate. Replayed matches fold into the
-// query's cumulative Mᵢ/mᵢ, so central's estimator and stream stats see
-// the same counts.
+// submitted before them would have kept, and ships them at that rate.
+// Replayed matches fold into the query's cumulative Mᵢ/mᵢ, so central's
+// estimator and stream stats see the same counts.
 //
 // Replay shipping inherits every impact bound live shipping has: chunks
 // go through the same bounded queue (a backlog drops them, counted as
