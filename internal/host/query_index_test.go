@@ -461,6 +461,7 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { rs.Close() })
 		sink := &collectSink{}
 		a := newAgent(t, sink, func(c *Config) { c.FlushInterval, c.QueueSize, c.Record = time.Hour, 1<<16, rs })
 		for _, ev := range evs {
@@ -517,8 +518,6 @@ func TestSeededInstallMatchesRebuild(t *testing.T) {
 			checkAgainstFresh(t, a, trees, evs, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 		checkReplays(t, a, sink, trees, replaying, evs)
-		a.Close()
-		rs.Close()
 	}
 }
 

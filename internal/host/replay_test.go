@@ -201,8 +201,8 @@ func TestReplayMetricsCharged(t *testing.T) {
 }
 
 func TestReplayIndexSelectsOwnQuery(t *testing.T) {
-	// A replay scan's one-query index is compiled on its own, not carved
-	// out of the live program: with every decoy predicate live beside it,
+	// A replay scan's one-query index is a cut of the live program to its
+	// own query's root: with every decoy predicate live beside it,
 	// and its own predicate built from two of their subtrees, the scan
 	// must ship exactly the recorded events its predicate selects.
 	sink := &collectSink{}
