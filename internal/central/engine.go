@@ -266,7 +266,9 @@ func (qs *queryState) admit() bool {
 //
 // A pair weighs the larger of its two tuples' weights: hosts sample a join
 // by request id, and the lighter side keeps every request the heavier one
-// keeps (sampling.Keep).
+// keeps (sampling.Keep). A run of a side whose time the plan does not read
+// keeps its weight alone (compiled.span 0), and the partner's time is then
+// the window's start, which nothing reads.
 //
 //scrub:hotpath
 func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) {
@@ -285,7 +287,7 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		return
 	}
 	vals := qs.probe[:len(qs.plan.Columns[other])]
-	span := uint64(qs.plan.Window)
+	span := qs.comp.span[other]
 	for i := len(found) - 1; i >= 0; i-- {
 		run, _ := ws.arena.Linked(found[i])
 		tag, n := binary.Uvarint(run[8:])
@@ -295,7 +297,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 			unpackValues(vals, run[8+n:], true)
 		}
 		dt, pw := tag>>1, w
-		if dt >= span {
+		if span == 0 {
+			dt, pw = 0, max(w, dt+1)
+		} else if dt >= span {
 			pw = max(w, dt/span+1)
 			dt %= span
 		}
@@ -308,8 +312,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 
 // buffer keeps a join tuple of weight w for the other side's later
 // arrivals as one arena run, threaded on its side's chain (winState.arena
-// has the layout). It reports false when the window is at maxJoinPending
-// (or the arena at the end of its address space).
+// has the layout): its event time only when the plan reads it. It reports
+// false when the window is at maxJoinPending (or the arena at the end of
+// its address space).
 //
 //scrub:hotpath
 func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) bool {
@@ -322,7 +327,11 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	// the arena.
 	buf := appendHeader(qs.packBuf[:0], slab.LinkSize) // the index writes the link
 	buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
-	buf = binary.AppendUvarint(buf, ((w-1)*uint64(qs.plan.Window)+uint64(t.TsNanos-ws.start))<<1|side)
+	tag := w - 1
+	if span := qs.comp.span[side]; span > 0 {
+		tag = tag*span + uint64(t.TsNanos-ws.start)
+	}
+	buf = binary.AppendUvarint(buf, tag<<1|side)
 	buf = packValues(buf, t.Values, len(qs.plan.Columns[side]))
 	qs.packBuf = buf
 	at, ok := ws.arena.Append(buf)

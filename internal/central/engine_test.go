@@ -400,29 +400,140 @@ func TestBoundsAreHorvitzThompson(t *testing.T) {
 
 // TestJoinPairWeighsItsHeavierTuple: a pair is kept when both its tuples
 // are, and the lighter one's keep test nests inside the heavier one's, so
-// the pair counts for the larger weight whichever side arrives first.
+// the pair counts for the larger weight whichever side arrives first and
+// whichever is heavier — whether or not the buffered run keeps its event
+// time (a plan that reads no ts keeps the weight alone), and after the
+// join index has grown (n requests, past its 16 buckets).
 func TestJoinPairWeighsItsHeavierTuple(t *testing.T) {
-	side := func(typeIdx uint8, rate float64, vals ...event.Value) transport.TupleBatch {
-		return transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: typeIdx, EffRate: rate,
-			Tuples: []transport.Tuple{tup(7, sec(1), vals...)}}
+	side := func(typeIdx uint8, rate float64, n int) transport.TupleBatch {
+		b := transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: typeIdx, EffRate: rate}
+		for i := range n {
+			tu := tup(uint64(7+i), sec(1))
+			if typeIdx == 1 {
+				tu = tup(uint64(7+i), sec(2), event.Int(5))
+			}
+			b.Tuples = append(b.Tuples, tu)
+		}
+		return b
+	}
+	for _, q := range []struct{ name, where string }{
+		{"time dropped", ""},
+		{"time kept", "where exclusion.ts >= bid.ts"},
+	} {
+		for _, n := range []int{1, 40} {
+			for _, tc := range []struct {
+				name          string
+				first, second transport.TupleBatch
+			}{
+				{"heavy bid buffered", side(0, 0.25, n), side(1, 1, n)},
+				{"heavy exclusion completes", side(0, 1, n), side(1, 0.25, n)},
+				{"heavy exclusion buffered", side(1, 0.25, n), side(0, 1, n)},
+				{"heavy bid completes", side(1, 1, n), side(0, 0.25, n)},
+			} {
+				e := NewEngine()
+				c := &collector{}
+				src := `select count(*) from bid, exclusion ` + q.where + ` window 10s`
+				if err := e.StartQuery(buildPlan(t, src, 1, 1, 1), c.emit); err != nil {
+					t.Fatal(err)
+				}
+				if kept := e.queries[1].comp.span != [2]uint64{}; kept != (q.where != "") {
+					t.Fatalf("%s: the plan keeps time %v", q.name, kept)
+				}
+				e.HandleBatch(tc.first)
+				e.HandleBatch(tc.second)
+				e.Tick(sec(30))
+				want := fmt.Sprint(4 * n)
+				if w := c.all(); len(w) != 1 || w[0].Rows[0][0].String() != want || !w[0].Approx {
+					t.Errorf("%s, %d requests, %s: windows %+v, want count(*) = %s, approximate", q.name, n, tc.name, w, want)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinKeepsTimeThePlanReads: a buffered tuple of a side whose ts the
+// plan reads gives it back to the nanosecond, whichever side arrives
+// first, through the join index's growths, the last of which rethreads a
+// window holding one side's runs with their times and, where the plan
+// reads only bid's, the other's without.
+func TestJoinKeepsTimeThePlanReads(t *testing.T) {
+	const n = 20 // per side: the 33rd run grows the index with both sides buffered
+	bidTs := func(i int) int64 { return sec(21) + int64(i)*7919 + 13 }
+	reason := func(i int) string { return fmt.Sprintf("r%d", i%3) }
+	// Every other exclusion comes a nanosecond before its bid.
+	exclTs := func(i int) int64 { return bidTs(i) - int64(i%2) }
+	batch := func(typeIdx uint8) transport.TupleBatch {
+		b := transport.TupleBatch{QueryID: 1, HostID: "h", TypeIdx: typeIdx}
+		for i := range n {
+			tu := tup(uint64(100+i), bidTs(i))
+			if typeIdx == 1 {
+				tu = tup(uint64(100+i), exclTs(i), event.Str(reason(i)))
+			}
+			b.Tuples = append(b.Tuples, tu)
+		}
+		return b
+	}
+	raw := map[string]bool{}
+	maxTs := map[string]int64{}
+	for i := range n {
+		raw[event.TimeNanos(bidTs(i)).String()+" "+reason(i)] = true
+		maxTs[reason(i)] = max(maxTs[reason(i)], bidTs(i))
 	}
 	for _, tc := range []struct {
-		name          string
-		first, second transport.TupleBatch
+		src   string
+		timed [2]bool
+		check func([][]event.Value) error
 	}{
-		{"heavier buffered", side(0, 0.25), side(1, 1, event.Str("budget"))},
-		{"heavier completes", side(0, 1), side(1, 0.25, event.Str("budget"))},
+		{`select bid.ts, exclusion.reason from bid, exclusion window 10s`, [2]bool{true, false},
+			func(rows [][]event.Value) error {
+				got := map[string]bool{}
+				for _, r := range rows {
+					got[r[0].String()+" "+r[1].String()] = true
+				}
+				if len(rows) != n || fmt.Sprint(got) != fmt.Sprint(raw) {
+					return fmt.Errorf("rows %v, want %v", got, raw)
+				}
+				return nil
+			}},
+		{`select exclusion.reason, max(bid.ts) from bid, exclusion group by exclusion.reason window 10s`, [2]bool{true, false},
+			func(rows [][]event.Value) error {
+				for _, r := range rows {
+					if !r[1].Equal(event.TimeNanos(maxTs[r[0].String()])) {
+						return fmt.Errorf("max(bid.ts) of %v = %v, want %v", r[0], r[1], event.TimeNanos(maxTs[r[0].String()]))
+					}
+				}
+				if len(rows) != len(maxTs) {
+					return fmt.Errorf("%d groups, want %d", len(rows), len(maxTs))
+				}
+				return nil
+			}},
+		{`select count(*) from bid, exclusion where exclusion.ts >= bid.ts window 10s`, [2]bool{true, true},
+			func(rows [][]event.Value) error {
+				if got := rows[0][0].String(); got != fmt.Sprint(n/2) {
+					return fmt.Errorf("count(*) = %s, want %d", got, n/2)
+				}
+				return nil
+			}},
 	} {
-		e := NewEngine()
-		c := &collector{}
-		if err := e.StartQuery(buildPlan(t, `select count(*) from bid, exclusion window 10s`, 1, 1, 1), c.emit); err != nil {
-			t.Fatal(err)
-		}
-		e.HandleBatch(tc.first)
-		e.HandleBatch(tc.second)
-		e.Tick(sec(30))
-		if w := c.all(); len(w) != 1 || w[0].Rows[0][0].String() != "4" {
-			t.Errorf("%s: windows %+v, want count(*) = 4", tc.name, w)
+		for _, first := range []uint8{0, 1} {
+			e := NewEngine()
+			c := &collector{}
+			if err := e.StartQuery(buildPlan(t, tc.src, 1, 1, 1), c.emit); err != nil {
+				t.Fatal(err)
+			}
+			if span := e.queries[1].comp.span; (span[0] != 0) != tc.timed[0] || (span[1] != 0) != tc.timed[1] {
+				t.Fatalf("%s: spans %v, want time kept on %v", tc.src, span, tc.timed)
+			}
+			e.HandleBatch(batch(first))
+			e.HandleBatch(batch(1 - first))
+			e.Tick(sec(60))
+			w := c.all()
+			if len(w) != 1 {
+				t.Fatalf("%s, side %d first: %d windows", tc.src, first, len(w))
+			}
+			if err := tc.check(w[0].Rows); err != nil {
+				t.Errorf("%s, side %d first: %v", tc.src, first, err)
+			}
 		}
 	}
 }

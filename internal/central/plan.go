@@ -197,6 +197,9 @@ type compiled struct {
 	// directAgg[i] >= 0 when select column i is exactly AggRef #n —
 	// those columns carry estimator error bounds.
 	directAgg []int
+	// span[side] is the window length when bind reads that side's event
+	// time, else 0: what a buffered join run keeps of it (Engine.buffer).
+	span [2]uint64
 }
 
 func compile(p *Plan) (*compiled, error) {
@@ -232,6 +235,11 @@ func compile(p *Plan) (*compiled, error) {
 	c.prog = b.Build()
 	c.bind = c.prog.BindTuples(p.Types, p.Columns)
 	c.keys = c.prog.BindKeys(p.GroupBy)
+	for side := range p.Types {
+		if c.bind.ReadsTime(side) {
+			c.span[side] = uint64(p.Window)
+		}
+	}
 	return c, nil
 }
 

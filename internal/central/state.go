@@ -44,14 +44,17 @@ type winState struct {
 	lastMoments []moment
 
 	// Join-pending state: arena holds one run per buffered tuple —
-	// [link] [request id, 8 bytes] [((w − 1)·window + event time − start)
-	// <<1 | side, uvarint] [the side's projected columns, packed] —
-	// threaded by join on hashID(id)<<1 | side: a request's two sides
-	// have neighbouring buckets, in one cache line, and a chain holds one
-	// side's runs only. The tuple's weight w sits above its event time,
-	// which lies inside the window, so weight 1 costs no byte. The run is
-	// the whole hash-table entry: a probe walks the other side's chain and
-	// keeps the runs whose id is its own. start is the window's start.
+	// [link] [request id, 8 bytes] [tag<<1 | side, uvarint] [the side's
+	// projected columns, packed] — threaded by join on hashID(id)<<1 |
+	// side: a request's two sides have neighbouring buckets, in one cache
+	// line, and a chain holds one side's runs only. The tag is (w − 1)·
+	// span + event time − start, span being the side's compiled.span:
+	// the window length when the plan reads that side's ts, so the
+	// tuple's weight w sits above its event time, which lies inside the
+	// window, and weight 1 costs no byte; 0 when it does not, so the tag
+	// is w − 1 and the time is not kept (one byte for any weight). The run
+	// is the whole hash-table entry: a probe walks the other side's chain
+	// and keeps the runs whose id is its own. start is the window's start.
 	arena slab.Arena
 	join  slab.Index
 	start int64

@@ -489,6 +489,12 @@ func (p *Program) BindTuples(types []string, columns [][]string) *Binding {
 	return b
 }
 
+// ReadsTime reports whether the program reads side's event time through
+// b: whether any field reference is bound to that side's ts.
+func (b *Binding) ReadsTime(side int) bool {
+	return slices.Contains(b.slots, tupleSlot{side: int32(side), col: slotTimestamp})
+}
+
 // BindKeys binds the program's field references to a one-sided row whose
 // Values are the values of keys, in order, as a closed window's group
 // keys are: a reference reads the first key of its name and of the type
