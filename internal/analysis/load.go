@@ -11,7 +11,7 @@
 //   - poolsafe: pooled chunk/batch memory must not be retained past the
 //     owning scope without a deep copy (the Sink contract).
 //   - metricname: every obs series uses a literal, unique
-//     scrub_{host,transport,central,coord}_* name with consistent unit
+//     scrub_{host,transport,central,coord,server}_* name with consistent unit
 //     suffixes.
 //   - lockorder: no lock-order cycle among the tree's mutexes, and no
 //     path that leaks, re-takes or over-releases a lock.

@@ -15,7 +15,7 @@ import (
 //   - every registration call (Counter/Gauge/Histogram and the
 //     Register* variants on an obs Registry) takes a string literal —
 //     computed names defeat grep and this analyzer both;
-//   - names match scrub_{host,transport,central,coord}_[a-z0-9_]*;
+//   - names match scrub_{host,transport,central,coord,server}_[a-z0-9_]*;
 //   - the component segment matches the registering package
 //     (internal/host registers scrub_host_*, and so on);
 //   - unit suffixes are consistent: counters end in _total, histograms
@@ -30,7 +30,7 @@ var MetricNameAnalyzer = &Analyzer{
 }
 
 var (
-	metricNameRe = regexp.MustCompile(`^scrub_(host|transport|central|coord)_[a-z][a-z0-9_]*$`)
+	metricNameRe = regexp.MustCompile(`^scrub_(host|transport|central|coord|server)_[a-z][a-z0-9_]*$`)
 	histSuffixes = []string{"_ns", "_bytes", "_seconds", "_ratio", "_ns_total", "_bytes_total"}
 )
 
@@ -125,14 +125,14 @@ func checkMetricName(pass *Pass, u *Package, name, kind string, pos token.Pos) {
 	m := metricNameRe.FindStringSubmatch(name)
 	if m == nil {
 		pass.Reportf("metricname", pos,
-			"metric %q does not match scrub_{host|transport|central|coord}_[a-z0-9_]*", name)
+			"metric %q does not match scrub_{host|transport|central|coord|server}_[a-z0-9_]*", name)
 		return
 	}
 	component := m[1]
 	// internal/host registers scrub_host_*, etc. Packages outside the
-	// four components (cmd/, tests) may register any component's series.
+	// five components (cmd/, tests) may register any component's series.
 	pkgPath := strings.TrimSuffix(u.Path, "_test")
-	for _, c := range []string{"host", "transport", "central", "coord"} {
+	for _, c := range []string{"host", "transport", "central", "coord", "server"} {
 		if strings.HasSuffix(pkgPath, "internal/"+c) && component != c {
 			pass.Reportf("metricname", pos,
 				"metric %q registered from %s should use the scrub_%s_ prefix", name, pkgPath, c)

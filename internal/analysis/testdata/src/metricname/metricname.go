@@ -17,6 +17,8 @@ func register(r *Registry, dynamic string) {
 	r.Gauge("scrub_transport_conns", "ok")
 	r.Counter("scrub_coord_merges_total", "ok")
 	r.Gauge("scrub_coord_shards", "ok")
+	r.Counter("scrub_server_slow_client_closes_total", "ok")
+	r.Counter("scrub_server_closes", "x") // want `must end in _total`
 	r.Histogram("scrub_central_merge_ns", nil)
 	r.Histogram("scrub_central_merge", nil) // want `must carry a unit suffix`
 	r.Counter(dynamic, "x")                 // want `must be a string literal`

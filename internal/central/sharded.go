@@ -11,7 +11,11 @@ import (
 )
 
 // EmitFunc receives each closed window's results. It is called with the
-// merger's lock held; implementations must be fast (enqueue and return).
+// merger's lock held, so it must enqueue and return: a blocked emit stops
+// every query's ingest and tick. The window is the callee's: nothing of
+// it is touched after the call. The query server's TCP hub keeps the
+// contract by construction (one bounded outbox and one writer per client
+// connection, which is closed when the outbox fills).
 type EmitFunc func(transport.ResultWindow)
 
 // Options tunes an executor's failure-domain behavior. The zero value is

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"scrub/internal/central"
 	"scrub/internal/cluster"
@@ -161,10 +162,15 @@ type Stream struct {
 	Info    server.QueryInfo
 	Windows <-chan transport.ResultWindow
 
-	mu    sync.Mutex
-	stats transport.QueryStats
-	done  chan struct{}
+	mu      sync.Mutex
+	stats   transport.QueryStats
+	done    chan struct{}
+	dropped atomic.Uint64
 }
+
+// Dropped reports how many windows never reached Windows because its
+// buffer was full; the query's stats count them all the same.
+func (s *Stream) Dropped() uint64 { return s.dropped.Load() }
 
 // Final blocks until the query ends and returns its statistics.
 func (s *Stream) Final() transport.QueryStats {
@@ -184,6 +190,7 @@ func (lc *LocalCluster) Query(text string) (*Stream, error) {
 			select {
 			case wins <- rw:
 			default: // a stalled consumer loses windows, never blocks Scrub
+				st.dropped.Add(1)
 			}
 		},
 		Done: func(d transport.QueryDone) {

@@ -421,3 +421,41 @@ func TestNetClusterCancel(t *testing.T) {
 		t.Fatal("cancel did not end the stream")
 	}
 }
+
+// TestStreamCountsDroppedWindows: a consumer that reads nothing until the
+// query ends loses the windows past Windows' buffer, and Stream.Dropped
+// says how many — what it received plus what it lost is what the query's
+// stats count.
+func TestStreamCountsDroppedWindows(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
+	agent := fastAgent()
+	agent.Clock = func() time.Time { return epoch }
+	lc, err := NewLocalCluster(LocalConfig{Catalog: testCatalog(), Hosts: hostSpecs(1, "BidServers"), Agent: agent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	st, err := lc.Query(`select count(*) from bid window 1s duration 1h`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := lc.Agents()[0]
+	const secs = 1100 // windows: more than the 1 024 Windows buffers
+	for sec := 0; sec < secs; sec++ {
+		logBid(t, a, uint64(sec+1), 1, 1, epoch.Add(time.Duration(sec)*time.Second))
+	}
+	lc.FlushAgents()
+	lc.FlushAgents()
+	if err := lc.Cancel(st.Info.ID); err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	for range st.Windows {
+		got++
+	}
+	stats := st.Final()
+	if stats.Windows < secs || st.Dropped() == 0 || got+st.Dropped() != stats.Windows {
+		t.Errorf("received %d windows and dropped %d, stats count %d (want ≥ %d, some dropped, and the two summing to the stats)",
+			got, st.Dropped(), stats.Windows, secs)
+	}
+}

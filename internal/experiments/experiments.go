@@ -211,8 +211,6 @@ func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidReq
 	lc.FlushAgents()
 	out := make([][]transport.ResultWindow, len(queries))
 	for i, stream := range streams {
-		// A stream buffers 1 024 windows, more than any case study emits; a
-		// window it dropped would show as the arms' extra one.
 		if err := lc.Cancel(stream.Info.ID); err != nil {
 			return nil, 0, err
 		}
@@ -220,6 +218,9 @@ func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidReq
 			out[i] = append(out[i], rw)
 		}
 		st := stream.Final()
+		if n := stream.Dropped(); n != 0 {
+			return nil, 0, fmt.Errorf("experiments: %q lost %d windows to a full stream buffer", queries[i], n)
+		}
 		if st.LateDrops != 0 || st.HostDrops != 0 || st.DegradedWindows != 0 {
 			return nil, 0, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",
 				queries[i], st.LateDrops, st.HostDrops, st.DegradedWindows)

@@ -78,7 +78,7 @@ func (c *Client) Query(text string) (*QueryStream, error) {
 	case transport.QueryError:
 		return fail(fmt.Errorf("server: query rejected: %s", m.Msg))
 	default:
-		return fail(fmt.Errorf("server: unexpected response %s", transport.Name(first)))
+		return fail(unexpected(first))
 	}
 }
 
@@ -138,6 +138,30 @@ func (qs *QueryStream) Cancel() error {
 // List fetches the server's active-query summaries. Not usable while a
 // query stream is open on this client (one conversation at a time).
 func (c *Client) List() ([]transport.QuerySummary, error) {
+	msg, err := c.request(transport.ListQueries{})
+	l, ok := msg.(transport.QueryList)
+	if err == nil && !ok {
+		err = unexpected(msg)
+	}
+	return l.Queries, err
+}
+
+// ShardStatus fetches the server's shard-fabric view: membership epoch,
+// merge counters, and one row per shard process. A single-process
+// deployment answers with an empty list (Epoch 0). Not usable while a
+// query stream is open on this client.
+func (c *Client) ShardStatus() (transport.ShardStatusList, error) {
+	msg, err := c.request(transport.ShardStatusReq{})
+	sl, ok := msg.(transport.ShardStatusList)
+	if err == nil && !ok {
+		err = unexpected(msg)
+	}
+	return sl, err
+}
+
+// request sends req and returns the one reply, unless a query stream
+// holds the connection.
+func (c *Client) request(req transport.Message) (transport.Message, error) {
 	c.mu.Lock()
 	if c.busy {
 		c.mu.Unlock()
@@ -150,49 +174,14 @@ func (c *Client) List() ([]transport.QuerySummary, error) {
 		c.busy = false
 		c.mu.Unlock()
 	}()
-	if err := c.conn.Send(transport.ListQueries{}); err != nil {
+	if err := c.conn.Send(req); err != nil {
 		return nil, err
 	}
-	msg, err := c.conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	ql, ok := msg.(transport.QueryList)
-	if !ok {
-		return nil, fmt.Errorf("server: unexpected response %s", transport.Name(msg))
-	}
-	return ql.Queries, nil
+	return c.conn.Recv()
 }
 
-// ShardStatus fetches the server's shard-fabric view: membership epoch,
-// merge counters, and one row per shard process. A single-process
-// deployment answers with an empty list (Epoch 0). Not usable while a
-// query stream is open on this client.
-func (c *Client) ShardStatus() (transport.ShardStatusList, error) {
-	c.mu.Lock()
-	if c.busy {
-		c.mu.Unlock()
-		return transport.ShardStatusList{}, fmt.Errorf("server: client has a running query")
-	}
-	c.busy = true
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.busy = false
-		c.mu.Unlock()
-	}()
-	if err := c.conn.Send(transport.ShardStatusReq{}); err != nil {
-		return transport.ShardStatusList{}, err
-	}
-	msg, err := c.conn.Recv()
-	if err != nil {
-		return transport.ShardStatusList{}, err
-	}
-	sl, ok := msg.(transport.ShardStatusList)
-	if !ok {
-		return transport.ShardStatusList{}, fmt.Errorf("server: unexpected response %s", transport.Name(msg))
-	}
-	return sl, nil
+func unexpected(msg transport.Message) error {
+	return fmt.Errorf("server: unexpected response %s", transport.Name(msg))
 }
 
 // Close drops the connection; any running query is torn down server-side.

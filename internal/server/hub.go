@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 
 	"scrub/internal/cluster"
 	"scrub/internal/obs"
@@ -26,10 +27,16 @@ type Hub struct {
 	mu    sync.Mutex
 	srv   *Server
 	hosts map[string]*transport.Conn
+	// conns holds every accepted connection until its handler returns;
+	// Close closes them all. closing refuses any accepted after that.
+	conns   map[*transport.Conn]struct{}
+	closing bool
 
 	// dataMet aggregates wire accounting across every accepted data
 	// connection; nil without SetMetrics.
 	dataMet *transport.ConnMetrics
+	// slowCloses counts client connections cut off for a full outbox.
+	slowCloses obs.Counter
 
 	clientL  *transport.Listener
 	controlL *transport.Listener
@@ -45,6 +52,7 @@ func NewHub(registry *cluster.Registry, clientAddr, controlAddr, dataAddr string
 	h := &Hub{
 		registry: registry,
 		hosts:    make(map[string]*transport.Conn),
+		conns:    make(map[*transport.Conn]struct{}),
 		logf:     log.Printf,
 	}
 	var err error
@@ -70,13 +78,15 @@ func (h *Hub) SetServer(s *Server) {
 	h.srv = s
 }
 
-// SetMetrics registers the hub's transport series with reg; call before
-// Serve. All accepted data connections share one aggregate series set.
+// SetMetrics registers the hub's series with reg; call before Serve. All
+// accepted data connections share one aggregate transport series set.
 func (h *Hub) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	h.dataMet = transport.NewConnMetrics(reg, obs.L("conn", "data"))
+	reg.RegisterCounter("scrub_server_slow_client_closes_total",
+		"client connections closed because the client let its 1024-message outbox fill", &h.slowCloses)
 }
 
 // SetLogf replaces the hub's logger (tests silence it).
@@ -118,10 +128,23 @@ func (h *Hub) acceptLoop(l *transport.Listener, handle func(*transport.Conn)) {
 			if err != nil {
 				return // listener closed
 			}
+			h.mu.Lock()
+			if h.closing {
+				h.mu.Unlock()
+				conn.Close()
+				continue
+			}
+			h.conns[conn] = struct{}{}
+			h.mu.Unlock()
 			h.wg.Add(1)
 			go func() {
 				defer h.wg.Done()
-				defer conn.Close()
+				defer func() {
+					conn.Close()
+					h.mu.Lock()
+					delete(h.conns, conn)
+					h.mu.Unlock()
+				}()
 				handle(conn)
 			}()
 		}
@@ -235,15 +258,76 @@ func (h *Hub) BroadcastShardMap(m transport.ShardMap) {
 	}
 }
 
+// clientOutbox bounds how far one client may fall behind: the messages
+// its writer has not yet handed to the kernel, whose socket buffers hold
+// megabytes more. A client that lets it fill is cut off (DESIGN §4). It
+// is sized for bursts, since a merger flush emits every window that
+// closes at once — all open windows at Stop, a replay's whole span when
+// its hold releases — faster than a healthy reader's writer drains them.
+const clientOutbox = 1024
+
+// clientConn is a client connection's one writer. Every message bound for
+// the client — windows, QueryDone, replies — is queued on out and written
+// in order by write, so queuing never waits: the merger's emit under its
+// lock is an enqueue, and the encode happens here.
+type clientConn struct {
+	conn   *transport.Conn
+	out    chan transport.Message
+	closed atomic.Bool
+	cuts   *obs.Counter
+}
+
+// send queues m without blocking. A full outbox closes the connection,
+// counted once; the session's reader sees the close and cancels the
+// client's queries.
+func (c *clientConn) send(m transport.Message) {
+	select {
+	case c.out <- m:
+	default:
+		if c.closed.CompareAndSwap(false, true) {
+			c.conn.Close()
+			c.cuts.Inc()
+		}
+	}
+}
+
+// write sends queued messages until stop closes or a write fails, which
+// closes the connection uncounted: the peer is gone, or a frame was over
+// transport.MaxFrame.
+func (c *clientConn) write(stop <-chan struct{}) {
+	for {
+		select {
+		case m := <-c.out:
+			if err := c.conn.Send(m); err != nil {
+				c.closed.Store(true)
+				c.conn.Close()
+				return
+			}
+		case <-stop:
+			return
+		}
+	}
+}
+
 // handleClient serves one troubleshooter session: queries multiplex over
-// the connection by query id.
+// the connection by query id, and all it is sent goes through clientConn.
 func (h *Hub) handleClient(conn *transport.Conn) {
 	h.mu.Lock()
 	srv := h.srv
 	h.mu.Unlock()
+	c := &clientConn{conn: conn, out: make(chan transport.Message, clientOutbox), cuts: &h.slowCloses}
+	stop := make(chan struct{})
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		c.write(stop)
+	}()
+	defer close(stop)
 	var mine sync.Map // query ids owned by this connection
 	defer func() {
-		// Tear down this client's queries when it disconnects.
+		// Tear down this client's queries when it disconnects; an outbox
+		// their QueryDone overflows now is no slow reader's.
+		c.closed.Store(true)
 		mine.Range(func(k, _ any) bool {
 			_ = srv.Cancel(k.(uint64))
 			return true
@@ -257,19 +341,19 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 		switch m := msg.(type) {
 		case transport.SubmitQuery:
 			cb := Callbacks{
-				Window: func(rw transport.ResultWindow) { _ = conn.Send(rw) },
+				Window: func(rw transport.ResultWindow) { c.send(rw) },
 				Done: func(d transport.QueryDone) {
 					mine.Delete(d.QueryID)
-					_ = conn.Send(d)
+					c.send(d)
 				},
 			}
 			info, err := srv.Submit(m.Text, cb)
 			if err != nil {
-				_ = conn.Send(transport.QueryError{Msg: err.Error()})
+				c.send(transport.QueryError{Msg: err.Error()})
 				continue
 			}
 			mine.Store(info.ID, true)
-			_ = conn.Send(transport.QueryAccepted{
+			c.send(transport.QueryAccepted{
 				QueryID:      info.ID,
 				Columns:      info.Columns,
 				NumHosts:     uint32(info.NumHosts),
@@ -278,26 +362,28 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 			})
 		case transport.CancelQuery:
 			if err := srv.Cancel(m.QueryID); err != nil {
-				_ = conn.Send(transport.QueryError{QueryID: m.QueryID, Msg: err.Error()})
+				c.send(transport.QueryError{QueryID: m.QueryID, Msg: err.Error()})
 			}
 		case transport.ListQueries:
-			_ = conn.Send(transport.QueryList{Queries: srv.List()})
+			c.send(transport.QueryList{Queries: srv.List()})
 		case transport.ShardStatusReq:
-			_ = conn.Send(srv.ShardStatus())
+			c.send(srv.ShardStatus())
 		default:
-			_ = conn.Send(transport.QueryError{Msg: "unexpected message " + transport.Name(msg)})
+			c.send(transport.QueryError{Msg: "unexpected message " + transport.Name(msg)})
 		}
 	}
 }
 
-// Close shuts the listeners and all sessions down.
+// Close shuts the listeners and every accepted connection, then waits for
+// their handlers.
 func (h *Hub) Close() {
 	h.closed.Do(func() {
 		h.clientL.Close()
 		h.controlL.Close()
 		h.dataL.Close()
 		h.mu.Lock()
-		for _, c := range h.hosts {
+		h.closing = true
+		for c := range h.conns {
 			c.Close()
 		}
 		h.mu.Unlock()

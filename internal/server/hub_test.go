@@ -1,13 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"scrub/internal/central"
 	"scrub/internal/cluster"
 	"scrub/internal/event"
 	"scrub/internal/ql"
@@ -17,30 +17,7 @@ import (
 // newTestHub assembles a hub + server on ephemeral ports.
 func newTestHub(t *testing.T) (*Hub, *Server, *cluster.Registry) {
 	t.Helper()
-	registry := cluster.NewRegistry()
-	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub.SetLogf(func(string, ...any) {})
-	srv, err := New(Config{
-		Catalog:      testCatalog(),
-		Registry:     registry,
-		Engine:       central.NewEngine(),
-		Dispatcher:   hub,
-		TickInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		hub.Close()
-		t.Fatal(err)
-	}
-	hub.SetServer(srv)
-	hub.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		hub.Close()
-	})
-	return hub, srv, registry
+	return newMeteredTestHub(t, testCatalog(), nil)
 }
 
 func dialT(t *testing.T, addr string) *transport.Conn {
@@ -413,4 +390,83 @@ func TestResyncHostOnlyTargetedQueries(t *testing.T) {
 		t.Errorf("resync after cancel = %d", n)
 	}
 	_ = disp
+}
+
+// TestHubCloseClosesConnections: Close returns promptly with a client and
+// a data connection still open, and both see their connection closed.
+func TestHubCloseClosesConnections(t *testing.T) {
+	hub, _, _ := newTestHub(t)
+	client := dialT(t, hub.ClientAddr())
+	if err := client.Send(transport.ListQueries{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	data := dialT(t, hub.DataAddr())
+	if err := data.Send(transport.DataHello{HostID: "h1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := data.Send(transport.BatchManifest{Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := data.Recv(); err != nil { // the ack: the data handler is running
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		hub.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Hub.Close did not return within 1 s with a client and a data connection open")
+	}
+	for name, c := range map[string]*transport.Conn{"client": client, "data": data} {
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := c.Recv(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s connection after Close: Recv = %v, want it closed", name, err)
+		}
+	}
+}
+
+// TestClientRequests: List and ShardStatus answer between queries and
+// refuse while a query stream holds the connection.
+func TestClientRequests(t *testing.T) {
+	hub, _, registry := newTestHub(t)
+	_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
+	c, err := DialClient(hub.ClientAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if qs, err := c.List(); err != nil || len(qs) != 0 {
+		t.Fatalf("List = %v, %v; want none", qs, err)
+	}
+	if sl, err := c.ShardStatus(); err != nil || sl.Epoch != 0 || len(sl.Shards) != 0 {
+		t.Fatalf("ShardStatus = %+v, %v; want the empty single-process view", sl, err)
+	}
+	qs, err := c.Query(`select count(*) from bid window 1s duration 1h`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.List(); err == nil {
+		t.Error("List during a query stream should fail")
+	}
+	if _, err := c.ShardStatus(); err == nil {
+		t.Error("ShardStatus during a query stream should fail")
+	}
+	if err := qs.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	for range qs.Windows {
+	}
+	if _, err := qs.Final(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := c.List(); err != nil || len(l) != 0 {
+		t.Errorf("List after the query = %v, %v; want none", l, err)
+	}
 }

@@ -44,8 +44,11 @@ type shardFabric interface {
 }
 
 // Callbacks deliver a query's output to its submitter. Window and Done
-// must be non-nil; they may be called from internal goroutines and must
-// not block for long.
+// must be non-nil and must not block: Window is the engine's EmitFunc,
+// called with the merger's lock held, and Done runs on the goroutine that
+// ended the query. The Hub keeps this by construction — both enqueue on
+// the client connection's one writer, and a client that lets that outbox
+// fill is cut off — so an in-process caller is the one that must.
 type Callbacks struct {
 	Window func(transport.ResultWindow)
 	Done   func(transport.QueryDone)
@@ -195,8 +198,7 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 	// Install the central query object first so no tuples race past it.
 	cp := central.FromPlan(plan, qid, start.UnixNano(), end.UnixNano(), len(hosts), len(chosen))
 	cp.Text = text // shard nodes re-analyze the text against their own catalogs
-	emit := func(rw transport.ResultWindow) { cb.Window(rw) }
-	if err := s.cfg.Engine.StartQuery(cp, emit); err != nil {
+	if err := s.cfg.Engine.StartQuery(cp, cb.Window); err != nil {
 		return QueryInfo{}, err
 	}
 

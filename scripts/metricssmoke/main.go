@@ -19,7 +19,8 @@
 // window's one group is a sketch, which the gauge counts — and be back at
 // it once the query has stopped. While each query runs, its executor must
 // serve the query's scrub_central_query_late_drops_total series, and must
-// have dropped it once the last query stopped.
+// have dropped it once the last query stopped. Both executors serve the
+// client hub, and must export its scrub_server_slow_client_closes_total.
 //
 // Run it from the repo root (make metrics-smoke does):
 //
@@ -47,14 +48,17 @@ import (
 // still exposes all of it at value zero.
 var requiredCentral = append(requiredCoord, requiredShard...)
 
-// requiredCoord is what a merger exposes, and all a coordinator does: it
-// holds no window state.
+// requiredCoord is what a merger and the client hub in front of it
+// expose, and all a coordinator does: it holds no window state. Every
+// scrubcentral that serves a hub counts the clients it cut off for
+// falling behind.
 var requiredCoord = append(moving,
 	"scrub_central_windows_total",
 	"scrub_central_degraded_windows_total",
 	"scrub_central_shed_windows_total",
 	"scrub_central_window_close_ns_count",
 	"scrub_transport_frames_recv_total",
+	"scrub_server_slow_client_closes_total",
 )
 
 // moving are the ingest series: non-zero on every executor's endpoint
