@@ -14,8 +14,8 @@ import (
 // merger's lock held, so it must enqueue and return: a blocked emit stops
 // every query's ingest and tick. The window is the callee's: nothing of
 // it is touched after the call. The query server's TCP hub keeps the
-// contract by construction (one bounded outbox and one writer per client
-// connection, which is closed when the outbox fills).
+// contract by construction (one FIFO and one writer per client
+// connection, which is closed when a message waits 2 s for the client).
 type EmitFunc func(transport.ResultWindow)
 
 // Options tunes an executor's failure-domain behavior. The zero value is

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"scrub/internal/cluster"
 	"scrub/internal/obs"
@@ -35,7 +38,8 @@ type Hub struct {
 	// dataMet aggregates wire accounting across every accepted data
 	// connection; nil without SetMetrics.
 	dataMet *transport.ConnMetrics
-	// slowCloses counts client connections cut off for a full outbox.
+	// slowCloses counts client connections cut off for falling clientLag
+	// behind.
 	slowCloses obs.Counter
 
 	clientL  *transport.Listener
@@ -86,7 +90,7 @@ func (h *Hub) SetMetrics(reg *obs.Registry) {
 	}
 	h.dataMet = transport.NewConnMetrics(reg, obs.L("conn", "data"))
 	reg.RegisterCounter("scrub_server_slow_client_closes_total",
-		"client connections closed because the client let its 1024-message outbox fill", &h.slowCloses)
+		"client connections closed because a message waited 2 s for the client", &h.slowCloses)
 }
 
 // SetLogf replaces the hub's logger (tests silence it).
@@ -258,52 +262,88 @@ func (h *Hub) BroadcastShardMap(m transport.ShardMap) {
 	}
 }
 
-// clientOutbox bounds how far one client may fall behind: the messages
-// its writer has not yet handed to the kernel, whose socket buffers hold
-// megabytes more. A client that lets it fill is cut off (DESIGN §4). It
-// is sized for bursts, since a merger flush emits every window that
-// closes at once — all open windows at Stop, a replay's whole span when
-// its hold releases — faster than a healthy reader's writer drains them.
-const clientOutbox = 1024
+// clientLag is how long a message may wait for its client, from send to
+// the kernel taking its last byte; a client its writer cannot keep within
+// it is cut off (DESIGN §4). It is a time, not a count: one merger flush
+// emits every window that closes at once, up to MaxSpan / 1 s = 86 400,
+// and a reading client took those over loopback in under 0.5 s
+// (EXPERIMENTS.md M41). A client holds at most what its queries render
+// within clientLag.
+const clientLag = 2 * time.Second
 
 // clientConn is a client connection's one writer. Every message bound for
-// the client — windows, QueryDone, replies — is queued on out and written
+// the client — windows, QueryDone, replies — is queued by send and written
 // in order by write, so queuing never waits: the merger's emit under its
-// lock is an enqueue, and the encode happens here.
+// lock is an append, and the encode happens on the writer.
 type clientConn struct {
 	conn   *transport.Conn
-	out    chan transport.Message
 	closed atomic.Bool
 	cuts   *obs.Counter
+	logf   func(format string, args ...any)
+
+	mu   sync.Mutex
+	q    []queued
+	wake chan struct{}
 }
 
-// send queues m without blocking. A full outbox closes the connection,
-// counted once; the session's reader sees the close and cancels the
-// client's queries.
+// queued is one message and when send queued it.
+type queued struct {
+	msg transport.Message
+	at  time.Time
+}
+
+func newClientConn(conn *transport.Conn, cuts *obs.Counter, logf func(string, ...any)) *clientConn {
+	return &clientConn{conn: conn, cuts: cuts, logf: logf, wake: make(chan struct{}, 1)}
+}
+
+// send queues m without blocking; once the connection is closed it drops
+// m.
 func (c *clientConn) send(m transport.Message) {
+	if c.closed.Load() {
+		return
+	}
+	c.mu.Lock()
+	c.q = append(c.q, queued{m, time.Now()})
+	c.mu.Unlock()
 	select {
-	case c.out <- m:
+	case c.wake <- struct{}{}:
 	default:
-		if c.closed.CompareAndSwap(false, true) {
-			c.conn.Close()
-			c.cuts.Inc()
-		}
 	}
 }
 
-// write sends queued messages until stop closes or a write fails, which
-// closes the connection uncounted: the peer is gone, or a frame was over
-// transport.MaxFrame.
+// write sends queued messages in order until stop closes or a write
+// fails. Each write's deadline is clientLag after its message was queued;
+// missing it closes the connection, counted once, and the session's reader
+// sees the close and cancels the client's queries. A message the
+// transport refuses (over transport.MaxFrame) closes it too, logged; any
+// other failure means the peer is gone.
 func (c *clientConn) write(stop <-chan struct{}) {
+	var batch []queued
 	for {
 		select {
-		case m := <-c.out:
-			if err := c.conn.Send(m); err != nil {
-				c.closed.Store(true)
-				c.conn.Close()
-				return
-			}
+		case <-c.wake:
 		case <-stop:
+			return
+		}
+		c.mu.Lock()
+		batch, c.q = c.q, batch[:0]
+		c.mu.Unlock()
+		for i, m := range batch {
+			batch[i] = queued{}
+			_ = c.conn.SetWriteDeadline(m.at.Add(clientLag))
+			err := c.conn.Send(m.msg)
+			if err == nil {
+				continue
+			}
+			if c.closed.CompareAndSwap(false, true) {
+				switch {
+				case errors.Is(err, os.ErrDeadlineExceeded):
+					c.cuts.Inc()
+				case errors.Is(err, transport.ErrUnsendable):
+					c.logf("scrub: client %s cut off: %v", c.conn.RemoteAddr(), err)
+				}
+				c.conn.Close()
+			}
 			return
 		}
 	}
@@ -315,7 +355,7 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 	h.mu.Lock()
 	srv := h.srv
 	h.mu.Unlock()
-	c := &clientConn{conn: conn, out: make(chan transport.Message, clientOutbox), cuts: &h.slowCloses}
+	c := newClientConn(conn, &h.slowCloses, h.logf)
 	stop := make(chan struct{})
 	h.wg.Add(1)
 	go func() {
@@ -325,8 +365,8 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 	defer close(stop)
 	var mine sync.Map // query ids owned by this connection
 	defer func() {
-		// Tear down this client's queries when it disconnects; an outbox
-		// their QueryDone overflows now is no slow reader's.
+		// Tear down this client's queries when it disconnects; their
+		// QueryDone has no reader left.
 		c.closed.Store(true)
 		mine.Range(func(k, _ any) bool {
 			_ = srv.Cancel(k.(uint64))

@@ -17,7 +17,7 @@ import (
 // newTestHub assembles a hub + server on ephemeral ports.
 func newTestHub(t *testing.T) (*Hub, *Server, *cluster.Registry) {
 	t.Helper()
-	return newMeteredTestHub(t, testCatalog(), nil)
+	return newMeteredTestHub(t, testCatalog(), nil, nil)
 }
 
 func dialT(t *testing.T, addr string) *transport.Conn {

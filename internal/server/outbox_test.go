@@ -15,8 +15,8 @@ import (
 	"scrub/internal/transport"
 )
 
-// TestQueuedWindowsOwnTheirMemory holds a client's writer (a synchronous
-// pipe nobody reads yet) while the merger closes and queues windows of a
+// TestQueuedWindowsOwnTheirMemory holds a client's writer (not started
+// yet) while the merger closes and queues windows of a
 // grouped and a raw query, closes later windows on top of them and stops
 // both queries. Released, the writer must deliver every window exactly as
 // the merger rendered it — rows, string values and Streams included — so
@@ -46,18 +46,8 @@ func TestQueuedWindowsOwnTheirMemory(t *testing.T) {
 
 	server, client := transport.Pipe()
 	defer client.Close()
-	c := &clientConn{conn: server, out: make(chan transport.Message, clientOutbox), cuts: new(obs.Counter)}
-	stop := make(chan struct{})
-	written := make(chan struct{})
-	go func() {
-		defer close(written)
-		c.write(stop)
-	}()
-	defer func() {
-		close(stop)
-		server.Close()
-		<-written
-	}()
+	defer server.Close()
+	c := newClientConn(server, new(obs.Counter), t.Logf)
 
 	// What the merger rendered, encoded at the instant it emitted.
 	var mu sync.Mutex
@@ -133,10 +123,24 @@ func TestQueuedWindowsOwnTheirMemory(t *testing.T) {
 	if emitted < 2*10 {
 		t.Fatalf("the merger emitted %d windows, want 10 per query", emitted)
 	}
-	// The writer holds the first window in its pipe write; the rest wait.
-	if queued := len(c.out); queued < emitted-1 {
-		t.Fatalf("%d of %d windows queued behind the held writer", queued, emitted)
+	// Everything waits for the writer, which starts only now.
+	c.mu.Lock()
+	queued := len(c.q)
+	c.mu.Unlock()
+	if queued != emitted+len(ids) {
+		t.Fatalf("%d messages queued, want %d windows and %d QueryDone", queued, emitted, len(ids))
 	}
+	stop := make(chan struct{})
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		c.write(stop)
+	}()
+	defer func() {
+		close(stop)
+		server.Close()
+		<-written
+	}()
 
 	var got []transport.ResultWindow
 	for done := 0; done < len(ids); {

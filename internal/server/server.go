@@ -46,9 +46,10 @@ type shardFabric interface {
 // Callbacks deliver a query's output to its submitter. Window and Done
 // must be non-nil and must not block: Window is the engine's EmitFunc,
 // called with the merger's lock held, and Done runs on the goroutine that
-// ended the query. The Hub keeps this by construction — both enqueue on
-// the client connection's one writer, and a client that lets that outbox
-// fill is cut off — so an in-process caller is the one that must.
+// ended the query. The Hub keeps this by construction — both append to
+// the client connection's one writer, and a client that lets a message
+// wait clientLag there is cut off — so an in-process caller is the one
+// that must.
 type Callbacks struct {
 	Window func(transport.ResultWindow)
 	Done   func(transport.QueryDone)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -16,15 +17,18 @@ import (
 )
 
 // newMeteredTestHub is newTestHub over cat, with the hub's series
-// registered on reg.
-func newMeteredTestHub(t *testing.T, cat *event.Catalog, reg *obs.Registry) (*Hub, *Server, *cluster.Registry) {
+// registered on reg and its log lines to logf (dropped when nil).
+func newMeteredTestHub(t *testing.T, cat *event.Catalog, reg *obs.Registry, logf func(string, ...any)) (*Hub, *Server, *cluster.Registry) {
 	t.Helper()
 	registry := cluster.NewRegistry()
 	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub.SetLogf(func(string, ...any) {})
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	hub.SetLogf(logf)
 	hub.SetMetrics(reg)
 	srv, err := New(Config{
 		Catalog:      cat,
@@ -89,11 +93,12 @@ func noteCatalog() *event.Catalog {
 // TestHubCutsSlowClient is the stall reproduction over real TCP: one
 // client submits a raw query whose windows carry a 2 KB row each and
 // never reads them; a second client's count(*) windows must keep coming.
-// The hub closes the slow client's connection once its outbox is full,
-// the teardown cancels its query, and the close is counted once.
+// The hub closes the slow client's connection once a message has waited
+// clientLag for it, the teardown cancels its query, and the close is
+// counted once.
 func TestHubCutsSlowClient(t *testing.T) {
 	reg := obs.NewRegistry()
-	hub, srv, registry := newMeteredTestHub(t, noteCatalog(), reg)
+	hub, srv, registry := newMeteredTestHub(t, noteCatalog(), reg, nil)
 	_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
 
 	slow := dialT(t, hub.ClientAddr())
@@ -131,7 +136,8 @@ func TestHubCutsSlowClient(t *testing.T) {
 		return seen.n, seen.last, seen.gap
 	}
 
-	// One host feeds both queries as fast as the hub takes batches. Each
+	// One host feeds both queries a round a millisecond, so the 2 s the
+	// stalled client's writer may lag stays near 60 MB of windows. Each
 	// round moves event time 100 ms: ten slow-client windows of one 2 KB
 	// row, and one fast-client window of one row.
 	data := dialT(t, hub.DataAddr())
@@ -162,9 +168,10 @@ func TestHubCutsSlowClient(t *testing.T) {
 				return
 			}
 			ts += int64(100 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}()
-	// A parent that wedges on the slow client unblocks once its socket
+	// A hub that wedges on the slow client unblocks once its socket
 	// closes: stop the feeder through its connection, then close both.
 	t.Cleanup(func() {
 		close(stop)
@@ -206,6 +213,9 @@ func TestHubCutsSlowClient(t *testing.T) {
 	})
 	n, _, gap := fastSeen()
 	t.Logf("cut after %v, %d fast-client windows by then; %d windows in all, longest wait %v", cutAfter, atCut, n, gap)
+	if cutAfter < clientLag {
+		t.Errorf("the slow client was cut after %v, before any message could wait clientLag (%v)", cutAfter, clientLag)
+	}
 	if gap > time.Second {
 		t.Errorf("the fast client waited %v between two windows, want < 1 s", gap)
 	}
@@ -227,5 +237,136 @@ func TestHubCutsSlowClient(t *testing.T) {
 	}
 	if time.Since(began) > 5*time.Second {
 		t.Errorf("the reproduction took %v, want under 5 s", time.Since(began))
+	}
+}
+
+// TestHubDeliversBurstToReadingClient: one event opens 10 800 windows of
+// a `window 3h slide 1s` query, and the cancel's flush emits all of them
+// at once, far more than a reading client's writer has written by the
+// time the flush ends. The client reads them all and its QueryDone, and
+// it is not cut off.
+func TestHubDeliversBurstToReadingClient(t *testing.T) {
+	reg := obs.NewRegistry()
+	hub, _, registry := newMeteredTestHub(t, testCatalog(), reg, nil)
+	_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
+	client := dialT(t, hub.ClientAddr())
+	id := submitT(t, client, `select count(*) from bid window 3h slide 1s duration 3h`)
+
+	data := dialT(t, hub.DataAddr())
+	for _, m := range []transport.Message{
+		transport.DataHello{HostID: "h1"},
+		transport.TupleBatch{QueryID: id, HostID: "h1", EffRate: 1, MatchedTotal: 1, SampledTotal: 1,
+			Tuples: []transport.Tuple{{RequestID: 1, TsNanos: time.Now().UnixNano(), Values: []event.Value{event.Int(1)}}}},
+		transport.BatchManifest{Seq: 1},
+	} {
+		if err := data.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := data.Recv(); err != nil { // the ack: the batch is in
+		t.Fatal(err)
+	}
+	began := time.Now()
+	if err := client.Send(transport.CancelQuery{QueryID: id}); err != nil {
+		t.Fatal(err)
+	}
+	_ = client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	windows := 0
+	for done := false; !done; {
+		msg, err := client.Recv()
+		if err != nil {
+			t.Fatalf("after %d windows: %v", windows, err)
+		}
+		switch m := msg.(type) {
+		case transport.ResultWindow:
+			windows++
+		case transport.QueryDone:
+			done = true
+		default:
+			t.Fatalf("got %s, want windows then QueryDone", transport.Name(m))
+		}
+	}
+	t.Logf("%d windows and QueryDone read %v after the cancel", windows, time.Since(began))
+	if windows != 3*3600 {
+		t.Errorf("read %d windows, want %d", windows, 3*3600)
+	}
+	if n := counterValue(reg, "scrub_server_slow_client_closes_total"); n != 0 {
+		t.Errorf("slow-client closes = %v, want 0", n)
+	}
+	if err := client.Send(transport.ListQueries{}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := client.Recv(); err != nil {
+		t.Fatalf("the connection after the burst: %v", err)
+	} else if _, ok := msg.(transport.QueryList); !ok {
+		t.Fatalf("got %s, want QueryList", transport.Name(msg))
+	}
+}
+
+// TestHubCutsClientOverMaxFrame: a raw window of three 6 MB rows is over
+// transport.MaxFrame, so the client cannot be sent it. The hub closes the
+// connection after the windows before it, logs why, and the teardown
+// cancels the client's query; the close is no slow client's.
+func TestHubCutsClientOverMaxFrame(t *testing.T) {
+	reg := obs.NewRegistry()
+	var logged struct {
+		sync.Mutex
+		lines []string
+	}
+	hub, srv, registry := newMeteredTestHub(t, noteCatalog(), reg, func(format string, args ...any) {
+		logged.Lock()
+		logged.lines = append(logged.lines, fmt.Sprintf(format, args...))
+		logged.Unlock()
+	})
+	_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
+	client := dialT(t, hub.ClientAddr())
+	id := submitT(t, client, `select note from bid window 1s duration 1h`)
+
+	// Window 0 holds one short row and window 1 three 6 MB rows, each row
+	// in its own batch; a row in window 4 closes both.
+	data := dialT(t, hub.DataAddr())
+	start := time.Now().Truncate(time.Second).Add(time.Second).UnixNano()
+	big := event.Str(strings.Repeat("n", 6<<20))
+	msgs := []transport.Message{transport.DataHello{HostID: "h1"}}
+	row := func(rid uint64, ts int64, v event.Value) transport.Message {
+		return transport.TupleBatch{QueryID: id, HostID: "h1", EffRate: 1,
+			Tuples: []transport.Tuple{{RequestID: rid, TsNanos: ts, Values: []event.Value{v}}}}
+	}
+	msgs = append(msgs, row(1, start, event.Str("short")))
+	for rid := uint64(2); rid <= 4; rid++ {
+		msgs = append(msgs, row(rid, start+int64(time.Second), big))
+	}
+	msgs = append(msgs, row(5, start+int64(4*time.Second), event.Str("later")))
+	for _, m := range msgs {
+		if err := data.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var starts []int64
+	for {
+		msg, err := client.Recv()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("the connection is still open, want it closed at the window over MaxFrame")
+		}
+		if err != nil {
+			break
+		}
+		if rw, ok := msg.(transport.ResultWindow); ok {
+			starts = append(starts, rw.WindowStart)
+		}
+	}
+	if len(starts) != 1 || starts[0] != start {
+		t.Errorf("windows before the close start at %v, want only the first, %d", starts, start)
+	}
+	waitCond(t, "the query cancelled", func() bool { return len(srv.Active()) == 0 })
+	if n := counterValue(reg, "scrub_server_slow_client_closes_total"); n != 0 {
+		t.Errorf("slow-client closes = %v, want 0", n)
+	}
+	logged.Lock()
+	defer logged.Unlock()
+	if len(logged.lines) != 1 || !strings.Contains(logged.lines[0], "frame too large") {
+		t.Errorf("log = %q, want one line naming the frame too large", logged.lines)
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +17,10 @@ import (
 // MaxFrame bounds a single protocol frame. Batches larger than this are an
 // agent bug (the shipper bounds batch sizes well below it).
 const MaxFrame = 16 << 20
+
+// ErrUnsendable wraps a Send failure that wrote nothing because of the
+// message itself: it does not encode, or its frame is over MaxFrame.
+var ErrUnsendable = errors.New("transport: unsendable message")
 
 // ConnMetrics aggregates a connection's (or a set of connections')
 // transport-level accounting: frames and wire bytes in each direction and
@@ -109,7 +114,7 @@ func (c *Conn) Send(m Message) error {
 	// The payload is encoded behind room for its length.
 	frame, err := AppendEncode(append(c.enc[:0], 0, 0, 0, 0), m)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrUnsendable, err)
 	}
 	c.enc = frame[:0]
 	var encNs time.Duration
@@ -117,7 +122,7 @@ func (c *Conn) Send(m Message) error {
 		encNs = time.Since(t0)
 	}
 	if len(frame)-4 > MaxFrame {
-		return fmt.Errorf("transport: frame too large: %d bytes (%s)", len(frame)-4, Name(m))
+		return fmt.Errorf("%w: frame too large: %d bytes (%s)", ErrUnsendable, len(frame)-4, Name(m))
 	}
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
 	if _, err := c.nc.Write(frame); err != nil {
@@ -301,6 +306,10 @@ func (c *Conn) rebuffer(size int) {
 
 // SetReadDeadline forwards to the underlying connection.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
+
+// SetWriteDeadline bounds the writes of the underlying connection: a Send
+// not taken by t fails with os.ErrDeadlineExceeded.
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.nc.SetWriteDeadline(t) }
 
 // SetDeadline bounds the reads and the writes of the underlying
 // connection: a Send to a peer that has stopped reading fails at t rather
