@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -180,28 +181,10 @@ func runShard(catalog *event.Catalog, listen, join, advertise, metricsAddr strin
 	serveMetrics(metricsAddr, reg)
 	fmt.Printf("scrubcentral shard up\n  shard rpc: %s\n  event types: %v\n", l.Addr(), catalog.Names())
 
-	var joinConn *transport.Conn
 	if join != "" {
-		joinConn, err = transport.Dial(join, 3*time.Second)
-		if err != nil {
+		if err := announce(join, advertise); err != nil {
 			log.Fatalf("scrubcentral: join %s: %v", join, err)
 		}
-		if err := joinConn.Send(transport.DataHello{HostID: "shard:" + advertise}); err != nil {
-			log.Fatalf("scrubcentral: join %s: %v", join, err)
-		}
-		if err := joinConn.Send(transport.ShardHello{ShardID: advertise, DataAddr: advertise}); err != nil {
-			log.Fatalf("scrubcentral: join %s: %v", join, err)
-		}
-		// Hold the connection open (and drain it) so the coordinator's hub
-		// keeps the session; membership health rides the dialed-back RPC
-		// connection, not this one.
-		go func() {
-			for {
-				if _, err := joinConn.Recv(); err != nil {
-					return
-				}
-			}
-		}()
 		fmt.Printf("  joined: %s (advertised %s)\n", join, advertise)
 	}
 
@@ -210,9 +193,21 @@ func runShard(catalog *event.Catalog, listen, join, advertise, metricsAddr strin
 	<-sig
 	fmt.Println("scrubcentral shard: shutting down")
 	l.Close()
-	if joinConn != nil {
-		joinConn.Close()
+}
+
+// announce sends the coordinator's data plane one ShardHello and closes
+// the connection: the coordinator dials the shard back, and membership
+// health rides that RPC connection, not this one.
+func announce(join, advertise string) error {
+	c, err := transport.Dial(join, 3*time.Second)
+	if err != nil {
+		return err
 	}
+	defer c.Close()
+	if err := c.Send(transport.DataHello{HostID: "shard:" + advertise}); err != nil {
+		return err
+	}
+	return c.Send(transport.ShardHello{ShardID: advertise, DataAddr: advertise})
 }
 
 // newRegistry returns the process's metrics registry, nil when -metrics
@@ -292,16 +287,15 @@ func runStandby(cfg standbyConfig) {
 	term, qids := sb.Snapshot()
 	fmt.Printf("scrubcentral standby: leader silent — promoting (term %d, queries %v)\n", term, qids)
 
-	coordEng, resumed, err := sb.Promote(func(rq coord.ResumedQuery, _ *central.Plan) central.EmitFunc {
-		// The submitter's client connection died with the leader; windows
-		// of resumed queries are printed until the span expires (a future
-		// re-attach surface would hook in here). Parseable line: the
-		// failover smoke counts these.
-		id := rq.QueryID
-		return func(rw transport.ResultWindow) {
-			fmt.Printf("scrubcentral adopted window: query %d [%d,%d) rows=%d degraded=%v\n",
-				id, rw.WindowStart, rw.WindowEnd, len(rw.Rows), rw.Degraded)
-		}
+	// The submitters' client connections died with the leader; windows of
+	// resumed queries are printed until their spans expire (a future
+	// re-attach surface would hook in here).
+	out := &linePrinter{wake: make(chan struct{}, 1)}
+	go out.run(stop)
+	coordEng, resumed, err := sb.Promote(func(rw transport.ResultWindow) {
+		// Parseable line: the failover smoke counts these.
+		out.printf("scrubcentral adopted window: query %d [%d,%d) rows=%d degraded=%v\n",
+			rw.QueryID, rw.WindowStart, rw.WindowEnd, len(rw.Rows), rw.Degraded)
 	})
 	if err != nil {
 		log.Fatalf("scrubcentral: promote: %v", err)
@@ -333,14 +327,15 @@ func runStandby(cfg standbyConfig) {
 	hub.SetMetrics(reg)
 	hub.SetServer(srv)
 	for _, rq := range resumed {
-		id := rq.QueryID
-		_, err := srv.Adopt(id, rq.Text,
-			time.Unix(0, rq.StartNanos), time.Unix(0, rq.EndNanos),
-			server.Callbacks{Done: func(qd transport.QueryDone) {
-				log.Printf("scrubcentral: adopted query %d done: %+v", id, qd.Stats)
-			}})
+		_, err := srv.Adopt(rq.Text, server.QueryInfo{
+			ID:    rq.QueryID,
+			Start: time.Unix(0, rq.StartNanos), End: time.Unix(0, rq.EndNanos),
+			NumHosts: rq.TotalHosts, SampledHosts: rq.SampledHosts,
+		}, server.Callbacks{Done: func(qd transport.QueryDone) {
+			log.Printf("scrubcentral: adopted query %d done: %+v", qd.QueryID, qd.Stats)
+		}})
 		if err != nil {
-			log.Printf("scrubcentral: adopt query %d: %v", id, err)
+			log.Printf("scrubcentral: adopt query %d: %v", rq.QueryID, err)
 		}
 	}
 	hub.Serve()
@@ -353,4 +348,41 @@ func runStandby(cfg standbyConfig) {
 	fmt.Println("scrubcentral: shutting down")
 	srv.Close()
 	hub.Close()
+}
+
+// linePrinter writes lines to stdout from one goroutine: printf appends
+// to a FIFO and returns, so a caller under the merger's lock never waits
+// on a stalled stdout.
+type linePrinter struct {
+	mu    sync.Mutex
+	lines []string
+	wake  chan struct{}
+}
+
+func (p *linePrinter) printf(format string, args ...any) {
+	p.mu.Lock()
+	p.lines = append(p.lines, fmt.Sprintf(format, args...))
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// run writes queued lines in order until stop closes.
+func (p *linePrinter) run(stop <-chan struct{}) {
+	for {
+		select {
+		case <-p.wake:
+		case <-stop:
+			return
+		}
+		p.mu.Lock()
+		lines := p.lines
+		p.lines = nil
+		p.mu.Unlock()
+		for _, line := range lines {
+			_, _ = os.Stdout.WriteString(line)
+		}
+	}
 }

@@ -903,9 +903,7 @@ func TestLeaderFailover(t *testing.T) {
 	// death, is what keeps this safe.
 	old := tt.coord
 	col2 := &collector{}
-	promoted, resumed, err := sb.Promote(func(rq ResumedQuery, plan *central.Plan) central.EmitFunc {
-		return col2.emit
-	})
+	promoted, resumed, err := sb.Promote(col2.emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -915,8 +913,8 @@ func TestLeaderFailover(t *testing.T) {
 	if promoted.Fence() != 2 {
 		t.Errorf("promoted fence = %d, want 2", promoted.Fence())
 	}
-	if len(resumed) != 1 || resumed[0].QueryID != 1 || resumed[0].Text != src {
-		t.Fatalf("resumed = %+v, want query 1 with original text", resumed)
+	if want := (ResumedQuery{QueryID: 1, Text: src, TotalHosts: 1, SampledHosts: 1}); len(resumed) != 1 || resumed[0] != want {
+		t.Fatalf("resumed = %+v, want [%+v]: the original text, span and host counts", resumed, want)
 	}
 	if m, _ := promoted.PinnedMap(1); m.Epoch != 2 {
 		t.Errorf("resumed pin epoch = %d, want 2", m.Epoch)
@@ -1011,7 +1009,7 @@ func TestPromoteResumesPinnedShardList(t *testing.T) {
 
 	old := tt.coord
 	defer old.Close()
-	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc { return col.emit })
+	promoted, resumed, err := sb.Promote(col.emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1056,9 +1054,7 @@ func TestPromoteDrainsUnresumable(t *testing.T) {
 
 	old := tt.coord
 	defer old.Close()
-	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc {
-		return (&collector{}).emit
-	})
+	promoted, resumed, err := sb.Promote((&collector{}).emit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1158,7 +1154,7 @@ func TestLateStandbyGetsStateNotHistory(t *testing.T) {
 	}
 	old := tt.coord
 	defer old.Close()
-	promoted, resumed, err := sb.Promote(func(ResumedQuery, *central.Plan) central.EmitFunc { return (&collector{}).emit })
+	promoted, resumed, err := sb.Promote((&collector{}).emit)
 	if err != nil {
 		t.Fatal(err)
 	}

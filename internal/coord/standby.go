@@ -154,13 +154,15 @@ func (s *Standby) AwaitFailover(stop <-chan struct{}) bool {
 }
 
 // ResumedQuery describes one registration a promotion carried over,
-// with what a serving layer needs to re-adopt it (text for host
-// re-registration fan-out, the span for expiry timers).
+// with what a serving layer needs to adopt it: the text, the span for its
+// expiry timer, and the host counts (N, n) the windows are scaled by.
 type ResumedQuery struct {
-	QueryID    uint64
-	Text       string
-	StartNanos int64
-	EndNanos   int64
+	QueryID      uint64
+	Text         string
+	StartNanos   int64
+	EndNanos     int64
+	TotalHosts   int
+	SampledHosts int
 }
 
 // Promote assumes leadership: it builds a live Coordinator under term+1
@@ -172,15 +174,16 @@ type ResumedQuery struct {
 // shard-side, so absorbed window state survives) or, when it cannot,
 // drains it from the shards.
 //
-// emitFor supplies the emit hook per resumed query. Every resumed query
-// starts with its Degraded latch set: the manifest-gap during failover
-// lost stream/watermark accounting this coordinator cannot recover, so
-// its windows are honestly flagged rather than silently incomplete.
+// emit receives the windows of every resumed query; ResultWindow.QueryID
+// tells them apart. Every resumed query starts with its Degraded latch
+// set: the manifest-gap during failover lost stream/watermark accounting
+// this coordinator cannot recover, so its windows are honestly flagged
+// rather than silently incomplete.
 //
 // Promotion is one-shot; a second call errors. Shard or query failures
 // do not abort it — at takeover, availability wins — they latch clients
 // down and degrade, exactly like a mid-query shard death.
-func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) central.EmitFunc) (*Coordinator, []ResumedQuery, error) {
+func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []ResumedQuery, error) {
 	s.mu.Lock()
 	if s.promoted {
 		s.mu.Unlock()
@@ -242,30 +245,25 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 	}
 
 	// Resume the registrations in ascending query-id order. One that
-	// cannot be resumed — its text no longer analyzes (catalog drift), it
-	// gets no emit hook, or its install fails — is drained on every live
-	// member like an orphan: the fence step spared it as replicated, and
-	// no leader will ever collect or stop it.
+	// cannot be resumed — its text no longer analyzes (catalog drift) or
+	// its install fails — is drained on every live member like an orphan:
+	// the fence step spared it as replicated, and no leader will ever
+	// collect or stop it.
 	var resumed []ResumedQuery
 	for _, e := range entries {
-		rq := ResumedQuery{
-			QueryID:    e.Start.QueryID,
-			Text:       e.Start.Text,
-			StartNanos: e.Start.StartNanos,
-			EndNanos:   e.Start.EndNanos,
-		}
-		plan, err := PlanFromShardStart(e.Start, s.opt.Catalog)
-		var emit central.EmitFunc
-		if err == nil {
-			emit = emitFor(rq, &plan)
-		}
-		if emit != nil && c.install(plan, emit, &e) == nil {
-			resumed = append(resumed, rq)
+		st := e.Start
+		plan, err := PlanFromShardStart(st, s.opt.Catalog)
+		if err == nil && c.install(plan, emit, &e) == nil {
+			resumed = append(resumed, ResumedQuery{
+				QueryID: st.QueryID, Text: st.Text,
+				StartNanos: st.StartNanos, EndNanos: st.EndNanos,
+				TotalHosts: int(st.TotalHosts), SampledHosts: int(st.SampledHosts),
+			})
 			continue
 		}
 		for _, sc := range members {
 			if !sc.Down() {
-				sc.drain(rq.QueryID) // best effort, as for an orphan
+				sc.drain(st.QueryID) // best effort, as for an orphan
 			}
 		}
 	}

@@ -147,8 +147,7 @@ func (t *failoverTopology) StartQuery(p central.Plan, emit central.EmitFunc) err
 // the arm's StopQuery.
 func (t *failoverTopology) failover() error {
 	t.coord.Close()
-	promoted, _, err := t.standby.Promote(
-		func(coord.ResumedQuery, *central.Plan) central.EmitFunc { return t.emit })
+	promoted, _, err := t.standby.Promote(t.emit)
 	if err != nil {
 		return fmt.Errorf("difftest: promote: %v", err)
 	}

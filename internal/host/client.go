@@ -175,10 +175,12 @@ func (o *ControlOptions) fillDefaults(hostID string) {
 }
 
 // RunControlWith connects the agent to the query server's control port,
-// registers the host, and applies pushed query objects until the context
-// ends. It reconnects with full-jitter exponential backoff on failures,
-// so a server restart neither requires an application restart nor gets a
-// synchronized reconnect stampede from the whole fleet.
+// registers the host with the queries it already runs (they survive a
+// disconnect, so the server sends only what the host lacks), and applies
+// pushed query objects until the context ends. It reconnects with
+// full-jitter exponential backoff on failures, so a server restart
+// neither requires an application restart nor gets a synchronized
+// reconnect stampede from the whole fleet.
 func (a *Agent) RunControlWith(ctx context.Context, serverAddr string, opt ControlOptions) error {
 	opt.fillDefaults(a.cfg.HostID)
 	var reconnects *obs.Counter
@@ -224,6 +226,7 @@ func (a *Agent) controlSession(ctx context.Context, serverAddr string, opt *Cont
 		HostID:  a.cfg.HostID,
 		Service: a.cfg.Service,
 		DC:      a.cfg.DC,
+		Queries: a.ActiveQueries(),
 	}); err != nil {
 		return err
 	}

@@ -27,7 +27,8 @@ func TestAdoptedQueryRunsOnLeadersHosts(t *testing.T) {
 	const text = `select count(*) from bid window 1s duration 1h sample hosts 25%`
 	start := time.Now()
 	end := start.Add(time.Hour)
-	if _, err := srv.Adopt(1, text, start, end, Callbacks{Done: func(transport.QueryDone) {}}); err != nil {
+	info := QueryInfo{ID: 1, Start: start, End: end, NumHosts: 8, SampledHosts: 2}
+	if _, err := srv.Adopt(text, info, Callbacks{Done: func(transport.QueryDone) {}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +116,8 @@ func TestAdoptedQueryRunsOnLeadersHosts(t *testing.T) {
 func TestAdoptedQueryListRace(t *testing.T) {
 	srv, _, _ := newTestServer(t, 8)
 	start := time.Now()
-	if _, err := srv.Adopt(1, `select count(*) from bid window 1s duration 1h`, start, start.Add(time.Hour),
+	info := QueryInfo{ID: 1, Start: start, End: start.Add(time.Hour), NumHosts: 8, SampledHosts: 2}
+	if _, err := srv.Adopt(`select count(*) from bid window 1s duration 1h sample hosts 25%`, info,
 		Callbacks{Done: func(transport.QueryDone) {}}); err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +125,20 @@ func TestAdoptedQueryListRace(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 8; i++ {
-			srv.ResyncHost(fmt.Sprintf("h-%02d", i))
+			var running []uint64
+			if i == 5 || i == 6 {
+				running = []uint64{1}
+			}
+			srv.ResyncHost(fmt.Sprintf("h-%02d", i), running)
 		}
 	}()
 	for {
 		select {
 		case <-done:
-			if l := srv.List(); len(l) != 1 || l[0].QueryID != 1 {
-				t.Fatalf("List = %+v, want query 1", l)
+			// The listing reports the n the engine scales by, whoever has
+			// registered since.
+			if l := srv.List(); len(l) != 1 || l[0].QueryID != 1 || l[0].Hosts != 2 {
+				t.Fatalf("List = %+v, want query 1 on 2 sampled hosts", l)
 			}
 			return
 		default:

@@ -181,10 +181,10 @@ func (h *Hub) handleControl(conn *transport.Conn) {
 	srv := h.srv
 	h.mu.Unlock()
 	// A (re)connecting host missed any query objects dispatched while it
-	// was away; re-sync the ones that target it. Each carries its pinned
-	// shard map ahead of it.
+	// was away; re-sync the ones that target it and it does not run. Each
+	// carries its pinned shard map ahead of it.
 	if srv != nil {
-		srv.ResyncHost(reg.HostID)
+		srv.ResyncHost(reg.HostID, reg.Queries)
 	}
 	defer func() {
 		h.mu.Lock()

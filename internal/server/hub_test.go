@@ -376,7 +376,7 @@ func TestResyncHostOnlyTargetedQueries(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("h-%02d", i)
-		n := srv.ResyncHost(name)
+		n := srv.ResyncHost(name, nil)
 		if targeted[name] && n != 1 {
 			t.Errorf("resync %s = %d, want 1", name, n)
 		}
@@ -384,12 +384,21 @@ func TestResyncHostOnlyTargetedQueries(t *testing.T) {
 			t.Errorf("resync %s = %d, want 0 (not targeted)", name, n)
 		}
 	}
+	// A control blip: a targeted host re-registers still running the
+	// query, and is sent nothing.
+	blip := info.Hosts[0]
+	before := len(disp.messages(blip))
+	if n := srv.ResyncHost(blip, []uint64{info.ID}); n != 0 {
+		t.Errorf("resync of %s reporting query %d = %d, want 0", blip, info.ID, n)
+	}
+	if sent := disp.messages(blip)[before:]; len(sent) != 0 {
+		t.Errorf("resync of %s reporting query %d sent %d messages, want none", blip, info.ID, len(sent))
+	}
 	// After the query ends, nothing re-syncs.
 	_ = srv.Cancel(info.ID)
-	if n := srv.ResyncHost(info.Hosts[0]); n != 0 {
+	if n := srv.ResyncHost(info.Hosts[0], nil); n != 0 {
 		t.Errorf("resync after cancel = %d", n)
 	}
-	_ = disp
 }
 
 // TestHubCloseClosesConnections: Close returns promptly with a client and

@@ -49,6 +49,7 @@ func TestMultinodeSmoke(t *testing.T) {
 	if err := joinConn.Send(transport.ShardHello{ShardID: lb.Addr(), DataAddr: lb.Addr()}); err != nil {
 		t.Fatal(err)
 	}
+	joinConn.Close() // the join is one message: membership rides the dial-back
 	waitCond(t, "both shards enrolled", func() bool {
 		return len(coordEng.ShardMap().Addrs) == 2
 	})

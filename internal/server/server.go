@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,10 +88,6 @@ type serverQuery struct {
 	cb    Callbacks
 	timer *time.Timer
 	done  bool
-	// adopted marks a query resumed from a dead leader's replicated state
-	// (Adopt): its host set is discovered incrementally as hosts register,
-	// not fixed at submission.
-	adopted bool
 }
 
 // Server coordinates query execution. Create with New, stop with Close.
@@ -148,11 +145,7 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 	if cb.Window == nil || cb.Done == nil {
 		return QueryInfo{}, fmt.Errorf("server: Window and Done callbacks are required")
 	}
-	q, err := ql.Parse(text)
-	if err != nil {
-		return QueryInfo{}, err
-	}
-	plan, err := ql.Analyze(q, s.cfg.Catalog)
+	plan, err := s.analyze(text)
 	if err != nil {
 		return QueryInfo{}, err
 	}
@@ -186,74 +179,61 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 		return QueryInfo{}, fmt.Errorf("server: query span [%s, %s] is entirely in the past", start.Format(time.RFC3339), end.Format(time.RFC3339))
 	}
 
-	info := QueryInfo{
-		ID:           qid,
-		Columns:      ql.Labels(plan.Select),
-		Hosts:        chosen,
-		NumHosts:     len(hosts),
-		SampledHosts: len(chosen),
-		Start:        start,
-		End:          end,
-	}
-
 	// Install the central query object first so no tuples race past it.
 	cp := central.FromPlan(plan, qid, start.UnixNano(), end.UnixNano(), len(hosts), len(chosen))
 	cp.Text = text // shard nodes re-analyze the text against their own catalogs
 	if err := s.cfg.Engine.StartQuery(cp, cb.Window); err != nil {
 		return QueryInfo{}, err
 	}
-
-	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb}
-	s.mu.Lock()
-	s.queries[qid] = sq
-	s.mu.Unlock()
-
-	// Fan the query out to every chosen host. Dispatch failures degrade
-	// coverage, not the query.
-	for _, h := range chosen {
-		s.dispatch(h, sq, true)
-	}
-
-	// Span expiry. The timer handle is written under the lock because the
-	// callback (or a concurrent Cancel) may reach finish immediately.
-	t := time.AfterFunc(end.Sub(now), func() { s.finish(qid) })
-	s.mu.Lock()
-	if sq.done {
-		// Cancelled between fan-out and timer creation.
-		t.Stop()
-	} else {
-		sq.timer = t
-	}
-	s.mu.Unlock()
-	return info, nil
+	return s.admit(text, plan, QueryInfo{
+		ID:           qid,
+		Hosts:        chosen,
+		NumHosts:     len(hosts),
+		SampledHosts: len(chosen),
+		Start:        start,
+		End:          end,
+	}, cb)
 }
 
 // Adopt registers a query that is already running in the engine — a
 // promoted coordinator resumed it from the dead leader's replicated
-// control-plane log — so span expiry, listing, cancellation and host
-// resync treat it like any accepted query. The engine side is not
-// started here: the promotion installed it with its own emit hook, so
-// cb.Window is optional and cb.Done fires at span expiry or Cancel.
+// control-plane state — so span expiry, listing, cancellation and host
+// resync treat it like any accepted query. info carries what was
+// replicated: the id, the span, and the N and n the engine scales by.
+// The engine side is not started here: the promotion installed it with
+// its own emit hook, so cb.Window is optional and cb.Done fires at span
+// expiry or Cancel.
 //
-// The host set starts empty on purpose. At takeover the fleet has not
-// re-registered with this server, so the target resolves to nothing;
-// ResyncHost re-resolves it as each host registers (host sampling is
-// deterministic in the query id, so the same hosts are chosen the dead
-// leader chose), and finish stops exactly the hosts that showed up.
-func (s *Server) Adopt(qid uint64, text string, start, end time.Time, cb Callbacks) (QueryInfo, error) {
+// The host list starts empty: the dead leader's chosen set was not
+// replicated. ResyncHost lists each host that re-registers running the
+// query, so finish stops exactly the hosts that run it.
+func (s *Server) Adopt(text string, info QueryInfo, cb Callbacks) (QueryInfo, error) {
 	if cb.Done == nil {
 		return QueryInfo{}, fmt.Errorf("server: Done callback is required")
 	}
+	plan, err := s.analyze(text)
+	if err != nil {
+		return QueryInfo{}, err
+	}
+	info.Hosts = nil
+	return s.admit(text, plan, info, cb)
+}
+
+func (s *Server) analyze(text string) (*ql.Plan, error) {
 	q, err := ql.Parse(text)
 	if err != nil {
-		return QueryInfo{}, err
+		return nil, err
 	}
-	plan, err := ql.Analyze(q, s.cfg.Catalog)
-	if err != nil {
-		return QueryInfo{}, err
-	}
-	info := QueryInfo{ID: qid, Columns: ql.Labels(plan.Select), Start: start, End: end}
-	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb, adopted: true}
+	return ql.Analyze(q, s.cfg.Catalog)
+}
+
+// admit lists an accepted query, sends it to the hosts info names, and
+// arms its span expiry; a span that lapsed during a failover gap finishes
+// at once (still off the caller's goroutine).
+func (s *Server) admit(text string, plan *ql.Plan, info QueryInfo, cb Callbacks) (QueryInfo, error) {
+	qid := info.ID
+	info.Columns = ql.Labels(plan.Select)
+	sq := &serverQuery{info: info, text: text, plan: plan, cb: cb}
 	s.mu.Lock()
 	if _, dup := s.queries[qid]; dup {
 		s.mu.Unlock()
@@ -261,20 +241,21 @@ func (s *Server) Adopt(qid uint64, text string, start, end time.Time, cb Callbac
 	}
 	s.queries[qid] = sq
 	// Future submissions must not collide with adopted ids.
-	if qid > s.nextID {
-		s.nextID = qid
-	}
+	s.nextID = max(s.nextID, qid)
 	s.mu.Unlock()
 
-	// Span expiry; a span that lapsed during the failover gap finishes
-	// immediately (still off the caller's goroutine).
-	d := end.Sub(s.cfg.Clock())
-	if d < 0 {
-		d = 0
+	// Fan the query out to every chosen host. Dispatch failures degrade
+	// coverage, not the query.
+	for _, h := range info.Hosts {
+		s.dispatch(h, sq, true)
 	}
-	t := time.AfterFunc(d, func() { s.finish(qid) })
+
+	// The timer handle is written under the lock because the callback (or
+	// a concurrent Cancel) may reach finish immediately.
+	t := time.AfterFunc(max(info.End.Sub(s.cfg.Clock()), 0), func() { s.finish(qid) })
 	s.mu.Lock()
 	if sq.done {
+		// Cancelled between fan-out and timer creation.
 		t.Stop()
 	} else {
 		sq.timer = t
@@ -330,58 +311,35 @@ func (s *Server) Active() []uint64 {
 	return out
 }
 
-// ResyncHost re-dispatches the query objects of every active query that
-// targets the named host. The hub calls it when a host (re)registers, so
-// an application restart mid-query resumes contributing instead of going
-// dark until the span expires.
-func (s *Server) ResyncHost(hostName string) int {
+// ResyncHost reconciles a host that (re)registers, reporting the queries
+// it runs, with the active queries: one that lists the host and is not
+// among them is sent again, and one the host runs without being listed
+// lists it (an adopted query learns its hosts this way), so finish stops
+// it there. The hub calls it on every registration, so an application
+// restart mid-query resumes contributing instead of going dark until the
+// span expires, and a control blip re-sends nothing. It reports how many
+// query objects were sent.
+func (s *Server) ResyncHost(hostName string, running []uint64) int {
 	s.mu.Lock()
-	var targeted, adopted []*serverQuery
-	for _, sq := range s.queries {
-		listed := false
-		for _, h := range sq.info.Hosts {
-			if h == hostName {
-				listed = true
-				break
-			}
-		}
+	var missing []*serverQuery
+	for id, sq := range s.queries {
+		listed := slices.Contains(sq.info.Hosts, hostName)
+		runs := slices.Contains(running, id)
 		switch {
-		case listed:
-			targeted = append(targeted, sq)
-		case sq.adopted:
-			adopted = append(adopted, sq)
+		case listed && !runs:
+			missing = append(missing, sq)
+		case runs && !listed:
+			// A fresh array: Submit's caller holds the old one.
+			sq.info.Hosts = append(slices.Clip(sq.info.Hosts), hostName)
 		}
 	}
 	s.mu.Unlock()
-
-	// Adopted queries discover their hosts here: the dead leader's chosen
-	// set was not replicated, but host sampling is deterministic in the
-	// query id, so re-resolving the target against the registry this host
-	// just joined reselects the same set the leader activated.
-	for _, sq := range adopted {
-		hosts := s.cfg.Registry.Resolve(sq.plan.Target)
-		chosen := sampling.SelectHosts(cluster.Names(hosts), sq.plan.SampleHosts, sq.info.ID)
-		for _, h := range chosen {
-			if h != hostName {
-				continue
-			}
-			s.mu.Lock()
-			if !sq.done {
-				sq.info.Hosts = append(sq.info.Hosts, hostName)
-				sq.info.NumHosts = len(hosts)
-				sq.info.SampledHosts = len(sq.info.Hosts)
-				targeted = append(targeted, sq)
-			}
-			s.mu.Unlock()
-			break
-		}
-	}
 
 	// A resync does not replay: the restarted host's record stream is
 	// empty (or stale), and a second replay of a query already past its
 	// start would duplicate history central has folded in.
 	n := 0
-	for _, sq := range targeted {
+	for _, sq := range missing {
 		n += s.dispatch(hostName, sq, false)
 	}
 	return n
@@ -456,7 +414,7 @@ func (s *Server) HandleManifest(m transport.BatchManifest) {
 
 // HandleShardHello enrolls a shard process announcing itself on the data
 // plane. Errors (including "not a shard-fabric deployment") are for the
-// hub's log; the shard retries by reconnecting.
+// hub's log; the shard is not told, and joins again only if restarted.
 func (s *Server) HandleShardHello(m transport.ShardHello) error {
 	if f, ok := s.cfg.Engine.(shardFabric); ok {
 		return f.HandleHello(m)

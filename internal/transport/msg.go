@@ -153,11 +153,14 @@ type CancelQuery struct {
 	QueryID uint64
 }
 
-// RegisterHost announces an agent on its control connection.
+// RegisterHost announces an agent on its control connection, with the
+// ids of the queries it is running: the server lists the host on those
+// and sends it only the queries it targets and the host lacks.
 type RegisterHost struct {
 	HostID  string
 	Service string
 	DC      string
+	Queries []uint64
 }
 
 // HostQuery is the query object shipped to a host: only selection,
@@ -362,6 +365,7 @@ func (t *RegisterHost) code(c *coder) {
 	c.Str(&t.HostID)
 	c.Str(&t.Service)
 	c.Str(&t.DC)
+	c.U64s(&t.Queries)
 }
 
 func (t *HostQuery) code(c *coder) {

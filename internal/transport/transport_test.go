@@ -48,7 +48,7 @@ func sampleMessages() []Message {
 		},
 		QueryDone{QueryID: 7, Stats: QueryStats{Windows: 2, Rows: 3, TuplesIn: 4, HostDrops: 1, LateDrops: 0}},
 		CancelQuery{QueryID: 7},
-		RegisterHost{HostID: "bid-sj-1", Service: "BidServers", DC: "DC1"},
+		RegisterHost{HostID: "bid-sj-1", Service: "BidServers", DC: "DC1", Queries: []uint64{7, 9}},
 		HostQuery{
 			QueryID: 7, EventType: "bid", TypeIdx: 1, Pred: pred,
 			Columns: []string{"user_id", "bid_price"}, SampleEvents: 0.1, SampleByRequest: true,

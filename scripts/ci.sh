@@ -168,6 +168,18 @@ if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
   echo "internal/server/hub.go sends on a connection outside the client writer: queue what a client is sent with clientConn.send, so no client that stops reading can block the merger or the session" >&2; exit 1
 fi
 
+echo "== adopted queries are ordinary queries (a host reports the queries it runs and ResyncHost follows that: internal/server/server.go's ResyncHost calls no SelectHosts or Resolve and serverQuery has no adopted field; coord.Standby.Promote takes one EmitFunc, not a func that returns one) =="
+if awk '/^func / { in_fn = ($0 ~ /^func \(s \*Server\) ResyncHost\(/) } { code = $0; sub(/\/\/.*/, "", code) }
+    in_fn && code ~ /SelectHosts|Resolve\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/server.go; then
+  echo "internal/server/server.go's ResyncHost re-draws a host sample again: a re-registering host reports the queries it runs (RegisterHost.Queries), and ResyncHost lists it on those and sends it only the listed queries it lacks" >&2; exit 1
+fi
+if awk '/^type serverQuery struct/ { in_t = 1 } in_t && /^}/ { in_t = 0 } in_t && /^[[:space:]]+adopted[[:space:]]/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/server.go; then
+  echo "internal/server/server.go's serverQuery has an adopted field again: an adopted query is admitted like a submitted one and learns its hosts from their registrations" >&2; exit 1
+fi
+if grep -nE 'func \(s \*Standby\) Promote\([[:alnum:]_]* *func\(' internal/coord/standby.go; then
+  echo "internal/coord/standby.go's Promote takes a per-query emit factory again: it takes one central.EmitFunc for every resumed query (ResultWindow.QueryID tells them apart)" >&2; exit 1
+fi
+
 echo "== typed atomics only, and scrubvet's five directives (non-test Go under cmd/, internal/, scripts/ and examples/ calls no function-style sync/atomic operation, and names no atomicfield analyzer, LockedFuncs or GuardedFields, nor writes a guardedby, locked, oneshot or allow directive) =="
 if grep -rnE --include='*.go' 'atomic\.(Add|Load|Store|CompareAndSwap|Swap|And|Or)(Int|Uint|Pointer)' cmd internal scripts examples | grep -v '_test\.go:'; then echo "non-test Go calls a function-style sync/atomic operation: use a typed atomic (atomic.Uint64, atomic.Pointer[T], ...), which cannot be accessed plainly" >&2; exit 1; fi
 if grep -rnE --include='*.go' '\b(AtomicFieldAnalyzer|LockedFuncs|GuardedFields)\b|//scrub:(guardedby|locked|oneshot)\b|//scrub:allow\(' cmd internal scripts examples | grep -v '_test\.go:'; then echo "non-test Go names the deleted atomicfield analyzer or its annotation indexes, or writes a directive scrubvet no longer reads: the grammar is hotpath, allowalloc, pooled, allowretain and longlived" >&2; exit 1; fi
