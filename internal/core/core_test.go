@@ -459,3 +459,35 @@ func TestStreamCountsDroppedWindows(t *testing.T) {
 			got, st.Dropped(), stats.Windows, secs)
 	}
 }
+
+// TestStreamDeliversCancelBurst: one event opens 10 800 windows of a
+// `window 3h slide 1s` query, and the cancel's flush emits all of them at
+// once. A reader that starts as soon as Cancel returns receives every
+// window the query's stats count.
+func TestStreamDeliversCancelBurst(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
+	agent := fastAgent()
+	agent.Clock = func() time.Time { return epoch }
+	lc, err := NewLocalCluster(LocalConfig{Catalog: testCatalog(), Hosts: hostSpecs(1, "BidServers"), Agent: agent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	st, err := lc.Query(`select count(*) from bid window 3h slide 1s duration 1h`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBid(t, lc.Agents()[0], 1, 1, 1, epoch)
+	lc.FlushAgents()
+	lc.FlushAgents()
+	if err := lc.Cancel(st.Info.ID); err != nil {
+		t.Fatal(err)
+	}
+	var got uint64
+	for range st.Windows {
+		got++
+	}
+	if stats := st.Final(); got != 3*3600 || stats.Windows != got {
+		t.Errorf("the reader received %d windows, the query's stats count %d; want %d", got, stats.Windows, 3*3600)
+	}
+}
