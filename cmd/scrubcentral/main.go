@@ -31,7 +31,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -288,15 +287,18 @@ func runStandby(cfg standbyConfig) {
 	fmt.Printf("scrubcentral standby: leader silent — promoting (term %d, queries %v)\n", term, qids)
 
 	// The submitters' client connections died with the leader; windows of
-	// resumed queries are printed until their spans expire (a future
-	// re-attach surface would hook in here).
-	out := &linePrinter{wake: make(chan struct{}, 1)}
-	go out.run(stop)
-	coordEng, resumed, err := sb.Promote(func(rw transport.ResultWindow) {
+	// resumed queries go to stdout through one egress until their spans
+	// expire (a future re-attach surface would hook in here). A window
+	// that waits 2 s for stdout cuts it, and the cut cancels them.
+	cut := make(chan error, 1)
+	out := server.NewEgress(func(m transport.Message, _ time.Time) error {
+		rw := m.(transport.ResultWindow)
 		// Parseable line: the failover smoke counts these.
-		out.printf("scrubcentral adopted window: query %d [%d,%d) rows=%d degraded=%v\n",
+		_, err := fmt.Printf("scrubcentral adopted window: query %d [%d,%d) rows=%d degraded=%v\n",
 			rw.QueryID, rw.WindowStart, rw.WindowEnd, len(rw.Rows), rw.Degraded)
-	})
+		return err
+	}, func(err error) { cut <- err }) // nil once drained at shutdown
+	coordEng, resumed, err := sb.Promote(func(rw transport.ResultWindow) { out.Queue(rw) })
 	if err != nil {
 		log.Fatalf("scrubcentral: promote: %v", err)
 	}
@@ -344,45 +346,18 @@ func runStandby(cfg standbyConfig) {
 	fmt.Printf("scrubcentral up (promoted leader, fence %d)\n  client:  %s\n  control: %s\n  data:    %s\n  resumed queries: %d\n",
 		coordEng.Fence(), hub.ClientAddr(), hub.ControlAddr(), hub.DataAddr(), len(resumed))
 
-	<-stop
+	select {
+	case err := <-cut: // stdout stalled: no drain before stop
+		log.Printf("scrubcentral: adopted windows cut off (%v): cancelling the adopted queries", err)
+		for _, rq := range resumed {
+			_ = srv.Cancel(rq.QueryID)
+		}
+		<-stop
+	case <-stop:
+	}
 	fmt.Println("scrubcentral: shutting down")
 	srv.Close()
 	hub.Close()
-}
-
-// linePrinter writes lines to stdout from one goroutine: printf appends
-// to a FIFO and returns, so a caller under the merger's lock never waits
-// on a stalled stdout.
-type linePrinter struct {
-	mu    sync.Mutex
-	lines []string
-	wake  chan struct{}
-}
-
-func (p *linePrinter) printf(format string, args ...any) {
-	p.mu.Lock()
-	p.lines = append(p.lines, fmt.Sprintf(format, args...))
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run writes queued lines in order until stop closes.
-func (p *linePrinter) run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-p.wake:
-		case <-stop:
-			return
-		}
-		p.mu.Lock()
-		lines := p.lines
-		p.lines = nil
-		p.mu.Unlock()
-		for _, line := range lines {
-			_, _ = os.Stdout.WriteString(line)
-		}
-	}
+	out.Close()
+	<-out.Done()
 }

@@ -284,6 +284,7 @@ func (q *mergeQuery) emitWindow(met *centralMetrics, start, end int64, ws *winSt
 type centralMetrics struct {
 	batches  *obs.Counter
 	tuples   *obs.Counter
+	unknown  *obs.Counter
 	wmLag    *obs.Gauge
 	windows  *obs.Counter
 	degraded *obs.Counter
@@ -298,6 +299,7 @@ func newCentralMetrics(reg *obs.Registry) *centralMetrics {
 	return &centralMetrics{
 		batches:  reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
 		tuples:   reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		unknown:  reg.Counter("scrub_central_unknown_query_tuples_total", "tuples of batches for a query id central does not run"),
 		wmLag:    reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
 		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
 		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
@@ -441,14 +443,18 @@ func (m *Merger) live(id uint64, typeIdx uint8) *mergeQuery {
 }
 
 // Ingest routes a whole batch across the query's shards and observes the
-// resulting manifest. It reports whether a running query absorbed it;
-// batches for unknown queries are dropped silently (they race with query
-// teardown by design).
+// resulting manifest. It reports whether a running query absorbed it. A
+// batch for a query central does not run — one racing the query's
+// teardown, or from a host still running a query no server owns — is
+// dropped, and its tuples counted (scrub_central_unknown_query_tuples_total).
 func (m *Merger) Ingest(b transport.TupleBatch) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := m.live(b.QueryID, b.TypeIdx)
 	if q == nil {
+		if m.met != nil {
+			m.met.unknown.Add(uint64(len(b.Tuples)))
+		}
 		return false
 	}
 	man := RouteToShards(b, q.shards, &m.route)
@@ -457,12 +463,16 @@ func (m *Merger) Ingest(b transport.TupleBatch) bool {
 }
 
 // Observe folds the manifest of a batch a router already applied to the
-// shards, and reports whether a running query absorbed it.
+// shards, and reports whether a running query absorbed it; a manifest for
+// a query central does not run is counted like Ingest's batch.
 func (m *Merger) Observe(man transport.BatchManifest) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := m.live(man.QueryID, man.TypeIdx)
 	if q == nil {
+		if m.met != nil {
+			m.met.unknown.Add(man.RawTuples)
+		}
 		return false
 	}
 	m.observe(q, &man)

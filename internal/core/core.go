@@ -14,8 +14,10 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"scrub/internal/central"
 	"scrub/internal/cluster"
@@ -57,6 +59,7 @@ type LocalCluster struct {
 
 	mu     sync.Mutex
 	agents map[string]*host.Agent
+	outs   []*server.Egress // one per stream
 	closed bool
 }
 
@@ -157,22 +160,21 @@ func (lc *LocalCluster) Agents() []*host.Agent {
 }
 
 // Stream is a running query's results, the in-process analogue of
-// server.QueryStream.
+// server.QueryStream. Its windows leave through a server.Egress: one that
+// waits 2 s for the reader cuts the stream, which cancels the query and
+// closes Windows.
 type Stream struct {
 	Info    server.QueryInfo
 	Windows <-chan transport.ResultWindow
 
-	mu      sync.Mutex
-	stats   transport.QueryStats
-	done    chan struct{}
-	dropped atomic.Uint64
+	mu    sync.Mutex
+	stats transport.QueryStats
+	done  chan struct{}
+	cut   atomic.Bool
 }
 
-// Dropped reports how many windows never reached Windows because its
-// buffer was full; the query's stats count them all the same.
-func (s *Stream) Dropped() uint64 { return s.dropped.Load() }
-
-// Final blocks until the query ends and returns its statistics.
+// Final blocks until the query ends, read or not, and returns its
+// statistics.
 func (s *Stream) Final() transport.QueryStats {
 	<-s.done
 	s.mu.Lock()
@@ -180,32 +182,53 @@ func (s *Stream) Final() transport.QueryStats {
 	return s.stats
 }
 
+// Cut reports whether the stream was cut, its query cancelled.
+func (s *Stream) Cut() bool { return s.cut.Load() }
+
 // Query submits query text and streams result windows until the span
-// ends or Cancel is called.
+// ends or Cancel is called; read Windows from the start.
 func (lc *LocalCluster) Query(text string) (*Stream, error) {
-	wins := make(chan transport.ResultWindow, 1024)
+	wins := make(chan transport.ResultWindow)
 	st := &Stream{Windows: wins, done: make(chan struct{})}
-	cb := server.Callbacks{
-		Window: func(rw transport.ResultWindow) {
-			select {
-			case wins <- rw:
-			default: // a stalled consumer loses windows, never blocks Scrub
-				st.dropped.Add(1)
-			}
-		},
+	out := server.NewEgress(func(m transport.Message, deadline time.Time) error {
+		wait := time.NewTimer(time.Until(deadline))
+		defer wait.Stop()
+		select {
+		case wins <- m.(transport.ResultWindow):
+			return nil
+		case <-wait.C:
+			return os.ErrDeadlineExceeded
+		}
+	}, func(err error) {
+		close(wins) // behind the last window, or at the cut
+		if err != nil {
+			st.cut.Store(true)
+			st.mu.Lock()
+			id := st.Info.ID
+			st.mu.Unlock()
+			_ = lc.Server.Cancel(id)
+		}
+	})
+	info, err := lc.Server.Submit(text, server.Callbacks{
+		Window: func(rw transport.ResultWindow) { out.Queue(rw) },
 		Done: func(d transport.QueryDone) {
 			st.mu.Lock()
 			st.stats = d.Stats
 			st.mu.Unlock()
-			close(wins)
 			close(st.done)
+			out.Close()
 		},
-	}
-	info, err := lc.Server.Submit(text, cb)
+	})
 	if err != nil {
+		out.Close()
 		return nil, err
 	}
+	st.mu.Lock()
 	st.Info = info
+	st.mu.Unlock()
+	lc.mu.Lock()
+	lc.outs = append(lc.outs, out)
+	lc.mu.Unlock()
 	return st, nil
 }
 
@@ -232,9 +255,15 @@ func (lc *LocalCluster) Close() {
 	for _, a := range lc.agents {
 		agents = append(agents, a)
 	}
+	outs := lc.outs
 	lc.mu.Unlock()
 	if lc.Server != nil {
 		lc.Server.Close()
+	}
+	// Every query has ended; each stream delivers what it queued, every
+	// window by its deadline.
+	for _, out := range outs {
+		<-out.Done()
 	}
 	for _, a := range agents {
 		a.Close()

@@ -8,6 +8,7 @@ import (
 
 	"scrub/internal/event"
 	"scrub/internal/host"
+	"scrub/internal/transport"
 )
 
 func testCatalog() *event.Catalog {
@@ -422,42 +423,74 @@ func TestNetClusterCancel(t *testing.T) {
 	}
 }
 
-// TestStreamCountsDroppedWindows: a consumer that reads nothing until the
-// query ends loses the windows past Windows' buffer, and Stream.Dropped
-// says how many — what it received plus what it lost is what the query's
-// stats count.
-func TestStreamCountsDroppedWindows(t *testing.T) {
+// TestStreamReaderPolicy holds a Stream to the egress policy: a reader
+// that starts after the query ended, within clientLag, gets every window
+// the stats count; a reader that never reads is cut once a window waited
+// clientLag for it, which cancels its query, and Final returns.
+func TestStreamReaderPolicy(t *testing.T) {
 	epoch := time.Unix(1_700_000_000, 0)
-	agent := fastAgent()
-	agent.Clock = func() time.Time { return epoch }
-	lc, err := NewLocalCluster(LocalConfig{Catalog: testCatalog(), Hosts: hostSpecs(1, "BidServers"), Agent: agent})
-	if err != nil {
-		t.Fatal(err)
+	start := func(t *testing.T, secs int) (*LocalCluster, *Stream) {
+		agent := fastAgent()
+		agent.Clock = func() time.Time { return epoch }
+		lc, err := NewLocalCluster(LocalConfig{Catalog: testCatalog(), Hosts: hostSpecs(1, "BidServers"), Agent: agent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(lc.Close)
+		st, err := lc.Query(`select count(*) from bid window 1s duration 1h`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := lc.Agents()[0]
+		for sec := 0; sec < secs; sec++ {
+			logBid(t, a, uint64(sec+1), 1, 1, epoch.Add(time.Duration(sec)*time.Second))
+		}
+		lc.FlushAgents()
+		lc.FlushAgents()
+		return lc, st
 	}
-	t.Cleanup(lc.Close)
-	st, err := lc.Query(`select count(*) from bid window 1s duration 1h`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := lc.Agents()[0]
-	const secs = 1100 // windows: more than the 1 024 Windows buffers
-	for sec := 0; sec < secs; sec++ {
-		logBid(t, a, uint64(sec+1), 1, 1, epoch.Add(time.Duration(sec)*time.Second))
-	}
-	lc.FlushAgents()
-	lc.FlushAgents()
-	if err := lc.Cancel(st.Info.ID); err != nil {
-		t.Fatal(err)
-	}
-	var got uint64
-	for range st.Windows {
-		got++
-	}
-	stats := st.Final()
-	if stats.Windows < secs || st.Dropped() == 0 || got+st.Dropped() != stats.Windows {
-		t.Errorf("received %d windows and dropped %d, stats count %d (want ≥ %d, some dropped, and the two summing to the stats)",
-			got, st.Dropped(), stats.Windows, secs)
-	}
+
+	t.Run("late reader", func(t *testing.T) {
+		const secs = 1100 // windows: more than a channel buffer of 1 024 held
+		lc, st := start(t, secs)
+		if err := lc.Cancel(st.Info.ID); err != nil {
+			t.Fatal(err)
+		}
+		stats := st.Final()
+		time.Sleep(time.Second) // within clientLag (2 s)
+		var got uint64
+		for range st.Windows {
+			got++
+		}
+		if stats.Windows < secs || got != stats.Windows || st.Cut() {
+			t.Errorf("received %d windows, stats count %d (want ≥ %d, all received), cut = %v",
+				got, stats.Windows, secs, st.Cut())
+		}
+	})
+
+	t.Run("stalled reader", func(t *testing.T) {
+		lc, st := start(t, 10)
+		began := time.Now()
+		final := make(chan transport.QueryStats)
+		go func() { final <- st.Final() }()
+		var stats transport.QueryStats
+		select {
+		case stats = <-final:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Final did not return: the stalled reader was not cut")
+		}
+		waited := time.Since(began)
+		if !st.Cut() || stats.Windows == 0 || waited < 2*time.Second {
+			t.Errorf("after %v: cut = %v with %d windows emitted; want a cut, after a window waited 2 s",
+				waited, st.Cut(), stats.Windows)
+		}
+		if active := lc.Server.Active(); len(active) != 0 {
+			t.Errorf("queries %v still run after the cut", active)
+		}
+		if _, open := <-st.Windows; open {
+			t.Error("Windows is still open after the cut")
+		}
+	})
 }
 
 // TestStreamDeliversCancelBurst: one event opens 10 800 windows of a

@@ -172,27 +172,37 @@ func (s *sim) Close() {
 	s.rec.Close()
 }
 
-// run submits queries, processes d of the generator's requests through
-// the platform (calling each, when non-nil, after each request), flushes
-// agents, cancels the queries, and returns each query's collected windows
-// (in submission order) and the number of requests. Every agent is
-// flushed each time the request stream crosses a virtual second, so no
-// stream's undelivered tuples are more than a second older than what
-// central has seen — less than the 2 s close slack of every case study's
-// windows (10 s or longer), so none arrives late. A query that dropped a
-// tuple late or on a host, or emitted a degraded window, is an error: a
-// case study's answer is exact or it is not reported. So is one whose
-// batches, replayed through every executor arm (replayArms), come out
-// different.
+// run submits queries and reads each one's windows from submission on,
+// processes d of the generator's requests through the platform (calling
+// each, when non-nil, after each request), flushes agents, cancels the
+// queries, and returns each query's collected windows (in submission
+// order) and the number of requests. Every agent is flushed each time
+// the request stream crosses a virtual second, so no stream's
+// undelivered tuples are more than a second older than what central has
+// seen — less than the 2 s close slack of every case study's windows
+// (10 s or longer), so none arrives late. A query that dropped a tuple
+// late or on a host, emitted a degraded window, or whose stream was
+// cut, is an error: a case study's answer is exact or it is not
+// reported. So is one whose batches, replayed through every executor
+// arm (replayArms), come out different.
 func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidRequest)) ([][]transport.ResultWindow, int, error) {
 	lc := s.Cluster
 	streams := make([]*core.Stream, len(queries))
+	out := make([][]transport.ResultWindow, len(queries))
+	var readers sync.WaitGroup
 	for i, q := range queries {
 		st, err := lc.Query(q)
 		if err != nil {
 			return nil, 0, fmt.Errorf("experiments: submit %q: %w", q, err)
 		}
 		streams[i] = st
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for rw := range st.Windows {
+				out[i] = append(out[i], rw)
+			}
+		}()
 	}
 	var sec int64
 	requests := s.gen.Run(d, func(r adplatform.BidRequest) {
@@ -209,17 +219,16 @@ func (s *sim) run(queries []string, d time.Duration, each func(adplatform.BidReq
 	// One extra flush cycle: the first Flush guarantees queue drain, the
 	// second guarantees the counter-only heartbeats landed too.
 	lc.FlushAgents()
-	out := make([][]transport.ResultWindow, len(queries))
-	for i, stream := range streams {
+	for _, stream := range streams {
 		if err := lc.Cancel(stream.Info.ID); err != nil {
 			return nil, 0, err
 		}
-		for rw := range stream.Windows {
-			out[i] = append(out[i], rw)
-		}
+	}
+	readers.Wait()
+	for i, stream := range streams {
 		st := stream.Final()
-		if n := stream.Dropped(); n != 0 {
-			return nil, 0, fmt.Errorf("experiments: %q lost %d windows to a full stream buffer", queries[i], n)
+		if stream.Cut() {
+			return nil, 0, fmt.Errorf("experiments: %q was cut off: a window waited too long for its reader", queries[i])
 		}
 		if st.LateDrops != 0 || st.HostDrops != 0 || st.DegradedWindows != 0 {
 			return nil, 0, fmt.Errorf("experiments: %q under-counted: %d late drops, %d host drops, %d degraded windows",

@@ -483,12 +483,13 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	if !(rate > 0 && rate <= 1) { // NaN too
 		rate = 1
 	}
-	// The seed ties the sample to the query so re-runs are reproducible,
+	// The seed ties the sample to the query so re-runs are reproducible
+	// (to the low half of its id, so a server's incarnation moves no draw),
 	// and keyed by a host's own count to the host too, so hosts sample
 	// independently; keyed by request, every host keeps the same requests.
 	// FNV-1a over the full HostID keeps
 	// anagram host ids (h-ab vs h-ba) uncorrelated.
-	aq.seed = hq.QueryID * 1000003
+	aq.seed = uint64(uint32(hq.QueryID)) * 1000003
 	if aq.byRequest = hq.SampleByRequest; !aq.byRequest {
 		h := fnv.New64a()
 		h.Write([]byte(a.cfg.HostID))

@@ -6,7 +6,6 @@ import (
 	"log"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scrub/internal/cluster"
@@ -30,9 +29,10 @@ type Hub struct {
 	mu    sync.Mutex
 	srv   *Server
 	hosts map[string]*transport.Conn
-	// conns holds every accepted connection until its handler returns;
-	// Close closes them all. closing refuses any accepted after that.
-	conns   map[*transport.Conn]struct{}
+	// conns holds every accepted connection, with a client's egress,
+	// until its handler returns; Close closes them all, a client's after
+	// its egress drains. closing refuses any accepted after that.
+	conns   map[*transport.Conn]*Egress
 	closing bool
 
 	// dataMet aggregates wire accounting across every accepted data
@@ -56,7 +56,7 @@ func NewHub(registry *cluster.Registry, clientAddr, controlAddr, dataAddr string
 	h := &Hub{
 		registry: registry,
 		hosts:    make(map[string]*transport.Conn),
-		conns:    make(map[*transport.Conn]struct{}),
+		conns:    make(map[*transport.Conn]*Egress),
 		logf:     log.Printf,
 	}
 	var err error
@@ -138,7 +138,7 @@ func (h *Hub) acceptLoop(l *transport.Listener, handle func(*transport.Conn)) {
 				conn.Close()
 				continue
 			}
-			h.conns[conn] = struct{}{}
+			h.conns[conn] = nil
 			h.mu.Unlock()
 			h.wg.Add(1)
 			go func() {
@@ -262,116 +262,34 @@ func (h *Hub) BroadcastShardMap(m transport.ShardMap) {
 	}
 }
 
-// clientLag is how long a message may wait for its client, from send to
-// the kernel taking its last byte; a client its writer cannot keep within
-// it is cut off (DESIGN §4). It is a time, not a count: one merger flush
-// emits every window that closes at once, up to MaxSpan / 1 s = 86 400,
-// and a reading client took those over loopback in under 0.5 s
-// (EXPERIMENTS.md M41). A client holds at most what its queries render
-// within clientLag.
-const clientLag = 2 * time.Second
-
-// clientConn is a client connection's one writer. Every message bound for
-// the client — windows, QueryDone, replies — is queued by send and written
-// in order by write, so queuing never waits: the merger's emit under its
-// lock is an append, and the encode happens on the writer.
-type clientConn struct {
-	conn   *transport.Conn
-	closed atomic.Bool
-	cuts   *obs.Counter
-	logf   func(format string, args ...any)
-
-	mu   sync.Mutex
-	q    []queued
-	wake chan struct{}
-}
-
-// queued is one message and when send queued it.
-type queued struct {
-	msg transport.Message
-	at  time.Time
-}
-
-func newClientConn(conn *transport.Conn, cuts *obs.Counter, logf func(string, ...any)) *clientConn {
-	return &clientConn{conn: conn, cuts: cuts, logf: logf, wake: make(chan struct{}, 1)}
-}
-
-// send queues m without blocking; once the connection is closed it drops
-// m.
-func (c *clientConn) send(m transport.Message) {
-	if c.closed.Load() {
-		return
-	}
-	c.mu.Lock()
-	c.q = append(c.q, queued{m, time.Now()})
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// write sends queued messages in order until stop closes or a write
-// fails. Each write's deadline is clientLag after its message was queued;
-// missing it closes the connection, counted once, and the session's reader
-// sees the close and cancels the client's queries. A message the
-// transport refuses (over transport.MaxFrame) closes it too, logged; any
-// other failure means the peer is gone.
-func (c *clientConn) write(stop <-chan struct{}) {
-	var batch []queued
-	for {
-		select {
-		case <-c.wake:
-		case <-stop:
-			return
-		}
-		c.mu.Lock()
-		batch, c.q = c.q, batch[:0]
-		c.mu.Unlock()
-		for i, m := range batch {
-			batch[i] = queued{}
-			_ = c.conn.SetWriteDeadline(m.at.Add(clientLag))
-			err := c.conn.Send(m.msg)
-			if err == nil {
-				continue
-			}
-			if c.closed.CompareAndSwap(false, true) {
-				switch {
-				case errors.Is(err, os.ErrDeadlineExceeded):
-					c.cuts.Inc()
-				case errors.Is(err, transport.ErrUnsendable):
-					c.logf("scrub: client %s cut off: %v", c.conn.RemoteAddr(), err)
-				}
-				c.conn.Close()
-			}
-			return
-		}
-	}
-}
-
 // handleClient serves one troubleshooter session: queries multiplex over
-// the connection by query id, and all it is sent goes through clientConn.
+// the connection by query id, and all it is sent goes through one Egress.
 func (h *Hub) handleClient(conn *transport.Conn) {
+	out := NewEgress(clientSink(conn), func(err error) {
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			h.slowCloses.Inc()
+		case errors.Is(err, transport.ErrUnsendable):
+			h.logf("scrub: client %s cut off: %v", conn.RemoteAddr(), err)
+		}
+		// On a cut, the session's reader sees the close and cancels the
+		// client's queries.
+		conn.Close()
+	})
 	h.mu.Lock()
 	srv := h.srv
+	h.conns[conn] = out
 	h.mu.Unlock()
-	c := newClientConn(conn, &h.slowCloses, h.logf)
-	stop := make(chan struct{})
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		c.write(stop)
-	}()
-	defer close(stop)
 	var mine sync.Map // query ids owned by this connection
 	defer func() {
 		// Tear down this client's queries when it disconnects; their
 		// QueryDone has no reader left.
-		c.closed.Store(true)
+		out.Close()
 		mine.Range(func(k, _ any) bool {
 			_ = srv.Cancel(k.(uint64))
 			return true
 		})
+		<-out.Done()
 	}()
 	for {
 		msg, err := conn.Recv()
@@ -381,19 +299,19 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 		switch m := msg.(type) {
 		case transport.SubmitQuery:
 			cb := Callbacks{
-				Window: func(rw transport.ResultWindow) { c.send(rw) },
+				Window: func(rw transport.ResultWindow) { out.Queue(rw) },
 				Done: func(d transport.QueryDone) {
 					mine.Delete(d.QueryID)
-					c.send(d)
+					out.Queue(d)
 				},
 			}
 			info, err := srv.Submit(m.Text, cb)
 			if err != nil {
-				c.send(transport.QueryError{Msg: err.Error()})
+				out.Queue(transport.QueryError{Msg: err.Error()})
 				continue
 			}
 			mine.Store(info.ID, true)
-			c.send(transport.QueryAccepted{
+			out.Queue(transport.QueryAccepted{
 				QueryID:      info.ID,
 				Columns:      info.Columns,
 				NumHosts:     uint32(info.NumHosts),
@@ -402,20 +320,29 @@ func (h *Hub) handleClient(conn *transport.Conn) {
 			})
 		case transport.CancelQuery:
 			if err := srv.Cancel(m.QueryID); err != nil {
-				c.send(transport.QueryError{QueryID: m.QueryID, Msg: err.Error()})
+				out.Queue(transport.QueryError{QueryID: m.QueryID, Msg: err.Error()})
 			}
 		case transport.ListQueries:
-			c.send(transport.QueryList{Queries: srv.List()})
+			out.Queue(transport.QueryList{Queries: srv.List()})
 		case transport.ShardStatusReq:
-			c.send(srv.ShardStatus())
+			out.Queue(srv.ShardStatus())
 		default:
-			c.send(transport.QueryError{Msg: "unexpected message " + transport.Name(msg)})
+			out.Queue(transport.QueryError{Msg: "unexpected message " + transport.Name(msg)})
 		}
 	}
 }
 
-// Close shuts the listeners and every accepted connection, then waits for
-// their handlers.
+// clientSink writes to a client connection; only its Egress calls it.
+func clientSink(conn *transport.Conn) func(transport.Message, time.Time) error {
+	return func(m transport.Message, deadline time.Time) error {
+		_ = conn.SetWriteDeadline(deadline)
+		return conn.Send(m)
+	}
+}
+
+// Close shuts the listeners, drains every client's egress (each message
+// by its deadline, so a QueryDone queued before Close is written) and
+// closes every accepted connection, then waits for their handlers.
 func (h *Hub) Close() {
 	h.closed.Do(func() {
 		h.clientL.Close()
@@ -423,8 +350,12 @@ func (h *Hub) Close() {
 		h.dataL.Close()
 		h.mu.Lock()
 		h.closing = true
-		for c := range h.conns {
-			c.Close()
+		for c, out := range h.conns {
+			if out != nil {
+				out.Close() // its end closes c
+			} else {
+				c.Close()
+			}
 		}
 		h.mu.Unlock()
 	})

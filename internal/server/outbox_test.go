@@ -10,13 +10,12 @@ import (
 	"scrub/internal/central"
 	"scrub/internal/cluster"
 	"scrub/internal/event"
-	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/transport"
 )
 
-// TestQueuedWindowsOwnTheirMemory holds a client's writer (not started
-// yet) while the merger closes and queues windows of a
+// TestQueuedWindowsOwnTheirMemory holds a client's writer (its sink
+// waits at a gate) while the merger closes and queues windows of a
 // grouped and a raw query, closes later windows on top of them and stops
 // both queries. Released, the writer must deliver every window exactly as
 // the merger rendered it — rows, string values and Streams included — so
@@ -47,7 +46,21 @@ func TestQueuedWindowsOwnTheirMemory(t *testing.T) {
 	server, client := transport.Pipe()
 	defer client.Close()
 	defer server.Close()
-	c := newClientConn(server, new(obs.Counter), t.Logf)
+	// The writer takes the first message and waits at the gate.
+	gate, holding := make(chan struct{}), make(chan struct{}, 1)
+	write := clientSink(server)
+	c := NewEgress(func(m transport.Message, deadline time.Time) error {
+		select {
+		case holding <- struct{}{}:
+		default:
+		}
+		<-gate
+		return write(m, deadline)
+	}, func(err error) {
+		if err != nil {
+			t.Errorf("the egress was cut: %v", err)
+		}
+	})
 
 	// What the merger rendered, encoded at the instant it emitted.
 	var mu sync.Mutex
@@ -61,9 +74,9 @@ func TestQueuedWindowsOwnTheirMemory(t *testing.T) {
 			mu.Lock()
 			rendered = append(rendered, b)
 			mu.Unlock()
-			c.send(rw)
+			c.Queue(rw)
 		},
-		Done: func(d transport.QueryDone) { c.send(d) },
+		Done: func(d transport.QueryDone) { c.Queue(d) },
 	}
 	texts := []string{
 		`select exchange, count(*), max(user_id) from bid group by exchange window 1s duration 1h`,
@@ -123,23 +136,14 @@ func TestQueuedWindowsOwnTheirMemory(t *testing.T) {
 	if emitted < 2*10 {
 		t.Fatalf("the merger emitted %d windows, want 10 per query", emitted)
 	}
-	// Everything waits for the writer, which starts only now.
-	c.mu.Lock()
-	queued := len(c.q)
-	c.mu.Unlock()
-	if queued != emitted+len(ids) {
-		t.Fatalf("%d messages queued, want %d windows and %d QueryDone", queued, emitted, len(ids))
-	}
-	stop := make(chan struct{})
-	written := make(chan struct{})
-	go func() {
-		defer close(written)
-		c.write(stop)
-	}()
+	// Everything waits for the writer, which goes on only now: the client
+	// must receive every window and QueryDone after this point.
+	<-holding
+	close(gate)
 	defer func() {
-		close(stop)
+		c.Close()
+		<-c.Done()
 		server.Close()
-		<-written
 	}()
 
 	var got []transport.ResultWindow

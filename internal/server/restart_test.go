@@ -149,7 +149,13 @@ func TestRestartedServerCountsNoStaleTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Watch for 2.5 s while the agent logs bids: a window opens only when
+	// a tuple reaches it, so with nothing stale counted there is no window
+	// to wait for.
 	time.Sleep(2500 * time.Millisecond)
+	if slices.Contains(a.ActiveQueries(), stale.ID) {
+		t.Errorf("h1 still runs the first server's query %d", stale.ID)
+	}
 	if err := srv2.Cancel(info.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -47,10 +48,7 @@ type shardFabric interface {
 // Callbacks deliver a query's output to its submitter. Window and Done
 // must be non-nil and must not block: Window is the engine's EmitFunc,
 // called with the merger's lock held, and Done runs on the goroutine that
-// ended the query. The Hub keeps this by construction — both append to
-// the client connection's one writer, and a client that lets a message
-// wait clientLag there is cut off — so an in-process caller is the one
-// that must.
+// ended the query. Queue what they deliver on an Egress.
 type Callbacks struct {
 	Window func(transport.ResultWindow)
 	Done   func(transport.QueryDone)
@@ -94,6 +92,11 @@ type serverQuery struct {
 type Server struct {
 	cfg Config
 
+	// incarnation is the high half of every id this server numbers, its
+	// start time in Unix milliseconds mod 2³², so no id a host still runs
+	// for a server that is gone names a new query; nextID is the low half.
+	incarnation uint64
+
 	mu      sync.Mutex
 	nextID  uint64
 	queries map[uint64]*serverQuery
@@ -115,9 +118,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.Clock = time.Now
 	}
 	s := &Server{
-		cfg:      cfg,
-		queries:  make(map[uint64]*serverQuery),
-		stopTick: make(chan struct{}),
+		cfg:         cfg,
+		incarnation: uint64(uint32(cfg.Clock().UnixMilli())) << 32,
+		queries:     make(map[uint64]*serverQuery),
+		stopTick:    make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go s.tickLoop()
@@ -158,12 +162,12 @@ func (s *Server) Submit(text string, cb Callbacks) (QueryInfo, error) {
 
 	s.mu.Lock()
 	s.nextID++
-	qid := s.nextID
+	qid := s.incarnation | s.nextID
 	s.mu.Unlock()
 
-	// Host sampling: deterministic in the query id.
+	// Host sampling: deterministic in the id's sequence number.
 	names := cluster.Names(hosts)
-	chosen := sampling.SelectHosts(names, plan.SampleHosts, qid)
+	chosen := sampling.SelectHosts(names, plan.SampleHosts, uint64(uint32(qid)))
 
 	// Resolve the span to absolute times.
 	now := s.cfg.Clock()
@@ -240,8 +244,6 @@ func (s *Server) admit(text string, plan *ql.Plan, info QueryInfo, cb Callbacks)
 		return QueryInfo{}, fmt.Errorf("server: query %d already registered", qid)
 	}
 	s.queries[qid] = sq
-	// Future submissions must not collide with adopted ids.
-	s.nextID = max(s.nextID, qid)
 	s.mu.Unlock()
 
 	// Fan the query out to every chosen host. Dispatch failures degrade
@@ -315,10 +317,13 @@ func (s *Server) Active() []uint64 {
 // it runs, with the active queries: one that lists the host and is not
 // among them is sent again, and one the host runs without being listed
 // lists it (an adopted query learns its hosts this way), so finish stops
-// it there. The hub calls it on every registration, so an application
-// restart mid-query resumes contributing instead of going dark until the
-// span expires, and a control blip re-sends nothing. It reports how many
-// query objects were sent.
+// it there. A reported id the server does not hold, of another
+// incarnation, is a query of a server that is gone: the host is sent its
+// StopQuery, so it neither ships under an id no server owns nor keeps
+// paying for it. The hub calls ResyncHost on every registration, so an
+// application restart mid-query resumes contributing instead of going
+// dark until the span expires, and a control blip re-sends nothing. It
+// reports how many query objects were sent.
 func (s *Server) ResyncHost(hostName string, running []uint64) int {
 	s.mu.Lock()
 	var missing []*serverQuery
@@ -333,8 +338,17 @@ func (s *Server) ResyncHost(hostName string, running []uint64) int {
 			sq.info.Hosts = append(slices.Clip(sq.info.Hosts), hostName)
 		}
 	}
+	var stale []uint64
+	for _, id := range running {
+		if _, held := s.queries[id]; !held && id&^math.MaxUint32 != s.incarnation {
+			stale = append(stale, id)
+		}
+	}
 	s.mu.Unlock()
 
+	for _, id := range stale {
+		_ = s.cfg.Dispatcher.SendToHost(hostName, transport.StopQuery{QueryID: id})
+	}
 	// A resync does not replay: the restarted host's record stream is
 	// empty (or stale), and a second replay of a query already past its
 	// start would duplicate history central has folded in.

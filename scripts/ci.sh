@@ -162,10 +162,17 @@ fi
 echo "== a buffered join run keeps its event time only when the plan reads it (non-test internal/central encodes no uint64(qs.plan.Window) into a join run: a side's span is compiled.span, set from expr.Binding.ReadsTime) =="
 if grep -nF 'uint64(qs.plan.Window)' $(nontest internal/central); then echo "non-test internal/central weighs a join run by the window length again, whether or not the plan reads the side's ts: buffer and probeJoin take the side's compiled.span, 0 when the program reads no ts of it" >&2; exit 1; fi
 
-echo "== one writer per client connection (internal/server/hub.go writes to a client connection only in clientConn.write; the session's replies and the callbacks it hands the server enqueue, and only SendToHost, handleData and BroadcastShardMap write to a host) =="
+echo "== one egress for every result (internal/server/hub.go writes to a client connection only in clientSink, the sink its Egress writer calls; internal/server/egress.go calls a sink only in Egress.write; the session's replies and the callbacks it hands the server queue, and only SendToHost, handleData and BroadcastShardMap write to a host; no linePrinter, clientConn or Stream.Dropped) =="
 if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
-    code ~ /\.Send\(/ && fn !~ /^func \(c \*clientConn\) write\(|^func \(h \*Hub\) (SendToHost|handleData|BroadcastShardMap)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/hub.go; then
-  echo "internal/server/hub.go sends on a connection outside the client writer: queue what a client is sent with clientConn.send, so no client that stops reading can block the merger or the session" >&2; exit 1
+    code ~ /\.Send\(/ && fn !~ /^func clientSink\(|^func \(h \*Hub\) (SendToHost|handleData|BroadcastShardMap)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/hub.go; then
+  echo "internal/server/hub.go sends on a connection outside clientSink: queue what a client is sent on its Egress, so no client that stops reading can block the merger or the session" >&2; exit 1
+fi
+if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /\.sink\(/ && fn !~ /^func \(e \*Egress\) write\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/egress.go; then
+  echo "internal/server/egress.go calls a sink outside Egress.write: an egress has one writer" >&2; exit 1
+fi
+if grep -rnwE --include='*.go' 'linePrinter|clientConn|newClientConn' cmd internal scripts examples || grep -rnE --include='*.go' '\.Dropped\(\)|func \(s \*Stream\) Dropped' cmd internal scripts examples; then
+  echo "a .go file names the standby's linePrinter, the hub's clientConn or Stream.Dropped again: results leave through one server.Egress, whose policy is a time cut, not a drop" >&2; exit 1
 fi
 
 echo "== adopted queries are ordinary queries (a host reports the queries it runs and ResyncHost follows that: internal/server/server.go's ResyncHost calls no SelectHosts or Resolve and serverQuery has no adopted field; coord.Standby.Promote takes one EmitFunc, not a func that returns one) =="

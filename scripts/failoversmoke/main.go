@@ -125,9 +125,15 @@ func run() error {
 		return err
 	}
 	defer query.Stop()
+	accepted, err := query.Await("query ")
+	if err != nil {
+		return err
+	}
+	// "<id> accepted: ...": the leader numbers ids in its incarnation.
+	qid, _, _ := strings.Cut(accepted, " ")
 
 	// Windows must flow on the leader before the kill is meaningful.
-	if err := awaitWindows(filepath.Join(tmp, "scrubql"), clientAddr, 20*time.Second); err != nil {
+	if err := awaitWindows(filepath.Join(tmp, "scrubql"), clientAddr, qid, 20*time.Second); err != nil {
 		return fmt.Errorf("pre-kill: %w", err)
 	}
 	fmt.Println("failover-smoke: query running on leader, windows closing — killing leader")
@@ -150,35 +156,35 @@ func run() error {
 	// The adopted query must keep closing windows on the new leader —
 	// several of them, proving the merge resumed, not just survived.
 	for n := 0; n < 3; n++ {
-		if _, err := standby.Await("scrubcentral adopted window: query 1 "); err != nil {
+		if _, err := standby.Await("scrubcentral adopted window: query " + qid + " "); err != nil {
 			return fmt.Errorf("post-failover window %d: %w", n+1, err)
 		}
 	}
 
 	// And the query is visible (and accumulating) through the re-bound
 	// client plane, so a reconnecting troubleshooter can find it.
-	if err := awaitWindows(filepath.Join(tmp, "scrubql"), clientAddr, 20*time.Second); err != nil {
+	if err := awaitWindows(filepath.Join(tmp, "scrubql"), clientAddr, qid, 20*time.Second); err != nil {
 		return fmt.Errorf("post-failover list: %w", err)
 	}
 	fmt.Println("failover-smoke: promoted leader closing windows for the adopted query")
 	return nil
 }
 
-// awaitWindows polls `scrubql -list` until query 1 reports at least one
+// awaitWindows polls `scrubql -list` until query qid reports at least one
 // closed window.
-func awaitWindows(scrubql, clientAddr string, timeout time.Duration) error {
+func awaitWindows(scrubql, clientAddr, qid string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		out, err := exec.Command(scrubql, "-server", clientAddr, "-list").CombinedOutput()
 		if err == nil {
 			for _, line := range strings.Split(string(out), "\n") {
-				if strings.HasPrefix(line, "query 1 ") && !strings.Contains(line, "windows=0 ") {
+				if strings.HasPrefix(line, "query "+qid+" ") && !strings.Contains(line, "windows=0 ") {
 					return nil
 				}
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("query 1 closed no windows within %s (last list: %q, err %v)", timeout, string(out), err)
+			return fmt.Errorf("query %s closed no windows within %s (last list: %q, err %v)", qid, timeout, string(out), err)
 		}
 		time.Sleep(300 * time.Millisecond)
 	}

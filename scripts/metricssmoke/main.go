@@ -51,8 +51,10 @@ var requiredCentral = append(requiredCoord, requiredShard...)
 // requiredCoord is what a merger and the client hub in front of it
 // expose, and all a coordinator does: it holds no window state. Every
 // scrubcentral that serves a hub counts the clients it cut off for
-// falling behind.
+// falling behind, and every merger the tuples of batches for a query id
+// it does not run.
 var requiredCoord = append(moving,
+	"scrub_central_unknown_query_tuples_total",
 	"scrub_central_windows_total",
 	"scrub_central_degraded_windows_total",
 	"scrub_central_shed_windows_total",
@@ -79,6 +81,7 @@ var requiredShard = []string{
 var forbiddenShard = []string{
 	"scrub_central_batches_total",
 	"scrub_central_tuples_total",
+	"scrub_central_unknown_query_tuples_total",
 	"scrub_central_windows_total",
 }
 
