@@ -68,9 +68,14 @@ type shardClient struct {
 	mu   sync.Mutex
 	conn *transport.Conn
 	seq  uint64
-	// sub is the sub-batch Apply is sending: encoded by pointer from here,
-	// a sub-batch costs neither a closure nor a boxed message.
+	// sub is the sub-batch Apply is sending, man the manifest a manifest
+	// client is: encoded by pointer from here, neither is boxed.
 	sub transport.ShardSubBatch
+	man transport.BatchManifest
+	// sc is what responses are received into. The acks of a routed batch
+	// arrive by pointer into it, good until the next round trip, so every
+	// RPC reads its response before it lets go of mu.
+	sc transport.RecvScratch
 
 	down   atomic.Bool
 	lastOK atomic.Int64 // wall nanos of the last successful round-trip
@@ -123,16 +128,6 @@ func (c *shardClient) failLocked() {
 	}
 }
 
-// do sends one request built with the next sequence number and returns
-// the response.
-func (c *shardClient) do(build func(seq uint64) transport.Message) (transport.Message, uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	resp, err := c.roundTripLocked(build(c.seq))
-	return resp, c.seq, err
-}
-
 // roundTripLocked sends one request, which carries c.seq, and returns the
 // response. The deadline covers the whole round-trip: a peer that has
 // gone silent fails the read, and one that has stopped reading while its
@@ -146,7 +141,7 @@ func (c *shardClient) roundTripLocked(req transport.Message) (transport.Message,
 		c.failLocked()
 		return nil, err
 	}
-	resp, err := c.conn.Recv()
+	resp, err := c.conn.RecvBorrowed(&c.sc)
 	if err != nil {
 		c.failLocked()
 		return nil, err
@@ -155,10 +150,8 @@ func (c *shardClient) roundTripLocked(req transport.Message) (transport.Message,
 	return resp, nil
 }
 
-func (c *shardClient) seqErr(got transport.Message) error {
-	c.mu.Lock()
+func (c *shardClient) seqErrLocked(got transport.Message) error {
 	c.failLocked()
-	c.mu.Unlock()
 	return fmt.Errorf("coord: %s: unexpected response %s", c.peer, transport.Name(got))
 }
 
@@ -167,13 +160,17 @@ func (c *shardClient) seqErr(got transport.Message) error {
 func (c *shardClient) Start(qr *central.QueryRuntime) error {
 	msg := ShardStartFromPlan(qr.Plan())
 	msg.Fence = c.term()
-	resp, seq, err := c.do(func(s uint64) transport.Message { msg.Seq = s; return msg })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	msg.Seq = c.seq
+	resp, err := c.roundTripLocked(msg)
 	if err != nil {
 		return err
 	}
 	ack, ok := resp.(transport.ShardAck)
-	if !ok || ack.Seq != seq {
-		return c.seqErr(resp)
+	if !ok || ack.Seq != msg.Seq {
+		return c.seqErrLocked(resp)
 	}
 	if ack.Err != "" {
 		return fmt.Errorf("coord: %s: %s", c.peer, ack.Err)
@@ -184,19 +181,19 @@ func (c *shardClient) Start(qr *central.QueryRuntime) error {
 // Apply implements central.ShardClient.
 func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.seq++
 	seq := c.seq
 	//scrub:allowretain(held under mu for the one round trip that encodes it, and cleared before Apply returns)
 	c.sub = transport.ShardSubBatch{Seq: seq, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, EffRate: b.EffRate, Tuples: b.Tuples}
 	resp, err := c.roundTripLocked(&c.sub)
 	c.sub = transport.ShardSubBatch{}
-	c.mu.Unlock()
 	if err != nil {
 		return central.DrivenAck{}, false, err
 	}
-	ack, ok := resp.(transport.ShardBatchAck)
+	ack, ok := resp.(*transport.ShardBatchAck)
 	if !ok || ack.Seq != seq {
-		return central.DrivenAck{}, false, c.seqErr(resp)
+		return central.DrivenAck{}, false, c.seqErrLocked(resp)
 	}
 	return central.DrivenAck{
 		HasTs: ack.HasTs, MaxTs: ack.MaxTs,
@@ -206,9 +203,7 @@ func (c *shardClient) Apply(b transport.TupleBatch) (central.DrivenAck, bool, er
 
 // Collect implements central.ShardClient.
 func (c *shardClient) Collect(qr *central.QueryRuntime, bound int64) ([]window.Closed[central.PartialWindow], error) {
-	sp, err := c.partials(func(s uint64) transport.Message {
-		return transport.ShardCollectReq{Seq: s, Fence: c.term(), QueryID: qr.Plan().QueryID, Bound: bound}
-	})
+	sp, err := c.partials(qr.Plan().QueryID, bound, false)
 	return decodeWindows(qr, sp, err)
 }
 
@@ -221,34 +216,40 @@ func (c *shardClient) Stop(qr *central.QueryRuntime) ([]window.Closed[central.Pa
 // drain stops a query on the shard and returns its remaining partials
 // undecoded — all a takeover needs to clear an orphan it has no plan for.
 func (c *shardClient) drain(queryID uint64) (transport.ShardPartials, error) {
-	return c.partials(func(s uint64) transport.Message {
-		return transport.ShardStopReq{Seq: s, Fence: c.term(), QueryID: queryID}
-	})
+	return c.partials(queryID, 0, true)
 }
 
-// partials runs one collect or stop round-trip. A shard that rejected the
+// partials runs one collect round-trip up to bound, or a stop; the
+// partials it returns own their memory. A shard that rejected the
 // caller's fencing term latches the client down: the coordinator holding
 // it was deposed, and every further RPC from it would be rejected the
 // same way. Latching down sends its queries into the ordinary degrade
 // path — a deposed leader stops emitting instead of emitting windows that
 // conflict with its successor's.
-func (c *shardClient) partials(build func(seq uint64) transport.Message) (transport.ShardPartials, error) {
-	resp, seq, err := c.do(build)
+func (c *shardClient) partials(queryID uint64, bound int64, stop bool) (transport.ShardPartials, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	var req transport.Message = transport.ShardCollectReq{Seq: c.seq, Fence: c.term(), QueryID: queryID, Bound: bound}
+	if stop {
+		req = transport.ShardStopReq{Seq: c.seq, Fence: c.term(), QueryID: queryID}
+	}
+	resp, err := c.roundTripLocked(req)
 	if err != nil {
 		return transport.ShardPartials{}, err
 	}
 	sp, ok := resp.(transport.ShardPartials)
-	if !ok || sp.Seq != seq {
-		return transport.ShardPartials{}, c.seqErr(resp)
+	if !ok || sp.Seq != c.seq {
+		return transport.ShardPartials{}, c.seqErrLocked(resp)
 	}
 	if sp.Stale {
-		return transport.ShardPartials{}, c.staleErr()
+		return transport.ShardPartials{}, c.staleErrLocked()
 	}
 	return sp, nil
 }
 
-func (c *shardClient) staleErr() error {
-	c.close()
+func (c *shardClient) staleErrLocked() error {
+	c.failLocked()
 	return fmt.Errorf("coord: %s: stale fencing epoch (deposed)", c.peer)
 }
 
@@ -274,18 +275,19 @@ func decodeWindows(qr *central.QueryRuntime, sp transport.ShardPartials, err err
 // installFence installs the caller's fencing epoch on the shard and
 // returns the shard's active query ids for takeover reconciliation.
 func (c *shardClient) installFence() (transport.ShardFenceAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardFence{Seq: s, Fence: c.term()}
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	resp, err := c.roundTripLocked(transport.ShardFence{Seq: c.seq, Fence: c.term()})
 	if err != nil {
 		return transport.ShardFenceAck{}, err
 	}
 	ack, ok := resp.(transport.ShardFenceAck)
-	if !ok || ack.Seq != seq {
-		return transport.ShardFenceAck{}, c.seqErr(resp)
+	if !ok || ack.Seq != c.seq {
+		return transport.ShardFenceAck{}, c.seqErrLocked(resp)
 	}
 	if !ack.Ok {
-		return ack, c.staleErr()
+		return ack, c.staleErrLocked()
 	}
 	return ack, nil
 }
@@ -297,15 +299,16 @@ func (c *shardClient) TuplesIn(id uint64) (uint64, bool) {
 }
 
 func (c *shardClient) stats(queryID uint64) (transport.ShardStatsResp, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardStatsReq{Seq: s, QueryID: queryID}
-	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	resp, err := c.roundTripLocked(transport.ShardStatsReq{Seq: c.seq, QueryID: queryID})
 	if err != nil {
 		return transport.ShardStatsResp{}, err
 	}
 	sr, ok := resp.(transport.ShardStatsResp)
-	if !ok || sr.Seq != seq {
-		return transport.ShardStatsResp{}, c.seqErr(resp)
+	if !ok || sr.Seq != c.seq {
+		return transport.ShardStatsResp{}, c.seqErrLocked(resp)
 	}
 	return sr, nil
 }
@@ -313,13 +316,38 @@ func (c *shardClient) stats(queryID uint64) (transport.ShardStatsResp, error) {
 // repAppend ships the leader's state (or a heartbeat) to a standby over
 // the same serialized RPC channel shards use.
 func (c *shardClient) repAppend(m transport.RepAppend) (transport.RepAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message { m.Seq = s; return m })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	m.Seq = c.seq
+	resp, err := c.roundTripLocked(m)
 	if err != nil {
 		return transport.RepAck{}, err
 	}
 	ack, ok := resp.(transport.RepAck)
-	if !ok || ack.Seq != seq {
-		return transport.RepAck{}, c.seqErr(resp)
+	if !ok || ack.Seq != m.Seq {
+		return transport.RepAck{}, c.seqErrLocked(resp)
 	}
 	return ack, nil
+}
+
+// manifest is a manifest client's ManifestFunc: the manifest is encoded
+// by pointer from the client, as Apply's sub-batch is, and its ack
+// arrives by pointer into the client's scratch.
+func (c *shardClient) manifest(m transport.BatchManifest) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	//scrub:allowretain(held under mu for the one round trip that encodes it, and cleared before manifest returns)
+	c.man = m
+	c.man.Seq = c.seq
+	resp, err := c.roundTripLocked(&c.man)
+	c.man = transport.BatchManifest{}
+	if err != nil {
+		return err
+	}
+	if ack, ok := resp.(*transport.ManifestAck); !ok || ack.Seq != c.seq {
+		return c.seqErrLocked(resp)
+	}
+	return nil
 }

@@ -25,17 +25,7 @@ type ManifestFunc func(transport.BatchManifest) error
 func NewManifestClient(conn *transport.Conn) ManifestFunc {
 	mc := newShardClient(conn, "", nil)
 	mc.peer = "coordinator"
-	return func(m transport.BatchManifest) error {
-		resp, seq, err := mc.do(func(s uint64) transport.Message { m.Seq = s; return m })
-		if err != nil {
-			return err
-		}
-		ack, ok := resp.(transport.ManifestAck)
-		if !ok || ack.Seq != seq {
-			return mc.seqErr(resp)
-		}
-		return nil
-	}
+	return mc.manifest
 }
 
 // Router is the host-side half of the shard fabric: a host.Sink that

@@ -83,11 +83,12 @@ func (n *ShardNode) Serve(l *transport.Listener) {
 // and no longer. Nothing here or below keeps them — ApplyDriven copies
 // what a window retains into its own arenas before it returns, the
 // //scrub:pooled contract it already honours for batches that alias a
-// host agent's chunk memory — and the ack is built from scalars. Every
-// other message owns its memory.
+// host agent's chunk memory — and the ack is built from scalars and sent
+// by pointer. Every other message owns its memory.
 func (n *ShardNode) ServeConn(c *transport.Conn) {
 	defer c.Close()
 	var sc transport.RecvScratch
+	var batchAck transport.ShardBatchAck // sent by pointer: an ack costs no box
 	for {
 		m, err := c.RecvBorrowed(&sc)
 		if err != nil {
@@ -105,11 +106,12 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			if n.poison.Load() {
 				sc.Poison()
 			}
-			resp = transport.ShardBatchAck{
+			batchAck = transport.ShardBatchAck{
 				Seq: t.Seq, Known: known,
 				HasTs: ack.HasTs, MaxTs: ack.MaxTs,
 				LateDelta: ack.LateDelta, OverflowDelta: ack.OverflowDelta,
 			}
+			resp = &batchAck
 		case transport.ShardCollectReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}

@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scrub/internal/cluster"
@@ -41,6 +42,9 @@ type Hub struct {
 	// slowCloses counts client connections cut off for falling clientLag
 	// behind.
 	slowCloses obs.Counter
+	// poison (tests) makes every data loop scribble over its receive
+	// scratch after each batch the server has handled.
+	poison atomic.Bool
 
 	clientL  *transport.Listener
 	controlL *transport.Listener
@@ -206,8 +210,15 @@ func (h *Hub) handleControl(conn *transport.Conn) {
 }
 
 // handleData serves one agent's tuple stream.
+//
+// The loop receives through one scratch of its own, as a shard's does
+// (coord.ShardNode.ServeConn): a batch's tuples and values are borrowed,
+// good until the next receive. The executor copies what it keeps — the
+// host.Sink contract it honours for an in-process agent's batches, which
+// alias the agent's chunk memory — and a manifest carries no tuples.
 func (h *Hub) handleData(conn *transport.Conn) {
-	first, err := conn.Recv()
+	var sc transport.RecvScratch
+	first, err := conn.RecvBorrowed(&sc)
 	if err != nil {
 		return
 	}
@@ -221,19 +232,24 @@ func (h *Hub) handleData(conn *transport.Conn) {
 	h.mu.Lock()
 	srv := h.srv
 	h.mu.Unlock()
+	var ack transport.ManifestAck // sent by pointer: an ack costs no box
 	for {
-		msg, err := conn.Recv()
+		msg, err := conn.RecvBorrowed(&sc)
 		if err != nil {
 			return
 		}
 		switch m := msg.(type) {
 		case transport.TupleBatch:
 			srv.HandleBatch(m)
-		case transport.BatchManifest:
+			if h.poison.Load() {
+				sc.Poison()
+			}
+		case *transport.BatchManifest:
 			// A host router's folded batch report; the ack keeps the
 			// router's batch → shard-apply → manifest ordering synchronous.
-			srv.HandleManifest(m)
-			if err := conn.Send(transport.ManifestAck{Seq: m.Seq}); err != nil {
+			srv.HandleManifest(*m)
+			ack = transport.ManifestAck{Seq: m.Seq}
+			if err := conn.Send(&ack); err != nil {
 				return
 			}
 		case transport.ShardHello:

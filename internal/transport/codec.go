@@ -119,6 +119,8 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 		t.code(&c) // by pointer, a sender's sub-batch is not boxed per frame
 	case ShardBatchAck:
 		t.code(&c)
+	case *ShardBatchAck:
+		t.code(&c)
 	case ShardCollectReq:
 		t.code(&c)
 	case ShardPartials:
@@ -131,7 +133,11 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 		t.code(&c)
 	case BatchManifest:
 		t.code(&c)
+	case *BatchManifest:
+		t.code(&c) // by pointer, as *ShardSubBatch
 	case ManifestAck:
+		t.code(&c)
+	case *ManifestAck:
 		t.code(&c)
 	case ShardHello:
 		t.code(&c)
@@ -248,15 +254,22 @@ func decode(b []byte, sc *RecvScratch) (Message, error) {
 			m = t
 			break
 		}
-		// Handed out by pointer into the scratch: boxing the struct would
-		// be the one allocation left per frame.
+		// Handed out by pointer into the scratch, as the acks of a routed
+		// batch's round trips are: boxing the struct would be the one
+		// allocation left per frame.
 		sc.sub = ShardSubBatch{}
 		sc.sub.code(&c)
 		m = &sc.sub
 	case tagShardBatchAck:
-		var t ShardBatchAck
-		t.code(&c)
-		m = t
+		if sc == nil {
+			var t ShardBatchAck
+			t.code(&c)
+			m = t
+			break
+		}
+		sc.ack = ShardBatchAck{}
+		sc.ack.code(&c)
+		m = &sc.ack
 	case tagShardCollectReq:
 		var t ShardCollectReq
 		t.code(&c)
@@ -278,13 +291,25 @@ func decode(b []byte, sc *RecvScratch) (Message, error) {
 		t.code(&c)
 		m = t
 	case tagBatchManifest:
-		var t BatchManifest
-		t.code(&c)
-		m = t
+		if sc == nil {
+			var t BatchManifest
+			t.code(&c)
+			m = t
+			break
+		}
+		sc.man = BatchManifest{}
+		sc.man.code(&c)
+		m = &sc.man
 	case tagManifestAck:
-		var t ManifestAck
-		t.code(&c)
-		m = t
+		if sc == nil {
+			var t ManifestAck
+			t.code(&c)
+			m = t
+			break
+		}
+		sc.mack = ManifestAck{}
+		sc.mack.code(&c)
+		m = &sc.mack
 	case tagShardHello:
 		var t ShardHello
 		t.code(&c)
@@ -359,8 +384,8 @@ func (c *coder) U64s(s *[]uint64) {
 const minTupleBytes = 17
 
 // tuples codes a tuple list, each tuple by its description. Decoding, the
-// cells go into c.sc's arrays when a scratch is set — valid until the
-// scratch's next decode, the //scrub:pooled contract of Tuple.Values and
+// cells go into the arrays c.sc lends when a scratch is set — valid until
+// the scratch's next receive, the //scrub:pooled contract of Tuple.Values and
 // the Tuples fields — and into fresh arrays otherwise. Either way all the
 // tuples' Values share one flat backing array, each capped at its own
 // length (cells). String payloads are ordinary immutable strings that
@@ -385,9 +410,11 @@ func (c *coder) tuples(s *[]Tuple) {
 		return
 	}
 	var ts []Tuple
+	var cl *cells
 	c.vals = nil
 	if c.sc != nil {
-		ts, c.vals = c.sc.tuples[:0], c.sc.vals[:0]
+		cl = c.sc.lend()
+		ts, c.vals = cl.tuples[:0], cl.vals[:0]
 	}
 	if uint64(cap(ts)) < n {
 		//scrub:allowalloc(one array per message without a scratch; growth only with one)
@@ -398,8 +425,8 @@ func (c *coder) tuples(s *[]Tuple) {
 		c.left = n - uint64(i)
 		ts[i].code(c)
 	}
-	if c.sc != nil {
-		c.sc.tuples, c.sc.vals = ts, c.vals
+	if cl != nil {
+		cl.tuples, cl.vals = ts, c.vals
 	}
 	*s = ts
 }

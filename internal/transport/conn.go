@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"scrub/internal/event"
 	"scrub/internal/obs"
@@ -51,19 +53,65 @@ func NewConnMetrics(reg *obs.Registry, labels ...obs.Label) *ConnMetrics {
 }
 
 const (
-	minReadBuf = 512      // what a read buffer starts at
-	maxReadBuf = 64 << 10 // the most one keeps from frame to frame (DESIGN.md §9)
+	minReadBuf = 512      // what a receive starts on, and the smallest pooled buffer
+	maxReadBuf = 64 << 10 // the largest pooled buffer (DESIGN.md §9)
 )
+
+// Frame buffers belong to frames, not to connections: a connection takes
+// one from a pool when a frame needs it and gives it back once the frame
+// is decoded or written, so an idle connection holds none. Read buffers
+// come in power-of-two classes from minReadBuf to maxReadBuf, each pool
+// holding its class by the address of the first byte — a pointer, which
+// an interface holds without allocating where a slice needs a box. A
+// larger buffer is made for its frame and dropped after it.
+var readPools [8]sync.Pool // minReadBuf<<0 … minReadBuf<<7 == maxReadBuf
+
+// bufClass returns the class of the smallest pooled buffer of n bytes or
+// more, n at most maxReadBuf.
+func bufClass(n int) int { return bits.Len(uint(max(n, minReadBuf)-1) / minReadBuf) }
+
+// bufLen is the length of the buffer getBuf returns for n bytes: n's
+// class, or n itself past maxReadBuf.
+func bufLen(n int) int {
+	if n > maxReadBuf {
+		return n
+	}
+	return minReadBuf << bufClass(n)
+}
+
+// getBuf returns a buffer of bufLen(n) bytes at its full length: a pooled
+// one of n's class, or a one-off past maxReadBuf.
+func getBuf(n int) []byte {
+	if n <= maxReadBuf {
+		if p, _ := readPools[bufClass(n)].Get().(*byte); p != nil {
+			return unsafe.Slice(p, bufLen(n))
+		}
+	}
+	return make([]byte, bufLen(n))
+}
+
+// putBuf gives a buffer getBuf returned back to its pool; a one-off goes
+// to the collector.
+func putBuf(b []byte) {
+	if n := cap(b); n > 0 && n == bufLen(n) && n <= maxReadBuf {
+		readPools[bufClass(n)].Put(unsafe.SliceData(b))
+	}
+}
+
+// encPool holds the buffers Send encodes into, boxed: a frame's size is
+// known only once it is encoded, so they come in no classes. One that grew
+// past maxReadBuf is not kept.
+var encPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Conn is a framed, message-oriented connection. Send is safe for
 // concurrent use; Recv must be driven from one goroutine.
 type Conn struct {
 	nc  net.Conn
 	wmu sync.Mutex
-	enc []byte // reusable frame buffer (header and payload), guarded by wmu
 	// rbuf is the receiving goroutine's read buffer, always at its full
 	// length; rbuf[r:w] has been read and not yet decoded. Frames are
-	// decoded where they land, so one Read serves all it brought in.
+	// decoded where they land, so one Read serves all it brought in. Once
+	// all of it is decoded it goes back to its pool.
 	rbuf []byte
 	r, w int
 	met  atomic.Pointer[ConnMetrics]
@@ -100,9 +148,10 @@ func DialWith(addr string, timeout time.Duration, wrap func(net.Conn) net.Conn) 
 }
 
 // Send encodes and frames one message and writes it in one call. The frame
-// buffer is owned by the connection and reused across calls, so a busy
-// sender (e.g. the host shipper) allocates nothing per message in steady
-// state. A message is charged to the metrics once it has been written.
+// buffer comes from a pool and goes back once written, so a busy sender
+// (e.g. the host shipper) allocates nothing per message in steady state,
+// and an idle one holds no buffer. A message is charged to the metrics
+// once it has been written.
 func (c *Conn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -111,12 +160,19 @@ func (c *Conn) Send(m Message) error {
 	if met != nil {
 		t0 = time.Now()
 	}
+	enc := encPool.Get().(*[]byte)
 	// The payload is encoded behind room for its length.
-	frame, err := AppendEncode(append(c.enc[:0], 0, 0, 0, 0), m)
+	frame, err := AppendEncode(append((*enc)[:0], 0, 0, 0, 0), m)
 	if err != nil {
+		encPool.Put(enc)
 		return fmt.Errorf("%w: %v", ErrUnsendable, err)
 	}
-	c.enc = frame[:0]
+	defer func() {
+		if cap(frame) <= maxReadBuf {
+			*enc = frame[:0]
+			encPool.Put(enc)
+		}
+	}()
 	var encNs time.Duration
 	if met != nil {
 		encNs = time.Since(t0)
@@ -144,17 +200,54 @@ func (c *Conn) Send(m Message) error {
 
 // RecvScratch is the memory a receive loop lends to the messages it
 // receives (Conn.RecvBorrowed): the Tuple and Value cells of a
-// tuple-carrying message, reused from frame to frame, and the strings the
-// loop's frames keep repeating. The zero value is ready to use; one
-// scratch serves one loop.
+// tuple-carrying message, taken from a pool for the frame and given back
+// at the next receive, and the strings the loop's frames keep repeating.
+// The zero value is ready to use; one scratch serves one loop.
 type RecvScratch struct {
-	tuples []Tuple
-	vals   []event.Value
-	// sub is the sub-batch last handed out.
-	sub ShardSubBatch
+	// cells is what the last frame borrowed; nil between a receive that
+	// lent no tuples and the next.
+	cells *cells
+	// sub, ack, man and mack are the messages last handed out by pointer.
+	sub  ShardSubBatch
+	ack  ShardBatchAck
+	man  BatchManifest
+	mack ManifestAck
 	// strs holds the strings last decoded, by a hash of their bytes: a host
 	// id or a low-cardinality column value is allocated once, then found.
-	strs [internSlots]string
+	// It is made at the first non-empty string, so a loop whose frames
+	// carry none (an RPC client's acks) holds no table.
+	strs *[internSlots]string
+}
+
+// cells are the arrays one frame's tuples are decoded into.
+type cells struct {
+	tuples []Tuple
+	vals   []event.Value
+}
+
+var cellPool = sync.Pool{New: func() any { return new(cells) }}
+
+// lend returns the cells a frame decodes into, taken from the pool at the
+// first tuple list of the frame.
+func (sc *RecvScratch) lend() *cells {
+	if sc.cells == nil {
+		sc.cells = cellPool.Get().(*cells)
+	}
+	return sc.cells
+}
+
+// reclaim gives the cells the last frame borrowed back to the pool,
+// wiped, and forgets the messages that pointed into them.
+func (sc *RecvScratch) reclaim() {
+	sc.sub = ShardSubBatch{}
+	if cl := sc.cells; cl != nil {
+		// Only what the frame filled holds a pointer: the cells past it
+		// were wiped at an earlier reclaim, or hold Poison's constants.
+		clear(cl.tuples)
+		clear(cl.vals)
+		sc.cells = nil
+		cellPool.Put(cl)
+	}
 }
 
 const internSlots = 64
@@ -164,8 +257,14 @@ const internSlots = 64
 // slot. Two strings sharing a slot evict each other and cost what they
 // did without the table, an allocation each.
 //
-//scrub:allowalloc(a string the table does not hold is copied, once per distinct string of a loop's frames)
+//scrub:allowalloc(the table, once per loop, and a string it does not hold, once per distinct string of the loop's frames)
 func (sc *RecvScratch) intern(b []byte) string {
+	if len(b) == 0 {
+		return "" // needs no table: an ack's empty Err makes none
+	}
+	if sc.strs == nil {
+		sc.strs = new([internSlots]string)
+	}
 	h := uint32(2166136261) // FNV-1a
 	for _, c := range b {
 		h = (h ^ uint32(c)) * 16777619
@@ -181,11 +280,14 @@ func (sc *RecvScratch) intern(b []byte) string {
 // receive loop under test calls it once it is done with a message, so
 // anything that kept a borrowed cell reads garbage and diverges.
 func (sc *RecvScratch) Poison() {
-	vals := sc.vals[:cap(sc.vals)]
+	if sc.cells == nil {
+		return
+	}
+	vals := sc.cells.vals[:cap(sc.cells.vals)]
 	for i := range vals {
 		vals[i] = event.Str("\x00poisoned borrowed value")
 	}
-	tuples := sc.tuples[:cap(sc.tuples)]
+	tuples := sc.cells.tuples[:cap(sc.cells.tuples)]
 	for i := range tuples {
 		tuples[i] = Tuple{RequestID: ^uint64(0) - uint64(i), TsNanos: -1 << 62, Values: vals}
 	}
@@ -199,14 +301,19 @@ func (c *Conn) Recv() (Message, error) { return c.RecvBorrowed(nil) }
 // next RecvBorrowed with the same scratch, which is the //scrub:pooled
 // contract those fields carry anyway (copy what you keep; a Value copied
 // out of a cell stays good, its string is an ordinary immutable string).
-// A ShardSubBatch frame arrives as a *ShardSubBatch pointing into sc, so
-// that receiving it allocates nothing; every other message arrives by
-// value and owns what is not a tuple. A nil sc allocates everything, as
-// Recv does. Either way the frame is decoded where it lies in the read
-// buffer and no message aliases it: its bytes are dead on return.
+// A ShardSubBatch, ShardBatchAck, BatchManifest or ManifestAck — a
+// routed batch's round trips — arrives as a pointer into sc, so that
+// receiving it allocates nothing; every other message arrives by value
+// and owns what is not a tuple. A nil sc allocates everything, as Recv
+// does. Either way the frame is decoded where it lies in the read buffer
+// and no message aliases it: its bytes are dead on return, and once
+// nothing undecoded is left behind them the buffer goes back to its pool.
 //
 //scrub:pooled
 func (c *Conn) RecvBorrowed(sc *RecvScratch) (Message, error) {
+	if sc != nil {
+		sc.reclaim() // the last frame's cells are dead: the receive that waits holds none
+	}
 	if err := c.fill(4); err != nil {
 		return nil, err
 	}
@@ -220,10 +327,16 @@ func (c *Conn) RecvBorrowed(sc *RecvScratch) (Message, error) {
 	payload := c.rbuf[c.r+4 : c.r+4+n]
 	c.r += 4 + n
 	m, err := c.decodeMetered(payload, sc)
-	// A buffer that grew past maxReadBuf for this one frame goes, unless
-	// what was read behind the frame is the start of another such.
-	if have := c.w - c.r; len(c.rbuf) > maxReadBuf && have <= maxReadBuf {
-		c.rebuffer(max(have, minReadBuf))
+	switch have := c.w - c.r; {
+	case have == 0:
+		// Nothing is left to decode: the buffer goes back to its pool, and
+		// the next receive starts on minReadBuf.
+		putBuf(c.rbuf)
+		c.rbuf, c.r, c.w = nil, 0, 0
+	case len(c.rbuf) > maxReadBuf && have <= maxReadBuf:
+		// A buffer made for this one frame goes, unless what was read
+		// behind the frame is the start of another such.
+		c.rebuffer(have)
 	}
 	return m, err
 }
@@ -254,20 +367,13 @@ func (c *Conn) decodeMetered(payload []byte, sc *RecvScratch) (Message, error) {
 // fill reads until need bytes — a frame header, or a whole frame — are
 // buffered at c.r; the frames queued behind come in with the same Reads.
 func (c *Conn) fill(need int) error {
-	if c.r == c.w {
-		c.r, c.w = 0, 0
-	}
 	for empty := 0; c.w-c.r < need; {
-		// No room for the frame where it starts: move it to the front when
-		// that frees space, grow to it when the buffer is full. A length
-		// prefix is believed only up to maxReadBuf or twice what has really
-		// arrived: a hostile header claiming MaxFrame costs at most 64 KiB.
-		if c.r+need > len(c.rbuf) && (c.r > 0 || c.w == len(c.rbuf)) {
-			size := len(c.rbuf)
-			if size < need {
-				size = max(size, min(max(need, minReadBuf), max(maxReadBuf, 2*(c.w-c.r))))
-			}
-			c.rebuffer(size)
+		// No room for the frame where it starts: take a buffer it fits, or
+		// move it to the front of this one. A length prefix is believed
+		// only up to maxReadBuf or twice what has really arrived: a hostile
+		// header claiming MaxFrame costs at most 64 KiB.
+		if c.r+need > len(c.rbuf) {
+			c.rebuffer(max(len(c.rbuf), min(need, max(maxReadBuf, 2*(c.w-c.r)))))
 		}
 		n, err := c.nc.Read(c.rbuf[c.w:])
 		c.w += n
@@ -287,20 +393,26 @@ func (c *Conn) fill(need int) error {
 		// A Read that took all the room there was may have left more
 		// waiting: the next gets twice the room and serves more frames.
 		if c.w == len(c.rbuf) && len(c.rbuf) < maxReadBuf {
-			c.rebuffer(min(2*len(c.rbuf), maxReadBuf))
+			c.rebuffer(2 * len(c.rbuf))
 		}
 	}
 	return nil
 }
 
-// rebuffer moves what is buffered to the front of a read buffer of size
-// bytes, the present one if that is its size.
+// rebuffer moves what is buffered to the front of a read buffer of
+// size's class — the present one if it is of that class — and gives the
+// buffer it leaves back to its pool.
 func (c *Conn) rebuffer(size int) {
 	buf := c.rbuf
-	if size != len(buf) {
-		buf = make([]byte, size)
+	if n := bufLen(size); n != len(buf) {
+		buf = getBuf(n)
+	} else if c.r == 0 {
+		return // already at the front
 	}
 	have := copy(buf, c.rbuf[c.r:c.w])
+	if len(buf) != len(c.rbuf) {
+		putBuf(c.rbuf)
+	}
 	c.rbuf, c.r, c.w = buf, 0, have
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -160,5 +162,90 @@ func TestIdleConnHoldsNoBuffers(t *testing.T) {
 				t.Fatalf("pair %d: a receive waits on a %d-byte read buffer, want at most %d", i, len(c.c.rbuf), minReadBuf)
 			}
 		}
+	}
+}
+
+// Sending allocates nothing once the pool holds a buffer the frame fits.
+func TestSendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops items at random")
+	}
+	sb := subBatchOf(16 << 10)
+	c := NewConn(byteConn{})
+	if err := c.Send(sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { c.Send(sb) }); n != 0 {
+		t.Errorf("Send of a 16 KiB sub-batch allocates %v times, want 0", n)
+	}
+}
+
+// The pools lend a buffer to one frame at a time. Connections on
+// concurrent goroutines carry frames of three sizes in turn — a 40-byte
+// ack, a 16 KiB sub-batch and a 1 MiB partial, the last past the pooled
+// classes — and every receive loop poisons its scratch after each message
+// it checked: each message must arrive as it was sent, whatever the other
+// loops do with the buffers and cells they were lent before and after.
+func TestPooledBuffersAreLentOnce(t *testing.T) {
+	const conns, rounds = 4, 4
+	base := subBatchOf(16 << 10)
+	msg := func(conn, i int) Message {
+		seq := uint64(conn<<16 | i)
+		switch i % 3 {
+		case 0:
+			return ShardBatchAck{Seq: seq, Known: true, HasTs: true, MaxTs: int64(seq)}
+		case 1:
+			sb := *base
+			sb.Seq, sb.HostID = seq, fmt.Sprintf("host-%d", conn)
+			sb.Tuples = append([]Tuple(nil), base.Tuples...)
+			for j := range sb.Tuples {
+				sb.Tuples[j].RequestID ^= seq
+			}
+			return sb
+		}
+		data := bytes.Repeat([]byte{byte(seq)}, 1<<20)
+		data[0], data[len(data)-1] = byte(conn), byte(i)
+		return ShardPartials{Seq: seq, Partials: []WindowPartial{{Start: int64(i), End: int64(i + 1), Data: data}}}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*conns)
+	for k := 0; k < conns; k++ {
+		a, b := Pipe()
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer a.Close()
+			for i := 0; i < 3*rounds; i++ {
+				if err := a.Send(msg(k, i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			defer b.Close()
+			var sc RecvScratch
+			for i := 0; i < 3*rounds; i++ {
+				m, err := b.RecvBorrowed(&sc)
+				if err != nil {
+					errs <- err
+					return
+				}
+				runtime.Gosched() // let the other loops take and give back buffers meanwhile
+				want, _ := AppendEncode(nil, msg(k, i))
+				got, err := AppendEncode(nil, owned(m))
+				if err != nil || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("connection %d, message %d (%s): received differs from sent (%v)", k, i, Name(m), err)
+					return
+				}
+				sc.Poison()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -11,9 +11,17 @@ import (
 	"scrub/internal/event"
 )
 
-// owned returns m by value: a borrowed sub-batch arrives by pointer.
+// owned returns m by value: a borrowed sub-batch, manifest or ack
+// arrives by pointer.
 func owned(m Message) Message {
-	if p, ok := m.(*ShardSubBatch); ok {
+	switch p := m.(type) {
+	case *ShardSubBatch:
+		return *p
+	case *ShardBatchAck:
+		return *p
+	case *BatchManifest:
+		return *p
+	case *ManifestAck:
 		return *p
 	}
 	return m
@@ -96,7 +104,7 @@ func TestRecvBorrowedMatchesRecv(t *testing.T) {
 			if !ok {
 				t.Fatalf("frame %d: a borrowed sub-batch arrived as %T", i, got)
 			}
-			if len(sb.Tuples) > 0 && len(sc.tuples) > 0 && &p.Tuples[0] != &sc.tuples[0] {
+			if len(sb.Tuples) > 0 && (sc.cells == nil || &p.Tuples[0] != &sc.cells.tuples[0]) {
 				t.Fatalf("frame %d: the sub-batch's tuples are not the scratch's cells", i)
 			}
 		}
@@ -231,8 +239,10 @@ func TestRecvNoProgress(t *testing.T) {
 // The read buffer is sized by the traffic. A connection that carries acks
 // one round trip at a time keeps a small one; one whose frames arrive
 // faster than they are read gets room for a read's worth, up to 64 KiB;
-// and one oversized frame is read into a buffer that goes once it is
-// decoded — without losing the frame read in behind it.
+// one oversized frame is read into a buffer that goes once it is decoded
+// — without losing the frame read in behind it; and once the last frame
+// buffered, 16 KiB, is decoded, the connection holds at most what a
+// receive starts on.
 func TestReadBufferPolicy(t *testing.T) {
 	var wire bytes.Buffer
 	w := NewConn(byteConn{w: &wire})
@@ -251,6 +261,8 @@ func TestReadBufferPolicy(t *testing.T) {
 	big := ShardPartials{Seq: acks, Partials: []WindowPartial{{Start: 1, End: 2, Data: bytes.Repeat([]byte{7}, 1<<20)}}}
 	send(big)
 	send(ShardBatchAck{Seq: acks + 1})
+	last := ShardPartials{Seq: acks + 2, Partials: []WindowPartial{{Start: 1, End: 2, Data: bytes.Repeat([]byte{8}, 16<<10)}}}
+	send(last)
 	recvAck := func(c *Conn, seq uint64) {
 		t.Helper()
 		m, err := c.Recv()
@@ -280,6 +292,17 @@ func TestReadBufferPolicy(t *testing.T) {
 		t.Errorf("after a 1 MiB frame the connection keeps a %d-byte read buffer, want at most 64 KiB", len(c.rbuf))
 	}
 	recvAck(c, acks+1)
+	idle := func(c *Conn) {
+		t.Helper()
+		m, err := c.Recv()
+		if sp, ok := m.(ShardPartials); err != nil || !ok || sp.Seq != last.Seq {
+			t.Fatalf("the last frame: got %v, %v", m, err)
+		}
+		if len(c.rbuf) > minReadBuf {
+			t.Errorf("with every buffered frame decoded the connection holds a %d-byte read buffer, want at most %d", len(c.rbuf), minReadBuf)
+		}
+	}
+	idle(c)
 
 	// As a receiver that has fallen behind a stream sees them.
 	c = NewConn(byteConn{r: bytes.NewReader(wire.Bytes())})
@@ -289,4 +312,9 @@ func TestReadBufferPolicy(t *testing.T) {
 	if len(c.rbuf) != maxReadBuf {
 		t.Errorf("behind a stream of frames the read buffer holds %d bytes, want the %d it may keep", len(c.rbuf), maxReadBuf)
 	}
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	recvAck(c, acks+1)
+	idle(c)
 }

@@ -22,6 +22,16 @@ for f in Begin BeginTuples Finish Bool Value cmpNum cmpStr in arith; do
   if ! grep -B1 -E "^func \(c \*Ctx\) $f\(" internal/expr/prog.go | grep -q '^//scrub:hotpath$'; then echo "internal/expr/prog.go: Ctx.$f lost its //scrub:hotpath seed" >&2; exit 1; fi
 done
 
+echo "== frame buffers belong to frames (non-test internal/transport gives Conn no encode buffer of its own; the hub's data loop receives through a scratch, not conn.Recv()) =="
+if awk '/^type Conn struct/,/^}/ { print FILENAME ":" FNR ": " $0 }' $(find internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -E ':\s+enc\s' ||
+   grep -nE '\bc\.enc\b' $(find internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+  echo "internal/transport's Conn keeps an encode buffer between frames again: Send encodes into a pooled buffer and gives it back once written" >&2; exit 1
+fi
+if awk '/^func / { in_fn = ($0 ~ /^func \(h \*Hub\) handleData\(/) } { code = $0; sub(/\/\/.*/, "", code) }
+    in_fn && code ~ /conn\.Recv\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/hub.go; then
+  echo "internal/server/hub.go's handleData receives with conn.Recv() again: it borrows a scratch's cells (RecvBorrowed), as a shard's loop does" >&2; exit 1
+fi
+
 echo "== a shipped tuple is encoded once (the shipper sizes a batch, it does not encode it) =="
 if grep -rn 'encScratch' internal/; then echo "internal/ has encScratch again" >&2; exit 1; fi
 if grep -n 'AppendEncode' internal/host/*.go | grep -v '_test\.go:'; then echo "internal/host encodes a batch itself again" >&2; exit 1; fi
