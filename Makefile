@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzRecvFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzTupleBatchWireSize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzPackedRun -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzJoinRun -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/central -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/slab -run='^$$' -fuzz=FuzzIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ql -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)

@@ -36,7 +36,7 @@ func newStateGauges(reg *obs.Registry) *stateGauges {
 	}
 	return &stateGauges{
 		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
-		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state (join-pending and group runs and their bucket heads, aggregate states and sketches, raw rows); only the per-host maps are not counted"),
+		bytes:       reg.Gauge("scrub_central_state_bytes", "capacity in bytes of the open windows' state (join-pending and group runs and their bucket heads, a join window's string slots, aggregate states and sketches, raw rows); only the per-host maps are not counted"),
 	}
 }
 
@@ -71,13 +71,15 @@ type queryState struct {
 	// context and the tuple row it reads — the shipped tuple and, in a
 	// join, the buffered partner — the cells a buffered tuple's columns
 	// are unpacked into for a probe, the links a probe found under its
-	// request id, and the buffer join, group and raw runs are packed in
-	// before the window keeps them.
+	// request id, the buffer join, group and raw runs are packed in
+	// before the window keeps them, and the string slots a join run
+	// claims (packJoin).
 	ctx     *expr.Ctx
 	sides   [2]expr.Tuple
 	probe   []event.Value
 	found   []uint32
 	packBuf []byte
+	claims  []uint32
 	// chainSteps counts the runs join probes have visited; tests assert on
 	// it that a probe never walks its own side's chain.
 	chainSteps uint64
@@ -291,11 +293,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 	for i := len(found) - 1; i >= 0; i-- {
 		run, _ := ws.arena.Linked(found[i])
 		tag, n := binary.Uvarint(run[8:])
-		if len(vals) > 0 {
-			// Strings alias the arena chunk: they are read while this
-			// tuple is applied and a run's payload is never rewritten.
-			unpackValues(vals, run[8+n:], true)
-		}
+		// Strings alias the arena chunk: they are read while this tuple
+		// is applied and a run's payload is never rewritten.
+		ws.unpackJoin(vals, run[8+n:], len(vals))
 		dt, pw := tag>>1, w
 		if span == 0 {
 			dt, pw = 0, max(w, dt+1)
@@ -332,12 +332,13 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 		tag = tag*span + uint64(t.TsNanos-ws.start)
 	}
 	buf = binary.AppendUvarint(buf, tag<<1|side)
-	buf = packValues(buf, t.Values, len(qs.plan.Columns[side]))
-	qs.packBuf = buf
+	buf, claims := ws.packJoin(buf, t.Values, len(qs.plan.Columns[side]), qs.claims[:0])
+	qs.packBuf, qs.claims = buf, claims
 	at, ok := ws.arena.Append(buf)
 	if !ok {
 		return false
 	}
+	ws.claimStrings(at, buf, claims)
 	if ws.join.Full() {
 		ws.rethreadJoin(&qs.plan) // threads the new run too
 	} else {
@@ -484,7 +485,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 		for _, g := range groups {
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
-			unpackValues(row[0].Values, g.key(), false)
+			unpackValues(row[0].Values, g.key())
 			for i := range p.Aggs {
 				v := ws.aggs.At(g.ordinal(), i).Result()
 				if p.Aggs[i].Spec.Scalable() {

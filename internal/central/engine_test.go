@@ -21,6 +21,7 @@ func buildPlan(t testing.TB, src string, queryID uint64, totalHosts, sampledHost
 		event.FieldDef{Name: "user_id", Kind: event.KindInt},
 		event.FieldDef{Name: "exchange_id", Kind: event.KindInt},
 		event.FieldDef{Name: "bid_price", Kind: event.KindFloat},
+		event.FieldDef{Name: "country", Kind: event.KindString},
 	))
 	cat.MustRegister(event.MustSchema("exclusion",
 		event.FieldDef{Name: "line_item_id", Kind: event.KindInt},

@@ -12,6 +12,21 @@ import (
 	"scrub/internal/transport"
 )
 
+// packValues appends the wire form of vals to dst as a run of exactly w
+// values, as a join run with every string inline, a group key or a raw row
+// is written: a longer vals is cut, a shorter one is padded with Invalid
+// tags.
+func packValues(dst []byte, vals []event.Value, w int) []byte {
+	for i := 0; i < w; i++ {
+		if i < len(vals) {
+			dst = event.AppendValue(dst, vals[i])
+		} else {
+			dst = append(dst, byte(event.KindInvalid))
+		}
+	}
+	return dst
+}
+
 // sameValue is equality for round-trip purposes: Value.Equal, except that
 // Invalid equals Invalid and floats compare by their bits (NaN, −0), in
 // lists too.
@@ -43,8 +58,8 @@ func sameValue(a, b event.Value) bool {
 }
 
 // checkPackedRun packs vals as a run of width w and requires the run to
-// unpack — aliased and owned — to the same values, to re-pack to the same
-// bytes, and to measure its own length.
+// unpack — owned, and aliased as a join run without refs is — to the same
+// values, to re-pack to the same bytes, and to measure its own length.
 func checkPackedRun(t *testing.T, vals []event.Value, w int) {
 	t.Helper()
 	packed := packValues(nil, vals, w)
@@ -53,7 +68,11 @@ func checkPackedRun(t *testing.T, vals []event.Value, w int) {
 	}
 	for _, alias := range []bool{true, false} {
 		out := make([]event.Value, w)
-		if n := unpackValues(out, packed, alias); n != len(packed) {
+		unpack := unpackValues
+		if alias {
+			unpack = func(out []event.Value, b []byte) int { return new(winState).unpackJoin(out, b, len(out)) }
+		}
+		if n := unpack(out, packed); n != len(packed) {
 			t.Fatalf("alias=%v: unpacked %d of %d bytes", alias, n, len(packed))
 		}
 		for i := range out {
@@ -172,6 +191,12 @@ func FuzzPackedRun(f *testing.F) {
 	f.Add([]byte{byte(event.KindString), 0xff, 0xff, 0xff, 0xff, 0x0f}, 1) // lying string length
 	f.Add([]byte{byte(event.KindList), byte(event.KindInt), 3, byte(event.KindString), 0}, 1)
 	f.Add([]byte{}, 0)
+	// A string ref is a join arena's alone: no partial may carry one.
+	ref := []byte{byte(event.KindInt), 1, 2, 3, 4, 5, 6, 7, 8, strRef + 5}
+	if _, err := packedLen(ref, 2); err == nil {
+		f.Fatal("packedLen accepts a string ref")
+	}
+	f.Add(ref, 2)
 	f.Fuzz(func(t *testing.T, data []byte, w int) {
 		if w < 0 || w > 64 {
 			return
@@ -181,7 +206,7 @@ func FuzzPackedRun(f *testing.F) {
 			return
 		}
 		vals := make([]event.Value, w)
-		if got := unpackValues(vals, data, true); got != n {
+		if got := unpackValues(vals, data); got != n {
 			t.Fatalf("packedLen says %d bytes, unpackValues read %d", n, got)
 		}
 		// The input may spell a length in a longer varint than the encoder

@@ -200,6 +200,42 @@ func TestDecodePartialRejectsOverflowingCount(t *testing.T) {
 	}
 }
 
+// TestDecodePartialRejectsStringRef: a string ref (packJoin) is legal only
+// in a join arena. A group key in a partial that spells one is malformed:
+// decoding fails, and nothing reads the slot table the decoded window
+// does not have.
+func TestDecodePartialRejectsStringRef(t *testing.T) {
+	p := buildPlan(t, `select exclusion.reason, count(*) from exclusion group by exclusion.reason window 10s`, 1, 1, 1)
+	qr, err := CompileQuery(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewShardEngine(nil)
+	if err := e.StartDriven(p); err != nil {
+		t.Fatal(err)
+	}
+	e.ApplyDriven(transport.TupleBatch{QueryID: 1, HostID: "h0", TypeIdx: 0, Tuples: []transport.Tuple{tup(1, sec(1), event.Str("geo"))}})
+	partials, ok := e.DrainDriven(1)
+	if !ok || len(partials) != 1 {
+		t.Fatalf("DrainDriven: %d partials, ok=%v", len(partials), ok)
+	}
+	good := partials[0].Data
+	if _, err := qr.DecodePartial(good); err != nil {
+		t.Fatalf("the partial as encoded: %v", err)
+	}
+	key := event.AppendValue(nil, event.Str("geo"))
+	at := bytes.Index(good, key)
+	if at < 0 {
+		t.Fatal("the group key is not in the partial")
+	}
+	for _, ref := range []byte{strRef, strRef + 1, strRef + strSlots - 1} {
+		bad := append(append(append([]byte(nil), good[:at]...), ref), good[at+len(key):]...)
+		if _, err := qr.DecodePartial(bad); err == nil {
+			t.Errorf("a group key of ref byte %#x decoded", ref)
+		}
+	}
+}
+
 // TestDecodePartialHoldsHostsToPlan: a host's moments are coded after its
 // name only under a plan that keeps them, as many as the plan keeps, and
 // a host is listed once. The window's weight is never below its tuples,

@@ -55,8 +55,14 @@ type winState struct {
 	// is w − 1 and the time is not kept (one byte for any weight). The run
 	// is the whole hash-table entry: a probe walks the other side's chain
 	// and keeps the runs whose id is its own. start is the window's start.
+	// A string column the window already holds inline is packed as a
+	// one-byte ref to that copy, through strs (packJoin): nil until the
+	// window's first buffered string, then 64 write-once slots, each the
+	// arena address + 1 of an inline string under the top byte of its
+	// hash, 0 while free.
 	arena slab.Arena
 	join  slab.Index
+	strs  *[strSlots]uint32
 	start int64
 	pendN int // buffered tuples: the maxJoinPending bound and the gauge
 
@@ -144,10 +150,7 @@ func (ws *winState) rethreadJoin(p *Plan) {
 		for off := 0; off < len(chunk); {
 			run := chunk[off+slab.LinkSize:]
 			tag, n := binary.Uvarint(run[8:])
-			w, err := packedLen(run[8+n:], len(p.Columns[tag&1]))
-			if err != nil {
-				panic(corruptRun + err.Error())
-			}
+			w := ws.unpackJoin(nil, run[8+n:], len(p.Columns[tag&1]))
 			ws.join.Insert(&ws.arena, slab.Addr(k, off), hashID(binary.LittleEndian.Uint64(run))<<1|tag&1)
 			off += slab.LinkSize + 8 + n + w
 		}
@@ -298,11 +301,15 @@ func (ws *winState) rawRows(width int) [][]event.Value {
 	return out
 }
 
-// slabBytes is the capacity of the window's slabs, arenas, index heads and
-// sketches in bytes — what the scrub_central_state_bytes gauge counts: all
-// of the window's state but the host table.
+// slabBytes is the capacity of the window's slabs, arenas, index heads,
+// string slots and sketches in bytes — what the scrub_central_state_bytes
+// gauge counts: all of the window's state but the host table.
 func (ws *winState) slabBytes() int64 {
-	return ws.arena.Bytes() + ws.join.Bytes() +
+	n := ws.arena.Bytes() + ws.join.Bytes() +
 		ws.groupRuns.Bytes() + ws.groups.Bytes() + ws.aggs.Bytes() +
 		ws.raw.Bytes()
+	if ws.strs != nil {
+		n += 4 * strSlots
+	}
+	return n
 }

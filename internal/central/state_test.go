@@ -535,14 +535,26 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 	if err := e.StartQuery(raw, func(transport.ResultWindow) {}); err != nil {
 		t.Fatal(err)
 	}
+	// A join whose exclusions carry a string: each of its windows holds a
+	// table of string slots, but the first, which buffers bids only.
+	join := buildPlan(t, `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 10s`, 3, 1, 1)
+	join.Lateness = time.Hour
+	if err := e.StartQuery(join, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2000; i++ {
 		ts := sec(int64(i % 25))
 		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), ts, event.Int(int64(i%700)), event.Float(1))))
 		e.HandleBatch(bidBatch(2, "h1", tup(uint64(i), ts, event.Int(int64(i)))))
+		e.HandleBatch(bidBatch(3, "h1", tup(uint64(i), ts)))
+		if ts >= sec(10) {
+			e.HandleBatch(transport.TupleBatch{QueryID: 3, HostID: "h1", TypeIdx: 1, Tuples: []transport.Tuple{tup(uint64(i), ts, event.Str(fmt.Sprint("r", i%9)))}})
+		}
 	}
 	// The feed's event times span [0 s, 25 s): three windows a query, all
 	// still open, so GetAll finds them and creates none.
 	var want, heads, groups int64
+	var slotted []bool
 	e.mu.Lock()
 	for _, qs := range e.queries {
 		for _, at := range []int64{0, 10, 20} {
@@ -550,6 +562,17 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 				want += ws.slabBytes()
 				heads += ws.groups.Bytes()
 				groups += int64(ws.groups.Len())
+				if qs.plan.QueryID == 3 {
+					// The join's windows hold runs, heads and the pairs'
+					// groups, and 256 bytes of slots once they buffer a
+					// string.
+					slots := ws.slabBytes() - ws.arena.Bytes() - ws.join.Bytes() -
+						ws.groupRuns.Bytes() - ws.groups.Bytes() - ws.aggs.Bytes()
+					if slots != 0 && slots != 256 || (slots == 256) != (ws.strs != nil) {
+						t.Errorf("join window %d: %d bytes beyond its runs, heads and groups; slots made: %v", at, slots, ws.strs != nil)
+					}
+					slotted = append(slotted, ws.strs != nil)
+				}
 			}
 		}
 	}
@@ -557,12 +580,16 @@ func TestStateBytesGaugeTracksSlabCapacity(t *testing.T) {
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != want || want == 0 {
 		t.Errorf("scrub_central_state_bytes = %d, open windows hold %d", got, want)
 	}
+	if fmt.Sprint(slotted) != "[false true true]" {
+		t.Errorf("join windows 0, 10 and 20 s made string slots: %v", slotted)
+	}
 	// The figure includes the indexes: a bucket head per group at least.
 	if groups == 0 || heads < 4*groups {
 		t.Errorf("group index heads hold %d bytes for %d groups", heads, groups)
 	}
 	e.StopQuery(1)
 	e.StopQuery(2)
+	e.StopQuery(3)
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != 0 {
 		t.Errorf("scrub_central_state_bytes = %d after every query stopped", got)
 	}
