@@ -15,7 +15,6 @@ import (
 	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/sampling"
-	"scrub/internal/slab"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 )
@@ -71,13 +70,15 @@ type queryState struct {
 	// context and the tuple row it reads — the shipped tuple and, in a
 	// join, the buffered partner — the cells a buffered tuple's columns
 	// are unpacked into for a probe, the links a probe found under its
-	// request id, the buffer join, group and raw runs are packed in
-	// before the window keeps them, and the string slots a join run
+	// request id and the address + 1 of a run holding that id inline (0
+	// when it found none), the buffer join, group and raw runs are packed
+	// in before the window keeps them, and the string slots a join run
 	// claims (packJoin).
 	ctx     *expr.Ctx
 	sides   [2]expr.Tuple
 	probe   []event.Value
 	found   []uint32
+	idAt    uint32
 	packBuf []byte
 	claims  []uint32
 	// chainSteps counts the runs join probes have visited; tests assert on
@@ -265,6 +266,9 @@ func (qs *queryState) admit() bool {
 // one id from one side costs its own side nothing. A chain runs newest
 // first: the matching links are collected, then replayed backwards. The
 // tuple is side side of qs.sides already; each partner becomes the other.
+// qs.idAt is left at the address + 1 of a run that holds the request id
+// inline — a partner, or the partner its ref names — for buffer to refer
+// to, 0 when the probe found no partner.
 //
 // A pair weighs the larger of its two tuples' weights: hosts sample a join
 // by request id, and the lighter side keeps every request the heavier one
@@ -275,28 +279,30 @@ func (qs *queryState) admit() bool {
 //scrub:hotpath
 func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) {
 	other := 1 - side
-	found := qs.found[:0]
+	found, idAt := qs.found[:0], uint32(0)
 	for link := ws.join.Head(hash | other); link != 0; {
-		run, next := ws.arena.Linked(link)
-		if binary.LittleEndian.Uint64(run) == t.RequestID {
+		b := ws.arena.Tail(link - 1)
+		h := parseJoin(b)
+		if id, at := ws.requestID(link-1, b, h); id == t.RequestID {
 			found = append(found, link)
+			idAt = at + 1
 		}
-		link = next
+		link = h.next(b)
 		qs.chainSteps++
 	}
-	qs.found = found
+	qs.found, qs.idAt = found, idAt
 	if len(found) == 0 {
 		return
 	}
 	vals := qs.probe[:len(qs.plan.Columns[other])]
 	span := qs.comp.span[other]
 	for i := len(found) - 1; i >= 0; i-- {
-		run, _ := ws.arena.Linked(found[i])
-		tag, n := binary.Uvarint(run[8:])
+		b := ws.arena.Tail(found[i] - 1)
+		h := parseJoin(b)
 		// Strings alias the arena chunk: they are read while this tuple
 		// is applied and a run's payload is never rewritten.
-		ws.unpackJoin(vals, run[8+n:], len(vals))
-		dt, pw := tag>>1, w
+		ws.unpackJoin(vals, b[h.cols:], len(vals))
+		dt, pw := h.bits>>runFlags, w
 		if span == 0 {
 			dt, pw = 0, max(w, dt+1)
 		} else if dt >= span {
@@ -312,26 +318,47 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 
 // buffer keeps a join tuple of weight w for the other side's later
 // arrivals as one arena run, threaded on its side's chain (winState.arena
-// has the layout): its event time only when the plan reads it. It reports
-// false when the window is at maxJoinPending (or the arena at the end of
-// its address space).
+// has the layout): its event time only when the plan reads it, a link
+// only when its bucket holds a run already, and its request id only when
+// the probe before it found no partner holding the id (qs.idAt). It
+// reports false when the window is at maxJoinPending (or the arena at the
+// end of its address space).
 //
 //scrub:hotpath
 func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) bool {
 	if ws.pendN >= qs.plan.maxJoinPending {
 		return false
 	}
-	// The batch's Values arrays live in memory that is recycled once the
-	// batch has been applied (host.Sink; a shard's receive scratch): what
-	// the window keeps of a tuple is its columns' wire form, copied into
-	// the arena.
-	buf := appendHeader(qs.packBuf[:0], slab.LinkSize) // the index writes the link
-	buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
+	if ws.join.Full() {
+		// First: whether the run holds a link depends on the heads it is
+		// threaded into.
+		ws.rethreadJoin(&qs.plan)
+	}
+	next := ws.join.Head(hash | side)
 	tag := w - 1
 	if span := qs.comp.span[side]; span > 0 {
 		tag = tag*span + uint64(t.TsNanos-ws.start)
 	}
-	buf = binary.AppendUvarint(buf, tag<<1|side)
+	bits := tag<<runFlags | side
+	if next != 0 {
+		bits |= runLinked
+	}
+	if qs.idAt != 0 {
+		bits |= runRef
+	}
+	// The batch's Values arrays live in memory that is recycled once the
+	// batch has been applied (host.Sink; a shard's receive scratch): what
+	// the window keeps of a tuple is its columns' wire form, copied into
+	// the arena.
+	buf := binary.AppendUvarint(qs.packBuf[:0], bits)
+	if next != 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, next)
+	}
+	if qs.idAt != 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, qs.idAt-1)
+	} else {
+		buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
+	}
 	buf, claims := ws.packJoin(buf, t.Values, len(qs.plan.Columns[side]), qs.claims[:0])
 	qs.packBuf, qs.claims = buf, claims
 	at, ok := ws.arena.Append(buf)
@@ -339,11 +366,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 		return false
 	}
 	ws.claimStrings(at, buf, claims)
-	if ws.join.Full() {
-		ws.rethreadJoin(&qs.plan) // threads the new run too
-	} else {
-		ws.join.Insert(&ws.arena, at, hash|side)
-	}
+	ws.join.Insert(at, hash|side) // returns next, which the run holds
 	ws.pendN++
 	if e.state != nil {
 		e.state.joinPending.Add(1)

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"math/rand"
 	"testing"
 
 	"scrub/internal/event"
@@ -14,14 +15,6 @@ import (
 type bucketReplay struct {
 	ix     slab.Index
 	hashes []uint64
-	a      slab.Arena // the shadow runs' link words
-	at     uint32
-}
-
-func newBucketReplay() *bucketReplay {
-	r := &bucketReplay{}
-	r.at, _ = r.a.Append(make([]byte, slab.LinkSize))
-	return r
 }
 
 // add threads the next buffered run's hash and reports whether its bucket
@@ -30,13 +23,11 @@ func (r *bucketReplay) add(hash uint64) (linked bool) {
 	if r.ix.Full() {
 		r.ix.Grow(0)
 		for _, h := range r.hashes {
-			r.ix.Insert(&r.a, r.at, h)
+			r.ix.Insert(0, h)
 		}
 	}
-	linked = r.ix.Head(hash) != 0
-	r.ix.Insert(&r.a, r.at, hash)
 	r.hashes = append(r.hashes, hash)
-	return linked
+	return r.ix.Insert(0, hash) != 0
 }
 
 // TestJoinRunHeaderIsMinimal: a buffered join run keeps only the header
@@ -56,7 +47,7 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			c := newJoinCase(t, reasonJoinQ)
-			replay := newBucketReplay()
+			var replay bucketReplay
 			want, linkless, refs := 0, 0, 0
 			reasons := 0
 			buffer := func(in joinIn, partnered bool) {
@@ -110,4 +101,80 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 			c.check()
 		})
 	}
+}
+
+// checkChains requires of the join index, as it stands, that every chain
+// runs newest first through runs of one bucket and side, reaches every run
+// threaded into its bucket, and ends in the only run that holds no link:
+// no run threaded before a linkless run shares its bucket.
+func checkChains(t *testing.T, ws *winState, p *Plan) {
+	t.Helper()
+	mask := uint64(ws.join.Bytes()/4 - 1)
+	runs := map[uint64]int{} // bucket → runs threaded into it
+	for k, chunk := range ws.arena.Chunks() {
+		for off := 0; off < len(chunk); {
+			at, b := slab.Addr(k, off), chunk[off:]
+			h := parseJoin(b)
+			id, _ := ws.requestID(at, b, h)
+			hash := hashID(id)<<1 | h.bits&runSide
+			if h.link == 0 && runs[hash&mask] > 0 {
+				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[hash&mask])
+			}
+			runs[hash&mask]++
+			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.bits&runSide]))
+		}
+	}
+	for bucket, n := range runs {
+		reached := 0
+		for link, prev := ws.join.Head(bucket), uint32(0); link != 0; reached++ {
+			if prev != 0 && link >= prev {
+				t.Fatalf("bucket %d: the run at %#x links to %#x: not newest first", bucket, prev-1, link-1)
+			}
+			b := ws.arena.Tail(link - 1)
+			h := parseJoin(b)
+			id, _ := ws.requestID(link-1, b, h)
+			if (hashID(id)<<1|h.bits&runSide)&mask != bucket {
+				t.Fatalf("bucket %d: the run at %#x belongs to bucket %d", bucket, link-1, (hashID(id)<<1|h.bits&runSide)&mask)
+			}
+			prev, link = link, h.next(b)
+		}
+		if reached != n {
+			t.Fatalf("bucket %d: its chain reaches %d of its %d runs", bucket, reached, n)
+		}
+	}
+}
+
+// TestJoinChainsEndInLinklessRuns: after every doubling of the join index,
+// and at the end, the chains are whole — a run that found its bucket empty
+// and holds no link is still its chain's last — with both sides' tuples
+// interleaved and request ids repeating on both, so runs hold refs too.
+func TestJoinChainsEndInLinklessRuns(t *testing.T) {
+	c := newJoinCase(t, bothJoinQ)
+	rng := rand.New(rand.NewSource(11))
+	doublings := 0
+	for i := 0; i < 3000; i++ {
+		in := joinIn{side: rng.Intn(2), req: uint64(rng.Intn(1200))}
+		if in.side == 0 {
+			in.s = "us"
+		} else {
+			in.s = sixReasons[rng.Intn(len(sixReasons))]
+		}
+		var before int64
+		c.inspect(func(ws *winState) { before = ws.join.Bytes() })
+		c.send(in)
+		c.inspect(func(ws *winState) {
+			if ws.join.Bytes() != before {
+				doublings++
+				checkChains(t, ws, &c.p)
+			}
+		})
+	}
+	c.inspect(func(ws *winState) {
+		checkChains(t, ws, &c.p)
+		c.runs(ws)
+	})
+	if doublings < 8 {
+		t.Fatalf("%d doublings", doublings)
+	}
+	c.check()
 }

@@ -44,17 +44,25 @@ type winState struct {
 	lastMoments []moment
 
 	// Join-pending state: arena holds one run per buffered tuple —
-	// [link] [request id, 8 bytes] [tag<<1 | side, uvarint] [the side's
-	// projected columns, packed] — threaded by join on hashID(id)<<1 |
-	// side: a request's two sides have neighbouring buckets, in one cache
-	// line, and a chain holds one side's runs only. The tag is (w − 1)·
-	// span + event time − start, span being the side's compiled.span:
-	// the window length when the plan reads that side's ts, so the
-	// tuple's weight w sits above its event time, which lies inside the
-	// window, and weight 1 costs no byte; 0 when it does not, so the tag
-	// is w − 1 and the time is not kept (one byte for any weight). The run
-	// is the whole hash-table entry: a probe walks the other side's chain
-	// and keeps the runs whose id is its own. start is the window's start.
+	// [tag<<3 | ref<<2 | linked<<1 | side, uvarint] [link, if linked]
+	// [request id, 8 bytes | ref, 4 bytes] [the side's projected columns,
+	// packed] — threaded by join on hashID(id)<<1 | side: a request's two
+	// sides have neighbouring buckets, in one cache line, and a chain holds
+	// one side's runs only. The run is the whole hash-table entry, and it
+	// keeps only the header its chain cannot supply (joinHdr). A run whose
+	// bucket was empty when it was threaded holds no link: the heads only
+	// ever double, and rethreadJoin threads in arrival order, so nothing
+	// threaded before it ever shares its bucket, and it stays its chain's
+	// last run. A run whose probe found partners holds, instead of its
+	// request id, the address of a partner run that holds the id inline
+	// (ref): reading an id takes at most one hop. The tag is (w − 1)·
+	// span + event time − start, span being the side's compiled.span: the
+	// window length when the plan reads that side's ts, so the tuple's
+	// weight w sits above its event time, which lies inside the window,
+	// and weight 1 costs no byte; 0 when it does not, so the tag is w − 1
+	// and the time is not kept (one byte up to weight 16, two up to the
+	// governor's 64). A probe walks the other side's chain and keeps the
+	// runs whose id is its own. start is the window's start.
 	// A string column the window already holds inline is packed as a
 	// one-byte ref to that copy, through strs (packJoin): nil until the
 	// window's first buffered string, then 64 write-once slots, each the
@@ -140,19 +148,74 @@ func hashKey(key []byte) uint64 {
 	return mix(h ^ head)
 }
 
+// The bits below a join run's tag (winState.arena has the layout).
+const (
+	runSide   = 1 << iota // the run's side
+	runLinked             // it holds a link to the run threaded before it
+	runRef                // it holds a partner's address, not its request id
+	runFlags  = iota      // the tag's shift
+)
+
+// joinHdr is a buffered join run's header, parsed: its tag and flags, and
+// where its link (0: it has none), its id field and its columns begin.
+type joinHdr struct {
+	bits           uint64
+	link, id, cols int
+}
+
+// parseJoin parses the header of the join run at the head of b.
+func parseJoin(b []byte) joinHdr {
+	bits, n := binary.Uvarint(b)
+	h := joinHdr{bits: bits}
+	if bits&runLinked != 0 {
+		h.link, n = n, n+slab.LinkSize
+	}
+	h.id, h.cols = n, n+8
+	if bits&runRef != 0 {
+		h.cols = n + 4
+	}
+	return h
+}
+
+// next is the link to the run threaded before run b in its chain, 0 at the
+// chain's end.
+func (h joinHdr) next(b []byte) uint32 {
+	if h.link == 0 {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b[h.link:])
+}
+
+// requestID returns the request id of the run b at address at and the
+// address of the run that holds it inline: at, or the partner b refers to,
+// whose id is inline.
+func (ws *winState) requestID(at uint32, b []byte, h joinHdr) (uint64, uint32) {
+	if h.bits&runRef != 0 {
+		at = binary.LittleEndian.Uint32(b[h.id:])
+		b = ws.arena.Tail(at)
+		h = parseJoin(b)
+	}
+	return binary.LittleEndian.Uint64(b[h.id:]), at
+}
+
 // rethreadJoin doubles the join index and threads every buffered tuple
-// again, in arrival order — the arena's.
+// again, in arrival order — the arena's — writing each linked run's link.
+// A run without one found its bucket empty, at fewer heads, among fewer
+// runs: it finds its bucket empty again.
 //
 //scrub:allowalloc(the heads array doubles: amortised over the tuples buffered since the last doubling)
 func (ws *winState) rethreadJoin(p *Plan) {
 	ws.join.Grow(0)
 	for k, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
-			run := chunk[off+slab.LinkSize:]
-			tag, n := binary.Uvarint(run[8:])
-			w := ws.unpackJoin(nil, run[8+n:], len(p.Columns[tag&1]))
-			ws.join.Insert(&ws.arena, slab.Addr(k, off), hashID(binary.LittleEndian.Uint64(run))<<1|tag&1)
-			off += slab.LinkSize + 8 + n + w
+			at, b := slab.Addr(k, off), chunk[off:]
+			h := parseJoin(b)
+			id, _ := ws.requestID(at, b, h)
+			next := ws.join.Insert(at, hashID(id)<<1|h.bits&runSide)
+			if h.link != 0 {
+				binary.LittleEndian.PutUint32(b[h.link:], next)
+			}
+			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.bits&runSide]))
 		}
 	}
 }
@@ -219,7 +282,7 @@ func (ws *winState) addGroup(hash uint64, run []byte, g uint32) bool {
 	if ws.groups.Full() {
 		ws.rethreadGroups() // threads the new run too
 	} else {
-		ws.groups.Insert(&ws.groupRuns, at, hash)
+		ws.threadGroup(at, hash)
 	}
 	return true
 }
@@ -233,8 +296,14 @@ func (ws *winState) rethreadGroups() {
 		if g == nil {
 			return
 		}
-		ws.groups.Insert(&ws.groupRuns, runs.at, hashKey(g.key()))
+		ws.threadGroup(runs.at, hashKey(g.key()))
 	}
+}
+
+// threadGroup threads the group run at address at; every group run holds
+// its link.
+func (ws *winState) threadGroup(at uint32, hash uint64) {
+	binary.LittleEndian.PutUint32(ws.groupRuns.Tail(at), ws.groups.Insert(at, hash))
 }
 
 // aggStates returns the window's aggregate states, making the slab for

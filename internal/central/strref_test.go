@@ -39,21 +39,24 @@ func (in joinIn) tuple(p *Plan) transport.Tuple {
 	return t
 }
 
-// joinRun is a buffered run as the window holds it: its length in bytes
-// and its values, refs resolved.
+// joinRun is a buffered run as the window holds it: its length and its
+// header's in bytes, and its values, refs resolved.
 type joinRun struct {
-	n    int
-	side int
-	vals []event.Value
+	n, hdr int
+	side   int
+	vals   []event.Value
 }
 
 // joinCase is a query fed tuple by tuple into one window [0 s, 10 s).
+// hdrs is the header length each run must have (header).
 type joinCase struct {
-	t    *testing.T
-	e    *Engine
-	p    Plan
-	feed []joinIn
-	out  collector
+	t      *testing.T
+	e      *Engine
+	p      Plan
+	feed   []joinIn
+	hdrs   []int
+	replay bucketReplay
+	out    collector
 }
 
 func newJoinCase(t *testing.T, query string) *joinCase {
@@ -71,8 +74,25 @@ func newJoinCase(t *testing.T, query string) *joinCase {
 func (c *joinCase) send(in ...joinIn) {
 	for _, x := range in {
 		c.e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: uint8(x.side), Tuples: []transport.Tuple{x.tuple(&c.p)}})
+		c.hdrs = append(c.hdrs, c.header(x))
 		c.feed = append(c.feed, x)
 	}
+}
+
+// header is the header a run of x takes after the feed so far: a one-byte
+// tag (weight 1, no time kept), a link unless x's bucket was empty, and
+// its request id — or a 4-byte ref, when a partner was buffered before it.
+func (c *joinCase) header(x joinIn) int {
+	n := 1 + 8
+	if c.replay.add(hashID(x.req)<<1 | uint64(x.side)) {
+		n += slab.LinkSize
+	}
+	for _, y := range c.feed {
+		if y.side != x.side && y.req == x.req {
+			return n - 4
+		}
+	}
+	return n
 }
 
 // window returns the one open window; the caller holds c.e.mu.
@@ -85,19 +105,19 @@ func (c *joinCase) window() *winState {
 }
 
 // runs walks the window's arena in arrival order, as rethreadJoin does,
-// and requires each run to hold the values its tuple was sent with.
+// and requires each run to have the header c.hdrs gives it and to hold the
+// values its tuple was sent with.
 func (c *joinCase) runs(ws *winState) []joinRun {
 	c.t.Helper()
 	var out []joinRun
 	for _, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
-			run := chunk[off+slab.LinkSize:]
-			tag, n := binary.Uvarint(run[8:])
-			side := int(tag & 1)
+			h := parseJoin(chunk[off:])
+			side := int(h.bits & runSide)
 			vals := make([]event.Value, len(c.p.Columns[side]))
-			w := ws.unpackJoin(vals, run[8+n:], len(vals))
-			out = append(out, joinRun{n: slab.LinkSize + 8 + n + w, side: side, vals: vals})
-			off += slab.LinkSize + 8 + n + w
+			n := h.cols + ws.unpackJoin(vals, chunk[off+h.cols:], len(vals))
+			out = append(out, joinRun{n: n, hdr: h.cols, side: side, vals: vals})
+			off += n
 		}
 	}
 	if len(out) != len(c.feed) {
@@ -107,6 +127,9 @@ func (c *joinCase) runs(ws *winState) []joinRun {
 		want := c.feed[i].tuple(&c.p).Values
 		if r.side != c.feed[i].side || len(r.vals) != len(want) {
 			c.t.Fatalf("run %d: side %d, %d values; sent side %d, %d values", i, r.side, len(r.vals), c.feed[i].side, len(want))
+		}
+		if r.hdr != c.hdrs[i] {
+			c.t.Fatalf("run %d: a header of %d bytes, want %d", i, r.hdr, c.hdrs[i])
 		}
 		for j := range want {
 			if !sameValue(r.vals[j], want[j]) {
@@ -170,10 +193,8 @@ func (c *joinCase) check() {
 	}
 }
 
-// inlineRun is the length of a run with its string written inline.
-func inlineRun(s string) int {
-	return slab.LinkSize + 8 + 1 + len(event.AppendValue(nil, event.Str(s)))
-}
+// strLen is the length of s written inline.
+func strLen(s string) int { return len(event.AppendValue(nil, event.Str(s))) }
 
 // TestJoinStringRefs: a string the window already holds inline is
 // buffered as a one-byte ref to that copy, and nothing else changes: every
@@ -187,9 +208,9 @@ func TestJoinStringRefs(t *testing.T) {
 		}
 		c.inspect(func(ws *winState) {
 			for i, r := range c.runs(ws) {
-				want := 14 // link, request id, tag and the ref
+				want := r.hdr + 1 // the header and the ref
 				if i < 6 {
-					want = inlineRun(sixReasons[i])
+					want = r.hdr + strLen(sixReasons[i])
 				}
 				if r.n != want {
 					t.Fatalf("run %d (%q) is %d bytes, want %d", i, sixReasons[i%6], r.n, want)
@@ -209,8 +230,7 @@ func TestJoinStringRefs(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			in := joinIn{side: 1, req: uint64(i), s: fmt.Sprintf("reason-%04d", i)}
 			c.send(in)
-			run := binary.LittleEndian.AppendUint64(appendHeader(nil, slab.LinkSize), in.req)
-			run = packValues(append(run, 1), []event.Value{event.Str(in.s)}, 1)
+			run := packValues(make([]byte, c.hdrs[i]), []event.Value{event.Str(in.s)}, 1)
 			inline.Append(run)
 			written += len(run)
 		}
@@ -281,12 +301,13 @@ func TestJoinStringRefs(t *testing.T) {
 			}
 			runs := c.runs(ws)
 			for i, s := range strs {
-				want := inlineRun(s)
+				first, again := runs[i], runs[len(strs)+i]
+				want := again.hdr + strLen(s)
 				if held[s] {
-					want = 14
+					want = again.hdr + 1
 				}
-				if first, again := runs[i].n, runs[len(strs)+i].n; first != inlineRun(s) || again != want {
-					t.Errorf("%q: runs of %d and %d bytes, want %d and %d", s, first, again, inlineRun(s), want)
+				if first.n != first.hdr+strLen(s) || again.n != want {
+					t.Errorf("%q: runs of %d and %d bytes, want %d and %d", s, first.n, again.n, first.hdr+strLen(s), want)
 				}
 			}
 		})
@@ -310,11 +331,11 @@ func TestJoinStringRefs(t *testing.T) {
 		}
 		c.inspect(func(ws *winState) {
 			for i, r := range c.runs(ws) {
-				want := 14
+				want := r.hdr + 1
 				if i%2 == 0 {
-					want = inlineRun(long)
+					want = r.hdr + strLen(long)
 				} else if i == 1 {
-					want = inlineRun("geo")
+					want = r.hdr + strLen("geo")
 				}
 				if r.n != want {
 					t.Errorf("run %d is %d bytes, want %d", i, r.n, want)
@@ -372,7 +393,7 @@ func TestJoinStringRefs(t *testing.T) {
 		c.inspect(func(ws *winState) {
 			refs := 0
 			for _, r := range c.runs(ws) {
-				if r.n == 14 {
+				if r.n == r.hdr+1 {
 					refs++
 				}
 			}
@@ -409,28 +430,62 @@ func TestJoinStringRefs(t *testing.T) {
 	})
 }
 
-// FuzzJoinRun buffers a fuzz-chosen mix of strings (repeated, distinct,
-// empty and longer than an arena chunk), ints and NULLs through one
-// window's string slots, three bytes a tuple, and probes every tuple back
-// by its request id: each value must come back as it was sent, and no run
-// may be longer than its inline form.
+// FuzzJoinRun feeds a fuzz-chosen join into one window, four bytes a
+// tuple: its side and request id (one of a few, so ids repeat on both
+// sides and either side may come first), its weight (1–64, as the
+// governor sets it) and its two values — an int or NULL, and a string
+// repeated, distinct, empty or longer than an arena chunk, or NULL. An odd first byte makes
+// the plan keep both sides' times. Every probe must find exactly the
+// nested-loop join's partners, in arrival order (the raw rows, before a
+// render sorts them); every
+// run must read back as sent — side, weight, time, request id, values —
+// with a link exactly when its bucket held a run, a ref exactly when a
+// partner came before it (and the ref must name a run that holds the id),
+// and be no longer than the parent layout's form, [link] [request id]
+// [tag<<1 | side] [columns], but for a byte its tag's two flag bits may
+// add.
 func FuzzJoinRun(f *testing.F) {
 	f.Add([]byte{0, 2, 2, 1, 6, 6, 0, 2, 3, 1, 6, 10})
 	f.Add([]byte{1, 255, 2, 1, 6, 255, 1, 2, 255, 0, 7, 7})
 	f.Add([]byte{0, 0, 1, 1, 3, 3, 0, 5, 9, 1, 13, 17, 0, 2, 2})
+	many := rand.New(rand.NewSource(7))
+	for _, n := range []int{300, 700} { // past several doublings of the index
+		data := make([]byte, 1+4*n)
+		many.Read(data)
+		data[0] = byte(n / 100)
+		f.Add(data)
+	}
+	const (
+		untimed = `select bid.user_id, bid.country, exclusion.line_item_id, exclusion.reason from bid, exclusion window 10s`
+		timed   = `select bid.ts, bid.user_id, bid.country, exclusion.ts, exclusion.line_item_id, exclusion.reason from bid, exclusion window 10s`
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		qr, err := CompileQuery(buildPlan(t, `select bid.country, bid.user_id, exclusion.reason, exclusion.line_item_id, count(*) from bid, exclusion group by bid.country, bid.user_id, exclusion.reason, exclusion.line_item_id window 10s`, 1, 1, 1))
-		if err != nil {
+		if len(data) == 0 || len(data) > 4096 {
+			return
+		}
+		q := untimed
+		if data[0]&1 == 1 {
+			q = timed
+		}
+		e := NewEngine()
+		p := buildPlan(t, q, 1, 1, 1)
+		p.Lateness = time.Hour
+		if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
 			t.Fatal(err)
 		}
-		qs := &queryState{QueryRuntime: *qr}
-		ws := newWinState(&qs.plan, 0)
-		value := func(b byte) event.Value {
+		// Each side projects an int column, then a string column.
+		ival := func(b byte) event.Value {
+			if b%3 == 0 {
+				return event.Invalid
+			}
+			return event.Int(int64(b) - 100)
+		}
+		sval := func(b byte) event.Value {
 			switch b % 4 {
 			case 0:
 				return event.Invalid
 			case 1:
-				return event.Int(int64(b) - 100)
+				return event.Str("")
 			case 2:
 				return event.Str(sixReasons[int(b>>2)%len(sixReasons)])
 			}
@@ -439,42 +494,107 @@ func FuzzJoinRun(f *testing.F) {
 			}
 			return event.Str(strings.Repeat("s", int(b>>2)))
 		}
-		var sent []transport.Tuple
-		for ; len(data) >= 3; data = data[3:] {
-			tu := tup(uint64(len(sent)), 0, value(data[1]), value(data[2]))
-			side := uint64(data[0] & 1)
-			if !(&Engine{}).buffer(qs, ws, side, hashID(tu.RequestID)<<1, &tu, 1) {
-				t.Fatal("buffer refused a tuple")
-			}
-			sent = append(sent, tu)
+		type sent struct {
+			side int
+			w    uint64
+			tu   transport.Tuple
 		}
-		find := func(id uint64) []byte {
-			for side := uint64(0); side < 2; side++ {
-				for link := ws.join.Head(hashID(id)<<1 | side); link != 0; {
-					run, next := ws.arena.Linked(link)
-					if binary.LittleEndian.Uint64(run) == id {
-						return run
+		var feed []sent
+		var want [][]event.Value
+		reqs := uint64(1 + len(data)/16)
+		for data = data[1:]; len(data) >= 4; data = data[4:] {
+			in := sent{side: int(data[0] & 1), w: 1 + uint64(data[1])%64}
+			in.tu = tup(uint64(data[0]>>1)%reqs, int64(len(feed))*7919, ival(data[2]), sval(data[3]))
+			for _, o := range feed {
+				if o.side != in.side && o.tu.RequestID == in.tu.RequestID {
+					bid, ex := o.tu, in.tu
+					if in.side == 0 {
+						bid, ex = in.tu, o.tu
 					}
-					link = next
+					var row []event.Value
+					if q == timed {
+						row = append(row, event.TimeNanos(bid.TsNanos))
+					}
+					row = append(row, bid.Values...)
+					if q == timed {
+						row = append(row, event.TimeNanos(ex.TsNanos))
+					}
+					want = append(want, append(row, ex.Values...))
 				}
 			}
-			return nil
+			e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h", TypeIdx: uint8(in.side), EffRate: 1 / float64(in.w), Tuples: []transport.Tuple{in.tu}})
+			feed = append(feed, in)
 		}
-		for i, tu := range sent {
-			run := find(tu.RequestID)
-			if run == nil {
-				t.Fatalf("tuple %d is not found under its request id", i)
+
+		e.mu.Lock()
+		qs := e.queries[1]
+		var rows [][]event.Value // the joined rows, in the order the probes found them
+		if wins := qs.win.GetAll(0); len(feed) > 0 {
+			if len(wins) != 1 {
+				t.Fatalf("%d windows hold %d tuples", len(wins), len(feed))
 			}
-			_, n := binary.Uvarint(run[8:])
-			got := make([]event.Value, 2)
-			if used, inline := ws.unpackJoin(got, run[8+n:], 2), len(packValues(nil, tu.Values, 2)); used > inline {
-				t.Fatalf("tuple %d: a run of %d bytes, %d inline", i, used, inline)
+			ws, span := wins[0], qs.comp.span
+			var replay bucketReplay
+			i := 0
+			for k, chunk := range ws.arena.Chunks() {
+				for off := 0; off < len(chunk); i++ {
+					if i >= len(feed) {
+						t.Fatalf("more runs than the %d tuples sent", len(feed))
+					}
+					in, b := feed[i], chunk[off:]
+					h := parseJoin(b)
+					tag, side := h.bits>>runFlags, int(h.bits&runSide)
+					w, dt := tag+1, uint64(0)
+					if span[side] > 0 {
+						w, dt = tag/span[side]+1, tag%span[side]
+					}
+					if side != in.side || w != in.w || span[side] > 0 && int64(dt) != in.tu.TsNanos {
+						t.Fatalf("run %d: side %d, weight %d, time %d; sent side %d, weight %d at %d", i, side, w, dt, in.side, in.w, in.tu.TsNanos)
+					}
+					partnered := false
+					for _, o := range feed[:i] {
+						partnered = partnered || o.side != in.side && o.tu.RequestID == in.tu.RequestID
+					}
+					linked := replay.add(hashID(in.tu.RequestID)<<1 | uint64(in.side))
+					if (h.bits&runLinked != 0) != linked || (h.bits&runRef != 0) != partnered {
+						t.Fatalf("run %d: flags %03b; its bucket held a run: %v, a partner came first: %v", i, h.bits&7, linked, partnered)
+					}
+					id, at := ws.requestID(slab.Addr(k, off), b, h)
+					if id != in.tu.RequestID || partnered && parseJoin(ws.arena.Tail(at)).bits&runRef != 0 {
+						t.Fatalf("run %d reads request id %d (held at %#x), sent %d", i, id, at, in.tu.RequestID)
+					}
+					got := make([]event.Value, 2)
+					cols := ws.unpackJoin(got, b[h.cols:], 2)
+					for j := range got {
+						if !sameValue(got[j], in.tu.Values[j]) {
+							t.Fatalf("run %d value %d reads %v, sent %v", i, j, got[j], in.tu.Values[j])
+						}
+					}
+					parent := slab.LinkSize + 8 + uvarintLen(tag<<1) + cols
+					if grown := uvarintLen(h.bits) - uvarintLen(tag<<1); h.cols+cols > parent+grown || grown > 1 {
+						t.Fatalf("run %d: %d bytes, %d in the parent's layout (its tag %d bytes longer)", i, h.cols+cols, parent, grown)
+					}
+					off += h.cols + cols
+				}
 			}
-			for j := range got {
-				if !sameValue(got[j], tu.Values[j]) {
-					t.Fatalf("tuple %d value %d reads %v, sent %v", i, j, got[j], tu.Values[j])
+			if i != len(feed) {
+				t.Fatalf("%d runs for %d tuples", i, len(feed))
+			}
+			rows = ws.rawRows(len(p.Select))
+		}
+		e.mu.Unlock()
+		if len(rows) != len(want) {
+			t.Fatalf("%d joined rows, the nested loop has %d", len(rows), len(want))
+		}
+		for i := range want {
+			for j := range want[i] {
+				if !sameValue(rows[i][j], want[i][j]) {
+					t.Fatalf("row %d column %d reads %v, the nested loop %v", i, j, rows[i][j], want[i][j])
 				}
 			}
 		}
 	})
 }
+
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x uint64) int { return len(binary.AppendUvarint(nil, x)) }

@@ -9,7 +9,7 @@ import "unsafe"
 // (what is left of the current one is skipped), and a run longer than
 // ArenaMaxChunk gets a chunk of exactly its own size, so no length is
 // refused. Because written bytes never change (but for the link words an
-// Index threads through its runs, index.go) and a chunk lives as long as
+// Index's owner threads through its runs, index.go) and a chunk lives as long as
 // anything points into it, a slice — or a String — taken from a run's
 // payload stays valid for as long as its holder keeps it, whatever happens
 // to the arena. The chunks hold no pointers: the collector never scans them.

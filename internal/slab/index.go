@@ -5,24 +5,28 @@ import "encoding/binary"
 // Index is a hash index over runs of an Arena that keeps no entry of its
 // own: a power-of-two array of bucket heads, each a link to the newest run
 // of its bucket, with the collision chain continuing through the runs
-// themselves — an indexed run begins with a LinkSize-byte link to the run
-// threaded before it in the same bucket. A link is a run's address plus
-// one; 0 ends a chain (address 0 is a real run, the arena's first). The
-// runs' keys and hashes are their owner's business: the owner hashes,
-// walks a chain from Head with Arena.Linked and compares keys in place.
-// Several indexes may thread disjoint sets of runs of one arena. The link
-// words are the one part of an arena that is rewritten — when the heads
-// have doubled and the owner threads every run again — and no slice or
-// String an owner keeps covers one. The zero Index is empty (and Full); it
-// is not safe for concurrent use.
+// themselves. A link is a run's address plus one; 0 ends a chain (address
+// 0 is a real run, the arena's first). The index reads and writes only its
+// heads: the owner lays out its runs, decides which of them hold a link to
+// the run threaded before them in the same bucket, and writes that link —
+// Insert returns it. The runs' keys and hashes are the owner's business
+// too: the owner hashes, walks a chain from Head and compares keys in
+// place. An owner may leave the link out of a run that finds its bucket
+// empty (Head is 0): growing only multiplies the heads by a power of two
+// and the owner threads its runs again in the order they were appended, so
+// no run threaded before such a run ever shares its bucket, and it stays
+// the last of its chain. Several indexes may thread disjoint sets of runs
+// of one arena. The link words are the one part of an arena that is
+// rewritten — when the heads have grown and the owner threads every run
+// again — and no slice or String an owner keeps covers one. The zero Index
+// is empty (and Full); it is not safe for concurrent use.
 type Index struct {
 	heads []uint32
 	n     int // runs threaded
 }
 
 const (
-	// LinkSize is how many bytes at the head of an indexed run belong to
-	// the index; Insert writes them.
+	// LinkSize is how many bytes a link takes in a run.
 	LinkSize = 4
 	// indexMinBuckets is the size of the first heads array.
 	indexMinBuckets = 16
@@ -64,18 +68,20 @@ func (ix *Index) Grow(n int) {
 	ix.n = 0
 }
 
-// Insert threads the run at address at — whose first LinkSize bytes the
-// owner reserved — at the head of hash's chain. The index must not be
+// Insert threads the run at address at at the head of hash's chain and
+// returns the link the run must hold to the one threaded before it: the
+// bucket's old head, 0 when the bucket was empty. The index must not be
 // Full.
-func (ix *Index) Insert(a *Arena, at uint32, hash uint64) {
+func (ix *Index) Insert(at uint32, hash uint64) (next uint32) {
 	head := &ix.heads[hash&uint64(len(ix.heads)-1)]
-	binary.LittleEndian.PutUint32(a.Tail(at), *head)
-	*head = at + 1
+	next, *head = *head, at+1
 	ix.n++
+	return next
 }
 
 // Linked returns the run a link points at — what follows its link word,
-// to the end of its chunk — and the next link of its chain.
+// to the end of its chunk — and the next link of its chain, for an owner
+// whose runs all begin with their link.
 func (a *Arena) Linked(link uint32) (run []byte, next uint32) {
 	b := a.Tail(link - 1)
 	return b[LinkSize:], binary.LittleEndian.Uint32(b)

@@ -172,6 +172,9 @@ fi
 echo "== a buffered join run keeps its event time only when the plan reads it (non-test internal/central encodes no uint64(qs.plan.Window) into a join run: a side's span is compiled.span, set from expr.Binding.ReadsTime) =="
 if grep -nF 'uint64(qs.plan.Window)' $(nontest internal/central); then echo "non-test internal/central weighs a join run by the window length again, whether or not the plan reads the side's ts: buffer and probeJoin take the side's compiled.span, 0 when the program reads no ts of it" >&2; exit 1; fi
 
+echo "== the owner of an indexed run writes its link (non-test internal/slab/index.go writes no link word into an arena: a join run that ends its chain holds none, and only the owner knows which do) =="
+if grep -nF 'PutUint32(a.Tail(' internal/slab/index.go; then echo "internal/slab/index.go writes a link word itself again: Index.Insert returns the link, and the owner decides whether its run holds one and writes it" >&2; exit 1; fi
+
 echo "== one egress for every result (internal/server/hub.go writes to a client connection only in clientSink, the sink its Egress writer calls; internal/server/egress.go calls a sink only in Egress.write; the session's replies and the callbacks it hands the server queue, and only SendToHost, handleData and BroadcastShardMap write to a host; no linePrinter, clientConn or Stream.Dropped) =="
 if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
     code ~ /\.Send\(/ && fn !~ /^func clientSink\(|^func \(h \*Hub\) (SendToHost|handleData|BroadcastShardMap)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/hub.go; then
