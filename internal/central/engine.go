@@ -283,9 +283,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 	for link := ws.join.Head(hash | other); link != 0; {
 		b := ws.arena.Tail(link - 1)
 		h := parseJoin(b)
-		if id, at := ws.requestID(link-1, b, h); id == t.RequestID {
+		if ws.requestID(b, h) == t.RequestID {
 			found = append(found, link)
-			idAt = at + 1
+			idAt = h.holder(b, link)
 		}
 		link = h.next(b)
 		qs.chainSteps++
@@ -298,11 +298,11 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 	span := qs.comp.span[other]
 	for i := len(found) - 1; i >= 0; i-- {
 		b := ws.arena.Tail(found[i] - 1)
-		h := parseJoin(b)
 		// Strings alias the arena chunk: they are read while this tuple
 		// is applied and a run's payload is never rewritten.
-		ws.unpackJoin(vals, b[h.cols:], len(vals))
-		dt, pw := h.bits>>runFlags, w
+		ws.unpackJoin(vals, b[parseJoin(b).cols:], len(vals))
+		tag, _ := binary.Uvarint(b)
+		dt, pw := tag>>runFlags, w
 		if span == 0 {
 			dt, pw = 0, max(w, dt+1)
 		} else if dt >= span {

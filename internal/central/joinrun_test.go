@@ -115,13 +115,12 @@ func checkChains(t *testing.T, ws *winState, p *Plan) {
 		for off := 0; off < len(chunk); {
 			at, b := slab.Addr(k, off), chunk[off:]
 			h := parseJoin(b)
-			id, _ := ws.requestID(at, b, h)
-			hash := hashID(id)<<1 | h.bits&runSide
+			hash := hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)
 			if h.link == 0 && runs[hash&mask] > 0 {
 				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[hash&mask])
 			}
 			runs[hash&mask]++
-			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.bits&runSide]))
+			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.flags&runSide]))
 		}
 	}
 	for bucket, n := range runs {
@@ -132,9 +131,8 @@ func checkChains(t *testing.T, ws *winState, p *Plan) {
 			}
 			b := ws.arena.Tail(link - 1)
 			h := parseJoin(b)
-			id, _ := ws.requestID(link-1, b, h)
-			if (hashID(id)<<1|h.bits&runSide)&mask != bucket {
-				t.Fatalf("bucket %d: the run at %#x belongs to bucket %d", bucket, link-1, (hashID(id)<<1|h.bits&runSide)&mask)
+			if own := (hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)) & mask; own != bucket {
+				t.Fatalf("bucket %d: the run at %#x belongs to bucket %d", bucket, link-1, own)
 			}
 			prev, link = link, h.next(b)
 		}

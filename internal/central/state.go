@@ -156,24 +156,29 @@ const (
 	runFlags  = iota      // the tag's shift
 )
 
-// joinHdr is a buffered join run's header, parsed: its tag and flags, and
-// where its link (0: it has none), its id field and its columns begin.
+// joinHdr is a buffered join run's header, parsed: its flags, and where
+// its link (0: it has none), its id field and its columns begin. The tag
+// is read only where it is used: binary.Uvarint(run) >> runFlags.
 type joinHdr struct {
-	bits           uint64
+	flags          byte
 	link, id, cols int
 }
 
-// parseJoin parses the header of the join run at the head of b.
+// parseJoin parses the header of the join run at the head of b. The flags
+// are the low bits of the uvarint's first byte, and they are the lengths:
+// a link takes 4 bytes = 2·runLinked, and a ref 4 bytes fewer than a
+// request id's 8 = runRef.
 func parseJoin(b []byte) joinHdr {
-	bits, n := binary.Uvarint(b)
-	h := joinHdr{bits: bits}
-	if bits&runLinked != 0 {
-		h.link, n = n, n+slab.LinkSize
+	n := 1
+	for b[n-1] >= 0x80 {
+		n++
 	}
-	h.id, h.cols = n, n+8
-	if bits&runRef != 0 {
-		h.cols = n + 4
+	f := b[0] & (runSide | runLinked | runRef)
+	h := joinHdr{flags: f, id: n + 2*int(f&runLinked)}
+	if f&runLinked != 0 {
+		h.link = n
 	}
+	h.cols = h.id + 8 - int(f&runRef)
 	return h
 }
 
@@ -186,16 +191,28 @@ func (h joinHdr) next(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b[h.link:])
 }
 
-// requestID returns the request id of the run b at address at and the
-// address of the run that holds it inline: at, or the partner b refers to,
-// whose id is inline.
-func (ws *winState) requestID(at uint32, b []byte, h joinHdr) (uint64, uint32) {
-	if h.bits&runRef != 0 {
-		at = binary.LittleEndian.Uint32(b[h.id:])
-		b = ws.arena.Tail(at)
-		h = parseJoin(b)
+// holder is the link to the run that holds run b's request id inline:
+// link, b's own, or the partner b refers to.
+func (h joinHdr) holder(b []byte, link uint32) uint32 {
+	if h.flags&runRef != 0 {
+		return binary.LittleEndian.Uint32(b[h.id:]) + 1
 	}
-	return binary.LittleEndian.Uint64(b[h.id:]), at
+	return link
+}
+
+// requestID returns the request id of run b: inline, or one hop away in
+// the partner it refers to, which holds it inline.
+func (ws *winState) requestID(b []byte, h joinHdr) uint64 {
+	if h.flags&runRef != 0 {
+		return ws.heldID(binary.LittleEndian.Uint32(b[h.id:]))
+	}
+	return binary.LittleEndian.Uint64(b[h.id:])
+}
+
+// heldID is the request id the run at address at holds inline.
+func (ws *winState) heldID(at uint32) uint64 {
+	b := ws.arena.Tail(at)
+	return binary.LittleEndian.Uint64(b[parseJoin(b).id:])
 }
 
 // rethreadJoin doubles the join index and threads every buffered tuple
@@ -208,14 +225,14 @@ func (ws *winState) rethreadJoin(p *Plan) {
 	ws.join.Grow(0)
 	for k, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
-			at, b := slab.Addr(k, off), chunk[off:]
+			b := chunk[off:]
 			h := parseJoin(b)
-			id, _ := ws.requestID(at, b, h)
-			next := ws.join.Insert(at, hashID(id)<<1|h.bits&runSide)
+			side := uint64(h.flags & runSide)
+			next := ws.join.Insert(slab.Addr(k, off), hashID(ws.requestID(b, h))<<1|side)
 			if h.link != 0 {
 				binary.LittleEndian.PutUint32(b[h.link:], next)
 			}
-			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.bits&runSide]))
+			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[side]))
 		}
 	}
 }

@@ -113,7 +113,7 @@ func (c *joinCase) runs(ws *winState) []joinRun {
 	for _, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
 			h := parseJoin(chunk[off:])
-			side := int(h.bits & runSide)
+			side := int(h.flags & runSide)
 			vals := make([]event.Value, len(c.p.Columns[side]))
 			n := h.cols + ws.unpackJoin(vals, chunk[off+h.cols:], len(vals))
 			out = append(out, joinRun{n: n, hdr: h.cols, side: side, vals: vals})
@@ -543,7 +543,8 @@ func FuzzJoinRun(f *testing.F) {
 					}
 					in, b := feed[i], chunk[off:]
 					h := parseJoin(b)
-					tag, side := h.bits>>runFlags, int(h.bits&runSide)
+					bits, _ := binary.Uvarint(b)
+					tag, side := bits>>runFlags, int(h.flags&runSide)
 					w, dt := tag+1, uint64(0)
 					if span[side] > 0 {
 						w, dt = tag/span[side]+1, tag%span[side]
@@ -556,12 +557,12 @@ func FuzzJoinRun(f *testing.F) {
 						partnered = partnered || o.side != in.side && o.tu.RequestID == in.tu.RequestID
 					}
 					linked := replay.add(hashID(in.tu.RequestID)<<1 | uint64(in.side))
-					if (h.bits&runLinked != 0) != linked || (h.bits&runRef != 0) != partnered {
-						t.Fatalf("run %d: flags %03b; its bucket held a run: %v, a partner came first: %v", i, h.bits&7, linked, partnered)
+					if (h.flags&runLinked != 0) != linked || (h.flags&runRef != 0) != partnered {
+						t.Fatalf("run %d: flags %03b; its bucket held a run: %v, a partner came first: %v", i, h.flags, linked, partnered)
 					}
-					id, at := ws.requestID(slab.Addr(k, off), b, h)
-					if id != in.tu.RequestID || partnered && parseJoin(ws.arena.Tail(at)).bits&runRef != 0 {
-						t.Fatalf("run %d reads request id %d (held at %#x), sent %d", i, id, at, in.tu.RequestID)
+					id, held := ws.requestID(b, h), h.holder(b, slab.Addr(k, off)+1)-1
+					if id != in.tu.RequestID || partnered && parseJoin(ws.arena.Tail(held)).flags&runRef != 0 {
+						t.Fatalf("run %d reads request id %d (held at %#x), sent %d", i, id, held, in.tu.RequestID)
 					}
 					got := make([]event.Value, 2)
 					cols := ws.unpackJoin(got, b[h.cols:], 2)
@@ -571,7 +572,7 @@ func FuzzJoinRun(f *testing.F) {
 						}
 					}
 					parent := slab.LinkSize + 8 + uvarintLen(tag<<1) + cols
-					if grown := uvarintLen(h.bits) - uvarintLen(tag<<1); h.cols+cols > parent+grown || grown > 1 {
+					if grown := uvarintLen(bits) - uvarintLen(tag<<1); h.cols+cols > parent+grown || grown > 1 {
 						t.Fatalf("run %d: %d bytes, %d in the parent's layout (its tag %d bytes longer)", i, h.cols+cols, parent, grown)
 					}
 					off += h.cols + cols
