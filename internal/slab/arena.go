@@ -9,12 +9,12 @@ import "unsafe"
 // (what is left of the current one is skipped), and a run longer than
 // ArenaMaxChunk gets a chunk of exactly its own size, so no length is
 // refused. Because written bytes never change (but for the link words an
-// Index's owner threads through its runs, index.go) and a chunk lives as long as
-// anything points into it, a slice — or a String — taken from a run's
-// payload stays valid for as long as its holder keeps it, whatever happens
-// to the arena. The chunks hold no pointers: the collector never scans them.
-// The zero Arena is empty and ready to use; it is not safe for concurrent
-// use.
+// Index's owner threads through its runs, index.go) and a chunk lives as
+// long as anything points into it, a slice — or a String — taken from a
+// run's payload stays valid for as long as its holder keeps it, whatever
+// happens to the arena. The chunks hold no pointers: the collector never
+// scans them. The zero Arena is empty and ready to use; it is not safe for
+// concurrent use.
 type Arena struct {
 	chunks    [][]byte // len: bytes written; cap: the chunk's size
 	regular   int      // chunks of the doubling sequence allocated so far

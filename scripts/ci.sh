@@ -247,7 +247,7 @@ go run ./scripts/failoversmoke
 echo "== replay smoke (record/replay equivalence, hold release) =="
 go test -race -run 'TestReplay' ./internal/difftest ./internal/host ./internal/central ./internal/replay
 
-echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, join runs through the string slots, shard window partials (decode, merge, render), window-state index, ql parser, replay chunks, register program vs closures, stream summary vs its map-based reference) =="
+echo "== fuzz smoke (transport frame decoding, batch wire size vs encoder, packed window runs, join runs through the engine (headers, string slots, probes against a nested loop), shard window partials (decode, merge, render), window-state index, ql parser, replay chunks, register program vs closures, stream summary vs its map-based reference) =="
 make fuzz-smoke FUZZTIME=3s
 
 echo "ci: OK"
