@@ -70,15 +70,13 @@ type queryState struct {
 	// context and the tuple row it reads — the shipped tuple and, in a
 	// join, the buffered partner — the cells a buffered tuple's columns
 	// are unpacked into for a probe, the links a probe found under its
-	// request id and the address + 1 of a run holding that id inline (0
-	// when it found none), the buffer join, group and raw runs are packed
-	// in before the window keeps them, and the string slots a join run
-	// claims (packJoin).
+	// request id, the buffer join, group and raw runs are packed in before
+	// the window keeps them, and the string slots a join run claims
+	// (packJoin).
 	ctx     *expr.Ctx
 	sides   [2]expr.Tuple
 	probe   []event.Value
 	found   []uint32
-	idAt    uint32
 	packBuf []byte
 	claims  []uint32
 	// chainSteps counts the runs join probes have visited; tests assert on
@@ -246,8 +244,8 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	// tuple with everything the other side has buffered under its id, then
 	// buffer it for the other side's later arrivals.
 	side, hash := uint64(typeIdx), hashID(t.RequestID)<<1
-	e.probeJoin(qs, ws, side, hash, t, w)
-	if !e.buffer(qs, ws, side, hash, t, w) {
+	idAt := e.probeJoin(qs, ws, side, hash, t, w)
+	if !e.buffer(qs, ws, side, hash, t, w, idAt) {
 		qs.overflow++
 	}
 }
@@ -266,9 +264,9 @@ func (qs *queryState) admit() bool {
 // one id from one side costs its own side nothing. A chain runs newest
 // first: the matching links are collected, then replayed backwards. The
 // tuple is side side of qs.sides already; each partner becomes the other.
-// qs.idAt is left at the address + 1 of a run that holds the request id
-// inline — a partner, or the partner its ref names — for buffer to refer
-// to, 0 when the probe found no partner.
+// It returns the address + 1 of a run that holds the request id inline —
+// a partner, or the partner its ref names — for buffer to refer to, 0
+// when the probe found no partner.
 //
 // A pair weighs the larger of its two tuples' weights: hosts sample a join
 // by request id, and the lighter side keeps every request the heavier one
@@ -277,9 +275,9 @@ func (qs *queryState) admit() bool {
 // the window's start, which nothing reads.
 //
 //scrub:hotpath
-func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) {
+func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) (idAt uint32) {
 	other := 1 - side
-	found, idAt := qs.found[:0], uint32(0)
+	found := qs.found[:0]
 	for link := ws.join.Head(hash | other); link != 0; {
 		b := ws.arena.Tail(link - 1)
 		h := parseJoin(b)
@@ -290,9 +288,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		link = h.next(b)
 		qs.chainSteps++
 	}
-	qs.found, qs.idAt = found, idAt
+	qs.found = found
 	if len(found) == 0 {
-		return
+		return 0
 	}
 	vals := qs.probe[:len(qs.plan.Columns[other])]
 	span := qs.comp.span[other]
@@ -314,18 +312,19 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 			e.accumulate(qs, ws, pw)
 		}
 	}
+	return idAt
 }
 
 // buffer keeps a join tuple of weight w for the other side's later
 // arrivals as one arena run, threaded on its side's chain (winState.arena
 // has the layout): its event time only when the plan reads it, a link
 // only when its bucket holds a run already, and its request id only when
-// the probe before it found no partner holding the id (qs.idAt). It
-// reports false when the window is at maxJoinPending (or the arena at the
-// end of its address space).
+// the probe before it found no partner holding the id (idAt, probeJoin's
+// result). It reports false when the window is at maxJoinPending (or the
+// arena at the end of its address space).
 //
 //scrub:hotpath
-func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64) bool {
+func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64, idAt uint32) bool {
 	if ws.pendN >= qs.plan.maxJoinPending {
 		return false
 	}
@@ -343,7 +342,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	if next != 0 {
 		bits |= runLinked
 	}
-	if qs.idAt != 0 {
+	if idAt != 0 {
 		bits |= runRef
 	}
 	// The batch's Values arrays live in memory that is recycled once the
@@ -354,8 +353,8 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	if next != 0 {
 		buf = binary.LittleEndian.AppendUint32(buf, next)
 	}
-	if qs.idAt != 0 {
-		buf = binary.LittleEndian.AppendUint32(buf, qs.idAt-1)
+	if idAt != 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, idAt-1)
 	} else {
 		buf = binary.LittleEndian.AppendUint64(buf, t.RequestID)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scrub/internal/event"
+	"scrub/internal/governor"
 	"scrub/internal/ql"
 	"scrub/internal/transport"
 )
@@ -536,6 +537,34 @@ func TestJoinKeepsTimeThePlanReads(t *testing.T) {
 				t.Errorf("%s, side %d first: %v", tc.src, first, err)
 			}
 		}
+	}
+}
+
+// TestJoinTimedSpanBound: a join that reads ts keeps a buffered tuple's
+// weight and event time in one tag, below 64·window, over the run's flag
+// bits. At the longest window compile accepts, the heaviest tuple at the
+// window's last nanosecond — the largest tag — reads back exactly; a
+// window a nanosecond longer is refused at start rather than wrapping.
+func TestJoinTimedSpanBound(t *testing.T) {
+	const q = `select bid.ts, count(*) from bid, exclusion group by bid.ts window %dns`
+	e := NewEngine()
+	c := &collector{}
+	if err := e.StartQuery(buildPlan(t, fmt.Sprintf(q, uint64(maxTimedSpan)+1), 1, 1, 1), c.emit); err == nil {
+		t.Fatal("a timed join over a window a nanosecond past maxTimedSpan started")
+	}
+	if err := e.StartQuery(buildPlan(t, fmt.Sprintf(q, uint64(maxTimedSpan)), 1, 1, 1), c.emit); err != nil {
+		t.Fatal(err)
+	}
+	last := int64(maxTimedSpan - 1)
+	e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 0, EffRate: governor.MinMult, Tuples: []transport.Tuple{tup(7, last)}})
+	e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: 1, EffRate: 1, Tuples: []transport.Tuple{tup(7, last, event.Int(5))}})
+	e.Tick(2 * maxTimedSpan)
+	w := c.all()
+	if len(w) != 1 || len(w[0].Rows) != 1 {
+		t.Fatalf("windows %+v, want one with one row", w)
+	}
+	if row := w[0].Rows[0]; !row[0].Equal(event.TimeNanos(last)) || row[1].String() != "64" {
+		t.Errorf("row %v, want bid.ts %v and count(*) 64", row, event.TimeNanos(last))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"scrub/internal/agg"
 	"scrub/internal/expr"
+	"scrub/internal/governor"
 	"scrub/internal/ql"
 )
 
@@ -239,9 +240,18 @@ func compile(p *Plan) (*compiled, error) {
 		if c.bind.ReadsTime(side) {
 			c.span[side] = uint64(p.Window)
 		}
+		if p.IsJoin() && c.span[side] > maxTimedSpan {
+			return nil, fmt.Errorf("central: a join that reads %s.ts keeps event times in windows of at most %v, not %v", p.Types[side], time.Duration(maxTimedSpan), p.Window)
+		}
 	}
 	return c, nil
 }
+
+// maxTimedSpan is the longest window a buffered join run keeps an event
+// time in: its tag, (w − 1)·span + time − window start, is below
+// 64·span for a weight w ≤ 1/governor.MinMult = 64, and must fit in a
+// uint64 above the run's runFlags flag bits (Engine.buffer).
+const maxTimedSpan = 1 << (64 - runFlags) / (1 / governor.MinMult)
 
 // checkAggs lays out the plan's aggregates for the windows' state slabs,
 // so a bad spec fails the query at start, not at the first tuple, and

@@ -156,6 +156,16 @@ const (
 	runFlags  = iota      // the tag's shift
 )
 
+// parseJoin reads the flags as lengths: a link is 2·runLinked bytes and a
+// ref runRef bytes shorter than a request id. Either side of each equality
+// going negative fails the build.
+var (
+	_ [2*runLinked - slab.LinkSize]struct{}
+	_ [slab.LinkSize - 2*runLinked]struct{}
+	_ [runRef - (8 - slab.LinkSize)]struct{}
+	_ [8 - slab.LinkSize - runRef]struct{}
+)
+
 // joinHdr is a buffered join run's header, parsed: its flags, and where
 // its link (0: it has none), its id field and its columns begin. The tag
 // is read only where it is used: binary.Uvarint(run) >> runFlags.

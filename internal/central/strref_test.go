@@ -441,7 +441,8 @@ func TestJoinStringRefs(t *testing.T) {
 // run must read back as sent — side, weight, time, request id, values —
 // with a link exactly when its bucket held a run, a ref exactly when a
 // partner came before it (and the ref must name a run that holds the id),
-// and be no longer than the parent layout's form, [link] [request id]
+// its columns no longer than the same values written inline, and the run
+// no longer than the parent layout's form, [link] [request id]
 // [tag<<1 | side] [columns], but for a byte its tag's two flag bits may
 // add.
 func FuzzJoinRun(f *testing.F) {
@@ -570,6 +571,9 @@ func FuzzJoinRun(f *testing.F) {
 						if !sameValue(got[j], in.tu.Values[j]) {
 							t.Fatalf("run %d value %d reads %v, sent %v", i, j, got[j], in.tu.Values[j])
 						}
+					}
+					if inline := len(packValues(nil, in.tu.Values, 2)); cols > inline {
+						t.Fatalf("run %d: columns of %d bytes, %d inline", i, cols, inline)
 					}
 					parent := slab.LinkSize + 8 + uvarintLen(tag<<1) + cols
 					if grown := uvarintLen(bits) - uvarintLen(tag<<1); h.cols+cols > parent+grown || grown > 1 {
