@@ -13,6 +13,7 @@ import (
 	"scrub/internal/expr"
 	"scrub/internal/obs"
 	"scrub/internal/sketch"
+	"scrub/internal/slab"
 	"scrub/internal/transport"
 )
 
@@ -627,5 +628,63 @@ func TestStateBytesGaugeCountsSketches(t *testing.T) {
 	e.StopQuery(1)
 	if got := gaugeValue(reg, "scrub_central_state_bytes"); got != start {
 		t.Errorf("scrub_central_state_bytes = %d after the query stopped, %d before it started", got, start)
+	}
+}
+
+// TestStateBytesGrowByAChunk: a window's state grows a chunk at a time. A
+// join and a 5 000-group query are fed one tuple at a time; after each
+// tuple the window's slabBytes may have risen by at most one chunk of one
+// store, the arena's settled 8 KiB: no index doubles its heads, and no
+// slab takes a chunk larger than that.
+func TestStateBytesGrowByAChunk(t *testing.T) {
+	const groups = 5000
+	for _, tc := range []struct {
+		name, query string
+		n           int
+		tuple       func(p *Plan, i int) (side uint8, tu transport.Tuple)
+	}{
+		// Two bids to an exclusion that joins the bid before it: 12 000
+		// buffered runs, refs and string refs among them.
+		{"join", reasonJoinQ, 12000, func(p *Plan, i int) (uint8, transport.Tuple) {
+			in := joinIn{side: 0, req: uint64(i)}
+			if i%3 == 2 {
+				in = joinIn{side: 1, req: uint64(i - 1), s: sixReasons[i%len(sixReasons)]}
+			}
+			return uint8(in.side), in.tuple(p)
+		}},
+		{"groups", `select bid.user_id, count(*), avg(bid.bid_price) from bid group by bid.user_id window 10s`, 2 * groups, func(_ *Plan, i int) (uint8, transport.Tuple) {
+			return 0, tup(uint64(i), sec(1), event.Int(int64(i%groups)), event.Float(float64(i)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			p := buildPlan(t, tc.query, 1, 1, 1)
+			p.Lateness = time.Hour
+			if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+				t.Fatal(err)
+			}
+			held := func() int64 {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				ws := e.queries[1].win.GetAll(sec(1))
+				if len(ws) != 1 {
+					t.Fatalf("%d windows cover 1 s", len(ws))
+				}
+				return ws[0].slabBytes()
+			}
+			var before int64
+			for i := 0; i < tc.n; i++ {
+				side, tu := tc.tuple(&p, i)
+				e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: side, Tuples: []transport.Tuple{tu}})
+				now := held()
+				if now-before > slab.ArenaMaxChunk {
+					t.Fatalf("tuple %d: the window's state grew from %d to %d bytes at once, more than a chunk", i, before, now)
+				}
+				before = now
+			}
+			if before < 16*slab.ArenaMaxChunk {
+				t.Fatalf("the window holds %d bytes: too few growths to test", before)
+			}
+		})
 	}
 }

@@ -479,3 +479,48 @@ func TestClientRequests(t *testing.T) {
 		t.Errorf("List after the query = %v, %v; want none", l, err)
 	}
 }
+
+// TestStreamEndFreesClient: a query stream counts as ended — Final
+// returns, Windows closes — only once its client is free again, so a
+// request right after Final cannot find the client busy. The client's lock
+// is held while the server ends the query: the stream must not be seen
+// to end before the client is released.
+func TestStreamEndFreesClient(t *testing.T) {
+	cc, sc := transport.Pipe()
+	defer sc.Close()
+	c := &Client{conn: cc}
+	defer c.Close()
+	go func() {
+		if _, err := sc.Recv(); err == nil {
+			_ = sc.Send(transport.QueryAccepted{QueryID: 1})
+		}
+	}()
+	qs, err := c.Query(`select count(*) from bid window 1s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	if err := sc.Send(transport.QueryDone{QueryID: 1}); err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	select {
+	case <-qs.done:
+		busy := c.busy
+		c.mu.Unlock()
+		if busy {
+			t.Fatal("the stream ended while its client was still busy")
+		}
+	case <-time.After(100 * time.Millisecond):
+		c.mu.Unlock()
+	}
+	if _, err := qs.Final(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	busy := c.busy
+	c.mu.Unlock()
+	if busy {
+		t.Fatal("the client is busy after Final")
+	}
+}
