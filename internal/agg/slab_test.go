@@ -32,11 +32,11 @@ func randLayout(rng *rand.Rand) []Spec {
 // makes for the same spec: same results, same serialized state, whatever
 // opened the group (Open, Decode of a partial, Adopt out of another slab as
 // a merge does) and wherever its states fall: the group count takes every
-// used slab across the chunk boundaries at elements 16, 48, 1008 and
+// used slab across the chunk boundaries at elements 16, 48, 240 and
 // beyond the first full-size chunk, with strides that split a group's
 // states over two chunks.
 func TestSlabAggregatorsMatchNew(t *testing.T) {
-	const groups = slab.MaxChunk + slab.MaxChunk + 40 // past element 1008 + MaxChunk at stride 1
+	const groups = slab.MaxChunk + slab.MaxChunk + 40 // past element 240 + MaxChunk at stride 1
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		specs := randLayout(rng)

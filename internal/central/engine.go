@@ -329,9 +329,9 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 		return false
 	}
 	if ws.join.Full() {
-		// First: whether the run holds a link depends on the heads it is
+		// First: whether the run holds a link depends on the bucket it is
 		// threaded into.
-		ws.rethreadJoin(&qs.plan)
+		ws.splitJoin()
 	}
 	next := ws.join.Head(hash | side)
 	tag := w - 1

@@ -455,11 +455,11 @@ func TestJoinPairWeighsItsHeavierTuple(t *testing.T) {
 
 // TestJoinKeepsTimeThePlanReads: a buffered tuple of a side whose ts the
 // plan reads gives it back to the nanosecond, whichever side arrives
-// first, through the join index's growths, the last of which rethreads a
-// window holding one side's runs with their times and, where the plan
-// reads only bid's, the other's without.
+// first, through splits of the join index that thread runs of both sides
+// again: bid's with their times and, where the plan reads only bid's,
+// exclusion's without.
 func TestJoinKeepsTimeThePlanReads(t *testing.T) {
-	const n = 20 // per side: the 33rd run grows the index with both sides buffered
+	const n = 20 // per side: from the 17th run on, every run splits a bucket
 	bidTs := func(i int) int64 { return sec(21) + int64(i)*7919 + 13 }
 	reason := func(i int) string { return fmt.Sprintf("r%d", i%3) }
 	// Every other exclusion comes a nanosecond before its bid.

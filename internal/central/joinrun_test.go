@@ -11,28 +11,35 @@ import (
 // bucketReplay replays the join index's Head == 0 checks outside the
 // window: the hash seed is drawn per process, so which runs find their
 // bucket empty — and keep no link word — is known only by threading the
-// same hashes, in arrival order, through an index of the same growth.
+// same hashes, in arrival order, through an index split the same way. The
+// i-th run is threaded at address i and its link kept in next[i].
 type bucketReplay struct {
 	ix     slab.Index
 	hashes []uint64
+	next   []uint32
 }
 
 // add threads the next buffered run's hash and reports whether its bucket
 // held a run already: whether the run keeps a link word.
 func (r *bucketReplay) add(hash uint64) (linked bool) {
 	if r.ix.Full() {
-		r.ix.Grow(0)
-		for _, h := range r.hashes {
-			r.ix.Insert(0, h)
+		var chain []uint32
+		for link := r.ix.Split(); link != 0; link = r.next[link-1] {
+			chain = append(chain, link)
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			at := chain[i] - 1
+			r.next[at] = r.ix.Reinsert(at, r.hashes[at])
 		}
 	}
-	r.hashes = append(r.hashes, hash)
-	return r.ix.Insert(0, hash) != 0
+	next := r.ix.Insert(uint32(len(r.hashes)), hash)
+	r.hashes, r.next = append(r.hashes, hash), append(r.next, next)
+	return next != 0
 }
 
 // TestJoinRunHeaderIsMinimal: a buffered join run keeps only the header
 // its chain cannot supply. N requests, each one bid and k exclusions, are
-// buffered bid first and exclusions first, through many doublings of the
+// buffered bid first and exclusions first, through many splits of the
 // join index; the arena must hold exactly the sum of the layout's runs —
 // a one-byte tag, a link word unless the run found its bucket empty, the
 // request id inline unless a partner already holds it (then a 4-byte ref
@@ -89,7 +96,7 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 					written += len(chunk)
 				}
 				if ws.join.Bytes() < 4*16<<3 {
-					t.Fatalf("%d bytes of heads: the index doubled fewer than three times", ws.join.Bytes())
+					t.Fatalf("%d bytes of heads: the index went through fewer than three rounds of splits", ws.join.Bytes())
 				}
 				if linkless == 0 || linkless == len(c.feed) {
 					t.Fatalf("%d of %d runs end their chain: the replay tests nothing", linkless, len(c.feed))
@@ -109,29 +116,28 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 // no run threaded before a linkless run shares its bucket.
 func checkChains(t *testing.T, ws *winState, p *Plan) {
 	t.Helper()
-	mask := uint64(ws.join.Bytes()/4 - 1)
-	runs := map[uint64]int{} // bucket → runs threaded into it
+	runs := map[uint32]int{} // bucket → runs threaded into it
 	for k, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
 			at, b := slab.Addr(k, off), chunk[off:]
 			h := parseJoin(b)
-			hash := hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)
-			if h.link == 0 && runs[hash&mask] > 0 {
-				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[hash&mask])
+			bucket := ws.join.Bucket(hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide))
+			if h.link == 0 && runs[bucket] > 0 {
+				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[bucket])
 			}
-			runs[hash&mask]++
+			runs[bucket]++
 			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.flags&runSide]))
 		}
 	}
 	for bucket, n := range runs {
 		reached := 0
-		for link, prev := ws.join.Head(bucket), uint32(0); link != 0; reached++ {
+		for link, prev := ws.join.Head(uint64(bucket)), uint32(0); link != 0; reached++ {
 			if prev != 0 && link >= prev {
 				t.Fatalf("bucket %d: the run at %#x links to %#x: not newest first", bucket, prev-1, link-1)
 			}
 			b := ws.arena.Tail(link - 1)
 			h := parseJoin(b)
-			if own := (hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)) & mask; own != bucket {
+			if own := ws.join.Bucket(hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)); own != bucket {
 				t.Fatalf("bucket %d: the run at %#x belongs to bucket %d", bucket, link-1, own)
 			}
 			prev, link = link, h.next(b)
@@ -142,14 +148,14 @@ func checkChains(t *testing.T, ws *winState, p *Plan) {
 	}
 }
 
-// TestJoinChainsEndInLinklessRuns: after every doubling of the join index,
+// TestJoinChainsEndInLinklessRuns: after every split of the join index,
 // and at the end, the chains are whole — a run that found its bucket empty
 // and holds no link is still its chain's last — with both sides' tuples
 // interleaved and request ids repeating on both, so runs hold refs too.
 func TestJoinChainsEndInLinklessRuns(t *testing.T) {
 	c := newJoinCase(t, bothJoinQ)
 	rng := rand.New(rand.NewSource(11))
-	doublings := 0
+	splits := 0
 	for i := 0; i < 3000; i++ {
 		in := joinIn{side: rng.Intn(2), req: uint64(rng.Intn(1200))}
 		if in.side == 0 {
@@ -157,22 +163,20 @@ func TestJoinChainsEndInLinklessRuns(t *testing.T) {
 		} else {
 			in.s = sixReasons[rng.Intn(len(sixReasons))]
 		}
-		var before int64
-		c.inspect(func(ws *winState) { before = ws.join.Bytes() })
+		var full bool
+		c.inspect(func(ws *winState) { full = ws.join.Full() })
 		c.send(in)
-		c.inspect(func(ws *winState) {
-			if ws.join.Bytes() != before {
-				doublings++
-				checkChains(t, ws, &c.p)
-			}
-		})
+		if full {
+			splits++
+			c.inspect(func(ws *winState) { checkChains(t, ws, &c.p) })
+		}
 	}
 	c.inspect(func(ws *winState) {
 		checkChains(t, ws, &c.p)
 		c.runs(ws)
 	})
-	if doublings < 8 {
-		t.Fatalf("%d doublings", doublings)
+	if splits < 2900 {
+		t.Fatalf("%d splits", splits)
 	}
 	c.check()
 }

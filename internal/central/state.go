@@ -50,19 +50,20 @@ type winState struct {
 	// sides have neighbouring buckets, in one cache line, and a chain holds
 	// one side's runs only. The run is the whole hash-table entry, and it
 	// keeps only the header its chain cannot supply (joinHdr). A run whose
-	// bucket was empty when it was threaded holds no link: the heads only
-	// ever double, and rethreadJoin threads in arrival order, so nothing
-	// threaded before it ever shares its bucket, and it stays its chain's
-	// last run. A run whose probe found partners holds, instead of its
-	// request id, the address of a partner run that holds the id inline
-	// (ref): reading an id takes at most one hop. The tag is (w − 1)·
-	// span + event time − start, span being the side's compiled.span: the
-	// window length when the plan reads that side's ts, so the tuple's
-	// weight w sits above its event time, which lies inside the window,
-	// and weight 1 costs no byte; 0 when it does not, so the tag is w − 1
-	// and the time is not kept (one byte up to weight 16, two up to the
-	// governor's 64). A probe walks the other side's chain and keeps the
-	// runs whose id is its own. start is the window's start.
+	// bucket was empty when it was threaded holds no link: the index grows
+	// by splitting one bucket at a time, a split never merges two chains
+	// and splitJoin threads a chain again oldest first, so nothing threaded
+	// before it ever shares its bucket, and it stays its chain's last run.
+	// A run whose probe found partners holds, instead of its request id,
+	// the address of a partner run that holds the id inline (ref):
+	// reading an id takes at most one hop. The tag is (w − 1)·span +
+	// event time − start, span being the side's compiled.span: the window
+	// length when the plan reads that side's ts, so the tuple's weight w
+	// sits above its event time, which lies inside the window, and weight
+	// 1 costs no byte; 0 when it does not, so the tag is w − 1 and the
+	// time is not kept (one byte up to weight 16, two up to the governor's
+	// 64). A probe walks the other side's chain and keeps the runs whose
+	// id is its own. start is the window's start.
 	// A string column the window already holds inline is packed as a
 	// one-byte ref to that copy, through strs (packJoin): nil until the
 	// window's first buffered string, then 64 write-once slots, each the
@@ -225,24 +226,28 @@ func (ws *winState) heldID(at uint32) uint64 {
 	return binary.LittleEndian.Uint64(b[parseJoin(b).id:])
 }
 
-// rethreadJoin doubles the join index and threads every buffered tuple
-// again, in arrival order — the arena's — writing each linked run's link.
-// A run without one found its bucket empty, at fewer heads, among fewer
-// runs: it finds its bucket empty again.
+// splitJoin splits one bucket of the join index (slab.Index.Split) and
+// threads the runs of its chain again, oldest first, each into the bucket
+// its hash now picks, writing each linked run's link. The chain's one
+// linkless run is its oldest: it is threaded first into its new bucket
+// and stays that chain's last.
 //
-//scrub:allowalloc(the heads array doubles: amortised over the tuples buffered since the last doubling)
-func (ws *winState) rethreadJoin(p *Plan) {
-	ws.join.Grow(0)
-	for k, chunk := range ws.arena.Chunks() {
-		for off := 0; off < len(chunk); {
-			b := chunk[off:]
-			h := parseJoin(b)
-			side := uint64(h.flags & runSide)
-			next := ws.join.Insert(slab.Addr(k, off), hashID(ws.requestID(b, h))<<1|side)
-			if h.link != 0 {
-				binary.LittleEndian.PutUint32(b[h.link:], next)
-			}
-			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[side]))
+//scrub:allowalloc(a bucket's head: the heads take a chunk every 256 buckets; a chain longer than the scratch)
+func (ws *winState) splitJoin() {
+	var scratch [16]uint32
+	chain := scratch[:0]
+	for link := ws.join.Split(); link != 0; {
+		chain = append(chain, link)
+		b := ws.arena.Tail(link - 1)
+		link = parseJoin(b).next(b)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		at := chain[i] - 1
+		b := ws.arena.Tail(at)
+		h := parseJoin(b)
+		next := ws.join.Reinsert(at, hashID(ws.requestID(b, h))<<1|uint64(h.flags&runSide))
+		if h.link != 0 {
+			binary.LittleEndian.PutUint32(b[h.link:], next)
 		}
 	}
 }
@@ -307,30 +312,36 @@ func (ws *winState) addGroup(hash uint64, run []byte, g uint32) bool {
 		return false
 	}
 	if ws.groups.Full() {
-		ws.rethreadGroups() // threads the new run too
-	} else {
-		ws.threadGroup(at, hash)
+		ws.splitGroups()
 	}
+	ws.threadGroup(at, ws.groups.Insert(at, hash))
 	return true
 }
 
-// rethreadGroups doubles the group index and threads every group again,
-// in the order the groups were opened.
-func (ws *winState) rethreadGroups() {
-	ws.groups.Grow(0)
-	for runs := ws.groupsInOrder(); ; {
-		g := groupRun(runs.next())
-		if g == nil {
-			return
+// splitGroups splits one bucket of the group index as splitJoin does;
+// every group run holds its link.
+func (ws *winState) splitGroups() {
+	var scratch [16]uint32
+	chain := scratch[:0]
+	for link := ws.groups.Split(); link != 0; {
+		chain = append(chain, link)
+		_, link = ws.groupRuns.Linked(link)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		at := chain[i] - 1
+		key := ws.groupRuns.Tail(at)[groupHdr:]
+		n, err := packedLen(key, ws.keyW)
+		if err != nil {
+			panic(corruptRun + err.Error())
 		}
-		ws.threadGroup(runs.at, hashKey(g.key()))
+		ws.threadGroup(at, ws.groups.Reinsert(at, hashKey(key[:n])))
 	}
 }
 
-// threadGroup threads the group run at address at; every group run holds
-// its link.
-func (ws *winState) threadGroup(at uint32, hash uint64) {
-	binary.LittleEndian.PutUint32(ws.groupRuns.Tail(at), ws.groups.Insert(at, hash))
+// threadGroup writes next, the link Insert or Reinsert returned, into the
+// group run at address at; every group run holds its link.
+func (ws *winState) threadGroup(at, next uint32) {
+	binary.LittleEndian.PutUint32(ws.groupRuns.Tail(at), next)
 }
 
 // aggStates returns the window's aggregate states, making the slab for

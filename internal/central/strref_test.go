@@ -104,9 +104,9 @@ func (c *joinCase) window() *winState {
 	return ws[0]
 }
 
-// runs walks the window's arena in arrival order, as rethreadJoin does,
-// and requires each run to have the header c.hdrs gives it and to hold the
-// values its tuple was sent with.
+// runs walks the window's arena in arrival order and requires each run to
+// have the header c.hdrs gives it and to hold the values its tuple was
+// sent with.
 func (c *joinCase) runs(ws *winState) []joinRun {
 	c.t.Helper()
 	var out []joinRun
@@ -405,8 +405,8 @@ func TestJoinStringRefs(t *testing.T) {
 	})
 
 	// Every exclusion is buffered before any bid probes, so the refs are
-	// read back after the join index has doubled many times and the first
-	// copies' chunk is long past being the arena's newest.
+	// read back after the join index has split thousands of buckets and
+	// the first copies' chunk is long past being the arena's newest.
 	t.Run("after-rethread", func(t *testing.T) {
 		c := newJoinCase(t, reasonJoinQ)
 		for i := 0; i < 3000; i++ {
@@ -450,7 +450,7 @@ func FuzzJoinRun(f *testing.F) {
 	f.Add([]byte{1, 255, 2, 1, 6, 255, 1, 2, 255, 0, 7, 7})
 	f.Add([]byte{0, 0, 1, 1, 3, 3, 0, 5, 9, 1, 13, 17, 0, 2, 2})
 	many := rand.New(rand.NewSource(7))
-	for _, n := range []int{300, 700} { // past several doublings of the index
+	for _, n := range []int{300, 700} { // past several rounds of splits of the index
 		data := make([]byte, 1+4*n)
 		many.Read(data)
 		data[0] = byte(n / 100)

@@ -83,12 +83,14 @@ func (c *Client) Query(text string) (*QueryStream, error) {
 }
 
 func (qs *QueryStream) readLoop(wins chan<- transport.ResultWindow) {
+	// The client is free before the stream is seen to end: a request made
+	// as soon as Final returns finds it idle.
 	defer func() {
-		close(wins)
-		close(qs.done)
 		qs.client.mu.Lock()
 		qs.client.busy = false
 		qs.client.mu.Unlock()
+		close(wins)
+		close(qs.done)
 	}()
 	for {
 		msg, err := qs.client.conn.Recv()

@@ -1,71 +1,109 @@
 package slab
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Index is a hash index over runs of an Arena that keeps no entry of its
-// own: a power-of-two array of bucket heads, each a link to the newest run
-// of its bucket, with the collision chain continuing through the runs
-// themselves. A link is a run's address plus one; 0 ends a chain (address
-// 0 is a real run, the arena's first). The index reads and writes only its
-// heads: the owner lays out its runs, decides which of them hold a link to
-// the run threaded before them in the same bucket, and writes that link —
-// Insert returns it. The runs' keys and hashes are the owner's business
-// too: the owner hashes, walks a chain from Head and compares keys in
-// place. An owner may leave the link out of a run that finds its bucket
-// empty (Head is 0): growing only multiplies the heads by a power of two
-// and the owner threads its runs again in the order they were appended, so
-// no run threaded before such a run ever shares its bucket, and it stays
-// the last of its chain. Several indexes may thread disjoint sets of runs
-// of one arena. The link words are the one part of an arena that is
-// rewritten — when the heads have grown and the owner threads every run
-// again — and no slice or String an owner keeps covers one. The zero Index
-// is empty (and Full); it is not safe for concurrent use.
+// own: bucket heads, each a link to the newest run of its bucket, with the
+// collision chain continuing through the runs themselves. A link is a
+// run's address plus one; 0 ends a chain (address 0 is a real run, the
+// arena's first). The index reads and writes only its heads: the owner
+// lays out its runs, decides which of them hold a link to the run threaded
+// before them in the same bucket, and writes that link — Insert returns
+// it. The runs' keys and hashes are the owner's business too: the owner
+// hashes, walks a chain from Head and compares keys in place.
+//
+// The heads grow by linear hashing (Litwin, VLDB 1980), one bucket at a
+// time: they live in a Slab, so they are never copied and never exceed a
+// head per run by more than a chunk, and growing the index by a bucket
+// re-threads one chain, not the whole index. Bucket b of a round of lo
+// buckets is split into b and b + lo; a round ends when all lo are split
+// and the next has twice as many. A split never merges two chains and
+// keeps the order of the one it divides, so an owner may leave the link
+// out of a run that finds its bucket empty (Head is 0): no run threaded
+// before it ever shares its bucket, and it stays the last of its chain.
+// Several indexes may thread disjoint sets of runs of one arena. The link
+// words are the one part of an arena that is rewritten — when a split
+// threads a chain again — and no slice or String an owner keeps covers
+// one. The zero Index is empty (and Full); it is not safe for concurrent
+// use.
 type Index struct {
-	heads []uint32
-	n     int // runs threaded
+	heads Slab[uint32]
+	lo    uint64 // the round's buckets, a power of two ≤ the heads; 0 while there are none
+	n     int    // runs threaded
 }
 
 const (
 	// LinkSize is how many bytes a link takes in a run.
 	LinkSize = 4
-	// indexMinBuckets is the size of the first heads array.
+	// indexMinBuckets is the size of the first round.
 	indexMinBuckets = 16
 )
+
+// Bucket is the bucket a run of hash is threaded in: hash's low bits
+// below 2·lo, or below lo when that bucket is not split off yet. The index
+// must have buckets.
+func (ix *Index) Bucket(hash uint64) uint32 {
+	b := hash & (2*ix.lo - 1)
+	if b >= uint64(ix.heads.Len()) {
+		b -= ix.lo
+	}
+	return uint32(b)
+}
 
 // Head returns the link to the newest run in hash's bucket, 0 when the
 // bucket is empty.
 func (ix *Index) Head(hash uint64) uint32 {
-	if len(ix.heads) == 0 {
+	if ix.lo == 0 {
 		return 0
 	}
-	return ix.heads[hash&uint64(len(ix.heads)-1)]
+	return *ix.heads.At(ix.Bucket(hash))
 }
 
 // Len is the number of runs threaded.
 func (ix *Index) Len() int { return ix.n }
 
-// Bytes is the capacity of the heads array in bytes.
-func (ix *Index) Bytes() int64 { return int64(len(ix.heads)) * 4 }
+// Bytes is the capacity of the heads in bytes.
+func (ix *Index) Bytes() int64 { return ix.heads.Bytes() }
 
 // Full reports that the index holds a run per bucket: before the next
-// Insert its owner must Grow it, so chains stay about one run long.
-func (ix *Index) Full() bool { return ix.n == len(ix.heads) }
+// Insert its owner must Split a bucket, so chains stay about one run long.
+func (ix *Index) Full() bool { return ix.n >= ix.heads.Len() }
 
-// Grow replaces the heads with at least twice as many — and at least n,
-// the number of runs the owner is about to thread: an owner that knows how
-// many it holds grows to that once, not by doubling up to it — and forgets
-// every run. The owner then Inserts all its runs again in the order they
-// were appended — it alone knows where each ends and what it hashes to —
-// so every chain still runs newest first, and growing reads the arena
-// front to back: only the new heads, a sixteenth of a cache line a run,
-// are written at random.
-func (ix *Index) Grow(n int) {
-	size := max(indexMinBuckets, 2*len(ix.heads))
-	for size < n {
-		size *= 2
+// Split adds a bucket, the one the round's next bucket splits into, and
+// empties that next bucket: it returns the link to the newest run of its
+// chain, 0 when it had none. The owner walks that chain and Reinserts its
+// runs oldest first, writing each linked run's link as Reinsert returns
+// it: each lands in whichever of the two buckets its hash now picks, and
+// both chains run newest first again. The first Split of an empty index
+// makes its first round of buckets.
+func (ix *Index) Split() (head uint32) {
+	if ix.lo == 0 {
+		ix.Grow(0)
+		return 0
 	}
-	ix.heads = make([]uint32, size)
-	ix.n = 0
+	n := uint64(ix.heads.Len())
+	ix.heads.Append()
+	old := ix.heads.At(uint32(n - ix.lo))
+	head, *old = *old, 0
+	if n+1 == 2*ix.lo {
+		ix.lo *= 2
+	}
+	return head
+}
+
+// Grow gives an empty index max(n, 16) buckets at once, for an owner about
+// to thread n runs: they then thread without a split. Runs threaded before
+// are forgotten.
+func (ix *Index) Grow(n int) {
+	*ix = Index{}
+	n = max(n, indexMinBuckets)
+	for range n {
+		ix.heads.Append()
+	}
+	ix.lo = 1 << (bits.Len(uint(n)) - 1)
 }
 
 // Insert threads the run at address at at the head of hash's chain and
@@ -73,9 +111,15 @@ func (ix *Index) Grow(n int) {
 // bucket's old head, 0 when the bucket was empty. The index must not be
 // Full.
 func (ix *Index) Insert(at uint32, hash uint64) (next uint32) {
-	head := &ix.heads[hash&uint64(len(ix.heads)-1)]
-	next, *head = *head, at+1
 	ix.n++
+	return ix.Reinsert(at, hash)
+}
+
+// Reinsert is Insert for a run of the chain a Split took apart: it is
+// threaded again, not counted again.
+func (ix *Index) Reinsert(at uint32, hash uint64) (next uint32) {
+	head := ix.heads.At(ix.Bucket(hash))
+	next, *head = *head, at+1
 	return next
 }
 

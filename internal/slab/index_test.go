@@ -25,23 +25,30 @@ func (h testHash) of(key uint64) uint64 {
 // Go map that remembers, per index and key, the addresses inserted, in
 // order. It lays runs out the way an owner that drops the link from a run
 // ending its chain does — [1 if linked] [link, if linked] [key, 8 bytes]
-// [body] — and grows an index the way such an owner does: by walking the
-// arena front to back, inserting the index's runs again and writing each
-// linked run's link. jump makes a growth ask for jump times the runs held
-// (Grow(n)), so the heads grow fourfold or more at once; 0 doubles them.
+// [body] — and grows an index the way such an owner does: a bucket at a
+// time, from presize buckets (Grow) or from none.
 type indexModel struct {
-	t    *testing.T
-	h    testHash
-	jump int
-	a    Arena
-	ix   [2]Index
-	want [2]map[uint64][]uint32
-	body map[uint32][]byte // what followed the key in the run at an address
-	side map[uint32]int    // which index threads the run at an address
+	t      *testing.T
+	h      testHash
+	a      Arena
+	ix     [2]Index
+	want   [2]map[uint64][]uint32
+	body   map[uint32][]byte // what followed the key in the run at an address
+	side   map[uint32]int    // which index threads the run at an address
+	splits int
 }
 
-func newIndexModel(t *testing.T, h testHash, jump int) *indexModel {
-	return &indexModel{t: t, h: h, jump: jump, want: [2]map[uint64][]uint32{{}, {}}, body: map[uint32][]byte{}, side: map[uint32]int{}}
+func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
+	m := &indexModel{t: t, h: h, want: [2]map[uint64][]uint32{{}, {}}, body: map[uint32][]byte{}, side: map[uint32]int{}}
+	if presize > 0 {
+		for i := range m.ix {
+			m.ix[i].Grow(presize)
+			if got := m.ix[i].heads.Len(); got != max(presize, indexMinBuckets) {
+				t.Fatalf("Grow(%d) made %d heads", presize, got)
+			}
+		}
+	}
+	return m
 }
 
 // parse returns the link the run at the head of b holds (0 when it holds
@@ -53,10 +60,17 @@ func parse(b []byte) (next uint32, linked bool, key int) {
 	return binary.LittleEndian.Uint32(b[1:]), true, 1 + LinkSize
 }
 
+// hashAt is the hash of the run at address at.
+func (m *indexModel) hashAt(at uint32) uint64 {
+	b := m.a.Tail(at)
+	_, _, key := parse(b)
+	return m.h.of(binary.LittleEndian.Uint64(b[key:]))
+}
+
 func (m *indexModel) insert(side int, key uint64, body []byte) {
 	ix := &m.ix[side]
 	if ix.Full() {
-		m.grow(side)
+		m.split(side)
 	}
 	next := ix.Head(m.h.of(key))
 	run := []byte{0}
@@ -76,32 +90,69 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 	}
 }
 
-// grow grows side's index and threads its runs again in arrival order. A
-// run that found its bucket empty when it was appended finds it empty
-// again: it is still its chain's last run.
-func (m *indexModel) grow(side int) {
+// split splits a bucket of side's index as an owner does — it walks the
+// chain Split empties and threads its runs again oldest first, writing
+// each linked run's link — and checks what a split must keep: the runs
+// land in at most two buckets, whose chains hold exactly them, each newest
+// first and ending in the only run without a link, and the heads are at
+// most a chunk more than a head per run.
+func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
-	before := ix.Bytes()
-	ix.Grow(m.jump * ix.Len())
-	if m.jump > 0 && ix.Len() > 0 && ix.Bytes() < int64(m.jump)*before {
-		m.t.Fatalf("Grow(%d) made %d heads from %d", m.jump*ix.Len(), ix.Bytes()/4, before/4)
+	var chain []uint32
+	for link := ix.Split(); link != 0; {
+		chain = append(chain, link)
+		link, _, _ = parse(m.a.Tail(link - 1))
 	}
-	for k, chunk := range m.a.Chunks() {
-		for off := 0; off < len(chunk); {
-			at, b := Addr(k, off), chunk[off:]
-			_, linked, key := parse(b)
-			if m.side[at] == side {
-				next := ix.Insert(at, m.h.of(binary.LittleEndian.Uint64(b[key:])))
-				if linked {
-					binary.LittleEndian.PutUint32(b[1:], next)
-				} else if next != 0 {
-					m.t.Fatalf("side %d: the linkless run at %d is not its chain's last once the heads are %d", side, at, ix.Bytes()/4)
-				}
-			}
-			off += key + 8 + len(m.body[at])
+	m.splits++
+	buckets := map[uint32]bool{}
+	for i := len(chain) - 1; i >= 0; i-- {
+		at := chain[i] - 1
+		b := m.a.Tail(at)
+		next := ix.Reinsert(at, m.hashAt(at))
+		if _, linked, _ := parse(b); linked {
+			binary.LittleEndian.PutUint32(b[1:], next)
+		} else if next != 0 {
+			m.t.Fatalf("side %d: the linkless run at %d is not its chain's last once split", side, at)
 		}
+		buckets[ix.Bucket(m.hashAt(at))] = true
 	}
-	m.check() // every entry is still found once the heads have grown
+	if len(buckets) > 2 {
+		m.t.Fatalf("side %d: a split spread one chain over %d buckets", side, len(buckets))
+	}
+	reached := 0
+	for bucket := range buckets {
+		reached += m.chain(side, bucket)
+	}
+	if reached != len(chain) {
+		m.t.Fatalf("side %d: the split chain held %d runs, its two buckets %d", side, len(chain), reached)
+	}
+	if ix.Bytes() > 4*int64(ix.Len()+MaxChunk) {
+		m.t.Fatalf("side %d: %d bytes of heads for %d runs", side, ix.Bytes(), ix.Len())
+	}
+}
+
+// chain walks bucket's chain, requires it to run newest first through
+// runs of that bucket and to end in its only linkless run, if it has one,
+// and returns its length.
+func (m *indexModel) chain(side int, bucket uint32) int {
+	n := 0
+	for link := m.ix[side].Head(uint64(bucket)); link != 0; n++ {
+		next, linked, _ := parse(m.a.Tail(link - 1))
+		if own := m.ix[side].Bucket(m.hashAt(link - 1)); own != bucket {
+			m.t.Fatalf("side %d bucket %d: the run at %d belongs to bucket %d", side, bucket, link-1, own)
+		}
+		if next >= link && next != 0 {
+			m.t.Fatalf("side %d bucket %d: the run at %d links to %d, not to an older run", side, bucket, link-1, next-1)
+		}
+		if !linked && next == 0 {
+			return n + 1
+		}
+		if !linked {
+			m.t.Fatalf("side %d bucket %d: the linkless run at %d is not its chain's last", side, bucket, link-1)
+		}
+		link = next
+	}
+	return n
 }
 
 // find walks key's chain the way an owner does and returns the matching
@@ -152,23 +203,44 @@ func (m *indexModel) check() {
 	}
 }
 
-// Through eight doublings — or growths of four and sixteen times at once —
-// with repeated keys, bodies of mixed lengths and both sides interleaved
-// in one arena, the chains agree with the map, whether the hash spreads
-// the keys or sends them all to one bucket.
+// Splitting a bucket at a time — from no buckets, from an eighth of the
+// runs, or from exactly as many as each index is to thread (Grow) — with
+// repeated keys, bodies of mixed lengths and both sides interleaved in one
+// arena, the chains agree with the map, whether the hash spreads the keys
+// or sends them all to one bucket.
 func TestIndexMatchesMap(t *testing.T) {
+	type op struct {
+		side int
+		key  uint64
+		body []byte
+	}
 	for _, h := range []testHash{{clump: false}, {clump: true}} {
-		for _, jump := range []int{0, 4, 16} {
-			rng := rand.New(rand.NewSource(5))
-			m := newIndexModel(t, h, jump)
-			n := 5000
-			if h.clump {
-				n = 600 // every lookup walks every run
+		n := 5000
+		if h.clump {
+			n = 600 // every lookup walks every run
+		}
+		rng := rand.New(rand.NewSource(5))
+		var ops []op
+		var perSide [2]int
+		for i := 0; i < n; i++ {
+			body := make([]byte, rng.Intn(24))
+			rng.Read(body)
+			o := op{rng.Intn(2), uint64(rng.Intn(n / 3)), body}
+			ops = append(ops, o)
+			perSide[o.side]++
+		}
+		for _, presize := range []int{0, n / 8, -1} {
+			m := newIndexModel(t, h, presize)
+			if presize < 0 { // exactly as many buckets as runs
+				for side := range m.ix {
+					m.ix[side].Grow(perSide[side])
+				}
 			}
-			for i := 0; i < n; i++ {
-				body := make([]byte, rng.Intn(24))
-				rng.Read(body)
-				m.insert(rng.Intn(2), uint64(rng.Intn(n/3)), body)
+			for i, o := range ops {
+				m.insert(o.side, o.key, o.body)
+				if i&(i+1) == 0 {
+					m.check()
+				}
 			}
 			m.check()
 			linkless := 0
@@ -181,11 +253,13 @@ func TestIndexMatchesMap(t *testing.T) {
 					off += key + 8 + len(m.body[Addr(k, off)])
 				}
 			}
-			if b := m.ix[0].Bytes(); b < 4*indexMinBuckets<<4 {
-				t.Fatalf("clump=%v jump=%d: heads hold %d bytes: the index did not grow often enough to test", h.clump, jump, b)
-			}
-			if linkless == 0 {
-				t.Fatalf("clump=%v jump=%d: no run ended its chain", h.clump, jump)
+			switch {
+			case presize < 0 && m.splits != 0:
+				t.Fatalf("clump=%v: %d splits of indexes grown to their runs", h.clump, m.splits)
+			case presize >= 0 && m.splits < n-2*max(presize, indexMinBuckets):
+				t.Fatalf("clump=%v presize=%d: %d splits of %d runs: too few to test", h.clump, presize, m.splits, n)
+			case linkless == 0:
+				t.Fatalf("clump=%v presize=%d: no run ended its chain", h.clump, presize)
 			}
 		}
 	}
@@ -200,17 +274,13 @@ func TestIndexZeroValue(t *testing.T) {
 }
 
 // An owner that knows how many runs it holds grows to that in one step:
-// the heads are what doubling from the minimum would have reached, and
-// every run threads without another growth.
+// exactly max(n, 16) heads, and every run threads without a split.
 func TestIndexGrowToCount(t *testing.T) {
 	for _, n := range []int{0, 1, indexMinBuckets, indexMinBuckets + 1, 1000, 4096} {
-		var fitted, doubled Index
+		var fitted Index
 		fitted.Grow(n)
-		for doubled.Bytes() < int64(4*n) || doubled.Bytes() == 0 {
-			doubled.Grow(0)
-		}
-		if fitted.Bytes() != doubled.Bytes() {
-			t.Errorf("Grow(%d): %d bytes of heads, doubling reaches %d", n, fitted.Bytes(), doubled.Bytes())
+		if got, want := fitted.heads.Len(), max(n, indexMinBuckets); got != want {
+			t.Errorf("Grow(%d): %d heads, want %d", n, got, want)
 		}
 		var a Arena
 		for i := 0; i < n; i++ {
@@ -223,7 +293,8 @@ func TestIndexGrowToCount(t *testing.T) {
 	}
 }
 
-// FuzzIndex: the first byte picks the hash and how the heads grow, every
+// FuzzIndex: the first byte picks the hash and how many buckets the
+// indexes start with (none, a quarter, all or four times the runs), every
 // further byte inserts one run — side from the top bit, key from the
 // rest, so keys repeat.
 func FuzzIndex(f *testing.F) {
@@ -238,7 +309,7 @@ func FuzzIndex(f *testing.F) {
 		if len(ops) == 0 || len(ops) > 4096 { // a clumped lookup walks every run
 			return
 		}
-		m := newIndexModel(t, testHash{clump: ops[0]&1 == 1}, []int{0, 4, 5, 64}[ops[0]>>1&3])
+		m := newIndexModel(t, testHash{clump: ops[0]&1 == 1}, []int{0, 1, 4, 16}[ops[0]>>1&3]*len(ops)/4)
 		for i, op := range ops[1:] {
 			m.insert(int(op>>7), uint64(op&0x7f)%uint64(1+len(ops)/4), ops[i:min(len(ops), i+1+int(op&3))])
 		}

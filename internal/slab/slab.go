@@ -27,7 +27,7 @@ type Slab[T any] struct {
 
 const (
 	minShift = 4
-	steps    = 6 // doubling chunks before the size settles
+	steps    = 4 // doubling chunks before the size settles
 	MinChunk = 1 << minShift
 	maxShift = minShift + steps
 	MaxChunk = 1 << maxShift
@@ -71,6 +71,9 @@ func (s *Slab[T]) At(i uint32) *T {
 	k, off := locate(int(i))
 	return &s.chunks[k][off]
 }
+
+// Len is the number of elements handed out.
+func (s *Slab[T]) Len() int { return s.n }
 
 // Bytes is the capacity allocated so far, in bytes.
 func (s *Slab[T]) Bytes() int64 {

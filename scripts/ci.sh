@@ -175,6 +175,10 @@ if grep -nF 'uint64(qs.plan.Window)' $(nontest internal/central); then echo "non
 echo "== the owner of an indexed run writes its link (non-test internal/slab/index.go writes no link word into an arena: a join run that ends its chain holds none, and only the owner knows which do) =="
 if grep -nF 'PutUint32(a.Tail(' internal/slab/index.go; then echo "internal/slab/index.go writes a link word itself again: Index.Insert returns the link, and the owner decides whether its run holds one and writes it" >&2; exit 1; fi
 
+echo "== a window's indexes grow a bucket at a time (non-test internal/central has no rethreadJoin or rethreadGroups, and internal/slab/index.go no 2*len(ix.heads) doubling: a full index splits one bucket, linear hashing) =="
+if grep -nwE 'rethreadJoin|rethreadGroups' $(nontest internal/central); then echo "non-test internal/central re-threads a whole window again: a full index splits one bucket (splitJoin, splitGroups)" >&2; exit 1; fi
+if grep -nF '2*len(ix.heads)' internal/slab/index.go; then echo "internal/slab/index.go doubles its heads again: Index.Split adds one bucket, and the heads live in a slab.Slab" >&2; exit 1; fi
+
 echo "== one egress for every result (internal/server/hub.go writes to a client connection only in clientSink, the sink its Egress writer calls; internal/server/egress.go calls a sink only in Egress.write; the session's replies and the callbacks it hands the server queue, and only SendToHost, handleData and BroadcastShardMap write to a host; no linePrinter, clientConn or Stream.Dropped) =="
 if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
     code ~ /\.Send\(/ && fn !~ /^func clientSink\(|^func \(h \*Hub\) (SendToHost|handleData|BroadcastShardMap)\(/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' internal/server/hub.go; then
