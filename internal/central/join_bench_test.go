@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,8 +96,12 @@ func BenchmarkJoinBuffer(b *testing.B) {
 // every exclusion probes and finds its bid, and bids get zero, one or
 // several. It reports the two sides' costs apart, ns/bid and
 // ns/exclusion (the time inside each side's HandleBatch calls over its
-// tuples; ns/op is per request, the two together), and B/request, what one
-// bid and its share of exclusions take of a full window's arena. The loop
+// tuples; ns/op is per request, the two together), max-ns/batch, the
+// slowest HandleBatch call of a window — the stall an index that grows all
+// at once puts on the apply path — as the median over the windows fed, so
+// that a collection or a preemption that lands in one window does not set
+// it, and B/request, what one bid and its share of exclusions take of a
+// full window's arena. The loop
 // must not allocate per tuple: what it allocates is the arena's chunks,
 // the index's heads and a closing window's result, well under one per
 // hundred tuples. Like BenchmarkJoinBuffer it uses nothing an older
@@ -160,7 +165,8 @@ func BenchmarkJoinApply(b *testing.B) {
 	one.mu.Unlock()
 
 	e := start(250 * time.Millisecond)
-	var bidNs, exclNs int64
+	var bidNs, exclNs, maxNs int64
+	worst := make([]int64, 0, b.N/(perWindow*batchSize)+1) // each window's slowest batch
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ReportAllocs()
@@ -169,12 +175,20 @@ func BenchmarkJoinApply(b *testing.B) {
 		bn, en := feed(e, n)
 		bidNs += bn
 		exclNs += en
+		maxNs = max(maxNs, bn, en)
+		if (n+1)%perWindow == 0 {
+			worst, maxNs = append(worst, maxNs), 0
+		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
 	pairs := (b.N + batchSize - 1) / batchSize
 	b.ReportMetric(float64(bidNs)/float64(pairs*batchSize), "ns/bid")
 	b.ReportMetric(float64(exclNs)/float64(pairs*batchSize), "ns/exclusion")
+	if len(worst) > 0 {
+		slices.Sort(worst)
+		b.ReportMetric(float64(worst[len(worst)/2]), "max-ns/batch")
+	}
 	b.ReportMetric(perRequest, "B/request")
 	if perTuple := float64(m1.Mallocs-m0.Mallocs) / float64(2*pairs*batchSize); b.N >= batchSize*perWindow && !raceEnabled && perTuple >= 0.01 {
 		b.Errorf("%.4f allocations per tuple, want arena and index growth only", perTuple)

@@ -44,13 +44,13 @@ const (
 
 // Bucket is the bucket a run of hash is threaded in: hash's low bits
 // below 2·lo, or below lo when that bucket is not split off yet. The index
-// must have buckets.
+// must have buckets. The choice is arithmetic, not a branch: which way it
+// goes follows the hash, so a branch would be mispredicted about as often
+// as not.
 func (ix *Index) Bucket(hash uint64) uint32 {
 	b := hash & (2*ix.lo - 1)
-	if b >= uint64(ix.heads.Len()) {
-		b -= ix.lo
-	}
-	return uint32(b)
+	unsplit := (uint64(ix.heads.Len()) - 1 - b) >> 63 // 1 when b ≥ the heads
+	return uint32(b - ix.lo&-unsplit)
 }
 
 // Head returns the link to the newest run in hash's bucket, 0 when the
