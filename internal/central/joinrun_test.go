@@ -126,7 +126,8 @@ func checkChains(t *testing.T, ws *winState, p *Plan) {
 				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[bucket])
 			}
 			runs[bucket]++
-			off += h.cols + ws.unpackJoin(nil, b[h.cols:], len(p.Columns[h.flags&runSide]))
+			w := len(p.Columns[h.flags&runSide])
+			off += h.cols + ws.unpackJoin(make([]event.Value, w), b[h.cols:], w)
 		}
 	}
 	for bucket, n := range runs {

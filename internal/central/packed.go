@@ -130,14 +130,13 @@ func (ws *winState) claimStrings(at uint32, run []byte, claims []uint32) {
 
 // unpackJoin decodes the run of w join values at the head of b into out,
 // refs resolved and string payloads aliasing the arena, and returns the
-// run's length. A nil out only measures.
+// run's length.
 func (ws *winState) unpackJoin(out []event.Value, b []byte, w int) int {
 	n := 0
 	for i := 0; i < w; i++ {
 		if s := b[n] - strRef; s < strSlots {
-			if out != nil { // the copy is a string packJoin wrote inline: it decodes
-				out[i], _, _ = event.DecodeValueAlias(ws.arena.Tail(strAt(ws.strs[s])), slab.String)
-			}
+			// The copy is a string packJoin wrote inline: it decodes.
+			out[i], _, _ = event.DecodeValueAlias(ws.arena.Tail(strAt(ws.strs[s])), slab.String)
 			n++
 			continue
 		}
@@ -146,9 +145,7 @@ func (ws *winState) unpackJoin(out []event.Value, b []byte, w int) int {
 			//scrub:allowalloc(cold: only a bug produces a corrupt run)
 			panic(corruptRun + err.Error())
 		}
-		if out != nil {
-			out[i] = v
-		}
+		out[i] = v
 		n += used
 	}
 	return n
@@ -182,7 +179,6 @@ type packedRows struct {
 	chunks [][]byte
 	k, off int // the next run starts at byte off of chunks[k]
 	hdr, w int
-	at     uint32 // the address of the run that next returned last
 }
 
 func rowsOf(a *slab.Arena, w int) packedRows { return packedRows{chunks: a.Chunks(), w: w} }
@@ -206,7 +202,6 @@ func (r *packedRows) next() []byte {
 		panic(corruptRun + err.Error())
 	}
 	n += r.hdr
-	r.at = slab.Addr(r.k, r.off)
 	r.off += n
 	return cur[:n:n]
 }

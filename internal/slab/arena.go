@@ -48,7 +48,7 @@ func (a *Arena) Append(b []byte) (uint32, bool) {
 	}
 	off := len(a.chunks[k])
 	a.chunks[k] = append(a.chunks[k], b...) // within capacity: the chunk never moves
-	return uint32(k)<<arenaMaxShift | uint32(off), true
+	return Addr(k, off), true
 }
 
 // grow starts the chunk that will hold a run of n bytes: the next of the
