@@ -188,7 +188,7 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 	n = len(groups)
 	c.Count(&n, "implausible group count")
 	if decoding && n > 0 {
-		ws.groups.Grow(n) // once, not by doubling up to it
+		ws.groups.Grow(n) // n heads at once, not a split per group
 	}
 	var run []byte // decoding: a group's run, built before the window keeps it
 	for i := 0; i < n && c.Err == nil; i++ {
