@@ -92,10 +92,10 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 
 // split splits a bucket of side's index as an owner does — it walks the
 // chain Split empties and threads its runs again oldest first, writing
-// each linked run's link — and checks what a split must keep: the runs
-// land in at most two buckets, whose chains hold exactly them, each newest
-// first and ending in the only run without a link, and the heads are at
-// most a chunk more than a head per run.
+// each linked run's link — and checks what a split must keep: a linkless
+// run is threaded into an empty bucket again, the runs land in at most two
+// buckets whose chains hold exactly them, each newest first, and the heads
+// are at most a chunk more than a head per run.
 func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
 	var chain []uint32
@@ -132,23 +132,17 @@ func (m *indexModel) split(side int) {
 }
 
 // chain walks bucket's chain, requires it to run newest first through
-// runs of that bucket and to end in its only linkless run, if it has one,
-// and returns its length.
+// runs of that bucket, and returns its length. (A linkless run ends its
+// chain by its layout; split checks that none was threaded before another.)
 func (m *indexModel) chain(side int, bucket uint32) int {
 	n := 0
 	for link := m.ix[side].Head(uint64(bucket)); link != 0; n++ {
-		next, linked, _ := parse(m.a.Tail(link - 1))
+		next, _, _ := parse(m.a.Tail(link - 1))
 		if own := m.ix[side].Bucket(m.hashAt(link - 1)); own != bucket {
 			m.t.Fatalf("side %d bucket %d: the run at %d belongs to bucket %d", side, bucket, link-1, own)
 		}
 		if next >= link && next != 0 {
 			m.t.Fatalf("side %d bucket %d: the run at %d links to %d, not to an older run", side, bucket, link-1, next-1)
-		}
-		if !linked && next == 0 {
-			return n + 1
-		}
-		if !linked {
-			m.t.Fatalf("side %d bucket %d: the linkless run at %d is not its chain's last", side, bucket, link-1)
 		}
 		link = next
 	}
