@@ -36,8 +36,8 @@ import (
 
 	"scrub/internal/adplatform"
 	"scrub/internal/central"
-	"scrub/internal/cluster"
 	"scrub/internal/coord"
+	"scrub/internal/core"
 	"scrub/internal/event"
 	"scrub/internal/obs"
 	"scrub/internal/server"
@@ -89,33 +89,19 @@ func main() {
 		runShard(catalog, *shardListen, *joinAddr, *advertise, *metricsAddr)
 		return
 	}
+	addrs := server.Addrs{Client: *clientAddr, Control: *controlAddr, Data: *dataAddr}
 	if *standbyListen != "" {
-		runStandby(standbyConfig{
-			catalog: catalog, listen: *standbyListen,
-			clientAddr: *clientAddr, controlAddr: *controlAddr, dataAddr: *dataAddr,
-			metricsAddr: *metricsAddr,
-			timeout:     *failoverTimeout, rank: *standbyRank,
-		})
+		runStandby(catalog, *standbyListen, *metricsAddr, addrs, *failoverTimeout, *standbyRank)
 		return
 	}
 
-	registry := cluster.NewRegistry()
-	hub, err := server.NewHub(registry, *clientAddr, *controlAddr, *dataAddr)
-	if err != nil {
-		log.Fatalf("scrubcentral: %v", err)
-	}
 	reg := newRegistry(*metricsAddr)
 	copt := central.Options{Metrics: reg}
 	var engine central.Executor
-	var coordEng *coord.Coordinator
 	switch {
 	case *coordMode:
-		coordEng = coord.NewCoordinator(copt)
-		for _, addr := range strings.Split(*shardAddrs, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
+		coordEng := coord.NewCoordinator(copt)
+		for _, addr := range splitAddrs(*shardAddrs) {
 			if err := coordEng.AddShard(addr); err != nil {
 				log.Fatalf("scrubcentral: enroll shard %s: %v", addr, err)
 			}
@@ -135,29 +121,21 @@ func main() {
 		// One process runs one kernel; n = 1 cannot fail.
 		engine, _ = central.NewShardedEngineWith(1, copt)
 	}
-	srv, err := server.New(server.Config{
-		Catalog:    catalog,
-		Registry:   registry,
-		Engine:     engine,
-		Dispatcher: hub,
-	})
+	node, err := server.Listen(addrs, server.Config{Catalog: catalog, Engine: engine}, reg, log.Printf, nil)
 	if err != nil {
 		log.Fatalf("scrubcentral: %v", err)
 	}
-	hub.SetMetrics(reg)
-	hub.SetServer(srv)
-	hub.Serve()
 
 	serveMetrics(*metricsAddr, reg)
+	a := node.Addrs()
 	fmt.Printf("scrubcentral up\n  client:  %s\n  control: %s\n  data:    %s\n  event types: %v\n",
-		hub.ClientAddr(), hub.ControlAddr(), hub.DataAddr(), catalog.Names())
+		a.Client, a.Control, a.Data, catalog.Names())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("scrubcentral: shutting down")
-	srv.Close()
-	hub.Close()
+	node.Close()
 }
 
 // runShard serves one shard process: a central.Engine kernel behind the
@@ -181,7 +159,7 @@ func runShard(catalog *event.Catalog, listen, join, advertise, metricsAddr strin
 	fmt.Printf("scrubcentral shard up\n  shard rpc: %s\n  event types: %v\n", l.Addr(), catalog.Names())
 
 	if join != "" {
-		if err := announce(join, advertise); err != nil {
+		if err := coord.Announce(join, advertise); err != nil {
 			log.Fatalf("scrubcentral: join %s: %v", join, err)
 		}
 		fmt.Printf("  joined: %s (advertised %s)\n", join, advertise)
@@ -192,21 +170,6 @@ func runShard(catalog *event.Catalog, listen, join, advertise, metricsAddr strin
 	<-sig
 	fmt.Println("scrubcentral shard: shutting down")
 	l.Close()
-}
-
-// announce sends the coordinator's data plane one ShardHello and closes
-// the connection: the coordinator dials the shard back, and membership
-// health rides that RPC connection, not this one.
-func announce(join, advertise string) error {
-	c, err := transport.Dial(join, 3*time.Second)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if err := c.Send(transport.DataHello{HostID: "shard:" + advertise}); err != nil {
-		return err
-	}
-	return c.Send(transport.ShardHello{ShardID: advertise, DataAddr: advertise})
 }
 
 // newRegistry returns the process's metrics registry, nil when -metrics
@@ -242,36 +205,26 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-type standbyConfig struct {
-	catalog                           *event.Catalog
-	listen                            string
-	clientAddr, controlAddr, dataAddr string
-	metricsAddr                       string
-	timeout                           time.Duration
-	rank                              int
-}
-
 // runStandby serves one warm coordinator standby: it holds the
-// control-plane state the leader last pushed, and when the leader falls silent for the
-// (rank-staggered) failover timeout, it promotes — fencing the shards
-// under a higher epoch, resuming every replicated query, and taking over
-// the leader's client/control/data addresses so host agents and
-// troubleshooters reconnect to it transparently.
-func runStandby(cfg standbyConfig) {
-	l, err := transport.Listen(cfg.listen)
+// control-plane state the leader last pushed, and when the leader falls
+// silent for the (rank-staggered) failover timeout, core.Takeover
+// promotes it on the leader's client/control/data addresses (addrs), so
+// host agents and troubleshooters reconnect to it transparently.
+func runStandby(catalog *event.Catalog, listen, metricsAddr string, addrs server.Addrs, timeout time.Duration, rank int) {
+	l, err := transport.Listen(listen)
 	if err != nil {
 		log.Fatalf("scrubcentral: standby listener: %v", err)
 	}
-	reg := newRegistry(cfg.metricsAddr)
+	reg := newRegistry(metricsAddr)
 	sb := coord.NewStandby(coord.StandbyOptions{
 		Central:         central.Options{Metrics: reg},
-		Catalog:         cfg.catalog,
-		FailoverTimeout: cfg.timeout,
-		Rank:            cfg.rank,
+		Catalog:         catalog,
+		FailoverTimeout: timeout,
+		Rank:            rank,
 	})
 	go sb.Serve(l)
 	fmt.Printf("scrubcentral standby up\n  replication: %s\n  rank: %d  failover timeout: %s\n",
-		l.Addr(), cfg.rank, cfg.timeout*time.Duration(cfg.rank+1))
+		l.Addr(), rank, timeout*time.Duration(rank+1))
 
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 1)
@@ -298,66 +251,28 @@ func runStandby(cfg standbyConfig) {
 			rw.QueryID, rw.WindowStart, rw.WindowEnd, len(rw.Rows), rw.Degraded)
 		return err
 	}, func(err error) { cut <- err }) // nil once drained at shutdown
-	coordEng, resumed, err := sb.Promote(func(rw transport.ResultWindow) { out.Queue(rw) })
+	node, resumed, err := core.Takeover(sb, catalog, addrs, reg, func(rw transport.ResultWindow) { out.Queue(rw) })
 	if err != nil {
-		log.Fatalf("scrubcentral: promote: %v", err)
+		log.Fatalf("scrubcentral: take over: %v", err)
 	}
 
-	// The leader is dead, so its addresses are free — but kernel teardown
-	// of a kill -9'd listener can lag a moment; retry briefly.
-	registry := cluster.NewRegistry()
-	var hub *server.Hub
-	for attempt := 0; ; attempt++ {
-		hub, err = server.NewHub(registry, cfg.clientAddr, cfg.controlAddr, cfg.dataAddr)
-		if err == nil {
-			break
-		}
-		if attempt >= 20 {
-			log.Fatalf("scrubcentral: bind leader addresses: %v", err)
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	srv, err := server.New(server.Config{
-		Catalog:    cfg.catalog,
-		Registry:   registry,
-		Engine:     coordEng,
-		Dispatcher: hub,
-	})
-	if err != nil {
-		log.Fatalf("scrubcentral: %v", err)
-	}
-	hub.SetMetrics(reg)
-	hub.SetServer(srv)
-	for _, rq := range resumed {
-		_, err := srv.Adopt(rq.Text, server.QueryInfo{
-			ID:    rq.QueryID,
-			Start: time.Unix(0, rq.StartNanos), End: time.Unix(0, rq.EndNanos),
-			NumHosts: rq.TotalHosts, SampledHosts: rq.SampledHosts,
-		}, server.Callbacks{Done: func(qd transport.QueryDone) {
-			log.Printf("scrubcentral: adopted query %d done: %+v", qd.QueryID, qd.Stats)
-		}})
-		if err != nil {
-			log.Printf("scrubcentral: adopt query %d: %v", rq.QueryID, err)
-		}
-	}
-	hub.Serve()
-
-	serveMetrics(cfg.metricsAddr, reg)
+	serveMetrics(metricsAddr, reg)
+	fence, _ := sb.Snapshot()
+	a := node.Addrs()
 	fmt.Printf("scrubcentral up (promoted leader, fence %d)\n  client:  %s\n  control: %s\n  data:    %s\n  resumed queries: %d\n",
-		coordEng.Fence(), hub.ClientAddr(), hub.ControlAddr(), hub.DataAddr(), len(resumed))
+		fence, a.Client, a.Control, a.Data, len(resumed))
 
 	select {
 	case err := <-cut: // stdout stalled: no drain before stop
 		log.Printf("scrubcentral: adopted windows cut off (%v): cancelling the adopted queries", err)
 		for _, rq := range resumed {
-			_ = srv.Cancel(rq.QueryID)
+			_ = node.Server.Cancel(rq.QueryID)
 		}
 		<-stop
 	case <-stop:
 	}
 	fmt.Println("scrubcentral: shutting down")
-	srv.Close()
-	hub.Close()
+	node.Close()
 	out.Close()
 	<-out.Done()
 }

@@ -848,8 +848,8 @@ func TestLeaderFailover(t *testing.T) {
 	// Heartbeat an hour out: replication in this test rides the
 	// synchronous appends only, keeping the interleaving deterministic.
 	tt.coord.StartReplication(ReplicationConfig{Term: 1, Heartbeat: time.Hour})
-	if tt.coord.Fence() != 1 {
-		t.Fatalf("leader fence = %d, want 1", tt.coord.Fence())
+	if tt.coord.fence.Load() != 1 {
+		t.Fatalf("leader fence = %d, want 1", tt.coord.fence.Load())
 	}
 
 	sb := tt.addStandby(opts, testCatalog())
@@ -910,11 +910,12 @@ func TestLeaderFailover(t *testing.T) {
 	defer old.Close()
 	tt.coord = promoted // manifests and Stop/Tick now target the new leader
 
-	if promoted.Fence() != 2 {
-		t.Errorf("promoted fence = %d, want 2", promoted.Fence())
+	if promoted.fence.Load() != 2 {
+		t.Errorf("promoted fence = %d, want 2", promoted.fence.Load())
 	}
-	if want := (ResumedQuery{QueryID: 1, Text: src, TotalHosts: 1, SampledHosts: 1}); len(resumed) != 1 || resumed[0] != want {
-		t.Fatalf("resumed = %+v, want [%+v]: the original text, span and host counts", resumed, want)
+	if len(resumed) != 1 || resumed[0].QueryID != 1 || resumed[0].Text != src || resumed[0].StartNanos != 0 || resumed[0].EndNanos != 0 ||
+		resumed[0].TotalHosts != 1 || resumed[0].SampledHosts != 1 {
+		t.Fatalf("resumed = %+v, want query 1 with the original text, span and host counts", resumed)
 	}
 	if m, _ := promoted.PinnedMap(1); m.Epoch != 2 {
 		t.Errorf("resumed pin epoch = %d, want 2", m.Epoch)

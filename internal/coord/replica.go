@@ -135,9 +135,6 @@ type ReplicationConfig struct {
 	Heartbeat time.Duration
 }
 
-// Fence reports the coordinator's fencing epoch (0 when standalone).
-func (c *Coordinator) Fence() uint64 { return c.fence.Load() }
-
 // StartReplication turns this coordinator into a replicating leader:
 // its fencing epoch becomes cfg.Term and every subsequent registration,
 // stop and membership change pushes the state to the standbys added with

@@ -64,6 +64,22 @@ func (n *ShardNode) admitFence(f uint64) bool {
 	}
 }
 
+// Announce joins the shard served at advertise to the coordinator whose
+// data plane listens at join: it sends one ShardHello and closes the
+// connection. The coordinator dials the shard back, and membership health
+// rides that RPC connection, not this one.
+func Announce(join, advertise string) error {
+	c, err := transport.Dial(join, 3*time.Second)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	if err := c.Send(transport.DataHello{HostID: "shard:" + advertise}); err != nil {
+		return err
+	}
+	return c.Send(transport.ShardHello{ShardID: advertise, DataAddr: advertise})
+}
+
 // Serve accepts connections until the listener closes. Each connection
 // gets its own RPC loop; the engine serializes internally.
 func (n *ShardNode) Serve(l *transport.Listener) {

@@ -153,18 +153,6 @@ func (s *Standby) AwaitFailover(stop <-chan struct{}) bool {
 	}
 }
 
-// ResumedQuery describes one registration a promotion carried over,
-// with what a serving layer needs to adopt it: the text, the span for its
-// expiry timer, and the host counts (N, n) the windows are scaled by.
-type ResumedQuery struct {
-	QueryID      uint64
-	Text         string
-	StartNanos   int64
-	EndNanos     int64
-	TotalHosts   int
-	SampledHosts int
-}
-
 // Promote assumes leadership: it builds a live Coordinator under term+1
 // (strictly above anything the dead leader stamped), reconstructs the
 // replicated membership at its replicated epoch and order — order
@@ -174,7 +162,10 @@ type ResumedQuery struct {
 // shard-side, so absorbed window state survives) or, when it cannot,
 // drains it from the shards.
 //
-// emit receives the windows of every resumed query; ResultWindow.QueryID
+// It returns the start of every query it resumed, which carries what a
+// serving layer needs to adopt it: the text, the span for its expiry
+// timer, and the host counts (N, n) the windows are scaled by. emit
+// receives the windows of every resumed query; ResultWindow.QueryID
 // tells them apart. Every resumed query starts with its Degraded latch
 // set: the manifest-gap during failover lost stream/watermark accounting
 // this coordinator cannot recover, so its windows are honestly flagged
@@ -183,7 +174,7 @@ type ResumedQuery struct {
 // Promotion is one-shot; a second call errors. Shard or query failures
 // do not abort it — at takeover, availability wins — they latch clients
 // down and degrade, exactly like a mid-query shard death.
-func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []ResumedQuery, error) {
+func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []transport.ShardStart, error) {
 	s.mu.Lock()
 	if s.promoted {
 		s.mu.Unlock()
@@ -249,16 +240,12 @@ func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []ResumedQuery, 
 	// its install fails — is drained on every live member like an orphan:
 	// the fence step spared it as replicated, and no leader will ever
 	// collect or stop it.
-	var resumed []ResumedQuery
+	var resumed []transport.ShardStart
 	for _, e := range entries {
 		st := e.Start
 		plan, err := PlanFromShardStart(st, s.opt.Catalog)
 		if err == nil && c.install(plan, emit, &e) == nil {
-			resumed = append(resumed, ResumedQuery{
-				QueryID: st.QueryID, Text: st.Text,
-				StartNanos: st.StartNanos, EndNanos: st.EndNanos,
-				TotalHosts: int(st.TotalHosts), SampledHosts: int(st.SampledHosts),
-			})
+			resumed = append(resumed, st)
 			continue
 		}
 		for _, sc := range members {

@@ -10,6 +10,9 @@
 //     the substrate for tests, benchmarks, and the simulator.
 //   - NetCluster (net.go) runs them over real TCP in one process — the
 //     shape of a production deployment, used by experiment C1 and tests.
+//
+// Takeover (takeover.go) stands a promoted standby up as the leader on the
+// dead leader's addresses, for cmd/scrubcentral and its tests alike.
 package core
 
 import (

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scrub/internal/central"
-	"scrub/internal/cluster"
 	"scrub/internal/event"
 	"scrub/internal/host"
 	"scrub/internal/server"
@@ -37,18 +36,15 @@ type NetConfig struct {
 	WrapConn func(hostName string, nc net.Conn) net.Conn
 }
 
-// NetCluster is a full Scrub deployment over real TCP in one process:
-// the hub (client/control/data listeners), the query server with
-// ScrubCentral, and one agent per host, each with its own control and
-// data connections. It exercises exactly the paths a multi-machine
-// deployment uses; cmd/scrubcentral and cmd/scrubd split the same pieces
-// across processes.
+// NetCluster is a full Scrub deployment over real TCP in one process: a
+// server.Node (the hub's client/control/data listeners and the query
+// server with ScrubCentral) and one agent per host, each with its own
+// control and data connections. It exercises exactly the paths a
+// multi-machine deployment uses; cmd/scrubcentral and cmd/scrubd split
+// the same pieces across processes.
 type NetCluster struct {
-	Catalog  *event.Catalog
-	Registry *cluster.Registry
-	Engine   central.Executor
-	Server   *server.Server
-	Hub      *server.Hub
+	Catalog *event.Catalog
+	Node    *server.Node
 
 	agents []*host.Agent
 	sinks  []*host.NetSink
@@ -60,35 +56,16 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("core: nil catalog")
 	}
-	// The hub listens on ephemeral loopback ports and logs nothing.
-	registry := cluster.NewRegistry()
-	hub, err := server.NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hub.SetLogf(func(string, ...any) {})
 	// One process runs one kernel; n = 1 cannot fail.
 	engine, _ := central.NewShardedEngineWith(1, cfg.Central)
-	srv, err := server.New(server.Config{
-		Catalog:    cfg.Catalog,
-		Registry:   registry,
-		Engine:     engine,
-		Dispatcher: hub,
-	})
+	// The hub listens on ephemeral loopback ports and logs nothing.
+	node, err := server.Listen(server.Addrs{Client: "127.0.0.1:0", Control: "127.0.0.1:0", Data: "127.0.0.1:0"},
+		server.Config{Catalog: cfg.Catalog, Engine: engine}, nil, func(string, ...any) {}, nil)
 	if err != nil {
-		hub.Close()
 		return nil, err
 	}
-	hub.SetServer(srv)
-	hub.Serve()
-
-	nc := &NetCluster{
-		Catalog:  cfg.Catalog,
-		Registry: registry,
-		Engine:   engine,
-		Server:   srv,
-		Hub:      hub,
-	}
+	nc := &NetCluster{Catalog: cfg.Catalog, Node: node}
+	addrs := node.Addrs()
 	ctx, cancel := context.WithCancel(context.Background())
 	nc.cancel = cancel
 
@@ -104,7 +81,7 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 				})
 			}
 		}
-		sink := host.NewNetSinkWith(hub.DataAddr(), hostName, sopt)
+		sink := host.NewNetSinkWith(addrs.Data, hostName, sopt)
 		acfg := cfg.Agent
 		acfg.HostID = hostName
 		acfg.Service = h.Service
@@ -119,16 +96,16 @@ func NewNetCluster(cfg NetConfig) (*NetCluster, error) {
 		}
 		nc.agents = append(nc.agents, agent)
 		nc.sinks = append(nc.sinks, sink)
-		go func() { _ = agent.RunControlWith(ctx, hub.ControlAddr(), copt) }()
+		go func() { _ = agent.RunControlWith(ctx, addrs.Control, copt) }()
 	}
 
 	// Wait for registrations so queries submitted right away see their
 	// targets.
 	deadline := time.Now().Add(5 * time.Second)
-	for registry.Len() < len(cfg.Hosts) {
+	for node.Registry.Len() < len(cfg.Hosts) {
 		if time.Now().After(deadline) {
 			nc.Close()
-			return nil, fmt.Errorf("core: only %d/%d hosts registered", registry.Len(), len(cfg.Hosts))
+			return nil, fmt.Errorf("core: only %d/%d hosts registered", node.Registry.Len(), len(cfg.Hosts))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -143,24 +120,17 @@ func (nc *NetCluster) NumAgents() int { return len(nc.agents) }
 
 // Client opens a troubleshooter connection to the cluster.
 func (nc *NetCluster) Client() (*server.Client, error) {
-	return server.DialClient(nc.Hub.ClientAddr())
+	return server.DialClient(nc.Node.Hub.ClientAddr())
 }
 
 // Close tears everything down.
 func (nc *NetCluster) Close() {
-	if nc.cancel != nil {
-		nc.cancel()
-	}
-	if nc.Server != nil {
-		nc.Server.Close()
-	}
+	nc.cancel()
+	nc.Node.Close()
 	for _, a := range nc.agents {
 		a.Close()
 	}
 	for _, s := range nc.sinks {
 		s.Close()
-	}
-	if nc.Hub != nil {
-		nc.Hub.Close()
 	}
 }

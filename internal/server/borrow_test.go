@@ -122,18 +122,14 @@ func TestHubDataLoopBorrows(t *testing.T) {
 		return out
 	}
 
-	newServer := func(t *testing.T, eng central.Executor, d Dispatcher) (*Server, *cluster.Registry) {
-		t.Helper()
-		registry := cluster.NewRegistry()
-		_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
-		srv, err := New(Config{Catalog: borrowCatalog(), Registry: registry, Engine: eng, Dispatcher: d, TickInterval: 20 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		return srv, registry
+	refReg := cluster.NewRegistry()
+	_ = refReg.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
+	ref, err := New(Config{Catalog: borrowCatalog(), Registry: refReg, Engine: central.NewEngine(),
+		Dispatcher: newRecordingDispatcher(), TickInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref, _ := newServer(t, central.NewEngine(), newRecordingDispatcher())
+	t.Cleanup(ref.Close)
 	want := run(t, ref, ref.HandleBatch)
 
 	for name, eng := range map[string]func(t *testing.T) central.Executor{
@@ -155,16 +151,10 @@ func TestHubDataLoopBorrows(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			hub, err := NewHub(cluster.NewRegistry(), "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			hub.SetLogf(func(string, ...any) {})
+			hub, srv, registry := listenT(t, Addrs{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
+				Config{Catalog: borrowCatalog(), Engine: eng(t), TickInterval: 20 * time.Millisecond}, nil, func(string, ...any) {})
+			_ = registry.Register(cluster.HostInfo{Name: "h1", Service: "BidServers"})
 			hub.poison.Store(true)
-			srv, _ := newServer(t, eng(t), hub)
-			hub.SetServer(srv)
-			hub.Serve()
-			t.Cleanup(func() { hub.Close() })
 			data := dialT(t, hub.DataAddr())
 			if err := data.Send(transport.DataHello{HostID: "h1"}); err != nil {
 				t.Fatal(err)

@@ -21,8 +21,8 @@ import (
 //	data    — host agents ship tuple batches for ScrubCentral
 //
 // The hub implements Dispatcher over the registered control connections.
-// Construct the hub first, build the Server with the hub as Dispatcher,
-// then call SetServer and Serve.
+// Listen stands a hub up with its Server; NewHub, SetLogf, SetServer and
+// Serve are its steps, exported for the benchmark harness.
 type Hub struct {
 	registry *cluster.Registry
 	logf     func(format string, args ...any)
@@ -37,7 +37,7 @@ type Hub struct {
 	closing bool
 
 	// dataMet aggregates wire accounting across every accepted data
-	// connection; nil without SetMetrics.
+	// connection; nil without a metrics registry.
 	dataMet *transport.ConnMetrics
 	// slowCloses counts client connections cut off for falling clientLag
 	// behind.
@@ -86,9 +86,9 @@ func (h *Hub) SetServer(s *Server) {
 	h.srv = s
 }
 
-// SetMetrics registers the hub's series with reg; call before Serve. All
+// setMetrics registers the hub's series with reg; call before Serve. All
 // accepted data connections share one aggregate transport series set.
-func (h *Hub) SetMetrics(reg *obs.Registry) {
+func (h *Hub) setMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}

@@ -42,14 +42,9 @@ func TestMultinodeSmoke(t *testing.T) {
 	}
 	t.Cleanup(func() { lb.Close() })
 	go shardB.Serve(lb)
-	joinConn := dialT(t, hub.DataAddr())
-	if err := joinConn.Send(transport.DataHello{HostID: "shard:" + lb.Addr()}); err != nil {
+	if err := coord.Announce(hub.DataAddr(), lb.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if err := joinConn.Send(transport.ShardHello{ShardID: lb.Addr(), DataAddr: lb.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	joinConn.Close() // the join is one message: membership rides the dial-back
 	waitCond(t, "both shards enrolled", func() bool {
 		return len(coordEng.ShardMap().Addrs) == 2
 	})
@@ -156,30 +151,9 @@ func TestMultinodeSmoke(t *testing.T) {
 // coordinator with no shards, on ephemeral ports.
 func newFabricHub(t *testing.T) (*Hub, *Server, *coord.Coordinator, *cluster.Registry) {
 	t.Helper()
-	registry := cluster.NewRegistry()
-	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub.SetLogf(func(string, ...any) {})
 	coordEng := coord.NewCoordinator(central.Options{})
-	srv, err := New(Config{
-		Catalog:      testCatalog(),
-		Registry:     registry,
-		Engine:       coordEng,
-		Dispatcher:   hub,
-		TickInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		hub.Close()
-		t.Fatal(err)
-	}
-	hub.SetServer(srv)
-	hub.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		hub.Close()
-	})
+	hub, srv, registry := listenT(t, Addrs{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
+		Config{Catalog: testCatalog(), Engine: coordEng, TickInterval: 20 * time.Millisecond}, nil, func(string, ...any) {})
 	return hub, srv, coordEng, registry
 }
 

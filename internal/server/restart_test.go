@@ -54,25 +54,8 @@ func TestStaleQueryIDIsNotReused(t *testing.T) {
 // start a second server where a first one was.
 func startHubAt(t *testing.T, cat *event.Catalog, client, control, data string) (*Hub, *Server, *cluster.Registry) {
 	t.Helper()
-	registry := cluster.NewRegistry()
-	hub, err := NewHub(registry, client, control, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub.SetLogf(func(string, ...any) {})
-	srv, err := New(Config{Catalog: cat, Registry: registry, Engine: central.NewEngine(),
-		Dispatcher: hub, TickInterval: 20 * time.Millisecond})
-	if err != nil {
-		hub.Close()
-		t.Fatal(err)
-	}
-	hub.SetServer(srv)
-	hub.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		hub.Close()
-	})
-	return hub, srv, registry
+	return listenT(t, Addrs{client, control, data},
+		Config{Catalog: cat, Engine: central.NewEngine(), TickInterval: 20 * time.Millisecond}, nil, func(string, ...any) {})
 }
 
 // TestRestartedServerCountsNoStaleTuples is the restart over real TCP: an

@@ -20,34 +20,22 @@ import (
 // registered on reg and its log lines to logf (dropped when nil).
 func newMeteredTestHub(t *testing.T, cat *event.Catalog, reg *obs.Registry, logf func(string, ...any)) (*Hub, *Server, *cluster.Registry) {
 	t.Helper()
-	registry := cluster.NewRegistry()
-	hub, err := NewHub(registry, "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	hub.SetLogf(logf)
-	hub.SetMetrics(reg)
-	srv, err := New(Config{
-		Catalog:      cat,
-		Registry:     registry,
-		Engine:       central.NewEngine(),
-		Dispatcher:   hub,
-		TickInterval: 20 * time.Millisecond,
-	})
+	return listenT(t, Addrs{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
+		Config{Catalog: cat, Engine: central.NewEngine(), TickInterval: 20 * time.Millisecond}, reg, logf)
+}
+
+// listenT is Listen with the node closed at the test's end.
+func listenT(t *testing.T, addrs Addrs, cfg Config, reg *obs.Registry, logf func(string, ...any)) (*Hub, *Server, *cluster.Registry) {
+	t.Helper()
+	n, err := Listen(addrs, cfg, reg, logf, nil)
 	if err != nil {
-		hub.Close()
 		t.Fatal(err)
 	}
-	hub.SetServer(srv)
-	hub.Serve()
-	t.Cleanup(func() {
-		srv.Close()
-		hub.Close()
-	})
-	return hub, srv, registry
+	t.Cleanup(n.Close)
+	return n.Hub, n.Server, n.Registry
 }
 
 // counterValue reads one unlabelled counter from reg; -1 if it is not

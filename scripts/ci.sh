@@ -204,6 +204,10 @@ if grep -nE 'func \(s \*Standby\) Promote\([[:alnum:]_]* *func\(' internal/coord
   echo "internal/coord/standby.go's Promote takes a per-query emit factory again: it takes one central.EmitFunc for every resumed query (ResultWindow.QueryID tells them apart)" >&2; exit 1
 fi
 
+echo "== one way to stand up ScrubCentral (non-test Go under cmd/scrubcentral names no server.NewHub, SetServer, .Promote(, .Adopt( or ShardHello: server.Listen assembles every node, core.Takeover promotes a standby, coord.Announce joins a shard; Hub.SetMetrics is not exported) =="
+if grep -rnE --include='*.go' 'server\.NewHub|SetServer|\.Promote\(|\.Adopt\(|ShardHello' cmd/scrubcentral | grep -v '_test\.go:'; then echo "non-test Go under cmd/scrubcentral assembles a hub and server, takes a standby over or joins a shard by hand again: call server.Listen, core.Takeover or coord.Announce" >&2; exit 1; fi
+if grep -n 'func (h \*Hub) SetMetrics' internal/server/*.go; then echo "internal/server exports Hub.SetMetrics again: server.Listen registers the hub's series" >&2; exit 1; fi
+
 echo "== typed atomics only, and scrubvet's five directives (non-test Go under cmd/, internal/, scripts/ and examples/ calls no function-style sync/atomic operation, and names no atomicfield analyzer, LockedFuncs or GuardedFields, nor writes a guardedby, locked, oneshot or allow directive) =="
 if grep -rnE --include='*.go' 'atomic\.(Add|Load|Store|CompareAndSwap|Swap|And|Or)(Int|Uint|Pointer)' cmd internal scripts examples | grep -v '_test\.go:'; then echo "non-test Go calls a function-style sync/atomic operation: use a typed atomic (atomic.Uint64, atomic.Pointer[T], ...), which cannot be accessed plainly" >&2; exit 1; fi
 if grep -rnE --include='*.go' '\b(AtomicFieldAnalyzer|LockedFuncs|GuardedFields)\b|//scrub:(guardedby|locked|oneshot)\b|//scrub:allow\(' cmd internal scripts examples | grep -v '_test\.go:'; then echo "non-test Go names the deleted atomicfield analyzer or its annotation indexes, or writes a directive scrubvet no longer reads: the grammar is hotpath, allowalloc, pooled, allowretain and longlived" >&2; exit 1; fi
