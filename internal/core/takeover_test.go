@@ -241,3 +241,30 @@ func TestTakeoverAdoptsLeadersQuery(t *testing.T) {
 	}
 	waitFor(t, "h1 to stop the adopted query", func() bool { return !slices.Contains(f.agent.ActiveQueries(), qid) })
 }
+
+// TestPromotedLeaderKeepsOtherStandbys: of two standbys, rank 0 takes over
+// and starts a query. Rank 1 held the dead leader's term, as rank 0 did;
+// had it promoted too, it would have taken the same term, which the
+// shards admit, and drained rank 0's query from them as an orphan. Rank 0
+// replicates to it instead: rank 1 stays a standby for ten of its
+// (rank-staggered) timeouts and holds rank 0's term and query.
+func TestPromotedLeaderKeepsOtherStandbys(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	f := newHAFleet(t, 2, timeout)
+	q1 := submit(t, f.leader, func(transport.ResultWindow) {})
+	f.kill()
+
+	n := f.failover(t, 0, func(transport.ResultWindow) {})
+	waitFor(t, "h1 to re-register", func() bool { return n.Registry.Len() == 1 })
+	q2 := submit(t, n, func(transport.ResultWindow) {})
+
+	stop := make(chan struct{})
+	time.AfterFunc(10*2*timeout, func() { close(stop) })
+	if f.standbys[1].AwaitFailover(stop) {
+		t.Fatal("rank 1 failed over under the promoted rank 0")
+	}
+	term, qs := f.standbys[1].Snapshot()
+	if term != 2 || !slices.Equal(qs, []uint64{q1, q2}) {
+		t.Fatalf("rank 1 holds term %d, queries %v; want term 2, [%d %d]", term, qs, q1, q2)
+	}
+}

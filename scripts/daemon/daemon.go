@@ -82,6 +82,24 @@ func (d *Daemon) Await(prefix string) (string, error) {
 	}
 }
 
+// Printed reports, without waiting, whether a stdout line the child has
+// printed so far, and no Await consumed, starts with prefix.
+func (d *Daemon) Printed(prefix string) bool {
+	for {
+		select {
+		case line, ok := <-d.lines:
+			if !ok {
+				return false
+			}
+			if strings.HasPrefix(line, prefix) {
+				return true
+			}
+		default:
+			return false
+		}
+	}
+}
+
 // Stop kills the child and waits for it.
 func (d *Daemon) Stop() {
 	if d.Cmd.Process != nil {

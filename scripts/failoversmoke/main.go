@@ -1,9 +1,11 @@
 // Command failoversmoke is the CI gate for coordinator high availability:
 // it boots a real distributed deployment on loopback — two shard
-// processes, a warm standby, a replicating coordinator, two host agents
-// generating demo events, and a troubleshooter running a live query —
-// then kill -9s the coordinator mid-query and fails unless the standby
-// promotes, adopts the query, and keeps closing result windows.
+// processes, two warm standbys (ranks 0 and 1), a replicating
+// coordinator, two host agents generating demo events, and a
+// troubleshooter running a live query — then kill -9s the coordinator
+// mid-query and fails unless the rank-0 standby promotes, adopts the
+// query, and keeps closing result windows, while the rank-1 standby stays
+// a standby under it.
 //
 // All children are built with -race so the takeover path runs under the
 // detector in CI. Run it from the repo root (make failover-smoke does):
@@ -73,25 +75,33 @@ func run() error {
 		shardAddrs = append(shardAddrs, addr)
 	}
 
-	// The warm standby: holds the state the leader pushes, and on leader silence
-	// rebinds the leader's client/control/data addresses.
-	standby := daemon.New(central, "-adplatform",
-		"-standby", "127.0.0.1:0", "-failover-timeout", "750ms",
-		"-client", clientAddr, "-control", controlAddr, "-data", dataAddr)
-	if err := standby.Start(); err != nil {
-		return err
+	// The warm standbys: each holds the state the leader pushes, and on
+	// leader silence — 750 ms at rank 0, 1.5 s at rank 1 — binds the
+	// leader's client/control/data addresses.
+	var standbys []*daemon.Daemon
+	var repAddrs []string
+	for rank := 0; rank < 2; rank++ {
+		standby := daemon.New(central, "-adplatform",
+			"-standby", "127.0.0.1:0", "-failover-timeout", "750ms", "-rank", fmt.Sprint(rank),
+			"-client", clientAddr, "-control", controlAddr, "-data", dataAddr)
+		if err := standby.Start(); err != nil {
+			return err
+		}
+		defer standby.Stop()
+		repAddr, err := standby.Await("  replication: ")
+		if err != nil {
+			return err
+		}
+		standbys = append(standbys, standby)
+		repAddrs = append(repAddrs, repAddr)
 	}
-	defer standby.Stop()
-	repAddr, err := standby.Await("  replication: ")
-	if err != nil {
-		return err
-	}
+	standby := standbys[0]
 
 	// The leader: replicating coordinator over both shards.
 	leader := daemon.New(central, "-adplatform", "-coord",
 		"-client", clientAddr, "-control", controlAddr, "-data", dataAddr,
 		"-shard-addrs", strings.Join(shardAddrs, ","),
-		"-peers", repAddr)
+		"-peers", strings.Join(repAddrs, ","))
 	if err := leader.Start(); err != nil {
 		return err
 	}
@@ -167,6 +177,12 @@ func run() error {
 		return fmt.Errorf("post-failover list: %w", err)
 	}
 	fmt.Println("failover-smoke: promoted leader closing windows for the adopted query")
+
+	// All the while — several of rank 1's timeouts — the promoted leader's
+	// heartbeats kept rank 1 from promoting over it.
+	if standbys[1].Printed("scrubcentral standby: leader silent") {
+		return fmt.Errorf("the rank-1 standby promoted under the promoted rank-0 leader")
+	}
 	return nil
 }
 
