@@ -22,10 +22,13 @@ import (
 // costs what is running, not what has ever run.
 //
 // This is Raft's configuration-replication shape without its election
-// half: safety against split brain comes from shard-side fencing (a
-// promoted standby installs a strictly higher fencing epoch, and shards
-// reject collect/stop RPCs below it), not from quorum voting, so a
-// single standby — or several, rank-staggered — is a valid deployment.
+// half: safety against split brain with the dead leader comes from
+// shard-side fencing (a promoted standby installs a strictly higher
+// fencing epoch, and shards reject collect/stop RPCs below it), not from
+// quorum voting, so a single standby is a valid deployment. Fencing does
+// not order several standbys, which promote to the same epoch: they are
+// rank-staggered, and the first to promote replicates to the others (the
+// state names them, RepAppend.Standbys), whose timers its heartbeats feed.
 
 // defaultHeartbeat is the leader heartbeat interval when
 // ReplicationConfig leaves it zero.
@@ -71,17 +74,31 @@ func newReplicator(term uint64, hb time.Duration) *replicator {
 func (r *replicator) push(m transport.RepAppend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.pushLocked(m)
+}
+
+// pushLocked sends m to every live standby; a state names them all.
+func (r *replicator) pushLocked(m transport.RepAppend) {
+	if !m.Beat {
+		m.Standbys = nil
+		for _, p := range r.peers {
+			if !p.Down() {
+				m.Standbys = append(m.Standbys, p.addr)
+			}
+		}
+	}
 	for _, p := range r.peers {
 		r.sendLocked(p, m)
 	}
 }
 
-// addPeer registers a standby and sends it st, the state as it is now.
+// addPeer registers a standby and pushes st, the state as it is now, to
+// every live standby: the new one gets the state, the others learn of it.
 func (r *replicator) addPeer(p *shardClient, st transport.RepAppend) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.peers = append(r.peers, p)
-	r.sendLocked(p, st)
+	r.pushLocked(st)
 }
 
 // sendLocked is best effort: a standby that fails is latched down by its

@@ -20,9 +20,12 @@ import (
 // truth and the fence. A promoted standby's first act is installing its
 // higher fencing epoch on every shard, after which the old leader's
 // collect/stop RPCs are rejected — so even if both believe they lead,
-// only one can drain window state and emit. Multiple standbys stagger
-// their failover timeouts by Rank so the lowest rank wins the race in
-// the common case, and fencing arbitrates the rest.
+// only one can drain window state and emit. Fencing does not order two
+// standbys: both hold the dead leader's term and would promote to the
+// same one, which shards admit from either. Multiple standbys stagger
+// their failover timeouts by Rank instead, and the one that promotes
+// first replicates to the others at its higher term, so its heartbeats
+// keep their timers from firing.
 type Standby struct {
 	opt StandbyOptions
 
@@ -32,7 +35,10 @@ type Standby struct {
 	// queries' registrations in query-id order, and the shard map.
 	regs       []transport.RepEntry
 	membership transport.ShardMap
-	promoted   bool
+	// standbys are the replication addresses the leader pushed to, this
+	// standby's own among them.
+	standbys []string
+	promoted bool
 
 	// lastContact is the wall time of the last append from a live
 	// leader; 0 until the first one, so a standby that never saw a
@@ -48,12 +54,14 @@ type StandbyOptions struct {
 	Central Options
 	// Catalog re-analyzes replicated query text at promotion.
 	Catalog *event.Catalog
-	// Dial opens shard connections at promotion; nil uses transport.Dial
-	// with the standard RPC timeout.
+	// Dial opens shard and standby connections at promotion; nil uses
+	// transport.Dial with the standard RPC timeout.
 	Dial func(addr string) (*transport.Conn, error)
 	// FailoverTimeout is how long the leader must be silent before
 	// AwaitFailover fires; 0 means 2s. The leader heartbeats every 250ms
-	// by default, so the default tolerates several missed beats.
+	// by default, so the default tolerates several missed beats; once
+	// promoted, the standby heartbeats every FailoverTimeout/8, the same
+	// 250ms at the default.
 	FailoverTimeout time.Duration
 	// Rank staggers multiple standbys: the effective timeout is
 	// FailoverTimeout * (Rank + 1), so rank 0 promotes first.
@@ -113,6 +121,7 @@ func (s *Standby) handleAppend(t transport.RepAppend) transport.RepAck {
 	if !t.Beat {
 		s.regs = t.Queries
 		s.membership = transport.ShardMap{Epoch: t.MapEpoch, Addrs: t.Addrs}
+		s.standbys = t.Standbys
 	}
 	s.lastContact.Store(time.Now().UnixNano())
 	return transport.RepAck{Seq: t.Seq, Term: s.term, Ok: true}
@@ -160,7 +169,10 @@ func (s *Standby) AwaitFailover(stop <-chan struct{}) bool {
 // live shard, stops orphan queries a dead leader installed but never
 // committed, and re-installs every replicated registration (idempotent
 // shard-side, so absorbed window state survives) or, when it cannot,
-// drains it from the shards.
+// drains it from the shards. Last it replicates, at its term, to the
+// standbys the dead leader replicated to: their timers, staggered by
+// Rank, would otherwise fire and promote them to this same term. The
+// push to this standby itself is NAKed and that peer closed.
 //
 // It returns the start of every query it resumed, which carries what a
 // serving layer needs to adopt it: the text, the span for its expiry
@@ -185,6 +197,7 @@ func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []transport.Shar
 	term := s.term
 	membership := s.membership
 	entries := s.regs
+	standbys := s.standbys
 	s.mu.Unlock()
 
 	dial := s.opt.Dial
@@ -252,6 +265,13 @@ func (s *Standby) Promote(emit central.EmitFunc) (*Coordinator, []transport.Shar
 			if !sc.Down() {
 				sc.drain(st.QueryID) // best effort, as for an orphan
 			}
+		}
+	}
+
+	c.StartReplication(ReplicationConfig{Term: term, Heartbeat: s.opt.FailoverTimeout / 8})
+	for _, addr := range standbys {
+		if conn, err := dial(addr); err == nil {
+			c.AddStandbyConn(conn, addr)
 		}
 	}
 	return c, resumed, nil

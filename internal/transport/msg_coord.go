@@ -269,10 +269,12 @@ type RepEntry struct {
 
 // RepAppend carries the leader's whole control-plane state to a standby,
 // which replaces what it held with it: the membership (epoch and shard
-// addresses in rid % n order) and every running query's registration, in
-// query-id order. A Beat append is the leader heartbeat and carries no
-// state. Term is the leader's fencing epoch: a standby refuses appends
-// from a term below the highest it has acknowledged.
+// addresses in rid % n order), every running query's registration, in
+// query-id order, and the replication addresses of the standbys the
+// leader pushes to, which a standby that promotes pushes to in its turn.
+// A Beat append is the leader heartbeat and carries no state. Term is the
+// leader's fencing epoch: a standby refuses appends from a term below the
+// highest it has acknowledged.
 type RepAppend struct {
 	Seq      uint64
 	Term     uint64
@@ -280,6 +282,7 @@ type RepAppend struct {
 	MapEpoch uint32
 	Addrs    []string
 	Queries  []RepEntry
+	Standbys []string
 }
 
 // RepAck answers RepAppend. Ok false means the receiver has promoted or
@@ -451,6 +454,7 @@ func (t *RepAppend) code(c *coder) {
 		c.Strs(&e.PinAddrs)
 		c.I64(&e.ReplayDeadline)
 	}
+	c.Strs(&t.Standbys)
 }
 
 func (t *RepAck) code(c *coder) {

@@ -153,6 +153,7 @@ func sampleMessages() []Message {
 				},
 				{Start: ShardStart{QueryID: 9, Text: "select count(*) from imp"}, PinEpoch: 1},
 			},
+			Standbys: []string{"127.0.0.1:7900", "127.0.0.1:7901"},
 		},
 		RepAppend{Seq: 14, Term: 2, Beat: true}, // heartbeat
 		RepAck{Seq: 13, Term: 2, Ok: true},
@@ -258,6 +259,9 @@ func normalize(m Message) Message {
 	case RepAppend:
 		if len(t.Addrs) == 0 {
 			t.Addrs = nil
+		}
+		if len(t.Standbys) == 0 {
+			t.Standbys = nil
 		}
 		for i := range t.Queries {
 			if len(t.Queries[i].PinAddrs) == 0 {
