@@ -17,7 +17,7 @@ import (
 	"scrub/internal/transport"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/partial_*.golden from the current tree")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/partial_*.golden and work.golden from the current tree")
 
 // goldenQueries cover every part of a window's serialized state: grouped
 // scalar aggregates of every kind, sketches plus per-host moments

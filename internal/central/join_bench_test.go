@@ -88,14 +88,73 @@ func BenchmarkJoinBuffer(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinApply feeds scrubbench's join (`select exclusion.reason,
-// count(*) from bid, exclusion group by exclusion.reason window 250ms`)
-// the way scrubbench's central workloads do: per round of 50 ms and per
-// host of eight, a batch of 512 bids with fresh request ids, then a batch
-// of 512 exclusions, each attached to a random bid of that batch — so
-// every exclusion probes and finds its bid, and bids get zero, one or
-// several. It reports the two sides' costs apart, ns/bid and
-// ns/exclusion (the time inside each side's HandleBatch calls over its
+// joinApplyFeed is BenchmarkJoinApply's input (and TestApplyWorkCounts'):
+// per round of 50 ms and per host of eight, a batch of 512 bids with fresh
+// request ids, then a batch of 512 exclusions, each attached to a random
+// bid of that batch, drawn from a fixed seed.
+type joinApplyFeed struct {
+	bids, excl []transport.Tuple
+	reasons    [][]event.Value
+	hostIDs    []string
+	rng        *rand.Rand
+}
+
+const (
+	joinApplyBatch  = 512
+	joinApplyHosts  = 8
+	joinApplyRound  = int64(50 * time.Millisecond)
+	joinApplyWindow = 5 * joinApplyHosts // pairs of batches in one 250 ms window
+	joinApplyQuery  = `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 250ms`
+)
+
+func newJoinApplyFeed() *joinApplyFeed {
+	f := &joinApplyFeed{
+		bids:    make([]transport.Tuple, joinApplyBatch),
+		excl:    make([]transport.Tuple, joinApplyBatch),
+		hostIDs: make([]string, joinApplyHosts),
+		rng:     rand.New(rand.NewSource(1)),
+	}
+	for _, s := range []string{"budget", "frequency_cap", "geo", "blocklist", "pacing", "creative"} {
+		f.reasons = append(f.reasons, []event.Value{event.Str(s)})
+	}
+	for h := range f.hostIDs {
+		f.hostIDs[h] = fmt.Sprintf("bench-host-%d", h)
+	}
+	return f
+}
+
+// pair fills the n'th pair of batches, bids then exclusions.
+func (f *joinApplyFeed) pair(n int) (bids, excl transport.TupleBatch) {
+	host := f.hostIDs[n%joinApplyHosts]
+	ts := int64(n/joinApplyHosts) * joinApplyRound
+	for j := range f.bids {
+		f.bids[j] = transport.Tuple{RequestID: uint64(n*joinApplyBatch + j), TsNanos: ts + int64(j)}
+	}
+	for j := range f.excl {
+		bid := f.bids[f.rng.Intn(joinApplyBatch)]
+		f.excl[j] = transport.Tuple{RequestID: bid.RequestID, TsNanos: bid.TsNanos, Values: f.reasons[f.rng.Intn(len(f.reasons))]}
+	}
+	return transport.TupleBatch{QueryID: 1, HostID: host, TypeIdx: 0, Tuples: f.bids},
+		transport.TupleBatch{QueryID: 1, HostID: host, TypeIdx: 1, Tuples: f.excl}
+}
+
+// startJoinApply starts joinApplyQuery on a new engine.
+func startJoinApply(tb testing.TB, lateness time.Duration) *Engine {
+	e := NewEngine()
+	p := buildPlan(tb, joinApplyQuery, 1, 1, 1)
+	p.Lateness = lateness
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkJoinApply feeds scrubbench's join (joinApplyQuery: `select
+// exclusion.reason, count(*) from bid, exclusion group by exclusion.reason
+// window 250ms`) the way scrubbench's central workloads do
+// (joinApplyFeed), so every exclusion probes and finds its bid, and bids
+// get zero, one or several. It reports the two sides' costs apart, ns/bid
+// and ns/exclusion (the time inside each side's HandleBatch calls over its
 // tuples; ns/op is per request, the two together), max-ns/batch, the
 // slowest HandleBatch call of a window — the stall an index that grows all
 // at once puts on the apply path — as the median over the windows fed, so
@@ -107,51 +166,21 @@ func BenchmarkJoinBuffer(b *testing.B) {
 // hundred tuples. Like BenchmarkJoinBuffer it uses nothing an older
 // checkout lacks.
 func BenchmarkJoinApply(b *testing.B) {
-	const batchSize, hosts = 512, 8
-	const round = int64(50 * time.Millisecond)
-	six := []string{"budget", "frequency_cap", "geo", "blocklist", "pacing", "creative"}
-	reasons := make([][]event.Value, len(six))
-	for i, s := range six {
-		reasons[i] = []event.Value{event.Str(s)}
-	}
-	hostIDs := make([]string, hosts)
-	for h := range hostIDs {
-		hostIDs[h] = fmt.Sprintf("bench-host-%d", h)
-	}
-	bids := make([]transport.Tuple, batchSize)
-	excl := make([]transport.Tuple, batchSize)
-	rng := rand.New(rand.NewSource(1))
+	const batchSize, perWindow = joinApplyBatch, joinApplyWindow
+	f := newJoinApplyFeed()
 	// feed applies the n'th pair of batches, bids then exclusions, and
 	// returns the time each took.
 	feed := func(e *Engine, n int) (bidNs, exclNs int64) {
-		host := n % hosts
-		ts := int64(n/hosts) * round
-		for j := range bids {
-			bids[j] = transport.Tuple{RequestID: uint64(n*batchSize + j), TsNanos: ts + int64(j)}
-		}
-		for j := range excl {
-			bid := bids[rng.Intn(batchSize)]
-			excl[j] = transport.Tuple{RequestID: bid.RequestID, TsNanos: bid.TsNanos, Values: reasons[rng.Intn(len(reasons))]}
-		}
+		bids, excl := f.pair(n)
 		t0 := time.Now()
-		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: hostIDs[host], TypeIdx: 0, Tuples: bids})
+		e.HandleBatch(bids)
 		t1 := time.Now()
-		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: hostIDs[host], TypeIdx: 1, Tuples: excl})
+		e.HandleBatch(excl)
 		return t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
-	}
-	start := func(lateness time.Duration) *Engine {
-		e := NewEngine()
-		p := buildPlan(b, `select exclusion.reason, count(*) from bid, exclusion group by exclusion.reason window 250ms`, 1, 1, 1)
-		p.Lateness = lateness
-		if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
-			b.Fatal(err)
-		}
-		return e
 	}
 
 	// One full window, 5 rounds of every host, kept open to be measured.
-	one := start(time.Hour)
-	const perWindow = 5 * hosts
+	one := startJoinApply(b, time.Hour)
 	for n := 0; n < perWindow; n++ {
 		feed(one, n)
 	}
@@ -164,7 +193,7 @@ func BenchmarkJoinApply(b *testing.B) {
 	perRequest := float64(written) / float64(perWindow*batchSize)
 	one.mu.Unlock()
 
-	e := start(250 * time.Millisecond)
+	e := startJoinApply(b, 250*time.Millisecond)
 	var bidNs, exclNs, maxNs int64
 	worst := make([]int64, 0, b.N/(perWindow*batchSize)+1) // each window's slowest batch
 	var m0, m1 runtime.MemStats
