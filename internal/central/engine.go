@@ -15,6 +15,7 @@ import (
 	"scrub/internal/obs"
 	"scrub/internal/ql"
 	"scrub/internal/sampling"
+	"scrub/internal/slab"
 	"scrub/internal/transport"
 	"scrub/internal/window"
 )
@@ -103,7 +104,7 @@ func (e *Engine) start(qr *QueryRuntime) (err error) {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
 	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, func(start, end int64) *winState {
-		return newWinState(&qs.plan, start)
+		return newAppliedWinState(&qs.plan, start)
 	})
 	if err != nil {
 		return err
@@ -280,12 +281,12 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 	found := qs.found[:0]
 	for link := ws.join.Head(hash | other); link != 0; {
 		b := ws.arena.Tail(link - 1)
-		h := parseJoin(b)
+		h := slab.ParseHeader(b)
 		if ws.requestID(b, h) == t.RequestID {
 			found = append(found, link)
-			idAt = h.holder(b, link)
+			idAt = holder(b, h, link)
 		}
-		link = h.next(b)
+		link = h.Next
 		qs.chainSteps++
 	}
 	qs.found = found
@@ -298,9 +299,8 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		b := ws.arena.Tail(found[i] - 1)
 		// Strings alias the arena chunk: they are read while this tuple
 		// is applied and a run's payload is never rewritten.
-		ws.unpackJoin(vals, b[parseJoin(b).cols:], len(vals))
-		tag, _ := binary.Uvarint(b)
-		dt, pw := tag>>runFlags, w
+		ws.unpackJoin(vals, b[joinCols(slab.ParseHeader(b)):], len(vals))
+		dt, pw := slab.Bits(b)>>runFlags, w
 		if span == 0 {
 			dt, pw = 0, max(w, dt+1)
 		} else if dt >= span {
@@ -318,9 +318,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 // buffer keeps a join tuple of weight w for the other side's later
 // arrivals as one arena run, threaded on its side's chain (winState.arena
 // has the layout): its event time only when the plan reads it, a link
-// only when its bucket holds a run already, and its request id only when
-// the probe before it found no partner holding the id (idAt, probeJoin's
-// result). It reports false when the window is at maxJoinPending (or the
+// only when its bucket holds a run already (the index's header), and its
+// request id only when the probe before it found no partner holding the
+// id (idAt, probeJoin's result). It reports false when the window is at maxJoinPending (or the
 // arena at the end of its address space).
 //
 //scrub:hotpath
@@ -331,17 +331,13 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	if ws.join.Full() {
 		// First: whether the run holds a link depends on the bucket it is
 		// threaded into.
-		ws.splitJoin()
+		ws.join.Split(&ws.arena, ws.joinHash)
 	}
-	next := ws.join.Head(hash | side)
 	tag := w - 1
 	if span := qs.comp.span[side]; span > 0 {
 		tag = tag*span + uint64(t.TsNanos-ws.start)
 	}
 	bits := tag<<runFlags | side
-	if next != 0 {
-		bits |= runLinked
-	}
 	if idAt != 0 {
 		bits |= runRef
 	}
@@ -349,10 +345,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 	// batch has been applied (host.Sink; a shard's receive scratch): what
 	// the window keeps of a tuple is its columns' wire form, copied into
 	// the arena.
-	buf := binary.AppendUvarint(qs.packBuf[:0], bits)
-	if next != 0 {
-		buf = binary.LittleEndian.AppendUint32(buf, next)
-	}
+	buf := ws.join.AppendHeader(qs.packBuf[:0], hash|side, bits)
 	if idAt != 0 {
 		buf = binary.LittleEndian.AppendUint32(buf, idAt-1)
 	} else {
@@ -365,7 +358,7 @@ func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *tran
 		return false
 	}
 	ws.claimStrings(at, buf, claims)
-	ws.join.Insert(at, hash|side) // returns next, which the run holds
+	ws.join.Insert(at, hash|side)
 	ws.pendN++
 	if e.state != nil {
 		e.state.joinPending.Add(1)
@@ -399,14 +392,14 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, w uint64) {
 	}
 
 	// The key is encoded into the query's buffer behind room for a group
-	// run's header, so that a key the window has not seen is kept by
-	// appending the buffer as it is.
-	buf := appendHeader(qs.packBuf[:0], groupHdr)
+	// run's header, so that a key the window has not seen is kept without
+	// copying it again (addGroup).
+	buf := appendRoom(qs.packBuf[:0])
 	for _, id := range c.groups {
 		buf = event.AppendValue(buf, ctx.Value(id))
 	}
 	qs.packBuf = buf
-	key := buf[groupHdr:]
+	key := buf[groupRoom:]
 	hash := hashKey(key)
 	g, ok := ws.findGroup(hash, key)
 	if !ok {
@@ -487,7 +480,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 		// An ungrouped aggregate query emits one row even for an empty
 		// window (COUNT(*) = 0), matching SQL semantics.
 		if ws.groups.Len() == 0 && p.HasAgg() && !p.Grouped() {
-			ws.openGroup(p, hashKey(nil), make([]byte, groupHdr))
+			ws.openGroup(p, hashKey(nil), appendRoom(nil))
 		}
 		// Deterministic group order: sort by encoded key.
 		groups := ws.sortedGroups()
@@ -507,9 +500,9 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 		for _, g := range groups {
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
-			unpackValues(row[0].Values, g.key())
+			unpackValues(row[0].Values, g.key)
 			for i := range p.Aggs {
-				v := ws.aggs.At(g.ordinal(), i).Result()
+				v := ws.aggs.At(g.ordinal, i).Result()
 				if p.Aggs[i].Spec.Scalable() {
 					v = agg.ScaleResult(v, factor)
 				}
@@ -636,20 +629,21 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	}
 	var adopted []byte
 	for runs := src.groupsInOrder(); ; {
-		g := groupRun(runs.next())
-		if g == nil {
+		run := runs.next()
+		if run == nil {
 			break
 		}
-		hash := hashKey(g.key())
-		if dg, ok := dst.findGroup(hash, g.key()); ok {
-			dst.aggs.Merge(dg, src.aggs, g.ordinal())
+		g := groupOf(run)
+		hash := hashKey(g.key)
+		if dg, ok := dst.findGroup(hash, g.key); ok {
+			dst.aggs.Merge(dg, src.aggs, g.ordinal)
 			continue
 		}
 		// A group only src has is adopted under the same key: its states
 		// are copied over, its sketches move.
-		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal())
+		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal)
 		if ok {
-			adopted = append(adopted[:0], g...)
+			adopted = append(appendRoom(adopted[:0]), g.key...)
 			ok = dst.addGroup(hash, adopted, dg)
 		}
 		if !ok {

@@ -1,40 +1,49 @@
 package central
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
+	"time"
 
 	"scrub/internal/event"
 	"scrub/internal/slab"
+	"scrub/internal/transport"
 )
 
 // bucketReplay replays the join index's Head == 0 checks outside the
 // window: the hash seed is drawn per process, so which runs find their
 // bucket empty — and keep no link word — is known only by threading the
-// same hashes, in arrival order, through an index split the same way. The
-// i-th run is threaded at address i and its link kept in next[i].
+// same hashes, in arrival order, through an index split the same way. Its
+// runs are a header and the hash.
 type bucketReplay struct {
-	ix     slab.Index
-	hashes []uint64
-	next   []uint32
+	ix slab.Index
+	a  slab.Arena
 }
 
 // add threads the next buffered run's hash and reports whether its bucket
 // held a run already: whether the run keeps a link word.
 func (r *bucketReplay) add(hash uint64) (linked bool) {
 	if r.ix.Full() {
-		var chain []uint32
-		for link := r.ix.Split(); link != 0; link = r.next[link-1] {
-			chain = append(chain, link)
-		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			at := chain[i] - 1
-			r.next[at] = r.ix.Reinsert(at, r.hashes[at])
-		}
+		r.ix.Split(&r.a, func(run []byte, h slab.Header) uint64 { return binary.LittleEndian.Uint64(run[h.Len:]) })
 	}
-	next := r.ix.Insert(uint32(len(r.hashes)), hash)
-	r.hashes, r.next = append(r.hashes, hash), append(r.next, next)
-	return next != 0
+	run := r.ix.AppendHeader(nil, hash, 0)
+	linked = slab.ParseHeader(run).Linked
+	at, _ := r.a.Append(binary.LittleEndian.AppendUint64(run, hash))
+	r.ix.Insert(at, hash)
+	return linked
+}
+
+// joinHdr is a buffered join run's header as the tests read it: the
+// index's header, and where the run's columns begin.
+type joinHdr struct {
+	slab.Header
+	cols int
+}
+
+func parseJoin(b []byte) joinHdr {
+	h := slab.ParseHeader(b)
+	return joinHdr{h, joinCols(h)}
 }
 
 // TestJoinRunHeaderIsMinimal: a buffered join run keeps only the header
@@ -110,38 +119,39 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 	}
 }
 
-// checkChains requires of the join index, as it stands, that every chain
-// runs newest first through runs of one bucket and side, reaches every run
-// threaded into its bucket, and ends in the only run that holds no link:
-// no run threaded before a linkless run shares its bucket.
-func checkChains(t *testing.T, ws *winState, p *Plan) {
+// checkChains requires of an index over the runs of arena a, as it
+// stands, that every chain runs newest first through runs of one bucket,
+// reaches every run threaded into its bucket, and ends in the only run
+// that holds no link: no run threaded before a linkless run shares its
+// bucket. hash is the owner's hash of a run and size its length, both
+// given its header.
+func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash, size func([]byte, slab.Header) uint64) {
 	t.Helper()
-	runs := map[uint32]int{} // bucket → runs threaded into it
-	for k, chunk := range ws.arena.Chunks() {
+	runs := map[uint64]int{} // bucket → runs threaded into it
+	for k, chunk := range a.Chunks() {
 		for off := 0; off < len(chunk); {
 			at, b := slab.Addr(k, off), chunk[off:]
-			h := parseJoin(b)
-			bucket := ws.join.Bucket(hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide))
-			if h.link == 0 && runs[bucket] > 0 {
+			h := slab.ParseHeader(b)
+			bucket := ix.Bucket(hash(b, h))
+			if !h.Linked && runs[bucket] > 0 {
 				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[bucket])
 			}
 			runs[bucket]++
-			w := len(p.Columns[h.flags&runSide])
-			off += h.cols + ws.unpackJoin(make([]event.Value, w), b[h.cols:], w)
+			off += int(size(b, h))
 		}
 	}
 	for bucket, n := range runs {
 		reached := 0
-		for link, prev := ws.join.Head(uint64(bucket)), uint32(0); link != 0; reached++ {
+		for link, prev := ix.Head(bucket), uint32(0); link != 0; reached++ {
 			if prev != 0 && link >= prev {
 				t.Fatalf("bucket %d: the run at %#x links to %#x: not newest first", bucket, prev-1, link-1)
 			}
-			b := ws.arena.Tail(link - 1)
-			h := parseJoin(b)
-			if own := ws.join.Bucket(hashID(ws.requestID(b, h))<<1 | uint64(h.flags&runSide)); own != bucket {
+			b := a.Tail(link - 1)
+			h := slab.ParseHeader(b)
+			if own := ix.Bucket(hash(b, h)); own != bucket {
 				t.Fatalf("bucket %d: the run at %#x belongs to bucket %d", bucket, link-1, own)
 			}
-			prev, link = link, h.next(b)
+			prev, link = link, h.Next
 		}
 		if reached != n {
 			t.Fatalf("bucket %d: its chain reaches %d of its %d runs", bucket, reached, n)
@@ -149,10 +159,34 @@ func checkChains(t *testing.T, ws *winState, p *Plan) {
 	}
 }
 
+// checkJoinChains checks the chains of the window's join index.
+func checkJoinChains(t *testing.T, ws *winState, p *Plan) {
+	t.Helper()
+	checkChains(t, &ws.join, &ws.arena, ws.joinHash, func(b []byte, h slab.Header) uint64 {
+		w, cols := len(p.Columns[h.Flags&runSide]), joinCols(h)
+		return uint64(cols + ws.unpackJoin(make([]event.Value, w), b[cols:], w))
+	})
+}
+
+// checkGroupChains checks the chains of the window's group index.
+func checkGroupChains(t *testing.T, ws *winState) {
+	t.Helper()
+	checkChains(t, &ws.groups, &ws.groupRuns, ws.groupHash, func(b []byte, h slab.Header) uint64 {
+		n, err := packedLen(b[h.Len:], ws.keyW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(h.Len + n)
+	})
+}
+
 // TestJoinChainsEndInLinklessRuns: after every split of the join index,
 // and at the end, the chains are whole — a run that found its bucket empty
 // and holds no link is still its chain's last — with both sides' tuples
 // interleaved and request ids repeating on both, so runs hold refs too.
+// The group index keeps the same rule: so are its chains, under a
+// group-by whose keys repeat, fed a tuple at a time through thousands of
+// splits.
 func TestJoinChainsEndInLinklessRuns(t *testing.T) {
 	c := newJoinCase(t, bothJoinQ)
 	rng := rand.New(rand.NewSource(11))
@@ -169,15 +203,54 @@ func TestJoinChainsEndInLinklessRuns(t *testing.T) {
 		c.send(in)
 		if full {
 			splits++
-			c.inspect(func(ws *winState) { checkChains(t, ws, &c.p) })
+			c.inspect(func(ws *winState) { checkJoinChains(t, ws, &c.p) })
 		}
 	}
 	c.inspect(func(ws *winState) {
-		checkChains(t, ws, &c.p)
+		checkJoinChains(t, ws, &c.p)
 		c.runs(ws)
 	})
 	if splits < 2900 {
 		t.Fatalf("%d splits", splits)
 	}
 	c.check()
+
+	e := NewEngine()
+	p := buildPlan(t, `select bid.user_id, bid.country, count(*) from bid group by bid.user_id, bid.country window 10s`, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	inspect := func(f func(ws *winState)) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		f(e.queries[1].win.GetAll(sec(1))[0])
+	}
+	splits, linkless := 0, 0
+	for i := 0; i < 2000; i++ {
+		full := i == 0
+		if !full {
+			inspect(func(ws *winState) { full = ws.groups.Full() })
+		}
+		e.HandleBatch(bidBatch(1, "h1", tup(uint64(i), sec(1), event.Int(int64(rng.Intn(3000))), event.Int(0), event.Float(1), event.Str(sixReasons[rng.Intn(2)]))))
+		if full {
+			splits++
+			inspect(func(ws *winState) { checkGroupChains(t, ws) })
+		}
+	}
+	inspect(func(ws *winState) {
+		checkGroupChains(t, ws)
+		for runs := ws.groupsInOrder(); ; {
+			run := runs.next()
+			if run == nil {
+				break
+			}
+			if !slab.ParseHeader(run).Linked {
+				linkless++
+			}
+		}
+	})
+	if splits < 1500 || linkless == 0 {
+		t.Fatalf("%d splits of the group index, %d linkless group runs", splits, linkless)
+	}
 }

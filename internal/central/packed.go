@@ -13,13 +13,6 @@ import (
 // encoding is self-delimiting, so a run needs no stored length, and its
 // width is the plan's. DESIGN.md §17.
 
-// appendHeader appends n ≤ 8 zero bytes: the room a run's fixed-size header
-// is filled into.
-func appendHeader(dst []byte, n int) []byte {
-	var zero [8]byte
-	return append(dst, zero[:n]...)
-}
-
 // packedLen returns the length in bytes of the run of w values at the
 // head of b. It accepts exactly what unpackValues decodes: it is the
 // decoder, run for the lengths. (String payloads are aliased, not copied,
@@ -173,12 +166,14 @@ func unpackValues(out []event.Value, b []byte) int {
 	return n
 }
 
-// packedRows walks an arena filled with runs of one shape — hdr bytes,
-// then w packed values, not both zero — in append order.
+// packedRows walks an arena filled with runs of one shape — a slab.Index
+// header when threaded, then w packed values, not neither — in append
+// order.
 type packedRows struct {
-	chunks [][]byte
-	k, off int // the next run starts at byte off of chunks[k]
-	hdr, w int
+	chunks   [][]byte
+	k, off   int // the next run starts at byte off of chunks[k]
+	threaded bool
+	w        int
 }
 
 func rowsOf(a *slab.Arena, w int) packedRows { return packedRows{chunks: a.Chunks(), w: w} }
@@ -197,11 +192,15 @@ func (r *packedRows) next() []byte {
 		return nil
 	}
 	cur := r.chunks[r.k][r.off:]
-	n, err := packedLen(cur[r.hdr:], r.w)
+	hdr := 0
+	if r.threaded {
+		hdr = slab.ParseHeader(cur).Len
+	}
+	n, err := packedLen(cur[hdr:], r.w)
 	if err != nil {
 		panic(corruptRun + err.Error())
 	}
-	n += r.hdr
+	n += hdr
 	r.off += n
 	return cur[:n:n]
 }

@@ -249,9 +249,10 @@ func compile(p *Plan) (*compiled, error) {
 
 // maxTimedSpan is the longest window a buffered join run keeps an event
 // time in: its tag, (w − 1)·span + time − window start, is below
-// 64·span for a weight w ≤ 1/governor.MinMult = 64, and must fit in a
-// uint64 above the run's runFlags flag bits (Engine.buffer).
-const maxTimedSpan = 1 << (64 - runFlags) / (1 / governor.MinMult)
+// 64·span for a weight w ≤ 1/governor.MinMult = 64, and must fit above
+// the run's runFlags flag bits in the 63 bits of a slab.Index header's
+// owner (Engine.buffer).
+const maxTimedSpan = 1 << (63 - runFlags) / (1 / governor.MinMult)
 
 // checkAggs lays out the plan's aggregates for the windows' state slabs,
 // so a bad spec fails the query at start, not at the first tuple, and

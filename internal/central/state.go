@@ -44,18 +44,15 @@ type winState struct {
 	lastMoments []moment
 
 	// Join-pending state: arena holds one run per buffered tuple —
-	// [tag<<3 | ref<<2 | linked<<1 | side, uvarint] [link, if linked]
-	// [request id, 8 bytes | ref, 4 bytes] [the side's projected columns,
-	// packed] — threaded by join on hashID(id)<<1 | side: a request's two
-	// sides have neighbouring buckets, in one cache line, and a chain holds
-	// one side's runs only. The run is the whole hash-table entry, and it
-	// keeps only the header its chain cannot supply (joinHdr). A run whose
-	// bucket was empty when it was threaded holds no link: the index grows
-	// by splitting one bucket at a time, a split never merges two chains
-	// and splitJoin threads a chain again oldest first, so nothing threaded
-	// before it ever shares its bucket, and it stays its chain's last run.
-	// A run whose probe found partners holds, instead of its request id,
-	// the address of a partner run that holds the id inline (ref):
+	// [the index's header over tag<<2 | ref<<1 | side] [request id, 8
+	// bytes | ref, 4 bytes] [the side's projected columns, packed] —
+	// threaded by join on hashID(id)<<1 | side: a request's two sides have
+	// neighbouring buckets, in one cache line, and a chain holds one
+	// side's runs only. The run is the whole hash-table entry, and it
+	// keeps only the header its chain cannot supply: the index's header
+	// holds a link only when the run's bucket held a run already
+	// (slab.Index). A run whose probe found partners holds, instead of its
+	// request id, the address of a partner run that holds the id inline (ref):
 	// reading an id takes at most one hop. The tag is (w − 1)·span +
 	// event time − start, span being the side's compiled.span: the window
 	// length when the plan reads that side's ts, so the tuple's weight w
@@ -75,11 +72,11 @@ type winState struct {
 	start int64
 	pendN int // buffered tuples: the maxJoinPending bound and the gauge
 
-	// Group state: groupRuns holds one run per group — [link] [the
-	// group's ordinal in aggs, 4 bytes] [the key values' wire form, keyW
-	// of them] — threaded by groups on the key bytes, which are all that
-	// is kept of the key. aggs holds every group's aggregate states, found
-	// from the ordinal by arithmetic (agg.Slab); it is nil until the
+	// Group state: groupRuns holds one run per group — [the index's
+	// header over the group's ordinal in aggs] [the key values' wire form,
+	// keyW of them] — threaded by groups on the key bytes, which are all
+	// that is kept of the key. aggs holds every group's aggregate states,
+	// found from the ordinal by arithmetic (agg.Slab); it is nil until the
 	// window's first group, so a window without groups — raw rows, a join
 	// still waiting — pays a word for it.
 	groupRuns slab.Arena
@@ -113,9 +110,17 @@ func (m *moment) add(x, w, q float64) {
 	}
 }
 
-// groupHdr is what precedes the key in a group's run: the link and the
-// group's ordinal in aggs.
-const groupHdr = slab.LinkSize + 4
+// groupRoom is the room a group's key is encoded behind, so that a key
+// the window has not seen is kept by writing its run's header — the
+// index's, over an ordinal below 2^32 — into the end of that room
+// (addGroup).
+const groupRoom = binary.MaxVarintLen32 + slab.LinkSize
+
+// appendRoom appends groupRoom zero bytes to dst.
+func appendRoom(dst []byte) []byte {
+	var zero [groupRoom]byte
+	return append(dst, zero[:]...)
+}
 
 // hashSeed is drawn once per process, so no input can be built to land in
 // one bucket. Nothing's order depends on a hash: a chain is searched by
@@ -149,107 +154,52 @@ func hashKey(key []byte) uint64 {
 	return mix(h ^ head)
 }
 
-// The bits below a join run's tag (winState.arena has the layout).
+// The owner's bits of a join run's header (winState.arena has the
+// layout): its side and whether it holds a ref, below its tag.
 const (
-	runSide   = 1 << iota // the run's side
-	runLinked             // it holds a link to the run threaded before it
-	runRef                // it holds a partner's address, not its request id
-	runFlags  = iota      // the tag's shift
+	runSide  = 1 << iota // the run's side
+	runRef               // it holds a partner's address, not its request id
+	runFlags = iota      // the tag's shift
 )
 
-// parseJoin reads the flags as lengths: a link is 2·runLinked bytes and a
-// ref runRef bytes shorter than a request id. Either side of each equality
-// going negative fails the build.
+// A ref is 2·runRef bytes shorter than a request id's 8 (joinCols): either
+// side of the equality going negative fails the build.
 var (
-	_ [2*runLinked - slab.LinkSize]struct{}
-	_ [slab.LinkSize - 2*runLinked]struct{}
-	_ [runRef - (8 - slab.LinkSize)]struct{}
-	_ [8 - slab.LinkSize - runRef]struct{}
+	_ [2*runRef - 4]struct{}
+	_ [4 - 2*runRef]struct{}
 )
 
-// joinHdr is a buffered join run's header, parsed: its flags, and where
-// its link (0: it has none), its id field and its columns begin. The tag
-// is read only where it is used: binary.Uvarint(run) >> runFlags.
-type joinHdr struct {
-	flags          byte
-	link, id, cols int
-}
-
-// parseJoin parses the header of the join run at the head of b. The flags
-// are the low bits of the uvarint's first byte, and they are the lengths:
-// a link takes 4 bytes = 2·runLinked, and a ref 4 bytes fewer than a
-// request id's 8 = runRef.
-func parseJoin(b []byte) joinHdr {
-	n := 1
-	for b[n-1] >= 0x80 {
-		n++
-	}
-	f := b[0] & (runSide | runLinked | runRef)
-	h := joinHdr{flags: f, id: n + 2*int(f&runLinked)}
-	if f&runLinked != 0 {
-		h.link = n
-	}
-	h.cols = h.id + 8 - int(f&runRef)
-	return h
-}
-
-// next is the link to the run threaded before run b in its chain, 0 at the
-// chain's end.
-func (h joinHdr) next(b []byte) uint32 {
-	if h.link == 0 {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[h.link:])
-}
+// joinCols is where the columns of a join run with header h begin: behind
+// its request id, or the 4-byte ref that stands for it.
+func joinCols(h slab.Header) int { return h.Len + 8 - 2*int(h.Flags&runRef) }
 
 // holder is the link to the run that holds run b's request id inline:
 // link, b's own, or the partner b refers to.
-func (h joinHdr) holder(b []byte, link uint32) uint32 {
-	if h.flags&runRef != 0 {
-		return binary.LittleEndian.Uint32(b[h.id:]) + 1
+func holder(b []byte, h slab.Header, link uint32) uint32 {
+	if h.Flags&runRef != 0 {
+		return binary.LittleEndian.Uint32(b[h.Len:]) + 1
 	}
 	return link
 }
 
 // requestID returns the request id of run b: inline, or one hop away in
 // the partner it refers to, which holds it inline.
-func (ws *winState) requestID(b []byte, h joinHdr) uint64 {
-	if h.flags&runRef != 0 {
-		return ws.heldID(binary.LittleEndian.Uint32(b[h.id:]))
+func (ws *winState) requestID(b []byte, h slab.Header) uint64 {
+	if h.Flags&runRef != 0 {
+		return ws.heldID(binary.LittleEndian.Uint32(b[h.Len:]))
 	}
-	return binary.LittleEndian.Uint64(b[h.id:])
+	return binary.LittleEndian.Uint64(b[h.Len:])
 }
 
 // heldID is the request id the run at address at holds inline.
 func (ws *winState) heldID(at uint32) uint64 {
 	b := ws.arena.Tail(at)
-	return binary.LittleEndian.Uint64(b[parseJoin(b).id:])
+	return binary.LittleEndian.Uint64(b[slab.ParseHeader(b).Len:])
 }
 
-// splitJoin splits one bucket of the join index (slab.Index.Split) and
-// threads the runs of its chain again, oldest first, each into the bucket
-// its hash now picks, writing each linked run's link. The chain's one
-// linkless run is its oldest: it is threaded first into its new bucket
-// and stays that chain's last.
-//
-//scrub:allowalloc(a bucket's head: the heads take a chunk every 256 buckets; a chain longer than the scratch)
-func (ws *winState) splitJoin() {
-	var scratch [16]uint32
-	chain := scratch[:0]
-	for link := ws.join.Split(); link != 0; {
-		chain = append(chain, link)
-		b := ws.arena.Tail(link - 1)
-		link = parseJoin(b).next(b)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		at := chain[i] - 1
-		b := ws.arena.Tail(at)
-		h := parseJoin(b)
-		next := ws.join.Reinsert(at, hashID(ws.requestID(b, h))<<1|uint64(h.flags&runSide))
-		if h.link != 0 {
-			binary.LittleEndian.PutUint32(b[h.link:], next)
-		}
-	}
+// joinHash is the hash a join run is threaded on, for the index's split.
+func (ws *winState) joinHash(b []byte, h slab.Header) uint64 {
+	return hashID(ws.requestID(b, h))<<1 | uint64(h.Flags&runSide)
 }
 
 func newWinState(p *Plan, start int64) *winState {
@@ -258,6 +208,20 @@ func newWinState(p *Plan, start int64) *winState {
 		start: start,
 		keyW:  len(p.GroupBy),
 	}
+}
+
+// newAppliedWinState is a window that tuples are applied to: the indexes
+// its plan looks up in get their first round of buckets now, before the
+// first lookup.
+func newAppliedWinState(p *Plan, start int64) *winState {
+	ws := newWinState(p, start)
+	if p.IsJoin() {
+		ws.join.Grow(0)
+	}
+	if p.HasAgg() || p.Grouped() {
+		ws.groups.Grow(0)
+	}
+	return ws
 }
 
 // touch records that host contributed to the window, giving a new host
@@ -293,55 +257,46 @@ func (ws *winState) newMoments(host string, n int) []moment {
 //scrub:hotpath
 func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
 	for link := ws.groups.Head(hash); link != 0; {
-		run, next := ws.groupRuns.Linked(link)
-		if bytes.HasPrefix(run[groupHdr-slab.LinkSize:], key) {
-			return binary.LittleEndian.Uint32(run), true
+		run := ws.groupRuns.Tail(link - 1)
+		h := slab.ParseHeader(run)
+		if bytes.HasPrefix(run[h.Len:], key) {
+			return uint32(slab.Bits(run)), true
 		}
-		link = next
+		link = h.Next
 	}
 	return 0, false
 }
 
-// addGroup records the group of ordinal g. run is the group's run with the
-// groupHdr bytes reserved and the encoded key behind them; it is copied. It
-// fails only when the arena is out of addresses.
-func (ws *winState) addGroup(hash uint64, run []byte, g uint32) bool {
-	binary.LittleEndian.PutUint32(run[slab.LinkSize:], g)
-	at, ok := ws.groupRuns.Append(run)
-	if !ok {
-		return false
-	}
+// addGroup records the group of ordinal g. buf is the group's encoded key
+// behind groupRoom bytes of room, into whose end the run's header is
+// written; the run is copied. It fails only when the arena is out of
+// addresses.
+func (ws *winState) addGroup(hash uint64, buf []byte, g uint32) bool {
 	if ws.groups.Full() {
-		ws.splitGroups()
+		// First: whether the run holds a link depends on the bucket it is
+		// threaded into.
+		ws.groups.Split(&ws.groupRuns, ws.groupHash)
 	}
-	ws.threadGroup(at, ws.groups.Insert(at, hash))
-	return true
+	var room [groupRoom]byte
+	hdr := ws.groups.AppendHeader(room[:0], hash, uint64(g))
+	run := buf[groupRoom-len(hdr):]
+	copy(run, hdr)
+	at, ok := ws.groupRuns.Append(run)
+	if ok {
+		ws.groups.Insert(at, hash)
+	}
+	return ok
 }
 
-// splitGroups splits one bucket of the group index as splitJoin does;
-// every group run holds its link.
-func (ws *winState) splitGroups() {
-	var scratch [16]uint32
-	chain := scratch[:0]
-	for link := ws.groups.Split(); link != 0; {
-		chain = append(chain, link)
-		_, link = ws.groupRuns.Linked(link)
+// groupHash is the hash a group run is threaded on, for the index's split:
+// its key's, measured with packedLen.
+func (ws *winState) groupHash(run []byte, h slab.Header) uint64 {
+	key := run[h.Len:]
+	n, err := packedLen(key, ws.keyW)
+	if err != nil {
+		panic(corruptRun + err.Error())
 	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		at := chain[i] - 1
-		key := ws.groupRuns.Tail(at)[groupHdr:]
-		n, err := packedLen(key, ws.keyW)
-		if err != nil {
-			panic(corruptRun + err.Error())
-		}
-		ws.threadGroup(at, ws.groups.Reinsert(at, hashKey(key[:n])))
-	}
-}
-
-// threadGroup writes next, the link Insert or Reinsert returned, into the
-// group run at address at; every group run holds its link.
-func (ws *winState) threadGroup(at, next uint32) {
-	binary.LittleEndian.PutUint32(ws.groupRuns.Tail(at), next)
+	return hashKey(key[:n])
 }
 
 // aggStates returns the window's aggregate states, making the slab for
@@ -363,20 +318,23 @@ func (ws *winState) openGroup(p *Plan, hash uint64, run []byte) (uint32, bool) {
 	return g, ok && ws.addGroup(hash, run, g)
 }
 
-// groupRun is one group's run as render, codePartial and merge read it,
-// in place.
-type groupRun []byte
+// groupRun is one group as render, codePartial and merge read it: its
+// encoded key, in place in its run, and its ordinal in the window's
+// aggregate states.
+type groupRun struct {
+	key     []byte
+	ordinal uint32
+}
 
-// key is the group's encoded key.
-func (g groupRun) key() []byte { return g[groupHdr:] }
-
-// ordinal is the group's ordinal in the window's aggregate states.
-func (g groupRun) ordinal() uint32 { return binary.LittleEndian.Uint32(g[slab.LinkSize:]) }
+// groupOf parses a group's run.
+func groupOf(run []byte) groupRun {
+	return groupRun{key: run[slab.ParseHeader(run).Len:], ordinal: uint32(slab.Bits(run))}
+}
 
 // groupsInOrder walks the window's group runs in the order the groups
 // were opened.
 func (ws *winState) groupsInOrder() packedRows {
-	return packedRows{chunks: ws.groupRuns.Chunks(), hdr: groupHdr, w: ws.keyW}
+	return packedRows{chunks: ws.groupRuns.Chunks(), threaded: true, w: ws.keyW}
 }
 
 // sortedGroups lists the window's groups ordered by encoded key — the one
@@ -388,9 +346,9 @@ func (ws *winState) sortedGroups() []groupRun {
 		if run == nil {
 			break
 		}
-		out = append(out, run)
+		out = append(out, groupOf(run))
 	}
-	slices.SortFunc(out, func(a, b groupRun) int { return bytes.Compare(a.key(), b.key()) })
+	slices.SortFunc(out, func(a, b groupRun) int { return bytes.Compare(a.key, b.key) })
 	return out
 }
 

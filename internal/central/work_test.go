@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"scrub/internal/event"
+	"scrub/internal/slab"
 	"scrub/internal/transport"
 )
 
@@ -41,21 +42,21 @@ func TestApplyWorkCounts(t *testing.T) {
 	ws := qs.win.GetAll(0)[0]
 	requests := float64(joinApplyWindow * joinApplyBatch)
 	var runs, linked, refs, written int
-	buckets := map[uint32]bool{}
+	buckets := map[uint64]bool{}
 	for _, chunk := range ws.arena.Chunks() {
 		written += len(chunk)
 		for off := 0; off < len(chunk); {
 			b := chunk[off:]
 			h := parseJoin(b)
 			runs++
-			if h.link != 0 {
+			if h.Linked {
 				linked++
 			}
-			if h.flags&runRef != 0 {
+			if h.Flags&runRef != 0 {
 				refs++
 			}
-			buckets[ws.join.Bucket(hashID(ws.requestID(b, h))<<1|uint64(h.flags&runSide))] = true
-			w := len(qs.plan.Columns[h.flags&runSide])
+			buckets[ws.join.Bucket(hashID(ws.requestID(b, h.Header))<<1|uint64(h.Flags&runSide))] = true
+			w := len(qs.plan.Columns[h.Flags&runSide])
 			off += h.cols + ws.unpackJoin(make([]event.Value, w), b[h.cols:], w)
 		}
 	}
@@ -94,13 +95,15 @@ func TestApplyWorkCounts(t *testing.T) {
 		written += len(chunk)
 	}
 	for rows := ws.groupsInOrder(); ; {
-		g := groupRun(rows.next())
-		if g == nil {
+		run := rows.next()
+		if run == nil {
 			break
 		}
 		runs++
-		linked++ // every group run holds its link
-		buckets[ws.groups.Bucket(hashKey(g.key()))] = true
+		if slab.ParseHeader(run).Linked {
+			linked++
+		}
+		buckets[ws.groups.Bucket(hashKey(groupOf(run).key))] = true
 	}
 	fmt.Fprintf(&out, "groups: %d tuples of zipfian users, %.0f groups\n", tuples, groups)
 	fmt.Fprintf(&out, "group runs %d\n", runs)

@@ -9,37 +9,46 @@ import (
 // own: bucket heads, each a link to the newest run of its bucket, with the
 // collision chain continuing through the runs themselves. A link is a
 // run's address plus one; 0 ends a chain (address 0 is a real run, the
-// arena's first). The index reads and writes only its heads: the owner
-// lays out its runs, decides which of them hold a link to the run threaded
-// before them in the same bucket, and writes that link — Insert returns
-// it. The runs' keys and hashes are the owner's business too: the owner
-// hashes, walks a chain from Head and compares keys in place.
+// arena's first). The runs' keys and hashes are the owner's business: the
+// owner hashes, walks a chain from Head and compares keys in place. The
+// chain itself is the index's: every run it threads begins with a header
+// that AppendHeader writes and ParseHeader reads, and Split threads the
+// runs of a bucket it divides again. The owner's bytes follow the header.
 //
-// The heads grow by linear hashing (Litwin, VLDB 1980), one bucket at a
-// time: they live in a Slab, so they are never copied and never exceed a
-// head per run by more than a chunk, and growing the index by a bucket
-// re-threads one chain, not the whole index. Bucket b of a round of lo
-// buckets is split into b and b + lo; a round ends when all lo are split
-// and the next has twice as many. A split never merges two chains and
-// keeps the order of the one it divides, so an owner may leave the link
-// out of a run that finds its bucket empty (Head is 0): no run threaded
-// before it ever shares its bucket, and it stays the last of its chain.
-// Several indexes may thread disjoint sets of runs of one arena. The link
-// words are the one part of an arena that is rewritten — when a split
-// threads a chain again — and no slice or String an owner keeps covers
-// one. The zero Index is empty (and Full); it is not safe for concurrent
-// use.
+// The header is a uvarint of the owner's bits<<1 | linked, then, when
+// linked, the 4-byte link to the run threaded before it in its bucket. A
+// run holds a link only when its bucket held a run when it was threaded:
+// the heads grow by linear hashing (Litwin, VLDB 1980), one bucket at a
+// time, and bucket b of a round of lo buckets is split into b and b + lo;
+// a round ends when all lo are split and the next has twice as many. A
+// split never merges two chains and keeps the order of the one it
+// divides, so no run threaded before a linkless run ever shares its
+// bucket again, and it stays the last of its chain. The link words are
+// the one part of an arena that is rewritten — when a split threads a
+// chain again — and no slice or String an owner keeps covers one. Several
+// indexes may thread disjoint sets of runs of one arena.
+//
+// The heads are kept in segments of 256, the first grown by doubling up
+// to 256, so a bucket's head is a shift and a mask away, the heads are
+// never more than a head per run plus one partly filled segment, and
+// growing the index by a bucket threads one chain again, not the whole
+// index. The zero Index has no buckets and is Full: Grow, or the first
+// Split, gives it its first round, and Head needs one. It is not safe for
+// concurrent use.
 type Index struct {
-	heads Slab[uint32]
-	lo    uint64 // the round's buckets, a power of two ≤ the heads; 0 while there are none
-	n     int    // runs threaded
+	segs  [][]uint32 // the heads, segLen to a segment
+	heads uint64     // buckets made
+	lo    uint64     // the round's buckets, a power of two ≤ heads; 0 while there are none
+	n     int        // runs threaded
 }
 
 const (
-	// LinkSize is how many bytes a link takes in a run.
+	// LinkSize is how many bytes a link takes in a run's header.
 	LinkSize = 4
 	// indexMinBuckets is the size of the first round.
 	indexMinBuckets = 16
+	segShift        = 8
+	segLen          = 1 << segShift
 )
 
 // Bucket is the bucket a run of hash is threaded in: hash's low bits
@@ -47,86 +56,166 @@ const (
 // must have buckets. The choice is arithmetic, not a branch: which way it
 // goes follows the hash, so a branch would be mispredicted about as often
 // as not.
-func (ix *Index) Bucket(hash uint64) uint32 {
+func (ix *Index) Bucket(hash uint64) uint64 {
 	b := hash & (2*ix.lo - 1)
-	unsplit := (uint64(ix.heads.Len()) - 1 - b) >> 63 // 1 when b ≥ the heads
-	return uint32(b - ix.lo&-unsplit)
+	unsplit := (ix.heads - 1 - b) >> 63 // 1 when b ≥ the heads
+	return b - ix.lo&-unsplit
 }
 
 // Head returns the link to the newest run in hash's bucket, 0 when the
-// bucket is empty.
+// bucket is empty. The index must have buckets.
 func (ix *Index) Head(hash uint64) uint32 {
-	if ix.lo == 0 {
-		return 0
-	}
-	return *ix.heads.At(ix.Bucket(hash))
+	b := ix.Bucket(hash)
+	return ix.segs[b>>segShift][b&(segLen-1)]
 }
+
+// head is bucket b's head.
+func (ix *Index) head(b uint64) *uint32 { return &ix.segs[b>>segShift][b&(segLen-1)] }
 
 // Len is the number of runs threaded.
 func (ix *Index) Len() int { return ix.n }
 
 // Bytes is the capacity of the heads in bytes.
-func (ix *Index) Bytes() int64 { return ix.heads.Bytes() }
+func (ix *Index) Bytes() int64 {
+	var n int
+	for _, s := range ix.segs {
+		n += cap(s)
+	}
+	return 4 * int64(n)
+}
 
 // Full reports that the index holds a run per bucket: before the next
-// Insert its owner must Split a bucket, so chains stay about one run long.
-func (ix *Index) Full() bool { return ix.n >= ix.heads.Len() }
-
-// Split adds a bucket, the one the round's next bucket splits into, and
-// empties that next bucket: it returns the link to the newest run of its
-// chain, 0 when it had none. The owner walks that chain and Reinserts its
-// runs oldest first, writing each linked run's link as Reinsert returns
-// it: each lands in whichever of the two buckets its hash now picks, and
-// both chains run newest first again. The first Split of an empty index
-// makes its first round of buckets.
-func (ix *Index) Split() (head uint32) {
-	if ix.lo == 0 {
-		ix.Grow(0)
-		return 0
-	}
-	n := uint64(ix.heads.Len())
-	ix.heads.Append()
-	old := ix.heads.At(uint32(n - ix.lo))
-	head, *old = *old, 0
-	if n+1 == 2*ix.lo {
-		ix.lo *= 2
-	}
-	return head
-}
+// run is laid out its owner must Split a bucket, so chains stay about one
+// run long.
+func (ix *Index) Full() bool { return uint64(ix.n) >= ix.heads }
 
 // Grow gives an empty index max(n, 16) buckets at once, for an owner about
 // to thread n runs: they then thread without a split. Runs threaded before
 // are forgotten.
 func (ix *Index) Grow(n int) {
-	*ix = Index{}
 	n = max(n, indexMinBuckets)
-	for range n {
-		ix.heads.Append()
+	*ix = Index{heads: uint64(n), lo: 1 << (bits.Len(uint(n)) - 1)}
+	ix.segs = [][]uint32{make([]uint32, min(n, segLen))}
+	for n -= segLen; n > 0; n -= segLen {
+		ix.segs = append(ix.segs, make([]uint32, min(n, segLen), segLen))
 	}
-	ix.lo = 1 << (bits.Len(uint(n)) - 1)
 }
 
-// Insert threads the run at address at at the head of hash's chain and
-// returns the link the run must hold to the one threaded before it: the
-// bucket's old head, 0 when the bucket was empty. The index must not be
-// Full.
-func (ix *Index) Insert(at uint32, hash uint64) (next uint32) {
+// addBucket makes the next bucket, empty: at the end of the last segment,
+// which doubles while it is the first and shorter than a segment, or in a
+// new segment.
+//
+//scrub:allowalloc(a segment of heads every 256 buckets; the first segment's doublings)
+func (ix *Index) addBucket() {
+	last := &ix.segs[len(ix.segs)-1]
+	switch n := len(*last); {
+	case n < cap(*last):
+	case n < segLen:
+		grown := make([]uint32, n, min(2*n, segLen))
+		copy(grown, *last)
+		*last = grown
+	default:
+		ix.segs = append(ix.segs, make([]uint32, 0, segLen))
+		last = &ix.segs[len(ix.segs)-1]
+	}
+	*last = (*last)[:len(*last)+1]
+	ix.heads++
+}
+
+// Split adds a bucket, the one the round's next bucket splits into, and
+// threads the runs of that next bucket's chain again, oldest first, each
+// into whichever of the two buckets hash — the owner's hash of a run,
+// given the run and its parsed header — now picks, rewriting each linked
+// run's link: both chains run newest first again, and the chain's one
+// linkless run, its oldest, is threaded first into an empty bucket and
+// stays last. The runs lie in a. The first Split of an empty index makes
+// its first round of buckets.
+//
+//scrub:allowalloc(a chain longer than the scratch)
+func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
+	if ix.lo == 0 {
+		ix.Grow(0)
+		return
+	}
+	old := ix.head(ix.heads - ix.lo)
+	link := *old
+	*old = 0
+	ix.addBucket()
+	if ix.heads == 2*ix.lo {
+		ix.lo *= 2
+	}
+	var scratch [16]uint32
+	chain := scratch[:0]
+	for ; link != 0; link = ParseHeader(a.Tail(link - 1)).Next {
+		chain = append(chain, link)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		at := chain[i] - 1
+		run := a.Tail(at)
+		h := ParseHeader(run)
+		next := ix.thread(at, hash(run, h))
+		if h.Linked {
+			binary.LittleEndian.PutUint32(run[h.Len-LinkSize:], next)
+		}
+	}
+}
+
+// AppendHeader appends to dst the header of a run about to be threaded at
+// the head of hash's chain, with the owner's bits (below 2^63): the link
+// it holds is the bucket's head, and it holds none when the bucket is
+// empty. The owner appends its own bytes, appends the run to the arena and
+// Inserts it under the same hash, with no Split between. The index must
+// not be Full.
+func (ix *Index) AppendHeader(dst []byte, hash, bits uint64) []byte {
+	next := ix.Head(hash)
+	if next == 0 {
+		return binary.AppendUvarint(dst, bits<<1)
+	}
+	return binary.LittleEndian.AppendUint32(binary.AppendUvarint(dst, bits<<1|1), next)
+}
+
+// Insert threads the run at address at, whose header AppendHeader wrote
+// for hash, at the head of hash's chain.
+func (ix *Index) Insert(at uint32, hash uint64) {
 	ix.n++
-	return ix.Reinsert(at, hash)
+	ix.thread(at, hash)
 }
 
-// Reinsert is Insert for a run of the chain a Split took apart: it is
-// threaded again, not counted again.
-func (ix *Index) Reinsert(at uint32, hash uint64) (next uint32) {
-	head := ix.heads.At(ix.Bucket(hash))
+// thread makes the run at address at the head of hash's bucket and
+// returns the bucket's old head.
+func (ix *Index) thread(at uint32, hash uint64) (next uint32) {
+	head := ix.head(ix.Bucket(hash))
 	next, *head = *head, at+1
 	return next
 }
 
-// Linked returns the run a link points at — what follows its link word,
-// to the end of its chunk — and the next link of its chain, for an owner
-// whose runs all begin with their link.
-func (a *Arena) Linked(link uint32) (run []byte, next uint32) {
-	b := a.Tail(link - 1)
-	return b[LinkSize:], binary.LittleEndian.Uint32(b)
+// Header is a threaded run's header, parsed: the low six of the owner's
+// bits (Bits has them all), the header's length — where the owner's bytes
+// begin — whether the run holds a link, and the link to the run threaded
+// before it in its bucket, 0 at its chain's end.
+type Header struct {
+	Flags  uint8
+	Len    int
+	Linked bool
+	Next   uint32
+}
+
+// ParseHeader parses the header of the run at the head of b.
+func ParseHeader(b []byte) Header {
+	n := 1
+	for b[n-1] >= 0x80 {
+		n++
+	}
+	h := Header{Flags: b[0] >> 1 & 0x3f, Len: n}
+	if b[0]&1 != 0 {
+		h.Len, h.Linked = n+LinkSize, true
+		h.Next = binary.LittleEndian.Uint32(b[n:])
+	}
+	return h
+}
+
+// Bits returns the owner's bits of the run at the head of b.
+func Bits(b []byte) uint64 {
+	v, _ := binary.Uvarint(b)
+	return v >> 1
 }

@@ -3,13 +3,14 @@ package slab
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
 // testHash is the hash the index tests thread by: a run's key is the 8
-// bytes after its link. clump sends every key to one bucket, whatever the
+// bytes after its header. clump sends every key to one bucket, whatever the
 // size of the heads; otherwise keys spread.
 type testHash struct{ clump bool }
 
@@ -23,10 +24,10 @@ func (h testHash) of(key uint64) uint64 {
 
 // indexModel drives two indexes over disjoint runs of one arena next to a
 // Go map that remembers, per index and key, the addresses inserted, in
-// order. It lays runs out the way an owner that drops the link from a run
-// ending its chain does — [1 if linked] [link, if linked] [key, 8 bytes]
-// [body] — and grows an index the way such an owner does: a bucket at a
-// time, from presize buckets (Grow) or from none.
+// order. It lays runs out the way an owner does — [header, over the
+// run's number] [key, 8 bytes] [body] — and grows an index the way an
+// owner does: a bucket at a time, from presize buckets (Grow) or from
+// none.
 type indexModel struct {
 	t      *testing.T
 	h      testHash
@@ -43,7 +44,7 @@ func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
 	if presize > 0 {
 		for i := range m.ix {
 			m.ix[i].Grow(presize)
-			if got := m.ix[i].heads.Len(); got != max(presize, indexMinBuckets) {
+			if got := m.ix[i].heads; got != uint64(max(presize, indexMinBuckets)) {
 				t.Fatalf("Grow(%d) made %d heads", presize, got)
 			}
 		}
@@ -51,70 +52,61 @@ func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
 	return m
 }
 
-// parse returns the link the run at the head of b holds (0 when it holds
-// none), whether it holds one, and where its key begins.
-func parse(b []byte) (next uint32, linked bool, key int) {
-	if b[0] == 0 {
-		return 0, false, 1
-	}
-	return binary.LittleEndian.Uint32(b[1:]), true, 1 + LinkSize
+// hashOf is the hash of a run with header h, as Split is given it.
+func (m *indexModel) hashOf(run []byte, h Header) uint64 {
+	return m.h.of(binary.LittleEndian.Uint64(run[h.Len:]))
 }
 
 // hashAt is the hash of the run at address at.
 func (m *indexModel) hashAt(at uint32) uint64 {
 	b := m.a.Tail(at)
-	_, _, key := parse(b)
-	return m.h.of(binary.LittleEndian.Uint64(b[key:]))
+	return m.hashOf(b, ParseHeader(b))
 }
 
+// insert threads a run of key and body, numbered by the runs before it:
+// its header must hold a link exactly when its bucket holds a run, the
+// owner's bits must read back, and so must the header's length.
 func (m *indexModel) insert(side int, key uint64, body []byte) {
 	ix := &m.ix[side]
 	if ix.Full() {
 		m.split(side)
 	}
-	next := ix.Head(m.h.of(key))
-	run := []byte{0}
-	if next != 0 {
-		run = binary.LittleEndian.AppendUint32([]byte{1}, next)
-	}
+	next, seq := ix.Head(m.h.of(key)), uint64(len(m.body))
+	run := ix.AppendHeader(nil, m.h.of(key), seq)
+	hdr := len(run)
 	run = binary.LittleEndian.AppendUint64(run, key)
 	run = append(run, body...)
 	at, ok := m.a.Append(run)
 	if !ok {
 		m.t.Fatal("append refused")
 	}
+	h := ParseHeader(run)
+	if h.Next != next || h.Linked != (next != 0) || h.Len != hdr || Bits(run) != seq || uint64(h.Flags) != seq&0x3f {
+		m.t.Fatalf("run %d: header %+v, bits %d; Head said %d", seq, h, Bits(run), next)
+	}
 	m.want[side][key] = append(m.want[side][key], at)
 	m.body[at], m.side[at] = body, side
-	if got := ix.Insert(at, m.h.of(key)); got != next {
-		m.t.Fatalf("Insert returned link %d, Head said %d", got, next)
-	}
+	ix.Insert(at, m.h.of(key))
 }
 
-// split splits a bucket of side's index as an owner does — it walks the
-// chain Split empties and threads its runs again oldest first, writing
-// each linked run's link — and checks what a split must keep: a linkless
-// run is threaded into an empty bucket again, the runs land in at most two
-// buckets whose chains hold exactly them, each newest first, and the heads
-// are at most a chunk more than a head per run.
+// split splits a bucket of side's index and checks what a split must
+// keep: the runs of the chain it divides land in at most two buckets
+// whose chains hold exactly them, each newest first and each reaching its
+// linkless run (one threaded into a bucket that held a run would cut its
+// chain), and the heads are at most a segment more than a head per run.
 func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
 	var chain []uint32
-	for link := ix.Split(); link != 0; {
-		chain = append(chain, link)
-		link, _, _ = parse(m.a.Tail(link - 1))
-	}
-	m.splits++
-	buckets := map[uint32]bool{}
-	for i := len(chain) - 1; i >= 0; i-- {
-		at := chain[i] - 1
-		b := m.a.Tail(at)
-		next := ix.Reinsert(at, m.hashAt(at))
-		if _, linked, _ := parse(b); linked {
-			binary.LittleEndian.PutUint32(b[1:], next)
-		} else if next != 0 {
-			m.t.Fatalf("side %d: the linkless run at %d is not its chain's last once split", side, at)
+	if ix.lo != 0 {
+		for link := *ix.head(ix.heads - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
+			chain = append(chain, link)
 		}
-		buckets[ix.Bucket(m.hashAt(at))] = true
+	}
+	ix.Split(&m.a, m.hashOf)
+	m.splits++
+	buckets := map[uint64]bool{}
+	for _, link := range chain {
+		buckets[ix.Bucket(m.hashAt(link-1))] = true
 	}
 	if len(buckets) > 2 {
 		m.t.Fatalf("side %d: a split spread one chain over %d buckets", side, len(buckets))
@@ -126,7 +118,7 @@ func (m *indexModel) split(side int) {
 	if reached != len(chain) {
 		m.t.Fatalf("side %d: the split chain held %d runs, its two buckets %d", side, len(chain), reached)
 	}
-	if ix.Bytes() > 4*int64(ix.Len()+MaxChunk) {
+	if ix.Bytes() > 4*int64(ix.Len()+segLen) {
 		m.t.Fatalf("side %d: %d bytes of heads for %d runs", side, ix.Bytes(), ix.Len())
 	}
 }
@@ -134,10 +126,10 @@ func (m *indexModel) split(side int) {
 // chain walks bucket's chain, requires it to run newest first through
 // runs of that bucket, and returns its length. (A linkless run ends its
 // chain by its layout; split checks that none was threaded before another.)
-func (m *indexModel) chain(side int, bucket uint32) int {
+func (m *indexModel) chain(side int, bucket uint64) int {
 	n := 0
-	for link := m.ix[side].Head(uint64(bucket)); link != 0; n++ {
-		next, _, _ := parse(m.a.Tail(link - 1))
+	for link := m.ix[side].Head(bucket); link != 0; n++ {
+		next := ParseHeader(m.a.Tail(link - 1)).Next
 		if own := m.ix[side].Bucket(m.hashAt(link - 1)); own != bucket {
 			m.t.Fatalf("side %d bucket %d: the run at %d belongs to bucket %d", side, bucket, link-1, own)
 		}
@@ -153,12 +145,16 @@ func (m *indexModel) chain(side int, bucket uint32) int {
 // addresses, newest first. Every chain must run newest first.
 func (m *indexModel) find(side int, key uint64) []uint32 {
 	var got []uint32
+	if m.ix[side].lo == 0 {
+		return nil // no buckets: nothing threaded
+	}
 	for link, steps := m.ix[side].Head(m.h.of(key)), 0; link != 0; steps++ {
 		if steps > m.ix[side].Len() {
 			m.t.Fatalf("side %d key %d: chain longer than the index", side, key)
 		}
 		b := m.a.Tail(link - 1)
-		next, _, k := parse(b)
+		h := ParseHeader(b)
+		next, k := h.Next, h.Len
 		if next >= link {
 			m.t.Fatalf("side %d key %d: the run at %d links to %d, not to an older run", side, key, link-1, next-1)
 		}
@@ -240,11 +236,11 @@ func TestIndexMatchesMap(t *testing.T) {
 			linkless := 0
 			for k, chunk := range m.a.Chunks() {
 				for off := 0; off < len(chunk); {
-					_, linked, key := parse(chunk[off:])
-					if !linked {
+					h := ParseHeader(chunk[off:])
+					if !h.Linked {
 						linkless++
 					}
-					off += key + 8 + len(m.body[Addr(k, off)])
+					off += h.Len + 8 + len(m.body[Addr(k, off)])
 				}
 			}
 			switch {
@@ -259,11 +255,43 @@ func TestIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// The empty index answers lookups and costs nothing.
+// The zero Index costs nothing and is Full; its first Split gives it its
+// first round, 16 empty buckets in a 16-head segment.
 func TestIndexZeroValue(t *testing.T) {
 	var ix Index
-	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
+	if ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
 		t.Fatal("the zero Index is not empty")
+	}
+	var a Arena
+	ix.Split(&a, func([]byte, Header) uint64 { panic("a split of an empty index hashed a run") })
+	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 4*indexMinBuckets || ix.Full() {
+		t.Fatalf("after its first split the Index holds %d runs in %d bytes of heads", ix.Len(), ix.Bytes())
+	}
+}
+
+// The heads' first segment doubles from the first round's 16 heads up to
+// a segment of 256, and every further segment is 256 heads: the heads are
+// never more than a partly filled segment over the buckets.
+func TestIndexHeadSegments(t *testing.T) {
+	var ix Index
+	ix.Grow(0)
+	var a Arena
+	for n := indexMinBuckets; n <= 3*segLen; n++ {
+		want := n
+		if n > indexMinBuckets {
+			want = 1 << bits.Len(uint(n-1)) // the first segment's doubling
+		}
+		if n > segLen {
+			want = (n + segLen - 1) / segLen * segLen
+		}
+		if got := ix.Bytes(); got != 4*int64(want) || ix.heads != uint64(n) {
+			t.Fatalf("%d buckets in %d bytes of heads, want %d", ix.heads, got, 4*want)
+		}
+		for !ix.Full() {
+			at, _ := a.Append(binary.LittleEndian.AppendUint64(ix.AppendHeader(nil, uint64(ix.Len()), 0), uint64(ix.Len())))
+			ix.Insert(at, uint64(ix.Len()))
+		}
+		ix.Split(&a, func(run []byte, h Header) uint64 { return binary.LittleEndian.Uint64(run[h.Len:]) })
 	}
 }
 
@@ -273,7 +301,7 @@ func TestIndexGrowToCount(t *testing.T) {
 	for _, n := range []int{0, 1, indexMinBuckets, indexMinBuckets + 1, 1000, 4096} {
 		var fitted Index
 		fitted.Grow(n)
-		if got, want := fitted.heads.Len(), max(n, indexMinBuckets); got != want {
+		if got, want := fitted.heads, uint64(max(n, indexMinBuckets)); got != want {
 			t.Errorf("Grow(%d): %d heads, want %d", n, got, want)
 		}
 		var a Arena
@@ -281,7 +309,7 @@ func TestIndexGrowToCount(t *testing.T) {
 			if fitted.Full() {
 				t.Fatalf("Grow(%d): full after %d runs", n, i)
 			}
-			at, _ := a.Append(make([]byte, LinkSize+1))
+			at, _ := a.Append(fitted.AppendHeader(nil, uint64(i), 0))
 			fitted.Insert(at, uint64(i))
 		}
 	}
