@@ -11,6 +11,8 @@ package expr
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"scrub/internal/agg"
@@ -102,9 +104,21 @@ type Lit struct {
 
 func (Lit) node() {}
 
+// String renders the literal as the query language reads it back: a
+// string quoted, and a float in plain decimal with a decimal point — the
+// lexer reads no exponent, and a float without a point reads back as an
+// integer.
 func (l Lit) String() string {
 	if s, ok := l.Val.AsStr(); ok {
 		return fmt.Sprintf("%q", s)
+	}
+	if l.Val.Kind() == event.KindFloat {
+		f, _ := l.Val.AsFloat()
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		if f == math.Trunc(f) && !math.IsInf(f, 0) {
+			s += ".0"
+		}
+		return s
 	}
 	return l.Val.String()
 }

@@ -1,10 +1,12 @@
 package ql
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"scrub/internal/event"
 	"scrub/internal/expr"
 )
 
@@ -331,6 +333,30 @@ func TestParseNegativeNumbersFold(t *testing.T) {
 	}
 	if got := q.Where.String(); got != "((x = -5) and (y = -1.5))" {
 		t.Errorf("negatives = %s", got)
+	}
+}
+
+// A float literal renders in plain decimal with its decimal point, so the
+// rendering parses back to a float of the same bits: an exponent ("1e+06")
+// is refused by the lexer, and "3" would read back as an integer.
+func TestFloatLiteralRoundTrip(t *testing.T) {
+	for _, f := range []float64{1e6, 1e21, 1e-7, 2.5, 3.0, -3.0} {
+		q, err := Parse(`select a from bid where x > 0.5`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp := q.Where.(expr.Binary)
+		cmp.R = expr.Lit{Val: event.Float(f)}
+		q.Where = cmp
+		back, err := Parse(q.String())
+		if err != nil {
+			t.Fatalf("%v: %q does not parse: %v", f, q.String(), err)
+		}
+		lit, ok := back.Where.(expr.Binary).R.(expr.Lit)
+		got, isFloat := lit.Val.AsFloat()
+		if !ok || lit.Val.Kind() != event.KindFloat || !isFloat || math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("%v renders as %q and parses back as %#v", f, q.Where, back.Where)
+		}
 	}
 }
 
