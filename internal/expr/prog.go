@@ -153,7 +153,14 @@ func (p *Program) Keep(roots []int32) (*ProgramBuilder, []int32) {
 				nd.imm = uint64(scan(&b.p.likes, m, func(n likeMatcher) bool { return n.pat == m.pat }))
 			}
 		}
-		ids[e] = b.node(nd) + 1
+		// Distinct nodes of p stay distinct once their children are
+		// renamed: only a literal can be in the builder already, the one a
+		// comparison folded (above).
+		if nd.op == opLit {
+			ids[e] = b.node(nd) + 1
+		} else {
+			ids[e] = enter(&b.ids, &b.p.nodes, nd, hashInst(nd), hashInst) + 1
+		}
 		return ids[e] - 1
 	}
 	kept := slices.Clone(roots)
@@ -291,6 +298,12 @@ func intern[T comparable](x *index, table *[]T, v T, hash func(T) uint64) int32 
 			return e
 		}
 	}
+	return enter(x, table, v, h, hash)
+}
+
+// enter appends v, whose hash is h and which *table does not hold, and
+// records it in x, rebuilding x when it is too full.
+func enter[T any](x *index, table *[]T, v T, h uint64, hash func(T) uint64) int32 {
 	e := int32(len(*table))
 	*table = append(*table, v)
 	if x.add(h, e) {
