@@ -172,12 +172,16 @@ fi
 echo "== a buffered join run keeps its event time only when the plan reads it (non-test internal/central encodes no uint64(qs.plan.Window) into a join run: a side's span is compiled.span, set from expr.Binding.ReadsTime) =="
 if grep -nF 'uint64(qs.plan.Window)' $(nontest internal/central); then echo "non-test internal/central weighs a join run by the window length again, whether or not the plan reads the side's ts: buffer and probeJoin take the side's compiled.span, 0 when the program reads no ts of it" >&2; exit 1; fi
 
-echo "== the owner of an indexed run writes its link (non-test internal/slab/index.go writes no link word into an arena: a join run that ends its chain holds none, and only the owner knows which do) =="
-if grep -nF 'PutUint32(a.Tail(' internal/slab/index.go; then echo "internal/slab/index.go writes a link word itself again: Index.Insert returns the link, and the owner decides whether its run holds one and writes it" >&2; exit 1; fi
+echo "== slab.Index keeps its own chains (non-test Go under internal/ names no splitJoin, splitGroups or threadGroup and defines no (a *Arena) Linked: every threaded run begins with the index's header, which AppendHeader writes and ParseHeader reads, and Index.Split does the one re-thread walk) =="
+if grep -rnwE --include='*.go' 'splitJoin|splitGroups|threadGroup' internal | grep -v '_test\.go:'; then echo "non-test Go under internal/ lays out, walks or re-threads an index's chain itself again: a split is slab.Index.Split, given the owner's hash of a run" >&2; exit 1; fi
+if grep -rnF --include='*.go' 'func (a *Arena) Linked(' internal | grep -v '_test\.go:'; then echo "internal/slab defines Arena.Linked again: a threaded run's link lies in the index's header (slab.ParseHeader), and group runs keep no link at a chain's end" >&2; exit 1; fi
 
 echo "== a window's indexes grow a bucket at a time (non-test internal/central has no rethreadJoin or rethreadGroups, and internal/slab/index.go no 2*len(ix.heads) doubling: a full index splits one bucket, linear hashing) =="
-if grep -nwE 'rethreadJoin|rethreadGroups' $(nontest internal/central); then echo "non-test internal/central re-threads a whole window again: a full index splits one bucket (splitJoin, splitGroups)" >&2; exit 1; fi
-if grep -nF '2*len(ix.heads)' internal/slab/index.go; then echo "internal/slab/index.go doubles its heads again: Index.Split adds one bucket, and the heads live in a slab.Slab" >&2; exit 1; fi
+if grep -nwE 'rethreadJoin|rethreadGroups' $(nontest internal/central); then echo "non-test internal/central re-threads a whole window again: a full index splits one bucket (slab.Index.Split)" >&2; exit 1; fi
+if grep -nF '2*len(ix.heads)' internal/slab/index.go; then echo "internal/slab/index.go doubles its heads again: Index.Split adds one bucket, and the heads grow a 256-entry segment at a time" >&2; exit 1; fi
+
+echo "== a bucket's head is one inlined load (go build -gcflags=-m ./internal/slab reports: can inline (*Index).Head) =="
+if ! go build -gcflags=-m ./internal/slab 2>&1 | grep -qF 'can inline (*Index).Head'; then echo "internal/slab: (*Index).Head no longer inlines: every probe and group lookup pays a call; keep the bucket to head mapping a shift and a mask (go build -gcflags=-m=2 ./internal/slab prints its cost)" >&2; exit 1; fi
 
 echo "== one egress for every result (internal/server/hub.go writes to a client connection only in clientSink, the sink its Egress writer calls; internal/server/egress.go calls a sink only in Egress.write; the session's replies and the callbacks it hands the server queue, and only SendToHost, handleData and BroadcastShardMap write to a host; no linePrinter, clientConn or Stream.Dropped) =="
 if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
