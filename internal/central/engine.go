@@ -299,8 +299,9 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 		b := ws.arena.Tail(found[i] - 1)
 		// Strings alias the arena chunk: they are read while this tuple
 		// is applied and a run's payload is never rewritten.
-		ws.unpackJoin(vals, b[joinCols(slab.ParseHeader(b)):], len(vals))
-		dt, pw := slab.Bits(b)>>runFlags, w
+		h := slab.ParseHeader(b)
+		ws.unpackJoin(vals, b[joinCols(h):], len(vals))
+		dt, pw := h.Bits>>runFlags, w
 		if span == 0 {
 			dt, pw = 0, max(w, dt+1)
 		} else if dt >= span {

@@ -24,6 +24,9 @@ type bucketReplay struct {
 // add threads the next buffered run's hash and reports whether its bucket
 // held a run already: whether the run keeps a link word.
 func (r *bucketReplay) add(hash uint64) (linked bool) {
+	if r.ix.Bytes() == 0 {
+		r.ix.Grow(0) // the first round a window's join index starts with
+	}
 	if r.ix.Full() {
 		r.ix.Split(&r.a, func(run []byte, h slab.Header) uint64 { return binary.LittleEndian.Uint64(run[h.Len:]) })
 	}
@@ -163,7 +166,7 @@ func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash, size func([]
 func checkJoinChains(t *testing.T, ws *winState, p *Plan) {
 	t.Helper()
 	checkChains(t, &ws.join, &ws.arena, ws.joinHash, func(b []byte, h slab.Header) uint64 {
-		w, cols := len(p.Columns[h.Flags&runSide]), joinCols(h)
+		w, cols := len(p.Columns[h.Bits&runSide]), joinCols(h)
 		return uint64(cols + ws.unpackJoin(make([]event.Value, w), b[cols:], w))
 	})
 }

@@ -171,12 +171,12 @@ var (
 
 // joinCols is where the columns of a join run with header h begin: behind
 // its request id, or the 4-byte ref that stands for it.
-func joinCols(h slab.Header) int { return h.Len + 8 - 2*int(h.Flags&runRef) }
+func joinCols(h slab.Header) int { return h.Len + 8 - 2*int(h.Bits&runRef) }
 
 // holder is the link to the run that holds run b's request id inline:
 // link, b's own, or the partner b refers to.
 func holder(b []byte, h slab.Header, link uint32) uint32 {
-	if h.Flags&runRef != 0 {
+	if h.Bits&runRef != 0 {
 		return binary.LittleEndian.Uint32(b[h.Len:]) + 1
 	}
 	return link
@@ -185,7 +185,7 @@ func holder(b []byte, h slab.Header, link uint32) uint32 {
 // requestID returns the request id of run b: inline, or one hop away in
 // the partner it refers to, which holds it inline.
 func (ws *winState) requestID(b []byte, h slab.Header) uint64 {
-	if h.Flags&runRef != 0 {
+	if h.Bits&runRef != 0 {
 		return ws.heldID(binary.LittleEndian.Uint32(b[h.Len:]))
 	}
 	return binary.LittleEndian.Uint64(b[h.Len:])
@@ -199,7 +199,7 @@ func (ws *winState) heldID(at uint32) uint64 {
 
 // joinHash is the hash a join run is threaded on, for the index's split.
 func (ws *winState) joinHash(b []byte, h slab.Header) uint64 {
-	return hashID(ws.requestID(b, h))<<1 | uint64(h.Flags&runSide)
+	return hashID(ws.requestID(b, h))<<1 | h.Bits&runSide
 }
 
 func newWinState(p *Plan, start int64) *winState {
@@ -260,7 +260,7 @@ func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
 		run := ws.groupRuns.Tail(link - 1)
 		h := slab.ParseHeader(run)
 		if bytes.HasPrefix(run[h.Len:], key) {
-			return uint32(slab.Bits(run)), true
+			return uint32(h.Bits), true
 		}
 		link = h.Next
 	}
@@ -328,7 +328,8 @@ type groupRun struct {
 
 // groupOf parses a group's run.
 func groupOf(run []byte) groupRun {
-	return groupRun{key: run[slab.ParseHeader(run).Len:], ordinal: uint32(slab.Bits(run))}
+	h := slab.ParseHeader(run)
+	return groupRun{key: run[h.Len:], ordinal: uint32(h.Bits)}
 }
 
 // groupsInOrder walks the window's group runs in the order the groups

@@ -113,7 +113,7 @@ func (c *joinCase) runs(ws *winState) []joinRun {
 	for _, chunk := range ws.arena.Chunks() {
 		for off := 0; off < len(chunk); {
 			h := parseJoin(chunk[off:])
-			side := int(h.Flags & runSide)
+			side := int(h.Bits & runSide)
 			vals := make([]event.Value, len(c.p.Columns[side]))
 			n := h.cols + ws.unpackJoin(vals, chunk[off+h.cols:], len(vals))
 			out = append(out, joinRun{n: n, hdr: h.cols, side: side, vals: vals})
@@ -545,7 +545,7 @@ func FuzzJoinRun(f *testing.F) {
 					in, b := feed[i], chunk[off:]
 					h := parseJoin(b)
 					bits, _ := binary.Uvarint(b) // the owner's bits and the linked flag
-					tag, side := slab.Bits(b)>>runFlags, int(h.Flags&runSide)
+					tag, side := h.Bits>>runFlags, int(h.Bits&runSide)
 					w, dt := tag+1, uint64(0)
 					if span[side] > 0 {
 						w, dt = tag/span[side]+1, tag%span[side]
@@ -558,11 +558,11 @@ func FuzzJoinRun(f *testing.F) {
 						partnered = partnered || o.side != in.side && o.tu.RequestID == in.tu.RequestID
 					}
 					linked := replay.add(hashID(in.tu.RequestID)<<1 | uint64(in.side))
-					if h.Linked != linked || (h.Flags&runRef != 0) != partnered {
-						t.Fatalf("run %d: flags %03b; its bucket held a run: %v, a partner came first: %v", i, h.Flags, linked, partnered)
+					if h.Linked != linked || (h.Bits&runRef != 0) != partnered {
+						t.Fatalf("run %d: flags %02b; its bucket held a run: %v, a partner came first: %v", i, h.Bits&3, linked, partnered)
 					}
 					id, held := ws.requestID(b, h.Header), holder(b, h.Header, slab.Addr(k, off)+1)-1
-					if id != in.tu.RequestID || partnered && parseJoin(ws.arena.Tail(held)).Flags&runRef != 0 {
+					if id != in.tu.RequestID || partnered && parseJoin(ws.arena.Tail(held)).Bits&runRef != 0 {
 						t.Fatalf("run %d reads request id %d (held at %#x), sent %d", i, id, held, in.tu.RequestID)
 					}
 					got := make([]event.Value, 2)

@@ -52,11 +52,11 @@ func TestApplyWorkCounts(t *testing.T) {
 			if h.Linked {
 				linked++
 			}
-			if h.Flags&runRef != 0 {
+			if h.Bits&runRef != 0 {
 				refs++
 			}
-			buckets[ws.join.Bucket(hashID(ws.requestID(b, h.Header))<<1|uint64(h.Flags&runSide))] = true
-			w := len(qs.plan.Columns[h.Flags&runSide])
+			buckets[ws.join.Bucket(hashID(ws.requestID(b, h.Header))<<1|uint64(h.Bits&runSide))] = true
+			w := len(qs.plan.Columns[h.Bits&runSide])
 			off += h.cols + ws.unpackJoin(make([]event.Value, w), b[h.cols:], w)
 		}
 	}

@@ -32,9 +32,9 @@ import (
 // to 256, so a bucket's head is a shift and a mask away, the heads are
 // never more than a head per run plus one partly filled segment, and
 // growing the index by a bucket threads one chain again, not the whole
-// index. The zero Index has no buckets and is Full: Grow, or the first
-// Split, gives it its first round, and Head needs one. It is not safe for
-// concurrent use.
+// index. The zero Index has no buckets: Grow gives it its first round,
+// before any other use but Len and Bytes. It is not safe for concurrent
+// use.
 type Index struct {
 	segs  [][]uint32 // the heads, segLen to a segment
 	heads uint64     // buckets made
@@ -75,13 +75,13 @@ func (ix *Index) head(b uint64) *uint32 { return &ix.segs[b>>segShift][b&(segLen
 // Len is the number of runs threaded.
 func (ix *Index) Len() int { return ix.n }
 
-// Bytes is the capacity of the heads in bytes.
+// Bytes is the capacity of the heads in bytes: every segment but the
+// first is a whole one.
 func (ix *Index) Bytes() int64 {
-	var n int
-	for _, s := range ix.segs {
-		n += cap(s)
+	if len(ix.segs) == 0 {
+		return 0
 	}
-	return 4 * int64(n)
+	return 4 * int64(cap(ix.segs[0])+segLen*(len(ix.segs)-1))
 }
 
 // Full reports that the index holds a run per bucket: before the next
@@ -128,15 +128,10 @@ func (ix *Index) addBucket() {
 // given the run and its parsed header — now picks, rewriting each linked
 // run's link: both chains run newest first again, and the chain's one
 // linkless run, its oldest, is threaded first into an empty bucket and
-// stays last. The runs lie in a. The first Split of an empty index makes
-// its first round of buckets.
+// stays last. The runs lie in a.
 //
 //scrub:allowalloc(a chain longer than the scratch)
 func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
-	if ix.lo == 0 {
-		ix.Grow(0)
-		return
-	}
 	old := ix.head(ix.heads - ix.lo)
 	link := *old
 	*old = 0
@@ -189,12 +184,12 @@ func (ix *Index) thread(at uint32, hash uint64) (next uint32) {
 	return next
 }
 
-// Header is a threaded run's header, parsed: the low six of the owner's
-// bits (Bits has them all), the header's length — where the owner's bytes
-// begin — whether the run holds a link, and the link to the run threaded
-// before it in its bucket, 0 at its chain's end.
+// Header is a threaded run's header, parsed: the owner's bits, the
+// header's length — where the owner's bytes begin — whether the run holds
+// a link, and the link to the run threaded before it in its bucket, 0 at
+// its chain's end.
 type Header struct {
-	Flags  uint8
+	Bits   uint64
 	Len    int
 	Linked bool
 	Next   uint32
@@ -202,20 +197,15 @@ type Header struct {
 
 // ParseHeader parses the header of the run at the head of b.
 func ParseHeader(b []byte) Header {
-	n := 1
+	v, n := uint64(b[0]&0x7f), 1
 	for b[n-1] >= 0x80 {
+		v |= uint64(b[n]&0x7f) << (7 * n)
 		n++
 	}
-	h := Header{Flags: b[0] >> 1 & 0x3f, Len: n}
-	if b[0]&1 != 0 {
+	h := Header{Bits: v >> 1, Len: n}
+	if v&1 != 0 {
 		h.Len, h.Linked = n+LinkSize, true
 		h.Next = binary.LittleEndian.Uint32(b[n:])
 	}
 	return h
-}
-
-// Bits returns the owner's bits of the run at the head of b.
-func Bits(b []byte) uint64 {
-	v, _ := binary.Uvarint(b)
-	return v >> 1
 }

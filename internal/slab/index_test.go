@@ -26,8 +26,8 @@ func (h testHash) of(key uint64) uint64 {
 // Go map that remembers, per index and key, the addresses inserted, in
 // order. It lays runs out the way an owner does — [header, over the
 // run's number] [key, 8 bytes] [body] — and grows an index the way an
-// owner does: a bucket at a time, from presize buckets (Grow) or from
-// none.
+// owner does: a bucket at a time, from presize buckets or the first round
+// (Grow).
 type indexModel struct {
 	t      *testing.T
 	h      testHash
@@ -41,7 +41,7 @@ type indexModel struct {
 
 func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
 	m := &indexModel{t: t, h: h, want: [2]map[uint64][]uint32{{}, {}}, body: map[uint32][]byte{}, side: map[uint32]int{}}
-	if presize > 0 {
+	if presize >= 0 {
 		for i := range m.ix {
 			m.ix[i].Grow(presize)
 			if got := m.ix[i].heads; got != uint64(max(presize, indexMinBuckets)) {
@@ -81,8 +81,8 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 		m.t.Fatal("append refused")
 	}
 	h := ParseHeader(run)
-	if h.Next != next || h.Linked != (next != 0) || h.Len != hdr || Bits(run) != seq || uint64(h.Flags) != seq&0x3f {
-		m.t.Fatalf("run %d: header %+v, bits %d; Head said %d", seq, h, Bits(run), next)
+	if h.Next != next || h.Linked != (next != 0) || h.Len != hdr || h.Bits != seq {
+		m.t.Fatalf("run %d: header %+v; Head said %d", seq, h, next)
 	}
 	m.want[side][key] = append(m.want[side][key], at)
 	m.body[at], m.side[at] = body, side
@@ -97,10 +97,8 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
 	var chain []uint32
-	if ix.lo != 0 {
-		for link := *ix.head(ix.heads - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
-			chain = append(chain, link)
-		}
+	for link := *ix.head(ix.heads - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
+		chain = append(chain, link)
 	}
 	ix.Split(&m.a, m.hashOf)
 	m.splits++
@@ -145,9 +143,6 @@ func (m *indexModel) chain(side int, bucket uint64) int {
 // addresses, newest first. Every chain must run newest first.
 func (m *indexModel) find(side int, key uint64) []uint32 {
 	var got []uint32
-	if m.ix[side].lo == 0 {
-		return nil // no buckets: nothing threaded
-	}
 	for link, steps := m.ix[side].Head(m.h.of(key)), 0; link != 0; steps++ {
 		if steps > m.ix[side].Len() {
 			m.t.Fatalf("side %d key %d: chain longer than the index", side, key)
@@ -193,8 +188,8 @@ func (m *indexModel) check() {
 	}
 }
 
-// Splitting a bucket at a time — from no buckets, from an eighth of the
-// runs, or from exactly as many as each index is to thread (Grow) — with
+// Splitting a bucket at a time — from the first round, from an eighth of
+// the runs, or from exactly as many as each index is to thread (Grow) — with
 // repeated keys, bodies of mixed lengths and both sides interleaved in one
 // arena, the chains agree with the map, whether the hash spreads the keys
 // or sends them all to one bucket.
@@ -255,17 +250,16 @@ func TestIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// The zero Index costs nothing and is Full; its first Split gives it its
-// first round, 16 empty buckets in a 16-head segment.
+// The zero Index costs nothing; Grow(0) gives it its first round, 16
+// empty buckets in a 16-head segment.
 func TestIndexZeroValue(t *testing.T) {
 	var ix Index
-	if ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
+	if ix.Len() != 0 || ix.Bytes() != 0 {
 		t.Fatal("the zero Index is not empty")
 	}
-	var a Arena
-	ix.Split(&a, func([]byte, Header) uint64 { panic("a split of an empty index hashed a run") })
+	ix.Grow(0)
 	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 4*indexMinBuckets || ix.Full() {
-		t.Fatalf("after its first split the Index holds %d runs in %d bytes of heads", ix.Len(), ix.Bytes())
+		t.Fatalf("its first round holds %d runs in %d bytes of heads", ix.Len(), ix.Bytes())
 	}
 }
 
@@ -316,9 +310,9 @@ func TestIndexGrowToCount(t *testing.T) {
 }
 
 // FuzzIndex: the first byte picks the hash and how many buckets the
-// indexes start with (none, a quarter, all or four times the runs), every
-// further byte inserts one run — side from the top bit, key from the
-// rest, so keys repeat.
+// indexes start with (the first round, a quarter, all or four times the
+// runs), every further byte inserts one run — side from the top bit, key
+// from the rest, so keys repeat.
 func FuzzIndex(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 40, 300, 1500} {

@@ -1,6 +1,7 @@
 // Package slab provides the chunked, append-only stores ScrubCentral's
 // window state is built from (DESIGN.md §17): Slab for fixed-size
-// entries, Arena for packed bytes.
+// entries, Arena for packed bytes, and Index, a hash index threaded
+// through an Arena's runs.
 package slab
 
 import (
@@ -18,8 +19,8 @@ import (
 // elements (16 to 256) and stay at that size from then on, so an owner
 // with a handful of entries pays for a handful, and one with many grows
 // by at most 256 elements at a time: 4 KiB of an average's 16-byte
-// states, 1 KiB of an index's heads. Elements are handed out one at a time
-// and no index is ever skipped: the i-th element appended is element i.
+// states. Elements are handed out one at a time and no index is ever
+// skipped: the i-th element appended is element i.
 // The zero Slab is empty and ready to use; it is not safe for concurrent
 // use.
 type Slab[T any] struct {
