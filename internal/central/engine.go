@@ -104,7 +104,15 @@ func (e *Engine) start(qr *QueryRuntime) (err error) {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
 	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, func(start, end int64) *winState {
-		return newAppliedWinState(&qs.plan, start)
+		// The indexes the plan looks up in get their first round now.
+		ws := newWinState(&qs.plan, start)
+		if qs.plan.IsJoin() {
+			ws.join.Grow(0)
+		}
+		if qs.plan.HasAgg() || qs.plan.Grouped() {
+			ws.groups.Grow(0)
+		}
+		return ws
 	})
 	if err != nil {
 		return err

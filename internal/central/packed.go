@@ -166,9 +166,8 @@ func unpackValues(out []event.Value, b []byte) int {
 	return n
 }
 
-// packedRows walks an arena filled with runs of one shape — a slab.Index
-// header when threaded, then w packed values, not neither — in append
-// order.
+// packedRows walks an arena of runs of w packed values, each behind a
+// slab.Index header when threaded, in append order.
 type packedRows struct {
 	chunks   [][]byte
 	k, off   int // the next run starts at byte off of chunks[k]

@@ -110,10 +110,8 @@ func (m *moment) add(x, w, q float64) {
 	}
 }
 
-// groupRoom is the room a group's key is encoded behind, so that a key
-// the window has not seen is kept by writing its run's header — the
-// index's, over an ordinal below 2^32 — into the end of that room
-// (addGroup).
+// groupRoom is the room a group's key is encoded behind: a new group's
+// run header, over an ordinal below 2^32, is written into its end.
 const groupRoom = binary.MaxVarintLen32 + slab.LinkSize
 
 // appendRoom appends groupRoom zero bytes to dst.
@@ -162,16 +160,9 @@ const (
 	runFlags = iota      // the tag's shift
 )
 
-// A ref is 2·runRef bytes shorter than a request id's 8 (joinCols): either
-// side of the equality going negative fails the build.
-var (
-	_ [2*runRef - 4]struct{}
-	_ [4 - 2*runRef]struct{}
-)
-
 // joinCols is where the columns of a join run with header h begin: behind
 // its request id, or the 4-byte ref that stands for it.
-func joinCols(h slab.Header) int { return h.Len + 8 - 2*int(h.Bits&runRef) }
+func joinCols(h slab.Header) int { return h.Len + 8 - 4*int(h.Bits&runRef/runRef) }
 
 // holder is the link to the run that holds run b's request id inline:
 // link, b's own, or the partner b refers to.
@@ -208,20 +199,6 @@ func newWinState(p *Plan, start int64) *winState {
 		start: start,
 		keyW:  len(p.GroupBy),
 	}
-}
-
-// newAppliedWinState is a window that tuples are applied to: the indexes
-// its plan looks up in get their first round of buckets now, before the
-// first lookup.
-func newAppliedWinState(p *Plan, start int64) *winState {
-	ws := newWinState(p, start)
-	if p.IsJoin() {
-		ws.join.Grow(0)
-	}
-	if p.HasAgg() || p.Grouped() {
-		ws.groups.Grow(0)
-	}
-	return ws
 }
 
 // touch records that host contributed to the window, giving a new host
@@ -267,10 +244,9 @@ func (ws *winState) findGroup(hash uint64, key []byte) (uint32, bool) {
 	return 0, false
 }
 
-// addGroup records the group of ordinal g. buf is the group's encoded key
-// behind groupRoom bytes of room, into whose end the run's header is
-// written; the run is copied. It fails only when the arena is out of
-// addresses.
+// addGroup records the group of ordinal g. buf is its encoded key behind
+// groupRoom bytes; the run is copied. It fails only when the arena is out
+// of addresses.
 func (ws *winState) addGroup(hash uint64, buf []byte, g uint32) bool {
 	if ws.groups.Full() {
 		// First: whether the run holds a link depends on the bucket it is
@@ -288,8 +264,7 @@ func (ws *winState) addGroup(hash uint64, buf []byte, g uint32) bool {
 	return ok
 }
 
-// groupHash is the hash a group run is threaded on, for the index's split:
-// its key's, measured with packedLen.
+// groupHash is the hash a group run is threaded on, for the index's split.
 func (ws *winState) groupHash(run []byte, h slab.Header) uint64 {
 	key := run[h.Len:]
 	n, err := packedLen(key, ws.keyW)

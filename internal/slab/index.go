@@ -8,32 +8,24 @@ import (
 // Index is a hash index over runs of an Arena that keeps no entry of its
 // own: bucket heads, each a link to the newest run of its bucket, with the
 // collision chain continuing through the runs themselves. A link is a
-// run's address plus one; 0 ends a chain (address 0 is a real run, the
-// arena's first). The runs' keys and hashes are the owner's business: the
-// owner hashes, walks a chain from Head and compares keys in place. The
-// chain itself is the index's: every run it threads begins with a header
-// that AppendHeader writes and ParseHeader reads, and Split threads the
-// runs of a bucket it divides again. The owner's bytes follow the header.
+// run's address plus one; 0 ends a chain (address 0 is a real run). The
+// owner hashes, walks a chain from Head and compares keys in place; the
+// chain is the index's. Every run it threads begins with a header that
+// AppendHeader writes and ParseHeader reads — a uvarint of the owner's
+// bits<<1 | linked, then, when linked, the 4-byte link to the run threaded
+// before it in its bucket — and the owner's bytes follow it.
 //
-// The header is a uvarint of the owner's bits<<1 | linked, then, when
-// linked, the 4-byte link to the run threaded before it in its bucket. A
-// run holds a link only when its bucket held a run when it was threaded:
-// the heads grow by linear hashing (Litwin, VLDB 1980), one bucket at a
-// time, and bucket b of a round of lo buckets is split into b and b + lo;
-// a round ends when all lo are split and the next has twice as many. A
-// split never merges two chains and keeps the order of the one it
-// divides, so no run threaded before a linkless run ever shares its
-// bucket again, and it stays the last of its chain. The link words are
-// the one part of an arena that is rewritten — when a split threads a
-// chain again — and no slice or String an owner keeps covers one. Several
-// indexes may thread disjoint sets of runs of one arena.
-//
-// The heads are kept in segments of 256, the first grown by doubling up
-// to 256, so a bucket's head is a shift and a mask away, the heads are
-// never more than a head per run plus one partly filled segment, and
-// growing the index by a bucket threads one chain again, not the whole
-// index. The zero Index has no buckets: Grow gives it its first round,
-// before any other use but Len and Bytes. It is not safe for concurrent
+// A run holds a link only when its bucket held a run when it was
+// threaded. The heads grow by linear hashing (Litwin, VLDB 1980), a bucket
+// at a time: Split divides bucket b of a round of lo buckets into b and
+// b + lo, and a round ends when all lo are split. A split never merges two
+// chains and keeps the order of the one it divides, so a linkless run
+// stays the last of its chain. The link words are the one part of an
+// arena that is rewritten, and no slice or String an owner keeps covers
+// one. The heads are 256-entry segments, the first grown by doubling, so
+// a bucket's head is a shift and a mask away and the slack is one partly
+// filled segment. The zero Index has no buckets: Grow gives it its first
+// round, before any use but Len and Bytes. It is not safe for concurrent
 // use.
 type Index struct {
 	segs  [][]uint32 // the heads, segLen to a segment
@@ -64,10 +56,7 @@ func (ix *Index) Bucket(hash uint64) uint64 {
 
 // Head returns the link to the newest run in hash's bucket, 0 when the
 // bucket is empty. The index must have buckets.
-func (ix *Index) Head(hash uint64) uint32 {
-	b := ix.Bucket(hash)
-	return ix.segs[b>>segShift][b&(segLen-1)]
-}
+func (ix *Index) Head(hash uint64) uint32 { return *ix.head(ix.Bucket(hash)) }
 
 // head is bucket b's head.
 func (ix *Index) head(b uint64) *uint32 { return &ix.segs[b>>segShift][b&(segLen-1)] }
@@ -101,34 +90,28 @@ func (ix *Index) Grow(n int) {
 	}
 }
 
-// addBucket makes the next bucket, empty: at the end of the last segment,
-// which doubles while it is the first and shorter than a segment, or in a
-// new segment.
+// addBucket makes the next bucket, empty: in a new segment once the last
+// is whole, else at its end, doubling the first segment when it is full.
 //
 //scrub:allowalloc(a segment of heads every 256 buckets; the first segment's doublings)
 func (ix *Index) addBucket() {
 	last := &ix.segs[len(ix.segs)-1]
-	switch n := len(*last); {
-	case n < cap(*last):
-	case n < segLen:
-		grown := make([]uint32, n, min(2*n, segLen))
-		copy(grown, *last)
-		*last = grown
-	default:
-		ix.segs = append(ix.segs, make([]uint32, 0, segLen))
-		last = &ix.segs[len(ix.segs)-1]
+	if n := len(*last); n == segLen {
+		ix.segs = append(ix.segs, make([]uint32, 1, segLen))
+	} else if n < cap(*last) {
+		*last = (*last)[:n+1]
+	} else {
+		*last = append(make([]uint32, 0, min(2*n, segLen)), *last...)[:n+1]
 	}
-	*last = (*last)[:len(*last)+1]
 	ix.heads++
 }
 
 // Split adds a bucket, the one the round's next bucket splits into, and
 // threads the runs of that next bucket's chain again, oldest first, each
-// into whichever of the two buckets hash — the owner's hash of a run,
-// given the run and its parsed header — now picks, rewriting each linked
-// run's link: both chains run newest first again, and the chain's one
-// linkless run, its oldest, is threaded first into an empty bucket and
-// stays last. The runs lie in a.
+// into whichever of the two buckets hash (the owner's hash of a run in a,
+// given its parsed header) now picks, rewriting each linked run's link:
+// both chains run newest first again, and the chain's linkless run, its
+// oldest, is threaded first into an empty bucket and stays last.
 //
 //scrub:allowalloc(a chain longer than the scratch)
 func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
@@ -155,12 +138,11 @@ func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
 	}
 }
 
-// AppendHeader appends to dst the header of a run about to be threaded at
-// the head of hash's chain, with the owner's bits (below 2^63): the link
-// it holds is the bucket's head, and it holds none when the bucket is
-// empty. The owner appends its own bytes, appends the run to the arena and
-// Inserts it under the same hash, with no Split between. The index must
-// not be Full.
+// AppendHeader appends to dst the header of a run about to be threaded in
+// hash's bucket, over the owner's bits (below 2^63): a link to the
+// bucket's head, none when it is empty. The owner appends its bytes and
+// the run, and Inserts it under the same hash with no Split between. The
+// index must not be Full.
 func (ix *Index) AppendHeader(dst []byte, hash, bits uint64) []byte {
 	next := ix.Head(hash)
 	if next == 0 {
@@ -169,8 +151,8 @@ func (ix *Index) AppendHeader(dst []byte, hash, bits uint64) []byte {
 	return binary.LittleEndian.AppendUint32(binary.AppendUvarint(dst, bits<<1|1), next)
 }
 
-// Insert threads the run at address at, whose header AppendHeader wrote
-// for hash, at the head of hash's chain.
+// Insert threads the run at address at, whose header AppendHeader laid
+// out for hash.
 func (ix *Index) Insert(at uint32, hash uint64) {
 	ix.n++
 	ix.thread(at, hash)
@@ -184,10 +166,9 @@ func (ix *Index) thread(at uint32, hash uint64) (next uint32) {
 	return next
 }
 
-// Header is a threaded run's header, parsed: the owner's bits, the
-// header's length — where the owner's bytes begin — whether the run holds
-// a link, and the link to the run threaded before it in its bucket, 0 at
-// its chain's end.
+// Header is a threaded run's header, parsed: the owner's bits, its length
+// (where the owner's bytes begin), and whether the run holds a link and
+// the link it holds or ends its chain with (Next 0).
 type Header struct {
 	Bits   uint64
 	Len    int
