@@ -329,8 +329,8 @@ func (e *Engine) probeJoin(qs *queryState, ws *winState, side, hash uint64, t *t
 // has the layout): its event time only when the plan reads it, a link
 // only when its bucket holds a run already (the index's header), and its
 // request id only when the probe before it found no partner holding the
-// id (idAt, probeJoin's result). It reports false when the window is at maxJoinPending (or the
-// arena at the end of its address space).
+// id (idAt, probeJoin's result). It reports false when the window is at
+// maxJoinPending (or the arena at the end of its address space).
 //
 //scrub:hotpath
 func (e *Engine) buffer(qs *queryState, ws *winState, side, hash uint64, t *transport.Tuple, w uint64, idAt uint32) bool {

@@ -128,7 +128,7 @@ func TestJoinRunHeaderIsMinimal(t *testing.T) {
 // that holds no link: no run threaded before a linkless run shares its
 // bucket. hash is the owner's hash of a run and size its length, both
 // given its header.
-func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash, size func([]byte, slab.Header) uint64) {
+func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash func([]byte, slab.Header) uint64, size func([]byte, slab.Header) int) {
 	t.Helper()
 	runs := map[uint64]int{} // bucket → runs threaded into it
 	for k, chunk := range a.Chunks() {
@@ -140,7 +140,7 @@ func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash, size func([]
 				t.Fatalf("the linkless run at %#x follows %d runs of its bucket: it cuts their chain", at, runs[bucket])
 			}
 			runs[bucket]++
-			off += int(size(b, h))
+			off += size(b, h)
 		}
 	}
 	for bucket, n := range runs {
@@ -165,21 +165,21 @@ func checkChains(t *testing.T, ix *slab.Index, a *slab.Arena, hash, size func([]
 // checkJoinChains checks the chains of the window's join index.
 func checkJoinChains(t *testing.T, ws *winState, p *Plan) {
 	t.Helper()
-	checkChains(t, &ws.join, &ws.arena, ws.joinHash, func(b []byte, h slab.Header) uint64 {
+	checkChains(t, &ws.join, &ws.arena, ws.joinHash, func(b []byte, h slab.Header) int {
 		w, cols := len(p.Columns[h.Bits&runSide]), joinCols(h)
-		return uint64(cols + ws.unpackJoin(make([]event.Value, w), b[cols:], w))
+		return cols + ws.unpackJoin(make([]event.Value, w), b[cols:], w)
 	})
 }
 
 // checkGroupChains checks the chains of the window's group index.
 func checkGroupChains(t *testing.T, ws *winState) {
 	t.Helper()
-	checkChains(t, &ws.groups, &ws.groupRuns, ws.groupHash, func(b []byte, h slab.Header) uint64 {
+	checkChains(t, &ws.groups, &ws.groupRuns, ws.groupHash, func(b []byte, h slab.Header) int {
 		n, err := packedLen(b[h.Len:], ws.keyW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return uint64(h.Len + n)
+		return h.Len + n
 	})
 }
 
@@ -187,9 +187,9 @@ func checkGroupChains(t *testing.T, ws *winState) {
 // and at the end, the chains are whole — a run that found its bucket empty
 // and holds no link is still its chain's last — with both sides' tuples
 // interleaved and request ids repeating on both, so runs hold refs too.
-// The group index keeps the same rule: so are its chains, under a
-// group-by whose keys repeat, fed a tuple at a time through thousands of
-// splits.
+// Group runs keep the same rule, and the group index's chains are checked
+// the same way: a group-by whose keys repeat, fed a tuple at a time
+// through more than a thousand splits.
 func TestJoinChainsEndInLinklessRuns(t *testing.T) {
 	c := newJoinCase(t, bothJoinQ)
 	rng := rand.New(rand.NewSource(11))
