@@ -104,15 +104,7 @@ func (e *Engine) start(qr *QueryRuntime) (err error) {
 		qs.probe = make([]event.Value, max(len(qs.plan.Columns[0]), len(qs.plan.Columns[1])))
 	}
 	qs.win, err = window.NewSlidingManager(qs.plan.Window, qs.plan.Slide, func(start, end int64) *winState {
-		// The indexes the plan looks up in get their first round now.
-		ws := newWinState(&qs.plan, start)
-		if qs.plan.IsJoin() {
-			ws.join.Grow(0)
-		}
-		if qs.plan.HasAgg() || qs.plan.Grouped() {
-			ws.groups.Grow(0)
-		}
-		return ws
+		return newWinState(&qs.plan, start)
 	})
 	if err != nil {
 		return err
@@ -509,9 +501,9 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 		for _, g := range groups {
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
-			unpackValues(row[0].Values, g.key)
+			unpackValues(row[0].Values, g.key())
 			for i := range p.Aggs {
-				v := ws.aggs.At(g.ordinal, i).Result()
+				v := ws.aggs.At(g.ordinal(), i).Result()
 				if p.Aggs[i].Spec.Scalable() {
 					v = agg.ScaleResult(v, factor)
 				}
@@ -638,21 +630,20 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	}
 	var adopted []byte
 	for runs := src.groupsInOrder(); ; {
-		run := runs.next()
-		if run == nil {
+		g := groupRun(runs.next())
+		if g == nil {
 			break
 		}
-		g := groupOf(run)
-		hash := hashKey(g.key)
-		if dg, ok := dst.findGroup(hash, g.key); ok {
-			dst.aggs.Merge(dg, src.aggs, g.ordinal)
+		hash := hashKey(g.key())
+		if dg, ok := dst.findGroup(hash, g.key()); ok {
+			dst.aggs.Merge(dg, src.aggs, g.ordinal())
 			continue
 		}
 		// A group only src has is adopted under the same key: its states
 		// are copied over, its sketches move.
-		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal)
+		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal())
 		if ok {
-			adopted = append(appendRoom(adopted[:0]), g.key...)
+			adopted = append(appendRoom(adopted[:0]), g.key()...)
 			ok = dst.addGroup(hash, adopted, dg)
 		}
 		if !ok {

@@ -258,6 +258,7 @@ func FuzzDecodePartial(f *testing.F) {
 			f.Add(uint8(qi), w)
 		}
 	}
+	f.Add(uint8(2), []byte{0, 0, 0, 1, 0}) // a group of no key under the raw-rows plan
 	f.Fuzz(func(t *testing.T, q uint8, b []byte) {
 		qr := qrs[int(q)%len(qrs)]
 		pw, err := qr.DecodePartial(b)

@@ -24,9 +24,6 @@ type bucketReplay struct {
 // add threads the next buffered run's hash and reports whether its bucket
 // held a run already: whether the run keeps a link word.
 func (r *bucketReplay) add(hash uint64) (linked bool) {
-	if r.ix.Bytes() == 0 {
-		r.ix.Grow(0) // the first round a window's join index starts with
-	}
 	if r.ix.Full() {
 		r.ix.Split(&r.a, func(run []byte, h slab.Header) uint64 { return binary.LittleEndian.Uint64(run[h.Len:]) })
 	}

@@ -187,8 +187,12 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 	}
 	n = len(groups)
 	c.Count(&n, "implausible group count")
-	if decoding && (p.HasAgg() || p.Grouped()) {
-		ws.groups.Grow(n) // its first round, or n heads at once: not a split per group
+	if decoding && n > 0 {
+		if !p.HasAgg() && !p.Grouped() {
+			c.Fail("groups under a plan without aggregates")
+			return
+		}
+		ws.groups.Grow(n) // n heads at once, not a split per group
 	}
 	var run []byte // decoding: a group's run, built before the window keeps it
 	for i := 0; i < n && c.Err == nil; i++ {
@@ -196,7 +200,7 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 		var key []byte
 		var g uint32
 		if !decoding {
-			key, g = groups[i].key, groups[i].ordinal
+			key, g = groups[i].key(), groups[i].ordinal()
 		}
 		codeRun(c, &key, len(p.GroupBy), "key")
 		ws.aggStates(p).Code(c, &g)

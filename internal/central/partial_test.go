@@ -241,7 +241,8 @@ func TestDecodePartialRejectsStringRef(t *testing.T) {
 // a host is listed once. The window's weight is never below its tuples,
 // a moment's variance sum is neither negative nor NaN, and a sketch has
 // the shape the plan gives it: top_k(_, 3)'s summary 64 counters,
-// count_distinct's estimator precision 14. A partial that breaks any of
+// count_distinct's estimator precision 14, and a plan with neither
+// aggregates nor a group by has no groups. A partial that breaks any of
 // these is malformed.
 func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 	host := func(name string, moments int, v float64) []byte { // each moment's sums t = 4, v
@@ -296,6 +297,9 @@ func TestDecodePartialHoldsHostsToPlan(t *testing.T) {
 		{"top_k of a wider plan's capacity", `select top_k(exchange_id, 3) from bid`, stated(topK(72)...), false},
 		{"count_distinct at the plan's precision", `select count_distinct(user_id) from bid`, stated(distinct(14)...), true},
 		{"count_distinct of precision 4", `select count_distinct(user_id) from bid`, stated(distinct(4)...), false},
+		{"raw rows: none", `select user_id, bid_price from bid`, []byte{0, 0, 0, 0, 0}, true},
+		{"raw rows: a group of no key", `select user_id, bid_price from bid`, []byte{0, 0, 0, 1, 0, 0}, false},
+		{"raw rows: a group, cut short", `select user_id, bid_price from bid`, []byte{0, 0, 0, 1, 0}, false},
 	}
 	for _, tc := range cases {
 		qr, err := CompileQuery(buildPlan(t, tc.query, 1, 3, 3))

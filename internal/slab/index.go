@@ -24,9 +24,9 @@ import (
 // arena that is rewritten, and no slice or String an owner keeps covers
 // one. The heads are 256-entry segments, the first grown by doubling, so
 // a bucket's head is a shift and a mask away and the slack is one partly
-// filled segment. The zero Index has no buckets: Grow gives it its first
-// round, before any use but Len and Bytes. It is not safe for concurrent
-// use.
+// filled segment. The zero Index is empty and ready to use: it has no
+// buckets, Head finds nothing in it, it is Full, and its first Split (or
+// a Grow) gives it its first round. It is not safe for concurrent use.
 type Index struct {
 	segs  [][]uint32 // the heads, segLen to a segment
 	heads uint64     // buckets made
@@ -55,8 +55,13 @@ func (ix *Index) Bucket(hash uint64) uint64 {
 }
 
 // Head returns the link to the newest run in hash's bucket, 0 when the
-// bucket is empty. The index must have buckets.
-func (ix *Index) Head(hash uint64) uint32 { return *ix.head(ix.Bucket(hash)) }
+// bucket is empty or the index has no buckets.
+func (ix *Index) Head(hash uint64) uint32 {
+	if ix.lo == 0 {
+		return 0
+	}
+	return *ix.head(ix.Bucket(hash))
+}
 
 // head is bucket b's head.
 func (ix *Index) head(b uint64) *uint32 { return &ix.segs[b>>segShift][b&(segLen-1)] }
@@ -111,10 +116,15 @@ func (ix *Index) addBucket() {
 // into whichever of the two buckets hash (the owner's hash of a run in a,
 // given its parsed header) now picks, rewriting each linked run's link:
 // both chains run newest first again, and the chain's linkless run, its
-// oldest, is threaded first into an empty bucket and stays last.
+// oldest, is threaded first into an empty bucket and stays last. An
+// index without buckets gets its first round instead.
 //
 //scrub:allowalloc(a chain longer than the scratch)
 func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
+	if ix.lo == 0 {
+		ix.Grow(0)
+		return
+	}
 	old := ix.head(ix.heads - ix.lo)
 	link := *old
 	*old = 0

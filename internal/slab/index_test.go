@@ -26,8 +26,8 @@ func (h testHash) of(key uint64) uint64 {
 // Go map that remembers, per index and key, the addresses inserted, in
 // order. It lays runs out the way an owner does — [header, over the
 // run's number] [key, 8 bytes] [body] — and grows an index the way an
-// owner does: a bucket at a time, from presize buckets or the first round
-// (Grow).
+// owner does: a bucket at a time, from presize buckets (Grow) or from
+// none.
 type indexModel struct {
 	t      *testing.T
 	h      testHash
@@ -41,7 +41,7 @@ type indexModel struct {
 
 func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
 	m := &indexModel{t: t, h: h, want: [2]map[uint64][]uint32{{}, {}}, body: map[uint32][]byte{}, side: map[uint32]int{}}
-	if presize >= 0 {
+	if presize > 0 {
 		for i := range m.ix {
 			m.ix[i].Grow(presize)
 			if got := m.ix[i].heads; got != uint64(max(presize, indexMinBuckets)) {
@@ -96,6 +96,13 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 // chain), and the heads are at most a segment more than a head per run.
 func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
+	if ix.heads == 0 {
+		ix.Split(&m.a, m.hashOf)
+		if ix.heads != indexMinBuckets || ix.Full() {
+			m.t.Fatalf("side %d: the zero Index split into %d buckets", side, ix.heads)
+		}
+		return
+	}
 	var chain []uint32
 	for link := *ix.head(ix.heads - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
 		chain = append(chain, link)
@@ -188,8 +195,8 @@ func (m *indexModel) check() {
 	}
 }
 
-// Splitting a bucket at a time — from the first round, from an eighth of
-// the runs, or from exactly as many as each index is to thread (Grow) — with
+// Splitting a bucket at a time — from no buckets, from an eighth of the
+// runs, or from exactly as many as each index is to thread (Grow) — with
 // repeated keys, bodies of mixed lengths and both sides interleaved in one
 // arena, the chains agree with the map, whether the hash spreads the keys
 // or sends them all to one bucket.
@@ -250,14 +257,15 @@ func TestIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// The zero Index costs nothing; Grow(0) gives it its first round, 16
-// empty buckets in a 16-head segment.
+// The empty index answers lookups and costs nothing; its first Split
+// gives it its first round, 16 empty buckets in a 16-head segment.
 func TestIndexZeroValue(t *testing.T) {
 	var ix Index
-	if ix.Len() != 0 || ix.Bytes() != 0 {
+	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
 		t.Fatal("the zero Index is not empty")
 	}
-	ix.Grow(0)
+	var a Arena
+	ix.Split(&a, nil)
 	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 4*indexMinBuckets || ix.Full() {
 		t.Fatalf("its first round holds %d runs in %d bytes of heads", ix.Len(), ix.Bytes())
 	}
@@ -310,9 +318,9 @@ func TestIndexGrowToCount(t *testing.T) {
 }
 
 // FuzzIndex: the first byte picks the hash and how many buckets the
-// indexes start with (the first round, a quarter, all or four times the
-// runs), every further byte inserts one run — side from the top bit, key
-// from the rest, so keys repeat.
+// indexes start with (none, a quarter, all or four times the runs), every
+// further byte inserts one run — side from the top bit, key from the
+// rest, so keys repeat.
 func FuzzIndex(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 40, 300, 1500} {
