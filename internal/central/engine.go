@@ -501,9 +501,9 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState) trans
 		for _, g := range groups {
 			// What a result row takes from the key's wire form is decoded
 			// into memory of its own.
-			unpackValues(row[0].Values, g.key())
+			unpackValues(row[0].Values, g.key)
 			for i := range p.Aggs {
-				v := ws.aggs.At(g.ordinal(), i).Result()
+				v := ws.aggs.At(g.ordinal, i).Result()
 				if p.Aggs[i].Spec.Scalable() {
 					v = agg.ScaleResult(v, factor)
 				}
@@ -630,20 +630,21 @@ func mergeWinStates(p *Plan, dst, src *winState) (dropped uint64) {
 	}
 	var adopted []byte
 	for runs := src.groupsInOrder(); ; {
-		g := groupRun(runs.next())
-		if g == nil {
+		run := runs.next()
+		if run == nil {
 			break
 		}
-		hash := hashKey(g.key())
-		if dg, ok := dst.findGroup(hash, g.key()); ok {
-			dst.aggs.Merge(dg, src.aggs, g.ordinal())
+		g := groupOf(run)
+		hash := hashKey(g.key)
+		if dg, ok := dst.findGroup(hash, g.key); ok {
+			dst.aggs.Merge(dg, src.aggs, g.ordinal)
 			continue
 		}
 		// A group only src has is adopted under the same key: its states
 		// are copied over, its sketches move.
-		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal())
+		dg, ok := dst.aggStates(p).Adopt(src.aggs, g.ordinal)
 		if ok {
-			adopted = append(appendRoom(adopted[:0]), g.key()...)
+			adopted = append(appendRoom(adopted[:0]), g.key...)
 			ok = dst.addGroup(hash, adopted, dg)
 		}
 		if !ok {

@@ -200,7 +200,7 @@ func codePartial(c *wire.Coder, p *Plan, ws *winState) {
 		var key []byte
 		var g uint32
 		if !decoding {
-			key, g = groups[i].key(), groups[i].ordinal()
+			key, g = groups[i].key, groups[i].ordinal
 		}
 		codeRun(c, &key, len(p.GroupBy), "key")
 		ws.aggStates(p).Code(c, &g)

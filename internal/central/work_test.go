@@ -103,7 +103,7 @@ func TestApplyWorkCounts(t *testing.T) {
 		if slab.ParseHeader(run).Linked {
 			linked++
 		}
-		buckets[ws.groups.Bucket(hashKey(groupRun(run).key()))] = true
+		buckets[ws.groups.Bucket(hashKey(groupOf(run).key))] = true
 	}
 	fmt.Fprintf(&out, "groups: %d tuples of zipfian users, %.0f groups\n", tuples, groups)
 	fmt.Fprintf(&out, "group runs %d\n", runs)
