@@ -24,9 +24,9 @@ vet:
 ci:
 	./scripts/ci.sh
 
-# Non-test Go lines per internal/* package and cmd/*: the table an
-# EXPERIMENTS.md entry's Size paragraph quotes for parent and change
-# (`scripts/size.sh <dir>` sizes another checkout).
+# Non-test Go lines per internal/* package and cmd/*, all and then code
+# only: the table an EXPERIMENTS.md entry's Size paragraph quotes for
+# parent and change (`scripts/size.sh <dir>` sizes another checkout).
 size:
 	./scripts/size.sh
 

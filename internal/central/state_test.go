@@ -631,13 +631,22 @@ func TestStateBytesGaugeCountsSketches(t *testing.T) {
 	}
 }
 
-// TestStateBytesGrowByAChunk: a window's state grows a chunk at a time. A
-// join and a 5 000-group query are fed one tuple at a time; after each
-// tuple the window's slabBytes may have risen by at most one chunk of one
-// store, the arena's settled 8 KiB: no index doubles its heads, and no
-// slab takes a chunk larger than that.
+// TestStateBytesGrowByAChunk: a window's state grows a chunk of a store at
+// a time. A join and a 5 000-group query are fed one tuple at a time; after
+// each tuple each store slabBytes counts may have risen by at most its own
+// chunk — an arena's settled 8 KiB, an index's 256 heads (so no index
+// doubles its heads), the string table's 256 bytes, a settled chunk of
+// each aggregate slab — and slabBytes by at most the sum of those of the
+// stores that grew. Which stores grow on the same tuple follows the hash
+// seed (a run holds a link only when its bucket held a run), so the seeds
+// are pinned. A group's heads and aggregate states grow together on every
+// seed; on 0x5c7b_002f a join's arena and heads do too, by more than an
+// arena chunk, which one chunk for the whole window would not allow. The
+// test requires that it sees both.
 func TestStateBytesGrowByAChunk(t *testing.T) {
+	defer func(seed uint64) { hashSeed = seed }(hashSeed)
 	const groups = 5000
+	var widest int64
 	for _, tc := range []struct {
 		name, query string
 		n           int
@@ -657,34 +666,97 @@ func TestStateBytesGrowByAChunk(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine()
-			p := buildPlan(t, tc.query, 1, 1, 1)
-			p.Lateness = time.Hour
-			if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
-				t.Fatal(err)
+			var together int64 // the largest rise of a tuple that grew two stores or more
+			for _, seed := range []uint64{0x5c7b_0001, 0x5c7b_002f, 0x5c7b_0047} {
+				hashSeed = seed
+				together = max(together, stateGrowth(t, tc.query, tc.n, tc.tuple))
 			}
-			held := func() int64 {
-				e.mu.Lock()
-				defer e.mu.Unlock()
-				ws := e.queries[1].win.GetAll(sec(1))
-				if len(ws) != 1 {
-					t.Fatalf("%d windows cover 1 s", len(ws))
-				}
-				return ws[0].slabBytes()
+			if together == 0 {
+				t.Fatal("on no pinned seed did one tuple grow two stores")
 			}
-			var before int64
-			for i := 0; i < tc.n; i++ {
-				side, tu := tc.tuple(&p, i)
-				e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: side, Tuples: []transport.Tuple{tu}})
-				now := held()
-				if now-before > slab.ArenaMaxChunk {
-					t.Fatalf("tuple %d: the window's state grew from %d to %d bytes at once, more than a chunk", i, before, now)
-				}
-				before = now
-			}
-			if before < 16*slab.ArenaMaxChunk {
-				t.Fatalf("the window holds %d bytes: too few growths to test", before)
-			}
+			widest = max(widest, together)
 		})
 	}
+	if widest <= slab.ArenaMaxChunk {
+		t.Errorf("on no pinned seed did one tuple grow the window by more than an arena chunk (at most %d bytes): the seeds no longer land two stores' chunks on one tuple", widest)
+	}
+}
+
+// stateGrowth feeds one window n tuples and holds each of its stores to a
+// chunk a tuple (TestStateBytesGrowByAChunk). It returns the largest rise
+// of a tuple that grew two stores or more, 0 when none did.
+func stateGrowth(t *testing.T, query string, n int, tuple func(p *Plan, i int) (uint8, transport.Tuple)) (together int64) {
+	t.Helper()
+	e := NewEngine()
+	p := buildPlan(t, query, 1, 1, 1)
+	p.Lateness = time.Hour
+	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
+		t.Fatal(err)
+	}
+	// An aggregate slab's first chunks hold slab.MinChunk states of each
+	// kind and its settled ones slab.MaxChunk: its chunk is set from what
+	// its first group took.
+	stores := []struct {
+		name  string
+		bytes func(ws *winState) int64
+		chunk int64
+	}{
+		{"arena", func(ws *winState) int64 { return ws.arena.Bytes() }, slab.ArenaMaxChunk},
+		{"join heads", func(ws *winState) int64 { return ws.join.Bytes() }, 4 * slab.MaxChunk},
+		{"strs", func(ws *winState) int64 {
+			if ws.strs == nil {
+				return 0
+			}
+			return 4 * strSlots
+		}, 4 * strSlots},
+		{"group runs", func(ws *winState) int64 { return ws.groupRuns.Bytes() }, slab.ArenaMaxChunk},
+		{"group heads", func(ws *winState) int64 { return ws.groups.Bytes() }, 4 * slab.MaxChunk},
+		{"aggs", func(ws *winState) int64 { return ws.aggs.Bytes() }, 0},
+		{"raw", func(ws *winState) int64 { return ws.raw.Bytes() }, slab.ArenaMaxChunk},
+	}
+	held := func() (per []int64, total int64) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		ws := e.queries[1].win.GetAll(sec(1))
+		if len(ws) != 1 {
+			t.Fatalf("%d windows cover 1 s", len(ws))
+		}
+		for _, st := range stores {
+			per = append(per, st.bytes(ws[0]))
+		}
+		return per, ws[0].slabBytes()
+	}
+	before := make([]int64, len(stores))
+	var total int64
+	for i := 0; i < n; i++ {
+		side, tu := tuple(&p, i)
+		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", TypeIdx: side, Tuples: []transport.Tuple{tu}})
+		per, now := held()
+		var allowed int64
+		grown := 0
+		for k := range stores {
+			st := &stores[k]
+			if st.chunk == 0 { // the aggregate slab, at its first group
+				st.chunk = slab.MaxChunk / slab.MinChunk * per[k]
+			}
+			if grew := per[k] - before[k]; grew > st.chunk {
+				t.Fatalf("seed %#x tuple %d: %s grew from %d to %d bytes at once, more than its chunk of %d", hashSeed, i, st.name, before[k], per[k], st.chunk)
+			} else if grew > 0 {
+				allowed += st.chunk
+				grown++
+			}
+		}
+		before = per
+		if now-total > allowed {
+			t.Fatalf("seed %#x tuple %d: the window's state grew from %d to %d bytes at once, more than the %d its grown stores' chunks allow", hashSeed, i, total, now, allowed)
+		}
+		if grown > 1 {
+			together = max(together, now-total)
+		}
+		total = now
+	}
+	if total < 16*slab.ArenaMaxChunk {
+		t.Fatalf("the window holds %d bytes: too few growths to test", total)
+	}
+	return together
 }

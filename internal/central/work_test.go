@@ -20,7 +20,7 @@ import (
 // testdata/work.golden (-update-golden rewrites it; a moved line needs a
 // stated reason, like any golden). Two feeds: BenchmarkJoinApply's one
 // window (joinApplyFeed, kept open) and a group-by over zipfian users with
-// thousands of groups, many index segments of them. Per feed it walks the
+// thousands of groups, many chunks of heads of them. Per feed it walks the
 // window's runs and reports how many there are, how many hold a link and
 // (join) a partner ref, how many buckets they occupy, and the window's
 // arena and head bytes per request or group; for the join also the chain

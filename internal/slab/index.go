@@ -22,16 +22,15 @@ import (
 // chains and keeps the order of the one it divides, so a linkless run
 // stays the last of its chain. The link words are the one part of an
 // arena that is rewritten, and no slice or String an owner keeps covers
-// one. The heads are 256-entry segments, the first grown by doubling, so
-// a bucket's head is a shift and a mask away and the slack is one partly
-// filled segment. The zero Index is empty and ready to use: it has no
-// buckets, Head finds nothing in it, it is Full, and its first Split (or
-// a Grow) gives it its first round. It is not safe for concurrent use.
+// one. The heads live in a Slab, so they are never copied and never
+// exceed a head per run by more than a chunk. The zero Index is empty and
+// ready to use: it has no buckets, Head finds nothing in it, it is Full,
+// and its first Split (or a Grow) gives it its first round. It is not
+// safe for concurrent use.
 type Index struct {
-	segs  [][]uint32 // the heads, segLen to a segment
-	heads uint64     // buckets made
-	lo    uint64     // the round's buckets, a power of two ≤ heads; 0 while there are none
-	n     int        // runs threaded
+	heads Slab[uint32]
+	lo    uint64 // the round's buckets, a power of two ≤ the heads; 0 while there are none
+	n     int    // runs threaded
 }
 
 const (
@@ -39,8 +38,6 @@ const (
 	LinkSize = 4
 	// indexMinBuckets is the size of the first round.
 	indexMinBuckets = 16
-	segShift        = 8
-	segLen          = 1 << segShift
 )
 
 // Bucket is the bucket a run of hash is threaded in: hash's low bits
@@ -50,7 +47,7 @@ const (
 // as not.
 func (ix *Index) Bucket(hash uint64) uint64 {
 	b := hash & (2*ix.lo - 1)
-	unsplit := (ix.heads - 1 - b) >> 63 // 1 when b ≥ the heads
+	unsplit := (uint64(ix.heads.Len()) - 1 - b) >> 63 // 1 when b ≥ the heads
 	return b - ix.lo&-unsplit
 }
 
@@ -64,51 +61,28 @@ func (ix *Index) Head(hash uint64) uint32 {
 }
 
 // head is bucket b's head.
-func (ix *Index) head(b uint64) *uint32 { return &ix.segs[b>>segShift][b&(segLen-1)] }
+func (ix *Index) head(b uint64) *uint32 { return ix.heads.At(uint32(b)) }
 
 // Len is the number of runs threaded.
 func (ix *Index) Len() int { return ix.n }
 
-// Bytes is the capacity of the heads in bytes: every segment but the
-// first is a whole one.
-func (ix *Index) Bytes() int64 {
-	if len(ix.segs) == 0 {
-		return 0
-	}
-	return 4 * int64(cap(ix.segs[0])+segLen*(len(ix.segs)-1))
-}
+// Bytes is the capacity of the heads in bytes.
+func (ix *Index) Bytes() int64 { return ix.heads.Bytes() }
 
 // Full reports that the index holds a run per bucket: before the next
 // run is laid out its owner must Split a bucket, so chains stay about one
 // run long.
-func (ix *Index) Full() bool { return uint64(ix.n) >= ix.heads }
+func (ix *Index) Full() bool { return ix.n >= ix.heads.Len() }
 
 // Grow gives an empty index max(n, 16) buckets at once, for an owner about
 // to thread n runs: they then thread without a split. Runs threaded before
 // are forgotten.
 func (ix *Index) Grow(n int) {
 	n = max(n, indexMinBuckets)
-	*ix = Index{heads: uint64(n), lo: 1 << (bits.Len(uint(n)) - 1)}
-	ix.segs = [][]uint32{make([]uint32, min(n, segLen))}
-	for n -= segLen; n > 0; n -= segLen {
-		ix.segs = append(ix.segs, make([]uint32, min(n, segLen), segLen))
+	*ix = Index{lo: 1 << (bits.Len(uint(n)) - 1)}
+	for range n {
+		ix.heads.Append()
 	}
-}
-
-// addBucket makes the next bucket, empty: in a new segment once the last
-// is whole, else at its end, doubling the first segment when it is full.
-//
-//scrub:allowalloc(a segment of heads every 256 buckets; the first segment's doublings)
-func (ix *Index) addBucket() {
-	last := &ix.segs[len(ix.segs)-1]
-	if n := len(*last); n == segLen {
-		ix.segs = append(ix.segs, make([]uint32, 1, segLen))
-	} else if n < cap(*last) {
-		*last = (*last)[:n+1]
-	} else {
-		*last = append(make([]uint32, 0, min(2*n, segLen)), *last...)[:n+1]
-	}
-	ix.heads++
 }
 
 // Split adds a bucket, the one the round's next bucket splits into, and
@@ -125,11 +99,11 @@ func (ix *Index) Split(a *Arena, hash func(run []byte, h Header) uint64) {
 		ix.Grow(0)
 		return
 	}
-	old := ix.head(ix.heads - ix.lo)
+	old := ix.head(uint64(ix.heads.Len()) - ix.lo)
 	link := *old
 	*old = 0
-	ix.addBucket()
-	if ix.heads == 2*ix.lo {
+	ix.heads.Append()
+	if uint64(ix.heads.Len()) == 2*ix.lo {
 		ix.lo *= 2
 	}
 	var scratch [16]uint32

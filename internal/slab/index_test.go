@@ -3,7 +3,6 @@ package slab
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -44,7 +43,7 @@ func newIndexModel(t *testing.T, h testHash, presize int) *indexModel {
 	if presize > 0 {
 		for i := range m.ix {
 			m.ix[i].Grow(presize)
-			if got := m.ix[i].heads; got != uint64(max(presize, indexMinBuckets)) {
+			if got := m.ix[i].heads.Len(); got != max(presize, indexMinBuckets) {
 				t.Fatalf("Grow(%d) made %d heads", presize, got)
 			}
 		}
@@ -93,18 +92,18 @@ func (m *indexModel) insert(side int, key uint64, body []byte) {
 // keep: the runs of the chain it divides land in at most two buckets
 // whose chains hold exactly them, each newest first and each reaching its
 // linkless run (one threaded into a bucket that held a run would cut its
-// chain), and the heads are at most a segment more than a head per run.
+// chain), and the heads are at most a chunk more than a head per run.
 func (m *indexModel) split(side int) {
 	ix := &m.ix[side]
-	if ix.heads == 0 {
+	if ix.heads.Len() == 0 {
 		ix.Split(&m.a, m.hashOf)
-		if ix.heads != indexMinBuckets || ix.Full() {
-			m.t.Fatalf("side %d: the zero Index split into %d buckets", side, ix.heads)
+		if ix.heads.Len() != indexMinBuckets || ix.Full() {
+			m.t.Fatalf("side %d: the zero Index split into %d buckets", side, ix.heads.Len())
 		}
 		return
 	}
 	var chain []uint32
-	for link := *ix.head(ix.heads - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
+	for link := *ix.head(uint64(ix.heads.Len()) - ix.lo); link != 0; link = ParseHeader(m.a.Tail(link - 1)).Next {
 		chain = append(chain, link)
 	}
 	ix.Split(&m.a, m.hashOf)
@@ -123,7 +122,7 @@ func (m *indexModel) split(side int) {
 	if reached != len(chain) {
 		m.t.Fatalf("side %d: the split chain held %d runs, its two buckets %d", side, len(chain), reached)
 	}
-	if ix.Bytes() > 4*int64(ix.Len()+segLen) {
+	if ix.Bytes() > 4*int64(ix.Len()+MaxChunk) {
 		m.t.Fatalf("side %d: %d bytes of heads for %d runs", side, ix.Bytes(), ix.Len())
 	}
 }
@@ -258,7 +257,7 @@ func TestIndexMatchesMap(t *testing.T) {
 }
 
 // The empty index answers lookups and costs nothing; its first Split
-// gives it its first round, 16 empty buckets in a 16-head segment.
+// gives it its first round, 16 empty buckets in a 16-head chunk.
 func TestIndexZeroValue(t *testing.T) {
 	var ix Index
 	if ix.Head(12345) != 0 || ix.Len() != 0 || ix.Bytes() != 0 || !ix.Full() {
@@ -271,39 +270,13 @@ func TestIndexZeroValue(t *testing.T) {
 	}
 }
 
-// The heads' first segment doubles from the first round's 16 heads up to
-// a segment of 256, and every further segment is 256 heads: the heads are
-// never more than a partly filled segment over the buckets.
-func TestIndexHeadSegments(t *testing.T) {
-	var ix Index
-	ix.Grow(0)
-	var a Arena
-	for n := indexMinBuckets; n <= 3*segLen; n++ {
-		want := n
-		if n > indexMinBuckets {
-			want = 1 << bits.Len(uint(n-1)) // the first segment's doubling
-		}
-		if n > segLen {
-			want = (n + segLen - 1) / segLen * segLen
-		}
-		if got := ix.Bytes(); got != 4*int64(want) || ix.heads != uint64(n) {
-			t.Fatalf("%d buckets in %d bytes of heads, want %d", ix.heads, got, 4*want)
-		}
-		for !ix.Full() {
-			at, _ := a.Append(binary.LittleEndian.AppendUint64(ix.AppendHeader(nil, uint64(ix.Len()), 0), uint64(ix.Len())))
-			ix.Insert(at, uint64(ix.Len()))
-		}
-		ix.Split(&a, func(run []byte, h Header) uint64 { return binary.LittleEndian.Uint64(run[h.Len:]) })
-	}
-}
-
 // An owner that knows how many runs it holds grows to that in one step:
 // exactly max(n, 16) heads, and every run threads without a split.
 func TestIndexGrowToCount(t *testing.T) {
 	for _, n := range []int{0, 1, indexMinBuckets, indexMinBuckets + 1, 1000, 4096} {
 		var fitted Index
 		fitted.Grow(n)
-		if got, want := fitted.heads, uint64(max(n, indexMinBuckets)); got != want {
+		if got, want := fitted.heads.Len(), max(n, indexMinBuckets); got != want {
 			t.Errorf("Grow(%d): %d heads, want %d", n, got, want)
 		}
 		var a Arena

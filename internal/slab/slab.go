@@ -19,8 +19,8 @@ import (
 // elements (16 to 256) and stay at that size from then on, so an owner
 // with a handful of entries pays for a handful, and one with many grows
 // by at most 256 elements at a time: 4 KiB of an average's 16-byte
-// states. Elements are handed out one at a time and no index is ever
-// skipped: the i-th element appended is element i.
+// states, 1 KiB of an index's heads. Elements are handed out one at a time
+// and no index is ever skipped: the i-th element appended is element i.
 // The zero Slab is empty and ready to use; it is not safe for concurrent
 // use.
 type Slab[T any] struct {

@@ -178,10 +178,10 @@ if grep -rnF --include='*.go' 'func (a *Arena) Linked(' internal | grep -v '_tes
 
 echo "== a window's indexes grow a bucket at a time (non-test internal/central has no rethreadJoin or rethreadGroups, and internal/slab/index.go no 2*len(ix.heads) doubling: a full index splits one bucket, linear hashing) =="
 if grep -nwE 'rethreadJoin|rethreadGroups' $(nontest internal/central); then echo "non-test internal/central re-threads a whole window again: a full index splits one bucket (slab.Index.Split)" >&2; exit 1; fi
-if grep -nF '2*len(ix.heads)' internal/slab/index.go; then echo "internal/slab/index.go doubles its heads again: Index.Split adds one bucket, and the heads grow a 256-entry segment at a time" >&2; exit 1; fi
+if grep -nF '2*len(ix.heads)' internal/slab/index.go; then echo "internal/slab/index.go doubles its heads again: Index.Split adds one bucket, and the heads grow a Slab chunk at a time" >&2; exit 1; fi
 
-echo "== a bucket's head is one inlined load (go build -gcflags=-m ./internal/slab reports: can inline (*Index).Head) =="
-if ! go build -gcflags=-m ./internal/slab 2>&1 | grep -qF 'can inline (*Index).Head'; then echo "internal/slab: (*Index).Head no longer inlines: every probe and group lookup pays a call; keep the bucket to head mapping a shift and a mask (go build -gcflags=-m=2 ./internal/slab prints its cost)" >&2; exit 1; fi
+echo "== an index's heads live in a slab.Slab (internal/slab/index.go defines no addBucket and no segs field: slab.Slab is the package's one chunked array for fixed-size entries) =="
+if grep -nE '^func \([a-z]* ?\*Index\) addBucket\(|^\s+segs\s' internal/slab/index.go; then echo "internal/slab/index.go keeps its heads in segments of its own again: they live in a slab.Slab[uint32], which grows a chunk at a time" >&2; exit 1; fi
 
 echo "== one egress for every result (internal/server/hub.go writes to a client connection only in clientSink, the sink its Egress writer calls; internal/server/egress.go calls a sink only in Egress.write; the session's replies and the callbacks it hands the server queue, and only SendToHost, handleData and BroadcastShardMap write to a host; no linePrinter, clientConn or Stream.Dropped) =="
 if awk '/^func / { fn = $0 } { code = $0; sub(/\/\/.*/, "", code) }
