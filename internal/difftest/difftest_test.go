@@ -148,10 +148,10 @@ func TestDefaultLatenessSweep(t *testing.T) {
 //     mid-delivery on every seed, so any of these — or a takeover that
 //     loses a registration, double-emits a collected window, or forgets
 //     the Degraded latch — diverges against the Engine;
-//   - the agent's solo path (one unfiltered query on a type) and spans
-//     bounded only at the end read a zero span start as t = 0, so they
-//     dropped events before 1970 that the shared path kept — the agent
-//     arm's match count fell short of the closure's.
+//   - the agent's solo path (one unfiltered query on a type, a fast path
+//     since removed) and spans bounded only at the end read a zero span
+//     start as t = 0, so they dropped events before 1970 that the shared
+//     path kept — the agent arm's match count fell short of the closure's.
 //
 // A pinned seed pins a configuration — family, shard count and mode, which
 // deriveConfig maps it to and never remaps — not one simulation: when the

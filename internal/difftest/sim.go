@@ -194,9 +194,9 @@ func drawDecoys(seed int64) []decoy {
 func (g *gen) hostHalf() (capture, []streamKey, []oracle.Event, error) {
 	qid := g.plan.QueryID
 	// Beside the query under test every agent runs the seed's decoys: they
-	// put shared dispatch, projection groups, span gating, the solo path
-	// and the schema scan under the sweep. Their batches are captured and
-	// accounted for, never delivered.
+	// put shared predicate nodes, a type's subscriber list with spanned and
+	// open queries in it, and the schema scan under the sweep. Their
+	// batches are captured and accounted for, never delivered.
 	var decoys []transport.HostQuery
 	for i, d := range drawDecoys(g.cfg.Seed) {
 		dp, err := analyze(d.src, g.cat)

@@ -605,7 +605,7 @@ func (a *Agent) installLocked(aq *activeQuery, pred expr.Node) (int32, error) {
 	s := subscriber{ln: &aq.live, pred: -1, startNs: aq.startNs, endNs: aq.endNs}
 	var subs []subscriber
 	if tp != nil {
-		subs = slices.Concat(tp.always, tp.gated)
+		subs = slices.Clone(tp.subs)
 	}
 	b, subs := cut(tp, subs)
 	if pred != nil {
@@ -631,7 +631,7 @@ func (a *Agent) rebuildLocked() {
 	cur := a.byType.Load()
 	m := make(map[string]*typeProgram, len(cur.byName))
 	for name, tp := range cur.byName {
-		subs := slices.DeleteFunc(slices.Concat(tp.always, tp.gated), func(s subscriber) bool {
+		subs := slices.DeleteFunc(slices.Clone(tp.subs), func(s subscriber) bool {
 			return s.ln.aq.shed || s.ln.aq.stopped.Load()
 		})
 		if len(subs) > 0 {

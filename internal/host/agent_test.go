@@ -258,8 +258,8 @@ func TestSpanGating(t *testing.T) {
 }
 
 // A zero StartNanos leaves the span open before it, pre-1970 event times
-// included, on every dispatch path: the solo fast path (one unfiltered
-// query), the shared path, and a span bounded only at its end.
+// included: for one unfiltered query, for two queries on the type, and for
+// a span bounded only at its end.
 func TestOpenStartAdmitsNegativeTimes(t *testing.T) {
 	for _, hqs := range [][]transport.HostQuery{
 		{{QueryID: 1, EventType: "bid"}},

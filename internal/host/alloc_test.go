@@ -36,7 +36,7 @@ func TestLogNoQueriesZeroAllocs(t *testing.T) {
 
 func TestLogMatchAndEnqueueZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled dispatch context is meaningless")
+		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled evaluation context is meaningless")
 	}
 	// BatchSize 4096 with an hour-long flush interval keeps the whole
 	// measurement inside one pooled chunk, so the steady state — predicate,
@@ -73,7 +73,7 @@ func TestLogMatchAndEnqueueZeroAllocs(t *testing.T) {
 
 func TestLogInstrumentedZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled dispatch context is meaningless")
+		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled evaluation context is meaningless")
 	}
 	// With a metrics registry attached, Log additionally bumps the obs
 	// counters, times 1-in-64 calls into the latency histogram, and charges
@@ -108,10 +108,10 @@ func TestLogInstrumentedZeroAllocs(t *testing.T) {
 
 func TestLogTwoQueriesZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled dispatch context is meaningless")
+		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled evaluation context is meaningless")
 	}
-	// With two subscribers on the type, Log takes the memoized shared-
-	// dispatch path instead of the solo fast path — it must stay
+	// With two subscribers on the type, Log fans one memoized predicate
+	// node out to both, each projecting into its own chunk — it must stay
 	// allocation-free too.
 	a, err := New(Config{
 		HostID: "h", Service: "s", Catalog: testCatalog(),

@@ -15,7 +15,7 @@ import (
 )
 
 // Tests for the shared query index: many concurrent queries compiled into
-// one per-type evaluation DAG with projection groups (see typeProgram).
+// one per-type evaluation DAG (see typeProgram).
 // The contract under test is that sharing is invisible — per-query tuple
 // streams, counters, and sampling are bit-identical to running every
 // query independently — while the hot path stays allocation-free.
@@ -84,19 +84,19 @@ func decoyPreds() []expr.Node {
 
 var colSets = [][]string{
 	{"user_id", "city"},
-	{"city", "user_id"}, // same columns, different order: distinct group
+	{"city", "user_id"}, // same columns, different order
 	{"bid_price"},
-	{"user_id", "city"}, // repeat: shares the first group
+	{"user_id", "city"}, // repeat of the first
 	nil,                 // zero-width projection
 }
 
 func TestSharedIndexZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled dispatch context is meaningless")
+		t.Skip("sync.Pool drops Puts under the race detector; AllocsPerRun over the pooled evaluation context is meaningless")
 	}
 	// 16 queries cycling through 8 predicate spellings and 5 column sets:
 	// the shared-DAG dispatch with fan-out, memoized subexpressions, and
-	// projection groups must stay allocation-free, exactly like the old
+	// per-query projection must stay allocation-free, exactly like the old
 	// per-query loop.
 	a, err := New(Config{
 		HostID: "h", Service: "s", Catalog: testCatalog(),
@@ -120,7 +120,7 @@ func TestSharedIndexZeroAllocs(t *testing.T) {
 		}
 	}
 	ev := bidEvent(1, 4, "sf", 1.0, time.Now().UnixNano())
-	a.Log(ev) // size the chunks and the pooled dispatch context
+	a.Log(ev) // size the chunks and the pooled evaluation context
 	if allocs := testing.AllocsPerRun(500, func() { a.Log(ev) }); allocs != 0 {
 		t.Errorf("shared-index Log allocates %.1f/op, want 0", allocs)
 	}
@@ -230,11 +230,12 @@ func (r *refQuery) offer(ev *event.Event, ts int64) {
 func TestSharedDispatchMatchesReference(t *testing.T) {
 	// Differential oracle for the shared index: one query for every decoy
 	// predicate (every specialised instruction) plus 24 random ones (heavy
-	// predicate and projection overlap), a third of all of them
-	// span-gated, dispatched through the shared index must produce, per
-	// query, exactly the tuple stream and matched count of a naive loop
-	// that compiles every original predicate independently — over events
-	// that sometimes have a field unset or fewer values than the schema.
+	// predicate and projection overlap), each with a span that is bounded,
+	// start-only or end-only (a sixth each) or open (half), dispatched
+	// through the shared index must produce, per query, exactly the tuple
+	// stream and matched count of a naive loop that compiles every
+	// original predicate independently — over events that sometimes have a
+	// field unset or fewer values than the schema.
 	// Rate 1 everywhere so sampling cannot hide a divergence.
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -262,10 +263,14 @@ func TestSharedDispatchMatchesReference(t *testing.T) {
 				if i < len(decoys) {
 					hq.Pred = decoys[i]
 				}
-				if rng.Intn(3) == 0 { // span-gated third
-					lo := rng.Int63n(n)
-					hi := lo + 1 + rng.Int63n(n)
+				lo := rng.Int63n(n)
+				hi := lo + 1 + rng.Int63n(n)
+				switch rng.Intn(6) {
+				case 0:
+					hq.StartNanos, hq.EndNanos = base+lo, base+hi
+				case 1:
 					hq.StartNanos = base + lo
+				case 2:
 					hq.EndNanos = base + hi
 				}
 				if err := a.Start(hq); err != nil {
@@ -341,9 +346,9 @@ func TestSharedDispatchMatchesReference(t *testing.T) {
 
 func TestSharedPredicateIndependentAccounting(t *testing.T) {
 	// Two queries with the identical predicate and column set share one
-	// DAG node and one projection group, but sampling and accounting stay
-	// per-query: the downsampled query ships fewer tuples while its
-	// sibling at rate 1 ships every match, and both report exact Mᵢ.
+	// DAG node, but sampling and accounting stay per-query: the
+	// downsampled query ships fewer tuples while its sibling at rate 1
+	// ships every match, and both report exact Mᵢ.
 	sink := &collectSink{}
 	a := newAgent(t, sink, func(c *Config) { c.FlushInterval = time.Hour })
 	pred := func() expr.Node {
@@ -434,6 +439,35 @@ func TestForeignSchemaMatchesByName(t *testing.T) {
 	}
 }
 
+// TestSubscriberListsExactLength: a snapshot's subscriber list is held at
+// its exact length, not at the capacity an install's insert or a stop's
+// delete left behind — with 64 queries on a type, the grown slice's spare
+// half would be a standing cost of every snapshot.
+func TestSubscriberListsExactLength(t *testing.T) {
+	a := newAgent(t, &collectSink{})
+	check := func(at string) {
+		t.Helper()
+		for name, tp := range a.byType.Load().byName {
+			if len(tp.subs) != cap(tp.subs) {
+				t.Fatalf("%s: type %s holds %d subscribers in a list of capacity %d", at, name, len(tp.subs), cap(tp.subs))
+			}
+		}
+	}
+	preds := predSpellings()
+	for i := 0; i < 64; i++ {
+		hq := transport.HostQuery{QueryID: uint64(i + 1), EventType: "bid", Pred: preds[i%len(preds)], Columns: colSets[i%len(colSets)]}
+		if i%2 == 0 {
+			hq.StartNanos, hq.EndNanos = int64(i+1)*1000, int64(i+2)*1000
+		}
+		if err := a.Start(hq); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after %d starts", i+1))
+	}
+	a.Stop(7)
+	check("after a stop")
+}
+
 // TestSeededInstallMatchesRebuild holds each type's live program, the
 // only copy of its queries' predicates, to a reference the test owns: a
 // fresh intern of the test's own canonical trees. Start interns a query's
@@ -442,7 +476,7 @@ func TestForeignSchemaMatchesByName(t *testing.T) {
 // seeded churn of those steps, REPLAY starts among them, with predicates
 // that share subtrees, every step must leave each subscriber selecting,
 // on a fixed set of events, exactly what it selects in the reference over
-// the same live queries, in the same dispatch order and span split, on a
+// the same live queries, in the same dispatch order with the same spans, on a
 // program of the same size. And each replay scan, run on a cut of the
 // program to its own query, must ship exactly the recorded events its
 // query's tree selects.
@@ -573,18 +607,15 @@ func checkAgainstFresh(t *testing.T, a *Agent, trees map[uint64]expr.Node, evs [
 	if g, w := got.numNodes(), want.numNodes(); g != w {
 		t.Fatalf("%s: %d program nodes, a fresh intern has %d", at, g, w)
 	}
-	if (got.solo == nil) != (want.solo == nil) || got.minStart != want.minStart {
-		t.Fatalf("%s: solo %v minStart %d, a fresh intern has solo %v minStart %d", at, got.solo != nil, got.minStart, want.solo != nil, want.minStart)
+	if got.minStart != want.minStart {
+		t.Fatalf("%s: minStart %d, a fresh intern has %d", at, got.minStart, want.minStart)
 	}
-	gotSubs, wantSubs := slices.Concat(got.always, got.gated), slices.Concat(want.always, want.gated)
-	if len(got.always) != len(want.always) || len(gotSubs) != len(wantSubs) {
-		t.Fatalf("%s: %d+%d always+gated subscribers, a fresh intern has %d+%d",
-			at, len(got.always), len(got.gated), len(want.always), len(want.gated))
+	if len(got.subs) != len(want.subs) {
+		t.Fatalf("%s: %d subscribers, a fresh intern has %d", at, len(got.subs), len(want.subs))
 	}
-	for i, g := range gotSubs {
-		w := wantSubs[i]
-		if g.ln != w.ln || g.startNs != w.startNs || g.endNs != w.endNs || (g.pred < 0) != (w.pred < 0) ||
-			!slices.Equal(got.groupCols(g.group), want.groupCols(w.group)) {
+	for i, g := range got.subs {
+		w := want.subs[i]
+		if g.ln != w.ln || g.startNs != w.startNs || g.endNs != w.endNs || (g.pred < 0) != (w.pred < 0) {
 			t.Fatalf("%s: subscriber %d is query %d %+v, a fresh intern has query %d %+v", at, i, g.ln.aq.queryID, g, w.ln.aq.queryID, w)
 		}
 	}
@@ -592,8 +623,8 @@ func checkAgainstFresh(t *testing.T, a *Agent, trees map[uint64]expr.Node, evs [
 	for _, ev := range evs {
 		gc.Begin(expr.EventRow{Event: ev})
 		wc.Begin(expr.EventRow{Event: ev})
-		for i, g := range gotSubs {
-			w := wantSubs[i]
+		for i, g := range got.subs {
+			w := want.subs[i]
 			if gm, wm := g.pred < 0 || gc.Bool(g.pred), w.pred < 0 || wc.Bool(w.pred); gm != wm {
 				t.Fatalf("%s: query %d selects event %d: %v, in a fresh intern %v", at, g.ln.aq.queryID, ev.RequestID, gm, wm)
 			}
@@ -688,12 +719,4 @@ func (tp *typeProgram) newCtx() *expr.Ctx {
 		return expr.NewProgramBuilder().Build().NewCtx()
 	}
 	return tp.prog.NewCtx()
-}
-
-// groupCols is projection group g's columns, nil for none.
-func (tp *typeProgram) groupCols(g int32) []int {
-	if g < 0 {
-		return nil
-	}
-	return tp.groups[g].colIdx
 }

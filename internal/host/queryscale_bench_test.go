@@ -25,9 +25,16 @@ import (
 //	          predicates share a node (the adversarial bound)
 //
 // Prices follow the simulator's shape (log-uniform in [0.5, 8], ±15%
-// model adjustment), so most events match no query. Matched tuples are
-// shipped to a sink that encodes each batch and discards it: the wire
-// cost stays on the host, central's does not.
+// model adjustment), so most events match no query. Two more shapes are
+// scrubbench's host workloads in small:
+//
+//	shape=firehose: one unfiltered query projecting four columns, so
+//	                every event ships (host-firehose)
+//	shape=fanout:   64 spanned queries, the overlap mix's predicates,
+//	                over 8 column sets (host-fanout)
+//
+// Matched tuples are shipped to a sink that encodes each batch and
+// discards it: the wire cost stays on the host, central's does not.
 func BenchmarkLogQueryScale(b *testing.B) {
 	const overlapPreds = 16
 	mixes := []struct {
@@ -52,40 +59,56 @@ func BenchmarkLogQueryScale(b *testing.B) {
 		buf, err = transport.AppendEncode(buf[:0], tb)
 		return err
 	})
-	for _, mix := range mixes {
-		for _, n := range []int{1, 8, 32, 64, 256} {
-			b.Run(fmt.Sprintf("mix=%s/queries=%d", mix.name, n), func(b *testing.B) {
-				a, err := New(Config{HostID: "h", Service: "s", Catalog: testCatalog(),
-					Sink: encodeAndDiscard, FlushInterval: 20 * time.Millisecond, QueueSize: 1 << 16})
-				if err != nil {
+	run := func(name string, qs []transport.HostQuery) {
+		b.Run(name, func(b *testing.B) {
+			a, err := New(Config{HostID: "h", Service: "s", Catalog: testCatalog(),
+				Sink: encodeAndDiscard, FlushInterval: 20 * time.Millisecond, QueueSize: 1 << 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer a.Close()
+			for _, q := range qs {
+				if err := a.Start(q); err != nil {
 					b.Fatal(err)
 				}
-				defer a.Close()
-				for i := 0; i < n; i++ {
-					if err := a.Start(transport.HostQuery{
-						QueryID: uint64(i + 1), EventType: "bid",
-						Pred: expr.Binary{Op: expr.OpGt,
-							L: expr.FieldRef{Type: "bid", Name: "bid_price"},
-							R: expr.Lit{Val: event.Float(mix.threshold(i))}},
-						Columns: []string{"user_id"},
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				mask := len(evs) - 1
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					a.Log(evs[i&mask])
-				}
-				b.StopTimer()
-				a.Close()
-				st := a.Stats()
-				b.ReportMetric(float64(st.Shipped+st.QueueDrops)/float64(b.N), "tuples/op")
-				b.ReportMetric(float64(st.QueueDrops)/float64(b.N), "drops/op")
-			})
+			}
+			mask := len(evs) - 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Log(evs[i&mask])
+			}
+			b.StopTimer()
+			a.Close()
+			st := a.Stats()
+			b.ReportMetric(float64(st.Shipped+st.QueueDrops)/float64(b.N), "tuples/op")
+			b.ReportMetric(float64(st.QueueDrops)/float64(b.N), "drops/op")
+		})
+	}
+	priceOver := func(c float64) expr.Node {
+		return expr.Binary{Op: expr.OpGt, L: expr.FieldRef{Type: "bid", Name: "bid_price"}, R: expr.Lit{Val: event.Float(c)}}
+	}
+	for _, mix := range mixes {
+		for _, n := range []int{1, 8, 32, 64, 256} {
+			qs := make([]transport.HostQuery, n)
+			for i := range qs {
+				qs[i] = transport.HostQuery{QueryID: uint64(i + 1), EventType: "bid",
+					Pred: priceOver(mix.threshold(i)), Columns: []string{"user_id"}}
+			}
+			run(fmt.Sprintf("mix=%s/queries=%d", mix.name, n), qs)
 		}
 	}
+	run("shape=firehose", []transport.HostQuery{{QueryID: 1, EventType: "bid",
+		Columns: []string{"user_id", "city", "bid_price", "user_id"}}})
+	fanoutCols := [][]string{{"user_id"}, {"city"}, {"bid_price"}, {"user_id", "city"},
+		{"city", "bid_price"}, {"user_id", "bid_price"}, {"user_id", "city", "bid_price"}, {"bid_price", "city", "user_id"}}
+	fanout := make([]transport.HostQuery, 64)
+	for i := range fanout {
+		fanout[i] = transport.HostQuery{QueryID: uint64(i + 1), EventType: "bid",
+			Pred: priceOver(mixes[0].threshold(i)), Columns: fanoutCols[i%len(fanoutCols)],
+			StartNanos: now - int64(time.Hour), EndNanos: now + int64(time.Hour)}
+	}
+	run("shape=fanout", fanout)
 }
 
 // BenchmarkAgentStart times Start installing the k-th query on the one

@@ -143,10 +143,16 @@ if grep -nE '^func \(t \*Table\) (Snapshot|HostDrops|ShardDrops|Evicted)\(' $(no
 fi
 if awk '/^type ShardPartials struct/,/^}/' internal/transport/msg_coord.go | grep -nw 'Found'; then echo "transport.ShardPartials declares Found again: no receiver reads it" >&2; exit 1; fi
 
-echo "== a query install costs what the query brings (non-test internal/host makes no trial intern against a throwaway builder and keys no projection group on an encoding; internal/expr/prog.go has no Go map: the builder finds nodes and strings through its flat index) =="
+echo "== a query install costs what the query brings (non-test internal/host makes no trial intern against a throwaway builder and names no groupKey; internal/expr/prog.go has no Go map: the builder finds nodes and strings through its flat index) =="
 if grep -nF 'NewProgramBuilder().Intern(' $(nontest internal/host); then echo "non-test internal/host trial-interns a predicate against a throwaway builder again: Start interns into a cut of the type's live program and returns the error" >&2; exit 1; fi
 if grep -nE '\bmap\[' internal/expr/prog.go; then echo "internal/expr/prog.go has a Go map again: a ProgramBuilder finds nodes and string literals through its open-addressed index, fields, in-lists and LIKE patterns by scan" >&2; exit 1; fi
-if grep -nw 'groupKey' $(nontest internal/host); then echo "non-test internal/host names groupKey again: buildTypeProgram finds a projection group by comparing column sets" >&2; exit 1; fi
+if grep -nw 'groupKey' $(nontest internal/host); then echo "non-test internal/host names groupKey again: nothing on the host keys a column set, each subscriber projects its own columns into its chunk" >&2; exit 1; fi
+
+echo "== one dispatch path on the host (non-test internal/host names no projGroup or dispatchCtx and declares no solo, always or gated field: every subscriber, behind one minStart skip, checks its span and predicate and projects straight into its lane's chunk) =="
+if grep -nwE 'projGroup|dispatchCtx' $(nontest internal/host) ||
+   grep -nE '^\s+(solo|always|gated)\s+[A-Za-z*[]' $(nontest internal/host); then
+  echo "non-test internal/host has a second dispatch path again (shared projection groups, a pooled dispatch context, the solo fast path or the always/gated split): typeProgram keeps one subs list" >&2; exit 1
+fi
 
 echo "== queries keep no predicate tree (a type's live expr.Program is the only copy of its queries' predicates, and one cut of it, expr.Program.Keep, serves install, removal and replay: non-test internal/host declares no canon field, holds no expr.Node in an activeQuery and names no compileTypeProgram or withSubscriber; internal/expr has no Program.Builder) =="
 if grep -nE '^\s+canon\s+[A-Za-z*[]' $(nontest internal/host) ||
