@@ -443,9 +443,7 @@ func TestLogRacesRearm(t *testing.T) {
 	if drops := a.Stats().QueueDrops; drops != 0 {
 		t.Errorf("%d tuples dropped from the queue", drops)
 	}
-	if shipped := uint64(len(sink.tuples())); shipped != sampled {
-		t.Errorf("shipped %d tuples, sampled %d", shipped, sampled)
-	}
+	checkSampledIdentity(t, sink)
 }
 
 func TestCounterOnlyHeartbeat(t *testing.T) {

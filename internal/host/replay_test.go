@@ -13,14 +13,14 @@ import (
 )
 
 // newRecordingAgent wires an agent to a fresh in-memory record stream.
-func newRecordingAgent(t *testing.T, sink Sink) (*Agent, *replay.Store) {
+func newRecordingAgent(t *testing.T, sink Sink, opts ...func(*Config)) (*Agent, *replay.Store) {
 	t.Helper()
 	rs, err := replay.Open(replay.Options{Catalog: testCatalog()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	a := newAgent(t, sink, func(c *Config) { c.Record = rs })
+	a := newAgent(t, sink, append(opts, func(c *Config) { c.Record = rs })...)
 	return a, rs
 }
 
@@ -303,4 +303,72 @@ func TestReplayImmediateStartShipsEachEventOnce(t *testing.T) {
 			t.Errorf("request %d shipped %d times, want once (shipped %v)", id, shipped[id], shipped)
 		}
 	}
+}
+
+// replayLane builds query id's replay lane and one-query index as Start
+// builds them for a REPLAY query (a lane of the scan's own at the base
+// rate, over a cut of the live program) and runs n matching events
+// through them.
+func replayLane(t *testing.T, a *Agent, id uint64, n int) (*lane, *typeProgram) {
+	t.Helper()
+	a.mu.Lock()
+	aq := a.queries[queryKey{id: id}]
+	a.mu.Unlock()
+	ln := &lane{aq: aq, epoch: 1}
+	ln.arm(0)
+	b, subs := cut(a.byType.Load().byName[aq.schema.Name()], []subscriber{{ln: ln, pred: -1}})
+	tp := buildTypeProgram(aq.schema, b.Build(), subs)
+	now := time.Now().UnixNano()
+	for i := range n {
+		a.dispatch(tp, bidEvent(uint64(i+1), 1, "sf", 1, now-int64(time.Second)))
+	}
+	return ln, tp
+}
+
+// checkSampledIdentity holds the sink's last batch to the agent-boundary
+// identity SampledTotal = shipped + QueueDrops: every tuple a lane kept
+// was shipped or charged as a drop.
+func checkSampledIdentity(t *testing.T, sink *collectSink) {
+	t.Helper()
+	_, sampled, drops := sink.lastCounters()
+	if shipped := uint64(len(sink.tuples())); sampled != shipped+drops {
+		t.Errorf("last batch: SampledTotal %d, want shipped %d + QueueDrops %d", sampled, shipped, drops)
+	}
+}
+
+// TestReplayLaneCountsSampledAfterLiveStep: a replay lane counts the
+// tuples it keeps in mᵢ whatever the governor has done to the live lane.
+// A rate-1 query whose live lane was stepped down still ships its
+// replayed tuples at the base rate, and its batches count them.
+func TestReplayLaneCountsSampledAfterLiveStep(t *testing.T) {
+	sink := &collectSink{}
+	a := newAgent(t, sink, func(c *Config) { c.FlushInterval = time.Hour })
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"}}); err != nil {
+		t.Fatal(err)
+	}
+	downsample(t, a, 1)
+	ln, _ := replayLane(t, a, 1, 10)
+	a.submit(ln.take())
+	a.Flush()
+	if n := len(sink.tuples()); n != 10 {
+		t.Fatalf("shipped %d replayed tuples, want 10", n)
+	}
+	checkSampledIdentity(t, sink)
+}
+
+// TestDeadReplayChunkIsCharged: a replay scan whose query was stopped or
+// shed gives up the chunk it was filling, and charges it as queue drops,
+// so the query's last heartbeat still accounts for every tuple it kept.
+func TestDeadReplayChunkIsCharged(t *testing.T) {
+	sink := &collectSink{}
+	a, _ := newRecordingAgent(t, sink, func(c *Config) { c.FlushInterval = time.Hour })
+	if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"}}); err != nil {
+		t.Fatal(err)
+	}
+	ln, tp := replayLane(t, a, 1, 10)
+	ln.aq.stopped.Store(true)
+	a.wg.Add(1)
+	a.replayShip(ln, tp)
+	a.Flush()
+	checkSampledIdentity(t, sink)
 }
