@@ -463,8 +463,13 @@ func TestStreamReaderPolicy(t *testing.T) {
 			got++
 		}
 		if stats.Windows < secs || got != stats.Windows || st.Cut() {
-			t.Errorf("received %d windows, stats count %d (want ≥ %d, all received), cut = %v",
-				got, stats.Windows, secs, st.Cut())
+			// Say where a lost chunk went: the agent's counters and the
+			// query's, a missing BatchSize of windows read against both.
+			as := lc.Agents()[0].Stats()
+			t.Errorf("received %d windows, stats count %d (want ≥ %d, all received), cut = %v; "+
+				"query TuplesIn %d HostDrops %d LateDrops %d; agent Matched %d Shipped %d QueueDrops %d Kept %d",
+				got, stats.Windows, secs, st.Cut(), stats.TuplesIn, stats.HostDrops, stats.LateDrops,
+				as.Matched, as.Shipped, as.QueueDrops, as.Kept)
 		}
 	})
 

@@ -197,9 +197,8 @@ type activeQuery struct {
 	stopped atomic.Bool
 
 	matched atomic.Uint64 // Mᵢ: events passing selection
-	// sampled is mᵢ: events surviving event sampling. Maintained only
-	// when sampling is active — at rate 1 every matched event is sampled,
-	// so sendBatch reports mᵢ = Mᵢ without a second per-event atomic.
+	// sampled is mᵢ: tuples kept and handed to shipping, counted a chunk
+	// at a time (lane.detachLocked), so at rate 1 it trails Mᵢ until a flush.
 	sampled atomic.Uint64
 	drops   atomic.Uint64 // queue-full drops
 	// Heartbeat change detection, shipper-goroutine only. The counters a
@@ -225,7 +224,8 @@ type activeQuery struct {
 // event is projected into. Log runs a query's live lane; a replay scan
 // runs the same dispatch on a lane of its own, so history and live
 // traffic share selection, Mᵢ/mᵢ accounting, sampling and projection,
-// and never a chunk or a count of matched events.
+// and never a chunk. A chunk leaves its lane through detachLocked, which
+// counts it in mᵢ, to be shipped or charged as a drop.
 type lane struct {
 	aq *activeQuery
 	// epoch tags the lane's chunks: 0 live, nonzero replayed history.
@@ -234,13 +234,11 @@ type lane struct {
 	// Event sampling: a matched event is kept when its key hashes below
 	// thr under the query's seed (sampling.Keep), its key being its
 	// request id when the query samples by request, else ord, the lane's
-	// count of the events it has tested. sampleAll short-circuits the
-	// common rate-1 case. All three are atomic: the governor re-arms the
-	// lane from the shipper goroutine while Log reads them lock-free. thr
-	// is 0 until the first arm.
-	sampleAll atomic.Bool
-	thr       atomic.Uint64
-	ord       atomic.Uint64
+	// count of the events it has tested below rate 1. At keepAll (rate 1)
+	// every event is kept, untested. Both are atomic: the governor re-arms
+	// the lane from the shipper goroutine while Log reads them lock-free.
+	thr atomic.Uint64
+	ord atomic.Uint64
 
 	mu sync.Mutex // guards cur and step
 	// cur is the partially filled chunk, nil when none.
@@ -252,40 +250,35 @@ type lane struct {
 // stepRate is the rate step governor halvings below base, exactly.
 func stepRate(base float64, step uint8) float64 { return math.Ldexp(base, -int(step)) }
 
+// keepAll is sampling.Threshold(1), at which a lane keeps every event untested.
+const keepAll = 1 << 53
+
 // arm sets the keep test step halvings below the base rate and hands back
-// the chunk filled before (nil if none). A lane's first arm at rate 1
-// takes the counter-free fast path. A re-arm leaves it for good: it seeds
-// the sampled counter with the matched total (at rate 1, mᵢ = Mᵢ) so the
-// cumulative accounting stays exact across the transition. A Log racing
-// past the flag flip may ship one tuple uncounted in mᵢ — a one-time,
-// one-event skew the estimator cannot notice. Once off the fast path a
-// lane never returns to it (a full recovery runs the keep test at rate 1
-// instead), because re-deriving mᵢ = Mᵢ after a degraded period would
-// overstate the sample. (A rate below 2⁻⁵³ arms thr 0 as well; it is off
-// the fast path either way.)
+// the chunk filled before (nil if none).
 func (ln *lane) arm(step uint8) *chunk {
-	rate := stepRate(ln.aq.baseRate, step)
+	thr := sampling.Threshold(stepRate(ln.aq.baseRate, step))
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
-	if ln.thr.Load() == 0 {
-		ln.sampleAll.Store(rate >= 1)
-	} else if ln.sampleAll.Load() {
-		ln.aq.sampled.Store(ln.aq.matched.Load())
-		ln.sampleAll.Store(false)
-	}
-	ln.thr.Store(sampling.Threshold(rate))
+	ln.thr.Store(thr)
 	ln.step = step
-	c := ln.cur
-	ln.cur = nil
-	return c
+	return ln.detachLocked()
 }
 
 // take empties the lane's chunk and returns it, nil when there is none.
 func (ln *lane) take() *chunk {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
+	return ln.detachLocked()
+}
+
+// detachLocked takes the lane's chunk, nil when there is none, and counts
+// its tuples into the query's mᵢ. Called under ln.mu.
+func (ln *lane) detachLocked() *chunk {
 	c := ln.cur
-	ln.cur = nil
+	if c != nil {
+		ln.cur = nil
+		ln.aq.sampled.Add(uint64(c.n))
+	}
 	return c
 }
 
@@ -316,7 +309,7 @@ type Stats struct {
 	Shipped   uint64 // tuples the sink took, redelivered ones once
 	ShipBytes uint64 // wire bytes of the batches the sink took, heartbeats included
 	// QueueDrops counts tuples dropped because the queue was full, and
-	// those of kept chunks evicted or still kept at Close.
+	// those of kept chunks evicted or still kept or queued at Close.
 	QueueDrops uint64
 	SinkErrors uint64 // sends the sink failed, undelivered ones included
 	// SinkErrorTuples counts the tuples of batches the sink failed without
@@ -759,17 +752,12 @@ func (a *Agent) putChunk(c *chunk) {
 }
 
 // salvage pushes a removed query's partial chunk to the shipper so stop
-// and span expiry don't lose sampled tuples.
+// and span expiry don't lose sampled tuples. A lane's chunk is never
+// empty: enqueue parks one only with its first tuple.
 func (a *Agent) salvage(aq *activeQuery) {
-	c := aq.live.take()
-	if c == nil {
-		return
+	if c := aq.live.take(); c != nil {
+		a.submit(c)
 	}
-	if c.n == 0 {
-		a.putChunk(c)
-		return
-	}
-	a.submit(c)
 }
 
 // replayShip scans the record stream for a query's replay span —
@@ -814,10 +802,10 @@ func (a *Agent) replayShip(ln *lane, tp *typeProgram) {
 	})
 	c := ln.take()
 	if aq.stopped.Load() {
-		// Dead query: drop the partial chunk, skip the marker (central
-		// tears the query's state down independently).
+		// Dead query: charge the partial chunk as a drop and skip the
+		// marker (central tears the query's state down independently).
 		if c != nil {
-			a.putChunk(c)
+			a.drop(c)
 		}
 		return
 	}
@@ -879,14 +867,8 @@ func (a *Agent) flushCycle() {
 	a.shipperScratch = actives
 	a.mu.Unlock()
 	for _, aq := range actives {
-		c := aq.live.take()
-		if c == nil {
-			continue
-		}
-		if c.n > 0 {
+		if c := aq.live.take(); c != nil {
 			a.ship(c)
-		} else {
-			a.putChunk(c)
 		}
 	}
 	// A heartbeat never overtakes kept tuples: its totals count them.
@@ -972,13 +954,11 @@ func (aq *activeQuery) needsHeartbeat() bool {
 // the next cycle (see needsHeartbeat). A failure without ErrUndelivered
 // loses the tuples, counted as sink-error tuples.
 func (a *Agent) sendBatch(aq *activeQuery, c *chunk) error {
+	// mᵢ before Mᵢ: an event is matched before its chunk counts it as
+	// sampled, so no batch reports more sampled than matched.
+	sampled := aq.sampled.Load()
 	matched := aq.matched.Load()
-	sampledRaw := aq.sampled.Load()
 	drops := aq.drops.Load()
-	sampled := sampledRaw
-	if aq.live.sampleAll.Load() {
-		sampled = matched // rate 1: every matched event is sampled
-	}
 	batch := transport.TupleBatch{
 		QueryID:      aq.queryID,
 		HostID:       a.cfg.HostID,
@@ -1004,11 +984,9 @@ func (a *Agent) sendBatch(aq *activeQuery, c *chunk) error {
 		}
 		return err
 	}
-	// Snapshot the raw counters (not the rate-1 substituted mᵢ, which
-	// derives from matched and is covered by its comparison).
 	aq.announce = false
 	aq.lastMatched = matched
-	aq.lastSampled = sampledRaw
+	aq.lastSampled = sampled
 	aq.lastDrops = drops
 	aq.lastSentNanos = a.cfg.Clock().UnixNano()
 	aq.bytesShipped += uint64(size)
@@ -1080,9 +1058,8 @@ func (a *Agent) governTick(actives []*activeQuery) {
 }
 
 // applyRate re-arms a query's live lane at base rate × the tracker's
-// multiplier, 2^-step, and records the new rate for heartbeats; the
-// re-arm leaves the rate-1 fast path for good (lane.arm). The chunk filled
-// at the old rate is queued behind the full ones. Shipper-only.
+// multiplier, 2^-step, and records the new rate for heartbeats. The chunk
+// filled at the old rate is queued behind the full ones. Shipper-only.
 func (a *Agent) applyRate(aq *activeQuery) {
 	step := uint8(math.Round(-math.Log2(aq.tracker.Mult())))
 	if c := aq.live.arm(step); c != nil {
@@ -1133,5 +1110,10 @@ func (a *Agent) Close() {
 		a.mu.Unlock()
 		close(a.done)
 		a.wg.Wait()
+		// A replay scan that Close cut may queue its last chunk after the
+		// shipper's final flush: charge it.
+		for len(a.chunks) > 0 {
+			a.drop(<-a.chunks)
+		}
 	})
 }

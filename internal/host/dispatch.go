@@ -191,7 +191,8 @@ func (a *Agent) dispatch(tp *typeProgram, ev *event.Event) {
 
 // offerMatched runs the per-subscriber half of dispatch for an event that
 // already passed the shared selection stage: Mᵢ accounting, event
-// sampling, and (for kept events) projection into the query's chunk.
+// sampling, and (for kept events) projection into the query's chunk,
+// whose detach counts them in mᵢ.
 func (a *Agent) offerMatched(ln *lane, ev *event.Event, ts int64) {
 	aq := ln.aq
 	m := aq.matched.Add(1)
@@ -207,15 +208,14 @@ func (a *Agent) offerMatched(ln *lane, ev *event.Event, ts int64) {
 	if timed {
 		t0 = time.Now()
 	}
-	kept := true
-	if !ln.sampleAll.Load() {
+	thr := ln.thr.Load()
+	kept := thr == keepAll
+	if !kept {
 		key := ev.RequestID
 		if !aq.byRequest {
 			key = ln.ord.Add(1)
 		}
-		if kept = sampling.Keep(aq.seed, key, ln.thr.Load()); kept {
-			aq.sampled.Add(1)
-		}
+		kept = sampling.Keep(aq.seed, key, thr)
 	}
 	if kept {
 		a.enqueue(ln, ev, ts)
@@ -252,7 +252,7 @@ func (a *Agent) enqueue(ln *lane, ev *event.Event, ts int64) {
 	c.n++
 	full := c.n == len(c.tuples)
 	if full {
-		ln.cur = nil
+		ln.detachLocked()
 	}
 	ln.mu.Unlock()
 	if full {

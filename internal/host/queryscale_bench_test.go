@@ -33,6 +33,12 @@ import (
 //	shape=fanout:   64 spanned queries, the overlap mix's predicates,
 //	                over 8 column sets (host-fanout)
 //
+// and two run firehose's query below rate 1, where each matched event
+// is keyed, hashed and tested:
+//
+//	shape=sampled:      `sample events 10%`, as cluster-wire's select
+//	shape=sampled-half: `sample events 50%`
+//
 // Matched tuples are shipped to a sink that encodes each batch and
 // discards it: the wire cost stays on the host, central's does not.
 func BenchmarkLogQueryScale(b *testing.B) {
@@ -98,8 +104,16 @@ func BenchmarkLogQueryScale(b *testing.B) {
 			run(fmt.Sprintf("mix=%s/queries=%d", mix.name, n), qs)
 		}
 	}
-	run("shape=firehose", []transport.HostQuery{{QueryID: 1, EventType: "bid",
-		Columns: []string{"user_id", "city", "bid_price", "user_id"}}})
+	firehose := transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id", "city", "bid_price", "user_id"}}
+	run("shape=firehose", []transport.HostQuery{firehose})
+	for _, s := range []struct {
+		name string
+		rate float64
+	}{{"sampled", 0.1}, {"sampled-half", 0.5}} {
+		q := firehose
+		q.SampleEvents = s.rate
+		run("shape="+s.name, []transport.HostQuery{q})
+	}
 	fanoutCols := [][]string{{"user_id"}, {"city"}, {"bid_price"}, {"user_id", "city"},
 		{"city", "bid_price"}, {"user_id", "bid_price"}, {"user_id", "city", "bid_price"}, {"bid_price", "city", "user_id"}}
 	fanout := make([]transport.HostQuery, 64)

@@ -372,3 +372,28 @@ func TestDeadReplayChunkIsCharged(t *testing.T) {
 	a.Flush()
 	checkSampledIdentity(t, sink)
 }
+
+// TestCloseChargesLateReplayChunk: Close cuts a running replay scan, whose
+// last chunk can reach the queue after the shipper's final flush. That
+// chunk is charged as a queue drop, so once Close returns every tuple the
+// agent matched at rate 1 was shipped or dropped.
+func TestCloseChargesLateReplayChunk(t *testing.T) {
+	now := time.Now().UnixNano()
+	for trial := range 20 {
+		sink := &collectSink{}
+		a, _ := newRecordingAgent(t, sink)
+		for i := range 20000 {
+			a.Log(bidEvent(uint64(i), 1, "sf", 1, now-int64(time.Second)))
+		}
+		if err := a.Start(transport.HostQuery{QueryID: 1, EventType: "bid", Columns: []string{"user_id"},
+			ReplayNanos: int64(time.Minute)}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(trial) * 100 * time.Microsecond)
+		a.Close()
+		if st := a.Stats(); st.Matched != st.Shipped+st.QueueDrops+st.SinkErrorTuples {
+			t.Fatalf("trial %d: matched %d, shipped %d + queue drops %d + sink-error tuples %d",
+				trial, st.Matched, st.Shipped, st.QueueDrops, st.SinkErrorTuples)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scrub/internal/sampling"
 	"scrub/internal/transport"
 )
 
@@ -114,9 +115,12 @@ func TestCountKeyedSampleIsPerHost(t *testing.T) {
 }
 
 // TestUnusableSampleRateKeepsEverything: a rate outside (0, 1], NaN
-// included, runs the query unsampled rather than at a threshold no rate
-// names.
+// included, runs the query unsampled, at keepAll, rather than at a
+// threshold no rate names.
 func TestUnusableSampleRateKeepsEverything(t *testing.T) {
+	if keepAll != sampling.Threshold(1) {
+		t.Fatalf("keepAll = %d, want sampling.Threshold(1) = %d", keepAll, sampling.Threshold(1))
+	}
 	for _, rate := range []float64{math.NaN(), 0, 1.5} {
 		sink := &collectSink{}
 		a := newAgent(t, sink)

@@ -154,6 +154,11 @@ if grep -nwE 'projGroup|dispatchCtx' $(nontest internal/host) ||
   echo "non-test internal/host has a second dispatch path again (shared projection groups, a pooled dispatch context, the solo fast path or the always/gated split): typeProgram keeps one subs list" >&2; exit 1
 fi
 
+echo "== mᵢ is counted where a chunk leaves its lane (non-test internal/host names no sampleAll, stores nothing into sampled and never reports matched as sampled: lane.detachLocked adds each chunk's tuples, and sendBatch reports the counter as read) =="
+if grep -nE '\bsampleAll\b|\bsampled\.Store\(|\bsampled\s*=\s*(aq\.)?matched\b' $(nontest internal/host); then
+  echo "non-test internal/host has the rate-1 fast path's second count of mᵢ again (a sampleAll flag, a sampled.Store seeding or sendBatch's sampled = matched): count mᵢ only in lane.detachLocked, as a chunk leaves its lane" >&2; exit 1
+fi
+
 echo "== queries keep no predicate tree (a type's live expr.Program is the only copy of its queries' predicates, and one cut of it, expr.Program.Keep, serves install, removal and replay: non-test internal/host declares no canon field, holds no expr.Node in an activeQuery and names no compileTypeProgram or withSubscriber; internal/expr has no Program.Builder) =="
 if grep -nE '^\s+canon\s+[A-Za-z*[]' $(nontest internal/host) ||
    awk '/^type activeQuery struct/,/^}/ { print FILENAME ":" FNR ": " $0 }' internal/host/agent.go | grep -F 'expr.Node' ||
