@@ -13,7 +13,7 @@
 //     lookup in an empty map.
 //   - Log makes no steady-state heap allocations. Projected tuples are
 //     appended into per-query chunk buffers backed by a sync.Pool whose
-//     flat value arrays are recycled after shipment, and only a full
+//     flat value arrays are recycled after shipment, and only a sealed
 //     chunk (not every tuple) crosses a channel to the shipper, so the
 //     synchronization cost is amortized ~BatchSize×.
 //   - Event sampling holds no state but a threshold: a matched event is
@@ -198,7 +198,7 @@ type activeQuery struct {
 
 	matched atomic.Uint64 // Mᵢ: events passing selection
 	// sampled is mᵢ: tuples kept and handed to shipping, counted a chunk
-	// at a time (lane.detachLocked), so at rate 1 it trails Mᵢ until a flush.
+	// at a time (Agent.sealLocked), so at rate 1 it trails Mᵢ until a flush.
 	sampled atomic.Uint64
 	drops   atomic.Uint64 // queue-full drops
 	// Heartbeat change detection, shipper-goroutine only. The counters a
@@ -224,8 +224,9 @@ type activeQuery struct {
 // event is projected into. Log runs a query's live lane; a replay scan
 // runs the same dispatch on a lane of its own, so history and live
 // traffic share selection, Mᵢ/mᵢ accounting, sampling and projection,
-// and never a chunk. A chunk leaves its lane through detachLocked, which
-// counts it in mᵢ, to be shipped or charged as a drop.
+// and never a chunk. A chunk leaves its lane only through sealLocked,
+// which counts it in mᵢ and queues it under ln.mu, so the shipping queue
+// holds a lane's chunks in the order they were cut.
 type lane struct {
 	aq *activeQuery
 	// epoch tags the lane's chunks: 0 live, nonzero replayed history.
@@ -253,33 +254,49 @@ func stepRate(base float64, step uint8) float64 { return math.Ldexp(base, -int(s
 // keepAll is sampling.Threshold(1), at which a lane keeps every event untested.
 const keepAll = 1 << 53
 
-// arm sets the keep test step halvings below the base rate and hands back
-// the chunk filled before (nil if none).
-func (ln *lane) arm(step uint8) *chunk {
+// arm sets the lane's keep test step halvings below the base rate and
+// seals the chunk filled before, so every chunk holds tuples of one rate.
+func (a *Agent) arm(ln *lane, step uint8) {
 	thr := sampling.Threshold(stepRate(ln.aq.baseRate, step))
 	ln.mu.Lock()
-	defer ln.mu.Unlock()
 	ln.thr.Store(thr)
 	ln.step = step
-	return ln.detachLocked()
+	lost := a.sealLocked(ln)
+	ln.mu.Unlock()
+	a.drop(lost)
 }
 
-// take empties the lane's chunk and returns it, nil when there is none.
-func (ln *lane) take() *chunk {
+// seal cuts the lane's chunk, if it has one, into the shipping queue: a
+// flush, and a query's removal or shed.
+func (a *Agent) seal(ln *lane) {
 	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	return ln.detachLocked()
+	lost := a.sealLocked(ln)
+	ln.mu.Unlock()
+	a.drop(lost)
 }
 
-// detachLocked takes the lane's chunk, nil when there is none, and counts
-// its tuples into the query's mᵢ. Called under ln.mu.
-func (ln *lane) detachLocked() *chunk {
+// sealLocked is the one way out of a lane: under ln.mu it takes the
+// lane's chunk, if any, counts it into the query's mᵢ and queues it
+// without blocking, so the queue holds a lane's chunks in cut order. A
+// chunk that meets a full queue, or a stopped replay query's (central has
+// torn the query down), comes back for the caller to drop after unlocking.
+func (a *Agent) sealLocked(ln *lane) (lost *chunk) {
 	c := ln.cur
-	if c != nil {
-		ln.cur = nil
-		ln.aq.sampled.Add(uint64(c.n))
+	if c == nil {
+		return nil
 	}
-	return c
+	ln.cur = nil
+	ln.aq.sampled.Add(uint64(c.n))
+	if ln.epoch != 0 && ln.aq.stopped.Load() {
+		return c
+	}
+	select {
+	//scrub:allowretain(ownership handoff: the shipper goroutine ships and recycles the chunk)
+	case a.chunks <- c:
+		return nil
+	default:
+		return c
+	}
 }
 
 // chunk is a block of pending tuples for one query. tuples has BatchSize
@@ -490,7 +507,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	}
 	aq.baseRate = rate
 	aq.live.aq = aq
-	aq.live.arm(0)
+	a.arm(&aq.live, 0)
 	aq.budget = governor.Budget{CPUPct: hq.BudgetCPUPct, BytesPerSec: hq.BudgetBytesPerSec}
 	aq.tracker = governor.NewTracker()
 	// Stamp the heartbeat clock now: a fresh query with nothing to report
@@ -523,7 +540,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 	if replaying {
 		// The scan's one-query index: a lane of its own on a cut to id.
 		ln := &lane{aq: aq, epoch: 1}
-		ln.arm(0)
+		a.arm(ln, 0)
 		b, subs := cut(a.byType.Load().byName[schema.Name()], []subscriber{{ln: ln, pred: id}})
 		a.wg.Add(1) // under mu, so not after Close's Wait
 		go a.replayShip(ln, buildTypeProgram(aq.schema, b.Build(), subs))
@@ -564,7 +581,7 @@ func (a *Agent) PruneExpired(now time.Time) int {
 }
 
 // retire removes the query objects match selects and returns how many it
-// removed. A removed query's partial chunk is pushed to the shipper so
+// removed. A removed query's partial chunk is sealed into the queue so
 // removal does not lose sampled tuples.
 func (a *Agent) retire(match func(*activeQuery) bool) int {
 	a.mu.Lock()
@@ -581,7 +598,7 @@ func (a *Agent) retire(match func(*activeQuery) bool) int {
 	}
 	a.mu.Unlock()
 	for _, aq := range removed {
-		a.salvage(aq)
+		a.seal(&aq.live)
 	}
 	return len(removed)
 }
@@ -703,20 +720,12 @@ const (
 	costSampleMask  = 1<<costSampleShift - 1
 )
 
-// submit hands a full (or salvaged) chunk to the shipper without
-// blocking; when the shipping queue is backlogged the whole chunk is
-// dropped and every tuple counted.
-func (a *Agent) submit(c *chunk) {
-	select {
-	//scrub:allowretain(ownership handoff: the shipper goroutine ships and recycles the chunk)
-	case a.chunks <- c:
-	default:
-		a.drop(c)
-	}
-}
-
-// drop gives a chunk up, charging its tuples to its query's queue drops.
+// drop gives a chunk up, if there is one, charging its tuples to its
+// query's queue drops.
 func (a *Agent) drop(c *chunk) {
+	if c == nil {
+		return
+	}
 	n := uint64(c.n)
 	c.q.drops.Add(n)
 	a.queueDrops.Add(n)
@@ -749,15 +758,6 @@ func (a *Agent) putChunk(c *chunk) {
 	clear(c.tuples[:c.n])
 	*c = chunk{tuples: c.tuples, vals: c.vals}
 	a.chunkPool.Put(c)
-}
-
-// salvage pushes a removed query's partial chunk to the shipper so stop
-// and span expiry don't lose sampled tuples. A lane's chunk is never
-// empty: enqueue parks one only with its first tuple.
-func (a *Agent) salvage(aq *activeQuery) {
-	if c := aq.live.take(); c != nil {
-		a.submit(c)
-	}
 }
 
 // replayShip scans the record stream for a query's replay span —
@@ -800,27 +800,23 @@ func (a *Agent) replayShip(ln *lane, tp *typeProgram) {
 		a.dispatch(tp, ev)
 		return true
 	})
-	c := ln.take()
-	if aq.stopped.Load() {
-		// Dead query: charge the partial chunk as a drop and skip the
-		// marker (central tears the query's state down independently).
-		if c != nil {
-			a.drop(c)
-		}
-		return
+	// The final partial chunk doubles as the done marker; an empty scan
+	// still sends an explicit (tuple-free) marker so central can release
+	// the hold without waiting out the deadline. A dead query's chunk is
+	// charged as a drop and no marker is sent (central tears the query's
+	// state down independently).
+	ln.mu.Lock()
+	if ln.cur == nil {
+		//scrub:allowretain(the marker parks on the scan's own lane, under ln.mu, until seal takes it off)
+		ln.cur = a.getChunk(aq)
+		ln.cur.epoch = ln.epoch
 	}
-	// Final partial chunk doubles as the done marker; an empty scan still
-	// sends an explicit (tuple-free) marker so central can release the
-	// hold without waiting out the deadline.
-	if c == nil {
-		c = a.getChunk(aq)
-		c.epoch = ln.epoch
-	}
-	c.done = true
-	a.submit(c)
+	ln.cur.done = true
+	ln.mu.Unlock()
+	a.seal(ln)
 }
 
-// shipper drains full chunks as they arrive and runs a flush cycle on
+// shipper ships sealed chunks as they arrive and runs a flush cycle on
 // the timer, on explicit Flush requests, and at shutdown.
 func (a *Agent) shipper() {
 	defer a.wg.Done()
@@ -846,19 +842,13 @@ func (a *Agent) shipper() {
 	}
 }
 
-// flushCycle drains queued chunks, swaps out and ships every query's
-// partial chunk, then sends counter-only heartbeats for queries whose
-// totals moved without producing tuples.
+// flushCycle seals every query's partial chunk into the queue and ships
+// the queue, then sends counter-only heartbeats for queries whose totals
+// moved without producing tuples. It drains the queue before each seal,
+// so a partial chunk finds a slot unless Log refilled every slot during
+// that drain; only then is it a queue drop, like any chunk that meets a
+// full queue.
 func (a *Agent) flushCycle() {
-	for {
-		select {
-		case c := <-a.chunks:
-			a.ship(c)
-			continue
-		default:
-		}
-		break
-	}
 	a.mu.Lock()
 	actives := a.shipperScratch[:0]
 	for _, aq := range a.queries {
@@ -867,10 +857,10 @@ func (a *Agent) flushCycle() {
 	a.shipperScratch = actives
 	a.mu.Unlock()
 	for _, aq := range actives {
-		if c := aq.live.take(); c != nil {
-			a.ship(c)
-		}
+		a.drain()
+		a.seal(&aq.live)
 	}
+	a.drain()
 	// A heartbeat never overtakes kept tuples: its totals count them.
 	if a.redeliver() {
 		now := a.cfg.Clock().UnixNano()
@@ -881,6 +871,14 @@ func (a *Agent) flushCycle() {
 		}
 	}
 	a.governTick(actives)
+}
+
+// drain ships the chunks queued when it starts, in queue order. It stops
+// there, so a Log that keeps refilling the queue cannot hold the shipper.
+func (a *Agent) drain() {
+	for range len(a.chunks) {
+		a.ship(<-a.chunks)
+	}
 }
 
 // ship sends one chunk's tuples and recycles the chunk. A chunk the sink
@@ -1052,19 +1050,18 @@ func (a *Agent) governTick(actives []*activeQuery) {
 			a.mu.Unlock()
 			aq.stopped.Store(true) // replay shipping is sheddable too
 			aq.announce = true
-			a.salvage(aq)
+			a.seal(&aq.live)
 		}
 	}
 }
 
 // applyRate re-arms a query's live lane at base rate × the tracker's
 // multiplier, 2^-step, and records the new rate for heartbeats. The chunk
-// filled at the old rate is queued behind the full ones. Shipper-only.
+// filled at the old rate is sealed into the queue, behind the lane's
+// earlier chunks. Shipper-only.
 func (a *Agent) applyRate(aq *activeQuery) {
 	step := uint8(math.Round(-math.Log2(aq.tracker.Mult())))
-	if c := aq.live.arm(step); c != nil {
-		a.submit(c)
-	}
+	a.arm(&aq.live, step)
 	aq.step = step
 	aq.announce = true
 }

@@ -420,9 +420,7 @@ func TestLogRacesRearm(t *testing.T) {
 				return
 			default:
 			}
-			if c := ln.arm(step); c != nil {
-				a.submit(c)
-			}
+			a.arm(ln, step)
 			n++
 		}
 	}()
@@ -696,7 +694,7 @@ func TestShedQueryHoldsNoShareOfTheHostCap(t *testing.T) {
 	newQuery := func() *activeQuery {
 		aq := &activeQuery{baseRate: 1, tracker: governor.NewTracker()}
 		aq.live.aq = aq
-		aq.live.arm(0)
+		a.arm(&aq.live, 0)
 		return aq
 	}
 	live1, live2, shed := newQuery(), newQuery(), newQuery()

@@ -226,9 +226,9 @@ func (a *Agent) offerMatched(ln *lane, ev *event.Event, ts int64) {
 }
 
 // enqueue copies the event's projected columns into the lane's active
-// chunk, stamped with the lane's epoch and step, submitting the chunk to
-// the shipper when it fills. Allocation-free in steady state: the tuple
-// and its values land in pooled chunk memory.
+// chunk, stamped with the lane's epoch and step, sealing the chunk into
+// the shipping queue when it fills. Allocation-free in steady state: the
+// tuple and its values land in pooled chunk memory.
 func (a *Agent) enqueue(ln *lane, ev *event.Event, ts int64) {
 	aq := ln.aq
 	ln.mu.Lock()
@@ -236,7 +236,7 @@ func (a *Agent) enqueue(ln *lane, ev *event.Event, ts int64) {
 	if c == nil {
 		c = a.getChunk(aq)
 		c.epoch, c.step = ln.epoch, ln.step
-		//scrub:allowretain(chunk parked on its owning lane under ln.mu; reclaimed by submit/salvage/flush/replay's tail)
+		//scrub:allowretain(chunk parked on its owning lane under ln.mu; only sealLocked takes it off)
 		ln.cur = c
 	}
 	i := c.n
@@ -250,13 +250,13 @@ func (a *Agent) enqueue(ln *lane, ev *event.Event, ts int64) {
 	}
 	c.tuples[i] = transport.Tuple{RequestID: ev.RequestID, TsNanos: ts, Values: vals}
 	c.n++
-	full := c.n == len(c.tuples)
-	if full {
-		ln.detachLocked()
+	var lost *chunk
+	if c.n == len(c.tuples) {
+		a.chunkFills.Inc()
+		lost = a.sealLocked(ln)
 	}
 	ln.mu.Unlock()
-	if full {
-		a.chunkFills.Inc()
-		a.submit(c)
+	if lost != nil {
+		a.drop(lost)
 	}
 }

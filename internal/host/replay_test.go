@@ -315,7 +315,7 @@ func replayLane(t *testing.T, a *Agent, id uint64, n int) (*lane, *typeProgram) 
 	aq := a.queries[queryKey{id: id}]
 	a.mu.Unlock()
 	ln := &lane{aq: aq, epoch: 1}
-	ln.arm(0)
+	a.arm(ln, 0)
 	b, subs := cut(a.byType.Load().byName[aq.schema.Name()], []subscriber{{ln: ln, pred: -1}})
 	tp := buildTypeProgram(aq.schema, b.Build(), subs)
 	now := time.Now().UnixNano()
@@ -348,7 +348,7 @@ func TestReplayLaneCountsSampledAfterLiveStep(t *testing.T) {
 	}
 	downsample(t, a, 1)
 	ln, _ := replayLane(t, a, 1, 10)
-	a.submit(ln.take())
+	a.seal(ln)
 	a.Flush()
 	if n := len(sink.tuples()); n != 10 {
 		t.Fatalf("shipped %d replayed tuples, want 10", n)

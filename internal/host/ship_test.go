@@ -209,3 +209,28 @@ func TestLaneShipsInCutOrder(t *testing.T) {
 			reordered, batches, shipped, n, a.Stats().QueueDrops)
 	}
 }
+
+// TestFlushDrainsBeforeEachSeal: a flush drains the queue before it seals
+// each query's partial chunk into it, so even the minimum queue of two
+// slots takes the partial chunks of five queries and drops none.
+func TestFlushDrainsBeforeEachSeal(t *testing.T) {
+	const queries, perQuery = 5, 10
+	sink := &collectSink{}
+	a := newAgent(t, sink, func(c *Config) { c.QueueSize, c.BatchSize, c.FlushInterval = 16, 16, time.Hour })
+	if slots := cap(a.chunks); slots >= queries {
+		t.Fatalf("the queue has %d slots; the test needs fewer than %d", slots, queries)
+	}
+	for id := range queries {
+		if err := a.Start(transport.HostQuery{QueryID: uint64(id + 1), EventType: "bid", Columns: []string{"user_id"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Now().UnixNano()
+	for i := range perQuery {
+		a.Log(bidEvent(uint64(i), 1, "sf", 1, now))
+	}
+	a.Flush()
+	if n, drops := len(sink.tuples()), a.Stats().QueueDrops; n != queries*perQuery || drops != 0 {
+		t.Fatalf("shipped %d tuples with %d queue drops, want %d and none", n, drops, queries*perQuery)
+	}
+}

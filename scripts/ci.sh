@@ -154,9 +154,17 @@ if grep -nwE 'projGroup|dispatchCtx' $(nontest internal/host) ||
   echo "non-test internal/host has a second dispatch path again (shared projection groups, a pooled dispatch context, the solo fast path or the always/gated split): typeProgram keeps one subs list" >&2; exit 1
 fi
 
-echo "== mᵢ is counted where a chunk leaves its lane (non-test internal/host names no sampleAll, stores nothing into sampled and never reports matched as sampled: lane.detachLocked adds each chunk's tuples, and sendBatch reports the counter as read) =="
+echo "== mᵢ is counted where a chunk leaves its lane (non-test internal/host names no sampleAll, stores nothing into sampled and never reports matched as sampled: Agent.sealLocked adds each chunk's tuples, and sendBatch reports the counter as read) =="
 if grep -nE '\bsampleAll\b|\bsampled\.Store\(|\bsampled\s*=\s*(aq\.)?matched\b' $(nontest internal/host); then
-  echo "non-test internal/host has the rate-1 fast path's second count of mᵢ again (a sampleAll flag, a sampled.Store seeding or sendBatch's sampled = matched): count mᵢ only in lane.detachLocked, as a chunk leaves its lane" >&2; exit 1
+  echo "non-test internal/host has the rate-1 fast path's second count of mᵢ again (a sampleAll flag, a sampled.Store seeding or sendBatch's sampled = matched): count mᵢ only in Agent.sealLocked, as a chunk leaves its lane" >&2; exit 1
+fi
+
+echo "== one path out of a lane (Agent.sealLocked queues every chunk a lane cuts under the lane's mutex, and the shipper ships only what it takes off the queue: non-test internal/host declares no take() or salvage, and every a.ship( ships a chunk just received from a.chunks) =="
+if grep -nE '^func \([^)]*\) take\(\)|\bsalvage\b' $(nontest internal/host) ||
+   awk 'FNR == 1 { prev = "" } { code = $0; sub(/\/\/.*/, "", code) }
+     code ~ /(^|[^A-Za-z0-9_.])a\.ship\(/ && code !~ /a\.ship\(<-a\.chunks\)/ && prev !~ /case c := <-a\.chunks:/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+     { prev = code } END { exit !bad }' $(nontest internal/host); then
+  echo "non-test internal/host ships a chunk around the queue again (lane.take, salvage, or an a.ship( of a chunk not just received from a.chunks): a lane's chunks reach the sink in cut order only if every one is sealed into the queue (Agent.sealLocked) and the shipper only drains it" >&2; exit 1
 fi
 
 echo "== queries keep no predicate tree (a type's live expr.Program is the only copy of its queries' predicates, and one cut of it, expr.Program.Keep, serves install, removal and replay: non-test internal/host declares no canon field, holds no expr.Node in an activeQuery and names no compileTypeProgram or withSubscriber; internal/expr has no Program.Builder) =="
